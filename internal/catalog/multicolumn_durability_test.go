@@ -96,13 +96,22 @@ func TestV1ManifestBackCompat(t *testing.T) {
 // schema table: snapshot, WAL tuple appends, a checkpoint, a post-
 // checkpoint tail, hard stop, recovery — then requires composite
 // answers identical to a brute-force oracle over the expected rows.
+// Under a compressed encoding the columns are cold for the whole cycle
+// (no column index exists; the packed blocks are the only copy), so
+// the checkpoint is captured from, and recovery rebuilds, stores alone.
 func TestMultiColumnDurableRecover(t *testing.T) {
+	for _, enc := range []progidx.Encoding{progidx.EncodingRaw, progidx.EncodingFORBP} {
+		t.Run(enc.String(), func(t *testing.T) { multiColumnDurableRecover(t, enc) })
+	}
+}
+
+func multiColumnDurableRecover(t *testing.T, enc progidx.Encoding) {
 	dir := t.TempDir()
 	store := openStore(t, dir)
 	c := NewDurable(store)
 
 	const (
-		n    = 4_000
+		n    = 9_000 // two sealed 4096-row blocks and a partial tail
 		k    = 3
 		seed = 13
 	)
@@ -110,6 +119,7 @@ func TestMultiColumnDurableRecover(t *testing.T) {
 	opts := Options{
 		Strategy: progidx.StrategyQuicksort,
 		Delta:    0.25,
+		Encoding: enc,
 		Columns:  []string{"a", "b", "c"},
 	}
 	tbl, err := c.Load("wide", flat, opts)
@@ -179,6 +189,11 @@ func TestMultiColumnDurableRecover(t *testing.T) {
 	pt, ok := tbl2.Planned()
 	if !ok {
 		t.Fatal("recovered multi-column table is not plan-backed")
+	}
+	for _, cs := range pt.ColumnStates() {
+		if cold := cs.EncodedBlocks > 0; cold && !(cs.Converged && cs.Progress == 1 && cs.Refines == 0) {
+			t.Fatalf("recovered cold column %q reports %+v", cs.Name, cs)
+		}
 	}
 
 	// Composite answers over the recovered table match a brute-force

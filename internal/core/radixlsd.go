@@ -362,9 +362,12 @@ func (r *RadixLSD) refinementAlpha(lo, hi int64) (int, bool) {
 
 // bucketScanSlower reports whether scanning alpha bucket-resident
 // elements costs at least as much as one pass over the original
-// column. The column pass runs on the parallel kernels while bucket
-// scans are serial, so more workers shift the tradeoff toward the
-// fallback.
+// column. The two sides are deliberately a serial and a parallel
+// estimate: each is the cost of the code answer() would actually run —
+// bucket scans walk their block lists on the calling goroutine
+// (Bucket.AggRange), the fallback is column.ParAggRange on the pool —
+// so more workers shift the tradeoff toward the fallback, and with one
+// worker ParScanTime is exactly ScanTime.
 func (r *RadixLSD) bucketScanSlower(alpha int) bool {
 	return r.model.BucketScanTime(alpha, r.cfg.BlockSize) >= r.model.ParScanTime(r.n, r.pool.Workers())
 }
@@ -381,6 +384,8 @@ func (r *RadixLSD) creationAlpha(lo, hi int64) (int, bool) {
 	for _, i := range idxs {
 		alpha += r.old.Bucket(i).Count()
 	}
+	// Serial bucket scan against the parallel prefix scan, like
+	// bucketScanSlower: each side is priced as it would execute.
 	if r.model.BucketScanTime(alpha, r.cfg.BlockSize) >= r.model.ParScanTime(r.copied, r.pool.Workers()) {
 		return r.copied, true
 	}

@@ -66,18 +66,28 @@ func TestRadixLSDPointQueriesUseBuckets(t *testing.T) {
 }
 
 func TestRadixLSDWideRangeFallback(t *testing.T) {
-	rng := rand.New(rand.NewSource(44))
 	const n, domain = 10_000, 1 << 16
-	vals := randomValues(rng, n, domain)
-	idx := NewRadixLSD(column.MustNew(vals), Config{Mode: FixedDelta, Delta: 0.1})
-	idx.Query(0, domain) // wide range on the very first query
-	st := idx.LastStats()
-	// Fallback means the base prediction is a single full scan.
-	m := idx.model
-	if st.BaseSeconds != m.ScanTime(n) {
-		t.Fatalf("wide-range base = %g, want full scan %g", st.BaseSeconds, m.ScanTime(n))
+	// Workers 0 is GOMAXPROCS, whatever this host has; 1 forces the
+	// serial kernels, where the parallel estimate must collapse to the
+	// plain scan time.
+	for _, workers := range []int{0, 1} {
+		rng := rand.New(rand.NewSource(44))
+		vals := randomValues(rng, n, domain)
+		idx := NewRadixLSD(column.MustNew(vals), Config{Mode: FixedDelta, Delta: 0.1, Workers: workers})
+		idx.Query(0, domain) // wide range on the very first query
+		st := idx.LastStats()
+		// Fallback means the base prediction is a single full scan, on the
+		// parallel kernels the fallback actually runs on.
+		m := idx.model
+		want := m.ParScanTime(n, idx.pool.Workers())
+		if workers == 1 {
+			want = m.ScanTime(n)
+		}
+		if st.BaseSeconds != want {
+			t.Fatalf("workers=%d: wide-range base = %g, want full scan %g", workers, st.BaseSeconds, want)
+		}
+		checkConvergesAndAnswers(t, idx, vals, rng, domain, 10_000)
 	}
-	checkConvergesAndAnswers(t, idx, vals, rng, domain, 10_000)
 }
 
 func TestRadixLSDNarrowRangesDuringRefinement(t *testing.T) {

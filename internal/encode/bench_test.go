@@ -111,3 +111,55 @@ func BenchmarkEncode(b *testing.B) {
 		})
 	}
 }
+
+// benchBlockSegment is one planner-sized block (4096 rows, 20-bit
+// deltas): the unit the conjunction kernels run on.
+func benchBlockSegment(b *testing.B, mode Mode) *Segment {
+	rng := rand.New(rand.NewSource(44))
+	vs := make([]int64, 4096)
+	for i := range vs {
+		vs[i] = rng.Int63n(1 << 20)
+	}
+	mn, mx := column.MinMax(vs)
+	seg, err := New(vs, mn, mx, mode)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return seg
+}
+
+func BenchmarkRefine(b *testing.B) {
+	for _, mode := range []Mode{ModeFORBP, ModeDict, ModeRaw} {
+		seg := benchBlockSegment(b, mode)
+		b.Run(mode.String(), func(b *testing.B) {
+			var mask [64]uint64
+			b.SetBytes(int64(seg.SizeBytes()))
+			for i := 0; i < b.N; i++ {
+				column.FillMask(mask[:], seg.Len())
+				benchSink.Count += int64(seg.Refine(seg.Min()+100, seg.Max()-100, mask[:]))
+			}
+		})
+	}
+}
+
+func BenchmarkAggMasked(b *testing.B) {
+	for _, mode := range []Mode{ModeFORBP, ModeDict, ModeRaw} {
+		seg := benchBlockSegment(b, mode)
+		for _, sel := range []struct {
+			name string
+			keep uint64 // ANDed into every word of the full mask
+		}{{"dense", ^uint64(0)}, {"sparse", 1 << 17}} {
+			b.Run(fmt.Sprintf("%s/%s", mode, sel.name), func(b *testing.B) {
+				var mask [64]uint64
+				column.FillMask(mask[:], seg.Len())
+				for i := range mask {
+					mask[i] &= sel.keep
+				}
+				b.SetBytes(int64(seg.SizeBytes()))
+				for i := 0; i < b.N; i++ {
+					benchSink = seg.AggMasked(mask[:], column.AggAll)
+				}
+			})
+		}
+	}
+}

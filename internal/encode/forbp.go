@@ -86,10 +86,7 @@ func (s *Segment) aggFORBP(from, to int, lo, hi int64, aggs column.Aggregates) c
 	//   carry' = (p & carry) | (t & (p | carry))
 	// with t the all-ones/zero mask of the addend's bit j.
 	var loNot, hiNot [64]uint64
-	for j := 0; j < w; j++ {
-		loNot[j] = -(^dlo >> uint(j) & 1)
-		hiNot[j] = -(^dhi >> uint(j) & 1)
-	}
+	forbpBounds(dlo, dhi, w, &loNot, &hiNot)
 	needMM := aggs.NeedsMinMax()
 	var sum, count int64
 	mn, mx := int64(math.MaxInt64), int64(math.MinInt64)
@@ -100,14 +97,7 @@ func (s *Segment) aggFORBP(from, to int, lo, hi int64, aggs column.Aggregates) c
 			k = blockLen
 		}
 		planes := words[block*w : (block+1)*w]
-		cl, ch := ^uint64(0), uint64(0)
-		for j := 0; j < w; j++ {
-			p := planes[j]
-			nl, nh := loNot[j], hiNot[j]
-			cl = (p & cl) | (nl & (p | cl))
-			ch = (p & ch) | (nh & (p | ch))
-		}
-		m := cl &^ ch // carried past dlo, did not carry past dhi
+		m := forbpMatch(planes, &loNot, &hiNot)
 		if k < blockLen {
 			m &= uint64(1)<<uint(k) - 1
 		}
@@ -125,38 +115,10 @@ func (s *Segment) aggFORBP(from, to int, lo, hi int64, aggs column.Aggregates) c
 			// block cannot beat the running extremum — the undecided low
 			// bits can only move a block's min up and its max down.
 			if mn > int64(dlo) {
-				cand := m
-				var minD int64
-				for j := w - 1; j >= 0; j-- {
-					z := cand &^ planes[j]
-					t := -((z | -z) >> 63) // all-ones iff some candidate has bit j clear
-					cand = (z & t) | (cand &^ t)
-					minD |= int64(1<<uint(j)) &^ int64(t)
-					if minD >= mn {
-						minD = math.MaxInt64 // cannot improve; poison the update
-						break
-					}
-				}
-				if minD < mn {
-					mn = minD
-				}
+				mn = minDelta(planes, m, mn)
 			}
 			if mx < int64(dhi) {
-				cand := m
-				var maxD int64
-				for j := w - 1; j >= 0; j-- {
-					o := cand & planes[j]
-					t := -((o | -o) >> 63)
-					cand = (o & t) | (cand &^ t)
-					maxD |= int64(1<<uint(j)) & int64(t)
-					if maxD|(int64(1)<<uint(j)-1) <= mx {
-						maxD = math.MinInt64 // cannot improve; poison the update
-						break
-					}
-				}
-				if maxD > mx {
-					mx = maxD
-				}
+				mx = maxDelta(planes, m, mx)
 			}
 		}
 		i += k
@@ -172,7 +134,71 @@ func (s *Segment) aggFORBP(from, to int, lo, hi int64, aggs column.Aggregates) c
 	return a
 }
 
-// appendFORBP decodes all rows in original order onto dst.
+// forbpBounds spreads bit j of ^dlo and ^dhi (the ripple-carry addends
+// of the two bound tests, see aggFORBP) into all-ones/zero masks.
+func forbpBounds(dlo, dhi uint64, w int, loNot, hiNot *[64]uint64) {
+	for j := 0; j < w; j++ {
+		loNot[j] = -(^dlo >> uint(j) & 1)
+		hiNot[j] = -(^dhi >> uint(j) & 1)
+	}
+}
+
+// forbpMatch returns the lanes of one 64-row block whose delta lies in
+// [dlo, dhi]: those that carried past dlo and did not carry past dhi.
+func forbpMatch(planes []uint64, loNot, hiNot *[64]uint64) uint64 {
+	cl, ch := ^uint64(0), uint64(0)
+	for j, p := range planes {
+		nl, nh := loNot[j], hiNot[j]
+		cl = (p & cl) | (nl & (p | cl))
+		ch = (p & ch) | (nh & (p | ch))
+	}
+	return cl &^ ch
+}
+
+// minDelta returns the smaller of best and the least delta among the
+// candidate lanes of one block (cand must be nonzero), descending the
+// planes MSB first and keeping the 0-side whenever a candidate has the
+// bit clear. It abandons as soon as the decided high bits reach best.
+func minDelta(planes []uint64, cand uint64, best int64) int64 {
+	var d int64
+	for j := len(planes) - 1; j >= 0; j-- {
+		z := cand &^ planes[j]
+		t := -((z | -z) >> 63) // all-ones iff some candidate has bit j clear
+		cand = (z & t) | (cand &^ t)
+		d |= int64(1<<uint(j)) &^ int64(t)
+		if d >= best {
+			return best
+		}
+	}
+	if d < best {
+		return d
+	}
+	return best
+}
+
+// maxDelta is minDelta's mirror: the 1-side is kept, and the descent
+// abandons once even all-ones in the undecided low bits cannot beat
+// best.
+func maxDelta(planes []uint64, cand uint64, best int64) int64 {
+	var d int64
+	for j := len(planes) - 1; j >= 0; j-- {
+		o := cand & planes[j]
+		t := -((o | -o) >> 63)
+		cand = (o & t) | (cand &^ t)
+		d |= int64(1<<uint(j)) & int64(t)
+		if d|(int64(1)<<uint(j)-1) <= best {
+			return best
+		}
+	}
+	if d > best {
+		return d
+	}
+	return best
+}
+
+// appendFORBP decodes all rows in original order onto dst, one 64-row
+// block at a time: the block's planes are the rows of a 64x64 bit
+// matrix whose transpose holds one delta per row.
 func (s *Segment) appendFORBP(dst []int64) []int64 {
 	if s.width == 0 {
 		for i := 0; i < s.n; i++ {
@@ -181,14 +207,30 @@ func (s *Segment) appendFORBP(dst []int64) []int64 {
 		return dst
 	}
 	w := int(s.width)
-	for i := 0; i < s.n; i++ {
-		planes := s.words[(i/blockLen)*w:]
-		lane := uint(i & (blockLen - 1))
-		var d uint64
-		for j := 0; j < w; j++ {
-			d |= (planes[j] >> lane & 1) << uint(j)
+	var m [blockLen]uint64
+	for i := 0; i < s.n; i += blockLen {
+		copy(m[:w], s.words[(i/blockLen)*w:])
+		clear(m[w:])
+		transpose64(&m)
+		for _, d := range m[:min(blockLen, s.n-i)] {
+			dst = append(dst, int64(d)+s.ref)
 		}
-		dst = append(dst, int64(d)+s.ref)
 	}
 	return dst
+}
+
+// transpose64 transposes a 64x64 bit matrix in place (bit c of m[r]
+// becomes bit r of m[c]) by swapping ever smaller off-diagonal blocks:
+// 32x32 halves first, then 16x16 within each, down to single bits.
+func transpose64(m *[blockLen]uint64) {
+	mask := uint64(0x00000000FFFFFFFF)
+	for j := uint(32); j != 0; j, mask = j>>1, mask^(mask<<(j>>1)) {
+		for base := uint(0); base < blockLen; base += 2 * j {
+			for k := base; k < base+j; k++ {
+				t := (m[k]>>j ^ m[k+j]) & mask
+				m[k] ^= t << j
+				m[k+j] ^= t
+			}
+		}
+	}
 }

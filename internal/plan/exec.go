@@ -15,13 +15,14 @@ import (
 // except through the driver column's clamped index execution.
 //
 // Route selection:
-//   - no predicates, or one predicate on the aggregate target column:
-//     direct route through that column's own progressive index (full
-//     index acceleration, budget clamped);
-//   - everything else: planner picks the driving column, then a fused
-//     block scan prunes with every column's zone maps, evaluates the
-//     driver's predicate first and verifies residuals in estimated-
-//     selectivity order with the chunked parallel kernels.
+//   - no predicates, or one predicate on the aggregate target column,
+//     and that column has been claimed: direct route through the
+//     column's own progressive index (full index acceleration, budget
+//     clamped);
+//   - everything else, the direct route on a cold column included:
+//     planner picks the driving column, then a fused block scan prunes
+//     with every column's zone maps and ANDs the predicates, driver
+//     first, into one selection mask per block.
 func (t *Table) execConj(c query.Conjunction, tr *obs.Trace, forced int) (query.Answer, Choice, error) {
 	if err := c.Validate(); err != nil {
 		return query.Answer{}, Choice{}, err
@@ -36,6 +37,12 @@ func (t *Table) execConj(c query.Conjunction, tr *obs.Trace, forced int) (query.
 		return query.Answer{}, Choice{}, fmt.Errorf("plan: unknown column %q in table %q", target, t.name)
 	}
 	aggs := c.Aggs.Normalize()
+	if len(c.Preds) == 0 {
+		// Unconditional aggregate: a predicate covering the target's
+		// zone, so both routes below see the one-predicate shape.
+		st := t.cols[tgt].store
+		c.Preds = []query.ColPredicate{{Col: target, Pred: query.Range(st.mn, st.mx)}}
+	}
 	preds := make([]query.ColPredicate, len(c.Preds))
 	bounds := make([][2]int64, len(c.Preds))
 	emptyPred := false
@@ -59,10 +66,7 @@ func (t *Table) execConj(c query.Conjunction, tr *obs.Trace, forced int) (query.
 	// A predicate disjoint from its column's zone empties the whole
 	// conjunction without touching any store.
 	if emptyPred {
-		ch := Choice{Direct: false}
-		if len(preds) > 0 {
-			ch.Driver = preds[0].Col
-		}
+		ch := Choice{Driver: preds[0].Col}
 		if forced >= 0 && forced < len(preds) {
 			ch.Driver = preds[forced].Col
 			ch.Forced = true
@@ -74,35 +78,35 @@ func (t *Table) execConj(c query.Conjunction, tr *obs.Trace, forced int) (query.
 
 	// Direct route: the conjunction is a single-column query on the
 	// aggregate target (or unconditional), which the column's own
-	// progressive index answers with full acceleration.
-	if forced < 0 && (len(preds) == 0 || (len(preds) == 1 && t.byName[preds[0].Col] == tgt)) {
-		req := query.Request{Pred: query.Range(t.cols[tgt].store.mn, t.cols[tgt].store.mx), Aggs: aggs}
-		if len(preds) == 1 {
-			req.Pred = preds[0].Pred
-		} else {
-			t.cols[tgt].heat.Add(1)
+	// progressive index answers with full acceleration. A cold column
+	// has no index yet: it takes the masked scan below, and the query
+	// counts toward claiming it.
+	direct := forced < 0 && len(preds) == 1 && t.byName[preds[0].Col] == tgt
+	if direct {
+		if idx := t.cols[tgt].index(); idx != nil {
+			ch := Choice{Driver: t.cols[tgt].name, Direct: true}
+			ans, err := directExecute(idx, query.Request{Pred: preds[0].Pred, Aggs: aggs})
+			if err != nil {
+				return query.Answer{}, ch, err
+			}
+			ch.MatchedRows = ans.Count
+			ch.DriverRows = ans.Count
+			t.tracePlan(tr, ch, aggs, false)
+			return ans, ch, nil
 		}
-		ch := Choice{Driver: t.cols[tgt].name, Direct: true}
-		ans, err := t.directExecute(tgt, req)
-		if err != nil {
-			return query.Answer{}, ch, err
-		}
-		ch.MatchedRows = ans.Count
-		ch.DriverRows = ans.Count
-		t.tracePlan(tr, ch, aggs, false)
-		return ans, ch, nil
+		t.cols[tgt].directHeat.Add(1)
 	}
 
 	driver, ch := t.choose(preds, bounds, forced)
+	ch.Direct = direct
 	ans := t.fusedScan(preds, bounds, driver, tgt, aggs, &ch)
 	t.tracePlan(tr, ch, aggs, false)
 	return ans, ch, nil
 }
 
-// directExecute runs a single-column request on column ci's index with
+// directExecute runs a single-column request on a column's index with
 // the budget clamped (the batch, not the query, owns the δ).
-func (t *Table) directExecute(ci int, req query.Request) (query.Answer, error) {
-	idx := t.cols[ci].idx
+func directExecute(idx progidx.Handle, req query.Request) (query.Answer, error) {
 	if bc, ok := idx.(progidx.BudgetClamper); ok {
 		answers, errs := bc.ExecuteBatchClamped([]query.Request{req})
 		return answers[0], errs[0]
@@ -141,42 +145,42 @@ func (t *Table) tracePlan(tr *obs.Trace, ch Choice, aggs column.Aggregates, empt
 	tr.End(sp)
 }
 
-// fusedScan answers a multi-predicate conjunction in one pass over the
-// zone-pruned blocks: a block survives only if every predicate's zone
-// overlaps it (the maps are row-aligned, so the AND of zones is exact
-// pruning), then rows are tested driver-first with residuals in
-// estimated-selectivity order, and the target column's values of the
-// matching rows feed the aggregates. Chunk partials merge in block
-// order, so answers are bit-identical at every worker count and for
-// every driver choice.
+// fusedScan answers a conjunction in one pass over the zone-pruned
+// blocks without decoding any of them: a block survives only if every
+// predicate's zone overlaps it (the maps are row-aligned, so the AND of
+// zones is exact pruning); per surviving block one selection mask
+// starts all-ones, each predicate — driver first, residuals in
+// estimated-selectivity order — ANDs its match bits in with the
+// store's Refine kernel, the first predicate to empty the mask ends the
+// block, and the target column is aggregated under what is left. A
+// predicate whose bounds cover the block's zone passes every row and
+// is not evaluated. Chunk partials merge in block order, so answers are
+// bit-identical at every worker count and for every driver choice.
 //
 // A forced driver (ExplainConj's worst-column baseline) instead prunes
 // with that column's zones alone — emulating an engine whose only
 // access path is the pinned column, which is exactly the per-candidate
 // cost the planner scores — while residual predicates are still
-// verified row by row, so the answer stays identical and only the work
-// differs.
+// verified on every surviving block, so the answer stays identical and
+// only the work differs.
 func (t *Table) fusedScan(preds []query.ColPredicate, bounds [][2]int64, driver, tgt int, aggs column.Aggregates, ch *Choice) query.Answer {
 	// Evaluation order: driver first, then residuals by ascending
 	// zone-map estimate (cheapest rejections first).
 	order := make([]int, 0, len(preds))
 	order = append(order, driver)
-	rest := make([]int, 0, len(preds)-1)
 	for i := range preds {
 		if i != driver {
-			rest = append(rest, i)
+			order = append(order, i)
 		}
 	}
+	rest := order[1:]
 	sort.Slice(rest, func(a, b int) bool {
 		return ch.Candidates[rest[a]].EstRows < ch.Candidates[rest[b]].EstRows
 	})
-	order = append(order, rest...)
 
 	stores := make([]*colStore, len(preds))
-	colOf := make([]int, len(preds))
 	for i, cp := range preds {
-		colOf[i] = t.byName[cp.Col]
-		stores[i] = t.cols[colOf[i]].store
+		stores[i] = t.cols[t.byName[cp.Col]].store
 	}
 	tgtStore := t.cols[tgt].store
 
@@ -204,92 +208,53 @@ func (t *Table) fusedScan(preds []query.ColPredicate, bounds [][2]int64, driver,
 	}
 	ch.ScannedBlocks, ch.PrunedBlocks = len(surv), nb-len(surv)
 
-	needMinMax := aggs.NeedsMinMax()
-	nOrd := len(order)
-	chunks := t.pool.Chunks(len(surv), minBlocksPerChunk)
-	partials := make([]column.Agg, chunks)
-	for c := range partials {
-		// Keep the ±inf extrema sentinels in chunks Run never invokes
-		// (an all-pruned scan), so the merge below can stay branch-free.
-		partials[c] = column.NewAgg()
+	// One partial per chunk; chunks Run never invokes (an all-pruned
+	// scan) keep the ±inf extrema sentinels, so the merge stays
+	// branch-free.
+	type partial struct {
+		agg              column.Agg
+		rows, driverRows int64
 	}
-	passCounts := make([][]int64, chunks)
-	scanned := make([]int64, chunks)
-
+	partials := make([]partial, t.pool.Chunks(len(surv), minBlocksPerChunk))
+	for c := range partials {
+		partials[c].agg = column.NewAgg()
+	}
 	t.pool.Run(len(surv), minBlocksPerChunk, func(chunk, clo, chi int) {
-		agg := column.NewAgg()
-		pass := make([]int64, nOrd)
-		var rows int64
-		// Per-goroutine decode scratch, one per involved column plus
-		// the target; reused across the chunk's blocks.
-		scratch := make([][]int64, nOrd+1)
-		decoded := make([][]int64, nOrd+1)
-		for si := clo; si < chi; si++ {
-			b := int(surv[si])
-			blen := stores[order[0]].blockLen(b)
-			rows += int64(blen)
-			drows := stores[order[0]].blockRows(b, &scratch[0])
-			dlo, dhi := bounds[order[0]][0], bounds[order[0]][1]
-			restReady := false
-			for i := 0; i < blen; i++ {
-				v := drows[i]
-				if v < dlo || v > dhi {
-					continue
+		p := partial{agg: column.NewAgg()}
+		var mask [BlockRows / 64]uint64
+		for _, b32 := range surv[clo:chi] {
+			b := int(b32)
+			live := tgtStore.blockLen(b)
+			p.rows += int64(live)
+			column.FillMask(mask[:], live)
+			for r, i := range order {
+				lo, hi := bounds[i][0], bounds[i][1]
+				if zlo, zhi := stores[i].blockZone(b); lo > zlo || hi < zhi {
+					live = stores[i].refine(b, lo, hi, mask[:])
 				}
-				pass[0]++
-				if !restReady {
-					for r := 1; r < nOrd; r++ {
-						decoded[r] = stores[order[r]].blockRows(b, &scratch[r])
-					}
-					decoded[nOrd] = tgtStore.blockRows(b, &scratch[nOrd])
-					restReady = true
+				if r == 0 {
+					p.driverRows += int64(live)
 				}
-				okRow := true
-				for r := 1; r < nOrd; r++ {
-					rb := bounds[order[r]]
-					rv := decoded[r][i]
-					if rv < rb[0] || rv > rb[1] {
-						okRow = false
-						break
-					}
-					pass[r]++
-				}
-				if !okRow {
-					continue
-				}
-				tv := decoded[nOrd][i]
-				agg.Sum += tv
-				agg.Count++
-				if needMinMax {
-					if tv < agg.Min {
-						agg.Min = tv
-					}
-					if tv > agg.Max {
-						agg.Max = tv
-					}
+				if live == 0 {
+					break
 				}
 			}
+			if live > 0 {
+				p.agg.Merge(tgtStore.aggMasked(b, mask[:], aggs))
+			}
 		}
-		partials[chunk] = agg
-		passCounts[chunk] = pass
-		scanned[chunk] = rows
+		partials[chunk] = p
 	})
 
 	total := column.NewAgg()
 	var scannedRows int64
-	pass := make([]int64, nOrd)
-	for c := 0; c < chunks; c++ {
-		total.Merge(partials[c])
-		scannedRows += scanned[c]
-		if passCounts[c] != nil {
-			for r := 0; r < nOrd; r++ {
-				pass[r] += passCounts[c][r]
-			}
-		}
+	for _, p := range partials {
+		total.Merge(p.agg)
+		scannedRows += p.rows
+		ch.DriverRows += p.driverRows
 	}
-	ch.DriverRows = pass[0]
-	if nOrd > 1 {
-		ch.ResidualRows = pass[0]
+	if len(order) > 1 {
+		ch.ResidualRows = ch.DriverRows
 	}
 	ch.MatchedRows = total.Count
 
@@ -299,7 +264,7 @@ func (t *Table) fusedScan(preds []query.ColPredicate, bounds [][2]int64, driver,
 		ShardsScanned: ch.ScannedBlocks,
 		ShardsPruned:  ch.PrunedBlocks,
 	}
-	if p, ok := t.cols[colOf[driver]].idx.Phase(); ok {
+	if p, ok := t.cols[t.byName[preds[driver].Col]].phase(); ok {
 		stats.Phase = p
 	}
 	return query.NewAnswer(total, aggs, stats)

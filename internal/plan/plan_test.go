@@ -3,6 +3,8 @@ package plan
 import (
 	"fmt"
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 
 	"repro"
@@ -10,24 +12,34 @@ import (
 	"repro/internal/query"
 )
 
-// genTable builds a k-column test table with planner-relevant shape:
+// genTuples builds a k-column test table with planner-relevant shape:
 // column 0 is clustered (values correlate with row position, so zone
-// maps prune it well), the others are uniform over [0, n).
+// maps prune it well), column 2 is low-cardinality (64 distinct values,
+// so the automatic encoding picks dictionary blocks), the others are
+// uniform over [0, n).
 func genTuples(n, k int, seed int64) [][]int64 {
 	rng := rand.New(rand.NewSource(seed))
 	cols := make([][]int64, k)
 	for c := range cols {
 		cols[c] = make([]int64, n)
 		for i := 0; i < n; i++ {
-			if c == 0 {
+			switch c {
+			case 0:
 				noise := int64(n/100) + 1
 				cols[c][i] = int64(i) + rng.Int63n(2*noise+1) - noise
-			} else {
+			case 2:
+				cols[c][i] = int64(rng.Intn(64)) * int64(n/64)
+			default:
 				cols[c][i] = rng.Int63n(int64(n))
 			}
 		}
 	}
 	return cols
+}
+
+// testEncodings is every storage mode the planner tests sweep.
+var testEncodings = []progidx.Encoding{
+	progidx.EncodingRaw, progidx.EncodingFORBP, progidx.EncodingDict, progidx.EncodingAuto,
 }
 
 func flatten(cols [][]int64, from, to int) []int64 {
@@ -205,66 +217,342 @@ func TestConjunctionsMatchOracle(t *testing.T) {
 }
 
 // TestDriverChoiceIrrelevantToAnswer pins the bit-identity property:
-// for any conjunction, forcing any predicate column as the driver
-// yields exactly the planner's answer.
+// for any conjunction, the planner's choice and every predicate column
+// forced as the driver all yield exactly the oracle's answer — under
+// every encoding and worker count, with appends interleaved so the scan
+// always ends in a partial, unsealed tail block.
 func TestDriverChoiceIrrelevantToAnswer(t *testing.T) {
 	const n = 20_000
 	names := []string{"a", "b", "c"}
 	cols := genTuples(n, 3, 5)
-	tbl, err := New("t", names, flatten(cols, 0, n), progidx.Options{Strategy: progidx.StrategyQuicksort, Delta: 0.25})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(7))
-	for q := 0; q < 40; q++ {
-		c := randomConj(rng, names, n)
-		want := oracleConj(cols, names, n, c)
-		planned, _, err := tbl.ExplainConj(c, "")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !sameAnswer(planned, want) {
-			t.Fatalf("planned answer diverges for %s:\n got %+v\nwant %+v", c, planned, want)
-		}
-		for _, cp := range c.Preds {
-			forcedAns, ch, err := tbl.ExplainConj(c, cp.Col)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if ch.Driver != cp.Col || !ch.Forced {
-				t.Fatalf("forced driver not honored: %+v", ch)
-			}
-			if !sameAnswer(forcedAns, want) {
-				t.Fatalf("driver %s diverges for %s:\n got %+v\nwant %+v", cp.Col, c, forcedAns, want)
-			}
+	for _, enc := range testEncodings {
+		for _, workers := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%s/workers=%d", enc, workers), func(t *testing.T) {
+				rows := n/2 + 7
+				tbl, err := New("t", names, flatten(cols, 0, rows),
+					progidx.Options{Strategy: progidx.StrategyQuicksort, Delta: 0.25, Encoding: enc, Workers: workers})
+				if err != nil {
+					t.Fatal(err)
+				}
+				rng := rand.New(rand.NewSource(7))
+				for q := 0; q < 40; q++ {
+					if q%4 == 1 && rows < n {
+						grow := min(n, rows+1+rng.Intn(1500))
+						if err := tbl.Append(flatten(cols, rows, grow)); err != nil {
+							t.Fatal(err)
+						}
+						rows = grow
+					}
+					c := randomConj(rng, names, n)
+					want := oracleConj(cols, names, rows, c)
+					planned, _, err := tbl.ExplainConj(c, "")
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !sameAnswer(planned, want) {
+						t.Fatalf("planned answer diverges for %s at %d rows:\n got %+v\nwant %+v", c, rows, planned, want)
+					}
+					for _, cp := range c.Preds {
+						forcedAns, ch, err := tbl.ExplainConj(c, cp.Col)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if ch.Driver != cp.Col || !ch.Forced {
+							t.Fatalf("forced driver not honored: %+v", ch)
+						}
+						if !sameAnswer(forcedAns, want) {
+							t.Fatalf("driver %s diverges for %s at %d rows:\n got %+v\nwant %+v", cp.Col, c, rows, forcedAns, want)
+						}
+					}
+				}
+			})
 		}
 	}
 }
 
-// TestCompressedColumnsMatchOracle runs the oracle property over a
-// compressed table: sealed blocks are packed segments and the fused
-// scan decodes only survivors.
+// directConj is a direct-route conjunction on col: one predicate on the
+// aggregate target, or none at all.
+func directConj(rng *rand.Rand, col string, n int64) query.Conjunction {
+	c := query.Conjunction{Target: col, Aggs: column.AggAll}
+	if rng.Intn(3) > 0 {
+		lo := rng.Int63n(n)
+		c.Preds = []query.ColPredicate{{Col: col, Pred: query.Range(lo, lo+rng.Int63n(n/4+1))}}
+	}
+	return c
+}
+
+// TestCompressedColumnsMatchOracle walks a compressed table through the
+// cold → claim lifecycle of its lazily built column indexes. Columns
+// are born cold — no index, the packed blocks their only copy, every
+// query a masked scan over them — and report the terminal state a cold
+// shard does. Direct-route and composite answers must match the oracle
+// before the claim, on the batch that triggers it and after it, with
+// appends interleaved; and the Handle surface the catalog, scheduler
+// and checkpoints drive (MaterializeRows, PendingRows, Append,
+// Progress, Phase) must be correct while a column has no index.
 func TestCompressedColumnsMatchOracle(t *testing.T) {
-	const n = 25_000
-	names := []string{"a", "b"}
-	cols := genTuples(n, 2, 13)
-	tbl, err := New("t", names, flatten(cols, 0, n),
-		progidx.Options{Strategy: progidx.StrategyQuicksort, Delta: 0.25, Shards: 2, Encoding: progidx.EncodingFORBP})
+	const (
+		n         = 25_000
+		claimHeat = 5
+	)
+	names := []string{"a", "b", "c"}
+	cols := genTuples(n, 3, 13)
+	for _, enc := range testEncodings[1:] {
+		t.Run(enc.String(), func(t *testing.T) {
+			rows := n/2 + 11
+			tbl, err := New("t", names, flatten(cols, 0, rows), progidx.Options{
+				Strategy: progidx.StrategyQuicksort, Delta: 0.25, Shards: 2, Encoding: enc, ClaimHeat: claimHeat})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if eb := tbl.cols[0].store.encodedBlocks(); eb == 0 {
+				t.Fatal("no encoded blocks on a compressed table")
+			}
+			checkCold := func(when string) {
+				t.Helper()
+				for _, cs := range tbl.cols {
+					if cs.index() != nil {
+						t.Fatalf("%s: column %q has an index, want cold", when, cs.name)
+					}
+				}
+				if p, ok := tbl.Phase(); !tbl.Converged() || tbl.Progress() != 1 || !ok || p != query.PhaseDone {
+					t.Fatalf("%s: cold table reports converged=%v progress=%g phase=%v,%v", when, tbl.Converged(), tbl.Progress(), p, ok)
+				}
+				if pr := tbl.PendingRows(); pr != 0 {
+					t.Fatalf("%s: cold table reports %d pending rows", when, pr)
+				}
+				if got, want := tbl.MaterializeRows(), flatten(cols, 0, rows); !slices.Equal(got, want) {
+					t.Fatalf("%s: MaterializeRows of a cold table differs from the %d loaded rows", when, rows)
+				}
+			}
+			check := func(c query.Conjunction) {
+				t.Helper()
+				got, err := tbl.ExecuteConj(c)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := oracleConj(cols, names, rows, c); !sameAnswer(got, want) {
+					t.Fatalf("%s at %d rows:\n got %+v\nwant %+v", c, rows, got, want)
+				}
+			}
+			grow := func(rng *rand.Rand) {
+				t.Helper()
+				to := min(n, rows+1+rng.Intn(3000))
+				if err := tbl.Append(flatten(cols, rows, to)); err != nil {
+					t.Fatal(err)
+				}
+				rows = to
+			}
+
+			// Composite queries heat every column but claim none of them:
+			// an index would not have served them.
+			rng := rand.New(rand.NewSource(3))
+			checkCold("at birth")
+			for q := 0; q < 3*claimHeat; q++ {
+				if q%4 == 1 {
+					grow(rng)
+				}
+				c := randomConj(rng, names, n)
+				if len(c.Preds) == 1 {
+					c.Target = names[(tbl.byName[c.Preds[0].Col]+1)%len(names)]
+				}
+				check(c)
+			}
+			checkCold("after composite queries and appends")
+
+			// Direct-route queries on b: cold masked scans up to the
+			// threshold, the claim on the batch that reaches it, the
+			// column's own index afterwards.
+			for q := 0; q < 3*claimHeat; q++ {
+				if q%3 == 1 {
+					grow(rng)
+				}
+				check(directConj(rng, "b", n))
+				if claimed := tbl.cols[1].index() != nil; claimed != (q+1 >= claimHeat) {
+					t.Fatalf("after %d direct queries (threshold %d): claimed=%v", q+1, claimHeat, claimed)
+				}
+				check(randomConj(rng, names, n))
+			}
+			if tbl.cols[0].index() != nil || tbl.cols[2].index() != nil {
+				t.Fatal("columns that served no direct-route query were claimed")
+			}
+			if _, ch, err := tbl.ExplainConj(directConj(rng, "b", n), ""); err != nil || !ch.Direct || ch.ScannedBlocks != 0 {
+				t.Fatalf("claimed column's direct route did not reach its index: %+v, %v", ch, err)
+			}
+			if _, ch, err := tbl.ExplainConj(directConj(rng, "a", n), ""); err != nil || !ch.Direct || ch.ScannedBlocks == 0 {
+				t.Fatalf("cold column's direct route did not scan its blocks: %+v, %v", ch, err)
+			}
+			grow(rng)
+			if got, want := tbl.MaterializeRows(), flatten(cols, 0, rows); !slices.Equal(got, want) {
+				t.Fatal("MaterializeRows differs after the claim")
+			}
+
+			// The claimed column converges under the table's δ like any
+			// raw-mode column; the cold ones stay terminal.
+			for i := 0; i < 400 && !tbl.Converged(); i++ {
+				check(directConj(rng, "b", n))
+			}
+			if !tbl.Converged() {
+				t.Fatal("claimed column did not converge")
+			}
+		})
+	}
+}
+
+// TestConcurrentClaim races everything that can meet a cold → claim
+// transition: direct-route and composite queries from several
+// goroutines (each batch may claim), appends, and the lock-free status
+// probes the scheduler polls. Appended rows lie above every queried
+// range, so the loaded rows stay the oracle. Run under -race.
+func TestConcurrentClaim(t *testing.T) {
+	const n = 12_000
+	names := []string{"a", "b", "c"}
+	cols := genTuples(n, 3, 23)
+	tbl, err := New("t", names, flatten(cols, 0, n), progidx.Options{
+		Strategy: progidx.StrategyQuicksort, Delta: 0.25, Encoding: progidx.EncodingFORBP, ClaimHeat: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if eb := tbl.cols[0].store.encodedBlocks(); eb == 0 {
-		t.Fatal("no encoded blocks on a compressed table")
+	stop := make(chan struct{})
+	var probes sync.WaitGroup
+	probes.Add(2)
+	go func() {
+		defer probes.Done()
+		for i := int64(0); ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := tbl.Append([]int64{10*n + i, 10*n + i, 10*n + i}); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	go func() {
+		defer probes.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			tbl.Progress()
+			tbl.Converged()
+			tbl.Phase()
+			tbl.PendingRows()
+			tbl.ColumnStates()
+		}
+	}()
+	var queriers sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		queriers.Add(1)
+		go func(g int) {
+			defer queriers.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			for q := 0; q < 30; q++ {
+				c := directConj(rng, names[g%len(names)], n)
+				if q%2 == 1 {
+					c = randomConj(rng, names, n)
+				}
+				if len(c.Preds) == 0 {
+					continue // unconditional: would see the appended rows
+				}
+				for i, cp := range c.Preds {
+					if cp.Pred.Kind == query.PredAtLeast {
+						c.Preds[i].Pred = query.Range(cp.Pred.Lo, 2*n) // likewise
+					}
+				}
+				got, err := tbl.ExecuteConj(c)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if want := oracleConj(cols, names, n, c); !sameAnswer(got, want) {
+					t.Errorf("%s:\n got %+v\nwant %+v", c, got, want)
+					return
+				}
+			}
+		}(g)
 	}
-	rng := rand.New(rand.NewSource(3))
-	for q := 0; q < 50; q++ {
-		c := randomConj(rng, names, n)
+	queriers.Wait()
+	close(stop)
+	probes.Wait()
+	claimed := 0
+	for _, cs := range tbl.cols {
+		if cs.index() != nil {
+			claimed++
+		}
+	}
+	if claimed == 0 {
+		t.Fatal("no column was claimed")
+	}
+}
+
+// TestNeverClaim: a negative ClaimHeat keeps compressed columns cold
+// for life, like the shard layer's.
+func TestNeverClaim(t *testing.T) {
+	const n = 9_000
+	names := []string{"a", "b"}
+	cols := genTuples(n, 2, 17)
+	tbl, err := New("t", names, flatten(cols, 0, n), progidx.Options{
+		Strategy: progidx.StrategyQuicksort, Delta: 0.25, Encoding: progidx.EncodingFORBP, ClaimHeat: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for q := 0; q < 40; q++ {
+		c := directConj(rng, "a", n)
 		got, err := tbl.ExecuteConj(c)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if want := oracleConj(cols, names, n, c); !sameAnswer(got, want) {
 			t.Fatalf("%s:\n got %+v\nwant %+v", c, got, want)
+		}
+	}
+	if tbl.cols[0].index() != nil {
+		t.Fatal("column claimed despite ClaimHeat < 0")
+	}
+}
+
+// TestFusedScanAllocs pins the fused scan's heap behavior: a fixed
+// handful of per-query slices, nothing per block — a query that scans
+// every block allocates exactly what one that scans a single block
+// does.
+func TestFusedScanAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc counts are not meaningful under -race")
+	}
+	const n = 40 * BlockRows
+	names := []string{"a", "b", "c"}
+	cols := genTuples(n, 3, 19)
+	for _, enc := range testEncodings {
+		tbl, err := New("t", names, flatten(cols, 0, n),
+			progidx.Options{Strategy: progidx.StrategyQuicksort, Encoding: enc, Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		conj := func(alo, ahi int64) query.Conjunction {
+			return query.Conjunction{Target: "c", Aggs: column.AggAll, Preds: []query.ColPredicate{
+				{Col: "a", Pred: query.Range(alo, ahi)},
+				{Col: "b", Pred: query.AtLeast(n / 3)},
+			}}
+		}
+		var perQuery [2]float64
+		for i, c := range []query.Conjunction{conj(BlockRows/2, BlockRows/2+10), conj(0, n)} {
+			_, ch, err := tbl.ExplainConj(c, "")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if wantAll := i == 1; wantAll != (ch.PrunedBlocks == 0) || ch.ScannedBlocks == 0 {
+				t.Fatalf("%v query %d: scanned %d, pruned %d blocks", enc, i, ch.ScannedBlocks, ch.PrunedBlocks)
+			}
+			perQuery[i] = testing.AllocsPerRun(20, func() { tbl.ExplainConj(c, "") })
+		}
+		if perQuery[0] != perQuery[1] || perQuery[1] > 12 {
+			t.Fatalf("%v: %.0f allocs scanning one block, %.0f scanning all 40; want equal and <= 12", enc, perQuery[0], perQuery[1])
 		}
 	}
 }
@@ -298,12 +586,12 @@ func TestSingleColumnCompat(t *testing.T) {
 	}
 	// Repeated execution must converge the first column (the only one
 	// touched) and Progress must rise.
-	for i := 0; i < 400 && !tbl.cols[0].idx.Converged(); i++ {
+	for i := 0; i < 400 && !tbl.cols[0].converged(); i++ {
 		if _, err := tbl.Execute(query.Request{Pred: query.Range(0, n)}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if !tbl.cols[0].idx.Converged() {
+	if !tbl.cols[0].converged() {
 		t.Fatal("first column did not converge under repeated queries")
 	}
 	// Heat accounting: only the queried column accrued heat. (Cold

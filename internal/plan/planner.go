@@ -59,7 +59,7 @@ func (t *Table) choose(preds []query.ColPredicate, bounds [][2]int64, forced int
 		cost := float64(blocks*BlockRows) + est*float64(len(preds)-1)
 		cand := Candidate{
 			Col: cp.Col, EstRows: est, ScanBlocks: blocks, Cost: cost,
-			Progress: t.cols[t.byName[cp.Col]].idx.Progress(),
+			Progress: t.cols[t.byName[cp.Col]].progress(),
 		}
 		if rows > 0 {
 			cand.EstSel = est / rows

@@ -1,7 +1,9 @@
 // Package plan generalizes the serving stack from one-column tables to
 // N-column tables with conjunctive predicates. A plan.Table keeps one
-// row-aligned store and one progressive index per column, answers
-// composite queries (`a IN [lo,hi] AND b = v AND c >= w`) through a
+// row-aligned store per column and one progressive index per column
+// that has earned one (every column of a raw table; a compressed
+// column once its single-column traffic claims it), answers composite
+// queries (`a IN [lo,hi] AND b = v AND c >= w`) through a
 // selectivity-driven planner, and implements progidx.Handle so the
 // scheduler, catalog and durability layers drive it exactly like the
 // single-column handles. See DESIGN.md section 15.
@@ -10,22 +12,25 @@ package plan
 import (
 	"fmt"
 
+	"repro/internal/column"
 	"repro/internal/encode"
 )
 
 // BlockRows is the zone-map granularity: every column keeps a min/max
 // pair per BlockRows-row block, and the fused conjunction scan prunes
-// and decodes in these units. 4096 rows × 8 B = one 32 KiB block, the
-// same cutoff the parallel kernels use for their minimum chunk.
+// and evaluates in these units — one 64-word selection mask per block.
+// 4096 rows × 8 B = one 32 KiB block, the same cutoff the parallel
+// kernels use for their minimum chunk.
 const BlockRows = 4096
 
 // colStore is the row-aligned storage of one column: values in row
-// order (never reorganized — the column's progressive index keeps its
-// own copy to sort), plus a min/max zone map per sealed block. With a
-// compressed encoding the sealed blocks are held as packed
-// encode.Segments and only the unsealed tail stays raw, so the fused
-// scan decodes exactly the blocks that survive zone pruning — the
-// scan-on-compressed discipline of the shard layer, applied per block.
+// order (never reorganized — a claimed column's progressive index
+// keeps its own copy to sort), plus a min/max zone map per sealed
+// block. With a compressed encoding the sealed blocks are held as
+// packed encode.Segments and only the unsealed tail stays raw; the
+// fused scan tests and aggregates the packed blocks in place — the
+// scan-on-compressed discipline of the shard layer, applied per block —
+// and only materialize (claim, snapshot, recovery) ever decodes one.
 type colStore struct {
 	name string
 	mode encode.Mode
@@ -131,21 +136,31 @@ func (cs *colStore) blockLen(b int) int {
 	return BlockRows
 }
 
-// blockRows returns block b's values in row order. Raw blocks are
-// zero-copy subslices; compressed blocks decode into *scratch, which
-// the caller owns and reuses across blocks (one scratch per scan
-// goroutine keeps decodes off the shared heap).
-func (cs *colStore) blockRows(b int, scratch *[]int64) []int64 {
-	if !cs.mode.Compressed() {
-		lo := b * BlockRows
-		hi := lo + cs.blockLen(b)
-		return cs.raw[lo:hi]
+// rawBlock returns block b's rows where they are held uncompressed: any
+// block of a raw-mode store, the unsealed tail of a compressed one.
+func (cs *colStore) rawBlock(b int) []int64 {
+	if cs.mode.Compressed() {
+		return cs.raw[:cs.tailLen()]
 	}
+	return cs.raw[b*BlockRows : b*BlockRows+cs.blockLen(b)]
+}
+
+// refine clears from mask (one bit per row of block b) every selected
+// row whose value lies outside [lo, hi] and returns how many remain.
+// Packed blocks are tested in place, never decoded.
+func (cs *colStore) refine(b int, lo, hi int64, mask []uint64) int {
 	if b < len(cs.segs) {
-		*scratch = cs.segs[b].AppendTo((*scratch)[:0])
-		return *scratch
+		return cs.segs[b].Refine(lo, hi, mask)
 	}
-	return cs.raw[:cs.tailLen()]
+	return column.RefineMask(cs.rawBlock(b), lo, hi, mask)
+}
+
+// aggMasked aggregates block b's selected rows.
+func (cs *colStore) aggMasked(b int, mask []uint64, aggs column.Aggregates) column.Agg {
+	if b < len(cs.segs) {
+		return cs.segs[b].AggMasked(mask, aggs)
+	}
+	return column.AggMasked(cs.rawBlock(b), mask, aggs)
 }
 
 // estRows estimates how many of the column's rows satisfy [lo, hi]

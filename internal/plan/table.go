@@ -10,6 +10,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/parallel"
 	"repro/internal/query"
+	"repro/internal/shard"
 )
 
 // colState is one column of a multi-column table: its row-aligned
@@ -19,18 +20,55 @@ import (
 type colState struct {
 	name  string
 	store *colStore
-	idx   progidx.Handle
+
+	// idx is the column's progressive index, built over a copy of the
+	// rows. A column stored compressed is born cold — idx nil, the
+	// packed blocks its only copy, every query a masked scan over them —
+	// and is claimed (idx built from the decoded store) once directHeat
+	// reaches the table's claim threshold. Cold is a terminal serving
+	// state like a cold shard's: converged, progress 1, PhaseDone.
+	idx atomic.Pointer[progidx.Handle]
 
 	// heat counts predicate touches (driver or residual); refines the
 	// δ slices this column has been granted. Their ratio drives the
-	// budget split, exactly like shard heat-shares.
-	heat    atomic.Uint64
-	refines atomic.Uint64
+	// budget split, exactly like shard heat-shares. directHeat counts
+	// only the direct-route queries answered cold — the ones an index
+	// would have accelerated.
+	heat       atomic.Uint64
+	refines    atomic.Uint64
+	directHeat atomic.Uint64
 
 	// tl is the column's own convergence timeline: the per-column
 	// analogue of the table timeline, fed by the column handle's
 	// structural events and the planner's refine grants.
 	tl *obs.Timeline
+}
+
+// index returns the column's progressive index, nil while it is cold.
+func (cs *colState) index() progidx.Handle {
+	if p := cs.idx.Load(); p != nil {
+		return *p
+	}
+	return nil
+}
+
+func (cs *colState) converged() bool {
+	idx := cs.index()
+	return idx == nil || idx.Converged()
+}
+
+func (cs *colState) progress() float64 {
+	if idx := cs.index(); idx != nil {
+		return idx.Progress()
+	}
+	return 1
+}
+
+func (cs *colState) phase() (query.Phase, bool) {
+	if idx := cs.index(); idx != nil {
+		return idx.Phase()
+	}
+	return query.PhaseDone, true
 }
 
 // Table is an N-column table behind the progidx.Handle surface: plain
@@ -47,13 +85,20 @@ type Table struct {
 	name   string
 	cols   []*colState
 	byName map[string]int
-	opts   progidx.Options
-	pool   *parallel.Pool
-	rows   int
+	// idxOpts builds every column index: the table's options with the
+	// encoding forced raw, because the store's blocks already are the
+	// (possibly compressed) table and an index sorts a raw copy.
+	idxOpts progidx.Options
+	pool    *parallel.Pool
+	rows    int
 
 	// convergent mirrors the strategy: non-convergent strategies (the
 	// scan/index baselines, cracking) never receive refine slices.
 	convergent bool
+
+	// claimHeat is the directHeat at which a cold column is claimed
+	// (Options.ClaimHeat resolved like the shard layer's); 0 = never.
+	claimHeat uint64
 
 	// sink is the table-level event timeline (EventSinkSetter); refine
 	// grants land there with the column index in the shard field.
@@ -62,8 +107,10 @@ type Table struct {
 
 // New builds a multi-column table named name over flat row-major
 // tuples: flat holds len(columns) values per row, row after row, and
-// every column gets its own store and progressive index built with
-// opts. Column names must be unique and non-empty.
+// every column gets its own store. Under a raw encoding every column
+// also gets its progressive index built with opts; under a compressed
+// one the columns are born cold (see colState.idx). Column names must
+// be unique and non-empty.
 func New(name string, columns []string, flat []int64, opts progidx.Options) (*Table, error) {
 	k := len(columns)
 	if k == 0 {
@@ -75,11 +122,18 @@ func New(name string, columns []string, flat []int64, opts progidx.Options) (*Ta
 	t := &Table{
 		name:       name,
 		byName:     make(map[string]int, k),
-		opts:       opts,
+		idxOpts:    opts,
 		pool:       parallel.New(opts.Workers),
 		rows:       len(flat) / k,
 		convergent: opts.Strategy.Convergent(),
 	}
+	switch {
+	case opts.ClaimHeat > 0:
+		t.claimHeat = uint64(opts.ClaimHeat)
+	case opts.ClaimHeat == 0:
+		t.claimHeat = shard.DefaultClaimHeat
+	}
+	t.idxOpts.Encoding = progidx.EncodingRaw
 	for i, col := range columns {
 		if col == "" {
 			return nil, fmt.Errorf("plan: table %q: empty column name", name)
@@ -96,17 +150,57 @@ func New(name string, columns []string, flat []int64, opts progidx.Options) (*Ta
 		if err := cs.store.append(vals); err != nil {
 			return nil, err
 		}
-		idx, err := progidx.NewHandle(vals, opts)
-		if err != nil {
-			return nil, fmt.Errorf("plan: table %q column %q: %w", name, col, err)
+		if !opts.Encoding.Compressed() {
+			if err := t.buildIndex(cs, vals); err != nil {
+				return nil, err
+			}
 		}
-		if s, ok := idx.(progidx.EventSinkSetter); ok {
-			s.SetEventSink(cs.tl)
-		}
-		cs.idx = idx
 		t.cols = append(t.cols, cs)
 	}
 	return t, nil
+}
+
+// buildIndex gives cs its progressive index over vals, which the index
+// retains.
+func (t *Table) buildIndex(cs *colState, vals []int64) error {
+	idx, err := progidx.NewHandle(vals, t.idxOpts)
+	if err != nil {
+		return fmt.Errorf("plan: table %q column %q: %w", t.name, cs.name, err)
+	}
+	if s, ok := idx.(progidx.EventSinkSetter); ok {
+		s.SetEventSink(cs.tl)
+	}
+	cs.idx.Store(&idx)
+	return nil
+}
+
+// claimHot builds the index of every cold column whose direct-route
+// heat has reached the claim threshold: the shard layer's cold → claim
+// contract, per column. It runs between batches.
+func (t *Table) claimHot() {
+	if t.claimHeat == 0 {
+		return
+	}
+	for i, cs := range t.cols {
+		if cs.index() == nil && cs.directHeat.Load() >= t.claimHeat {
+			t.claim(i, cs)
+		}
+	}
+}
+
+// claim decodes cs's store and builds its index under the write lock,
+// so scans and appends never see a half-built column. A failed build
+// leaves the column cold and exact; the next batch retries.
+func (t *Table) claim(i int, cs *colState) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if cs.index() != nil {
+		return // lost the race to another batch's claim
+	}
+	if t.buildIndex(cs, cs.store.materialize(make([]int64, 0, t.rows))) == nil {
+		cs.tl.Record(obs.EvShardClaim, -1, float64(t.rows), 0)
+		t.sink.Load().Record(obs.EvShardClaim, int32(i), float64(t.rows), 0)
+	}
 }
 
 // Columns returns the column names in schema order.
@@ -123,7 +217,7 @@ func (t *Table) Width() int { return len(t.cols) }
 
 // Name implements Index.
 func (t *Table) Name() string {
-	return fmt.Sprintf("multicol(%d×%s)", len(t.cols), t.opts.Strategy)
+	return fmt.Sprintf("multicol(%d×%s)", len(t.cols), t.idxOpts.Strategy)
 }
 
 // firstConj rewrites a single-column request onto the first column:
@@ -185,7 +279,7 @@ func (t *Table) Query(lo, hi int64) column.Result {
 // Converged implements Index: every column's index has converged.
 func (t *Table) Converged() bool {
 	for _, cs := range t.cols {
-		if !cs.idx.Converged() {
+		if !cs.converged() {
 			return false
 		}
 	}
@@ -198,7 +292,7 @@ func (t *Table) Converged() bool {
 func (t *Table) Progress() float64 {
 	sum := 0.0
 	for _, cs := range t.cols {
-		sum += cs.idx.Progress()
+		sum += cs.progress()
 	}
 	return sum / float64(len(t.cols))
 }
@@ -208,7 +302,7 @@ func (t *Table) Phase() (query.Phase, bool) {
 	have := false
 	min := query.PhaseDone
 	for _, cs := range t.cols {
-		if p, ok := cs.idx.Phase(); ok {
+		if p, ok := cs.phase(); ok {
 			have = true
 			if p < min {
 				min = p
@@ -227,9 +321,10 @@ func (t *Table) ValueBounds() (int64, int64) {
 }
 
 // PendingRows reports rows appended but not yet absorbed by the first
-// column's index (all columns ingest in lockstep).
+// column's index (all columns ingest in lockstep). A cold column has no
+// index to lag behind: its store holds every row.
 func (t *Table) PendingRows() int {
-	if p, ok := t.cols[0].idx.(interface{ PendingRows() int }); ok {
+	if p, ok := t.cols[0].index().(interface{ PendingRows() int }); ok {
 		return p.PendingRows()
 	}
 	return 0
@@ -278,8 +373,10 @@ func (t *Table) Append(flat []int64) error {
 		if err := cs.store.append(vals); err != nil {
 			return err
 		}
-		if err := cs.idx.Append(vals); err != nil {
-			return fmt.Errorf("plan: append to column %q: %w", cs.name, err)
+		if idx := cs.index(); idx != nil {
+			if err := idx.Append(vals); err != nil {
+				return fmt.Errorf("plan: append to column %q: %w", cs.name, err)
+			}
 		}
 	}
 	t.rows += rows
@@ -335,6 +432,7 @@ func (t *Table) ExecuteConjBatch(conjs []query.Conjunction, traces []*obs.Trace,
 	}
 	t.mu.RUnlock()
 	if !clamp {
+		t.claimHot()
 		if st, _ := t.refineOnce(); len(answers) > 0 {
 			// The leader carries the batch's indexing work, like the
 			// single-column handles' batch contract.
@@ -363,7 +461,7 @@ func (t *Table) refineOnce() (query.Stats, bool) {
 	bestIdx := -1
 	bestScore := -1.0
 	for i, cs := range t.cols {
-		if cs.idx.Converged() {
+		if cs.converged() {
 			continue
 		}
 		score := float64(cs.heat.Load()+1) / float64(cs.refines.Load()+1)
@@ -374,9 +472,10 @@ func (t *Table) refineOnce() (query.Stats, bool) {
 	if best == nil {
 		return query.Stats{}, true
 	}
-	st, _ := best.idx.RefineStep()
+	idx := best.index() // not cold: cold columns report converged
+	st, _ := idx.RefineStep()
 	best.refines.Add(1)
-	p := best.idx.Progress()
+	p := idx.Progress()
 	best.tl.Record(obs.EvProgress, -1, p, 0)
 	t.sink.Load().Record(obs.EvProgress, int32(bestIdx), p, 0)
 	return st, t.Converged()
@@ -418,12 +517,12 @@ func (t *Table) ColumnStates() []ColumnState {
 			MaxValue:      cs.store.mx,
 			Heat:          cs.heat.Load(),
 			Refines:       cs.refines.Load(),
-			Progress:      cs.idx.Progress(),
-			Converged:     cs.idx.Converged(),
+			Progress:      cs.progress(),
+			Converged:     cs.converged(),
 			Blocks:        cs.store.blocks(),
 			EncodedBlocks: cs.store.encodedBlocks(),
 		}
-		if p, ok := cs.idx.Phase(); ok {
+		if p, ok := cs.phase(); ok {
 			st.Phase = p.String()
 		}
 		for _, e := range cs.tl.Snapshot() {

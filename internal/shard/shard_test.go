@@ -44,13 +44,24 @@ func (s *stubIndex) SetIndexingSuspended(on bool) {
 	}
 }
 
-func stubFactory(doneAfter int) (Factory, *[]*stubIndex) {
-	built := &[]*stubIndex{}
+func stubFactory(doneAfter int) Factory {
 	return func(col *column.Column) (Index, error) {
-		st := &stubIndex{col: col, doneAfter: doneAfter}
-		*built = append(*built, st)
-		return st, nil
-	}, built
+		return &stubIndex{col: col, doneAfter: doneAfter}, nil
+	}
+}
+
+// stubs returns the table's stub indexes in shard order. Tests observe
+// what the factory built through the shard list, never through a log
+// the factory keeps: shard.New runs the factory from the pool's
+// workers, so build order is not shard order and a shared log would
+// race.
+func stubs(sh *Sharded) []*stubIndex {
+	shards := sh.cur.Load().shards
+	out := make([]*stubIndex, len(shards))
+	for i, st := range shards {
+		out[i] = st.idx.(*stubIndex)
+	}
+	return out
 }
 
 // clustered returns n sorted values 0..n-1: every shard gets a tight,
@@ -70,7 +81,7 @@ func TestPartitioning(t *testing.T) {
 	vals := []int64{5, -3, 9, 9, 0, -7, 2, 2, 11, 4}
 	col := column.MustNew(vals)
 	for _, S := range []int{1, 2, 3, 4, 10, 99} {
-		factory, _ := stubFactory(1)
+		factory := stubFactory(1)
 		sh, err := New(col, Config{Shards: S, Workers: 1}, factory)
 		if err != nil {
 			t.Fatal(err)
@@ -133,7 +144,7 @@ func TestFactoryErrorPropagates(t *testing.T) {
 // heat accounting through the public Execute surface.
 func TestPruningAndHeat(t *testing.T) {
 	col := column.MustNew(clustered(1000))
-	factory, built := stubFactory(1 << 30) // never converges
+	factory := stubFactory(1 << 30) // never converges
 	sh, err := New(col, Config{Shards: 4, Workers: 1}, factory)
 	if err != nil {
 		t.Fatal(err)
@@ -166,7 +177,7 @@ func TestPruningAndHeat(t *testing.T) {
 			t.Errorf("shard %d heat %d, want %d", i, st.Heat, wantExec[i])
 		}
 	}
-	if (*built)[2].queries != 0 || (*built)[3].queries != 0 {
+	if stubs(sh)[2].queries != 0 || stubs(sh)[3].queries != 0 {
 		t.Fatal("pruned shards executed queries")
 	}
 }
@@ -175,7 +186,7 @@ func TestPruningAndHeat(t *testing.T) {
 // indexes: survivors split one query's budget in proportion to heat.
 func TestHeatShares(t *testing.T) {
 	col := column.MustNew(clustered(1000))
-	factory, built := stubFactory(1 << 30)
+	factory := stubFactory(1 << 30)
 	sh, err := New(col, Config{Shards: 2, Workers: 1}, factory)
 	if err != nil {
 		t.Fatal(err)
@@ -190,8 +201,8 @@ func TestHeatShares(t *testing.T) {
 	if _, err := sh.Execute(query.Request{Pred: query.Range(0, 999)}); err != nil {
 		t.Fatal(err)
 	}
-	s0 := (*built)[0].scales
-	s1 := (*built)[1].scales
+	s0 := stubs(sh)[0].scales
+	s1 := stubs(sh)[1].scales
 	if len(s1) != 1 {
 		t.Fatalf("cold shard saw %d scales, want 1", len(s1))
 	}
@@ -210,7 +221,7 @@ func TestHeatShares(t *testing.T) {
 // first request of a batch runs with the indexing budget enabled.
 func TestExecuteBatchSuspendsTail(t *testing.T) {
 	col := column.MustNew(clustered(1000))
-	factory, built := stubFactory(1 << 30)
+	factory := stubFactory(1 << 30)
 	sh, err := New(col, Config{Shards: 2, Workers: 1}, factory)
 	if err != nil {
 		t.Fatal(err)
@@ -229,7 +240,7 @@ func TestExecuteBatchSuspendsTail(t *testing.T) {
 			t.Fatalf("batch answer %d count %d, want 1000", i, answers[i].Count)
 		}
 	}
-	for i, st := range *built {
+	for i, st := range stubs(sh) {
 		if st.suspends != 2 {
 			t.Errorf("shard %d saw %d suspended executions, want 2", i, st.suspends)
 		}
@@ -240,7 +251,7 @@ func TestExecuteBatchSuspendsTail(t *testing.T) {
 // first, then round-robin through the remaining unconverged ones.
 func TestRefineRoundRobin(t *testing.T) {
 	col := column.MustNew(clustered(900))
-	factory, built := stubFactory(3) // each shard converges after 3 calls
+	factory := stubFactory(3) // each shard converges after 3 calls
 	sh, err := New(col, Config{Shards: 3, Workers: 1}, factory)
 	if err != nil {
 		t.Fatal(err)
@@ -252,8 +263,8 @@ func TestRefineRoundRobin(t *testing.T) {
 	if _, done := sh.RefineStep(); done {
 		t.Fatal("converged too early")
 	}
-	if (*built)[2].queries != 2 { // 1 real query + 1 idle slice
-		t.Fatalf("first idle slice went elsewhere: shard 2 has %d queries", (*built)[2].queries)
+	if stubs(sh)[2].queries != 2 { // 1 real query + 1 idle slice
+		t.Fatalf("first idle slice went elsewhere: shard 2 has %d queries", stubs(sh)[2].queries)
 	}
 	// Drive to full convergence; every shard must get slices.
 	done := false
@@ -279,7 +290,7 @@ func TestRefineRoundRobin(t *testing.T) {
 // TestNameAndBounds pins the cosmetic surface.
 func TestNameAndBounds(t *testing.T) {
 	col := column.MustNew(clustered(100))
-	factory, _ := stubFactory(1)
+	factory := stubFactory(1)
 	sh, err := New(col, Config{Shards: 4}, factory)
 	if err != nil {
 		t.Fatal(err)
@@ -300,7 +311,7 @@ func TestWorkerInvariantAnswers(t *testing.T) {
 	col := column.MustNew(vals)
 	var want []query.Answer
 	for wi, workers := range []int{1, 2, 5} {
-		factory, _ := stubFactory(1 << 30)
+		factory := stubFactory(1 << 30)
 		sh, err := New(col, Config{Shards: 8, Workers: workers}, factory)
 		if err != nil {
 			t.Fatal(err)
@@ -341,7 +352,7 @@ func BenchmarkShardedExecute(b *testing.B) {
 	for _, S := range []int{1, 4, 16} {
 		for _, sel := range []float64{0.001, 0.1} {
 			width := int64(float64(n) * sel)
-			factory, _ := stubFactory(1 << 30)
+			factory := stubFactory(1 << 30)
 			sh, err := New(col, Config{Shards: S}, factory)
 			if err != nil {
 				b.Fatal(err)
@@ -367,7 +378,7 @@ func oracleAgg(vals []int64, lo, hi int64) column.Agg {
 func TestAppendTailVisibleAndSealed(t *testing.T) {
 	vals := clustered(100)
 	col := column.MustNew(append([]int64(nil), vals...))
-	factory, built := stubFactory(1)
+	factory := stubFactory(1)
 	sh, err := New(col, Config{Shards: 4, Workers: 1, SealRows: 10}, factory)
 	if err != nil {
 		t.Fatal(err)
@@ -441,7 +452,6 @@ func TestAppendTailVisibleAndSealed(t *testing.T) {
 		t.Fatal("Converged() = true with a pending tail")
 	}
 	check("post-seal-tail", 0, 1000)
-	_ = built
 }
 
 // TestRefineStepFlushesTail pins the idle-time ingestion drain: once
@@ -449,7 +459,7 @@ func TestAppendTailVisibleAndSealed(t *testing.T) {
 // tail and then converges the fresh shard, reaching the terminal state.
 func TestRefineStepFlushesTail(t *testing.T) {
 	col := column.MustNew(clustered(40))
-	factory, _ := stubFactory(1)
+	factory := stubFactory(1)
 	sh, err := New(col, Config{Shards: 2, Workers: 1, SealRows: 1000}, factory)
 	if err != nil {
 		t.Fatal(err)
@@ -491,7 +501,7 @@ func TestRefineStepFlushesTail(t *testing.T) {
 // TestAppendRejectsOutOfDomainAtomically pins no-partial-commit.
 func TestAppendRejectsOutOfDomainAtomically(t *testing.T) {
 	col := column.MustNew(clustered(10))
-	factory, _ := stubFactory(1)
+	factory := stubFactory(1)
 	sh, err := New(col, Config{Shards: 2, Workers: 1}, factory)
 	if err != nil {
 		t.Fatal(err)
@@ -515,7 +525,7 @@ func TestAppendRejectsOutOfDomainAtomically(t *testing.T) {
 // budget), not to the grown count.
 func TestBudgetFactorKeepsWallClockTrue(t *testing.T) {
 	col := column.MustNew(clustered(8))
-	factory, built := stubFactory(1000) // never converges: scales keep flowing
+	factory := stubFactory(1000) // never converges: scales keep flowing
 	sh, err := New(col, Config{Shards: 2, Workers: 1, SealRows: 4, BudgetSizedFor: 2}, factory)
 	if err != nil {
 		t.Fatal(err)
@@ -532,7 +542,7 @@ func TestBudgetFactorKeepsWallClockTrue(t *testing.T) {
 		t.Fatal(err)
 	}
 	sum := 0.0
-	for _, st := range *built {
+	for _, st := range stubs(sh) {
 		if n := len(st.scales); n > 0 {
 			sum += st.scales[n-1]
 		}
@@ -541,12 +551,12 @@ func TestBudgetFactorKeepsWallClockTrue(t *testing.T) {
 		t.Fatalf("survivor scales sum to %g, want BudgetSizedFor=2 (one table budget)", sum)
 	}
 	// An idle slice concentrates exactly one table budget on one shard.
-	before := make([]int, len(*built))
-	for i, st := range *built {
+	before := make([]int, len(stubs(sh)))
+	for i, st := range stubs(sh) {
 		before[i] = len(st.scales)
 	}
 	sh.RefineStep()
-	for i, st := range *built {
+	for i, st := range stubs(sh) {
 		if len(st.scales) > before[i] {
 			if got := st.scales[len(st.scales)-1]; got != 2 {
 				t.Fatalf("idle scale = %g, want BudgetSizedFor=2", got)
@@ -555,7 +565,7 @@ func TestBudgetFactorKeepsWallClockTrue(t *testing.T) {
 	}
 	// δ mode (BudgetSizedFor 0): no correction, scales sum to the
 	// survivor count as before.
-	factory2, built2 := stubFactory(1000)
+	factory2 := stubFactory(1000)
 	sh2, err := New(column.MustNew(clustered(8)), Config{Shards: 2, Workers: 1, SealRows: 4}, factory2)
 	if err != nil {
 		t.Fatal(err)
@@ -567,7 +577,7 @@ func TestBudgetFactorKeepsWallClockTrue(t *testing.T) {
 		t.Fatal(err)
 	}
 	sum = 0.0
-	for _, st := range *built2 {
+	for _, st := range stubs(sh2) {
 		if n := len(st.scales); n > 0 {
 			sum += st.scales[n-1]
 		}

@@ -366,7 +366,10 @@ type Options struct {
 	// is claimed: decoded and handed to the progressive strategy. 0
 	// means the shard layer's default; negative means never claim
 	// (shards stay compressed for life). Ignored unless Encoding is
-	// compressed and Shards > 1.
+	// compressed and Shards > 1. A multi-column table applies the same
+	// threshold per column: a compressed column has no index until this
+	// many single-column queries on it have been answered from its
+	// packed blocks.
 	ClaimHeat int
 
 	// Seed drives the stochastic cracking baselines.
