@@ -2,6 +2,7 @@ package plan
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"sync"
@@ -514,6 +515,115 @@ func TestNeverClaim(t *testing.T) {
 	}
 	if tbl.cols[0].index() != nil {
 		t.Fatal("column claimed despite ClaimHeat < 0")
+	}
+}
+
+// TestOutOfDomainRejectedAtomically: a value outside ±2^62 is refused
+// by New and by Append under every encoding — cold columns have no
+// handle to refuse it for them — and a refused batch leaves every
+// column untouched, including the columns ahead of the bad value and a
+// tail block one row short of sealing.
+func TestOutOfDomainRejectedAtomically(t *testing.T) {
+	const n = BlockRows - 1 // the next accepted row seals a block
+	names := []string{"a", "b"}
+	cols := genTuples(n+1, 2, 29)
+	for _, enc := range []progidx.Encoding{progidx.EncodingRaw, progidx.EncodingFORBP, progidx.EncodingDict, progidx.EncodingAuto} {
+		t.Run(enc.String(), func(t *testing.T) {
+			opts := progidx.Options{Strategy: progidx.StrategyQuicksort, Delta: 0.25, Encoding: enc}
+			for _, bad := range []int64{1 << 62, -(1 << 62), math.MaxInt64, math.MinInt64} {
+				if _, err := New("t", names, []int64{1, bad}, opts); err == nil {
+					t.Fatalf("New accepted %d", bad)
+				}
+			}
+			tbl, err := New("t", names, flatten(cols, 0, n), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := tbl.MaterializeRows()
+			for _, bad := range []int64{1 << 62, -(1 << 62)} {
+				// The bad value sits in the last column of the last row: every
+				// earlier value of the batch is fine.
+				if err := tbl.Append([]int64{7, 8, 9, bad}); err == nil {
+					t.Fatalf("Append accepted %d", bad)
+				}
+			}
+			if got := tbl.MaterializeRows(); !slices.Equal(got, before) {
+				t.Fatalf("rejected append changed the table: %d → %d values", len(before), len(got))
+			}
+			// The table still ingests, seals its block and answers exactly.
+			if err := tbl.Append(flatten(cols, n, n+1)); err != nil {
+				t.Fatal(err)
+			}
+			for i, cs := range tbl.cols {
+				if cs.store.n != n+1 || cs.store.tailLen() != 0 {
+					t.Fatalf("column %d: %d rows, tail %d after sealing append", i, cs.store.n, cs.store.tailLen())
+				}
+			}
+			c := query.Conjunction{Preds: []query.ColPredicate{
+				{Col: "a", Pred: query.AtLeast(0)}, {Col: "b", Pred: query.AtLeast(0)}},
+				Target: "a", Aggs: column.AggAll}
+			got, err := tbl.ExecuteConj(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := oracleConj(cols, names, n+1, c); !sameAnswer(got, want) {
+				t.Fatalf("got %+v\nwant %+v", got, want)
+			}
+		})
+	}
+}
+
+// TestBadOptionsRefusedAtNew: a cold table builds no handle at New, so
+// New itself must refuse the options the later claim and seal would
+// choke on.
+func TestBadOptionsRefusedAtNew(t *testing.T) {
+	flat := []int64{1, 2, 3, 4}
+	for _, opts := range []progidx.Options{
+		{Strategy: progidx.Strategy(99)},
+		{Strategy: progidx.Strategy(99), Encoding: progidx.EncodingFORBP},
+		{Strategy: progidx.StrategyQuicksort, Encoding: progidx.Encoding(99)},
+	} {
+		if _, err := New("t", []string{"a", "b"}, flat, opts); err == nil {
+			t.Errorf("New accepted %+v", opts)
+		}
+	}
+}
+
+// TestFailedClaimIsNotRetried: if a claim's build fails all the same,
+// the column stays cold and exact, the error is kept for the debug
+// surface, and no later batch decodes the column again.
+func TestFailedClaimIsNotRetried(t *testing.T) {
+	const n = 9_000
+	names := []string{"a", "b"}
+	cols := genTuples(n, 2, 31)
+	tbl, err := New("t", names, flatten(cols, 0, n), progidx.Options{
+		Strategy: progidx.StrategyQuicksort, Delta: 0.25, Encoding: progidx.EncodingFORBP, ClaimHeat: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl.idxOpts.Strategy = progidx.Strategy(99) // what New would have refused
+	rng := rand.New(rand.NewSource(1))
+	var first *error
+	for q := 0; q < 12; q++ {
+		c := directConj(rng, "a", n)
+		got, err := tbl.ExecuteConj(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := oracleConj(cols, names, n, c); !sameAnswer(got, want) {
+			t.Fatalf("%s:\n got %+v\nwant %+v", c, got, want)
+		}
+		if errp := tbl.cols[0].claimErr.Load(); first == nil {
+			first = errp
+		} else if errp != first {
+			t.Fatalf("query %d: claim retried", q)
+		}
+	}
+	if first == nil || tbl.cols[0].index() != nil {
+		t.Fatal("claim did not fail")
+	}
+	if st := tbl.ColumnStates()[0]; st.ClaimError == "" || !st.Converged {
+		t.Fatalf("column state after failed claim: %+v", st)
 	}
 }
 

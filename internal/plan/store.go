@@ -100,7 +100,9 @@ func (cs *colStore) seal() error {
 		// Under a compressed mode raw holds only the tail, and append
 		// seals the instant it reaches BlockRows, so raw is exactly the
 		// block. Copy before encoding: encode.New retains the slice when
-		// the block degenerates to a raw-kind segment.
+		// the block degenerates to a raw-kind segment. The table has
+		// already checked the mode (New) and the rows' domain (New,
+		// Append), which are all encode.New can refuse.
 		block := make([]int64, BlockRows)
 		copy(block, cs.raw)
 		seg, err := encode.New(block, cs.tmin, cs.tmax, cs.mode)

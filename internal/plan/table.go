@@ -7,6 +7,7 @@ import (
 
 	"repro"
 	"repro/internal/column"
+	"repro/internal/encode"
 	"repro/internal/obs"
 	"repro/internal/parallel"
 	"repro/internal/query"
@@ -37,6 +38,11 @@ type colState struct {
 	heat       atomic.Uint64
 	refines    atomic.Uint64
 	directHeat atomic.Uint64
+
+	// claimErr is why the column's one claim failed, nil otherwise. A
+	// failed claim is not retried: the column stays cold and exact, and
+	// the error shows in ColumnStates.
+	claimErr atomic.Pointer[error]
 
 	// tl is the column's own convergence timeline: the per-column
 	// analogue of the table timeline, fed by the column handle's
@@ -97,7 +103,7 @@ type Table struct {
 	convergent bool
 
 	// claimHeat is the directHeat at which a cold column is claimed
-	// (Options.ClaimHeat resolved like the shard layer's); 0 = never.
+	// (shard.ResolveClaimHeat of Options.ClaimHeat); 0 = never.
 	claimHeat uint64
 
 	// sink is the table-level event timeline (EventSinkSetter); refine
@@ -119,6 +125,9 @@ func New(name string, columns []string, flat []int64, opts progidx.Options) (*Ta
 	if len(flat) == 0 || len(flat)%k != 0 {
 		return nil, fmt.Errorf("plan: table %q: %d values do not fill %d-column rows", name, len(flat), k)
 	}
+	if err := checkDomain(flat); err != nil {
+		return nil, fmt.Errorf("plan: table %q: %w", name, err)
+	}
 	t := &Table{
 		name:       name,
 		byName:     make(map[string]int, k),
@@ -126,14 +135,21 @@ func New(name string, columns []string, flat []int64, opts progidx.Options) (*Ta
 		pool:       parallel.New(opts.Workers),
 		rows:       len(flat) / k,
 		convergent: opts.Strategy.Convergent(),
-	}
-	switch {
-	case opts.ClaimHeat > 0:
-		t.claimHeat = uint64(opts.ClaimHeat)
-	case opts.ClaimHeat == 0:
-		t.claimHeat = shard.DefaultClaimHeat
+		claimHeat:  shard.ResolveClaimHeat(opts.ClaimHeat),
 	}
 	t.idxOpts.Encoding = progidx.EncodingRaw
+	if opts.Encoding.Compressed() {
+		// A cold table packs no block until one fills and builds no index
+		// until a claim, both under the write lock with rows already
+		// acknowledged. Prove on one row that the options do both, so a
+		// bad encoding or strategy is refused here, as a raw table's is.
+		if _, err := encode.New([]int64{0}, 0, 0, opts.Encoding); err != nil {
+			return nil, fmt.Errorf("plan: table %q: %w", name, err)
+		}
+		if _, err := progidx.NewHandle([]int64{0}, t.idxOpts); err != nil {
+			return nil, fmt.Errorf("plan: table %q: %w", name, err)
+		}
+	}
 	for i, col := range columns {
 		if col == "" {
 			return nil, fmt.Errorf("plan: table %q: empty column name", name)
@@ -160,6 +176,18 @@ func New(name string, columns []string, flat []int64, opts progidx.Options) (*Ta
 	return t, nil
 }
 
+// checkDomain refuses a batch holding a value outside the kernel-safe
+// ±2^62 domain before any column ingests a row of it: the check
+// column.New and Handle.Append make, hoisted in front of the stores so
+// that cold columns (no handle to make it) get it too and a refused
+// batch leaves every column untouched.
+func checkDomain(flat []int64) error {
+	if mn, mx := column.MinMax(flat); mn <= -column.MaxMagnitude || mx >= column.MaxMagnitude {
+		return fmt.Errorf("values must lie strictly inside ±2^62 (min=%d max=%d)", mn, mx)
+	}
+	return nil
+}
+
 // buildIndex gives cs its progressive index over vals, which the index
 // retains.
 func (t *Table) buildIndex(cs *colState, vals []int64) error {
@@ -182,25 +210,30 @@ func (t *Table) claimHot() {
 		return
 	}
 	for i, cs := range t.cols {
-		if cs.index() == nil && cs.directHeat.Load() >= t.claimHeat {
+		if cs.index() == nil && cs.claimErr.Load() == nil && cs.directHeat.Load() >= t.claimHeat {
 			t.claim(i, cs)
 		}
 	}
 }
 
 // claim decodes cs's store and builds its index under the write lock,
-// so scans and appends never see a half-built column. A failed build
-// leaves the column cold and exact; the next batch retries.
+// so scans and appends never see a half-built column. New has proved
+// the options and every ingest path the domain, so the build is not
+// expected to fail; if it does, the column stays cold and exact for
+// good and keeps the error, rather than decoding the whole column
+// under the write lock again on every batch.
 func (t *Table) claim(i int, cs *colState) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if cs.index() != nil {
+	if cs.index() != nil || cs.claimErr.Load() != nil {
 		return // lost the race to another batch's claim
 	}
-	if t.buildIndex(cs, cs.store.materialize(make([]int64, 0, t.rows))) == nil {
-		cs.tl.Record(obs.EvShardClaim, -1, float64(t.rows), 0)
-		t.sink.Load().Record(obs.EvShardClaim, int32(i), float64(t.rows), 0)
+	if err := t.buildIndex(cs, cs.store.materialize(make([]int64, 0, t.rows))); err != nil {
+		cs.claimErr.Store(&err)
+		return
 	}
+	cs.tl.Record(obs.EvShardClaim, -1, float64(t.rows), 0)
+	t.sink.Load().Record(obs.EvShardClaim, int32(i), float64(t.rows), 0)
 }
 
 // Columns returns the column names in schema order.
@@ -362,6 +395,9 @@ func (t *Table) Append(flat []int64) error {
 	if len(flat) == 0 {
 		return nil
 	}
+	if err := checkDomain(flat); err != nil {
+		return fmt.Errorf("plan: append to table %q: %w", t.name, err)
+	}
 	rows := len(flat) / k
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -501,6 +537,7 @@ type ColumnState struct {
 	Phase         string          `json:"phase,omitempty"`
 	Blocks        int             `json:"blocks"`
 	EncodedBlocks int             `json:"encoded_blocks,omitempty"`
+	ClaimError    string          `json:"claim_error,omitempty"`
 	Events        []obs.EventJSON `json:"events,omitempty"`
 }
 
@@ -524,6 +561,9 @@ func (t *Table) ColumnStates() []ColumnState {
 		}
 		if p, ok := cs.phase(); ok {
 			st.Phase = p.String()
+		}
+		if errp := cs.claimErr.Load(); errp != nil {
+			st.ClaimError = (*errp).Error()
 		}
 		for _, e := range cs.tl.Snapshot() {
 			st.Events = append(st.Events, e.JSON())

@@ -182,6 +182,52 @@ func TestHTTPMultiColumn(t *testing.T) {
 	}, http.StatusBadRequest, nil)
 }
 
+// TestHTTPColdColumnsRejectOutOfDomainAppend: a compressed multi-column
+// table has no per-column handle to refuse a value outside ±2^62, so the
+// table must — with a 400, no row ingested on any column, and nothing
+// acknowledged — and it keeps ingesting and sealing blocks afterwards.
+func TestHTTPColdColumnsRejectOutOfDomainAppend(t *testing.T) {
+	_, ts := newTestServer(t)
+	const n = 4095 // one row short of a sealed block
+	do(t, http.MethodPost, ts.URL+"/tables", LoadRequest{
+		Name:     "cold",
+		Generate: &GenerateSpec{Kind: "correlated", N: n, Seed: 3},
+		Options:  &OptionsSpec{Strategy: "PQ", Delta: 0.3, Columns: []string{"a", "b", "c"}, Encoding: "forbp"},
+	}, http.StatusCreated, nil)
+
+	do(t, http.MethodPost, ts.URL+"/tables/cold/append",
+		AppendRequest{Rows: [][]int64{{1, 2, 3}, {4, 5, 1 << 62}}}, http.StatusBadRequest, nil)
+	var info catalog.Info
+	do(t, http.MethodGet, ts.URL+"/tables/cold", nil, http.StatusOK, &info)
+	if info.Rows != n || info.Appends != 0 {
+		t.Fatalf("rejected append left rows=%d appends=%d, want %d / 0", info.Rows, info.Appends, n)
+	}
+
+	var ar AppendResponse
+	do(t, http.MethodPost, ts.URL+"/tables/cold/append",
+		AppendRequest{Rows: [][]int64{{9_000_001, 9_000_002, 11}, {9_000_004, 9_000_005, 22}}}, http.StatusOK, &ar)
+	if ar.Appended != 2 || ar.Rows != n+2 {
+		t.Fatalf("append response = %+v, want 2 appended / %d rows", ar, n+2)
+	}
+	alo, ahi := int64(9_000_000), int64(9_100_000)
+	var aq QueryResponse
+	do(t, http.MethodPost, ts.URL+"/tables/cold/query", QueryRequest{
+		Predicates: []ColPredSpec{{Col: "a", PredSpec: PredSpec{Kind: "range", Lo: &alo, Hi: &ahi}}},
+		Target:     "c",
+		Aggs:       []string{"sum", "count"},
+	}, http.StatusOK, &aq)
+	if aq.Count != 2 || aq.Sum == nil || *aq.Sum != 33 {
+		t.Fatalf("rows appended after the rejected batch not served: %+v", aq)
+	}
+	var dbg TableDebug
+	do(t, http.MethodGet, ts.URL+"/tables/cold/debug", nil, http.StatusOK, &dbg)
+	for _, cs := range dbg.ColumnState {
+		if cs.Rows != n+2 || cs.EncodedBlocks != 1 {
+			t.Fatalf("column %q: %d rows, %d packed blocks; want %d / 1", cs.Name, cs.Rows, cs.EncodedBlocks, n+2)
+		}
+	}
+}
+
 // TestHTTPSingleColumnConjunction pins that the composite form also
 // works against a plain single-column table when it reduces to one
 // predicate, and errors clearly when it cannot.

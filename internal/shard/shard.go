@@ -257,6 +257,21 @@ type Config struct {
 // the decode + progressive build it pays for.
 const DefaultClaimHeat = 16
 
+// ResolveClaimHeat turns a ClaimHeat option into the heat threshold a
+// cold holder compares against: the option itself when positive,
+// DefaultClaimHeat when zero, and 0 — never claim — when negative. The
+// one copy of the rule, shared with the per-column claims of
+// internal/plan.
+func ResolveClaimHeat(opt int) uint64 {
+	switch {
+	case opt > 0:
+		return uint64(opt)
+	case opt < 0:
+		return 0
+	}
+	return DefaultClaimHeat
+}
+
 // New partitions col into cfg.Shards contiguous row ranges and builds
 // one index per shard with factory. The zone statistics of every shard
 // are computed in a single parallel pass during partitioning and handed
@@ -343,13 +358,7 @@ func New(col *column.Column, cfg Config, factory Factory) (*Sharded, error) {
 		// now the data. Appends accumulate in tailBuf and the logical
 		// zone lives in the amu-guarded masters.
 		sh.vminEnc, sh.vmaxEnc = col.Min(), col.Max()
-		sh.claimHeat = DefaultClaimHeat
-		switch {
-		case cfg.ClaimHeat > 0:
-			sh.claimHeat = uint64(cfg.ClaimHeat)
-		case cfg.ClaimHeat < 0:
-			sh.claimHeat = 0 // never
-		}
+		sh.claimHeat = ResolveClaimHeat(cfg.ClaimHeat)
 	} else {
 		sh.col = col
 	}
