@@ -79,7 +79,8 @@ func TestSynchronizedConvergedZeroAllocs(t *testing.T) {
 // serial fan-out (Workers: 1 — the parallel fan-out's fork/join
 // necessarily allocates), a converged sharded Execute reuses its
 // pooled scratch and performs zero per-query allocations, both for
-// queries that touch shards and for fully pruned ones.
+// queries that touch shards and for fully pruned ones, and a one-request
+// ExecuteBatch allocates only its result slices.
 func TestShardedConvergedZeroAllocs(t *testing.T) {
 	skipUnderRace(t)
 	vals := boundedColumn(3000, 14)
@@ -100,5 +101,11 @@ func TestShardedConvergedZeroAllocs(t *testing.T) {
 	miss := Request{Pred: Range(8_000_000, 9_000_000)}
 	if allocs := testing.AllocsPerRun(100, func() { sh.Execute(miss) }); allocs != 0 {
 		t.Errorf("Sharded pruned Execute allocates %.1f/op, want 0", allocs)
+	}
+	// The batch path — the only one the server calls — shares Execute's
+	// pooled fan-out: nothing per shard, just the two result slices.
+	batch := []Request{inRange}
+	if allocs := testing.AllocsPerRun(100, func() { sh.ExecuteBatch(batch) }); allocs != 2 {
+		t.Errorf("Sharded converged ExecuteBatch allocates %.1f/op, want 2 (answers and errors)", allocs)
 	}
 }

@@ -247,6 +247,60 @@ func TestShardedAppendPruningZeroWork(t *testing.T) {
 	if infos[4].Executes != before[4]+10 {
 		t.Fatalf("append shard executes = %d, want %d", infos[4].Executes, before[4]+10)
 	}
+
+	// Small appends flushed by idle time merge instead of piling up. The
+	// witness survives a merge: never-hit shards merge into a shard that
+	// reports zero scan work, and the counts of hit ones are carried.
+	flush := func(k int) {
+		t.Helper()
+		small := make([]int64, 10)
+		for i := range small {
+			small[i] = int64(200_000 + 100*k + i)
+		}
+		if err := sh.Append(small); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 100_000 && !sh.Converged(); i++ {
+			sh.RefineStep()
+		}
+		if !sh.Converged() {
+			t.Fatal("idle refinement never drained the append")
+		}
+	}
+	hit := func(times int, lo, hi int64) {
+		t.Helper()
+		for i := 0; i < times; i++ {
+			if _, err := sh.Execute(Request{Pred: Range(lo, hi)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	flush(0)
+	flush(1) // 10 absorbs 10
+	hit(20, 0, 3999)
+	infos = sh.ShardStats()
+	if got := infos[len(infos)-1]; len(infos) != 6 || got.Rows != 20 || got.Executes != 0 || got.Heat != 0 {
+		t.Fatalf("never-hit merged shard: %d shards, last %+v; want 6 shards, 20 rows, zero work", len(infos), got)
+	}
+	hit(3, 200_000, 200_109)
+	flush(2) // 10 rows: a lower size class than 20, stays its own shard
+	hit(2, 200_200, 200_209)
+	infos = sh.ShardStats()
+	carriedRefines := infos[5].Refines + infos[6].Refines
+	flush(3) // 10 absorbs 10, then the 20
+	hit(20, 0, 3999)
+	infos = sh.ShardStats()
+	got := infos[len(infos)-1]
+	if len(infos) != 6 || got.Rows != 40 || got.Executes != 5 || got.Heat != 5 {
+		t.Fatalf("merged shard: %d shards, last %+v; want 6 shards, 40 rows, executes = heat = 3 + 2", len(infos), got)
+	}
+	if got.MinValue != 200_000 || got.MaxValue != 200_309 {
+		t.Fatalf("merged zone [%d, %d], want the union [200000, 200309]", got.MinValue, got.MaxValue)
+	}
+	// Its own idle slices come on top of the ones it carries.
+	if got.Refines <= carriedRefines {
+		t.Fatalf("merged refines = %d, want more than the carried %d", got.Refines, carriedRefines)
+	}
 }
 
 // TestAppendConcurrentWithQueries runs ingestion against concurrent

@@ -5,6 +5,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/shard"
 )
 
 // TestBenchArtifactsRecordMachine guards the committed BENCH_*.json
@@ -148,5 +150,50 @@ func TestBenchPlannerArtifact(t *testing.T) {
 	// different workload than advertised.
 	if artifact.ActualSel <= 0 || artifact.ActualSel > 5*artifact.TargetSel {
 		t.Errorf("actual selectivity %.5f is not near the %.5f design point", artifact.ActualSel, artifact.TargetSel)
+	}
+}
+
+// TestBenchShardsGrowth guards the ingest-growth section of the
+// committed shards artifact: after thousands of 256-row appends, each
+// flushed by idle refinement, the shard count must sit within the seal
+// path's bound (shard.MaxShards, recomputed here — not the artifact's
+// own copy), nowhere near one shard per append, with every answer
+// checked against the oracle. The artifact must come from a host with
+// more than one CPU: the sweep above it is about parallel fan-out.
+func TestBenchShardsGrowth(t *testing.T) {
+	raw, err := os.ReadFile("BENCH_shards.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var artifact struct {
+		Host struct {
+			NumCPU int `json:"num_cpu"`
+		} `json:"host"`
+		Growth []struct {
+			LoadedShards int  `json:"loaded_shards"`
+			SealRows     int  `json:"seal_rows"`
+			Appends      int  `json:"appends"`
+			AppendRows   int  `json:"append_rows"`
+			ShardsAfter  int  `json:"shards_after"`
+			AnswersMatch bool `json:"answers_match_oracle"`
+		} `json:"growth"`
+	}
+	if err := json.Unmarshal(raw, &artifact); err != nil {
+		t.Fatal(err)
+	}
+	if artifact.Host.NumCPU < 2 {
+		t.Errorf("BENCH_shards.json was recorded on %d CPU; re-run `go run ./cmd/bench -suite shards` on a multi-core host", artifact.Host.NumCPU)
+	}
+	if len(artifact.Growth) < 3 {
+		t.Fatalf("shards artifact has %d growth runs, want 3; re-run `go run ./cmd/bench -suite shards`", len(artifact.Growth))
+	}
+	for _, g := range artifact.Growth {
+		bound := shard.MaxShards(g.LoadedShards, g.Appends*g.AppendRows, g.SealRows)
+		if g.ShardsAfter > bound || g.ShardsAfter < g.LoadedShards {
+			t.Errorf("growth appends=%d: %d shards, want within [%d, %d]", g.Appends, g.ShardsAfter, g.LoadedShards, bound)
+		}
+		if !g.AnswersMatch {
+			t.Errorf("growth appends=%d: answers did not match the oracle", g.Appends)
+		}
 	}
 }

@@ -10,7 +10,10 @@
 //	                         serial vs all-core;
 //	BENCH_shards.json      — sharded execution sweep (shard count ×
 //	                         selectivity on clustered data), with
-//	                         pruned-shards-do-zero-work verification;
+//	                         pruned-shards-do-zero-work verification,
+//	                         and the ingest-growth sweep: shard count
+//	                         and query cost after thousands of small
+//	                         appends, each flushed by idle refinement;
 //	BENCH_durability.json  — WAL append throughput per fsync policy,
 //	                         recovery time vs WAL-tail length, and
 //	                         snapshot write cost vs table size, with
@@ -50,6 +53,7 @@ import (
 	"repro/internal/parallel"
 	"repro/internal/plan"
 	"repro/internal/query"
+	"repro/internal/shard"
 )
 
 // Host describes the machine a run happened on; speedups are
@@ -160,11 +164,51 @@ type ShardResult struct {
 }
 
 type shardsReport struct {
-	Host      Host          `json:"host"`
-	Timestamp string        `json:"timestamp"`
-	Strategy  string        `json:"strategy"`
-	Delta     float64       `json:"delta"`
-	Results   []ShardResult `json:"results"`
+	Host      Host           `json:"host"`
+	Timestamp string         `json:"timestamp"`
+	Strategy  string         `json:"strategy"`
+	Delta     float64        `json:"delta"`
+	Results   []ShardResult  `json:"results"`
+	Growth    []GrowthResult `json:"growth"`
+}
+
+// GrowthResult is one run of the ingest-growth sweep: a table loaded as
+// LoadedShards shards ingests Appends batches of AppendRows rows, each
+// followed by idle slices until the table converges — the closed-loop
+// serving pattern, where the idle flush cuts the tail after nearly
+// every append.
+type GrowthResult struct {
+	LoadedShards int `json:"loaded_shards"`
+	N            int `json:"n"`
+	SealRows     int `json:"seal_rows"`
+	Appends      int `json:"appends"`
+	AppendRows   int `json:"append_rows"`
+	// ShardsAfter is the shard count the growth ends with; ShardsBound
+	// is shard.MaxShards for this run — the seal path's guarantee.
+	ShardsAfter int `json:"shards_after"`
+	ShardsBound int `json:"shards_bound"`
+	// IngestSec covers every append and every idle slice to convergence,
+	// re-indexing of merged shards included.
+	IngestSec float64 `json:"ingest_seconds"`
+	// PrunedQueryUs is the mean of an in-domain query no zone map
+	// intersects (the cost of walking the shard list); TailQueryUs of a
+	// 2%-wide range over the appended values, which every tail-born
+	// shard's zone covers (the cost of fanning out to all of them).
+	PrunedQueryUs float64 `json:"mean_query_us_pruned"`
+	TailQueryUs   float64 `json:"mean_query_us_tail_range"`
+	AnswersMatch  bool    `json:"answers_match_oracle"`
+}
+
+// clusteredValues is the shards suite's column: row i holds i give or
+// take n/200, so contiguous row ranges have narrow value ranges.
+func clusteredValues(n int) []int64 {
+	rng := rand.New(rand.NewSource(99))
+	noise := int64(n / 200)
+	vals := make([]int64, n)
+	for i := range vals {
+		vals[i] = int64(i) + rng.Int63n(2*noise+1) - noise
+	}
+	return vals
 }
 
 // runShards sweeps shard count × selectivity on clustered data (values
@@ -178,12 +222,7 @@ func runShards(n, queries int, delta float64) shardsReport {
 		Host: host(), Timestamp: time.Now().UTC().Format(time.RFC3339),
 		Strategy: "PQ", Delta: delta,
 	}
-	rng := rand.New(rand.NewSource(99))
-	vals := make([]int64, n)
-	noise := int64(n / 200)
-	for i := range vals {
-		vals[i] = int64(i) + rng.Int63n(2*noise+1) - noise
-	}
+	vals := clusteredValues(n)
 	hotMax := int64(n / 4) // queries live in the first quarter of the domain
 
 	type qr struct{ lo, hi int64 }
@@ -254,6 +293,81 @@ func runShards(n, queries int, delta float64) shardsReport {
 		}
 	}
 	return rep
+}
+
+// runGrowth is the ingest-growth sweep of the shards suite. Batch b of a
+// run holds the values base + i·appends + b, so every batch — and hence
+// every tail-born shard — spans the whole appended value range: a range
+// query over the appended values survives all of them, and its cost
+// tracks the shard count the seal path leaves behind. The values
+// between the loaded domain and base belong to no shard's zone.
+func runGrowth(n, queries int, delta float64) []GrowthResult {
+	const loaded, appendRows = 4, 256
+	loadedVals := clusteredValues(n)
+	base := int64(4 * n)
+	var out []GrowthResult
+	for _, appends := range []int{100, 1000, 4000} {
+		logical := append(make([]int64, 0, n+appends*appendRows), loadedVals...)
+		sh, err := progidx.NewSharded(append([]int64(nil), loadedVals...), progidx.Options{
+			Strategy: progidx.StrategyQuicksort, Delta: delta, Shards: loaded,
+		})
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
+		drain := func() {
+			for !sh.Converged() {
+				sh.RefineStep()
+			}
+		}
+		drain()
+		res := GrowthResult{
+			LoadedShards: loaded, N: n, SealRows: n / loaded, Appends: appends, AppendRows: appendRows,
+			ShardsBound: shard.MaxShards(loaded, appends*appendRows, n/loaded), AnswersMatch: true,
+		}
+		batch := make([]int64, appendRows)
+		start := time.Now()
+		for b := 0; b < appends; b++ {
+			for i := range batch {
+				batch[i] = base + int64(i*appends+b)
+			}
+			if err := sh.Append(batch); err != nil {
+				fmt.Fprintln(os.Stderr, err)
+				os.Exit(1)
+			}
+			logical = append(logical, batch...)
+			drain()
+		}
+		res.IngestSec = time.Since(start).Seconds()
+		res.ShardsAfter = sh.Shards()
+
+		span := int64(appends * appendRows)
+		qrng := rand.New(rand.NewSource(7))
+		measure := func(next func() (lo, hi int64)) float64 {
+			var total time.Duration
+			for q := 0; q < queries; q++ {
+				l, h := next()
+				t0 := time.Now()
+				ans, err := sh.Execute(progidx.Request{Pred: progidx.Range(l, h)})
+				total += time.Since(t0)
+				want := column.AggRangeBranching(logical, l, h)
+				if err != nil || ans.Sum != want.Sum || ans.Count != want.Count {
+					res.AnswersMatch = false
+				}
+			}
+			return float64(total.Microseconds()) / float64(queries)
+		}
+		res.PrunedQueryUs = measure(func() (int64, int64) {
+			lo := 2*int64(n) + qrng.Int63n(int64(n))
+			return lo, lo + 1000
+		})
+		res.TailQueryUs = measure(func() (int64, int64) {
+			lo := base + qrng.Int63n(span)
+			return lo, lo + span/50
+		})
+		out = append(out, res)
+	}
+	return out
 }
 
 // ConvergenceResult is one (strategy, workers) run to convergence.
@@ -834,7 +948,20 @@ func runPlanner(n, queries int) plannerReport {
 	return rep
 }
 
+// writeJSON writes one artifact. It refuses to replace an artifact that
+// was recorded on more CPUs than this host has: the parallel figures in
+// the committed file would silently become the weaker machine's.
 func writeJSON(path string, v any) {
+	if old, err := os.ReadFile(path); err == nil {
+		var prev struct {
+			Host Host `json:"host"`
+		}
+		if json.Unmarshal(old, &prev) == nil && prev.Host.NumCPU > runtime.NumCPU() {
+			fmt.Fprintf(os.Stderr, "refusing to overwrite %s: recorded on %d CPUs, this host has %d (use -out to write elsewhere)\n",
+				path, prev.Host.NumCPU, runtime.NumCPU())
+			os.Exit(1)
+		}
+	}
 	data, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -892,11 +1019,16 @@ func main() {
 	}
 	if *suite == "all" || *suite == "shards" {
 		rep := runShards(*shardN, *shardQ, *delta)
+		rep.Growth = runGrowth(*shardN, *shardQ, *delta)
 		writeJSON(filepath.Join(*outDir, "BENCH_shards.json"), rep)
 		for _, r := range rep.Results {
 			fmt.Printf("  shards=%-2d sel=%-6g mean=%7.3fms  speedup=%5.2fx  pruned=%d/%d zero_work=%v  match=%v\n",
 				r.Shards, r.Selectivity, r.MeanQueryMs, r.SpeedupVsUnsharded,
 				r.PrunedShards, r.Shards, r.PrunedZeroWork, r.AnswersMatch)
+		}
+		for _, r := range rep.Growth {
+			fmt.Printf("  growth appends=%-4d×%d  shards=%d (bound %d)  ingest=%6.2fs  pruned=%6.2fus  tail-range=%7.2fus  match=%v\n",
+				r.Appends, r.AppendRows, r.ShardsAfter, r.ShardsBound, r.IngestSec, r.PrunedQueryUs, r.TailQueryUs, r.AnswersMatch)
 		}
 	}
 	if *suite == "all" || *suite == "planner" {

@@ -17,8 +17,10 @@ const (
 	// EvPhase: the handle's refinement phase changed. A = new phase
 	// ordinal (query.Phase), B = previous phase ordinal.
 	EvPhase
-	// EvShardSeal: the append tail was sealed into a new indexed
-	// shard. Shard = new shard's index, A = rows sealed.
+	// EvShardSeal: the append tail was sealed into a shard, merging
+	// in the smaller tail-born shards to its left. Shard = the
+	// resulting shard's index, A = its rows, B = shards it absorbed
+	// (0: the tail alone became a new shard).
 	EvShardSeal
 	// EvShardClaim: a cold compressed shard was claimed (decoded to
 	// raw rows and handed its own progressive index). Shard = shard
@@ -111,7 +113,7 @@ func (e Event) JSON() EventJSON {
 	case EvShardSeal:
 		sh := e.Shard
 		out.Shard = &sh
-		out.Attrs = map[string]any{"rows": int64(e.A)}
+		out.Attrs = map[string]any{"rows": int64(e.A), "merged": int64(e.B)}
 	case EvShardClaim:
 		sh := e.Shard
 		out.Shard = &sh

@@ -28,10 +28,24 @@
 // the predicate — which is sealed into a regular shard (own index, own
 // zone map, full membership in the pruning and heat machinery) once it
 // reaches a size threshold, or during idle refinement once every
-// sealed shard has converged. Readers never lock the table structure:
-// the shard list and tail are published as an immutable copy-on-write
-// view swapped atomically by Append, so a query operates on a
-// consistent snapshot while ingestion proceeds.
+// sealed shard has converged. A seal applies the logarithmic method:
+// the run being sealed absorbs the tail-born shards to its left that
+// are below the threshold and not in a higher power-of-two size class,
+// so however small the appends and however often an idle flush cuts the
+// tail, the table holds at most MaxShards shards — the loaded ones,
+// one per full threshold of appended rows, and one per size class
+// below it — and a row is re-indexed at most once per class it climbs
+// through. Loaded shards never merge. A merge carries the absorbed
+// shards' zone (union) and heat, executes and refines (sums), copies no
+// row in raw mode (the merged shard is a wider range of the retained
+// append-only column, indexed lazily like any fresh shard), and
+// re-earns its index through the ordinary per-query budget and idle
+// slices: there is no compaction thread. Readers never lock the table
+// structure: the shard list and tail are published as an immutable
+// copy-on-write view swapped atomically by Append and by a seal, so a
+// query operates on a consistent snapshot while ingestion proceeds —
+// a query that loaded its view before a merge finishes against the
+// absorbed shards, which the merge leaves untouched.
 //
 // With Config.Encoding set, shards are born cold: each partition is
 // compressed into an encode.Segment (frame-of-reference bit-packing,
@@ -44,9 +58,12 @@
 // segment, builds the factory index over the raw rows — and from then
 // on it converges like any loaded shard. Appends still land in the raw
 // pending tail and are compressed at seal time, so ingestion never
-// pays an encode on the hot path. In encoded mode the table retains no
-// raw base column at all; the segments, any claimed shards' rows, and
-// the pending tail are the only copies of the data.
+// pays an encode on the hot path; a seal that absorbs shards decodes
+// their segments (or takes a claimed shard's retained rows) into one
+// buffer with the tail and encodes it once, and the merged shard is
+// born cold. In encoded mode the table retains no raw base column at
+// all; the segments, any claimed shards' rows, and the pending tail are
+// the only copies of the data.
 //
 // The Sharded type exposes the same concurrency-safe surface as
 // progidx.Synchronized (Execute, TryExecute, ExecuteBatch, Append,
@@ -57,6 +74,7 @@ package shard
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -82,7 +100,7 @@ type Index interface {
 // Factory builds one shard's index over its partition of the base
 // column. The root package supplies progidx.NewFromColumn here; tests
 // inject stubs. It is retained for the life of the Sharded index: every
-// sealed tail becomes a fresh shard built through it.
+// seal builds its shard through it.
 type Factory func(col *column.Column) (Index, error)
 
 // Optional per-shard index capabilities, asserted structurally so this
@@ -110,6 +128,11 @@ type state struct {
 
 	start, end int   // row range [start, end) in the base column
 	min, max   int64 // zone map: extrema of the shard's rows
+
+	// tailBorn marks a shard sealed from appended rows; only these are
+	// ever absorbed by a later seal (sealLocked). Loaded shards never
+	// merge. Immutable after birth.
+	tailBorn bool
 
 	// cold mirrors seg != nil for lock-free claim probes; cleared under
 	// the write lock at claim time, before converged flips false.
@@ -229,8 +252,10 @@ type Config struct {
 	// DESIGN.md section 9), so answers are bit-identical at any value.
 	Workers int
 	// SealRows is the pending-tail size at which appended rows are
-	// sealed into a fresh indexed shard; 0 means the initial shard size
-	// (rows/Shards), so grown shards match the loaded ones.
+	// sealed into an indexed shard; 0 means the initial shard size
+	// (rows/Shards), so grown shards match the loaded ones. It is also
+	// the size below which a tail-born shard can still be absorbed by a
+	// later seal (see sealLocked); at or above it a shard is final.
 	SealRows int
 	// BudgetSizedFor declares that each per-shard budgeter carries
 	// 1/BudgetSizedFor of a wall-clock table budget (the root package
@@ -422,9 +447,9 @@ func (s *Sharded) publishLocked(shards []*state) {
 // Append implements the handle ingestion surface: the rows join the
 // logical column under the append mutex, the pending tail's zone map
 // widens, and — once the tail reaches the seal threshold — the whole
-// tail is sealed into a fresh shard with its own index and zone map,
-// joining the pruning and heat-driven budget machinery like any loaded
-// shard. A new structure view is published atomically, so queries
+// tail is sealed (sealLocked) into a shard with its own index and zone
+// map, joining the pruning and heat-driven budget machinery like any
+// loaded shard. A new structure view is published atomically, so queries
 // started before Append returns see the old consistent snapshot and
 // queries started after see the rows. An empty batch is a no-op; a
 // batch with out-of-domain values is rejected atomically.
@@ -487,16 +512,40 @@ func (s *Sharded) pendingLocked() int {
 	return len(s.tailBuf)
 }
 
-// sealLocked turns the entire pending tail into a fresh indexed shard
-// — or, in encoded mode, a fresh cold compressed shard: appends ride
-// raw and pay the encode exactly once, here — and returns the extended
-// shard list. Caller holds amu.
+// sealLocked is the one place a shard is born after load: Append's
+// threshold seal and RefineStep's idle flush both end here. The run
+// being sealed starts as the pending tail and absorbs its left
+// neighbour while that neighbour is tail-born, smaller than sealRows,
+// and not in a higher power-of-two size class than the run has reached
+// (absorbable) — the logarithmic method, so tail-born shards below
+// sealRows keep strictly decreasing size classes left to right and at
+// most ⌈log₂ sealRows⌉ of them exist however small the appends are.
+// The merged shard covers the absorbed row ranges plus the tail, with
+// the union zone and the summed heat/executes/refines; it is unindexed
+// (raw mode: a lazy factory index over the retained column, no row
+// copied) or cold (encoded mode: one re-encode of the absorbed rows),
+// and re-earns its index through the ordinary budget and idle slices.
+// The absorbed states are not touched: queries still holding the old
+// view finish against them. On error nothing has changed. Caller holds
+// amu; the returned list is not yet published.
 func (s *Sharded) sealLocked() ([]*state, error) {
+	old := s.cur.Load().shards
+	rows := s.pendingLocked()
+	end := s.tailStart + rows
+	mn, mx := s.tailMin, s.tailMax
+	keep := len(old)
+	for keep > 0 && s.absorbable(old[keep-1], rows) {
+		keep--
+		left := old[keep]
+		rows += left.end - left.start
+		mn, mx = min(mn, left.min), max(mx, left.max)
+	}
+	absorbed := old[keep:]
+	start := end - rows
+
 	var st *state
 	if s.col != nil {
-		n := s.col.Len()
-		part := s.col.Values()[s.tailStart:n:n]
-		pcol, err := column.NewWithStats(part, s.tailMin, s.tailMax)
+		pcol, err := column.NewWithStats(s.col.Values()[start:end:end], mn, mx)
 		if err != nil {
 			return nil, err
 		}
@@ -504,26 +553,74 @@ func (s *Sharded) sealLocked() ([]*state, error) {
 		if err != nil {
 			return nil, err
 		}
-		st = &state{idx: idx, start: s.tailStart, end: n, min: s.tailMin, max: s.tailMax}
+		st = &state{idx: idx, start: start, end: end, min: mn, max: mx}
 		st.noteConverged() // e.g. a full-index shard is terminal at birth
-		s.tailStart = n
 	} else {
-		seg, err := encode.New(s.tailBuf, s.tailMin, s.tailMax, s.encoding)
+		// Appends ride raw and pay the encode here. With nothing to
+		// absorb the tail buffer itself is encoded (no copy).
+		buf := s.tailBuf
+		if len(absorbed) > 0 {
+			buf = make([]int64, 0, rows)
+			for _, a := range absorbed {
+				buf = a.appendRows(buf)
+			}
+			buf = append(buf, s.tailBuf...)
+		}
+		seg, err := encode.New(buf, mn, mx, s.encoding)
 		if err != nil {
 			return nil, err
 		}
-		st = newColdState(seg, s.tailStart, s.tailStart+len(s.tailBuf))
-		s.tailStart += len(s.tailBuf)
+		st = newColdState(seg, start, end)
 		// Published views pin the old buffer; dropping the reference
 		// (rather than truncating it) keeps them immutable.
 		s.tailBuf = nil
 	}
-	old := s.cur.Load().shards
-	shards := make([]*state, len(old)+1)
-	copy(shards, old)
-	shards[len(old)] = st
-	s.sink.Load().Record(obs.EvShardSeal, int32(len(old)), float64(st.end-st.start), 0)
+	st.tailBorn = true
+	for _, a := range absorbed {
+		st.heat.Add(a.heat.Load())
+		st.executes.Add(a.executes.Load())
+		st.refines.Add(a.refines.Load())
+	}
+	s.tailStart = end
+
+	shards := make([]*state, keep+1)
+	copy(shards, old[:keep])
+	shards[keep] = st
+	s.sink.Load().Record(obs.EvShardSeal, int32(keep), float64(rows), float64(len(absorbed)))
 	return shards, nil
+}
+
+// absorbable is the seal path's merge rule: a run of run rows takes its
+// left neighbour when that shard was born from the tail, is still below
+// the seal threshold, and its size class ⌊log₂ rows⌋ does not exceed
+// the run's. Every absorbed row therefore lands in a shard of a higher
+// size class than the one it leaves, which bounds how often a row is
+// re-indexed by the number of classes below sealRows.
+func (s *Sharded) absorbable(left *state, run int) bool {
+	n := left.end - left.start
+	return left.tailBorn && n < s.sealRows && bits.Len(uint(n)) <= bits.Len(uint(run))
+}
+
+// MaxShards is the shard count the seal path guarantees for a table
+// loaded as loaded shards that has since ingested appended rows, however
+// the appends were sized and however often an idle flush cut the tail:
+// a tail-born shard of sealRows rows or more is final and there are at
+// most ⌊appended/sealRows⌋ of them; the ones below sealRows hold
+// distinct size classes, of which there are ⌈log₂ sealRows⌉.
+func MaxShards(loaded, appended, sealRows int) int {
+	return loaded + appended/sealRows + bits.Len(uint(sealRows-1))
+}
+
+// appendRows appends the shard's rows to dst in row order, from the
+// segment while cold or the claim's retained rows after — the
+// encoded-mode extraction shared by merges and MaterializeRows.
+func (st *state) appendRows(dst []int64) []int64 {
+	st.mu.RLock()
+	defer st.mu.RUnlock()
+	if st.seg != nil {
+		return st.seg.AppendTo(dst)
+	}
+	return append(dst, st.vals...)
 }
 
 // Name implements the index interface: the shard strategy's name plus
@@ -603,21 +700,41 @@ func (sc *scratch) grow(n int) {
 // heat, so hot shards converge first; pruned shards (and a pruned
 // tail) perform zero work of any kind.
 func (s *Sharded) Execute(req query.Request) (query.Answer, error) {
-	v := s.cur.Load()
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	return s.executeOn(s.cur.Load(), sc, req, true, nil)
+}
+
+// executeOn is the one fan-out behind Execute and the batch entry
+// points: it answers req against view v using the caller's pooled
+// scratch, so a request over converged shards allocates nothing. lead
+// says the request carries the indexing budget — the claim probe, the
+// heat-weighted budget split, indexing enabled; a non-lead request (a
+// batch follower, or any request of a clamped batch) runs every shard
+// suspended. tr, when non-nil, receives the fan-out span tree (see
+// ExecuteBatchTraced) under tr.AttachPoint().
+func (s *Sharded) executeOn(v *view, sc *scratch, req query.Request, lead bool, tr *obs.Trace) (query.Answer, error) {
 	lo, hi, aggs, err := query.Prepare(req, v.vmin, v.vmax)
 	if err != nil {
 		return query.Answer{}, err
 	}
-	sc := scratchPool.Get().(*scratch)
-	defer scratchPool.Put(sc)
 	sc.surv = survivors(sc.surv[:0], v.shards, lo, hi)
 	surv := sc.surv
 	tailHit := v.tailHit(lo, hi)
+	fanout := tr.Start(tr.AttachPoint(), "shard_fanout")
+	if tr != nil {
+		tr.Int(fanout, "shards", int64(len(v.shards)))
+		tr.Int(fanout, "scanned", int64(len(surv)))
+		tr.Int(fanout, "pruned", int64(len(v.shards)-len(surv)))
+		tr.Bool(fanout, "tail_hit", tailHit)
+	}
 	if len(surv) == 0 && !tailHit {
 		// Nothing can match: the empty answer, with zero work — the
 		// sharded analogue of Synchronized's zone-map fast path. The
 		// phase stays truthful lock-free: Done once every shard is and
 		// nothing is pending.
+		s.tracePruned(tr, fanout, v, surv)
+		tr.End(fanout)
 		return query.NewAnswer(column.NewAgg(), aggs, s.prunedStats(v)), nil
 	}
 
@@ -631,19 +748,19 @@ func (s *Sharded) Execute(req query.Request) (query.Answer, error) {
 	for k, i := range surv {
 		heats[k] = v.shards[i].heat.Add(1)
 	}
-	s.maybeClaim(v, surv, heats)
-	allConverged := true
-	for _, i := range surv {
-		if !v.shards[i].converged.Load() {
-			allConverged = false
-			break
-		}
-	}
 	var shares []float64
-	if !allConverged {
-		sc.shares = costmodel.HeatShares(sc.shares, heats)
-		shares = sc.shares
-		s.applyBudgetFactor(shares, len(v.shards))
+	if lead {
+		if claimed := s.maybeClaim(v, surv, heats); claimed >= 0 && tr != nil {
+			tr.Int(fanout, "claimed_shard", int64(claimed))
+		}
+		for _, i := range surv {
+			if !v.shards[i].converged.Load() {
+				sc.shares = costmodel.HeatShares(sc.shares, heats)
+				shares = sc.shares
+				s.applyBudgetFactor(shares, len(v.shards))
+				break
+			}
+		}
 	}
 
 	sub := query.Request{Pred: req.Pred, Aggs: aggs}
@@ -652,26 +769,35 @@ func (s *Sharded) Execute(req query.Request) (query.Answer, error) {
 		// inline, with no closure or fork/join overhead — the
 		// zero-allocation steady-state path for selective queries on
 		// converged shards.
-		for k := range surv {
-			scale := 1.0
-			if shares != nil {
-				scale = shares[k]
-			}
-			parts[k] = s.executeShard(v.shards[surv[k]], sub, lo, hi, scale, false)
-		}
+		s.executeSurvivors(v, surv, parts, shares, 0, len(surv), sub, lo, hi, !lead, tr, fanout)
 	} else {
 		s.pool.Run(len(surv), 1, func(_, a, b int) {
-			for k := a; k < b; k++ {
-				scale := 1.0
-				if shares != nil {
-					scale = shares[k]
-				}
-				parts[k] = s.executeShard(v.shards[surv[k]], sub, lo, hi, scale, false)
-			}
+			s.executeSurvivors(v, surv, parts, shares, a, b, sub, lo, hi, !lead, tr, fanout)
 		})
 	}
+	s.tracePruned(tr, fanout, v, surv)
+	ans, err := s.mergeAnswer(v, surv, parts, aggs, lo, hi, tailHit, tr, tr.AttachPoint())
+	tr.End(fanout)
+	return ans, err
+}
 
-	return s.mergeAnswer(v, surv, parts, aggs, lo, hi, tailHit, nil, obs.NoSpan)
+// executeSurvivors runs survivors [a, b) of one request, each at its
+// heat share of the budget (unit scale when shares is nil), filling
+// parts positionally. It is the body of both the inline serial fan-out
+// and a pool worker's chunk.
+func (s *Sharded) executeSurvivors(v *view, surv []int, parts []partial, shares []float64, a, b int, sub query.Request, lo, hi int64, suspend bool, tr *obs.Trace, fanout obs.SpanID) {
+	for k := a; k < b; k++ {
+		scale := 1.0
+		if shares != nil {
+			scale = shares[k]
+		}
+		st := v.shards[surv[k]]
+		if tr == nil {
+			parts[k] = s.executeShard(st, sub, lo, hi, scale, suspend)
+			continue
+		}
+		parts[k] = s.executeShardTraced(st, sub, lo, hi, scale, suspend, tr, fanout, surv[k])
+	}
 }
 
 // maybeClaim decodes at most one cold survivor whose heat has crossed
@@ -987,77 +1113,22 @@ func (s *Sharded) ExecuteBatchClamped(reqs []query.Request) ([]query.Answer, []e
 	return s.executeBatch(reqs, nil, true)
 }
 
-// executeBatch is the shared body of the batch entry points; clamp
-// forces every request to run suspended with no claim probe and no
-// heat-share budget split.
+// executeBatch is the shared body of the batch entry points: every
+// request runs against one structure snapshot through executeOn, the
+// first one carrying the indexing budget unless clamp withholds it from
+// the whole batch.
 func (s *Sharded) executeBatch(reqs []query.Request, traces []*obs.Trace, clamp bool) ([]query.Answer, []error) {
 	answers := make([]query.Answer, len(reqs))
 	errs := make([]error, len(reqs))
 	v := s.cur.Load()
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
 	for qi, req := range reqs {
 		var tr *obs.Trace
 		if qi < len(traces) {
 			tr = traces[qi]
 		}
-		lo, hi, aggs, err := query.Prepare(req, v.vmin, v.vmax)
-		if err != nil {
-			errs[qi] = err
-			continue
-		}
-		surv := survivors(make([]int, 0, len(v.shards)), v.shards, lo, hi)
-		tailHit := v.tailHit(lo, hi)
-		fanout := tr.Start(tr.AttachPoint(), "shard_fanout")
-		if tr != nil {
-			tr.Int(fanout, "shards", int64(len(v.shards)))
-			tr.Int(fanout, "scanned", int64(len(surv)))
-			tr.Int(fanout, "pruned", int64(len(v.shards)-len(surv)))
-			tr.Bool(fanout, "tail_hit", tailHit)
-		}
-		if len(surv) == 0 && !tailHit {
-			s.tracePruned(tr, fanout, v, surv)
-			tr.End(fanout)
-			answers[qi] = query.NewAnswer(column.NewAgg(), aggs, s.prunedStats(v))
-			continue
-		}
-		heats := make([]uint64, len(surv))
-		allConverged := true
-		for k, i := range surv {
-			heats[k] = v.shards[i].heat.Add(1)
-			if !v.shards[i].converged.Load() {
-				allConverged = false
-			}
-		}
-		if qi == 0 && !clamp {
-			// The batch leader carries the indexing budget, so it also
-			// carries the claim probe, exactly like a lone Execute.
-			if claimed := s.maybeClaim(v, surv, heats); claimed >= 0 && tr != nil {
-				tr.Int(fanout, "claimed_shard", int64(claimed))
-			}
-		}
-		var shares []float64
-		if !allConverged && !clamp {
-			shares = costmodel.HeatShares(nil, heats)
-			s.applyBudgetFactor(shares, len(v.shards))
-		}
-		suspend := qi > 0 || clamp
-		sub := query.Request{Pred: req.Pred, Aggs: aggs}
-		parts := make([]partial, len(surv))
-		s.pool.Run(len(surv), 1, func(_, a, b int) {
-			for k := a; k < b; k++ {
-				scale := 1.0
-				if shares != nil {
-					scale = shares[k]
-				}
-				if tr == nil {
-					parts[k] = s.executeShard(v.shards[surv[k]], sub, lo, hi, scale, suspend)
-					continue
-				}
-				parts[k] = s.executeShardTraced(v.shards[surv[k]], sub, lo, hi, scale, suspend, tr, fanout, surv[k])
-			}
-		})
-		s.tracePruned(tr, fanout, v, surv)
-		answers[qi], errs[qi] = s.mergeAnswer(v, surv, parts, aggs, lo, hi, tailHit, tr, tr.AttachPoint())
-		tr.End(fanout)
+		answers[qi], errs[qi] = s.executeOn(v, sc, req, qi == 0 && !clamp, tr)
 	}
 	return answers, errs
 }
@@ -1123,8 +1194,10 @@ var idleRequest = query.Request{Pred: query.Range(1, 0), Aggs: column.AggCount}
 // per-query budget on one shard, so an idle Sharded index converges in
 // about as much wall-clock as an idle unsharded one, hot shards first.
 // Once every sealed shard has converged, an idle slice seals any
-// pending tail — below the size threshold too — so a quiet table
-// absorbs its ingested rows completely and reaches the terminal state.
+// pending tail — below the size threshold too, merged into the small
+// tail-born shards before it (sealLocked) — so a quiet table absorbs
+// its ingested rows completely and reaches the terminal state without
+// leaving one shard per append behind.
 // It returns the slice's work stats and whether every shard is now
 // converged with nothing pending.
 func (s *Sharded) RefineStep() (query.Stats, bool) {
@@ -1135,9 +1208,9 @@ func (s *Sharded) RefineStep() (query.Stats, bool) {
 	target := s.nextRefineTarget(v)
 	if target == nil {
 		if len(v.tail) > 0 {
-			// All sealed shards converged; flush the pending tail into
-			// a fresh shard. The new shard then converges via the
-			// following slices.
+			// All sealed shards converged; flush the pending tail. The
+			// shard it seals into then converges via the following
+			// slices.
 			s.flushTail()
 			return query.Stats{}, s.Converged()
 		}
@@ -1282,16 +1355,18 @@ func (s *Sharded) Phase() (query.Phase, bool) {
 	v := s.cur.Load()
 	min := query.PhaseDone
 	for _, st := range v.shards {
+		// idx is written by a claim under the write lock, so even the
+		// capability probe reads it under the shared one.
+		st.mu.RLock()
 		p, ok := st.idx.(phaser)
+		ph := query.PhaseDone
+		if ok && !st.converged.Load() {
+			ph = p.Phase()
+		}
+		st.mu.RUnlock()
 		if !ok {
 			return 0, false
 		}
-		if st.converged.Load() {
-			continue
-		}
-		st.mu.RLock()
-		ph := p.Phase()
-		st.mu.RUnlock()
 		if ph < min {
 			min = ph
 		}
@@ -1393,13 +1468,7 @@ func (s *Sharded) MaterializeRows() []int64 {
 	}
 	out := make([]int64, 0, v.rows)
 	for _, st := range v.shards {
-		st.mu.RLock()
-		if st.seg != nil {
-			out = st.seg.AppendTo(out)
-		} else {
-			out = append(out, st.vals...)
-		}
-		st.mu.RUnlock()
+		out = st.appendRows(out)
 	}
 	return append(out, v.tail...)
 }

@@ -3,7 +3,13 @@ package shard
 import (
 	"errors"
 	"fmt"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
+
+	"repro/internal/encode"
+	"repro/internal/obs"
 
 	"repro/internal/column"
 	"repro/internal/query"
@@ -14,8 +20,8 @@ import (
 // records the budget scales it was handed.
 type stubIndex struct {
 	col       *column.Column
-	queries   int
-	doneAfter int
+	queries   atomic.Int64 // atomic: converged stubs execute under the shared lock
+	doneAfter int64
 	scales    []float64
 	suspends  int
 }
@@ -24,7 +30,7 @@ func (s *stubIndex) Name() string { return "STUB" }
 
 func (s *stubIndex) Execute(req query.Request) (query.Answer, error) {
 	return query.Run(req, s.col.Min(), s.col.Max(), func(lo, hi int64, aggs column.Aggregates) (column.Agg, query.Stats) {
-		s.queries++
+		s.queries.Add(1)
 		return column.AggRange(s.col.Values(), lo, hi, aggs), query.Stats{Workers: 1}
 	})
 }
@@ -34,7 +40,7 @@ func (s *stubIndex) Query(lo, hi int64) column.Result {
 	return column.Result{Sum: ans.Sum, Count: ans.Count}
 }
 
-func (s *stubIndex) Converged() bool { return s.queries >= s.doneAfter }
+func (s *stubIndex) Converged() bool { return s.queries.Load() >= s.doneAfter }
 
 func (s *stubIndex) SetBudgetScale(f float64) { s.scales = append(s.scales, f) }
 
@@ -44,7 +50,7 @@ func (s *stubIndex) SetIndexingSuspended(on bool) {
 	}
 }
 
-func stubFactory(doneAfter int) Factory {
+func stubFactory(doneAfter int64) Factory {
 	return func(col *column.Column) (Index, error) {
 		return &stubIndex{col: col, doneAfter: doneAfter}, nil
 	}
@@ -177,7 +183,7 @@ func TestPruningAndHeat(t *testing.T) {
 			t.Errorf("shard %d heat %d, want %d", i, st.Heat, wantExec[i])
 		}
 	}
-	if stubs(sh)[2].queries != 0 || stubs(sh)[3].queries != 0 {
+	if stubs(sh)[2].queries.Load() != 0 || stubs(sh)[3].queries.Load() != 0 {
 		t.Fatal("pruned shards executed queries")
 	}
 }
@@ -263,8 +269,8 @@ func TestRefineRoundRobin(t *testing.T) {
 	if _, done := sh.RefineStep(); done {
 		t.Fatal("converged too early")
 	}
-	if stubs(sh)[2].queries != 2 { // 1 real query + 1 idle slice
-		t.Fatalf("first idle slice went elsewhere: shard 2 has %d queries", stubs(sh)[2].queries)
+	if got := stubs(sh)[2].queries.Load(); got != 2 { // 1 real query + 1 idle slice
+		t.Fatalf("first idle slice went elsewhere: shard 2 has %d queries", got)
 	}
 	// Drive to full convergence; every shard must get slices.
 	done := false
@@ -585,4 +591,172 @@ func TestBudgetFactorKeepsWallClockTrue(t *testing.T) {
 	if sum < 2.999 || sum > 3.001 {
 		t.Fatalf("δ-mode survivor scales sum to %g, want 3 (survivor count)", sum)
 	}
+}
+
+// drained runs idle slices until the table reports convergence, or
+// gives up and returns false.
+func drained(sh *Sharded) bool {
+	for i := 0; i < 10_000; i++ {
+		if _, done := sh.RefineStep(); done {
+			return true
+		}
+	}
+	return false
+}
+
+// drain is drained for the test's own goroutine.
+func drain(t testing.TB, sh *Sharded) {
+	t.Helper()
+	if !drained(sh) {
+		t.Fatal("idle refinement never converged")
+	}
+}
+
+// tailBornRows lists the sizes of the tail-born shards, left to right.
+func tailBornRows(sh *Sharded) []int {
+	var out []int
+	for _, st := range sh.cur.Load().shards {
+		if st.tailBorn {
+			out = append(out, st.end-st.start)
+		}
+	}
+	return out
+}
+
+// TestSealMergesLikeABinaryCounter pins the absorb rule on the
+// canonical trace — equal appends, each flushed by idle slices: after k
+// flushes the tail-born shards spell k in binary (largest first), so 16
+// appends leave one shard, not 16. Loaded shards are never absorbed,
+// every seal reports how many shards it merged, and answers stay exact.
+func TestSealMergesLikeABinaryCounter(t *testing.T) {
+	const batch = 8
+	logical := clustered(64)
+	sh, err := New(column.MustNew(append([]int64(nil), logical...)), Config{Shards: 2, Workers: 1, SealRows: 1024}, stubFactory(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tl := obs.NewTimeline(64)
+	sh.SetEventSink(tl)
+	drain(t, sh)
+	for k := 1; k <= 16; k++ {
+		vals := make([]int64, batch)
+		for i := range vals {
+			vals[i] = int64(1000 + k*batch + i)
+		}
+		if err := sh.Append(vals); err != nil {
+			t.Fatal(err)
+		}
+		logical = append(logical, vals...)
+		drain(t, sh)
+		var want []int
+		for bit := 4; bit >= 0; bit-- {
+			if k&(1<<bit) != 0 {
+				want = append(want, batch<<bit)
+			}
+		}
+		if got := tailBornRows(sh); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("after %d flushes: tail-born sizes %v, want %v", k, got, want)
+		}
+		if got := sh.Shards(); got > MaxShards(2, k*batch, 1024) {
+			t.Fatalf("after %d flushes: %d shards exceed the bound %d", k, got, MaxShards(2, k*batch, 1024))
+		}
+		ans, err := sh.Execute(query.Request{Pred: query.Range(0, 5000), Aggs: column.AggAll})
+		want2 := oracleAgg(logical, 0, 5000)
+		if err != nil || ans.Sum != want2.Sum || ans.Count != want2.Count {
+			t.Fatalf("after %d flushes: %+v err=%v, want %+v", k, ans, err, want2)
+		}
+	}
+	for i, st := range sh.cur.Load().shards[:2] {
+		if st.tailBorn || st.end-st.start != 32 {
+			t.Fatalf("loaded shard %d was touched by a merge: %+v", i, sh.ShardStats()[i])
+		}
+	}
+	// The 16th seal absorbed the 8, 16, 32 and 64-row shards... the
+	// event says so: shard index 2, all 128 rows, 4 merged.
+	evs := tl.Snapshot()
+	last := evs[len(evs)-1]
+	if last.Kind != obs.EvShardSeal || last.Shard != 2 || last.A != 128 || last.B != 4 {
+		t.Fatalf("last seal event = %+v, want shard 2, 128 rows, 4 merged", last)
+	}
+}
+
+// TestReaderOnPreMergeViewKeepsItsAnswer pins why a merge needs no
+// reader coordination: a query that loaded its view before the merge
+// runs against the absorbed shards, which the merge leaves untouched,
+// and returns the pre-merge answer while later queries see the merged
+// table. Run under -race: the reader and the merging writer overlap.
+func TestReaderOnPreMergeViewKeepsItsAnswer(t *testing.T) {
+	for _, mode := range []encode.Mode{encode.ModeRaw, encode.ModeFORBP} {
+		logical := clustered(64)
+		sh, err := New(column.MustNew(append([]int64(nil), logical...)),
+			Config{Shards: 2, Workers: 1, SealRows: 1 << 20, Encoding: mode, ClaimHeat: 4}, stubFactory(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		grow := func(k int) {
+			vals := []int64{int64(1000 + 2*k), int64(1001 + 2*k)}
+			if err := sh.Append(vals); err != nil || !drained(sh) {
+				t.Errorf("%v: append %d: err=%v, or the table never drained", mode, k, err)
+			}
+		}
+		for k := 0; k < 3; k++ { // tail-born [4 2]
+			grow(k)
+		}
+		held := sh.cur.Load()
+		req := query.Request{Pred: query.Range(0, 1<<20), Aggs: column.AggAll}
+		want := oracleAgg(append(clustered(64), 1000, 1001, 1002, 1003, 1004, 1005), 0, 1<<20)
+
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := 3; k < 40; k++ {
+				grow(k)
+			}
+		}()
+		for i := 0; i < 200; i++ {
+			ans, err := sh.executeOn(held, new(scratch), req, true, nil)
+			if err != nil || ans.Sum != want.Sum || ans.Count != want.Count || ans.Min != want.Min || ans.Max != want.Max {
+				t.Fatalf("%v: held view answered %+v err=%v, want %+v", mode, ans, err, want)
+			}
+		}
+		wg.Wait()
+		ans, err := sh.Execute(req)
+		if err != nil || ans.Count != int64(64+80) {
+			t.Fatalf("%v: merged table answered %+v err=%v, want %d rows", mode, ans, err, 64+80)
+		}
+	}
+}
+
+// BenchmarkAppendFlushGrowth measures ingestion through the idle flush:
+// every iteration appends one small batch and drains the table, the
+// closed-loop serving pattern in which each append used to leave a
+// shard behind. It reports the shard count the growth ends with and
+// the cost of a query that survives every tail-born shard.
+func BenchmarkAppendFlushGrowth(b *testing.B) {
+	const batch = 256
+	sh, err := New(column.MustNew(clustered(1<<16)), Config{Shards: 4, Workers: 1}, stubFactory(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	drain(b, sh)
+	vals := make([]int64, batch)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for k := range vals {
+			vals[k] = int64(1<<20 + i*batch + k)
+		}
+		if err := sh.Append(vals); err != nil {
+			b.Fatal(err)
+		}
+		drain(b, sh)
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(sh.Shards()), "shards")
+	start := time.Now()
+	const probes = 100
+	for i := 0; i < probes; i++ {
+		sinkAnswer, _ = sh.Execute(query.Request{Pred: query.AtLeast(1 << 20)})
+	}
+	b.ReportMetric(float64(time.Since(start).Nanoseconds())/probes, "tail-query-ns")
 }
