@@ -36,10 +36,11 @@ func ParseEncoding(name string) (Encoding, error) {
 }
 
 // Materializer is implemented by handles that can reproduce the raw
-// rows of their logical table in row order. Compressed tables keep no
-// base column — the segments are the data — so snapshot capture and
-// oracle checks extract rows through this instead of a column
-// reference. The copy is fresh on every call; callers own it.
+// rows of their logical table in row order. Shard-layer tables keep no
+// base column — the shards' segments or row slices are the data — so
+// snapshot capture and oracle checks extract rows through this instead
+// of a column reference. The copy is fresh on every call; callers own
+// it.
 type Materializer interface {
 	MaterializeRows() []int64
 }

@@ -126,9 +126,10 @@ func (o Options) progidxOptions() progidx.Options {
 // ingest counters that feed Info.
 type Table struct {
 	name string
-	// col is the raw base column; atomic because compressed tables
-	// release it once the handle owns the (packed) data, and Info/Values
-	// may be reading it concurrently at that moment. nil afterwards.
+	// col is the raw base column; atomic because shard-layer tables
+	// release it once the handle holds the data (releaseColumn), and
+	// Info/Values may be reading it concurrently at that moment. nil
+	// afterwards.
 	col     atomic.Pointer[column.Column]
 	idx     progidx.Handle
 	opts    Options
@@ -215,12 +216,13 @@ func (t *Table) MaxValue() int64 {
 }
 
 // Values exposes the table's rows for oracle checks in tests and the
-// load generator. Raw tables return the base column directly — callers
-// must not mutate it, and must not interleave it with concurrent
-// Appends (the slice header is only stable while nothing is
+// load generator. Unsharded raw tables return the base column directly
+// — callers must not mutate it, and must not interleave it with
+// concurrent Appends (the slice header is only stable while nothing is
 // ingesting); writers keep their own oracle of what they appended
-// instead. Compressed tables keep no base column, so the rows are
-// materialized through the handle into a fresh copy the caller owns.
+// instead. Sharded and compressed tables keep no base column, so the
+// rows are materialized through the handle into a fresh copy the
+// caller owns.
 func (t *Table) Values() []int64 {
 	if c := t.col.Load(); c != nil {
 		return c.Values()
@@ -229,6 +231,19 @@ func (t *Table) Values() []int64 {
 		return m.MaterializeRows()
 	}
 	return nil
+}
+
+// releaseColumn drops the catalog's reference to the load column when
+// the handle holds the rows itself — every shard-layer table: a
+// compressed one's segments are the data and the raw load rows are
+// released with this reference; a raw sharded one slices the load
+// column's array and grows into extents of its own, so the column would
+// go stale at the first append. Values and checkpoints materialize
+// through the handle from here on.
+func (t *Table) releaseColumn() {
+	if _, ok := t.idx.(*progidx.Sharded); ok {
+		t.col.Store(nil)
+	}
 }
 
 // Append ingests values at the tail of the table through the index
@@ -484,13 +499,7 @@ func (c *Catalog) Load(name string, values []int64, opts Options) (*Table, error
 		}
 		t.log = log
 	}
-	if opts.Encoding.Compressed() {
-		// The segments are the data now: dropping the catalog's column
-		// reference releases the only remaining raw copy of the load rows
-		// (the compressed handle never retained the column). Values and
-		// checkpoints materialize through the handle from here on.
-		t.col.Store(nil)
-	}
+	t.releaseColumn()
 	if !t.status.CompareAndSwap(int32(StatusLoading), int32(StatusReady)) {
 		// A concurrent Drop removed our reservation mid-build; honor it
 		// rather than resurrecting the status of a table that is no

@@ -1,6 +1,7 @@
 package catalog
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -207,6 +208,11 @@ func TestTableAppendLifecycle(t *testing.T) {
 		ans, err := tbl.Index().Execute(progidx.Request{Pred: progidx.Range(50_000, 50_002)})
 		if err != nil || ans.Count != 3 || ans.Sum != 150_003 {
 			t.Fatalf("shards=%d: appended rows not queryable: %+v, %v", shards, ans, err)
+		}
+		// A sharded table holds its rows itself (the load column does not
+		// grow with it); Values must follow the table either way.
+		if want := append(append([]int64(nil), vals...), 50_000, 50_001, 50_002); !slices.Equal(tbl.Values(), want) {
+			t.Fatalf("shards=%d: Values() is not the loaded rows followed by the appended ones", shards)
 		}
 	}
 }

@@ -159,9 +159,9 @@ func (t *Table) CaptureCheckpoint() (durable.Checkpoint, bool) {
 	if t.log == nil {
 		return durable.Checkpoint{}, false
 	}
-	// Raw tables freeze the base column; compressed tables materialize
-	// their rows through the handle (a fresh copy, so the background
-	// snapshot write never races the live segments).
+	// Unsharded raw tables freeze the base column; shard-layer tables
+	// materialize their rows through the handle (a fresh copy, so the
+	// background snapshot write never races the live shards).
 	var rows []int64
 	if c := t.col.Load(); c != nil {
 		rows = c.Snapshot().Values()
@@ -261,11 +261,7 @@ func (c *Catalog) LoadRecovered(rec durable.Recovered) (*Table, error) {
 	// so the replayed appends' structural events (tail seals) land in
 	// the timeline like live ones would.
 	c.attachObs(t)
-	if opts.Encoding.Compressed() {
-		// As in Load: the handle's segments own the data now; drop the
-		// recovery copy of the raw rows.
-		t.col.Store(nil)
-	}
+	t.releaseColumn() // as in Load
 
 	// Replay the WAL tail through the normal ingest path: each batch
 	// lands in the pending tail / tail shard exactly as it originally

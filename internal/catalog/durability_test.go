@@ -67,6 +67,9 @@ func TestDurableLoadAppendRecover(t *testing.T) {
 	if !ok {
 		t.Fatal("CaptureCheckpoint returned !ok on durable table")
 	}
+	if n := len(cp.Rows); n != 4_003 || cp.Rows[n-1] != 9_000_003 {
+		t.Fatalf("checkpoint captured %d rows, want the 4000 loaded and the 3 appended", n)
+	}
 	if err := tbl.WriteCheckpoint(cp); err != nil {
 		t.Fatal(err)
 	}

@@ -37,15 +37,30 @@
 // below it — and a row is re-indexed at most once per class it climbs
 // through. Loaded shards never merge. A merge carries the absorbed
 // shards' zone (union) and heat, executes and refines (sums), copies no
-// row in raw mode (the merged shard is a wider range of the retained
-// append-only column, indexed lazily like any fresh shard), and
-// re-earns its index through the ordinary per-query budget and idle
-// slices: there is no compaction thread. Readers never lock the table
-// structure: the shard list and tail are published as an immutable
-// copy-on-write view swapped atomically by Append and by a seal, so a
-// query operates on a consistent snapshot while ingestion proceeds —
-// a query that loaded its view before a merge finishes against the
-// absorbed shards, which the merge leaves untouched.
+// row in raw mode (the merged shard is a wider slice of the tail extent
+// the absorbed shards and the tail already lie in, indexed lazily like
+// any fresh shard), and re-earns its index through the ordinary
+// per-query budget and idle slices: there is no compaction thread.
+//
+// The table holds its rows once. The loaded shards slice the loaded
+// column's array; appended rows go to a tail extent — an array that
+// starts after the last shard no seal can reach any more (a loaded one,
+// or a tail-born one of at least the threshold), doubles while it
+// fills, and ends with the next such shard — and every tail-born shard
+// is a slice of the extent it was sealed in. There is no growing base
+// column whose reallocations would copy the loaded rows again and
+// leave each superseded array pinned by the shards sealed in it: what
+// the table holds is 8 bytes a raw row plus slack that belongs to the
+// current extent alone — its free capacity and the smaller arrays its
+// not yet absorbed shards were sealed in, under three times the rows
+// it holds — a smooth function of the table's size.
+//
+// Readers never lock the table structure: the shard list and tail are
+// published as an immutable copy-on-write view swapped atomically by
+// Append and by a seal, so a query operates on a consistent snapshot
+// while ingestion proceeds — a query that loaded its view before a
+// merge finishes against the absorbed shards, which the merge leaves
+// untouched.
 //
 // With Config.Encoding set, shards are born cold: each partition is
 // compressed into an encode.Segment (frame-of-reference bit-packing,
@@ -61,9 +76,9 @@
 // pays an encode on the hot path; a seal that absorbs shards decodes
 // their segments (or takes a claimed shard's retained rows) into one
 // buffer with the tail and encodes it once, and the merged shard is
-// born cold. In encoded mode the table retains no raw base column at
-// all; the segments, any claimed shards' rows, and the pending tail are
-// the only copies of the data.
+// born cold. In encoded mode the segments, any claimed shards' rows,
+// and the pending tail (an extent that every seal ends) are the only
+// copies of the data.
 //
 // The Sharded type exposes the same concurrency-safe surface as
 // progidx.Synchronized (Execute, TryExecute, ExecuteBatch, Append,
@@ -112,7 +127,7 @@ type (
 	phaser       interface{ Phase() query.Phase }
 )
 
-// state is one shard: a contiguous row range of the base column with
+// state is one shard: a contiguous row range of the logical table with
 // its zone map, index, lock and heat accounting.
 type state struct {
 	mu  sync.RWMutex
@@ -121,12 +136,14 @@ type state struct {
 	// seg is the shard's compressed form while it is cold (idx == nil):
 	// queries scan it in place under the shared lock. A claim decodes it
 	// into vals, builds idx, and clears seg — all under the write lock.
-	// vals is retained after the claim because in encoded mode it is the
-	// only raw copy of the shard's rows (there is no base column).
+	// vals is the shard's raw rows whenever it is not cold — a slice of
+	// the loaded column or of a tail extent in raw mode, the claim's
+	// decode in encoded mode — and never changes once set: the table
+	// keeps no other copy of them.
 	seg  *encode.Segment
 	vals []int64
 
-	start, end int   // row range [start, end) in the base column
+	start, end int   // row range [start, end) of the logical table
 	min, max   int64 // zone map: extrema of the shard's rows
 
 	// tailBorn marks a shard sealed from appended rows; only these are
@@ -198,7 +215,6 @@ type view struct {
 // tail. It is safe for concurrent use; see the package comment for the
 // execution model.
 type Sharded struct {
-	col            *column.Column // logical column; nil in encoded mode; mutated only under amu
 	pool           *parallel.Pool
 	name           string
 	factory        Factory
@@ -221,13 +237,20 @@ type Sharded struct {
 	tailMin   int64 // zone of the pending tail (amu-guarded master copy)
 	tailMax   int64
 
-	// Encoded-mode masters (col == nil): the raw pending tail and the
-	// logical zone, owned by amu. tailBuf is never mutated in place once
-	// published — Append grows it and seal replaces it — so views can
-	// pin it length-capped exactly like a column snapshot.
-	tailBuf []int64
-	vminEnc int64
-	vmaxEnc int64
+	// ext is the tail extent, owned by amu: the raw rows from logical
+	// row extStart on — the pending tail and, in raw mode, the tail-born
+	// shards below sealRows before it, which slice it and which a later
+	// seal may merge with the tail. Rows already written are never
+	// mutated — Append writes past every published length or moves to a
+	// larger array (appendExtent) — so views and shards pin
+	// length-capped slices of it exactly like a column snapshot. A seal
+	// that leaves nothing mergeable behind (every encoded-mode seal; a
+	// raw-mode seal of sealRows rows or more) drops it, and the next
+	// append starts a new one.
+	ext      []int64
+	extStart int
+	// vmin, vmax are the master copy of the logical column's zone.
+	vmin, vmax int64
 
 	cur atomic.Pointer[view]
 
@@ -301,9 +324,10 @@ func ResolveClaimHeat(opt int) uint64 {
 // one index per shard with factory. The zone statistics of every shard
 // are computed in a single parallel pass during partitioning and handed
 // to column.NewWithStats, so no partition is scanned twice. The column
-// is retained as the logical table and grows through Append; the
-// partitions are length-pinned snapshots, so sealed shards never
-// observe later rows.
+// itself is not retained: in raw mode the shards slice its backing array
+// (so the caller must not append to it afterwards — the table grows
+// through Append, into tail extents of its own), in encoded mode its
+// rows are compressed and nothing refers to it.
 func New(col *column.Column, cfg Config, factory Factory) (*Sharded, error) {
 	if factory == nil {
 		return nil, fmt.Errorf("shard: nil factory")
@@ -347,7 +371,7 @@ func New(col *column.Column, cfg Config, factory Factory) (*Sharded, error) {
 			if err == nil {
 				var idx Index
 				if idx, err = factory(pcol); err == nil {
-					shards[i] = &state{idx: idx, start: start, end: end, min: mn, max: mx}
+					shards[i] = &state{idx: idx, vals: part, start: start, end: end, min: mn, max: mx}
 					continue
 				}
 			}
@@ -377,15 +401,12 @@ func New(col *column.Column, cfg Config, factory Factory) (*Sharded, error) {
 		budgetSizedFor: cfg.BudgetSizedFor,
 		encoding:       cfg.Encoding,
 		tailStart:      n,
+		extStart:       n,
+		vmin:           col.Min(),
+		vmax:           col.Max(),
 	}
 	if encoded {
-		// The base column is deliberately not retained: the segments are
-		// now the data. Appends accumulate in tailBuf and the logical
-		// zone lives in the amu-guarded masters.
-		sh.vminEnc, sh.vmaxEnc = col.Min(), col.Max()
 		sh.claimHeat = ResolveClaimHeat(cfg.ClaimHeat)
-	} else {
-		sh.col = col
 	}
 	sh.publishLocked(shards)
 	return sh, nil
@@ -417,35 +438,20 @@ func (s *Sharded) applyBudgetFactor(shares []float64, shardCount int) {
 // publishLocked swaps in a fresh view of the current structure. The
 // caller holds amu (or is the constructor, before the value escapes).
 func (s *Sharded) publishLocked(shards []*state) {
-	var v *view
-	if s.col != nil {
-		n := s.col.Len()
-		v = &view{
-			shards:  shards,
-			rows:    n,
-			vmin:    s.col.Min(),
-			vmax:    s.col.Max(),
-			tail:    s.col.Values()[s.tailStart:n:n],
-			tailMin: s.tailMin,
-			tailMax: s.tailMax,
-		}
-	} else {
-		t := s.tailBuf
-		v = &view{
-			shards:  shards,
-			rows:    s.tailStart + len(t),
-			vmin:    s.vminEnc,
-			vmax:    s.vmaxEnc,
-			tail:    t[0:len(t):len(t)],
-			tailMin: s.tailMin,
-			tailMax: s.tailMax,
-		}
-	}
-	s.cur.Store(v)
+	n := len(s.ext)
+	s.cur.Store(&view{
+		shards:  shards,
+		rows:    s.extStart + n,
+		vmin:    s.vmin,
+		vmax:    s.vmax,
+		tail:    s.ext[s.tailStart-s.extStart : n : n],
+		tailMin: s.tailMin,
+		tailMax: s.tailMax,
+	})
 }
 
 // Append implements the handle ingestion surface: the rows join the
-// logical column under the append mutex, the pending tail's zone map
+// tail extent under the append mutex, the pending tail's zone map
 // widens, and — once the tail reaches the seal threshold — the whole
 // tail is sealed (sealLocked) into a shard with its own index and zone
 // map, joining the pruning and heat-driven budget machinery like any
@@ -457,41 +463,19 @@ func (s *Sharded) Append(values []int64) error {
 	if len(values) == 0 {
 		return nil
 	}
+	mn, mx := column.MinMax(values)
+	if mn <= -column.MaxMagnitude || mx >= column.MaxMagnitude {
+		return fmt.Errorf("shard: appended values must lie strictly inside ±2^62 (min=%d max=%d)", mn, mx)
+	}
 	s.amu.Lock()
 	defer s.amu.Unlock()
-	mn, mx := column.MinMax(values)
-	var hadTail bool
-	if s.col != nil {
-		hadTail = s.col.Len() > s.tailStart
-		if err := s.col.AppendSlice(values); err != nil {
-			return err
-		}
-	} else {
-		// Encoded mode: the same domain check AppendSlice would make,
-		// then the batch joins the raw tail buffer and the amu-guarded
-		// logical zone widens (there is no column to do either for us).
-		if mn <= -column.MaxMagnitude || mx >= column.MaxMagnitude {
-			return fmt.Errorf("shard: appended values must lie strictly inside ±2^62 (min=%d max=%d)", mn, mx)
-		}
-		hadTail = len(s.tailBuf) > 0
-		s.tailBuf = append(s.tailBuf, values...)
-		if mn < s.vminEnc {
-			s.vminEnc = mn
-		}
-		if mx > s.vmaxEnc {
-			s.vmaxEnc = mx
-		}
-	}
-	if !hadTail {
+	if s.pendingLocked() == 0 {
 		s.tailMin, s.tailMax = mn, mx
 	} else {
-		if mn < s.tailMin {
-			s.tailMin = mn
-		}
-		if mx > s.tailMax {
-			s.tailMax = mx
-		}
+		s.tailMin, s.tailMax = min(s.tailMin, mn), max(s.tailMax, mx)
 	}
+	s.vmin, s.vmax = min(s.vmin, mn), max(s.vmax, mx)
+	s.ext = appendExtent(s.ext, values)
 	shards := s.cur.Load().shards
 	if s.pendingLocked() >= s.sealRows {
 		if sealed, err := s.sealLocked(); err == nil {
@@ -504,13 +488,23 @@ func (s *Sharded) Append(values []int64) error {
 	return nil
 }
 
-// pendingLocked is the pending-tail size; caller holds amu.
-func (s *Sharded) pendingLocked() int {
-	if s.col != nil {
-		return s.col.Len() - s.tailStart
+// appendExtent appends values to the tail extent without disturbing
+// what is published: within capacity the rows land past every pinned
+// length; beyond it the extent moves to an array of twice the capacity
+// and the old one lives on for as long as a view or a shard sealed in it
+// does. Doubling keeps that cost at one copy per row, and the arrays the
+// small tail-born shards still pin at less than the current one.
+func appendExtent(ext, values []int64) []int64 {
+	if need := len(ext) + len(values); need > cap(ext) {
+		grown := make([]int64, len(ext), max(2*cap(ext), need))
+		copy(grown, ext)
+		ext = grown
 	}
-	return len(s.tailBuf)
+	return append(ext, values...)
 }
+
+// pendingLocked is the pending-tail size; caller holds amu.
+func (s *Sharded) pendingLocked() int { return s.extStart + len(s.ext) - s.tailStart }
 
 // sealLocked is the one place a shard is born after load: Append's
 // threshold seal and RefineStep's idle flush both end here. The run
@@ -522,8 +516,9 @@ func (s *Sharded) pendingLocked() int {
 // most ⌈log₂ sealRows⌉ of them exist however small the appends are.
 // The merged shard covers the absorbed row ranges plus the tail, with
 // the union zone and the summed heat/executes/refines; it is unindexed
-// (raw mode: a lazy factory index over the retained column, no row
-// copied) or cold (encoded mode: one re-encode of the absorbed rows),
+// (raw mode: a lazy factory index over a wider slice of the tail
+// extent, no row copied) or cold (encoded mode: one re-encode of the
+// absorbed rows),
 // and re-earns its index through the ordinary budget and idle slices.
 // The absorbed states are not touched: queries still holding the old
 // view finish against them. On error nothing has changed. Caller holds
@@ -544,8 +539,19 @@ func (s *Sharded) sealLocked() ([]*state, error) {
 	start := end - rows
 
 	var st *state
-	if s.col != nil {
-		pcol, err := column.NewWithStats(s.col.Values()[start:end:end], mn, mx)
+	if !s.encoding.Compressed() {
+		// The extent holds every row a seal can still reach (it starts
+		// after the last final shard), so the run is one slice of it. A
+		// run of sealRows rows or more has absorbed every smaller shard:
+		// nothing will merge with these rows again, the extent ends here,
+		// and if doubling left it mostly empty the final shard takes an
+		// exact copy rather than pinning the slack for good.
+		vals := s.ext[start-s.extStart : end-s.extStart : end-s.extStart]
+		final := rows >= s.sealRows
+		if final && cap(s.ext)-len(s.ext) > len(s.ext)/8 {
+			vals = append(make([]int64, 0, rows), vals...)
+		}
+		pcol, err := column.NewWithStats(vals, mn, mx)
 		if err != nil {
 			return nil, err
 		}
@@ -553,27 +559,31 @@ func (s *Sharded) sealLocked() ([]*state, error) {
 		if err != nil {
 			return nil, err
 		}
-		st = &state{idx: idx, start: start, end: end, min: mn, max: mx}
+		st = &state{idx: idx, vals: vals, start: start, end: end, min: mn, max: mx}
 		st.noteConverged() // e.g. a full-index shard is terminal at birth
+		if final {
+			s.ext, s.extStart = nil, end
+		}
 	} else {
-		// Appends ride raw and pay the encode here. With nothing to
-		// absorb the tail buffer itself is encoded (no copy).
-		buf := s.tailBuf
+		// Appends ride raw and pay the encode here; the extent is the
+		// pending tail alone. With nothing to absorb it is encoded
+		// itself (no copy).
+		buf := s.ext
 		if len(absorbed) > 0 {
 			buf = make([]int64, 0, rows)
 			for _, a := range absorbed {
 				buf = a.appendRows(buf)
 			}
-			buf = append(buf, s.tailBuf...)
+			buf = append(buf, s.ext...)
 		}
 		seg, err := encode.New(buf, mn, mx, s.encoding)
 		if err != nil {
 			return nil, err
 		}
 		st = newColdState(seg, start, end)
-		// Published views pin the old buffer; dropping the reference
+		// Published views pin the old extent; dropping the reference
 		// (rather than truncating it) keeps them immutable.
-		s.tailBuf = nil
+		s.ext, s.extStart = nil, end
 	}
 	st.tailBorn = true
 	for _, a := range absorbed {
@@ -612,8 +622,8 @@ func MaxShards(loaded, appended, sealRows int) int {
 }
 
 // appendRows appends the shard's rows to dst in row order, from the
-// segment while cold or the claim's retained rows after — the
-// encoded-mode extraction shared by merges and MaterializeRows.
+// segment while cold or from its raw rows otherwise — the extraction
+// shared by encoded-mode merges and MaterializeRows.
 func (st *state) appendRows(dst []int64) []int64 {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
@@ -1455,17 +1465,13 @@ func (s *Sharded) ShardStats() []Info {
 
 // MaterializeRows returns a fresh copy of every logical row in order
 // (sealed shards, then the pending tail) — the raw-extraction surface
-// snapshots use when the table keeps no base column. Cold shards
-// decode into the output without being claimed; claimed shards copy
-// their retained rows.
+// snapshots use, since the table keeps no base column. Cold shards
+// decode into the output without being claimed; the others copy their
+// rows.
 func (s *Sharded) MaterializeRows() []int64 {
 	s.amu.Lock()
 	v := s.cur.Load()
 	s.amu.Unlock()
-	if s.col != nil {
-		vals := s.col.Values()[:v.rows]
-		return append(make([]int64, 0, v.rows), vals...)
-	}
 	out := make([]int64, 0, v.rows)
 	for _, st := range v.shards {
 		out = st.appendRows(out)

@@ -3,6 +3,7 @@ package shard
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -678,6 +679,58 @@ func TestSealMergesLikeABinaryCounter(t *testing.T) {
 	if last.Kind != obs.EvShardSeal || last.Shard != 2 || last.A != 128 || last.B != 4 {
 		t.Fatalf("last seal event = %+v, want shard 2, 128 rows, 4 merged", last)
 	}
+}
+
+// liveHeap forces a collection and returns the live heap.
+func liveHeap() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// TestAppendedRowsAreStoredOnce pins what the tail extents are for: the
+// memory a raw table holds for its appended rows is 8 bytes a row plus a
+// bounded allowance for the current extent, at every point of the
+// growth. A growing column shared by all shards fails it twice over —
+// every reallocation copies the loaded rows again, and the superseded
+// array stays pinned by the shards sealed in it — and in steps, so the
+// total depends on where the row count stands between two
+// reallocations. The stub index holds nothing but its column, so the
+// heap is the storage.
+func TestAppendedRowsAreStoredOnce(t *testing.T) {
+	const (
+		loaded, batch, sealRows = 1 << 18, 256, 1 << 16
+		// The extent's free capacity and the smaller arrays its shards
+		// still pin, for an extent that ends by 2·sealRows rows here;
+		// plus views, states and the collector's own slop.
+		allowance = 8*4*sealRows + 1<<18
+	)
+	sh, err := New(column.MustNew(clustered(loaded)), Config{Shards: 4, Workers: 1, SealRows: sealRows}, stubFactory(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	drain(t, sh)
+	base := liveHeap()
+	vals := make([]int64, batch)
+	for i := 0; i < 4096; i++ {
+		for k := range vals {
+			vals[k] = int64(loaded + i*batch + k)
+		}
+		if err := sh.Append(vals); err != nil {
+			t.Fatal(err)
+		}
+		drain(t, sh)
+		if i%97 != 96 {
+			continue
+		}
+		appended := (i + 1) * batch
+		if held := int64(liveHeap()) - int64(base); held > int64(8*appended+allowance) {
+			t.Fatalf("after %d appended rows the table holds %d more bytes, over 8/row + %d", appended, held, allowance)
+		}
+	}
+	runtime.KeepAlive(sh)
 }
 
 // TestReaderOnPreMergeViewKeepsItsAnswer pins why a merge needs no

@@ -90,10 +90,14 @@ func NewHandle(values []int64, opts Options) (Handle, error) {
 	return NewHandleFromColumn(col, opts)
 }
 
-// NewHandleFromColumn is NewHandle for a pre-built column. The column
-// is retained as the handle's logical table and grows through
-// Handle.Append; the index itself is built over a frozen snapshot, so
-// the strategies never observe mutation (DESIGN.md section 10).
+// NewHandleFromColumn is NewHandle for a pre-built column. An unsharded
+// raw handle retains the column as its logical table and grows it
+// through Handle.Append; the index itself is built over a frozen
+// snapshot, so the strategies never observe mutation. A sharded or
+// compressed handle holds the rows itself (raw shards slice the
+// column's array, appended rows go to the shard layer's own extents),
+// so the column stays as loaded and the rows are read back through
+// Materializer (DESIGN.md section 10).
 func NewHandleFromColumn(col *column.Column, opts Options) (Handle, error) {
 	if opts.Shards > 1 || opts.Encoding.Compressed() {
 		// Compressed tables always serve through the shard layer (a

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -19,8 +20,10 @@ import (
 // pending tail tile [0, rows) exactly, every zone map is the true
 // extrema of its row range, loaded shards keep their size (they never
 // merge), the tail-born shards below sealRows sit rightmost with
-// strictly decreasing size classes (hence sizes), and the shard count
-// respects shard.MaxShards.
+// strictly decreasing size classes (hence sizes), the shard count
+// respects shard.MaxShards, and the rows the table holds — its shards'
+// slices of the loaded column and of the tail extents are the only copy
+// — are the logical rows in order.
 func checkShardStructure(t *testing.T, sh *Sharded, logical []int64, loaded, appended, sealRows int) {
 	t.Helper()
 	infos := sh.ShardStats()
@@ -57,6 +60,9 @@ func checkShardStructure(t *testing.T, sh *Sharded, logical []int64, loaded, app
 	}
 	if start+sh.PendingRows() != len(logical) {
 		t.Fatalf("shards cover %d rows + %d pending, want %d", start, sh.PendingRows(), len(logical))
+	}
+	if !slices.Equal(sh.MaterializeRows(), logical) {
+		t.Fatal("MaterializeRows differs from the logical rows")
 	}
 }
 
