@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: test race bench microbench fmt vet
+.PHONY: test race bench microbench fmt vet loc
 
 test:
 	$(GO) build ./... && $(GO) test ./...
@@ -26,3 +26,8 @@ fmt:
 
 vet:
 	$(GO) vet ./...
+
+# Non-test Go lines outside benchmark/ — the figure ROADMAP.md aim 2
+# tracks (it should go down).
+loc:
+	@find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -not -path './.bench_build/*' -print0 | xargs -0 cat | wc -l

@@ -50,8 +50,8 @@ func TestConvergedExecuteZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestSynchronizedConvergedZeroAllocs extends the pin to the serving
-// handle: the shared-read-lock path after convergence and the zone-map
+// TestSynchronizedConvergedZeroAllocs extends the pin to the lock
+// wrapper: the shared-read-lock path after convergence and the zone-map
 // fast path (which never takes a lock at all) must both stay
 // allocation-free.
 func TestSynchronizedConvergedZeroAllocs(t *testing.T) {
@@ -75,37 +75,45 @@ func TestSynchronizedConvergedZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestShardedConvergedZeroAllocs pins the sharded steady state: with a
-// serial fan-out (Workers: 1 — the parallel fan-out's fork/join
-// necessarily allocates), a converged sharded Execute reuses its
-// pooled scratch and performs zero per-query allocations, both for
-// queries that touch shards and for fully pruned ones, and a one-request
-// ExecuteBatch allocates only its result slices.
+// TestShardedConvergedZeroAllocs pins the serving handle's steady
+// state: with a serial fan-out — four shards at Workers: 1 (the
+// parallel fan-out's fork/join necessarily allocates), or the unsharded
+// handle at the default worker count (one shard has no fan-out) — a
+// converged Execute reuses its pooled scratch and performs zero
+// per-query allocations, both for queries that touch shards and for
+// fully pruned ones, and a one-request ExecuteBatch allocates only its
+// result slices.
 func TestShardedConvergedZeroAllocs(t *testing.T) {
 	skipUnderRace(t)
 	vals := boundedColumn(3000, 14)
-	sh, err := NewSharded(vals, Options{Strategy: StrategyQuicksort, Delta: 1, Shards: 4, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for q := 0; q < 2000 && !sh.Converged(); q++ {
-		sh.Query(-4000, 4000)
-	}
-	if !sh.Converged() {
-		t.Fatal("sharded PQ did not converge")
-	}
-	inRange := Request{Pred: Range(-1000, 1000), Aggs: AllAggregates}
-	if allocs := testing.AllocsPerRun(100, func() { sh.Execute(inRange) }); allocs != 0 {
-		t.Errorf("Sharded converged Execute allocates %.1f/op, want 0", allocs)
-	}
-	miss := Request{Pred: Range(8_000_000, 9_000_000)}
-	if allocs := testing.AllocsPerRun(100, func() { sh.Execute(miss) }); allocs != 0 {
-		t.Errorf("Sharded pruned Execute allocates %.1f/op, want 0", allocs)
-	}
-	// The batch path — the only one the server calls — shares Execute's
-	// pooled fan-out: nothing per shard, just the two result slices.
-	batch := []Request{inRange}
-	if allocs := testing.AllocsPerRun(100, func() { sh.ExecuteBatch(batch) }); allocs != 2 {
-		t.Errorf("Sharded converged ExecuteBatch allocates %.1f/op, want 2 (answers and errors)", allocs)
+	for _, opts := range []Options{
+		{Strategy: StrategyQuicksort, Delta: 1, Shards: 4, Workers: 1},
+		{Strategy: StrategyQuicksort, Delta: 1, Shards: 0},
+	} {
+		sh, err := NewHandle(vals, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for q := 0; q < 2000 && !sh.Converged(); q++ {
+			sh.Query(-4000, 4000)
+		}
+		if !sh.Converged() {
+			t.Fatalf("%s did not converge", sh.Name())
+		}
+		inRange := Request{Pred: Range(-1000, 1000), Aggs: AllAggregates}
+		if allocs := testing.AllocsPerRun(100, func() { sh.Execute(inRange) }); allocs != 0 {
+			t.Errorf("%s converged Execute allocates %.1f/op, want 0", sh.Name(), allocs)
+		}
+		miss := Request{Pred: Range(8_000_000, 9_000_000)}
+		if allocs := testing.AllocsPerRun(100, func() { sh.Execute(miss) }); allocs != 0 {
+			t.Errorf("%s pruned Execute allocates %.1f/op, want 0", sh.Name(), allocs)
+		}
+		// The batch path — the only one the server calls — shares
+		// Execute's pooled fan-out: nothing per shard, just the two
+		// result slices.
+		batch := []Request{inRange}
+		if allocs := testing.AllocsPerRun(100, func() { sh.ExecuteBatch(batch, BatchOpts{}) }); allocs != 2 {
+			t.Errorf("%s converged ExecuteBatch allocates %.1f/op, want 2 (answers and errors)", sh.Name(), allocs)
+		}
 	}
 }

@@ -1,23 +1,31 @@
 package progidx
 
 import (
-	"errors"
 	"math/rand"
 	"sync"
 	"testing"
+
+	"repro/internal/column"
+	"repro/internal/shard"
 )
 
 // appendHandle builds the serving handle for the append property tests
-// and, for the unsharded (Synchronized) flavor, lowers the query-path
-// merge trigger so the trace actually exercises rebuild-and-swap.
-func appendHandle(t *testing.T, vals []int64, opts Options) Handle {
+// exactly as NewHandle does, except that a one-shard table seals its
+// tail at 128 rows instead of the 1024-row floor, so the small traces
+// here actually exercise query-path seals and merges.
+func appendHandle(t *testing.T, vals []int64, opts Options) *Sharded {
 	t.Helper()
-	h, err := NewHandle(append([]int64(nil), vals...), opts)
+	col, err := column.New(append([]int64(nil), vals...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, factory := shardLayout(opts, col.Len())
+	if cfg.Shards == 1 {
+		cfg.SealRows = 128
+	}
+	h, err := shard.New(col, cfg, factory)
 	if err != nil {
 		t.Fatalf("%v shards=%d: %v", opts.Strategy, opts.Shards, err)
-	}
-	if s, ok := h.(*Synchronized); ok {
-		s.ing.mergeMin = 128
 	}
 	return h
 }
@@ -98,7 +106,7 @@ func TestAppendVisibleBeyondOldBounds(t *testing.T) {
 		if err != nil || ans.Count != 1 || ans.Sum != 999 {
 			t.Fatalf("shards=%d: appended row invisible: %+v, %v", shards, ans, err)
 		}
-		if mn, mx := h.(ValueBounded).ValueBounds(); mn != 1 || mx != 999 {
+		if mn, mx := h.ValueBounds(); mn != 1 || mx != 999 {
 			t.Fatalf("shards=%d: bounds [%d,%d], want [1,999]", shards, mn, mx)
 		}
 	}
@@ -106,7 +114,7 @@ func TestAppendVisibleBeyondOldBounds(t *testing.T) {
 
 // TestAppendClearsConvergedAndIdleRedrains pins the lifecycle
 // contract: Append clears the sticky converged flag, and idle
-// refinement re-absorbs the tail — merging below the query-path
+// refinement re-absorbs the tail — sealing it below the query-path
 // threshold — until the handle is terminal again.
 func TestAppendClearsConvergedAndIdleRedrains(t *testing.T) {
 	for _, tc := range []struct {
@@ -146,52 +154,6 @@ func TestAppendClearsConvergedAndIdleRedrains(t *testing.T) {
 	}
 }
 
-// TestAppendMergeSwapsSynchronized drives the query-path merge to
-// completion and verifies the pending tail was actually folded into
-// the serving index (not just scanned forever).
-func TestAppendMergeSwapsSynchronized(t *testing.T) {
-	h := appendHandle(t, testColumn(500, 6), Options{Strategy: StrategyQuicksort, Delta: 0.5})
-	s := h.(*Synchronized)
-	batch := make([]int64, 200) // past the lowered 128-row trigger
-	for i := range batch {
-		batch[i] = int64(i)
-	}
-	if err := h.Append(batch); err != nil {
-		t.Fatal(err)
-	}
-	if s.ing.pending() != 200 {
-		t.Fatalf("pending = %d, want 200", s.ing.pending())
-	}
-	logical := append(testColumn(500, 6), batch...)
-	rng := rand.New(rand.NewSource(8))
-	for i := 0; i < 300 && s.ing.pending() > 0; i++ {
-		p := Range(rng.Int63n(2000)-1000, rng.Int63n(2000))
-		ans, err := h.Execute(Request{Pred: p})
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkAnswer(t, "PQ-merge", p, 0, ans, oracleAnswer(logical, p))
-	}
-	if s.ing.pending() != 0 {
-		t.Fatal("query-path merge never swapped the rebuilt index in")
-	}
-	if s.ing.indexed != len(logical) {
-		t.Fatalf("indexed = %d, want %d", s.ing.indexed, len(logical))
-	}
-}
-
-// TestBareSynchronizeRefusesAppend pins ErrNoAppend: a Synchronize
-// wrap over a caller-built index has no owned column to grow.
-func TestBareSynchronizeRefusesAppend(t *testing.T) {
-	s := Synchronize(MustNew([]int64{1, 2, 3}, Options{}))
-	if err := s.Append([]int64{4}); !errors.Is(err, ErrNoAppend) {
-		t.Fatalf("Append on bare wrap = %v, want ErrNoAppend", err)
-	}
-	if err := s.Append(nil); !errors.Is(err, ErrNoAppend) {
-		t.Fatalf("empty Append on bare wrap = %v, want ErrNoAppend", err)
-	}
-}
-
 // TestShardedAppendPruningZeroWork is the grown-table pruning
 // acceptance check with a real strategy: rows appended and sealed into
 // a tail shard carry their own zone map, and queries confined to the
@@ -203,8 +165,7 @@ func TestShardedAppendPruningZeroWork(t *testing.T) {
 	for i := range vals {
 		vals[i] = int64(i)
 	}
-	h := appendHandle(t, vals, Options{Strategy: StrategyQuicksort, Delta: 0.25, Shards: 4})
-	sh := h.(*Sharded)
+	sh := appendHandle(t, vals, Options{Strategy: StrategyQuicksort, Delta: 0.25, Shards: 4})
 	// Grow past the seal threshold (n/S = 1000 rows) with values far
 	// above the loaded domain.
 	batch := make([]int64, 1000)
@@ -366,8 +327,9 @@ func TestAppendConcurrentWithQueries(t *testing.T) {
 							return
 						}
 					default:
-						if _, ok, err := h.TryExecute(Request{Pred: Range(0, 100)}); ok && err != nil {
-							t.Errorf("reader %d: %v", r, err)
+						// The scheduler's entry point, racing the appends.
+						if _, errs := h.ExecuteBatch([]Request{{Pred: Range(0, 100)}}, BatchOpts{}); errs[0] != nil {
+							t.Errorf("reader %d: %v", r, errs[0])
 							return
 						}
 					}
@@ -396,13 +358,12 @@ func TestAppendConcurrentWithQueries(t *testing.T) {
 	}
 }
 
-// TestAppendPendingPhaseAndPendingRows pins the observability fixes:
+// TestAppendPendingPhaseAndPendingRows pins the observability contract:
 // an unsharded handle with rows pending ingestion reports PendingRows
-// and pins its phase to creation (never "done" while unconverged),
-// matching the sharded handle's behavior.
+// and pins its phase to creation (never "done" while unconverged).
 func TestAppendPendingPhaseAndPendingRows(t *testing.T) {
-	h := appendHandle(t, testColumn(400, 7), Options{Strategy: StrategyQuicksort, Delta: 0.5})
-	s := h.(*Synchronized)
+	s := appendHandle(t, testColumn(400, 7), Options{Strategy: StrategyQuicksort, Delta: 0.5})
+	var h Handle = s
 	for i := 0; i < 200 && !h.Converged(); i++ {
 		h.RefineStep()
 	}
@@ -430,7 +391,52 @@ func TestAppendPendingPhaseAndPendingRows(t *testing.T) {
 	if ph, ok := h.Phase(); !ok || ph != PhaseDone {
 		t.Fatalf("phase after drain = %v/%v, want done", ph, ok)
 	}
-	if h.Name() != "PQ" {
-		t.Fatalf("Name after merge swap = %q, want PQ", h.Name())
+	if h.Name() != "PQ/S1" {
+		t.Fatalf("Name after the seal = %q, want PQ/S1", h.Name())
+	}
+}
+
+// TestUnshardedTailStaysBounded pins the rule an unsharded table's seal
+// threshold follows: an eighth of the loaded rows, floor 1024 — not the
+// whole-table shard size — so under appends with no idle slice in
+// between, the unindexed tail every query scans never reaches that
+// many rows, and every answer stays exact.
+func TestUnshardedTailStaysBounded(t *testing.T) {
+	for _, n := range []int{3_000, 20_000} {
+		bound := max(n/8, 1024)
+		logical := testColumn(n, 43)
+		h, err := NewHandle(append([]int64(nil), logical...), Options{Strategy: StrategyQuicksort, Delta: 0.25})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(int64(n)))
+		sealed := false
+		for round := 0; round < 120; round++ {
+			batch := make([]int64, 1+rng.Intn(bound/2))
+			for i := range batch {
+				batch[i] = rng.Int63n(8000) - 4000
+			}
+			if err := h.Append(batch); err != nil {
+				t.Fatal(err)
+			}
+			logical = append(logical, batch...)
+			if p := h.PendingRows(); p >= bound {
+				t.Fatalf("n=%d round %d: %d rows pending, bound %d", n, round, p, bound)
+			}
+			sealed = sealed || h.Shards() > 1
+			lo := rng.Int63n(8000) - 4000
+			hi := lo + rng.Int63n(3000)
+			ans, err := h.Execute(Request{Pred: Range(lo, hi), Aggs: AllAggregates})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := column.AggRangeBranching(logical, lo, hi)
+			if ans.Sum != want.Sum || ans.Count != want.Count {
+				t.Fatalf("n=%d round %d Range(%d, %d): %d/%d, want %d/%d", n, round, lo, hi, ans.Sum, ans.Count, want.Sum, want.Count)
+			}
+		}
+		if !sealed {
+			t.Fatalf("n=%d: the trace never sealed the tail", n)
+		}
 	}
 }

@@ -1,33 +1,29 @@
 package progidx
 
 import (
-	"errors"
 	"math"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/column"
 	"repro/internal/obs"
-	"repro/internal/parallel"
 	"repro/internal/query"
 )
 
-// Handle is the concurrency-safe index surface the serving layer
+// Handle is the concurrency-safe table surface the serving layer
 // schedules against: plain Execute plus the scheduler hooks (batched
-// execution, non-blocking execution, idle-time refinement), live
-// ingestion, and the observability probes. Two implementations exist:
-// *Synchronized (one index, one lock) and *Sharded (range-partitioned
-// shards, each with its own lock, fanned out over the worker pool).
-// Custom implementations must be safe for concurrent use by
+// execution, idle-time refinement), live ingestion, and the
+// observability probes. Two implementations exist: *Sharded — every
+// single-column table, one shard when it is not partitioned — and the
+// multi-column plan.Table. Both are safe for concurrent use by
 // construction.
 type Handle interface {
 	Index
-	// TryExecute is the non-blocking Execute: ok == false means the
-	// handle was busy and the index was not touched.
-	TryExecute(req Request) (ans Answer, ok bool, err error)
-	// ExecuteBatch executes several requests under one indexing budget;
+	// ExecuteBatch executes several requests under one indexing budget —
+	// the first request carries it, the rest run with indexing suspended
+	// — with the per-request traces and the deadline clamp of opts;
 	// answers and errors positionally match reqs.
-	ExecuteBatch(reqs []Request) ([]Answer, []error)
+	ExecuteBatch(reqs []Request, opts BatchOpts) ([]Answer, []error)
 	// RefineStep spends one indexing-budget slice with no client query
 	// attached, returning the work stats and whether the handle is now
 	// fully converged.
@@ -35,38 +31,50 @@ type Handle interface {
 	// Append ingests new rows at the tail of the table. The rows are
 	// visible to every query that starts after Append returns; the
 	// index absorbs them progressively under the same per-query budget
-	// discipline as its initial build (see Synchronized.Append and
-	// Sharded.Append). Handles not built over a column they own return
-	// ErrNoAppend.
+	// discipline as its initial build (see Sharded.Append).
 	Append(values []int64) error
 	// Progress reports the convergence fraction in [0, 1].
 	Progress() float64
 	// Phase reports the lifecycle phase when the underlying strategy
 	// has one (ok == false otherwise).
 	Phase() (Phase, bool)
+	// ValueBounds returns the zone of the table's (first) column,
+	// appended rows included.
+	ValueBounds() (min, max int64)
+	// PendingRows is the number of appended rows no index covers yet.
+	PendingRows() int
+	// MaterializeRows returns a fresh copy of the table's rows in row
+	// order — flat row-major tuples on a multi-column table. The handle
+	// holds the rows itself (DESIGN.md section 10), so snapshot capture
+	// and oracle checks read them back through this.
+	MaterializeRows() []int64
+	// SetEventSink routes the handle's structural events (tail seals,
+	// cold-shard claims) into tl, the table's convergence timeline; nil
+	// detaches.
+	SetEventSink(tl *obs.Timeline)
 }
 
-// ErrNoAppend is returned by Append on handles that do not own a
-// growable column: a bare Synchronize wrap over a caller-built index.
-// Handles built by NewHandle/NewHandleFromColumn always support
-// ingestion.
-var ErrNoAppend = errors.New("progidx: handle does not support appends (build it with NewHandle)")
+// BatchOpts configures one Handle.ExecuteBatch call: per-request traces
+// and the deadline clamp. The zero value is a plain batch.
+type BatchOpts = query.BatchOpts
 
 // ValueBounded is implemented by indexes that expose their base
 // column's zone statistics. Synchronize uses it for the zone-map fast
 // path: a predicate disjoint from [min, max] is answered empty without
-// taking the write lock or burning an indexing step. Every index in
-// this module implements it.
+// taking the lock or burning an indexing step. Every index in this
+// module implements it.
 type ValueBounded interface {
 	// ValueBounds returns the smallest and largest value in the indexed
 	// column.
 	ValueBounds() (min, max int64)
 }
 
-// Synchronized makes an Index safe for concurrent use. Progressive and
-// adaptive indexes reorganize themselves on every Execute call, so the
-// underlying types are deliberately not safe for concurrent use
-// (DESIGN.md section 7); this wrapper provides the locking.
+// Synchronized makes a caller-built Index safe for concurrent use.
+// Progressive and adaptive indexes reorganize themselves on every
+// Execute call, so the underlying types are deliberately not safe for
+// concurrent use (DESIGN.md section 7); this wrapper provides the
+// locking. It is not a serving handle — it does not ingest, batch or
+// refine in idle time; NewHandle builds one of those.
 //
 // Before convergence every call holds an exclusive lock, matching the
 // paper's single-session execution model: each query both answers and
@@ -74,22 +82,7 @@ type ValueBounded interface {
 // — a terminal state for every index in this module — Execute performs
 // no reorganization at all, and the wrapper switches to a shared
 // (read) lock, letting any number of goroutines query a converged
-// index in parallel. A converged query costs microseconds, so this
-// removes the serialization bottleneck exactly where traffic can
-// actually exploit it.
-//
-// An appendable handle (built with NewHandle/NewHandleFromColumn) also
-// ingests: Append adds rows to an unindexed pending tail that every
-// query scans with the parallel kernels on top of the indexed answer,
-// clears the converged switch (the handle is no longer terminal — it
-// has unindexed rows), and widens the ValueBounded zone so the
-// lock-free fast path can never prune a predicate that matches fresh
-// rows. The tail is merged back progressively: once it passes a
-// threshold (or immediately during idle refinement), a shadow index is
-// built over the grown column and driven one budget slice per query —
-// with the serving index's own indexing suspended, so the total
-// indexing work per query stays one δ — until it converges and is
-// swapped in, re-emptying the tail. See DESIGN.md section 10.
+// index in parallel.
 //
 // Custom Index implementations wrapped here must uphold the same
 // contract as the in-module ones: once Converged() reports true it
@@ -98,240 +91,38 @@ type Synchronized struct {
 	mu    sync.RWMutex
 	inner Index
 
-	// name is captured at wrap time: a tail merge replaces inner under
-	// the write lock with a same-strategy rebuild, so Name() must not
-	// read the swapped field lock-free.
-	name string
-
-	// converged is the read-path switch. It is set only while holding
-	// the write lock (or under RLock via an idempotent store of true),
-	// after observing inner.Converged() with no pending tail; Append
-	// clears it under the write lock. Read paths that find it true must
-	// re-check after acquiring the shared lock, because an Append may
-	// have cleared it in between.
+	// converged is the sticky read-path switch: set after observing
+	// inner.Converged() under the lock (either mode — the true-store is
+	// idempotent), never cleared.
 	converged atomic.Bool
 
-	// Zone statistics of the handle's logical column. Captured at wrap
-	// time when the index is ValueBounded, widened by Append; atomics
-	// because the zone-map fast path reads them without a lock.
-	vmin, vmax atomic.Int64
+	// Zone statistics of the wrapped index's column, captured at wrap
+	// time when the index is ValueBounded.
+	vmin, vmax int64
 	bounded    bool
-
-	// ing is the ingestion state; nil for a bare Synchronize wrap (no
-	// owned column, Append refused).
-	ing *ingest
-
-	// sink, when set, receives convergence-timeline events (rebuild
-	// swaps). Nil costs one atomic load per event site.
-	sink atomic.Pointer[obs.Timeline]
 }
-
-// SetEventSink routes this handle's structural events (tail-merge
-// rebuild swaps) into tl. Safe to call at any time; nil detaches.
-func (s *Synchronized) SetEventSink(tl *obs.Timeline) { s.sink.Store(tl) }
-
-// ingest is the appendable handle's pending-tail state. Everything in
-// it is guarded by the owning Synchronized's write lock.
-type ingest struct {
-	// col is the logical growable column: rows [0, indexed) are covered
-	// by the inner index (which was built over a frozen Snapshot and
-	// never sees later rows), rows [indexed, col.Len()) are the pending
-	// tail, scanned per query.
-	col     *column.Column
-	indexed int
-
-	// factory rebuilds an index of the handle's strategy over a frozen
-	// snapshot of the grown column (the merge mechanism).
-	factory    func(*column.Column) (Index, error)
-	convergent bool // Strategy.Convergent: rebuilds reach a terminal state
-
-	// pool runs the pending-tail scan kernels.
-	pool *parallel.Pool
-
-	// Zone statistics of the pending tail, maintained incrementally by
-	// Append and recomputed when a merge swap shrinks the tail. Valid
-	// only while the tail is non-empty.
-	tailMin, tailMax int64
-
-	// rebuild is the in-progress merge target: an index over the frozen
-	// first rebuildRows rows of col, driven one budget slice per query
-	// until it converges and replaces inner.
-	rebuild     Index
-	rebuildRows int
-
-	// mergeMin is the tail size that triggers a merge on the query
-	// path (idle refinement merges any non-empty tail). Tests lower it.
-	mergeMin int
-}
-
-// ingestMergeMinRows is the default query-path merge trigger: below
-// it, the tail scan is cheaper than re-indexing amplification, so the
-// tail just rides along (idle time still merges it).
-const ingestMergeMinRows = 1024
 
 // Synchronize wraps idx. The inner index must not be used directly
-// afterwards. The wrap is not appendable — it does not own the
-// column; use NewHandle/NewHandleFromColumn for an ingesting handle.
+// afterwards.
 func Synchronize(idx Index) *Synchronized {
-	s := &Synchronized{inner: idx, name: idx.Name()}
+	s := &Synchronized{inner: idx}
 	if b, ok := idx.(ValueBounded); ok {
-		mn, mx := b.ValueBounds()
-		s.vmin.Store(mn)
-		s.vmax.Store(mx)
+		s.vmin, s.vmax = b.ValueBounds()
 		s.bounded = true
 	}
 	return s
 }
 
-// enableAppend arms the ingestion path: col is the logical growable
-// column whose first indexed rows the wrapped index covers, factory
-// rebuilds the strategy over a grown snapshot for merges. Called
-// before the handle is shared; not safe afterwards.
-func (s *Synchronized) enableAppend(col *column.Column, indexed int, factory func(*column.Column) (Index, error), convergent bool, workers int) {
-	s.ing = &ingest{
-		col:        col,
-		indexed:    indexed,
-		factory:    factory,
-		convergent: convergent,
-		pool:       parallel.New(workers),
-		mergeMin:   ingestMergeMinRows,
-	}
-	s.vmin.Store(col.Min())
-	s.vmax.Store(col.Max())
-	s.bounded = true
-}
-
-// pending returns the number of unindexed tail rows.
-func (g *ingest) pending() int { return g.col.Len() - g.indexed }
-
-// mergeThreshold is the tail size at which the query path starts a
-// merge: an eighth of the indexed rows, floored at mergeMin, so merge
-// write-amplification stays bounded while small tables still converge.
-func (g *ingest) mergeThreshold() int {
-	t := g.indexed / 8
-	if t < g.mergeMin {
-		t = g.mergeMin
-	}
-	return t
-}
-
-// recomputeTailZone rescans the (usually tiny) tail after a merge swap
-// shrank it.
-func (g *ingest) recomputeTailZone() {
-	tail := g.col.Values()[g.indexed:]
-	if len(tail) == 0 {
-		return
-	}
-	g.tailMin, g.tailMax = column.MinMax(tail)
-}
-
-// widenTailZone folds an appended batch into the tail zone statistics.
-func (g *ingest) widenTailZone(vs []int64, hadTail bool) {
-	mn, mx := column.MinMax(vs)
-	if !hadTail {
-		g.tailMin, g.tailMax = mn, mx
-		return
-	}
-	if mn < g.tailMin {
-		g.tailMin = mn
-	}
-	if mx > g.tailMax {
-		g.tailMax = mx
-	}
-}
-
-// maybeStartRebuild begins a merge when the pending tail warrants one:
-// always when forced (idle refinement), otherwise at the threshold.
-// Convergent strategies get a shadow rebuild driven to convergence by
-// driveRebuild; non-convergent strategies (cracking, full scan) have
-// no terminal state to wait for, so the fresh index over the grown
-// snapshot replaces the serving index immediately — it re-answers from
-// scratch exactly the way those algorithms always do, budget-bounded
-// per query by construction.
-func (g *ingest) maybeStartRebuild(s *Synchronized, force bool) {
-	if g.rebuild != nil || g.pending() == 0 {
-		return
-	}
-	if !force && g.pending() < g.mergeThreshold() {
-		return
-	}
-	snap := g.col.Snapshot()
-	idx, err := g.factory(snap)
-	if err != nil {
-		// The tail keeps being scanned; answers stay exact. Nothing to
-		// do but retry at the next trigger.
-		return
-	}
-	if !g.convergent {
-		s.inner = idx
-		g.indexed = snap.Len()
-		s.sink.Load().Record(obs.EvRebuildSwap, -1, float64(g.indexed), 0)
-		return
-	}
-	g.rebuild = idx
-	g.rebuildRows = snap.Len()
-}
-
-// driveRebuild spends one budget slice on the in-progress merge and
-// swaps the rebuilt index in once it converges. The slice's work stats
-// are folded into *into (additive, like the shard fan-out's merge:
-// the work really happened in this call).
-func (g *ingest) driveRebuild(s *Synchronized, into *Stats) {
-	ans, err := g.rebuild.Execute(idleRequest)
-	if err == nil {
-		st := ans.Stats
-		into.WorkSeconds += st.WorkSeconds
-		into.Predicted += st.WorkSeconds
-		if n := g.col.Len(); n > 0 {
-			into.Delta += st.Delta * float64(g.rebuildRows) / float64(n)
-		}
-	}
-	if g.rebuild.Converged() {
-		s.inner = g.rebuild
-		g.indexed = g.rebuildRows
-		g.rebuild, g.rebuildRows = nil, 0
-		g.recomputeTailZone()
-		s.sink.Load().Record(obs.EvRebuildSwap, -1, float64(g.indexed), 0)
-	}
-}
-
-// mergeTail folds the pending tail's contribution into an answer the
-// inner index produced. The tail is scanned with the parallel kernels
-// against bounds clamped to its own zone, so open-ended predicates
-// that the frozen index clamps away still see fresh rows.
-func (g *ingest) mergeTail(req Request, inner Answer) (Answer, error) {
-	if g.pending() == 0 {
-		return inner, nil
-	}
-	lo, hi, aggs, err := query.Prepare(req, g.tailMin, g.tailMax)
-	if err != nil {
-		return Answer{}, err
-	}
-	if lo > hi {
-		// Zone miss on the tail: the indexed answer is the whole answer.
-		return inner, nil
-	}
-	agg := query.AnswerAgg(inner)
-	agg.Merge(column.ParAggRange(g.pool, g.col.Values()[g.indexed:], lo, hi, aggs))
-	// The answer touched unindexed rows, so the per-query phase is
-	// pinned to creation — matching Sharded.mergeAnswer on a tail hit
-	// and this handle's own Phase() probe.
-	st := inner.Stats
-	st.Phase = query.PhaseCreation
-	return query.NewAnswer(agg, aggs, st), nil
-}
-
-// ValueBounds implements ValueBounded over the handle's logical column
-// (including any pending tail). When the wrapped index is not itself
-// ValueBounded, it reports the widest possible domain — a zone map
-// that never prunes — so a consumer (including a redundant second
+// ValueBounds implements ValueBounded. When the wrapped index is not
+// itself ValueBounded, it reports the widest possible domain — a zone
+// map that never prunes — so a consumer (including a redundant second
 // Synchronize wrap) can never be tricked into treating a satisfiable
 // predicate as a zone miss.
 func (s *Synchronized) ValueBounds() (int64, int64) {
 	if !s.bounded {
 		return math.MinInt64, math.MaxInt64
 	}
-	return s.vmin.Load(), s.vmax.Load()
+	return s.vmin, s.vmax
 }
 
 // zoneMiss implements the zone-map fast path: a well-formed predicate
@@ -342,20 +133,17 @@ func (s *Synchronized) ValueBounds() (int64, int64) {
 // (existence checks outside the domain, range scans of an empty
 // region) are pure reads under this path, which keeps them
 // microsecond-cheap even while the index is mid-build and the write
-// lock is contended. The bounds cover the pending tail (Append widens
-// them before the rows become visible), so ingestion can never be
-// pruned away. RefineStep is unaffected (it drives the inner index
-// directly), and malformed requests fall through so the inner index
-// reports its usual error.
+// lock is contended. Malformed requests fall through so the inner
+// index reports its usual error.
 func (s *Synchronized) zoneMiss(req Request) (Answer, bool) {
 	if !s.bounded || req.Validate() != nil {
 		return Answer{}, false
 	}
-	if _, _, empty := req.Pred.Bounds(s.vmin.Load(), s.vmax.Load()); !empty {
+	if _, _, empty := req.Pred.Bounds(s.vmin, s.vmax); !empty {
 		return Answer{}, false
 	}
 	// The stats are all-zero work, but the phase should still tell the
-	// truth a caller can know lock-free: a converged handle reports
+	// truth a caller can know lock-free: a converged index reports
 	// Done, not the zero value's "creation".
 	var st Stats
 	if s.converged.Load() {
@@ -364,125 +152,19 @@ func (s *Synchronized) zoneMiss(req Request) (Answer, bool) {
 	return query.NewAnswer(column.NewAgg(), req.Aggs.Normalize(), st), true
 }
 
-// Name implements Index. The name is captured at wrap time (a tail
-// merge swaps inner for a same-strategy rebuild under the write lock,
-// so reading it here lock-free would race).
-func (s *Synchronized) Name() string { return s.name }
+// Name implements Index.
+func (s *Synchronized) Name() string { return s.inner.Name() }
 
-// PendingRows returns the number of appended rows not yet absorbed
-// into the index (the unindexed pending tail, plus nothing else: rows
-// covered by an in-flight rebuild still count until the swap).
-func (s *Synchronized) PendingRows() int {
-	if s.ing == nil {
-		return 0
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.ing.pending()
-}
-
-// noteConverged records the handle's terminal state: inner index
-// converged and no rows pending ingestion. The caller must hold the
-// lock (either mode; the store is idempotent — Append, which clears
-// the flag, holds the write lock, so it cannot race a read-locked
-// true-store).
+// noteConverged records the inner index's terminal state. The caller
+// holds the lock in either mode.
 func (s *Synchronized) noteConverged() {
-	if s.converged.Load() {
-		return
-	}
-	if s.ing != nil && (s.ing.pending() > 0 || s.ing.rebuild != nil) {
-		return
-	}
-	if s.inner.Converged() {
+	if !s.converged.Load() && s.inner.Converged() {
 		s.converged.Store(true)
 	}
 }
 
-// Append implements Handle: the new rows join the logical column under
-// the write lock, the pending-tail and logical zone statistics widen,
-// and the converged switch clears — the handle has unindexed rows
-// again, so queries return to the exclusive path where the tail scan
-// and the budgeted merge happen. Rows are visible to every query that
-// starts after Append returns. An empty batch is a no-op; a batch with
-// out-of-domain values is rejected atomically.
-func (s *Synchronized) Append(values []int64) error {
-	if s.ing == nil {
-		return ErrNoAppend
-	}
-	if len(values) == 0 {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	g := s.ing
-	hadTail := g.pending() > 0
-	if err := g.col.AppendSlice(values); err != nil {
-		return err
-	}
-	g.widenTailZone(values, hadTail)
-	s.vmin.Store(g.col.Min())
-	s.vmax.Store(g.col.Max())
-	s.converged.Store(false)
-	return nil
-}
-
-// readExecute is the shared-lock fast path for converged handles. It
-// re-checks the converged switch after acquiring the lock: an Append
-// may have cleared it in between, in which case ok == false and the
-// caller takes the write path (where the fresh tail is scanned).
-func (s *Synchronized) readExecute(req Request) (ans Answer, ok bool, err error) {
-	if !s.converged.Load() {
-		return Answer{}, false, nil
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if !s.converged.Load() {
-		return Answer{}, false, nil
-	}
-	ans, err = s.inner.Execute(req)
-	return ans, true, err
-}
-
-// answerLocked answers req exactly from the inner index plus the
-// pending tail. Caller holds the write lock.
-func (s *Synchronized) answerLocked(req Request) (Answer, error) {
-	ans, err := s.inner.Execute(req)
-	if err != nil || s.ing == nil {
-		return ans, err
-	}
-	return s.ing.mergeTail(req, ans)
-}
-
-// writeExecuteLocked is the exclusive-lock execution path: answer from
-// index + tail, and when a merge is in flight redirect the per-query
-// indexing budget to it (inner suspended, one rebuild slice driven).
-// Caller holds the write lock.
-func (s *Synchronized) writeExecuteLocked(req Request) (Answer, error) {
-	driving := false
-	if s.ing != nil {
-		s.ing.maybeStartRebuild(s, false)
-		driving = s.ing.rebuild != nil
-	}
-	var sp IndexingSuspender
-	if driving {
-		if v, ok := s.inner.(IndexingSuspender); ok {
-			sp = v
-			sp.SetIndexingSuspended(true)
-		}
-	}
-	ans, err := s.answerLocked(req)
-	if sp != nil {
-		sp.SetIndexingSuspended(false)
-	}
-	if driving && err == nil {
-		s.ing.driveRebuild(s, &ans.Stats)
-	}
-	s.noteConverged()
-	return ans, err
-}
-
 // Execute implements Index, holding the exclusive lock across the
-// answer and the indexing work it triggers — or, once the handle has
+// answer and the indexing work it triggers — or, once the index has
 // converged, only a shared lock, since a converged Execute is
 // read-only. Because the Answer carries the per-query Stats inline,
 // concurrent callers always observe the (answer, stats) pair of their
@@ -491,220 +173,16 @@ func (s *Synchronized) Execute(req Request) (Answer, error) {
 	if ans, ok := s.zoneMiss(req); ok {
 		return ans, nil
 	}
-	if ans, ok, err := s.readExecute(req); ok {
-		return ans, err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.writeExecuteLocked(req)
-}
-
-// TryExecute is the non-blocking Execute: if another goroutine holds
-// the exclusive lock it returns ok == false without waiting (and
-// without touching the index). On a converged handle it always
-// succeeds — readers share the lock.
-func (s *Synchronized) TryExecute(req Request) (ans Answer, ok bool, err error) {
-	if ans, hit := s.zoneMiss(req); hit {
-		return ans, true, nil
-	}
-	if ans, ok, err := s.readExecute(req); ok {
-		return ans, true, err
-	}
-	if !s.mu.TryLock() {
-		return Answer{}, false, nil
-	}
-	defer s.mu.Unlock()
-	ans, err = s.writeExecuteLocked(req)
-	return ans, true, err
-}
-
-// ExecuteBatch executes several requests under one lock acquisition,
-// paying one indexing budget for the whole batch instead of one per
-// request: the first request runs with the budget enabled, and the
-// remainder with indexing suspended when the index supports it (the
-// four progressive algorithms, the progressive hash table and the
-// progressive imprints all do; for other strategies the batch degrades
-// to per-request work, still under a single lock acquisition). When a
-// tail merge is in flight, the whole batch runs with the serving
-// index suspended and the one budget goes to the merge. Answers are
-// exact either way and positionally match reqs, as do the errors.
-func (s *Synchronized) ExecuteBatch(reqs []Request) ([]Answer, []error) {
-	return s.ExecuteBatchTraced(reqs, nil)
-}
-
-// ExecuteBatchTraced is ExecuteBatch with optional per-request span
-// recording: traces[qi], when non-nil, receives an "index" span under
-// its attach point covering that request's inner execute + tail merge,
-// with the answer's work stats as attributes. A nil or short traces
-// slice is valid; untraced requests pay one nil test per span site.
-func (s *Synchronized) ExecuteBatchTraced(reqs []Request, traces []*obs.Trace) ([]Answer, []error) {
-	answers := make([]Answer, len(reqs))
-	errs := make([]error, len(reqs))
-	if len(reqs) == 0 {
-		return answers, errs
-	}
-	traceAt := func(i int) *obs.Trace {
-		if i < len(traces) {
-			return traces[i]
-		}
-		return nil
-	}
 	if s.converged.Load() {
 		s.mu.RLock()
-		if s.converged.Load() {
-			defer s.mu.RUnlock()
-			for i, req := range reqs {
-				tr := traceAt(i)
-				tsp := tr.Start(tr.AttachPoint(), "index")
-				answers[i], errs[i] = s.inner.Execute(req)
-				s.traceIndexSpan(tr, tsp, answers[i])
-			}
-			return answers, errs
-		}
-		s.mu.RUnlock() // an Append slipped in; take the write path
+		defer s.mu.RUnlock()
+		return s.inner.Execute(req)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	driving := false
-	if s.ing != nil {
-		s.ing.maybeStartRebuild(s, false)
-		driving = s.ing.rebuild != nil
-	}
-	sp, suspendable := s.inner.(IndexingSuspender)
-	if driving && suspendable {
-		sp.SetIndexingSuspended(true)
-	}
-	for i, req := range reqs {
-		if i == 1 && !driving && suspendable {
-			sp.SetIndexingSuspended(true)
-		}
-		tr := traceAt(i)
-		tsp := tr.Start(tr.AttachPoint(), "index")
-		if tr != nil {
-			if i > 0 || driving {
-				tr.Bool(tsp, "suspended", true)
-			}
-			if s.ing != nil {
-				tr.Int(tsp, "pending_rows", int64(s.ing.pending()))
-			}
-		}
-		answers[i], errs[i] = s.answerLocked(req)
-		s.traceIndexSpan(tr, tsp, answers[i])
-	}
-	if suspendable && (driving || len(reqs) > 1) {
-		sp.SetIndexingSuspended(false)
-	}
-	if driving && errs[0] == nil {
-		tr := traceAt(0)
-		rsp := tr.Start(tr.AttachPoint(), "rebuild_slice")
-		s.ing.driveRebuild(s, &answers[0].Stats)
-		tr.End(rsp)
-	}
+	ans, err := s.inner.Execute(req)
 	s.noteConverged()
-	return answers, errs
-}
-
-// ExecuteBatchClamped is ExecuteBatch with the indexing budget clamped
-// to zero: every request — the leader included — runs with refinement
-// suspended, and no rebuild slice is driven, so the batch costs only
-// the lookups themselves. The scheduler uses this when a batch's
-// deadline has no headroom for an indexing slice; answers are exact
-// either way, the table just does not converge on this batch's dime.
-// Strategies that cannot suspend degrade to their normal per-request
-// work, which keeps answers correct at the cost of the clamp.
-func (s *Synchronized) ExecuteBatchClamped(reqs []Request) ([]Answer, []error) {
-	answers := make([]Answer, len(reqs))
-	errs := make([]error, len(reqs))
-	if len(reqs) == 0 {
-		return answers, errs
-	}
-	if s.converged.Load() {
-		s.mu.RLock()
-		if s.converged.Load() {
-			defer s.mu.RUnlock()
-			for i, req := range reqs {
-				answers[i], errs[i] = s.inner.Execute(req)
-			}
-			return answers, errs
-		}
-		s.mu.RUnlock() // an Append slipped in; take the write path
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	sp, suspendable := s.inner.(IndexingSuspender)
-	if suspendable {
-		sp.SetIndexingSuspended(true)
-	}
-	for i, req := range reqs {
-		answers[i], errs[i] = s.answerLocked(req)
-	}
-	if suspendable {
-		sp.SetIndexingSuspended(false)
-	}
-	s.noteConverged()
-	return answers, errs
-}
-
-// traceIndexSpan closes an "index" span with the answer's work stats.
-func (s *Synchronized) traceIndexSpan(tr *obs.Trace, sp obs.SpanID, ans Answer) {
-	if tr == nil {
-		return
-	}
-	st := ans.Stats
-	tr.Str(sp, "phase", st.Phase.String())
-	tr.Float(sp, "delta", st.Delta)
-	tr.Float(sp, "budget_spent_s", st.WorkSeconds)
-	tr.Int(sp, "rows_scanned", int64(st.AlphaElems))
-	tr.End(sp)
-}
-
-// idleRequest is the canonical no-client-query request RefineStep
-// executes: an empty predicate (rewritten by query.Prepare to the
-// in-domain empty range) with the cheapest aggregate set, so the call
-// is almost pure indexing work.
-var idleRequest = Request{Pred: Range(1, 0), Aggs: Count}
-
-// RefineStep spends one indexing-budget slice with no client query
-// attached. With no ingestion pending it executes a canonical
-// empty-range request, whose answer is discarded, so the index
-// performs exactly the budgeted work a real query would have triggered
-// — same budget→δ mapping, same cost-model accounting (visible in the
-// returned Stats). With rows pending ingestion, the slice goes to the
-// tail merge instead — idle time starts a merge regardless of the
-// tail-size threshold and drives it slice by slice, so a quiet handle
-// re-converges on the grown column. Serving-layer schedulers call this
-// in a loop while no requests are queued; each step is budget-bounded,
-// so the loop yields to arriving requests at budget granularity.
-//
-// It returns the work Stats of the slice and whether the handle is now
-// converged (in which case further calls are cheap no-ops).
-func (s *Synchronized) RefineStep() (Stats, bool) {
-	if s.converged.Load() {
-		return Stats{}, true
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.ing != nil && (s.ing.pending() > 0 || s.ing.rebuild != nil) {
-		s.ing.maybeStartRebuild(s, true)
-		var st Stats
-		if s.ing.rebuild != nil {
-			s.ing.driveRebuild(s, &st)
-		}
-		s.noteConverged()
-		return st, s.converged.Load()
-	}
-	if s.inner.Converged() {
-		s.converged.Store(true)
-		return Stats{}, true
-	}
-	ans, err := s.inner.Execute(idleRequest)
-	if err != nil {
-		// idleRequest is statically valid; an error means a custom
-		// index rejected it — report no progress.
-		return Stats{}, false
-	}
-	s.noteConverged()
-	return ans.Stats, s.converged.Load()
+	return ans, err
 }
 
 // Query implements Index, with the same locking discipline as Execute.
@@ -713,54 +191,38 @@ func (s *Synchronized) Query(lo, hi int64) Result {
 	return ans.Result()
 }
 
-// Converged implements Index: the inner index reached its terminal
-// state and no rows are pending ingestion. Once true this is a
-// lock-free load — until the next Append clears it.
+// Converged implements Index. Once true this is a lock-free load.
 func (s *Synchronized) Converged() bool {
 	if s.converged.Load() {
 		return true
 	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	s.noteConverged() // idempotent true-store; safe under the read lock
+	s.noteConverged()
 	return s.converged.Load()
 }
 
-// Progress returns the handle's convergence fraction in [0, 1]:
-// exactly 1 once converged, the wrapped index's Progressor estimate
-// when it provides one, and 0 otherwise (strategies like cracking and
-// full scan never converge and report no progress). Pending tail rows
-// discount the fraction by the unindexed share, so an ingesting handle
-// reports less than 1 until the merge completes.
+// Progress returns the convergence fraction in [0, 1]: exactly 1 once
+// converged, the wrapped index's Progressor estimate when it provides
+// one, and 0 otherwise (strategies like cracking and full scan never
+// converge and report no progress).
 func (s *Synchronized) Progress() float64 {
 	if s.converged.Load() {
 		return 1
 	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	f := 0.0
 	if p, ok := s.inner.(Progressor); ok {
-		f = p.Progress()
-		if f < 0 {
-			f = 0
-		}
-		if f > 1 {
-			f = 1
-		}
-	} else if s.inner.Converged() {
-		f = 1
+		return min(max(p.Progress(), 0), 1)
 	}
-	if s.ing != nil && s.ing.pending() > 0 {
-		f *= float64(s.ing.indexed) / float64(s.ing.col.Len())
+	if s.inner.Converged() {
+		return 1
 	}
-	return f
+	return 0
 }
 
 // Phase returns the wrapped index's lifecycle phase when it is a
-// ProgressiveIndex (ok == false otherwise). Rows pending ingestion pin
-// the phase to creation — they are not indexed at all, matching how a
-// Sharded handle reports the same state — so a handle never claims
-// "done" while unconverged.
+// ProgressiveIndex (ok == false otherwise).
 func (s *Synchronized) Phase() (Phase, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -768,26 +230,7 @@ func (s *Synchronized) Phase() (Phase, bool) {
 	if !ok {
 		return 0, false
 	}
-	if s.ing != nil && (s.ing.pending() > 0 || s.ing.rebuild != nil) {
-		return PhaseCreation, true
-	}
 	return p.Phase(), true
-}
-
-// Stats returns the progressive per-query stats when the wrapped index
-// is a ProgressiveIndex.
-//
-// Deprecated: with concurrent callers the "last" stats may belong to
-// another goroutine's query by the time this method acquires the lock
-// (and a converged index stops updating them entirely). Use Execute,
-// whose Answer carries the matching Stats inline.
-func (s *Synchronized) Stats() (Stats, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if p, ok := s.inner.(ProgressiveIndex); ok {
-		return p.LastStats(), true
-	}
-	return Stats{}, false
 }
 
 var _ Index = (*Synchronized)(nil)

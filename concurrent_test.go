@@ -43,17 +43,18 @@ func TestSynchronizedConcurrentQueriesExact(t *testing.T) {
 	}
 }
 
+// TestSynchronizedStats pins where the wrapper's per-query stats are:
+// inline in the Answer of the call that did the work.
 func TestSynchronizedStats(t *testing.T) {
 	vals := data.Uniform(5000, 2)
 	prog := Synchronize(MustNew(vals, Options{Strategy: StrategyQuicksort, Delta: 0.5}))
-	prog.Query(0, 100)
-	if st, ok := prog.Stats(); !ok || st.Phase != PhaseCreation {
-		t.Fatalf("Stats() = %+v, %v", st, ok)
+	ans, err := prog.Execute(Request{Pred: Range(0, 100)})
+	if err != nil || ans.Stats.Phase != PhaseCreation || ans.Stats.Delta <= 0 {
+		t.Fatalf("first query's stats = %+v, %v; want a creation step", ans.Stats, err)
 	}
 	base := Synchronize(MustNew(vals, Options{Strategy: StrategyFullScan}))
-	base.Query(0, 100)
-	if _, ok := base.Stats(); ok {
-		t.Fatal("FullScan should not report progressive stats")
+	if ans, err := base.Execute(Request{Pred: Range(0, 100)}); err != nil || ans.Stats.Delta != 0 {
+		t.Fatalf("FullScan reported indexing work: %+v, %v", ans.Stats, err)
 	}
 	if base.Name() != "FS" || base.Converged() {
 		t.Fatal("wrapper must delegate Name/Converged")

@@ -85,10 +85,7 @@ func TestEncodedAppendSealTrace(t *testing.T) {
 		}
 		checkAnswer(t, "encoded-append", p, AllAggregates, ans, oracleAnswer(oracle, p))
 	}
-	sh, ok := h.(*Sharded)
-	if !ok {
-		t.Fatalf("compressed handle is %T, want *Sharded", h)
-	}
+	sh := h
 	for i := 0; i < 200 && sh.PendingRows() > 0; i++ {
 		sh.RefineStep()
 	}

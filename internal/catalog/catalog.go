@@ -1,7 +1,8 @@
 // Package catalog is the serving layer's table registry: named tables,
-// each holding one progressive-indexed column behind a Synchronized
-// handle, with a load → ready → dropped lifecycle and per-table
-// strategy/budget options. The catalog owns no goroutines and performs
+// each behind one progidx.Handle — a Sharded for a single-column table
+// (one shard when unsharded), a plan.Table for a multi-column one —
+// with a load → ready → dropped lifecycle and per-table strategy/budget
+// options. The catalog owns no goroutines and performs
 // no scheduling — it is the shared state the server's per-table
 // schedulers and the stats endpoints read — so its locking is a plain
 // RWMutex over the name → table map, never held across index work.
@@ -15,7 +16,6 @@ import (
 	"time"
 
 	"repro"
-	"repro/internal/column"
 	"repro/internal/durable"
 	"repro/internal/obs"
 	"repro/internal/plan"
@@ -117,20 +117,15 @@ func (o Options) progidxOptions() progidx.Options {
 	}
 }
 
-// Table is one named, progressive-indexed column. The index handle is
-// a progidx.Handle — *progidx.Synchronized for unsharded tables,
-// *progidx.Sharded for sharded ones — so reads after convergence
+// Table is one named, progressive-indexed table. The index handle is a
+// progidx.Handle — *progidx.Sharded for single-column tables,
+// *plan.Table for multi-column ones — so reads after convergence
 // already share locks; the server's scheduler adds batching and idle
-// refinement on top of the same handle. The handle owns the column's
-// growth: Append routes through it, and the catalog only keeps the
-// ingest counters that feed Info.
+// refinement on top of the same handle. The handle holds the rows and
+// owns their growth: Append routes through it, and the catalog only
+// keeps the ingest counters that feed Info.
 type Table struct {
-	name string
-	// col is the raw base column; atomic because shard-layer tables
-	// release it once the handle holds the data (releaseColumn), and
-	// Info/Values may be reading it concurrently at that moment. nil
-	// afterwards.
-	col     atomic.Pointer[column.Column]
+	name    string
 	idx     progidx.Handle
 	opts    Options
 	created time.Time
@@ -195,62 +190,31 @@ func (t *Table) Planned() (*plan.Table, bool) {
 	return pt, ok
 }
 
-// MinValue bounds the column's value domain from below. Once the table
-// is ready the bounds come from the index handle's zone statistics,
-// which Append widens under the handle's own synchronization.
+// MinValue bounds the (first) column's value domain from below, from
+// the index handle's zone statistics, which Append widens under the
+// handle's own synchronization.
 func (t *Table) MinValue() int64 {
-	if b, ok := t.idx.(progidx.ValueBounded); ok {
-		mn, _ := b.ValueBounds()
-		return mn
-	}
-	return t.col.Load().Min()
+	mn, _ := t.idx.ValueBounds()
+	return mn
 }
 
-// MaxValue returns the column's maximum value.
+// MaxValue returns the (first) column's maximum value.
 func (t *Table) MaxValue() int64 {
-	if b, ok := t.idx.(progidx.ValueBounded); ok {
-		_, mx := b.ValueBounds()
-		return mx
-	}
-	return t.col.Load().Max()
+	_, mx := t.idx.ValueBounds()
+	return mx
 }
 
 // Values exposes the table's rows for oracle checks in tests and the
-// load generator. Unsharded raw tables return the base column directly
-// — callers must not mutate it, and must not interleave it with
-// concurrent Appends (the slice header is only stable while nothing is
-// ingesting); writers keep their own oracle of what they appended
-// instead. Sharded and compressed tables keep no base column, so the
-// rows are materialized through the handle into a fresh copy the
+// load generator. The catalog keeps no base column — the handle holds
+// the rows — so they are materialized through it into a fresh copy the
 // caller owns.
-func (t *Table) Values() []int64 {
-	if c := t.col.Load(); c != nil {
-		return c.Values()
-	}
-	if m, ok := t.idx.(progidx.Materializer); ok {
-		return m.MaterializeRows()
-	}
-	return nil
-}
-
-// releaseColumn drops the catalog's reference to the load column when
-// the handle holds the rows itself — every shard-layer table: a
-// compressed one's segments are the data and the raw load rows are
-// released with this reference; a raw sharded one slices the load
-// column's array and grows into extents of its own, so the column would
-// go stale at the first append. Values and checkpoints materialize
-// through the handle from here on.
-func (t *Table) releaseColumn() {
-	if _, ok := t.idx.(*progidx.Sharded); ok {
-		t.col.Store(nil)
-	}
-}
+func (t *Table) Values() []int64 { return t.idx.MaterializeRows() }
 
 // Append ingests values at the tail of the table through the index
 // handle: the rows are visible to every query admitted after Append
 // returns, and the index absorbs them progressively under its normal
-// per-query budget (pending-tail scan + merge for unsharded tables,
-// growable tail shard for sharded ones). On a multi-column table the
+// per-query budget (pending-tail scan, sealed into a shard at the
+// threshold or in idle time). On a multi-column table the
 // values are flat row-major tuples and their length must be a multiple
 // of the row width. Appending to a table that is not ready fails
 // cleanly.
@@ -289,10 +253,11 @@ func (t *Table) Options() Options { return t.opts }
 // Index returns the table's concurrency-safe index handle.
 func (t *Table) Index() progidx.Handle { return t.idx }
 
-// ShardCount reports how many shards back the table: 1 for an
-// unsharded table, the partition count for a sharded one (which may be
-// lower than the requested Options.Shards on tiny tables, where the
-// count is clamped to the row count).
+// ShardCount reports how many shards back a single-column table: the
+// partition count (one when unsharded; lower than the requested
+// Options.Shards on tiny tables, where the count is clamped to the row
+// count) plus the shards its appended tail has sealed. A multi-column
+// table reports 1.
 func (t *Table) ShardCount() int {
 	if sh, ok := t.idx.(*progidx.Sharded); ok {
 		return sh.Shards()
@@ -300,8 +265,8 @@ func (t *Table) ShardCount() int {
 	return 1
 }
 
-// ShardStats snapshots the per-shard state of a sharded table
-// (ok == false for unsharded tables).
+// ShardStats snapshots the per-shard state of a single-column table
+// (ok == false for multi-column tables).
 func (t *Table) ShardStats() ([]progidx.ShardInfo, bool) {
 	if sh, ok := t.idx.(*progidx.Sharded); ok {
 		return sh.ShardStats(), true
@@ -364,19 +329,11 @@ func (t *Table) Info() Info {
 		info.Encoding = t.opts.Encoding.String()
 	}
 	if t.Status() == StatusLoading {
-		// A compressed table mid-load may already have released its base
-		// column; the zone then isn't knowable until the handle attaches.
-		if c := t.col.Load(); c != nil {
-			info.MinValue, info.MaxValue = c.Min(), c.Max()
-		}
+		// The zone isn't knowable until the handle attaches.
 		return info
 	}
-	info.MinValue, info.MaxValue = t.MinValue(), t.MaxValue()
-	// Both handle flavors report their unindexed pending tail:
-	// Synchronized the rows awaiting a merge, Sharded the unsealed tail.
-	if p, ok := t.idx.(interface{ PendingRows() int }); ok {
-		info.PendingRows = p.PendingRows()
-	}
+	info.MinValue, info.MaxValue = t.idx.ValueBounds()
+	info.PendingRows = t.idx.PendingRows()
 	info.Converged = t.idx.Converged()
 	info.Progress = t.idx.Progress()
 	if p, ok := t.idx.Phase(); ok {
@@ -402,8 +359,8 @@ type Catalog struct {
 // SetObservability attaches an observability registry: every table
 // loaded (or recovered) afterwards gets a convergence timeline and
 // per-table histograms, and its index handle's structural events
-// (tail seals, cold-shard claims, rebuild swaps) are routed into the
-// timeline. Call before loading tables.
+// (tail seals, cold-shard claims) are routed into the timeline. Call
+// before loading tables.
 func (c *Catalog) SetObservability(reg *obs.Registry) { c.reg = reg }
 
 // attachObs hands t its observability state and points the index
@@ -414,9 +371,7 @@ func (c *Catalog) attachObs(t *Table) {
 		return
 	}
 	t.obs = c.reg.Table(t.name)
-	if s, ok := t.idx.(progidx.EventSinkSetter); ok {
-		s.SetEventSink(t.obs.Timeline)
-	}
+	t.idx.SetEventSink(t.obs.Timeline)
 }
 
 // New returns an empty catalog.
@@ -425,8 +380,8 @@ func New() *Catalog {
 }
 
 // Load registers a new table over values and builds its index handle.
-// The values slice is retained as the base column and must not be
-// mutated afterwards. For a multi-column schema (opts.Columns with two
+// The values slice is retained by the handle and must not be mutated
+// afterwards. For a multi-column schema (opts.Columns with two
 // or more names) the values are flat row-major tuples — row width
 // values each — and the handle is a plan.Table. Loading an existing
 // name is an error (drop first); so are an empty name and an empty
@@ -436,19 +391,11 @@ func (c *Catalog) Load(name string, values []int64, opts Options) (*Table, error
 		return nil, fmt.Errorf("catalog: empty table name")
 	}
 	k := opts.RowWidth()
-	var col *column.Column
-	if k == 1 {
-		var err error
-		col, err = column.New(values)
-		if err != nil {
-			return nil, fmt.Errorf("catalog: load %q: %w", name, err)
-		}
-	} else if len(values) == 0 || len(values)%k != 0 {
+	if len(values) == 0 || len(values)%k != 0 {
 		return nil, fmt.Errorf("catalog: load %q: %d values not a non-empty multiple of row width %d", name, len(values), k)
 	}
 
 	t := &Table{name: name, opts: opts, created: time.Now()}
-	t.col.Store(col)
 	t.rows.Store(int64(len(values) / k))
 	t.status.Store(int32(StatusLoading))
 
@@ -475,12 +422,10 @@ func (c *Catalog) Load(name string, values []int64, opts Options) (*Table, error
 
 	var idx progidx.Handle
 	var err error
-	durableRows := values
 	if k > 1 {
 		idx, err = plan.New(name, opts.Columns, values, opts.progidxOptions())
 	} else {
-		idx, err = progidx.NewHandleFromColumn(col, opts.progidxOptions())
-		durableRows = col.Values()
+		idx, err = progidx.NewHandle(values, opts.progidxOptions())
 	}
 	if err != nil {
 		return fail(fmt.Errorf("catalog: load %q: %w", name, err))
@@ -493,13 +438,12 @@ func (c *Catalog) Load(name string, values []int64, opts Options) (*Table, error
 		// created table survives a crash even before its first append.
 		// Multi-column tables snapshot their flat row-major tuples; the
 		// byte format is the k=1 format, just k values per logical row.
-		log, err := c.store.Create(name, opts.meta(), t.created.UnixNano(), durableRows)
+		log, err := c.store.Create(name, opts.meta(), t.created.UnixNano(), values)
 		if err != nil {
 			return fail(fmt.Errorf("catalog: load %q: %w", name, err))
 		}
 		t.log = log
 	}
-	t.releaseColumn()
 	if !t.status.CompareAndSwap(int32(StatusLoading), int32(StatusReady)) {
 		// A concurrent Drop removed our reservation mid-build; honor it
 		// rather than resurrecting the status of a table that is no

@@ -122,8 +122,9 @@ func TestIdleRefineDefaults(t *testing.T) {
 
 func boolPtr(b bool) *bool { return &b }
 
-// TestShardedTableLifecycle loads a table with Shards > 1 and checks
-// the handle dispatch, the Info fields and the per-shard stats surface.
+// TestShardedTableLifecycle loads a table with Shards > 1 and an
+// unsharded one and checks the handle, the Info fields and the
+// per-shard stats surface.
 func TestShardedTableLifecycle(t *testing.T) {
 	c := New()
 	vals := make([]int64, 10_000)
@@ -162,16 +163,20 @@ func TestShardedTableLifecycle(t *testing.T) {
 		t.Fatalf("pruning through the catalog failed: %+v", stats)
 	}
 
-	// Unsharded tables keep reporting one shard and no shard stats.
+	// An unsharded table is one shard of the same handle, and reports
+	// that shard's stats.
 	tbl2, err := c.Load("plain", []int64{1, 2, 3}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if _, ok := tbl2.Index().(*progidx.Sharded); !ok {
+		t.Fatalf("unsharded load built %T, want *progidx.Sharded", tbl2.Index())
+	}
 	if tbl2.ShardCount() != 1 {
 		t.Fatalf("unsharded ShardCount() = %d", tbl2.ShardCount())
 	}
-	if _, ok := tbl2.ShardStats(); ok {
-		t.Fatal("unsharded table returned shard stats")
+	if stats, ok := tbl2.ShardStats(); !ok || len(stats) != 1 || stats[0].Rows != 3 {
+		t.Fatalf("unsharded ShardStats: ok=%v %+v, want one shard of 3 rows", ok, stats)
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro"
-	"repro/internal/column"
 	"repro/internal/durable"
 	"repro/internal/obs"
 	"repro/internal/plan"
@@ -159,18 +158,11 @@ func (t *Table) CaptureCheckpoint() (durable.Checkpoint, bool) {
 	if t.log == nil {
 		return durable.Checkpoint{}, false
 	}
-	// Unsharded raw tables freeze the base column; shard-layer tables
-	// materialize their rows through the handle (a fresh copy, so the
-	// background snapshot write never races the live shards).
-	var rows []int64
-	if c := t.col.Load(); c != nil {
-		rows = c.Snapshot().Values()
-	} else {
-		rows = t.Values()
-	}
+	// The rows are materialized through the handle: a fresh copy, so the
+	// background snapshot write never races the live shards.
 	return durable.Checkpoint{
 		Seq:        t.log.LastSeq(),
-		Rows:       rows,
+		Rows:       t.idx.MaterializeRows(),
 		Progress:   t.idx.Progress(),
 		Converged:  t.idx.Converged(),
 		Appends:    t.appends.Load(),
@@ -183,8 +175,8 @@ func (t *Table) CaptureCheckpoint() (durable.Checkpoint, bool) {
 // WriteCheckpoint serializes a captured checkpoint to a durable
 // snapshot and truncates the covered WAL prefix. Unlike the capture,
 // the write may run on a background goroutine: the captured rows are a
-// frozen column snapshot and the WAL keeps accepting appends while the
-// file is written.
+// private copy and the WAL keeps accepting appends while the file is
+// written.
 func (t *Table) WriteCheckpoint(cp durable.Checkpoint) error {
 	if t.log == nil {
 		return nil
@@ -213,17 +205,10 @@ func (c *Catalog) LoadRecovered(rec durable.Recovered) (*Table, error) {
 		return nil, err
 	}
 	k := opts.RowWidth()
-	var col *column.Column
-	if k == 1 {
-		col, err = column.New(rec.Base)
-		if err != nil {
-			return nil, fmt.Errorf("catalog: recover %q: %w", rec.Name, err)
-		}
-	} else if len(rec.Base) == 0 || len(rec.Base)%k != 0 {
+	if len(rec.Base) == 0 || len(rec.Base)%k != 0 {
 		return nil, fmt.Errorf("catalog: recover %q: snapshot holds %d values, not a non-empty multiple of row width %d", rec.Name, len(rec.Base), k)
 	}
 	t := &Table{name: rec.Name, opts: opts, created: time.Unix(0, rec.CreatedAt)}
-	t.col.Store(col)
 	t.rows.Store(int64(len(rec.Base) / k))
 	t.status.Store(int32(StatusLoading))
 
@@ -248,7 +233,7 @@ func (c *Catalog) LoadRecovered(rec durable.Recovered) (*Table, error) {
 	if k > 1 {
 		idx, err = plan.New(rec.Name, opts.Columns, rec.Base, opts.progidxOptions())
 	} else {
-		idx, err = progidx.NewHandleFromColumn(col, opts.progidxOptions())
+		idx, err = progidx.NewHandle(rec.Base, opts.progidxOptions())
 	}
 	if err != nil {
 		return fail(fmt.Errorf("catalog: recover %q: %w", rec.Name, err))
@@ -261,7 +246,6 @@ func (c *Catalog) LoadRecovered(rec durable.Recovered) (*Table, error) {
 	// so the replayed appends' structural events (tail seals) land in
 	// the timeline like live ones would.
 	c.attachObs(t)
-	t.releaseColumn() // as in Load
 
 	// Replay the WAL tail through the normal ingest path: each batch
 	// lands in the pending tail / tail shard exactly as it originally

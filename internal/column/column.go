@@ -148,9 +148,9 @@ func (a Agg) Result() Result { return Result{Sum: a.Sum, Count: a.Count} }
 // interactive sessions (Section 6's updates direction).
 //
 // A Column is not safe for concurrent use: callers interleaving
-// Append with reads must serialize access (the progidx serving handles
-// do — Synchronized under its write lock, Sharded under its append
-// mutex — and hand frozen Snapshots to the index kernels).
+// Append with reads must serialize access. The serving handles do not
+// grow a Column: a loaded one is sliced into shards as it is, and
+// appended rows go to the shard layer's own tail extents.
 type Column struct {
 	values []int64
 	min    int64

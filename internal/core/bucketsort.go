@@ -207,8 +207,11 @@ func (b *Bucketsort) execute(lo, hi int64, aggs column.Aggregates) (column.Agg, 
 		}
 		if b.budget.mode != FixedDelta {
 			// Wall-clock budgets plan against the parallel creation
-			// kernel's per-element cost (DESIGN.md section 3).
-			perUnitPlan /= b.model.Speedup(b.pool.Workers())
+			// kernel's per-element cost (DESIGN.md section 3) and report
+			// what the step consumed in the same seconds.
+			speedup := b.model.Speedup(b.pool.Workers())
+			perUnitPlan /= speedup
+			marginal /= speedup
 		}
 		units := int(planned / perUnitPlan)
 		if units < 1 {

@@ -349,7 +349,8 @@ const workEpsilon = 1e-12
 type Suspender interface {
 	// SetIndexingSuspended switches the per-query indexing budget off
 	// (true) or back on (false). Not safe for concurrent use with
-	// Execute; callers serialize access (e.g. progidx.Synchronized).
+	// Execute; callers serialize access (the shard layer does, under the
+	// shard's lock).
 	SetIndexingSuspended(bool)
 }
 

@@ -123,7 +123,8 @@ func (q *Quicksort) Query(lo, hi int64) column.Result {
 // pivoting, or consolidation B+-tree building, spilling across phase
 // transitions). Once the index is Done the call is strictly read-only —
 // it does not even touch q.last — so converged indexes can serve
-// concurrent readers under a shared lock (progidx.Synchronized).
+// concurrent readers under a shared lock (a shard's, or
+// progidx.Synchronized's).
 func (q *Quicksort) execute(lo, hi int64, aggs column.Aggregates) (column.Agg, Stats) {
 	startPhase := q.phase
 	base, alpha := q.predictBase(lo, hi)
@@ -139,15 +140,19 @@ func (q *Quicksort) execute(lo, hi int64, aggs column.Aggregates) (column.Agg, S
 		// κ/γ — exactly the paper's t_total = (1-ρ+α-δ)·t_scan +
 		// δ·t_pivot once base (which includes the full tail scan) is
 		// added.
+		marginal := q.model.WriteTime(1)    // seconds per element on top of the scan
 		perUnitPlan := q.model.PivotTime(1) // δ is a fraction of a pivot pass
 		if q.budget.mode == AdaptiveTime {
-			perUnitPlan = q.model.WriteTime(1) // marginal seconds per element
+			perUnitPlan = marginal
 		}
 		if q.budget.mode != FixedDelta {
 			// Wall-clock budgets size the step against the parallel
-			// creation kernel's cost; δ budgets keep their fraction-of-
-			// data meaning and stay unscaled.
-			perUnitPlan /= q.model.Speedup(q.pool.Workers())
+			// creation kernel's cost, and report what it consumed in the
+			// same seconds; δ budgets keep their fraction-of-data meaning
+			// and stay unscaled.
+			speedup := q.model.Speedup(q.pool.Workers())
+			perUnitPlan /= speedup
+			marginal /= speedup
 		}
 		units := int(planned / perUnitPlan)
 		if units < 1 {
@@ -165,7 +170,7 @@ func (q *Quicksort) execute(lo, hi int64, aggs column.Aggregates) (column.Agg, S
 		}
 		res.Merge(seg)
 		res.Merge(column.ParAggRange(q.pool, q.col.Slice(q.copied, q.n), lo, hi, aggs))
-		consumed = float64(did) * q.model.WriteTime(1)
+		consumed = float64(did) * marginal
 		deltaOverride = float64(did) / float64(q.n) // δ = fraction indexed
 		if q.copied == q.n {
 			q.startRefinement()

@@ -198,8 +198,11 @@ func (r *RadixMSD) execute(lo, hi int64, aggs column.Aggregates) (column.Agg, St
 		}
 		if r.budget.mode != FixedDelta {
 			// Wall-clock budgets plan against the parallel creation
-			// kernel's per-element cost (DESIGN.md section 3).
-			perUnitPlan /= r.model.Speedup(r.pool.Workers())
+			// kernel's per-element cost (DESIGN.md section 3) and report
+			// what the step consumed in the same seconds.
+			speedup := r.model.Speedup(r.pool.Workers())
+			perUnitPlan /= speedup
+			marginal /= speedup
 		}
 		units := int(planned / perUnitPlan)
 		if units < 1 {

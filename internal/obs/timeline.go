@@ -36,9 +36,6 @@ const (
 	// of a batch pays an indexing delta; A = queries in the batch
 	// that executed with refinement suspended.
 	EvSuspend
-	// EvRebuildSwap: the unsharded handle swapped in a freshly
-	// rebuilt index covering the pending tail. A = rows now indexed.
-	EvRebuildSwap
 	// EvDegrade: persistent WAL sync failure pushed the table into
 	// degraded read-only mode. A = sync attempts the last batch made.
 	EvDegrade
@@ -64,7 +61,6 @@ var eventKindNames = [numEventKinds]string{
 	EvCheckpoint:    "checkpoint",
 	EvReplay:        "replay",
 	EvSuspend:       "suspend",
-	EvRebuildSwap:   "rebuild_swap",
 	EvDegrade:       "degrade",
 	EvShed:          "shed",
 	EvDeadlineClamp: "deadline_clamp",
@@ -124,8 +120,6 @@ func (e Event) JSON() EventJSON {
 		out.Attrs = map[string]any{"frames_replayed": int64(e.A), "tail_frames": int64(e.B)}
 	case EvSuspend:
 		out.Attrs = map[string]any{"suspended_queries": int64(e.A)}
-	case EvRebuildSwap:
-		out.Attrs = map[string]any{"rows_indexed": int64(e.A)}
 	case EvDegrade:
 		out.Attrs = map[string]any{"sync_attempts": int64(e.A)}
 	case EvShed:

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"repro"
 	"repro/internal/column"
 	"repro/internal/obs"
 	"repro/internal/query"
@@ -85,7 +84,10 @@ func (t *Table) execConj(c query.Conjunction, tr *obs.Trace, forced int) (query.
 	if direct {
 		if idx := t.cols[tgt].index(); idx != nil {
 			ch := Choice{Driver: t.cols[tgt].name, Direct: true}
-			ans, err := directExecute(idx, query.Request{Pred: preds[0].Pred, Aggs: aggs})
+			// The batch, not the query, owns the δ: the column's index
+			// answers with its budget clamped.
+			answers, errs := idx.ExecuteBatch([]query.Request{{Pred: preds[0].Pred, Aggs: aggs}}, query.BatchOpts{Clamp: true})
+			ans, err := answers[0], errs[0]
 			if err != nil {
 				return query.Answer{}, ch, err
 			}
@@ -102,16 +104,6 @@ func (t *Table) execConj(c query.Conjunction, tr *obs.Trace, forced int) (query.
 	ans := t.fusedScan(preds, bounds, driver, tgt, aggs, &ch)
 	t.tracePlan(tr, ch, aggs, false)
 	return ans, ch, nil
-}
-
-// directExecute runs a single-column request on a column's index with
-// the budget clamped (the batch, not the query, owns the δ).
-func directExecute(idx progidx.Handle, req query.Request) (query.Answer, error) {
-	if bc, ok := idx.(progidx.BudgetClamper); ok {
-		answers, errs := bc.ExecuteBatchClamped([]query.Request{req})
-		return answers[0], errs[0]
-	}
-	return idx.Execute(req)
 }
 
 // tracePlan records the planner-choice span: driver, per-column

@@ -28,7 +28,7 @@ type colState struct {
 	// and is claimed (idx built from the decoded store) once directHeat
 	// reaches the table's claim threshold. Cold is a terminal serving
 	// state like a cold shard's: converged, progress 1, PhaseDone.
-	idx atomic.Pointer[progidx.Handle]
+	idx atomic.Pointer[progidx.Sharded]
 
 	// heat counts predicate touches (driver or residual); refines the
 	// δ slices this column has been granted. Their ratio drives the
@@ -51,12 +51,7 @@ type colState struct {
 }
 
 // index returns the column's progressive index, nil while it is cold.
-func (cs *colState) index() progidx.Handle {
-	if p := cs.idx.Load(); p != nil {
-		return *p
-	}
-	return nil
-}
+func (cs *colState) index() *progidx.Sharded { return cs.idx.Load() }
 
 func (cs *colState) converged() bool {
 	idx := cs.index()
@@ -106,7 +101,7 @@ type Table struct {
 	// (shard.ResolveClaimHeat of Options.ClaimHeat); 0 = never.
 	claimHeat uint64
 
-	// sink is the table-level event timeline (EventSinkSetter); refine
+	// sink is the table-level event timeline (SetEventSink); refine
 	// grants land there with the column index in the shard field.
 	sink atomic.Pointer[obs.Timeline]
 }
@@ -195,10 +190,8 @@ func (t *Table) buildIndex(cs *colState, vals []int64) error {
 	if err != nil {
 		return fmt.Errorf("plan: table %q column %q: %w", t.name, cs.name, err)
 	}
-	if s, ok := idx.(progidx.EventSinkSetter); ok {
-		s.SetEventSink(cs.tl)
-	}
-	cs.idx.Store(&idx)
+	idx.SetEventSink(cs.tl)
+	cs.idx.Store(idx)
 	return nil
 }
 
@@ -268,14 +261,14 @@ func (t *Table) firstConj(req query.Request) query.Conjunction {
 // and — like the single-column handles — the call both answers and
 // spends one δ of indexing work.
 func (t *Table) Execute(req query.Request) (query.Answer, error) {
-	answers, errs := t.ExecuteConjBatch([]query.Conjunction{t.firstConj(req)}, nil, false)
+	answers, errs := t.ExecuteConjBatch([]query.Conjunction{t.firstConj(req)}, query.BatchOpts{})
 	return answers[0], errs[0]
 }
 
 // ExecuteConj answers one conjunction and spends one δ, the composite
 // analogue of Execute.
 func (t *Table) ExecuteConj(c query.Conjunction) (query.Answer, error) {
-	answers, errs := t.ExecuteConjBatch([]query.Conjunction{c}, nil, false)
+	answers, errs := t.ExecuteConjBatch([]query.Conjunction{c}, query.BatchOpts{})
 	return answers[0], errs[0]
 }
 
@@ -345,7 +338,7 @@ func (t *Table) Phase() (query.Phase, bool) {
 	return min, have
 }
 
-// ValueBounds implements progidx.ValueBounded for the first column,
+// ValueBounds implements Handle for the first column,
 // the domain v1 surfaces (Info min/max, loadgen predicates) address.
 func (t *Table) ValueBounds() (int64, int64) {
 	t.mu.RLock()
@@ -357,13 +350,13 @@ func (t *Table) ValueBounds() (int64, int64) {
 // column's index (all columns ingest in lockstep). A cold column has no
 // index to lag behind: its store holds every row.
 func (t *Table) PendingRows() int {
-	if p, ok := t.cols[0].index().(interface{ PendingRows() int }); ok {
-		return p.PendingRows()
+	if idx := t.cols[0].index(); idx != nil {
+		return idx.PendingRows()
 	}
 	return 0
 }
 
-// MaterializeRows implements progidx.Materializer: the table's rows as
+// MaterializeRows implements Handle: the table's rows as
 // flat row-major tuples, freshly allocated — the shape checkpoints
 // persist and Values exposes.
 func (t *Table) MaterializeRows() []int64 {
@@ -419,55 +412,29 @@ func (t *Table) Append(flat []int64) error {
 	return nil
 }
 
-// TryExecute implements Handle. The table's read lock is never held
-// across another query, so the call simply executes.
-func (t *Table) TryExecute(req query.Request) (query.Answer, bool, error) {
-	ans, err := t.Execute(req)
-	return ans, true, err
-}
-
 // ExecuteBatch implements Handle: first-column requests under one δ.
-func (t *Table) ExecuteBatch(reqs []query.Request) ([]query.Answer, []error) {
-	return t.executeReqBatch(reqs, nil, false)
-}
-
-// ExecuteBatchTraced implements progidx.BatchTracer.
-func (t *Table) ExecuteBatchTraced(reqs []query.Request, traces []*obs.Trace) ([]query.Answer, []error) {
-	return t.executeReqBatch(reqs, traces, false)
-}
-
-// ExecuteBatchClamped implements progidx.BudgetClamper: answers only,
-// no δ spent.
-func (t *Table) ExecuteBatchClamped(reqs []query.Request) ([]query.Answer, []error) {
-	return t.executeReqBatch(reqs, nil, true)
-}
-
-func (t *Table) executeReqBatch(reqs []query.Request, traces []*obs.Trace, clamp bool) ([]query.Answer, []error) {
+func (t *Table) ExecuteBatch(reqs []query.Request, opts query.BatchOpts) ([]query.Answer, []error) {
 	conjs := make([]query.Conjunction, len(reqs))
 	for i, req := range reqs {
 		conjs[i] = t.firstConj(req)
 	}
-	return t.ExecuteConjBatch(conjs, traces, clamp)
+	return t.ExecuteConjBatch(conjs, opts)
 }
 
 // ExecuteConjBatch answers a batch of conjunctions under one indexing
 // budget: every query runs with the per-column indexes clamped, then —
-// unless clamp is set (deadline pressure) — one δ slice goes to the
-// hottest under-refined column. traces aligns positionally with conjs;
-// nil entries are untraced.
-func (t *Table) ExecuteConjBatch(conjs []query.Conjunction, traces []*obs.Trace, clamp bool) ([]query.Answer, []error) {
+// unless opts.Clamp is set (deadline pressure) — one δ slice goes to
+// the hottest under-refined column. opts.Traces aligns positionally
+// with conjs.
+func (t *Table) ExecuteConjBatch(conjs []query.Conjunction, opts query.BatchOpts) ([]query.Answer, []error) {
 	answers := make([]query.Answer, len(conjs))
 	errs := make([]error, len(conjs))
 	t.mu.RLock()
 	for i, c := range conjs {
-		var tr *obs.Trace
-		if i < len(traces) {
-			tr = traces[i]
-		}
-		answers[i], _, errs[i] = t.execConj(c, tr, -1)
+		answers[i], _, errs[i] = t.execConj(c, opts.Trace(i), -1)
 	}
 	t.mu.RUnlock()
-	if !clamp {
+	if !opts.Clamp {
 		t.claimHot()
 		if st, _ := t.refineOnce(); len(answers) > 0 {
 			// The leader carries the batch's indexing work, like the
@@ -517,9 +484,8 @@ func (t *Table) refineOnce() (query.Stats, bool) {
 	return st, t.Converged()
 }
 
-// SetEventSink implements progidx.EventSinkSetter for the table-level
-// timeline; per-column timelines are built in and exposed through
-// ColumnStates.
+// SetEventSink implements Handle for the table-level timeline;
+// per-column timelines are built in and exposed through ColumnStates.
 func (t *Table) SetEventSink(tl *obs.Timeline) { t.sink.Store(tl) }
 
 // ColumnState is the per-column half of the debug surface: index
@@ -573,12 +539,4 @@ func (t *Table) ColumnStates() []ColumnState {
 	return out
 }
 
-// Handle surface checks.
-var (
-	_ progidx.Handle          = (*Table)(nil)
-	_ progidx.BatchTracer     = (*Table)(nil)
-	_ progidx.BudgetClamper   = (*Table)(nil)
-	_ progidx.EventSinkSetter = (*Table)(nil)
-	_ progidx.ValueBounded    = (*Table)(nil)
-	_ progidx.Materializer    = (*Table)(nil)
-)
+var _ progidx.Handle = (*Table)(nil)

@@ -16,6 +16,7 @@ import (
 	"math"
 
 	"repro/internal/column"
+	"repro/internal/obs"
 )
 
 // PredKind identifies the shape of a predicate.
@@ -137,6 +138,34 @@ func (r Request) Validate() error {
 	}
 	if !r.Aggs.Valid() {
 		return fmt.Errorf("query: unknown aggregate bits in %s", r.Aggs)
+	}
+	return nil
+}
+
+// BatchOpts says how a serving handle executes one batch of requests:
+// the one batch entry point of every handle takes it, so tracing and
+// deadline clamping compose instead of each selecting its own variant.
+// The zero value is a plain batch: untraced, the first request carrying
+// the batch's indexing budget.
+type BatchOpts struct {
+	// Traces aligns positionally with the batch's requests: a non-nil
+	// entry receives that request's span tree under its attach point
+	// (DESIGN.md section 13). Nil entries, and a nil or short slice,
+	// leave those requests untraced at the cost of a pointer test.
+	Traces []*obs.Trace
+	// Clamp withholds the indexing budget from the whole batch: every
+	// request, the first included, runs with refinement suspended, and
+	// nothing is claimed or refined on the batch's account. The scheduler
+	// sets it when no query's deadline can absorb an indexing slice;
+	// answers are exact either way.
+	Clamp bool
+}
+
+// Trace returns the trace of the batch's i-th request, nil when that
+// request is untraced.
+func (o BatchOpts) Trace(i int) *obs.Trace {
+	if i < len(o.Traces) {
+		return o.Traces[i]
 	}
 	return nil
 }

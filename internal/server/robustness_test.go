@@ -343,8 +343,9 @@ func (w *wrapErr) Unwrap() error { return w.inner }
 // TestDeadlineClampExact: a query whose deadline is already unmeetable
 // runs with the indexing budget clamped to zero — the answer is still
 // bit-identical to the oracle, the clamp is counted, and convergence
-// does not advance on that query's dime. Covers both the synchronized
-// and the sharded execution paths.
+// does not advance on that query's dime. A clamped ?trace=1 query keeps
+// its span tree: every shard it touched shows as suspended, with next
+// to no budget spent. Covers an unsharded and a sharded table.
 func TestDeadlineClampExact(t *testing.T) {
 	for _, shards := range []int{0, 4} {
 		shards := shards
@@ -383,6 +384,36 @@ func TestDeadlineClampExact(t *testing.T) {
 			clamped := tbl.Index().Progress() - before
 			if clamped > 1e-4 {
 				t.Fatalf("clamped query advanced convergence by %.6f, want ~none", clamped)
+			}
+
+			// Clamp and trace compose: the squeezed query still returns its
+			// span tree, with every shard it scanned suspended (a suspended
+			// creation step copies one element, so the spend is not quite 0).
+			got, _, tr, err := sched.ExecuteTraced(context.Background(), q, time.Now().Add(-time.Second))
+			if err != nil || !answersMatch(got, want) {
+				t.Fatalf("clamped traced query: %+v, %v", got, err)
+			}
+			if m := sched.Metrics(); m.DeadlineClamped != 2 {
+				t.Fatalf("DeadlineClamped = %d, want 2", m.DeadlineClamped)
+			}
+			root := tr.Tree().Root
+			if n := len(jsonSpans(root, "shard_fanout")); n != 1 {
+				t.Fatalf("clamped trace has %d shard_fanout spans, want 1", n)
+			}
+			shardSpans := jsonSpans(root, "shard")
+			if want := max(shards, 1); len(shardSpans) != want {
+				t.Fatalf("clamped trace has %d shard spans, want %d", len(shardSpans), want)
+			}
+			for _, sp := range shardSpans {
+				if suspended, _ := sp.Attrs["suspended"].(bool); !suspended {
+					t.Errorf("clamped shard span not suspended: %+v", sp.Attrs)
+				}
+				if spent, ok := sp.Attrs["budget_spent_s"].(float64); !ok || spent > 1e-7 {
+					t.Errorf("clamped shard span spent %v s of budget", sp.Attrs["budget_spent_s"])
+				}
+			}
+			if clamped := tbl.Index().Progress() - before; clamped > 1e-4 {
+				t.Fatalf("clamped traced query advanced convergence by %.6f, want ~none", clamped)
 			}
 
 			// Without a deadline the same query pays the indexing budget.

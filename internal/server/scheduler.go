@@ -1,7 +1,7 @@
 // Scheduler: the per-table serving loop. One goroutine owns each
 // table's admission; concurrent requests queue on a channel, the loop
-// drains whatever is queued into a batch and executes it through
-// Synchronized.ExecuteBatch — paying one indexing budget (δ) per batch
+// drains whatever is queued into a batch and executes it through the
+// table handle's ExecuteBatch — paying one indexing budget (δ) per batch
 // instead of one per caller — and whenever the queue is empty it spends
 // the same budget slices on background refinement (RefineStep), so the
 // index converges during user think-time. Idle slices are budget-
@@ -35,13 +35,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/query"
 )
-
-// conjExecutor is the multi-column handle surface (plan.Table): a
-// whole batch of conjunctions under one indexing budget, with optional
-// per-request traces and the clamped (no-δ) variant.
-type conjExecutor interface {
-	ExecuteConjBatch(conjs []query.Conjunction, traces []*obs.Trace, clamp bool) ([]query.Answer, []error)
-}
 
 // ErrStopped is returned for requests admitted to (or waiting on) a
 // scheduler that has been stopped, e.g. because its table was dropped.
@@ -955,40 +948,85 @@ func (s *Scheduler) syncLogWithRetry() (attempts int, err error) {
 }
 
 // executeQueries dispatches one batch's query requests through the
-// handle. When any of them carries a trace and the handle implements
-// progidx.BatchTracer, the traced variant runs instead and each traced
-// query gets an "execute" span that the handle's children (index work,
-// per-shard fan-out, tail scan, merge) attach under via the trace's
-// attach point. clamp asks for the zero-budget batch variant — used
-// when every query's deadline is squeezed — and wins over tracing (a
-// clamped batch runs untraced; the deadline is the caller's priority).
-// Handles without BudgetClamper degrade to normal execution: answers
-// stay exact, the clamp is best-effort.
+// handle's one batch entry point. Each traced query gets an "execute"
+// span that the handle's children (per-shard fan-out, tail scan, merge,
+// the planner's plan span) attach under via the trace's attach point.
+// clamp asks for the zero-budget batch — used when every query's
+// deadline is squeezed — and composes with tracing: a clamped traced
+// query still returns its span tree, its shards marked suspended.
+//
+// A batch that contains a conjunction goes, on a multi-column table,
+// through one ExecuteConjBatch call — plain requests wrapped as
+// first-column conjunctions — so the one-δ-per-batch discipline holds
+// for mixed plain/composite traffic. On a single-column table each
+// conjunction that reduces to one plain request executes as such;
+// wider ones are rejected per-task without failing their batchmates.
 func (s *Scheduler) executeQueries(reqs []progidx.Request, reqIdx []int, batch []*task, traced, clamp bool) ([]progidx.Answer, []error) {
+	opts := progidx.BatchOpts{Clamp: clamp}
+	if traced {
+		var spans []obs.SpanID
+		opts.Traces, spans = openExecuteSpans(reqIdx, batch)
+		defer closeExecuteSpans(opts.Traces, spans)
+	}
+	composite := false
 	for _, i := range reqIdx {
 		if batch[i].conj != nil {
-			return s.executeConjBatch(reqs, reqIdx, batch, traced, clamp)
+			composite = true
+			break
 		}
 	}
-	if clamp {
-		if bc, ok := s.idx.(progidx.BudgetClamper); ok {
-			return bc.ExecuteBatchClamped(reqs)
+	if !composite {
+		return s.idx.ExecuteBatch(reqs, opts)
+	}
+	if pt, ok := s.table.Planned(); ok {
+		conjs := make([]query.Conjunction, len(reqIdx))
+		for k, i := range reqIdx {
+			if c := batch[i].conj; c != nil {
+				conjs[k] = *c
+			} else {
+				conjs[k] = query.Conjunction{
+					Preds: []query.ColPredicate{{Pred: reqs[k].Pred}},
+					Aggs:  reqs[k].Aggs,
+				}
+			}
+		}
+		return pt.ExecuteConjBatch(conjs, opts)
+	}
+
+	// Single-column table: reduce what reduces, reject the rest.
+	answers := make([]progidx.Answer, len(reqIdx))
+	errs := make([]error, len(reqIdx))
+	sub := make([]progidx.Request, 0, len(reqIdx))
+	subPos := make([]int, 0, len(reqIdx))
+	subOpts := progidx.BatchOpts{Clamp: clamp}
+	for k, i := range reqIdx {
+		req := reqs[k]
+		if c := batch[i].conj; c != nil {
+			var single bool
+			if req, single = c.Single(); !single {
+				errs[k] = fmt.Errorf("server: table %q has a single column; %s needs a multi-column table", s.table.Name(), c)
+				continue
+			}
+		}
+		sub = append(sub, req)
+		subPos = append(subPos, k)
+		if traced {
+			subOpts.Traces = append(subOpts.Traces, opts.Traces[k])
 		}
 	}
-	bt, ok := s.idx.(progidx.BatchTracer)
-	if !traced || !ok {
-		return s.idx.ExecuteBatch(reqs)
+	if len(sub) > 0 {
+		subAns, subErrs := s.idx.ExecuteBatch(sub, subOpts)
+		for j, k := range subPos {
+			answers[k], errs[k] = subAns[j], subErrs[j]
+		}
 	}
-	traces, spans := s.openExecuteSpans(reqIdx, batch)
-	answers, errs := bt.ExecuteBatchTraced(reqs, traces)
-	closeExecuteSpans(traces, spans)
 	return answers, errs
 }
 
 // openExecuteSpans starts one "execute" span per traced request and
 // sets it as the trace's attach point, so handle-internal children
 // (per-shard fan-out, the planner's plan span) nest under it.
-func (s *Scheduler) openExecuteSpans(reqIdx []int, batch []*task) ([]*obs.Trace, []obs.SpanID) {
+func openExecuteSpans(reqIdx []int, batch []*task) ([]*obs.Trace, []obs.SpanID) {
 	traces := make([]*obs.Trace, len(reqIdx))
 	spans := make([]obs.SpanID, len(reqIdx))
 	for k, i := range reqIdx {
@@ -1011,73 +1049,6 @@ func closeExecuteSpans(traces []*obs.Trace, spans []obs.SpanID) {
 			tr.End(spans[k])
 		}
 	}
-}
-
-// executeConjBatch dispatches a batch that contains at least one
-// conjunction. On a multi-column handle the whole batch — plain
-// requests wrapped as first-column conjunctions — goes through one
-// ExecuteConjBatch call, so the one-δ-per-batch discipline holds for
-// mixed plain/composite traffic. On a single-column handle each
-// conjunction that reduces to one plain request executes as such;
-// wider ones are rejected per-task without failing their batchmates.
-func (s *Scheduler) executeConjBatch(reqs []progidx.Request, reqIdx []int, batch []*task, traced, clamp bool) ([]progidx.Answer, []error) {
-	if ce, ok := s.idx.(conjExecutor); ok {
-		conjs := make([]query.Conjunction, len(reqIdx))
-		for k, i := range reqIdx {
-			if c := batch[i].conj; c != nil {
-				conjs[k] = *c
-			} else {
-				conjs[k] = query.Conjunction{
-					Preds: []query.ColPredicate{{Pred: reqs[k].Pred}},
-					Aggs:  reqs[k].Aggs,
-				}
-			}
-		}
-		var traces []*obs.Trace
-		var spans []obs.SpanID
-		if traced {
-			traces, spans = s.openExecuteSpans(reqIdx, batch)
-		}
-		answers, errs := ce.ExecuteConjBatch(conjs, traces, clamp)
-		closeExecuteSpans(traces, spans)
-		return answers, errs
-	}
-
-	// Single-column fallback: reduce what reduces, reject the rest.
-	answers := make([]progidx.Answer, len(reqIdx))
-	errs := make([]error, len(reqIdx))
-	sub := make([]progidx.Request, 0, len(reqIdx))
-	subPos := make([]int, 0, len(reqIdx))
-	for k, i := range reqIdx {
-		c := batch[i].conj
-		if c == nil {
-			sub = append(sub, reqs[k])
-			subPos = append(subPos, k)
-			continue
-		}
-		if req, single := c.Single(); single {
-			sub = append(sub, req)
-			subPos = append(subPos, k)
-			continue
-		}
-		errs[k] = fmt.Errorf("server: table %q has a single column; %s needs a multi-column table", s.table.Name(), c)
-	}
-	if len(sub) > 0 {
-		var subAns []progidx.Answer
-		var subErrs []error
-		if clamp {
-			if bc, ok := s.idx.(progidx.BudgetClamper); ok {
-				subAns, subErrs = bc.ExecuteBatchClamped(sub)
-			}
-		}
-		if subAns == nil {
-			subAns, subErrs = s.idx.ExecuteBatch(sub)
-		}
-		for j, k := range subPos {
-			answers[k], errs[k] = subAns[j], subErrs[j]
-		}
-	}
-	return answers, errs
 }
 
 // observeTask finishes one task's observability work: the

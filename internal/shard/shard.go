@@ -80,11 +80,12 @@
 // and the pending tail (an extent that every seal ends) are the only
 // copies of the data.
 //
-// The Sharded type exposes the same concurrency-safe surface as
-// progidx.Synchronized (Execute, TryExecute, ExecuteBatch, Append,
-// RefineStep, Progress, Phase), with per-shard locking: queries on
-// disjoint shards proceed in parallel even before convergence, and a
-// converged shard's lock degrades to a shared read lock.
+// The Sharded type is the serving handle of every single-column table
+// (progidx.Handle: Execute, ExecuteBatch, Append, RefineStep, Progress,
+// Phase and the observability probes) — one shard when the table is
+// not partitioned — with per-shard locking: queries on disjoint shards
+// proceed in parallel even before convergence, and a converged shard's
+// lock degrades to a shared read lock.
 package shard
 
 import (
@@ -155,9 +156,9 @@ type state struct {
 	// the write lock at claim time, before converged flips false.
 	cold atomic.Bool
 
-	// converged is the sticky read-path switch, exactly as in
-	// progidx.Synchronized: set after observing idx.Converged() under
-	// the write lock; once true, queries share the lock.
+	// converged is the sticky read-path switch: set after observing
+	// idx.Converged() under the write lock; once true, queries share the
+	// lock.
 	converged atomic.Bool
 
 	// heat counts the queries this shard survived pruning for; it
@@ -215,7 +216,11 @@ type view struct {
 // tail. It is safe for concurrent use; see the package comment for the
 // execution model.
 type Sharded struct {
+	// pool sizes the tail-scan kernels and the partition pass; fanout
+	// runs one query's per-shard tasks and is pool, or nil (serial) for a
+	// table loaded as one shard (see New).
 	pool           *parallel.Pool
+	fanout         *parallel.Pool
 	name           string
 	factory        Factory
 	sealRows       int
@@ -269,10 +274,12 @@ func (s *Sharded) SetEventSink(tl *obs.Timeline) { s.sink.Store(tl) }
 type Config struct {
 	// Shards is the number of partitions S; it is clamped to [1, rows].
 	Shards int
-	// Workers sizes the cross-shard fan-out pool: 0 means GOMAXPROCS,
-	// 1 executes survivors serially. Per-shard index kernels run
-	// serially regardless (the shard fan-out is the parallelism; see
-	// DESIGN.md section 9), so answers are bit-identical at any value.
+	// Workers sizes the cross-shard fan-out pool and the tail-scan
+	// kernels: 0 means GOMAXPROCS, 1 executes survivors serially. With
+	// Shards > 1 the fan-out is the parallelism and the factory's indexes
+	// must run their kernels serially; a table loaded as one shard is
+	// the other way round (see New; DESIGN.md section 9). Answers are
+	// bit-identical at any value.
 	Workers int
 	// SealRows is the pending-tail size at which appended rows are
 	// sealed into an indexed shard; 0 means the initial shard size
@@ -328,6 +335,14 @@ func ResolveClaimHeat(opt int) uint64 {
 // (so the caller must not append to it afterwards — the table grows
 // through Append, into tail extents of its own), in encoded mode its
 // rows are compressed and nothing refers to it.
+//
+// A table loaded as one shard has no fan-out to spread over the workers,
+// so its factory may build indexes that run the parallel kernels
+// themselves, under the shard lock; the shards its tail later seals
+// then execute one after another on the calling goroutine. The two
+// never mix: a goroutine waiting inside a kernel helps with whatever
+// pool task is queued, and were that another query's fan-out task it
+// would block on a shard lock while holding one.
 func New(col *column.Column, cfg Config, factory Factory) (*Sharded, error) {
 	if factory == nil {
 		return nil, fmt.Errorf("shard: nil factory")
@@ -356,7 +371,10 @@ func New(col *column.Column, cfg Config, factory Factory) (*Sharded, error) {
 		for i := a; i < b; i++ {
 			start, end := i*n/s, (i+1)*n/s
 			part := vals[start:end:end]
-			mn, mx := column.MinMax(part)
+			mn, mx := col.Min(), col.Max() // one shard is the whole column
+			if s > 1 {
+				mn, mx = column.MinMax(part)
+			}
 			if encoded {
 				seg, err := encode.New(part, mn, mx, cfg.Encoding)
 				if err != nil {
@@ -393,8 +411,13 @@ func New(col *column.Column, cfg Config, factory Factory) (*Sharded, error) {
 	if !encoded {
 		name = shards[0].idx.Name()
 	}
+	fanout := pool
+	if s == 1 {
+		fanout = nil
+	}
 	sh := &Sharded{
 		pool:           pool,
+		fanout:         fanout,
 		name:           fmt.Sprintf("%s/S%d", name, s),
 		factory:        factory,
 		sealRows:       seal,
@@ -722,7 +745,7 @@ func (s *Sharded) Execute(req query.Request) (query.Answer, error) {
 // heat-weighted budget split, indexing enabled; a non-lead request (a
 // batch follower, or any request of a clamped batch) runs every shard
 // suspended. tr, when non-nil, receives the fan-out span tree (see
-// ExecuteBatchTraced) under tr.AttachPoint().
+// ExecuteBatch) under tr.AttachPoint().
 func (s *Sharded) executeOn(v *view, sc *scratch, req query.Request, lead bool, tr *obs.Trace) (query.Answer, error) {
 	lo, hi, aggs, err := query.Prepare(req, v.vmin, v.vmax)
 	if err != nil {
@@ -739,10 +762,9 @@ func (s *Sharded) executeOn(v *view, sc *scratch, req query.Request, lead bool, 
 		tr.Bool(fanout, "tail_hit", tailHit)
 	}
 	if len(surv) == 0 && !tailHit {
-		// Nothing can match: the empty answer, with zero work — the
-		// sharded analogue of Synchronized's zone-map fast path. The
-		// phase stays truthful lock-free: Done once every shard is and
-		// nothing is pending.
+		// Nothing can match: the empty answer, with zero work and no
+		// lock taken. The phase stays truthful lock-free: Done once every
+		// shard is and nothing is pending.
 		s.tracePruned(tr, fanout, v, surv)
 		tr.End(fanout)
 		return query.NewAnswer(column.NewAgg(), aggs, s.prunedStats(v)), nil
@@ -774,14 +796,14 @@ func (s *Sharded) executeOn(v *view, sc *scratch, req query.Request, lead bool, 
 	}
 
 	sub := query.Request{Pred: req.Pred, Aggs: aggs}
-	if s.pool.Chunks(len(surv), 1) <= 1 {
-		// Serial fan-out (one worker or at most one survivor): execute
-		// inline, with no closure or fork/join overhead — the
-		// zero-allocation steady-state path for selective queries on
-		// converged shards.
+	if s.fanout.Chunks(len(surv), 1) <= 1 {
+		// Serial fan-out (one worker, at most one survivor, or a table
+		// loaded as one shard): execute inline, with no closure or
+		// fork/join overhead — the zero-allocation steady-state path for
+		// selective queries on converged shards.
 		s.executeSurvivors(v, surv, parts, shares, 0, len(surv), sub, lo, hi, !lead, tr, fanout)
 	} else {
-		s.pool.Run(len(surv), 1, func(_, a, b int) {
+		s.fanout.Run(len(surv), 1, func(_, a, b int) {
 			s.executeSurvivors(v, surv, parts, shares, a, b, sub, lo, hi, !lead, tr, fanout)
 		})
 	}
@@ -1000,145 +1022,26 @@ func (s *Sharded) Query(lo, hi int64) column.Result {
 	return column.Result{Sum: ans.Sum, Count: ans.Count}
 }
 
-// TryExecute is the non-blocking Execute: if any surviving unconverged
-// shard's lock is held it returns ok == false without touching any
-// index. Survivors execute serially on the calling goroutine — the
-// non-blocking path is a scheduler probe, not the throughput path.
-func (s *Sharded) TryExecute(req query.Request) (query.Answer, bool, error) {
-	v := s.cur.Load()
-	lo, hi, aggs, err := query.Prepare(req, v.vmin, v.vmax)
-	if err != nil {
-		return query.Answer{}, false, err
-	}
-	surv := survivors(make([]int, 0, len(v.shards)), v.shards, lo, hi)
-	tailHit := v.tailHit(lo, hi)
-	if len(surv) == 0 && !tailHit {
-		return query.NewAnswer(column.NewAgg(), aggs, s.prunedStats(v)), true, nil
-	}
-	// Acquire every survivor's lock up front (in shard order, so two
-	// TryExecutes cannot deadlock), bailing out if any is contended.
-	type held struct {
-		st     *state
-		shared bool
-	}
-	locks := make([]held, 0, len(surv))
-	release := func() {
-		for _, h := range locks {
-			if h.shared {
-				h.st.mu.RUnlock()
-			} else {
-				h.st.mu.Unlock()
-			}
-		}
-	}
-	for _, i := range surv {
-		st := v.shards[i]
-		if st.converged.Load() {
-			st.mu.RLock()
-			locks = append(locks, held{st, true})
-			continue
-		}
-		if !st.mu.TryLock() {
-			release()
-			return query.Answer{}, false, nil
-		}
-		locks = append(locks, held{st, false})
-	}
-	defer release()
-
-	heats := make([]uint64, len(surv))
-	allConverged := true
-	for k, i := range surv {
-		heats[k] = v.shards[i].heat.Add(1)
-		if !v.shards[i].converged.Load() {
-			allConverged = false
-		}
-	}
-	var shares []float64
-	if !allConverged {
-		shares = costmodel.HeatShares(nil, heats)
-		s.applyBudgetFactor(shares, len(v.shards))
-	}
-	sub := query.Request{Pred: req.Pred, Aggs: aggs}
-	parts := make([]partial, len(surv))
-	for k := range surv {
-		// locks was built in surv order, so locks[k] holds survivor k.
-		st := locks[k].st
-		st.executes.Add(1)
-		if locks[k].shared {
-			if st.seg != nil {
-				parts[k] = coldPartial(st.seg.AggRange(lo, hi, aggs))
-				continue
-			}
-			if !st.converged.Load() {
-				// A claim slipped in between the converged probe and the
-				// shared lock: the shard needs the write lock now, which
-				// the non-blocking path does not retry for.
-				return query.Answer{}, false, nil
-			}
-			ans, err := st.idx.Execute(sub)
-			parts[k] = partial{agg: query.AnswerAgg(ans), stats: ans.Stats, err: err}
-			continue
-		}
-		if shares != nil {
-			if sc, ok := st.idx.(budgetScaler); ok {
-				sc.SetBudgetScale(shares[k])
-			}
-		}
-		ans, err := st.idx.Execute(sub)
-		st.noteConverged()
-		parts[k] = partial{agg: query.AnswerAgg(ans), stats: ans.Stats, err: err}
-	}
-	ans, err := s.mergeAnswer(v, surv, parts, aggs, lo, hi, tailHit, nil, obs.NoSpan)
-	return ans, true, err
-}
-
-// ExecuteBatch executes several requests under one indexing budget:
-// the first request runs with the heat-weighted budget enabled and the
-// remainder with per-shard indexing suspended, mirroring
-// Synchronized.ExecuteBatch. The whole batch runs against one
-// structure snapshot. Answers positionally match reqs.
-func (s *Sharded) ExecuteBatch(reqs []query.Request) ([]query.Answer, []error) {
-	return s.ExecuteBatchTraced(reqs, nil)
-}
-
-// ExecuteBatchTraced is ExecuteBatch with optional per-request span
-// recording: traces[qi], when non-nil, receives this request's
-// fan-out spans (one per shard — pruned shards get zero-duration
-// spans with zero scanned rows, survivors get kernel timing, budget
-// granted vs spent, rows touched, and encoding), plus tail-scan and
-// merge spans, all under traces[qi].AttachPoint(). A nil or short
-// traces slice is valid; untraced requests pay one nil test. The
-// scheduler reaches this through the progidx.BatchTracer assertion.
-func (s *Sharded) ExecuteBatchTraced(reqs []query.Request, traces []*obs.Trace) ([]query.Answer, []error) {
-	return s.executeBatch(reqs, traces, false)
-}
-
-// ExecuteBatchClamped is ExecuteBatch with the indexing budget clamped
-// to zero: every shard of every request — the leader included — runs
-// suspended, and the claim probe is skipped (claiming decodes a whole
-// shard, exactly the work a deadline-squeezed batch cannot afford).
-// Answers are exact; the shards just do not refine on this batch.
-func (s *Sharded) ExecuteBatchClamped(reqs []query.Request) ([]query.Answer, []error) {
-	return s.executeBatch(reqs, nil, true)
-}
-
-// executeBatch is the shared body of the batch entry points: every
-// request runs against one structure snapshot through executeOn, the
-// first one carrying the indexing budget unless clamp withholds it from
-// the whole batch.
-func (s *Sharded) executeBatch(reqs []query.Request, traces []*obs.Trace, clamp bool) ([]query.Answer, []error) {
+// ExecuteBatch executes several requests under one indexing budget,
+// against one structure snapshot: the first request runs with the
+// heat-weighted budget enabled and the remainder with per-shard
+// indexing suspended. opts.Clamp withholds the budget from the first
+// request too — every shard of every request runs suspended and the
+// claim probe is skipped (claiming decodes a whole shard, exactly the
+// work a deadline-squeezed batch cannot afford). A request traced in
+// opts.Traces receives its fan-out spans under its trace's attach
+// point: one per shard — pruned shards get zero-duration spans with
+// zero scanned rows, survivors get kernel timing, budget granted vs
+// spent, rows touched, and encoding — plus tail-scan and merge spans.
+// Answers and errors positionally match reqs.
+func (s *Sharded) ExecuteBatch(reqs []query.Request, opts query.BatchOpts) ([]query.Answer, []error) {
 	answers := make([]query.Answer, len(reqs))
 	errs := make([]error, len(reqs))
 	v := s.cur.Load()
 	sc := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(sc)
 	for qi, req := range reqs {
-		var tr *obs.Trace
-		if qi < len(traces) {
-			tr = traces[qi]
-		}
-		answers[qi], errs[qi] = s.executeOn(v, sc, req, qi == 0 && !clamp, tr)
+		answers[qi], errs[qi] = s.executeOn(v, sc, req, qi == 0 && !opts.Clamp, opts.Trace(qi))
 	}
 	return answers, errs
 }
@@ -1193,8 +1096,8 @@ func (s *Sharded) tracePruned(tr *obs.Trace, parent obs.SpanID, v *view, surv []
 }
 
 // idleRequest is the canonical no-client-query request RefineStep
-// executes, identical to Synchronized's: a predicate rewritten to the
-// in-domain empty range, so the call is almost pure indexing work.
+// executes: a predicate rewritten to the in-domain empty range, so the
+// call is almost pure indexing work.
 var idleRequest = query.Request{Pred: query.Range(1, 0), Aggs: column.AggCount}
 
 // RefineStep spends one indexing-budget slice on the next shard in

@@ -238,7 +238,7 @@ func TestExecuteBatchSuspendsTail(t *testing.T) {
 		{Pred: query.Range(0, 999)},
 		{Pred: query.Range(0, 999)},
 	}
-	answers, errs := sh.ExecuteBatch(reqs)
+	answers, errs := sh.ExecuteBatch(reqs, query.BatchOpts{})
 	for i := range reqs {
 		if errs[i] != nil {
 			t.Fatal(errs[i])

@@ -163,7 +163,7 @@ type ProgressiveIndex interface {
 
 // IndexingSuspender is implemented by indexes whose per-query indexing
 // budget can be switched off: while suspended, Execute answers queries
-// exactly but performs (almost) no indexing work. Synchronized's
+// exactly but performs (almost) no indexing work. A handle's
 // ExecuteBatch uses it to pay one indexing budget per batch of queued
 // requests instead of one per caller. The four progressive algorithms,
 // the progressive hash table and the progressive imprints implement
@@ -350,26 +350,27 @@ type Options struct {
 	// Shards splits the column into this many contiguous row-range
 	// partitions, each backed by its own index of the selected strategy
 	// with a min/max zone map (see Sharded). 0 or 1 means unsharded.
-	// With Shards > 1, New returns a *Sharded, which is safe for
-	// concurrent use as-is and must not be wrapped in Synchronize.
+	// With Shards > 1 or a compressed Encoding, New returns a *Sharded,
+	// which is safe for concurrent use as-is and must not be wrapped in
+	// Synchronize.
 	Shards int
 
 	// Encoding selects compressed columnar storage (see Encoding). With
-	// a compressed mode and Shards > 1, shards are born cold — scanned
-	// in place over the packed words — and decompressed into the
-	// selected strategy only when the workload's heat claims them;
-	// unsharded compressed tables stay cold for life. The zero value
-	// (EncodingRaw) is exactly the uncompressed behavior.
+	// a compressed mode the table's shards — one when unsharded — are
+	// born cold, scanned in place over the packed words, and
+	// decompressed into the selected strategy only when the workload's
+	// heat claims them (ClaimHeat). The zero value (EncodingRaw) is
+	// exactly the uncompressed behavior.
 	Encoding Encoding
 
 	// ClaimHeat is the per-shard heat at which a cold compressed shard
 	// is claimed: decoded and handed to the progressive strategy. 0
 	// means the shard layer's default; negative means never claim
 	// (shards stay compressed for life). Ignored unless Encoding is
-	// compressed and Shards > 1. A multi-column table applies the same
-	// threshold per column: a compressed column has no index until this
-	// many single-column queries on it have been answered from its
-	// packed blocks.
+	// compressed. A multi-column table applies the same threshold per
+	// column: a compressed column has no index until this many
+	// single-column queries on it have been answered from its packed
+	// blocks.
 	ClaimHeat int
 
 	// Seed drives the stochastic cracking baselines.
@@ -391,14 +392,11 @@ func New(values []int64, opts Options) (Index, error) {
 // NewFromColumn is New for a pre-built column (shared across several
 // indexes in the benchmarks, avoiding repeated min/max passes).
 func NewFromColumn(col *column.Column, opts Options) (Index, error) {
-	if opts.Shards > 1 {
+	if opts.Shards > 1 || opts.Encoding.Compressed() {
+		// Compressed tables always live in the shard layer (one shard when
+		// unsharded): it owns the cold-scan, claim and seal-time-encode
+		// machinery.
 		return NewShardedFromColumn(col, opts)
-	}
-	if opts.Encoding.Compressed() {
-		// Unsharded compressed: one cold segment over the whole column,
-		// converged from birth. The strategy machinery only re-enters
-		// through the shard layer's claim path (Shards > 1).
-		return newEncodedIndex(col, opts.Encoding, opts.Workers)
 	}
 	ccfg := core.Config{
 		Delta:      opts.Delta,

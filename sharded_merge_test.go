@@ -70,13 +70,15 @@ func checkShardStructure(t *testing.T, sh *Sharded, logical []int64, loaded, app
 // logarithmic seal path: seeded random interleavings of appends (from
 // one row to three seal thresholds), idle slices and queries, in raw
 // and compressed storage, for the four progressive strategies at fan-out
-// widths 1 and 4. At every step each answer equals the branching scan
-// over the grown column and the structure passes checkShardStructure.
+// widths 1 and 4, on a table loaded as four shards and as one — the
+// unsharded serving handle, whose seal threshold (an eighth of the
+// loaded rows, floor 1024) comes to the same 1024 rows. At every step
+// each answer equals the branching scan over the grown column and the
+// structure passes checkShardStructure.
 func TestShardedMergeProperty(t *testing.T) {
 	const (
 		n        = 4096
-		loaded   = 4
-		sealRows = n / loaded
+		sealRows = 1024
 		steps    = 70
 	)
 	sizes := []int{1, 7, 256, sealRows - 1, sealRows, 3 * sealRows}
@@ -84,10 +86,14 @@ func TestShardedMergeProperty(t *testing.T) {
 	seed := int64(0)
 	for _, enc := range []Encoding{EncodingRaw, EncodingFORBP, EncodingDict} {
 		for _, strat := range strategies {
-			for _, workers := range []int{1, 4} {
+			for _, leg := range []struct{ workers, loaded int }{{1, 4}, {4, 4}, {1, 1}, {4, 1}} {
 				seed++
-				seed := seed
-				t.Run(fmt.Sprintf("%v/%v/workers=%d", enc, strat, workers), func(t *testing.T) {
+				seed, workers, loaded := seed, leg.workers, leg.loaded
+				name := fmt.Sprintf("%v/%v/workers=%d", enc, strat, workers)
+				if loaded == 1 {
+					name += "/shards=1"
+				}
+				t.Run(name, func(t *testing.T) {
 					rng := rand.New(rand.NewSource(seed))
 					// Values drift upward with the row number, so loaded and
 					// tail-born shards carry distinct zones and queries prune.

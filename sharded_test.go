@@ -4,6 +4,9 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"time"
+
+	"repro/internal/data"
 )
 
 // boundedColumn is testColumn without the ±2^62 extreme sentinels, for
@@ -212,7 +215,7 @@ func TestShardedExecuteBatch(t *testing.T) {
 			preds[i] = Range(lo, lo+rng.Int63n(2000))
 			reqs[i] = Request{Pred: preds[i], Aggs: AllAggregates}
 		}
-		answers, errs := sh.ExecuteBatch(reqs)
+		answers, errs := sh.ExecuteBatch(reqs, BatchOpts{})
 		for i := range reqs {
 			if errs[i] != nil {
 				t.Fatal(errs[i])
@@ -346,8 +349,8 @@ func TestShardedConcurrentReads(t *testing.T) {
 }
 
 // TestShardedHandleSurface pins the scheduler-facing odds and ends:
-// TryExecute answers exactly, Phase reports the furthest-behind shard,
-// New dispatches on Options.Shards, and malformed requests error.
+// Phase reports the furthest-behind shard, New dispatches on
+// Options.Shards, and malformed requests error.
 func TestShardedHandleSurface(t *testing.T) {
 	vals := testColumn(3000, 28)
 	idx := MustNew(vals, Options{Strategy: StrategyQuicksort, Shards: 4})
@@ -362,11 +365,6 @@ func TestShardedHandleSurface(t *testing.T) {
 		t.Fatalf("fresh sharded Phase() = %v, %v; want creation, true", ph, ok)
 	}
 	p := Range(-500, 500)
-	ans, ok, err := sh.TryExecute(Request{Pred: p, Aggs: AllAggregates})
-	if err != nil || !ok {
-		t.Fatalf("TryExecute: ok=%v err=%v", ok, err)
-	}
-	checkAnswer(t, "try", p, AllAggregates, ans, oracleAnswer(vals, p))
 	if _, err := sh.Execute(Request{Pred: Predicate{Kind: 99}}); err == nil {
 		t.Fatal("sharded Execute accepted an unknown predicate kind")
 	}
@@ -418,5 +416,46 @@ func TestSynchronizedZoneMissFastPath(t *testing.T) {
 	// Malformed requests still error on the fast path.
 	if _, err := idx.Execute(Request{Pred: Predicate{Kind: 99, Lo: 7_000_000, Hi: 8_000_000}}); err == nil {
 		t.Fatal("zone-miss fast path swallowed a malformed request")
+	}
+}
+
+// TestUnshardedHandleKeepsWorkers pins the other rule of a one-shard
+// handle: with no fan-out to spread over the workers, the shard's own
+// index keeps Options.Workers. Stats.Workers reports the option, a
+// wall-clock budget plans its creation step against the parallel
+// kernel's cost (so the same budget indexes more rows per query at four
+// workers than at one), and the answers are the same at both.
+func TestUnshardedHandleKeepsWorkers(t *testing.T) {
+	vals := data.Uniform(200_000, 37)
+	var answers [2][]Answer
+	for wi, workers := range []int{1, 4} {
+		h, err := NewHandle(vals, Options{Strategy: StrategyRadixMSD, Budget: 20 * time.Microsecond, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for q := int64(0); q < 4; q++ {
+			p := Range(q*20_000, q*20_000+50_000)
+			ans, err := h.Execute(Request{Pred: p, Aggs: AllAggregates})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ans.Stats.Phase != PhaseCreation {
+				t.Fatalf("workers=%d query %d ran in phase %v, want creation throughout", workers, q, ans.Stats.Phase)
+			}
+			if ans.Stats.Workers != workers {
+				t.Fatalf("workers=%d: Stats.Workers = %d", workers, ans.Stats.Workers)
+			}
+			checkAnswer(t, h.Name(), p, AllAggregates, ans, oracleAnswer(vals, p))
+			answers[wi] = append(answers[wi], ans)
+		}
+	}
+	for q := range answers[0] {
+		one, four := answers[0][q], answers[1][q]
+		if one.Sum != four.Sum || one.Count != four.Count || one.Min != four.Min || one.Max != four.Max {
+			t.Fatalf("query %d differs across worker counts: %+v vs %+v", q, one, four)
+		}
+		if four.Stats.Delta <= one.Stats.Delta {
+			t.Fatalf("query %d: δ %g at four workers, %g at one: the shard index lost its workers", q, four.Stats.Delta, one.Stats.Delta)
+		}
 	}
 }

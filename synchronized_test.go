@@ -1,6 +1,7 @@
 package progidx
 
 import (
+	"math"
 	"sync"
 	"testing"
 
@@ -8,9 +9,9 @@ import (
 	"repro/internal/data"
 )
 
-// converge drives a synchronized index to its terminal state via
-// refine steps, with a safety bound.
-func converge(t *testing.T, idx *Synchronized) {
+// converge drives a serving handle to its terminal state via refine
+// steps, with a safety bound.
+func converge(t *testing.T, idx Handle) {
 	t.Helper()
 	for i := 0; i < 1_000_000; i++ {
 		if _, done := idx.RefineStep(); done {
@@ -20,16 +21,39 @@ func converge(t *testing.T, idx *Synchronized) {
 	t.Fatalf("%s: did not converge within bound", idx.Name())
 }
 
+// convergeByQueries drives a Synchronized index — which has no idle
+// refinement of its own — to its terminal state with full-range queries.
+func convergeByQueries(t *testing.T, idx *Synchronized) {
+	t.Helper()
+	for i := 0; i < 1_000_000; i++ {
+		if idx.Converged() {
+			return
+		}
+		idx.Query(math.MinInt64, math.MaxInt64)
+	}
+	t.Fatalf("%s: did not converge within bound", idx.Name())
+}
+
+// unshardedHandle builds the serving handle of an unsharded table.
+func unshardedHandle(t *testing.T, vals []int64, opts Options) *Sharded {
+	t.Helper()
+	h, err := NewHandle(vals, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h
+}
+
 func TestExecuteBatchAmortizesIndexingWork(t *testing.T) {
 	vals := data.Uniform(40_000, 3)
-	idx := Synchronize(MustNew(vals, Options{Strategy: StrategyQuicksort, Delta: 0.25}))
+	idx := unshardedHandle(t, vals, Options{Strategy: StrategyQuicksort, Delta: 0.25})
 
 	reqs := make([]Request, 6)
 	for i := range reqs {
 		lo := int64(i * 3000)
 		reqs[i] = Request{Pred: Range(lo, lo+8000), Aggs: AllAggregates}
 	}
-	answers, errs := idx.ExecuteBatch(reqs)
+	answers, errs := idx.ExecuteBatch(reqs, BatchOpts{})
 	if len(answers) != len(reqs) || len(errs) != len(reqs) {
 		t.Fatalf("batch shape: %d answers, %d errs", len(answers), len(errs))
 	}
@@ -64,13 +88,13 @@ func TestExecuteBatchAmortizesIndexingWork(t *testing.T) {
 
 func TestExecuteBatchNonSuspendableStillExact(t *testing.T) {
 	vals := data.Uniform(20_000, 4)
-	idx := Synchronize(MustNew(vals, Options{Strategy: StrategyStandardCracking}))
+	idx := unshardedHandle(t, vals, Options{Strategy: StrategyStandardCracking})
 	reqs := []Request{
 		{Pred: Range(100, 9_000)},
 		{Pred: Range(5_000, 15_000)},
 		{Pred: Point(vals[7])},
 	}
-	answers, errs := idx.ExecuteBatch(reqs)
+	answers, errs := idx.ExecuteBatch(reqs, BatchOpts{})
 	for i, req := range reqs {
 		if errs[i] != nil {
 			t.Fatal(errs[i])
@@ -83,8 +107,8 @@ func TestExecuteBatchNonSuspendableStillExact(t *testing.T) {
 }
 
 func TestExecuteBatchEmpty(t *testing.T) {
-	idx := Synchronize(MustNew([]int64{1, 2, 3}, Options{}))
-	answers, errs := idx.ExecuteBatch(nil)
+	idx := unshardedHandle(t, []int64{1, 2, 3}, Options{})
+	answers, errs := idx.ExecuteBatch(nil, BatchOpts{})
 	if len(answers) != 0 || len(errs) != 0 {
 		t.Fatal("empty batch should return empty slices")
 	}
@@ -99,7 +123,7 @@ func TestRefineStepConvergesEveryConvergentStrategy(t *testing.T) {
 		if !s.Convergent() {
 			t.Fatalf("%v should be convergent", s)
 		}
-		idx := Synchronize(MustNew(vals, Options{Strategy: s, Delta: 0.25}))
+		idx := unshardedHandle(t, vals, Options{Strategy: s, Delta: 0.25})
 		if p := idx.Progress(); p != 0 {
 			t.Fatalf("%v: fresh progress = %v, want 0", s, p)
 		}
@@ -127,7 +151,7 @@ func TestRefineStepConvergesEveryConvergentStrategy(t *testing.T) {
 
 func TestRefineStepStatsReuseBudgetMapping(t *testing.T) {
 	vals := data.Uniform(50_000, 6)
-	idx := Synchronize(MustNew(vals, Options{Strategy: StrategyQuicksort, Delta: 0.25}))
+	idx := unshardedHandle(t, vals, Options{Strategy: StrategyQuicksort, Delta: 0.25})
 	st, done := idx.RefineStep()
 	if done {
 		t.Fatal("one step cannot converge a 50k index at δ=0.25")
@@ -139,63 +163,13 @@ func TestRefineStepStatsReuseBudgetMapping(t *testing.T) {
 	}
 }
 
-// blockingIndex lets a test hold the Synchronized write lock at will.
-type blockingIndex struct {
-	Index
-	entered chan struct{}
-	release chan struct{}
-}
-
-func (b *blockingIndex) Execute(req Request) (Answer, error) {
-	select {
-	case b.entered <- struct{}{}: // first caller announces itself
-	default:
-	}
-	<-b.release // closed after the contention check; later calls pass through
-	return b.Index.Execute(req)
-}
-
-func TestTryExecuteDoesNotBlock(t *testing.T) {
-	vals := data.Uniform(5_000, 7)
-	inner := &blockingIndex{
-		Index:   MustNew(vals, Options{Strategy: StrategyFullScan}),
-		entered: make(chan struct{}),
-		release: make(chan struct{}),
-	}
-	idx := Synchronize(inner)
-
-	go idx.Execute(Request{Pred: Range(0, 100)})
-	<-inner.entered // the goroutine now holds the write lock
-
-	if _, ok, err := idx.TryExecute(Request{Pred: Range(0, 100)}); ok || err != nil {
-		t.Fatalf("TryExecute under contention = ok=%v err=%v, want ok=false", ok, err)
-	}
-	close(inner.release)
-
-	// Uncontended TryExecute succeeds and answers exactly.
-	for {
-		ans, ok, err := idx.TryExecute(Request{Pred: Range(0, 2_000)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			continue // the background Execute may still be draining
-		}
-		want := column.AggRangeBranching(vals, 0, 2_000)
-		if ans.Sum != want.Sum || ans.Count != want.Count {
-			t.Fatalf("TryExecute answer %d/%d, want %d/%d", ans.Sum, ans.Count, want.Sum, want.Count)
-		}
-		break
-	}
-}
-
 func TestSynchronizedPhase(t *testing.T) {
 	vals := data.Uniform(5_000, 8)
 	prog := Synchronize(MustNew(vals, Options{Strategy: StrategyQuicksort, Delta: 0.25}))
 	if p, ok := prog.Phase(); !ok || p != PhaseCreation {
 		t.Fatalf("fresh progressive Phase = %v, %v", p, ok)
 	}
-	converge(t, prog)
+	convergeByQueries(t, prog)
 	if p, ok := prog.Phase(); !ok || p != PhaseDone {
 		t.Fatalf("converged Phase = %v, %v", p, ok)
 	}
@@ -216,7 +190,7 @@ func TestConvergedConcurrentReads(t *testing.T) {
 		StrategyProgressiveHash, StrategyImprints,
 	} {
 		idx := Synchronize(MustNew(vals, Options{Strategy: s, Delta: 0.25}))
-		converge(t, idx)
+		convergeByQueries(t, idx)
 
 		var wg sync.WaitGroup
 		for g := 0; g < 8; g++ {

@@ -43,7 +43,7 @@ func TestShardedTraceAgreesWithStats(t *testing.T) {
 
 	req := Request{Pred: Range(0, 500)}
 	tr := obs.NewTrace("query", "t")
-	answers, errs := h.ExecuteBatchTraced([]Request{req}, []*obs.Trace{tr})
+	answers, errs := h.ExecuteBatch([]Request{req}, BatchOpts{Traces: []*obs.Trace{tr}})
 	tr.Finish()
 	if errs[0] != nil {
 		t.Fatal(errs[0])
@@ -122,40 +122,56 @@ func TestShardedTraceAgreesWithStats(t *testing.T) {
 	}
 }
 
-// TestSynchronizedTraceSpans checks the unsharded handle's traced
-// batch: each request gets an index span, and follower requests in
-// the batch are marked suspended.
-func TestSynchronizedTraceSpans(t *testing.T) {
+// TestUnshardedTraceSpans checks the unsharded handle's traced batch:
+// each request's tree is one shard_fanout over exactly one shard span —
+// there is no separate unsharded execution path to show — the batch
+// follower is marked suspended, and a clamped batch keeps its traces,
+// with every request suspended and (next to) no budget spent.
+func TestUnshardedTraceSpans(t *testing.T) {
 	vals := data.Uniform(8_192, 3)
 	h, err := NewHandle(vals, Options{Delta: 0.25})
 	if err != nil {
 		t.Fatal(err)
 	}
 	reqs := []Request{{Pred: Range(10, 1000)}, {Pred: Range(2000, 3000)}}
-	traces := []*obs.Trace{obs.NewTrace("query", "t"), obs.NewTrace("query", "t")}
-	bt, ok := h.(BatchTracer)
-	if !ok {
-		t.Fatal("handle does not implement BatchTracer")
-	}
-	_, errs := bt.ExecuteBatchTraced(reqs, traces)
-	for i, tr := range traces {
-		tr.Finish()
-		if errs[i] != nil {
-			t.Fatal(errs[i])
-		}
-		spans := findSpans(tr.Tree().Root, "index")
-		if len(spans) != 1 {
-			t.Fatalf("trace %d: got %d index spans, want 1", i, len(spans))
-		}
-		if _, ok := spans[0].Attrs["phase"].(string); !ok {
-			t.Errorf("trace %d: index span missing phase attr", i)
-		}
-		suspended, _ := spans[0].Attrs["suspended"].(bool)
-		if i == 0 && suspended {
-			t.Error("batch leader marked suspended")
-		}
-		if i > 0 && !suspended {
-			t.Error("batch follower not marked suspended")
+	var leaderSpent float64
+	for _, clamp := range []bool{false, true} {
+		traces := []*obs.Trace{obs.NewTrace("query", "t"), obs.NewTrace("query", "t")}
+		_, errs := h.ExecuteBatch(reqs, BatchOpts{Traces: traces, Clamp: clamp})
+		for i, tr := range traces {
+			tr.Finish()
+			if errs[i] != nil {
+				t.Fatal(errs[i])
+			}
+			root := tr.Tree().Root
+			fanouts := findSpans(root, "shard_fanout")
+			if len(fanouts) != 1 {
+				t.Fatalf("clamp=%v trace %d: got %d shard_fanout spans, want 1", clamp, i, len(fanouts))
+			}
+			spans := findSpans(fanouts[0], "shard")
+			if len(spans) != 1 {
+				t.Fatalf("clamp=%v trace %d: got %d shard spans, want 1", clamp, i, len(spans))
+			}
+			if n := len(findSpans(root, "index")); n != 0 {
+				t.Errorf("clamp=%v trace %d: %d index spans, want none", clamp, i, n)
+			}
+			suspended, _ := spans[0].Attrs["suspended"].(bool)
+			if want := clamp || i > 0; suspended != want {
+				t.Errorf("clamp=%v trace %d: suspended = %v, want %v", clamp, i, suspended, want)
+			}
+			spent, ok := spans[0].Attrs["budget_spent_s"].(float64)
+			if !ok {
+				t.Fatalf("clamp=%v trace %d: shard span missing budget_spent_s", clamp, i)
+			}
+			// A suspended creation step still copies one element.
+			if (clamp || i > 0) && spent > leaderSpent/100 {
+				t.Errorf("clamp=%v trace %d spent %g s of budget suspended, leader %g", clamp, i, spent, leaderSpent)
+			}
+			if !clamp && i == 0 {
+				if leaderSpent = spent; spent <= 0 {
+					t.Error("batch leader spent no budget")
+				}
+			}
 		}
 	}
 }
