@@ -32,7 +32,7 @@ func TestConvergedExecuteZeroAllocs(t *testing.T) {
 	for _, s := range strategies {
 		idx := MustNew(vals, Options{Strategy: s, Delta: 1})
 		for q := 0; q < 500 && !idx.Converged(); q++ {
-			idx.Query(-4000, 4000)
+			sumCount(idx, -4000, 4000)
 		}
 		if !idx.Converged() {
 			t.Fatalf("%v did not converge", s)
@@ -59,7 +59,7 @@ func TestSynchronizedConvergedZeroAllocs(t *testing.T) {
 	vals := boundedColumn(3000, 13)
 	idx := Synchronize(MustNew(vals, Options{Strategy: StrategyQuicksort, Delta: 1}))
 	for q := 0; q < 500 && !idx.Converged(); q++ {
-		idx.Query(-4000, 4000)
+		sumCount(idx, -4000, 4000)
 	}
 	if !idx.Converged() {
 		t.Fatal("PQ did not converge")
@@ -95,7 +95,7 @@ func TestShardedConvergedZeroAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 		for q := 0; q < 2000 && !sh.Converged(); q++ {
-			sh.Query(-4000, 4000)
+			sumCount(sh, -4000, 4000)
 		}
 		if !sh.Converged() {
 			t.Fatalf("%s did not converge", sh.Name())

@@ -162,14 +162,14 @@ func BenchmarkAblationKernels(b *testing.B) {
 
 // runToConvergence drives one progressive index over a random workload
 // until it converges, reporting queries-to-convergence.
-func runToConvergence(b *testing.B, mk func() core.Index, domain int64) {
+func runToConvergence(b *testing.B, mk func() Index, domain int64) {
 	rng := rand.New(rand.NewSource(11))
 	for i := 0; i < b.N; i++ {
 		idx := mk()
 		q := 0
 		for ; !idx.Converged() && q < 1_000_000; q++ {
 			lo := rng.Int63n(domain)
-			idx.Query(lo, lo+domain/10)
+			sumCount(idx, lo, lo+domain/10)
 		}
 		b.ReportMetric(float64(q), "queries-to-converge")
 		benchSink = idx
@@ -184,7 +184,7 @@ func BenchmarkAblationBlockSize(b *testing.B) {
 	col := column.MustNew(vals)
 	for _, sb := range []int{128, 1024, 8192} {
 		b.Run(sizeName("sb", sb), func(b *testing.B) {
-			runToConvergence(b, func() core.Index {
+			runToConvergence(b, func() Index {
 				return core.NewRadixMSD(col, core.Config{Mode: core.FixedDelta, Delta: 0.25, BlockSize: sb})
 			}, int64(len(vals)))
 		})
@@ -199,7 +199,7 @@ func BenchmarkAblationBucketCount(b *testing.B) {
 	col := column.MustNew(vals)
 	for _, bits := range []int{4, 6, 8} {
 		b.Run(sizeName("bits", bits), func(b *testing.B) {
-			runToConvergence(b, func() core.Index {
+			runToConvergence(b, func() Index {
 				return core.NewRadixMSD(col, core.Config{Mode: core.FixedDelta, Delta: 0.25, RadixBits: bits})
 			}, int64(len(vals)))
 		})
@@ -239,7 +239,7 @@ func BenchmarkAblationBudget(b *testing.B) {
 	}
 	for name, cfg := range cfgs {
 		b.Run(name, func(b *testing.B) {
-			runToConvergence(b, func() core.Index {
+			runToConvergence(b, func() Index {
 				return core.NewQuicksort(col, cfg)
 			}, int64(len(vals)))
 		})
@@ -259,12 +259,12 @@ func BenchmarkExtensionPointQueries(b *testing.B) {
 			// Warm through convergence so the steady state is measured.
 			for q := 0; q < 50; q++ {
 				v := vals[rng.Intn(len(vals))]
-				idx.Query(v, v)
+				sumCount(idx, v, v)
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				v := vals[rng.Intn(len(vals))]
-				benchSink = idx.Query(v, v)
+				benchSink = sumCount(idx, v, v)
 			}
 			_ = n
 		})
@@ -277,7 +277,7 @@ func BenchmarkQueryConverged(b *testing.B) {
 	vals := benchValues(1 << 20)
 	idx := MustNew(vals, Options{Strategy: StrategyRadixMSD, Delta: 1})
 	for q := 0; q < 100 && !idx.Converged(); q++ {
-		idx.Query(0, int64(len(vals)))
+		sumCount(idx, 0, int64(len(vals)))
 	}
 	if !idx.Converged() {
 		b.Fatal("did not converge")
@@ -286,7 +286,7 @@ func BenchmarkQueryConverged(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		lo := rng.Int63n(int64(len(vals)))
-		benchSink = idx.Query(lo, lo+1000)
+		benchSink = sumCount(idx, lo, lo+1000)
 	}
 }
 

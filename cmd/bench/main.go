@@ -1,30 +1,33 @@
 // Command bench is the repository's reproducible performance runner
-// (`make bench`). It emits four JSON artifacts tracked across PRs:
+// (`make bench`). It emits three JSON artifacts tracked across PRs —
+// the measurements the served-path benchmark (benchmark/) cannot take,
+// because they pin one layer instead of following a request through
+// all of them:
 //
 //	BENCH_kernels.json     — ns/op of the serial scan kernels vs the
 //	                         parallel kernels at 1/2/4/8 workers on a
 //	                         10M-row column, with answer-identity
 //	                         verification baked in;
-//	BENCH_convergence.json — wall-clock time and query count to
-//	                         convergence per progressive strategy,
-//	                         serial vs all-core;
 //	BENCH_shards.json      — sharded execution sweep (shard count ×
 //	                         selectivity on clustered data), with
 //	                         pruned-shards-do-zero-work verification,
 //	                         and the ingest-growth sweep: shard count
 //	                         and query cost after thousands of small
 //	                         appends, each flushed by idle refinement;
-//	BENCH_durability.json  — WAL append throughput per fsync policy,
-//	                         recovery time vs WAL-tail length, and
-//	                         snapshot write cost vs table size, with
-//	                         recovered answers checked against the
-//	                         branching oracle;
 //	BENCH_planner.json     — composite-predicate driver choice on a
 //	                         correlated multi-column table: the
 //	                         planner's pick vs every pinned driving
 //	                         column at 0.1% selectivity, with answers
 //	                         checked per query against a brute-force
 //	                         row scan.
+//
+// Convergence (per-strategy queries, seconds and first-query cost to
+// convergence, parallel speedup) and durability (WAL sync, checkpoint
+// and recovery cost) are measured on the served path instead: the
+// benchmark's converge workload reports core.<S>.converge_queries /
+// converge_s / first_query_ms / cumulative_s and column.par_speedup,
+// its ingest workload durable.* and recover_s (bash benchmark/run.sh
+// --workload converge|ingest --trace 1).
 //
 // Usage:
 //
@@ -45,10 +48,8 @@ import (
 	"time"
 
 	"repro"
-	"repro/internal/catalog"
 	"repro/internal/column"
 	"repro/internal/data"
-	"repro/internal/durable"
 	"repro/internal/encode"
 	"repro/internal/parallel"
 	"repro/internal/plan"
@@ -239,7 +240,7 @@ func runShards(n, queries int, delta float64) shardsReport {
 				lo := qrng.Int63n(hotMax)
 				qs[i] = qr{lo, lo + width}
 			}
-			sh, err := progidx.NewSharded(vals, progidx.Options{
+			sh, err := progidx.NewHandle(vals, progidx.Options{
 				Strategy: progidx.StrategyQuicksort, Delta: delta, Shards: shards,
 			})
 			if err != nil {
@@ -308,7 +309,7 @@ func runGrowth(n, queries int, delta float64) []GrowthResult {
 	var out []GrowthResult
 	for _, appends := range []int{100, 1000, 4000} {
 		logical := append(make([]int64, 0, n+appends*appendRows), loadedVals...)
-		sh, err := progidx.NewSharded(append([]int64(nil), loadedVals...), progidx.Options{
+		sh, err := progidx.NewHandle(append([]int64(nil), loadedVals...), progidx.Options{
 			Strategy: progidx.StrategyQuicksort, Delta: delta, Shards: loaded,
 		})
 		if err != nil {
@@ -368,28 +369,6 @@ func runGrowth(n, queries int, delta float64) []GrowthResult {
 		out = append(out, res)
 	}
 	return out
-}
-
-// ConvergenceResult is one (strategy, workers) run to convergence.
-type ConvergenceResult struct {
-	Strategy       string  `json:"strategy"`
-	Workers        int     `json:"workers"`
-	N              int     `json:"n"`
-	Delta          float64 `json:"delta"`
-	Queries        int     `json:"queries_run"`
-	ConvergedAt    int     `json:"converged_at"` // 1-based; -1 = never
-	CumulativeSec  float64 `json:"cumulative_seconds"`
-	MeanQueryMs    float64 `json:"mean_query_ms"`
-	FirstQueryMs   float64 `json:"first_query_ms"`
-	MaxQueryMs     float64 `json:"max_query_ms"`
-	FinalSum       int64   `json:"final_sum"` // cross-worker identity check
-	FinalSumAgrees bool    `json:"final_sum_agrees_with_serial"`
-}
-
-type convergenceReport struct {
-	Host      Host                `json:"host"`
-	Timestamp string              `json:"timestamp"`
-	Results   []ConvergenceResult `json:"results"`
 }
 
 // timeBest returns the fastest of reps timings of fn, in seconds.
@@ -535,278 +514,6 @@ func runEncodings(n, reps int) []EncodingResult {
 		}
 	}
 	return out
-}
-
-func runConvergence(n, maxQueries int, delta float64) convergenceReport {
-	rep := convergenceReport{Host: host(), Timestamp: time.Now().UTC().Format(time.RFC3339)}
-	strategies := []progidx.Strategy{
-		progidx.StrategyQuicksort,
-		progidx.StrategyRadixMSD,
-		progidx.StrategyBucketsort,
-		progidx.StrategyRadixLSD,
-	}
-	rng := rand.New(rand.NewSource(7))
-	vals := make([]int64, n)
-	for i := range vals {
-		vals[i] = rng.Int63n(int64(n))
-	}
-	type qr struct{ lo, hi int64 }
-	qrs := make([]qr, maxQueries)
-	qrng := rand.New(rand.NewSource(8))
-	for i := range qrs {
-		a := qrng.Int63n(int64(n))
-		qrs[i] = qr{a, a + qrng.Int63n(int64(n)/10)}
-	}
-
-	workerSets := []int{1, runtime.GOMAXPROCS(0)}
-	if workerSets[1] == 1 {
-		workerSets = workerSets[:1] // single-core host: nothing to compare
-	}
-	serialSums := map[progidx.Strategy]int64{}
-	for _, s := range strategies {
-		for _, workers := range workerSets {
-			idx := progidx.MustNew(vals, progidx.Options{Strategy: s, Delta: delta, Workers: workers})
-			res := ConvergenceResult{
-				Strategy: s.String(), Workers: workers, N: n, Delta: delta, ConvergedAt: -1,
-			}
-			var finalSum int64
-			for i := 0; i < maxQueries; i++ {
-				start := time.Now()
-				ans, err := idx.Execute(progidx.Request{Pred: progidx.Range(qrs[i].lo, qrs[i].hi)})
-				dt := time.Since(start).Seconds()
-				if err != nil {
-					fmt.Fprintln(os.Stderr, err)
-					os.Exit(1)
-				}
-				res.CumulativeSec += dt
-				if i == 0 {
-					res.FirstQueryMs = dt * 1000
-				}
-				if ms := dt * 1000; ms > res.MaxQueryMs {
-					res.MaxQueryMs = ms
-				}
-				finalSum += ans.Sum
-				res.Queries = i + 1
-				if res.ConvergedAt < 0 && idx.Converged() {
-					res.ConvergedAt = i + 1
-				}
-			}
-			res.MeanQueryMs = res.CumulativeSec / float64(res.Queries) * 1000
-			res.FinalSum = finalSum
-			if workers == 1 {
-				serialSums[s] = finalSum
-				res.FinalSumAgrees = true
-			} else {
-				res.FinalSumAgrees = finalSum == serialSums[s]
-			}
-			rep.Results = append(rep.Results, res)
-		}
-	}
-	return rep
-}
-
-// FsyncResult is one WAL append-throughput measurement under a fsync
-// policy: frames of ValuesPerFrame rows appended, one Sync every
-// FramesPerSync frames (mirroring the scheduler's one-fsync-per-
-// admission-batch amortization; under "always" each frame self-syncs
-// and the explicit Sync is a no-op).
-type FsyncResult struct {
-	Policy         string  `json:"policy"`
-	ValuesPerFrame int     `json:"values_per_frame"`
-	FramesPerSync  int     `json:"frames_per_sync"`
-	Frames         int     `json:"frames"`
-	RowsPerSec     float64 `json:"rows_per_sec"`
-	MBPerSec       float64 `json:"mb_per_sec"`
-}
-
-// RecoveryResult is one boot-from-datadir measurement: a base table
-// snapshotted at BaseRows, then TailFrames WAL frames appended after
-// the last checkpoint, then the store reopened cold.
-type RecoveryResult struct {
-	BaseRows     int     `json:"base_rows"`
-	TailFrames   int     `json:"tail_frames"`
-	TailRows     int     `json:"tail_rows"`
-	ScanMs       float64 `json:"store_recover_ms"`   // manifest + snapshot read + WAL-tail frame decode
-	RebuildMs    float64 `json:"catalog_rebuild_ms"` // index rebuild + tail append + progress redrive
-	TotalMs      float64 `json:"total_ms"`
-	AnswersMatch bool    `json:"answers_match_oracle"`
-}
-
-// SnapshotResult is one checkpoint write: Rows serialized, checksummed
-// and fsynced. Amortization reading: a snapshot costing WriteMs spares
-// every future boot the WAL-tail replay it truncates, so it pays for
-// itself once the tail's replay cost (see RecoveryResult) exceeds it.
-type SnapshotResult struct {
-	Rows    int     `json:"rows"`
-	WriteMs float64 `json:"write_ms"`
-	FileMB  float64 `json:"file_mb"`
-}
-
-type durabilityReport struct {
-	Host       Host             `json:"host"`
-	Timestamp  string           `json:"timestamp"`
-	Fsync      []FsyncResult    `json:"append_throughput"`
-	Recoveries []RecoveryResult `json:"recovery"`
-	Snapshots  []SnapshotResult `json:"snapshots"`
-}
-
-// runDurability measures the durability subsystem end to end in a
-// temporary directory: append throughput under the three fsync
-// policies, cold-boot recovery time as the uncheckpointed WAL tail
-// grows, and snapshot write cost vs table size.
-func runDurability(baseRows int) durabilityReport {
-	rep := durabilityReport{Host: host(), Timestamp: time.Now().UTC().Format(time.RFC3339)}
-	fail := func(err error) {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	root, err := os.MkdirTemp("", "bench-durable-*")
-	if err != nil {
-		fail(err)
-	}
-	defer os.RemoveAll(root)
-
-	// Append throughput. 64 rows per frame is the loadgen-ish batch
-	// size; 8 frames per sync mirrors a scheduler admission batch.
-	const valuesPerFrame, framesPerSync, frames = 64, 8, 1024
-	batch := make([]int64, valuesPerFrame)
-	for i := range batch {
-		batch[i] = int64(i)
-	}
-	for _, policy := range []durable.SyncPolicy{durable.SyncAlways, durable.SyncBatch, durable.SyncOff} {
-		dir := filepath.Join(root, "fsync-"+policy.String())
-		store, err := durable.Open(dir, policy)
-		if err != nil {
-			fail(err)
-		}
-		tl, err := store.Create("bench", durable.TableMeta{Strategy: "PQ"}, 0, nil)
-		if err != nil {
-			fail(err)
-		}
-		start := time.Now()
-		for f := 0; f < frames; f++ {
-			if _, err := tl.Append(batch); err != nil {
-				fail(err)
-			}
-			if (f+1)%framesPerSync == 0 {
-				if err := tl.Sync(); err != nil {
-					fail(err)
-				}
-			}
-		}
-		elapsed := time.Since(start).Seconds()
-		rows := frames * valuesPerFrame
-		rep.Fsync = append(rep.Fsync, FsyncResult{
-			Policy: policy.String(), ValuesPerFrame: valuesPerFrame,
-			FramesPerSync: framesPerSync, Frames: frames,
-			RowsPerSec: float64(rows) / elapsed,
-			MBPerSec:   float64(rows) * 8 / elapsed / (1 << 20),
-		})
-		store.Close()
-	}
-
-	// Recovery time vs WAL-tail length: base table checkpointed, then
-	// tailFrames appends land after the checkpoint, then cold boot.
-	rng := rand.New(rand.NewSource(21))
-	baseVals := make([]int64, baseRows)
-	for i := range baseVals {
-		baseVals[i] = rng.Int63n(int64(baseRows))
-	}
-	const tailValuesPerFrame = 16
-	for _, tailFrames := range []int{0, 256, 2048, 16384} {
-		dir := filepath.Join(root, fmt.Sprintf("recover-%d", tailFrames))
-		store, err := durable.Open(dir, durable.SyncOff)
-		if err != nil {
-			fail(err)
-		}
-		c := catalog.NewDurable(store)
-		tbl, err := c.Load("bench", baseVals, catalog.Options{Strategy: progidx.StrategyQuicksort, Delta: 0.25})
-		if err != nil {
-			fail(err)
-		}
-		expect := append([]int64(nil), baseVals...)
-		for f := 0; f < tailFrames; f++ {
-			tail := make([]int64, tailValuesPerFrame)
-			for i := range tail {
-				// Outside the base domain so the oracle check below can
-				// see lost or duplicated tail rows, not just base rows.
-				tail[i] = 2*int64(baseRows) + int64(f*tailValuesPerFrame+i)
-			}
-			if err := tbl.Append(tail); err != nil {
-				fail(err)
-			}
-			expect = append(expect, tail...)
-		}
-		store.Close()
-
-		store2, err := durable.Open(dir, durable.SyncOff)
-		if err != nil {
-			fail(err)
-		}
-		scanStart := time.Now()
-		recs, recErrs, err := store2.Recover()
-		scanMs := time.Since(scanStart).Seconds() * 1000
-		if err != nil {
-			fail(err)
-		}
-		if len(recErrs) > 0 || len(recs) != 1 {
-			fail(fmt.Errorf("recovery: %d tables, warnings %v", len(recs), recErrs))
-		}
-		c2 := catalog.NewDurable(store2)
-		rebuildStart := time.Now()
-		tbl2, err := c2.LoadRecovered(recs[0])
-		rebuildMs := time.Since(rebuildStart).Seconds() * 1000
-		if err != nil {
-			fail(err)
-		}
-		lo, hi := int64(baseRows)/4, 2*int64(baseRows)+int64(tailFrames*tailValuesPerFrame)
-		ans, err := tbl2.Index().Execute(progidx.Request{Pred: progidx.Range(lo, hi)})
-		if err != nil {
-			fail(err)
-		}
-		want := column.AggRangeBranching(expect, lo, hi)
-		rep.Recoveries = append(rep.Recoveries, RecoveryResult{
-			BaseRows: baseRows, TailFrames: tailFrames,
-			TailRows: tailFrames * tailValuesPerFrame,
-			ScanMs:   scanMs, RebuildMs: rebuildMs, TotalMs: scanMs + rebuildMs,
-			AnswersMatch: ans.Sum == want.Sum && ans.Count == want.Count,
-		})
-		store2.Close()
-	}
-
-	// Snapshot write cost vs table size.
-	for _, rows := range []int{baseRows / 4, baseRows, 4 * baseRows} {
-		dir := filepath.Join(root, fmt.Sprintf("snap-%d", rows))
-		store, err := durable.Open(dir, durable.SyncBatch)
-		if err != nil {
-			fail(err)
-		}
-		tl, err := store.Create("bench", durable.TableMeta{Strategy: "PQ"}, 0, nil)
-		if err != nil {
-			fail(err)
-		}
-		vals := make([]int64, rows)
-		for i := range vals {
-			vals[i] = int64(i)
-		}
-		if _, err := tl.Append(vals); err != nil {
-			fail(err)
-		}
-		start := time.Now()
-		if err := tl.WriteCheckpoint(durable.Checkpoint{
-			Seq: tl.LastSeq(), Rows: vals, Progress: 1, Converged: true,
-			Meta: durable.TableMeta{Strategy: "PQ"},
-		}); err != nil {
-			fail(err)
-		}
-		writeMs := time.Since(start).Seconds() * 1000
-		rep.Snapshots = append(rep.Snapshots, SnapshotResult{
-			Rows: rows, WriteMs: writeMs,
-			FileMB: float64(rows) * 8 / (1 << 20),
-		})
-		store.Close()
-	}
-	return rep
 }
 
 // PlannerResult is one driver policy's run over the shared composite
@@ -977,18 +684,15 @@ func writeJSON(path string, v any) {
 
 func main() {
 	var (
-		n       = flag.Int("n", 10_000_000, "kernel benchmark column size")
-		convN   = flag.Int("convn", 1_000_000, "convergence benchmark column size")
-		queries = flag.Int("queries", 200, "convergence benchmark query count")
-		delta   = flag.Float64("delta", 0.25, "convergence benchmark delta")
-		reps    = flag.Int("reps", 3, "timing repetitions (best-of)")
-		shardN  = flag.Int("shardn", 2_000_000, "shard sweep column size")
-		shardQ  = flag.Int("shardqueries", 96, "shard sweep queries per configuration")
-		durN    = flag.Int("durn", 1_000_000, "durability suite base table size")
-		planN   = flag.Int("plannern", 2_000_000, "planner suite table size (rows × 3 columns)")
-		planQ   = flag.Int("plannerqueries", 96, "planner suite queries per driver policy")
-		outDir  = flag.String("out", ".", "output directory for the JSON artifacts")
-		suite   = flag.String("suite", "all", "kernels|convergence|shards|durability|planner|all")
+		n      = flag.Int("n", 10_000_000, "kernel benchmark column size")
+		delta  = flag.Float64("delta", 0.25, "shard sweep delta")
+		reps   = flag.Int("reps", 3, "timing repetitions (best-of)")
+		shardN = flag.Int("shardn", 2_000_000, "shard sweep column size")
+		shardQ = flag.Int("shardqueries", 96, "shard sweep queries per configuration")
+		planN  = flag.Int("plannern", 2_000_000, "planner suite table size (rows × 3 columns)")
+		planQ  = flag.Int("plannerqueries", 96, "planner suite queries per driver policy")
+		outDir = flag.String("out", ".", "output directory for the JSON artifacts")
+		suite  = flag.String("suite", "all", "kernels|shards|planner|all")
 	)
 	flag.Parse()
 
@@ -1007,14 +711,6 @@ func main() {
 			fmt.Printf("  %-14s %-5s→%-5s %-9s %4.2f B/row (%4.2fx)  penalty=%+6.1f%%  identical=%v\n",
 				r.Data, r.Encoding, r.Kind, r.Aggs, r.BytesPerRow, r.CompressionRatio,
 				r.ScanPenaltyVsRaw*100, r.Identical)
-		}
-	}
-	if *suite == "all" || *suite == "convergence" {
-		rep := runConvergence(*convN, *queries, *delta)
-		writeJSON(filepath.Join(*outDir, "BENCH_convergence.json"), rep)
-		for _, r := range rep.Results {
-			fmt.Printf("  %-5s workers=%d  converged_at=%-3d cumulative=%7.3fs  mean=%6.3fms  agrees=%v\n",
-				r.Strategy, r.Workers, r.ConvergedAt, r.CumulativeSec, r.MeanQueryMs, r.FinalSumAgrees)
 		}
 	}
 	if *suite == "all" || *suite == "shards" {
@@ -1041,20 +737,5 @@ func main() {
 		}
 		fmt.Printf("  planner picks=%v  actual_sel=%.5f  speedup_vs_worst=%.2fx\n",
 			rep.PlannerPicks, rep.ActualSelectivity, rep.SpeedupVsWorst)
-	}
-	if *suite == "all" || *suite == "durability" {
-		rep := runDurability(*durN)
-		writeJSON(filepath.Join(*outDir, "BENCH_durability.json"), rep)
-		for _, r := range rep.Fsync {
-			fmt.Printf("  fsync=%-6s %9.0f rows/s  %7.2f MB/s  (%d×%d rows, sync every %d frames)\n",
-				r.Policy, r.RowsPerSec, r.MBPerSec, r.Frames, r.ValuesPerFrame, r.FramesPerSync)
-		}
-		for _, r := range rep.Recoveries {
-			fmt.Printf("  recover tail=%-6d %8.1fms scan  %8.1fms rebuild  %8.1fms total  match=%v\n",
-				r.TailFrames, r.ScanMs, r.RebuildMs, r.TotalMs, r.AnswersMatch)
-		}
-		for _, r := range rep.Snapshots {
-			fmt.Printf("  snapshot rows=%-8d %8.1fms  %7.2f MB\n", r.Rows, r.WriteMs, r.FileMB)
-		}
 	}
 }

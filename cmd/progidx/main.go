@@ -120,7 +120,6 @@ func main() {
 	fmt.Printf("strategy=%s data=%s(%d rows) workload=%s queries=%d\n\n",
 		idx.Name(), *dataset, *n, gen.Name(), *queries)
 
-	_, hasPhases := idx.(progidx.ProgressiveIndex)
 	total := 0.0
 	convergedAt := -1
 	for i := 0; i < *queries; i++ {
@@ -145,7 +144,7 @@ func main() {
 		}
 		if i%*every == 0 || i == *queries-1 {
 			phase := ""
-			if hasPhases {
+			if strat.Progressive() {
 				// The per-query stats travel inline in the answer.
 				phase = fmt.Sprintf("  phase=%-13s δ=%.4f", ans.Stats.Phase, ans.Stats.Delta)
 			}

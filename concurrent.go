@@ -185,12 +185,6 @@ func (s *Synchronized) Execute(req Request) (Answer, error) {
 	return ans, err
 }
 
-// Query implements Index, with the same locking discipline as Execute.
-func (s *Synchronized) Query(lo, hi int64) Result {
-	ans, _ := s.Execute(Request{Pred: Range(lo, hi)})
-	return ans.Result()
-}
-
 // Converged implements Index. Once true this is a lock-free load.
 func (s *Synchronized) Converged() bool {
 	if s.converged.Load() {
@@ -203,7 +197,7 @@ func (s *Synchronized) Converged() bool {
 }
 
 // Progress returns the convergence fraction in [0, 1]: exactly 1 once
-// converged, the wrapped index's Progressor estimate when it provides
+// converged, the wrapped index's query.Progressor estimate when it provides
 // one, and 0 otherwise (strategies like cracking and full scan never
 // converge and report no progress).
 func (s *Synchronized) Progress() float64 {
@@ -212,7 +206,7 @@ func (s *Synchronized) Progress() float64 {
 	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if p, ok := s.inner.(Progressor); ok {
+	if p, ok := s.inner.(query.Progressor); ok {
 		return min(max(p.Progress(), 0), 1)
 	}
 	if s.inner.Converged() {
@@ -221,16 +215,14 @@ func (s *Synchronized) Progress() float64 {
 	return 0
 }
 
-// Phase returns the wrapped index's lifecycle phase when it is a
-// ProgressiveIndex (ok == false otherwise).
+// Phase returns the wrapped index's lifecycle phase when it has one
+// (ok == false otherwise).
 func (s *Synchronized) Phase() (Phase, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	p, ok := s.inner.(interface{ Phase() Phase })
+	p, ok := s.inner.(query.Phaser)
 	if !ok {
 		return 0, false
 	}
 	return p.Phase(), true
 }
-
-var _ Index = (*Synchronized)(nil)

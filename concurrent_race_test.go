@@ -26,7 +26,7 @@ func TestSynchronizedParallelKernelsRace(t *testing.T) {
 		StrategyQuicksort, StrategyRadixMSD, StrategyBucketsort, StrategyRadixLSD, StrategyFullScan,
 	} {
 		idx := Synchronize(MustNew(vals, Options{Strategy: strategy, Delta: 0.25, Workers: 4}))
-		want := idx.Query(0, n-1) // serialized reference answer
+		want := sumCount(idx, 0, n-1) // serialized reference answer
 
 		var wg sync.WaitGroup
 		for g := 0; g < goroutines; g++ {

@@ -23,7 +23,7 @@ func TestSynchronizedConcurrentQueriesExact(t *testing.T) {
 				for q := 0; q < 100; q++ {
 					lo := rng.Int63n(20_000)
 					hi := lo + rng.Int63n(4_000)
-					got := idx.Query(lo, hi)
+					got := sumCount(idx, lo, hi)
 					want := column.SumRangeBranching(vals, lo, hi)
 					if got != want {
 						select {

@@ -28,7 +28,7 @@ func TestEncodedMatchesOracle(t *testing.T) {
 					err error
 				)
 				if shards > 1 {
-					idx, err = NewSharded(vals, opts)
+					idx, err = NewHandle(vals, opts)
 				} else {
 					idx, err = New(vals, opts)
 				}
@@ -143,7 +143,7 @@ func TestEncodedColdZeroAllocs(t *testing.T) {
 		}
 	}
 
-	sh, err := NewSharded(vals, Options{
+	sh, err := NewHandle(vals, Options{
 		Strategy: StrategyQuicksort, Shards: 4, Workers: 1,
 		Encoding: EncodingFORBP, ClaimHeat: -1,
 	})

@@ -77,7 +77,9 @@ func main() {
 			start := time.Now()
 			converged := "not converged"
 			for i, q := range sc.queries {
-				idx.Query(q.Lo, q.Hi)
+				if _, err := idx.Execute(progidx.Request{Pred: progidx.Range(q.Lo, q.Hi)}); err != nil {
+					panic(err)
+				}
 				if converged == "not converged" && idx.Converged() {
 					converged = fmt.Sprintf("converged @%d", i+1)
 				}

@@ -46,8 +46,11 @@ func main() {
 		for i := 0; i < count; i++ {
 			q := gen.Query(i)
 			start := time.Now()
-			res := idx.Query(q.Lo, q.Hi)
+			res, err := idx.Execute(progidx.Request{Pred: progidx.Range(q.Lo, q.Hi)})
 			lat := time.Since(start)
+			if err != nil {
+				panic(err)
+			}
 			total += lat
 			queries++
 			if lat > worst {

@@ -64,15 +64,22 @@ func main() {
 	fmt.Println("\nImprints pruning on clustered data (secondary index, column untouched):")
 	sky := data.SkyServer(n, 4)
 	imp := progidx.MustNew(sky, progidx.Options{Strategy: progidx.StrategyImprints, Delta: 1})
-	imp.Query(0, 1)                    // build all imprints in one go
-	imp.Query(0, data.SkyServerDomain) // warm the column and marks
+	count := func(lo, hi int64) int64 {
+		ans, err := imp.Execute(progidx.Request{Pred: progidx.Range(lo, hi)})
+		if err != nil {
+			panic(err)
+		}
+		return ans.Count
+	}
+	count(0, 1)                    // build all imprints in one go
+	count(0, data.SkyServerDomain) // warm the column and marks
 	for _, width := range []int64{1e6, 10e6, 100e6} {
 		lo := int64(180e6)
 		start := time.Now()
-		res := imp.Query(lo, lo+width)
+		rows := count(lo, lo+width)
 		d := time.Since(start)
 		fmt.Printf("  range %3.0f°–%3.0f°: %8d rows in %8v\n",
-			float64(lo)/1e6, float64(lo+width)/1e6, res.Count, d.Round(time.Microsecond))
+			float64(lo)/1e6, float64(lo+width)/1e6, rows, d.Round(time.Microsecond))
 	}
 	_ = rng
 }

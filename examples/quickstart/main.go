@@ -39,7 +39,7 @@ func main() {
 		panic(err)
 	}
 
-	// The v2 request/response API: describe the predicate and the
+	// The request/response API: describe the predicate and the
 	// aggregates; the answer carries the values and the per-query
 	// indexing stats inline.
 	fmt.Println("query   phase          latency      sum of matches")

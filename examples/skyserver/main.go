@@ -40,7 +40,9 @@ func main() {
 		for i := 0; i < queries; i++ {
 			q := gen.Query(i)
 			start := time.Now()
-			idx.Query(q.Lo, q.Hi)
+			if _, err := idx.Execute(progidx.Request{Pred: progidx.Range(q.Lo, q.Hi)}); err != nil {
+				panic(err)
+			}
 			lat := time.Since(start)
 			total += lat
 			if i == 0 {

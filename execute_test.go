@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/column"
+	"repro/internal/query"
 )
 
 // oracleAnswer computes every aggregate with the naive branching kernel
@@ -16,6 +17,16 @@ import (
 // branching oracle applies verbatim.
 func oracleAnswer(values []int64, p Predicate) column.Agg {
 	return column.AggRangeBranching(values, p.Lo, p.Hi)
+}
+
+// sumCount answers SUM/COUNT over the inclusive range [lo, hi] through
+// Execute, the paper's workload.
+func sumCount(idx Index, lo, hi int64) Result {
+	ans, err := idx.Execute(Request{Pred: Range(lo, hi)})
+	if err != nil {
+		panic(err)
+	}
+	return ans.Result()
 }
 
 // checkAnswer verifies ans against the oracle under the mask semantics:
@@ -131,7 +142,7 @@ func TestExecuteConvergedMatchesOracle(t *testing.T) {
 	for _, s := range []Strategy{StrategyQuicksort, StrategyRadixMSD, StrategyBucketsort, StrategyRadixLSD, StrategyFullIndex} {
 		idx := MustNew(vals, Options{Strategy: s, Delta: 1})
 		for q := 0; q < 400 && !idx.Converged(); q++ {
-			idx.Query(-4000, 4000)
+			sumCount(idx, -4000, 4000)
 		}
 		if !idx.Converged() {
 			t.Fatalf("%v did not converge", s)
@@ -150,55 +161,21 @@ func TestExecuteConvergedMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestQueryMatchesExecutePath checks the v1 compatibility contract:
-// Query(lo, hi) returns exactly the SUM/COUNT pair Execute computes for
-// the equivalent Range request. Both are checked against the oracle on
-// interleaved calls so the shared execution path is exercised in every
-// index state.
-func TestQueryMatchesExecutePath(t *testing.T) {
-	vals := testColumn(3000, 13)
-	for _, s := range allStrategies {
-		idx := MustNew(vals, Options{Strategy: s, Delta: 0.4, Seed: 5})
-		rng := rand.New(rand.NewSource(31))
-		for q := 0; q < 30; q++ {
-			lo := rng.Int63n(8000) - 4000
-			hi := lo + rng.Int63n(3000)
-			p := Range(lo, hi)
-			want := oracleAnswer(vals, p)
-			if q%2 == 0 {
-				got := idx.Query(lo, hi)
-				if got.Sum != want.Sum || got.Count != want.Count {
-					t.Fatalf("%v Query(%d,%d) = %+v, want %+v", s, lo, hi, got, want)
-				}
-			} else {
-				ans, err := idx.Execute(Request{Pred: p})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if r := ans.Result(); r.Sum != want.Sum || r.Count != want.Count {
-					t.Fatalf("%v Execute(%v) = %+v, want %+v", s, p, r, want)
-				}
-			}
-		}
-	}
-}
-
-// TestExecuteStatsInline verifies the side-channel elimination: the
-// Stats in the Answer are the stats of that same call (identical to
-// what the deprecated LastStats reports immediately afterwards), and
+// TestExecuteStatsInline verifies that the Stats in the Answer are the
+// stats of that same call — there is no side channel — and that
 // progressive indexes report phase progress through them.
 func TestExecuteStatsInline(t *testing.T) {
 	vals := testColumn(4000, 14)
 	for _, s := range []Strategy{StrategyQuicksort, StrategyRadixMSD, StrategyBucketsort, StrategyRadixLSD} {
-		idx := MustNew(vals, Options{Strategy: s, Delta: 0.5}).(ProgressiveIndex)
+		idx := MustNew(vals, Options{Strategy: s, Delta: 0.5})
 		sawDone := false
 		for q := 0; q < 200 && !sawDone; q++ {
 			ans, err := idx.Execute(Request{Pred: Range(-1000, 1000)})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if ans.Stats != idx.LastStats() {
-				t.Fatalf("%v: Answer.Stats %+v != LastStats %+v", s, ans.Stats, idx.LastStats())
+			if was := idx.(query.Phaser).Phase(); ans.Stats.Phase > was {
+				t.Fatalf("%v: Answer.Stats.Phase %v is past the index's phase %v", s, ans.Stats.Phase, was)
 			}
 			if q == 0 && ans.Stats.Phase != PhaseCreation {
 				t.Fatalf("%v: first query phase = %v, want creation", s, ans.Stats.Phase)
@@ -313,19 +290,22 @@ func TestSynchronizedExecuteCoherent(t *testing.T) {
 	}
 }
 
-// TestQueryClampsExtremeBounds pins the v1 wrapper's routing through
-// Execute: open-ended queries spelled with the int64 extremes must be
-// clamped to the column domain instead of overflowing the branch-free
-// kernels and silently dropping every match.
+// TestQueryClampsExtremeBounds pins Execute's domain clamping:
+// open-ended ranges spelled with the int64 extremes must be clamped to
+// the column domain instead of overflowing the branch-free kernels and
+// silently dropping every match.
 func TestQueryClampsExtremeBounds(t *testing.T) {
 	vals := []int64{5, 20, -8, 20}
 	for _, s := range allStrategies {
 		idx := MustNew(vals, Options{Strategy: s, Seed: 1})
-		if got := idx.Query(math.MinInt64, 10); got.Sum != -3 || got.Count != 2 {
-			t.Fatalf("%v Query(MinInt64, 10) = %+v, want {-3 2}", s, got)
+		if got := sumCount(idx, math.MinInt64, 10); got.Sum != -3 || got.Count != 2 {
+			t.Fatalf("%v Range(MinInt64, 10) = %+v, want {-3 2}", s, got)
 		}
-		if got := idx.Query(10, math.MaxInt64); got.Sum != 40 || got.Count != 2 {
-			t.Fatalf("%v Query(10, MaxInt64) = %+v, want {40 2}", s, got)
+		if got := sumCount(idx, 10, math.MaxInt64); got.Sum != 40 || got.Count != 2 {
+			t.Fatalf("%v Range(10, MaxInt64) = %+v, want {40 2}", s, got)
+		}
+		if got := sumCount(idx, math.MinInt64, math.MaxInt64); got.Sum != 37 || got.Count != 4 {
+			t.Fatalf("%v Range(MinInt64, MaxInt64) = %+v, want {37 4}", s, got)
 		}
 	}
 }

@@ -36,7 +36,7 @@ func NewFullScanWorkers(col *column.Column, workers int) *FullScan {
 // synchronization layer's zone-map pruning hook.
 func (f *FullScan) ValueBounds() (int64, int64) { return f.col.Min(), f.col.Max() }
 
-// Name implements the harness index interface.
+// Name implements query.Index.
 func (f *FullScan) Name() string { return "FS" }
 
 // Converged reports false: a scan never builds an index.
@@ -49,13 +49,6 @@ func (f *FullScan) Execute(req query.Request) (query.Answer, error) {
 		return column.ParAggRange(f.pool, f.col.Values(), lo, hi, aggs),
 			query.Stats{Workers: f.pool.Workers()}
 	})
-}
-
-// Query scans the whole column with the predicated kernel (v1
-// compatibility surface, via Execute).
-func (f *FullScan) Query(lo, hi int64) column.Result {
-	ans, _ := f.Execute(query.Request{Pred: query.Range(lo, hi)})
-	return ans.Result()
 }
 
 // FullIndex sorts a copy of the column and bulk-loads a B+-tree on the
@@ -80,7 +73,7 @@ func NewFullIndex(col *column.Column, fanout int) *FullIndex {
 // synchronization layer's zone-map pruning hook.
 func (f *FullIndex) ValueBounds() (int64, int64) { return f.col.Min(), f.col.Max() }
 
-// Name implements the harness index interface.
+// Name implements query.Index.
 func (f *FullIndex) Name() string { return "FI" }
 
 // Converged reports whether the tree has been built (true from the
@@ -94,13 +87,6 @@ func (f *FullIndex) Execute(req query.Request) (query.Answer, error) {
 		f.build()
 		return f.tree.AggRange(lo, hi, aggs), query.Stats{Workers: 1}
 	})
-}
-
-// Query builds the index if needed, then answers from the B+-tree (v1
-// compatibility surface, via Execute).
-func (f *FullIndex) Query(lo, hi int64) column.Result {
-	ans, _ := f.Execute(query.Request{Pred: query.Range(lo, hi)})
-	return ans.Result()
 }
 
 func (f *FullIndex) build() {

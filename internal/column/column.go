@@ -1,10 +1,8 @@
 // Package column provides the base-table substrate used by every index
 // in this repository: a single column of 64-bit integers with zone
-// statistics (min/max) and branch-free scan kernels. Columns grow at
-// the tail (Append/AppendSlice, with incremental zone maintenance);
-// existing rows are never mutated, so a Snapshot is a permanently
-// frozen view an index can build against while the table keeps
-// ingesting.
+// statistics (min/max) and branch-free scan kernels. A Column is
+// immutable once built: a loaded table is sliced into shards as it is,
+// and rows appended later go to the shard layer's own tail extents.
 //
 // The paper's workload is SELECT SUM(R.A) FROM R WHERE R.A BETWEEN v1
 // AND v2, i.e. an inclusive range aggregate over one attribute, so the
@@ -34,9 +32,9 @@ func (r *Result) Add(o Result) {
 	r.Count += o.Count
 }
 
-// Aggregates is a bitmask of aggregate functions a query requests. The
-// v2 Execute API threads it through every kernel so new aggregates are
-// data, not new interface methods.
+// Aggregates is a bitmask of aggregate functions a query requests.
+// Execute threads it through every kernel so new aggregates are data,
+// not new interface methods.
 type Aggregates uint8
 
 // Aggregate functions, combinable as a bitmask.
@@ -62,7 +60,7 @@ func (a Aggregates) NeedsMinMax() bool { return a&(AggMin|AggMax) != 0 }
 func (a Aggregates) NeedsSum() bool { return a&(AggSum|AggAvg) != 0 }
 
 // Normalize resolves the mask the kernels actually compute: the zero
-// value defaults to SUM+COUNT (the v1 Query contract), COUNT is always
+// value defaults to SUM+COUNT (the paper's workload), COUNT is always
 // carried (it is free in every kernel and gates MIN/MAX/AVG validity),
 // and AVG pulls in SUM.
 func (a Aggregates) Normalize() Aggregates {
@@ -137,20 +135,13 @@ func (a *Agg) Merge(o Agg) {
 	}
 }
 
-// Result projects the SUM/COUNT pair for the v1 compatibility surface.
+// Result projects the accumulator's SUM/COUNT pair.
 func (a Agg) Result() Result { return Result{Sum: a.Sum, Count: a.Count} }
 
-// Column is an in-memory column of int64 values with zone statistics.
-// Rows are append-only: existing positions are never overwritten, so
-// any sub-slice of the first Len() rows taken at one point in time
-// stays valid forever (Snapshot relies on this). The paper's setting is
-// load-once-then-query; Append extends it to the live-ingest loop of
-// interactive sessions (Section 6's updates direction).
-//
-// A Column is not safe for concurrent use: callers interleaving
-// Append with reads must serialize access. The serving handles do not
-// grow a Column: a loaded one is sliced into shards as it is, and
-// appended rows go to the shard layer's own tail extents.
+// Column is an in-memory column of int64 values with zone statistics,
+// the paper's load-once-then-query setting. It never changes after
+// construction, so any sub-slice of it stays valid forever and
+// concurrent readers need no synchronization.
 type Column struct {
 	values []int64
 	min    int64
@@ -235,61 +226,6 @@ func MinMax(vs []int64) (min, max int64) {
 		}
 	}
 	return min, max
-}
-
-// Append ingests one value at the tail of the column, maintaining the
-// zone statistics incrementally (no re-scan). The value must lie in the
-// kernel-safe domain; out-of-domain values are rejected with no state
-// change.
-func (c *Column) Append(v int64) error {
-	if v <= -MaxMagnitude || v >= MaxMagnitude {
-		return fmt.Errorf("column: append value %d outside ±2^62", v)
-	}
-	c.values = append(c.values, v)
-	if v < c.min {
-		c.min = v
-	}
-	if v > c.max {
-		c.max = v
-	}
-	return nil
-}
-
-// AppendSlice ingests vs at the tail of the column in order,
-// maintaining the zone statistics incrementally. The whole batch is
-// validated against the kernel-safe domain before any row is appended,
-// so a rejected batch leaves the column untouched (no partial commit).
-// The input slice is copied by append semantics growth; callers may
-// reuse it afterwards. An empty batch is a no-op.
-func (c *Column) AppendSlice(vs []int64) error {
-	if len(vs) == 0 {
-		return nil
-	}
-	mn, mx := MinMax(vs)
-	if mn <= -MaxMagnitude || mx >= MaxMagnitude {
-		return fmt.Errorf("column: append values must lie strictly inside ±2^62 (min=%d max=%d)", mn, mx)
-	}
-	c.values = append(c.values, vs...)
-	if mn < c.min {
-		c.min = mn
-	}
-	if mx > c.max {
-		c.max = mx
-	}
-	return nil
-}
-
-// Snapshot returns a frozen view of the column's current rows: a new
-// Column sharing the backing array (no copy) whose length and zone
-// statistics are pinned at the call. Because rows are append-only, the
-// view's contents never change even while the parent keeps growing —
-// it is what the progressive indexes are built over, so an index's
-// world stays immutable while the serving layer ingests past it. The
-// view's capacity is clamped to its length, so even an (erroneous)
-// append to the snapshot could not touch the parent's tail.
-func (c *Column) Snapshot() *Column {
-	n := len(c.values)
-	return &Column{values: c.values[:n:n], min: c.min, max: c.max}
 }
 
 // Len returns the number of rows.
@@ -422,20 +358,6 @@ func AggSorted(sorted []int64, lo, hi int64, aggs Aggregates) Agg {
 		a.Sum = sum
 	}
 	return a
-}
-
-// SumSorted computes the inclusive range aggregate over a fully sorted
-// slice using binary search to find the matching run, then a straight
-// sum over it. Used for converged index regions, where the matching
-// elements are contiguous.
-func SumSorted(sorted []int64, lo, hi int64) Result {
-	i := lowerBound(sorted, lo)
-	j := upperBound(sorted, hi)
-	var sum int64
-	for _, v := range sorted[i:j] {
-		sum += v
-	}
-	return Result{Sum: sum, Count: int64(j - i)}
 }
 
 // lowerBound returns the first index i with sorted[i] >= v.

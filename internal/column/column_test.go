@@ -109,7 +109,8 @@ func TestSumRangePredicationMatchesBranching(t *testing.T) {
 	}
 }
 
-// Property: SumSorted agrees with the predicated kernel on sorted data.
+// Property: the SUM/COUNT of a sorted run (AggSorted, the converged
+// regions' kernel) agrees with the predicated kernel on sorted data.
 func TestSumSortedMatchesScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 100; trial++ {
@@ -122,10 +123,10 @@ func TestSumSortedMatchesScan(t *testing.T) {
 		}
 		lo := int64(rng.Intn(600)) - 300
 		hi := lo + int64(rng.Intn(200))
-		got := SumSorted(vals, lo, hi)
+		got := AggSorted(vals, lo, hi, AggSum|AggCount).Result()
 		want := SumRange(vals, lo, hi)
 		if got != want {
-			t.Fatalf("trial %d: SumSorted(%d,%d) = %+v, want %+v", trial, lo, hi, got, want)
+			t.Fatalf("trial %d: AggSorted(%d,%d) = %+v, want %+v", trial, lo, hi, got, want)
 		}
 	}
 }
@@ -271,104 +272,5 @@ func TestNewWithStats(t *testing.T) {
 	}
 	if _, err := NewWithStats(vals, -3, MaxMagnitude); err == nil {
 		t.Fatal("out-of-magnitude max accepted")
-	}
-}
-
-func TestAppendMaintainsStats(t *testing.T) {
-	c := MustNew([]int64{5, 2, 9})
-	if err := c.Append(1); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Append(12); err != nil {
-		t.Fatal(err)
-	}
-	if c.Len() != 5 || c.Min() != 1 || c.Max() != 12 {
-		t.Fatalf("after appends: len=%d min=%d max=%d, want 5/1/12", c.Len(), c.Min(), c.Max())
-	}
-	if got := c.Sum(1, 12); got.Sum != 29 || got.Count != 5 {
-		t.Fatalf("Sum over grown column = %+v, want {29 5}", got)
-	}
-}
-
-func TestAppendSliceAtomicValidation(t *testing.T) {
-	c := MustNew([]int64{5, 2, 9})
-	if err := c.AppendSlice([]int64{7, MaxMagnitude}); err == nil {
-		t.Fatal("AppendSlice accepted an out-of-domain value")
-	}
-	if c.Len() != 3 || c.Min() != 2 || c.Max() != 9 {
-		t.Fatalf("rejected batch mutated the column: len=%d min=%d max=%d", c.Len(), c.Min(), c.Max())
-	}
-	if err := c.AppendSlice(nil); err != nil || c.Len() != 3 {
-		t.Fatalf("empty batch: err=%v len=%d", err, c.Len())
-	}
-	if err := c.AppendSlice([]int64{-4, 11}); err != nil {
-		t.Fatal(err)
-	}
-	if c.Len() != 5 || c.Min() != -4 || c.Max() != 11 {
-		t.Fatalf("after batch: len=%d min=%d max=%d, want 5/-4/11", c.Len(), c.Min(), c.Max())
-	}
-}
-
-func TestAppendRejectsHugeMagnitudes(t *testing.T) {
-	c := MustNew([]int64{1})
-	for _, v := range []int64{MaxMagnitude, -MaxMagnitude} {
-		if err := c.Append(v); err == nil {
-			t.Fatalf("Append(%d) accepted an out-of-domain value", v)
-		}
-	}
-	if c.Len() != 1 {
-		t.Fatalf("rejected appends grew the column to %d rows", c.Len())
-	}
-}
-
-func TestSnapshotFrozenUnderGrowth(t *testing.T) {
-	c := MustNew([]int64{3, 8, 5})
-	snap := c.Snapshot()
-	// Grow the parent far enough to force at least one reallocation.
-	for i := int64(0); i < 1000; i++ {
-		if err := c.Append(100 + i); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if snap.Len() != 3 || snap.Min() != 3 || snap.Max() != 8 {
-		t.Fatalf("snapshot changed under growth: len=%d min=%d max=%d", snap.Len(), snap.Min(), snap.Max())
-	}
-	if got := snap.Sum(0, 1000); got.Sum != 16 || got.Count != 3 {
-		t.Fatalf("snapshot scan = %+v, want {16 3}", got)
-	}
-	if c.Len() != 1003 || c.Max() != 1099 {
-		t.Fatalf("parent: len=%d max=%d, want 1003/1099", c.Len(), c.Max())
-	}
-	if cap(snap.Values()) != snap.Len() {
-		t.Fatalf("snapshot capacity %d not clamped to length %d", cap(snap.Values()), snap.Len())
-	}
-}
-
-func TestAppendStatsMatchRescan(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	c := MustNew([]int64{rng.Int63n(1000) - 500})
-	all := append([]int64(nil), c.Values()...)
-	for i := 0; i < 200; i++ {
-		v := rng.Int63n(1000) - 500
-		if rng.Intn(2) == 0 {
-			if err := c.Append(v); err != nil {
-				t.Fatal(err)
-			}
-			all = append(all, v)
-		} else {
-			batch := make([]int64, rng.Intn(5))
-			for j := range batch {
-				batch[j] = rng.Int63n(1000) - 500
-			}
-			if err := c.AppendSlice(batch); err != nil {
-				t.Fatal(err)
-			}
-			all = append(all, batch...)
-		}
-	}
-	fresh := MustNew(append([]int64(nil), all...))
-	if c.Len() != fresh.Len() || c.Min() != fresh.Min() || c.Max() != fresh.Max() {
-		t.Fatalf("incremental stats diverge from rescan: len %d/%d min %d/%d max %d/%d",
-			c.Len(), fresh.Len(), c.Min(), fresh.Min(), c.Max(), fresh.Max())
 	}
 }

@@ -5,9 +5,6 @@ import (
 
 	"repro/internal/blocks"
 	"repro/internal/column"
-	"repro/internal/costmodel"
-	"repro/internal/parallel"
-	"repro/internal/query"
 )
 
 // bstate is the lifecycle of one equi-height bucket.
@@ -46,26 +43,15 @@ type bbucket struct {
 //
 // Consolidation: a B+-tree is built progressively over the final array.
 type Bucketsort struct {
-	cfg   Config
-	model *costmodel.Model
-	col   *column.Column
-	pool  *parallel.Pool
-	n     int
-
-	phase  Phase
-	budget budgeter
-	last   Stats
+	progressive
 
 	bucketCount int
 	sep         []int64 // bucketCount-1 separators
 	bks         []*bbucket
-	copied      int
 	scratch     []int64 // parBucketize grouping buffer, creation only
 
 	final  []int64
 	active int // index of the bucket currently being merged
-
-	cons *consolidator
 }
 
 // sampleSize is the number of evenly spaced elements used to derive the
@@ -74,23 +60,15 @@ const sampleSize = 4096
 
 // NewBucketsort builds a Progressive Bucketsort index over col.
 func NewBucketsort(col *column.Column, cfg Config) *Bucketsort {
-	cfg = cfg.normalize()
-	m := costmodel.New(cfg.Params)
-	b := &Bucketsort{
-		cfg:         cfg,
-		model:       m,
-		col:         col,
-		pool:        parallel.New(cfg.Workers),
-		n:           col.Len(),
-		bucketCount: 1 << cfg.RadixBits,
-	}
-	b.budget = newBudgeter(cfg, m.ParScanTime(b.n, b.pool.Workers()))
+	b := &Bucketsort{}
+	b.progressive = newProgressive("PB", b, col, cfg)
+	b.bucketCount = 1 << b.cfg.RadixBits
 	return b
 }
 
 // initBuckets derives the separators from an evenly spaced sample and
-// allocates the buckets. Called lazily on the first query ("obtained
-// in the scan to answer the first query").
+// allocates the buckets. Called lazily by the first query's prediction
+// ("obtained in the scan to answer the first query").
 func (b *Bucketsort) initBuckets() {
 	vals := b.col.Values()
 	k := sampleSize
@@ -130,216 +108,80 @@ func (b *Bucketsort) bucketRange(lo, hi int64) (int, int) {
 	return b.bucketIndexOf(lo), b.bucketIndexOf(hi)
 }
 
-// Name implements Index.
-func (b *Bucketsort) Name() string { return "PB" }
-
-// Phase implements Index.
-func (b *Bucketsort) Phase() Phase { return b.phase }
-
-// Converged implements Index.
-func (b *Bucketsort) Converged() bool { return b.phase == PhaseDone }
-
-// LastStats implements Index.
-func (b *Bucketsort) LastStats() Stats { return b.last }
-
-// SetIndexingSuspended implements Suspender (the batching scheduler's
-// amortization hook).
-func (b *Bucketsort) SetIndexingSuspended(s bool) { b.budget.suspended = s }
-
-// SetBudgetScale implements BudgetScaler (the shard layer's
-// heat-weighted budget split hook).
-func (b *Bucketsort) SetBudgetScale(f float64) { b.budget.setScale(f) }
-
-// ValueBounds returns the base column's zone statistics, the
-// synchronization layer's zone-map pruning hook.
-func (b *Bucketsort) ValueBounds() (int64, int64) { return b.col.Min(), b.col.Max() }
-
-// Progress implements Progressor. Refinement merges buckets strictly in
-// order, so the finalized prefix is the active bucket's region start.
-func (b *Bucketsort) Progress() float64 {
-	switch b.phase {
-	case PhaseCreation:
-		return phaseProgress(b.phase, fraction(b.copied, b.n))
-	case PhaseRefinement:
-		done := b.n
-		if b.active < len(b.bks) {
-			done = b.bks[b.active].regStart
-		}
-		return phaseProgress(b.phase, fraction(done, b.n))
-	case PhaseConsolidation:
-		return phaseProgress(b.phase, b.cons.progress())
-	default:
-		return 1
+// unitFull implements algorithm.
+func (b *Bucketsort) unitFull(p Phase) float64 {
+	if p == PhaseCreation {
+		// δ = t_budget / (log2(b)·t_bucket), Section 3.3.
+		return b.model.EquiHeightBucketTime(b.n, b.cfg.BlockSize, b.bucketCount)
 	}
+	// "the cost model for this phase is equivalent to the cost model of
+	// Progressive Quicksort."
+	return b.model.SwapTime(b.n)
 }
 
-// Execute implements Index.
-func (b *Bucketsort) Execute(req query.Request) (query.Answer, error) {
-	return query.Run(req, b.col.Min(), b.col.Max(), b.execute)
+// createCosts implements algorithm (Section 3.3; the bucket choice
+// costs an extra log2(b) per element).
+func (b *Bucketsort) createCosts() (full, marginal float64) {
+	full = b.model.EquiHeightBucketTime(1, b.cfg.BlockSize, b.bucketCount)
+	return full, full - b.model.ScanTime(1)
 }
 
-// Query implements Index (v1 compatibility surface, via Execute).
-func (b *Bucketsort) Query(lo, hi int64) column.Result {
-	ans, _ := b.Execute(query.Request{Pred: query.Range(lo, hi)})
-	return ans.Result()
-}
-
-func (b *Bucketsort) execute(lo, hi int64, aggs column.Aggregates) (column.Agg, Stats) {
+// predict implements algorithm.
+func (b *Bucketsort) predict(lo, hi int64) (float64, int) {
 	if b.bks == nil {
 		b.initBuckets()
 	}
-	startPhase := b.phase
-	base, alpha := b.predictBase(lo, hi)
-	planned := b.budget.plan(base, b.unitFull())
-
-	res := column.NewAgg()
-	consumed := 0.0
-	deltaOverride := -1.0
+	iLo, iHi := b.bucketRange(lo, hi)
 	if b.phase == PhaseCreation {
-		// Scan pre-insert buckets, insert δ·N elements while summing
-		// them, then scan the remaining tail (Section 3.3; the bucket
-		// choice costs an extra log2(b) per element).
-		bucketUnit := b.model.EquiHeightBucketTime(1, b.cfg.BlockSize, b.bucketCount)
-		marginal := bucketUnit - b.model.ScanTime(1)
-		perUnitPlan := bucketUnit
-		if b.budget.mode == AdaptiveTime {
-			perUnitPlan = marginal
-		}
-		if b.budget.mode != FixedDelta {
-			// Wall-clock budgets plan against the parallel creation
-			// kernel's per-element cost (DESIGN.md section 3) and report
-			// what the step consumed in the same seconds.
-			speedup := b.model.Speedup(b.pool.Workers())
-			perUnitPlan /= speedup
-			marginal /= speedup
-		}
-		units := int(planned / perUnitPlan)
-		if units < 1 {
-			units = 1
-		}
-		iLo, iHi := b.bucketRange(lo, hi)
-		for i := iLo; i <= iHi; i++ {
-			res.Merge(b.bks[i].list.AggRange(lo, hi, aggs))
-		}
-		seg, did := b.createStep(units, lo, hi, aggs)
-		res.Merge(seg)
-		res.Merge(column.ParAggRange(b.pool, b.col.Slice(b.copied, b.n), lo, hi, aggs))
-		consumed = float64(did) * marginal
-		deltaOverride = float64(did) / float64(b.n)
-		if b.copied == b.n {
-			b.startRefinement()
-			if spill := planned - float64(did)*perUnitPlan; spill > 0 {
-				consumed += b.work(spill)
-			}
-		}
-	} else {
-		res = b.answer(lo, hi, aggs)
-		consumed = b.work(planned)
-	}
-
-	unit := b.unitFullFor(startPhase)
-	delta := 0.0
-	if unit > 0 {
-		delta = consumed / unit
-	}
-	if deltaOverride >= 0 {
-		delta = deltaOverride
-	}
-	st := Stats{
-		Phase:       startPhase,
-		Delta:       delta,
-		WorkSeconds: consumed,
-		BaseSeconds: base,
-		Predicted:   base + consumed,
-		AlphaElems:  alpha,
-		Workers:     b.pool.Workers(),
-	}
-	if startPhase != PhaseDone {
-		b.last = st // a Done call stays read-only for shared-lock readers
-	}
-	return res, st
-}
-
-func (b *Bucketsort) unitFull() float64 { return b.unitFullFor(b.phase) }
-
-func (b *Bucketsort) unitFullFor(p Phase) float64 {
-	switch p {
-	case PhaseCreation:
-		// δ = t_budget / (log2(b)·t_bucket), Section 3.3.
-		return b.model.EquiHeightBucketTime(b.n, b.cfg.BlockSize, b.bucketCount)
-	case PhaseRefinement:
-		// "the cost model for this phase is equivalent to the cost
-		// model of Progressive Quicksort."
-		return b.model.SwapTime(b.n)
-	case PhaseConsolidation:
-		if b.cons != nil {
-			return b.model.ConsolidateTime(b.cons.total)
-		}
-		return b.model.ConsolidateTime(costmodel.ConsolidateCopies(b.n, b.cfg.Fanout))
-	default:
-		return 0
-	}
-}
-
-func (b *Bucketsort) predictBase(lo, hi int64) (float64, int) {
-	switch b.phase {
-	case PhaseCreation:
 		alpha := 0
-		iLo, iHi := b.bucketRange(lo, hi)
 		for i := iLo; i <= iHi; i++ {
 			alpha += b.bks[i].list.Count()
 		}
 		return b.model.ParScanTime(b.n-b.copied, b.pool.Workers()) +
 			b.model.BucketScanTime(alpha, b.cfg.BlockSize), alpha
-	case PhaseRefinement:
-		inBuckets, inArray := 0, 0
-		iLo, iHi := b.bucketRange(lo, hi)
-		for i := iLo; i <= iHi; i++ {
-			bk := b.bks[i]
-			switch bk.state {
-			case bPending:
-				inBuckets += bk.list.Count()
-			case bCopying:
-				inBuckets += bk.cur.Remaining(bk.list)
-				inArray += (bk.top - bk.regStart) + (bk.regEnd - 1 - bk.bottom)
-			case bRefining:
-				inArray += bk.tree.alphaElems(bk.tree.root, lo, hi)
-			case bDone:
-				arr := b.final[bk.regStart:bk.regEnd]
-				inArray += column.UpperBound(arr, hi) - column.LowerBound(arr, lo)
-			}
-		}
-		return b.model.TreeLookupTime(7) + // log2(64)+1 levels of bucket lookup
-			b.model.BucketScanTime(inBuckets, b.cfg.BlockSize) +
-			b.model.ParScanTime(inArray, b.pool.Workers()), inBuckets + inArray
-	case PhaseConsolidation, PhaseDone:
-		alpha := b.cons.matched(lo, hi)
-		return b.model.BinarySearchTime(b.n) + b.model.ScanTime(alpha), alpha
-	default:
-		return 0, 0
 	}
+	inBuckets, inArray := 0, 0
+	for i := iLo; i <= iHi; i++ {
+		bk := b.bks[i]
+		switch bk.state {
+		case bPending:
+			inBuckets += bk.list.Count()
+		case bCopying:
+			inBuckets += bk.cur.Remaining(bk.list)
+			inArray += (bk.top - bk.regStart) + (bk.regEnd - 1 - bk.bottom)
+		case bRefining:
+			inArray += bk.tree.alphaElems(bk.tree.root, lo, hi)
+		case bDone:
+			arr := b.final[bk.regStart:bk.regEnd]
+			inArray += column.UpperBound(arr, hi) - column.LowerBound(arr, lo)
+		}
+	}
+	return b.model.TreeLookupTime(7) + // log2(64)+1 levels of bucket lookup
+		b.model.BucketScanTime(inBuckets, b.cfg.BlockSize) +
+		b.model.ParScanTime(inArray, b.pool.Workers()), inBuckets + inArray
 }
 
-func (b *Bucketsort) answer(lo, hi int64, aggs column.Aggregates) column.Agg {
-	switch b.phase {
-	case PhaseCreation:
-		res := column.NewAgg()
-		iLo, iHi := b.bucketRange(lo, hi)
-		for i := iLo; i <= iHi; i++ {
-			res.Merge(b.bks[i].list.AggRange(lo, hi, aggs))
-		}
-		res.Merge(column.ParAggRange(b.pool, b.col.Slice(b.copied, b.n), lo, hi, aggs))
-		return res
-	case PhaseRefinement:
-		res := column.NewAgg()
-		iLo, iHi := b.bucketRange(lo, hi)
-		for i := iLo; i <= iHi; i++ {
-			res.Merge(b.queryBucket(b.bks[i], lo, hi, aggs))
-		}
-		return res
-	default:
-		return b.cons.answer(lo, hi, aggs)
+// create implements algorithm: scan the pre-insert buckets, then insert
+// the next segment while summing it.
+func (b *Bucketsort) create(units int, lo, hi int64, aggs column.Aggregates) (column.Agg, int) {
+	res := column.NewAgg()
+	iLo, iHi := b.bucketRange(lo, hi)
+	for i := iLo; i <= iHi; i++ {
+		res.Merge(b.bks[i].list.AggRange(lo, hi, aggs))
 	}
+	seg, did := b.createStep(units, lo, hi, aggs)
+	res.Merge(seg)
+	return res, did
+}
+
+// answer implements algorithm.
+func (b *Bucketsort) answer(lo, hi int64, aggs column.Aggregates) column.Agg {
+	res := column.NewAgg()
+	iLo, iHi := b.bucketRange(lo, hi)
+	for i := iLo; i <= iHi; i++ {
+		res.Merge(b.queryBucket(b.bks[i], lo, hi, aggs))
+	}
+	return res
 }
 
 func (b *Bucketsort) queryBucket(bk *bbucket, lo, hi int64, aggs column.Aggregates) column.Agg {
@@ -360,36 +202,28 @@ func (b *Bucketsort) queryBucket(bk *bbucket, lo, hi int64, aggs column.Aggregat
 	}
 }
 
-func (b *Bucketsort) work(sec float64) float64 {
-	consumed := 0.0
-	for sec-consumed > workEpsilon && b.phase != PhaseDone {
-		remaining := sec - consumed
-		switch b.phase {
-		case PhaseCreation:
-			// Creation work is interleaved with answering in Query.
-			return consumed
-		case PhaseRefinement:
-			did := b.refineStep(remaining)
-			consumed += did
-			if b.active >= len(b.bks) {
-				b.startConsolidation()
-				continue
-			}
-			if did == 0 {
-				return consumed
-			}
-		case PhaseConsolidation:
-			did := b.cons.step(remaining)
-			consumed += did
-			if b.cons.finished() {
-				b.phase = PhaseDone
-			}
-			if did == 0 {
-				return consumed
-			}
-		}
+// refine implements algorithm.
+func (b *Bucketsort) refine(sec float64, _, _ int64) (float64, bool) {
+	did := b.refineStep(sec)
+	return did, did != 0
+}
+
+// refineProgress implements algorithm: buckets merge strictly in order,
+// so the finalized prefix is the active bucket's region start.
+func (b *Bucketsort) refineProgress() float64 {
+	done := b.n
+	if b.active < len(b.bks) {
+		done = b.bks[b.active].regStart
 	}
-	return consumed
+	return fraction(done, b.n)
+}
+
+// sorted implements algorithm.
+func (b *Bucketsort) sorted() []int64 {
+	if b.active < len(b.bks) {
+		return nil
+	}
+	return b.final
 }
 
 // createStep inserts up to units elements into their buckets (binary
@@ -429,8 +263,8 @@ func (b *Bucketsort) createStep(units int, lo, hi int64, aggs column.Aggregates)
 	return segmentExtrema(b.pool, vals[start:end], lo, hi, aggs, sum, count), end - start
 }
 
-// startRefinement fixes the final-array regions from the (now final)
-// bucket counts.
+// startRefinement implements algorithm, fixing the final-array regions
+// from the (now final) bucket counts.
 func (b *Bucketsort) startRefinement() {
 	b.scratch = nil
 	b.final = make([]int64, b.n)
@@ -444,7 +278,6 @@ func (b *Bucketsort) startRefinement() {
 		bk.pivot = midpoint(bk.lo, bk.hi)
 	}
 	b.active = 0
-	b.phase = PhaseRefinement
 }
 
 // refineStep advances the merge of the active bucket, spending up to
@@ -526,17 +359,3 @@ func (b *Bucketsort) seedBucketTree(bk *bbucket) {
 		b.active++
 	}
 }
-
-func (b *Bucketsort) startConsolidation() {
-	b.cons = newConsolidator(b.final, b.cfg.Fanout, b.model)
-	b.phase = PhaseConsolidation
-	if b.cons.finished() {
-		b.phase = PhaseDone
-	}
-}
-
-var (
-	_ Index      = (*Bucketsort)(nil)
-	_ Suspender  = (*Bucketsort)(nil)
-	_ Progressor = (*Bucketsort)(nil)
-)

@@ -12,11 +12,13 @@
 //	                recursive radix partitioning, or LSD passes);
 //	consolidation — build a B+-tree over the sorted result.
 //
-// Queries are inclusive range aggregates (BETWEEN lo AND hi). Each
-// Query call both answers the query from the current index state and
-// performs a budget-bounded amount of indexing work; work left over
-// when a phase completes spills into the next phase within the same
-// query, so phase transitions do not waste budget.
+// Every Execute call both answers the request exactly from the current
+// index state and performs a budget-bounded amount of indexing work;
+// work left over when a phase completes spills into the next phase
+// within the same query, so phase transitions do not waste budget. That
+// lifecycle is written once, in the progressive driver (lifecycle.go);
+// the four algorithm files hold only their creation and refinement
+// steps behind the unexported algorithm interface.
 package core
 
 import (
@@ -152,29 +154,6 @@ func (c Config) normalize() Config {
 // cost-model validation experiments (Figures 8 and 9). Alias of
 // query.Stats so answers can carry it inline.
 type Stats = query.Stats
-
-// Index is the behaviour shared by all progressive indexes.
-type Index interface {
-	// Name returns the algorithm's short name (PQ, PMSD, PB, PLSD).
-	Name() string
-	// Execute answers the request's predicate with the requested
-	// aggregates and performs one budget's worth of indexing work. The
-	// returned Answer carries the per-query work Stats inline.
-	Execute(req query.Request) (query.Answer, error)
-	// Query answers SUM/COUNT over the inclusive range [lo, hi]; it is
-	// the v1 compatibility surface, implemented via Execute.
-	Query(lo, hi int64) column.Result
-	// Converged reports whether the index has reached its final state
-	// (B+-tree complete).
-	Converged() bool
-	// Phase returns the current lifecycle phase.
-	Phase() Phase
-	// LastStats describes the most recent query call.
-	//
-	// Deprecated: Execute returns the same Stats inline in the Answer;
-	// prefer that, especially with concurrent callers.
-	LastStats() Stats
-}
 
 // budgeter turns the configured budget mode into a per-query number of
 // seconds to spend on indexing.
@@ -342,35 +321,11 @@ func midpoint(vmin, vmax int64) int64 {
 // everywhere and the loop would spin.
 const workEpsilon = 1e-12
 
-// Suspender is the scheduler hook implemented by the four progressive
-// algorithms: while suspended, Execute answers queries exactly but
-// plans no indexing work, so a batching scheduler can pay one indexing
-// budget per batch instead of one per caller.
-type Suspender interface {
-	// SetIndexingSuspended switches the per-query indexing budget off
-	// (true) or back on (false). Not safe for concurrent use with
-	// Execute; callers serialize access (the shard layer does, under the
-	// shard's lock).
-	SetIndexingSuspended(bool)
-}
-
-// BudgetScaler is the sharding hook implemented by the four progressive
-// algorithms (and the phash/imprints extensions): SetBudgetScale
-// multiplies the next queries' planned indexing work by a factor, so a
-// shard router can split one query's budget across surviving shards in
-// proportion to their heat. Like SetIndexingSuspended it is not safe
-// for concurrent use with Execute; the shard layer sets it under the
-// shard's write lock.
-type BudgetScaler interface {
-	SetBudgetScale(float64)
-}
-
-// Progressor is implemented by indexes that can report how far along
-// they are toward convergence, for serving-layer observability.
-type Progressor interface {
-	// Progress returns the approximate fraction of total indexing work
-	// completed, in [0, 1]; exactly 1 once Converged.
-	Progress() float64
+// workUnits converts sec seconds of budget into whole work units of
+// perUnit seconds each. Every step moves at least one unit, so progress
+// never stalls on a budget smaller than the unit.
+func workUnits(sec, perUnit float64) int {
+	return max(int(sec/perUnit), 1)
 }
 
 // phaseProgress maps a lifecycle phase plus its intra-phase completion

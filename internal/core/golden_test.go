@@ -88,10 +88,10 @@ func TestStatsStreamGolden(t *testing.T) {
 		t.Fatalf("%v (run go test ./internal/core -run TestStatsStreamGolden -update)", err)
 	}
 	if got := out.String(); got != string(want) {
-		gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
-		for i := range gl {
-			if i >= len(wl) || gl[i] != wl[i] {
-				t.Errorf("line %d: got %q, want %q", i+1, gl[i], wl[min(i, len(wl)-1)])
+		wl := strings.Split(string(want), "\n")
+		for i, g := range strings.Split(got, "\n") {
+			if i >= len(wl) || g != wl[i] {
+				t.Errorf("line %d: got %q, not in %s", i+1, g, path)
 			}
 		}
 		t.Fatalf("Stats stream differs from %s", path)

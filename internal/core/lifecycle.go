@@ -1,0 +1,272 @@
+package core
+
+import (
+	"repro/internal/column"
+	"repro/internal/costmodel"
+	"repro/internal/parallel"
+	"repro/internal/query"
+)
+
+// algorithm is everything one progressive algorithm contributes to the
+// lifecycle: its creation and refinement steps, each with the answer
+// over the part of the data it already holds, the cost prediction and
+// δ = 1 unit cost of those two phases, refinement progress, and the
+// sorted array refinement ends with. Budget planning, creation
+// accounting, phase transitions, consolidation, the Done path and Stats
+// are the driver's (progressive) and exist once. The driver calls
+// through this interface O(1) times per query; the per-element loops
+// stay inside the implementations.
+type algorithm interface {
+	// predict estimates the cost of answering [lo, hi] from the current
+	// creation- or refinement-phase state (the non-δ terms of the
+	// paper's t_total formulas) and the α element count it used.
+	predict(lo, hi int64) (base float64, alpha int)
+	// unitFull is the cost of a complete (δ = 1) indexing pass in the
+	// creation or refinement phase.
+	unitFull(p Phase) float64
+	// createCosts returns the model's per-element creation costs: the
+	// full cost, which a δ budget is a fraction of, and the marginal
+	// cost on top of the scan the query pays anyway.
+	createCosts() (full, marginal float64)
+	// create answers [lo, hi] over the already-indexed elements, then
+	// moves up to units more from the base column into the index,
+	// advancing the driver's copied cursor and aggregating the moved
+	// segment for the in-flight query. It returns the combined
+	// aggregate and how many elements it moved.
+	create(units int, lo, hi int64, aggs column.Aggregates) (column.Agg, int)
+	// startRefinement is called once, when creation has copied every
+	// element.
+	startRefinement()
+	// answer resolves [lo, hi] exactly from the refinement-phase state.
+	answer(lo, hi int64, aggs column.Aggregates) column.Agg
+	// refine spends up to sec seconds of modeled refinement work —
+	// first on the regions [lo, hi] touches, where the algorithm can
+	// prioritize — and returns the seconds consumed. more is false when
+	// the step refused to make progress, which ends the query's work.
+	refine(sec float64, lo, hi int64) (consumed float64, more bool)
+	// refineProgress is the completed fraction of refinement, in [0, 1].
+	refineProgress() float64
+	// sorted returns the final sorted array once refinement is complete
+	// and nil before; the driver consolidates over it.
+	sorted() []int64
+}
+
+// progressive is the lifecycle driver the four algorithms embed: one
+// creation → refinement → consolidation → done state machine, one δ
+// planned per query by one budget rule, one cost shape t_total = base +
+// δ·t_unit (Section 3). It owns everything about a query that does not
+// depend on how the algorithm organizes its data.
+type progressive struct {
+	name  string
+	alg   algorithm
+	cfg   Config
+	model *costmodel.Model
+	col   *column.Column
+	pool  *parallel.Pool
+	n     int
+
+	phase  Phase
+	budget budgeter
+	// copied is creation's progress into the base column; the
+	// algorithm's create step advances it.
+	copied int
+	cons   *consolidator
+}
+
+func newProgressive(name string, alg algorithm, col *column.Column, cfg Config) progressive {
+	cfg = cfg.normalize()
+	m := costmodel.New(cfg.Params)
+	pool := parallel.New(cfg.Workers)
+	return progressive{
+		name:   name,
+		alg:    alg,
+		cfg:    cfg,
+		model:  m,
+		col:    col,
+		pool:   pool,
+		n:      col.Len(),
+		budget: newBudgeter(cfg, m.ParScanTime(col.Len(), pool.Workers())),
+	}
+}
+
+// Name returns the algorithm's short name (PQ, PMSD, PB, PLSD).
+func (d *progressive) Name() string { return d.name }
+
+// Phase returns the current lifecycle phase.
+func (d *progressive) Phase() Phase { return d.phase }
+
+// Converged reports whether the index has reached its final state
+// (B+-tree complete).
+func (d *progressive) Converged() bool { return d.phase == PhaseDone }
+
+// SetIndexingSuspended implements query.Suspender: while suspended,
+// Execute answers exactly but plans no indexing work (the batching
+// scheduler's amortization hook).
+func (d *progressive) SetIndexingSuspended(s bool) { d.budget.suspended = s }
+
+// SetBudgetScale implements query.BudgetScaler (the shard layer's
+// heat-weighted budget split hook).
+func (d *progressive) SetBudgetScale(f float64) { d.budget.setScale(f) }
+
+// ValueBounds returns the base column's zone statistics, the
+// synchronization layer's zone-map pruning hook.
+func (d *progressive) ValueBounds() (int64, int64) { return d.col.Min(), d.col.Max() }
+
+// Progress implements query.Progressor.
+func (d *progressive) Progress() float64 {
+	switch d.phase {
+	case PhaseCreation:
+		return phaseProgress(d.phase, fraction(d.copied, d.n))
+	case PhaseRefinement:
+		return phaseProgress(d.phase, d.alg.refineProgress())
+	case PhaseConsolidation:
+		return phaseProgress(d.phase, d.cons.progress())
+	default:
+		return 1
+	}
+}
+
+// Execute implements query.Index: answer the request's predicate with
+// the requested aggregates while performing one budget's worth of
+// indexing work; the work Stats travel inline in the Answer.
+func (d *progressive) Execute(req query.Request) (query.Answer, error) {
+	return query.Run(req, d.col.Min(), d.col.Max(), d.execute)
+}
+
+// execute answers the clamped inclusive range [lo, hi] with the
+// requested aggregates while performing one budget's worth of indexing
+// work (creation copying interleaved with the scan, refinement, or
+// consolidation B+-tree building, spilling across phase transitions).
+// Once the index is Done the call is strictly read-only — nothing is
+// planned and no field is written — so converged indexes can serve
+// concurrent readers under a shared lock (a shard's, or
+// progidx.Synchronized's).
+func (d *progressive) execute(lo, hi int64, aggs column.Aggregates) (column.Agg, Stats) {
+	startPhase := d.phase
+	// base is the cost-model estimate for answering from the current
+	// state (with the α element count it used), unit the cost of a δ = 1
+	// indexing pass in this phase: the algorithm's while it still
+	// organizes the data; a binary search plus the matching run, and the
+	// B+-tree's copies, once the sorted array exists.
+	var (
+		base, unit float64
+		alpha      int
+	)
+	if d.cons == nil {
+		base, alpha = d.alg.predict(lo, hi)
+		unit = d.alg.unitFull(startPhase)
+	} else {
+		alpha = d.cons.matched(lo, hi)
+		base = d.model.BinarySearchTime(d.n) + d.model.ScanTime(alpha)
+		if startPhase == PhaseConsolidation {
+			unit = d.model.ConsolidateTime(d.cons.total)
+		}
+	}
+	planned := 0.0
+	if startPhase != PhaseDone {
+		planned = d.budget.plan(base, unit)
+	}
+
+	var res column.Agg
+	consumed, delta := 0.0, 0.0
+	if startPhase == PhaseCreation {
+		// The copied segment is aggregated while it is being moved into
+		// the index, so it is not scanned twice and the marginal cost of
+		// indexing one element excludes the scan — exactly the paper's
+		// t_total = (1-ρ+α-δ)·t_scan + δ·t_pivot once base (which includes
+		// the full tail scan) is added. δ is a fraction of a full pass;
+		// the adaptive budget is spent at the marginal rate.
+		perUnitPlan, marginal := d.alg.createCosts()
+		if d.budget.mode == AdaptiveTime {
+			perUnitPlan = marginal
+		}
+		if d.budget.mode != FixedDelta {
+			// Wall-clock budgets size the step against the parallel
+			// creation kernel's cost (DESIGN.md section 3) and report what
+			// it consumed in the same seconds; δ budgets keep their
+			// fraction-of-data meaning and stay unscaled.
+			speedup := d.model.Speedup(d.pool.Workers())
+			perUnitPlan /= speedup
+			marginal /= speedup
+		}
+		var did int
+		res, did = d.alg.create(workUnits(planned, perUnitPlan), lo, hi, aggs)
+		res.Merge(column.ParAggRange(d.pool, d.col.Slice(d.copied, d.n), lo, hi, aggs))
+		consumed = float64(did) * marginal
+		delta = float64(did) / float64(d.n) // δ = fraction indexed
+		if d.copied == d.n {
+			d.alg.startRefinement()
+			d.phase = PhaseRefinement
+			d.consolidateIfSorted()
+			if spill := planned - float64(did)*perUnitPlan; spill > 0 {
+				consumed += d.work(spill, lo, hi)
+			}
+		}
+	} else {
+		if d.cons == nil {
+			res = d.alg.answer(lo, hi, aggs)
+		} else {
+			res = d.cons.answer(lo, hi, aggs)
+		}
+		consumed = d.work(planned, lo, hi)
+		if unit > 0 {
+			delta = consumed / unit
+		}
+	}
+	return res, Stats{
+		Phase:       startPhase,
+		Delta:       delta,
+		WorkSeconds: consumed,
+		BaseSeconds: base,
+		Predicted:   base + consumed,
+		AlphaElems:  alpha,
+		Workers:     d.pool.Workers(),
+	}
+}
+
+// work spends up to sec seconds of cost-model work on indexing,
+// transitioning phases as they complete (leftover budget spills into
+// the next phase), and returns the seconds consumed. The query bounds
+// let a refinement step prioritize the regions the workload touches.
+func (d *progressive) work(sec float64, lo, hi int64) float64 {
+	consumed := 0.0
+	for sec-consumed > workEpsilon {
+		switch d.phase {
+		case PhaseRefinement:
+			did, more := d.alg.refine(sec-consumed, lo, hi)
+			consumed += did
+			if !d.consolidateIfSorted() && !more {
+				return consumed // defensive: refusal to make progress
+			}
+		case PhaseConsolidation:
+			did := d.cons.step(sec - consumed)
+			consumed += did
+			if d.cons.finished() {
+				d.phase = PhaseDone
+			}
+			if did == 0 {
+				return consumed
+			}
+		default:
+			// Creation work is interleaved with answering in execute;
+			// Done has none left.
+			return consumed
+		}
+	}
+	return consumed
+}
+
+// consolidateIfSorted moves to consolidation once the algorithm's
+// refinement has produced the sorted array, and reports whether it did.
+func (d *progressive) consolidateIfSorted() bool {
+	sorted := d.alg.sorted()
+	if sorted == nil {
+		return false
+	}
+	d.cons = newConsolidator(sorted, d.cfg.Fanout, d.model)
+	d.phase = PhaseConsolidation
+	if d.cons.finished() {
+		d.phase = PhaseDone
+	}
+	return true
+}

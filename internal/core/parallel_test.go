@@ -24,15 +24,15 @@ func TestWorkerCountInvariance(t *testing.T) {
 		vals[i] = rng.Int63n(n) - n/2
 	}
 
-	type mk func(c *column.Column, cfg Config) Index
+	type mk func(c *column.Column, cfg Config) query.Index
 	algos := []struct {
 		name string
 		mk   mk
 	}{
-		{"PQ", func(c *column.Column, cfg Config) Index { return NewQuicksort(c, cfg) }},
-		{"PMSD", func(c *column.Column, cfg Config) Index { return NewRadixMSD(c, cfg) }},
-		{"PB", func(c *column.Column, cfg Config) Index { return NewBucketsort(c, cfg) }},
-		{"PLSD", func(c *column.Column, cfg Config) Index { return NewRadixLSD(c, cfg) }},
+		{"PQ", func(c *column.Column, cfg Config) query.Index { return NewQuicksort(c, cfg) }},
+		{"PMSD", func(c *column.Column, cfg Config) query.Index { return NewRadixMSD(c, cfg) }},
+		{"PB", func(c *column.Column, cfg Config) query.Index { return NewBucketsort(c, cfg) }},
+		{"PLSD", func(c *column.Column, cfg Config) query.Index { return NewRadixLSD(c, cfg) }},
 	}
 
 	// Pre-generate the query sequence: random ranges of varying width
@@ -50,7 +50,7 @@ func TestWorkerCountInvariance(t *testing.T) {
 	for _, al := range algos {
 		col := column.MustNew(vals)
 		serial := al.mk(col, Config{Mode: FixedDelta, Delta: 0.25, Workers: 1})
-		pars := make([]Index, 0, 3)
+		pars := make([]query.Index, 0, 3)
 		parWorkers := []int{2, 3, 7}
 		for _, w := range parWorkers {
 			pars = append(pars, al.mk(column.MustNew(vals), Config{Mode: FixedDelta, Delta: 0.25, Workers: w}))
@@ -101,7 +101,7 @@ func TestParallelCreationStepMatchesSerial(t *testing.T) {
 		cfgP := Config{Mode: FixedDelta, Delta: 1, Workers: workers}
 		pairs := []struct {
 			name string
-			s, p Index
+			s, p query.Index
 		}{
 			{"PQ", NewQuicksort(column.MustNew(vals), cfgS), NewQuicksort(column.MustNew(vals), cfgP)},
 			{"PMSD", NewRadixMSD(column.MustNew(vals), cfgS), NewRadixMSD(column.MustNew(vals), cfgP)},
@@ -113,8 +113,8 @@ func TestParallelCreationStepMatchesSerial(t *testing.T) {
 			for i := 0; i < 30; i++ {
 				lo := int64(i) * (1 << 40) / 30
 				hi := lo + (1 << 36)
-				rs := pr.s.Query(lo, hi)
-				rp := pr.p.Query(lo, hi)
+				rs := sumCount(pr.s, lo, hi)
+				rp := sumCount(pr.p, lo, hi)
 				if rs != rp {
 					t.Fatalf("%s workers=%d probe %d: serial %+v, parallel %+v", pr.name, workers, i, rs, rp)
 				}

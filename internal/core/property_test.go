@@ -8,15 +8,22 @@ import (
 	"repro/internal/query"
 )
 
+// progressiveIndex is what the four algorithms get from the embedded
+// lifecycle driver: the one contract plus the phase capability.
+type progressiveIndex interface {
+	query.Index
+	query.Phaser
+}
+
 // constructors for all four algorithms, shared by the property tests.
 var constructors = []struct {
 	name string
-	make func(*column.Column, Config) Index
+	make func(*column.Column, Config) progressiveIndex
 }{
-	{"PQ", func(c *column.Column, cfg Config) Index { return NewQuicksort(c, cfg) }},
-	{"PMSD", func(c *column.Column, cfg Config) Index { return NewRadixMSD(c, cfg) }},
-	{"PB", func(c *column.Column, cfg Config) Index { return NewBucketsort(c, cfg) }},
-	{"PLSD", func(c *column.Column, cfg Config) Index { return NewRadixLSD(c, cfg) }},
+	{"PQ", func(c *column.Column, cfg Config) progressiveIndex { return NewQuicksort(c, cfg) }},
+	{"PMSD", func(c *column.Column, cfg Config) progressiveIndex { return NewRadixMSD(c, cfg) }},
+	{"PB", func(c *column.Column, cfg Config) progressiveIndex { return NewBucketsort(c, cfg) }},
+	{"PLSD", func(c *column.Column, cfg Config) progressiveIndex { return NewRadixLSD(c, cfg) }},
 }
 
 // Property 1 (DESIGN.md): any index, at any point of any query
@@ -59,7 +66,7 @@ func TestAllAlgorithmsAlwaysExact(t *testing.T) {
 					lo = rng.Int63n(domain)
 					hi = lo + rng.Int63n(domain)
 				}
-				got := idx.Query(lo, hi)
+				got := sumCount(idx, lo, hi)
 				if want := oracle(vals, lo, hi); got != want {
 					t.Fatalf("trial %d %s δ=%v query #%d [%d,%d] phase=%v: got %+v want %+v",
 						trial, c.name, delta, qn, lo, hi, idx.Phase(), got, want)
@@ -96,7 +103,7 @@ func TestConvergenceIndependentOfWorkload(t *testing.T) {
 			q := 0
 			for ; q < 10_000 && !idx.Converged(); q++ {
 				lo, hi := w(q)
-				idx.Query(lo, hi)
+				sumCount(idx, lo, hi)
 			}
 			if !idx.Converged() {
 				t.Fatalf("%s under %s did not converge", c.name, wname)
@@ -132,8 +139,7 @@ func TestCreationBudgetGranularity(t *testing.T) {
 	col := column.MustNew(vals)
 	for _, c := range constructors {
 		idx := c.make(col, Config{Mode: FixedDelta, Delta: 0.01})
-		idx.Query(0, domain)
-		st := idx.LastStats()
+		st := execRange(idx, 0, domain).Stats
 		if st.Phase != PhaseCreation {
 			t.Fatalf("%s: first query not in creation phase", c.name)
 		}
@@ -158,8 +164,7 @@ func TestStatsConsistency(t *testing.T) {
 		prevPhase := PhaseCreation
 		for qn := 0; qn < 3000 && !idx.Converged(); qn++ {
 			lo, hi := randQuery(rng, domain)
-			idx.Query(lo, hi)
-			st := idx.LastStats()
+			st := execRange(idx, lo, hi).Stats
 			if st.Predicted != st.BaseSeconds+st.WorkSeconds {
 				t.Fatalf("%s #%d: Predicted != Base+Work: %+v", c.name, qn, st)
 			}
@@ -190,7 +195,7 @@ func TestConvergedIndexIsQuiescent(t *testing.T) {
 	for _, c := range constructors {
 		idx := c.make(col, Config{Mode: FixedDelta, Delta: 1})
 		for qn := 0; qn < 500 && !idx.Converged(); qn++ {
-			idx.Query(0, domain)
+			sumCount(idx, 0, domain)
 		}
 		if !idx.Converged() {
 			t.Fatalf("%s did not converge", c.name)
@@ -204,8 +209,7 @@ func TestConvergedIndexIsQuiescent(t *testing.T) {
 			if got, want := ans.Result(), oracle(vals, lo, hi); got != want {
 				t.Fatalf("%s post-convergence: got %+v want %+v", c.name, got, want)
 			}
-			// The inline stats (not LastStats, which a read-only Done
-			// call deliberately no longer touches) prove quiescence.
+			// The inline stats prove quiescence.
 			if st := ans.Stats; st.WorkSeconds != 0 || st.Phase != PhaseDone {
 				t.Fatalf("%s post-convergence still working: %+v", c.name, st)
 			}
@@ -226,8 +230,7 @@ func TestAdaptiveBudgetShape(t *testing.T) {
 		target := 6.0e-7*float64(n)/512 + budget
 		for qn := 0; qn < 10_000 && !idx.Converged(); qn++ {
 			lo, hi := randQuery(rng, domain)
-			idx.Query(lo, hi)
-			st := idx.LastStats()
+			st := execRange(idx, lo, hi).Stats
 			if st.Predicted > target*1.3 {
 				t.Fatalf("%s #%d: predicted %g far above target %g (%+v)", c.name, qn, st.Predicted, target, st)
 			}
@@ -235,8 +238,7 @@ func TestAdaptiveBudgetShape(t *testing.T) {
 		if !idx.Converged() {
 			t.Fatalf("%s did not converge under adaptive budget", c.name)
 		}
-		idx.Query(0, 1)
-		if st := idx.LastStats(); st.Predicted > target {
+		if st := execRange(idx, 0, 1).Stats; st.Predicted > target {
 			t.Fatalf("%s converged but still predicts %g >= target %g", c.name, st.Predicted, target)
 		}
 	}

@@ -13,6 +13,21 @@ func oracle(vals []int64, lo, hi int64) column.Result {
 	return column.SumRangeBranching(vals, lo, hi)
 }
 
+// execRange runs the range [lo, hi] through Execute; the per-query work
+// Stats travel in the answer.
+func execRange(idx query.Index, lo, hi int64) query.Answer {
+	ans, err := idx.Execute(query.Request{Pred: query.Range(lo, hi)})
+	if err != nil {
+		panic(err)
+	}
+	return ans
+}
+
+// sumCount is the SUM/COUNT pair of execRange.
+func sumCount(idx query.Index, lo, hi int64) column.Result {
+	return execRange(idx, lo, hi).Result()
+}
+
 // randQuery draws an inclusive range inside (and slightly outside) the
 // domain [0, domain).
 func randQuery(rng *rand.Rand, domain int64) (int64, int64) {
@@ -24,12 +39,12 @@ func randQuery(rng *rand.Rand, domain int64) (int64, int64) {
 // checkConvergesAndAnswers runs queries until convergence (plus slack),
 // verifying every answer against the oracle, and returns the number of
 // queries needed to converge.
-func checkConvergesAndAnswers(t *testing.T, idx Index, vals []int64, rng *rand.Rand, domain int64, maxQueries int) int {
+func checkConvergesAndAnswers(t *testing.T, idx progressiveIndex, vals []int64, rng *rand.Rand, domain int64, maxQueries int) int {
 	t.Helper()
 	converged := -1
 	for qn := 0; qn < maxQueries; qn++ {
 		lo, hi := randQuery(rng, domain)
-		got := idx.Query(lo, hi)
+		got := sumCount(idx, lo, hi)
 		want := oracle(vals, lo, hi)
 		if got != want {
 			t.Fatalf("%s query #%d [%d,%d] phase=%v: got %+v, want %+v",
@@ -41,7 +56,7 @@ func checkConvergesAndAnswers(t *testing.T, idx Index, vals []int64, rng *rand.R
 			// B+-tree path, then stop.
 			for extra := 0; extra < 20; extra++ {
 				lo, hi := randQuery(rng, domain)
-				got := idx.Query(lo, hi)
+				got := sumCount(idx, lo, hi)
 				want := oracle(vals, lo, hi)
 				if got != want {
 					t.Fatalf("%s post-convergence [%d,%d]: got %+v, want %+v",
@@ -107,7 +122,7 @@ func TestQuicksortPhasesAdvanceInOrder(t *testing.T) {
 	seen := []Phase{idx.Phase()}
 	for i := 0; i < 10_000 && !idx.Converged(); i++ {
 		lo, hi := randQuery(rng, domain)
-		idx.Query(lo, hi)
+		sumCount(idx, lo, hi)
 		if p := idx.Phase(); p != seen[len(seen)-1] {
 			if p < seen[len(seen)-1] {
 				t.Fatalf("phase went backwards: %v -> %v", seen[len(seen)-1], p)
@@ -150,10 +165,10 @@ func TestQuicksortSingleElement(t *testing.T) {
 	vals := []int64{42}
 	idx := NewQuicksort(column.MustNew(vals), Config{Mode: FixedDelta, Delta: 0.5})
 	for i := 0; i < 10; i++ {
-		if got := idx.Query(0, 100); got.Sum != 42 || got.Count != 1 {
+		if got := sumCount(idx, 0, 100); got.Sum != 42 || got.Count != 1 {
 			t.Fatalf("query %d: %+v", i, got)
 		}
-		if got := idx.Query(43, 100); got.Count != 0 {
+		if got := sumCount(idx, 43, 100); got.Count != 0 {
 			t.Fatalf("query %d out of range: %+v", i, got)
 		}
 	}
@@ -172,7 +187,7 @@ func TestQuicksortNegativeValues(t *testing.T) {
 	for qn := 0; qn < 2000 && !idx.Converged(); qn++ {
 		lo := rng.Int63n(12_000) - 6000
 		hi := lo + rng.Int63n(3000)
-		got := idx.Query(lo, hi)
+		got := sumCount(idx, lo, hi)
 		if want := oracle(vals, lo, hi); got != want {
 			t.Fatalf("query #%d [%d,%d]: got %+v want %+v", qn, lo, hi, got, want)
 		}
@@ -188,8 +203,7 @@ func TestQuicksortStatsProgression(t *testing.T) {
 	vals := randomValues(rng, n, domain)
 	idx := NewQuicksort(column.MustNew(vals), Config{Mode: FixedDelta, Delta: 0.25})
 
-	idx.Query(10, 20)
-	st := idx.LastStats()
+	st := execRange(idx, 10, 20).Stats
 	if st.Phase != PhaseCreation {
 		t.Fatalf("first query phase = %v, want creation", st.Phase)
 	}
@@ -203,13 +217,12 @@ func TestQuicksortStatsProgression(t *testing.T) {
 
 	for i := 0; i < 2000 && !idx.Converged(); i++ {
 		lo, hi := randQuery(rng, domain)
-		idx.Query(lo, hi)
+		sumCount(idx, lo, hi)
 	}
 	if !idx.Converged() {
 		t.Fatal("did not converge")
 	}
-	// The inline stats (not LastStats, which a read-only Done call
-	// deliberately no longer touches) prove the query did no work.
+	// The inline stats prove the query did no work.
 	ans, err := idx.Execute(query.Request{Pred: query.Range(5, 50)})
 	if err != nil {
 		t.Fatal(err)
@@ -233,11 +246,11 @@ func TestQuicksortAdaptiveBudgetConstantCost(t *testing.T) {
 	target := idx.budget.target
 	for qn := 0; qn < 5000 && !idx.Converged(); qn++ {
 		lo, hi := randQuery(rng, domain)
-		got := idx.Query(lo, hi)
-		if want := oracle(vals, lo, hi); got != want {
+		ans := execRange(idx, lo, hi)
+		if got, want := ans.Result(), oracle(vals, lo, hi); got != want {
 			t.Fatalf("query #%d: got %+v want %+v", qn, got, want)
 		}
-		st := idx.LastStats()
+		st := ans.Stats
 		// Until convergence the predicted total should hug the target
 		// (within one work-unit of slack plus node-sort overshoot).
 		if !idx.Converged() && st.Predicted > target*1.25 {
@@ -257,12 +270,12 @@ func TestQuicksortFixedTimeBudgetResolvesDelta(t *testing.T) {
 		Mode:          FixedTime,
 		BudgetSeconds: 1e-5,
 	})
-	idx.Query(0, 100)
+	sumCount(idx, 0, 100)
 	d := idx.budget.delta
 	if d <= 0 || d > 1 {
 		t.Fatalf("resolved delta = %v", d)
 	}
-	idx.Query(0, 100)
+	sumCount(idx, 0, 100)
 	if idx.budget.delta != d {
 		t.Fatalf("fixed-time delta changed between queries: %v -> %v", d, idx.budget.delta)
 	}
@@ -277,7 +290,7 @@ func TestQuicksortDeterministicConvergence(t *testing.T) {
 		idx := NewQuicksort(column.MustNew(vals), Config{Mode: FixedDelta, Delta: 0.1})
 		for qn := 0; qn < 10_000; qn++ {
 			lo, hi := randQuery(rng, 10_000)
-			idx.Query(lo, hi)
+			sumCount(idx, lo, hi)
 			if idx.Converged() {
 				return qn
 			}

@@ -5,9 +5,6 @@ import (
 
 	"repro/internal/blocks"
 	"repro/internal/column"
-	"repro/internal/costmodel"
-	"repro/internal/parallel"
-	"repro/internal/query"
 )
 
 // RadixLSD is Progressive Radixsort (LSD), Section 3.4.
@@ -28,21 +25,12 @@ import (
 // (the fallback cost is exactly one scan) but the worst cumulative time
 // on range-heavy workloads.
 type RadixLSD struct {
-	cfg   Config
-	model *costmodel.Model
-	col   *column.Column
-	pool  *parallel.Pool
-	n     int
-
-	phase  Phase
-	budget budgeter
-	last   Stats
+	progressive
 
 	buckets int
 	min     int64
 	passes  int // total distribute passes, including creation's pass 0
 
-	copied     int
 	scratch    []int64 // parBucketize grouping buffer, creation only
 	passesDone int
 	old        *blocks.Set // keyed by digit passesDone-1
@@ -55,31 +43,16 @@ type RadixLSD struct {
 	mergeCur blocks.Cursor
 	final    []int64
 	writeOff int
-
-	cons *consolidator
 }
 
 // NewRadixLSD builds a Progressive Radixsort (LSD) index over col.
 func NewRadixLSD(col *column.Column, cfg Config) *RadixLSD {
-	cfg = cfg.normalize()
-	m := costmodel.New(cfg.Params)
+	r := &RadixLSD{min: col.Min()}
+	r.progressive = newProgressive("PLSD", r, col, cfg)
+	r.buckets = 1 << r.cfg.RadixBits
 	span := uint64(col.Max() - col.Min())
-	passes := (bits.Len64(span) + cfg.RadixBits - 1) / cfg.RadixBits
-	if passes < 1 {
-		passes = 1
-	}
-	r := &RadixLSD{
-		cfg:     cfg,
-		model:   m,
-		col:     col,
-		pool:    parallel.New(cfg.Workers),
-		n:       col.Len(),
-		buckets: 1 << cfg.RadixBits,
-		min:     col.Min(),
-		passes:  passes,
-	}
-	r.budget = newBudgeter(cfg, m.ParScanTime(r.n, r.pool.Workers()))
-	r.old = blocks.NewSet(r.buckets, cfg.BlockSize)
+	r.passes = max((bits.Len64(span)+r.cfg.RadixBits-1)/r.cfg.RadixBits, 1)
+	r.old = blocks.NewSet(r.buckets, r.cfg.BlockSize)
 	return r
 }
 
@@ -119,174 +92,41 @@ func (r *RadixLSD) digitBuckets(lo, hi int64, p int) (idxs []int, all bool) {
 	return idxs, false
 }
 
-// Name implements Index.
-func (r *RadixLSD) Name() string { return "PLSD" }
-
-// Phase implements Index.
-func (r *RadixLSD) Phase() Phase { return r.phase }
-
-// Converged implements Index.
-func (r *RadixLSD) Converged() bool { return r.phase == PhaseDone }
-
-// LastStats implements Index.
-func (r *RadixLSD) LastStats() Stats { return r.last }
-
-// SetIndexingSuspended implements Suspender (the batching scheduler's
-// amortization hook).
-func (r *RadixLSD) SetIndexingSuspended(s bool) { r.budget.suspended = s }
-
-// SetBudgetScale implements BudgetScaler (the shard layer's
-// heat-weighted budget split hook).
-func (r *RadixLSD) SetBudgetScale(f float64) { r.budget.setScale(f) }
-
-// ValueBounds returns the base column's zone statistics, the
-// synchronization layer's zone-map pruning hook.
-func (r *RadixLSD) ValueBounds() (int64, int64) { return r.col.Min(), r.col.Max() }
-
-// Progress implements Progressor. Refinement progress counts completed
-// distribute passes plus the current pass's drained fraction; the final
-// merge sub-phase is folded into the last pass slot via writeOff.
-func (r *RadixLSD) Progress() float64 {
-	switch r.phase {
-	case PhaseCreation:
-		return phaseProgress(r.phase, fraction(r.copied, r.n))
-	case PhaseRefinement:
-		// passes distribute passes total (creation was pass 0) plus one
-		// merge; express both as fractions of the refinement phase.
-		steps := float64(r.passes) // passes-1 remaining distributes + 1 merge
-		var frac float64
-		if r.merging {
-			frac = (steps - 1 + fraction(r.writeOff, r.n)) / steps
-		} else {
-			moved := 0
-			if r.next != nil {
-				for i := 0; i < r.buckets; i++ {
-					moved += r.next.Bucket(i).Count()
-				}
-			}
-			frac = (float64(r.passesDone-1) + fraction(moved, r.n)) / steps
-		}
-		return phaseProgress(r.phase, frac)
-	case PhaseConsolidation:
-		return phaseProgress(r.phase, r.cons.progress())
-	default:
-		return 1
+// refineProgress implements algorithm: completed distribute passes plus
+// the current pass's drained fraction; the final merge sub-phase is
+// folded into the last pass slot via writeOff.
+func (r *RadixLSD) refineProgress() float64 {
+	// passes distribute passes total (creation was pass 0) plus one
+	// merge; express both as fractions of the refinement phase.
+	steps := float64(r.passes) // passes-1 remaining distributes + 1 merge
+	if r.merging {
+		return (steps - 1 + fraction(r.writeOff, r.n)) / steps
 	}
+	moved := 0
+	if r.next != nil {
+		for i := 0; i < r.buckets; i++ {
+			moved += r.next.Bucket(i).Count()
+		}
+	}
+	return (float64(r.passesDone-1) + fraction(moved, r.n)) / steps
 }
 
-// Execute implements Index. Point and very narrow range predicates hit
-// the intermediate buckets directly (the strategy's fast path); wide
-// ranges fall back to scanning the original column per the paper's
+// unitFull implements algorithm: every pass moves every element through
+// a bucket append.
+func (r *RadixLSD) unitFull(Phase) float64 { return r.model.BucketTime(r.n, r.cfg.BlockSize) }
+
+// createCosts implements algorithm.
+func (r *RadixLSD) createCosts() (full, marginal float64) {
+	full = r.model.BucketTime(1, r.cfg.BlockSize)
+	return full, full - r.model.ScanTime(1)
+}
+
+// predict implements algorithm. Point and very narrow range predicates
+// hit the intermediate buckets directly (the strategy's fast path);
+// wide ranges fall back to scanning the original column per the paper's
 // "when α == ρ" rule.
-func (r *RadixLSD) Execute(req query.Request) (query.Answer, error) {
-	return query.Run(req, r.col.Min(), r.col.Max(), r.execute)
-}
-
-// Query implements Index (v1 compatibility surface, via Execute).
-func (r *RadixLSD) Query(lo, hi int64) column.Result {
-	ans, _ := r.Execute(query.Request{Pred: query.Range(lo, hi)})
-	return ans.Result()
-}
-
-func (r *RadixLSD) execute(lo, hi int64, aggs column.Aggregates) (column.Agg, Stats) {
-	startPhase := r.phase
-	base, alpha := r.predictBase(lo, hi)
-	planned := r.budget.plan(base, r.unitFull())
-
-	res := column.NewAgg()
-	consumed := 0.0
-	deltaOverride := -1.0
+func (r *RadixLSD) predict(lo, hi int64) (float64, int) {
 	if r.phase == PhaseCreation {
-		bucketUnit := r.model.BucketTime(1, r.cfg.BlockSize)
-		marginal := bucketUnit - r.model.ScanTime(1)
-		perUnitPlan := bucketUnit
-		if r.budget.mode == AdaptiveTime {
-			perUnitPlan = marginal
-		}
-		if r.budget.mode != FixedDelta {
-			// Wall-clock budgets plan against the parallel creation
-			// kernel's per-element cost (DESIGN.md section 3) and report
-			// what the step consumed in the same seconds.
-			speedup := r.model.Speedup(r.pool.Workers())
-			perUnitPlan /= speedup
-			marginal /= speedup
-		}
-		units := int(planned / perUnitPlan)
-		if units < 1 {
-			units = 1
-		}
-		_, fb := r.creationAlpha(lo, hi)
-		oldCopied := r.copied
-		if !fb {
-			idxs, _ := r.digitBuckets(lo, hi, 0)
-			for _, i := range idxs {
-				res.Merge(r.old.Bucket(i).AggRange(lo, hi, aggs))
-			}
-		}
-		seg, did := r.createStep(units, lo, hi, aggs)
-		res.Merge(seg)
-		if fb {
-			// Fallback (α == ρ): the indexed prefix is re-read from the
-			// original column, which together with the segment and the
-			// tail is exactly one full predicated scan.
-			res.Merge(column.ParAggRange(r.pool, r.col.Slice(0, oldCopied), lo, hi, aggs))
-		}
-		res.Merge(column.ParAggRange(r.pool, r.col.Slice(r.copied, r.n), lo, hi, aggs))
-		consumed = float64(did) * marginal
-		deltaOverride = float64(did) / float64(r.n)
-		if r.copied == r.n {
-			r.startRefinement()
-			if spill := planned - float64(did)*perUnitPlan; spill > 0 {
-				consumed += r.work(spill)
-			}
-		}
-	} else {
-		res = r.answer(lo, hi, aggs)
-		consumed = r.work(planned)
-	}
-
-	unit := r.unitFullFor(startPhase)
-	delta := 0.0
-	if unit > 0 {
-		delta = consumed / unit
-	}
-	if deltaOverride >= 0 {
-		delta = deltaOverride
-	}
-	st := Stats{
-		Phase:       startPhase,
-		Delta:       delta,
-		WorkSeconds: consumed,
-		BaseSeconds: base,
-		Predicted:   base + consumed,
-		AlphaElems:  alpha,
-		Workers:     r.pool.Workers(),
-	}
-	if startPhase != PhaseDone {
-		r.last = st // a Done call stays read-only for shared-lock readers
-	}
-	return res, st
-}
-
-func (r *RadixLSD) unitFull() float64 { return r.unitFullFor(r.phase) }
-
-func (r *RadixLSD) unitFullFor(p Phase) float64 {
-	switch p {
-	case PhaseCreation, PhaseRefinement:
-		return r.model.BucketTime(r.n, r.cfg.BlockSize)
-	case PhaseConsolidation:
-		if r.cons != nil {
-			return r.model.ConsolidateTime(r.cons.total)
-		}
-		return r.model.ConsolidateTime(costmodel.ConsolidateCopies(r.n, r.cfg.Fanout))
-	default:
-		return 0
-	}
-}
-
-func (r *RadixLSD) predictBase(lo, hi int64) (float64, int) {
-	switch r.phase {
-	case PhaseCreation:
 		alpha, fb := r.creationAlpha(lo, hi)
 		if fb {
 			// Fallback: one predicated (parallel) scan of the column.
@@ -294,19 +134,13 @@ func (r *RadixLSD) predictBase(lo, hi int64) (float64, int) {
 		}
 		return r.model.ParScanTime(r.n-r.copied, r.pool.Workers()) +
 			r.model.BucketScanTime(alpha, r.cfg.BlockSize), alpha
-	case PhaseRefinement:
-		alpha, all := r.refinementAlpha(lo, hi)
-		if all {
-			return r.model.ParScanTime(r.n, r.pool.Workers()), r.n
-		}
-		return r.model.TreeLookupTime(1) +
-			r.model.BucketScanTime(alpha, r.cfg.BlockSize), alpha
-	case PhaseConsolidation, PhaseDone:
-		alpha := r.cons.matched(lo, hi)
-		return r.model.BinarySearchTime(r.n) + r.model.ScanTime(alpha), alpha
-	default:
-		return 0, 0
 	}
+	alpha, all := r.refinementAlpha(lo, hi)
+	if all {
+		return r.model.ParScanTime(r.n, r.pool.Workers()), r.n
+	}
+	return r.model.TreeLookupTime(1) +
+		r.model.BucketScanTime(alpha, r.cfg.BlockSize), alpha
 }
 
 // refinementAlpha counts the bucket-resident elements a narrow query
@@ -395,27 +229,31 @@ func (r *RadixLSD) creationAlpha(lo, hi int64) (int, bool) {
 	return alpha, false
 }
 
-func (r *RadixLSD) answer(lo, hi int64, aggs column.Aggregates) column.Agg {
-	switch r.phase {
-	case PhaseCreation:
-		idxs, all := r.digitBuckets(lo, hi, 0)
-		if all {
-			return column.ParAggRange(r.pool, r.col.Values(), lo, hi, aggs)
-		}
-		res := column.NewAgg()
+// create implements algorithm: distribute pass 0 over the next segment,
+// after scanning the pre-insert buckets the query's digits select.
+func (r *RadixLSD) create(units int, lo, hi int64, aggs column.Aggregates) (column.Agg, int) {
+	res := column.NewAgg()
+	_, fb := r.creationAlpha(lo, hi)
+	oldCopied := r.copied
+	if !fb {
+		idxs, _ := r.digitBuckets(lo, hi, 0)
 		for _, i := range idxs {
 			res.Merge(r.old.Bucket(i).AggRange(lo, hi, aggs))
 		}
-		res.Merge(column.ParAggRange(r.pool, r.col.Slice(r.copied, r.n), lo, hi, aggs))
-		return res
-	case PhaseRefinement:
-		return r.answerRefinement(lo, hi, aggs)
-	default:
-		return r.cons.answer(lo, hi, aggs)
 	}
+	seg, did := r.createStep(units, lo, hi, aggs)
+	res.Merge(seg)
+	if fb {
+		// Fallback (α == ρ): the indexed prefix is re-read from the
+		// original column, which together with the segment and the
+		// tail is exactly one full predicated scan.
+		res.Merge(column.ParAggRange(r.pool, r.col.Slice(0, oldCopied), lo, hi, aggs))
+	}
+	return res, did
 }
 
-func (r *RadixLSD) answerRefinement(lo, hi int64, aggs column.Aggregates) column.Agg {
+// answer implements algorithm.
+func (r *RadixLSD) answer(lo, hi int64, aggs column.Aggregates) column.Agg {
 	// The fallback decision must match the one the cost prediction took
 	// (refinementAlpha), so both use the same cost comparison.
 	if _, fb := r.refinementAlpha(lo, hi); fb {
@@ -461,47 +299,28 @@ func (r *RadixLSD) answerRefinement(lo, hi int64, aggs column.Aggregates) column
 	return res
 }
 
-func (r *RadixLSD) work(sec float64) float64 {
-	consumed := 0.0
+// refine implements algorithm: one distribute or merge step. A step
+// that moved nothing but switched from distributing to merging still
+// made progress.
+func (r *RadixLSD) refine(sec float64, _, _ int64) (float64, bool) {
 	perUnit := r.model.BucketTime(1, r.cfg.BlockSize)
-	for sec-consumed > workEpsilon && r.phase != PhaseDone {
-		remaining := sec - consumed
-		switch r.phase {
-		case PhaseCreation:
-			// Creation work is interleaved with answering in Query.
-			return consumed
-		case PhaseRefinement:
-			units := int(remaining / perUnit)
-			if units <= 0 {
-				units = 1
-			}
-			var did int
-			wasMerging := r.merging
-			if r.merging {
-				did = r.mergeStep(units)
-			} else {
-				did = r.distributeStep(units)
-			}
-			consumed += float64(did) * perUnit
-			if r.merging && r.writeOff == r.n {
-				r.startConsolidation()
-				continue
-			}
-			if did == 0 && wasMerging == r.merging {
-				return consumed // defensive: no progress, no transition
-			}
-		case PhaseConsolidation:
-			did := r.cons.step(remaining)
-			consumed += did
-			if r.cons.finished() {
-				r.phase = PhaseDone
-			}
-			if did == 0 {
-				return consumed
-			}
-		}
+	units := workUnits(sec, perUnit)
+	var did int
+	wasMerging := r.merging
+	if r.merging {
+		did = r.mergeStep(units)
+	} else {
+		did = r.distributeStep(units)
 	}
-	return consumed
+	return float64(did) * perUnit, did != 0 || wasMerging != r.merging
+}
+
+// sorted implements algorithm: the merge sub-phase ends refinement.
+func (r *RadixLSD) sorted() []int64 {
+	if !r.merging || r.writeOff < r.n {
+		return nil
+	}
+	return r.final
 }
 
 // createStep performs distribute pass 0 over up to units base-column
@@ -537,9 +356,9 @@ func (r *RadixLSD) createStep(units int, lo, hi int64, aggs column.Aggregates) (
 	return segmentExtrema(r.pool, vals[start:end], lo, hi, aggs, sum, count), end - start
 }
 
+// startRefinement implements algorithm.
 func (r *RadixLSD) startRefinement() {
 	r.scratch = nil
-	r.phase = PhaseRefinement
 	r.passesDone = 1
 	if r.passesDone >= r.passes {
 		r.startMerge()
@@ -613,18 +432,3 @@ func (r *RadixLSD) mergeStep(units int) int {
 	}
 	return did
 }
-
-func (r *RadixLSD) startConsolidation() {
-	r.merging = false
-	r.cons = newConsolidator(r.final, r.cfg.Fanout, r.model)
-	r.phase = PhaseConsolidation
-	if r.cons.finished() {
-		r.phase = PhaseDone
-	}
-}
-
-var (
-	_ Index      = (*RadixLSD)(nil)
-	_ Suspender  = (*RadixLSD)(nil)
-	_ Progressor = (*RadixLSD)(nil)
-)

@@ -32,7 +32,7 @@ func TestRadixLSDSortIsStableAcrossPasses(t *testing.T) {
 		}
 		idx := NewRadixLSD(column.MustNew(vals), Config{Mode: FixedDelta, Delta: 1})
 		for q := 0; q < 200 && !idx.Converged(); q++ {
-			idx.Query(0, domain)
+			sumCount(idx, 0, domain)
 		}
 		if !idx.Converged() {
 			t.Fatalf("trial %d: did not converge", trial)
@@ -50,13 +50,13 @@ func TestRadixLSDPointQueriesUseBuckets(t *testing.T) {
 	idx := NewRadixLSD(column.MustNew(vals), Config{Mode: FixedDelta, Delta: 0.2})
 	for qn := 0; qn < 3000 && !idx.Converged(); qn++ {
 		v := vals[rng.Intn(n)] // point query on an existing value
-		got := idx.Query(v, v)
-		if want := oracle(vals, v, v); got != want {
+		ans := execRange(idx, v, v)
+		if got, want := ans.Result(), oracle(vals, v, v); got != want {
 			t.Fatalf("point query #%d on %d: got %+v want %+v (phase=%v)", qn, v, got, want, idx.Phase())
 		}
 		// Point queries must not trigger the full-scan fallback: the α
 		// estimate must stay well below n.
-		if st := idx.LastStats(); st.Phase == PhaseCreation && st.AlphaElems >= n {
+		if st := ans.Stats; st.Phase == PhaseCreation && st.AlphaElems >= n {
 			t.Fatalf("point query #%d scanned everything (alpha=%d)", qn, st.AlphaElems)
 		}
 	}
@@ -74,8 +74,7 @@ func TestRadixLSDWideRangeFallback(t *testing.T) {
 		rng := rand.New(rand.NewSource(44))
 		vals := randomValues(rng, n, domain)
 		idx := NewRadixLSD(column.MustNew(vals), Config{Mode: FixedDelta, Delta: 0.1, Workers: workers})
-		idx.Query(0, domain) // wide range on the very first query
-		st := idx.LastStats()
+		st := execRange(idx, 0, domain).Stats // wide range on the very first query
 		// Fallback means the base prediction is a single full scan, on the
 		// parallel kernels the fallback actually runs on.
 		m := idx.model
@@ -98,7 +97,7 @@ func TestRadixLSDNarrowRangesDuringRefinement(t *testing.T) {
 	for qn := 0; qn < 5000 && !idx.Converged(); qn++ {
 		lo := rng.Int63n(domain)
 		hi := lo + rng.Int63n(40) // narrow: a few buckets per pass
-		got := idx.Query(lo, hi)
+		got := sumCount(idx, lo, hi)
 		if want := oracle(vals, lo, hi); got != want {
 			t.Fatalf("narrow query #%d [%d,%d] phase=%v merging=%v: got %+v want %+v",
 				qn, lo, hi, idx.Phase(), idx.merging, got, want)
@@ -133,7 +132,7 @@ func TestRadixLSDNegativeValues(t *testing.T) {
 	for qn := 0; qn < 5000 && !idx.Converged(); qn++ {
 		lo := rng.Int63n(120_000) - 60_000
 		hi := lo + rng.Int63n(30_000)
-		got := idx.Query(lo, hi)
+		got := sumCount(idx, lo, hi)
 		if want := oracle(vals, lo, hi); got != want {
 			t.Fatalf("query #%d [%d,%d]: got %+v want %+v", qn, lo, hi, got, want)
 		}

@@ -6,9 +6,6 @@ import (
 
 	"repro/internal/blocks"
 	"repro/internal/column"
-	"repro/internal/costmodel"
-	"repro/internal/parallel"
-	"repro/internal/query"
 )
 
 // rstate is the lifecycle of one radix-tree node.
@@ -60,44 +57,25 @@ func childShiftFor(lo, hi int64, radixBits int) uint {
 //
 // Consolidation: a B+-tree is built progressively over the final array.
 type RadixMSD struct {
-	cfg   Config
-	model *costmodel.Model
-	col   *column.Column
-	pool  *parallel.Pool
-	n     int
-
-	phase  Phase
-	budget budgeter
-	last   Stats
+	progressive
 
 	buckets int
 	mask    int64
 
 	root     *rnode
-	copied   int     // creation progress into the base column
 	scratch  []int64 // parBucketize grouping buffer, creation only
 	final    []int64
 	writeOff int
-
-	cons *consolidator
 }
 
 // NewRadixMSD builds a Progressive Radixsort (MSD) index over col.
 func NewRadixMSD(col *column.Column, cfg Config) *RadixMSD {
-	cfg = cfg.normalize()
-	m := costmodel.New(cfg.Params)
-	r := &RadixMSD{
-		cfg:     cfg,
-		model:   m,
-		col:     col,
-		pool:    parallel.New(cfg.Workers),
-		n:       col.Len(),
-		buckets: 1 << cfg.RadixBits,
-		mask:    int64(1<<cfg.RadixBits) - 1,
-	}
-	r.budget = newBudgeter(cfg, m.ParScanTime(r.n, r.pool.Workers()))
+	r := &RadixMSD{}
+	r.progressive = newProgressive("PMSD", r, col, cfg)
+	r.buckets = 1 << r.cfg.RadixBits
+	r.mask = int64(r.buckets) - 1
 	r.root = &rnode{lo: col.Min(), hi: col.Max(), state: rInternal}
-	r.root.childShift = childShiftFor(r.root.lo, r.root.hi, cfg.RadixBits)
+	r.root.childShift = childShiftFor(r.root.lo, r.root.hi, r.cfg.RadixBits)
 	r.root.children = r.makeChildren(r.root)
 	return r
 }
@@ -127,165 +105,27 @@ func (r *RadixMSD) bucketOf(n *rnode, v int64) int {
 	return int((v - n.lo) >> n.childShift & r.mask)
 }
 
-// Name implements Index.
-func (r *RadixMSD) Name() string { return "PMSD" }
+// unitFull implements algorithm: both phases move every element
+// through a bucket append once per pass.
+func (r *RadixMSD) unitFull(Phase) float64 { return r.model.BucketTime(r.n, r.cfg.BlockSize) }
 
-// Phase implements Index.
-func (r *RadixMSD) Phase() Phase { return r.phase }
-
-// Converged implements Index.
-func (r *RadixMSD) Converged() bool { return r.phase == PhaseDone }
-
-// LastStats implements Index.
-func (r *RadixMSD) LastStats() Stats { return r.last }
-
-// SetIndexingSuspended implements Suspender (the batching scheduler's
-// amortization hook).
-func (r *RadixMSD) SetIndexingSuspended(s bool) { r.budget.suspended = s }
-
-// SetBudgetScale implements BudgetScaler (the shard layer's
-// heat-weighted budget split hook).
-func (r *RadixMSD) SetBudgetScale(f float64) { r.budget.setScale(f) }
-
-// ValueBounds returns the base column's zone statistics, the
-// synchronization layer's zone-map pruning hook.
-func (r *RadixMSD) ValueBounds() (int64, int64) { return r.col.Min(), r.col.Max() }
-
-// Progress implements Progressor. Refinement progress is the merged
-// prefix of the final array, which grows strictly left to right.
-func (r *RadixMSD) Progress() float64 {
-	switch r.phase {
-	case PhaseCreation:
-		return phaseProgress(r.phase, fraction(r.copied, r.n))
-	case PhaseRefinement:
-		return phaseProgress(r.phase, fraction(r.writeOff, r.n))
-	case PhaseConsolidation:
-		return phaseProgress(r.phase, r.cons.progress())
-	default:
-		return 1
-	}
+// createCosts implements algorithm.
+func (r *RadixMSD) createCosts() (full, marginal float64) {
+	full = r.model.BucketTime(1, r.cfg.BlockSize)
+	return full, full - r.model.ScanTime(1)
 }
 
-// Execute implements Index.
-func (r *RadixMSD) Execute(req query.Request) (query.Answer, error) {
-	return query.Run(req, r.col.Min(), r.col.Max(), r.execute)
-}
-
-// Query implements Index (v1 compatibility surface, via Execute).
-func (r *RadixMSD) Query(lo, hi int64) column.Result {
-	ans, _ := r.Execute(query.Request{Pred: query.Range(lo, hi)})
-	return ans.Result()
-}
-
-func (r *RadixMSD) execute(lo, hi int64, aggs column.Aggregates) (column.Agg, Stats) {
-	startPhase := r.phase
-	base, alpha := r.predictBase(lo, hi)
-	planned := r.budget.plan(base, r.unitFull())
-
-	res := column.NewAgg()
-	consumed := 0.0
-	deltaOverride := -1.0
+// predict implements algorithm.
+func (r *RadixMSD) predict(lo, hi int64) (float64, int) {
 	if r.phase == PhaseCreation {
-		// Scan the pre-insert bucket state, then bucket the next δ·N
-		// elements while summing them (Section 3.2's "while scanning
-		// the original column, we place N·δ elements into the
-		// buckets"), then scan the remaining tail.
-		bucketUnit := r.model.BucketTime(1, r.cfg.BlockSize)
-		marginal := bucketUnit - r.model.ScanTime(1)
-		perUnitPlan := bucketUnit
-		if r.budget.mode == AdaptiveTime {
-			perUnitPlan = marginal
-		}
-		if r.budget.mode != FixedDelta {
-			// Wall-clock budgets plan against the parallel creation
-			// kernel's per-element cost (DESIGN.md section 3) and report
-			// what the step consumed in the same seconds.
-			speedup := r.model.Speedup(r.pool.Workers())
-			perUnitPlan /= speedup
-			marginal /= speedup
-		}
-		units := int(planned / perUnitPlan)
-		if units < 1 {
-			units = 1
-		}
-		if iLo, iHi, ok := r.childRange(r.root, lo, hi); ok {
-			for i := iLo; i <= iHi; i++ {
-				res.Merge(r.root.children[i].list.AggRange(lo, hi, aggs))
-			}
-		}
-		seg, did := r.createStep(units, lo, hi, aggs)
-		res.Merge(seg)
-		res.Merge(column.ParAggRange(r.pool, r.col.Slice(r.copied, r.n), lo, hi, aggs))
-		consumed = float64(did) * marginal
-		deltaOverride = float64(did) / float64(r.n)
-		if r.copied == r.n {
-			r.startRefinement()
-			if spill := planned - float64(did)*perUnitPlan; spill > 0 {
-				consumed += r.work(spill)
-			}
-		}
-	} else {
-		res = r.answer(lo, hi, aggs)
-		consumed = r.work(planned)
-	}
-
-	unit := r.unitFullFor(startPhase)
-	delta := 0.0
-	if unit > 0 {
-		delta = consumed / unit
-	}
-	if deltaOverride >= 0 {
-		delta = deltaOverride
-	}
-	st := Stats{
-		Phase:       startPhase,
-		Delta:       delta,
-		WorkSeconds: consumed,
-		BaseSeconds: base,
-		Predicted:   base + consumed,
-		AlphaElems:  alpha,
-		Workers:     r.pool.Workers(),
-	}
-	if startPhase != PhaseDone {
-		r.last = st // a Done call stays read-only for shared-lock readers
-	}
-	return res, st
-}
-
-func (r *RadixMSD) unitFull() float64 { return r.unitFullFor(r.phase) }
-
-func (r *RadixMSD) unitFullFor(p Phase) float64 {
-	switch p {
-	case PhaseCreation, PhaseRefinement:
-		return r.model.BucketTime(r.n, r.cfg.BlockSize)
-	case PhaseConsolidation:
-		if r.cons != nil {
-			return r.model.ConsolidateTime(r.cons.total)
-		}
-		return r.model.ConsolidateTime(costmodel.ConsolidateCopies(r.n, r.cfg.Fanout))
-	default:
-		return 0
-	}
-}
-
-// predictBase estimates the answer-only cost from the current state.
-func (r *RadixMSD) predictBase(lo, hi int64) (float64, int) {
-	switch r.phase {
-	case PhaseCreation:
 		inBuckets := r.alphaBuckets(lo, hi)
 		return r.model.ParScanTime(r.n-r.copied, r.pool.Workers()) +
 			r.model.BucketScanTime(inBuckets, r.cfg.BlockSize), inBuckets
-	case PhaseRefinement:
-		inBuckets, inSorted := r.alphaTree(r.root, lo, hi)
-		return r.model.TreeLookupTime(r.treeDepth()) +
-			r.model.BucketScanTime(inBuckets, r.cfg.BlockSize) +
-			r.model.ParScanTime(inSorted, r.pool.Workers()), inBuckets + inSorted
-	case PhaseConsolidation, PhaseDone:
-		alpha := r.cons.matched(lo, hi)
-		return r.model.BinarySearchTime(r.n) + r.model.ScanTime(alpha), alpha
-	default:
-		return 0, 0
 	}
+	inBuckets, inSorted := r.alphaTree(r.root, lo, hi)
+	return r.model.TreeLookupTime(r.treeDepth()) +
+		r.model.BucketScanTime(inBuckets, r.cfg.BlockSize) +
+		r.model.ParScanTime(inSorted, r.pool.Workers()), inBuckets + inSorted
 }
 
 // treeDepth is a cheap upper bound on the radix-tree height for the
@@ -365,23 +205,25 @@ func (r *RadixMSD) alphaTree(n *rnode, lo, hi int64) (int, int) {
 	}
 }
 
-// answer resolves the query exactly from the current state.
-func (r *RadixMSD) answer(lo, hi int64, aggs column.Aggregates) column.Agg {
-	switch r.phase {
-	case PhaseCreation:
-		res := column.NewAgg()
-		if iLo, iHi, ok := r.childRange(r.root, lo, hi); ok {
-			for i := iLo; i <= iHi; i++ {
-				res.Merge(r.root.children[i].list.AggRange(lo, hi, aggs))
-			}
+// create implements algorithm: scan the pre-insert bucket state, then
+// bucket the next segment while summing it (Section 3.2's "while
+// scanning the original column, we place N·δ elements into the
+// buckets").
+func (r *RadixMSD) create(units int, lo, hi int64, aggs column.Aggregates) (column.Agg, int) {
+	res := column.NewAgg()
+	if iLo, iHi, ok := r.childRange(r.root, lo, hi); ok {
+		for i := iLo; i <= iHi; i++ {
+			res.Merge(r.root.children[i].list.AggRange(lo, hi, aggs))
 		}
-		res.Merge(column.ParAggRange(r.pool, r.col.Slice(r.copied, r.n), lo, hi, aggs))
-		return res
-	case PhaseRefinement:
-		return r.queryNode(r.root, lo, hi, aggs)
-	default:
-		return r.cons.answer(lo, hi, aggs)
 	}
+	seg, did := r.createStep(units, lo, hi, aggs)
+	res.Merge(seg)
+	return res, did
+}
+
+// answer implements algorithm.
+func (r *RadixMSD) answer(lo, hi int64, aggs column.Aggregates) column.Agg {
+	return r.queryNode(r.root, lo, hi, aggs)
 }
 
 // queryNode answers from the radix tree; every element lives in exactly
@@ -420,43 +262,24 @@ func (r *RadixMSD) queryNode(n *rnode, lo, hi int64, aggs column.Aggregates) col
 	}
 }
 
-// work spends up to sec seconds of modeled work, spilling across phase
-// transitions, and returns the seconds consumed.
-func (r *RadixMSD) work(sec float64) float64 {
-	consumed := 0.0
-	for sec-consumed > workEpsilon && r.phase != PhaseDone {
-		remaining := sec - consumed
-		switch r.phase {
-		case PhaseCreation:
-			// Creation work is interleaved with answering in Query.
-			return consumed
-		case PhaseRefinement:
-			perUnit := r.model.BucketTime(1, r.cfg.BlockSize)
-			units := int(remaining / perUnit)
-			if units <= 0 {
-				units = 1
-			}
-			left := r.process(r.root, units)
-			consumed += float64(units-left) * perUnit
-			if r.root.state == rMerged {
-				r.startConsolidation()
-				continue
-			}
-			if left > 0 {
-				return consumed
-			}
-		case PhaseConsolidation:
-			did := r.cons.step(remaining)
-			consumed += did
-			if r.cons.finished() {
-				r.phase = PhaseDone
-			}
-			if did == 0 {
-				return consumed
-			}
-		}
+// refine implements algorithm.
+func (r *RadixMSD) refine(sec float64, _, _ int64) (float64, bool) {
+	perUnit := r.model.BucketTime(1, r.cfg.BlockSize)
+	units := workUnits(sec, perUnit)
+	left := r.process(r.root, units)
+	return float64(units-left) * perUnit, left <= 0
+}
+
+// refineProgress implements algorithm: the merged prefix of the final
+// array, which grows strictly left to right.
+func (r *RadixMSD) refineProgress() float64 { return fraction(r.writeOff, r.n) }
+
+// sorted implements algorithm.
+func (r *RadixMSD) sorted() []int64 {
+	if r.root.state != rMerged {
+		return nil
 	}
-	return consumed
+	return r.final
 }
 
 // createStep appends up to units elements from the base column into
@@ -495,19 +318,11 @@ func (r *RadixMSD) createStep(units int, lo, hi int64, aggs column.Aggregates) (
 	return segmentExtrema(r.pool, vals[start:end], lo, hi, aggs, sum, count), end - start
 }
 
+// startRefinement implements algorithm.
 func (r *RadixMSD) startRefinement() {
 	r.scratch = nil
 	r.final = make([]int64, r.n)
 	r.writeOff = 0
-	r.phase = PhaseRefinement
-}
-
-func (r *RadixMSD) startConsolidation() {
-	r.cons = newConsolidator(r.final, r.cfg.Fanout, r.model)
-	r.phase = PhaseConsolidation
-	if r.cons.finished() {
-		r.phase = PhaseDone
-	}
 }
 
 // process advances the refinement DFS with the given element budget and
@@ -602,9 +417,3 @@ func (r *RadixMSD) allChildrenMerged(n *rnode) bool {
 	}
 	return true
 }
-
-var (
-	_ Index      = (*RadixMSD)(nil)
-	_ Suspender  = (*RadixMSD)(nil)
-	_ Progressor = (*RadixMSD)(nil)
-)

@@ -59,7 +59,7 @@ func TestRadixMSDHugeDuplicateBucket(t *testing.T) {
 	for qn := 0; qn < 20_000 && !idx.Converged(); qn++ {
 		lo := rng.Int63n(1 << 20)
 		hi := lo + rng.Int63n(1<<18)
-		got := idx.Query(lo, hi)
+		got := sumCount(idx, lo, hi)
 		if want := oracle(vals, lo, hi); got != want {
 			t.Fatalf("query #%d [%d,%d] phase=%v: got %+v want %+v", qn, lo, hi, idx.Phase(), got, want)
 		}
@@ -94,7 +94,7 @@ func TestRadixMSDNegativeValues(t *testing.T) {
 	for qn := 0; qn < 3000 && !idx.Converged(); qn++ {
 		lo := rng.Int63n(120_000) - 60_000
 		hi := lo + rng.Int63n(30_000)
-		got := idx.Query(lo, hi)
+		got := sumCount(idx, lo, hi)
 		if want := oracle(vals, lo, hi); got != want {
 			t.Fatalf("query #%d [%d,%d]: got %+v want %+v", qn, lo, hi, got, want)
 		}
@@ -114,7 +114,7 @@ func TestRadixMSDAdaptiveBudget(t *testing.T) {
 	})
 	for qn := 0; qn < 5000 && !idx.Converged(); qn++ {
 		lo, hi := randQuery(rng, domain)
-		got := idx.Query(lo, hi)
+		got := sumCount(idx, lo, hi)
 		if want := oracle(vals, lo, hi); got != want {
 			t.Fatalf("query #%d: got %+v want %+v", qn, got, want)
 		}
@@ -129,8 +129,7 @@ func TestRadixMSDStats(t *testing.T) {
 	const n, domain = 20_000, 20_000
 	vals := randomValues(rng, n, domain)
 	idx := NewRadixMSD(column.MustNew(vals), Config{Mode: FixedDelta, Delta: 0.25})
-	idx.Query(0, 100)
-	st := idx.LastStats()
+	st := execRange(idx, 0, 100).Stats
 	if st.Phase != PhaseCreation || st.Delta < 0.2 || st.Delta > 0.3 {
 		t.Fatalf("first-query stats: %+v", st)
 	}

@@ -38,7 +38,7 @@ func NewAdaptiveAdaptive(col *column.Column, cfg Config) *AdaptiveAdaptive {
 // synchronization layer's zone-map pruning hook.
 func (a *AdaptiveAdaptive) ValueBounds() (int64, int64) { return a.col.Min(), a.col.Max() }
 
-// Name implements the harness index interface.
+// Name implements query.Index.
 func (a *AdaptiveAdaptive) Name() string { return "AA" }
 
 // Converged reports false (adaptive indexes never finalize).
@@ -50,14 +50,6 @@ func (a *AdaptiveAdaptive) Execute(req query.Request) (query.Answer, error) {
 	return query.Run(req, a.col.Min(), a.col.Max(), func(lo, hi int64, aggs column.Aggregates) (column.Agg, query.Stats) {
 		return a.execute(lo, hi, aggs), query.Stats{Workers: a.cc.pool.Workers()}
 	})
-}
-
-// Query refines the boundary pieces (radix for large, crack-in-two for
-// small), then answers from the crack state (v1 compatibility surface,
-// via Execute).
-func (a *AdaptiveAdaptive) Query(lo, hi int64) column.Result {
-	ans, _ := a.Execute(query.Request{Pred: query.Range(lo, hi)})
-	return ans.Result()
 }
 
 func (a *AdaptiveAdaptive) execute(lo, hi int64, aggs column.Aggregates) column.Agg {

@@ -26,7 +26,7 @@ func NewCoarseGranular(col *column.Column, cfg Config) *CoarseGranular {
 // synchronization layer's zone-map pruning hook.
 func (c *CoarseGranular) ValueBounds() (int64, int64) { return c.col.Min(), c.col.Max() }
 
-// Name implements the harness index interface.
+// Name implements query.Index.
 func (c *CoarseGranular) Name() string { return "CGI" }
 
 // Converged reports false (cracking never finalizes).
@@ -38,14 +38,6 @@ func (c *CoarseGranular) Execute(req query.Request) (query.Answer, error) {
 	return query.Run(req, c.col.Min(), c.col.Max(), func(lo, hi int64, aggs column.Aggregates) (column.Agg, query.Stats) {
 		return c.execute(lo, hi, aggs), query.Stats{Workers: c.cc.pool.Workers()}
 	})
-}
-
-// Query initializes with the coarse partition on the first call, then
-// cracks at the bounds like Standard Cracking (v1 compatibility
-// surface, via Execute).
-func (c *CoarseGranular) Query(lo, hi int64) column.Result {
-	ans, _ := c.Execute(query.Request{Pred: query.Range(lo, hi)})
-	return ans.Result()
 }
 
 func (c *CoarseGranular) execute(lo, hi int64, aggs column.Aggregates) column.Agg {

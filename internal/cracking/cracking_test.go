@@ -5,10 +5,21 @@ import (
 	"testing"
 
 	"repro/internal/column"
+	"repro/internal/query"
 )
 
 func oracle(vals []int64, lo, hi int64) column.Result {
 	return column.SumRangeBranching(vals, lo, hi)
+}
+
+// sumCount answers SUM/COUNT over the inclusive range [lo, hi] through
+// Execute.
+func sumCount(idx query.Index, lo, hi int64) column.Result {
+	ans, err := idx.Execute(query.Request{Pred: query.Range(lo, hi)})
+	if err != nil {
+		panic(err)
+	}
+	return ans.Result()
 }
 
 func randomValues(rng *rand.Rand, n int, domain int64) []int64 {
@@ -21,9 +32,7 @@ func randomValues(rng *rand.Rand, n int, domain int64) []int64 {
 
 // crackIndex is the common surface of all five baselines.
 type crackIndex interface {
-	Name() string
-	Query(lo, hi int64) column.Result
-	Converged() bool
+	query.Index
 	Cracks() int
 }
 
@@ -60,7 +69,7 @@ func TestAllCrackersAlwaysExact(t *testing.T) {
 				lo = rng.Int63n(domain) - 10
 				hi = lo + rng.Int63n(domain)
 			}
-			got := idx.Query(lo, hi)
+			got := sumCount(idx, lo, hi)
 			if want := oracle(vals, lo, hi); got != want {
 				t.Fatalf("%s query #%d [%d,%d]: got %+v want %+v", mk.name, qn, lo, hi, got, want)
 			}
@@ -88,7 +97,7 @@ func TestCrackerInvariantsHold(t *testing.T) {
 		for qn := 0; qn < 100; qn++ {
 			lo := rng.Int63n(domain)
 			hi := lo + rng.Int63n(domain/8)
-			idx.Query(lo, hi)
+			sumCount(idx, lo, hi)
 			if qn%10 == 0 {
 				if !checkers[mk.name](idx).checkInvariants() {
 					t.Fatalf("%s: crack invariants violated after query %d", mk.name, qn)
@@ -105,9 +114,9 @@ func TestStandardCrackingConvergesLocally(t *testing.T) {
 	vals := randomValues(rng, 50_000, 1<<20)
 	col := column.MustNew(vals)
 	idx := NewStandard(col, Config{})
-	first := idx.Query(1000, 500_000)
+	first := sumCount(idx, 1000, 500_000)
 	for i := 0; i < 10; i++ {
-		if got := idx.Query(1000, 500_000); got != first {
+		if got := sumCount(idx, 1000, 500_000); got != first {
 			t.Fatalf("repeat query changed answer: %+v vs %+v", got, first)
 		}
 	}
@@ -126,7 +135,7 @@ func TestStandardSequentialWorkloadManyCracks(t *testing.T) {
 	idx := NewStandard(col, Config{})
 	for q := 0; q < 100; q++ {
 		lo := int64(q * 400)
-		idx.Query(lo, lo+400)
+		sumCount(idx, lo, lo+400)
 	}
 	if idx.Cracks() < 100 {
 		t.Fatalf("sequential workload should leave many cracks, have %d", idx.Cracks())
@@ -142,7 +151,7 @@ func TestStochasticDeterministicWithSeed(t *testing.T) {
 		var sums []int64
 		for q := 0; q < 50; q++ {
 			lo := int64(q * 100)
-			sums = append(sums, idx.Query(lo, lo+5000).Sum)
+			sums = append(sums, sumCount(idx, lo, lo+5000).Sum)
 		}
 		return sums
 	}
@@ -163,7 +172,7 @@ func TestPSTCRespectsSwapAllowance(t *testing.T) {
 	prevSwaps := 0
 	for q := 0; q < 50; q++ {
 		lo := rng.Int63n(1 << 20)
-		idx.Query(lo, lo+1<<15)
+		sumCount(idx, lo, lo+1<<15)
 		delta := idx.cc.swaps - prevSwaps
 		prevSwaps = idx.cc.swaps
 		// Allowance is 5% of n = 5000 swaps for the random cracks, plus
@@ -183,7 +192,7 @@ func TestPSTCJobsResumeAcrossQueries(t *testing.T) {
 	sawPending := false
 	for q := 0; q < 200; q++ {
 		lo := rng.Int63n(1 << 20)
-		got := idx.Query(lo, lo+1<<16)
+		got := sumCount(idx, lo, lo+1<<16)
 		if want := oracle(vals, lo, lo+1<<16); got != want {
 			t.Fatalf("query %d with pending jobs wrong: got %+v want %+v", q, got, want)
 		}
@@ -201,7 +210,7 @@ func TestCGIFirstQueryPartitions(t *testing.T) {
 	vals := randomValues(rng, 50_000, 1<<20)
 	col := column.MustNew(vals)
 	idx := NewCoarseGranular(col, Config{Partitions: 64})
-	idx.Query(5, 10)
+	sumCount(idx, 5, 10)
 	if idx.Cracks() < 32 {
 		t.Fatalf("CGI first query should create ~63 partition cracks, have %d", idx.Cracks())
 	}
@@ -218,7 +227,7 @@ func TestAACreatesBoundedPieces(t *testing.T) {
 	idx := NewAdaptiveAdaptive(col, Config{L2Elements: 2048})
 	for q := 0; q < 200; q++ {
 		lo := rng.Int63n(1 << 20)
-		got := idx.Query(lo, lo+1<<14)
+		got := sumCount(idx, lo, lo+1<<14)
 		if want := oracle(vals, lo, lo+1<<14); got != want {
 			t.Fatalf("AA query %d wrong: got %+v want %+v", q, got, want)
 		}
@@ -247,7 +256,7 @@ func TestCrackersOnSkewedData(t *testing.T) {
 		for q := 0; q < 300; q++ {
 			lo := rng.Int63n(int64(n))
 			hi := lo + rng.Int63n(int64(n/5))
-			got := idx.Query(lo, hi)
+			got := sumCount(idx, lo, hi)
 			if want := oracle(vals, lo, hi); got != want {
 				t.Fatalf("%s on skewed data, query %d: got %+v want %+v", mk.name, q, got, want)
 			}
@@ -267,7 +276,7 @@ func TestCrackersDuplicateHeavy(t *testing.T) {
 		for q := 0; q < 100; q++ {
 			lo := int64(rng.Intn(5)) - 1
 			hi := lo + int64(rng.Intn(4))
-			got := idx.Query(lo, hi)
+			got := sumCount(idx, lo, hi)
 			if want := oracle(vals, lo, hi); got != want {
 				t.Fatalf("%s duplicates query %d [%d,%d]: got %+v want %+v", mk.name, q, lo, hi, got, want)
 			}

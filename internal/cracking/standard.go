@@ -25,7 +25,7 @@ func NewStandard(col *column.Column, cfg Config) *Standard {
 // synchronization layer's zone-map pruning hook.
 func (s *Standard) ValueBounds() (int64, int64) { return s.col.Min(), s.col.Max() }
 
-// Name implements the harness index interface.
+// Name implements query.Index.
 func (s *Standard) Name() string { return "STD" }
 
 // Converged reports false: cracking converges only in the limit and
@@ -38,13 +38,6 @@ func (s *Standard) Execute(req query.Request) (query.Answer, error) {
 	return query.Run(req, s.col.Min(), s.col.Max(), func(lo, hi int64, aggs column.Aggregates) (column.Agg, query.Stats) {
 		return s.execute(lo, hi, aggs), query.Stats{Workers: s.cc.pool.Workers()}
 	})
-}
-
-// Query cracks at lo and hi+1, then answers from the crack state (v1
-// compatibility surface, via Execute).
-func (s *Standard) Query(lo, hi int64) column.Result {
-	ans, _ := s.Execute(query.Request{Pred: query.Range(lo, hi)})
-	return ans.Result()
 }
 
 func (s *Standard) execute(lo, hi int64, aggs column.Aggregates) column.Agg {

@@ -30,7 +30,7 @@ func NewStochastic(col *column.Column, cfg Config) *Stochastic {
 // synchronization layer's zone-map pruning hook.
 func (s *Stochastic) ValueBounds() (int64, int64) { return s.col.Min(), s.col.Max() }
 
-// Name implements the harness index interface.
+// Name implements query.Index.
 func (s *Stochastic) Name() string { return "STC" }
 
 // Converged reports false (see Standard.Converged).
@@ -42,14 +42,6 @@ func (s *Stochastic) Execute(req query.Request) (query.Answer, error) {
 	return query.Run(req, s.col.Min(), s.col.Max(), func(lo, hi int64, aggs column.Aggregates) (column.Agg, query.Stats) {
 		return s.execute(lo, hi, aggs), query.Stats{Workers: s.cc.pool.Workers()}
 	})
-}
-
-// Query performs one random crack per boundary piece (exact crack for
-// small pieces), then answers with predicated boundary scans (v1
-// compatibility surface, via Execute).
-func (s *Stochastic) Query(lo, hi int64) column.Result {
-	ans, _ := s.Execute(query.Request{Pred: query.Range(lo, hi)})
-	return ans.Result()
 }
 
 func (s *Stochastic) execute(lo, hi int64, aggs column.Aggregates) column.Agg {
@@ -115,7 +107,7 @@ func NewProgressiveStochastic(col *column.Column, cfg Config) *ProgressiveStocha
 // synchronization layer's zone-map pruning hook.
 func (p *ProgressiveStochastic) ValueBounds() (int64, int64) { return p.col.Min(), p.col.Max() }
 
-// Name implements the harness index interface.
+// Name implements query.Index.
 func (p *ProgressiveStochastic) Name() string { return "PSTC" }
 
 // Converged reports false (see Standard.Converged).
@@ -127,13 +119,6 @@ func (p *ProgressiveStochastic) Execute(req query.Request) (query.Answer, error)
 	return query.Run(req, p.col.Min(), p.col.Max(), func(lo, hi int64, aggs column.Aggregates) (column.Agg, query.Stats) {
 		return p.execute(lo, hi, aggs), query.Stats{Workers: p.cc.pool.Workers()}
 	})
-}
-
-// Query advances at most SwapFraction·N swaps of cracking work, then
-// answers from the crack state (v1 compatibility surface, via Execute).
-func (p *ProgressiveStochastic) Query(lo, hi int64) column.Result {
-	ans, _ := p.Execute(query.Request{Pred: query.Range(lo, hi)})
-	return ans.Result()
 }
 
 func (p *ProgressiveStochastic) execute(lo, hi int64, aggs column.Aggregates) column.Agg {

@@ -24,6 +24,7 @@ import (
 	"repro/internal/cracking"
 	"repro/internal/data"
 	"repro/internal/harness"
+	"repro/internal/query"
 	"repro/internal/workload"
 )
 
@@ -88,15 +89,15 @@ var (
 // progressive describes one of the four core algorithms.
 type progressive struct {
 	name string
-	make func(*column.Column, core.Config) harness.Index
+	make func(*column.Column, core.Config) query.Index
 }
 
 func progressives() []progressive {
 	return []progressive{
-		{"PQ", func(c *column.Column, cfg core.Config) harness.Index { return core.NewQuicksort(c, cfg) }},
-		{"PMSD", func(c *column.Column, cfg core.Config) harness.Index { return core.NewRadixMSD(c, cfg) }},
-		{"PLSD", func(c *column.Column, cfg core.Config) harness.Index { return core.NewRadixLSD(c, cfg) }},
-		{"PB", func(c *column.Column, cfg core.Config) harness.Index { return core.NewBucketsort(c, cfg) }},
+		{"PQ", func(c *column.Column, cfg core.Config) query.Index { return core.NewQuicksort(c, cfg) }},
+		{"PMSD", func(c *column.Column, cfg core.Config) query.Index { return core.NewRadixMSD(c, cfg) }},
+		{"PLSD", func(c *column.Column, cfg core.Config) query.Index { return core.NewRadixLSD(c, cfg) }},
+		{"PB", func(c *column.Column, cfg core.Config) query.Index { return core.NewBucketsort(c, cfg) }},
 	}
 }
 
@@ -226,10 +227,10 @@ func costModelFigure(cfg Config, title string, mkcfg func(int) core.Config, csvP
 }
 
 // allIndexes builds the eleven Table 2 contenders over col.
-func (c Config) allIndexes(col *column.Column) []harness.Index {
+func (c Config) allIndexes(col *column.Column) []query.Index {
 	ccfg := c.adaptiveConfig(col.Len())
 	kcfg := cracking.Config{Seed: c.Seed, Kernel: cracking.KernelAdaptive}
-	return []harness.Index{
+	return []query.Index{
 		baseline.NewFullScan(col),
 		baseline.NewFullIndex(col, 64),
 		cracking.NewStandard(col, kcfg),
@@ -280,7 +281,7 @@ func Table2(cfg Config) (*harness.Table, error) {
 // SkyServer workload; the CSV carries the full per-query series.
 func Fig10(cfg Config) (*harness.Table, map[string]string, error) {
 	col, qs := cfg.skySetup()
-	contenders := []harness.Index{
+	contenders := []query.Index{
 		core.NewQuicksort(col, cfg.adaptiveConfig(col.Len())),
 		cracking.NewAdaptiveAdaptive(col, cracking.Config{Seed: cfg.Seed}),
 		cracking.NewProgressiveStochastic(col, cracking.Config{Seed: cfg.Seed, SwapFraction: 0.10}),
@@ -382,12 +383,12 @@ func Tables345(cfg Config) (t3, t4, t5 *harness.Table, err error) {
 			first := map[string]float64{}
 			cum := map[string]float64{}
 			rob := map[string]float64{}
-			mk := map[string]func() harness.Index{
-				"PQ":   func() harness.Index { return core.NewQuicksort(col, ccfg) },
-				"PB":   func() harness.Index { return core.NewBucketsort(col, ccfg) },
-				"PLSD": func() harness.Index { return core.NewRadixLSD(col, ccfg) },
-				"PMSD": func() harness.Index { return core.NewRadixMSD(col, ccfg) },
-				"AA":   func() harness.Index { return cracking.NewAdaptiveAdaptive(col, cracking.Config{Seed: cfg.Seed}) },
+			mk := map[string]func() query.Index{
+				"PQ":   func() query.Index { return core.NewQuicksort(col, ccfg) },
+				"PB":   func() query.Index { return core.NewBucketsort(col, ccfg) },
+				"PLSD": func() query.Index { return core.NewRadixLSD(col, ccfg) },
+				"PMSD": func() query.Index { return core.NewRadixMSD(col, ccfg) },
+				"AA":   func() query.Index { return cracking.NewAdaptiveAdaptive(col, cracking.Config{Seed: cfg.Seed}) },
 			}
 			for _, name := range order {
 				run, rerr := harness.ExecuteQueries(mk[name](), qs, harness.Options{Verify: cfg.verifyCol(col)})

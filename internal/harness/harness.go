@@ -15,36 +15,15 @@ import (
 	"repro/internal/workload"
 )
 
-// Index is the minimal behaviour the harness requires. All progressive
-// indexes, cracking baselines, FS and FI satisfy it structurally.
-type Index interface {
-	Name() string
-	Query(lo, hi int64) column.Result
-	Converged() bool
-}
-
-// StatsProvider is the optional extension progressive indexes provide;
-// the harness records cost-model predictions when available.
-type StatsProvider interface {
-	LastStats() core.Stats
-}
-
-// executor is the v2 surface. When an index provides it, the harness
-// records the per-query stats inline from the Answer — the only
-// correct source post-convergence, where a read-only Done call
-// deliberately no longer updates LastStats.
-type executor interface {
-	Execute(query.Request) (query.Answer, error)
-}
-
 // Run is the recorded outcome of executing one workload against one
 // index.
 type Run struct {
 	Name    string
 	Times   []float64 // measured seconds per query
 	Results []column.Result
-	// Predicted holds cost-model predictions per query (nil when the
-	// index is not a StatsProvider).
+	// Predicted and Phases hold the cost-model prediction and lifecycle
+	// phase of every query, from the Stats inline in its Answer (nil
+	// when the index has no phases: the baselines predict nothing).
 	Predicted []float64
 	Phases    []core.Phase
 	// ConvergedAt is the 0-based query number after which Converged()
@@ -72,7 +51,7 @@ type Options struct {
 type Query = workload.Query
 
 // ExecuteQueries runs qs in order against idx, timing every call.
-func ExecuteQueries(idx Index, qs []Query, opts Options) (*Run, error) {
+func ExecuteQueries(idx query.Index, qs []Query, opts Options) (*Run, error) {
 	n := len(qs)
 	if opts.MaxQueries > 0 && opts.MaxQueries < n {
 		n = opts.MaxQueries
@@ -83,37 +62,25 @@ func ExecuteQueries(idx Index, qs []Query, opts Options) (*Run, error) {
 		Results:     make([]column.Result, 0, n),
 		ConvergedAt: -1,
 	}
-	sp, hasStats := idx.(StatsProvider)
+	_, hasStats := idx.(query.Phaser)
 	if hasStats {
 		run.Predicted = make([]float64, 0, n)
 		run.Phases = make([]core.Phase, 0, n)
 	}
-	exec, hasExec := idx.(executor)
 	sinceConverged := 0
 	for i := 0; i < n; i++ {
 		q := qs[i]
-		var (
-			res column.Result
-			st  core.Stats
-		)
 		start := time.Now()
-		if hasExec {
-			ans, err := exec.Execute(query.Request{Pred: query.Range(q.Lo, q.Hi)})
-			if err != nil {
-				return nil, fmt.Errorf("harness: %s query %d: %w", idx.Name(), i, err)
-			}
-			res, st = ans.Result(), ans.Stats
-		} else {
-			res = idx.Query(q.Lo, q.Hi)
-			if hasStats {
-				st = sp.LastStats()
-			}
+		ans, err := idx.Execute(query.Request{Pred: query.Range(q.Lo, q.Hi)})
+		if err != nil {
+			return nil, fmt.Errorf("harness: %s query %d: %w", idx.Name(), i, err)
 		}
 		run.Times = append(run.Times, time.Since(start).Seconds())
+		res := ans.Result()
 		run.Results = append(run.Results, res)
 		if hasStats {
-			run.Predicted = append(run.Predicted, st.Predicted)
-			run.Phases = append(run.Phases, st.Phase)
+			run.Predicted = append(run.Predicted, ans.Stats.Predicted)
+			run.Phases = append(run.Phases, ans.Stats.Phase)
 		}
 		if opts.Verify != nil {
 			want := column.SumRange(opts.Verify.Values(), q.Lo, q.Hi)

@@ -11,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/cracking"
 	"repro/internal/data"
+	"repro/internal/query"
 	"repro/internal/workload"
 )
 
@@ -24,7 +25,7 @@ func TestExecuteVerifiedAcrossAllIndexTypes(t *testing.T) {
 	col := column.MustNew(vals)
 	qs := makeQueries(workload.Random(int64(n), 2), 100)
 
-	indexes := []Index{
+	indexes := []query.Index{
 		baseline.NewFullScan(col),
 		baseline.NewFullIndex(col, 64),
 		cracking.NewStandard(col, cracking.Config{}),
@@ -173,7 +174,7 @@ func TestRandomizedCrossCheckSmall(t *testing.T) {
 		lo := rng.Int63n(8000)
 		qs = append(qs, Query{Lo: lo, Hi: lo + rng.Int63n(2000)})
 	}
-	indexes := []Index{
+	indexes := []query.Index{
 		cracking.NewStandard(col, cracking.Config{}),
 		cracking.NewAdaptiveAdaptive(col, cracking.Config{L2Elements: 512}),
 		core.NewQuicksort(col, core.Config{Mode: core.FixedDelta, Delta: 0.1}),

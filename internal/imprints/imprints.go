@@ -93,7 +93,7 @@ func (ix *Index) binMask(lo, hi int64) uint64 {
 	return (^uint64(0) >> (63 - uint(bHi-bLo))) << uint(bLo)
 }
 
-// Name implements the harness index interface.
+// Name implements query.Index.
 func (ix *Index) Name() string { return "PIMP" }
 
 // Converged reports whether every cacheline has an imprint.
@@ -131,13 +131,6 @@ func (ix *Index) Execute(req query.Request) (query.Answer, error) {
 	return query.Run(req, ix.col.Min(), ix.col.Max(), func(lo, hi int64, aggs column.Aggregates) (column.Agg, query.Stats) {
 		return ix.execute(lo, hi, aggs), query.Stats{Workers: 1}
 	})
-}
-
-// Query answers the inclusive range aggregate (v1 compatibility
-// surface, via Execute).
-func (ix *Index) Query(lo, hi int64) column.Result {
-	ans, _ := ix.Execute(query.Request{Pred: query.Range(lo, hi)})
-	return ans.Result()
 }
 
 func (ix *Index) execute(lo, hi int64, aggs column.Aggregates) column.Agg {

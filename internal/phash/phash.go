@@ -44,7 +44,7 @@ func New(col *column.Column, delta float64) *Index {
 	}
 }
 
-// Name implements the harness index interface.
+// Name implements query.Index.
 func (ix *Index) Name() string { return "PHASH" }
 
 // Converged reports whether the whole column has been inserted.
@@ -82,14 +82,6 @@ func (ix *Index) Execute(req query.Request) (query.Answer, error) {
 	return query.Run(req, ix.col.Min(), ix.col.Max(), func(lo, hi int64, aggs column.Aggregates) (column.Agg, query.Stats) {
 		return ix.execute(lo, hi, aggs), query.Stats{Workers: 1}
 	})
-}
-
-// Query answers the inclusive range aggregate (v1 compatibility
-// surface, via Execute). Point queries (lo == hi) use the hash table
-// for the indexed prefix; other queries scan.
-func (ix *Index) Query(lo, hi int64) column.Result {
-	ans, _ := ix.Execute(query.Request{Pred: query.Range(lo, hi)})
-	return ans.Result()
 }
 
 func (ix *Index) execute(lo, hi int64, aggs column.Aggregates) column.Agg {

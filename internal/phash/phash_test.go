@@ -6,7 +6,18 @@ import (
 
 	"repro/internal/column"
 	"repro/internal/data"
+	"repro/internal/query"
 )
+
+// sumCount answers SUM/COUNT over the inclusive range [lo, hi] through
+// Execute.
+func sumCount(idx query.Index, lo, hi int64) column.Result {
+	ans, err := idx.Execute(query.Request{Pred: query.Range(lo, hi)})
+	if err != nil {
+		panic(err)
+	}
+	return ans.Result()
+}
 
 func TestPointQueriesExactThroughout(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
@@ -15,7 +26,7 @@ func TestPointQueriesExactThroughout(t *testing.T) {
 	ix := New(col, 0.1)
 	for q := 0; q < 300; q++ {
 		v := vals[rng.Intn(len(vals))]
-		got := ix.Query(v, v)
+		got := sumCount(ix, v, v)
 		want := column.SumRangeBranching(vals, v, v)
 		if got != want {
 			t.Fatalf("point query #%d on %d: got %+v want %+v", q, v, got, want)
@@ -29,10 +40,10 @@ func TestPointQueriesExactThroughout(t *testing.T) {
 func TestAbsentValue(t *testing.T) {
 	col := column.MustNew([]int64{1, 3, 5})
 	ix := New(col, 1)
-	if got := ix.Query(2, 2); got.Count != 0 || got.Sum != 0 {
+	if got := sumCount(ix, 2, 2); got.Count != 0 || got.Sum != 0 {
 		t.Fatalf("absent value: %+v", got)
 	}
-	if got := ix.Query(3, 3); got.Sum != 3 || got.Count != 1 {
+	if got := sumCount(ix, 3, 3); got.Sum != 3 || got.Count != 1 {
 		t.Fatalf("present value: %+v", got)
 	}
 }
@@ -45,7 +56,7 @@ func TestRangeQueriesFallBackToScan(t *testing.T) {
 	for q := 0; q < 50; q++ {
 		lo := rng.Int63n(10_000)
 		hi := lo + rng.Int63n(3_000)
-		got := ix.Query(lo, hi)
+		got := sumCount(ix, lo, hi)
 		want := column.SumRangeBranching(vals, lo, hi)
 		if got != want {
 			t.Fatalf("range [%d,%d]: got %+v want %+v", lo, hi, got, want)
@@ -59,7 +70,7 @@ func TestConvergenceIsDeterministic(t *testing.T) {
 	ix := New(col, 0.25)
 	queries := 0
 	for !ix.Converged() {
-		ix.Query(1, 1)
+		sumCount(ix, 1, 1)
 		queries++
 		if queries > 100 {
 			t.Fatal("did not converge")

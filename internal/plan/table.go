@@ -247,7 +247,8 @@ func (t *Table) Name() string {
 }
 
 // firstConj rewrites a single-column request onto the first column:
-// the compatibility path for every v1 caller.
+// how Execute, and the wire format's single-predicate form, address a
+// multi-column table.
 func (t *Table) firstConj(req query.Request) query.Conjunction {
 	first := t.cols[0].name
 	return query.Conjunction{
@@ -291,15 +292,6 @@ func (t *Table) ExplainConj(c query.Conjunction, forceDriver string) (query.Answ
 		}
 	}
 	return t.execConj(c, nil, forced)
-}
-
-// Query implements Index.
-func (t *Table) Query(lo, hi int64) column.Result {
-	ans, err := t.Execute(query.Request{Pred: query.Range(lo, hi)})
-	if err != nil {
-		return column.Result{}
-	}
-	return ans.Result()
 }
 
 // Converged implements Index: every column's index has converged.

@@ -1,14 +1,15 @@
-// Package query defines the v2 request/response vocabulary shared by
-// every index in this repository: a Predicate describing which rows
+// Package query defines the request/response vocabulary shared by
+// every index in this repository — a Predicate describing which rows
 // qualify, a Request pairing it with the set of aggregates to compute,
 // and an Answer carrying the aggregate values together with the
-// per-query work Stats inline.
+// per-query work Stats inline — and the one Index contract, with its
+// optional capabilities, that every index implements.
 //
-// The types live below column and core so that all index packages
-// (core, cracking, baseline, phash, imprints) can implement
-// Execute(Request) (Answer, error) without import cycles, and so that
-// new predicate or aggregate kinds are added as data in one place
-// rather than as methods on every index interface.
+// The types live below core so that all index packages (core,
+// cracking, baseline, phash, imprints), the shard layer and the root
+// package can share Execute(Request) (Answer, error) without import
+// cycles, and so that new predicate or aggregate kinds are added as
+// data in one place rather than as methods on every index.
 package query
 
 import (
@@ -123,9 +124,9 @@ func (p Predicate) String() string {
 	}
 }
 
-// Request is one v2 query: a predicate plus the set of aggregates to
+// Request is one query: a predicate plus the set of aggregates to
 // compute over the matching rows. The zero Aggs defaults to SUM+COUNT,
-// the v1 contract.
+// the paper's workload.
 type Request struct {
 	Pred Predicate
 	Aggs column.Aggregates
@@ -228,6 +229,48 @@ type Stats struct {
 	ShardsPruned  int
 }
 
+// Index is the one contract every index in this repository implements —
+// the thirteen strategies, the shard layer's Sharded and the root
+// package's Synchronized: a name, an exact Execute that may spend
+// budgeted indexing work as a side effect, and a terminal Converged
+// state. The root package aliases it as progidx.Index.
+type Index interface {
+	// Name returns the strategy's short name (the paper's abbreviation).
+	Name() string
+	// Execute answers the request's predicate with the requested
+	// aggregates; the returned Answer carries the per-query work Stats
+	// inline.
+	Execute(req Request) (Answer, error)
+	// Converged reports whether the index has reached its final state;
+	// once true it stays true and Execute no longer mutates the index.
+	Converged() bool
+}
+
+// The optional capabilities of an Index, asserted by the layers that
+// drive one. None of them is safe for concurrent use with Execute;
+// callers serialize access (the shard layer does, under the shard's
+// lock).
+type (
+	// Suspender is implemented by indexes whose per-query indexing
+	// budget can be switched off: while suspended, Execute answers
+	// exactly but plans no indexing work, so a batch pays one indexing
+	// budget instead of one per request. The four progressive algorithms,
+	// the progressive hash table and the progressive imprints implement
+	// it; the cracking baselines do not (their reorganization is the
+	// answering mechanism itself and cannot be skipped).
+	Suspender interface{ SetIndexingSuspended(bool) }
+	// BudgetScaler multiplies the next queries' planned indexing work by
+	// a factor, so the shard router can split one query's budget across
+	// surviving shards in proportion to their heat.
+	BudgetScaler interface{ SetBudgetScale(float64) }
+	// Progressor reports the approximate fraction of total indexing work
+	// completed, in [0, 1]; exactly 1 once Converged.
+	Progressor interface{ Progress() float64 }
+	// Phaser is implemented by the four progressive algorithms, whose
+	// lifecycle has phases.
+	Phaser interface{ Phase() Phase }
+)
+
 // Answer is the response to a Request: the requested aggregate values
 // plus the per-query work stats, inline — there is no stateful side
 // channel. Aggs records the normalized set that was computed; Count is
@@ -294,8 +337,8 @@ func (a Answer) AvgOk() (float64, bool) {
 	return a.Avg, a.Aggs.Has(column.AggAvg) && a.Count > 0
 }
 
-// Result projects the SUM/COUNT pair for the v1 compatibility surface.
-// Like the Sum field it reads, the projected Sum is only meaningful
+// Result projects the SUM/COUNT pair, the shape of the paper's
+// workload and of the scan oracles. Like the Sum field it reads, the projected Sum is only meaningful
 // when SUM (or AVG) was in the computed aggregate set — on a MIN/MAX
 // only request the sorted-run kernels legitimately skip the summing
 // pass, so Result would report 0. Check a.Aggs.Has(column.AggSum) when

@@ -104,35 +104,17 @@ import (
 	"repro/internal/query"
 )
 
-// Index is the per-shard index surface, structurally identical to the
-// root package's Index interface so any progidx strategy satisfies it.
-type Index interface {
-	Name() string
-	Execute(req query.Request) (query.Answer, error)
-	Query(lo, hi int64) column.Result
-	Converged() bool
-}
-
 // Factory builds one shard's index over its partition of the base
 // column. The root package supplies progidx.NewFromColumn here; tests
 // inject stubs. It is retained for the life of the Sharded index: every
 // seal builds its shard through it.
-type Factory func(col *column.Column) (Index, error)
-
-// Optional per-shard index capabilities, asserted structurally so this
-// package needs no dependency on the packages that implement them.
-type (
-	suspender    interface{ SetIndexingSuspended(bool) }
-	budgetScaler interface{ SetBudgetScale(float64) }
-	progressor   interface{ Progress() float64 }
-	phaser       interface{ Phase() query.Phase }
-)
+type Factory func(col *column.Column) (query.Index, error)
 
 // state is one shard: a contiguous row range of the logical table with
 // its zone map, index, lock and heat accounting.
 type state struct {
 	mu  sync.RWMutex
-	idx Index
+	idx query.Index
 
 	// seg is the shard's compressed form while it is cold (idx == nil):
 	// queries scan it in place under the shared lock. A claim decodes it
@@ -387,7 +369,7 @@ func New(col *column.Column, cfg Config, factory Factory) (*Sharded, error) {
 			}
 			pcol, err := column.NewWithStats(part, mn, mx)
 			if err == nil {
-				var idx Index
+				var idx query.Index
 				if idx, err = factory(pcol); err == nil {
 					shards[i] = &state{idx: idx, vals: part, start: start, end: end, min: mn, max: mx}
 					continue
@@ -923,11 +905,11 @@ func (s *Sharded) executeShard(st *state, sub query.Request, lo, hi int64, scale
 		// transition; the in-place scan is still the right answer.
 		return coldPartial(st.seg.AggRange(lo, hi, sub.Aggs))
 	}
-	if sc, ok := st.idx.(budgetScaler); ok {
+	if sc, ok := st.idx.(query.BudgetScaler); ok {
 		sc.SetBudgetScale(scale)
 	}
 	if suspend {
-		if sp, ok := st.idx.(suspender); ok {
+		if sp, ok := st.idx.(query.Suspender); ok {
 			sp.SetIndexingSuspended(true)
 			defer sp.SetIndexingSuspended(false)
 		}
@@ -1014,12 +996,6 @@ func (s *Sharded) noteAllDone(v *view) {
 		}
 	}
 	v.done.Store(true)
-}
-
-// Query answers SUM/COUNT over [lo, hi] inclusive (v1 surface).
-func (s *Sharded) Query(lo, hi int64) column.Result {
-	ans, _ := s.Execute(query.Request{Pred: query.Range(lo, hi)})
-	return column.Result{Sum: ans.Sum, Count: ans.Count}
 }
 
 // ExecuteBatch executes several requests under one indexing budget,
@@ -1137,7 +1113,7 @@ func (s *Sharded) RefineStep() (query.Stats, bool) {
 		s.noteAllDone(v)
 		return query.Stats{}, v.done.Load()
 	}
-	if sc, ok := target.idx.(budgetScaler); ok {
+	if sc, ok := target.idx.(query.BudgetScaler); ok {
 		// Concentrate one full table budget on this shard: S slices of
 		// 1/S in δ mode, BudgetSizedFor slices of 1/BudgetSizedFor in
 		// wall-clock mode (the factor cancels the grown shard count).
@@ -1241,7 +1217,7 @@ func (s *Sharded) Progress() float64 {
 		}
 		st.mu.RLock()
 		switch p := st.idx.(type) {
-		case progressor:
+		case query.Progressor:
 			f := p.Progress()
 			if f < 0 {
 				f = 0
@@ -1271,7 +1247,7 @@ func (s *Sharded) Phase() (query.Phase, bool) {
 		// idx is written by a claim under the write lock, so even the
 		// capability probe reads it under the shared one.
 		st.mu.RLock()
-		p, ok := st.idx.(phaser)
+		p, ok := st.idx.(query.Phaser)
 		ph := query.PhaseDone
 		if ok && !st.converged.Load() {
 			ph = p.Phase()
@@ -1351,12 +1327,12 @@ func (s *Sharded) ShardStats() []Info {
 		} else {
 			st.mu.RLock()
 			info.Converged = st.idx.Converged()
-			if p, ok := st.idx.(progressor); ok {
+			if p, ok := st.idx.(query.Progressor); ok {
 				info.Progress = p.Progress()
 			} else if info.Converged {
 				info.Progress = 1
 			}
-			if ph, ok := st.idx.(phaser); ok {
+			if ph, ok := st.idx.(query.Phaser); ok {
 				info.Phase = ph.Phase().String()
 			}
 			st.mu.RUnlock()

@@ -36,11 +36,6 @@ func (s *stubIndex) Execute(req query.Request) (query.Answer, error) {
 	})
 }
 
-func (s *stubIndex) Query(lo, hi int64) column.Result {
-	ans, _ := s.Execute(query.Request{Pred: query.Range(lo, hi)})
-	return column.Result{Sum: ans.Sum, Count: ans.Count}
-}
-
 func (s *stubIndex) Converged() bool { return s.queries.Load() >= s.doneAfter }
 
 func (s *stubIndex) SetBudgetScale(f float64) { s.scales = append(s.scales, f) }
@@ -52,7 +47,7 @@ func (s *stubIndex) SetIndexingSuspended(on bool) {
 }
 
 func stubFactory(doneAfter int64) Factory {
-	return func(col *column.Column) (Index, error) {
+	return func(col *column.Column) (query.Index, error) {
 		return &stubIndex{col: col, doneAfter: doneAfter}, nil
 	}
 }
@@ -133,7 +128,7 @@ func TestPartitioning(t *testing.T) {
 func TestFactoryErrorPropagates(t *testing.T) {
 	col := column.MustNew(clustered(100))
 	boom := errors.New("boom")
-	_, err := New(col, Config{Shards: 4}, func(c *column.Column) (Index, error) {
+	_, err := New(col, Config{Shards: 4}, func(c *column.Column) (query.Index, error) {
 		if c.Min() >= 50 {
 			return nil, boom
 		}

@@ -12,7 +12,7 @@
 // adaptive-indexing baselines the paper compares against (database
 // cracking variants) and the Full Scan / Full Index reference points.
 //
-// Quick start (v2 request/response API):
+// Quick start:
 //
 //	idx, err := progidx.New(values, progidx.Options{
 //	    Strategy: progidx.StrategyRadixMSD,
@@ -33,12 +33,8 @@
 // concurrent callers (see Synchronize) always observe coherent
 // (answer, stats) pairs.
 //
-// The v1 surface remains:
-//
-//	res := idx.Query(lo, hi) // SUM/COUNT over lo <= v <= hi, inclusive
-//
-// Query is a thin wrapper over the same execution path, matching the
-// paper's SELECT SUM(A) WHERE A BETWEEN lo AND hi workload.
+// The zero Aggs computes SUM and COUNT, the paper's SELECT SUM(A) WHERE A
+// BETWEEN lo AND hi workload.
 //
 // Use Recommend to pick a strategy via the paper's Figure 11 decision
 // tree.
@@ -60,11 +56,11 @@ import (
 	"repro/internal/query"
 )
 
-// Result is the answer to a v1 range aggregate: the SUM and COUNT of
-// the matching values.
+// Result is the SUM and COUNT of the matching values, as projected by
+// Answer.Result.
 type Result = column.Result
 
-// Request is one v2 query: a predicate plus the set of aggregates to
+// Request is one query: a predicate plus the set of aggregates to
 // compute over the matching rows. The zero Aggs defaults to SUM+COUNT.
 type Request = query.Request
 
@@ -138,48 +134,13 @@ const (
 	PhaseDone          = core.PhaseDone
 )
 
-// Index is the behaviour shared by every index in this module. Execute
-// answers a Request exactly and may spend budgeted work refining the
-// index as a side effect; Query is the v1 compatibility wrapper over
-// the same execution path.
-type Index interface {
-	Name() string
-	Execute(req Request) (Answer, error)
-	Query(lo, hi int64) Result
-	Converged() bool
-}
-
-// ProgressiveIndex extends Index with the progressive-specific
-// introspection: the lifecycle phase and per-query work stats.
-type ProgressiveIndex interface {
-	Index
-	Phase() Phase
-	// LastStats describes the most recent query call.
-	//
-	// Deprecated: Execute returns the same Stats inline in the Answer;
-	// prefer that, especially with concurrent callers.
-	LastStats() Stats
-}
-
-// IndexingSuspender is implemented by indexes whose per-query indexing
-// budget can be switched off: while suspended, Execute answers queries
-// exactly but performs (almost) no indexing work. A handle's
-// ExecuteBatch uses it to pay one indexing budget per batch of queued
-// requests instead of one per caller. The four progressive algorithms,
-// the progressive hash table and the progressive imprints implement
-// it; the cracking baselines do not (their reorganization is the
-// answering mechanism itself and cannot be skipped).
-type IndexingSuspender interface {
-	SetIndexingSuspended(bool)
-}
-
-// Progressor is implemented by indexes that can report how far along
-// they are toward convergence — the serving layer's "convergence %".
-type Progressor interface {
-	// Progress returns the approximate fraction of total indexing work
-	// completed, in [0, 1]; exactly 1 once Converged.
-	Progress() float64
-}
+// Index is the behaviour shared by every index in this module — the one
+// contract declared in internal/query: Name, an exact Execute that may
+// spend budgeted work refining the index as a side effect, and a
+// terminal Converged state. Indexes advertise what else they can do
+// through query's optional capabilities (Suspender, BudgetScaler,
+// Progressor, Phaser); the handles assert them, callers rarely need to.
+type Index = query.Index
 
 // Strategy selects an indexing technique.
 type Strategy int
@@ -349,10 +310,11 @@ type Options struct {
 
 	// Shards splits the column into this many contiguous row-range
 	// partitions, each backed by its own index of the selected strategy
-	// with a min/max zone map (see Sharded). 0 or 1 means unsharded.
-	// With Shards > 1 or a compressed Encoding, New returns a *Sharded,
-	// which is safe for concurrent use as-is and must not be wrapped in
-	// Synchronize.
+	// with a min/max zone map (see Sharded). 0 or 1 means unsharded:
+	// NewHandle then builds a table of one shard and New the bare
+	// strategy. With Shards > 1 or a compressed Encoding, New too returns
+	// a *Sharded, which is safe for concurrent use as-is and must not be
+	// wrapped in Synchronize.
 	Shards int
 
 	// Encoding selects compressed columnar storage (see Encoding). With
@@ -470,4 +432,26 @@ func MustNew(values []int64, opts Options) Index {
 var (
 	calibrateOnce sync.Once
 	calibrated    costmodel.Params
+)
+
+// Conformance, in one place: every strategy and both wrappers implement
+// the one Index contract, the four progressive algorithms — through
+// core's lifecycle driver — each optional capability, and Sharded the
+// serving Handle.
+var (
+	_ Handle = (*Sharded)(nil)
+	_        = []Index{
+		(*core.Quicksort)(nil), (*core.RadixMSD)(nil), (*core.Bucketsort)(nil), (*core.RadixLSD)(nil),
+		(*baseline.FullScan)(nil), (*baseline.FullIndex)(nil),
+		(*cracking.Standard)(nil), (*cracking.Stochastic)(nil), (*cracking.ProgressiveStochastic)(nil),
+		(*cracking.CoarseGranular)(nil), (*cracking.AdaptiveAdaptive)(nil),
+		(*phash.Index)(nil), (*imprints.Index)(nil),
+		(*Sharded)(nil), (*Synchronized)(nil),
+	}
+	_ = []interface {
+		query.Suspender
+		query.BudgetScaler
+		query.Progressor
+		query.Phaser
+	}{(*core.Quicksort)(nil), (*core.RadixMSD)(nil), (*core.Bucketsort)(nil), (*core.RadixLSD)(nil)}
 )

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/column"
 	"repro/internal/data"
+	"repro/internal/query"
 )
 
 var allStrategies = []Strategy{
@@ -31,7 +32,7 @@ func TestNewAllStrategiesAnswerExactly(t *testing.T) {
 		for q := 0; q < 60; q++ {
 			lo := rng.Int63n(10_000)
 			hi := lo + rng.Int63n(2000)
-			got := idx.Query(lo, hi)
+			got := sumCount(idx, lo, hi)
 			want := column.SumRangeBranching(vals, lo, hi)
 			if got != want {
 				t.Fatalf("%v query [%d,%d]: got %+v want %+v", s, lo, hi, got, want)
@@ -53,9 +54,11 @@ func TestProgressiveInterfaceUpgrade(t *testing.T) {
 	vals := data.Uniform(5000, 5)
 	for _, s := range allStrategies {
 		idx := MustNew(vals, Options{Strategy: s, Delta: 0.5})
-		_, isProg := idx.(ProgressiveIndex)
+		// cmd/progidx prints phases for Strategy.Progressive(): that is
+		// exactly the set of indexes with the phase capability.
+		_, isProg := idx.(query.Phaser)
 		if isProg != s.Progressive() {
-			t.Fatalf("%v: ProgressiveIndex=%v, Strategy.Progressive=%v", s, isProg, s.Progressive())
+			t.Fatalf("%v: query.Phaser=%v, Strategy.Progressive=%v", s, isProg, s.Progressive())
 		}
 	}
 }
@@ -63,12 +66,12 @@ func TestProgressiveInterfaceUpgrade(t *testing.T) {
 func TestProgressiveConvergesToDone(t *testing.T) {
 	vals := data.Uniform(5000, 6)
 	for _, s := range []Strategy{StrategyQuicksort, StrategyRadixMSD, StrategyBucketsort, StrategyRadixLSD} {
-		idx := MustNew(vals, Options{Strategy: s, Delta: 1}).(ProgressiveIndex)
+		idx := MustNew(vals, Options{Strategy: s, Delta: 1})
 		for q := 0; q < 300 && !idx.Converged(); q++ {
-			idx.Query(0, 5000)
+			sumCount(idx, 0, 5000)
 		}
-		if !idx.Converged() || idx.Phase() != PhaseDone {
-			t.Fatalf("%v: converged=%v phase=%v", s, idx.Converged(), idx.Phase())
+		if phase := idx.(query.Phaser).Phase(); !idx.Converged() || phase != PhaseDone {
+			t.Fatalf("%v: converged=%v phase=%v", s, idx.Converged(), phase)
 		}
 	}
 }
@@ -76,15 +79,15 @@ func TestProgressiveConvergesToDone(t *testing.T) {
 func TestBudgetModesSelectCorrectly(t *testing.T) {
 	vals := data.Uniform(20_000, 7)
 	// Fixed-time budget.
-	idx := MustNew(vals, Options{Strategy: StrategyQuicksort, Budget: time.Millisecond}).(ProgressiveIndex)
-	idx.Query(0, 100)
-	if st := idx.LastStats(); st.WorkSeconds <= 0 {
+	idx := MustNew(vals, Options{Strategy: StrategyQuicksort, Budget: time.Millisecond})
+	ans, err := idx.Execute(Request{Pred: Range(0, 100)})
+	if st := ans.Stats; err != nil || st.WorkSeconds <= 0 {
 		t.Fatalf("fixed-time budget did no work: %+v", st)
 	}
 	// Adaptive budget.
-	idx2 := MustNew(vals, Options{Strategy: StrategyRadixMSD, Budget: time.Millisecond, Adaptive: true}).(ProgressiveIndex)
-	idx2.Query(0, 100)
-	if st := idx2.LastStats(); st.WorkSeconds <= 0 {
+	idx2 := MustNew(vals, Options{Strategy: StrategyRadixMSD, Budget: time.Millisecond, Adaptive: true})
+	ans, err = idx2.Execute(Request{Pred: Range(0, 100)})
+	if st := ans.Stats; err != nil || st.WorkSeconds <= 0 {
 		t.Fatalf("adaptive budget did no work: %+v", st)
 	}
 }

@@ -30,15 +30,17 @@ type Sharded = shard.Sharded
 // Sharded.ShardStats.
 type ShardInfo = shard.Info
 
-// NewSharded builds a sharded index of the selected strategy over
-// values. Options.Shards chooses the partition count (values < 1 are
-// treated as 1). Options.Workers sizes the cross-shard fan-out pool;
-// with more than one shard the per-shard index kernels themselves run
-// serially, because with one goroutine per surviving shard the shard
-// fan-out already uses the cores. A table of one shard has no fan-out,
-// so its index keeps Options.Workers for the parallel creation and scan
-// kernels (DESIGN.md section 9).
-func NewSharded(values []int64, opts Options) (*Sharded, error) {
+// NewHandle builds the concurrency-safe serving handle for a
+// single-column table: a *Sharded of the selected strategy over values.
+// The serving layer's catalog loads every such table through this.
+// Options.Shards chooses the partition count (values < 1 are treated as
+// 1: a table of one shard). Options.Workers sizes the cross-shard
+// fan-out pool; with more than one shard the per-shard index kernels
+// themselves run serially, because with one goroutine per surviving
+// shard the shard fan-out already uses the cores. A table of one shard
+// has no fan-out, so its index keeps Options.Workers for the parallel
+// creation and scan kernels (DESIGN.md section 9).
+func NewHandle(values []int64, opts Options) (*Sharded, error) {
 	col, err := column.New(values)
 	if err != nil {
 		return nil, err
@@ -46,7 +48,7 @@ func NewSharded(values []int64, opts Options) (*Sharded, error) {
 	return NewShardedFromColumn(col, opts)
 }
 
-// NewShardedFromColumn is NewSharded for a pre-built column. The table
+// NewShardedFromColumn is NewHandle for a pre-built column. The table
 // holds the rows itself — raw shards slice the column's array, appended
 // rows go to the shard layer's own extents — so the column must not be
 // appended to afterwards, and the rows are read back through
@@ -92,21 +94,7 @@ func shardLayout(opts Options, rows int) (shard.Config, shard.Factory) {
 		cfg.BudgetSizedFor = cfg.Shards
 		child.Budget /= time.Duration(cfg.Shards)
 	}
-	return cfg, func(c *column.Column) (shard.Index, error) {
+	return cfg, func(c *column.Column) (Index, error) {
 		return NewFromColumn(c, child)
 	}
 }
-
-// NewHandle builds the concurrency-safe serving handle for a
-// single-column table: a *Sharded, of one shard when opts.Shards ≤ 1.
-// The serving layer's catalog loads every such table through this.
-func NewHandle(values []int64, opts Options) (*Sharded, error) {
-	return NewSharded(values, opts)
-}
-
-// NewHandleFromColumn is NewHandle for a pre-built column.
-func NewHandleFromColumn(col *column.Column, opts Options) (*Sharded, error) {
-	return NewShardedFromColumn(col, opts)
-}
-
-var _ Handle = (*Sharded)(nil)

@@ -102,7 +102,7 @@ func TestShardedMergeProperty(t *testing.T) {
 					for i := range logical {
 						logical[i] = value(i)
 					}
-					sh, err := NewSharded(append([]int64(nil), logical...), Options{
+					sh, err := NewHandle(append([]int64(nil), logical...), Options{
 						Strategy: strat, Delta: 0.25, Seed: 5, Shards: loaded, Workers: workers,
 						Encoding: enc, ClaimHeat: 3,
 					})
@@ -177,7 +177,7 @@ func TestShardedMergeProperty(t *testing.T) {
 func TestShardedOneRowAppendsDrain(t *testing.T) {
 	const n, loaded = 4000, 4
 	logical := boundedColumn(n, 31)
-	sh, err := NewSharded(append([]int64(nil), logical...), Options{Strategy: StrategyQuicksort, Delta: 0.25, Shards: loaded, Workers: 1})
+	sh, err := NewHandle(append([]int64(nil), logical...), Options{Strategy: StrategyQuicksort, Delta: 0.25, Shards: loaded, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +219,7 @@ func TestShardedObserversRaceClaimsAndMerges(t *testing.T) {
 	for i := range logical {
 		logical[i] = int64(i)
 	}
-	sh, err := NewSharded(append([]int64(nil), logical...), Options{
+	sh, err := NewHandle(append([]int64(nil), logical...), Options{
 		Strategy: StrategyQuicksort, Delta: 0.25, Shards: 4, Workers: 2,
 		Encoding: EncodingFORBP, ClaimHeat: 2,
 	})

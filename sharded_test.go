@@ -30,7 +30,7 @@ func TestShardedMatchesOracleAllStrategies(t *testing.T) {
 	vals := testColumn(4000, 23)
 	for _, s := range allStrategies {
 		for _, shards := range shardCountPool {
-			idx, err := NewSharded(vals, Options{Strategy: s, Delta: 0.3, Seed: 7, Shards: shards})
+			idx, err := NewHandle(vals, Options{Strategy: s, Delta: 0.3, Seed: 7, Shards: shards})
 			if err != nil {
 				t.Fatalf("%v shards=%d: %v", s, shards, err)
 			}
@@ -66,7 +66,7 @@ func TestShardedWorkerInvariance(t *testing.T) {
 	}
 	var want []Answer
 	for wi, workers := range []int{1, 2, 3, 7} {
-		idx, err := NewSharded(vals, Options{Strategy: StrategyQuicksort, Delta: 0.4, Shards: 8, Workers: workers})
+		idx, err := NewHandle(vals, Options{Strategy: StrategyQuicksort, Delta: 0.4, Shards: 8, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -105,7 +105,7 @@ func TestShardedZonePruning(t *testing.T) {
 	for i := range vals {
 		vals[i] = int64(i)
 	}
-	sh, err := NewSharded(vals, Options{Strategy: StrategyQuicksort, Delta: 0.25, Shards: 8})
+	sh, err := NewHandle(vals, Options{Strategy: StrategyQuicksort, Delta: 0.25, Shards: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestShardedHeatDrivenConvergence(t *testing.T) {
 	for i := range vals {
 		vals[i] = int64(i)
 	}
-	sh, err := NewSharded(vals, Options{Strategy: StrategyQuicksort, Delta: 0.05, Shards: 4})
+	sh, err := NewHandle(vals, Options{Strategy: StrategyQuicksort, Delta: 0.05, Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestShardedHeatDrivenConvergence(t *testing.T) {
 // not multiply it).
 func TestShardedExecuteBatch(t *testing.T) {
 	vals := testColumn(4000, 25)
-	sh, err := NewSharded(vals, Options{Strategy: StrategyRadixMSD, Delta: 0.2, Shards: 3})
+	sh, err := NewHandle(vals, Options{Strategy: StrategyRadixMSD, Delta: 0.2, Shards: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +231,7 @@ func TestShardedExecuteBatch(t *testing.T) {
 func TestShardedRefineStepConverges(t *testing.T) {
 	vals := testColumn(3000, 26)
 	for _, s := range []Strategy{StrategyQuicksort, StrategyRadixMSD, StrategyBucketsort, StrategyRadixLSD, StrategyProgressiveHash, StrategyImprints} {
-		sh, err := NewSharded(vals, Options{Strategy: s, Delta: 0.2, Shards: 3})
+		sh, err := NewHandle(vals, Options{Strategy: s, Delta: 0.2, Shards: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -274,7 +274,7 @@ func TestShardedRefineStepConverges(t *testing.T) {
 // refinement driving the shards to convergence.
 func TestShardedConcurrentReads(t *testing.T) {
 	vals := testColumn(20000, 27)
-	sh, err := NewSharded(vals, Options{Strategy: StrategyRadixMSD, Delta: 0.3, Shards: 8})
+	sh, err := NewHandle(vals, Options{Strategy: StrategyRadixMSD, Delta: 0.3, Shards: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -372,7 +372,7 @@ func TestShardedHandleSurface(t *testing.T) {
 		t.Fatal("sharded Execute accepted unknown aggregate bits")
 	}
 	// The v1 surface routes through the same path.
-	if got, want := sh.Query(-500, 500), oracleAnswer(vals, p); got.Sum != want.Sum || got.Count != want.Count {
+	if got, want := sumCount(sh, -500, 500), oracleAnswer(vals, p); got.Sum != want.Sum || got.Count != want.Count {
 		t.Fatalf("Query = %+v, want {%d %d}", got, want.Sum, want.Count)
 	}
 }

@@ -29,7 +29,7 @@ func convergeByQueries(t *testing.T, idx *Synchronized) {
 		if idx.Converged() {
 			return
 		}
-		idx.Query(math.MinInt64, math.MaxInt64)
+		sumCount(idx, math.MinInt64, math.MaxInt64)
 	}
 	t.Fatalf("%s: did not converge within bound", idx.Name())
 }

@@ -36,7 +36,7 @@ func TestShardedTraceAgreesWithStats(t *testing.T) {
 	for i := range vals {
 		vals[i] = int64(i)
 	}
-	h, err := NewSharded(vals, Options{Shards: shards, Delta: 0.5})
+	h, err := NewHandle(vals, Options{Shards: shards, Delta: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestShardedTraceAgreesWithStats(t *testing.T) {
 	}
 
 	// The merged answer must be identical to an untraced execution.
-	h2, err := NewSharded(vals, Options{Shards: shards, Delta: 0.5})
+	h2, err := NewHandle(vals, Options{Shards: shards, Delta: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
