@@ -33,7 +33,7 @@ vet:
 # Non-test Go lines outside benchmark/ — the figure ROADMAP.md aim 2
 # tracks (it should go down). Gated, not just printed: a change that
 # grows the code past LOC_MAX has to raise it here, in its own diff.
-LOC_MAX ?= 20418
+LOC_MAX ?= 20356
 loc:
 	@n=$$(find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -not -path './.bench_build/*' -print0 | xargs -0 cat | wc -l); \
 	echo $$n; \

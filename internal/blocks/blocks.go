@@ -85,12 +85,6 @@ func (l *List) AppendSlice(vs []int64) {
 // Blocks exposes the underlying blocks for read-only scans.
 func (l *List) Blocks() [][]int64 { return l.blocks }
 
-// SumRange answers the inclusive range aggregate over the whole bucket
-// with the predicated kernel, block by block.
-func (l *List) SumRange(lo, hi int64) column.Result {
-	return l.AggRange(lo, hi, column.AggSum|column.AggCount).Result()
-}
-
 // AggRange computes the requested aggregates over the whole bucket with
 // the predicated kernel, block by block.
 func (l *List) AggRange(lo, hi int64, aggs column.Aggregates) column.Agg {
@@ -155,14 +149,9 @@ func (c *Cursor) Next(l *List) (v int64, ok bool) {
 	return 0, false
 }
 
-// SumRangeRemaining aggregates only the not-yet-consumed suffix, which
-// is what a query must scan while a bucket is being repartitioned.
-func (c *Cursor) SumRangeRemaining(l *List, lo, hi int64) column.Result {
-	return c.AggRemaining(l, lo, hi, column.AggSum|column.AggCount).Result()
-}
-
 // AggRemaining computes the requested aggregates over the
-// not-yet-consumed suffix of the bucket.
+// not-yet-consumed suffix of the bucket, which is what a query must scan
+// while the bucket is being repartitioned.
 func (c *Cursor) AggRemaining(l *List, lo, hi int64, aggs column.Aggregates) column.Agg {
 	r := column.NewAgg()
 	if c.block >= len(l.blocks) {

@@ -51,8 +51,8 @@ func TestSumRange(t *testing.T) {
 		l.Append(v)
 	}
 	want = column.SumRange(vals, 3, 7)
-	if got := l.SumRange(3, 7); got != want {
-		t.Fatalf("SumRange = %+v, want %+v", got, want)
+	if got := l.AggRange(3, 7, column.AggSum|column.AggCount).Result(); got != want {
+		t.Fatalf("AggRange = %+v, want %+v", got, want)
 	}
 }
 
@@ -115,10 +115,10 @@ func TestCursorSumRangeRemaining(t *testing.T) {
 	var c Cursor
 	c.Next(l) // consume 4
 	c.Next(l) // consume 8
-	got := c.SumRangeRemaining(l, 2, 7)
+	got := c.AggRemaining(l, 2, 7, column.AggSum|column.AggCount).Result()
 	want := column.SumRange(vals[2:], 2, 7)
 	if got != want {
-		t.Fatalf("SumRangeRemaining = %+v, want %+v", got, want)
+		t.Fatalf("AggRemaining = %+v, want %+v", got, want)
 	}
 }
 
@@ -127,7 +127,7 @@ func TestCursorSumRangeRemainingExhausted(t *testing.T) {
 	l.Append(1)
 	var c Cursor
 	c.Next(l)
-	got := c.SumRangeRemaining(l, 0, 10)
+	got := c.AggRemaining(l, 0, 10, column.AggSum|column.AggCount)
 	if got.Count != 0 {
 		t.Fatalf("exhausted cursor scanned something: %+v", got)
 	}

@@ -86,12 +86,6 @@ func (t *Tree) UpperBound(v int64) int {
 	return t.LowerBound(v + 1)
 }
 
-// SumRange answers the inclusive range aggregate using the tree to find
-// the matching leaf run, then summing it.
-func (t *Tree) SumRange(lo, hi int64) column.Result {
-	return t.AggRange(lo, hi, column.AggSum|column.AggCount).Result()
-}
-
 // AggRange computes the requested aggregates over the inclusive range
 // [lo, hi]. The tree descent finds the matching leaf run, so COUNT, MIN
 // and MAX cost O(log N); the O(matches) leaf pass is paid only when a

@@ -39,8 +39,8 @@ func TestBuildTinyArray(t *testing.T) {
 	if got := tr.LowerBound(6); got != 1 {
 		t.Fatalf("LowerBound(6) = %d, want 1", got)
 	}
-	if got := tr.SumRange(5, 7); got.Sum != 12 || got.Count != 2 {
-		t.Fatalf("SumRange = %+v", got)
+	if got := tr.AggRange(5, 7, column.AggSum|column.AggCount); got.Sum != 12 || got.Count != 2 {
+		t.Fatalf("AggRange = %+v", got)
 	}
 }
 
@@ -81,10 +81,10 @@ func TestSumRangeMatchesScan(t *testing.T) {
 	for q := 0; q < 200; q++ {
 		lo := int64(rng.Intn(1100)) - 50
 		hi := lo + int64(rng.Intn(300))
-		got := tr.SumRange(lo, hi)
+		got := tr.AggRange(lo, hi, column.AggSum|column.AggCount).Result()
 		want := column.SumRange(vals, lo, hi)
 		if got != want {
-			t.Fatalf("SumRange(%d,%d) = %+v, want %+v", lo, hi, got, want)
+			t.Fatalf("AggRange(%d,%d) = %+v, want %+v", lo, hi, got, want)
 		}
 	}
 }
@@ -193,8 +193,8 @@ func TestDuplicateHeavyKeys(t *testing.T) {
 			t.Fatalf("LowerBound(%d) = %d, want %d", v, got, want)
 		}
 	}
-	r := tr.SumRange(1, 2)
+	r := tr.AggRange(1, 2, column.AggSum|column.AggCount)
 	if r.Count != 1024 {
-		t.Fatalf("SumRange(1,2).Count = %d, want 1024", r.Count)
+		t.Fatalf("AggRange(1,2).Count = %d, want 1024", r.Count)
 	}
 }

@@ -190,6 +190,11 @@ func multiColumnDurableRecover(t *testing.T, enc progidx.Encoding) {
 	if !ok {
 		t.Fatal("recovered multi-column table is not plan-backed")
 	}
+	// The rows replayed from the WAL ride in the tail, pending; on a cold
+	// table the first idle slice seals them, and no column has indexed.
+	for i := 0; i < 2 && enc.Compressed() && pt.PendingRows() > 0; i++ {
+		pt.RefineStep()
+	}
 	for _, cs := range pt.ColumnStates() {
 		if cold := cs.EncodedBlocks > 0; cold && !(cs.Converged && cs.Progress == 1 && cs.Refines == 0) {
 			t.Fatalf("recovered cold column %q reports %+v", cs.Name, cs)

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/column"
-	"repro/internal/parallel"
 )
 
 // Compressed-kernel microbenchmarks: the scan-on-compressed penalty vs
@@ -58,19 +57,6 @@ func BenchmarkEncodedAggRange(b *testing.B) {
 				}
 			})
 		}
-	}
-}
-
-func BenchmarkEncodedParAggRange(b *testing.B) {
-	seg := benchSegment(b, ModeFORBP)
-	for _, workers := range []int{1, 2, 4, 8} {
-		p := parallel.New(workers)
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			b.SetBytes(int64(seg.SizeBytes()))
-			for i := 0; i < b.N; i++ {
-				benchSink = seg.ParAggRange(p, benchN/4, 3*benchN/4, column.AggAll)
-			}
-		})
 	}
 }
 

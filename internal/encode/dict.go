@@ -2,31 +2,25 @@ package encode
 
 import "repro/internal/column"
 
-// newDict packs values as codes into the sorted-ascending dictionary,
+// newDict packs values as codes into the sorted-ascending dictionary —
+// which holds every one of them; a value's code is its position —
 // codeWidth(len(dict)) bits per row. A single-entry dictionary packs to
 // zero words.
 func newDict(values []int64, min, max int64, dict []int64) *Segment {
 	w := codeWidth(len(dict))
-	codeOf := make(map[int64]uint64, len(dict))
-	for i, v := range dict {
-		codeOf[v] = uint64(i)
-	}
-	words := packInto(len(values), uint(w), func(i int) uint64 { return codeOf[values[i]] })
+	words := packInto(len(values), uint(w), func(i int) uint64 { return uint64(column.LowerBound(dict, values[i])) })
 	return &Segment{kind: KindDict, n: len(values), min: min, max: max, width: w, dict: dict, words: words}
 }
 
-// aggDict aggregates rows [from, to) against the clamped predicate
-// [lo, hi] (callers guarantee s.min <= lo <= hi <= s.max). Because the
+// aggDict aggregates the rows against the clamped predicate [lo, hi]
+// (callers guarantee s.min <= lo <= hi <= s.max). Because the
 // dictionary is sorted ascending, the value range maps to one
 // contiguous code range by binary search; the scan then runs the
 // branch-free range kernel over gathered codes, looking a row's value
 // up only for the SUM accumulation. Extrema are tracked as codes (code
 // order == value order) and translated once at the end.
-func (s *Segment) aggDict(from, to int, lo, hi int64, aggs column.Aggregates) column.Agg {
+func (s *Segment) aggDict(lo, hi int64, aggs column.Aggregates) column.Agg {
 	a := column.NewAgg()
-	if to <= from {
-		return a
-	}
 	cLo := int64(column.LowerBound(s.dict, lo))
 	cHi := int64(column.UpperBound(s.dict, hi)) - 1
 	if cLo > cHi {
@@ -37,7 +31,7 @@ func (s *Segment) aggDict(from, to int, lo, hi int64, aggs column.Aggregates) co
 	if s.width == 0 {
 		// Single-entry dictionary: clamping pinned lo <= dict[0] <= hi,
 		// so every row matches.
-		cnt := int64(to - from)
+		cnt := int64(s.n)
 		a.Sum, a.Count = cnt*s.dict[0], cnt
 		if aggs.NeedsMinMax() {
 			a.Min, a.Max = s.dict[0], s.dict[0]
@@ -48,10 +42,10 @@ func (s *Segment) aggDict(from, to int, lo, hi int64, aggs column.Aggregates) co
 	w := uint(s.width)
 	valmask := (uint64(1) << w) - 1
 	words := s.words
-	bit := uint(from) * w
+	bit := uint(0)
 	var sum, count int64
 	if !aggs.NeedsMinMax() {
-		for i := from; i < to; i++ {
+		for i := 0; i < s.n; i++ {
 			word := bit >> 6
 			off := bit & 63
 			c := int64((words[word]>>off | words[word+1]<<(64-off)) & valmask)
@@ -66,7 +60,7 @@ func (s *Segment) aggDict(from, to int, lo, hi int64, aggs column.Aggregates) co
 		return a
 	}
 	mnC, mxC := int64(len(dict)), int64(-1)
-	for i := from; i < to; i++ {
+	for i := 0; i < s.n; i++ {
 		word := bit >> 6
 		off := bit & 63
 		c := int64((words[word]>>off | words[word+1]<<(64-off)) & valmask)

@@ -20,7 +20,9 @@
 //
 // Selection uses exactly the statistics the shard partitioner already
 // computes (min/max, column.NewWithStats) plus a capped cardinality
-// probe. Kernels are answer-bit-identical to the raw column kernels
+// probe. A Segment is one encoded run; a shard stores its rows as
+// Blocks, consecutive BlockRows-row segments (blocks.go). Kernels are
+// answer-bit-identical to the raw column kernels
 // (column.AggRange) at every worker count: SUM wraps mod 2^64, so
 // summing deltas and adding count*ref afterwards reconstructs the raw
 // sum exactly.
@@ -33,7 +35,6 @@ import (
 	"sort"
 
 	"repro/internal/column"
-	"repro/internal/parallel"
 )
 
 // Mode selects how a segment is encoded. The zero value is Raw so that
@@ -161,54 +162,66 @@ type Segment struct {
 // bits out, so callers may reuse the slice after encoding to a packed
 // kind (Raw passthrough keeps column.New's hand-over-ownership rule).
 func New(values []int64, min, max int64, mode Mode) (*Segment, error) {
-	if len(values) == 0 {
-		return nil, ErrEmpty
+	if err := check(len(values), min, max, mode); err != nil {
+		return nil, err
 	}
-	if min > max {
-		return nil, fmt.Errorf("encode: inverted zone statistics (min=%d max=%d)", min, max)
-	}
-	if min <= -column.MaxMagnitude || max >= column.MaxMagnitude {
-		return nil, fmt.Errorf("encode: values must lie strictly inside ±2^62 (min=%d max=%d)", min, max)
-	}
-	switch mode {
-	case ModeRaw:
-		return newRaw(values, min, max), nil
-	case ModeFORBP:
-		return newFORBP(values, min, max), nil
-	case ModeDict:
-		if dict := probeDict(values); dict != nil {
-			return newDict(values, min, max, dict), nil
-		}
-		// Forced dict on a high-cardinality segment: FOR-BP is the
-		// closest packed representation, and callers forcing dict want
-		// compression, not an error at seal time.
-		return newFORBP(values, min, max), nil
-	case ModeAuto:
-		return newAuto(values, min, max), nil
-	}
-	return nil, fmt.Errorf("encode: unknown mode %d", mode)
+	return pack(values, min, max, mode, probeFor(values, min, max, mode)), nil
 }
 
-// FromColumn encodes a frozen column using its zone statistics.
-func FromColumn(c *column.Column, mode Mode) (*Segment, error) {
-	return New(c.Values(), c.Min(), c.Max(), mode)
+// check refuses what no run of rows may be encoded from: no rows,
+// statistics that cannot be true, values outside the kernel-safe
+// domain, a mode that does not exist.
+func check(n int, min, max int64, mode Mode) error {
+	switch {
+	case n == 0:
+		return ErrEmpty
+	case min > max:
+		return fmt.Errorf("encode: inverted zone statistics (min=%d max=%d)", min, max)
+	case min <= -column.MaxMagnitude || max >= column.MaxMagnitude:
+		return fmt.Errorf("encode: values must lie strictly inside ±2^62 (min=%d max=%d)", min, max)
+	case mode > ModeDict:
+		return fmt.Errorf("encode: unknown mode %d", mode)
+	}
+	return nil
 }
 
-// newAuto picks the representation from the segment's statistics:
-// dictionary when the cardinality is low enough that codes + the
-// dictionary beat FOR-BP deltas, raw when the FOR width is so close to
-// 64 that unpacking buys nothing, FOR-BP otherwise.
-func newAuto(values []int64, min, max int64) *Segment {
+// probeFor returns the dictionary a run's rows are coded against, nil
+// when they are not: a forced dictionary whenever the cardinality probe
+// fits, an automatic one only when the cardinality is low enough that
+// codes + the dictionary beat FOR-BP deltas over the run's own frame.
+func probeFor(values []int64, min, max int64, mode Mode) []int64 {
+	if mode != ModeDict && mode != ModeAuto {
+		return nil
+	}
+	dict := probeDict(values)
+	if dict == nil || mode == ModeDict {
+		return dict
+	}
+	codeW, forW := codeWidth(len(dict)), forWidth(min, max)
+	dictBits := uint64(len(dict))*64 + uint64(len(values))*uint64(codeW)
+	if codeW < forW && dictBits < uint64(len(values))*uint64(forW) {
+		return dict
+	}
+	return nil
+}
+
+// pack picks the representation of one run — a whole segment, or one
+// block of a longer run whose probed dictionary dict is — from its
+// statistics. A forced dictionary codes every run it was probed over
+// (without one the probe overflowed: FOR-BP is the closest packed
+// representation, and callers forcing dict want compression, not an
+// error at seal time); the automatic mode takes the dictionary where
+// its codes are narrower than the run's own FOR frame, raw when that
+// frame is so close to 64 bits that unpacking buys nothing, FOR-BP
+// otherwise.
+func pack(values []int64, min, max int64, mode Mode, dict []int64) *Segment {
 	forW := forWidth(min, max)
-	if dict := probeDict(values); dict != nil {
-		codeW := codeWidth(len(dict))
-		dictBits := uint64(len(dict))*64 + uint64(len(values))*uint64(codeW)
-		forBits := uint64(len(values)) * uint64(forW)
-		if codeW < forW && dictBits < forBits {
-			return newDict(values, min, max, dict)
-		}
-	}
-	if forW >= rawWidthFloor {
+	switch {
+	case mode == ModeRaw:
+		return newRaw(values, min, max)
+	case dict != nil && (mode == ModeDict || codeWidth(len(dict)) < forW):
+		return newDict(values, min, max, dict)
+	case mode == ModeAuto && forW >= rawWidthFloor:
 		return newRaw(values, min, max)
 	}
 	return newFORBP(values, min, max)
@@ -322,58 +335,11 @@ func (s *Segment) AggRange(lo, hi int64, aggs column.Aggregates) column.Agg {
 	case KindRaw:
 		return column.AggRange(s.raw, lo, hi, aggs)
 	case KindFORBP:
-		return s.aggFORBP(0, s.n, lo, hi, aggs)
+		return s.aggFORBP(lo, hi, aggs)
 	case KindDict:
-		return s.aggDict(0, s.n, lo, hi, aggs)
+		return s.aggDict(lo, hi, aggs)
 	}
 	panic(fmt.Sprintf("encode: corrupt segment kind %d", s.kind))
-}
-
-// ParAggRange is AggRange split across the pool's workers (row-range
-// chunks, exactly like column.ParAggRange — the packed layout supports
-// starting a gather at any row), merging per-chunk accumulators in
-// chunk order — bit-identical to the serial kernel for every worker
-// count. A nil pool, one worker, or a small segment runs serially.
-func (s *Segment) ParAggRange(p *parallel.Pool, lo, hi int64, aggs column.Aggregates) column.Agg {
-	if lo < s.min {
-		lo = s.min
-	}
-	if hi > s.max {
-		hi = s.max
-	}
-	if lo > hi {
-		return column.NewAgg()
-	}
-	if s.kind == KindRaw {
-		return column.ParAggRange(p, s.raw, lo, hi, aggs)
-	}
-	// Chunk on block boundaries: the FOR-BP planes are per-block, and
-	// block-aligned chunks keep both packed kernels presentation-free.
-	nblocks := (s.n + blockLen - 1) / blockLen
-	chunks := p.Chunks(nblocks, column.MinChunkScan/blockLen)
-	if chunks == 1 {
-		if s.kind == KindFORBP {
-			return s.aggFORBP(0, s.n, lo, hi, aggs)
-		}
-		return s.aggDict(0, s.n, lo, hi, aggs)
-	}
-	parts := make([]column.Agg, chunks)
-	p.Run(nblocks, column.MinChunkScan/blockLen, func(c, a, b int) {
-		from, to := a*blockLen, b*blockLen
-		if to > s.n {
-			to = s.n
-		}
-		if s.kind == KindFORBP {
-			parts[c] = s.aggFORBP(from, to, lo, hi, aggs)
-		} else {
-			parts[c] = s.aggDict(from, to, lo, hi, aggs)
-		}
-	})
-	res := parts[0]
-	for _, a := range parts[1:] {
-		res.Merge(a)
-	}
-	return res
 }
 
 // packedWords is the number of payload words for n values at width w:

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/column"
-	"repro/internal/parallel"
 )
 
 // datasets the property tests sweep: every shape the selector must
@@ -132,37 +131,6 @@ func aggEqual(got, want column.Agg, aggs column.Aggregates) bool {
 		return false
 	}
 	return true
-}
-
-// TestParAggRangeWorkerIdentity requires bit-identical answers at every
-// worker count, including chunk boundaries that split packed blocks.
-func TestParAggRangeWorkerIdentity(t *testing.T) {
-	// Big enough to split into multiple chunks (MinChunkScan = 64K).
-	n := 3*column.MinChunkScan + 1234
-	rng := rand.New(rand.NewSource(3))
-	vs := make([]int64, n)
-	for i := range vs {
-		vs[i] = rng.Int63n(1 << 20)
-	}
-	mn, mx := column.MinMax(vs)
-	for _, mode := range []Mode{ModeFORBP, ModeDict, ModeRaw} {
-		seg, err := New(vs, mn, mx, mode)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, p := range [][2]int64{{mn, mx}, {mn + 1000, mx - 1000}, {mx + 1, mx + 2}} {
-			for _, aggs := range aggsCases() {
-				want := seg.AggRange(p[0], p[1], aggs)
-				for _, workers := range []int{1, 2, 3, 4, 8} {
-					got := seg.ParAggRange(parallel.New(workers), p[0], p[1], aggs)
-					if got != want {
-						t.Fatalf("%v workers=%d: ParAggRange(%d,%d,%v) = %+v, serial %+v",
-							mode, workers, p[0], p[1], aggs, got, want)
-					}
-				}
-			}
-		}
-	}
 }
 
 // TestDecodeRoundTrip: Decode must reproduce the original rows in

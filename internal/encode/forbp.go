@@ -48,10 +48,8 @@ func packVertical(n int, w uint, get func(i int) uint64) []uint64 {
 	return words
 }
 
-// aggFORBP aggregates rows [from, to) against the clamped predicate
-// [lo, hi]; from must be block-aligned (the parallel splitter chunks
-// on block boundaries) and callers guarantee s.min <= lo <= hi <=
-// s.max. The predicate is rewritten into FOR space once — dlo = lo-ref
+// aggFORBP aggregates the rows against the clamped predicate [lo, hi]
+// (callers guarantee s.min <= lo <= hi <= s.max). The predicate is rewritten into FOR space once — dlo = lo-ref
 // and dhi = hi-ref — and evaluated per block with a word-parallel
 // compare that resolves v >= dlo and v <= dhi for all 64 lanes in one
 // plane pass, branch-free and selectivity-independent. SUM adds
@@ -61,15 +59,12 @@ func packVertical(n int, w uint, get func(i int) uint64) []uint64 {
 // raw values in row order. MIN/MAX descend the planes restricting a
 // candidate-lane mask (choose the 0-side for min, the 1-side for max),
 // touching only blocks that matched at all.
-func (s *Segment) aggFORBP(from, to int, lo, hi int64, aggs column.Aggregates) column.Agg {
+func (s *Segment) aggFORBP(lo, hi int64, aggs column.Aggregates) column.Agg {
 	a := column.NewAgg()
-	if to <= from {
-		return a
-	}
 	if s.width == 0 {
 		// Constant segment: clamping pinned lo == ref == hi, so every
 		// row matches. count*ref == ref summed count times mod 2^64.
-		cnt := int64(to - from)
+		cnt := int64(s.n)
 		a.Sum, a.Count = cnt*s.ref, cnt
 		if aggs.NeedsMinMax() {
 			a.Min, a.Max = s.ref, s.ref
@@ -91,8 +86,8 @@ func (s *Segment) aggFORBP(from, to int, lo, hi int64, aggs column.Aggregates) c
 	var sum, count int64
 	mn, mx := int64(math.MaxInt64), int64(math.MinInt64)
 	words := s.words
-	for i, block := from, from/blockLen; i < to; block++ {
-		k := to - i
+	for i, block := 0, 0; i < s.n; block++ {
+		k := s.n - i
 		if k > blockLen {
 			k = blockLen
 		}

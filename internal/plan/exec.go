@@ -7,6 +7,7 @@ import (
 	"repro/internal/column"
 	"repro/internal/obs"
 	"repro/internal/query"
+	"repro/internal/shard"
 )
 
 // execConj answers one conjunction under the table's read lock. The
@@ -14,14 +15,14 @@ import (
 // except through the driver column's clamped index execution.
 //
 // Route selection:
-//   - no predicates, or one predicate on the aggregate target column,
-//     and that column has been claimed: direct route through the
-//     column's own progressive index (full index acceleration, budget
+//   - no predicates, or one predicate on the aggregate target column:
+//     direct route through the column's own sharded table (full index
+//     acceleration where its shards are indexed, the cold scan where
+//     they are not — which is what heats them towards a claim; budget
 //     clamped);
-//   - everything else, the direct route on a cold column included:
-//     planner picks the driving column, then a fused block scan prunes
-//     with every column's zone maps and ANDs the predicates, driver
-//     first, into one selection mask per block.
+//   - everything else: planner picks the driving column, then a fused
+//     block scan prunes with every column's zone maps and ANDs the
+//     predicates, driver first, into one selection mask per block.
 func (t *Table) execConj(c query.Conjunction, tr *obs.Trace, forced int) (query.Answer, Choice, error) {
 	if err := c.Validate(); err != nil {
 		return query.Answer{}, Choice{}, err
@@ -39,8 +40,8 @@ func (t *Table) execConj(c query.Conjunction, tr *obs.Trace, forced int) (query.
 	if len(c.Preds) == 0 {
 		// Unconditional aggregate: a predicate covering the target's
 		// zone, so both routes below see the one-predicate shape.
-		st := t.cols[tgt].store
-		c.Preds = []query.ColPredicate{{Col: target, Pred: query.Range(st.mn, st.mx)}}
+		mn, mx := t.cols[tgt].idx.ValueBounds()
+		c.Preds = []query.ColPredicate{{Col: target, Pred: query.Range(mn, mx)}}
 	}
 	preds := make([]query.ColPredicate, len(c.Preds))
 	bounds := make([][2]int64, len(c.Preds))
@@ -55,7 +56,8 @@ func (t *Table) execConj(c query.Conjunction, tr *obs.Trace, forced int) (query.
 		}
 		t.cols[ci].heat.Add(1)
 		preds[i] = cp
-		lo, hi, empty := cp.Pred.Bounds(t.cols[ci].store.mn, t.cols[ci].store.mx)
+		mn, mx := t.cols[ci].idx.ValueBounds()
+		lo, hi, empty := cp.Pred.Bounds(mn, mx)
 		if empty {
 			emptyPred = true
 		}
@@ -63,7 +65,7 @@ func (t *Table) execConj(c query.Conjunction, tr *obs.Trace, forced int) (query.
 	}
 
 	// A predicate disjoint from its column's zone empties the whole
-	// conjunction without touching any store.
+	// conjunction without touching any row.
 	if emptyPred {
 		ch := Choice{Driver: preds[0].Col}
 		if forced >= 0 && forced < len(preds) {
@@ -76,32 +78,36 @@ func (t *Table) execConj(c query.Conjunction, tr *obs.Trace, forced int) (query.
 	}
 
 	// Direct route: the conjunction is a single-column query on the
-	// aggregate target (or unconditional), which the column's own
-	// progressive index answers with full acceleration. A cold column
-	// has no index yet: it takes the masked scan below, and the query
-	// counts toward claiming it.
-	direct := forced < 0 && len(preds) == 1 && t.byName[preds[0].Col] == tgt
-	if direct {
-		if idx := t.cols[tgt].index(); idx != nil {
-			ch := Choice{Driver: t.cols[tgt].name, Direct: true}
-			// The batch, not the query, owns the δ: the column's index
-			// answers with its budget clamped.
-			answers, errs := idx.ExecuteBatch([]query.Request{{Pred: preds[0].Pred, Aggs: aggs}}, query.BatchOpts{Clamp: true})
-			ans, err := answers[0], errs[0]
-			if err != nil {
-				return query.Answer{}, ch, err
-			}
-			ch.MatchedRows = ans.Count
-			ch.DriverRows = ans.Count
-			t.tracePlan(tr, ch, aggs, false)
-			return ans, ch, nil
+	// aggregate target (or unconditional), which the column's own table
+	// answers like any single-column one.
+	if forced < 0 && len(preds) == 1 && t.byName[preds[0].Col] == tgt {
+		ch := Choice{Driver: t.cols[tgt].name, Direct: true}
+		// The batch, not the query, owns the δ: the column's table
+		// answers with its budget clamped.
+		answers, errs := t.cols[tgt].idx.ExecuteBatch([]query.Request{{Pred: preds[0].Pred, Aggs: aggs}}, query.BatchOpts{Clamp: true})
+		ans, err := answers[0], errs[0]
+		if err != nil {
+			return query.Answer{}, ch, err
 		}
-		t.cols[tgt].directHeat.Add(1)
+		ch.MatchedRows = ans.Count
+		ch.DriverRows = ans.Count
+		t.tracePlan(tr, ch, aggs, false)
+		return ans, ch, nil
 	}
 
-	driver, ch := t.choose(preds, bounds, forced)
-	ch.Direct = direct
-	ans := t.fusedScan(preds, bounds, driver, tgt, aggs, &ch)
+	// The target's and the predicate columns' block views. The table's
+	// lock has kept the columns in lockstep; the scan ANDs masks across
+	// them block by block, so it refuses to run if they are not.
+	tgtView := t.cols[tgt].idx.BlockView()
+	views := make([][]shard.Block, len(preds))
+	for i, cp := range preds {
+		views[i] = t.cols[t.byName[cp.Col]].idx.BlockView()
+		if len(views[i]) != len(tgtView) {
+			return query.Answer{}, Choice{}, fmt.Errorf("plan: table %q: columns %q and %q are out of lockstep", t.name, cp.Col, target)
+		}
+	}
+	driver, ch := t.choose(preds, bounds, views, forced)
+	ans := t.fusedScan(preds, bounds, views, tgtView, driver, aggs, &ch)
 	t.tracePlan(tr, ch, aggs, false)
 	return ans, ch, nil
 }
@@ -142,8 +148,8 @@ func (t *Table) tracePlan(tr *obs.Trace, ch Choice, aggs column.Aggregates, empt
 // predicate's zone overlaps it (the maps are row-aligned, so the AND of
 // zones is exact pruning); per surviving block one selection mask
 // starts all-ones, each predicate — driver first, residuals in
-// estimated-selectivity order — ANDs its match bits in with the
-// store's Refine kernel, the first predicate to empty the mask ends the
+// estimated-selectivity order — ANDs its match bits in with the block's
+// Refine kernel, the first predicate to empty the mask ends the
 // block, and the target column is aggregated under what is left. A
 // predicate whose bounds cover the block's zone passes every row and
 // is not evaluated. Chunk partials merge in block order, so answers are
@@ -155,7 +161,7 @@ func (t *Table) tracePlan(tr *obs.Trace, ch Choice, aggs column.Aggregates, empt
 // cost the planner scores — while residual predicates are still
 // verified on every surviving block, so the answer stays identical and
 // only the work differs.
-func (t *Table) fusedScan(preds []query.ColPredicate, bounds [][2]int64, driver, tgt int, aggs column.Aggregates, ch *Choice) query.Answer {
+func (t *Table) fusedScan(preds []query.ColPredicate, bounds [][2]int64, views [][]shard.Block, tgtView []shard.Block, driver int, aggs column.Aggregates, ch *Choice) query.Answer {
 	// Evaluation order: driver first, then residuals by ascending
 	// zone-map estimate (cheapest rejections first).
 	order := make([]int, 0, len(preds))
@@ -170,25 +176,18 @@ func (t *Table) fusedScan(preds []query.ColPredicate, bounds [][2]int64, driver,
 		return ch.Candidates[rest[a]].EstRows < ch.Candidates[rest[b]].EstRows
 	})
 
-	stores := make([]*colStore, len(preds))
-	for i, cp := range preds {
-		stores[i] = t.cols[t.byName[cp.Col]].store
-	}
-	tgtStore := t.cols[tgt].store
-
 	// Survivors of the zone AND — or of the pinned driver's zones alone
 	// when the caller forced the access path.
-	nb := tgtStore.blocks()
+	nb := len(tgtView)
 	surv := make([]int32, 0, nb)
 	for b := 0; b < nb; b++ {
 		live := true
 		if ch.Forced {
-			zlo, zhi := stores[driver].blockZone(b)
-			live = bounds[driver][1] >= zlo && bounds[driver][0] <= zhi
+			blk := &views[driver][b]
+			live = bounds[driver][1] >= blk.Min && bounds[driver][0] <= blk.Max
 		} else {
 			for i := range preds {
-				zlo, zhi := stores[i].blockZone(b)
-				if bounds[i][1] < zlo || bounds[i][0] > zhi {
+				if blk := &views[i][b]; bounds[i][1] < blk.Min || bounds[i][0] > blk.Max {
 					live = false
 					break
 				}
@@ -213,16 +212,16 @@ func (t *Table) fusedScan(preds []query.ColPredicate, bounds [][2]int64, driver,
 	}
 	t.pool.Run(len(surv), minBlocksPerChunk, func(chunk, clo, chi int) {
 		p := partial{agg: column.NewAgg()}
-		var mask [BlockRows / 64]uint64
+		var mask [shard.BlockRows / 64]uint64
 		for _, b32 := range surv[clo:chi] {
 			b := int(b32)
-			live := tgtStore.blockLen(b)
+			live := tgtView[b].Len()
 			p.rows += int64(live)
 			column.FillMask(mask[:], live)
 			for r, i := range order {
 				lo, hi := bounds[i][0], bounds[i][1]
-				if zlo, zhi := stores[i].blockZone(b); lo > zlo || hi < zhi {
-					live = stores[i].refine(b, lo, hi, mask[:])
+				if blk := &views[i][b]; lo > blk.Min || hi < blk.Max {
+					live = blk.Refine(lo, hi, mask[:])
 				}
 				if r == 0 {
 					p.driverRows += int64(live)
@@ -232,7 +231,7 @@ func (t *Table) fusedScan(preds []query.ColPredicate, bounds [][2]int64, driver,
 				}
 			}
 			if live > 0 {
-				p.agg.Merge(tgtStore.aggMasked(b, mask[:], aggs))
+				p.agg.Merge(tgtView[b].AggMasked(mask[:], aggs))
 			}
 		}
 		partials[chunk] = p
@@ -256,13 +255,13 @@ func (t *Table) fusedScan(preds []query.ColPredicate, bounds [][2]int64, driver,
 		ShardsScanned: ch.ScannedBlocks,
 		ShardsPruned:  ch.PrunedBlocks,
 	}
-	if p, ok := t.cols[t.byName[preds[driver].Col]].phase(); ok {
+	if p, ok := t.cols[t.byName[preds[driver].Col]].idx.Phase(); ok {
 		stats.Phase = p
 	}
 	return query.NewAnswer(total, aggs, stats)
 }
 
 // minBlocksPerChunk sizes the parallel fan-out over surviving blocks:
-// 16 blocks × 4096 rows = the 64Ki-row floor the column kernels use
-// before going parallel.
+// 16 blocks × BlockRows rows = the 64Ki-row floor the column kernels
+// use before going parallel.
 const minBlocksPerChunk = 16

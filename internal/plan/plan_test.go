@@ -1,16 +1,21 @@
 package plan
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro"
 	"repro/internal/column"
+	"repro/internal/obs"
+	"repro/internal/parallel"
 	"repro/internal/query"
+	"repro/internal/shard"
 )
 
 // genTuples builds a k-column test table with planner-relevant shape:
@@ -271,6 +276,19 @@ func TestDriverChoiceIrrelevantToAnswer(t *testing.T) {
 	}
 }
 
+// claimedShards counts the shards of column col that hold raw rows: on
+// a compressed table (none of the test columns is incompressible), the
+// ones a claim has decoded and indexed.
+func claimedShards(tbl *Table, col int) int {
+	n := 0
+	for _, si := range tbl.cols[col].idx.ShardStats() {
+		if si.Encoding == "raw" {
+			n++
+		}
+	}
+	return n
+}
+
 // directConj is a direct-route conjunction on col: one predicate on the
 // aggregate target, or none at all.
 func directConj(rng *rand.Rand, col string, n int64) query.Conjunction {
@@ -283,14 +301,15 @@ func directConj(rng *rand.Rand, col string, n int64) query.Conjunction {
 }
 
 // TestCompressedColumnsMatchOracle walks a compressed table through the
-// cold → claim lifecycle of its lazily built column indexes. Columns
-// are born cold — no index, the packed blocks their only copy, every
-// query a masked scan over them — and report the terminal state a cold
-// shard does. Direct-route and composite answers must match the oracle
-// before the claim, on the batch that triggers it and after it, with
-// appends interleaved; and the Handle surface the catalog, scheduler
-// and checkpoints drive (MaterializeRows, PendingRows, Append,
-// Progress, Phase) must be correct while a column has no index.
+// cold → claim lifecycle of its columns' shards. Columns are born cold
+// — no index, the packed blocks their only copy, every query a scan
+// over them — and report the terminal state a cold shard does until
+// rows are appended: those ride raw in the tail, pending, until a seal.
+// Direct-route and composite answers must match the oracle before the
+// claim, on the batch that triggers it and after it, with appends
+// interleaved; and the Handle surface the catalog, scheduler and
+// checkpoints drive (MaterializeRows, PendingRows, Append, Progress,
+// Phase) must be correct while a column has no index.
 func TestCompressedColumnsMatchOracle(t *testing.T) {
 	const (
 		n         = 25_000
@@ -306,21 +325,22 @@ func TestCompressedColumnsMatchOracle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if eb := tbl.cols[0].store.encodedBlocks(); eb == 0 {
-				t.Fatal("no encoded blocks on a compressed table")
+			if st := tbl.ColumnStates()[0]; st.EncodedBlocks == 0 || st.EncodedBlocks != st.Blocks {
+				t.Fatalf("%d of %d blocks encoded on a loaded compressed table", st.EncodedBlocks, st.Blocks)
 			}
+			// checkCold: no shard claimed, and the table terminal exactly
+			// when no appended row is waiting in the tail.
 			checkCold := func(when string) {
 				t.Helper()
-				for _, cs := range tbl.cols {
-					if cs.index() != nil {
-						t.Fatalf("%s: column %q has an index, want cold", when, cs.name)
+				for i, cs := range tbl.cols {
+					if claimedShards(tbl, i) != 0 {
+						t.Fatalf("%s: column %q has a claimed shard, want cold", when, cs.name)
 					}
 				}
-				if p, ok := tbl.Phase(); !tbl.Converged() || tbl.Progress() != 1 || !ok || p != query.PhaseDone {
-					t.Fatalf("%s: cold table reports converged=%v progress=%g phase=%v,%v", when, tbl.Converged(), tbl.Progress(), p, ok)
-				}
-				if pr := tbl.PendingRows(); pr != 0 {
-					t.Fatalf("%s: cold table reports %d pending rows", when, pr)
+				sealed := tbl.PendingRows() == 0
+				if p, ok := tbl.Phase(); tbl.Converged() != sealed || (tbl.Progress() == 1) != sealed || !ok || (p == query.PhaseDone) != sealed {
+					t.Fatalf("%s: cold table with %d pending rows reports converged=%v progress=%g phase=%v,%v",
+						when, tbl.PendingRows(), tbl.Converged(), tbl.Progress(), p, ok)
 				}
 				if got, want := tbl.MaterializeRows(), flatten(cols, 0, rows); !slices.Equal(got, want) {
 					t.Fatalf("%s: MaterializeRows of a cold table differs from the %d loaded rows", when, rows)
@@ -349,9 +369,18 @@ func TestCompressedColumnsMatchOracle(t *testing.T) {
 			// an index would not have served them.
 			rng := rand.New(rand.NewSource(3))
 			checkCold("at birth")
+			if tbl.PendingRows() != 0 {
+				t.Fatal("pending rows on a loaded table")
+			}
 			for q := 0; q < 3*claimHeat; q++ {
 				if q%4 == 1 {
+					// Below the seal threshold the rows ride raw in the tail, and
+					// the table owes their seal, until a batch's spare δ (or an
+					// idle slice) flushes every column's.
 					grow(rng)
+					if tbl.PendingRows() == 0 || tbl.Converged() {
+						t.Fatalf("after an append: %d pending rows, converged=%v", tbl.PendingRows(), tbl.Converged())
+					}
 				}
 				c := randomConj(rng, names, n)
 				if len(c.Preds) == 1 {
@@ -361,40 +390,61 @@ func TestCompressedColumnsMatchOracle(t *testing.T) {
 			}
 			checkCold("after composite queries and appends")
 
-			// Direct-route queries on b: cold masked scans up to the
-			// threshold, the claim on the batch that reaches it, the
-			// column's own index afterwards.
+			// Direct-route queries on b: its shards' cold scans up to the
+			// threshold, the first claim on the batch that reaches it (one
+			// shard a batch), the shards' own indexes afterwards.
 			for q := 0; q < 3*claimHeat; q++ {
 				if q%3 == 1 {
 					grow(rng)
 				}
 				check(directConj(rng, "b", n))
-				if claimed := tbl.cols[1].index() != nil; claimed != (q+1 >= claimHeat) {
-					t.Fatalf("after %d direct queries (threshold %d): claimed=%v", q+1, claimHeat, claimed)
+				// b is uniform: no direct query prunes its first loaded shard.
+				// (A tail-born shard inherits the heat of the shards it
+				// absorbed and may be claimed sooner.)
+				if si := tbl.cols[1].idx.ShardStats()[0]; si.Heat < uint64(q+1) || (si.Encoding == "raw") != (si.Heat >= claimHeat) {
+					t.Fatalf("after %d direct queries (threshold %d): first shard %+v", q+1, claimHeat, si)
 				}
 				check(randomConj(rng, names, n))
 			}
-			if tbl.cols[0].index() != nil || tbl.cols[2].index() != nil {
+			if claimedShards(tbl, 0) != 0 || claimedShards(tbl, 2) != 0 {
 				t.Fatal("columns that served no direct-route query were claimed")
 			}
-			if _, ch, err := tbl.ExplainConj(directConj(rng, "b", n), ""); err != nil || !ch.Direct || ch.ScannedBlocks != 0 {
-				t.Fatalf("claimed column's direct route did not reach its index: %+v, %v", ch, err)
+			if si := tbl.cols[1].idx.ShardStats(); si[0].Encoding != "raw" || si[1].Encoding != "raw" {
+				t.Fatalf("b's loaded shards not both claimed: %+v", si[:2])
 			}
-			if _, ch, err := tbl.ExplainConj(directConj(rng, "a", n), ""); err != nil || !ch.Direct || ch.ScannedBlocks == 0 {
-				t.Fatalf("cold column's direct route did not scan its blocks: %+v, %v", ch, err)
+			// Claimed or cold, the direct route is the column's own table:
+			// no block of the planner's is scanned, and a cold shard's scan
+			// is what heats it.
+			heatBefore := tbl.cols[0].idx.ShardStats()[0].Heat
+			for _, col := range []string{"b", "a"} {
+				c := query.Conjunction{Target: col, Aggs: column.AggAll}
+				got, ch, err := tbl.ExplainConj(c, "")
+				if err != nil || !ch.Direct || ch.ScannedBlocks != 0 {
+					t.Fatalf("column %s's direct route did not reach its own table: %+v, %v", col, ch, err)
+				}
+				if want := oracleConj(cols, names, rows, c); !sameAnswer(got, want) {
+					t.Fatalf("direct on %s:\n got %+v\nwant %+v", col, got, want)
+				}
+			}
+			if heat := tbl.cols[0].idx.ShardStats()[0].Heat; heat != heatBefore+1 {
+				t.Fatalf("cold direct query moved its shard's heat %d → %d", heatBefore, heat)
 			}
 			grow(rng)
 			if got, want := tbl.MaterializeRows(), flatten(cols, 0, rows); !slices.Equal(got, want) {
 				t.Fatal("MaterializeRows differs after the claim")
 			}
 
-			// The claimed column converges under the table's δ like any
-			// raw-mode column; the cold ones stay terminal.
+			// The claimed shards converge under the table's δ like any
+			// raw-mode column's, then the idle flush seals the tail on every
+			// column together; the cold shards stay terminal.
 			for i := 0; i < 400 && !tbl.Converged(); i++ {
 				check(directConj(rng, "b", n))
 			}
-			if !tbl.Converged() {
-				t.Fatal("claimed column did not converge")
+			if !tbl.Converged() || tbl.PendingRows() != 0 {
+				t.Fatalf("claimed column did not converge (%d rows pending)", tbl.PendingRows())
+			}
+			if got, want := tbl.MaterializeRows(), flatten(cols, 0, rows); !slices.Equal(got, want) {
+				t.Fatal("MaterializeRows differs after the flush")
 			}
 		})
 	}
@@ -481,10 +531,8 @@ func TestConcurrentClaim(t *testing.T) {
 	close(stop)
 	probes.Wait()
 	claimed := 0
-	for _, cs := range tbl.cols {
-		if cs.index() != nil {
-			claimed++
-		}
+	for i := range tbl.cols {
+		claimed += claimedShards(tbl, i)
 	}
 	if claimed == 0 {
 		t.Fatal("no column was claimed")
@@ -513,18 +561,17 @@ func TestNeverClaim(t *testing.T) {
 			t.Fatalf("%s:\n got %+v\nwant %+v", c, got, want)
 		}
 	}
-	if tbl.cols[0].index() != nil {
+	if claimedShards(tbl, 0) != 0 {
 		t.Fatal("column claimed despite ClaimHeat < 0")
 	}
 }
 
 // TestOutOfDomainRejectedAtomically: a value outside ±2^62 is refused
-// by New and by Append under every encoding — cold columns have no
-// handle to refuse it for them — and a refused batch leaves every
-// column untouched, including the columns ahead of the bad value and a
-// tail block one row short of sealing.
+// by New and by Append under every encoding, and a refused batch leaves
+// every column untouched, including the columns ahead of the bad value
+// and a last block one row short of full.
 func TestOutOfDomainRejectedAtomically(t *testing.T) {
-	const n = BlockRows - 1 // the next accepted row seals a block
+	const n = shard.BlockRows - 1 // the next accepted row would fill the block
 	names := []string{"a", "b"}
 	cols := genTuples(n+1, 2, 29)
 	for _, enc := range []progidx.Encoding{progidx.EncodingRaw, progidx.EncodingFORBP, progidx.EncodingDict, progidx.EncodingAuto} {
@@ -550,13 +597,14 @@ func TestOutOfDomainRejectedAtomically(t *testing.T) {
 			if got := tbl.MaterializeRows(); !slices.Equal(got, before) {
 				t.Fatalf("rejected append changed the table: %d → %d values", len(before), len(got))
 			}
-			// The table still ingests, seals its block and answers exactly.
+			// The table still ingests — the row rides in every column's tail,
+			// a block of its own — and answers exactly.
 			if err := tbl.Append(flatten(cols, n, n+1)); err != nil {
 				t.Fatal(err)
 			}
-			for i, cs := range tbl.cols {
-				if cs.store.n != n+1 || cs.store.tailLen() != 0 {
-					t.Fatalf("column %d: %d rows, tail %d after sealing append", i, cs.store.n, cs.store.tailLen())
+			for i, st := range tbl.ColumnStates() {
+				if st.Rows != n+1 || st.Blocks != 2 || tbl.PendingRows() != 1 {
+					t.Fatalf("column %d: %d rows in %d blocks, %d pending after the append", i, st.Rows, st.Blocks, tbl.PendingRows())
 				}
 			}
 			c := query.Conjunction{Preds: []query.ColPredicate{
@@ -573,9 +621,10 @@ func TestOutOfDomainRejectedAtomically(t *testing.T) {
 	}
 }
 
-// TestBadOptionsRefusedAtNew: a cold table builds no handle at New, so
-// New itself must refuse the options the later claim and seal would
-// choke on.
+// TestBadOptionsRefusedAtNew: a cold table builds no index at load, so
+// the load itself must refuse the options the later claim and seal
+// would choke on — for a planned table and for a single-column handle
+// alike (the shard layer proves them once for both).
 func TestBadOptionsRefusedAtNew(t *testing.T) {
 	flat := []int64{1, 2, 3, 4}
 	for _, opts := range []progidx.Options{
@@ -586,24 +635,40 @@ func TestBadOptionsRefusedAtNew(t *testing.T) {
 		if _, err := New("t", []string{"a", "b"}, flat, opts); err == nil {
 			t.Errorf("New accepted %+v", opts)
 		}
+		if _, err := progidx.NewHandle(flat, opts); err == nil {
+			t.Errorf("NewHandle accepted %+v", opts)
+		}
 	}
 }
 
 // TestFailedClaimIsNotRetried: if a claim's build fails all the same,
-// the column stays cold and exact, the error is kept for the debug
-// surface, and no later batch decodes the column again.
+// the shard stays cold and exact, the error is kept for the debug
+// surface, and no later batch decodes the shard again. The columns are
+// built on a factory that passes the load-time proof and nothing
+// larger — what New can never be given — first under a planned table,
+// then as the plain single-column handle the second column is.
 func TestFailedClaimIsNotRetried(t *testing.T) {
 	const n = 9_000
 	names := []string{"a", "b"}
 	cols := genTuples(n, 2, 31)
-	tbl, err := New("t", names, flatten(cols, 0, n), progidx.Options{
-		Strategy: progidx.StrategyQuicksort, Delta: 0.25, Encoding: progidx.EncodingFORBP, ClaimHeat: 2})
-	if err != nil {
-		t.Fatal(err)
+	var builds atomic.Int32
+	factory := func(c *column.Column) (query.Index, error) {
+		if c.Len() > 1 {
+			builds.Add(1)
+			return nil, errors.New("boom")
+		}
+		return progidx.NewFromColumn(c, progidx.Options{})
 	}
-	tbl.idxOpts.Strategy = progidx.Strategy(99) // what New would have refused
+	tbl := &Table{name: "t", byName: map[string]int{}, pool: parallel.New(1), rows: n}
+	for i, name := range names {
+		idx, err := shard.New(column.MustNew(cols[i]), shard.Config{Encoding: progidx.EncodingFORBP, ClaimHeat: 2}, factory)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tbl.byName[name] = i
+		tbl.cols = append(tbl.cols, &colState{name: name, idx: idx, tl: obs.NewTimeline(16)})
+	}
 	rng := rand.New(rand.NewSource(1))
-	var first *error
 	for q := 0; q < 12; q++ {
 		c := directConj(rng, "a", n)
 		got, err := tbl.ExecuteConj(c)
@@ -613,17 +678,32 @@ func TestFailedClaimIsNotRetried(t *testing.T) {
 		if want := oracleConj(cols, names, n, c); !sameAnswer(got, want) {
 			t.Fatalf("%s:\n got %+v\nwant %+v", c, got, want)
 		}
-		if errp := tbl.cols[0].claimErr.Load(); first == nil {
-			first = errp
-		} else if errp != first {
-			t.Fatalf("query %d: claim retried", q)
+	}
+	if got := builds.Load(); got != 1 {
+		t.Fatalf("%d index builds over 12 direct queries past the threshold, want the one failed claim", got)
+	}
+	if st := tbl.ColumnStates()[0]; st.ClaimError == "" || !st.Converged || claimedShards(tbl, 0) != 0 {
+		t.Fatalf("column state after failed claim: %+v", st)
+	}
+
+	single := tbl.cols[1].idx
+	for q := 0; q < 12; q++ {
+		lo := rng.Int63n(n)
+		req := query.Request{Pred: query.Range(lo, lo+n/8), Aggs: column.AggAll}
+		got, err := single.Execute(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := query.Conjunction{Preds: []query.ColPredicate{{Col: "b", Pred: req.Pred}}, Target: "b", Aggs: req.Aggs}
+		if want := oracleConj(cols, names, n, c); !sameAnswer(got, want) {
+			t.Fatalf("%s:\n got %+v\nwant %+v", c, got, want)
 		}
 	}
-	if first == nil || tbl.cols[0].index() != nil {
-		t.Fatal("claim did not fail")
+	if got := builds.Load(); got != 2 {
+		t.Fatalf("%d index builds after 12 lead queries on the single-column handle, want one more", got-1)
 	}
-	if st := tbl.ColumnStates()[0]; st.ClaimError == "" || !st.Converged {
-		t.Fatalf("column state after failed claim: %+v", st)
+	if si := single.ShardStats()[0]; si.ClaimError == "" || si.Encoding != "forbp" || !si.Converged {
+		t.Fatalf("shard state after failed claim: %+v", si)
 	}
 }
 
@@ -635,7 +715,7 @@ func TestFusedScanAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc counts are not meaningful under -race")
 	}
-	const n = 40 * BlockRows
+	const n = 40 * shard.BlockRows
 	names := []string{"a", "b", "c"}
 	cols := genTuples(n, 3, 19)
 	for _, enc := range testEncodings {
@@ -651,7 +731,7 @@ func TestFusedScanAllocs(t *testing.T) {
 			}}
 		}
 		var perQuery [2]float64
-		for i, c := range []query.Conjunction{conj(BlockRows/2, BlockRows/2+10), conj(0, n)} {
+		for i, c := range []query.Conjunction{conj(shard.BlockRows/2, shard.BlockRows/2+10), conj(0, n)} {
 			_, ch, err := tbl.ExplainConj(c, "")
 			if err != nil {
 				t.Fatal(err)
@@ -696,12 +776,12 @@ func TestSingleColumnCompat(t *testing.T) {
 	}
 	// Repeated execution must converge the first column (the only one
 	// touched) and Progress must rise.
-	for i := 0; i < 400 && !tbl.cols[0].converged(); i++ {
+	for i := 0; i < 400 && !tbl.cols[0].idx.Converged(); i++ {
 		if _, err := tbl.Execute(query.Request{Pred: query.Range(0, n)}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if !tbl.cols[0].converged() {
+	if !tbl.cols[0].idx.Converged() {
 		t.Fatal("first column did not converge under repeated queries")
 	}
 	// Heat accounting: only the queried column accrued heat. (Cold

@@ -2,6 +2,7 @@ package plan
 
 import (
 	"repro/internal/query"
+	"repro/internal/shard"
 )
 
 // Candidate is the planner's per-predicate costing for one column of a
@@ -47,19 +48,18 @@ type Choice struct {
 // driver to preds[forced]'s column (the benchmark's worst-column
 // baseline); the candidates are still costed so the trace shows what
 // the planner would have done.
-func (t *Table) choose(preds []query.ColPredicate, bounds [][2]int64, forced int) (int, Choice) {
+func (t *Table) choose(preds []query.ColPredicate, bounds [][2]int64, views [][]shard.Block, forced int) (int, Choice) {
 	ch := Choice{Candidates: make([]Candidate, len(preds))}
 	rows := float64(t.rows)
 	best := 0
 	for i, cp := range preds {
-		cs := t.cols[t.byName[cp.Col]].store
 		lo, hi := bounds[i][0], bounds[i][1]
-		est := cs.estRows(lo, hi)
-		blocks := cs.scanBlocks(lo, hi)
-		cost := float64(blocks*BlockRows) + est*float64(len(preds)-1)
+		est := estRows(views[i], lo, hi)
+		blocks := scanBlocks(views[i], lo, hi)
+		cost := float64(blocks*shard.BlockRows) + est*float64(len(preds)-1)
 		cand := Candidate{
 			Col: cp.Col, EstRows: est, ScanBlocks: blocks, Cost: cost,
-			Progress: t.cols[t.byName[cp.Col]].progress(),
+			Progress: t.cols[t.byName[cp.Col]].idx.Progress(),
 		}
 		if rows > 0 {
 			cand.EstSel = est / rows
@@ -85,4 +85,39 @@ func (t *Table) choose(preds []query.ColPredicate, bounds [][2]int64, forced int
 	}
 	ch.Driver = preds[best].Col
 	return best, ch
+}
+
+// estRows estimates how many of a column's rows satisfy [lo, hi] from
+// its zone maps alone: each overlapping block contributes its row count
+// scaled by the fraction of its zone the predicate covers
+// (uniform-within-block assumption). Exact zero when no zone overlaps.
+func estRows(bv []shard.Block, lo, hi int64) float64 {
+	est := 0.0
+	for b := range bv {
+		zlo, zhi := bv[b].Min, bv[b].Max
+		if hi < zlo || lo > zhi {
+			continue
+		}
+		olo, ohi := lo, hi
+		if olo < zlo {
+			olo = zlo
+		}
+		if ohi > zhi {
+			ohi = zhi
+		}
+		est += float64(ohi-olo+1) / float64(zhi-zlo+1) * float64(bv[b].Len())
+	}
+	return est
+}
+
+// scanBlocks counts the blocks whose zone overlaps [lo, hi] — the
+// blocks a scan driven by this column would have to touch.
+func scanBlocks(bv []shard.Block, lo, hi int64) int {
+	count := 0
+	for b := range bv {
+		if hi >= bv[b].Min && lo <= bv[b].Max {
+			count++
+		}
+	}
+	return count
 }

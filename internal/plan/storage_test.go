@@ -1,0 +1,215 @@
+package plan
+
+import (
+	"fmt"
+	"math/rand"
+	"runtime"
+	"slices"
+	"sync"
+	"testing"
+
+	"repro"
+	"repro/internal/column"
+	"repro/internal/data"
+	"repro/internal/query"
+)
+
+// TestColumnsStayInLockstep drives everything that moves a column's
+// structure — appends of every size (threshold seals, merges), idle
+// slices (refinement, then the table's flush), direct queries that heat
+// cold shards into claims — while readers run conjunctions, each of
+// whose batches ends in claims and a δ slice of its own. After every
+// step all columns must hold the same shard row ranges, the same pending
+// tail and row-aligned blocks, and every answer must match the oracle.
+// The readers' conjunctions carry a range on a below the loaded rows'
+// values (a tracks the row number), so the loaded rows stay their oracle
+// while the table grows. Run under -race.
+func TestColumnsStayInLockstep(t *testing.T) {
+	const (
+		n      = 90_000
+		loaded = 10_000
+		stable = 9_000 // every row with a <= stable was loaded: |a - row| <= n/100+1
+	)
+	names := []string{"a", "b", "c"}
+	cols := genTuples(n, 3, 37)
+	for _, enc := range []progidx.Encoding{progidx.EncodingRaw, progidx.EncodingFORBP} {
+		for _, shards := range []int{1, 3} {
+			t.Run(fmt.Sprintf("%s/shards=%d", enc, shards), func(t *testing.T) {
+				tbl, err := New("t", names, flatten(cols, 0, loaded), progidx.Options{
+					Strategy: progidx.StrategyQuicksort, Delta: 0.25, Shards: shards, Encoding: enc, ClaimHeat: 3})
+				if err != nil {
+					t.Fatal(err)
+				}
+				stop := make(chan struct{})
+				var readers sync.WaitGroup
+				for g := 0; g < 2; g++ {
+					readers.Add(1)
+					go func(g int) {
+						defer readers.Done()
+						rng := rand.New(rand.NewSource(int64(100 + g)))
+						for {
+							select {
+							case <-stop:
+								return
+							default:
+							}
+							c := randomConj(rng, names, n)
+							lo := rng.Int63n(stable)
+							onA := query.ColPredicate{Col: "a", Pred: query.Range(lo, min(stable, lo+rng.Int63n(stable)))}
+							if i := slices.IndexFunc(c.Preds, func(cp query.ColPredicate) bool { return cp.Col == "a" }); i >= 0 {
+								c.Preds[i] = onA
+							} else {
+								c.Preds = append(c.Preds, onA)
+							}
+							got, err := tbl.ExecuteConj(c)
+							if err != nil {
+								t.Error(err)
+								return
+							}
+							if want := oracleConj(cols, names, loaded, c); !sameAnswer(got, want) {
+								t.Errorf("reader: %s:\n got %+v\nwant %+v", c, got, want)
+								return
+							}
+						}
+					}(g)
+				}
+
+				rows := loaded
+				rng := rand.New(rand.NewSource(5))
+				for step := 0; step < 40 && !t.Failed(); step++ {
+					switch op := rng.Intn(4); {
+					case op < 2 && rows < n:
+						to := min(n, rows+1+rng.Intn(9_000))
+						if err := tbl.Append(flatten(cols, rows, to)); err != nil {
+							t.Fatal(err)
+						}
+						rows = to
+					case op == 2:
+						for i := rng.Intn(6); i >= 0; i-- {
+							tbl.RefineStep()
+						}
+					default:
+						col := names[rng.Intn(len(names))]
+						for i := 0; i < 4; i++ {
+							c := directConj(rng, col, n)
+							got, err := tbl.ExecuteConj(c)
+							if err != nil {
+								t.Fatal(err)
+							}
+							if want := oracleConj(cols, names, rows, c); !sameAnswer(got, want) {
+								t.Fatalf("step %d: %s at %d rows:\n got %+v\nwant %+v", step, c, rows, got, want)
+							}
+						}
+					}
+					checkLockstep(t, tbl, rows)
+					c := randomConj(rng, names, n)
+					got, err := tbl.ExecuteConj(c)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if want := oracleConj(cols, names, rows, c); !sameAnswer(got, want) {
+						t.Fatalf("step %d: %s at %d rows:\n got %+v\nwant %+v", step, c, rows, got, want)
+					}
+				}
+				close(stop)
+				readers.Wait()
+				checkLockstep(t, tbl, rows)
+			})
+		}
+	}
+}
+
+// checkLockstep compares every column's structure with the first's,
+// under the table's read lock: a reader's batch may flush the tails at
+// any moment, but only under the write lock.
+func checkLockstep(t *testing.T, tbl *Table, rows int) {
+	t.Helper()
+	tbl.mu.RLock()
+	defer tbl.mu.RUnlock()
+	var shards0, blocks0 []int
+	for i, cs := range tbl.cols {
+		var shards, blocks []int
+		covered := cs.idx.PendingRows()
+		for _, si := range cs.idx.ShardStats() {
+			shards = append(shards, si.Rows)
+			covered += si.Rows
+		}
+		shards = append(shards, cs.idx.PendingRows()) // the tail, last
+		for _, b := range cs.idx.BlockView() {
+			blocks = append(blocks, b.Len())
+		}
+		if covered != rows {
+			t.Fatalf("column %q covers %d rows, want %d", cs.name, covered, rows)
+		}
+		if i == 0 {
+			shards0, blocks0 = shards, blocks
+		} else if !slices.Equal(shards, shards0) || !slices.Equal(blocks, blocks0) {
+			t.Fatalf("column %q out of lockstep with %q:\nshards+tail %v vs %v\nblocks %v vs %v",
+				cs.name, tbl.cols[0].name, shards, shards0, blocks, blocks0)
+		}
+	}
+}
+
+// liveHeap forces a collection and returns the live heap.
+func liveHeap() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// TestPlannedRowsStoredOnce pins what one storage layer is for: a
+// planned table holds each column's rows in one place. Raw, that is the
+// column's array (8 B/row) plus, once converged, the index's sorted copy
+// — where a second row store beside the shard layer made it 16.5 and
+// 24.6 per column. FOR-BP, the packed blocks are the loaded table, at
+// the per-block figure (7.09 B/row over three columns on this data when
+// a column store packed them; a frame per whole shard would be 7.6),
+// and a claim trades one column's blocks for its rows and index instead
+// of keeping all three (23.2).
+func TestPlannedRowsStoredOnce(t *testing.T) {
+	if raceEnabled {
+		t.Skip("heap sizes are not meaningful under -race")
+	}
+	const n = 1 << 18
+	names := []string{"a", "b", "c"}
+	flat := data.MultiColumn(n, len(names), 1)
+	for _, tc := range []struct {
+		enc                 progidx.Encoding
+		loaded, afterDirect float64 // B/row over the three columns
+	}{
+		{progidx.EncodingRaw, 3 * 9, 3 * 17.5},
+		{progidx.EncodingFORBP, 7.09 + 0.1, 21.5},
+	} {
+		base := liveHeap()
+		tbl, err := New("t", names, flat, progidx.Options{
+			Strategy: progidx.StrategyQuicksort, Delta: 0.25, Encoding: tc.enc, ClaimHeat: 2, Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if held := float64(liveHeap()-base) / n; held > tc.loaded || held < 6 {
+			t.Errorf("%s: loaded table holds %.2f B/row, want 6 … %.2f", tc.enc, held, tc.loaded)
+		}
+		// Direct queries on b: they claim it where it is cold; idle slices
+		// then converge whatever indexes (all three raw columns, b alone
+		// compressed).
+		c := query.Conjunction{Target: "b", Aggs: column.AggAll, Preds: []query.ColPredicate{{Col: "b", Pred: query.Range(0, n)}}}
+		for i := 0; i < 3; i++ {
+			if _, err := tbl.ExecuteConj(c); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 4000 && !tbl.Converged(); i++ {
+			tbl.RefineStep()
+		}
+		if st := tbl.ColumnStates()[1]; !tbl.Converged() || st.EncodedBlocks != 0 || st.Refines == 0 {
+			t.Fatalf("%s: column b after direct queries and idle slices: converged=%v %+v", tc.enc, tbl.Converged(), st)
+		}
+		if held := float64(liveHeap()-base) / n; held > tc.afterDirect {
+			t.Errorf("%s: converged table holds %.2f B/row, want <= %.2f", tc.enc, held, tc.afterDirect)
+		}
+		runtime.KeepAlive(tbl)
+	}
+	runtime.KeepAlive(flat)
+}

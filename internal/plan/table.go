@@ -1,75 +1,45 @@
+// Package plan generalizes the serving stack from one-column tables to
+// N-column tables with conjunctive predicates. A plan.Table is one
+// sharded single-column table per column — the handle progidx.NewHandle
+// builds, with the table's own options — kept in structural lockstep so
+// their rows align block for block; it answers composite queries
+// (`a IN [lo,hi] AND b = v AND c >= w`) through a selectivity-driven
+// planner over the columns' block views, and implements progidx.Handle
+// so the scheduler, catalog and durability layers drive it exactly like
+// the single-column handles. See DESIGN.md section 15.
 package plan
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 	"sync/atomic"
 
 	"repro"
 	"repro/internal/column"
-	"repro/internal/encode"
 	"repro/internal/obs"
 	"repro/internal/parallel"
 	"repro/internal/query"
-	"repro/internal/shard"
 )
 
-// colState is one column of a multi-column table: its row-aligned
-// store (zone maps + optionally compressed blocks) and its own
-// progressive index, which serves single-column conjunctions on this
-// column index-accelerated and converges under the heat-split budget.
+// colState is one column of a multi-column table: its sharded table,
+// which holds the rows, serves single-column conjunctions on this
+// column index-accelerated and converges under the heat-split budget,
+// plus the planner's accounting.
 type colState struct {
-	name  string
-	store *colStore
-
-	// idx is the column's progressive index, built over a copy of the
-	// rows. A column stored compressed is born cold — idx nil, the
-	// packed blocks its only copy, every query a masked scan over them —
-	// and is claimed (idx built from the decoded store) once directHeat
-	// reaches the table's claim threshold. Cold is a terminal serving
-	// state like a cold shard's: converged, progress 1, PhaseDone.
-	idx atomic.Pointer[progidx.Sharded]
+	name string
+	idx  *progidx.Sharded
 
 	// heat counts predicate touches (driver or residual); refines the
 	// δ slices this column has been granted. Their ratio drives the
-	// budget split, exactly like shard heat-shares. directHeat counts
-	// only the direct-route queries answered cold — the ones an index
-	// would have accelerated.
-	heat       atomic.Uint64
-	refines    atomic.Uint64
-	directHeat atomic.Uint64
-
-	// claimErr is why the column's one claim failed, nil otherwise. A
-	// failed claim is not retried: the column stays cold and exact, and
-	// the error shows in ColumnStates.
-	claimErr atomic.Pointer[error]
+	// budget split, exactly like shard heat-shares.
+	heat    atomic.Uint64
+	refines atomic.Uint64
 
 	// tl is the column's own convergence timeline: the per-column
 	// analogue of the table timeline, fed by the column handle's
 	// structural events and the planner's refine grants.
 	tl *obs.Timeline
-}
-
-// index returns the column's progressive index, nil while it is cold.
-func (cs *colState) index() *progidx.Sharded { return cs.idx.Load() }
-
-func (cs *colState) converged() bool {
-	idx := cs.index()
-	return idx == nil || idx.Converged()
-}
-
-func (cs *colState) progress() float64 {
-	if idx := cs.index(); idx != nil {
-		return idx.Progress()
-	}
-	return 1
-}
-
-func (cs *colState) phase() (query.Phase, bool) {
-	if idx := cs.index(); idx != nil {
-		return idx.Phase()
-	}
-	return query.PhaseDone, true
 }
 
 // Table is an N-column table behind the progidx.Handle surface: plain
@@ -79,38 +49,32 @@ func (cs *colState) phase() (query.Phase, bool) {
 // query — and it goes to the column with the largest heat share
 // relative to the refinement it has already received.
 type Table struct {
-	// mu orders appends (which grow every column store) against the
-	// scans reading those stores; the per-column index handles carry
-	// their own locks.
+	// mu keeps the columns in lockstep: an append, or an idle flush,
+	// moves every column under the write lock, and a conjunction reads
+	// its columns' views under the read lock, so it always sees the same
+	// rows cut into the same blocks on all of them. What changes no block
+	// boundary — queries, refine slices, claims — takes only the column
+	// handles' own locks.
 	mu     sync.RWMutex
 	name   string
 	cols   []*colState
 	byName map[string]int
-	// idxOpts builds every column index: the table's options with the
-	// encoding forced raw, because the store's blocks already are the
-	// (possibly compressed) table and an index sorts a raw copy.
-	idxOpts progidx.Options
-	pool    *parallel.Pool
-	rows    int
+	pool   *parallel.Pool
+	rows   int
 
-	// convergent mirrors the strategy: non-convergent strategies (the
-	// scan/index baselines, cracking) never receive refine slices.
-	convergent bool
-
-	// claimHeat is the directHeat at which a cold column is claimed
-	// (shard.ResolveClaimHeat of Options.ClaimHeat); 0 = never.
-	claimHeat uint64
+	strategy progidx.Strategy
 
 	// sink is the table-level event timeline (SetEventSink); refine
-	// grants land there with the column index in the shard field.
+	// grants and claims land there with the column index in the shard
+	// field.
 	sink atomic.Pointer[obs.Timeline]
 }
 
 // New builds a multi-column table named name over flat row-major
 // tuples: flat holds len(columns) values per row, row after row, and
-// every column gets its own store. Under a raw encoding every column
-// also gets its progressive index built with opts; under a compressed
-// one the columns are born cold (see colState.idx). Column names must
+// every column becomes a sharded table of its own built with opts — raw
+// columns indexing from the first query, compressed ones born cold and
+// claimed shard by shard (progidx.Options.ClaimHeat). Column names must
 // be unique and non-empty.
 func New(name string, columns []string, flat []int64, opts progidx.Options) (*Table, error) {
 	k := len(columns)
@@ -124,26 +88,11 @@ func New(name string, columns []string, flat []int64, opts progidx.Options) (*Ta
 		return nil, fmt.Errorf("plan: table %q: %w", name, err)
 	}
 	t := &Table{
-		name:       name,
-		byName:     make(map[string]int, k),
-		idxOpts:    opts,
-		pool:       parallel.New(opts.Workers),
-		rows:       len(flat) / k,
-		convergent: opts.Strategy.Convergent(),
-		claimHeat:  shard.ResolveClaimHeat(opts.ClaimHeat),
-	}
-	t.idxOpts.Encoding = progidx.EncodingRaw
-	if opts.Encoding.Compressed() {
-		// A cold table packs no block until one fills and builds no index
-		// until a claim, both under the write lock with rows already
-		// acknowledged. Prove on one row that the options do both, so a
-		// bad encoding or strategy is refused here, as a raw table's is.
-		if _, err := encode.New([]int64{0}, 0, 0, opts.Encoding); err != nil {
-			return nil, fmt.Errorf("plan: table %q: %w", name, err)
-		}
-		if _, err := progidx.NewHandle([]int64{0}, t.idxOpts); err != nil {
-			return nil, fmt.Errorf("plan: table %q: %w", name, err)
-		}
+		name:     name,
+		byName:   make(map[string]int, k),
+		pool:     parallel.New(opts.Workers),
+		rows:     len(flat) / k,
+		strategy: opts.Strategy,
 	}
 	for i, col := range columns {
 		if col == "" {
@@ -157,15 +106,12 @@ func New(name string, columns []string, flat []int64, opts progidx.Options) (*Ta
 		for r := 0; r < t.rows; r++ {
 			vals[r] = flat[r*k+i]
 		}
-		cs := &colState{name: col, store: newColStore(col, opts.Encoding), tl: obs.NewTimeline(256)}
-		if err := cs.store.append(vals); err != nil {
-			return nil, err
+		idx, err := progidx.NewHandle(vals, opts)
+		if err != nil {
+			return nil, fmt.Errorf("plan: table %q column %q: %w", name, col, err)
 		}
-		if !opts.Encoding.Compressed() {
-			if err := t.buildIndex(cs, vals); err != nil {
-				return nil, err
-			}
-		}
+		cs := &colState{name: col, idx: idx, tl: obs.NewTimeline(256)}
+		idx.SetEventSink(cs.tl)
 		t.cols = append(t.cols, cs)
 	}
 	return t, nil
@@ -173,60 +119,13 @@ func New(name string, columns []string, flat []int64, opts progidx.Options) (*Ta
 
 // checkDomain refuses a batch holding a value outside the kernel-safe
 // ±2^62 domain before any column ingests a row of it: the check
-// column.New and Handle.Append make, hoisted in front of the stores so
-// that cold columns (no handle to make it) get it too and a refused
-// batch leaves every column untouched.
+// column.New and Handle.Append make, hoisted in front of the columns so
+// that a refused batch leaves every one of them untouched.
 func checkDomain(flat []int64) error {
 	if mn, mx := column.MinMax(flat); mn <= -column.MaxMagnitude || mx >= column.MaxMagnitude {
 		return fmt.Errorf("values must lie strictly inside ±2^62 (min=%d max=%d)", mn, mx)
 	}
 	return nil
-}
-
-// buildIndex gives cs its progressive index over vals, which the index
-// retains.
-func (t *Table) buildIndex(cs *colState, vals []int64) error {
-	idx, err := progidx.NewHandle(vals, t.idxOpts)
-	if err != nil {
-		return fmt.Errorf("plan: table %q column %q: %w", t.name, cs.name, err)
-	}
-	idx.SetEventSink(cs.tl)
-	cs.idx.Store(idx)
-	return nil
-}
-
-// claimHot builds the index of every cold column whose direct-route
-// heat has reached the claim threshold: the shard layer's cold → claim
-// contract, per column. It runs between batches.
-func (t *Table) claimHot() {
-	if t.claimHeat == 0 {
-		return
-	}
-	for i, cs := range t.cols {
-		if cs.index() == nil && cs.claimErr.Load() == nil && cs.directHeat.Load() >= t.claimHeat {
-			t.claim(i, cs)
-		}
-	}
-}
-
-// claim decodes cs's store and builds its index under the write lock,
-// so scans and appends never see a half-built column. New has proved
-// the options and every ingest path the domain, so the build is not
-// expected to fail; if it does, the column stays cold and exact for
-// good and keeps the error, rather than decoding the whole column
-// under the write lock again on every batch.
-func (t *Table) claim(i int, cs *colState) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if cs.index() != nil || cs.claimErr.Load() != nil {
-		return // lost the race to another batch's claim
-	}
-	if err := t.buildIndex(cs, cs.store.materialize(make([]int64, 0, t.rows))); err != nil {
-		cs.claimErr.Store(&err)
-		return
-	}
-	cs.tl.Record(obs.EvShardClaim, -1, float64(t.rows), 0)
-	t.sink.Load().Record(obs.EvShardClaim, int32(i), float64(t.rows), 0)
 }
 
 // Columns returns the column names in schema order.
@@ -243,7 +142,7 @@ func (t *Table) Width() int { return len(t.cols) }
 
 // Name implements Index.
 func (t *Table) Name() string {
-	return fmt.Sprintf("multicol(%d×%s)", len(t.cols), t.idxOpts.Strategy)
+	return fmt.Sprintf("multicol(%d×%s)", len(t.cols), t.strategy)
 }
 
 // firstConj rewrites a single-column request onto the first column:
@@ -294,10 +193,10 @@ func (t *Table) ExplainConj(c query.Conjunction, forceDriver string) (query.Answ
 	return t.execConj(c, nil, forced)
 }
 
-// Converged implements Index: every column's index has converged.
+// Converged implements Index: every column's table has converged.
 func (t *Table) Converged() bool {
 	for _, cs := range t.cols {
-		if !cs.converged() {
+		if !cs.idx.Converged() {
 			return false
 		}
 	}
@@ -310,7 +209,7 @@ func (t *Table) Converged() bool {
 func (t *Table) Progress() float64 {
 	sum := 0.0
 	for _, cs := range t.cols {
-		sum += cs.progress()
+		sum += cs.idx.Progress()
 	}
 	return sum / float64(len(t.cols))
 }
@@ -320,7 +219,7 @@ func (t *Table) Phase() (query.Phase, bool) {
 	have := false
 	min := query.PhaseDone
 	for _, cs := range t.cols {
-		if p, ok := cs.phase(); ok {
+		if p, ok := cs.idx.Phase(); ok {
 			have = true
 			if p < min {
 				min = p
@@ -332,21 +231,11 @@ func (t *Table) Phase() (query.Phase, bool) {
 
 // ValueBounds implements Handle for the first column,
 // the domain v1 surfaces (Info min/max, loadgen predicates) address.
-func (t *Table) ValueBounds() (int64, int64) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.cols[0].store.mn, t.cols[0].store.mx
-}
+func (t *Table) ValueBounds() (int64, int64) { return t.cols[0].idx.ValueBounds() }
 
-// PendingRows reports rows appended but not yet absorbed by the first
-// column's index (all columns ingest in lockstep). A cold column has no
-// index to lag behind: its store holds every row.
-func (t *Table) PendingRows() int {
-	if idx := t.cols[0].index(); idx != nil {
-		return idx.PendingRows()
-	}
-	return 0
-}
+// PendingRows reports rows appended but not yet sealed into a shard of
+// the first column (all columns ingest and seal in lockstep).
+func (t *Table) PendingRows() int { return t.cols[0].idx.PendingRows() }
 
 // MaterializeRows implements Handle: the table's rows as
 // flat row-major tuples, freshly allocated — the shape checkpoints
@@ -357,7 +246,7 @@ func (t *Table) MaterializeRows() []int64 {
 	k := len(t.cols)
 	cols := make([][]int64, k)
 	for i, cs := range t.cols {
-		cols[i] = cs.store.materialize(make([]int64, 0, t.rows))
+		cols[i] = cs.idx.MaterializeRows()
 	}
 	flat := make([]int64, 0, t.rows*k)
 	for r := 0; r < t.rows; r++ {
@@ -369,9 +258,10 @@ func (t *Table) MaterializeRows() []int64 {
 }
 
 // Append implements Handle: values are flat row-major tuples, one
-// Width() group per row. Every column's store and index ingest the
-// row's slice in lockstep, so queries admitted after Append returns
-// see the new rows on every column.
+// Width() group per row. Every column ingests the row's slice under the
+// write lock — and, the columns sharing one seal threshold, seals its
+// tail on the same batch as the others — so queries admitted after
+// Append returns see the new rows on every column.
 func (t *Table) Append(flat []int64) error {
 	k := len(t.cols)
 	if len(flat)%k != 0 {
@@ -386,18 +276,13 @@ func (t *Table) Append(flat []int64) error {
 	rows := len(flat) / k
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	vals := make([]int64, rows) // the column handles copy what they ingest
 	for i, cs := range t.cols {
-		vals := make([]int64, rows)
 		for r := 0; r < rows; r++ {
 			vals[r] = flat[r*k+i]
 		}
-		if err := cs.store.append(vals); err != nil {
-			return err
-		}
-		if idx := cs.index(); idx != nil {
-			if err := idx.Append(vals); err != nil {
-				return fmt.Errorf("plan: append to column %q: %w", cs.name, err)
-			}
+		if err := cs.idx.Append(vals); err != nil {
+			return fmt.Errorf("plan: append to column %q: %w", cs.name, err)
 		}
 	}
 	t.rows += rows
@@ -415,9 +300,10 @@ func (t *Table) ExecuteBatch(reqs []query.Request, opts query.BatchOpts) ([]quer
 
 // ExecuteConjBatch answers a batch of conjunctions under one indexing
 // budget: every query runs with the per-column indexes clamped, then —
-// unless opts.Clamp is set (deadline pressure) — one δ slice goes to
-// the hottest under-refined column. opts.Traces aligns positionally
-// with conjs.
+// unless opts.Clamp is set (deadline pressure) — every column claims at
+// most one cold shard its single-column queries have heated past the
+// threshold, and one δ slice goes to the hottest under-refined column.
+// opts.Traces aligns positionally with conjs.
 func (t *Table) ExecuteConjBatch(conjs []query.Conjunction, opts query.BatchOpts) ([]query.Answer, []error) {
 	answers := make([]query.Answer, len(conjs))
 	errs := make([]error, len(conjs))
@@ -427,8 +313,12 @@ func (t *Table) ExecuteConjBatch(conjs []query.Conjunction, opts query.BatchOpts
 	}
 	t.mu.RUnlock()
 	if !opts.Clamp {
-		t.claimHot()
-		if st, _ := t.refineOnce(); len(answers) > 0 {
+		for i, cs := range t.cols {
+			if rows := cs.idx.ClaimHot(); rows > 0 {
+				t.sink.Load().Record(obs.EvShardClaim, int32(i), float64(rows), 0)
+			}
+		}
+		if st, _ := t.RefineStep(); len(answers) > 0 {
 			// The leader carries the batch's indexing work, like the
 			// single-column handles' batch contract.
 			answers[0].Stats.Delta += st.Delta
@@ -438,42 +328,51 @@ func (t *Table) ExecuteConjBatch(conjs []query.Conjunction, opts query.BatchOpts
 	return answers, errs
 }
 
-// RefineStep implements Handle: one idle-time δ slice to the hottest
-// under-refined column.
+// RefineStep implements Handle, and is the δ slice every unclamped batch
+// ends with: it goes to the column with the largest heat share relative
+// to the refinement it has already received — the cross-column version
+// of the shard layer's heat-proportional budget split — so columns the
+// workload never touches do no indexing work. Once no column has a
+// shard left to refine, the slice flushes the pending tail on every
+// column together: the single-column handles' idle flush, taken by the
+// table so that the columns seal the same rows. Non-convergent
+// strategies (the scan/index baselines, cracking) never receive a slice.
 func (t *Table) RefineStep() (query.Stats, bool) {
-	return t.refineOnce()
-}
-
-// refineOnce grants one δ slice to the column with the largest heat
-// share relative to the refinement it has already received — the
-// cross-column version of the shard layer's heat-proportional budget
-// split. Columns the workload never touches do no indexing work.
-func (t *Table) refineOnce() (query.Stats, bool) {
-	if !t.convergent {
+	if !t.strategy.Convergent() {
 		return query.Stats{}, false
 	}
-	var best *colState
-	bestIdx := -1
-	bestScore := -1.0
+	type cand struct {
+		col   int
+		score float64
+	}
+	var cands []cand
 	for i, cs := range t.cols {
-		if cs.converged() {
-			continue
-		}
-		score := float64(cs.heat.Load()+1) / float64(cs.refines.Load()+1)
-		if score > bestScore {
-			best, bestIdx, bestScore = cs, i, score
+		if !cs.idx.Converged() {
+			cands = append(cands, cand{i, float64(cs.heat.Load()+1) / float64(cs.refines.Load()+1)})
 		}
 	}
-	if best == nil {
+	if len(cands) == 0 {
 		return query.Stats{}, true
 	}
-	idx := best.index() // not cold: cold columns report converged
-	st, _ := idx.RefineStep()
-	best.refines.Add(1)
-	p := idx.Progress()
-	best.tl.Record(obs.EvProgress, -1, p, 0)
-	t.sink.Load().Record(obs.EvProgress, int32(bestIdx), p, 0)
-	return st, t.Converged()
+	sort.SliceStable(cands, func(a, b int) bool { return cands[a].score > cands[b].score })
+	for _, c := range cands {
+		// A column whose shards have all converged (only its tail is
+		// pending) passes its turn to the next one.
+		cs := t.cols[c.col]
+		if st, ok := cs.idx.RefineShard(); ok {
+			cs.refines.Add(1)
+			p := cs.idx.Progress()
+			cs.tl.Record(obs.EvProgress, -1, p, 0)
+			t.sink.Load().Record(obs.EvProgress, int32(c.col), p, 0)
+			return st, t.Converged()
+		}
+	}
+	t.mu.Lock()
+	for _, cs := range t.cols {
+		cs.idx.FlushTail()
+	}
+	t.mu.Unlock()
+	return query.Stats{}, t.Converged()
 }
 
 // SetEventSink implements Handle for the table-level timeline;
@@ -481,7 +380,7 @@ func (t *Table) refineOnce() (query.Stats, bool) {
 func (t *Table) SetEventSink(tl *obs.Timeline) { t.sink.Store(tl) }
 
 // ColumnState is the per-column half of the debug surface: index
-// convergence, heat/refine accounting, store shape, and the column's
+// convergence, heat/refine accounting, block shape, and the column's
 // own convergence timeline.
 type ColumnState struct {
 	Name          string          `json:"name"`
@@ -505,23 +404,30 @@ func (t *Table) ColumnStates() []ColumnState {
 	defer t.mu.RUnlock()
 	out := make([]ColumnState, len(t.cols))
 	for i, cs := range t.cols {
+		bv := cs.idx.BlockView()
 		st := ColumnState{
-			Name:          cs.name,
-			Rows:          cs.store.n,
-			MinValue:      cs.store.mn,
-			MaxValue:      cs.store.mx,
-			Heat:          cs.heat.Load(),
-			Refines:       cs.refines.Load(),
-			Progress:      cs.progress(),
-			Converged:     cs.converged(),
-			Blocks:        cs.store.blocks(),
-			EncodedBlocks: cs.store.encodedBlocks(),
+			Name:      cs.name,
+			Rows:      t.rows,
+			Heat:      cs.heat.Load(),
+			Refines:   cs.refines.Load(),
+			Progress:  cs.idx.Progress(),
+			Converged: cs.idx.Converged(),
+			Blocks:    len(bv),
 		}
-		if p, ok := cs.phase(); ok {
+		for b := range bv {
+			if bv[b].Packed() {
+				st.EncodedBlocks++
+			}
+		}
+		st.MinValue, st.MaxValue = cs.idx.ValueBounds()
+		if p, ok := cs.idx.Phase(); ok {
 			st.Phase = p.String()
 		}
-		if errp := cs.claimErr.Load(); errp != nil {
-			st.ClaimError = (*errp).Error()
+		for _, si := range cs.idx.ShardStats() {
+			if si.ClaimError != "" {
+				st.ClaimError = si.ClaimError
+				break
+			}
 		}
 		for _, e := range cs.tl.Snapshot() {
 			st.Events = append(st.Events, e.JSON())

@@ -183,12 +183,12 @@ func TestHTTPMultiColumn(t *testing.T) {
 }
 
 // TestHTTPColdColumnsRejectOutOfDomainAppend: a compressed multi-column
-// table has no per-column handle to refuse a value outside ±2^62, so the
-// table must — with a 400, no row ingested on any column, and nothing
-// acknowledged — and it keeps ingesting and sealing blocks afterwards.
+// table refuses a value outside ±2^62 before any column ingests a row
+// of the batch — with a 400 and nothing acknowledged — and it keeps
+// ingesting and sealing rows afterwards.
 func TestHTTPColdColumnsRejectOutOfDomainAppend(t *testing.T) {
 	_, ts := newTestServer(t)
-	const n = 4095 // one row short of a sealed block
+	const n = 4095 // one row short of a full block
 	do(t, http.MethodPost, ts.URL+"/tables", LoadRequest{
 		Name:     "cold",
 		Generate: &GenerateSpec{Kind: "correlated", N: n, Seed: 3},
@@ -221,9 +221,12 @@ func TestHTTPColdColumnsRejectOutOfDomainAppend(t *testing.T) {
 	}
 	var dbg TableDebug
 	do(t, http.MethodGet, ts.URL+"/tables/cold/debug", nil, http.StatusOK, &dbg)
+	// The loaded rows are one packed block; the two appended ones rode in
+	// the tail until the query's batch, with no shard to refine, flushed
+	// it into a second one on every column.
 	for _, cs := range dbg.ColumnState {
-		if cs.Rows != n+2 || cs.EncodedBlocks != 1 {
-			t.Fatalf("column %q: %d rows, %d packed blocks; want %d / 1", cs.Name, cs.Rows, cs.EncodedBlocks, n+2)
+		if cs.Rows != n+2 || cs.Blocks != 2 || cs.EncodedBlocks != 2 {
+			t.Fatalf("column %q: %d rows, %d of %d blocks packed; want %d / 2 of 2", cs.Name, cs.Rows, cs.EncodedBlocks, cs.Blocks, n+2)
 		}
 	}
 }

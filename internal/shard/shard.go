@@ -63,22 +63,24 @@
 // untouched.
 //
 // With Config.Encoding set, shards are born cold: each partition is
-// compressed into an encode.Segment (frame-of-reference bit-packing,
-// dictionary, or raw — selected per shard from the same min/max pass
-// that builds the zone map) and queries aggregate directly over the
-// packed words with the scan-on-compressed kernels, under a shared
+// compressed into encode.Blocks — BlockRows-row blocks, each
+// frame-of-reference bit-packed over its own extrema, dictionary-coded
+// against the shard's one dictionary, or raw — and queries aggregate
+// directly over the packed words with the scan-on-compressed kernels,
+// skipping the blocks whose zone misses the predicate, under a shared
 // lock, with no progressive index and no budget spend. A cold shard is
 // decompressed only when the workload earns it: once its heat crosses
-// Config.ClaimHeat, the next Execute claims the shard — decodes the
-// segment, builds the factory index over the raw rows — and from then
-// on it converges like any loaded shard. Appends still land in the raw
-// pending tail and are compressed at seal time, so ingestion never
-// pays an encode on the hot path; a seal that absorbs shards decodes
-// their segments (or takes a claimed shard's retained rows) into one
-// buffer with the tail and encodes it once, and the merged shard is
-// born cold. In encoded mode the segments, any claimed shards' rows,
-// and the pending tail (an extent that every seal ends) are the only
-// copies of the data.
+// Config.ClaimHeat, the next Execute (or ClaimHot) claims the shard —
+// decodes the blocks, builds the factory index over the raw rows — and
+// from then on it converges like any loaded shard. Appends still land
+// in the raw pending tail and are compressed at seal time, so ingestion
+// never pays an encode on the hot path; a seal that absorbs shards
+// decodes their blocks (or takes a claimed shard's retained rows) into
+// one buffer with the tail and encodes it once, and the merged shard is
+// born cold. In encoded mode the blocks, any claimed shards' rows, and
+// the pending tail (an extent that every seal ends) are the only copies
+// of the data. Whatever form holds them, the rows are also readable
+// block by block (BlockView).
 //
 // The Sharded type is the serving handle of every single-column table
 // (progidx.Handle: Execute, ExecuteBatch, Append, RefineStep, Progress,
@@ -116,15 +118,15 @@ type state struct {
 	mu  sync.RWMutex
 	idx query.Index
 
-	// seg is the shard's compressed form while it is cold (idx == nil):
+	// packed is the shard's compressed form while it is cold (idx == nil):
 	// queries scan it in place under the shared lock. A claim decodes it
-	// into vals, builds idx, and clears seg — all under the write lock.
-	// vals is the shard's raw rows whenever it is not cold — a slice of
-	// the loaded column or of a tail extent in raw mode, the claim's
+	// into vals, builds idx, and clears packed — all under the write
+	// lock. vals is the shard's raw rows whenever it is not cold — a slice
+	// of the loaded column or of a tail extent in raw mode, the claim's
 	// decode in encoded mode — and never changes once set: the table
 	// keeps no other copy of them.
-	seg  *encode.Segment
-	vals []int64
+	packed *encode.Blocks
+	vals   []int64
 
 	start, end int   // row range [start, end) of the logical table
 	min, max   int64 // zone map: extrema of the shard's rows
@@ -134,8 +136,8 @@ type state struct {
 	// merge. Immutable after birth.
 	tailBorn bool
 
-	// cold mirrors seg != nil for lock-free claim probes; cleared under
-	// the write lock at claim time, before converged flips false.
+	// cold mirrors packed != nil for lock-free claim probes; cleared
+	// under the write lock at claim time, before converged flips false.
 	cold atomic.Bool
 
 	// converged is the sticky read-path switch: set after observing
@@ -152,6 +154,13 @@ type state struct {
 	executes atomic.Uint64
 	// refines counts idle RefineStep slices spent on this shard.
 	refines atomic.Uint64
+
+	// What no converged query path reads comes last. claimErr is why the
+	// shard's one claim failed, nil otherwise: a failed claim is not
+	// retried, the shard stays cold and exact, and the error shows in
+	// ShardStats. zones are vals' block zones, for BlockView.
+	claimErr atomic.Pointer[error]
+	zones    zoneCache
 }
 
 // noteConverged records the shard index's terminal state; the caller
@@ -165,8 +174,8 @@ func (st *state) noteConverged() {
 // newColdState births a cold shard: compressed rows, zone map, and the
 // converged switch already set — cold is the shard's terminal serving
 // state (shared-lock scans, zero budget) until a claim re-opens it.
-func newColdState(seg *encode.Segment, start, end int) *state {
-	st := &state{seg: seg, start: start, end: end, min: seg.Min(), max: seg.Max()}
+func newColdState(packed *encode.Blocks, start, end int, mn, mx int64) *state {
+	st := &state{packed: packed, start: start, end: end, min: mn, max: mx}
 	st.cold.Store(true)
 	st.converged.Store(true)
 	return st
@@ -186,6 +195,11 @@ type view struct {
 
 	tail             []int64 // pending unindexed rows (may be empty)
 	tailMin, tailMax int64   // zone of the tail; valid when len(tail) > 0
+
+	// blocks is the view's block table, built by the first BlockView call
+	// and valid for as long as the view is: a claim changes the form a
+	// shard's rows are held in, never the rows, and republishes.
+	blocks atomic.Pointer[[]Block]
 
 	// done is this view's sticky all-converged switch: every sealed
 	// shard converged and no tail pending. Monotone per view (shard
@@ -241,6 +255,8 @@ type Sharded struct {
 
 	cur atomic.Pointer[view]
 
+	tailZones zoneCache // of the pending tail, for BlockView
+
 	// sink, when set, receives convergence-timeline events (seal,
 	// claim). A nil sink costs one atomic load per event site; the
 	// Timeline's recording path itself never allocates, so events can
@@ -294,12 +310,10 @@ type Config struct {
 // the decode + progressive build it pays for.
 const DefaultClaimHeat = 16
 
-// ResolveClaimHeat turns a ClaimHeat option into the heat threshold a
-// cold holder compares against: the option itself when positive,
-// DefaultClaimHeat when zero, and 0 — never claim — when negative. The
-// one copy of the rule, shared with the per-column claims of
-// internal/plan.
-func ResolveClaimHeat(opt int) uint64 {
+// resolveClaimHeat turns a ClaimHeat option into the heat threshold a
+// cold shard is compared against: the option itself when positive,
+// DefaultClaimHeat when zero, and 0 — never claim — when negative.
+func resolveClaimHeat(opt int) uint64 {
 	switch {
 	case opt > 0:
 		return uint64(opt)
@@ -339,6 +353,15 @@ func New(col *column.Column, cfg Config, factory Factory) (*Sharded, error) {
 	}
 	pool := parallel.New(cfg.Workers)
 	encoded := cfg.Encoding.Compressed()
+	if encoded {
+		// A cold table builds no index until a claim or a raw seal, with
+		// its rows long acknowledged. Prove on one row that the factory
+		// builds one, so a strategy it refuses is refused here, as a raw
+		// table's is.
+		if _, err := factory(column.MustNew([]int64{0})); err != nil {
+			return nil, err
+		}
+	}
 
 	shards := make([]*state, s)
 	vals := col.Values()
@@ -346,9 +369,8 @@ func New(col *column.Column, cfg Config, factory Factory) (*Sharded, error) {
 	// One pass per shard: compute the zone map while the partition is
 	// hot, then construct the shard column with NewWithStats (no second
 	// min/max scan) and its index — or, in encoded mode, compress the
-	// partition into a cold segment and build nothing: the same stats
-	// drive the per-shard encoding choice, and the partition's raw rows
-	// are not retained. Shards are scanned concurrently.
+	// partition into cold blocks and build nothing: the partition's raw
+	// rows are not retained. Shards are scanned concurrently.
 	pool.Run(s, 1, func(_, a, b int) {
 		for i := a; i < b; i++ {
 			start, end := i*n/s, (i+1)*n/s
@@ -358,13 +380,13 @@ func New(col *column.Column, cfg Config, factory Factory) (*Sharded, error) {
 				mn, mx = column.MinMax(part)
 			}
 			if encoded {
-				seg, err := encode.New(part, mn, mx, cfg.Encoding)
+				packed, err := encode.NewBlocks(part, mn, mx, cfg.Encoding)
 				if err != nil {
 					err = fmt.Errorf("shard %d [%d, %d): %w", i, start, end, err)
 					firstErr.CompareAndSwap(nil, &err)
 					continue
 				}
-				shards[i] = newColdState(seg, start, end)
+				shards[i] = newColdState(packed, start, end, mn, mx)
 				continue
 			}
 			pcol, err := column.NewWithStats(part, mn, mx)
@@ -411,7 +433,7 @@ func New(col *column.Column, cfg Config, factory Factory) (*Sharded, error) {
 		vmax:           col.Max(),
 	}
 	if encoded {
-		sh.claimHeat = ResolveClaimHeat(cfg.ClaimHeat)
+		sh.claimHeat = resolveClaimHeat(cfg.ClaimHeat)
 	}
 	sh.publishLocked(shards)
 	return sh, nil
@@ -512,7 +534,7 @@ func appendExtent(ext, values []int64) []int64 {
 func (s *Sharded) pendingLocked() int { return s.extStart + len(s.ext) - s.tailStart }
 
 // sealLocked is the one place a shard is born after load: Append's
-// threshold seal and RefineStep's idle flush both end here. The run
+// threshold seal and FlushTail's idle flush both end here. The run
 // being sealed starts as the pending tail and absorbs its left
 // neighbour while that neighbour is tail-born, smaller than sealRows,
 // and not in a higher power-of-two size class than the run has reached
@@ -581,11 +603,11 @@ func (s *Sharded) sealLocked() ([]*state, error) {
 			}
 			buf = append(buf, s.ext...)
 		}
-		seg, err := encode.New(buf, mn, mx, s.encoding)
+		packed, err := encode.NewBlocks(buf, mn, mx, s.encoding)
 		if err != nil {
 			return nil, err
 		}
-		st = newColdState(seg, start, end)
+		st = newColdState(packed, start, end, mn, mx)
 		// Published views pin the old extent; dropping the reference
 		// (rather than truncating it) keeps them immutable.
 		s.ext, s.extStart = nil, end
@@ -627,13 +649,13 @@ func MaxShards(loaded, appended, sealRows int) int {
 }
 
 // appendRows appends the shard's rows to dst in row order, from the
-// segment while cold or from its raw rows otherwise — the extraction
-// shared by encoded-mode merges and MaterializeRows.
+// packed blocks while cold or from its raw rows otherwise — the
+// extraction shared by encoded-mode merges and MaterializeRows.
 func (st *state) appendRows(dst []int64) []int64 {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
-	if st.seg != nil {
-		return st.seg.AppendTo(dst)
+	if st.packed != nil {
+		return st.packed.AppendTo(dst)
 	}
 	return append(dst, st.vals...)
 }
@@ -818,64 +840,93 @@ func (s *Sharded) executeSurvivors(v *view, surv []int, parts []partial, shares 
 // the claim threshold, building its progressive index over the raw rows
 // — this is the only place compressed data is ever decompressed on the
 // query path, and it is bounded to one shard per query so a scattered
-// predicate cannot stall on S decodes at once. The shard list is then
-// republished so the fresh view's all-converged switch restarts false.
-// It returns the claimed shard's index, or -1 when nothing was claimed.
+// predicate cannot stall on S decodes at once. It returns the claimed
+// shard's index, or -1 when nothing was claimed.
 func (s *Sharded) maybeClaim(v *view, surv []int, heats []uint64) int {
 	if s.claimHeat == 0 {
 		return -1
 	}
 	for k, i := range surv {
-		st := v.shards[i]
-		if heats[k] < s.claimHeat || !st.cold.Load() {
-			continue
+		if st := v.shards[i]; heats[k] >= s.claimHeat && st.claimable() {
+			if s.claim(i, st) {
+				return i
+			}
+			return -1
 		}
-		if s.claim(st) {
-			s.sink.Load().Record(obs.EvShardClaim, int32(i), float64(st.end-st.start), 0)
-			s.amu.Lock()
-			s.publishLocked(s.cur.Load().shards)
-			s.amu.Unlock()
-			return i
-		}
-		return -1
 	}
 	return -1
 }
 
-// claim decompresses one cold shard and opens it for progressive
+// ClaimHot claims at most one cold shard whose heat has reached the
+// claim threshold and returns its row count, 0 when there was none. It
+// is maybeClaim for a caller whose queries never lead — a multi-column
+// table answers its single-column queries clamped, under one budget per
+// batch, and claims between batches.
+func (s *Sharded) ClaimHot() int {
+	if s.claimHeat == 0 {
+		return 0
+	}
+	for i, st := range s.cur.Load().shards {
+		if st.heat.Load() >= s.claimHeat && st.claimable() {
+			if s.claim(i, st) {
+				return st.end - st.start
+			}
+			return 0
+		}
+	}
+	return 0
+}
+
+// claimable is the lock-free half of the claim test: still cold, and
+// not a shard whose one claim failed.
+func (st *state) claimable() bool { return st.cold.Load() && st.claimErr.Load() == nil }
+
+// claim decompresses cold shard i and opens it for progressive
 // indexing: decode under the write lock, factory over the raw rows,
 // converged cleared so the heat-weighted budget machinery takes over.
 // The decoded rows are retained (they are the shard's only raw copy);
-// the segment is dropped.
-func (s *Sharded) claim(st *state) bool {
+// the blocks are dropped. The shard list is then republished, so the
+// fresh view's all-converged switch restarts false and its block table
+// is rebuilt over the raw rows. New has proved the factory and every
+// ingest path the domain, so the build is not expected to fail; if it
+// does, the shard stays cold and exact for good and keeps the error,
+// rather than being decoded under its write lock again on every later
+// crossing.
+func (s *Sharded) claim(i int, st *state) bool {
 	st.mu.Lock()
-	defer st.mu.Unlock()
-	if st.seg == nil {
+	if st.packed == nil || st.claimErr.Load() != nil {
+		st.mu.Unlock()
 		return false // lost the race to another query's claim
 	}
-	vals := st.seg.Decode()
+	vals := st.packed.AppendTo(make([]int64, 0, st.end-st.start))
 	pcol, err := column.NewWithStats(vals, st.min, st.max)
-	if err != nil {
-		return false
+	var idx query.Index
+	if err == nil {
+		idx, err = s.factory(pcol)
 	}
-	idx, err := s.factory(pcol)
 	if err != nil {
-		// The shard stays cold and exact; the next crossing retries.
+		st.claimErr.Store(&err)
+		st.mu.Unlock()
 		return false
 	}
 	st.idx = idx
 	st.vals = vals
-	st.seg = nil
+	st.packed = nil
 	st.cold.Store(false)
 	st.converged.Store(false)
 	st.noteConverged() // a terminal-at-birth factory index (e.g. FI)
+	st.mu.Unlock()
+	s.sink.Load().Record(obs.EvShardClaim, int32(i), float64(st.end-st.start), 0)
+	s.amu.Lock()
+	s.publishLocked(s.cur.Load().shards)
+	s.amu.Unlock()
 	return true
 }
 
 // executeShard runs one sub-request against one shard under its lock.
 // A converged shard takes the shared lock (read-only execution, any
 // number of concurrent queries) — for a cold shard that means scanning
-// the compressed segment in place with the clamped bounds; an
+// the packed blocks in place with the clamped bounds; an
 // unconverged shard takes the write lock, applies the heat-weighted
 // budget scale, and optionally runs with indexing suspended (the batch
 // amortization hook).
@@ -883,8 +934,8 @@ func (s *Sharded) executeShard(st *state, sub query.Request, lo, hi int64, scale
 	st.executes.Add(1)
 	if st.converged.Load() {
 		st.mu.RLock()
-		if st.seg != nil {
-			p := coldPartial(st.seg.AggRange(lo, hi, sub.Aggs))
+		if st.packed != nil {
+			p := coldPartial(st.packed.AggRange(lo, hi, sub.Aggs))
 			st.mu.RUnlock()
 			return p
 		}
@@ -899,11 +950,11 @@ func (s *Sharded) executeShard(st *state, sub query.Request, lo, hi int64, scale
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if st.seg != nil {
+	if st.packed != nil {
 		// Cold shards are converged by construction, so reaching the
-		// write path with a segment means the probe raced a seal/claim
+		// write path with packed blocks means the probe raced a seal/claim
 		// transition; the in-place scan is still the right answer.
-		return coldPartial(st.seg.AggRange(lo, hi, sub.Aggs))
+		return coldPartial(st.packed.AggRange(lo, hi, sub.Aggs))
 	}
 	if sc, ok := st.idx.(query.BudgetScaler); ok {
 		sc.SetBudgetScale(scale)
@@ -1076,42 +1127,41 @@ func (s *Sharded) tracePruned(tr *obs.Trace, parent obs.SpanID, v *view, surv []
 // call is almost pure indexing work.
 var idleRequest = query.Request{Pred: query.Range(1, 0), Aggs: column.AggCount}
 
-// RefineStep spends one indexing-budget slice on the next shard in
+// RefineStep is one idle-time slice of a single-column table:
+// RefineShard, or FlushTail once every sealed shard has converged (the
+// shard the tail seals into then converges via the following slices).
+// It returns the slice's work stats and whether every shard is now
+// converged with nothing pending.
+func (s *Sharded) RefineStep() (query.Stats, bool) {
+	if s.cur.Load().done.Load() {
+		return query.Stats{}, true
+	}
+	st, refined := s.RefineShard()
+	if !refined {
+		s.FlushTail()
+	}
+	return st, s.Converged()
+}
+
+// RefineShard spends one indexing-budget slice on the next shard in
 // heat order — unconverged shards sorted hottest-first, visited round-
 // robin so ties (and the cold tail) still make progress. The budget
 // scale is the shard count: an idle slice concentrates the full
 // per-query budget on one shard, so an idle Sharded index converges in
 // about as much wall-clock as an idle unsharded one, hot shards first.
-// Once every sealed shard has converged, an idle slice seals any
-// pending tail — below the size threshold too, merged into the small
-// tail-born shards before it (sealLocked) — so a quiet table absorbs
-// its ingested rows completely and reaches the terminal state without
-// leaving one shard per append behind.
-// It returns the slice's work stats and whether every shard is now
-// converged with nothing pending.
-func (s *Sharded) RefineStep() (query.Stats, bool) {
+// It returns the slice's work stats, and false when no sealed shard is
+// left to refine.
+func (s *Sharded) RefineShard() (query.Stats, bool) {
 	v := s.cur.Load()
-	if v.done.Load() {
-		return query.Stats{}, true
-	}
 	target := s.nextRefineTarget(v)
 	if target == nil {
-		if len(v.tail) > 0 {
-			// All sealed shards converged; flush the pending tail. The
-			// shard it seals into then converges via the following
-			// slices.
-			s.flushTail()
-			return query.Stats{}, s.Converged()
-		}
-		s.noteAllDone(v)
-		return query.Stats{}, v.done.Load()
+		return query.Stats{}, false
 	}
 	target.mu.Lock()
 	if target.idx.Converged() {
 		target.noteConverged()
 		target.mu.Unlock()
-		s.noteAllDone(v)
-		return query.Stats{}, v.done.Load()
+		return query.Stats{}, true
 	}
 	if sc, ok := target.idx.(query.BudgetScaler); ok {
 		// Concentrate one full table budget on this shard: S slices of
@@ -1124,19 +1174,23 @@ func (s *Sharded) RefineStep() (query.Stats, bool) {
 	target.mu.Unlock()
 	target.refines.Add(1)
 	if err != nil {
-		return query.Stats{}, false
+		return query.Stats{}, true
 	}
-	s.noteAllDone(v)
-	return ans.Stats, v.done.Load()
+	return ans.Stats, true
 }
 
-// flushTail seals the current pending tail regardless of the size
-// threshold (the idle-time ingestion drain).
-func (s *Sharded) flushTail() {
+// FlushTail seals the current pending tail regardless of the size
+// threshold, merged into the small tail-born shards before it
+// (sealLocked): the idle-time ingestion drain, by which a quiet table
+// absorbs its ingested rows completely and reaches the terminal state
+// without leaving one shard per append behind. A multi-column table
+// calls it on every column under one lock, so its columns seal the same
+// rows.
+func (s *Sharded) FlushTail() {
 	s.amu.Lock()
 	defer s.amu.Unlock()
 	if s.pendingLocked() == 0 {
-		return // a concurrent seal beat us to it
+		return // nothing pending, or a concurrent seal beat us to it
 	}
 	shards, err := s.sealLocked()
 	if err != nil {
@@ -1238,8 +1292,10 @@ func (s *Sharded) Progress() float64 {
 
 // Phase reports the furthest-behind lifecycle phase across shards when
 // the shard strategy exposes one (ok == false otherwise). A fully
-// converged sharded index reports PhaseDone; a pending tail pins the
-// phase to creation (its rows are not indexed at all).
+// converged sharded index reports PhaseDone, and so does a cold shard —
+// cold is a terminal serving state, whatever strategy a claim would
+// build; a pending tail pins the phase to creation (its rows are not
+// indexed at all).
 func (s *Sharded) Phase() (query.Phase, bool) {
 	v := s.cur.Load()
 	min := query.PhaseDone
@@ -1252,6 +1308,7 @@ func (s *Sharded) Phase() (query.Phase, bool) {
 		if ok && !st.converged.Load() {
 			ph = p.Phase()
 		}
+		ok = ok || st.packed != nil
 		st.mu.RUnlock()
 		if !ok {
 			return 0, false
@@ -1267,14 +1324,14 @@ func (s *Sharded) Phase() (query.Phase, bool) {
 }
 
 // encodingInfo reports the shard's storage form and resident payload
-// size — the segment's kind and packed-word footprint while cold,
+// size — the blocks' kind and packed-word footprint while cold,
 // 8·rows raw otherwise. It takes the shared lock only for cold
 // shards.
 func (st *state) encodingInfo() (string, int) {
 	if st.cold.Load() {
 		st.mu.RLock()
-		if st.seg != nil {
-			k, b := st.seg.Kind().String(), st.seg.SizeBytes()
+		if st.packed != nil {
+			k, b := st.packed.Kind().String(), st.packed.SizeBytes()
 			st.mu.RUnlock()
 			return k, b
 		}
@@ -1302,6 +1359,9 @@ type Info struct {
 	// raw, the packed-word footprint while cold.
 	Encoding string `json:"encoding"`
 	Bytes    int    `json:"resident_bytes"`
+	// ClaimError is why the shard's claim failed; such a shard stays
+	// cold for good.
+	ClaimError string `json:"claim_error,omitempty"`
 }
 
 // ShardStats snapshots every sealed shard. A shard with Executes == 0
@@ -1321,6 +1381,9 @@ func (s *Sharded) ShardStats() []Info {
 			Refines:  st.refines.Load(),
 		}
 		info.Encoding, info.Bytes = st.encodingInfo()
+		if errp := st.claimErr.Load(); errp != nil {
+			info.ClaimError = (*errp).Error()
+		}
 		if st.converged.Load() {
 			info.Converged, info.Progress = true, 1
 			info.Phase = query.PhaseDone.String()

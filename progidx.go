@@ -329,10 +329,10 @@ type Options struct {
 	// is claimed: decoded and handed to the progressive strategy. 0
 	// means the shard layer's default; negative means never claim
 	// (shards stay compressed for life). Ignored unless Encoding is
-	// compressed. A multi-column table applies the same threshold per
-	// column: a compressed column has no index until this many
-	// single-column queries on it have been answered from its packed
-	// blocks.
+	// compressed. A multi-column table's columns are sharded tables of
+	// their own and claim the same way: a compressed column's shard has
+	// no index until this many single-column queries on the column have
+	// been answered from its packed blocks.
 	ClaimHeat int
 
 	// Seed drives the stochastic cracking baselines.
