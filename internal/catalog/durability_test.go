@@ -3,6 +3,7 @@ package catalog
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro"
@@ -215,4 +216,95 @@ func TestOptionsMetaRoundTrip(t *testing.T) {
 		got.IdleRefine == nil || *got.IdleRefine != on {
 		t.Fatalf("round-trip mismatch: %+v vs %+v", got, o)
 	}
+}
+
+// TestSettledTableRecovers is the crash test of the settled form: a
+// durable table whose shards have converged and traded their rows for
+// packed blocks is checkpointed (the capture decodes the blocks),
+// appended to past the checkpoint, and stopped hard. The recovered table
+// holds the same rows, answers every aggregate identically, and
+// converges and settles again — through the snapshot and WAL readers as
+// they were: what a checkpoint persists is the rows, whatever form the
+// table held them in.
+func TestSettledTableRecovers(t *testing.T) {
+	dir := t.TempDir()
+	store := openStore(t, dir)
+	opts := Options{Strategy: progidx.StrategyQuicksort, Delta: 0.25, Shards: 3}
+	logical := data.Uniform(20_000, 11)
+	tbl, err := NewDurable(store).Load("t", append([]int64(nil), logical...), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	settled := func(tbl *Table) int {
+		n := 0
+		stats, _ := tbl.ShardStats()
+		for _, si := range stats {
+			if si.Form == "settled" {
+				n++
+			}
+		}
+		return n
+	}
+	drive := func(tbl *Table) {
+		t.Helper()
+		for i := 0; i < 100_000 && !tbl.Index().Converged(); i++ {
+			tbl.Index().RefineStep()
+		}
+		if !tbl.Index().Converged() || settled(tbl) != 3 {
+			stats, _ := tbl.ShardStats()
+			t.Fatalf("table did not converge and settle its three loaded shards: %+v", stats)
+		}
+	}
+	drive(tbl)
+	cp, ok := tbl.CaptureCheckpoint()
+	if !ok || !slices.Equal(cp.Rows, logical) {
+		t.Fatalf("checkpoint of the settled table captured %d rows, ok=%v: want the %d loaded rows", len(cp.Rows), ok, len(logical))
+	}
+	if err := tbl.WriteCheckpoint(cp); err != nil {
+		t.Fatal(err)
+	}
+	tail := []int64{30_000, 30_001, 30_002}
+	if err := tbl.Append(tail); err != nil {
+		t.Fatal(err)
+	}
+	if err := tbl.SyncLog(); err != nil {
+		t.Fatal(err)
+	}
+	logical = append(logical, tail...)
+	preds := []progidx.Predicate{progidx.Range(100, 9_000), progidx.Point(30_001), progidx.AtLeast(19_000), progidx.AtMost(50), progidx.Range(5, 4)}
+	var want []progidx.Answer
+	for _, p := range preds {
+		ans, err := tbl.Index().Execute(progidx.Request{Pred: p, Aggs: progidx.AllAggregates})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, ans)
+	}
+	store.Close() // hard stop: no shutdown checkpoint
+
+	store2 := openStore(t, dir)
+	recs, errs, err := store2.Recover()
+	if err != nil || len(errs) != 0 || len(recs) != 1 {
+		t.Fatalf("Recover: %v %v (%d tables)", err, errs, len(recs))
+	}
+	tbl2, err := NewDurable(store2).LoadRecovered(recs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(tbl2.Values(), logical) {
+		t.Fatal("recovered rows differ from the settled table's")
+	}
+	check := func(when string) {
+		t.Helper()
+		for i, p := range preds {
+			got, err := tbl2.Index().Execute(progidx.Request{Pred: p, Aggs: progidx.AllAggregates})
+			got.Stats, want[i].Stats = progidx.Stats{}, progidx.Stats{}
+			if err != nil || got != want[i] {
+				t.Fatalf("%s: %s = %+v err=%v, the settled table answered %+v", when, p, got, err, want[i])
+			}
+		}
+	}
+	check("recovered")
+	drive(tbl2)
+	check("recovered and settled again")
 }

@@ -228,6 +228,10 @@ func MinMax(vs []int64) (min, max int64) {
 	return min, max
 }
 
+// Zone returns a column of no rows that keeps c's zone statistics: what
+// is left of a base column once its index has released the rows.
+func (c *Column) Zone() *Column { return &Column{min: c.min, max: c.max} }
+
 // Len returns the number of rows.
 func (c *Column) Len() int { return len(c.values) }
 

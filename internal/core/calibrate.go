@@ -8,17 +8,18 @@ import (
 
 	"repro/internal/column"
 	"repro/internal/costmodel"
+	"repro/internal/encode"
 )
 
 // CalibrateParams measures the Table 1 cost-model constants by timing
 // this package's *own* kernels — the predicated range scan, the
-// quicksort creation copy, the pivot-tree refinement and the radix
-// bucket append — on the running machine, the way the paper's
-// implementation measures its operations at startup.
+// quicksort creation copy, the pivot-tree refinement, the radix bucket
+// append and the block packer a settle runs — on the running machine,
+// the way the paper's implementation measures its operations at startup.
 //
-// This matters: generic memory loops (costmodel.Calibrate) systematically
-// underestimate the kernels' per-element cost (mask arithmetic, branch
-// misprediction, bounds checks), which makes the adaptive budget do
+// This matters: generic memory loops systematically underestimate the
+// kernels' per-element cost (mask arithmetic, branch misprediction,
+// bounds checks), which makes the adaptive budget do
 // several times more real work than intended and breaks the constant
 // per-query cost that Figure 9 demonstrates. The constants returned
 // here keep measured and predicted cost aligned because they were
@@ -100,6 +101,12 @@ func CalibrateParams() costmodel.Params {
 		calSink = s
 	}) / (1 << 21 / gamma)
 
+	// The pack constant from the block packer over the same rows, cut
+	// into blocks exactly as a settle slice cuts a shard's.
+	packPerRow := bestOf(3, nil, func() {
+		calSink = int64(len(encode.PackBlocks(vals)))
+	}) / n
+
 	omega := scanPerElem * gamma
 	kappa := (pivotPerElem - scanPerElem) * gamma
 	if kappa <= 0 {
@@ -116,6 +123,7 @@ func CalibrateParams() costmodel.Params {
 		Gamma:          gamma,
 		SigmaSwap:      sigma,
 		TauAlloc:       tau,
+		PackRow:        packPerRow,
 	}
 	if p.Validate() != nil {
 		return costmodel.Default()

@@ -86,7 +86,7 @@ type Config struct {
 	BudgetSeconds float64
 
 	// Params are the cost-model constants. A zero Params means
-	// costmodel.Default(); pass costmodel.Calibrate() for hardware-true
+	// costmodel.Default(); pass CalibrateParams() for hardware-true
 	// budgets.
 	Params costmodel.Params
 

@@ -108,6 +108,16 @@ func (d *progressive) SetIndexingSuspended(s bool) { d.budget.suspended = s }
 // heat-weighted budget split hook).
 func (d *progressive) SetBudgetScale(f float64) { d.budget.setScale(f) }
 
+// ReleaseBase implements query.BaseReleaser. Once Done the driver reads
+// nothing of the base column but its zone (Execute clamps to it; the
+// answers come from the consolidated sorted copy and n is cached), so
+// the rows go and the zone stays. Before Done it does nothing.
+func (d *progressive) ReleaseBase() {
+	if d.phase == PhaseDone {
+		d.col = d.col.Zone()
+	}
+}
+
 // ValueBounds returns the base column's zone statistics, the
 // synchronization layer's zone-map pruning hook.
 func (d *progressive) ValueBounds() (int64, int64) { return d.col.Min(), d.col.Max() }

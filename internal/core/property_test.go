@@ -217,6 +217,51 @@ func TestConvergedIndexIsQuiescent(t *testing.T) {
 	}
 }
 
+// Property 5b: a converged index answers without its base column. Before
+// Done ReleaseBase does nothing (every phase still reads the column);
+// after, the rows are dropped — a column the index shares with nobody
+// else becomes garbage — the zone stays, and every aggregate of every
+// predicate shape is what it was.
+func TestConvergedIndexReleasesBase(t *testing.T) {
+	rng := rand.New(rand.NewSource(104))
+	const n, domain = 10_000, 1 << 14
+	vals := randomValues(rng, n, domain)
+	for _, c := range constructors {
+		idx := c.make(column.MustNew(append([]int64(nil), vals...)), Config{Mode: FixedDelta, Delta: 0.5})
+		rel := idx.(query.BaseReleaser)
+		drv := idx.(interface{ ValueBounds() (int64, int64) })
+		for qn := 0; qn < 500 && !idx.Converged(); qn++ {
+			rel.ReleaseBase() // not yet: creation and refinement read the column
+			sumCount(idx, 0, domain)
+		}
+		if !idx.Converged() {
+			t.Fatalf("%s did not converge", c.name)
+		}
+		preds := []query.Predicate{query.Range(100, 9000), query.Point(vals[7]), query.AtLeast(domain / 2), query.AtMost(50), query.Range(5, 4), query.Range(-9, domain*2)}
+		var want []query.Answer
+		for _, p := range preds {
+			ans, err := idx.Execute(query.Request{Pred: p, Aggs: column.AggAll})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, o := ans.Result(), oracle(vals, max(p.Lo, 0), min(p.Hi, domain)); got != o {
+				t.Fatalf("%s converged: %s = %+v, want %+v", c.name, p, got, o)
+			}
+			want = append(want, ans)
+		}
+		mn, mx := drv.ValueBounds()
+		rel.ReleaseBase()
+		if gmn, gmx := drv.ValueBounds(); gmn != mn || gmx != mx {
+			t.Fatalf("%s: zone [%d, %d] after the release, was [%d, %d]", c.name, gmn, gmx, mn, mx)
+		}
+		for i, p := range preds {
+			if got, err := idx.Execute(query.Request{Pred: p, Aggs: column.AggAll}); err != nil || got != want[i] {
+				t.Fatalf("%s after the release: %s = %+v err=%v, want %+v", c.name, p, got, err, want[i])
+			}
+		}
+	}
+}
+
 // Property 6: adaptive budgets hold the predicted per-query cost at the
 // target until convergence, then strictly below it (the Figure 9 shape).
 func TestAdaptiveBudgetShape(t *testing.T) {

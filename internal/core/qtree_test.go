@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/column"
+	"repro/internal/costmodel"
 )
 
 func shuffled(rng *rand.Rand, n int, domain int64) []int64 {
@@ -121,8 +122,14 @@ func TestCalibrateParamsValid(t *testing.T) {
 		t.Fatalf("CalibrateParams invalid: %v", err)
 	}
 	// The kernel-true constants must reflect that refinement visits
-	// cost at least a nanosecond-ish and scans are not free.
-	if p.SigmaSwap <= 0 || p.OmegaReadPage <= 0 {
+	// cost at least a nanosecond-ish, scans are not free and neither is
+	// packing a row.
+	if p.SigmaSwap <= 0 || p.OmegaReadPage <= 0 || p.PackRow <= 0 {
 		t.Fatalf("degenerate params: %+v", p)
+	}
+	// A scan of 1M elements takes between 10µs and 1s on anything that
+	// can run this test.
+	if scan := costmodel.New(p).ScanTime(1 << 20); scan < 1e-5 || scan > 1.0 {
+		t.Fatalf("calibrated 1M-element scan time %g out of plausible range", scan)
 	}
 }

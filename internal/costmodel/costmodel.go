@@ -17,16 +17,15 @@
 // against measured time to regenerate Figures 8 and 9.
 //
 // All constants are expressed in seconds. The paper measures them "when
-// the program starts up"; Calibrate does the same on the current
-// machine. Tests and deterministic benchmarks inject fixed constants
-// via Default or custom Params instead.
+// the program starts up"; core.CalibrateParams does the same on the
+// current machine, by timing the kernels the indexes actually run. Tests
+// and deterministic benchmarks inject fixed constants via Default or
+// custom Params instead.
 package costmodel
 
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"time"
 )
 
 // Params holds the hardware constants of Table 1, plus the parallel
@@ -45,12 +44,24 @@ type Params struct {
 	// t_scan / (1 + ε·(w-1)). Memory-bandwidth-bound kernels never
 	// scale linearly, so ε < 1. Zero means DefaultParEfficiency.
 	ParEfficiency float64
+
+	// PackRow is the seconds it takes to bit-pack one row into its
+	// block's frame-of-reference planes (encode.PackBlocks: the extrema
+	// pass and the 64×64 transpose), the unit a settle slice is budgeted
+	// in. Not in the paper, whose end state keeps the base column. Zero
+	// means DefaultPackRow.
+	PackRow float64
 }
 
 // DefaultParEfficiency is the assumed per-extra-worker scaling of the
 // scan kernels when none was calibrated: 70% of linear, a conservative
 // figure for a bandwidth-bound predicated scan on commodity cores.
 const DefaultParEfficiency = 0.7
+
+// DefaultPackRow is the assumed cost of packing one row when none was
+// calibrated: what the transpose packer measures on 22-bit uniform rows
+// on the host the other defaults describe.
+const DefaultPackRow = 6.0e-9
 
 // Validate reports whether the parameters are usable.
 func (p Params) Validate() error {
@@ -64,6 +75,8 @@ func (p Params) Validate() error {
 		return fmt.Errorf("costmodel: σ and τ must be positive (σ=%g τ=%g)", p.SigmaSwap, p.TauAlloc)
 	case p.ParEfficiency < 0 || p.ParEfficiency > 1:
 		return fmt.Errorf("costmodel: ε must lie in [0, 1] (0 = default), got %g", p.ParEfficiency)
+	case p.PackRow < 0:
+		return fmt.Errorf("costmodel: pack cost must not be negative (0 = default), got %g", p.PackRow)
 	}
 	return nil
 }
@@ -73,7 +86,7 @@ func (p Params) Validate() error {
 // bandwidth: every element pays comparison-mask arithmetic). They are
 // deterministic: used by tests and by benchmarks that must not depend
 // on calibration noise. Budgets expressed in wall-clock time should use
-// Calibrate instead.
+// core.CalibrateParams instead.
 func Default() Params {
 	return Params{
 		OmegaReadPage:  6.0e-7, // predicated scan, ~0.9 G elements/s
@@ -127,6 +140,17 @@ func (m *Model) Speedup(workers int) float64 {
 // true when the scans they predict actually run in parallel.
 func (m *Model) ParScanTime(n, workers int) float64 {
 	return m.ScanTime(n) / m.Speedup(workers)
+}
+
+// PackTime is the cost of bit-packing n rows into frame-of-reference
+// blocks over w workers, a block per task: Params.PackRow a row (zero
+// falls back to DefaultPackRow) divided by the modeled speedup.
+func (m *Model) PackTime(n, workers int) float64 {
+	row := m.P.PackRow
+	if row == 0 {
+		row = DefaultPackRow
+	}
+	return row * float64(n) / m.Speedup(workers)
 }
 
 // WriteTime is κ·N/γ: one sequential write pass over n elements.
@@ -189,20 +213,6 @@ func (m *Model) EquiHeightBucketTime(n, blockSize, buckets int) float64 {
 	return math.Log2(float64(buckets)) * m.BucketTime(n, blockSize)
 }
 
-// ConsolidateCopies returns N_copy = Σ_{i=1..log_β(n)} n/β^i, the total
-// number of element copies needed to build all upper B+-tree levels
-// over a sorted array of n elements (Section 3.1, consolidation).
-func ConsolidateCopies(n, fanout int) int {
-	if fanout < 2 {
-		fanout = 2
-	}
-	total := 0
-	for level := n / fanout; level > 0; level /= fanout {
-		total += level
-	}
-	return total
-}
-
 // ConsolidateTime is the predicted cost of copying n elements while
 // building B+-tree levels. The paper prints t_copy = N_copy·κ·γ, which
 // is dimensionally inconsistent (it multiplies by page size instead of
@@ -246,171 +256,3 @@ func HeatShares(dst []float64, heats []uint64) []float64 {
 	}
 	return dst
 }
-
-// Calibrate measures the Table 1 constants on the running machine, the
-// way the paper's implementation does at startup ("we perform these
-// operations when the program starts up and measure how long it
-// takes"). Crucially, the timed loops are copies of the *actual
-// kernels* the indexes run — the predicated range scan, the pivot-copy,
-// the Hoare partition and bucket appends — not generic memory loops;
-// otherwise the constants underestimate real per-element cost and the
-// adaptive budget cannot hold query times at its target.
-//
-// It runs for a few tens of milliseconds. The measured numbers carry
-// GC/scheduler noise; callers that need determinism use Default.
-func Calibrate() Params {
-	const (
-		gamma = 512
-		n     = 1 << 21 // 2M elements = 16 MiB, larger than most L3s
-		sb    = 1024
-	)
-	src := make([]int64, n)
-	dst := make([]int64, n)
-	for i := range src {
-		src[i] = int64(uint64(i)*2654435761) % 1000003
-	}
-
-	// ω: predicated range-scan kernel (column.SumRange's loop).
-	scanPerElem := timeBest(3, func() {
-		var sum, count int64
-		lo, hi := int64(250_000), int64(750_000)
-		for _, v := range src {
-			ge := ^((v - lo) >> 63) & 1
-			le := ^((hi - v) >> 63) & 1
-			m := ge & le
-			sum += v & -m
-			count += m
-		}
-		sink = sum + count
-	}) / n
-
-	// κ (via the pivot kernel): read each element, write it to both
-	// frontier slots, advance one cursor — the creation-phase loop.
-	// The destination must be freshly allocated for every rep: the real
-	// creation phase writes into a brand-new index array and pays a
-	// first-touch page fault per page, which a warm buffer would hide.
-	var fresh []int64
-	pivotPerElem := timeBestSetup(4, func() {
-		fresh = make([]int64, n)
-	}, func() {
-		lo, hi := 0, n-1
-		const pivot = 500_000
-		for _, v := range src {
-			fresh[lo] = v
-			fresh[hi] = v
-			if v <= pivot {
-				lo++
-			} else {
-				hi--
-			}
-		}
-		sink = int64(lo)
-	}) / n
-
-	// σ: the resumable Hoare partition kernel, per element visit. The
-	// array must be re-shuffled before every timed pass — partitioning
-	// an already-partitioned array has perfectly predictable branches
-	// and would underestimate σ severalfold.
-	swapPerVisit := timeBestSetup(3, func() {
-		copy(dst, src)
-	}, func() {
-		lo, hi := 0, n-1
-		const pivot = 500_000
-		for lo <= hi {
-			if dst[lo] <= pivot {
-				lo++
-			} else if dst[hi] > pivot {
-				hi--
-			} else {
-				dst[lo], dst[hi] = dst[hi], dst[lo]
-				lo++
-				hi--
-			}
-		}
-		sink = int64(lo)
-	}) / n
-
-	// Bucket append kernel incl. amortized block allocation; its excess
-	// over the pivot kernel becomes τ.
-	bucketPerElem := timeBest(3, func() {
-		const buckets = 64
-		blockLists := make([][][]int64, buckets)
-		var cur [buckets][]int64
-		for _, v := range src {
-			b := int(uint64(v) >> 14 & 63)
-			if len(cur[b]) == sb {
-				blockLists[b] = append(blockLists[b], cur[b])
-				cur[b] = make([]int64, 0, sb)
-			}
-			cur[b] = append(cur[b], v)
-		}
-		sinkSlice = cur[0]
-	}) / n
-
-	// φ: dependent random page accesses (pointer-chase style stride).
-	random := timeBest(3, func() {
-		var s int64
-		idx := 0
-		for i := 0; i < n/gamma; i++ {
-			idx = (idx + 7919*gamma + int(s&1)) % n
-			s += src[idx]
-		}
-		sink = s
-	}) / (n / gamma)
-
-	omega := scanPerElem * gamma
-	kappa := pivotPerElem*gamma - omega
-	if kappa <= 0 {
-		kappa = omega / 2
-	}
-	tau := (bucketPerElem - pivotPerElem) * sb
-	if tau <= 0 {
-		tau = 1e-9
-	}
-	p := Params{
-		OmegaReadPage:  omega,
-		KappaWritePage: kappa,
-		PhiRandomPage:  random,
-		Gamma:          gamma,
-		SigmaSwap:      swapPerVisit,
-		TauAlloc:       tau,
-	}
-	if p.Validate() != nil {
-		return Default()
-	}
-	return p
-}
-
-// timeBest runs fn reps times and returns the fastest wall-clock
-// duration in seconds, the standard way to suppress scheduling noise.
-func timeBest(reps int, fn func()) float64 {
-	return timeBestSetup(reps, nil, fn)
-}
-
-// timeBestSetup is timeBest with an untimed setup step before each rep.
-// A garbage collection runs before every timed section so collector
-// pauses from the setup allocations do not land inside a measurement.
-func timeBestSetup(reps int, setup, fn func()) float64 {
-	best := math.MaxFloat64
-	for i := 0; i < reps; i++ {
-		if setup != nil {
-			setup()
-		}
-		runtime.GC()
-		start := time.Now()
-		fn()
-		if d := time.Since(start).Seconds(); d < best {
-			best = d
-		}
-	}
-	if best <= 0 {
-		best = 1e-9
-	}
-	return best
-}
-
-// sink variables defeat dead-code elimination in calibration loops.
-var (
-	sink      int64
-	sinkSlice []int64
-)

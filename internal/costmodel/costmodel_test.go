@@ -74,21 +74,22 @@ func TestEquiHeightMultiplier(t *testing.T) {
 	}
 }
 
-func TestConsolidateCopies(t *testing.T) {
-	// n=16, fanout=4: level1 = 4 copies, level2 = 1 copy.
-	if got := ConsolidateCopies(16, 4); got != 5 {
-		t.Fatalf("ConsolidateCopies(16,4) = %d, want 5", got)
+func TestPackTime(t *testing.T) {
+	m := New(Default())
+	if got, want := m.PackTime(1<<20, 1), DefaultPackRow*(1<<20); got != want {
+		t.Fatalf("PackTime(1M, 1) = %g, want %g (zero PackRow means the default)", got, want)
 	}
-	// Geometric series bound: copies < n/(fanout-1) + log terms.
-	n := 1 << 20
-	if got := ConsolidateCopies(n, 16); got >= n/8 {
-		t.Fatalf("ConsolidateCopies(%d,16) = %d, unreasonably large", n, got)
+	if par := m.PackTime(1<<20, 4); par >= m.PackTime(1<<20, 1) || par <= m.PackTime(1<<20, 1)/4 {
+		t.Fatalf("PackTime over 4 workers = %g: want a sublinear speedup", par)
 	}
-	if got := ConsolidateCopies(0, 16); got != 0 {
-		t.Fatalf("ConsolidateCopies(0,16) = %d, want 0", got)
+	p := Default()
+	p.PackRow = 2.5e-9
+	if got, want := New(p).PackTime(4096, 1), 2.5e-9*4096; got != want {
+		t.Fatalf("PackTime with a calibrated constant = %g, want %g", got, want)
 	}
-	if got := ConsolidateCopies(10, 1); got <= 0 {
-		t.Fatalf("fanout<2 must be clamped, got %d", got)
+	p.PackRow = -1
+	if p.Validate() == nil {
+		t.Fatal("Validate accepted a negative pack cost")
 	}
 }
 
@@ -102,24 +103,6 @@ func TestLookupTimes(t *testing.T) {
 	}
 	if m.BinarySearchTime(1<<20) <= m.BinarySearchTime(1<<10) {
 		t.Fatal("BinarySearchTime must grow with n")
-	}
-}
-
-func TestCalibrateProducesValidParams(t *testing.T) {
-	if testing.Short() {
-		t.Skip("calibration loop skipped in -short mode")
-	}
-	p := Calibrate()
-	if err := p.Validate(); err != nil {
-		t.Fatalf("Calibrate produced invalid params: %v", err)
-	}
-	// Sanity: random page access should not be cheaper than 1/100th of
-	// a sequential page read, and a scan of 1M elements should take
-	// between 10µs and 1s on anything that can run this test.
-	m := New(p)
-	scan := m.ScanTime(1 << 20)
-	if scan < 1e-5 || scan > 1.0 {
-		t.Fatalf("calibrated 1M-element scan time %g out of plausible range", scan)
 	}
 }
 

@@ -149,3 +149,22 @@ func BenchmarkAggMasked(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkPack is the packer alone on the shape a settle and an encoded
+// load put through it: 4M uniform rows (22-bit deltas) cut into
+// BlockRows-row FOR-BP blocks. ns/row is the figure costmodel.PackTime
+// models.
+func BenchmarkPack(b *testing.B) {
+	benchSegment(b, ModeRaw) // warm benchVals
+	mn, mx := column.MinMax(benchVals)
+	b.SetBytes(8 * benchN)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		blocks, err := NewBlocks(benchVals, mn, mx, ModeFORBP)
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchSink.Count = int64(blocks.SizeBytes())
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/benchN, "ns/row")
+}

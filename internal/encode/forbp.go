@@ -22,30 +22,43 @@ import (
 // newFORBP packs values as deltas v - min in forWidth(min, max) bit
 // planes. A constant segment (min == max) packs to zero words.
 func newFORBP(values []int64, min, max int64) *Segment {
-	w := forWidth(min, max)
-	words := packVertical(len(values), uint(w), func(i int) uint64 { return uint64(values[i] - min) })
-	return &Segment{kind: KindFORBP, n: len(values), min: min, max: max, ref: min, width: w, words: words}
+	s := &Segment{kind: KindFORBP, n: len(values), min: min, max: max, ref: min, width: forWidth(min, max)}
+	if s.width > 0 {
+		s.words = make([]uint64, packedWords(s.n, uint(s.width)))
+		packVertical(s.words, values, min, uint(s.width))
+	}
+	return s
 }
 
-// packVertical bit-slices n values (already reduced to their packed
-// form by get) into width-w planes, 64 values per block. Lanes past n
-// in the final block stay zero; the scan kernels mask them out.
-func packVertical(n int, w uint, get func(i int) uint64) []uint64 {
-	if w == 0 {
-		return nil
+// packVertical bit-slices the deltas v - ref into dst as width-w planes
+// (w > 0), 64 values per block, by the transpose the decoder undoes: a
+// block's deltas are the rows of a 64x64 bit matrix whose transpose
+// holds one plane per row, of which the low w are kept. Deltas of at
+// most h = 32, 16 or 8 bits leave the matrix's other columns empty, and
+// the first stages of the transpose then only move whole rows: rows
+// j, j+h, j+2h, … fold into row j side by side, and the stages below h
+// run over h rows instead of 64. Lanes past the last value in the final
+// block stay zero; the scan kernels mask them out.
+func packVertical(dst []uint64, values []int64, ref int64, w uint) {
+	h := uint(blockLen)
+	for h > 8 && w <= h/2 {
+		h /= 2
 	}
-	words := make([]uint64, packedWords(n, w))
-	for i := 0; i < n; i++ {
-		d := get(i)
-		base := (i / blockLen) * int(w)
-		lane := uint(i & (blockLen - 1))
-		for d != 0 {
-			j := bits.TrailingZeros64(d)
-			words[base+j] |= 1 << lane
-			d &= d - 1
+	var m [blockLen]uint64
+	for i := 0; i < len(values); i += blockLen {
+		k := min(blockLen, len(values)-i)
+		for j, v := range values[i : i+k] {
+			m[j] = uint64(v - ref)
 		}
+		clear(m[k:])
+		for q := h; q < blockLen; q += h {
+			for j := range m[:h] {
+				m[j] |= m[q+uint(j)] << q
+			}
+		}
+		transposeStages(&m, h)
+		copy(dst[(i/blockLen)*int(w):], m[:w])
 	}
-	return words
 }
 
 // aggFORBP aggregates the rows against the clamped predicate [lo, hi]
@@ -217,10 +230,15 @@ func (s *Segment) appendFORBP(dst []int64) []int64 {
 // transpose64 transposes a 64x64 bit matrix in place (bit c of m[r]
 // becomes bit r of m[c]) by swapping ever smaller off-diagonal blocks:
 // 32x32 halves first, then 16x16 within each, down to single bits.
-func transpose64(m *[blockLen]uint64) {
-	mask := uint64(0x00000000FFFFFFFF)
-	for j := uint(32); j != 0; j, mask = j>>1, mask^(mask<<(j>>1)) {
-		for base := uint(0); base < blockLen; base += 2 * j {
+func transpose64(m *[blockLen]uint64) { transposeStages(m, blockLen) }
+
+// transposeStages runs the transpose's stages for blocks of h/2 rows and
+// below over rows [0, h), h a power of two: all of it for h = 64, the
+// tail of it for a matrix whose larger blocks the caller has placed.
+func transposeStages(m *[blockLen]uint64, h uint) {
+	mask := ^uint64(0) / (1<<(h/2) + 1) // ones in the low h/2 bits of every h
+	for j := h / 2; j != 0; j, mask = j>>1, mask^(mask<<(j>>1)) {
+		for base := uint(0); base < h; base += 2 * j {
 			for k := base; k < base+j; k++ {
 				t := (m[k]>>j ^ m[k+j]) & mask
 				m[k] ^= t << j

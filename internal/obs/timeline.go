@@ -26,6 +26,10 @@ const (
 	// raw rows and handed its own progressive index). Shard = shard
 	// index, A = rows decoded.
 	EvShardClaim
+	// EvShardSettle: a shard whose index had converged traded its raw
+	// rows for packed blocks, keeping the index. Shard = shard index,
+	// A = rows packed, B = bytes the packed blocks hold.
+	EvShardSettle
 	// EvCheckpoint: a durability checkpoint (snapshot) was written.
 	// A = rows captured, B = write duration in seconds.
 	EvCheckpoint
@@ -58,6 +62,7 @@ var eventKindNames = [numEventKinds]string{
 	EvPhase:         "phase",
 	EvShardSeal:     "shard_seal",
 	EvShardClaim:    "shard_claim",
+	EvShardSettle:   "shard_settle",
 	EvCheckpoint:    "checkpoint",
 	EvReplay:        "replay",
 	EvSuspend:       "suspend",
@@ -114,6 +119,10 @@ func (e Event) JSON() EventJSON {
 		sh := e.Shard
 		out.Shard = &sh
 		out.Attrs = map[string]any{"rows": int64(e.A)}
+	case EvShardSettle:
+		sh := e.Shard
+		out.Shard = &sh
+		out.Attrs = map[string]any{"rows": int64(e.A), "packed_bytes": int64(e.B)}
 	case EvCheckpoint:
 		out.Attrs = map[string]any{"rows": int64(e.A), "write_seconds": e.B}
 	case EvReplay:

@@ -276,13 +276,13 @@ func TestDriverChoiceIrrelevantToAnswer(t *testing.T) {
 	}
 }
 
-// claimedShards counts the shards of column col that hold raw rows: on
-// a compressed table (none of the test columns is incompressible), the
-// ones a claim has decoded and indexed.
+// claimedShards counts the shards of column col that are not cold: on a
+// compressed table, the ones a claim has decoded and indexed, whether
+// they still hold the decoded rows or have settled since.
 func claimedShards(tbl *Table, col int) int {
 	n := 0
 	for _, si := range tbl.cols[col].idx.ShardStats() {
-		if si.Encoding == "raw" {
+		if si.Form != "cold" {
 			n++
 		}
 	}
@@ -401,7 +401,7 @@ func TestCompressedColumnsMatchOracle(t *testing.T) {
 				// b is uniform: no direct query prunes its first loaded shard.
 				// (A tail-born shard inherits the heat of the shards it
 				// absorbed and may be claimed sooner.)
-				if si := tbl.cols[1].idx.ShardStats()[0]; si.Heat < uint64(q+1) || (si.Encoding == "raw") != (si.Heat >= claimHeat) {
+				if si := tbl.cols[1].idx.ShardStats()[0]; si.Heat < uint64(q+1) || (si.Form != "cold") != (si.Heat >= claimHeat) {
 					t.Fatalf("after %d direct queries (threshold %d): first shard %+v", q+1, claimHeat, si)
 				}
 				check(randomConj(rng, names, n))
@@ -409,7 +409,7 @@ func TestCompressedColumnsMatchOracle(t *testing.T) {
 			if claimedShards(tbl, 0) != 0 || claimedShards(tbl, 2) != 0 {
 				t.Fatal("columns that served no direct-route query were claimed")
 			}
-			if si := tbl.cols[1].idx.ShardStats(); si[0].Encoding != "raw" || si[1].Encoding != "raw" {
+			if si := tbl.cols[1].idx.ShardStats(); si[0].Form == "cold" || si[1].Form == "cold" {
 				t.Fatalf("b's loaded shards not both claimed: %+v", si[:2])
 			}
 			// Claimed or cold, the direct route is the column's own table:

@@ -23,7 +23,8 @@ import (
 // tail and row-aligned blocks, and every answer must match the oracle.
 // The readers' conjunctions carry a range on a below the loaded rows'
 // values (a tracks the row number), so the loaded rows stay their oracle
-// while the table grows. Run under -race.
+// while the table grows. One column's shard then settles, slice by
+// slice, under the same readers and the same checks. Run under -race.
 func TestColumnsStayInLockstep(t *testing.T) {
 	const (
 		n      = 90_000
@@ -111,6 +112,29 @@ func TestColumnsStayInLockstep(t *testing.T) {
 						t.Fatalf("step %d: %s at %d rows:\n got %+v\nwant %+v", step, c, rows, got, want)
 					}
 				}
+				// One column settles on its own, slice by slice — b is claimed
+				// where it is cold, its indexes converge, their rows are packed —
+				// while the readers keep ANDing its blocks with the others': a
+				// settle moves no block boundary, so lockstep holds at every slice.
+				b := tbl.cols[1].idx
+				settled := func() bool {
+					return slices.ContainsFunc(b.ShardStats(), func(si progidx.ShardInfo) bool { return si.Form == "settled" })
+				}
+				for i := 0; i < 20_000 && !settled() && !t.Failed(); i++ {
+					if _, ok := b.RefineShard(); !ok {
+						if _, err := tbl.ExecuteConj(directConj(rng, "b", n)); err != nil {
+							t.Fatal(err)
+						}
+					}
+					checkLockstep(t, tbl, rows)
+				}
+				if !settled() {
+					t.Fatalf("column b never settled a shard: %+v", b.ShardStats())
+				}
+				c := randomConj(rng, names, n)
+				if got, err := tbl.ExecuteConj(c); err != nil || !sameAnswer(got, oracleConj(cols, names, rows, c)) {
+					t.Fatalf("after b settled: %s at %d rows: got %+v err=%v", c, rows, got, err)
+				}
 				close(stop)
 				readers.Wait()
 				checkLockstep(t, tbl, rows)
@@ -160,14 +184,17 @@ func liveHeap() uint64 {
 }
 
 // TestPlannedRowsStoredOnce pins what one storage layer is for: a
-// planned table holds each column's rows in one place. Raw, that is the
-// column's array (8 B/row) plus, once converged, the index's sorted copy
-// — where a second row store beside the shard layer made it 16.5 and
-// 24.6 per column. FOR-BP, the packed blocks are the loaded table, at
-// the per-block figure (7.09 B/row over three columns on this data when
-// a column store packed them; a frame per whole shard would be 7.6),
-// and a claim trades one column's blocks for its rows and index instead
-// of keeping all three (23.2).
+// planned table holds each column's rows in one place, in one form.
+// Raw, that is the column's array (8 B/row) while it indexes — where a
+// second row store beside the shard layer made it 16.5 — and, once
+// converged and settled, the index's sorted copy plus the rows packed
+// per block (31.0 B/row over three columns on this data, where keeping
+// the arrays made it 51). FOR-BP, the packed blocks are the loaded
+// table, at the per-block figure (7.09 B/row over three columns; a
+// frame per whole shard would be 7.6), and a claim that has converged
+// has traded one column's blocks for its index and the same rows packed
+// again (14.8), not for index and raw rows (21) nor beside a second
+// store (23.2).
 func TestPlannedRowsStoredOnce(t *testing.T) {
 	if raceEnabled {
 		t.Skip("heap sizes are not meaningful under -race")
@@ -179,8 +206,8 @@ func TestPlannedRowsStoredOnce(t *testing.T) {
 		enc                 progidx.Encoding
 		loaded, afterDirect float64 // B/row over the three columns
 	}{
-		{progidx.EncodingRaw, 3 * 9, 3 * 17.5},
-		{progidx.EncodingFORBP, 7.09 + 0.1, 21.5},
+		{progidx.EncodingRaw, 3 * 9, 3*8 + 7.5},
+		{progidx.EncodingFORBP, 7.09 + 0.1, 7.09 + 8 + 0.2},
 	} {
 		base := liveHeap()
 		tbl, err := New("t", names, flat, progidx.Options{
@@ -192,8 +219,8 @@ func TestPlannedRowsStoredOnce(t *testing.T) {
 			t.Errorf("%s: loaded table holds %.2f B/row, want 6 … %.2f", tc.enc, held, tc.loaded)
 		}
 		// Direct queries on b: they claim it where it is cold; idle slices
-		// then converge whatever indexes (all three raw columns, b alone
-		// compressed).
+		// then converge and settle whatever indexes (all three raw columns,
+		// b alone compressed).
 		c := query.Conjunction{Target: "b", Aggs: column.AggAll, Preds: []query.ColPredicate{{Col: "b", Pred: query.Range(0, n)}}}
 		for i := 0; i < 3; i++ {
 			if _, err := tbl.ExecuteConj(c); err != nil {
@@ -203,7 +230,7 @@ func TestPlannedRowsStoredOnce(t *testing.T) {
 		for i := 0; i < 4000 && !tbl.Converged(); i++ {
 			tbl.RefineStep()
 		}
-		if st := tbl.ColumnStates()[1]; !tbl.Converged() || st.EncodedBlocks != 0 || st.Refines == 0 {
+		if st := tbl.ColumnStates()[1]; !tbl.Converged() || st.EncodedBlocks != st.Blocks || st.Refines == 0 {
 			t.Fatalf("%s: column b after direct queries and idle slices: converged=%v %+v", tc.enc, tbl.Converged(), st)
 		}
 		if held := float64(liveHeap()-base) / n; held > tc.afterDirect {

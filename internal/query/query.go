@@ -269,6 +269,14 @@ type (
 	// Phaser is implemented by the four progressive algorithms, whose
 	// lifecycle has phases.
 	Phaser interface{ Phase() Phase }
+	// BaseReleaser is implemented by indexes that, once converged, answer
+	// from their own sorted copy alone: ReleaseBase drops the index's
+	// reference to the rows of the column it was built over (its zone
+	// stays), so that whoever holds those rows may keep them in another
+	// form, or not at all. It is called once, after Converged; the four
+	// progressive algorithms implement it, through their shared
+	// lifecycle driver.
+	BaseReleaser interface{ ReleaseBase() }
 )
 
 // Answer is the response to a Request: the requested aggregate values

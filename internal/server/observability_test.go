@@ -134,10 +134,11 @@ func TestDebugTracesEndpoint(t *testing.T) {
 }
 
 // TestTableDebugEndpoint checks the deep-inspection surface: per-shard
-// state with heat shares, scheduler counters, and a non-empty
-// convergence timeline once queries have advanced the index.
+// state with heat shares, scheduler counters, a non-empty convergence
+// timeline once queries have advanced the index, and — once it has
+// converged — the settled form and its events.
 func TestTableDebugEndpoint(t *testing.T) {
-	_, ts := newTestServer(t)
+	srv, ts := newTestServer(t)
 	const shards = 4
 	loadSortedSharded(t, ts, "dbg", 8_192, shards)
 
@@ -180,6 +181,31 @@ func TestTableDebugEndpoint(t *testing.T) {
 	}
 	if dbg.Replay != nil {
 		t.Error("in-memory table reports replay progress")
+	}
+
+	// Converged, the shards have settled: the form shows per shard and
+	// every settle is on the timeline beside the seals and claims.
+	tbl, _ := srv.Catalog().Get("dbg")
+	for i := 0; i < 100_000 && !tbl.Index().Converged(); i++ {
+		tbl.Index().RefineStep()
+	}
+	do(t, http.MethodGet, ts.URL+"/tables/dbg/debug", nil, http.StatusOK, &dbg)
+	for _, sd := range dbg.ShardInfo {
+		if sd.Form != "settled" || sd.Encoding != "forbp" || sd.Bytes >= 8*sd.Rows {
+			t.Errorf("converged shard %d: form %q encoding %q, %d bytes for %d rows", sd.ID, sd.Form, sd.Encoding, sd.Bytes, sd.Rows)
+		}
+	}
+	settles := 0
+	for _, e := range dbg.Events {
+		if e.Kind == "shard_settle" {
+			settles++
+			if e.Shard == nil || e.Attrs["rows"] != float64(8_192/shards) || e.Attrs["packed_bytes"] == float64(0) {
+				t.Errorf("settle event %+v, want a shard, its %d rows and its packed bytes", e, 8_192/shards)
+			}
+		}
+	}
+	if settles != shards {
+		t.Errorf("timeline has %d shard_settle events, want %d: %+v", settles, shards, dbg.Events)
 	}
 
 	do(t, http.MethodGet, ts.URL+"/tables/nosuch/debug", nil, http.StatusNotFound, &errorResponse{})

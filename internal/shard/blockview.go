@@ -12,8 +12,8 @@ const BlockRows = encode.BlockRows
 
 // Block is one run of at most BlockRows rows of a table, with its zone
 // and the two mask kernels of a conjunction scan, served in place from
-// whatever holds the rows: a cold shard's packed block, a raw or
-// claimed shard's rows, the pending tail. Immutable.
+// whatever holds the rows: a cold or settled shard's packed block, a raw
+// or claimed shard's rows, the pending tail. Immutable.
 type Block struct {
 	seg      *encode.Segment // the packed block; nil where the rows are held raw
 	raw      []int64
@@ -25,7 +25,7 @@ type Block struct {
 // a boundary, so a shard's packed blocks are blocks of the view — and a
 // function of the shard boundaries alone: tables that ingested the same
 // batches and were flushed at the same points have row-aligned views
-// whatever their encodings and claims, which is what lets a
+// whatever their encodings, claims and settles, which is what lets a
 // multi-column table AND selection masks across its columns' views. The
 // first call on a view builds the table — capturing each shard's
 // current form under its read lock, and computing the zones of raw rows
@@ -45,14 +45,14 @@ func (s *Sharded) BlockView() []Block {
 	return bv
 }
 
-// appendBlocks appends the shard's blocks to dst: its packed blocks as
-// they are while cold, its raw rows cut on the shard's own grid
-// otherwise.
+// appendBlocks appends the shard's blocks to dst: the packed blocks of a
+// cold or settled shard as they are, raw rows cut on the shard's own
+// grid — the one a settle packs them on.
 func (st *state) appendBlocks(dst []Block) []Block {
 	st.mu.RLock()
 	packed, vals := st.packed, st.vals
 	st.mu.RUnlock()
-	if packed == nil {
+	if vals != nil {
 		return appendRawBlocks(dst, vals, st.zones.of(st.start, vals))
 	}
 	for _, seg := range packed.Segments() {

@@ -92,7 +92,7 @@ func TestBlockViewMatchesRows(t *testing.T) {
 			}
 			checkBlockView(t, sh, mode.String()+" claiming")
 		}
-		if mode.Compressed() && (sh.BlockView()[0].Packed() || sh.ShardStats()[0].Encoding != "raw") {
+		if mode.Compressed() && (sh.BlockView()[0].Packed() || sh.ShardStats()[0].Form != FormRaw) {
 			t.Fatalf("%v: first shard not claimed", mode)
 		}
 		drain(t, sh) // flushes the tail: one more shard
@@ -179,10 +179,10 @@ func TestFailedClaimKeepsShardCold(t *testing.T) {
 		sh.ClaimHot()
 	}
 	st := sh.ShardStats()
-	if builds != 1 || st[0].ClaimError != boom.Error() || st[0].Encoding != "forbp" || !st[0].Converged {
+	if builds != 1 || st[0].ClaimError != boom.Error() || st[0].Form != FormCold || st[0].Encoding != "forbp" || !st[0].Converged {
 		t.Fatalf("%d builds of the failing shard: %+v", builds, st[0])
 	}
-	if st[1].ClaimError != "" || st[1].Encoding != "raw" {
+	if st[1].ClaimError != "" || st[1].Form != FormRaw {
 		t.Fatalf("the healthy shard was not claimed: %+v", st[1])
 	}
 	if _, err := New(column.MustNew(clustered(10)), Config{Encoding: encode.ModeFORBP}, func(*column.Column) (query.Index, error) {

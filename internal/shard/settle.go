@@ -1,0 +1,146 @@
+package shard
+
+import (
+	"math/bits"
+	"slices"
+
+	"repro/internal/encode"
+	"repro/internal/obs"
+	"repro/internal/parallel"
+	"repro/internal/query"
+)
+
+// Settle is the mirror image of the claim (DESIGN.md section 10). Once a
+// shard's index has converged it answers from its own sorted copy and no
+// query reads the shard's raw rows again, so the write-path slices that
+// follow — query-borne or idle, the ones that refined the index — pack
+// them into FOR-BP blocks on the shard's own BlockRows grid, each slice
+// as many blocks as fit the largest indexing slice the index ever
+// reported (costmodel.PackTime). The slice that packs the last block
+// swaps the forms: packed in, raw rows and the index's base column out,
+// index kept. Only then is the shard converged, so no query pays more
+// for the settle than one paid for the refinement, and Converged still
+// means that nothing is left to do.
+//
+// Rows that could not be freed are never packed: see settleable and
+// waitsForLoaded.
+
+// settleMaxWidth is the widest frame a shard settles into: above 48 of
+// 64 bits the packed rows would save under a quarter, too little for
+// the decode it puts in front of every checkpoint.
+const settleMaxWidth = 48
+
+// narrow reports whether the shard's rows pack into settleMaxWidth bits,
+// read off its zone, which bounds every block's frame.
+func (st *state) narrow() bool {
+	return bits.Len64(uint64(st.max-st.min)) <= settleMaxWidth
+}
+
+// settleable reports whether the shard will trade its raw rows for
+// packed blocks once its index has converged; the answer never changes
+// over its life as an indexed shard. An index that cannot release its
+// base column keeps the rows alive whatever the shard does. A tail-born
+// shard below the seal threshold leaves its rows in the extent a later
+// seal merges them from; a larger one owns its extent, and a claimed
+// shard its decode. The loaded shards of a raw table slice one array,
+// freed only when all of them let go of it: all must be narrow. Caller
+// holds st.mu.
+func (s *Sharded) settleable(st *state) bool {
+	if _, ok := st.idx.(query.BaseReleaser); !ok {
+		return false
+	}
+	switch {
+	case st.tailBorn:
+		return st.end-st.start >= s.sealRows && st.narrow()
+	case s.encoding.Compressed():
+		return st.narrow()
+	}
+	return s.loadedNarrow
+}
+
+// sharesLoaded reports whether st slices the array a raw table was
+// loaded from, as its loaded siblings do.
+func (s *Sharded) sharesLoaded(st *state) bool {
+	return !st.tailBorn && !s.encoding.Compressed()
+}
+
+// waitsForLoaded reports whether st must not settle yet: it shares the
+// loaded array and a sibling's index has yet to converge — a table with
+// one never-queried shard would otherwise hold its rows raw and packed
+// for good. Until then a settleable shard keeps taking its write lock,
+// though its converged index only reads.
+func (s *Sharded) waitsForLoaded(st *state) bool {
+	return s.sharesLoaded(st) && s.loadedOpen.Load() > 0
+}
+
+// noteIndexDone records, once, that the shard's index has converged. A
+// shard that will not settle is converged with it; one that will is one
+// fewer for its loaded siblings to wait for. The caller holds the shard
+// lock in either mode.
+func (s *Sharded) noteIndexDone(st *state) {
+	if st.idx == nil || !st.idx.Converged() || !st.idxDone.CompareAndSwap(false, true) {
+		return
+	}
+	if !s.settleable(st) {
+		st.converged.Store(true)
+	} else if s.sharesLoaded(st) {
+		s.loadedOpen.Add(-1)
+	}
+}
+
+// packPool is what a settle slice packs its blocks over: the table's
+// pool where the table was loaded as one shard and its indexes run their
+// kernels over it under the shard lock already, nil — the calling
+// goroutine — where shards fan out over it (see New).
+func (s *Sharded) packPool() *parallel.Pool {
+	if s.fanout == nil {
+		return s.pool
+	}
+	return nil
+}
+
+// settleSlice spends one slice on the settle of a shard whose index has
+// converged: it packs the next blocks of the raw rows, as many as fit
+// the largest slice the index was ever granted and at least one, and
+// returns their modeled cost; the slice that packs the last block swaps
+// the forms and reports settled. Nothing happens, at no cost, on a shard
+// that does not settle, that waits for its loaded siblings, or whose
+// swap another slice is publishing. Caller holds st.mu for writing.
+func (s *Sharded) settleSlice(st *state) (cost float64, settled bool) {
+	s.noteIndexDone(st)
+	if st.converged.Load() || st.vals == nil || s.waitsForLoaded(st) {
+		return 0, false
+	}
+	pool := s.packPool()
+	total := (len(st.vals) + BlockRows - 1) / BlockRows
+	if st.segs == nil {
+		st.segs = make([]*encode.Segment, 0, total)
+	}
+	from := len(st.segs)
+	n := min(max(int(st.maxWork/s.model.PackTime(BlockRows, pool.Workers())), 1), total-from)
+	st.segs = st.segs[:from+n]
+	pool.Run(n, 1, func(_, a, b int) {
+		copy(st.segs[from+a:], encode.PackBlocks(st.vals[(from+a)*BlockRows:min((from+b)*BlockRows, len(st.vals))]))
+	})
+	cost = s.model.PackTime(min((from+n)*BlockRows, len(st.vals))-from*BlockRows, pool.Workers())
+	if from+n < total {
+		return cost, false
+	}
+	st.packed, st.vals, st.segs = encode.BlocksOf(st.segs), nil, nil
+	st.idx.(query.BaseReleaser).ReleaseBase()
+	return cost, true
+}
+
+// publishSettled makes a finished settle visible, after the slice that
+// finished it has released the shard lock (a seal takes the shard locks
+// under amu, so amu is never taken under one): the view is republished —
+// the old one's block table still serves the raw rows, and pins them —
+// the event recorded, and only then is the shard converged, so that a
+// table that reports Converged no longer reaches the rows it traded.
+func (s *Sharded) publishSettled(st *state) {
+	shards := s.republish()
+	// Settled is terminal — a settled shard is neither claimed nor
+	// absorbed — so packed is read without the lock that wrote it.
+	s.sink.Load().Record(obs.EvShardSettle, int32(slices.Index(shards, st)), float64(st.end-st.start), float64(st.packed.SizeBytes()))
+	st.converged.Store(true)
+}

@@ -1,0 +1,513 @@
+package shard
+
+import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"sync"
+	"sync/atomic"
+	"testing"
+
+	"repro/internal/column"
+	"repro/internal/core"
+	"repro/internal/costmodel"
+	"repro/internal/encode"
+	"repro/internal/obs"
+	"repro/internal/query"
+)
+
+// releasingStub is stubIndex with the capability a settle needs: it
+// answers from its own copy of the rows, so it can release the column it
+// was built over, and it reports a fixed WorkSeconds per slice until it
+// converges, which is the budget the shard's settle slices inherit.
+type releasingStub struct {
+	zone      *column.Column
+	rows      []int64
+	queries   atomic.Int64
+	doneAfter int64
+	work      float64
+	released  atomic.Bool
+}
+
+func (s *releasingStub) Name() string { return "RSTUB" }
+
+func (s *releasingStub) Execute(req query.Request) (query.Answer, error) {
+	return query.Run(req, s.zone.Min(), s.zone.Max(), func(lo, hi int64, aggs column.Aggregates) (column.Agg, query.Stats) {
+		st := query.Stats{Workers: 1, Phase: query.PhaseDone}
+		if s.queries.Add(1) <= s.doneAfter {
+			st.Phase, st.WorkSeconds = query.PhaseRefinement, s.work
+		}
+		return column.AggRange(s.rows, lo, hi, aggs), st
+	})
+}
+
+func (s *releasingStub) Converged() bool { return s.queries.Load() >= s.doneAfter }
+
+func (s *releasingStub) ReleaseBase() {
+	s.zone = s.zone.Zone()
+	s.released.Store(true)
+}
+
+func releasingFactory(doneAfter int64, work float64) Factory {
+	return func(col *column.Column) (query.Index, error) {
+		return &releasingStub{zone: col, rows: slices.Clone(col.Values()), doneAfter: doneAfter, work: work}, nil
+	}
+}
+
+func releasingStubs(sh *Sharded) []*releasingStub {
+	shards := sh.cur.Load().shards
+	out := make([]*releasingStub, len(shards))
+	for i, st := range shards {
+		out[i] = st.idx.(*releasingStub)
+	}
+	return out
+}
+
+// uniform returns n values below 1<<bits drawn from seed.
+func uniform(n int, bits uint, seed int64) []int64 {
+	rng := rand.New(rand.NewSource(seed))
+	out := make([]int64, n)
+	for i := range out {
+		out[i] = rng.Int63n(1 << bits)
+	}
+	return out
+}
+
+// checkExact runs one all-aggregates range query and compares it with
+// the branching scan of logical.
+func checkExact(t *testing.T, sh *Sharded, logical []int64, lo, hi int64, when string) query.Answer {
+	t.Helper()
+	ans, err := sh.Execute(query.Request{Pred: query.Range(lo, hi), Aggs: column.AggAll})
+	if want := oracleAgg(logical, lo, hi); err != nil || query.AnswerAgg(ans) != want {
+		t.Fatalf("%s: [%d, %d] = %+v err=%v, want %+v", when, lo, hi, ans, err, want)
+	}
+	return ans
+}
+
+// TestSettleLifecycle walks one shard through its settle, slice by
+// slice: the slices that follow the index's convergence each pack the
+// blocks that fit the largest slice the index reported and say so in
+// their Stats, a clamped batch packs nothing, Converged stays false and
+// Progress at the index's 1 until the last block is packed, and the
+// settled shard — index kept, base released, rows packed, event recorded
+// — answers, materializes and block-views as before at every step.
+func TestSettleLifecycle(t *testing.T) {
+	const blocks, perSlice = 11, 3
+	model := costmodel.New(costmodel.Params{})
+	work := model.PackTime(perSlice*BlockRows, 1) * 1.0001 // three blocks fit, four do not
+	logical := uniform((blocks-1)*BlockRows+100, 20, 1)
+	sh, err := New(column.MustNew(slices.Clone(logical)), Config{Workers: 1}, releasingFactory(2, work))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tl := obs.NewTimeline(16)
+	sh.SetEventSink(tl)
+	stub := releasingStubs(sh)[0]
+	rng := rand.New(rand.NewSource(2))
+	step := func(when string) query.Answer {
+		t.Helper()
+		lo := rng.Int63n(1 << 20)
+		ans := checkExact(t, sh, logical, lo, lo+rng.Int63n(1<<18), when)
+		checkBlockView(t, sh, when)
+		return ans
+	}
+	for i := 0; i < 2; i++ {
+		if ans := step("refining"); ans.Stats.WorkSeconds != work {
+			t.Fatalf("refinement slice %d reports %g s of work, want the stub's %g", i, ans.Stats.WorkSeconds, work)
+		}
+	}
+	if si := sh.ShardStats()[0]; !si.Converged || si.Form != FormRaw || sh.Converged() || sh.Progress() != 1 {
+		t.Fatalf("index converged, settle not begun: %+v, table converged=%v progress=%v", si, sh.Converged(), sh.Progress())
+	}
+	// A clamped batch carries no budget: it packs nothing.
+	if _, errs := sh.ExecuteBatch([]query.Request{{Pred: query.Range(0, 10)}}, query.BatchOpts{Clamp: true}); errs[0] != nil {
+		t.Fatal(errs[0])
+	}
+	if st := sh.cur.Load().shards[0]; st.segs != nil {
+		t.Fatalf("a clamped batch packed %d blocks", len(st.segs))
+	}
+	for packed := 0; packed < blocks; {
+		n := min(perSlice, blocks-packed)
+		rows := min(n*BlockRows, len(logical)-packed*BlockRows)
+		if sh.Converged() {
+			t.Fatalf("table converged with %d of %d blocks packed", packed, blocks)
+		}
+		ans := step(fmt.Sprintf("settling, %d blocks packed", packed))
+		if want := model.PackTime(rows, 1); ans.Stats.WorkSeconds != want || ans.Stats.Predicted != ans.Stats.BaseSeconds+want || want > work {
+			t.Fatalf("settle slice at block %d reports %g s, want PackTime(%d rows) = %g within the budget %g", packed, ans.Stats.WorkSeconds, rows, want, work)
+		}
+		packed += n
+	}
+	si := sh.ShardStats()[0]
+	if !sh.Converged() || si.Form != FormSettled || si.Encoding != "forbp" || si.Bytes <= 0 || si.Bytes > 3*len(logical) || !stub.released.Load() {
+		t.Fatalf("after the last slice: converged=%v released=%v %+v", sh.Converged(), stub.released.Load(), si)
+	}
+	if st := sh.cur.Load().shards[0]; st.vals != nil || st.segs != nil || st.idx == nil {
+		t.Fatal("settled shard kept its raw rows, its pack state, or lost its index")
+	}
+	evs := tl.Snapshot()
+	if last := evs[len(evs)-1]; len(evs) != 1 || last.Kind != obs.EvShardSettle || last.Shard != 0 || last.A != float64(len(logical)) || last.B != float64(si.Bytes) {
+		t.Fatalf("events %+v, want one settle of shard 0, %d rows, %d bytes", evs, len(logical), si.Bytes)
+	}
+	if ans := step("settled"); ans.Stats.WorkSeconds != 0 {
+		t.Fatalf("a query on the settled shard reports %g s of work", ans.Stats.WorkSeconds)
+	}
+	if !slices.Equal(sh.MaterializeRows(), logical) {
+		t.Fatal("MaterializeRows of the settled table differs from the rows")
+	}
+}
+
+// TestSettledShardAnswersThroughIndex pins the read path of the third
+// form: a settled shard holds packed blocks and is not cold. Every
+// executeShard call either runs idx.Execute or scans packed; here each of
+// the queries after the settle shows up in the index's own count, so
+// none was a packed scan — which would be just as exact, a thousand
+// times slower, and invisible to an oracle. To make it visible anyway,
+// the blocks are swapped for ones over other rows first.
+func TestSettledShardAnswersThroughIndex(t *testing.T) {
+	logical := uniform(3*BlockRows, 20, 3)
+	sh, err := New(column.MustNew(slices.Clone(logical)), Config{Shards: 2, Workers: 1}, releasingFactory(1, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	drain(t, sh)
+	for i, st := range sh.cur.Load().shards {
+		if si := sh.ShardStats()[i]; si.Form != FormSettled {
+			t.Fatalf("shard %d not settled: %+v", i, si)
+		}
+		st.mu.Lock()
+		st.packed = encode.BlocksOf(encode.PackBlocks(make([]int64, st.end-st.start)))
+		st.mu.Unlock()
+	}
+	const queries = 50
+	var before [2]int64
+	for i, stub := range releasingStubs(sh) {
+		before[i] = stub.queries.Load()
+	}
+	execBefore := sh.ShardStats()
+	rng := rand.New(rand.NewSource(4))
+	for q := 0; q < queries; q++ {
+		lo := rng.Int63n(1 << 20)
+		checkExact(t, sh, logical, lo, lo+rng.Int63n(1<<19), "settled")
+	}
+	if ph, ok := sh.Phase(); ok {
+		t.Fatalf("Phase() = %v, true on a strategy without phases: a settled shard is not a cold one", ph)
+	}
+	for i, stub := range releasingStubs(sh) {
+		executes := int64(sh.ShardStats()[i].Executes - execBefore[i].Executes)
+		if got := stub.queries.Load() - before[i]; got != executes || executes == 0 {
+			t.Fatalf("shard %d: %d executes, %d of them through the index: the rest scanned the packed blocks", i, executes, got)
+		}
+	}
+}
+
+// TestSettleWaitsForLoadedSiblings pins the shared-array rule: the
+// loaded shards of a raw table pack nothing until the index of every one
+// of them has converged, take no idle slice meanwhile, and then all
+// settle; and the shards that never settle — a tail-born one below the
+// seal threshold, any shard of a table with one loaded shard too wide
+// to pack — are converged with their index, as before.
+func TestSettleWaitsForLoadedSiblings(t *testing.T) {
+	const per = BlockRows + 10
+	logical := clustered(4 * per)
+	sh, err := New(column.MustNew(slices.Clone(logical)), Config{Shards: 4, Workers: 1, SealRows: 1 << 20}, releasingFactory(2, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for q := 0; q < 6; q++ { // values below 3·per live in the first three shards
+		checkExact(t, sh, logical, 0, 3*per-1, "three shards")
+	}
+	for i, st := range sh.cur.Load().shards[:3] {
+		si := sh.ShardStats()[i]
+		if !si.Converged || si.Form != FormRaw || st.converged.Load() || st.segs != nil {
+			t.Fatalf("shard %d with a sibling unconverged: %+v, packed blocks %d", i, si, len(st.segs))
+		}
+	}
+	if sh.Converged() {
+		t.Fatal("table converged with one shard untouched")
+	}
+	before := releasingStubs(sh)[0].queries.Load()
+	sh.RefineStep()
+	if stubs := releasingStubs(sh); stubs[3].queries.Load() != 1 || stubs[0].queries.Load() != before {
+		t.Fatalf("idle slice went to a waiting shard: fourth has %d queries", stubs[3].queries.Load())
+	}
+	// A small tail-born shard: sealed by the idle flush, never settled.
+	if err := sh.Append([]int64{5, 6, 7}); err != nil {
+		t.Fatal(err)
+	}
+	logical = append(logical, 5, 6, 7)
+	drain(t, sh)
+	want := []string{FormSettled, FormSettled, FormSettled, FormSettled, FormRaw}
+	for i, si := range sh.ShardStats() {
+		if si.Form != want[i] || !si.Converged {
+			t.Fatalf("drained table, shard %d: %+v, want form %s", i, si, want[i])
+		}
+	}
+	for _, stub := range releasingStubs(sh)[:4] {
+		if !stub.released.Load() {
+			t.Fatal("a settled shard's index still holds its base column")
+		}
+	}
+	checkExact(t, sh, logical, 0, 1<<20, "drained")
+	checkBlockView(t, sh, "drained")
+
+	// One loaded shard spans more than 48 bits: the array stays, so
+	// nothing is packed and every shard converges with its index.
+	wide := clustered(4 * per)
+	wide[0] = -(1 << 50)
+	sh, err = New(column.MustNew(slices.Clone(wide)), Config{Shards: 4, Workers: 1}, releasingFactory(1, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkExact(t, sh, wide, 0, 1<<20, "wide")
+	if !sh.Converged() {
+		t.Fatal("a table that cannot settle did not converge with its indexes")
+	}
+	for i, si := range sh.ShardStats() {
+		if si.Form != FormRaw {
+			t.Fatalf("wide table, shard %d: %+v", i, si)
+		}
+	}
+}
+
+// coreFactory builds the progressive algorithm named by strat, serial,
+// under cfg's budget.
+func coreFactory(strat string, cfg core.Config) Factory {
+	cfg.Workers = 1
+	return func(col *column.Column) (query.Index, error) {
+		switch strat {
+		case "PQ":
+			return core.NewQuicksort(col, cfg), nil
+		case "PMSD":
+			return core.NewRadixMSD(col, cfg), nil
+		case "PB":
+			return core.NewBucketsort(col, cfg), nil
+		}
+		return core.NewRadixLSD(col, cfg), nil
+	}
+}
+
+var coreStrategies = []string{"PQ", "PMSD", "PB", "PLSD"}
+
+// TestSettleSliceWithinRefinementBudget is the cost-model guarantee on
+// the real algorithms, in every budget mode: the modeled cost a settle
+// slice reports never exceeds the largest slice the index was granted
+// before it converged (or one block's, the floor), so no query pays more
+// for the settle than one paid for the refinement.
+func TestSettleSliceWithinRefinementBudget(t *testing.T) {
+	logical := uniform(24*BlockRows+33, 22, 5)
+	oneBlock := costmodel.New(costmodel.Params{}).PackTime(BlockRows, 1)
+	for _, strat := range coreStrategies {
+		for _, cfg := range []core.Config{
+			{Mode: core.FixedDelta, Delta: 0.1},
+			{Mode: core.FixedTime, BudgetSeconds: 2e-4},
+			{Mode: core.AdaptiveTime, BudgetSeconds: 2e-4},
+		} {
+			sh, err := New(column.MustNew(slices.Clone(logical)), Config{Workers: 1}, coreFactory(strat, cfg))
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(6))
+			granted, slices := 0.0, 0
+			for q := 0; !sh.Converged(); q++ {
+				if q > 100_000 {
+					t.Fatalf("%s/%v: never converged", strat, cfg.Mode)
+				}
+				lo := rng.Int63n(1 << 22)
+				ans := checkExact(t, sh, logical, lo, lo+rng.Int63n(1<<18), strat)
+				switch work := ans.Stats.WorkSeconds; {
+				case ans.Stats.Phase != query.PhaseDone:
+					granted = max(granted, work)
+				case work > 0:
+					slices++
+					if work > max(granted, oneBlock)*(1+1e-12) {
+						t.Fatalf("%s/%v: settle slice %d costs %g s, the largest refinement slice %g", strat, cfg.Mode, slices, work, granted)
+					}
+				}
+			}
+			if si := sh.ShardStats()[0]; slices == 0 || si.Form != FormSettled {
+				t.Fatalf("%s/%v: %d settle slices, %+v", strat, cfg.Mode, slices, si)
+			}
+		}
+	}
+}
+
+// TestSettleProperty: seeded interleavings of queries, appends (small,
+// and past the seal threshold) and idle slices on tables of every
+// progressive strategy, loaded as one shard and as four, raw and claimed
+// from FOR-BP and dictionary blocks. Before any shard settles, at every
+// slice while one does, and after, each answer (all aggregates) equals
+// the branching scan, MaterializeRows the rows, and the block view the
+// rows' grid, zones and masks (checkBlockView).
+func TestSettleProperty(t *testing.T) {
+	const sealRows = BlockRows + 300
+	seed := int64(0)
+	for _, strat := range coreStrategies {
+		for _, shards := range []int{1, 4} {
+			for _, mode := range []encode.Mode{encode.ModeRaw, encode.ModeFORBP, encode.ModeDict} {
+				seed++
+				seed := seed
+				t.Run(fmt.Sprintf("%s/shards=%d/%v", strat, shards, mode), func(t *testing.T) {
+					rng := rand.New(rand.NewSource(seed))
+					value := func() int64 { return rng.Int63n(3000) * 977 } // 3000 distinct: a dictionary fits
+					logical := make([]int64, shards*(2*BlockRows+77))
+					for i := range logical {
+						logical[i] = value()
+					}
+					sh, err := New(column.MustNew(slices.Clone(logical)),
+						Config{Shards: shards, Workers: 2, SealRows: sealRows, Encoding: mode, ClaimHeat: 1},
+						coreFactory(strat, core.Config{Delta: 0.1, L1Elements: 512})) // slices well under a shard's pack cost
+					if err != nil {
+						t.Fatal(err)
+					}
+					tl := obs.NewTimeline(256)
+					sh.SetEventSink(tl)
+					during := 0
+					for step := 0; step < 300 && !(sh.Converged() && step > 100); step++ {
+						switch op := rng.Intn(10); {
+						case op == 0 && step < 100:
+							batch := make([]int64, []int{1, 40, sealRows / 2, sealRows + 5}[rng.Intn(4)])
+							for i := range batch {
+								batch[i] = value()
+							}
+							if err := sh.Append(batch); err != nil {
+								t.Fatal(err)
+							}
+							logical = append(logical, batch...)
+						case op < 4:
+							sh.RefineStep()
+						}
+						lo := rng.Int63n(3000 * 977)
+						when := fmt.Sprintf("step %d", step)
+						checkExact(t, sh, logical, lo, lo+rng.Int63n(600*977), when)
+						settling := false
+						for _, st := range sh.cur.Load().shards {
+							st.mu.RLock()
+							settling = settling || st.segs != nil
+							st.mu.RUnlock()
+						}
+						if settling {
+							during++
+						} else if step%8 != 0 {
+							continue // the rows' readers are checked at every slice of a settle, and now and then
+						}
+						checkBlockView(t, sh, when)
+						if !slices.Equal(sh.MaterializeRows(), logical) {
+							t.Fatalf("%s: MaterializeRows differs from the rows", when)
+						}
+					}
+					settles := 0
+					for _, e := range tl.Snapshot() {
+						if e.Kind == obs.EvShardSettle {
+							settles++
+						}
+					}
+					if !sh.Converged() || settles < shards || during == 0 {
+						t.Fatalf("vacuous trace: converged=%v, %d settles, %d steps seen mid-settle: %+v", sh.Converged(), settles, during, sh.ShardStats())
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestReadersRaceSettle runs what reads a shard's rows — queries, block
+// views, MaterializeRows (a checkpoint's capture) — and an appender
+// against the slices that settle the table's shards, and a reader that
+// loaded its view before any of it finishes on that view with that
+// view's answer. Meaningful under -race.
+func TestReadersRaceSettle(t *testing.T) {
+	loaded := uniform(4*(BlockRows+50), 20, 7)
+	sh, err := New(column.MustNew(slices.Clone(loaded)), Config{Shards: 4, Workers: 2, SealRows: 1 << 20},
+		coreFactory("PQ", core.Config{Delta: 0.25}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := sh.cur.Load()
+	req := query.Request{Pred: query.Range(1000, 1<<19), Aggs: column.AggAll}
+	want := oracleAgg(loaded, 1000, 1<<19)
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	reader := func(f func()) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !stop.Load() {
+				f()
+			}
+		}()
+	}
+	reader(func() { // the loaded rows' values lie below 1<<20, the appended ones above
+		if ans, err := sh.Execute(req); err != nil || query.AnswerAgg(ans) != want {
+			t.Errorf("reader: %+v err=%v, want %+v", ans, err, want)
+			stop.Store(true)
+		}
+	})
+	reader(func() {
+		rows := 0
+		for _, b := range sh.BlockView() {
+			rows += b.Len()
+		}
+		if rows < len(loaded) {
+			t.Errorf("block view covers %d rows of %d", rows, len(loaded))
+			stop.Store(true)
+		}
+	})
+	reader(func() {
+		if got := sh.MaterializeRows(); !slices.Equal(got[:len(loaded)], loaded) {
+			t.Error("MaterializeRows differs from the loaded rows")
+			stop.Store(true)
+		}
+	})
+	reader(func() {
+		if err := sh.Append([]int64{1 << 21, 1<<21 + 1}); err != nil {
+			t.Error(err)
+			stop.Store(true)
+		}
+	})
+	for i := 0; i < 100_000 && !stop.Load(); i++ {
+		sh.RefineShard()
+		if ans, err := sh.executeOn(held, new(scratch), req, false, nil); err != nil || query.AnswerAgg(ans) != want {
+			t.Fatalf("held view answered %+v err=%v, want %+v", ans, err, want)
+		}
+		settled := 0
+		for _, si := range sh.ShardStats()[:4] {
+			if si.Form == FormSettled {
+				settled++
+			}
+		}
+		if settled == 4 {
+			break
+		}
+	}
+	stop.Store(true)
+	wg.Wait()
+	for i, si := range sh.ShardStats()[:4] {
+		if si.Form != FormSettled {
+			t.Fatalf("loaded shard %d never settled: %+v", i, si)
+		}
+	}
+}
+
+var sinkBlocks *encode.Blocks
+
+// BenchmarkSettle is the settle alone, as the slices run it — here one
+// slice, the stub's budget being a second: a shard's rows packed block
+// by block, assembled and swapped in.
+func BenchmarkSettle(b *testing.B) {
+	const n = 1 << 20
+	vals := uniform(n, 22, 8)
+	b.SetBytes(8 * n)
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		sh, err := New(column.MustNew(vals), Config{Workers: 1}, releasingFactory(1, 1))
+		if err != nil {
+			b.Fatal(err)
+		}
+		sh.RefineStep() // the index converges; the next slice settles
+		b.StartTimer()
+		drain(b, sh)
+		sinkBlocks = sh.cur.Load().shards[0].packed
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/row")
+}

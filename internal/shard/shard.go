@@ -53,7 +53,13 @@
 // the table holds is 8 bytes a raw row plus slack that belongs to the
 // current extent alone — its free capacity and the smaller arrays its
 // not yet absorbed shards were sealed in, under three times the rows
-// it holds — a smooth function of the table's size.
+// it holds — a smooth function of the table's size. And it holds them
+// raw only while something reads them raw: a shard whose index has
+// converged settles (settle.go) — its rows are packed block by block,
+// the raw copy dropped, the index kept — so a shard has one of three
+// forms, cold (packed blocks, no index), raw (an index over raw rows) or
+// settled (a converged index and packed blocks), and a loaded array or
+// an extent is freed when the last shard slicing it has settled.
 //
 // Readers never lock the table structure: the shard list and tail are
 // published as an immutable copy-on-write view swapped atomically by
@@ -77,10 +83,11 @@
 // never pays an encode on the hot path; a seal that absorbs shards
 // decodes their blocks (or takes a claimed shard's retained rows) into
 // one buffer with the tail and encodes it once, and the merged shard is
-// born cold. In encoded mode the blocks, any claimed shards' rows, and
-// the pending tail (an extent that every seal ends) are the only copies
-// of the data. Whatever form holds them, the rows are also readable
-// block by block (BlockView).
+// born cold. In encoded mode the blocks, any claimed shards' rows — until
+// their indexes converge and they settle into blocks again — and the
+// pending tail (an extent that every seal ends) are the only copies of
+// the data. Whatever form holds them, the rows are also readable block
+// by block (BlockView).
 //
 // The Sharded type is the serving handle of every single-column table
 // (progidx.Handle: Execute, ExecuteBatch, Append, RefineStep, Progress,
@@ -118,13 +125,16 @@ type state struct {
 	mu  sync.RWMutex
 	idx query.Index
 
-	// packed is the shard's compressed form while it is cold (idx == nil):
-	// queries scan it in place under the shared lock. A claim decodes it
-	// into vals, builds idx, and clears packed — all under the write
-	// lock. vals is the shard's raw rows whenever it is not cold — a slice
-	// of the loaded column or of a tail extent in raw mode, the claim's
-	// decode in encoded mode — and never changes once set: the table
-	// keeps no other copy of them.
+	// A shard holds its rows in one of three forms, told apart by which
+	// of idx, packed and vals are set, and moves between them under the
+	// write lock alone. Cold (idx == nil): packed only, scanned in place
+	// under the shared lock. Raw: idx over vals — a slice of the loaded
+	// column or of a tail extent in raw mode, the claim's decode of a cold
+	// shard in encoded mode — which never change once set. Settled: idx
+	// and packed; once the index has converged nothing on the query path
+	// reads vals again, so settle (settle.go) packs them block by block,
+	// drops them, and keeps the index, which still answers every query.
+	// In every form the table keeps no other copy of the rows.
 	packed *encode.Blocks
 	vals   []int64
 
@@ -136,14 +146,17 @@ type state struct {
 	// merge. Immutable after birth.
 	tailBorn bool
 
-	// cold mirrors packed != nil for lock-free claim probes; cleared
+	// cold mirrors idx == nil for lock-free claim probes; cleared
 	// under the write lock at claim time, before converged flips false.
 	cold atomic.Bool
 
-	// converged is the sticky read-path switch: set after observing
-	// idx.Converged() under the write lock; once true, queries share the
-	// lock.
+	// converged is the sticky read-path switch: set once the shard has
+	// nothing left to do — its index converged and, where the shard
+	// settles, its rows packed; once true, queries share the lock.
+	// idxDone is the first half alone: the index has converged
+	// (noteIndexDone sets it, once).
 	converged atomic.Bool
+	idxDone   atomic.Bool
 
 	// heat counts the queries this shard survived pruning for; it
 	// drives the budget split and the idle-refinement order.
@@ -161,14 +174,12 @@ type state struct {
 	// ShardStats. zones are vals' block zones, for BlockView.
 	claimErr atomic.Pointer[error]
 	zones    zoneCache
-}
 
-// noteConverged records the shard index's terminal state; the caller
-// holds the shard lock in either mode (the true-store is idempotent).
-func (st *state) noteConverged() {
-	if !st.converged.Load() && st.idx != nil && st.idx.Converged() {
-		st.converged.Store(true)
-	}
+	// The settle's own state, under the write lock: the largest
+	// Stats.WorkSeconds a slice of this shard's index reported — the
+	// budget of a settle slice — and the blocks packed so far.
+	maxWork float64
+	segs    []*encode.Segment
 }
 
 // newColdState births a cold shard: compressed rows, zone map, and the
@@ -197,8 +208,8 @@ type view struct {
 	tailMin, tailMax int64   // zone of the tail; valid when len(tail) > 0
 
 	// blocks is the view's block table, built by the first BlockView call
-	// and valid for as long as the view is: a claim changes the form a
-	// shard's rows are held in, never the rows, and republishes.
+	// and valid for as long as the view is: a claim or a settle changes
+	// the form a shard's rows are held in, never the rows, and republishes.
 	blocks atomic.Pointer[[]Block]
 
 	// done is this view's sticky all-converged switch: every sealed
@@ -226,6 +237,13 @@ type Sharded struct {
 	// cold shard is decoded and handed to the factory (≤ 0: never).
 	encoding  encode.Mode
 	claimHeat uint64
+
+	// model costs a settle slice. loadedOpen counts the raw loaded shards
+	// whose index has yet to converge, and loadedNarrow says every one of
+	// them packs well enough to settle (settle.go).
+	model        *costmodel.Model
+	loadedOpen   atomic.Int64
+	loadedNarrow bool
 
 	// rr sequences idle-refinement steps round-robin through the
 	// heat-ordered unconverged shards.
@@ -265,7 +283,7 @@ type Sharded struct {
 }
 
 // SetEventSink routes this table's structural events (tail seals,
-// cold-shard claims) into tl. Safe to call at any time; nil detaches.
+// cold-shard claims, settles) into tl. Safe to call at any time; nil detaches.
 func (s *Sharded) SetEventSink(tl *obs.Timeline) { s.sink.Store(tl) }
 
 // Config sizes a Sharded index.
@@ -294,7 +312,7 @@ type Config struct {
 	// own rows, which must grow with the table and get no correction.
 	BudgetSizedFor int
 	// Encoding selects compressed shard storage (see the package
-	// comment): shards are born cold as encode.Segments, scanned in
+	// comment): shards are born cold as encode.Blocks, scanned in
 	// place, and decoded for indexing only when claimed. The zero value
 	// (raw) is exactly the pre-encoding behavior.
 	Encoding encode.Mode
@@ -303,6 +321,10 @@ type Config struct {
 	// DefaultClaimHeat; negative means never claim (permanently cold).
 	// Ignored in raw mode.
 	ClaimHeat int
+	// Params are the cost constants the factory's indexes plan their
+	// budgets with; the layer costs its settle slices with the same ones.
+	// The zero value means costmodel.Default().
+	Params costmodel.Params
 }
 
 // DefaultClaimHeat is the default Config.ClaimHeat: a cold shard that
@@ -338,7 +360,10 @@ func resolveClaimHeat(opt int) uint64 {
 // then execute one after another on the calling goroutine. The two
 // never mix: a goroutine waiting inside a kernel helps with whatever
 // pool task is queued, and were that another query's fan-out task it
-// would block on a shard lock while holding one.
+// would block on a shard lock while holding one. A settle slice packs
+// under the shard's write lock, so the rule is its too: over the pool
+// on a table loaded as one shard, on the calling goroutine otherwise
+// (packPool).
 func New(col *column.Column, cfg Config, factory Factory) (*Sharded, error) {
 	if factory == nil {
 		return nil, fmt.Errorf("shard: nil factory")
@@ -431,9 +456,16 @@ func New(col *column.Column, cfg Config, factory Factory) (*Sharded, error) {
 		extStart:       n,
 		vmin:           col.Min(),
 		vmax:           col.Max(),
+		model:          costmodel.New(cfg.Params),
 	}
 	if encoded {
 		sh.claimHeat = resolveClaimHeat(cfg.ClaimHeat)
+	} else {
+		sh.loadedOpen.Store(int64(s))
+		sh.loadedNarrow = true
+		for _, st := range shards {
+			sh.loadedNarrow = sh.loadedNarrow && st.narrow()
+		}
 	}
 	sh.publishLocked(shards)
 	return sh, nil
@@ -587,7 +619,6 @@ func (s *Sharded) sealLocked() ([]*state, error) {
 			return nil, err
 		}
 		st = &state{idx: idx, vals: vals, start: start, end: end, min: mn, max: mx}
-		st.noteConverged() // e.g. a full-index shard is terminal at birth
 		if final {
 			s.ext, s.extStart = nil, end
 		}
@@ -613,6 +644,7 @@ func (s *Sharded) sealLocked() ([]*state, error) {
 		s.ext, s.extStart = nil, end
 	}
 	st.tailBorn = true
+	s.noteIndexDone(st) // e.g. a full-index shard is terminal at birth
 	for _, a := range absorbed {
 		st.heat.Add(a.heat.Load())
 		st.executes.Add(a.executes.Load())
@@ -648,13 +680,14 @@ func MaxShards(loaded, appended, sealRows int) int {
 	return loaded + appended/sealRows + bits.Len(uint(sealRows-1))
 }
 
-// appendRows appends the shard's rows to dst in row order, from the
-// packed blocks while cold or from its raw rows otherwise — the
-// extraction shared by encoded-mode merges and MaterializeRows.
+// appendRows appends the shard's rows to dst in row order, from its raw
+// rows while it has them or from the packed blocks of a cold or settled
+// shard — the extraction shared by encoded-mode merges and
+// MaterializeRows.
 func (st *state) appendRows(dst []int64) []int64 {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
-	if st.packed != nil {
+	if st.vals == nil {
 		return st.packed.AppendTo(dst)
 	}
 	return append(dst, st.vals...)
@@ -894,7 +927,7 @@ func (st *state) claimable() bool { return st.cold.Load() && st.claimErr.Load() 
 // crossing.
 func (s *Sharded) claim(i int, st *state) bool {
 	st.mu.Lock()
-	if st.packed == nil || st.claimErr.Load() != nil {
+	if st.idx != nil || st.claimErr.Load() != nil {
 		st.mu.Unlock()
 		return false // lost the race to another query's claim
 	}
@@ -914,27 +947,37 @@ func (s *Sharded) claim(i int, st *state) bool {
 	st.packed = nil
 	st.cold.Store(false)
 	st.converged.Store(false)
-	st.noteConverged() // a terminal-at-birth factory index (e.g. FI)
+	s.noteIndexDone(st) // a terminal-at-birth factory index (e.g. FI)
 	st.mu.Unlock()
 	s.sink.Load().Record(obs.EvShardClaim, int32(i), float64(st.end-st.start), 0)
-	s.amu.Lock()
-	s.publishLocked(s.cur.Load().shards)
-	s.amu.Unlock()
+	s.republish()
 	return true
+}
+
+// republish publishes the current shard list again, and returns it: what
+// a claim and a settle do once a shard has changed the form it holds its
+// rows in, so that the fresh view's all-converged switch and block table
+// start over.
+func (s *Sharded) republish() []*state {
+	s.amu.Lock()
+	defer s.amu.Unlock()
+	shards := s.cur.Load().shards
+	s.publishLocked(shards)
+	return shards
 }
 
 // executeShard runs one sub-request against one shard under its lock.
 // A converged shard takes the shared lock (read-only execution, any
-// number of concurrent queries) — for a cold shard that means scanning
-// the packed blocks in place with the clamped bounds; an
-// unconverged shard takes the write lock, applies the heat-weighted
-// budget scale, and optionally runs with indexing suspended (the batch
-// amortization hook).
+// number of concurrent queries): a cold one scans its packed blocks in
+// place with the clamped bounds, any other — settled ones included, whose
+// packed blocks no query reads — answers through its index. An
+// unconverged shard takes the write lock and spends one slice
+// (sliceLocked).
 func (s *Sharded) executeShard(st *state, sub query.Request, lo, hi int64, scale float64, suspend bool) partial {
 	st.executes.Add(1)
 	if st.converged.Load() {
 		st.mu.RLock()
-		if st.packed != nil {
+		if st.idx == nil {
 			p := coldPartial(st.packed.AggRange(lo, hi, sub.Aggs))
 			st.mu.RUnlock()
 			return p
@@ -949,13 +992,32 @@ func (s *Sharded) executeShard(st *state, sub query.Request, lo, hi int64, scale
 		st.mu.RUnlock()
 	}
 	st.mu.Lock()
-	defer st.mu.Unlock()
-	if st.packed != nil {
+	if st.idx == nil {
 		// Cold shards are converged by construction, so reaching the
-		// write path with packed blocks means the probe raced a seal/claim
+		// write path with one means the probe raced a seal/claim
 		// transition; the in-place scan is still the right answer.
-		return coldPartial(st.packed.AggRange(lo, hi, sub.Aggs))
+		p := coldPartial(st.packed.AggRange(lo, hi, sub.Aggs))
+		st.mu.Unlock()
+		return p
 	}
+	ans, settled, err := s.sliceLocked(st, sub, scale, suspend)
+	st.mu.Unlock()
+	if settled {
+		s.publishSettled(st)
+	}
+	return partial{agg: query.AnswerAgg(ans), stats: ans.Stats, err: err}
+}
+
+// sliceLocked is the one write-path step of a shard that has an index,
+// query-borne or idle: req runs on the index under the slice's budget —
+// the heat-weighted scale, or suspended (the batch amortization hook) —
+// and, where the index had converged before the slice began, the budget
+// goes to the shard's settle instead (settleSlice), its modeled cost
+// reported as the slice's work. settled says this slice finished the
+// settle; the caller publishes it (publishSettled) once it has released
+// the lock. Caller holds st.mu for writing.
+func (s *Sharded) sliceLocked(st *state, req query.Request, scale float64, suspend bool) (ans query.Answer, settled bool, err error) {
+	settling := st.idx.Converged()
 	if sc, ok := st.idx.(query.BudgetScaler); ok {
 		sc.SetBudgetScale(scale)
 	}
@@ -965,9 +1027,19 @@ func (s *Sharded) executeShard(st *state, sub query.Request, lo, hi int64, scale
 			defer sp.SetIndexingSuspended(false)
 		}
 	}
-	ans, err := st.idx.Execute(sub)
-	st.noteConverged()
-	return partial{agg: query.AnswerAgg(ans), stats: ans.Stats, err: err}
+	ans, err = st.idx.Execute(req)
+	switch {
+	case err != nil:
+	case !settling:
+		st.maxWork = max(st.maxWork, ans.Stats.WorkSeconds)
+		s.noteIndexDone(st)
+	case !suspend:
+		var cost float64
+		cost, settled = s.settleSlice(st)
+		ans.Stats.WorkSeconds += cost
+		ans.Stats.Predicted += cost
+	}
+	return ans, settled, err
 }
 
 // coldPartial shapes a compressed in-place scan's contribution: no
@@ -1086,7 +1158,7 @@ func (s *Sharded) executeShardTraced(st *state, sub query.Request, lo, hi int64,
 		tr.Bool(sp, "suspended", true)
 	}
 	p := s.executeShard(st, sub, lo, hi, scale, suspend)
-	enc, _ := st.encodingInfo()
+	_, enc, _ := st.encodingInfo()
 	tr.Str(sp, "encoding", enc)
 	tr.Float(sp, "budget_spent_s", p.stats.WorkSeconds)
 	scanned := int64(p.stats.AlphaElems)
@@ -1149,6 +1221,7 @@ func (s *Sharded) RefineStep() (query.Stats, bool) {
 // scale is the shard count: an idle slice concentrates the full
 // per-query budget on one shard, so an idle Sharded index converges in
 // about as much wall-clock as an idle unsharded one, hot shards first.
+// A shard whose index has converged spends its slices on its settle.
 // It returns the slice's work stats, and false when no sealed shard is
 // left to refine.
 func (s *Sharded) RefineShard() (query.Stats, bool) {
@@ -1157,21 +1230,15 @@ func (s *Sharded) RefineShard() (query.Stats, bool) {
 	if target == nil {
 		return query.Stats{}, false
 	}
+	// Concentrate one full table budget on this shard: S slices of 1/S
+	// in δ mode, BudgetSizedFor slices of 1/BudgetSizedFor in wall-clock
+	// mode (the factor cancels the grown shard count).
 	target.mu.Lock()
-	if target.idx.Converged() {
-		target.noteConverged()
-		target.mu.Unlock()
-		return query.Stats{}, true
-	}
-	if sc, ok := target.idx.(query.BudgetScaler); ok {
-		// Concentrate one full table budget on this shard: S slices of
-		// 1/S in δ mode, BudgetSizedFor slices of 1/BudgetSizedFor in
-		// wall-clock mode (the factor cancels the grown shard count).
-		sc.SetBudgetScale(float64(len(v.shards)) * s.budgetFactor(len(v.shards)))
-	}
-	ans, err := target.idx.Execute(idleRequest)
-	target.noteConverged()
+	ans, settled, err := s.sliceLocked(target, idleRequest, float64(len(v.shards))*s.budgetFactor(len(v.shards)), false)
 	target.mu.Unlock()
+	if settled {
+		s.publishSettled(target)
+	}
 	target.refines.Add(1)
 	if err != nil {
 		return query.Stats{}, true
@@ -1201,7 +1268,9 @@ func (s *Sharded) FlushTail() {
 
 // nextRefineTarget picks the round-robin cursor's shard among the
 // unconverged ones ordered by heat (descending, shard index breaking
-// ties), or nil when everything converged.
+// ties), or nil when everything converged. A loaded shard that waits for
+// its siblings before it settles has nothing to spend a slice on and is
+// passed over.
 func (s *Sharded) nextRefineTarget(v *view) *state {
 	type cand struct {
 		heat uint64
@@ -1209,7 +1278,7 @@ func (s *Sharded) nextRefineTarget(v *view) *state {
 	}
 	cands := make([]cand, 0, len(v.shards))
 	for i, st := range v.shards {
-		if !st.converged.Load() {
+		if !st.converged.Load() && !(st.idxDone.Load() && s.waitsForLoaded(st)) {
 			cands = append(cands, cand{st.heat.Load(), i})
 		}
 	}
@@ -1228,8 +1297,9 @@ func (s *Sharded) nextRefineTarget(v *view) *state {
 	return v.shards[cands[int(s.rr.Add(1)-1)%len(cands)].i]
 }
 
-// Converged reports whether every shard reached its terminal state and
-// no appended rows are pending.
+// Converged reports whether every shard reached its terminal state —
+// its index converged and, where the shard settles, its rows packed —
+// and no appended rows are pending.
 func (s *Sharded) Converged() bool {
 	v := s.cur.Load()
 	if v.done.Load() {
@@ -1243,7 +1313,7 @@ func (s *Sharded) Converged() bool {
 			continue
 		}
 		st.mu.RLock()
-		st.noteConverged()
+		s.noteIndexDone(st)
 		done := st.converged.Load()
 		st.mu.RUnlock()
 		if !done {
@@ -1255,8 +1325,10 @@ func (s *Sharded) Converged() bool {
 }
 
 // Progress returns the row-weighted mean convergence fraction across
-// shards, exactly 1 once all shards converged and nothing is pending;
-// unindexed tail rows count as zero progress.
+// shards' indexes, exactly 1 once all shards converged and nothing is
+// pending; unindexed tail rows count as zero progress. A settle moves
+// it no further: it reads 1 from the slice that converged the last index
+// to the one that packs the last block, while Converged is still false.
 func (s *Sharded) Progress() float64 {
 	v := s.cur.Load()
 	if v.done.Load() {
@@ -1308,7 +1380,7 @@ func (s *Sharded) Phase() (query.Phase, bool) {
 		if ok && !st.converged.Load() {
 			ph = p.Phase()
 		}
-		ok = ok || st.packed != nil
+		ok = ok || st.idx == nil
 		st.mu.RUnlock()
 		if !ok {
 			return 0, false
@@ -1323,21 +1395,29 @@ func (s *Sharded) Phase() (query.Phase, bool) {
 	return min, true
 }
 
-// encodingInfo reports the shard's storage form and resident payload
-// size — the blocks' kind and packed-word footprint while cold,
-// 8·rows raw otherwise. It takes the shared lock only for cold
-// shards.
-func (st *state) encodingInfo() (string, int) {
-	if st.cold.Load() {
-		st.mu.RLock()
-		if st.packed != nil {
-			k, b := st.packed.Kind().String(), st.packed.SizeBytes()
-			st.mu.RUnlock()
-			return k, b
-		}
-		st.mu.RUnlock()
+// The forms a shard holds its rows in, as Info.Form spells them.
+const (
+	FormRaw     = "raw"
+	FormCold    = "cold"
+	FormSettled = "settled"
+)
+
+// encodingInfo reports the form the shard holds its rows in, their
+// encoding, and their resident payload size: the blocks' kind and
+// packed-word footprint for a cold or a settled shard, raw and 8·rows
+// otherwise.
+func (st *state) encodingInfo() (form, kind string, bytes int) {
+	st.mu.RLock()
+	defer st.mu.RUnlock()
+	switch {
+	case st.vals != nil:
+		return FormRaw, encode.KindRaw.String(), 8 * len(st.vals)
+	case st.idx == nil:
+		form = FormCold
+	default:
+		form = FormSettled
 	}
-	return encode.KindRaw.String(), 8 * (st.end - st.start)
+	return form, st.packed.Kind().String(), st.packed.SizeBytes()
 }
 
 // Info is a point-in-time snapshot of one shard, for the stats
@@ -1354,9 +1434,13 @@ type Info struct {
 	// Phase is the shard index's lifecycle phase ("done" for
 	// converged and cold shards, "" when the strategy exposes none).
 	Phase string `json:"phase,omitempty"`
-	// Encoding is the shard's storage form ("raw" for decoded or
-	// raw-mode shards) and Bytes its resident payload size — 8·rows
-	// raw, the packed-word footprint while cold.
+	// Form is how the shard holds its rows: FormRaw (an index over raw
+	// rows: a raw-mode or a claimed shard), FormCold (packed blocks, no
+	// index) or FormSettled (a converged index and packed blocks).
+	// Encoding is the rows' encoding ("raw" in the raw form) and Bytes
+	// their resident payload size — 8·rows raw, the packed-word
+	// footprint otherwise; the index's own copy is not in it.
+	Form     string `json:"form"`
 	Encoding string `json:"encoding"`
 	Bytes    int    `json:"resident_bytes"`
 	// ClaimError is why the shard's claim failed; such a shard stays
@@ -1380,7 +1464,7 @@ func (s *Sharded) ShardStats() []Info {
 			Executes: st.executes.Load(),
 			Refines:  st.refines.Load(),
 		}
-		info.Encoding, info.Bytes = st.encodingInfo()
+		info.Form, info.Encoding, info.Bytes = st.encodingInfo()
 		if errp := st.claimErr.Load(); errp != nil {
 			info.ClaimError = (*errp).Error()
 		}
@@ -1407,9 +1491,9 @@ func (s *Sharded) ShardStats() []Info {
 
 // MaterializeRows returns a fresh copy of every logical row in order
 // (sealed shards, then the pending tail) — the raw-extraction surface
-// snapshots use, since the table keeps no base column. Cold shards
-// decode into the output without being claimed; the others copy their
-// rows.
+// snapshots use, since the table keeps no base column. Cold and settled
+// shards decode into the output, neither claimed nor unsettled by it;
+// raw ones copy their rows.
 func (s *Sharded) MaterializeRows() []int64 {
 	s.amu.Lock()
 	v := s.cur.Load()

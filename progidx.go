@@ -139,7 +139,8 @@ const (
 // spend budgeted work refining the index as a side effect, and a
 // terminal Converged state. Indexes advertise what else they can do
 // through query's optional capabilities (Suspender, BudgetScaler,
-// Progressor, Phaser); the handles assert them, callers rarely need to.
+// Progressor, Phaser, BaseReleaser); the handles assert them, callers
+// rarely need to.
 type Index = query.Index
 
 // Strategy selects an indexing technique.
@@ -378,10 +379,7 @@ func NewFromColumn(col *column.Column, opts Options) (Index, error) {
 	default:
 		ccfg.Mode = core.FixedDelta
 	}
-	if opts.Calibrate {
-		calibrateOnce.Do(func() { calibrated = core.CalibrateParams() })
-		ccfg.Params = calibrated
-	}
+	ccfg.Params = costParams(opts)
 	kcfg := cracking.Config{Seed: opts.Seed, Workers: opts.Workers}
 
 	switch opts.Strategy {
@@ -434,6 +432,16 @@ var (
 	calibrated    costmodel.Params
 )
 
+// costParams returns the cost constants opts selects: the machine's, or
+// the zero value — the built-in defaults — without Options.Calibrate.
+func costParams(opts Options) costmodel.Params {
+	if !opts.Calibrate {
+		return costmodel.Params{}
+	}
+	calibrateOnce.Do(func() { calibrated = core.CalibrateParams() })
+	return calibrated
+}
+
 // Conformance, in one place: every strategy and both wrappers implement
 // the one Index contract, the four progressive algorithms — through
 // core's lifecycle driver — each optional capability, and Sharded the
@@ -453,5 +461,6 @@ var (
 		query.BudgetScaler
 		query.Progressor
 		query.Phaser
+		query.BaseReleaser
 	}{(*core.Quicksort)(nil), (*core.RadixMSD)(nil), (*core.Bucketsort)(nil), (*core.RadixLSD)(nil)}
 )

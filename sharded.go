@@ -66,7 +66,7 @@ const unshardedSealMinRows = 1024
 // shardLayout derives the shard layer's configuration for a table of
 // rows rows, and the factory every shard's index is built with.
 func shardLayout(opts Options, rows int) (shard.Config, shard.Factory) {
-	cfg := shard.Config{Shards: max(opts.Shards, 1), Workers: opts.Workers, Encoding: opts.Encoding, ClaimHeat: opts.ClaimHeat}
+	cfg := shard.Config{Shards: max(opts.Shards, 1), Workers: opts.Workers, Encoding: opts.Encoding, ClaimHeat: opts.ClaimHeat, Params: costParams(opts)}
 	child := opts
 	child.Shards = 0
 	// Claimed shards decompress into the selected strategy over raw

@@ -74,7 +74,8 @@ func checkShardStructure(t *testing.T, sh *Sharded, logical []int64, loaded, app
 // unsharded serving handle, whose seal threshold (an eighth of the
 // loaded rows, floor 1024) comes to the same 1024 rows. At every step
 // each answer equals the branching scan over the grown column and the
-// structure passes checkShardStructure.
+// structure passes checkShardStructure — shards that converge along the
+// way settle, and the rows read back from their packed blocks.
 func TestShardedMergeProperty(t *testing.T) {
 	const (
 		n        = 4096
@@ -152,17 +153,19 @@ func TestShardedMergeProperty(t *testing.T) {
 						checkShardStructure(t, sh, logical, loaded, appended, sealRows)
 					}
 					// The trace must have exercised what it claims to check.
-					merges, claims := 0, 0
+					merges, claims, settles := 0, 0, 0
 					for _, e := range tl.Snapshot() {
 						switch {
 						case e.Kind == obs.EvShardSeal && e.B > 0:
 							merges++
 						case e.Kind == obs.EvShardClaim:
 							claims++
+						case e.Kind == obs.EvShardSettle:
+							settles++
 						}
 					}
-					if merges == 0 || (enc.Compressed() && claims == 0) {
-						t.Fatalf("vacuous trace: %d merging seals, %d claims", merges, claims)
+					if merges == 0 || (enc.Compressed() && claims == 0) || settles == 0 {
+						t.Fatalf("vacuous trace: %d merging seals, %d claims, %d settles", merges, claims, settles)
 					}
 				})
 			}

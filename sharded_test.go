@@ -2,6 +2,7 @@ package progidx
 
 import (
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -458,4 +459,76 @@ func TestUnshardedHandleKeepsWorkers(t *testing.T) {
 			t.Fatalf("query %d: δ %g at four workers, %g at one: the shard index lost its workers", q, four.Stats.Delta, one.Stats.Delta)
 		}
 	}
+}
+
+// liveHeap forces a collection and returns the live heap.
+func liveHeap() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// TestSettledRowsStoredOnce pins what a settle is for, and the rule that
+// rows which cannot be freed are never packed. The four loaded shards of
+// a raw table slice one array. With three of their indexes converged and
+// the fourth never queried, the table holds that array and three sorted
+// copies and not one packed block — packing then would add to the heap,
+// since the array stays for the fourth. Once the fourth has converged
+// too, all four settle: the array is gone, and the table holds the sorted
+// copies plus the rows at their packed width, where it used to hold 16
+// bytes a row for good.
+func TestSettledRowsStoredOnce(t *testing.T) {
+	skipUnderRace(t)
+	const (
+		n     = 1 << 19
+		slack = n / 2 // B+-tree levels, block headers, views, the collector's slop
+	)
+	base := liveHeap()
+	vals := make([]int64, n)
+	rng := rand.New(rand.NewSource(9))
+	for i := range vals {
+		vals[i] = int64(i) + rng.Int63n(4096) // shard k holds values in [k·n/4, (k+1)·n/4 + 4096)
+	}
+	sh, err := NewHandle(vals, Options{Strategy: StrategyQuicksort, Delta: 0.25, Shards: 4, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	vals = nil
+	threeDone := func() bool {
+		st := sh.ShardStats()
+		return st[0].Converged && st[1].Converged && st[2].Converged
+	}
+	for q := 0; q < 10_000 && !threeDone(); q++ {
+		lo := rng.Int63n(3*n/4 - 5000)
+		if _, err := sh.Execute(Request{Pred: Range(lo, min(lo+n/8, 3*n/4-1))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, si := range sh.ShardStats() {
+		if i < 3 && (!si.Converged || si.Form != "raw") || i == 3 && si.Executes != 0 {
+			t.Fatalf("three shards converged, one untouched: shard %d is %+v", i, si)
+		}
+	}
+	if held := liveHeap() - base; held > 8*n+8*(3*n/4)+slack {
+		t.Fatalf("with the loaded array pinned the table holds %.2f B/row, above the array and three sorted copies (14)", float64(held)/n)
+	}
+	for i := 0; i < 100_000 && !sh.Converged(); i++ {
+		sh.RefineStep()
+	}
+	packed := 0
+	for i, si := range sh.ShardStats() {
+		if si.Form != "settled" || si.Encoding != "forbp" {
+			t.Fatalf("converged table: shard %d is %+v", i, si)
+		}
+		packed += si.Bytes
+	}
+	if packed > 2*n {
+		t.Fatalf("the rows packed to %.2f B/row, want 13-bit blocks", float64(packed)/n)
+	}
+	if held := liveHeap() - base; held > uint64(8*n+packed+slack) {
+		t.Fatalf("settled table holds %.2f B/row, above its sorted copies and %.2f B/row packed: the loaded array is still there", float64(held)/n, float64(packed)/n)
+	}
+	runtime.KeepAlive(sh)
 }
