@@ -50,39 +50,14 @@ func TestConvergedExecuteZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestSynchronizedConvergedZeroAllocs extends the pin to the lock
-// wrapper: the shared-read-lock path after convergence and the zone-map
-// fast path (which never takes a lock at all) must both stay
-// allocation-free.
-func TestSynchronizedConvergedZeroAllocs(t *testing.T) {
-	skipUnderRace(t)
-	vals := boundedColumn(3000, 13)
-	idx := Synchronize(MustNew(vals, Options{Strategy: StrategyQuicksort, Delta: 1}))
-	for q := 0; q < 500 && !idx.Converged(); q++ {
-		sumCount(idx, -4000, 4000)
-	}
-	if !idx.Converged() {
-		t.Fatal("PQ did not converge")
-	}
-	inRange := Request{Pred: Range(-1000, 1000), Aggs: AllAggregates}
-	if allocs := testing.AllocsPerRun(100, func() { idx.Execute(inRange) }); allocs != 0 {
-		t.Errorf("Synchronized converged Execute allocates %.1f/op, want 0", allocs)
-	}
-	// Zone miss: far outside the test column's domain.
-	miss := Request{Pred: Range(8_000_000, 9_000_000), Aggs: AllAggregates}
-	if allocs := testing.AllocsPerRun(100, func() { idx.Execute(miss) }); allocs != 0 {
-		t.Errorf("Synchronized zone-miss Execute allocates %.1f/op, want 0", allocs)
-	}
-}
-
 // TestShardedConvergedZeroAllocs pins the serving handle's steady
 // state: with a serial fan-out — four shards at Workers: 1 (the
 // parallel fan-out's fork/join necessarily allocates), or the unsharded
 // handle at the default worker count (one shard has no fan-out) — a
 // converged Execute reuses its pooled scratch and performs zero
 // per-query allocations, both for queries that touch shards and for
-// fully pruned ones, and a one-request ExecuteBatch allocates only its
-// result slices.
+// fully pruned ones, and so does a batch follower's ExecuteAs (the
+// one-column table's pins are TestOneColumnTableAllocs, internal/plan).
 func TestShardedConvergedZeroAllocs(t *testing.T) {
 	skipUnderRace(t)
 	vals := boundedColumn(3000, 14)
@@ -110,12 +85,9 @@ func TestShardedConvergedZeroAllocs(t *testing.T) {
 		if allocs := testing.AllocsPerRun(100, func() { sh.Execute(miss) }); allocs != 0 {
 			t.Errorf("%s pruned Execute allocates %.1f/op, want 0", sh.Name(), allocs)
 		}
-		// The batch path — the only one the server calls — shares
-		// Execute's pooled fan-out: nothing per shard, just the two
-		// result slices.
-		batch := []Request{inRange}
-		if allocs := testing.AllocsPerRun(100, func() { sh.ExecuteBatch(batch, BatchOpts{}) }); allocs != 2 {
-			t.Errorf("%s converged ExecuteBatch allocates %.1f/op, want 2 (answers and errors)", sh.Name(), allocs)
+		// The entry a table's batch calls shares Execute's pooled fan-out.
+		if allocs := testing.AllocsPerRun(100, func() { sh.ExecuteAs(inRange, false, nil) }); allocs != 0 {
+			t.Errorf("%s converged ExecuteAs allocates %.1f/op, want 0", sh.Name(), allocs)
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/column"
+	"repro/internal/query"
 	"repro/internal/shard"
 )
 
@@ -328,7 +329,7 @@ func TestAppendConcurrentWithQueries(t *testing.T) {
 						}
 					default:
 						// The scheduler's entry point, racing the appends.
-						if _, errs := h.ExecuteBatch([]Request{{Pred: Range(0, 100)}}, BatchOpts{}); errs[0] != nil {
+						if _, errs := executeBatch(h, []Request{{Pred: Range(0, 100)}}, query.BatchOpts{}); errs[0] != nil {
 							t.Errorf("reader %d: %v", r, errs[0])
 							return
 						}
@@ -362,21 +363,20 @@ func TestAppendConcurrentWithQueries(t *testing.T) {
 // an unsharded handle with rows pending ingestion reports PendingRows
 // and pins its phase to creation (never "done" while unconverged).
 func TestAppendPendingPhaseAndPendingRows(t *testing.T) {
-	s := appendHandle(t, testColumn(400, 7), Options{Strategy: StrategyQuicksort, Delta: 0.5})
-	var h Handle = s
+	h := appendHandle(t, testColumn(400, 7), Options{Strategy: StrategyQuicksort, Delta: 0.5})
 	for i := 0; i < 200 && !h.Converged(); i++ {
 		h.RefineStep()
 	}
 	if ph, ok := h.Phase(); !ok || ph != PhaseDone {
 		t.Fatalf("converged phase = %v/%v, want done", ph, ok)
 	}
-	if got := s.PendingRows(); got != 0 {
+	if got := h.PendingRows(); got != 0 {
 		t.Fatalf("PendingRows before append = %d", got)
 	}
 	if err := h.Append([]int64{30_000, 30_001}); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.PendingRows(); got != 2 {
+	if got := h.PendingRows(); got != 2 {
 		t.Fatalf("PendingRows = %d, want 2", got)
 	}
 	if ph, ok := h.Phase(); !ok || ph != PhaseCreation {
@@ -385,7 +385,7 @@ func TestAppendPendingPhaseAndPendingRows(t *testing.T) {
 	for i := 0; i < 400 && !h.Converged(); i++ {
 		h.RefineStep()
 	}
-	if got := s.PendingRows(); got != 0 {
+	if got := h.PendingRows(); got != 0 {
 		t.Fatalf("PendingRows after drain = %d", got)
 	}
 	if ph, ok := h.Phase(); !ok || ph != PhaseDone {

@@ -3,7 +3,7 @@ package progidx
 import "repro/internal/encode"
 
 // Encoding selects the table's storage mode (DESIGN.md section 12).
-// Compressed tables store their rows as 4096-row encode.Segments —
+// Compressed tables store their rows as 4096-row blocks (encode.Blocks) —
 // frame-of-reference bit-packed, dictionary-coded, or raw, selected per
 // block — and answer range aggregates by scanning the packed words directly;
 // the rows are decompressed only when a progressive index build claims

@@ -245,16 +245,19 @@ func TestPointFastPathsStayExact(t *testing.T) {
 	}
 }
 
-// TestSynchronizedExecuteCoherent hammers a shared index with
-// concurrent Execute calls and checks what the deprecated Stats() side
-// channel could not provide: every answer is exact, and the Stats
-// carried inline belong to a call taken under the lock — observed as a
-// phase that never regresses within any single goroutine, since the
-// index's lifecycle only moves forward.
-func TestSynchronizedExecuteCoherent(t *testing.T) {
+// TestHandleExecuteCoherent hammers a shared handle — of a progressive
+// strategy and of a cracking one, which reorganizes on every query —
+// with concurrent Execute calls: every answer is exact, and the Stats
+// carried inline belong to a call taken under the shard's lock —
+// observed as a phase that never regresses within any single goroutine,
+// since the index's lifecycle only moves forward.
+func TestHandleExecuteCoherent(t *testing.T) {
 	vals := testColumn(20000, 17)
 	for _, s := range []Strategy{StrategyRadixMSD, StrategyStandardCracking} {
-		idx := Synchronize(MustNew(vals, Options{Strategy: s, Delta: 0.2}))
+		idx, err := NewHandle(vals, Options{Strategy: s, Delta: 0.2})
+		if err != nil {
+			t.Fatal(err)
+		}
 		var wg sync.WaitGroup
 		errs := make(chan string, 64)
 		for g := 0; g < 8; g++ {

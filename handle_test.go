@@ -1,35 +1,22 @@
 package progidx
 
 import (
-	"math"
 	"sync"
 	"testing"
 
 	"repro/internal/column"
 	"repro/internal/data"
+	"repro/internal/query"
 )
 
-// converge drives a serving handle to its terminal state via refine
-// steps, with a safety bound.
-func converge(t *testing.T, idx Handle) {
+// converge drives a handle to its terminal state via refine steps, with
+// a safety bound.
+func converge(t *testing.T, idx *Sharded) {
 	t.Helper()
 	for i := 0; i < 1_000_000; i++ {
 		if _, done := idx.RefineStep(); done {
 			return
 		}
-	}
-	t.Fatalf("%s: did not converge within bound", idx.Name())
-}
-
-// convergeByQueries drives a Synchronized index — which has no idle
-// refinement of its own — to its terminal state with full-range queries.
-func convergeByQueries(t *testing.T, idx *Synchronized) {
-	t.Helper()
-	for i := 0; i < 1_000_000; i++ {
-		if idx.Converged() {
-			return
-		}
-		sumCount(idx, math.MinInt64, math.MaxInt64)
 	}
 	t.Fatalf("%s: did not converge within bound", idx.Name())
 }
@@ -44,6 +31,18 @@ func unshardedHandle(t *testing.T, vals []int64, opts Options) *Sharded {
 	return h
 }
 
+// executeBatch runs reqs the way a table runs one batch on a column: the
+// first request leads — it carries the indexing budget — unless
+// opts.Clamp withholds it, and the rest run with indexing suspended.
+func executeBatch(sh *Sharded, reqs []Request, opts query.BatchOpts) ([]Answer, []error) {
+	answers := make([]Answer, len(reqs))
+	errs := make([]error, len(reqs))
+	for i, req := range reqs {
+		answers[i], errs[i] = sh.ExecuteAs(req, i == 0 && !opts.Clamp, opts.Trace(i))
+	}
+	return answers, errs
+}
+
 func TestExecuteBatchAmortizesIndexingWork(t *testing.T) {
 	vals := data.Uniform(40_000, 3)
 	idx := unshardedHandle(t, vals, Options{Strategy: StrategyQuicksort, Delta: 0.25})
@@ -53,7 +52,7 @@ func TestExecuteBatchAmortizesIndexingWork(t *testing.T) {
 		lo := int64(i * 3000)
 		reqs[i] = Request{Pred: Range(lo, lo+8000), Aggs: AllAggregates}
 	}
-	answers, errs := idx.ExecuteBatch(reqs, BatchOpts{})
+	answers, errs := executeBatch(idx, reqs, query.BatchOpts{})
 	if len(answers) != len(reqs) || len(errs) != len(reqs) {
 		t.Fatalf("batch shape: %d answers, %d errs", len(answers), len(errs))
 	}
@@ -94,7 +93,7 @@ func TestExecuteBatchNonSuspendableStillExact(t *testing.T) {
 		{Pred: Range(5_000, 15_000)},
 		{Pred: Point(vals[7])},
 	}
-	answers, errs := idx.ExecuteBatch(reqs, BatchOpts{})
+	answers, errs := executeBatch(idx, reqs, query.BatchOpts{})
 	for i, req := range reqs {
 		if errs[i] != nil {
 			t.Fatal(errs[i])
@@ -108,7 +107,7 @@ func TestExecuteBatchNonSuspendableStillExact(t *testing.T) {
 
 func TestExecuteBatchEmpty(t *testing.T) {
 	idx := unshardedHandle(t, []int64{1, 2, 3}, Options{})
-	answers, errs := idx.ExecuteBatch(nil, BatchOpts{})
+	answers, errs := executeBatch(idx, nil, query.BatchOpts{})
 	if len(answers) != 0 || len(errs) != 0 {
 		t.Fatal("empty batch should return empty slices")
 	}
@@ -163,22 +162,6 @@ func TestRefineStepStatsReuseBudgetMapping(t *testing.T) {
 	}
 }
 
-func TestSynchronizedPhase(t *testing.T) {
-	vals := data.Uniform(5_000, 8)
-	prog := Synchronize(MustNew(vals, Options{Strategy: StrategyQuicksort, Delta: 0.25}))
-	if p, ok := prog.Phase(); !ok || p != PhaseCreation {
-		t.Fatalf("fresh progressive Phase = %v, %v", p, ok)
-	}
-	convergeByQueries(t, prog)
-	if p, ok := prog.Phase(); !ok || p != PhaseDone {
-		t.Fatalf("converged Phase = %v, %v", p, ok)
-	}
-	scan := Synchronize(MustNew(vals, Options{Strategy: StrategyFullScan}))
-	if _, ok := scan.Phase(); ok {
-		t.Fatal("FullScan should not report a phase")
-	}
-}
-
 // TestConvergedConcurrentReads exercises the post-convergence shared
 // read lock: many goroutines querying a converged index in parallel
 // (under -race this patrols the read-only contract of Done-phase
@@ -189,8 +172,8 @@ func TestConvergedConcurrentReads(t *testing.T) {
 		StrategyQuicksort, StrategyRadixMSD, StrategyBucketsort, StrategyRadixLSD,
 		StrategyProgressiveHash, StrategyImprints,
 	} {
-		idx := Synchronize(MustNew(vals, Options{Strategy: s, Delta: 0.25}))
-		convergeByQueries(t, idx)
+		idx := unshardedHandle(t, vals, Options{Strategy: s, Delta: 0.25})
+		converge(t, idx)
 
 		var wg sync.WaitGroup
 		for g := 0; g < 8; g++ {

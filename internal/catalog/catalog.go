@@ -1,7 +1,6 @@
 // Package catalog is the serving layer's table registry: named tables,
-// each behind one progidx.Handle — a Sharded for a single-column table
-// (one shard when unsharded), a plan.Table for a multi-column one —
-// with a load → ready → dropped lifecycle and per-table strategy/budget
+// each one plan.Table — of one column for a single-column table — with
+// a load → ready → dropped lifecycle and per-table strategy/budget
 // options. The catalog owns no goroutines and performs
 // no scheduling — it is the shared state the server's per-table
 // schedulers and the stats endpoints read — so its locking is a plain
@@ -78,12 +77,21 @@ type Options struct {
 	// claims them — and their snapshots persist compressed too. The zero
 	// value (raw) is the uncompressed default.
 	Encoding progidx.Encoding
-	// Columns names the table's schema. Empty or one name keeps the v1
-	// single-column layout; two or more switch the table to a plan.Table
-	// — one row-aligned store and one progressive index per column, fed
-	// by flat row-major tuples (len(Columns) values per row) and queried
-	// with conjunctions through the selectivity-driven planner.
+	// Columns names the table's schema. Empty or one name is a
+	// single-column table; two or more give one row-aligned store and one
+	// progressive index per column, fed by flat row-major tuples
+	// (len(Columns) values per row) and queried with conjunctions through
+	// the selectivity-driven planner.
 	Columns []string
+}
+
+// schema is the column list the table is built with: Columns, or one
+// column under a default name when none was given.
+func (o Options) schema() []string {
+	if len(o.Columns) == 0 {
+		return []string{"value"}
+	}
+	return o.Columns
 }
 
 // RowWidth is the number of values per logical row: len(Columns) for a
@@ -118,15 +126,14 @@ func (o Options) progidxOptions() progidx.Options {
 }
 
 // Table is one named, progressive-indexed table. The index handle is a
-// progidx.Handle — *progidx.Sharded for single-column tables,
-// *plan.Table for multi-column ones — so reads after convergence
+// *plan.Table, safe for concurrent use, so reads after convergence
 // already share locks; the server's scheduler adds batching and idle
 // refinement on top of the same handle. The handle holds the rows and
 // owns their growth: Append routes through it, and the catalog only
 // keeps the ingest counters that feed Info.
 type Table struct {
 	name    string
-	idx     progidx.Handle
+	idx     *plan.Table
 	opts    Options
 	created time.Time
 	status  atomic.Int32
@@ -183,12 +190,14 @@ func (t *Table) Columns() []string {
 	return nil
 }
 
-// Planned returns the table's multi-column planner handle (ok == false
-// for single-column tables).
-func (t *Table) Planned() (*plan.Table, bool) {
-	pt, ok := t.idx.(*plan.Table)
-	return pt, ok
-}
+// Handle returns the table's index handle, concretely typed: what the
+// scheduler drives.
+func (t *Table) Handle() *plan.Table { return t.idx }
+
+// Planned returns the handle of a multi-column table, the one a
+// composite query has a planner to go through (ok == false for
+// single-column tables).
+func (t *Table) Planned() (*plan.Table, bool) { return t.idx, t.RowWidth() > 1 }
 
 // MinValue bounds the (first) column's value domain from below, from
 // the index handle's zone statistics, which Append widens under the
@@ -250,7 +259,8 @@ func (t *Table) Append(values []int64) error {
 // Options returns the options the table was loaded with.
 func (t *Table) Options() Options { return t.opts }
 
-// Index returns the table's concurrency-safe index handle.
+// Index returns Handle's value behind the interface benchmark/ asserts on
+// (see progidx.Handle).
 func (t *Table) Index() progidx.Handle { return t.idx }
 
 // ShardCount reports how many shards back a single-column table: the
@@ -259,19 +269,19 @@ func (t *Table) Index() progidx.Handle { return t.idx }
 // count) plus the shards its appended tail has sealed. A multi-column
 // table reports 1.
 func (t *Table) ShardCount() int {
-	if sh, ok := t.idx.(*progidx.Sharded); ok {
-		return sh.Shards()
+	if t.RowWidth() > 1 {
+		return 1
 	}
-	return 1
+	return t.idx.Shards()
 }
 
 // ShardStats snapshots the per-shard state of a single-column table
 // (ok == false for multi-column tables).
 func (t *Table) ShardStats() ([]progidx.ShardInfo, bool) {
-	if sh, ok := t.idx.(*progidx.Sharded); ok {
-		return sh.ShardStats(), true
+	if t.RowWidth() > 1 {
+		return nil, false
 	}
-	return nil, false
+	return t.idx.ShardStats(), true
 }
 
 // Status returns the lifecycle state.
@@ -382,10 +392,9 @@ func New() *Catalog {
 // Load registers a new table over values and builds its index handle.
 // The values slice is retained by the handle and must not be mutated
 // afterwards. For a multi-column schema (opts.Columns with two
-// or more names) the values are flat row-major tuples — row width
-// values each — and the handle is a plan.Table. Loading an existing
-// name is an error (drop first); so are an empty name and an empty
-// column.
+// or more names) the values are flat row-major tuples, row width
+// values each. Loading an existing name is an error (drop first); so
+// are an empty name and an empty column.
 func (c *Catalog) Load(name string, values []int64, opts Options) (*Table, error) {
 	if name == "" {
 		return nil, fmt.Errorf("catalog: empty table name")
@@ -420,13 +429,7 @@ func (c *Catalog) Load(name string, values []int64, opts Options) (*Table, error
 		return nil, err
 	}
 
-	var idx progidx.Handle
-	var err error
-	if k > 1 {
-		idx, err = plan.New(name, opts.Columns, values, opts.progidxOptions())
-	} else {
-		idx, err = progidx.NewHandle(values, opts.progidxOptions())
-	}
+	idx, err := plan.New(name, opts.schema(), values, opts.progidxOptions())
 	if err != nil {
 		return fail(fmt.Errorf("catalog: load %q: %w", name, err))
 	}

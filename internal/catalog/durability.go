@@ -229,12 +229,7 @@ func (c *Catalog) LoadRecovered(rec durable.Recovered) (*Table, error) {
 		return nil, err
 	}
 
-	var idx progidx.Handle
-	if k > 1 {
-		idx, err = plan.New(rec.Name, opts.Columns, rec.Base, opts.progidxOptions())
-	} else {
-		idx, err = progidx.NewHandle(rec.Base, opts.progidxOptions())
-	}
+	idx, err := plan.New(rec.Name, opts.schema(), rec.Base, opts.progidxOptions())
 	if err != nil {
 		return fail(fmt.Errorf("catalog: recover %q: %w", rec.Name, err))
 	}

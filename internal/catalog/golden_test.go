@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"repro"
+	"repro/internal/query"
 )
 
 var update = flag.Bool("update", false, "regenerate testdata golden files")
@@ -19,7 +20,11 @@ var update = flag.Bool("update", false, "regenerate testdata golden files")
 // carrying the indexing budget unless clamp is set — through the served
 // table's batch entry point.
 func submitBatch(tbl *Table, reqs []progidx.Request, clamp bool) ([]progidx.Answer, []error) {
-	return tbl.Index().ExecuteBatch(reqs, progidx.BatchOpts{Clamp: clamp})
+	conjs := make([]query.Conjunction, len(reqs))
+	for i, req := range reqs {
+		conjs[i] = query.Conjunction{Preds: []query.ColPredicate{{Pred: req.Pred}}, Aggs: req.Aggs}
+	}
+	return tbl.Handle().ExecuteConjBatch(conjs, query.BatchOpts{Clamp: clamp})
 }
 
 // servedState is the part of a line every step ends with: the table's

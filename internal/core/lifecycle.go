@@ -149,8 +149,7 @@ func (d *progressive) Execute(req query.Request) (query.Answer, error) {
 // consolidation B+-tree building, spilling across phase transitions).
 // Once the index is Done the call is strictly read-only — nothing is
 // planned and no field is written — so converged indexes can serve
-// concurrent readers under a shared lock (a shard's, or
-// progidx.Synchronized's).
+// concurrent readers under a shared lock (a shard's).
 func (d *progressive) execute(lo, hi int64, aggs column.Aggregates) (column.Agg, Stats) {
 	startPhase := d.phase
 	// base is the cost-model estimate for answering from the current

@@ -3,6 +3,7 @@ package plan
 import (
 	"fmt"
 	"sort"
+	"strings"
 
 	"repro/internal/column"
 	"repro/internal/obs"
@@ -10,50 +11,68 @@ import (
 	"repro/internal/shard"
 )
 
-// execConj answers one conjunction under the table's read lock. The
-// caller handles the batch's δ; this path never spends indexing budget
-// except through the driver column's clamped index execution.
+// column resolves a column name against the schema; the empty name is
+// the first column.
+func (t *Table) column(name string) (int, error) {
+	if name == "" {
+		return 0, nil
+	}
+	if i, ok := t.byName[name]; ok {
+		return i, nil
+	}
+	// The name is cloned into the error so that no query's strings escape:
+	// a plain request's conjunction then lives on its caller's stack.
+	return 0, fmt.Errorf("plan: unknown column %q in table %q", strings.Clone(name), t.name)
+}
+
+// execConj answers one conjunction under the table's read lock and
+// leaves the planner's choice in ch. lead says it leads an unclamped
+// batch; only the direct route can act on that, the scan spends no
+// indexing budget at all.
 //
 // Route selection:
 //   - no predicates, or one predicate on the aggregate target column:
-//     direct route through the column's own sharded table (full index
-//     acceleration where its shards are indexed, the cold scan where
-//     they are not — which is what heats them towards a claim; budget
-//     clamped);
+//     direct route through the column's own shards (full index
+//     acceleration where they are indexed, the cold scan where they are
+//     not — which is what heats them towards a claim), decided before
+//     anything is allocated: a one-column table knows no other;
 //   - everything else: planner picks the driving column, then a fused
 //     block scan prunes with every column's zone maps and ANDs the
 //     predicates, driver first, into one selection mask per block.
-func (t *Table) execConj(c query.Conjunction, tr *obs.Trace, forced int) (query.Answer, Choice, error) {
+func (t *Table) execConj(c query.Conjunction, tr *obs.Trace, forced int, lead bool, ch *Choice) (query.Answer, error) {
 	if err := c.Validate(); err != nil {
-		return query.Answer{}, Choice{}, err
+		return query.Answer{}, err
 	}
-	// Resolve target and predicate columns against the schema.
-	target := c.TargetCol()
-	if target == "" {
-		target = t.cols[0].name
-	}
-	tgt, ok := t.byName[target]
-	if !ok {
-		return query.Answer{}, Choice{}, fmt.Errorf("plan: unknown column %q in table %q", target, t.name)
+	tgt, err := t.column(c.TargetCol())
+	if err != nil {
+		return query.Answer{}, err
 	}
 	aggs := c.Aggs.Normalize()
-	if len(c.Preds) == 0 {
-		// Unconditional aggregate: a predicate covering the target's
-		// zone, so both routes below see the one-predicate shape.
-		mn, mx := t.cols[tgt].idx.ValueBounds()
-		c.Preds = []query.ColPredicate{{Col: target, Pred: query.Range(mn, mx)}}
+	if forced < 0 && len(c.Preds) <= 1 {
+		on, req := tgt, query.Request{Aggs: aggs}
+		if len(c.Preds) == 1 {
+			if on, err = t.column(c.Preds[0].Col); err != nil {
+				return query.Answer{}, err
+			}
+			req.Pred = c.Preds[0].Pred
+		} else {
+			// An unconditional aggregate is a predicate covering the
+			// target's zone.
+			req.Pred = query.Range(t.cols[tgt].idx.ValueBounds())
+		}
+		if on == tgt {
+			return t.execDirect(tgt, req, tr, lead, ch)
+		}
 	}
 	preds := make([]query.ColPredicate, len(c.Preds))
 	bounds := make([][2]int64, len(c.Preds))
 	emptyPred := false
 	for i, cp := range c.Preds {
-		if cp.Col == "" {
-			cp.Col = t.cols[0].name
+		ci, err := t.column(cp.Col)
+		if err != nil {
+			return query.Answer{}, err
 		}
-		ci, ok := t.byName[cp.Col]
-		if !ok {
-			return query.Answer{}, Choice{}, fmt.Errorf("plan: unknown column %q in table %q", cp.Col, t.name)
-		}
+		cp.Col = t.cols[ci].name
 		t.cols[ci].heat.Add(1)
 		preds[i] = cp
 		mn, mx := t.cols[ci].idx.ValueBounds()
@@ -67,32 +86,14 @@ func (t *Table) execConj(c query.Conjunction, tr *obs.Trace, forced int) (query.
 	// A predicate disjoint from its column's zone empties the whole
 	// conjunction without touching any row.
 	if emptyPred {
-		ch := Choice{Driver: preds[0].Col}
+		*ch = Choice{Driver: preds[0].Col}
 		if forced >= 0 && forced < len(preds) {
 			ch.Driver = preds[forced].Col
 			ch.Forced = true
 		}
 		ans := query.NewAnswer(column.NewAgg(), aggs, query.Stats{Workers: t.pool.Workers()})
 		t.tracePlan(tr, ch, aggs, true)
-		return ans, ch, nil
-	}
-
-	// Direct route: the conjunction is a single-column query on the
-	// aggregate target (or unconditional), which the column's own table
-	// answers like any single-column one.
-	if forced < 0 && len(preds) == 1 && t.byName[preds[0].Col] == tgt {
-		ch := Choice{Driver: t.cols[tgt].name, Direct: true}
-		// The batch, not the query, owns the δ: the column's table
-		// answers with its budget clamped.
-		answers, errs := t.cols[tgt].idx.ExecuteBatch([]query.Request{{Pred: preds[0].Pred, Aggs: aggs}}, query.BatchOpts{Clamp: true})
-		ans, err := answers[0], errs[0]
-		if err != nil {
-			return query.Answer{}, ch, err
-		}
-		ch.MatchedRows = ans.Count
-		ch.DriverRows = ans.Count
-		t.tracePlan(tr, ch, aggs, false)
-		return ans, ch, nil
+		return ans, nil
 	}
 
 	// The target's and the predicate columns' block views. The table's
@@ -103,18 +104,37 @@ func (t *Table) execConj(c query.Conjunction, tr *obs.Trace, forced int) (query.
 	for i, cp := range preds {
 		views[i] = t.cols[t.byName[cp.Col]].idx.BlockView()
 		if len(views[i]) != len(tgtView) {
-			return query.Answer{}, Choice{}, fmt.Errorf("plan: table %q: columns %q and %q are out of lockstep", t.name, cp.Col, target)
+			return query.Answer{}, fmt.Errorf("plan: table %q: columns %q and %q are out of lockstep", t.name, cp.Col, t.cols[tgt].name)
 		}
 	}
-	driver, ch := t.choose(preds, bounds, views, forced)
-	ans := t.fusedScan(preds, bounds, views, tgtView, driver, aggs, &ch)
+	var driver int
+	driver, *ch = t.choose(preds, bounds, views, forced)
+	ans := t.fusedScan(preds, bounds, views, tgtView, driver, aggs, ch)
 	t.tracePlan(tr, ch, aggs, false)
-	return ans, ch, nil
+	return ans, nil
+}
+
+// execDirect answers a single-column query on column tgt through the
+// column's own shards, like any single-column table's; lead hands it the
+// batch's δ (ExecuteConjBatch), otherwise the column's indexes are
+// clamped.
+func (t *Table) execDirect(tgt int, req query.Request, tr *obs.Trace, lead bool, ch *Choice) (query.Answer, error) {
+	cs := t.cols[tgt]
+	cs.heat.Add(1)
+	*ch = Choice{Driver: cs.name, Direct: true, col: tgt}
+	ans, err := cs.idx.ExecuteAs(req, lead, tr)
+	if err != nil {
+		return query.Answer{}, err
+	}
+	ch.MatchedRows = ans.Count
+	ch.DriverRows = ans.Count
+	t.tracePlan(tr, ch, req.Aggs, false)
+	return ans, nil
 }
 
 // tracePlan records the planner-choice span: driver, per-column
 // estimated vs actual selectivity, and residual verification volume.
-func (t *Table) tracePlan(tr *obs.Trace, ch Choice, aggs column.Aggregates, empty bool) {
+func (t *Table) tracePlan(tr *obs.Trace, ch *Choice, aggs column.Aggregates, empty bool) {
 	if tr == nil {
 		return
 	}

@@ -747,8 +747,46 @@ func TestFusedScanAllocs(t *testing.T) {
 	}
 }
 
-// TestSingleColumnCompat drives the v1 Handle surface (Execute,
-// ExecuteBatch, Query) against a multi-column table: plain requests
+// TestOneColumnTableAllocs pins the one-column table at what the handle
+// it replaced cost (the root package's TestShardedConvergedZeroAllocs): a
+// converged table answers Execute — the direct route, decided before
+// anything is allocated — with no allocation, zone misses included, and
+// an n-request batch with its two result slices.
+func TestOneColumnTableAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc counts are not meaningful under -race")
+	}
+	const n = 3000
+	for _, shards := range []int{0, 4} {
+		tbl, err := New("t", []string{"v"}, genTuples(n, 1, 31)[0],
+			progidx.Options{Strategy: progidx.StrategyQuicksort, Delta: 1, Shards: shards, Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 2000 && !tbl.Converged(); i++ {
+			tbl.RefineStep()
+		}
+		if !tbl.Converged() {
+			t.Fatalf("%s did not converge", tbl.Name())
+		}
+		inRange := query.Request{Pred: query.Range(n/4, n/2), Aggs: column.AggAll}
+		if allocs := testing.AllocsPerRun(100, func() { tbl.Execute(inRange) }); allocs != 0 {
+			t.Errorf("%s converged Execute allocates %.1f/op, want 0", tbl.Name(), allocs)
+		}
+		miss := query.Request{Pred: query.Range(100*n, 200*n)}
+		if allocs := testing.AllocsPerRun(100, func() { tbl.Execute(miss) }); allocs != 0 {
+			t.Errorf("%s pruned Execute allocates %.1f/op, want 0", tbl.Name(), allocs)
+		}
+		one := []query.ColPredicate{{Pred: inRange.Pred}}
+		batch := []query.Conjunction{{Preds: one, Aggs: column.AggAll}, {Preds: one}, {Target: "v"}}
+		if allocs := testing.AllocsPerRun(100, func() { tbl.ExecuteConjBatch(batch, query.BatchOpts{}) }); allocs != 2 {
+			t.Errorf("%s converged ExecuteConjBatch allocates %.1f/op, want 2 (answers and errors)", tbl.Name(), allocs)
+		}
+	}
+}
+
+// TestSingleColumnCompat drives the v1 Handle surface (Execute)
+// against a multi-column table: plain requests
 // address the first column.
 func TestSingleColumnCompat(t *testing.T) {
 	const n = 10_000
@@ -820,6 +858,86 @@ func TestHeatSplitFavorsHotColumns(t *testing.T) {
 	}
 	if a.refines.Load() > b.refines.Load() {
 		t.Fatalf("cold column a out-refined hot column b: %d > %d", a.refines.Load(), b.refines.Load())
+	}
+}
+
+// TestLeaderCarriesBudgetOnDirectRoute pins who spends a batch's δ. A
+// leader on the direct route advances the column it reads inside its own
+// pass, with no idle-style slice on any column afterwards; a batch led by
+// a fused scan ends in exactly one RefineStep slice; a clamped batch
+// spends nothing; and once the leader's column has converged the δ
+// flows to the other one.
+func TestLeaderCarriesBudgetOnDirectRoute(t *testing.T) {
+	const n = 8_000
+	names := []string{"a", "b"}
+	cols := genTuples(n, 2, 31)
+	tbl, err := New("t", names, flatten(cols, 0, n), progidx.Options{Strategy: progidx.StrategyQuicksort, Delta: 0.1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := tbl.cols[0], tbl.cols[1]
+	// state is each column's granted slices and the idle-style slices
+	// (RefineShard) its shards have taken.
+	type state struct{ aGrants, bGrants, aSlices, bSlices uint64 }
+	snap := func() state {
+		st := state{aGrants: a.refines.Load(), bGrants: b.refines.Load()}
+		for _, si := range a.idx.ShardStats() {
+			st.aSlices += si.Refines
+		}
+		for _, si := range b.idx.ShardStats() {
+			st.bSlices += si.Refines
+		}
+		return st
+	}
+	onB := query.Conjunction{Preds: []query.ColPredicate{{Col: "b", Pred: query.Range(0, n/4)}}, Target: "b"}
+	fused := query.Conjunction{Preds: []query.ColPredicate{{Col: "a", Pred: query.Range(0, n/2)}, {Col: "b", Pred: query.AtLeast(n / 2)}}, Target: "a"}
+	run := func(opts query.BatchOpts, conjs ...query.Conjunction) []query.Answer {
+		t.Helper()
+		answers, errs := tbl.ExecuteConjBatch(conjs, opts)
+		for i, err := range errs {
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := oracleConj(cols, names, n, conjs[i]); !sameAnswer(answers[i], want) {
+				t.Fatalf("%s:\n got %+v\nwant %+v", conjs[i], answers[i], want)
+			}
+		}
+		return answers
+	}
+
+	before, bProgress := snap(), b.idx.Progress()
+	answers := run(query.BatchOpts{}, onB, fused, onB)
+	if want := (state{bGrants: 1}); snap() != want || answers[0].Stats.Delta <= 0 || b.idx.Progress() <= bProgress {
+		t.Fatalf("direct-led batch: %+v → %+v, leader δ %g, b's progress %g → %g; want b advanced by its leader alone",
+			before, snap(), answers[0].Stats.Delta, bProgress, b.idx.Progress())
+	}
+	if answers[2].Stats.Delta > answers[0].Stats.Delta/100 {
+		t.Fatalf("the follower on b did δ %g of work beside the leader's %g", answers[2].Stats.Delta, answers[0].Stats.Delta)
+	}
+
+	before = snap()
+	answers = run(query.BatchOpts{}, fused, onB)
+	after := snap()
+	if after.aGrants+after.bGrants != before.aGrants+before.bGrants+1 || after.aSlices+after.bSlices != before.aSlices+before.bSlices+1 || answers[0].Stats.Delta <= 0 {
+		t.Fatalf("scan-led batch: %+v → %+v, leader δ %g; want exactly one RefineStep on its account", before, after, answers[0].Stats.Delta)
+	}
+
+	before, bProgress = snap(), b.idx.Progress()
+	run(query.BatchOpts{Clamp: true}, onB, fused)
+	if snap() != before || b.idx.Progress()-bProgress > 1e-3 {
+		t.Fatalf("clamped batch: %+v → %+v, b's progress %g → %g; want nothing spent", before, snap(), bProgress, b.idx.Progress())
+	}
+
+	for i := 0; i < 2_000 && !b.idx.Converged(); i++ {
+		run(query.BatchOpts{}, onB)
+	}
+	if !b.idx.Converged() || a.idx.Converged() {
+		t.Fatalf("after direct-led batches on b: b converged=%v, a converged=%v", b.idx.Converged(), a.idx.Converged())
+	}
+	before = snap()
+	run(query.BatchOpts{}, onB)
+	if after := snap(); after.aGrants != before.aGrants+1 || after.aSlices != before.aSlices+1 || after.bGrants != before.bGrants {
+		t.Fatalf("direct-led batch on converged b: %+v → %+v; want the δ to reach a", before, after)
 	}
 }
 

@@ -33,6 +33,7 @@ type Choice struct {
 	Driver     string      `json:"driver"`
 	Forced     bool        `json:"forced,omitempty"`
 	Direct     bool        `json:"direct,omitempty"` // routed to the driver's own index
+	col        int         // the driver's position in the schema, on the direct route
 	Candidates []Candidate `json:"candidates,omitempty"`
 	// Execution actuals, filled by the fused scan.
 	ScannedBlocks int   `json:"scanned_blocks"`

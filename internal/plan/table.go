@@ -1,12 +1,13 @@
-// Package plan generalizes the serving stack from one-column tables to
-// N-column tables with conjunctive predicates. A plan.Table is one
-// sharded single-column table per column — the handle progidx.NewHandle
+// Package plan is the served table, for every column count: a
+// plan.Table is one sharded column per column — what progidx.NewHandle
 // builds, with the table's own options — kept in structural lockstep so
-// their rows align block for block; it answers composite queries
+// their rows align block for block. It answers composite queries
 // (`a IN [lo,hi] AND b = v AND c >= w`) through a selectivity-driven
-// planner over the columns' block views, and implements progidx.Handle
-// so the scheduler, catalog and durability layers drive it exactly like
-// the single-column handles. See DESIGN.md section 15.
+// planner over the columns' block views and single-column ones on the
+// column's own shards, and it is the one type the catalog, scheduler and
+// durability layers drive; a single-column table is the one-column
+// Table, whose every query takes the direct route. See DESIGN.md
+// section 9.
 package plan
 
 import (
@@ -22,10 +23,10 @@ import (
 	"repro/internal/query"
 )
 
-// colState is one column of a multi-column table: its sharded table,
-// which holds the rows, serves single-column conjunctions on this
-// column index-accelerated and converges under the heat-split budget,
-// plus the planner's accounting.
+// colState is one column of a table: its sharded column, which holds the
+// rows, serves single-column conjunctions on this column
+// index-accelerated and converges under the heat-split budget, plus the
+// planner's accounting.
 type colState struct {
 	name string
 	idx  *progidx.Sharded
@@ -42,12 +43,14 @@ type colState struct {
 	tl *obs.Timeline
 }
 
-// Table is an N-column table behind the progidx.Handle surface: plain
-// requests address the first column (the single-column compatibility
-// path), conjunctions go through the planner. One δ of indexing work
-// is spent per ExecuteConjBatch/ExecuteBatch call — never one per
-// query — and it goes to the column with the largest heat share
-// relative to the refinement it has already received.
+// Table is an N-column table, N >= 1, and the one implementation of
+// progidx.Handle: plain requests address the first column, conjunctions
+// go through the planner. One δ of indexing work is spent per
+// ExecuteConjBatch call — never one per query: the batch's leader
+// carries it inside its own pass when it reads one column through that
+// column's shards, and otherwise it goes, after the batch, to the column
+// with the largest heat share relative to the refinement it has already
+// received.
 type Table struct {
 	// mu keeps the columns in lockstep: an append, or an idle flush,
 	// moves every column under the write lock, and a conjunction reads
@@ -70,12 +73,14 @@ type Table struct {
 	sink atomic.Pointer[obs.Timeline]
 }
 
-// New builds a multi-column table named name over flat row-major
-// tuples: flat holds len(columns) values per row, row after row, and
-// every column becomes a sharded table of its own built with opts — raw
-// columns indexing from the first query, compressed ones born cold and
-// claimed shard by shard (progidx.Options.ClaimHeat). Column names must
-// be unique and non-empty.
+// New builds a table named name over flat row-major tuples: flat holds
+// len(columns) values per row, row after row, and every column becomes a
+// sharded column of its own built with opts — raw columns indexing from
+// the first query, compressed ones born cold and claimed shard by shard
+// (progidx.Options.ClaimHeat). A one-column table adopts flat as its
+// column, which must not be mutated afterwards. Column names must be
+// unique and non-empty; a value outside the kernel-safe domain is
+// refused by the column it falls in.
 func New(name string, columns []string, flat []int64, opts progidx.Options) (*Table, error) {
 	k := len(columns)
 	if k == 0 {
@@ -83,9 +88,6 @@ func New(name string, columns []string, flat []int64, opts progidx.Options) (*Ta
 	}
 	if len(flat) == 0 || len(flat)%k != 0 {
 		return nil, fmt.Errorf("plan: table %q: %d values do not fill %d-column rows", name, len(flat), k)
-	}
-	if err := checkDomain(flat); err != nil {
-		return nil, fmt.Errorf("plan: table %q: %w", name, err)
 	}
 	t := &Table{
 		name:     name,
@@ -102,9 +104,12 @@ func New(name string, columns []string, flat []int64, opts progidx.Options) (*Ta
 			return nil, fmt.Errorf("plan: table %q: duplicate column %q", name, col)
 		}
 		t.byName[col] = i
-		vals := make([]int64, t.rows)
-		for r := 0; r < t.rows; r++ {
-			vals[r] = flat[r*k+i]
+		vals := flat
+		if k > 1 {
+			vals = make([]int64, t.rows)
+			for r := range vals {
+				vals[r] = flat[r*k+i]
+			}
 		}
 		idx, err := progidx.NewHandle(vals, opts)
 		if err != nil {
@@ -115,17 +120,6 @@ func New(name string, columns []string, flat []int64, opts progidx.Options) (*Ta
 		t.cols = append(t.cols, cs)
 	}
 	return t, nil
-}
-
-// checkDomain refuses a batch holding a value outside the kernel-safe
-// ±2^62 domain before any column ingests a row of it: the check
-// column.New and Handle.Append make, hoisted in front of the columns so
-// that a refused batch leaves every one of them untouched.
-func checkDomain(flat []int64) error {
-	if mn, mx := column.MinMax(flat); mn <= -column.MaxMagnitude || mx >= column.MaxMagnitude {
-		return fmt.Errorf("values must lie strictly inside ±2^62 (min=%d max=%d)", mn, mx)
-	}
-	return nil
 }
 
 // Columns returns the column names in schema order.
@@ -140,36 +134,35 @@ func (t *Table) Columns() []string {
 // Width returns the tuple width (column count).
 func (t *Table) Width() int { return len(t.cols) }
 
-// Name implements Index.
+// Name implements Index: a one-column table goes by its column's name
+// (strategy and loaded shard count, e.g. "PQ/S4").
 func (t *Table) Name() string {
+	if len(t.cols) == 1 {
+		return t.cols[0].idx.Name()
+	}
 	return fmt.Sprintf("multicol(%d×%s)", len(t.cols), t.strategy)
 }
 
-// firstConj rewrites a single-column request onto the first column:
-// how Execute, and the wire format's single-predicate form, address a
-// multi-column table.
-func (t *Table) firstConj(req query.Request) query.Conjunction {
-	first := t.cols[0].name
-	return query.Conjunction{
-		Preds:  []query.ColPredicate{{Col: first, Pred: req.Pred}},
-		Target: first,
-		Aggs:   req.Aggs,
-	}
-}
+// Shards and ShardStats report the first column's shards — on a
+// one-column table, the table's.
+func (t *Table) Shards() int { return t.cols[0].idx.Shards() }
 
-// Execute implements Index: the request addresses the first column,
-// and — like the single-column handles — the call both answers and
-// spends one δ of indexing work.
+// ShardStats: see Shards.
+func (t *Table) ShardStats() []progidx.ShardInfo { return t.cols[0].idx.ShardStats() }
+
+// Execute implements Index: the request is the one-predicate conjunction
+// on the first column, and the call both answers and spends one δ of
+// indexing work.
 func (t *Table) Execute(req query.Request) (query.Answer, error) {
-	answers, errs := t.ExecuteConjBatch([]query.Conjunction{t.firstConj(req)}, query.BatchOpts{})
-	return answers[0], errs[0]
+	return t.ExecuteConj(query.Conjunction{Preds: []query.ColPredicate{{Pred: req.Pred}}, Aggs: req.Aggs})
 }
 
-// ExecuteConj answers one conjunction and spends one δ, the composite
-// analogue of Execute.
+// ExecuteConj answers one conjunction and spends one δ: a batch of one.
 func (t *Table) ExecuteConj(c query.Conjunction) (query.Answer, error) {
-	answers, errs := t.ExecuteConjBatch([]query.Conjunction{c}, query.BatchOpts{})
-	return answers[0], errs[0]
+	var ans [1]query.Answer
+	var errs [1]error
+	t.executeBatch([]query.Conjunction{c}, query.BatchOpts{}, ans[:], errs[:])
+	return ans[0], errs[0]
 }
 
 // ExplainConj answers one conjunction with the indexing budget clamped
@@ -190,7 +183,9 @@ func (t *Table) ExplainConj(c query.Conjunction, forceDriver string) (query.Answ
 			return query.Answer{}, Choice{}, fmt.Errorf("plan: forced driver %q has no predicate", forceDriver)
 		}
 	}
-	return t.execConj(c, nil, forced)
+	var ch Choice
+	ans, err := t.execConj(c, nil, forced, false, &ch)
+	return ans, ch, err
 }
 
 // Converged implements Index: every column's table has converged.
@@ -214,7 +209,7 @@ func (t *Table) Progress() float64 {
 	return sum / float64(len(t.cols))
 }
 
-// Phase implements Handle: the least-advanced column's phase.
+// Phase is the least-advanced column's phase.
 func (t *Table) Phase() (query.Phase, bool) {
 	have := false
 	min := query.PhaseDone
@@ -229,21 +224,24 @@ func (t *Table) Phase() (query.Phase, bool) {
 	return min, have
 }
 
-// ValueBounds implements Handle for the first column,
-// the domain v1 surfaces (Info min/max, loadgen predicates) address.
+// ValueBounds is the zone of the first column, the one plain requests
+// address.
 func (t *Table) ValueBounds() (int64, int64) { return t.cols[0].idx.ValueBounds() }
 
 // PendingRows reports rows appended but not yet sealed into a shard of
 // the first column (all columns ingest and seal in lockstep).
 func (t *Table) PendingRows() int { return t.cols[0].idx.PendingRows() }
 
-// MaterializeRows implements Handle: the table's rows as
+// MaterializeRows returns the table's rows as
 // flat row-major tuples, freshly allocated — the shape checkpoints
 // persist and Values exposes.
 func (t *Table) MaterializeRows() []int64 {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	k := len(t.cols)
+	if k == 1 {
+		return t.cols[0].idx.MaterializeRows() // already fresh, and in row order
+	}
 	cols := make([][]int64, k)
 	for i, cs := range t.cols {
 		cols[i] = cs.idx.MaterializeRows()
@@ -270,16 +268,24 @@ func (t *Table) Append(flat []int64) error {
 	if len(flat) == 0 {
 		return nil
 	}
-	if err := checkDomain(flat); err != nil {
-		return fmt.Errorf("plan: append to table %q: %w", t.name, err)
-	}
 	rows := len(flat) / k
+	vals := flat // the columns copy what they ingest
+	if k > 1 {
+		// The columns' own domain check, hoisted in front of them: one column
+		// refuses a bad batch by itself, several must not ingest the rows
+		// ahead of the bad value.
+		if mn, mx := column.MinMax(flat); mn <= -column.MaxMagnitude || mx >= column.MaxMagnitude {
+			return fmt.Errorf("plan: append to table %q: values must lie strictly inside ±2^62 (min=%d max=%d)", t.name, mn, mx)
+		}
+		vals = make([]int64, rows)
+	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	vals := make([]int64, rows) // the column handles copy what they ingest
 	for i, cs := range t.cols {
-		for r := 0; r < rows; r++ {
-			vals[r] = flat[r*k+i]
+		if k > 1 {
+			for r := range vals {
+				vals[r] = flat[r*k+i]
+			}
 		}
 		if err := cs.idx.Append(vals); err != nil {
 			return fmt.Errorf("plan: append to column %q: %w", cs.name, err)
@@ -289,53 +295,77 @@ func (t *Table) Append(flat []int64) error {
 	return nil
 }
 
-// ExecuteBatch implements Handle: first-column requests under one δ.
-func (t *Table) ExecuteBatch(reqs []query.Request, opts query.BatchOpts) ([]query.Answer, []error) {
-	conjs := make([]query.Conjunction, len(reqs))
-	for i, req := range reqs {
-		conjs[i] = t.firstConj(req)
-	}
-	return t.ExecuteConjBatch(conjs, opts)
-}
-
 // ExecuteConjBatch answers a batch of conjunctions under one indexing
-// budget: every query runs with the per-column indexes clamped, then —
-// unless opts.Clamp is set (deadline pressure) — every column claims at
-// most one cold shard its single-column queries have heated past the
-// threshold, and one δ slice goes to the hottest under-refined column.
-// opts.Traces aligns positionally with conjs.
+// budget, the one batch entry point. The leader, conjs[0], carries it
+// when it takes the direct route: it runs unclamped on its column — the
+// claim probe, the heat-weighted shard split and the δ, all inside the
+// pass that answers it, which is the paper's query — and every other
+// query runs with the per-column indexes clamped. Any other batch — led
+// by a fused scan, or by a direct query whose column has converged —
+// ends with one RefineStep instead. Either way every column but the one
+// the leader probed claims at most one cold shard its single-column
+// queries have heated past the threshold. opts.Clamp (deadline pressure)
+// clamps the leader too, and nothing is claimed or refined. opts.Traces
+// aligns positionally with conjs.
 func (t *Table) ExecuteConjBatch(conjs []query.Conjunction, opts query.BatchOpts) ([]query.Answer, []error) {
 	answers := make([]query.Answer, len(conjs))
 	errs := make([]error, len(conjs))
-	t.mu.RLock()
-	for i, c := range conjs {
-		answers[i], _, errs[i] = t.execConj(c, opts.Trace(i), -1)
-	}
-	t.mu.RUnlock()
-	if !opts.Clamp {
-		for i, cs := range t.cols {
-			if rows := cs.idx.ClaimHot(); rows > 0 {
-				t.sink.Load().Record(obs.EvShardClaim, int32(i), float64(rows), 0)
-			}
-		}
-		if st, _ := t.RefineStep(); len(answers) > 0 {
-			// The leader carries the batch's indexing work, like the
-			// single-column handles' batch contract.
-			answers[0].Stats.Delta += st.Delta
-			answers[0].Stats.WorkSeconds += st.WorkSeconds
-		}
-	}
+	t.executeBatch(conjs, opts, answers, errs)
 	return answers, errs
 }
 
-// RefineStep implements Handle, and is the δ slice every unclamped batch
-// ends with: it goes to the column with the largest heat share relative
-// to the refinement it has already received — the cross-column version
-// of the shard layer's heat-proportional budget split — so columns the
-// workload never touches do no indexing work. Once no column has a
-// shard left to refine, the slice flushes the pending tail on every
-// column together: the single-column handles' idle flush, taken by the
-// table so that the columns seal the same rows. Non-convergent
+// executeBatch is ExecuteConjBatch into the caller's result slices.
+func (t *Table) executeBatch(conjs []query.Conjunction, opts query.BatchOpts, answers []query.Answer, errs []error) {
+	led := -1 // the column the leader advanced in its own pass
+	t.mu.RLock()
+	for i, c := range conjs {
+		var ch Choice
+		answers[i], errs[i] = t.execConj(c, opts.Trace(i), -1, i == 0 && !opts.Clamp, &ch)
+		if i == 0 && ch.Direct && errs[0] == nil && !opts.Clamp {
+			led = ch.col
+		}
+	}
+	t.mu.RUnlock()
+	if opts.Clamp || len(conjs) == 0 {
+		return
+	}
+	for i, cs := range t.cols {
+		if i == led {
+			continue // the leader's own probe claimed for it
+		}
+		if rows := cs.idx.ClaimHot(); rows > 0 {
+			t.sink.Load().Record(obs.EvShardClaim, int32(i), float64(rows), 0)
+		}
+	}
+	if led >= 0 && !t.cols[led].idx.Converged() {
+		t.granted(led)
+		return
+	}
+	// Nobody carried the δ, or the leader's column had no use for it: the
+	// slice goes where RefineStep sends it, on the leader's account.
+	st, _ := t.RefineStep()
+	answers[0].Stats.Delta += st.Delta
+	answers[0].Stats.WorkSeconds += st.WorkSeconds
+}
+
+// granted accounts one δ slice spent on column i: a batch leader's, or
+// RefineStep's.
+func (t *Table) granted(i int) {
+	cs := t.cols[i]
+	cs.refines.Add(1)
+	p := cs.idx.Progress()
+	cs.tl.Record(obs.EvProgress, -1, p, 0)
+	t.sink.Load().Record(obs.EvProgress, int32(i), p, 0)
+}
+
+// RefineStep implements Handle, and is the δ slice of idle time and of
+// every unclamped batch whose leader did not carry it: it goes to the
+// column with the largest heat share relative to the refinement it has
+// already received — the cross-column version of the shard layer's
+// heat-proportional budget split — so columns the workload never touches
+// do no indexing work. Once no column has a shard left to refine, the
+// slice flushes the pending tail on every column together, under the
+// table's lock, so that the columns seal the same rows. Non-convergent
 // strategies (the scan/index baselines, cracking) never receive a slice.
 func (t *Table) RefineStep() (query.Stats, bool) {
 	if !t.strategy.Convergent() {
@@ -358,12 +388,8 @@ func (t *Table) RefineStep() (query.Stats, bool) {
 	for _, c := range cands {
 		// A column whose shards have all converged (only its tail is
 		// pending) passes its turn to the next one.
-		cs := t.cols[c.col]
-		if st, ok := cs.idx.RefineShard(); ok {
-			cs.refines.Add(1)
-			p := cs.idx.Progress()
-			cs.tl.Record(obs.EvProgress, -1, p, 0)
-			t.sink.Load().Record(obs.EvProgress, int32(c.col), p, 0)
+		if st, ok := t.cols[c.col].idx.RefineShard(); ok {
+			t.granted(c.col)
 			return st, t.Converged()
 		}
 	}
@@ -375,9 +401,17 @@ func (t *Table) RefineStep() (query.Stats, bool) {
 	return query.Stats{}, t.Converged()
 }
 
-// SetEventSink implements Handle for the table-level timeline;
-// per-column timelines are built in and exposed through ColumnStates.
-func (t *Table) SetEventSink(tl *obs.Timeline) { t.sink.Store(tl) }
+// SetEventSink routes the table's events into the table-level timeline;
+// per-column timelines are built in and exposed through ColumnStates. A
+// one-column table's timeline is its column's: the seals, claims and
+// settles land there shard by shard, and the planner adds nothing.
+func (t *Table) SetEventSink(tl *obs.Timeline) {
+	if len(t.cols) == 1 {
+		t.cols[0].idx.SetEventSink(tl)
+		return
+	}
+	t.sink.Store(tl)
+}
 
 // ColumnState is the per-column half of the debug surface: index
 // convergence, heat/refine accounting, block shape, and the column's

@@ -50,15 +50,15 @@ func On(col string, p Predicate) ColPredicate { return ColPredicate{Col: col, Pr
 // (callers merge bounds before building the conjunction; silently
 // intersecting here would hide client bugs).
 func (c Conjunction) Validate() error {
-	seen := make(map[string]struct{}, len(c.Preds))
-	for _, cp := range c.Preds {
+	for i, cp := range c.Preds {
 		if err := cp.Pred.Validate(); err != nil {
 			return err
 		}
-		if _, dup := seen[cp.Col]; dup {
-			return fmt.Errorf("query: duplicate predicate for column %q", cp.Col)
+		for _, prev := range c.Preds[:i] {
+			if prev.Col == cp.Col {
+				return fmt.Errorf("query: duplicate predicate for column %q", cp.Col)
+			}
 		}
-		seen[cp.Col] = struct{}{}
 	}
 	if !c.Aggs.Valid() {
 		return fmt.Errorf("query: unknown aggregate bits in %s", c.Aggs)
@@ -78,27 +78,6 @@ func (c Conjunction) TargetCol() string {
 	}
 	return ""
 }
-
-// Single reports whether the conjunction is expressible as a
-// single-column Request — at most one predicate, aggregating the same
-// column — and returns that request. This is the compatibility bridge:
-// v1 requests round-trip through conjunctions unchanged.
-func (c Conjunction) Single() (Request, bool) {
-	switch len(c.Preds) {
-	case 0:
-		if c.Target == "" {
-			return Request{Pred: AtLeast(mathMinInt64), Aggs: c.Aggs}, true
-		}
-		return Request{}, false
-	case 1:
-		if c.TargetCol() == c.Preds[0].Col {
-			return Request{Pred: c.Preds[0].Pred, Aggs: c.Aggs}, true
-		}
-	}
-	return Request{}, false
-}
-
-const mathMinInt64 = -1 << 63
 
 // String implements fmt.Stringer.
 func (c Conjunction) String() string {

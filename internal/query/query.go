@@ -143,11 +143,11 @@ func (r Request) Validate() error {
 	return nil
 }
 
-// BatchOpts says how a serving handle executes one batch of requests:
-// the one batch entry point of every handle takes it, so tracing and
-// deadline clamping compose instead of each selecting its own variant.
-// The zero value is a plain batch: untraced, the first request carrying
-// the batch's indexing budget.
+// BatchOpts says how a table executes one batch of queries: its one
+// batch entry point takes it, so tracing and deadline clamping compose
+// instead of each selecting its own variant. The zero value is a plain
+// batch: untraced, the first query carrying the batch's indexing
+// budget.
 type BatchOpts struct {
 	// Traces aligns positionally with the batch's requests: a non-nil
 	// entry receives that request's span tree under its attach point
@@ -230,8 +230,8 @@ type Stats struct {
 }
 
 // Index is the one contract every index in this repository implements —
-// the thirteen strategies, the shard layer's Sharded and the root
-// package's Synchronized: a name, an exact Execute that may spend
+// the thirteen strategies, the shard layer's Sharded and the served
+// plan.Table: a name, an exact Execute that may spend
 // budgeted indexing work as a side effect, and a terminal Converged
 // state. The root package aliases it as progidx.Index.
 type Index interface {

@@ -32,7 +32,7 @@ func newDurableServer(t *testing.T, dir string) *Server {
 
 // fullScanOracle wraps the branching full-scan reference index over
 // exactly the rows the recovered table must hold.
-func fullScanOracle(t *testing.T, values []int64) progidx.Handle {
+func fullScanOracle(t *testing.T, values []int64) *progidx.Sharded {
 	t.Helper()
 	h, err := progidx.NewHandle(values, progidx.Options{Strategy: progidx.StrategyFullScan})
 	if err != nil {

@@ -7,8 +7,10 @@ import (
 	"net/http"
 	"testing"
 
+	"repro"
 	"repro/internal/catalog"
 	"repro/internal/data"
+	"repro/internal/query"
 )
 
 // mcOracle answers a conjunction over flat row-major tuples by brute
@@ -232,10 +234,11 @@ func TestHTTPColdColumnsRejectOutOfDomainAppend(t *testing.T) {
 }
 
 // TestHTTPSingleColumnConjunction pins that the composite form also
-// works against a plain single-column table when it reduces to one
-// predicate, and errors clearly when it cannot.
+// works against a plain single-column table — the one-column planned
+// table, whose every query is direct — and errors clearly when it names
+// a column the table lacks, alone in its batch.
 func TestHTTPSingleColumnConjunction(t *testing.T) {
-	_, ts := newTestServer(t)
+	srv, ts := newTestServer(t)
 	do(t, http.MethodPost, ts.URL+"/tables", LoadRequest{
 		Name:     "single",
 		Generate: &GenerateSpec{Kind: "uniform", N: 8_192, Seed: 3},
@@ -253,11 +256,37 @@ func TestHTTPSingleColumnConjunction(t *testing.T) {
 	}
 
 	// Two distinct predicate columns cannot reduce on a one-column table.
-	do(t, http.MethodPost, ts.URL+"/tables/single/query", QueryRequest{
+	lacking := QueryRequest{
 		Predicates: []ColPredSpec{
 			{Col: "a", PredSpec: PredSpec{Kind: "range", Lo: &lo, Hi: &hi}},
 			{Col: "b", PredSpec: PredSpec{Kind: "point", Value: &lo}},
 		},
 		Aggs: []string{"count"},
-	}, http.StatusBadRequest, nil)
+	}
+	do(t, http.MethodPost, ts.URL+"/tables/single/query", lacking, http.StatusBadRequest, nil)
+
+	// One batch of all three shapes, the bad one leading: it fails alone.
+	sched, _ := srv.Scheduler("single")
+	plain := &task{}
+	plain.pred[0].Pred = progidx.Range(lo, hi)
+	plain.conj = query.Conjunction{Preds: plain.pred[:], Aggs: progidx.Count}
+	named := query.Conjunction{Preds: []query.ColPredicate{{Col: "value", Pred: progidx.Range(lo, hi)}}, Target: "value", Aggs: progidx.Count}
+	wide := query.Conjunction{Preds: []query.ColPredicate{{Col: "a", Pred: progidx.Range(lo, hi)}, {Col: "b", Pred: progidx.Point(lo)}}}
+	answers, errs := sched.executeQueries([]int{0, 1, 2}, []*task{{conj: wide}, plain, {conj: named}}, false)
+	if errs[0] == nil || errs[1] != nil || errs[2] != nil || answers[1].Count != 491 || answers[2].Count != 491 {
+		t.Fatalf("mixed batch: counts %d, %d, errors %v; want the first query alone to fail", answers[1].Count, answers[2].Count, errs)
+	}
+
+	// A traced plain query shows the planner's one choice beside the
+	// column's fan-out.
+	resp = QueryResponse{}
+	do(t, http.MethodPost, ts.URL+"/tables/single/query?trace=1", rangeQuery(lo, hi), http.StatusOK, &resp)
+	if resp.Trace == nil {
+		t.Fatal("?trace=1 plain query returned no trace")
+	}
+	plans := jsonSpans(resp.Trace.Root, "plan")
+	if len(plans) != 1 || plans[0].Attrs["direct"] != true || len(jsonSpans(resp.Trace.Root, "shard_fanout")) != 1 {
+		t.Fatalf("traced plain query: %d plan spans (%+v), %d shard_fanout spans; want one direct plan beside one fan-out",
+			len(plans), plans, len(jsonSpans(resp.Trace.Root, "shard_fanout")))
+	}
 }

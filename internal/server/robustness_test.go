@@ -19,6 +19,7 @@ import (
 	"repro/internal/data"
 	"repro/internal/durable"
 	"repro/internal/fault"
+	"repro/internal/query"
 )
 
 // newFaultyServer opens a durable store whose disk I/O routes through
@@ -349,7 +350,7 @@ func (w *wrapErr) Unwrap() error { return w.inner }
 func TestDeadlineClampExact(t *testing.T) {
 	for _, shards := range []int{0, 4} {
 		shards := shards
-		t.Run(map[int]string{0: "synchronized", 4: "sharded"}[shards], func(t *testing.T) {
+		t.Run(map[int]string{0: "unsharded", 4: "sharded"}[shards], func(t *testing.T) {
 			srv := New(Config{Logger: slog.New(slog.DiscardHandler)})
 			t.Cleanup(srv.Close)
 			base := data.Uniform(200_000, 5)
@@ -368,7 +369,8 @@ func TestDeadlineClampExact(t *testing.T) {
 			}
 
 			before := tbl.Index().Progress()
-			got, _, err := sched.ExecuteWithDeadline(context.Background(), q, time.Now().Add(-time.Second))
+			conj := query.Conjunction{Preds: []query.ColPredicate{{Pred: q.Pred}}, Aggs: q.Aggs}
+			got, _, _, err := sched.ExecuteConj(context.Background(), conj, time.Now().Add(-time.Second), false)
 			if err != nil {
 				t.Fatalf("clamped query: %v", err)
 			}
@@ -389,7 +391,7 @@ func TestDeadlineClampExact(t *testing.T) {
 			// Clamp and trace compose: the squeezed query still returns its
 			// span tree, with every shard it scanned suspended (a suspended
 			// creation step copies one element, so the spend is not quite 0).
-			got, _, tr, err := sched.ExecuteTraced(context.Background(), q, time.Now().Add(-time.Second))
+			got, _, tr, err := sched.ExecuteConj(context.Background(), conj, time.Now().Add(-time.Second), true)
 			if err != nil || !answersMatch(got, want) {
 				t.Fatalf("clamped traced query: %+v, %v", got, err)
 			}

@@ -1,7 +1,7 @@
 // Scheduler: the per-table serving loop. One goroutine owns each
 // table's admission; concurrent requests queue on a channel, the loop
 // drains whatever is queued into a batch and executes it through the
-// table handle's ExecuteBatch — paying one indexing budget (δ) per batch
+// table's ExecuteConjBatch — paying one indexing budget (δ) per batch
 // instead of one per caller — and whenever the queue is empty it spends
 // the same budget slices on background refinement (RefineStep), so the
 // index converges during user think-time. Idle slices are budget-
@@ -33,6 +33,7 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/durable"
 	"repro/internal/obs"
+	"repro/internal/plan"
 	"repro/internal/query"
 )
 
@@ -64,7 +65,7 @@ const (
 	// defaultQueueDepth bounds how many requests may wait in admission;
 	// beyond it, Execute blocks (backpressure) until the loop drains.
 	defaultQueueDepth = 256
-	// defaultMaxBatch caps how many queued requests one ExecuteBatch
+	// defaultMaxBatch caps how many queued requests one ExecuteConjBatch
 	// call absorbs; the cap bounds the tail latency of the last request
 	// in a batch on a not-yet-converged index.
 	defaultMaxBatch = 64
@@ -117,11 +118,11 @@ type result struct {
 // task is one admitted request — a query, an append, or a checkpoint
 // capture — waiting for execution.
 type task struct {
-	req progidx.Request
-	// conj, when non-nil, makes this a composite query against a
-	// multi-column table; req is ignored. Conjunction tasks share their
-	// batch's single δ with every other query in it.
-	conj     *query.Conjunction
+	// conj is the query: a plain request is the one-predicate conjunction
+	// on the unnamed first column, its Preds backed by pred so that the
+	// task stays the request's one allocation.
+	conj     query.Conjunction
+	pred     [1]query.ColPredicate
 	append   []int64 // ingest payload; meaningful when isAppend
 	isAppend bool
 	// checkpoint asks the loop to capture the table's durable state
@@ -152,7 +153,7 @@ type task struct {
 // Scheduler serializes one table's queries through a single goroutine.
 type Scheduler struct {
 	table    *catalog.Table
-	idx      progidx.Handle
+	idx      *plan.Table
 	idle     bool // idle-time refinement enabled
 	maxBatch int
 
@@ -236,7 +237,7 @@ func newScheduler(t *catalog.Table, queueDepth, maxBatch int, reg *obs.Registry)
 	}
 	s := &Scheduler{
 		table:    t,
-		idx:      t.Index(),
+		idx:      t.Handle(),
 		idle:     t.Options().IdleRefineEnabled(),
 		maxBatch: maxBatch,
 		reg:      reg,
@@ -256,54 +257,30 @@ func newScheduler(t *catalog.Table, queueDepth, maxBatch int, reg *obs.Registry)
 }
 
 // Execute admits req and blocks until the scheduler answers it, the
-// context is cancelled, or the scheduler stops. One in every
-// Config.TraceSample queries carries a full-fidelity trace into the
-// registry's ring; when sampling is off the only cost is one atomic
-// load in Sample.
+// context is cancelled, or the scheduler stops: ExecuteConj for a plain
+// request, with no deadline and no forced trace.
 func (s *Scheduler) Execute(ctx context.Context, req progidx.Request) (progidx.Answer, ExecInfo, error) {
-	return s.ExecuteWithDeadline(ctx, req, time.Time{})
+	t := &task{reply: make(chan result, 1), enqueued: time.Now()}
+	t.pred[0].Pred = req.Pred
+	t.conj = query.Conjunction{Preds: t.pred[:], Aggs: req.Aggs}
+	ans, info, _, err := s.query(ctx, t, false)
+	return ans, info, err
 }
 
-// ExecuteWithDeadline is Execute with an answer-by time that clamps
-// the indexing budget (it never cancels the query — see task.deadline).
-// A zero deadline means none.
-func (s *Scheduler) ExecuteWithDeadline(ctx context.Context, req progidx.Request, deadline time.Time) (progidx.Answer, ExecInfo, error) {
-	t := &task{req: req, deadline: deadline, reply: make(chan result, 1), enqueued: time.Now()}
-	if s.reg.Sample() {
-		t.trace = obs.NewTrace("query", s.table.Name())
-	}
-	r, err := s.admit(ctx, t)
-	if err != nil {
-		return progidx.Answer{}, ExecInfo{}, err
-	}
-	return r.ans, r.info, r.err
-}
-
-// ExecuteTraced is Execute with a caller-forced full-fidelity trace —
-// the ?trace=1 path. The finished trace is returned inline alongside
-// the answer and also retained in the registry's /debug/traces ring.
-func (s *Scheduler) ExecuteTraced(ctx context.Context, req progidx.Request, deadline time.Time) (progidx.Answer, ExecInfo, *obs.Trace, error) {
-	t := &task{
-		req:      req,
-		deadline: deadline,
-		reply:    make(chan result, 1),
-		enqueued: time.Now(),
-		trace:    obs.NewTrace("query", s.table.Name()),
-	}
-	r, err := s.admit(ctx, t)
-	if err != nil {
-		return progidx.Answer{}, ExecInfo{}, nil, err
-	}
-	return r.ans, r.info, t.trace, r.err
-}
-
-// ExecuteConj admits a composite (multi-predicate) query on the same
-// queue as plain requests and blocks until its batch answered it. With
-// forceTrace the finished trace is returned inline (the ?trace=1
-// path); otherwise the usual sampling applies and the returned trace
-// is nil.
+// ExecuteConj admits a query — one predicate or several — and blocks
+// until its batch answered it. A non-zero deadline is an answer-by time
+// that clamps the indexing budget (it never cancels the query — see
+// task.deadline). With forceTrace the finished full-fidelity trace is
+// returned inline (the ?trace=1 path) as well as retained in the
+// registry's /debug/traces ring; otherwise one in every
+// Config.TraceSample queries is traced into the ring, at the cost of one
+// atomic load when sampling is off, and the returned trace is nil.
 func (s *Scheduler) ExecuteConj(ctx context.Context, c query.Conjunction, deadline time.Time, forceTrace bool) (progidx.Answer, ExecInfo, *obs.Trace, error) {
-	t := &task{conj: &c, deadline: deadline, reply: make(chan result, 1), enqueued: time.Now()}
+	return s.query(ctx, &task{conj: c, deadline: deadline, reply: make(chan result, 1), enqueued: time.Now()}, forceTrace)
+}
+
+// query admits the query task t for Execute and ExecuteConj.
+func (s *Scheduler) query(ctx context.Context, t *task, forceTrace bool) (progidx.Answer, ExecInfo, *obs.Trace, error) {
 	if forceTrace || s.reg.Sample() {
 		t.trace = obs.NewTrace("query", s.table.Name())
 	}
@@ -718,9 +695,9 @@ func (s *Scheduler) collect(first *task) []*task {
 // replies to every caller. Ingest tasks apply first, in admission
 // order (appended rows are visible to the batch's queries and cost no
 // indexing budget); the queries then share one indexing budget
-// (ExecuteBatch suspends indexing after the first request when the
-// strategy supports it). Replies go out only after the whole batch
-// executed, so a caller's next request always lands in a later batch.
+// (ExecuteConjBatch clamps every query but the leader). Replies go out
+// only after the whole batch executed, so a caller's next request always
+// lands in a later batch.
 func (s *Scheduler) runBatch(batch []*task) {
 	// Track the batch so a panic inside any of the calls below can
 	// fail its unanswered tasks instead of leaving callers parked.
@@ -853,15 +830,7 @@ func (s *Scheduler) runBatch(batch []*task) {
 			// lead == 0: the natural leader has headroom; squeezed
 			// followers run suspended anyway, so nothing to do.
 		}
-		reqs := make([]progidx.Request, len(reqIdx))
-		traced := false
-		for k, i := range reqIdx {
-			reqs[k] = batch[i].req
-			if batch[i].trace != nil {
-				traced = true
-			}
-		}
-		answers, errs := s.executeQueries(reqs, reqIdx, batch, traced, clamp)
+		answers, errs := s.executeQueries(reqIdx, batch, clamp)
 		for k, i := range reqIdx {
 			results[i].ans, results[i].err = answers[k], errs[k]
 		}
@@ -947,80 +916,29 @@ func (s *Scheduler) syncLogWithRetry() (attempts int, err error) {
 	}
 }
 
-// executeQueries dispatches one batch's query requests through the
-// handle's one batch entry point. Each traced query gets an "execute"
-// span that the handle's children (per-shard fan-out, tail scan, merge,
-// the planner's plan span) attach under via the trace's attach point.
+// executeQueries runs one batch's queries through the table's one batch
+// entry point, plain and composite alike, so the one-δ-per-batch
+// discipline holds for mixed traffic; a query the table cannot answer —
+// a column it lacks — fails alone. Each traced query gets an "execute"
+// span that the table's children (the planner's plan span, per-shard
+// fan-out, tail scan, merge) attach under via the trace's attach point.
 // clamp asks for the zero-budget batch — used when every query's
 // deadline is squeezed — and composes with tracing: a clamped traced
 // query still returns its span tree, its shards marked suspended.
-//
-// A batch that contains a conjunction goes, on a multi-column table,
-// through one ExecuteConjBatch call — plain requests wrapped as
-// first-column conjunctions — so the one-δ-per-batch discipline holds
-// for mixed plain/composite traffic. On a single-column table each
-// conjunction that reduces to one plain request executes as such;
-// wider ones are rejected per-task without failing their batchmates.
-func (s *Scheduler) executeQueries(reqs []progidx.Request, reqIdx []int, batch []*task, traced, clamp bool) ([]progidx.Answer, []error) {
-	opts := progidx.BatchOpts{Clamp: clamp}
+func (s *Scheduler) executeQueries(reqIdx []int, batch []*task, clamp bool) ([]progidx.Answer, []error) {
+	opts := query.BatchOpts{Clamp: clamp}
+	conjs := make([]query.Conjunction, len(reqIdx))
+	traced := false
+	for k, i := range reqIdx {
+		conjs[k] = batch[i].conj
+		traced = traced || batch[i].trace != nil
+	}
 	if traced {
 		var spans []obs.SpanID
 		opts.Traces, spans = openExecuteSpans(reqIdx, batch)
 		defer closeExecuteSpans(opts.Traces, spans)
 	}
-	composite := false
-	for _, i := range reqIdx {
-		if batch[i].conj != nil {
-			composite = true
-			break
-		}
-	}
-	if !composite {
-		return s.idx.ExecuteBatch(reqs, opts)
-	}
-	if pt, ok := s.table.Planned(); ok {
-		conjs := make([]query.Conjunction, len(reqIdx))
-		for k, i := range reqIdx {
-			if c := batch[i].conj; c != nil {
-				conjs[k] = *c
-			} else {
-				conjs[k] = query.Conjunction{
-					Preds: []query.ColPredicate{{Pred: reqs[k].Pred}},
-					Aggs:  reqs[k].Aggs,
-				}
-			}
-		}
-		return pt.ExecuteConjBatch(conjs, opts)
-	}
-
-	// Single-column table: reduce what reduces, reject the rest.
-	answers := make([]progidx.Answer, len(reqIdx))
-	errs := make([]error, len(reqIdx))
-	sub := make([]progidx.Request, 0, len(reqIdx))
-	subPos := make([]int, 0, len(reqIdx))
-	subOpts := progidx.BatchOpts{Clamp: clamp}
-	for k, i := range reqIdx {
-		req := reqs[k]
-		if c := batch[i].conj; c != nil {
-			var single bool
-			if req, single = c.Single(); !single {
-				errs[k] = fmt.Errorf("server: table %q has a single column; %s needs a multi-column table", s.table.Name(), c)
-				continue
-			}
-		}
-		sub = append(sub, req)
-		subPos = append(subPos, k)
-		if traced {
-			subOpts.Traces = append(subOpts.Traces, opts.Traces[k])
-		}
-	}
-	if len(sub) > 0 {
-		subAns, subErrs := s.idx.ExecuteBatch(sub, subOpts)
-		for j, k := range subPos {
-			answers[k], errs[k] = subAns[j], subErrs[j]
-		}
-	}
-	return answers, errs
+	return s.idx.ExecuteConjBatch(conjs, opts)
 }
 
 // openExecuteSpans starts one "execute" span per traced request and
@@ -1082,12 +1000,10 @@ func (s *Scheduler) observeTask(t *task, r *result, started, finished time.Time,
 		tr.FinishAt(finished)
 		s.reg.Traces.Add(tr)
 	}
-	pred, predKind := t.req.Pred.String(), t.req.Pred.Kind.String()
-	if t.conj != nil {
-		// Composite queries log the whole conjunction: the driving-column
-		// choice is in the trace, but the predicate list alone usually
-		// explains a slow multi-column scan.
-		pred, predKind = t.conj.String(), "conjunction"
+	pred, predKind := t.conj.String(), "conjunction"
+	if len(t.conj.Preds) == 1 && t.conj.Preds[0].Col == "" && t.conj.Target == "" {
+		// A plain request logs as it always has.
+		pred, predKind = t.conj.Preds[0].Pred.String(), t.conj.Preds[0].Pred.Kind.String()
 	}
 	s.reg.Logger().Warn("slow query",
 		slog.String("table", s.table.Name()),

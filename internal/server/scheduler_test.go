@@ -41,7 +41,7 @@ func TestSchedulerConcurrentOracle(t *testing.T) {
 		progidx.StrategyStandardCracking, // non-suspendable: batch degrades gracefully
 	} {
 		tbl, sched := loadTable(t, n, catalog.Options{Strategy: strategy, Delta: 0.3})
-		oracle := progidx.Synchronize(progidx.MustNew(tbl.Values(), progidx.Options{Strategy: progidx.StrategyFullScan}))
+		oracle := progidx.MustNew(tbl.Values(), progidx.Options{Strategy: progidx.StrategyFullScan})
 
 		var wg sync.WaitGroup
 		errs := make(chan error, sessions)
@@ -216,7 +216,7 @@ func TestSchedulerContextCancellation(t *testing.T) {
 // TestBatchingAmortizesIndexingWork drives the scheduler with a big
 // burst of concurrent queries on a deliberately stalled (not yet
 // started) loop... skipped: covered deterministically by the
-// ExecuteBatch unit test in the root package; here we only assert the
+// ExecuteBatch unit tests in the root package; here we only assert the
 // metrics plumbing for batches under real concurrency.
 func TestBatchMetricsUnderBurst(t *testing.T) {
 	_, sched := loadTable(t, 200_000, catalog.Options{Strategy: progidx.StrategyQuicksort, Delta: 0.1})

@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
+	"net/url"
 	"sort"
 	"strconv"
 	"strings"
@@ -700,16 +701,15 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Composite form: a predicate list (possibly empty, aggregating the
-	// whole Target column). The legacy single-predicate form and the
-	// composite one are mutually exclusive.
-	var conj *query.Conjunction
+	// Either form is a conjunction: a predicate list (possibly empty,
+	// aggregating the whole Target column), or the single pred, which
+	// addresses the unnamed first column. The two are mutually exclusive.
+	c := query.Conjunction{Target: qreq.Target, Aggs: aggs}
 	if len(qreq.Predicates) > 0 || qreq.Target != "" {
 		if qreq.Pred.Kind != "" || qreq.Pred.Lo != nil || qreq.Pred.Hi != nil || qreq.Pred.Value != nil {
 			writeError(w, http.StatusBadRequest, fmt.Errorf("provide pred or predicates, not both"))
 			return
 		}
-		c := query.Conjunction{Target: qreq.Target, Aggs: aggs}
 		for _, ps := range qreq.Predicates {
 			p, perr := ps.predicate()
 			if perr != nil {
@@ -722,37 +722,22 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusBadRequest, err)
 			return
 		}
-		conj = &c
-	}
-
-	deadline, derr := s.queryDeadline(r)
-	if derr != nil {
-		writeError(w, http.StatusBadRequest, derr)
-		return
-	}
-
-	var (
-		ans     progidx.Answer
-		info    ExecInfo
-		trace   *obs.Trace
-		traceOn = r.URL.Query().Get("trace") == "1"
-	)
-	switch {
-	case conj != nil:
-		ans, info, trace, err = sched.ExecuteConj(r.Context(), *conj, deadline, traceOn)
-	default:
-		var pred progidx.Predicate
-		pred, err = qreq.Pred.predicate()
+	} else {
+		pred, err := qreq.Pred.predicate()
 		if err != nil {
 			writeError(w, http.StatusBadRequest, err)
 			return
 		}
-		if traceOn {
-			ans, info, trace, err = sched.ExecuteTraced(r.Context(), progidx.Request{Pred: pred, Aggs: aggs}, deadline)
-		} else {
-			ans, info, err = sched.ExecuteWithDeadline(r.Context(), progidx.Request{Pred: pred, Aggs: aggs}, deadline)
-		}
+		c.Preds = []query.ColPredicate{{Pred: pred}}
 	}
+
+	params := r.URL.Query()
+	deadline, derr := s.queryDeadline(params)
+	if derr != nil {
+		writeError(w, http.StatusBadRequest, derr)
+		return
+	}
+	ans, info, trace, err := sched.ExecuteConj(r.Context(), c, deadline, params.Get("trace") == "1")
 	if err != nil {
 		s.writeSchedError(w, r, sched, name, err)
 		return
@@ -766,8 +751,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 // queryDeadline resolves one query's answer-by time: ?deadline_ms=
 // wins, Config.DefaultDeadline covers the rest, zero means none.
-func (s *Server) queryDeadline(r *http.Request) (time.Time, error) {
-	if ms := r.URL.Query().Get("deadline_ms"); ms != "" {
+func (s *Server) queryDeadline(params url.Values) (time.Time, error) {
+	if ms := params.Get("deadline_ms"); ms != "" {
 		n, err := strconv.ParseInt(ms, 10, 64)
 		if err != nil || n <= 0 {
 			return time.Time{}, fmt.Errorf("deadline_ms must be a positive integer, got %q", ms)

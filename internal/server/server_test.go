@@ -74,7 +74,7 @@ func TestHTTPEndToEnd(t *testing.T) {
 	do(t, http.MethodPost, ts.URL+"/tables", load, http.StatusCreated, nil)
 
 	vals := data.Uniform(n, 5)
-	oracle := progidx.Synchronize(progidx.MustNew(vals, progidx.Options{Strategy: progidx.StrategyFullScan}))
+	oracle := progidx.MustNew(vals, progidx.Options{Strategy: progidx.StrategyFullScan})
 
 	var wg sync.WaitGroup
 	for session := 0; session < 8; session++ {

@@ -10,7 +10,7 @@ import (
 	"repro/internal/query"
 )
 
-// Settle is the mirror image of the claim (DESIGN.md section 10). Once a
+// Settle is the mirror image of the claim (DESIGN.md section 9). Once a
 // shard's index has converged it answers from its own sorted copy and no
 // query reads the shard's raw rows again, so the write-path slices that
 // follow — query-borne or idle, the ones that refined the index — pack

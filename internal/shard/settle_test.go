@@ -119,12 +119,12 @@ func TestSettleLifecycle(t *testing.T) {
 	if si := sh.ShardStats()[0]; !si.Converged || si.Form != FormRaw || sh.Converged() || sh.Progress() != 1 {
 		t.Fatalf("index converged, settle not begun: %+v, table converged=%v progress=%v", si, sh.Converged(), sh.Progress())
 	}
-	// A clamped batch carries no budget: it packs nothing.
-	if _, errs := sh.ExecuteBatch([]query.Request{{Pred: query.Range(0, 10)}}, query.BatchOpts{Clamp: true}); errs[0] != nil {
-		t.Fatal(errs[0])
+	// A clamped request carries no budget: it packs nothing.
+	if _, err := sh.ExecuteAs(query.Request{Pred: query.Range(0, 10)}, false, nil); err != nil {
+		t.Fatal(err)
 	}
 	if st := sh.cur.Load().shards[0]; st.segs != nil {
-		t.Fatalf("a clamped batch packed %d blocks", len(st.segs))
+		t.Fatalf("a clamped request packed %d blocks", len(st.segs))
 	}
 	for packed := 0; packed < blocks; {
 		n := min(perSlice, blocks-packed)

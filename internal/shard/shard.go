@@ -89,12 +89,12 @@
 // the data. Whatever form holds them, the rows are also readable block
 // by block (BlockView).
 //
-// The Sharded type is the serving handle of every single-column table
-// (progidx.Handle: Execute, ExecuteBatch, Append, RefineStep, Progress,
-// Phase and the observability probes) — one shard when the table is
-// not partitioned — with per-shard locking: queries on disjoint shards
-// proceed in parallel even before convergence, and a converged shard's
-// lock degrades to a shared read lock.
+// The Sharded type is one column of every served table (plan.Table; a
+// single-column table is its one column) — Execute and ExecuteAs, Append,
+// RefineStep, Progress, Phase and the observability probes; one shard
+// when the table is not partitioned — with per-shard locking: queries on
+// disjoint shards proceed in parallel even before convergence, and a
+// converged shard's lock degrades to a shared read lock.
 package shard
 
 import (
@@ -770,19 +770,28 @@ func (sc *scratch) grow(n int) {
 // heat, so hot shards converge first; pruned shards (and a pruned
 // tail) perform zero work of any kind.
 func (s *Sharded) Execute(req query.Request) (query.Answer, error) {
-	sc := scratchPool.Get().(*scratch)
-	defer scratchPool.Put(sc)
-	return s.executeOn(s.cur.Load(), sc, req, true, nil)
+	return s.ExecuteAs(req, true, nil)
 }
 
-// executeOn is the one fan-out behind Execute and the batch entry
-// points: it answers req against view v using the caller's pooled
-// scratch, so a request over converged shards allocates nothing. lead
-// says the request carries the indexing budget — the claim probe, the
+// ExecuteAs is Execute for one request of a batch. lead says the request
+// carries the batch's indexing budget — the claim probe, the
 // heat-weighted budget split, indexing enabled; a non-lead request (a
-// batch follower, or any request of a clamped batch) runs every shard
-// suspended. tr, when non-nil, receives the fan-out span tree (see
-// ExecuteBatch) under tr.AttachPoint().
+// batch follower, or any request of a batch a deadline clamped: claiming
+// decodes a whole shard, exactly the work such a batch cannot afford)
+// runs every shard suspended. tr, when non-nil, receives the fan-out
+// span tree under tr.AttachPoint(): one span per shard — pruned shards
+// get zero-duration spans with zero scanned rows, survivors get kernel
+// timing, budget granted vs spent, rows touched, and encoding — plus
+// tail-scan and merge spans.
+func (s *Sharded) ExecuteAs(req query.Request, lead bool, tr *obs.Trace) (query.Answer, error) {
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	return s.executeOn(s.cur.Load(), sc, req, lead, tr)
+}
+
+// executeOn is the one fan-out: it answers req against view v using the
+// caller's pooled scratch, so a request over converged shards allocates
+// nothing.
 func (s *Sharded) executeOn(v *view, sc *scratch, req query.Request, lead bool, tr *obs.Trace) (query.Answer, error) {
 	lo, hi, aggs, err := query.Prepare(req, v.vmin, v.vmax)
 	if err != nil {
@@ -892,9 +901,9 @@ func (s *Sharded) maybeClaim(v *view, surv []int, heats []uint64) int {
 
 // ClaimHot claims at most one cold shard whose heat has reached the
 // claim threshold and returns its row count, 0 when there was none. It
-// is maybeClaim for a caller whose queries never lead — a multi-column
-// table answers its single-column queries clamped, under one budget per
-// batch, and claims between batches.
+// is maybeClaim for the columns no query of a batch led on — a table
+// answers every query but the batch's leader clamped, and claims for the
+// other columns when the batch ends.
 func (s *Sharded) ClaimHot() int {
 	if s.claimHeat == 0 {
 		return 0
@@ -1119,30 +1128,6 @@ func (s *Sharded) noteAllDone(v *view) {
 		}
 	}
 	v.done.Store(true)
-}
-
-// ExecuteBatch executes several requests under one indexing budget,
-// against one structure snapshot: the first request runs with the
-// heat-weighted budget enabled and the remainder with per-shard
-// indexing suspended. opts.Clamp withholds the budget from the first
-// request too — every shard of every request runs suspended and the
-// claim probe is skipped (claiming decodes a whole shard, exactly the
-// work a deadline-squeezed batch cannot afford). A request traced in
-// opts.Traces receives its fan-out spans under its trace's attach
-// point: one per shard — pruned shards get zero-duration spans with
-// zero scanned rows, survivors get kernel timing, budget granted vs
-// spent, rows touched, and encoding — plus tail-scan and merge spans.
-// Answers and errors positionally match reqs.
-func (s *Sharded) ExecuteBatch(reqs []query.Request, opts query.BatchOpts) ([]query.Answer, []error) {
-	answers := make([]query.Answer, len(reqs))
-	errs := make([]error, len(reqs))
-	v := s.cur.Load()
-	sc := scratchPool.Get().(*scratch)
-	defer scratchPool.Put(sc)
-	for qi, req := range reqs {
-		answers[qi], errs[qi] = s.executeOn(v, sc, req, qi == 0 && !opts.Clamp, opts.Trace(qi))
-	}
-	return answers, errs
 }
 
 // executeShardTraced wraps executeShard in a per-shard span: the span

@@ -220,7 +220,7 @@ func TestHeatShares(t *testing.T) {
 }
 
 // TestExecuteBatchSuspendsTail pins the batch amortization: only the
-// first request of a batch runs with the indexing budget enabled.
+// request that leads its batch runs with the indexing budget enabled.
 func TestExecuteBatchSuspendsTail(t *testing.T) {
 	col := column.MustNew(clustered(1000))
 	factory := stubFactory(1 << 30)
@@ -233,13 +233,13 @@ func TestExecuteBatchSuspendsTail(t *testing.T) {
 		{Pred: query.Range(0, 999)},
 		{Pred: query.Range(0, 999)},
 	}
-	answers, errs := sh.ExecuteBatch(reqs, query.BatchOpts{})
-	for i := range reqs {
-		if errs[i] != nil {
-			t.Fatal(errs[i])
+	for i, req := range reqs {
+		ans, err := sh.ExecuteAs(req, i == 0, nil)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if answers[i].Count != 1000 {
-			t.Fatalf("batch answer %d count %d, want 1000", i, answers[i].Count)
+		if ans.Count != 1000 {
+			t.Fatalf("batch answer %d count %d, want 1000", i, ans.Count)
 		}
 	}
 	for i, st := range stubs(sh) {

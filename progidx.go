@@ -30,7 +30,7 @@
 // aggregates (SUM, COUNT, MIN, MAX, AVG, combinable as a bitmask) and
 // may reorganize the index internally; the per-query work Stats travel
 // inline in the Answer, so there is no stateful side channel and
-// concurrent callers (see Synchronize) always observe coherent
+// concurrent callers (see NewHandle) always observe coherent
 // (answer, stats) pairs.
 //
 // The zero Aggs computes SUM and COUNT, the paper's SELECT SUM(A) WHERE A
@@ -314,8 +314,7 @@ type Options struct {
 	// with a min/max zone map (see Sharded). 0 or 1 means unsharded:
 	// NewHandle then builds a table of one shard and New the bare
 	// strategy. With Shards > 1 or a compressed Encoding, New too returns
-	// a *Sharded, which is safe for concurrent use as-is and must not be
-	// wrapped in Synchronize.
+	// a *Sharded, which is safe for concurrent use as-is.
 	Shards int
 
 	// Encoding selects compressed columnar storage (see Encoding). With
@@ -442,19 +441,17 @@ func costParams(opts Options) costmodel.Params {
 	return calibrated
 }
 
-// Conformance, in one place: every strategy and both wrappers implement
-// the one Index contract, the four progressive algorithms — through
-// core's lifecycle driver — each optional capability, and Sharded the
-// serving Handle.
+// Conformance, in one place: every strategy and Sharded implement the
+// one Index contract, and the four progressive algorithms — through
+// core's lifecycle driver — each optional capability.
 var (
-	_ Handle = (*Sharded)(nil)
-	_        = []Index{
+	_ = []Index{
 		(*core.Quicksort)(nil), (*core.RadixMSD)(nil), (*core.Bucketsort)(nil), (*core.RadixLSD)(nil),
 		(*baseline.FullScan)(nil), (*baseline.FullIndex)(nil),
 		(*cracking.Standard)(nil), (*cracking.Stochastic)(nil), (*cracking.ProgressiveStochastic)(nil),
 		(*cracking.CoarseGranular)(nil), (*cracking.AdaptiveAdaptive)(nil),
 		(*phash.Index)(nil), (*imprints.Index)(nil),
-		(*Sharded)(nil), (*Synchronized)(nil),
+		(*Sharded)(nil),
 	}
 	_ = []interface {
 		query.Suspender

@@ -18,21 +18,19 @@ import (
 // proportion to their heat — the shards a workload touches converge
 // first, and shards it never touches do zero work. Append routes new
 // rows to a growable pending tail that is sealed into a fresh indexed
-// shard at a size threshold (DESIGN.md section 10), so the table keeps
+// shard at a size threshold (DESIGN.md section 9), so the table keeps
 // ingesting while it is queried.
 //
-// Sharded is safe for concurrent use and implements Handle; do not wrap
-// it in Synchronize (that would serialize the per-shard locks behind
-// one global lock).
+// Sharded is safe for concurrent use.
 type Sharded = shard.Sharded
 
 // ShardInfo is a point-in-time snapshot of one shard, as returned by
 // Sharded.ShardStats.
 type ShardInfo = shard.Info
 
-// NewHandle builds the concurrency-safe serving handle for a
-// single-column table: a *Sharded of the selected strategy over values.
-// The serving layer's catalog loads every such table through this.
+// NewHandle builds a concurrency-safe table over one column: a *Sharded
+// of the selected strategy over values. Every column of a served table
+// (plan.Table) is one.
 // Options.Shards chooses the partition count (values < 1 are treated as
 // 1: a table of one shard). Options.Workers sizes the cross-shard
 // fan-out pool; with more than one shard the per-shard index kernels
@@ -52,7 +50,7 @@ func NewHandle(values []int64, opts Options) (*Sharded, error) {
 // holds the rows itself — raw shards slice the column's array, appended
 // rows go to the shard layer's own extents — so the column must not be
 // appended to afterwards, and the rows are read back through
-// MaterializeRows (DESIGN.md section 10).
+// MaterializeRows (DESIGN.md section 9).
 func NewShardedFromColumn(col *column.Column, opts Options) (*Sharded, error) {
 	cfg, factory := shardLayout(opts, col.Len())
 	return shard.New(col, cfg, factory)

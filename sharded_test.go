@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/data"
+	"repro/internal/query"
 )
 
 // boundedColumn is testColumn without the ±2^62 extreme sentinels, for
@@ -216,7 +217,7 @@ func TestShardedExecuteBatch(t *testing.T) {
 			preds[i] = Range(lo, lo+rng.Int63n(2000))
 			reqs[i] = Request{Pred: preds[i], Aggs: AllAggregates}
 		}
-		answers, errs := sh.ExecuteBatch(reqs, BatchOpts{})
+		answers, errs := executeBatch(sh, reqs, query.BatchOpts{})
 		for i := range reqs {
 			if errs[i] != nil {
 				t.Fatal(errs[i])
@@ -228,7 +229,7 @@ func TestShardedExecuteBatch(t *testing.T) {
 
 // TestShardedRefineStepConverges drives idle refinement only (no client
 // queries) and checks every convergent strategy reaches the terminal
-// state with monotone progress, exactly like Synchronized.RefineStep.
+// state with monotone progress.
 func TestShardedRefineStepConverges(t *testing.T) {
 	vals := testColumn(3000, 26)
 	for _, s := range []Strategy{StrategyQuicksort, StrategyRadixMSD, StrategyBucketsort, StrategyRadixLSD, StrategyProgressiveHash, StrategyImprints} {
@@ -378,13 +379,13 @@ func TestShardedHandleSurface(t *testing.T) {
 	}
 }
 
-// TestSynchronizedZoneMissFastPath pins the satellite: a predicate
-// disjoint from the column domain answers empty with zero work stats —
-// and, on a contended index, without waiting for the write lock (here
-// we just verify the answer shape and that no indexing step ran).
-func TestSynchronizedZoneMissFastPath(t *testing.T) {
+// TestHandleZoneMissDoesNoWork: a predicate disjoint from the column
+// domain answers empty with zero work stats — and, on a contended
+// index, without waiting for a shard's write lock (here we just verify
+// the answer shape and that no indexing step ran).
+func TestHandleZoneMissDoesNoWork(t *testing.T) {
 	vals := boundedColumn(3000, 29) // domain ⊂ [-4000, 4000): 7M really is a zone miss
-	idx := Synchronize(MustNew(vals, Options{Strategy: StrategyQuicksort, Delta: 0.25}))
+	idx := unshardedHandle(t, vals, Options{Strategy: StrategyQuicksort, Delta: 0.25})
 	before := idx.Progress()
 	for i := 0; i < 10; i++ {
 		ans, err := idx.Execute(Request{Pred: Range(7_000_000, 8_000_000), Aggs: AllAggregates})
@@ -399,8 +400,7 @@ func TestSynchronizedZoneMissFastPath(t *testing.T) {
 		t.Fatalf("zone-miss queries advanced the index: progress %v -> %v", before, after)
 	}
 	// Inverted ranges cannot match either, so they ride the same fast
-	// path (RefineStep is unaffected: it drives the inner index
-	// directly, bypassing the wrapper's short-circuit).
+	// path.
 	if ans, err := idx.Execute(Request{Pred: Range(100, -100)}); err != nil || ans.Count != 0 || ans.Stats.WorkSeconds != 0 {
 		t.Fatalf("inverted-range fast path: err=%v ans=%+v", err, ans)
 	}

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/data"
 	"repro/internal/obs"
+	"repro/internal/query"
 )
 
 // findSpans walks a span tree depth-first collecting every span with
@@ -43,7 +44,7 @@ func TestShardedTraceAgreesWithStats(t *testing.T) {
 
 	req := Request{Pred: Range(0, 500)}
 	tr := obs.NewTrace("query", "t")
-	answers, errs := h.ExecuteBatch([]Request{req}, BatchOpts{Traces: []*obs.Trace{tr}})
+	answers, errs := executeBatch(h, []Request{req}, query.BatchOpts{Traces: []*obs.Trace{tr}})
 	tr.Finish()
 	if errs[0] != nil {
 		t.Fatal(errs[0])
@@ -137,7 +138,7 @@ func TestUnshardedTraceSpans(t *testing.T) {
 	var leaderSpent float64
 	for _, clamp := range []bool{false, true} {
 		traces := []*obs.Trace{obs.NewTrace("query", "t"), obs.NewTrace("query", "t")}
-		_, errs := h.ExecuteBatch(reqs, BatchOpts{Traces: traces, Clamp: clamp})
+		_, errs := executeBatch(h, reqs, query.BatchOpts{Traces: traces, Clamp: clamp})
 		for i, tr := range traces {
 			tr.Finish()
 			if errs[i] != nil {
