@@ -320,8 +320,9 @@ func (t *Table) executeBatch(conjs []query.Conjunction, opts query.BatchOpts, an
 	t.mu.RLock()
 	for i, c := range conjs {
 		var ch Choice
-		answers[i], errs[i] = t.execConj(c, opts.Trace(i), -1, i == 0 && !opts.Clamp, &ch)
-		if i == 0 && ch.Direct && errs[0] == nil && !opts.Clamp {
+		lead := i == 0 && !opts.Clamp
+		answers[i], errs[i] = t.execConj(c, opts.Trace(i), -1, lead, &ch)
+		if lead && ch.Direct && errs[0] == nil {
 			led = ch.col
 		}
 	}

@@ -263,7 +263,7 @@ func (s *Scheduler) Execute(ctx context.Context, req progidx.Request) (progidx.A
 	t := &task{reply: make(chan result, 1), enqueued: time.Now()}
 	t.pred[0].Pred = req.Pred
 	t.conj = query.Conjunction{Preds: t.pred[:], Aggs: req.Aggs}
-	ans, info, _, err := s.query(ctx, t, false)
+	ans, info, _, err := s.submit(ctx, t, false)
 	return ans, info, err
 }
 
@@ -276,11 +276,11 @@ func (s *Scheduler) Execute(ctx context.Context, req progidx.Request) (progidx.A
 // Config.TraceSample queries is traced into the ring, at the cost of one
 // atomic load when sampling is off, and the returned trace is nil.
 func (s *Scheduler) ExecuteConj(ctx context.Context, c query.Conjunction, deadline time.Time, forceTrace bool) (progidx.Answer, ExecInfo, *obs.Trace, error) {
-	return s.query(ctx, &task{conj: c, deadline: deadline, reply: make(chan result, 1), enqueued: time.Now()}, forceTrace)
+	return s.submit(ctx, &task{conj: c, deadline: deadline, reply: make(chan result, 1), enqueued: time.Now()}, forceTrace)
 }
 
-// query admits the query task t for Execute and ExecuteConj.
-func (s *Scheduler) query(ctx context.Context, t *task, forceTrace bool) (progidx.Answer, ExecInfo, *obs.Trace, error) {
+// submit admits the query task t for Execute and ExecuteConj.
+func (s *Scheduler) submit(ctx context.Context, t *task, forceTrace bool) (progidx.Answer, ExecInfo, *obs.Trace, error) {
 	if forceTrace || s.reg.Sample() {
 		t.trace = obs.NewTrace("query", s.table.Name())
 	}
