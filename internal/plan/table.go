@@ -11,8 +11,9 @@
 package plan
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -376,7 +377,7 @@ func (t *Table) RefineStep() (query.Stats, bool) {
 		col   int
 		score float64
 	}
-	var cands []cand
+	cands := make([]cand, 0, 8) // on the stack for the usual few columns
 	for i, cs := range t.cols {
 		if !cs.idx.Converged() {
 			cands = append(cands, cand{i, float64(cs.heat.Load()+1) / float64(cs.refines.Load()+1)})
@@ -385,7 +386,7 @@ func (t *Table) RefineStep() (query.Stats, bool) {
 	if len(cands) == 0 {
 		return query.Stats{}, true
 	}
-	sort.SliceStable(cands, func(a, b int) bool { return cands[a].score > cands[b].score })
+	slices.SortStableFunc(cands, func(a, b cand) int { return cmp.Compare(b.score, a.score) })
 	for _, c := range cands {
 		// A column whose shards have all converged (only its tail is
 		// pending) passes its turn to the next one.
