@@ -35,7 +35,7 @@ vet:
 # grows the code past LOC_MAX has to raise it here, in its own diff.
 # PR 21 (settled shards, a feature) raised it from 20 356 by its net, +176;
 # PR 23 (one served table type) lowered it from 20 532.
-LOC_MAX ?= 20246
+LOC_MAX ?= 20247
 loc:
 	@n=$$(find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -not -path './.bench_build/*' -print0 | xargs -0 cat | wc -l); \
 	echo $$n; \
