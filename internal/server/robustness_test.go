@@ -350,7 +350,7 @@ func (w *wrapErr) Unwrap() error { return w.inner }
 func TestDeadlineClampExact(t *testing.T) {
 	for _, shards := range []int{0, 4} {
 		shards := shards
-		t.Run(map[int]string{0: "unsharded", 4: "sharded"}[shards], func(t *testing.T) {
+		t.Run(map[int]string{0: "synchronized", 4: "sharded"}[shards], func(t *testing.T) {
 			srv := New(Config{Logger: slog.New(slog.DiscardHandler)})
 			t.Cleanup(srv.Close)
 			base := data.Uniform(200_000, 5)
