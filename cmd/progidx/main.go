@@ -22,25 +22,19 @@ import (
 	"repro/internal/workload"
 )
 
-var strategies = map[string]progidx.Strategy{
-	"pq":    progidx.StrategyQuicksort,
-	"pmsd":  progidx.StrategyRadixMSD,
-	"pb":    progidx.StrategyBucketsort,
-	"plsd":  progidx.StrategyRadixLSD,
-	"fs":    progidx.StrategyFullScan,
-	"fi":    progidx.StrategyFullIndex,
-	"std":   progidx.StrategyStandardCracking,
-	"stc":   progidx.StrategyStochasticCracking,
-	"pstc":  progidx.StrategyProgressiveStochastic,
-	"cgi":   progidx.StrategyCoarseGranular,
-	"aa":    progidx.StrategyAdaptiveAdaptive,
-	"phash": progidx.StrategyProgressiveHash,
-	"pimp":  progidx.StrategyImprints,
+// strategyNames is the -strategy help: every strategy's abbreviation,
+// lower-cased.
+func strategyNames() string {
+	var names []string
+	for _, s := range progidx.Strategies() {
+		names = append(names, strings.ToLower(s.String()))
+	}
+	return strings.Join(names, "|")
 }
 
 func main() {
 	var (
-		strategy = flag.String("strategy", "pq", "pq|pmsd|pb|plsd|fs|fi|std|stc|pstc|cgi|aa|phash|pimp")
+		strategy = flag.String("strategy", "pq", strategyNames())
 		dataset  = flag.String("data", "uniform", "uniform|skewed|skyserver")
 		wl       = flag.String("workload", "random", "random|seqover|zoomin|zoomout|skew|periodic|seqzoomin|zoominalt|point|skyserver")
 		n        = flag.Int("n", 1_000_000, "column size")
@@ -53,9 +47,9 @@ func main() {
 	)
 	flag.Parse()
 
-	strat, ok := strategies[strings.ToLower(*strategy)]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown strategy %q\n", *strategy)
+	strat, err := progidx.ParseStrategy(*strategy)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 

@@ -389,6 +389,27 @@ func New() *Catalog {
 	return &Catalog{tables: make(map[string]*Table)}
 }
 
+// reserve claims name for t before its index is built, so two
+// concurrent loads of the same name cannot both win. The fail it returns
+// releases only this reservation: the name may have been dropped and
+// reused by a concurrent loader in the meantime.
+func (c *Catalog) reserve(name string, t *Table) (fail func(error) (*Table, error), err error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if _, exists := c.tables[name]; exists {
+		return nil, fmt.Errorf("catalog: table %q already exists", name)
+	}
+	c.tables[name] = t
+	return func(cause error) (*Table, error) {
+		c.mu.Lock()
+		if c.tables[name] == t {
+			delete(c.tables, name)
+		}
+		c.mu.Unlock()
+		return nil, cause
+	}, nil
+}
+
 // Load registers a new table over values and builds its index handle.
 // The values slice is retained by the handle and must not be mutated
 // afterwards. For a multi-column schema (opts.Columns with two
@@ -408,27 +429,10 @@ func (c *Catalog) Load(name string, values []int64, opts Options) (*Table, error
 	t.rows.Store(int64(len(values) / k))
 	t.status.Store(int32(StatusLoading))
 
-	// Reserve the name before building the index so two concurrent
-	// loads of the same name cannot both win.
-	c.mu.Lock()
-	if _, exists := c.tables[name]; exists {
-		c.mu.Unlock()
-		return nil, fmt.Errorf("catalog: table %q already exists", name)
-	}
-	c.tables[name] = t
-	c.mu.Unlock()
-
-	// Release only our own reservation on failure: the name may have
-	// been dropped and reused by a concurrent loader in the meantime.
-	fail := func(err error) (*Table, error) {
-		c.mu.Lock()
-		if c.tables[name] == t {
-			delete(c.tables, name)
-		}
-		c.mu.Unlock()
+	fail, err := c.reserve(name, t)
+	if err != nil {
 		return nil, err
 	}
-
 	idx, err := plan.New(name, opts.schema(), values, opts.progidxOptions())
 	if err != nil {
 		return fail(fmt.Errorf("catalog: load %q: %w", name, err))

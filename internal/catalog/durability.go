@@ -212,23 +212,10 @@ func (c *Catalog) LoadRecovered(rec durable.Recovered) (*Table, error) {
 	t.rows.Store(int64(len(rec.Base) / k))
 	t.status.Store(int32(StatusLoading))
 
-	c.mu.Lock()
-	if _, exists := c.tables[rec.Name]; exists {
-		c.mu.Unlock()
-		return nil, fmt.Errorf("catalog: table %q already exists", rec.Name)
-	}
-	c.tables[rec.Name] = t
-	c.mu.Unlock()
-
-	fail := func(err error) (*Table, error) {
-		c.mu.Lock()
-		if c.tables[rec.Name] == t {
-			delete(c.tables, rec.Name)
-		}
-		c.mu.Unlock()
+	fail, err := c.reserve(rec.Name, t)
+	if err != nil {
 		return nil, err
 	}
-
 	idx, err := plan.New(rec.Name, opts.schema(), rec.Base, opts.progidxOptions())
 	if err != nil {
 		return fail(fmt.Errorf("catalog: recover %q: %w", rec.Name, err))

@@ -26,12 +26,6 @@ type Result struct {
 	Count int64
 }
 
-// Add accumulates another partial result into r.
-func (r *Result) Add(o Result) {
-	r.Sum += o.Sum
-	r.Count += o.Count
-}
-
 // Aggregates is a bitmask of aggregate functions a query requests.
 // Execute threads it through every kernel so new aggregates are data,
 // not new interface methods.

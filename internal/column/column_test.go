@@ -150,14 +150,6 @@ func TestBounds(t *testing.T) {
 	}
 }
 
-func TestResultAdd(t *testing.T) {
-	r := Result{Sum: 5, Count: 2}
-	r.Add(Result{Sum: -3, Count: 1})
-	if r.Sum != 2 || r.Count != 3 {
-		t.Fatalf("Add got %+v", r)
-	}
-}
-
 func TestAggRangeMatchesBranchingOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	masks := []Aggregates{AggSum | AggCount, AggAll, AggMin | AggCount, AggMax | AggCount}

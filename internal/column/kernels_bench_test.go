@@ -53,20 +53,6 @@ func BenchmarkAggRange(b *testing.B) {
 	}
 }
 
-func BenchmarkParSumRange(b *testing.B) {
-	vals := benchInput()
-	for _, workers := range []int{1, 2, 4, 8} {
-		p := parallel.New(workers)
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			b.SetBytes(8 * benchN)
-			for i := 0; i < b.N; i++ {
-				r := ParSumRange(p, vals, benchN/4, 3*benchN/4)
-				benchSink.Sum = r.Sum
-			}
-		})
-	}
-}
-
 func BenchmarkParAggRange(b *testing.B) {
 	vals := benchInput()
 	for _, workers := range []int{1, 2, 4, 8} {

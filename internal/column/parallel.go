@@ -8,27 +8,6 @@ import "repro/internal/parallel"
 // fork/join overhead is noise.
 const MinChunkScan = 1 << 16
 
-// ParSumRange is SumRange split across the pool's workers. Each chunk
-// runs the identical branch-free kernel; partials are merged in chunk
-// order. Int64 addition wraps commutatively, so the result is
-// bit-for-bit identical to the serial kernel for every worker count.
-// A nil pool, a one-worker pool, or a small input runs serially.
-func ParSumRange(p *parallel.Pool, values []int64, lo, hi int64) Result {
-	chunks := p.Chunks(len(values), MinChunkScan)
-	if chunks == 1 {
-		return SumRange(values, lo, hi)
-	}
-	parts := make([]Result, chunks)
-	p.Run(len(values), MinChunkScan, func(c, a, b int) {
-		parts[c] = SumRange(values[a:b], lo, hi)
-	})
-	res := parts[0]
-	for _, r := range parts[1:] {
-		res.Add(r)
-	}
-	return res
-}
-
 // ParAggRange is AggRange split across the pool's workers, merging the
 // per-chunk accumulators in chunk order. SUM wraps commutatively and
 // COUNT/MIN/MAX are order-free, so the answer is bit-for-bit identical

@@ -217,7 +217,7 @@ func (m *Model) EquiHeightBucketTime(n, blockSize, buckets int) float64 {
 // building B+-tree levels. The paper prints t_copy = N_copy·κ·γ, which
 // is dimensionally inconsistent (it multiplies by page size instead of
 // dividing); we use N_copy·(κ+ω)/γ — each copied element is read and
-// written once — and record the deviation in EXPERIMENTS.md.
+// written once (DESIGN.md section 3 records the deviation).
 func (m *Model) ConsolidateTime(copies int) float64 {
 	return (m.P.KappaWritePage + m.P.OmegaReadPage) * m.pages(copies)
 }

@@ -278,14 +278,6 @@ func (s *Segment) Min() int64 { return s.min }
 // Max returns the largest value (zone statistic).
 func (s *Segment) Max() int64 { return s.max }
 
-// Width returns the packed bits per row (64 for raw).
-func (s *Segment) Width() uint8 {
-	if s.kind == KindRaw {
-		return 64
-	}
-	return s.width
-}
-
 // SizeBytes returns the resident payload size: packed words plus the
 // dictionary (or the raw slice). Struct headers are excluded — they are
 // O(1) per segment and identical across kinds.

@@ -244,7 +244,7 @@ func TestAutoSelection(t *testing.T) {
 			t.Fatal(err)
 		}
 		if seg.Kind() != wantKind {
-			t.Fatalf("auto(%s): kind %v, want %v (width %d)", name, seg.Kind(), wantKind, seg.Width())
+			t.Fatalf("auto(%s): kind %v, want %v (width %d)", name, seg.Kind(), wantKind, seg.width)
 		}
 	}
 	// Forced dict on high-cardinality input degrades to FOR-BP rather
@@ -262,23 +262,49 @@ func TestAutoSelection(t *testing.T) {
 	}
 }
 
-// TestCompressionRatio guards the tentpole's storage target at the
-// package level: a dense permutation of [0, n) at n = 1M packs to 20
-// bits/row — well over the 2x bytes-per-row reduction the bench
-// artifact asserts at 10M rows.
+// TestCompressionRatio guards the storage targets at the package level,
+// at n = 1M. A dense permutation of [0, n) packs to 20 bits/row — well
+// over a 2x bytes-per-row reduction. A low-cardinality column, 1 000
+// distinct values spread over a 40-bit domain, is dictionary territory:
+// 10-bit codes where the frame of reference needs 40 bits.
 func TestCompressionRatio(t *testing.T) {
 	n := 1 << 20
 	rng := rand.New(rand.NewSource(8))
-	vs := make([]int64, n)
+	uniform := make([]int64, n)
 	for i, v := range rng.Perm(n) {
-		vs[i] = int64(v)
+		uniform[i] = int64(v)
 	}
-	seg, err := New(vs, 0, int64(n-1), ModeAuto)
-	if err != nil {
-		t.Fatal(err)
+	dict := make([]int64, 1000)
+	for i := range dict {
+		dict[i] = rng.Int63n(1 << 40)
 	}
-	if bpr := seg.BytesPerRow(); bpr > 4.0 {
-		t.Fatalf("uniform 1M rows: %.2f bytes/row, want <= 4.0 (>= 2x reduction)", bpr)
+	lowcard := make([]int64, n)
+	for i := range lowcard {
+		lowcard[i] = dict[rng.Intn(len(dict))]
+	}
+	for _, tc := range []struct {
+		name     string
+		vs       []int64
+		mode     Mode
+		kind     Kind
+		min, max float64 // bytes per row
+	}{
+		{"uniform", uniform, ModeAuto, KindFORBP, 0, 4.0},
+		{"lowcard", lowcard, ModeDict, KindDict, 0, 1.3},
+		{"lowcard", lowcard, ModeAuto, KindDict, 0, 1.3},
+		{"lowcard", lowcard, ModeFORBP, KindFORBP, 4.9, 5.0},
+	} {
+		mn, mx := column.MinMax(tc.vs)
+		seg, err := New(tc.vs, mn, mx, tc.mode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bpr := seg.BytesPerRow()
+		t.Logf("%s as %v: %v at %.4f bytes/row", tc.name, tc.mode, seg.Kind(), bpr)
+		if seg.Kind() != tc.kind || bpr < tc.min || bpr > tc.max {
+			t.Errorf("%s as %v: %v at %.4f bytes/row, want %v within [%g, %g]",
+				tc.name, tc.mode, seg.Kind(), bpr, tc.kind, tc.min, tc.max)
+		}
 	}
 }
 

@@ -78,12 +78,12 @@ func checkMaskKernels(t testing.TB, seg *Segment, vs []int64, lo, hi int64, in [
 	wantMask, wantSurv, wantAgg := maskOracle(vs, lo, hi, in)
 	got := append([]uint64(nil), in...)
 	if surv := seg.Refine(lo, hi, got); surv != wantSurv {
-		t.Fatalf("%v w=%d n=%d Refine(%d, %d) = %d survivors, oracle %d", seg.Kind(), seg.Width(), len(vs), lo, hi, surv, wantSurv)
+		t.Fatalf("%v w=%d n=%d Refine(%d, %d) = %d survivors, oracle %d", seg.Kind(), seg.width, len(vs), lo, hi, surv, wantSurv)
 	}
 	for i := range got {
 		if got[i] != wantMask[i] {
 			t.Fatalf("%v w=%d n=%d Refine(%d, %d) mask word %d = %#x, oracle %#x (incoming %#x)",
-				seg.Kind(), seg.Width(), len(vs), lo, hi, i, got[i], wantMask[i], in[i])
+				seg.Kind(), seg.width, len(vs), lo, hi, i, got[i], wantMask[i], in[i])
 		}
 	}
 	for aggs := column.Aggregates(1); aggs <= column.AggAll; aggs++ {
@@ -93,7 +93,7 @@ func checkMaskKernels(t testing.TB, seg *Segment, vs []int64, lo, hi int64, in [
 		}
 		if agg := seg.AggMasked(got, aggs); agg != want {
 			t.Fatalf("%v w=%d n=%d AggMasked(%v) after Refine(%d, %d) = %+v, oracle %+v",
-				seg.Kind(), seg.Width(), len(vs), aggs, lo, hi, agg, want)
+				seg.Kind(), seg.width, len(vs), aggs, lo, hi, agg, want)
 		}
 	}
 }
@@ -113,8 +113,8 @@ func TestMaskKernelsOracle(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if mode == ModeFORBP && n >= 2 && seg.Width() != uint8(w) {
-					t.Fatalf("built FOR width %d, want %d", seg.Width(), w)
+				if mode == ModeFORBP && n >= 2 && seg.width != uint8(w) {
+					t.Fatalf("built FOR width %d, want %d", seg.width, w)
 				}
 				mid := mn + (mx-mn)/2
 				bounds := [][2]int64{

@@ -8,8 +8,8 @@
 // Scale note: the paper runs SkyServer at 6·10⁸ rows and synthetics at
 // 10⁸-10⁹ with 10⁶ queries. The defaults here are laptop-scale; the
 // shapes (who wins, by what factor, where crossovers fall) are the
-// reproduction target, not absolute seconds. EXPERIMENTS.md records
-// paper-vs-measured for every experiment.
+// reproduction target, not absolute seconds. DESIGN.md section 4 lists
+// the experiments and the substitutions for the paper's setup.
 package experiments
 
 import (

@@ -233,6 +233,33 @@ func TestHTTPColdColumnsRejectOutOfDomainAppend(t *testing.T) {
 	}
 }
 
+// TestHTTPAppendValidatesAgainstSchedulerTable: an append is validated
+// against the row width of the table its scheduler serves, not of
+// whatever the catalog holds under that name by then. With the catalog
+// entry dropped under a live scheduler — the window between the
+// handler's two lookups — a rows append to a 3-column table must not be
+// refused as if the table had one column.
+func TestHTTPAppendValidatesAgainstSchedulerTable(t *testing.T) {
+	srv, ts := newTestServer(t)
+	do(t, http.MethodPost, ts.URL+"/tables", LoadRequest{
+		Name:     "mc",
+		Generate: &GenerateSpec{Kind: "correlated", N: 5_000, Seed: 3},
+		Options:  &OptionsSpec{Strategy: "PQ", Delta: 0.3, Columns: []string{"a", "b", "c"}},
+	}, http.StatusCreated, nil)
+	if _, err := srv.Catalog().Drop("mc"); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.URL+"/tables/mc/append", "application/json", bytes.NewReader([]byte(`{"rows": [[1, 2, 3]]}`)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, _ := io.ReadAll(resp.Body)
+	if bytes.Contains(body, []byte("table expects")) {
+		t.Fatalf("append validated against the wrong row width: %d %s", resp.StatusCode, body)
+	}
+}
+
 // TestHTTPSingleColumnConjunction pins that the composite form also
 // works against a plain single-column table — the one-column planned
 // table, whose every query is direct — and errors clearly when it names

@@ -800,10 +800,7 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("decode body: %w", err))
 		return
 	}
-	k := 1
-	if t, ok := s.catalog.Get(name); ok {
-		k = t.RowWidth()
-	}
+	k := sched.table.RowWidth()
 	values := areq.Values
 	if len(areq.Rows) > 0 {
 		if len(areq.Values) > 0 {

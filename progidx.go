@@ -169,49 +169,64 @@ const (
 	StrategyImprints
 )
 
+// strategies is the one place that lists the strategies, a row each,
+// indexed by Strategy: the paper's abbreviation (what String prints and
+// ParseStrategy reads), whether it is one of the four progressive
+// algorithms, whether it converges, and its constructor.
+var strategies = [...]struct {
+	name                    string
+	progressive, convergent bool
+	build                   func(*column.Column, Options) Index
+}{
+	StrategyQuicksort:             {"PQ", true, true, fromCore(core.NewQuicksort)},
+	StrategyRadixMSD:              {"PMSD", true, true, fromCore(core.NewRadixMSD)},
+	StrategyBucketsort:            {"PB", true, true, fromCore(core.NewBucketsort)},
+	StrategyRadixLSD:              {"PLSD", true, true, fromCore(core.NewRadixLSD)},
+	StrategyFullScan:              {"FS", false, false, func(c *column.Column, o Options) Index { return baseline.NewFullScanWorkers(c, o.Workers) }},
+	StrategyFullIndex:             {"FI", false, true, func(c *column.Column, o Options) Index { return baseline.NewFullIndex(c, o.Fanout) }},
+	StrategyStandardCracking:      {"STD", false, false, fromCracking(cracking.NewStandard)},
+	StrategyStochasticCracking:    {"STC", false, false, fromCracking(cracking.NewStochastic)},
+	StrategyProgressiveStochastic: {"PSTC", false, false, fromCracking(cracking.NewProgressiveStochastic)},
+	StrategyCoarseGranular:        {"CGI", false, false, fromCracking(cracking.NewCoarseGranular)},
+	StrategyAdaptiveAdaptive:      {"AA", false, false, fromCracking(cracking.NewAdaptiveAdaptive)},
+	StrategyProgressiveHash:       {"PHASH", false, true, func(c *column.Column, o Options) Index { return phash.New(c, o.Delta) }},
+	StrategyImprints:              {"PIMP", false, true, func(c *column.Column, o Options) Index { return imprints.New(c, o.Delta) }},
+}
+
+// fromCore and fromCracking adapt a constructor of internal/core and of
+// internal/cracking to a row of strategies.
+func fromCore[T Index](build func(*column.Column, core.Config) T) func(*column.Column, Options) Index {
+	return func(c *column.Column, o Options) Index { return build(c, coreConfig(o)) }
+}
+
+func fromCracking[T Index](build func(*column.Column, cracking.Config) T) func(*column.Column, Options) Index {
+	return func(c *column.Column, o Options) Index {
+		return build(c, cracking.Config{Seed: o.Seed, Workers: o.Workers})
+	}
+}
+
+// Strategies returns every strategy, in declaration order.
+func Strategies() []Strategy {
+	all := make([]Strategy, len(strategies))
+	for i := range all {
+		all[i] = Strategy(i)
+	}
+	return all
+}
+
+func (s Strategy) known() bool { return s >= 0 && int(s) < len(strategies) }
+
 // String implements fmt.Stringer using the paper's abbreviations.
 func (s Strategy) String() string {
-	switch s {
-	case StrategyQuicksort:
-		return "PQ"
-	case StrategyRadixMSD:
-		return "PMSD"
-	case StrategyBucketsort:
-		return "PB"
-	case StrategyRadixLSD:
-		return "PLSD"
-	case StrategyFullScan:
-		return "FS"
-	case StrategyFullIndex:
-		return "FI"
-	case StrategyStandardCracking:
-		return "STD"
-	case StrategyStochasticCracking:
-		return "STC"
-	case StrategyProgressiveStochastic:
-		return "PSTC"
-	case StrategyCoarseGranular:
-		return "CGI"
-	case StrategyAdaptiveAdaptive:
-		return "AA"
-	case StrategyProgressiveHash:
-		return "PHASH"
-	case StrategyImprints:
-		return "PIMP"
-	default:
+	if !s.known() {
 		return fmt.Sprintf("Strategy(%d)", int(s))
 	}
+	return strategies[s].name
 }
 
 // Progressive reports whether the strategy is one of the four
 // progressive algorithms (the paper's contribution).
-func (s Strategy) Progressive() bool {
-	switch s {
-	case StrategyQuicksort, StrategyRadixMSD, StrategyBucketsort, StrategyRadixLSD:
-		return true
-	}
-	return false
-}
+func (s Strategy) Progressive() bool { return s.known() && strategies[s].progressive }
 
 // Convergent reports whether repeated Execute calls drive the strategy
 // to a terminal Converged state: true for the four progressive
@@ -221,14 +236,7 @@ func (s Strategy) Progressive() bool {
 // idle-time refinement only runs for convergent strategies — spending
 // think-time budget on a non-convergent index would spin without ever
 // finishing.
-func (s Strategy) Convergent() bool {
-	switch s {
-	case StrategyQuicksort, StrategyRadixMSD, StrategyBucketsort, StrategyRadixLSD,
-		StrategyProgressiveHash, StrategyImprints, StrategyFullIndex:
-		return true
-	}
-	return false
-}
+func (s Strategy) Convergent() bool { return s.known() && strategies[s].convergent }
 
 // ParseStrategy resolves a strategy from its paper abbreviation as
 // printed by Strategy.String (PQ, PMSD, PB, PLSD, FS, FI, STD, STC,
@@ -236,36 +244,16 @@ func (s Strategy) Convergent() bool {
 // resolves to the default Progressive Quicksort — convenient for wire
 // formats where the field is optional.
 func ParseStrategy(name string) (Strategy, error) {
-	switch strings.ToUpper(strings.TrimSpace(name)) {
-	case "", "PQ":
+	upper := strings.ToUpper(strings.TrimSpace(name))
+	if upper == "" {
 		return StrategyQuicksort, nil
-	case "PMSD":
-		return StrategyRadixMSD, nil
-	case "PB":
-		return StrategyBucketsort, nil
-	case "PLSD":
-		return StrategyRadixLSD, nil
-	case "FS":
-		return StrategyFullScan, nil
-	case "FI":
-		return StrategyFullIndex, nil
-	case "STD":
-		return StrategyStandardCracking, nil
-	case "STC":
-		return StrategyStochasticCracking, nil
-	case "PSTC":
-		return StrategyProgressiveStochastic, nil
-	case "CGI":
-		return StrategyCoarseGranular, nil
-	case "AA":
-		return StrategyAdaptiveAdaptive, nil
-	case "PHASH":
-		return StrategyProgressiveHash, nil
-	case "PIMP":
-		return StrategyImprints, nil
-	default:
-		return 0, fmt.Errorf("progidx: unknown strategy %q", name)
 	}
+	for s, row := range strategies {
+		if row.name == upper {
+			return Strategy(s), nil
+		}
+	}
+	return 0, fmt.Errorf("progidx: unknown strategy %q", name)
 }
 
 // Options configures New. The zero value builds a Progressive Quicksort
@@ -360,6 +348,14 @@ func NewFromColumn(col *column.Column, opts Options) (Index, error) {
 		// machinery.
 		return NewShardedFromColumn(col, opts)
 	}
+	if !opts.Strategy.known() {
+		return nil, fmt.Errorf("progidx: unknown strategy %v", opts.Strategy)
+	}
+	return strategies[opts.Strategy].build(col, opts), nil
+}
+
+// coreConfig is the progressive algorithms' configuration opts selects.
+func coreConfig(opts Options) core.Config {
 	ccfg := core.Config{
 		Delta:      opts.Delta,
 		RadixBits:  opts.RadixBits,
@@ -367,6 +363,7 @@ func NewFromColumn(col *column.Column, opts Options) (Index, error) {
 		Fanout:     opts.Fanout,
 		L1Elements: opts.L1Elements,
 		Workers:    opts.Workers,
+		Params:     costParams(opts),
 	}
 	switch {
 	case opts.Budget > 0 && opts.Adaptive:
@@ -378,39 +375,7 @@ func NewFromColumn(col *column.Column, opts Options) (Index, error) {
 	default:
 		ccfg.Mode = core.FixedDelta
 	}
-	ccfg.Params = costParams(opts)
-	kcfg := cracking.Config{Seed: opts.Seed, Workers: opts.Workers}
-
-	switch opts.Strategy {
-	case StrategyQuicksort:
-		return core.NewQuicksort(col, ccfg), nil
-	case StrategyRadixMSD:
-		return core.NewRadixMSD(col, ccfg), nil
-	case StrategyBucketsort:
-		return core.NewBucketsort(col, ccfg), nil
-	case StrategyRadixLSD:
-		return core.NewRadixLSD(col, ccfg), nil
-	case StrategyFullScan:
-		return baseline.NewFullScanWorkers(col, opts.Workers), nil
-	case StrategyFullIndex:
-		return baseline.NewFullIndex(col, ccfg.Fanout), nil
-	case StrategyStandardCracking:
-		return cracking.NewStandard(col, kcfg), nil
-	case StrategyStochasticCracking:
-		return cracking.NewStochastic(col, kcfg), nil
-	case StrategyProgressiveStochastic:
-		return cracking.NewProgressiveStochastic(col, kcfg), nil
-	case StrategyCoarseGranular:
-		return cracking.NewCoarseGranular(col, kcfg), nil
-	case StrategyAdaptiveAdaptive:
-		return cracking.NewAdaptiveAdaptive(col, kcfg), nil
-	case StrategyProgressiveHash:
-		return phash.New(col, opts.Delta), nil
-	case StrategyImprints:
-		return imprints.New(col, opts.Delta), nil
-	default:
-		return nil, fmt.Errorf("progidx: unknown strategy %v", opts.Strategy)
-	}
+	return ccfg
 }
 
 // MustNew is New that panics on error, for examples and tests with
