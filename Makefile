@@ -31,7 +31,7 @@ vet:
 # PR 21 (settled shards, a feature) raised it from 20 356 by its net, +176;
 # PR 23 (one served table type) lowered it from 20 532, PR 24 (the
 # second benchmark tool retired) from 20 247.
-LOC_MAX ?= 19418
+LOC_MAX ?= 19417
 loc:
 	@n=$$(find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -not -path './.bench_build/*' -print0 | xargs -0 cat | wc -l); \
 	echo $$n; \

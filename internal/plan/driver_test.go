@@ -48,6 +48,7 @@ func driverWorkload(tb testing.TB, n int) (*Table, []query.Conjunction) {
 func TestPlannerBeatsWorstDriver(t *testing.T) {
 	tbl, conjs := driverWorkload(t, 200_000)
 	var blocks, rows [3]int64
+	var matched int64
 	for _, c := range conjs {
 		var planned query.Answer
 		for i, force := range []string{"", "b", "c"} {
@@ -57,6 +58,7 @@ func TestPlannerBeatsWorstDriver(t *testing.T) {
 			}
 			if i == 0 {
 				planned = ans
+				matched += ch.MatchedRows
 				if ch.Driver != "b" {
 					t.Fatalf("planner drives %s by %q, want b; candidates %+v", c, ch.Driver, ch.Candidates)
 				}
@@ -68,8 +70,13 @@ func TestPlannerBeatsWorstDriver(t *testing.T) {
 		}
 	}
 	worstBlocks, worstRows := max(blocks[1], blocks[2]), max(rows[1], rows[2])
-	t.Logf("blocks scanned: planner %d, b %d, c %d; rows examined: planner %d, b %d, c %d",
-		blocks[0], blocks[1], blocks[2], rows[0], rows[1], rows[2])
+	t.Logf("blocks scanned: planner %d, b %d, c %d; rows examined: planner %d, b %d, c %d; rows matched: %d",
+		blocks[0], blocks[1], blocks[2], rows[0], rows[1], rows[2], matched)
+	// The claim is about a 0.1 %-selectivity workload: the conjunctions
+	// must match in its neighbourhood.
+	if sel := float64(matched) / float64(len(conjs)) / 200_000; sel <= 0 || sel > 0.005 {
+		t.Errorf("mean selectivity %.5f is not near the 0.001 design point", sel)
+	}
 	if 4*blocks[0] > worstBlocks {
 		t.Errorf("planner scanned %d blocks, the worst pinned driver %d: want at least 4x fewer", blocks[0], worstBlocks)
 	}

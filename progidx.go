@@ -239,8 +239,7 @@ func (s Strategy) Progressive() bool { return s.known() && strategies[s].progres
 func (s Strategy) Convergent() bool { return s.known() && strategies[s].convergent }
 
 // ParseStrategy resolves a strategy from its paper abbreviation as
-// printed by Strategy.String (PQ, PMSD, PB, PLSD, FS, FI, STD, STC,
-// PSTC, CGI, AA, PHASH, PIMP), case-insensitively. The empty string
+// printed by Strategy.String, case-insensitively. The empty string
 // resolves to the default Progressive Quicksort — convenient for wire
 // formats where the field is optional.
 func ParseStrategy(name string) (Strategy, error) {
