@@ -367,8 +367,8 @@ func TestAppendPendingPhaseAndPendingRows(t *testing.T) {
 	for i := 0; i < 200 && !h.Converged(); i++ {
 		h.RefineStep()
 	}
-	if ph, ok := h.Phase(); !ok || ph != PhaseDone {
-		t.Fatalf("converged phase = %v/%v, want done", ph, ok)
+	if ph := h.Phase(); ph != PhaseDone {
+		t.Fatalf("converged phase = %v, want done", ph)
 	}
 	if got := h.PendingRows(); got != 0 {
 		t.Fatalf("PendingRows before append = %d", got)
@@ -379,8 +379,8 @@ func TestAppendPendingPhaseAndPendingRows(t *testing.T) {
 	if got := h.PendingRows(); got != 2 {
 		t.Fatalf("PendingRows = %d, want 2", got)
 	}
-	if ph, ok := h.Phase(); !ok || ph != PhaseCreation {
-		t.Fatalf("phase with pending tail = %v/%v, want creation (unindexed rows)", ph, ok)
+	if ph := h.Phase(); ph != PhaseCreation {
+		t.Fatalf("phase with pending tail = %v, want creation (unindexed rows)", ph)
 	}
 	for i := 0; i < 400 && !h.Converged(); i++ {
 		h.RefineStep()
@@ -388,8 +388,8 @@ func TestAppendPendingPhaseAndPendingRows(t *testing.T) {
 	if got := h.PendingRows(); got != 0 {
 		t.Fatalf("PendingRows after drain = %d", got)
 	}
-	if ph, ok := h.Phase(); !ok || ph != PhaseDone {
-		t.Fatalf("phase after drain = %v/%v, want done", ph, ok)
+	if ph := h.Phase(); ph != PhaseDone {
+		t.Fatalf("phase after drain = %v, want done", ph)
 	}
 	if h.Name() != "PQ/S1" {
 		t.Fatalf("Name after the seal = %q, want PQ/S1", h.Name())

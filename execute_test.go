@@ -174,7 +174,7 @@ func TestExecuteStatsInline(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if was := idx.(query.Phaser).Phase(); ans.Stats.Phase > was {
+			if was := idx.(query.Budgeted).Phase(); ans.Stats.Phase > was {
 				t.Fatalf("%v: Answer.Stats.Phase %v is past the index's phase %v", s, ans.Stats.Phase, was)
 			}
 			if q == 0 && ans.Stats.Phase != PhaseCreation {

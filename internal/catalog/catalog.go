@@ -346,8 +346,8 @@ func (t *Table) Info() Info {
 	info.PendingRows = t.idx.PendingRows()
 	info.Converged = t.idx.Converged()
 	info.Progress = t.idx.Progress()
-	if p, ok := t.idx.Phase(); ok {
-		info.Phase = p.String()
+	if t.opts.Strategy.Progressive() {
+		info.Phase = t.idx.Phase().String()
 	}
 	return info
 }

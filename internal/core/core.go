@@ -163,8 +163,6 @@ type budgeter struct {
 	budgetSec float64
 	target    float64 // t_adaptive for AdaptiveTime
 	resolved  bool
-	suspended bool    // scheduler hook: plan no indexing work at all
-	scale     float64 // shard hook: multiply the planned work (1 = neutral)
 }
 
 func newBudgeter(cfg Config, scanTime float64) budgeter {
@@ -173,38 +171,20 @@ func newBudgeter(cfg Config, scanTime float64) budgeter {
 		delta:     cfg.Delta,
 		budgetSec: cfg.BudgetSeconds,
 		target:    scanTime + cfg.BudgetSeconds,
-		scale:     1,
 	}
-}
-
-// setScale adjusts the per-query budget by a multiplicative factor, the
-// sharding layer's heat-weighting hook (costmodel.HeatShares): a hot
-// shard executes with scale > 1, a cold one with scale < 1, and the
-// factors are normalized so the total across one query's surviving
-// shards matches what the unsharded budgeter would have planned.
-// Non-positive factors reset to neutral.
-func (b *budgeter) setScale(f float64) {
-	if f <= 0 {
-		f = 1
-	}
-	b.scale = f
 }
 
 // plan returns the seconds of indexing work for this query. base is the
 // predicted cost of answering the query as-is; unitFull is the cost of
-// a complete (δ=1) indexing pass in the current phase.
-func (b *budgeter) plan(base, unitFull float64) float64 {
-	if b.suspended {
-		// A batching scheduler pays the indexing budget on the first
-		// query of a batch and suspends it for the rest; a suspended
-		// call answers exactly but plans no work (creation still copies
-		// its minimum one element, since the creation step doubles as
-		// part of the answer path).
-		return 0
-	}
+// a complete (δ=1) indexing pass in the current phase; scale multiplies
+// the result — the shard layer's heat-weighting (costmodel.HeatShares): a
+// hot shard executes with scale > 1, a cold one with scale < 1, and the
+// factors are normalized so the total across one query's surviving
+// shards matches what the unsharded budgeter would have planned.
+func (b *budgeter) plan(base, unitFull, scale float64) float64 {
 	switch b.mode {
 	case FixedDelta:
-		return b.scale * b.delta * unitFull
+		return scale * b.delta * unitFull
 	case FixedTime:
 		if !b.resolved {
 			// δ = t_budget / t_pivot, resolved once on the first query
@@ -217,10 +197,10 @@ func (b *budgeter) plan(base, unitFull float64) float64 {
 			}
 			b.resolved = true
 		}
-		return b.scale * b.delta * unitFull
+		return scale * b.delta * unitFull
 	case AdaptiveTime:
 		if rem := b.target - base; rem > 0 {
-			return b.scale * rem
+			return scale * rem
 		}
 		return 0
 	default:

@@ -99,30 +99,18 @@ func (d *progressive) Phase() Phase { return d.phase }
 // (B+-tree complete).
 func (d *progressive) Converged() bool { return d.phase == PhaseDone }
 
-// SetIndexingSuspended implements query.Suspender: while suspended,
-// Execute answers exactly but plans no indexing work (the batching
-// scheduler's amortization hook).
-func (d *progressive) SetIndexingSuspended(s bool) { d.budget.suspended = s }
-
-// SetBudgetScale implements query.BudgetScaler (the shard layer's
-// heat-weighted budget split hook).
-func (d *progressive) SetBudgetScale(f float64) { d.budget.setScale(f) }
-
-// ReleaseBase implements query.BaseReleaser. Once Done the driver reads
+// ReleaseBase implements query.Budgeted. Once Done the driver reads
 // nothing of the base column but its zone (Execute clamps to it; the
 // answers come from the consolidated sorted copy and n is cached), so
 // the rows go and the zone stays. Before Done it does nothing.
-func (d *progressive) ReleaseBase() {
+func (d *progressive) ReleaseBase() bool {
 	if d.phase == PhaseDone {
 		d.col = d.col.Zone()
 	}
+	return d.phase == PhaseDone
 }
 
-// ValueBounds returns the base column's zone statistics, the
-// synchronization layer's zone-map pruning hook.
-func (d *progressive) ValueBounds() (int64, int64) { return d.col.Min(), d.col.Max() }
-
-// Progress implements query.Progressor.
+// Progress implements query.Budgeted.
 func (d *progressive) Progress() float64 {
 	switch d.phase {
 	case PhaseCreation:
@@ -140,7 +128,17 @@ func (d *progressive) Progress() float64 {
 // the requested aggregates while performing one budget's worth of
 // indexing work; the work Stats travel inline in the Answer.
 func (d *progressive) Execute(req query.Request) (query.Answer, error) {
-	return query.Run(req, d.col.Min(), d.col.Max(), d.execute)
+	return d.ExecuteSlice(req, 1, false)
+}
+
+// ExecuteSlice implements query.Budgeted: Execute with the planned
+// indexing work multiplied by scale (the shard layer's heat-weighted
+// split of one query's budget), or with none planned at all (suspend:
+// the batching scheduler pays one budget per batch, not one per request).
+func (d *progressive) ExecuteSlice(req query.Request, scale float64, suspend bool) (query.Answer, error) {
+	return query.Run(req, d.col.Min(), d.col.Max(), func(lo, hi int64, aggs column.Aggregates) (column.Agg, Stats) {
+		return d.execute(lo, hi, aggs, scale, suspend)
+	})
 }
 
 // execute answers the clamped inclusive range [lo, hi] with the
@@ -150,7 +148,7 @@ func (d *progressive) Execute(req query.Request) (query.Answer, error) {
 // Once the index is Done the call is strictly read-only — nothing is
 // planned and no field is written — so converged indexes can serve
 // concurrent readers under a shared lock (a shard's).
-func (d *progressive) execute(lo, hi int64, aggs column.Aggregates) (column.Agg, Stats) {
+func (d *progressive) execute(lo, hi int64, aggs column.Aggregates, scale float64, suspend bool) (column.Agg, Stats) {
 	startPhase := d.phase
 	// base is the cost-model estimate for answering from the current
 	// state (with the α element count it used), unit the cost of a δ = 1
@@ -172,8 +170,11 @@ func (d *progressive) execute(lo, hi int64, aggs column.Aggregates) (column.Agg,
 		}
 	}
 	planned := 0.0
-	if startPhase != PhaseDone {
-		planned = d.budget.plan(base, unit)
+	if startPhase != PhaseDone && !suspend {
+		// A suspended call answers exactly but plans no work (creation
+		// still copies its minimum one element, since the creation step
+		// doubles as part of the answer path).
+		planned = d.budget.plan(base, unit, scale)
 	}
 
 	var res column.Agg

@@ -86,15 +86,15 @@ func (s *stubAlg) sorted() []int64 {
 
 // TestDriverPhaseMachine checks the lifecycle driver once, against a
 // stub algorithm, instead of four times through the real ones: phase
-// order, budget spill across both phase boundaries, the suspend and
-// scale hooks, and the read-only Done path.
+// order, budget spill across both phase boundaries, a slice's scale and
+// suspension, and the read-only Done path.
 func TestDriverPhaseMachine(t *testing.T) {
 	vals := data.Uniform(stubN, 3)
 	req := query.Request{Pred: query.Range(10, 40), Aggs: column.AggAll}
 	want := column.AggRangeBranching(vals, 10, 40)
-	exec := func(t *testing.T, s *stubAlg) Stats {
+	slice := func(t *testing.T, s *stubAlg, scale float64, suspend bool) Stats {
 		t.Helper()
-		ans, err := s.Execute(req)
+		ans, err := s.ExecuteSlice(req, scale, suspend)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -103,6 +103,7 @@ func TestDriverPhaseMachine(t *testing.T) {
 		}
 		return ans.Stats
 	}
+	exec := func(t *testing.T, s *stubAlg) Stats { t.Helper(); return slice(t, s, 1, false) }
 	quarter := Config{Mode: FixedDelta, Delta: 0.25, Fanout: 4}
 
 	t.Run("phases in order", func(t *testing.T) {
@@ -132,12 +133,11 @@ func TestDriverPhaseMachine(t *testing.T) {
 	})
 
 	t.Run("spill and scale", func(t *testing.T) {
-		// δ = 1 doubled by the scale hook plans 128 s: creation uses 64,
+		// δ = 1 doubled by the slice's scale plans 128 s: creation uses 64,
 		// the rest spills through refinement (4 s) into consolidation,
 		// which it finishes — one query, creation to Done.
 		s := newStub(vals, Config{Mode: FixedDelta, Delta: 1, Fanout: 4})
-		s.SetBudgetScale(2)
-		st := exec(t, s)
+		st := slice(t, s, 2, false)
 		if st.Phase != PhaseCreation || s.Phase() != PhaseDone {
 			t.Fatalf("started in %v, ended in %v", st.Phase, s.Phase())
 		}
@@ -151,22 +151,17 @@ func TestDriverPhaseMachine(t *testing.T) {
 
 	t.Run("suspended", func(t *testing.T) {
 		s := newStub(vals, quarter)
-		s.SetIndexingSuspended(true)
-		if st := exec(t, s); s.copied != 1 || st.WorkSeconds != stubMarginal || st.Delta != 1.0/stubN {
+		if st := slice(t, s, 1, true); s.copied != 1 || st.WorkSeconds != stubMarginal || st.Delta != 1.0/stubN {
 			t.Fatalf("suspended creation copied %d elements, stats %+v", s.copied, st)
 		}
-		s.SetIndexingSuspended(false)
 		for s.Phase() == PhaseCreation {
 			exec(t, s)
 		}
-		s.SetIndexingSuspended(true)
 		calls, left := len(s.refineSecs), s.refineLeft
-		if st := exec(t, s); st.Phase != PhaseRefinement || st.WorkSeconds != 0 || len(s.refineSecs) != calls || s.refineLeft != left {
+		if st := slice(t, s, 2, true); st.Phase != PhaseRefinement || st.WorkSeconds != 0 || len(s.refineSecs) != calls || s.refineLeft != left {
 			t.Fatalf("suspended refinement worked: stats %+v", st)
 		}
-		s.SetIndexingSuspended(false)
-		s.SetBudgetScale(2)
-		if exec(t, s); s.refineSecs[len(s.refineSecs)-1] != 4 {
+		if slice(t, s, 2, false); s.refineSecs[len(s.refineSecs)-1] != 4 {
 			t.Fatalf("scale 2 planned %v refinement seconds, want 4", s.refineSecs)
 		}
 	})

@@ -8,22 +8,15 @@ import (
 	"repro/internal/query"
 )
 
-// progressiveIndex is what the four algorithms get from the embedded
-// lifecycle driver: the one contract plus the phase capability.
-type progressiveIndex interface {
-	query.Index
-	query.Phaser
-}
-
 // constructors for all four algorithms, shared by the property tests.
 var constructors = []struct {
 	name string
-	make func(*column.Column, Config) progressiveIndex
+	make func(*column.Column, Config) query.Budgeted
 }{
-	{"PQ", func(c *column.Column, cfg Config) progressiveIndex { return NewQuicksort(c, cfg) }},
-	{"PMSD", func(c *column.Column, cfg Config) progressiveIndex { return NewRadixMSD(c, cfg) }},
-	{"PB", func(c *column.Column, cfg Config) progressiveIndex { return NewBucketsort(c, cfg) }},
-	{"PLSD", func(c *column.Column, cfg Config) progressiveIndex { return NewRadixLSD(c, cfg) }},
+	{"PQ", func(c *column.Column, cfg Config) query.Budgeted { return NewQuicksort(c, cfg) }},
+	{"PMSD", func(c *column.Column, cfg Config) query.Budgeted { return NewRadixMSD(c, cfg) }},
+	{"PB", func(c *column.Column, cfg Config) query.Budgeted { return NewBucketsort(c, cfg) }},
+	{"PLSD", func(c *column.Column, cfg Config) query.Budgeted { return NewRadixLSD(c, cfg) }},
 }
 
 // Property 1 (DESIGN.md): any index, at any point of any query
@@ -228,10 +221,10 @@ func TestConvergedIndexReleasesBase(t *testing.T) {
 	vals := randomValues(rng, n, domain)
 	for _, c := range constructors {
 		idx := c.make(column.MustNew(append([]int64(nil), vals...)), Config{Mode: FixedDelta, Delta: 0.5})
-		rel := idx.(query.BaseReleaser)
-		drv := idx.(interface{ ValueBounds() (int64, int64) })
 		for qn := 0; qn < 500 && !idx.Converged(); qn++ {
-			rel.ReleaseBase() // not yet: creation and refinement read the column
+			if idx.ReleaseBase() { // not yet: creation and refinement read the column
+				t.Fatalf("%s released its base in phase %v", c.name, idx.Phase())
+			}
 			sumCount(idx, 0, domain)
 		}
 		if !idx.Converged() {
@@ -249,10 +242,8 @@ func TestConvergedIndexReleasesBase(t *testing.T) {
 			}
 			want = append(want, ans)
 		}
-		mn, mx := drv.ValueBounds()
-		rel.ReleaseBase()
-		if gmn, gmx := drv.ValueBounds(); gmn != mn || gmx != mx {
-			t.Fatalf("%s: zone [%d, %d] after the release, was [%d, %d]", c.name, gmn, gmx, mn, mx)
+		if !idx.ReleaseBase() {
+			t.Fatalf("%s converged and did not release its base", c.name)
 		}
 		for i, p := range preds {
 			if got, err := idx.Execute(query.Request{Pred: p, Aggs: column.AggAll}); err != nil || got != want[i] {

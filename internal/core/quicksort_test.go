@@ -39,7 +39,7 @@ func randQuery(rng *rand.Rand, domain int64) (int64, int64) {
 // checkConvergesAndAnswers runs queries until convergence (plus slack),
 // verifying every answer against the oracle, and returns the number of
 // queries needed to converge.
-func checkConvergesAndAnswers(t *testing.T, idx progressiveIndex, vals []int64, rng *rand.Rand, domain int64, maxQueries int) int {
+func checkConvergesAndAnswers(t *testing.T, idx query.Budgeted, vals []int64, rng *rand.Rand, domain int64, maxQueries int) int {
 	t.Helper()
 	converged := -1
 	for qn := 0; qn < maxQueries; qn++ {

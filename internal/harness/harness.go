@@ -22,8 +22,8 @@ type Run struct {
 	Times   []float64 // measured seconds per query
 	Results []column.Result
 	// Predicted and Phases hold the cost-model prediction and lifecycle
-	// phase of every query, from the Stats inline in its Answer (nil
-	// when the index has no phases: the baselines predict nothing).
+	// phase of every query, from the Stats inline in its Answer (zero
+	// for an index without a cost model: the baselines predict nothing).
 	Predicted []float64
 	Phases    []core.Phase
 	// ConvergedAt is the 0-based query number after which Converged()
@@ -60,12 +60,9 @@ func ExecuteQueries(idx query.Index, qs []Query, opts Options) (*Run, error) {
 		Name:        idx.Name(),
 		Times:       make([]float64, 0, n),
 		Results:     make([]column.Result, 0, n),
+		Predicted:   make([]float64, 0, n),
+		Phases:      make([]core.Phase, 0, n),
 		ConvergedAt: -1,
-	}
-	_, hasStats := idx.(query.Phaser)
-	if hasStats {
-		run.Predicted = make([]float64, 0, n)
-		run.Phases = make([]core.Phase, 0, n)
 	}
 	sinceConverged := 0
 	for i := 0; i < n; i++ {
@@ -78,10 +75,8 @@ func ExecuteQueries(idx query.Index, qs []Query, opts Options) (*Run, error) {
 		run.Times = append(run.Times, time.Since(start).Seconds())
 		res := ans.Result()
 		run.Results = append(run.Results, res)
-		if hasStats {
-			run.Predicted = append(run.Predicted, ans.Stats.Predicted)
-			run.Phases = append(run.Phases, ans.Stats.Phase)
-		}
+		run.Predicted = append(run.Predicted, ans.Stats.Predicted)
+		run.Phases = append(run.Phases, ans.Stats.Phase)
 		if opts.Verify != nil {
 			want := column.SumRange(opts.Verify.Values(), q.Lo, q.Hi)
 			if res != want {

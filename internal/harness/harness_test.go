@@ -81,8 +81,10 @@ func TestExecuteNoPredictionsForBaselines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if run.Predicted != nil {
-		t.Fatal("FS should not report predictions")
+	for i, p := range run.Predicted {
+		if p != 0 {
+			t.Fatalf("FS predicts %g for query %d, want nothing", p, i)
+		}
 	}
 	if run.ConvergedAt != -1 {
 		t.Fatal("FS never converges")

@@ -28,14 +28,12 @@ const bins = 64
 
 // Index is a progressively built column imprint.
 type Index struct {
-	col       *column.Column
-	n         int
-	delta     float64
-	bounds    [bins - 1]int64 // bin separators (equi-depth via sampling)
-	marks     []uint64        // one imprint per cacheline
-	lines     int             // cachelines imprinted so far
-	suspended bool
-	scale     float64 // budget multiplier (shard heat-weighting hook)
+	col    *column.Column
+	n      int
+	delta  float64
+	bounds [bins - 1]int64 // bin separators (equi-depth via sampling)
+	marks  []uint64        // one imprint per cacheline
+	lines  int             // cachelines imprinted so far
 }
 
 // New builds a progressive imprint index that imprints a delta fraction
@@ -49,7 +47,6 @@ func New(col *column.Column, delta float64) *Index {
 		n:     col.Len(),
 		delta: delta,
 		marks: make([]uint64, (col.Len()+lineSize-1)/lineSize),
-		scale: 1,
 	}
 	ix.sampleBounds()
 	return ix
@@ -107,29 +104,30 @@ func (ix *Index) Progress() float64 {
 	return float64(ix.lines) / float64(len(ix.marks))
 }
 
-// SetIndexingSuspended switches the per-query imprinting step off (true)
-// or back on (false) — the batching scheduler's amortization hook.
-func (ix *Index) SetIndexingSuspended(s bool) { ix.suspended = s }
+// Phase implements query.Budgeted: imprinting is all the index ever does.
+func (ix *Index) Phase() query.Phase { return query.TwoPhase(ix.Converged()) }
 
-// SetBudgetScale multiplies the per-query imprinting quota — the shard
-// layer's heat-weighted budget split hook. Non-positive resets to 1.
-func (ix *Index) SetBudgetScale(f float64) {
-	if f <= 0 {
-		f = 1
-	}
-	ix.scale = f
-}
-
-// ValueBounds returns the base column's zone statistics, the
-// synchronization layer's zone-map pruning hook.
-func (ix *Index) ValueBounds() (int64, int64) { return ix.col.Min(), ix.col.Max() }
+// ReleaseBase implements query.Budgeted: an imprint is a secondary index,
+// every answer reads the column, so it is never released.
+func (ix *Index) ReleaseBase() bool { return false }
 
 // Execute answers the request: imprinted cachelines are skipped unless
 // their imprint intersects the predicate's bin mask, the tail is
 // scanned, and another δ·N elements are imprinted.
 func (ix *Index) Execute(req query.Request) (query.Answer, error) {
+	return ix.ExecuteSlice(req, 1, false)
+}
+
+// ExecuteSlice implements query.Budgeted: the call imprints δ·N elements
+// times scale (the shard layer's heat-weighted budget split), or nothing
+// when suspend is set (the batching scheduler's amortization).
+func (ix *Index) ExecuteSlice(req query.Request, scale float64, suspend bool) (query.Answer, error) {
 	return query.Run(req, ix.col.Min(), ix.col.Max(), func(lo, hi int64, aggs column.Aggregates) (column.Agg, query.Stats) {
-		return ix.execute(lo, hi, aggs), query.Stats{Workers: 1}
+		res := ix.execute(lo, hi, aggs)
+		if !suspend {
+			ix.imprint(int(scale * ix.delta * float64(ix.n)))
+		}
+		return res, query.Stats{Workers: 1}
 	})
 }
 
@@ -155,18 +153,13 @@ func (ix *Index) execute(lo, hi int64, aggs column.Aggregates) column.Agg {
 		tail = ix.n
 	}
 	res.Merge(column.AggRange(vals[tail:], lo, hi, aggs))
-
-	ix.imprint(int(ix.scale * ix.delta * float64(ix.n)))
 	return res
 }
 
 // imprint marks up to units more elements (whole cachelines). A no-op
-// while suspended and once converged (the loop guard), keeping
-// post-convergence Execute strictly read-only.
+// once converged (the loop guard), keeping post-convergence Execute
+// strictly read-only.
 func (ix *Index) imprint(units int) {
-	if ix.suspended {
-		return
-	}
 	addLines := (units + lineSize - 1) / lineSize
 	if addLines < 1 {
 		addLines = 1

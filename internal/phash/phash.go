@@ -18,14 +18,12 @@ import (
 
 // Index is a progressively built hash index over a column.
 type Index struct {
-	col       *column.Column
-	model     *costmodel.Model
-	n         int
-	delta     float64
-	counts    map[int64]int64
-	copied    int
-	suspended bool
-	scale     float64 // budget multiplier (shard heat-weighting hook)
+	col    *column.Column
+	model  *costmodel.Model
+	n      int
+	delta  float64
+	counts map[int64]int64
+	copied int
 }
 
 // New builds a progressive hash index that inserts a delta fraction of
@@ -40,7 +38,6 @@ func New(col *column.Column, delta float64) *Index {
 		n:      col.Len(),
 		delta:  delta,
 		counts: make(map[int64]int64),
-		scale:  1,
 	}
 }
 
@@ -53,44 +50,40 @@ func (ix *Index) Converged() bool { return ix.copied == ix.n }
 // Progress reports the inserted fraction of the column.
 func (ix *Index) Progress() float64 { return float64(ix.copied) / float64(ix.n) }
 
-// SetIndexingSuspended switches the per-query insertion step off (true)
-// or back on (false) — the batching scheduler's amortization hook.
-func (ix *Index) SetIndexingSuspended(s bool) { ix.suspended = s }
+// Phase implements query.Budgeted: inserting is all the index ever does.
+func (ix *Index) Phase() query.Phase { return query.TwoPhase(ix.Converged()) }
 
-// SetBudgetScale multiplies the per-query insertion quota — the shard
-// layer's heat-weighted budget split hook. Non-positive resets to 1.
-func (ix *Index) SetBudgetScale(f float64) {
-	if f <= 0 {
-		f = 1
-	}
-	ix.scale = f
-}
-
-// ValueBounds returns the base column's zone statistics, the
-// synchronization layer's zone-map pruning hook.
-func (ix *Index) ValueBounds() (int64, int64) { return ix.col.Min(), ix.col.Max() }
-
-// quota is the per-query insertion allowance: δ·N elements, re-weighted
-// by the shard layer's budget scale when one is set.
-func (ix *Index) quota() int { return int(ix.scale * ix.delta * float64(ix.n)) }
+// ReleaseBase implements query.Budgeted: range queries scan the column
+// for life, so it is never released.
+func (ix *Index) ReleaseBase() bool { return false }
 
 // Execute answers the request. Point predicates — Point(v) or a
 // degenerate range — use the hash table for the indexed prefix, an O(1)
 // lookup instead of a scan; other predicates scan. Either way another
 // δ·N elements are inserted.
 func (ix *Index) Execute(req query.Request) (query.Answer, error) {
+	return ix.ExecuteSlice(req, 1, false)
+}
+
+// ExecuteSlice implements query.Budgeted: the call inserts δ·N elements
+// times scale (the shard layer's heat-weighted budget split), or nothing
+// when suspend is set (the batching scheduler's amortization).
+func (ix *Index) ExecuteSlice(req query.Request, scale float64, suspend bool) (query.Answer, error) {
 	return query.Run(req, ix.col.Min(), ix.col.Max(), func(lo, hi int64, aggs column.Aggregates) (column.Agg, query.Stats) {
-		return ix.execute(lo, hi, aggs), query.Stats{Workers: 1}
+		res := ix.answer(lo, hi, aggs)
+		if !suspend {
+			ix.insert(int(scale * ix.delta * float64(ix.n)))
+		}
+		return res, query.Stats{Workers: 1}
 	})
 }
 
-func (ix *Index) execute(lo, hi int64, aggs column.Aggregates) column.Agg {
+func (ix *Index) answer(lo, hi int64, aggs column.Aggregates) column.Agg {
 	res := column.NewAgg()
 	if lo > hi {
 		// Empty predicate (e.g. an out-of-domain point probe): nothing
 		// can match, so skip the scan entirely — a hash index should
-		// answer existence misses in O(1) — but still extend the table.
-		ix.insert(ix.quota())
+		// answer existence misses in O(1).
 		return res
 	}
 	if lo == hi {
@@ -99,30 +92,20 @@ func (ix *Index) execute(lo, hi int64, aggs column.Aggregates) column.Agg {
 			res.Min, res.Max = lo, lo
 		}
 		res.Merge(column.AggRange(ix.col.Slice(ix.copied, ix.n), lo, hi, aggs))
-		ix.insert(ix.quota())
 		return res
 	}
-	// Range queries cannot use a hash table; scan the column and use
-	// the pass to extend the index for free on the copied segment.
-	res = column.AggRange(ix.col.Values(), lo, hi, aggs)
-	ix.insert(ix.quota())
-	return res
+	// Range queries cannot use a hash table; scan the column.
+	return column.AggRange(ix.col.Values(), lo, hi, aggs)
 }
 
 // insert adds up to units elements from the column into the table. Once
-// converged (or while suspended) it is a no-op, keeping post-convergence
-// Execute strictly read-only for shared-lock readers.
+// converged it is a no-op, keeping post-convergence Execute strictly
+// read-only for shared-lock readers.
 func (ix *Index) insert(units int) {
-	if ix.copied == ix.n || ix.suspended {
+	if ix.copied == ix.n {
 		return
 	}
-	if units < 1 {
-		units = 1
-	}
-	end := ix.copied + units
-	if end > ix.n {
-		end = ix.n
-	}
+	end := min(ix.copied+max(units, 1), ix.n)
 	for _, v := range ix.col.Slice(ix.copied, end) {
 		ix.counts[v]++
 	}

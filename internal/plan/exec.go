@@ -275,8 +275,8 @@ func (t *Table) fusedScan(preds []query.ColPredicate, bounds [][2]int64, views [
 		ShardsScanned: ch.ScannedBlocks,
 		ShardsPruned:  ch.PrunedBlocks,
 	}
-	if p, ok := t.cols[t.byName[preds[driver].Col]].idx.Phase(); ok {
-		stats.Phase = p
+	if t.strategy.Progressive() {
+		stats.Phase = t.cols[t.byName[preds[driver].Col]].idx.Phase()
 	}
 	return query.NewAnswer(total, aggs, stats)
 }

@@ -12,6 +12,7 @@ import (
 
 	"repro"
 	"repro/internal/column"
+	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/parallel"
 	"repro/internal/query"
@@ -338,9 +339,9 @@ func TestCompressedColumnsMatchOracle(t *testing.T) {
 					}
 				}
 				sealed := tbl.PendingRows() == 0
-				if p, ok := tbl.Phase(); tbl.Converged() != sealed || (tbl.Progress() == 1) != sealed || !ok || (p == query.PhaseDone) != sealed {
-					t.Fatalf("%s: cold table with %d pending rows reports converged=%v progress=%g phase=%v,%v",
-						when, tbl.PendingRows(), tbl.Converged(), tbl.Progress(), p, ok)
+				if p := tbl.Phase(); tbl.Converged() != sealed || (tbl.Progress() == 1) != sealed || (p == query.PhaseDone) != sealed {
+					t.Fatalf("%s: cold table with %d pending rows reports converged=%v progress=%g phase=%v",
+						when, tbl.PendingRows(), tbl.Converged(), tbl.Progress(), p)
 				}
 				if got, want := tbl.MaterializeRows(), flatten(cols, 0, rows); !slices.Equal(got, want) {
 					t.Fatalf("%s: MaterializeRows of a cold table differs from the %d loaded rows", when, rows)
@@ -652,12 +653,12 @@ func TestFailedClaimIsNotRetried(t *testing.T) {
 	names := []string{"a", "b"}
 	cols := genTuples(n, 2, 31)
 	var builds atomic.Int32
-	factory := func(c *column.Column) (query.Index, error) {
+	factory := func(c *column.Column) (query.Budgeted, error) {
 		if c.Len() > 1 {
 			builds.Add(1)
 			return nil, errors.New("boom")
 		}
-		return progidx.NewFromColumn(c, progidx.Options{})
+		return core.NewQuicksort(c, core.Config{}), nil
 	}
 	tbl := &Table{name: "t", byName: map[string]int{}, pool: parallel.New(1), rows: n}
 	for i, name := range names {

@@ -148,8 +148,17 @@ func (t *Table) Name() string {
 // one-column table, the table's.
 func (t *Table) Shards() int { return t.cols[0].idx.Shards() }
 
-// ShardStats: see Shards.
-func (t *Table) ShardStats() []progidx.ShardInfo { return t.cols[0].idx.ShardStats() }
+// ShardStats: see Shards. Of a strategy that is not one of the four
+// progressive algorithms an unconverged shard shows no phase.
+func (t *Table) ShardStats() []progidx.ShardInfo {
+	infos := t.cols[0].idx.ShardStats()
+	for i := range infos {
+		if !t.strategy.Progressive() && !infos[i].Converged {
+			infos[i].Phase = ""
+		}
+	}
+	return infos
+}
 
 // Execute implements Index: the request is the one-predicate conjunction
 // on the first column, and the call both answers and spends one δ of
@@ -211,18 +220,14 @@ func (t *Table) Progress() float64 {
 }
 
 // Phase is the least-advanced column's phase.
-func (t *Table) Phase() (query.Phase, bool) {
-	have := false
+func (t *Table) Phase() query.Phase {
 	min := query.PhaseDone
 	for _, cs := range t.cols {
-		if p, ok := cs.idx.Phase(); ok {
-			have = true
-			if p < min {
-				min = p
-			}
+		if p := cs.idx.Phase(); p < min {
+			min = p
 		}
 	}
-	return min, have
+	return min
 }
 
 // ValueBounds is the zone of the first column, the one plain requests
@@ -456,8 +461,8 @@ func (t *Table) ColumnStates() []ColumnState {
 			}
 		}
 		st.MinValue, st.MaxValue = cs.idx.ValueBounds()
-		if p, ok := cs.idx.Phase(); ok {
-			st.Phase = p.String()
+		if t.strategy.Progressive() {
+			st.Phase = cs.idx.Phase().String()
 		}
 		for _, si := range cs.idx.ShardStats() {
 			if si.ClaimError != "" {

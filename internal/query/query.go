@@ -2,8 +2,9 @@
 // every index in this repository — a Predicate describing which rows
 // qualify, a Request pairing it with the set of aggregates to compute,
 // and an Answer carrying the aggregate values together with the
-// per-query work Stats inline — and the one Index contract, with its
-// optional capabilities, that every index implements.
+// per-query work Stats inline — and the one Index contract every index
+// implements, with the one extension of it, Budgeted, that the layers
+// driving an index hold.
 //
 // The types live below core so that all index packages (core,
 // cracking, baseline, phash, imprints), the shard layer and the root
@@ -198,6 +199,15 @@ func (p Phase) String() string {
 	}
 }
 
+// TwoPhase is the Phase of an index whose lifecycle has no refinement or
+// consolidation: in creation until it has converged.
+func TwoPhase(converged bool) Phase {
+	if converged {
+		return PhaseDone
+	}
+	return PhaseCreation
+}
+
 // Stats reports what a single Execute call did, for the harness and the
 // cost-model validation experiments (Figures 8 and 9). Non-progressive
 // indexes (the scan/index baselines and the cracking family) leave the
@@ -246,38 +256,42 @@ type Index interface {
 	Converged() bool
 }
 
-// The optional capabilities of an Index, asserted by the layers that
-// drive one. None of them is safe for concurrent use with Execute;
-// callers serialize access (the shard layer does, under the shard's
-// lock).
-type (
-	// Suspender is implemented by indexes whose per-query indexing
-	// budget can be switched off: while suspended, Execute answers
+// Budgeted is an Index with its whole lifecycle, as the layers that drive
+// one hold it (the shard layer's factory returns it): the indexing quantum
+// of a call is an argument of that call, not state set before it and
+// unset after. The four progressive algorithms (through their shared
+// lifecycle driver), the progressive hash table and the progressive
+// imprints implement it; the scan, full-index and cracking baselines are
+// wrapped (the root package's factory), because a scan has no budget and
+// a cracking index's reorganization is its answering mechanism and cannot
+// be skipped. None of it is safe for concurrent use with Execute; callers
+// serialize access (the shard layer does, under the shard's lock).
+type Budgeted interface {
+	Index
+	// ExecuteSlice is Execute with the call's share of the indexing
+	// budget: the planned indexing work is multiplied by scale (positive;
+	// the shard router splits one query's budget across surviving shards
+	// in proportion to their heat), and with suspend set the call answers
 	// exactly but plans no indexing work, so a batch pays one indexing
-	// budget instead of one per request. The four progressive algorithms,
-	// the progressive hash table and the progressive imprints implement
-	// it; the cracking baselines do not (their reorganization is the
-	// answering mechanism itself and cannot be skipped).
-	Suspender interface{ SetIndexingSuspended(bool) }
-	// BudgetScaler multiplies the next queries' planned indexing work by
-	// a factor, so the shard router can split one query's budget across
-	// surviving shards in proportion to their heat.
-	BudgetScaler interface{ SetBudgetScale(float64) }
-	// Progressor reports the approximate fraction of total indexing work
+	// budget instead of one per request. Execute(req) is
+	// ExecuteSlice(req, 1, false).
+	ExecuteSlice(req Request, scale float64, suspend bool) (Answer, error)
+	// Progress reports the approximate fraction of total indexing work
 	// completed, in [0, 1]; exactly 1 once Converged.
-	Progressor interface{ Progress() float64 }
-	// Phaser is implemented by the four progressive algorithms, whose
-	// lifecycle has phases.
-	Phaser interface{ Phase() Phase }
-	// BaseReleaser is implemented by indexes that, once converged, answer
-	// from their own sorted copy alone: ReleaseBase drops the index's
+	Progress() float64
+	// Phase reports the lifecycle phase. Only the four progressive
+	// algorithms pass through all of them; any other index is in creation
+	// until it has converged, if it ever does.
+	Phase() Phase
+	// ReleaseBase is called once the index has converged. An index that
+	// answers from its own sorted copy alone from then on drops its
 	// reference to the rows of the column it was built over (its zone
-	// stays), so that whoever holds those rows may keep them in another
-	// form, or not at all. It is called once, after Converged; the four
-	// progressive algorithms implement it, through their shared
-	// lifecycle driver.
-	BaseReleaser interface{ ReleaseBase() }
-)
+	// stays) and reports true, so that whoever holds those rows may keep
+	// them in another form, or not at all: the four progressive
+	// algorithms. Every other index reads the column for life and reports
+	// false, as the four do before they have converged.
+	ReleaseBase() bool
+}
 
 // Answer is the response to a Request: the requested aggregate values
 // plus the per-query work stats, inline — there is no stateful side

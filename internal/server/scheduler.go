@@ -168,7 +168,6 @@ type Scheduler struct {
 	tobs         *obs.Table
 	lastProgress float64
 	lastPhase    progidx.Phase
-	phaseKnown   bool
 
 	tasks chan *task
 	quit  chan struct{} // closed by Stop/Drain
@@ -249,9 +248,7 @@ func newScheduler(t *catalog.Table, queueDepth, maxBatch int, reg *obs.Registry)
 		s.tobs = reg.Table(t.Name())
 	}
 	s.lastProgress = s.idx.Progress()
-	if ph, ok := s.idx.Phase(); ok {
-		s.lastPhase, s.phaseKnown = ph, true
-	}
+	s.lastPhase = s.idx.Phase()
 	go s.loop()
 	return s
 }
@@ -666,13 +663,9 @@ func (s *Scheduler) noteConvergence() {
 		s.tobs.Timeline.Record(obs.EvProgress, -1, p, d)
 		s.lastProgress = p
 	}
-	if ph, ok := s.idx.Phase(); ok && (!s.phaseKnown || ph != s.lastPhase) {
-		prev := float64(s.lastPhase)
-		if !s.phaseKnown {
-			prev = -1
-		}
-		s.tobs.Timeline.Record(obs.EvPhase, -1, float64(ph), prev)
-		s.lastPhase, s.phaseKnown = ph, true
+	if ph := s.idx.Phase(); ph != s.lastPhase && s.table.Options().Strategy.Progressive() {
+		s.tobs.Timeline.Record(obs.EvPhase, -1, float64(ph), float64(s.lastPhase))
+		s.lastPhase = ph
 	}
 }
 

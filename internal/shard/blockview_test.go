@@ -159,7 +159,7 @@ func TestColdShardBytes(t *testing.T) {
 func TestFailedClaimKeepsShardCold(t *testing.T) {
 	boom := errors.New("boom")
 	builds := 0
-	factory := func(c *column.Column) (query.Index, error) {
+	factory := func(c *column.Column) (query.Budgeted, error) {
 		if c.Len() > 1 && c.Min() < 50 { // the first shard's rows
 			builds++
 			return nil, boom
@@ -185,7 +185,7 @@ func TestFailedClaimKeepsShardCold(t *testing.T) {
 	if st[1].ClaimError != "" || st[1].Form != FormRaw {
 		t.Fatalf("the healthy shard was not claimed: %+v", st[1])
 	}
-	if _, err := New(column.MustNew(clustered(10)), Config{Encoding: encode.ModeFORBP}, func(*column.Column) (query.Index, error) {
+	if _, err := New(column.MustNew(clustered(10)), Config{Encoding: encode.ModeFORBP}, func(*column.Column) (query.Budgeted, error) {
 		return nil, boom
 	}); !errors.Is(err, boom) {
 		t.Fatalf("encoded New did not prove its factory: %v", err)

@@ -7,7 +7,6 @@ import (
 	"repro/internal/encode"
 	"repro/internal/obs"
 	"repro/internal/parallel"
-	"repro/internal/query"
 )
 
 // Settle is the mirror image of the claim (DESIGN.md section 9). Once a
@@ -17,8 +16,8 @@ import (
 // them into FOR-BP blocks on the shard's own BlockRows grid, each slice
 // as many blocks as fit the largest indexing slice the index ever
 // reported (costmodel.PackTime). The slice that packs the last block
-// swaps the forms: packed in, raw rows and the index's base column out,
-// index kept. Only then is the shard converged, so no query pays more
+// swaps the forms: packed in, raw rows out, index kept — it released its
+// base column when it converged. Only then is the shard converged, so no query pays more
 // for the settle than one paid for the refinement, and Converged still
 // means that nothing is left to do.
 //
@@ -36,19 +35,15 @@ func (st *state) narrow() bool {
 	return bits.Len64(uint64(st.max-st.min)) <= settleMaxWidth
 }
 
-// settleable reports whether the shard will trade its raw rows for
-// packed blocks once its index has converged; the answer never changes
-// over its life as an indexed shard. An index that cannot release its
-// base column keeps the rows alive whatever the shard does. A tail-born
+// settleable reports whether the shard would free its raw rows by
+// packing them, were its index to let go of them (noteIndexDone asks it);
+// the answer never changes over its life as an indexed shard. A tail-born
 // shard below the seal threshold leaves its rows in the extent a later
 // seal merges them from; a larger one owns its extent, and a claimed
 // shard its decode. The loaded shards of a raw table slice one array,
 // freed only when all of them let go of it: all must be narrow. Caller
 // holds st.mu.
 func (s *Sharded) settleable(st *state) bool {
-	if _, ok := st.idx.(query.BaseReleaser); !ok {
-		return false
-	}
 	switch {
 	case st.tailBorn:
 		return st.end-st.start >= s.sealRows && st.narrow()
@@ -73,15 +68,19 @@ func (s *Sharded) waitsForLoaded(st *state) bool {
 	return s.sharesLoaded(st) && s.loadedOpen.Load() > 0
 }
 
-// noteIndexDone records, once, that the shard's index has converged. A
-// shard that will not settle is converged with it; one that will is one
-// fewer for its loaded siblings to wait for. The caller holds the shard
-// lock in either mode.
+// noteIndexDone records, once, that the shard's index has converged, and
+// where packing the rows would free them asks the index to release its
+// base column: ReleaseBase reports whether the shard will settle. An
+// index that reads the column for life keeps the rows alive whatever the
+// shard does, so such a shard, like one that is not settleable, is
+// converged with its index; one that will settle is one fewer for its
+// loaded siblings to wait for. The caller holds the shard lock for
+// writing, or the shard is not published yet.
 func (s *Sharded) noteIndexDone(st *state) {
 	if st.idx == nil || !st.idx.Converged() || !st.idxDone.CompareAndSwap(false, true) {
 		return
 	}
-	if !s.settleable(st) {
+	if !s.settleable(st) || !st.idx.ReleaseBase() {
 		st.converged.Store(true)
 	} else if s.sharesLoaded(st) {
 		s.loadedOpen.Add(-1)
@@ -127,7 +126,6 @@ func (s *Sharded) settleSlice(st *state) (cost float64, settled bool) {
 		return cost, false
 	}
 	st.packed, st.vals, st.segs = encode.BlocksOf(st.segs), nil, nil
-	st.idx.(query.BaseReleaser).ReleaseBase()
 	return cost, true
 }
 

@@ -16,9 +16,9 @@ import (
 	"repro/internal/query"
 )
 
-// releasingStub is stubIndex with the capability a settle needs: it
-// answers from its own copy of the rows, so it can release the column it
-// was built over, and it reports a fixed WorkSeconds per slice until it
+// releasingStub is the index a settle needs: it answers from its own
+// copy of the rows, so it releases the column it was built over (its
+// ReleaseBase reports true), and it reports a fixed WorkSeconds per slice until it
 // converges, which is the budget the shard's settle slices inherit.
 type releasingStub struct {
 	zone      *column.Column
@@ -43,13 +43,27 @@ func (s *releasingStub) Execute(req query.Request) (query.Answer, error) {
 
 func (s *releasingStub) Converged() bool { return s.queries.Load() >= s.doneAfter }
 
-func (s *releasingStub) ReleaseBase() {
+func (s *releasingStub) ExecuteSlice(req query.Request, _ float64, _ bool) (query.Answer, error) {
+	return s.Execute(req)
+}
+
+func (s *releasingStub) Progress() float64 {
+	if s.Converged() {
+		return 1
+	}
+	return 0
+}
+
+func (s *releasingStub) Phase() query.Phase { return query.TwoPhase(s.Converged()) }
+
+func (s *releasingStub) ReleaseBase() bool {
 	s.zone = s.zone.Zone()
 	s.released.Store(true)
+	return true
 }
 
 func releasingFactory(doneAfter int64, work float64) Factory {
-	return func(col *column.Column) (query.Index, error) {
+	return func(col *column.Column) (query.Budgeted, error) {
 		return &releasingStub{zone: col, rows: slices.Clone(col.Values()), doneAfter: doneAfter, work: work}, nil
 	}
 }
@@ -190,8 +204,8 @@ func TestSettledShardAnswersThroughIndex(t *testing.T) {
 		lo := rng.Int63n(1 << 20)
 		checkExact(t, sh, logical, lo, lo+rng.Int63n(1<<19), "settled")
 	}
-	if ph, ok := sh.Phase(); ok {
-		t.Fatalf("Phase() = %v, true on a strategy without phases: a settled shard is not a cold one", ph)
+	if ph := sh.Phase(); ph != query.PhaseDone {
+		t.Fatalf("Phase() = %v on a settled table, want done", ph)
 	}
 	for i, stub := range releasingStubs(sh) {
 		executes := int64(sh.ShardStats()[i].Executes - execBefore[i].Executes)
@@ -274,7 +288,7 @@ func TestSettleWaitsForLoadedSiblings(t *testing.T) {
 // under cfg's budget.
 func coreFactory(strat string, cfg core.Config) Factory {
 	cfg.Workers = 1
-	return func(col *column.Column) (query.Index, error) {
+	return func(col *column.Column) (query.Budgeted, error) {
 		switch strat {
 		case "PQ":
 			return core.NewQuicksort(col, cfg), nil

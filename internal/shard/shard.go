@@ -114,16 +114,17 @@ import (
 )
 
 // Factory builds one shard's index over its partition of the base
-// column. The root package supplies progidx.NewFromColumn here; tests
-// inject stubs. It is retained for the life of the Sharded index: every
-// seal builds its shard through it.
-type Factory func(col *column.Column) (query.Index, error)
+// column, with the whole lifecycle the layer drives (query.Budgeted). The
+// root package supplies progidx.NewFromColumn here, the strategies that
+// lack the lifecycle wrapped; tests inject stubs. It is retained for the
+// life of the Sharded index: every seal builds its shard through it.
+type Factory func(col *column.Column) (query.Budgeted, error)
 
 // state is one shard: a contiguous row range of the logical table with
 // its zone map, index, lock and heat accounting.
 type state struct {
 	mu  sync.RWMutex
-	idx query.Index
+	idx query.Budgeted
 
 	// A shard holds its rows in one of three forms, told apart by which
 	// of idx, packed and vals are set, and moves between them under the
@@ -416,7 +417,7 @@ func New(col *column.Column, cfg Config, factory Factory) (*Sharded, error) {
 			}
 			pcol, err := column.NewWithStats(part, mn, mx)
 			if err == nil {
-				var idx query.Index
+				var idx query.Budgeted
 				if idx, err = factory(pcol); err == nil {
 					shards[i] = &state{idx: idx, vals: part, start: start, end: end, min: mn, max: mx}
 					continue
@@ -465,6 +466,9 @@ func New(col *column.Column, cfg Config, factory Factory) (*Sharded, error) {
 		sh.loadedNarrow = true
 		for _, st := range shards {
 			sh.loadedNarrow = sh.loadedNarrow && st.narrow()
+		}
+		for _, st := range shards {
+			sh.noteIndexDone(st) // an index that is terminal at birth
 		}
 	}
 	sh.publishLocked(shards)
@@ -942,7 +946,7 @@ func (s *Sharded) claim(i int, st *state) bool {
 	}
 	vals := st.packed.AppendTo(make([]int64, 0, st.end-st.start))
 	pcol, err := column.NewWithStats(vals, st.min, st.max)
-	var idx query.Index
+	var idx query.Budgeted
 	if err == nil {
 		idx, err = s.factory(pcol)
 	}
@@ -1019,7 +1023,7 @@ func (s *Sharded) executeShard(st *state, sub query.Request, lo, hi int64, scale
 
 // sliceLocked is the one write-path step of a shard that has an index,
 // query-borne or idle: req runs on the index under the slice's budget —
-// the heat-weighted scale, or suspended (the batch amortization hook) —
+// the heat-weighted scale, or suspended (a batch pays one budget) —
 // and, where the index had converged before the slice began, the budget
 // goes to the shard's settle instead (settleSlice), its modeled cost
 // reported as the slice's work. settled says this slice finished the
@@ -1027,16 +1031,7 @@ func (s *Sharded) executeShard(st *state, sub query.Request, lo, hi int64, scale
 // the lock. Caller holds st.mu for writing.
 func (s *Sharded) sliceLocked(st *state, req query.Request, scale float64, suspend bool) (ans query.Answer, settled bool, err error) {
 	settling := st.idx.Converged()
-	if sc, ok := st.idx.(query.BudgetScaler); ok {
-		sc.SetBudgetScale(scale)
-	}
-	if suspend {
-		if sp, ok := st.idx.(query.Suspender); ok {
-			sp.SetIndexingSuspended(true)
-			defer sp.SetIndexingSuspended(false)
-		}
-	}
-	ans, err = st.idx.Execute(req)
+	ans, err = st.idx.ExecuteSlice(req, scale, suspend)
 	switch {
 	case err != nil:
 	case !settling:
@@ -1287,26 +1282,8 @@ func (s *Sharded) nextRefineTarget(v *view) *state {
 // and no appended rows are pending.
 func (s *Sharded) Converged() bool {
 	v := s.cur.Load()
-	if v.done.Load() {
-		return true
-	}
-	if len(v.tail) > 0 {
-		return false
-	}
-	for _, st := range v.shards {
-		if st.converged.Load() {
-			continue
-		}
-		st.mu.RLock()
-		s.noteIndexDone(st)
-		done := st.converged.Load()
-		st.mu.RUnlock()
-		if !done {
-			return false
-		}
-	}
-	v.done.Store(true)
-	return true
+	s.noteAllDone(v)
+	return v.done.Load()
 }
 
 // Progress returns the row-weighted mean convergence fraction across
@@ -1327,57 +1304,34 @@ func (s *Sharded) Progress() float64 {
 			continue
 		}
 		st.mu.RLock()
-		switch p := st.idx.(type) {
-		case query.Progressor:
-			f := p.Progress()
-			if f < 0 {
-				f = 0
-			}
-			if f > 1 {
-				f = 1
-			}
-			weighted += rows * f
-		default:
-			if st.idx.Converged() {
-				weighted += rows
-			}
-		}
+		weighted += rows * st.idx.Progress()
 		st.mu.RUnlock()
 	}
 	return weighted / float64(v.rows)
 }
 
-// Phase reports the furthest-behind lifecycle phase across shards when
-// the shard strategy exposes one (ok == false otherwise). A fully
-// converged sharded index reports PhaseDone, and so does a cold shard —
-// cold is a terminal serving state, whatever strategy a claim would
-// build; a pending tail pins the phase to creation (its rows are not
-// indexed at all).
-func (s *Sharded) Phase() (query.Phase, bool) {
+// Phase reports the furthest-behind lifecycle phase across the shards'
+// indexes. A fully converged sharded index reports PhaseDone, and so does
+// a cold shard — cold is a terminal serving state, whatever strategy a
+// claim would build; a pending tail pins the phase to creation (its rows
+// are not indexed at all).
+func (s *Sharded) Phase() query.Phase {
 	v := s.cur.Load()
+	if len(v.tail) > 0 {
+		return query.PhaseCreation
+	}
 	min := query.PhaseDone
 	for _, st := range v.shards {
-		// idx is written by a claim under the write lock, so even the
-		// capability probe reads it under the shared one.
+		if st.converged.Load() {
+			continue
+		}
 		st.mu.RLock()
-		p, ok := st.idx.(query.Phaser)
-		ph := query.PhaseDone
-		if ok && !st.converged.Load() {
-			ph = p.Phase()
-		}
-		ok = ok || st.idx == nil
-		st.mu.RUnlock()
-		if !ok {
-			return 0, false
-		}
-		if ph < min {
+		if ph := st.idx.Phase(); ph < min {
 			min = ph
 		}
+		st.mu.RUnlock()
 	}
-	if len(v.tail) > 0 && query.PhaseCreation < min {
-		min = query.PhaseCreation
-	}
-	return min, true
+	return min
 }
 
 // The forms a shard holds its rows in, as Info.Form spells them.
@@ -1416,8 +1370,8 @@ type Info struct {
 	Refines   uint64  `json:"refine_slices"`
 	Converged bool    `json:"converged"`
 	Progress  float64 `json:"convergence"`
-	// Phase is the shard index's lifecycle phase ("done" for
-	// converged and cold shards, "" when the strategy exposes none).
+	// Phase is the shard index's lifecycle phase ("done" for converged
+	// and cold shards).
 	Phase string `json:"phase,omitempty"`
 	// Form is how the shard holds its rows: FormRaw (an index over raw
 	// rows: a raw-mode or a claimed shard), FormCold (packed blocks, no
@@ -1458,15 +1412,8 @@ func (s *Sharded) ShardStats() []Info {
 			info.Phase = query.PhaseDone.String()
 		} else {
 			st.mu.RLock()
-			info.Converged = st.idx.Converged()
-			if p, ok := st.idx.(query.Progressor); ok {
-				info.Progress = p.Progress()
-			} else if info.Converged {
-				info.Progress = 1
-			}
-			if ph, ok := st.idx.(query.Phaser); ok {
-				info.Phase = ph.Phase().String()
-			}
+			info.Converged, info.Progress = st.idx.Converged(), st.idx.Progress()
+			info.Phase = st.idx.Phase().String()
 			st.mu.RUnlock()
 		}
 		out[i] = info

@@ -29,6 +29,17 @@ type stubIndex struct {
 
 func (s *stubIndex) Name() string { return "STUB" }
 
+// ExecuteSlice records the slice it was handed: the shard layer calls it
+// under the shard's write lock, and Execute, which records nothing, under
+// the shared one.
+func (s *stubIndex) ExecuteSlice(req query.Request, scale float64, suspend bool) (query.Answer, error) {
+	s.scales = append(s.scales, scale)
+	if suspend {
+		s.suspends++
+	}
+	return s.Execute(req)
+}
+
 func (s *stubIndex) Execute(req query.Request) (query.Answer, error) {
 	return query.Run(req, s.col.Min(), s.col.Max(), func(lo, hi int64, aggs column.Aggregates) (column.Agg, query.Stats) {
 		s.queries.Add(1)
@@ -38,16 +49,19 @@ func (s *stubIndex) Execute(req query.Request) (query.Answer, error) {
 
 func (s *stubIndex) Converged() bool { return s.queries.Load() >= s.doneAfter }
 
-func (s *stubIndex) SetBudgetScale(f float64) { s.scales = append(s.scales, f) }
-
-func (s *stubIndex) SetIndexingSuspended(on bool) {
-	if on {
-		s.suspends++
+func (s *stubIndex) Progress() float64 {
+	if s.Converged() {
+		return 1
 	}
+	return 0
 }
 
+func (s *stubIndex) Phase() query.Phase { return query.TwoPhase(s.Converged()) }
+
+func (s *stubIndex) ReleaseBase() bool { return false }
+
 func stubFactory(doneAfter int64) Factory {
-	return func(col *column.Column) (query.Index, error) {
+	return func(col *column.Column) (query.Budgeted, error) {
 		return &stubIndex{col: col, doneAfter: doneAfter}, nil
 	}
 }
@@ -128,7 +142,7 @@ func TestPartitioning(t *testing.T) {
 func TestFactoryErrorPropagates(t *testing.T) {
 	col := column.MustNew(clustered(100))
 	boom := errors.New("boom")
-	_, err := New(col, Config{Shards: 4}, func(c *column.Column) (query.Index, error) {
+	_, err := New(col, Config{Shards: 4}, func(c *column.Column) (query.Budgeted, error) {
 		if c.Min() >= 50 {
 			return nil, boom
 		}

@@ -137,10 +137,9 @@ const (
 // Index is the behaviour shared by every index in this module — the one
 // contract declared in internal/query: Name, an exact Execute that may
 // spend budgeted work refining the index as a side effect, and a
-// terminal Converged state. Indexes advertise what else they can do
-// through query's optional capabilities (Suspender, BudgetScaler,
-// Progressor, Phaser, BaseReleaser); the handles assert them, callers
-// rarely need to.
+// terminal Converged state. The layers that drive an index hold its one
+// extension, query.Budgeted (the call's budget share as arguments,
+// Progress, Phase, ReleaseBase); callers rarely need it.
 type Index = query.Index
 
 // Strategy selects an indexing technique.
@@ -406,8 +405,9 @@ func costParams(opts Options) costmodel.Params {
 }
 
 // Conformance, in one place: every strategy and Sharded implement the
-// one Index contract, and the four progressive algorithms — through
-// core's lifecycle driver — each optional capability.
+// one Index contract; the four progressive algorithms — through core's
+// lifecycle driver — the hash table and the imprints its extension, and
+// the shard factory's adapter supplies it for the rest.
 var (
 	_ = []Index{
 		(*core.Quicksort)(nil), (*core.RadixMSD)(nil), (*core.Bucketsort)(nil), (*core.RadixLSD)(nil),
@@ -417,11 +417,8 @@ var (
 		(*phash.Index)(nil), (*imprints.Index)(nil),
 		(*Sharded)(nil),
 	}
-	_ = []interface {
-		query.Suspender
-		query.BudgetScaler
-		query.Progressor
-		query.Phaser
-		query.BaseReleaser
-	}{(*core.Quicksort)(nil), (*core.RadixMSD)(nil), (*core.Bucketsort)(nil), (*core.RadixLSD)(nil)}
+	_ = []query.Budgeted{
+		(*core.Quicksort)(nil), (*core.RadixMSD)(nil), (*core.Bucketsort)(nil), (*core.RadixLSD)(nil),
+		(*phash.Index)(nil), (*imprints.Index)(nil), unbudgeted{},
+	}
 )

@@ -8,6 +8,7 @@ import (
 	"repro/internal/column"
 	"repro/internal/data"
 	"repro/internal/query"
+	"repro/internal/shard"
 )
 
 var allStrategies = []Strategy{
@@ -50,15 +51,30 @@ func TestNewRejectsEmptyAndUnknown(t *testing.T) {
 	}
 }
 
+// TestProgressiveInterfaceUpgrade: cmd/progidx prints phases for
+// Strategy.Progressive(), and that static table is exactly the set of
+// strategies whose Stats ever report a phase past creation; a strategy
+// is natively a query.Budgeted exactly when the shard factory hands it
+// on unwrapped — every one but the scan, the full index and the cracking
+// baselines.
 func TestProgressiveInterfaceUpgrade(t *testing.T) {
 	vals := data.Uniform(5000, 5)
 	for _, s := range allStrategies {
 		idx := MustNew(vals, Options{Strategy: s, Delta: 0.5})
-		// cmd/progidx prints phases for Strategy.Progressive(): that is
-		// exactly the set of indexes with the phase capability.
-		_, isProg := idx.(query.Phaser)
-		if isProg != s.Progressive() {
-			t.Fatalf("%v: query.Phaser=%v, Strategy.Progressive=%v", s, isProg, s.Progressive())
+		pastCreation := false
+		for q := 0; q < 60; q++ {
+			ans, err := idx.Execute(Request{Pred: Range(0, 5000)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			pastCreation = pastCreation || ans.Stats.Phase > PhaseCreation
+		}
+		if pastCreation != s.Progressive() {
+			t.Fatalf("%v: Stats past creation=%v, Strategy.Progressive=%v", s, pastCreation, s.Progressive())
+		}
+		_, native := idx.(query.Budgeted)
+		if want := s.Convergent() && s != StrategyFullIndex; native != want {
+			t.Fatalf("%v: natively query.Budgeted=%v, want %v", s, native, want)
 		}
 	}
 }
@@ -66,12 +82,88 @@ func TestProgressiveInterfaceUpgrade(t *testing.T) {
 func TestProgressiveConvergesToDone(t *testing.T) {
 	vals := data.Uniform(5000, 6)
 	for _, s := range []Strategy{StrategyQuicksort, StrategyRadixMSD, StrategyBucketsort, StrategyRadixLSD} {
-		idx := MustNew(vals, Options{Strategy: s, Delta: 1})
+		idx := MustNew(vals, Options{Strategy: s, Delta: 1}).(query.Budgeted)
 		for q := 0; q < 300 && !idx.Converged(); q++ {
 			sumCount(idx, 0, 5000)
 		}
-		if phase := idx.(query.Phaser).Phase(); !idx.Converged() || phase != PhaseDone {
-			t.Fatalf("%v: converged=%v phase=%v", s, idx.Converged(), phase)
+		if !idx.Converged() || idx.Phase() != PhaseDone || idx.Progress() != 1 {
+			t.Fatalf("%v: converged=%v phase=%v progress=%v", s, idx.Converged(), idx.Phase(), idx.Progress())
+		}
+	}
+}
+
+// TestStrategiesMeetTheOneContract is the conformance test of
+// query.Budgeted over Strategies(), each built the way the shard layer
+// builds it (shardLayout's factory): the adapter wraps exactly the seven
+// strategies with no budget to scale or suspend; on every other a
+// suspended slice indexes nothing (the four algorithms' creation step
+// still moves its minimum one element, part of its answer path) where an
+// open one does; Progress is monotone in [0, 1] and 1 with Converged and
+// PhaseDone; ReleaseBase reports true only for a converged progressive
+// algorithm. And as a table: a shard whose index keeps its base never
+// settles — it stays raw at 8 bytes a row — while the four settle.
+func TestStrategiesMeetTheOneContract(t *testing.T) {
+	const n = 3 * shard.BlockRows
+	vals := data.Uniform(n, 5)
+	req := Request{Pred: Range(100, 4000), Aggs: AllAggregates}
+	want := oracleAnswer(vals, req.Pred)
+	for _, s := range Strategies() {
+		opts := Options{Strategy: s, Delta: 0.25, Workers: 1, Seed: 3}
+		_, factory := shardLayout(opts, n)
+		idx, err := factory(column.MustNew(append([]int64(nil), vals...)))
+		if err != nil {
+			t.Fatalf("%v: %v", s, err)
+		}
+		slice := func(suspend bool) float64 {
+			t.Helper()
+			before := idx.Progress()
+			ans, err := idx.ExecuteSlice(req, 1, suspend)
+			if err != nil {
+				t.Fatalf("%v: %v", s, err)
+			}
+			checkAnswer(t, s.String(), req.Pred, req.Aggs, ans, want)
+			after := idx.Progress()
+			if after < before || after > 1 || (after == 1) != idx.Converged() || idx.Converged() != (idx.Phase() == PhaseDone) {
+				t.Fatalf("%v: progress %v -> %v, converged=%v, phase %v", s, before, after, idx.Converged(), idx.Phase())
+			}
+			return after - before
+		}
+		_, wrapped := idx.(unbudgeted)
+		if want := !s.Convergent() || s == StrategyFullIndex; wrapped != want {
+			t.Fatalf("%v: wrapped by the adapter=%v, want %v", s, wrapped, want)
+		}
+		if !wrapped {
+			if moved := slice(true); moved > 1.0/n {
+				t.Fatalf("%v: a suspended slice moved progress by %v", s, moved)
+			}
+			if moved := slice(false); moved < 0.05 {
+				t.Fatalf("%v: an open slice at δ=0.25 moved progress by %v", s, moved)
+			}
+		}
+		for q := 0; q < 100 && !idx.Converged(); q++ {
+			if idx.ReleaseBase() {
+				t.Fatalf("%v released its base before it converged", s)
+			}
+			slice(false)
+		}
+		if idx.Converged() != s.Convergent() || idx.ReleaseBase() != s.Progressive() {
+			t.Fatalf("%v: converged=%v, ReleaseBase reports %v", s, idx.Converged(), s.Progressive())
+		}
+
+		h, err := NewHandle(append([]int64(nil), vals...), opts)
+		if err != nil {
+			t.Fatalf("%v: %v", s, err)
+		}
+		for q := 0; q < 200 && !h.Converged(); q++ {
+			h.RefineStep()
+		}
+		si := h.ShardStats()[0]
+		if s.Progressive() {
+			if si.Form != shard.FormSettled || si.Bytes >= 8*n || !h.Converged() {
+				t.Fatalf("%v: %+v, want a settled shard", s, si)
+			}
+		} else if si.Form != shard.FormRaw || si.Bytes != 8*n || si.Converged != s.Convergent() {
+			t.Fatalf("%v keeps its base: %+v, want a raw shard of %d bytes", s, si, 8*n)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"repro/internal/column"
+	"repro/internal/query"
 	"repro/internal/shard"
 )
 
@@ -92,7 +93,33 @@ func shardLayout(opts Options, rows int) (shard.Config, shard.Factory) {
 		cfg.BudgetSizedFor = cfg.Shards
 		child.Budget /= time.Duration(cfg.Shards)
 	}
-	return cfg, func(c *column.Column) (Index, error) {
-		return NewFromColumn(c, child)
+	return cfg, func(c *column.Column) (query.Budgeted, error) {
+		idx, err := NewFromColumn(c, child)
+		if b, ok := idx.(query.Budgeted); ok || err != nil {
+			return b, err
+		}
+		return unbudgeted{idx}, nil
 	}
 }
+
+// unbudgeted gives a strategy with no indexing budget to scale or suspend
+// — the scan, the full index and the cracking baselines, whose
+// reorganization is the answering mechanism itself — the lifecycle the
+// shard layer drives (query.Budgeted): every slice is a plain Execute,
+// progress is all or nothing, and the column is read for life.
+type unbudgeted struct{ Index }
+
+func (u unbudgeted) ExecuteSlice(req Request, _ float64, _ bool) (Answer, error) {
+	return u.Execute(req)
+}
+
+func (u unbudgeted) Progress() float64 {
+	if u.Converged() {
+		return 1
+	}
+	return 0
+}
+
+func (u unbudgeted) Phase() Phase { return query.TwoPhase(u.Converged()) }
+
+func (u unbudgeted) ReleaseBase() bool { return false }

@@ -363,8 +363,8 @@ func TestShardedHandleSurface(t *testing.T) {
 	if sh.Shards() != 4 {
 		t.Fatalf("Shards() = %d, want 4", sh.Shards())
 	}
-	if ph, ok := sh.Phase(); !ok || ph != PhaseCreation {
-		t.Fatalf("fresh sharded Phase() = %v, %v; want creation, true", ph, ok)
+	if ph := sh.Phase(); ph != PhaseCreation {
+		t.Fatalf("fresh sharded Phase() = %v, want creation", ph)
 	}
 	p := Range(-500, 500)
 	if _, err := sh.Execute(Request{Pred: Predicate{Kind: 99}}); err == nil {
