@@ -32,10 +32,6 @@ func NewFullScanWorkers(col *column.Column, workers int) *FullScan {
 	return &FullScan{col: col, pool: parallel.New(workers)}
 }
 
-// ValueBounds returns the base column's zone statistics, the
-// synchronization layer's zone-map pruning hook.
-func (f *FullScan) ValueBounds() (int64, int64) { return f.col.Min(), f.col.Max() }
-
 // Name implements query.Index.
 func (f *FullScan) Name() string { return "FS" }
 
@@ -68,10 +64,6 @@ func NewFullIndex(col *column.Column, fanout int) *FullIndex {
 	}
 	return &FullIndex{col: col, fanout: fanout}
 }
-
-// ValueBounds returns the base column's zone statistics, the
-// synchronization layer's zone-map pruning hook.
-func (f *FullIndex) ValueBounds() (int64, int64) { return f.col.Min(), f.col.Max() }
 
 // Name implements query.Index.
 func (f *FullIndex) Name() string { return "FI" }

@@ -28,9 +28,6 @@ type Tree struct {
 	levels [][]int64
 }
 
-// Fanout returns β.
-func (t *Tree) Fanout() int { return t.fanout }
-
 // Len returns the number of keys at the leaf level.
 func (t *Tree) Len() int { return len(t.levels[0]) }
 

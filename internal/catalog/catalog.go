@@ -287,9 +287,6 @@ func (t *Table) ShardStats() ([]progidx.ShardInfo, bool) {
 // Status returns the lifecycle state.
 func (t *Table) Status() Status { return Status(t.status.Load()) }
 
-// Created returns the load time.
-func (t *Table) Created() time.Time { return t.created }
-
 // Info is a point-in-time JSON-friendly snapshot of a table.
 type Info struct {
 	Name     string `json:"name"`

@@ -85,10 +85,6 @@ func NewDurable(store *durable.Store) *Catalog {
 	return c
 }
 
-// Store returns the catalog's durability store (nil for an ephemeral
-// catalog).
-func (c *Catalog) Store() *durable.Store { return c.store }
-
 // Durable reports whether the table write-ahead-logs its appends.
 func (t *Table) Durable() bool { return t.log != nil }
 

@@ -34,10 +34,6 @@ func NewAdaptiveAdaptive(col *column.Column, cfg Config) *AdaptiveAdaptive {
 	return &AdaptiveAdaptive{cfg: cfg, col: col}
 }
 
-// ValueBounds returns the base column's zone statistics, the
-// synchronization layer's zone-map pruning hook.
-func (a *AdaptiveAdaptive) ValueBounds() (int64, int64) { return a.col.Min(), a.col.Max() }
-
 // Name implements query.Index.
 func (a *AdaptiveAdaptive) Name() string { return "AA" }
 

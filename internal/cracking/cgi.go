@@ -22,10 +22,6 @@ func NewCoarseGranular(col *column.Column, cfg Config) *CoarseGranular {
 	return &CoarseGranular{cfg: cfg, col: col}
 }
 
-// ValueBounds returns the base column's zone statistics, the
-// synchronization layer's zone-map pruning hook.
-func (c *CoarseGranular) ValueBounds() (int64, int64) { return c.col.Min(), c.col.Max() }
-
 // Name implements query.Index.
 func (c *CoarseGranular) Name() string { return "CGI" }
 

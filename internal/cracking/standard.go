@@ -21,10 +21,6 @@ func NewStandard(col *column.Column, cfg Config) *Standard {
 	return &Standard{cfg: cfg, col: col}
 }
 
-// ValueBounds returns the base column's zone statistics, the
-// synchronization layer's zone-map pruning hook.
-func (s *Standard) ValueBounds() (int64, int64) { return s.col.Min(), s.col.Max() }
-
 // Name implements query.Index.
 func (s *Standard) Name() string { return "STD" }
 

@@ -26,10 +26,6 @@ func NewStochastic(col *column.Column, cfg Config) *Stochastic {
 	return &Stochastic{cfg: cfg, col: col, rng: rand.New(rand.NewSource(cfg.Seed))}
 }
 
-// ValueBounds returns the base column's zone statistics, the
-// synchronization layer's zone-map pruning hook.
-func (s *Stochastic) ValueBounds() (int64, int64) { return s.col.Min(), s.col.Max() }
-
 // Name implements query.Index.
 func (s *Stochastic) Name() string { return "STC" }
 
@@ -102,10 +98,6 @@ func NewProgressiveStochastic(col *column.Column, cfg Config) *ProgressiveStocha
 		jobs: make(map[int]*crackJob),
 	}
 }
-
-// ValueBounds returns the base column's zone statistics, the
-// synchronization layer's zone-map pruning hook.
-func (p *ProgressiveStochastic) ValueBounds() (int64, int64) { return p.col.Min(), p.col.Max() }
 
 // Name implements query.Index.
 func (p *ProgressiveStochastic) Name() string { return "PSTC" }

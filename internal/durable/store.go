@@ -170,12 +170,6 @@ func OpenFS(dir string, policy SyncPolicy, fs fault.FS) (*Store, error) {
 	return &Store{dir: dir, policy: policy, fs: fs, tables: make(map[string]*TableLog)}, nil
 }
 
-// Dir returns the durability root path.
-func (s *Store) Dir() string { return s.dir }
-
-// Policy returns the store's fsync policy.
-func (s *Store) Policy() SyncPolicy { return s.policy }
-
 // StoreStats is a point-in-time read of the store's counters.
 type StoreStats struct {
 	Frames    uint64

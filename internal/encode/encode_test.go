@@ -1,6 +1,7 @@
 package encode
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 
@@ -221,6 +222,36 @@ func TestUnmarshalRejectsCorruption(t *testing.T) {
 			s.Decode()
 		}
 	}
+}
+
+// FuzzUnmarshal feeds Unmarshal arbitrary bytes — it reads segments back
+// from snapshot files — and holds it to its contract: reject the blob, or
+// return a segment that marshals back to exactly those bytes and that
+// every kernel can scan without panicking. Run with
+// `go test -fuzz FuzzUnmarshal ./internal/encode`; the corpus under
+// testdata/fuzz/FuzzUnmarshal (Marshal of one raw, one FOR-BP and one
+// dictionary segment) runs on every plain `go test`.
+func FuzzUnmarshal(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := Unmarshal(data)
+		if err != nil {
+			return
+		}
+		if !bytes.Equal(s.Marshal(), data) {
+			t.Fatalf("accepted blob does not marshal back: %x", data)
+		}
+		if s.Len() > 1<<16 {
+			return // a constant run needs no payload: do not decode 2^40 rows
+		}
+		if got := len(s.Decode()); got != s.Len() {
+			t.Fatalf("decoded %d rows of %d", got, s.Len())
+		}
+		s.AggRange(s.Min(), s.Max(), column.AggAll.Normalize())
+		mask := make([]uint64, column.MaskWords(s.Len()))
+		column.FillMask(mask, s.Len())
+		s.Refine(s.Min(), s.Max(), mask)
+		s.AggMasked(mask, column.AggAll.Normalize())
+	})
 }
 
 // TestAutoSelection pins the selector: dense permutations pack with

@@ -82,8 +82,8 @@ func Unmarshal(data []byte) (*Segment, error) {
 	min := int64(binary.LittleEndian.Uint64(data[16:]))
 	max := int64(binary.LittleEndian.Uint64(data[24:]))
 	ref := int64(binary.LittleEndian.Uint64(data[32:]))
-	const maxRows = int64(1) << 40
-	if n64 == 0 || int64(n64) > maxRows {
+	const maxRows = uint64(1) << 40 // compared unsigned: a count past 2^63 is not a negative one
+	if n64 == 0 || n64 > maxRows {
 		return nil, fmt.Errorf("encode: implausible row count %d", n64)
 	}
 	n := int(n64)

@@ -114,15 +114,6 @@ func (r *Run) Cumulative() float64 {
 	return total
 }
 
-// CumulativeThrough returns the running total after query q.
-func (r *Run) CumulativeThrough(q int) float64 {
-	total := 0.0
-	for i := 0; i <= q && i < len(r.Times); i++ {
-		total += r.Times[i]
-	}
-	return total
-}
-
 // Robustness is the paper's robustness metric: the variance of the
 // first 100 query times (population variance, seconds²).
 func (r *Run) Robustness() float64 {

@@ -67,15 +67,11 @@ func (s *Server) Recover() (warnings []error, err error) {
 			warnings = append(warnings, lerr)
 			continue
 		}
-		sched := newScheduler(t, s.cfg.QueueDepth, s.cfg.MaxBatch, s.obs)
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			sched.Stop()
-			return warnings, fmt.Errorf("server: closed during recovery")
+		if err := s.register(t); err == errClosed {
+			return warnings, fmt.Errorf("server: recover: %w", err)
+		} else if err != nil {
+			warnings = append(warnings, err) // dropped by a client meanwhile
 		}
-		s.scheds[rec.Name] = sched
-		s.mu.Unlock()
 	}
 	s.boot.Store(bootReady)
 	s.startSnapshotLoop()

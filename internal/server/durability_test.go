@@ -8,6 +8,8 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -368,6 +370,72 @@ func TestHealthzBootStates(t *testing.T) {
 	}
 	if got := srv.BootState(); got != "ready" {
 		t.Fatalf("BootState = %q, want ready", got)
+	}
+}
+
+// schedulerLoops counts the goroutines running a scheduler's loop.
+func schedulerLoops() int {
+	buf := make([]byte, 1<<20)
+	return strings.Count(string(buf[:runtime.Stack(buf, true)]), "(*Scheduler).loop(")
+}
+
+// TestDropDuringRecoveryLeavesNoScheduler: the listener serves DELETE
+// while Recover runs, so a drop can land after LoadRecovered has
+// published a table and before its scheduler is registered, and finds
+// nothing to stop. The test walks Recover's steps by hand to put the drop
+// exactly there. The registration Load and Recover share must notice:
+// the dropped table gets no scheduler and no loop goroutine, its
+// neighbour is served, and a checkpoint round does not reach into the
+// dropped table's removed WAL.
+func TestDropDuringRecoveryLeavesNoScheduler(t *testing.T) {
+	dir := t.TempDir()
+	srv := newDurableServer(t, dir)
+	if _, err := srv.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"doomed", "kept"} {
+		if _, err := srv.Load(name, data.Uniform(2000, 5), catalog.Options{}); err != nil {
+			t.Fatal(err)
+		}
+		sched, _ := srv.Scheduler(name)
+		if _, _, err := sched.Append(context.Background(), []int64{7, 8, 9}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv.Close() // crash: the appends are WAL tail, not snapshot
+
+	srv2 := newDurableServer(t, dir)
+	t.Cleanup(srv2.Close)
+	loops := schedulerLoops()
+	recs, warns, err := srv2.cfg.Store.Recover()
+	if err != nil || len(warns) != 0 || len(recs) != 2 {
+		t.Fatalf("store recovery: %d tables, warnings %v, err %v", len(recs), warns, err)
+	}
+	for _, rec := range recs {
+		tbl, err := srv2.catalog.LoadRecovered(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec.Name == "doomed" {
+			if err := srv2.Drop("doomed"); err != nil { // DELETE /tables/doomed
+				t.Fatal(err)
+			}
+		}
+		if err := srv2.register(tbl); (err != nil) != (rec.Name == "doomed") {
+			t.Fatalf("register %q: %v", rec.Name, err)
+		}
+	}
+	if _, ok := srv2.Scheduler("doomed"); ok {
+		t.Fatal("a dropped table has a scheduler")
+	}
+	if _, ok := srv2.Scheduler("kept"); !ok {
+		t.Fatal("the table that was not dropped has no scheduler")
+	}
+	if got := schedulerLoops(); got != loops+1 {
+		t.Fatalf("%d scheduler loops started, want the kept table's one", got-loops)
+	}
+	if errs := srv2.CheckpointAll(context.Background()); len(errs) != 0 {
+		t.Fatalf("checkpoint round after the drop: %v", errs)
 	}
 }
 

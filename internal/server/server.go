@@ -132,8 +132,8 @@ func New(cfg Config) *Server {
 // Catalog exposes the underlying catalog (tests, preloading).
 func (s *Server) Catalog() *catalog.Catalog { return s.catalog }
 
-// Observability exposes the server's registry (tests, debug tooling).
-func (s *Server) Observability() *obs.Registry { return s.obs }
+// errClosed is what Load and Recover return once the server has closed.
+var errClosed = errors.New("server: closed")
 
 // Load registers a table and starts its scheduler. It is the
 // programmatic twin of POST /tables, used by the daemon's preload flag
@@ -142,46 +142,58 @@ func (s *Server) Observability() *obs.Registry { return s.obs }
 // catalog.Load performs an O(N) column scan, so it runs outside the
 // server mutex — holding s.mu across it would stall every query on
 // every table (handleQuery resolves schedulers under the same mutex).
-// The cost is a window between the catalog publish and the scheduler
-// registration in which a concurrent Drop finds no scheduler to stop;
-// the post-registration status re-check below detects that and
-// finishes the drop's job, so the scheduler goroutine can never leak.
 func (s *Server) Load(name string, values []int64, opts catalog.Options) (*catalog.Table, error) {
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil, fmt.Errorf("server: closed")
-	}
+	closed := s.closed
 	s.mu.Unlock()
-
+	if closed {
+		return nil, errClosed
+	}
 	t, err := s.catalog.Load(name, values, opts)
 	if err != nil {
 		return nil, err
 	}
+	if err := s.register(t); err != nil {
+		if err == errClosed {
+			s.catalog.Drop(name)
+		}
+		return nil, err
+	}
+	return t, nil
+}
+
+// register starts t's scheduler and publishes it under the table's name:
+// the one way a table Load or Recover has built gets served. Both build
+// it outside the server mutex, while the listener already serves
+// DELETE /tables/{name}, so there is a window between the catalog
+// publish and the map insert in which a Drop finds no scheduler to stop;
+// the status re-check after the insert detects that and finishes the
+// drop's job, so a dropped table never keeps a loop goroutine, nor a
+// scheduler CheckpointAll would drive into its removed WAL.
+func (s *Server) register(t *catalog.Table) error {
+	name := t.Name()
 	sched := newScheduler(t, s.cfg.QueueDepth, s.cfg.MaxBatch, s.obs)
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		sched.Stop()
-		s.catalog.Drop(name)
-		return nil, fmt.Errorf("server: closed")
+	closed := s.closed
+	if !closed {
+		s.scheds[name] = sched
 	}
-	s.scheds[name] = sched
 	s.mu.Unlock()
-
+	if closed {
+		sched.Stop()
+		return errClosed
+	}
 	if t.Status() == catalog.StatusDropped {
-		// A Drop raced ahead of the scheduler registration; it had no
-		// scheduler to stop, so complete its teardown here. The map
-		// guard keeps a same-name re-load's scheduler untouched.
+		// The map guard keeps a same-name re-load's scheduler untouched.
 		s.mu.Lock()
 		if s.scheds[name] == sched {
 			delete(s.scheds, name)
 		}
 		s.mu.Unlock()
 		sched.Stop()
-		return nil, fmt.Errorf("server: table %q dropped during load", name)
+		return fmt.Errorf("server: table %q dropped before its scheduler started", name)
 	}
-	return t, nil
+	return nil
 }
 
 // Drop removes a table and stops its scheduler, failing queued queries
