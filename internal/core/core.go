@@ -177,10 +177,8 @@ func newBudgeter(cfg Config, scanTime float64) budgeter {
 // plan returns the seconds of indexing work for this query. base is the
 // predicted cost of answering the query as-is; unitFull is the cost of
 // a complete (δ=1) indexing pass in the current phase; scale multiplies
-// the result — the shard layer's heat-weighting (costmodel.HeatShares): a
-// hot shard executes with scale > 1, a cold one with scale < 1, and the
-// factors are normalized so the total across one query's surviving
-// shards matches what the unsharded budgeter would have planned.
+// the result — a shard's heat-weighted share of one query's budget
+// (costmodel.HeatShares), 1 on an unsharded index.
 func (b *budgeter) plan(base, unitFull, scale float64) float64 {
 	switch b.mode {
 	case FixedDelta:

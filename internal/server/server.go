@@ -144,11 +144,12 @@ var errClosed = errors.New("server: closed")
 // every table (handleQuery resolves schedulers under the same mutex).
 func (s *Server) Load(name string, values []int64, opts catalog.Options) (*catalog.Table, error) {
 	s.mu.Lock()
-	closed := s.closed
-	s.mu.Unlock()
-	if closed {
+	if s.closed {
+		s.mu.Unlock()
 		return nil, errClosed
 	}
+	s.mu.Unlock()
+
 	t, err := s.catalog.Load(name, values, opts)
 	if err != nil {
 		return nil, err
@@ -174,15 +175,13 @@ func (s *Server) register(t *catalog.Table) error {
 	name := t.Name()
 	sched := newScheduler(t, s.cfg.QueueDepth, s.cfg.MaxBatch, s.obs)
 	s.mu.Lock()
-	closed := s.closed
-	if !closed {
-		s.scheds[name] = sched
-	}
-	s.mu.Unlock()
-	if closed {
+	if s.closed {
+		s.mu.Unlock()
 		sched.Stop()
 		return errClosed
 	}
+	s.scheds[name] = sched
+	s.mu.Unlock()
 	if t.Status() == catalog.StatusDropped {
 		// The map guard keeps a same-name re-load's scheduler untouched.
 		s.mu.Lock()

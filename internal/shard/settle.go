@@ -17,9 +17,9 @@ import (
 // as many blocks as fit the largest indexing slice the index ever
 // reported (costmodel.PackTime). The slice that packs the last block
 // swaps the forms: packed in, raw rows out, index kept — it released its
-// base column when it converged. Only then is the shard converged, so no query pays more
-// for the settle than one paid for the refinement, and Converged still
-// means that nothing is left to do.
+// base column when it converged. Only then is the shard converged, so no
+// query pays more for the settle than one paid for the refinement, and
+// Converged still means that nothing is left to do.
 //
 // Rows that could not be freed are never packed: see settleable and
 // waitsForLoaded.
@@ -106,7 +106,6 @@ func (s *Sharded) packPool() *parallel.Pool {
 // that does not settle, that waits for its loaded siblings, or whose
 // swap another slice is publishing. Caller holds st.mu for writing.
 func (s *Sharded) settleSlice(st *state) (cost float64, settled bool) {
-	s.noteIndexDone(st)
 	if st.converged.Load() || st.vals == nil || s.waitsForLoaded(st) {
 		return 0, false
 	}

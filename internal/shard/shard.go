@@ -1095,7 +1095,7 @@ func (s *Sharded) mergeAnswer(v *view, surv []int, parts []partial, aggs column.
 		tr.End(ts)
 		stats.Phase = query.PhaseCreation
 	}
-	s.noteAllDone(v)
+	v.allDone()
 	return query.NewAnswer(agg, aggs, stats), nil
 }
 
@@ -1110,19 +1110,19 @@ func (s *Sharded) prunedStats(v *view) query.Stats {
 	return st
 }
 
-// noteAllDone refreshes the view's sticky all-converged switch. The
-// flag belongs to the (immutable) view, so a concurrent Append cannot
+// allDone refreshes and reports the view's sticky all-converged switch.
+// The flag belongs to the (immutable) view, so a concurrent Append cannot
 // be lost: it publishes a fresh view whose flag starts false.
-func (s *Sharded) noteAllDone(v *view) {
-	if v.done.Load() || len(v.tail) > 0 {
-		return
-	}
-	for _, st := range v.shards {
-		if !st.converged.Load() {
-			return
+func (v *view) allDone() bool {
+	if !v.done.Load() && len(v.tail) == 0 {
+		for _, st := range v.shards {
+			if !st.converged.Load() {
+				return false
+			}
 		}
+		v.done.Store(true)
 	}
-	v.done.Store(true)
+	return v.done.Load()
 }
 
 // executeShardTraced wraps executeShard in a per-shard span: the span
@@ -1280,11 +1280,7 @@ func (s *Sharded) nextRefineTarget(v *view) *state {
 // Converged reports whether every shard reached its terminal state —
 // its index converged and, where the shard settles, its rows packed —
 // and no appended rows are pending.
-func (s *Sharded) Converged() bool {
-	v := s.cur.Load()
-	s.noteAllDone(v)
-	return v.done.Load()
-}
+func (s *Sharded) Converged() bool { return s.cur.Load().allDone() }
 
 // Progress returns the row-weighted mean convergence fraction across
 // shards' indexes, exactly 1 once all shards converged and nothing is
