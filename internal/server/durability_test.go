@@ -373,10 +373,13 @@ func TestHealthzBootStates(t *testing.T) {
 	}
 }
 
-// schedulerLoops counts the goroutines running a scheduler's loop.
-func schedulerLoops() int {
+// ownSchedulerLoops counts the scheduler loops still running that the
+// calling goroutine started, read off a dump of every goroutine's stack
+// ("created by ...newScheduler in goroutine N").
+func ownSchedulerLoops() int {
 	buf := make([]byte, 1<<20)
-	return strings.Count(string(buf[:runtime.Stack(buf, true)]), "(*Scheduler).loop(")
+	me, _, _ := strings.Cut(string(buf[:runtime.Stack(buf, false)]), " [")
+	return strings.Count(string(buf[:runtime.Stack(buf, true)]), "server.newScheduler in "+me+"\n")
 }
 
 // TestDropDuringRecoveryLeavesNoScheduler: the listener serves DELETE
@@ -406,7 +409,6 @@ func TestDropDuringRecoveryLeavesNoScheduler(t *testing.T) {
 
 	srv2 := newDurableServer(t, dir)
 	t.Cleanup(srv2.Close)
-	loops := schedulerLoops()
 	recs, warns, err := srv2.cfg.Store.Recover()
 	if err != nil || len(warns) != 0 || len(recs) != 2 {
 		t.Fatalf("store recovery: %d tables, warnings %v, err %v", len(recs), warns, err)
@@ -431,8 +433,11 @@ func TestDropDuringRecoveryLeavesNoScheduler(t *testing.T) {
 	if _, ok := srv2.Scheduler("kept"); !ok {
 		t.Fatal("the table that was not dropped has no scheduler")
 	}
-	if got := schedulerLoops(); got != loops+1 {
-		t.Fatalf("%d scheduler loops started, want the kept table's one", got-loops)
+	// A stopped loop is gone a moment after Stop returns; a leaked one stays.
+	for deadline := time.Now().Add(5 * time.Second); ownSchedulerLoops() != 1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d scheduler loops running, want the kept table's one", ownSchedulerLoops())
+		}
 	}
 	if errs := srv2.CheckpointAll(context.Background()); len(errs) != 0 {
 		t.Fatalf("checkpoint round after the drop: %v", errs)

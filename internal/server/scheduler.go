@@ -663,8 +663,10 @@ func (s *Scheduler) noteConvergence() {
 		s.tobs.Timeline.Record(obs.EvProgress, -1, p, d)
 		s.lastProgress = p
 	}
-	if ph := s.idx.Phase(); ph != s.lastPhase && s.table.Options().Strategy.Progressive() {
-		s.tobs.Timeline.Record(obs.EvPhase, -1, float64(ph), float64(s.lastPhase))
+	if ph := s.idx.Phase(); ph != s.lastPhase {
+		if s.table.Options().Strategy.Progressive() {
+			s.tobs.Timeline.Record(obs.EvPhase, -1, float64(ph), float64(s.lastPhase))
+		}
 		s.lastPhase = ph
 	}
 }

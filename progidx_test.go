@@ -146,8 +146,8 @@ func TestStrategiesMeetTheOneContract(t *testing.T) {
 			}
 			slice(false)
 		}
-		if idx.Converged() != s.Convergent() || idx.ReleaseBase() != s.Progressive() {
-			t.Fatalf("%v: converged=%v, ReleaseBase reports %v", s, idx.Converged(), s.Progressive())
+		if released := idx.ReleaseBase(); idx.Converged() != s.Convergent() || released != s.Progressive() {
+			t.Fatalf("%v: converged=%v, ReleaseBase reports %v", s, idx.Converged(), released)
 		}
 
 		h, err := NewHandle(append([]int64(nil), vals...), opts)

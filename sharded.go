@@ -96,7 +96,7 @@ func shardLayout(opts Options, rows int) (shard.Config, shard.Factory) {
 	return cfg, func(c *column.Column) (query.Budgeted, error) {
 		idx, err := NewFromColumn(c, child)
 		if b, ok := idx.(query.Budgeted); ok || err != nil {
-			return b, err
+			return b, err // the strategy as it is, or no index at all
 		}
 		return unbudgeted{idx}, nil
 	}
