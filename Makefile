@@ -30,8 +30,9 @@ vet:
 # grows the code past LOC_MAX has to raise it here, in its own diff.
 # PR 21 (settled shards, a feature) raised it from 20 356 by its net, +176;
 # PR 23 (one served table type) lowered it from 20 532, PR 24 (the
-# second benchmark tool retired) from 20 247.
-LOC_MAX ?= 19417
+# second benchmark tool retired) from 20 247, PR 25 (one index contract
+# under the shard layer) from 19 417.
+LOC_MAX ?= 19299
 loc:
 	@n=$$(find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -not -path './.bench_build/*' -print0 | xargs -0 cat | wc -l); \
 	echo $$n; \
