@@ -128,25 +128,27 @@ func (c *Cursor) Remaining(l *List) int {
 	return l.count - done
 }
 
-// Next returns the next element and advances, or ok=false when the
-// bucket is exhausted. The cursor never advances past a partially
-// filled tail block: appends may still land there, and skipping it
-// would lose them (and break FIFO order).
-func (c *Cursor) Next(l *List) (v int64, ok bool) {
-	for c.block < len(l.blocks) {
+// NextRun returns the unread rest of the current block, at most max
+// elements of it, and advances past them; nil when the bucket is
+// exhausted. The run aliases the block and stays valid while the list
+// does. The cursor never advances past a partially filled tail block:
+// appends may still land there, and skipping it would lose them (and
+// break FIFO order).
+func (c *Cursor) NextRun(l *List, max int) []int64 {
+	for c.block < len(l.blocks) && max > 0 {
 		b := l.blocks[c.block]
 		if c.off < len(b) {
-			v = b[c.off]
-			c.off++
-			return v, true
+			run := b[c.off:min(len(b), c.off+max)]
+			c.off += len(run)
+			return run
 		}
 		if len(b) < l.blockSize {
-			return 0, false // tail block may still grow
+			return nil // tail block may still grow
 		}
 		c.block++
 		c.off = 0
 	}
-	return 0, false
+	return nil
 }
 
 // AggRemaining computes the requested aggregates over the

@@ -72,6 +72,73 @@ func TestAppendTo(t *testing.T) {
 	}
 }
 
+// next is the element-at-a-time cursor the tests below were written
+// against: a run of at most one.
+func next(c *Cursor, l *List) (int64, bool) {
+	run := c.NextRun(l, 1)
+	if run == nil {
+		return 0, false
+	}
+	return run[0], true
+}
+
+// refNext is the reference NextRun is held to: the one-element cursor
+// as it stood before runs, kept here and nowhere else.
+func refNext(c *Cursor, l *List) (int64, bool) {
+	for c.block < len(l.blocks) {
+		b := l.blocks[c.block]
+		if c.off < len(b) {
+			c.off++
+			return b[c.off-1], true
+		}
+		if len(b) < l.blockSize {
+			return 0, false // tail block may still grow
+		}
+		c.block++
+		c.off = 0
+	}
+	return 0, false
+}
+
+// Runs concatenated are the one-element sequence, whatever the maxima
+// and however appends to a partial tail block fall between them; a run
+// is never longer than max and never reaches past what was appended.
+func TestNextRunMatchesNext(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	for _, bs := range []int{1, 3, 8, 64} {
+		l := NewList(bs)
+		var c, ref Cursor
+		appended, read := 0, 0
+		for step := 0; step < 4000; step++ {
+			if rng.Intn(3) > 0 {
+				for k := rng.Intn(bs + 2); k > 0; k-- {
+					l.Append(int64(appended))
+					appended++
+				}
+				continue
+			}
+			max := rng.Intn(2*bs+2) - 1 // -1 and 0: nothing may be read
+			run := c.NextRun(l, max)
+			if len(run) > max && max >= 0 || max <= 0 && run != nil {
+				t.Fatalf("bs %d: NextRun(max %d) returned %d elements", bs, max, len(run))
+			}
+			if max > 0 && run == nil && read != appended {
+				t.Fatalf("bs %d: NextRun(max %d) = nil with %d unread", bs, max, appended-read)
+			}
+			for _, got := range run {
+				want, ok := refNext(&ref, l)
+				if !ok || got != want || got != int64(read) {
+					t.Fatalf("bs %d: element %d of the runs = %d, one-element cursor (%d, %v)", bs, read, got, want, ok)
+				}
+				read++
+			}
+			if got, want := c.Remaining(l), appended-read; got != want {
+				t.Fatalf("bs %d: Remaining = %d, want %d", bs, got, want)
+			}
+		}
+	}
+}
+
 func TestCursorFIFO(t *testing.T) {
 	l := NewList(3)
 	for i := int64(0); i < 8; i++ {
@@ -79,12 +146,12 @@ func TestCursorFIFO(t *testing.T) {
 	}
 	var c Cursor
 	for i := int64(0); i < 8; i++ {
-		v, ok := c.Next(l)
+		v, ok := next(&c, l)
 		if !ok || v != i*10 {
 			t.Fatalf("Next #%d = (%d,%v), want (%d,true)", i, v, ok, i*10)
 		}
 	}
-	if _, ok := c.Next(l); ok {
+	if _, ok := next(&c, l); ok {
 		t.Fatal("cursor must be exhausted")
 	}
 }
@@ -99,7 +166,7 @@ func TestCursorRemaining(t *testing.T) {
 		t.Fatalf("Remaining = %d, want 10", c.Remaining(l))
 	}
 	for i := 0; i < 6; i++ {
-		c.Next(l)
+		next(&c, l)
 	}
 	if c.Remaining(l) != 4 {
 		t.Fatalf("Remaining after 6 = %d, want 4", c.Remaining(l))
@@ -113,8 +180,8 @@ func TestCursorSumRangeRemaining(t *testing.T) {
 		l.Append(v)
 	}
 	var c Cursor
-	c.Next(l) // consume 4
-	c.Next(l) // consume 8
+	next(&c, l) // consume 4
+	next(&c, l) // consume 8
 	got := c.AggRemaining(l, 2, 7, column.AggSum|column.AggCount).Result()
 	want := column.SumRange(vals[2:], 2, 7)
 	if got != want {
@@ -126,7 +193,7 @@ func TestCursorSumRangeRemainingExhausted(t *testing.T) {
 	l := NewList(2)
 	l.Append(1)
 	var c Cursor
-	c.Next(l)
+	next(&c, l)
 	got := c.AggRemaining(l, 0, 10, column.AggSum|column.AggCount)
 	if got.Count != 0 {
 		t.Fatalf("exhausted cursor scanned something: %+v", got)
@@ -176,7 +243,7 @@ func TestCursorRandomized(t *testing.T) {
 			v := int64(rng.Intn(1000))
 			l.Append(v)
 			written = append(written, v)
-		} else if v, ok := c.Next(l); ok {
+		} else if v, ok := next(&c, l); ok {
 			read = append(read, v)
 		}
 		if got := c.Remaining(l); got != len(written)-len(read) {

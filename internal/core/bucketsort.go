@@ -48,7 +48,8 @@ type Bucketsort struct {
 	bucketCount int
 	sep         []int64 // bucketCount-1 separators
 	bks         []*bbucket
-	scratch     []int64 // parBucketize grouping buffer, creation only
+	bz          bucketizer // parBucketize's buffers, creation only
+	leaf        []int64    // sortLeaf's scratch, handed from bucket tree to bucket tree
 
 	final  []int64
 	active int // index of the bucket currently being merged
@@ -100,7 +101,14 @@ func (b *Bucketsort) initBuckets() {
 
 // bucketIndexOf returns the bucket for v: the number of separators <= v.
 func (b *Bucketsort) bucketIndexOf(v int64) int {
-	return column.UpperBound(b.sep, v)
+	return bucketIndex(b.sep, v)
+}
+
+// digits implements digiter.
+func (b *Bucketsort) digits(vals []int64, out []uint32) {
+	for i, v := range vals {
+		out[i] = uint32(bucketIndex(b.sep, v))
+	}
 }
 
 // bucketRange returns the bucket indices overlapping [lo, hi].
@@ -156,7 +164,7 @@ func (b *Bucketsort) predict(lo, hi int64) (float64, int) {
 			inArray += column.UpperBound(arr, hi) - column.LowerBound(arr, lo)
 		}
 	}
-	return b.model.TreeLookupTime(7) + // log2(64)+1 levels of bucket lookup
+	return b.model.TreeLookupTime(b.cfg.RadixBits+1) + // log2(b)+1 levels of bucket lookup
 		b.model.BucketScanTime(inBuckets, b.cfg.BlockSize) +
 		b.model.ParScanTime(inArray, b.pool.Workers()), inBuckets + inArray
 }
@@ -205,6 +213,9 @@ func (b *Bucketsort) queryBucket(bk *bbucket, lo, hi int64, aggs column.Aggregat
 // refine implements algorithm.
 func (b *Bucketsort) refine(sec float64, _, _ int64) (float64, bool) {
 	did := b.refineStep(sec)
+	if b.active >= len(b.bks) {
+		b.leaf = nil
+	}
 	return did, did != 0
 }
 
@@ -241,11 +252,13 @@ func (b *Bucketsort) createStep(units int, lo, hi int64, aggs column.Aggregates)
 		// separators, the priciest per-element digit function of the
 		// three bucketing algorithms — exactly what the parallel
 		// counting pass amortizes best.
-		lists := make([]*blocks.List, len(b.bks))
-		for i, bk := range b.bks {
-			lists[i] = bk.list
+		if b.bz.lists == nil {
+			b.bz.lists = make([]*blocks.List, len(b.bks))
+			for i, bk := range b.bks {
+				b.bz.lists[i] = bk.list
+			}
 		}
-		sum, count := parBucketize(b.pool, vals[start:end], lists, b.bucketIndexOf, lo, hi, &b.scratch)
+		sum, count := parBucketize(b.pool, vals[start:end], &b.bz, b, lo, hi)
 		b.copied = end
 		return segmentExtrema(b.pool, vals[start:end], lo, hi, aggs, sum, count), end - start
 	}
@@ -266,7 +279,7 @@ func (b *Bucketsort) createStep(units int, lo, hi int64, aggs column.Aggregates)
 // startRefinement implements algorithm, fixing the final-array regions
 // from the (now final) bucket counts.
 func (b *Bucketsort) startRefinement() {
-	b.scratch = nil
+	b.bz = bucketizer{}
 	b.final = make([]int64, b.n)
 	off := 0
 	for _, bk := range b.bks {
@@ -302,20 +315,25 @@ func (b *Bucketsort) refineStep(sec float64) float64 {
 			}
 			did := 0
 			for did < units {
-				v, ok := bk.cur.Next(bk.list)
-				if !ok {
+				run := bk.cur.NextRun(bk.list, units-did)
+				if run == nil {
 					break
 				}
 				// Predication-style frontier write (same kernel as the
 				// quicksort creation phase).
-				b.final[bk.top] = v
-				b.final[bk.bottom] = v
-				if v <= bk.pivot {
-					bk.top++
-				} else {
-					bk.bottom--
+				top, bottom := bk.top, bk.bottom
+				for _, v := range run {
+					b.final[top] = v
+					b.final[bottom] = v
+					le := 0
+					if v <= bk.pivot {
+						le = 1
+					}
+					top += le
+					bottom -= 1 - le
 				}
-				did++
+				bk.top, bk.bottom = top, bottom
+				did += len(run)
 			}
 			consumed += float64(did) * perUnit
 			if bk.cur.Remaining(bk.list) == 0 {
@@ -351,6 +369,7 @@ func (b *Bucketsort) seedBucketTree(bk *bbucket) {
 	root.right = newQNode(bk.top, bk.regEnd, bk.pivot+1, bk.hi)
 	root.state = qSplit
 	bk.tree = newQTree(b.final, b.cfg.L1Elements, root, b.pool)
+	bk.tree.scratch = b.leaf
 	bk.tree.promote(root)
 	bk.state = bRefining
 	if bk.tree.sorted() {

@@ -32,56 +32,77 @@ const minChunkCreate = 1 << 13
 type segChunk struct {
 	off    []int // per-bucket start offsets inside the chunk's scratch region
 	counts []int // per-bucket element counts (the chunk histogram)
+	cursor []int // per-bucket write positions of the chunk's scatter
 	sum    int64 // predicated query aggregate over the chunk
 	count  int64
 }
 
-// parBucketize distributes seg into buckets[digit(v)] in parallel and
+// digiter is a bucketing algorithm's creation digit function, a block
+// at a time: out[i] is the bucket of vals[i]. An interface on the index
+// itself so that neither a call per element nor a closure per step
+// stands between the kernel and the digit loop.
+type digiter interface {
+	digits(vals []int64, out []uint32)
+}
+
+// bucketizer is everything parBucketize needs beyond the segment: the
+// index's creation buckets and the kernel's buffers, made by the first
+// parallel creation step and reused by every later one (segments are
+// bounded by δ·N, so creation allocates nothing per query but bucket
+// blocks). startRefinement drops it with the rest of creation's state.
+type bucketizer struct {
+	lists   []*blocks.List
+	grouped []int64  // each chunk's elements, grouped by bucket
+	digit   []uint32 // each element's bucket
+	parts   []segChunk
+}
+
+// parBucketize distributes seg into bz.lists[digit(v)] in parallel and
 // returns the segment's predicated SUM/COUNT for [lo, hi]. The caller
-// guarantees digit(v) ∈ [0, len(buckets)) for every v in seg, and that
+// guarantees a digit in [0, len(bz.lists)) for every v in seg, and that
 // the pool produces at least two chunks (check parCreateChunks first).
-// scratchp is the caller-owned grouping buffer, grown here on demand
-// and reused across creation steps (segments are bounded by δ·N, so
-// one buffer per index amortizes to zero allocations per query); the
-// caller should drop it once creation completes.
-func parBucketize(p *parallel.Pool, seg []int64, buckets []*blocks.List,
-	digit func(int64) int, lo, hi int64, scratchp *[]int64) (sum, count int64) {
-	nb := len(buckets)
+func parBucketize(p *parallel.Pool, seg []int64, bz *bucketizer, d digiter, lo, hi int64) (sum, count int64) {
+	nb := len(bz.lists)
 	chunks := p.Chunks(len(seg), minChunkCreate)
-	if cap(*scratchp) < len(seg) {
-		*scratchp = make([]int64, len(seg))
+	if cap(bz.grouped) < len(seg) {
+		bz.grouped = make([]int64, len(seg))
+		bz.digit = make([]uint32, len(seg))
 	}
-	scratch := (*scratchp)[:len(seg)]
-	parts := make([]segChunk, chunks)
+	for len(bz.parts) < chunks {
+		bz.parts = append(bz.parts, segChunk{off: make([]int, nb), counts: make([]int, nb), cursor: make([]int, nb)})
+	}
+	grouped, digit, parts := bz.grouped[:len(seg)], bz.digit[:len(seg)], bz.parts[:chunks]
 	size := (len(seg) + chunks - 1) / chunks
 
-	// Pass 1: histogram, chunk-local group-by-bucket, query aggregate.
+	// Pass 1: digits once, histogram, chunk-local group-by-bucket, query
+	// aggregate.
 	p.Run(len(seg), minChunkCreate, func(c, a, b int) {
-		counts := make([]int, nb)
+		pc := &parts[c]
+		dig := digit[a:b]
+		d.digits(seg[a:b], dig)
+		clear(pc.counts)
+		counts := pc.counts
 		var s, cnt int64
-		for _, v := range seg[a:b] {
-			counts[digit(v)]++
+		for i, v := range seg[a:b] {
+			counts[dig[i]]++
 			ge := ^((v - lo) >> 63) & 1
 			le := ^((hi - v) >> 63) & 1
 			m := ge & le
 			s += v & -m
 			cnt += m
 		}
-		off := make([]int, nb)
 		run := 0
-		for d := 0; d < nb; d++ {
-			off[d] = run
-			run += counts[d]
+		for k, n := range counts {
+			pc.off[k], pc.cursor[k] = run, run
+			run += n
 		}
-		cursor := make([]int, nb)
-		copy(cursor, off)
-		out := scratch[a:b]
-		for _, v := range seg[a:b] {
-			d := digit(v)
-			out[cursor[d]] = v
-			cursor[d]++
+		out, cursor := grouped[a:b], pc.cursor
+		for i, v := range seg[a:b] {
+			k := dig[i]
+			out[cursor[k]] = v
+			cursor[k]++
 		}
-		parts[c] = segChunk{off: off, counts: counts, sum: s, count: cnt}
+		pc.sum, pc.count = s, cnt
 	})
 
 	// Pass 2: per bucket, append every chunk's group in chunk order.
@@ -90,21 +111,20 @@ func parBucketize(p *parallel.Pool, seg []int64, buckets []*blocks.List,
 	// but keeps the chunking deterministic.
 	p.Run(nb, 1, func(_, dLo, dHi int) {
 		for d := dLo; d < dHi; d++ {
-			for c := 0; c < chunks; c++ {
-				a := c * size
+			for c := range parts {
 				pc := &parts[c]
 				if pc.counts[d] == 0 {
 					continue
 				}
-				g := a + pc.off[d]
-				buckets[d].AppendSlice(scratch[g : g+pc.counts[d]])
+				g := c*size + pc.off[d]
+				bz.lists[d].AppendSlice(grouped[g : g+pc.counts[d]])
 			}
 		}
 	})
 
-	for _, pc := range parts {
-		sum += pc.sum
-		count += pc.count
+	for i := range parts {
+		sum += parts[i].sum
+		count += parts[i].count
 	}
 	return sum, count
 }

@@ -152,29 +152,48 @@ func TestStatsConsistency(t *testing.T) {
 	const n, domain = 20_000, 1 << 16
 	vals := randomValues(rng, n, domain)
 	col := column.MustNew(vals)
-	for _, c := range constructors {
-		idx := c.make(col, Config{Mode: FixedDelta, Delta: 0.2})
-		prevPhase := PhaseCreation
-		for qn := 0; qn < 3000 && !idx.Converged(); qn++ {
-			lo, hi := randQuery(rng, domain)
-			st := execRange(idx, lo, hi).Stats
-			if st.Predicted != st.BaseSeconds+st.WorkSeconds {
-				t.Fatalf("%s #%d: Predicted != Base+Work: %+v", c.name, qn, st)
+	for _, radixBits := range []int{0, 4} { // the default 6, and 16 buckets
+		for _, c := range constructors {
+			idx := c.make(col, Config{Mode: FixedDelta, Delta: 0.2, RadixBits: radixBits})
+			prevPhase := PhaseCreation
+			for qn := 0; qn < 3000 && !idx.Converged(); qn++ {
+				lo, hi := randQuery(rng, domain)
+				st := execRange(idx, lo, hi).Stats
+				if st.Predicted != st.BaseSeconds+st.WorkSeconds {
+					t.Fatalf("%s #%d: Predicted != Base+Work: %+v", c.name, qn, st)
+				}
+				if st.WorkSeconds < 0 || st.BaseSeconds < 0 || st.Delta < 0 {
+					t.Fatalf("%s #%d: negative stats: %+v", c.name, qn, st)
+				}
+				if st.Phase < prevPhase {
+					t.Fatalf("%s #%d: phase regressed %v -> %v", c.name, qn, prevPhase, st.Phase)
+				}
+				prevPhase = st.Phase
+				if st.AlphaElems < 0 || st.AlphaElems > n {
+					t.Fatalf("%s #%d: alpha out of range: %d", c.name, qn, st.AlphaElems)
+				}
 			}
-			if st.WorkSeconds < 0 || st.BaseSeconds < 0 || st.Delta < 0 {
-				t.Fatalf("%s #%d: negative stats: %+v", c.name, qn, st)
-			}
-			if st.Phase < prevPhase {
-				t.Fatalf("%s #%d: phase regressed %v -> %v", c.name, qn, prevPhase, st.Phase)
-			}
-			prevPhase = st.Phase
-			if st.AlphaElems < 0 || st.AlphaElems > n {
-				t.Fatalf("%s #%d: alpha out of range: %d", c.name, qn, st.AlphaElems)
+			if !idx.Converged() {
+				t.Fatalf("%s did not converge", c.name)
 			}
 		}
-		if !idx.Converged() {
-			t.Fatalf("%s did not converge", c.name)
-		}
+	}
+
+	// PB's refinement lookup term follows its bucket count: a probe that
+	// matches nothing in a finished bucket is billed log2(b)+1 levels and
+	// nothing else.
+	even := make([]int64, n)
+	for i, v := range vals {
+		even[i] = 2 * v
+	}
+	pb := NewBucketsort(column.MustNew(even), Config{Mode: FixedDelta, Delta: 0.2, RadixBits: 4})
+	for pb.Phase() == PhaseCreation || pb.active == 0 {
+		execRange(pb, 0, 2*domain)
+	}
+	odd := pb.final[pb.bks[0].regStart] + 1
+	st := execRange(pb, odd, odd).Stats
+	if want := pb.model.TreeLookupTime(4 + 1); st.Phase != PhaseRefinement || st.AlphaElems != 0 || st.BaseSeconds != want {
+		t.Fatalf("PB at 16 buckets, empty probe of a finished bucket: %+v, want a refinement base of %g", st, want)
 	}
 }
 

@@ -68,6 +68,9 @@ type qtree struct {
 	root   *qnode
 	height int            // tracked upper bound on tree height, for t_lookup
 	pool   *parallel.Pool // sizes the leftover-region scan kernels
+	// scratch is sortLeaf's l1 elements, made by the first leaf sort and
+	// dropped by the owner when the tree is sorted.
+	scratch []int64
 }
 
 func newQTree(arr []int64, l1 int, root *qnode, pool *parallel.Pool) *qtree {
@@ -126,7 +129,10 @@ func (t *qtree) workNode(n *qnode, budget int, depth int) int {
 			// The sort is atomic, so the budget can overshoot by at
 			// most sortCost(L1Elements) (invariant 3 in DESIGN.md).
 			if n.vmin < n.vmax {
-				slices.Sort(t.arr[n.start:n.end])
+				if t.scratch == nil {
+					t.scratch = make([]int64, t.l1)
+				}
+				sortLeaf(t.arr[n.start:n.end], t.scratch)
 				n.state = qSorted
 				return budget - sortCost(size)
 			}
@@ -141,28 +147,11 @@ func (t *qtree) workNode(n *qnode, budget int, depth int) int {
 		}
 		fallthrough
 	case qPartitioning:
-		arr := t.arr
-		pl, pr, pivot := n.pl, n.pr, n.pivot
-		for budget > 0 && pl <= pr {
-			switch {
-			case arr[pl] <= pivot:
-				pl++
-				budget--
-			case arr[pr] > pivot:
-				pr--
-				budget--
-			default:
-				arr[pl], arr[pr] = arr[pr], arr[pl]
-				pl++
-				pr--
-				budget -= 2
-			}
-		}
-		n.pl, n.pr = pl, pr
-		if pl > pr {
+		n.pl, n.pr, budget = partition(t.arr, n.pivot, n.pl, n.pr, budget)
+		if n.pl > n.pr {
 			// Partition complete: split into children.
-			n.left = newQNode(n.start, pl, n.vmin, n.pivot)
-			n.right = newQNode(pl, n.end, n.pivot+1, n.vmax)
+			n.left = newQNode(n.start, n.pl, n.vmin, n.pivot)
+			n.right = newQNode(n.pl, n.end, n.pivot+1, n.vmax)
 			n.state = qSplit
 			t.promote(n)
 		}

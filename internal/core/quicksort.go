@@ -113,6 +113,9 @@ func (q *Quicksort) refine(sec float64, lo, hi int64) (float64, bool) {
 	if left > 0 {
 		left = q.tree.refine(q.tree.root, left, 1)
 	}
+	if q.tree.sorted() {
+		q.tree.scratch = nil
+	}
 	return float64(units-left) * perUnit, left <= 0
 }
 

@@ -31,7 +31,7 @@ type RadixLSD struct {
 	min     int64
 	passes  int // total distribute passes, including creation's pass 0
 
-	scratch    []int64 // parBucketize grouping buffer, creation only
+	bz         bucketizer // parBucketize's buffers, creation only
 	passesDone int
 	old        *blocks.Set // keyed by digit passesDone-1
 	oldIdx     int         // bucket currently being consumed
@@ -61,11 +61,30 @@ func (r *RadixLSD) digit(v int64, p int) int {
 	return int((v - r.min) >> (uint(p) * uint(r.cfg.RadixBits)) & int64(r.buckets-1))
 }
 
-// digitBuckets returns the bucket indices that may contain values of
-// [lo, hi] at distribute pass p, or all=true when every bucket can.
-func (r *RadixLSD) digitBuckets(lo, hi int64, p int) (idxs []int, all bool) {
+// digits implements digiter: creation is distribute pass 0.
+func (r *RadixLSD) digits(vals []int64, out []uint32) {
+	mn, mask := r.min, int64(r.buckets-1)
+	for i, v := range vals {
+		out[i] = uint32((v - mn) & mask)
+	}
+}
+
+// digitRange is the buckets that may hold values of a query range at
+// one distribute pass: consecutive digits are consecutive buckets, so
+// they are n buckets from first on, wrapping at the bucket count.
+type digitRange struct {
+	first, n int
+	mask     int
+}
+
+// at returns the k-th bucket of the range, k in [0, n).
+func (d digitRange) at(k int) int { return (d.first + k) & d.mask }
+
+// digitBuckets returns the buckets that may contain values of [lo, hi]
+// at distribute pass p, or all=true when every bucket can.
+func (r *RadixLSD) digitBuckets(lo, hi int64, p int) (d digitRange, all bool) {
 	if hi < r.col.Min() || lo > r.col.Max() {
-		return nil, false
+		return d, false
 	}
 	if lo < r.col.Min() {
 		lo = r.col.Min()
@@ -77,19 +96,10 @@ func (r *RadixLSD) digitBuckets(lo, hi int64, p int) (idxs []int, all bool) {
 	a := (lo - r.min) >> shift
 	b := (hi - r.min) >> shift
 	if b-a >= int64(r.buckets-1) {
-		return nil, true
+		return d, true
 	}
-	mask := int64(r.buckets - 1)
-	have := make([]bool, r.buckets)
-	for k := a; k <= b; k++ {
-		have[int(k&mask)] = true
-	}
-	for i, h := range have {
-		if h {
-			idxs = append(idxs, i)
-		}
-	}
-	return idxs, false
+	mask := r.buckets - 1
+	return digitRange{first: int(a) & mask, n: int(b-a) + 1, mask: mask}, false
 }
 
 // refineProgress implements algorithm: completed distribute passes plus
@@ -156,7 +166,8 @@ func (r *RadixLSD) refinementAlpha(lo, hi int64) (int, bool) {
 		if all {
 			return r.n, true
 		}
-		for _, i := range idxs {
+		for k := range idxs.n {
+			i := idxs.at(k)
 			switch {
 			case i < r.mergeIdx:
 				// fully merged into the sorted prefix
@@ -178,7 +189,8 @@ func (r *RadixLSD) refinementAlpha(lo, hi int64) (int, bool) {
 	if allOld || allNew {
 		return r.n, true
 	}
-	for _, i := range oldIdxs {
+	for k := range oldIdxs.n {
+		i := oldIdxs.at(k)
 		switch {
 		case i < r.oldIdx:
 			// already drained
@@ -188,7 +200,8 @@ func (r *RadixLSD) refinementAlpha(lo, hi int64) (int, bool) {
 			alpha += r.old.Bucket(i).Count()
 		}
 	}
-	for _, i := range newIdxs {
+	for k := range newIdxs.n {
+		i := newIdxs.at(k)
 		alpha += r.next.Bucket(i).Count()
 	}
 	if r.bucketScanSlower(alpha) {
@@ -218,7 +231,8 @@ func (r *RadixLSD) creationAlpha(lo, hi int64) (int, bool) {
 		return r.copied, true
 	}
 	alpha := 0
-	for _, i := range idxs {
+	for k := range idxs.n {
+		i := idxs.at(k)
 		alpha += r.old.Bucket(i).Count()
 	}
 	// Serial bucket scan against the parallel prefix scan, like
@@ -237,7 +251,8 @@ func (r *RadixLSD) create(units int, lo, hi int64, aggs column.Aggregates) (colu
 	oldCopied := r.copied
 	if !fb {
 		idxs, _ := r.digitBuckets(lo, hi, 0)
-		for _, i := range idxs {
+		for k := range idxs.n {
+			i := idxs.at(k)
 			res.Merge(r.old.Bucket(i).AggRange(lo, hi, aggs))
 		}
 	}
@@ -267,7 +282,8 @@ func (r *RadixLSD) answer(lo, hi int64, aggs column.Aggregates) column.Agg {
 		// Sorted prefix covers all fully merged buckets (and part of
 		// the active one); the rest is still bucket-resident.
 		res := column.AggSorted(r.final[:r.writeOff], lo, hi, aggs)
-		for _, i := range idxs {
+		for k := range idxs.n {
+			i := idxs.at(k)
 			switch {
 			case i < r.mergeIdx:
 			case i == r.mergeIdx:
@@ -284,7 +300,8 @@ func (r *RadixLSD) answer(lo, hi int64, aggs column.Aggregates) column.Agg {
 		return column.ParAggRange(r.pool, r.col.Values(), lo, hi, aggs)
 	}
 	res := column.NewAgg()
-	for _, i := range oldIdxs {
+	for k := range oldIdxs.n {
+		i := oldIdxs.at(k)
 		switch {
 		case i < r.oldIdx:
 		case i == r.oldIdx:
@@ -293,7 +310,8 @@ func (r *RadixLSD) answer(lo, hi int64, aggs column.Aggregates) column.Agg {
 			res.Merge(r.old.Bucket(i).AggRange(lo, hi, aggs))
 		}
 	}
-	for _, i := range newIdxs {
+	for k := range newIdxs.n {
+		i := newIdxs.at(k)
 		res.Merge(r.next.Bucket(i).AggRange(lo, hi, aggs))
 	}
 	return res
@@ -333,12 +351,13 @@ func (r *RadixLSD) createStep(units int, lo, hi int64, aggs column.Aggregates) (
 	}
 	vals := r.col.Values()
 	if parCreateChunks(r.pool, end-start) > 1 {
-		lists := make([]*blocks.List, r.buckets)
-		for i := range lists {
-			lists[i] = r.old.Bucket(i)
+		if r.bz.lists == nil {
+			r.bz.lists = make([]*blocks.List, r.buckets)
+			for i := range r.bz.lists {
+				r.bz.lists[i] = r.old.Bucket(i)
+			}
 		}
-		sum, count := parBucketize(r.pool, vals[start:end], lists,
-			func(v int64) int { return r.digit(v, 0) }, lo, hi, &r.scratch)
+		sum, count := parBucketize(r.pool, vals[start:end], &r.bz, r, lo, hi)
 		r.copied = end
 		return segmentExtrema(r.pool, vals[start:end], lo, hi, aggs, sum, count), end - start
 	}
@@ -358,7 +377,7 @@ func (r *RadixLSD) createStep(units int, lo, hi int64, aggs column.Aggregates) (
 
 // startRefinement implements algorithm.
 func (r *RadixLSD) startRefinement() {
-	r.scratch = nil
+	r.bz = bucketizer{}
 	r.passesDone = 1
 	if r.passesDone >= r.passes {
 		r.startMerge()
@@ -389,15 +408,18 @@ func (r *RadixLSD) distributeStep(units int) int {
 			continue
 		}
 		bucket := r.old.Bucket(r.oldIdx)
-		v, ok := r.oldCur.Next(bucket)
-		if !ok {
+		run := r.oldCur.NextRun(bucket, units-did)
+		if run == nil {
 			bucket.Reset() // free consumed blocks eagerly
 			r.oldIdx++
 			r.oldCur = blocks.Cursor{}
 			continue
 		}
-		r.next.Bucket(r.digit(v, r.passesDone)).Append(v)
-		did++
+		mn, shift, mask, next := r.min, uint(r.passesDone*r.cfg.RadixBits), int64(r.buckets-1), r.next
+		for _, v := range run {
+			next.Bucket(int((v - mn) >> shift & mask)).Append(v)
+		}
+		did += len(run)
 	}
 	return did
 }
@@ -419,16 +441,15 @@ func (r *RadixLSD) mergeStep(units int) int {
 			break
 		}
 		bucket := r.old.Bucket(r.mergeIdx)
-		v, ok := r.mergeCur.Next(bucket)
-		if !ok {
+		run := r.mergeCur.NextRun(bucket, units-did)
+		if run == nil {
 			bucket.Reset()
 			r.mergeIdx++
 			r.mergeCur = blocks.Cursor{}
 			continue
 		}
-		r.final[r.writeOff] = v
-		r.writeOff++
-		did++
+		r.writeOff += copy(r.final[r.writeOff:], run)
+		did += len(run)
 	}
 	return did
 }

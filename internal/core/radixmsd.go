@@ -2,7 +2,6 @@ package core
 
 import (
 	"math/bits"
-	"slices"
 
 	"repro/internal/blocks"
 	"repro/internal/column"
@@ -63,7 +62,8 @@ type RadixMSD struct {
 	mask    int64
 
 	root     *rnode
-	scratch  []int64 // parBucketize grouping buffer, creation only
+	bz       bucketizer // parBucketize's buffers, creation only
+	leaf     []int64    // sortLeaf's L1Elements, refinement only
 	final    []int64
 	writeOff int
 }
@@ -103,6 +103,14 @@ func (r *RadixMSD) makeChildren(n *rnode) []*rnode {
 // bucketOf returns the child index of v under node n.
 func (r *RadixMSD) bucketOf(n *rnode, v int64) int {
 	return int((v - n.lo) >> n.childShift & r.mask)
+}
+
+// digits implements digiter: the root's children are creation's buckets.
+func (r *RadixMSD) digits(vals []int64, out []uint32) {
+	lo, shift, mask := r.root.lo, r.root.childShift, r.mask
+	for i, v := range vals {
+		out[i] = uint32((v - lo) >> shift & mask)
+	}
 }
 
 // unitFull implements algorithm: both phases move every element
@@ -267,6 +275,9 @@ func (r *RadixMSD) refine(sec float64, _, _ int64) (float64, bool) {
 	perUnit := r.model.BucketTime(1, r.cfg.BlockSize)
 	units := workUnits(sec, perUnit)
 	left := r.process(r.root, units)
+	if r.root.state == rMerged {
+		r.leaf = nil
+	}
 	return float64(units-left) * perUnit, left <= 0
 }
 
@@ -295,12 +306,13 @@ func (r *RadixMSD) createStep(units int, lo, hi int64, aggs column.Aggregates) (
 	vals := r.col.Values()
 	root := r.root
 	if parCreateChunks(r.pool, end-start) > 1 {
-		lists := make([]*blocks.List, len(root.children))
-		for i, c := range root.children {
-			lists[i] = c.list
+		if r.bz.lists == nil {
+			r.bz.lists = make([]*blocks.List, len(root.children))
+			for i, c := range root.children {
+				r.bz.lists[i] = c.list
+			}
 		}
-		sum, count := parBucketize(r.pool, vals[start:end], lists,
-			func(v int64) int { return r.bucketOf(root, v) }, lo, hi, &r.scratch)
+		sum, count := parBucketize(r.pool, vals[start:end], &r.bz, r, lo, hi)
 		r.copied = end
 		return segmentExtrema(r.pool, vals[start:end], lo, hi, aggs, sum, count), end - start
 	}
@@ -320,7 +332,7 @@ func (r *RadixMSD) createStep(units int, lo, hi int64, aggs column.Aggregates) (
 
 // startRefinement implements algorithm.
 func (r *RadixMSD) startRefinement() {
-	r.scratch = nil
+	r.bz = bucketizer{}
 	r.final = make([]int64, r.n)
 	r.writeOff = 0
 }
@@ -346,18 +358,20 @@ func (r *RadixMSD) process(n *rnode, budget int) int {
 		return r.process(n, budget)
 	case rMerging:
 		for budget > 0 {
-			v, ok := n.cur.Next(n.list)
-			if !ok {
+			run := n.cur.NextRun(n.list, budget)
+			if run == nil {
 				break
 			}
-			r.final[r.writeOff] = v
-			r.writeOff++
-			budget--
+			r.writeOff += copy(r.final[r.writeOff:], run)
+			budget -= len(run)
 		}
 		if n.cur.Remaining(n.list) == 0 {
 			n.end = r.writeOff
 			if n.lo < n.hi {
-				slices.Sort(r.final[n.start:n.end])
+				if r.leaf == nil {
+					r.leaf = make([]int64, r.cfg.L1Elements)
+				}
+				sortLeaf(r.final[n.start:n.end], r.leaf)
 				// Charge the comparison sort beyond the per-element
 				// copy already billed; may overshoot by one node.
 				budget -= sortCost(n.end - n.start)
@@ -368,12 +382,15 @@ func (r *RadixMSD) process(n *rnode, budget int) int {
 		return budget
 	case rSplitting:
 		for budget > 0 {
-			v, ok := n.cur.Next(n.list)
-			if !ok {
+			run := n.cur.NextRun(n.list, budget)
+			if run == nil {
 				break
 			}
-			n.children[r.bucketOf(n, v)].list.Append(v)
-			budget--
+			lo, shift, mask, kids := n.lo, n.childShift, r.mask, n.children
+			for _, v := range run {
+				kids[(v-lo)>>shift&mask].list.Append(v)
+			}
+			budget -= len(run)
 		}
 		if n.cur.Remaining(n.list) == 0 {
 			n.list = nil
