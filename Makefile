@@ -13,11 +13,11 @@ test:
 race:
 	$(GO) test -race ./...
 
-# One kernel's ns/op: every benchmark of the four packages CI's bench
+# One kernel's ns/op: every benchmark of the five packages CI's bench
 # smoke runs once. For one of them, e.g.
 # go test -run '^$$' -bench ConjDriver ./internal/plan
 microbench:
-	$(GO) test -run '^$$' -bench . -benchtime 2x ./internal/column ./internal/shard ./internal/encode ./internal/plan
+	$(GO) test -run '^$$' -bench . -benchtime 2x ./internal/column ./internal/core ./internal/shard ./internal/encode ./internal/plan
 
 fmt:
 	gofmt -l .

@@ -96,6 +96,7 @@ func (b *Bucketsort) initBuckets() {
 			hi = b.sep[i] - 1
 		}
 		b.bks[i] = &bbucket{lo: lo, hi: hi, list: blocks.NewList(b.cfg.BlockSize)}
+		b.bz.lists = append(b.bz.lists, b.bks[i].list)
 	}
 }
 
@@ -177,7 +178,7 @@ func (b *Bucketsort) create(units int, lo, hi int64, aggs column.Aggregates) (co
 	for i := iLo; i <= iHi; i++ {
 		res.Merge(b.bks[i].list.AggRange(lo, hi, aggs))
 	}
-	seg, did := b.createStep(units, lo, hi, aggs)
+	seg, did := b.bucketStep(units, lo, hi, aggs, &b.bz, b)
 	res.Merge(seg)
 	return res, did
 }
@@ -237,45 +238,6 @@ func (b *Bucketsort) sorted() []int64 {
 	return b.final
 }
 
-// createStep inserts up to units elements into their buckets (binary
-// search over the separators per element) while accumulating the
-// predicated aggregates of the segment for the in-flight query.
-func (b *Bucketsort) createStep(units int, lo, hi int64, aggs column.Aggregates) (column.Agg, int) {
-	start := b.copied
-	end := start + units
-	if end > b.n {
-		end = b.n
-	}
-	vals := b.col.Values()
-	if parCreateChunks(b.pool, end-start) > 1 {
-		// The equi-height bucket choice is a binary search over the
-		// separators, the priciest per-element digit function of the
-		// three bucketing algorithms — exactly what the parallel
-		// counting pass amortizes best.
-		if b.bz.lists == nil {
-			b.bz.lists = make([]*blocks.List, len(b.bks))
-			for i, bk := range b.bks {
-				b.bz.lists[i] = bk.list
-			}
-		}
-		sum, count := parBucketize(b.pool, vals[start:end], &b.bz, b, lo, hi)
-		b.copied = end
-		return segmentExtrema(b.pool, vals[start:end], lo, hi, aggs, sum, count), end - start
-	}
-	var sum, count int64
-	for i := start; i < end; i++ {
-		v := vals[i]
-		b.bks[b.bucketIndexOf(v)].list.Append(v)
-		ge := ^((v - lo) >> 63) & 1
-		le := ^((hi - v) >> 63) & 1
-		m := ge & le
-		sum += v & -m
-		count += m
-	}
-	b.copied = end
-	return segmentExtrema(b.pool, vals[start:end], lo, hi, aggs, sum, count), end - start
-}
-
 // startRefinement implements algorithm, fixing the final-array regions
 // from the (now final) bucket counts.
 func (b *Bucketsort) startRefinement() {
@@ -325,10 +287,7 @@ func (b *Bucketsort) refineStep(sec float64) float64 {
 				for _, v := range run {
 					b.final[top] = v
 					b.final[bottom] = v
-					le := 0
-					if v <= bk.pivot {
-						le = 1
-					}
+					le := leq(v, bk.pivot)
 					top += le
 					bottom -= 1 - le
 				}

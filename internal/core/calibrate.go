@@ -81,7 +81,7 @@ func CalibrateParams() costmodel.Params {
 	bucketPerElem := bestOf(3, func() {
 		r = NewRadixMSD(col, Config{Mode: FixedDelta, Delta: 1, BlockSize: sb, Workers: 1})
 	}, func() {
-		seg, _ := r.createStep(n, int64(n)/4, int64(3*n)/4, column.AggSum|column.AggCount)
+		seg, _ := r.bucketStep(n, int64(n)/4, int64(3*n)/4, column.AggSum|column.AggCount, &r.bz, r)
 		calSink = seg.Sum
 	}) / n
 

@@ -22,8 +22,9 @@ const sortLeafCut = 128
 // value span as it descends, so a leaf of a few thousand elements is
 // two passes where a comparison sort is twelve levels. One pass over a
 // finds the extrema and returns at once on an already-ordered (or
-// constant) node. scratch must hold len(a) elements.
-func sortLeaf(a, scratch []int64) {
+// constant) node. *scratch is the caller's to keep between leaves and
+// to drop after the last; it grows here, by powers of two, to len(a).
+func sortLeaf(a []int64, scratch *[]int64) {
 	n := len(a)
 	if n < 2 {
 		return
@@ -42,7 +43,10 @@ func sortLeaf(a, scratch []int64) {
 		slices.Sort(a)
 		return
 	}
-	src, dst := a, scratch[:n]
+	if len(*scratch) < n {
+		*scratch = make([]int64, 1<<bits.Len(uint(n-1)))
+	}
+	src, dst := a, (*scratch)[:n]
 	for shift := 0; shift < span; shift += 8 {
 		var off [256]int32
 		for _, v := range src {
@@ -75,10 +79,11 @@ const partBlock = 128
 // partition advances the Hoare partition of arr[pl..pr] around pivot
 // by up to budget element visits and returns the cursors and the budget
 // left: a block from each end at a time while at least two blocks of
-// budget and of span remain, partitionScalar for the rest. Classifying a block is branch-free (a compare and an
-// add per element); the elements on the wrong side are then swapped
-// pairwise, the i-th from the left with the i-th from the right — the
-// pairs the scalar loop swaps.
+// budget and of span remain, partitionScalar for the rest. Classifying
+// a block is branch-free (a compare and an add per element); the
+// elements on the wrong side are then swapped pairwise, the i-th from
+// the left with the i-th from the right — the pairs the scalar loop
+// swaps.
 //
 // Pauses must land where the scalar loop's would (the cost model reads
 // pl and pr through alphaElems), so the cursors only ever rest on
@@ -143,19 +148,17 @@ func partition(arr []int64, pivot int64, pl, pr, budget int) (int, int, int) {
 
 // misplacedLeft writes to off the offsets, from the front of blk, of its
 // elements > pivot and returns how many there are; misplacedRight the
-// offsets, from the back of blk, of its elements <= pivot. Functions of
-// their own so that the counter stays in a register.
+// offsets, from the back of blk, of its elements <= pivot. Every offset
+// is written and the count moves on only past the ones that stay (n <= i,
+// so the mask only spares the bounds check). Not inlined: inside
+// partition the counter spills to the stack on every element.
 //
 //go:noinline
 func misplacedLeft(blk []int64, pivot int64, off *[partBlock]uint8) int {
 	n := 0
 	for i, v := range blk[:partBlock] {
 		off[n&(partBlock-1)] = uint8(i)
-		m := 0
-		if v > pivot {
-			m = 1
-		}
-		n += m
+		n += 1 - leq(v, pivot)
 	}
 	return n
 }
@@ -166,11 +169,7 @@ func misplacedRight(blk []int64, pivot int64, off *[partBlock]uint8) int {
 	blk = blk[:partBlock]
 	for i := partBlock - 1; i >= 0; i-- {
 		off[n&(partBlock-1)] = uint8(partBlock - 1 - i)
-		m := 0
-		if blk[i] <= pivot {
-			m = 1
-		}
-		n += m
+		n += leq(blk[i], pivot)
 	}
 	return n
 }
@@ -197,25 +196,29 @@ func partitionScalar(arr []int64, pivot int64, pl, pr, budget int) (int, int, in
 	return pl, pr, budget
 }
 
+// leq is 1 when a <= b and 0 otherwise, as SETcc: on go1.24 `if a <= b
+// { base += half }` still compiles to a conditional jump, which a
+// search over random values mispredicts every other step.
+func leq(a, b int64) int {
+	m := 0
+	if a <= b {
+		m = 1
+	}
+	return m
+}
+
 // bucketIndex returns how many of the ascending separators are <= v —
 // the equi-height bucket of v — as a lower bound with a trip count
-// fixed by len(sep) and no data-dependent jump. The mask form is
-// deliberate: on go1.24 `if sep[i] <= v { base += half }` still
-// compiles to a conditional jump, which mispredicts every other
-// element; `m = 1` under the condition compiles to SETcc.
+// fixed by len(sep) and no data-dependent jump.
 func bucketIndex(sep []int64, v int64) int {
 	base, n := 0, len(sep)
 	for n > 1 {
 		half := n >> 1
-		m := 0
-		if sep[base+half-1] <= v {
-			m = 1
-		}
-		base += half & -m
+		base += half & -leq(sep[base+half-1], v)
 		n -= half
 	}
-	if n == 1 && sep[base] <= v {
-		base++
+	if n == 1 {
+		base += leq(sep[base], v)
 	}
 	return base
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/column"
+	"repro/internal/query"
 )
 
 // Each benchmark sets bytes to 8 per element, so MB/s ÷ 8 is elements
@@ -24,7 +25,7 @@ func BenchmarkLeafSort(b *testing.B) {
 		}
 		a, scratch := make([]int64, n), make([]int64, n)
 		for name, sort := range map[string]func(){
-			"radix":      func() { sortLeaf(a, scratch) },
+			"radix":      func() { sortLeaf(a, &scratch) },
 			"slicesSort": func() { slices.Sort(a) },
 		} {
 			b.Run(span.name+"/"+name, func(b *testing.B) {
@@ -61,8 +62,12 @@ func BenchmarkPartition(b *testing.B) {
 	}
 }
 
+// BenchmarkBucketIndex is PB's separator search alone, against the
+// binary search it replaced, and then where it matters: one δ = 0.25
+// creation query over 4M rows, PB's beside PQ's (which has no bucket to
+// find).
 func BenchmarkBucketIndex(b *testing.B) {
-	const n = 1 << 16
+	const n = 4 << 20
 	rng := rand.New(rand.NewSource(1))
 	vals := make([]int64, n)
 	for i := range vals {
@@ -77,14 +82,35 @@ func BenchmarkBucketIndex(b *testing.B) {
 		"upperBound": column.UpperBound,
 	} {
 		b.Run(name, func(b *testing.B) {
-			b.SetBytes(8 * n)
+			probes := vals[:1<<16]
+			b.SetBytes(int64(8 * len(probes)))
 			sum := 0
 			for i := 0; i < b.N; i++ {
-				for _, v := range vals {
+				for _, v := range probes {
 					sum += index(sep, v)
 				}
 			}
 			calSink = int64(sum)
+		})
+	}
+	col := column.MustNew(vals)
+	req := query.Request{Pred: query.Range(n/2, n/2+n/10), Aggs: column.AggSum | column.AggCount}
+	for name, mk := range map[string]func() query.Index{
+		"creationPB": func() query.Index { return NewBucketsort(col, Config{}) },
+		"creationPQ": func() query.Index { return NewQuicksort(col, Config{}) },
+	} {
+		b.Run(name, func(b *testing.B) {
+			b.SetBytes(8 * n / 4)
+			var idx query.Index
+			for i := 0; i < b.N; i++ {
+				if i%3 == 0 { // an index's second to fourth query: the first allocates
+					b.StopTimer()
+					idx = mk()
+					idx.Execute(req)
+					b.StartTimer()
+				}
+				idx.Execute(req)
+			}
 		})
 	}
 }
@@ -103,7 +129,7 @@ func BenchmarkDistribute(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		r := NewRadixLSD(col, Config{Workers: 1})
-		r.createStep(n, 0, 0, column.AggSum)
+		r.bucketStep(n, 0, 0, column.AggSum, &r.bz, r)
 		r.startRefinement()
 		b.StartTimer()
 		for r.sorted() == nil {

@@ -111,13 +111,11 @@ func partitionCase(data []byte) (arr []int64, pivot int64, budgets []int) {
 	return arr, pivot, budgets
 }
 
+// FuzzPartitionStep holds partition to the scalar loop on arbitrary
+// arrays, pivots and budget sequences; the corpus under
+// testdata/fuzz/FuzzPartitionStep (the shapes of the test above) runs on
+// every plain `go test`.
 func FuzzPartitionStep(f *testing.F) {
-	rng := rand.New(rand.NewSource(7))
-	for _, n := range []int{0, 300, 1500} {
-		seed := make([]byte, 2+16+n)
-		rng.Read(seed)
-		f.Add(seed)
-	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		arr, pivot, budgets := partitionCase(data)
 		if len(budgets) == 0 {
@@ -131,7 +129,8 @@ func checkSortLeaf(t *testing.T, a []int64) {
 	t.Helper()
 	want := slices.Clone(a)
 	slices.Sort(want)
-	sortLeaf(a, make([]int64, len(a)))
+	var scratch []int64
+	sortLeaf(a, &scratch)
 	if !slices.Equal(a, want) {
 		t.Fatalf("sortLeaf differs from slices.Sort (n %d, min %d, max %d)", len(a), want[0], want[len(want)-1])
 	}
@@ -168,21 +167,18 @@ func TestSortLeafMatchesSlicesSort(t *testing.T) {
 	}
 }
 
+// FuzzSortLeaf holds sortLeaf to slices.Sort on arrays of two-byte
+// values stretched by a multiplier, which picks the span and the bytes
+// that differ (it may wrap: the whole int64 domain is fair); corpus under
+// testdata/fuzz/FuzzSortLeaf.
 func FuzzSortLeaf(f *testing.F) {
-	rng := rand.New(rand.NewSource(9))
-	for _, n := range []int{0, 8 * 70, 8 * 600} {
-		seed := make([]byte, n)
-		rng.Read(seed)
-		f.Add(seed, uint8(rng.Intn(64)))
-	}
-	f.Fuzz(func(t *testing.T, data []byte, shift uint8) {
-		a := make([]int64, len(data)/8)
+	f.Fuzz(func(t *testing.T, data []byte, mult int64) {
+		a := make([]int64, len(data)/2)
 		if len(a) == 0 {
 			return
 		}
 		for i := range a {
-			// Signed values of every magnitude: the shift picks the span.
-			a[i] = int64(binary.LittleEndian.Uint64(data[8*i:])) >> (shift % 64)
+			a[i] = int64(int16(binary.LittleEndian.Uint16(data[2*i:]))) * mult
 		}
 		checkSortLeaf(t, a)
 	})
@@ -218,7 +214,7 @@ func TestHotPathAllocations(t *testing.T) {
 
 	pb := NewBucketsort(col, Config{Workers: 2})
 	pb.initBuckets()
-	pb.createStep(step, 0, domain, column.AggSum) // makes the bucketizer's buffers
+	pb.bucketStep(step, 0, domain, column.AggSum, &pb.bz, pb) // makes the bucketizer's buffers
 	// A block append is the block and, when the list's block table is
 	// full, the table's regrowth (a step here appends at most one block
 	// to a list).
@@ -230,7 +226,7 @@ func TestHotPathAllocations(t *testing.T) {
 			appended -= bk.list.Allocations()
 			tables[i] = cap(bk.list.Blocks())
 		}
-		pb.createStep(step, 0, domain, column.AggSum)
+		pb.bucketStep(step, 0, domain, column.AggSum, &pb.bz, pb)
 		for i, bk := range pb.bks {
 			appended += bk.list.Allocations()
 			if cap(bk.list.Blocks()) != tables[i] {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"repro/internal/blocks"
+	"repro/internal/column"
 	"repro/internal/parallel"
 )
 
@@ -30,9 +31,8 @@ const minChunkCreate = 1 << 13
 
 // segChunk is one chunk's pass-1 output.
 type segChunk struct {
-	off    []int // per-bucket start offsets inside the chunk's scratch region
 	counts []int // per-bucket element counts (the chunk histogram)
-	cursor []int // per-bucket write positions of the chunk's scatter
+	ends   []int // per-bucket write positions in the chunk's grouped region: group ends after the scatter
 	sum    int64 // predicated query aggregate over the chunk
 	count  int64
 }
@@ -45,11 +45,11 @@ type digiter interface {
 	digits(vals []int64, out []uint32)
 }
 
-// bucketizer is everything parBucketize needs beyond the segment: the
-// index's creation buckets and the kernel's buffers, made by the first
-// parallel creation step and reused by every later one (segments are
-// bounded by δ·N, so creation allocates nothing per query but bucket
-// blocks). startRefinement drops it with the rest of creation's state.
+// bucketizer is a bucketing index's creation state: its creation
+// buckets, set with the index, and parBucketize's buffers, made by the
+// first parallel creation step and reused by every later one (segments
+// are bounded by δ·N, so creation allocates nothing per query but bucket
+// blocks). startRefinement drops it.
 type bucketizer struct {
 	lists   []*blocks.List
 	grouped []int64  // each chunk's elements, grouped by bucket
@@ -60,7 +60,7 @@ type bucketizer struct {
 // parBucketize distributes seg into bz.lists[digit(v)] in parallel and
 // returns the segment's predicated SUM/COUNT for [lo, hi]. The caller
 // guarantees a digit in [0, len(bz.lists)) for every v in seg, and that
-// the pool produces at least two chunks (check parCreateChunks first).
+// the pool produces at least two chunks.
 func parBucketize(p *parallel.Pool, seg []int64, bz *bucketizer, d digiter, lo, hi int64) (sum, count int64) {
 	nb := len(bz.lists)
 	chunks := p.Chunks(len(seg), minChunkCreate)
@@ -69,7 +69,7 @@ func parBucketize(p *parallel.Pool, seg []int64, bz *bucketizer, d digiter, lo, 
 		bz.digit = make([]uint32, len(seg))
 	}
 	for len(bz.parts) < chunks {
-		bz.parts = append(bz.parts, segChunk{off: make([]int, nb), counts: make([]int, nb), cursor: make([]int, nb)})
+		bz.parts = append(bz.parts, segChunk{counts: make([]int, nb), ends: make([]int, nb)})
 	}
 	grouped, digit, parts := bz.grouped[:len(seg)], bz.digit[:len(seg)], bz.parts[:chunks]
 	size := (len(seg) + chunks - 1) / chunks
@@ -93,14 +93,14 @@ func parBucketize(p *parallel.Pool, seg []int64, bz *bucketizer, d digiter, lo, 
 		}
 		run := 0
 		for k, n := range counts {
-			pc.off[k], pc.cursor[k] = run, run
+			pc.ends[k] = run
 			run += n
 		}
-		out, cursor := grouped[a:b], pc.cursor
+		out, ends := grouped[a:b], pc.ends
 		for i, v := range seg[a:b] {
 			k := dig[i]
-			out[cursor[k]] = v
-			cursor[k]++
+			out[ends[k]] = v
+			ends[k]++
 		}
 		pc.sum, pc.count = s, cnt
 	})
@@ -116,8 +116,8 @@ func parBucketize(p *parallel.Pool, seg []int64, bz *bucketizer, d digiter, lo, 
 				if pc.counts[d] == 0 {
 					continue
 				}
-				g := c*size + pc.off[d]
-				bz.lists[d].AppendSlice(grouped[g : g+pc.counts[d]])
+				g := c*size + pc.ends[d]
+				bz.lists[d].AppendSlice(grouped[g-pc.counts[d] : g])
 			}
 		}
 	})
@@ -129,9 +129,35 @@ func parBucketize(p *parallel.Pool, seg []int64, bz *bucketizer, d digiter, lo, 
 	return sum, count
 }
 
-// parCreateChunks reports how many chunks the parallel creation kernel
-// would use for a segment; 1 means the caller should stay on its
-// serial fused loop.
-func parCreateChunks(p *parallel.Pool, segLen int) int {
-	return p.Chunks(segLen, minChunkCreate)
+// bucketStep is the creation step of the three bucketing algorithms:
+// it moves up to units elements of the base column into bz.lists, each
+// into the bucket d's digits name, accumulating the predicated
+// aggregates of the segment for the in-flight query, and returns them
+// with how many elements it moved. A segment the pool would not split
+// stays on this goroutine, a tile of digits at a time.
+func (p *progressive) bucketStep(units int, lo, hi int64, aggs column.Aggregates, bz *bucketizer, d digiter) (column.Agg, int) {
+	start := p.copied
+	end := min(start+units, p.n)
+	seg := p.col.Values()[start:end]
+	var sum, count int64
+	if p.pool.Chunks(len(seg), minChunkCreate) > 1 {
+		sum, count = parBucketize(p.pool, seg, bz, d, lo, hi)
+	} else {
+		var tile [256]uint32
+		for rest := seg; len(rest) > 0; {
+			vals := rest[:min(len(rest), len(tile))]
+			rest = rest[len(vals):]
+			d.digits(vals, tile[:len(vals)])
+			for i, v := range vals {
+				bz.lists[tile[i]].Append(v)
+				ge := ^((v - lo) >> 63) & 1
+				le := ^((hi - v) >> 63) & 1
+				m := ge & le
+				sum += v & -m
+				count += m
+			}
+		}
+	}
+	p.copied = end
+	return segmentExtrema(p.pool, seg, lo, hi, aggs, sum, count), end - start
 }

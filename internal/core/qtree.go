@@ -68,8 +68,8 @@ type qtree struct {
 	root   *qnode
 	height int            // tracked upper bound on tree height, for t_lookup
 	pool   *parallel.Pool // sizes the leftover-region scan kernels
-	// scratch is sortLeaf's l1 elements, made by the first leaf sort and
-	// dropped by the owner when the tree is sorted.
+	// scratch is sortLeaf's, at most l1 elements; the owner drops it when
+	// the tree is sorted.
 	scratch []int64
 }
 
@@ -129,10 +129,7 @@ func (t *qtree) workNode(n *qnode, budget int, depth int) int {
 			// The sort is atomic, so the budget can overshoot by at
 			// most sortCost(L1Elements) (invariant 3 in DESIGN.md).
 			if n.vmin < n.vmax {
-				if t.scratch == nil {
-					t.scratch = make([]int64, t.l1)
-				}
-				sortLeaf(t.arr[n.start:n.end], t.scratch)
+				sortLeaf(t.arr[n.start:n.end], &t.scratch)
 				n.state = qSorted
 				return budget - sortCost(size)
 			}

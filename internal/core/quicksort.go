@@ -151,7 +151,7 @@ func (q *Quicksort) createStep(units int, lo, hi int64, aggs column.Aggregates) 
 		end = q.n
 	}
 	vals := q.col.Values()
-	if parCreateChunks(q.pool, end-start) > 1 {
+	if q.pool.Chunks(end-start, minChunkCreate) > 1 {
 		sum, count := q.createStepParallel(vals[start:end], lo, hi)
 		q.copied = end
 		return segmentExtrema(q.pool, vals[start:end], lo, hi, aggs, sum, count), end - start

@@ -53,12 +53,10 @@ func NewRadixLSD(col *column.Column, cfg Config) *RadixLSD {
 	span := uint64(col.Max() - col.Min())
 	r.passes = max((bits.Len64(span)+r.cfg.RadixBits-1)/r.cfg.RadixBits, 1)
 	r.old = blocks.NewSet(r.buckets, r.cfg.BlockSize)
+	for i := range r.buckets {
+		r.bz.lists = append(r.bz.lists, r.old.Bucket(i))
+	}
 	return r
-}
-
-// digit extracts the bucket index of v for distribute pass p.
-func (r *RadixLSD) digit(v int64, p int) int {
-	return int((v - r.min) >> (uint(p) * uint(r.cfg.RadixBits)) & int64(r.buckets-1))
 }
 
 // digits implements digiter: creation is distribute pass 0.
@@ -256,7 +254,7 @@ func (r *RadixLSD) create(units int, lo, hi int64, aggs column.Aggregates) (colu
 			res.Merge(r.old.Bucket(i).AggRange(lo, hi, aggs))
 		}
 	}
-	seg, did := r.createStep(units, lo, hi, aggs)
+	seg, did := r.bucketStep(units, lo, hi, aggs, &r.bz, r)
 	res.Merge(seg)
 	if fb {
 		// Fallback (α == ρ): the indexed prefix is re-read from the
@@ -339,40 +337,6 @@ func (r *RadixLSD) sorted() []int64 {
 		return nil
 	}
 	return r.final
-}
-
-// createStep performs distribute pass 0 over up to units base-column
-// elements, aggregating the segment for the in-flight query.
-func (r *RadixLSD) createStep(units int, lo, hi int64, aggs column.Aggregates) (column.Agg, int) {
-	start := r.copied
-	end := start + units
-	if end > r.n {
-		end = r.n
-	}
-	vals := r.col.Values()
-	if parCreateChunks(r.pool, end-start) > 1 {
-		if r.bz.lists == nil {
-			r.bz.lists = make([]*blocks.List, r.buckets)
-			for i := range r.bz.lists {
-				r.bz.lists[i] = r.old.Bucket(i)
-			}
-		}
-		sum, count := parBucketize(r.pool, vals[start:end], &r.bz, r, lo, hi)
-		r.copied = end
-		return segmentExtrema(r.pool, vals[start:end], lo, hi, aggs, sum, count), end - start
-	}
-	var sum, count int64
-	for i := start; i < end; i++ {
-		v := vals[i]
-		r.old.Bucket(r.digit(v, 0)).Append(v)
-		ge := ^((v - lo) >> 63) & 1
-		le := ^((hi - v) >> 63) & 1
-		m := ge & le
-		sum += v & -m
-		count += m
-	}
-	r.copied = end
-	return segmentExtrema(r.pool, vals[start:end], lo, hi, aggs, sum, count), end - start
 }
 
 // startRefinement implements algorithm.

@@ -63,7 +63,7 @@ type RadixMSD struct {
 
 	root     *rnode
 	bz       bucketizer // parBucketize's buffers, creation only
-	leaf     []int64    // sortLeaf's L1Elements, refinement only
+	leaf     []int64    // sortLeaf's scratch, refinement only
 	final    []int64
 	writeOff int
 }
@@ -77,6 +77,9 @@ func NewRadixMSD(col *column.Column, cfg Config) *RadixMSD {
 	r.root = &rnode{lo: col.Min(), hi: col.Max(), state: rInternal}
 	r.root.childShift = childShiftFor(r.root.lo, r.root.hi, r.cfg.RadixBits)
 	r.root.children = r.makeChildren(r.root)
+	for _, c := range r.root.children {
+		r.bz.lists = append(r.bz.lists, c.list)
+	}
 	return r
 }
 
@@ -224,7 +227,7 @@ func (r *RadixMSD) create(units int, lo, hi int64, aggs column.Aggregates) (colu
 			res.Merge(r.root.children[i].list.AggRange(lo, hi, aggs))
 		}
 	}
-	seg, did := r.createStep(units, lo, hi, aggs)
+	seg, did := r.bucketStep(units, lo, hi, aggs, &r.bz, r)
 	res.Merge(seg)
 	return res, did
 }
@@ -293,43 +296,6 @@ func (r *RadixMSD) sorted() []int64 {
 	return r.final
 }
 
-// createStep appends up to units elements from the base column into
-// the root buckets, accumulating the predicated aggregates of the
-// segment for the in-flight query, and returns how many elements it
-// moved.
-func (r *RadixMSD) createStep(units int, lo, hi int64, aggs column.Aggregates) (column.Agg, int) {
-	start := r.copied
-	end := start + units
-	if end > r.n {
-		end = r.n
-	}
-	vals := r.col.Values()
-	root := r.root
-	if parCreateChunks(r.pool, end-start) > 1 {
-		if r.bz.lists == nil {
-			r.bz.lists = make([]*blocks.List, len(root.children))
-			for i, c := range root.children {
-				r.bz.lists[i] = c.list
-			}
-		}
-		sum, count := parBucketize(r.pool, vals[start:end], &r.bz, r, lo, hi)
-		r.copied = end
-		return segmentExtrema(r.pool, vals[start:end], lo, hi, aggs, sum, count), end - start
-	}
-	var sum, count int64
-	for i := start; i < end; i++ {
-		v := vals[i]
-		root.children[r.bucketOf(root, v)].list.Append(v)
-		ge := ^((v - lo) >> 63) & 1
-		le := ^((hi - v) >> 63) & 1
-		m := ge & le
-		sum += v & -m
-		count += m
-	}
-	r.copied = end
-	return segmentExtrema(r.pool, vals[start:end], lo, hi, aggs, sum, count), end - start
-}
-
 // startRefinement implements algorithm.
 func (r *RadixMSD) startRefinement() {
 	r.bz = bucketizer{}
@@ -368,10 +334,7 @@ func (r *RadixMSD) process(n *rnode, budget int) int {
 		if n.cur.Remaining(n.list) == 0 {
 			n.end = r.writeOff
 			if n.lo < n.hi {
-				if r.leaf == nil {
-					r.leaf = make([]int64, r.cfg.L1Elements)
-				}
-				sortLeaf(r.final[n.start:n.end], r.leaf)
+				sortLeaf(r.final[n.start:n.end], &r.leaf)
 				// Charge the comparison sort beyond the per-element
 				// copy already billed; may overshoot by one node.
 				budget -= sortCost(n.end - n.start)
