@@ -32,7 +32,9 @@ vet:
 # PR 23 (one served table type) lowered it from 20 532, PR 24 (the
 # second benchmark tool retired) from 20 247, PR 25 (one index contract
 # under the shard layer) from 19 417.
-LOC_MAX ?= 19299
+# PR 26 (the indexing kernels, a perf feature) raised it from 19 299 by
+# its net, +205: kernels.go in, Cursor.Next and three createSteps out.
+LOC_MAX ?= 19504
 loc:
 	@n=$$(find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -not -path './.bench_build/*' -print0 | xargs -0 cat | wc -l); \
 	echo $$n; \

@@ -5,11 +5,12 @@ import (
 	"slices"
 )
 
-// This file holds the inner loops refinement spends its budget in: the
-// leaf sort, the pivot partition and the separator search. Each makes
-// the element visits the budget is charged for (DESIGN.md section 5),
-// in the order the one-element-at-a-time loops they replaced made them,
-// so a paused index is in the state it always was.
+// This file holds the inner loops creation and refinement spend their
+// budget in: the leaf sort, the pivot partition and PB's separator
+// search. Each makes the element visits the budget is charged for
+// (DESIGN.md section 5), in the order the one-element-at-a-time loops
+// they replaced made them, so a paused index is in the state it always
+// was.
 
 // sortLeafCut is the elements per radix pass below which sortLeaf hands
 // the node to slices.Sort: a pass costs a 256-entry histogram whatever n

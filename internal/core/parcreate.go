@@ -32,7 +32,7 @@ const minChunkCreate = 1 << 13
 // segChunk is one chunk's pass-1 output.
 type segChunk struct {
 	counts []int // per-bucket element counts (the chunk histogram)
-	ends   []int // per-bucket write positions in the chunk's grouped region: group ends after the scatter
+	ends   []int // per-bucket write positions in the chunk's region of grouped; the groups' ends once scattered
 	sum    int64 // predicated query aggregate over the chunk
 	count  int64
 }
@@ -131,23 +131,23 @@ func parBucketize(p *parallel.Pool, seg []int64, bz *bucketizer, d digiter, lo, 
 
 // bucketStep is the creation step of the three bucketing algorithms:
 // it moves up to units elements of the base column into bz.lists, each
-// into the bucket d's digits name, accumulating the predicated
+// into the bucket dg's digits name, accumulating the predicated
 // aggregates of the segment for the in-flight query, and returns them
 // with how many elements it moved. A segment the pool would not split
 // stays on this goroutine, a tile of digits at a time.
-func (p *progressive) bucketStep(units int, lo, hi int64, aggs column.Aggregates, bz *bucketizer, d digiter) (column.Agg, int) {
-	start := p.copied
-	end := min(start+units, p.n)
-	seg := p.col.Values()[start:end]
+func (d *progressive) bucketStep(units int, lo, hi int64, aggs column.Aggregates, bz *bucketizer, dg digiter) (column.Agg, int) {
+	start := d.copied
+	end := min(start+units, d.n)
+	seg := d.col.Values()[start:end]
 	var sum, count int64
-	if p.pool.Chunks(len(seg), minChunkCreate) > 1 {
-		sum, count = parBucketize(p.pool, seg, bz, d, lo, hi)
+	if d.pool.Chunks(len(seg), minChunkCreate) > 1 {
+		sum, count = parBucketize(d.pool, seg, bz, dg, lo, hi)
 	} else {
 		var tile [256]uint32
 		for rest := seg; len(rest) > 0; {
 			vals := rest[:min(len(rest), len(tile))]
 			rest = rest[len(vals):]
-			d.digits(vals, tile[:len(vals)])
+			dg.digits(vals, tile[:len(vals)])
 			for i, v := range vals {
 				bz.lists[tile[i]].Append(v)
 				ge := ^((v - lo) >> 63) & 1
@@ -158,6 +158,6 @@ func (p *progressive) bucketStep(units int, lo, hi int64, aggs column.Aggregates
 			}
 		}
 	}
-	p.copied = end
-	return segmentExtrema(p.pool, seg, lo, hi, aggs, sum, count), end - start
+	d.copied = end
+	return segmentExtrema(d.pool, seg, lo, hi, aggs, sum, count), end - start
 }
