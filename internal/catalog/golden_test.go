@@ -56,8 +56,9 @@ func servedState(tbl *Table) string {
 // mask, ranges, points, zone misses), single Executes, appends that
 // cross a seal, a batch over a pending tail after convergence, idle
 // slices until the table settles, and one clamped batch. A line holds
-// the hash of the step's answers and of every request's Stats, the
-// leader's Stats in clear (phase, δ, predicted cost — the model's
+// the hash of the step's answers, the hash of every request's Stats (two
+// columns, so that a change to the model's accounting moves one and not
+// the other), the leader's Stats in clear (phase, δ, predicted cost — the model's
 // figures, never a clock's), and the table's state afterwards. The
 // values track the row number, so the shards' zones prune and the heat
 // split is uneven. testdata/served_stream.golden must stay
@@ -108,16 +109,17 @@ func TestServedStreamGolden(t *testing.T) {
 					return req
 				}
 				line := func(step string, answers []progidx.Answer, errs []error) {
-					h := fnv.New64a()
+					ha, hs := fnv.New64a(), fnv.New64a()
 					for i, ans := range answers {
 						if errs[i] != nil {
 							t.Fatalf("%s %s: %v", name, step, errs[i])
 						}
 						st := ans.Stats
-						fmt.Fprintf(h, "%d %d %d %d %.9g|%d %.9g %.9g %d %d %d\n", ans.Sum, ans.Count, ans.Min, ans.Max, ans.Avg,
+						fmt.Fprintf(ha, "%d %d %d %d %.9g\n", ans.Sum, ans.Count, ans.Min, ans.Max, ans.Avg)
+						fmt.Fprintf(hs, "%d %.9g %.9g %d %d %d\n",
 							st.Phase, st.Delta, st.Predicted, st.AlphaElems, st.ShardsScanned, st.ShardsPruned)
 					}
-					fmt.Fprintf(&out, "%s %016x", step, h.Sum64())
+					fmt.Fprintf(&out, "%s %016x %016x", step, ha.Sum64(), hs.Sum64())
 					if len(answers) > 0 {
 						st := answers[0].Stats
 						fmt.Fprintf(&out, " lead=%s/%.9g/%.9g", st.Phase, st.Delta, st.Predicted)

@@ -20,8 +20,10 @@ var update = flag.Bool("update", false, "regenerate testdata golden files")
 // TestStatsStreamGolden pins the whole lifecycle — every answer and
 // every per-query Stats field, through creation, refinement,
 // consolidation and the Done path — of all four algorithms under every
-// budget mode, serial and parallel, as one FNV-64 hash per
-// configuration. The cost model is the uncalibrated default and the
+// budget mode, serial and parallel, as two FNV-64 hashes per
+// configuration: the answers' column first, the Stats' second, so a
+// change to the model's accounting shows as one column moving and the
+// other not. The cost model is the uncalibrated default and the
 // worker counts are explicit, so the stream is a pure function of the
 // code: a lifecycle refactor must leave testdata/stats_stream.golden
 // byte-unchanged (regenerate with -update only when behaviour is meant
@@ -50,7 +52,7 @@ func TestStatsStreamGolden(t *testing.T) {
 				cfg := b.cfg
 				cfg.Workers = workers
 				idx := c.make(column.MustNew(vals), cfg)
-				h := fnv.New64a()
+				ha, hs := fnv.New64a(), fnv.New64a()
 				converged := -1
 				for i := 0; i < queries; i++ {
 					q := gen.Query(i)
@@ -63,13 +65,14 @@ func TestStatsStreamGolden(t *testing.T) {
 						t.Fatalf("%s/%s/w%d query %d: %v", c.name, b.name, workers, i, err)
 					}
 					st := ans.Stats
-					fmt.Fprintf(h, "%d %d %d %d %.9g %.9g %.9g %.9g\n", st.Phase, st.AlphaElems, ans.Sum, ans.Count,
+					fmt.Fprintf(ha, "%d %d %d %d %.9g\n", ans.Sum, ans.Count, ans.Min, ans.Max, ans.Avg)
+					fmt.Fprintf(hs, "%d %d %.9g %.9g %.9g %.9g\n", st.Phase, st.AlphaElems,
 						st.Delta, st.WorkSeconds, st.BaseSeconds, st.Predicted)
 					if converged < 0 && idx.Converged() {
 						converged = i
 					}
 				}
-				fmt.Fprintf(&out, "%s/%s/w%d converged=%d %016x\n", c.name, b.name, workers, converged, h.Sum64())
+				fmt.Fprintf(&out, "%s/%s/w%d converged=%d %016x %016x\n", c.name, b.name, workers, converged, ha.Sum64(), hs.Sum64())
 			}
 		}
 	}
