@@ -13,11 +13,11 @@ test:
 race:
 	$(GO) test -race ./...
 
-# One kernel's ns/op: every benchmark of the five packages CI's bench
+# One kernel's ns/op: every benchmark of the six packages CI's bench
 # smoke runs once. For one of them, e.g.
 # go test -run '^$$' -bench ConjDriver ./internal/plan
 microbench:
-	$(GO) test -run '^$$' -bench . -benchtime 2x ./internal/column ./internal/core ./internal/shard ./internal/encode ./internal/plan
+	$(GO) test -run '^$$' -bench . -benchtime 2x ./internal/btree ./internal/column ./internal/core ./internal/shard ./internal/encode ./internal/plan
 
 fmt:
 	gofmt -l .
@@ -34,7 +34,9 @@ vet:
 # under the shard layer) from 19 417.
 # PR 26 (the indexing kernels, a perf feature) raised it from 19 299 by
 # its net, +205: kernels.go in, Cursor.Next and three createSteps out.
-LOC_MAX ?= 19504
+# PR 27 (a converged SUM by lookup, a perf feature) raised it from 19 504
+# by its net, +60: the B+-tree's prefix sums in, consolidator.matched out.
+LOC_MAX ?= 19564
 loc:
 	@n=$$(find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -not -path './.bench_build/*' -print0 | xargs -0 cat | wc -l); \
 	echo $$n; \

@@ -221,7 +221,8 @@ func BenchmarkAblationBTreeFanout(b *testing.B) {
 		b.Run(sizeName("beta", fanout), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				lo := rng.Int63n(int64(len(vals)))
-				benchSink = tree.AggRange(lo, lo+1000, column.AggSum|column.AggCount).Result()
+				agg, _ := tree.AggRange(lo, lo+1000, column.AggSum|column.AggCount)
+				benchSink = agg.Result()
 			}
 		})
 	}

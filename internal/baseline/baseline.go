@@ -77,7 +77,8 @@ func (f *FullIndex) Converged() bool { return f.tree != nil }
 func (f *FullIndex) Execute(req query.Request) (query.Answer, error) {
 	return query.Run(req, f.col.Min(), f.col.Max(), func(lo, hi int64, aggs column.Aggregates) (column.Agg, query.Stats) {
 		f.build()
-		return f.tree.AggRange(lo, hi, aggs), query.Stats{Workers: 1}
+		a, read := f.tree.AggRange(lo, hi, aggs)
+		return a, query.Stats{AlphaElems: read, Workers: 1}
 	})
 }
 

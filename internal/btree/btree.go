@@ -9,9 +9,20 @@
 // The sorted array itself is the leaf level, so the tree needs only
 // N_copy = Σ n/β^i extra key slots.
 //
+// Beside the first parent level sits an array of prefix sums at node
+// grain, cum[j] = Σ leaf[0 : j·β] (wrapping, as every SUM in this
+// repository does), n/β+1 words or an eighth of a byte per row at β = 64.
+// It is the per-tile aggregate metadata of Maroulis et al. (PAPERS.md)
+// moved to where the paper's end state lives: a SUM over a run of any
+// length is cum[j₂] − cum[j₁] plus the fewer than 2β leaves between the
+// run's ends and the nearest node boundaries inside it, so a converged
+// index answers every aggregate at lookup cost.
+//
 // Builder exposes that construction incrementally: Step(k) performs at
 // most k element copies, which is how the consolidation phase spreads
-// the build over many queries under a per-query budget.
+// the build over many queries under a per-query budget. A copy into the
+// first parent level also adds up the node it heads, so the prefix sums
+// cost one sequential read of the leaves spread over those same steps.
 package btree
 
 import (
@@ -26,6 +37,9 @@ type Tree struct {
 	// levels[0] is the sorted leaf array (not owned; shared with the
 	// index that built it). levels[i+1][j] == levels[i][j*fanout].
 	levels [][]int64
+	// cum[j] is the wrapping sum of leaf[0 : j*fanout], for every j up to
+	// and including len(levels[1]); nil for a single-node tree.
+	cum []int64
 }
 
 // Len returns the number of keys at the leaf level.
@@ -77,63 +91,79 @@ func (t *Tree) LowerBound(v int64) int {
 
 // UpperBound returns the first leaf position p with leaf[p] > v.
 func (t *Tree) UpperBound(v int64) int {
-	if v == int64(column.MaxMagnitude) {
-		return t.Len()
+	if v >= column.MaxMagnitude {
+		return t.Len() // no key reaches MaxMagnitude, and v+1 must not wrap
 	}
 	return t.LowerBound(v + 1)
 }
 
 // AggRange computes the requested aggregates over the inclusive range
-// [lo, hi]. The tree descent finds the matching leaf run, so COUNT, MIN
-// and MAX cost O(log N); the O(matches) leaf pass is paid only when a
-// SUM (or AVG) was requested.
-func (t *Tree) AggRange(lo, hi int64, aggs column.Aggregates) column.Agg {
-	a := column.NewAgg()
+// [lo, hi] and reports how many leaves it read to do so. One pair of
+// descents finds the matching run, which gives COUNT, MIN and MAX
+// outright; a SUM (or AVG) takes the whole nodes inside the run from the
+// prefix sums and adds only the leaves outside them, fewer than 2β, or
+// the run itself when it is shorter than a node.
+func (t *Tree) AggRange(lo, hi int64, aggs column.Aggregates) (a column.Agg, read int) {
+	a = column.NewAgg()
 	i := t.LowerBound(lo)
 	j := t.UpperBound(hi)
-	if i >= j {
-		return a
+	if i >= j { // nothing matches; inverted bounds end here too
+		return a, 0
 	}
 	leaf := t.levels[0]
 	a.Count = int64(j - i)
 	a.Min = leaf[i]
 	a.Max = leaf[j-1]
-	if aggs.NeedsSum() {
-		var sum int64
-		for _, v := range leaf[i:j] {
-			sum += v
-		}
-		a.Sum = sum
+	if !aggs.NeedsSum() {
+		return a, 0
 	}
-	return a
+	if j-i < t.fanout {
+		a.Sum = sumOf(leaf[i:j])
+		return a, j - i
+	}
+	// j-i >= fanout puts at least one node boundary in [i, j], so j1 <= j2.
+	j1 := (i + t.fanout - 1) / t.fanout
+	j2 := j / t.fanout
+	head, tail := leaf[i:j1*t.fanout], leaf[j2*t.fanout:j]
+	a.Sum = sumOf(head) + (t.cum[j2] - t.cum[j1]) + sumOf(tail)
+	return a, len(head) + len(tail)
+}
+
+// sumOf is the wrapping sum of vals.
+func sumOf(vals []int64) int64 {
+	var sum int64
+	for _, v := range vals {
+		sum += v
+	}
+	return sum
 }
 
 // Builder constructs a Tree incrementally under a copy budget.
 type Builder struct {
 	fanout int
 	levels [][]int64
-	// cur is the level currently being filled (index into levels of
-	// the source level is cur-1), next the position within it.
-	cur     int
-	nextDst int
-	done    bool
+	cum    []int64
+	// cur is the level currently being filled; its source is cur-1.
+	cur  int
+	done bool
 }
 
 // NewBuilder prepares an incremental build over sorted. The slice must
-// already be fully sorted; Builder verifies the precondition lazily in
-// debug helpers but not on the hot path (the progressive indexes only
-// reach consolidation after their own refinement has finished, which
-// tests assert separately).
+// already be fully sorted; nothing here checks it (the progressive
+// indexes reach consolidation only after their own refinement has
+// finished, which their tests assert).
 func NewBuilder(sorted []int64, fanout int) (*Builder, error) {
 	if fanout < 2 {
 		return nil, fmt.Errorf("btree: fanout must be >= 2, got %d", fanout)
 	}
 	b := &Builder{fanout: fanout, levels: [][]int64{sorted}, cur: 1}
-	if len(sorted)/fanout == 0 {
+	nodes := len(sorted) / fanout
+	if nodes == 0 {
 		b.done = true // single-node tree: the leaf level is everything
 		return b, nil
 	}
-	b.levels = append(b.levels, make([]int64, 0, len(sorted)/fanout))
+	b.levels = append(b.levels, make([]int64, 0, nodes))
+	b.cum = make([]int64, 1, nodes+1)
 	return b, nil
 }
 
@@ -142,8 +172,8 @@ func (b *Builder) TotalCopies() int {
 	return ConsolidateCopies(len(b.levels[0]), b.fanout)
 }
 
-// ConsolidateCopies mirrors costmodel.ConsolidateCopies; duplicated
-// here (3 lines) to avoid an import cycle between btree and costmodel.
+// ConsolidateCopies is the paper's N_copy = Σ n/β^i: the key slots of
+// every level above the leaves.
 func ConsolidateCopies(n, fanout int) int {
 	total := 0
 	for level := n / fanout; level > 0; level /= fanout {
@@ -156,8 +186,9 @@ func ConsolidateCopies(n, fanout int) int {
 func (b *Builder) Done() bool { return b.done }
 
 // Step performs at most budget element copies and returns how many it
-// actually performed. When the top level shrinks to at most fanout
-// keys, the build is complete.
+// actually performed; a copy into the first parent level also extends
+// the prefix sums by the node it heads. When the top level shrinks to at
+// most fanout keys, the build is complete.
 func (b *Builder) Step(budget int) int {
 	if b.done || budget <= 0 {
 		return 0
@@ -168,7 +199,11 @@ func (b *Builder) Step(budget int) int {
 		dst := b.levels[b.cur]
 		want := len(src) / b.fanout
 		for len(dst) < want && copies < budget {
-			dst = append(dst, src[len(dst)*b.fanout])
+			at := len(dst) * b.fanout
+			dst = append(dst, src[at])
+			if b.cur == 1 {
+				b.cum = append(b.cum, b.cum[len(b.cum)-1]+sumOf(src[at:at+b.fanout]))
+			}
 			copies++
 		}
 		b.levels[b.cur] = dst
@@ -191,5 +226,5 @@ func (b *Builder) Tree() *Tree {
 	if !b.done {
 		return nil
 	}
-	return &Tree{fanout: b.fanout, levels: b.levels}
+	return &Tree{fanout: b.fanout, levels: b.levels, cum: b.cum}
 }

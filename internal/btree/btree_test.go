@@ -1,6 +1,7 @@
 package btree
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -39,8 +40,8 @@ func TestBuildTinyArray(t *testing.T) {
 	if got := tr.LowerBound(6); got != 1 {
 		t.Fatalf("LowerBound(6) = %d, want 1", got)
 	}
-	if got := tr.AggRange(5, 7, column.AggSum|column.AggCount); got.Sum != 12 || got.Count != 2 {
-		t.Fatalf("AggRange = %+v", got)
+	if got, read := tr.AggRange(5, 7, column.AggSum|column.AggCount); got.Sum != 12 || got.Count != 2 || read != 2 {
+		t.Fatalf("AggRange = %+v, read %d", got, read)
 	}
 }
 
@@ -81,7 +82,8 @@ func TestSumRangeMatchesScan(t *testing.T) {
 	for q := 0; q < 200; q++ {
 		lo := int64(rng.Intn(1100)) - 50
 		hi := lo + int64(rng.Intn(300))
-		got := tr.AggRange(lo, hi, column.AggSum|column.AggCount).Result()
+		agg, _ := tr.AggRange(lo, hi, column.AggSum|column.AggCount)
+		got := agg.Result()
 		want := column.SumRange(vals, lo, hi)
 		if got != want {
 			t.Fatalf("AggRange(%d,%d) = %+v, want %+v", lo, hi, got, want)
@@ -115,39 +117,49 @@ func TestLowerBoundProperty(t *testing.T) {
 func TestBuilderIncrementalMatchesOneShot(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	vals := sortedRandom(rng, 10_000, 100_000)
+	const fanout = 8
 
-	oneShot, err := Build(vals, 8)
+	oneShot, err := Build(vals, fanout)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	b, err := NewBuilder(vals, 8)
-	if err != nil {
-		t.Fatal(err)
+	if want := len(vals)/fanout + 1; len(oneShot.cum) != want || cap(oneShot.cum) != want {
+		t.Fatalf("cum has len %d cap %d, want exactly %d", len(oneShot.cum), cap(oneShot.cum), want)
 	}
-	total := 0
-	steps := 0
-	for !b.Done() {
-		total += b.Step(97) // deliberately awkward budget
-		steps++
-		if steps > 1_000_000 {
-			t.Fatal("builder did not terminate")
+	for j, c := range oneShot.cum {
+		if want := sumOf(vals[:j*fanout]); c != want {
+			t.Fatalf("cum[%d] = %d, want %d", j, c, want)
 		}
 	}
-	if total != b.TotalCopies() {
-		t.Fatalf("performed %d copies, expected %d", total, b.TotalCopies())
-	}
-	tr := b.Tree()
-	if tr == nil {
-		t.Fatal("Tree() nil after Done")
-	}
-	if tr.Height() != oneShot.Height() {
-		t.Fatalf("height %d != one-shot height %d", tr.Height(), oneShot.Height())
-	}
-	for q := 0; q < 100; q++ {
-		v := int64(rng.Intn(110_000))
-		if tr.LowerBound(v) != oneShot.LowerBound(v) {
-			t.Fatalf("incremental tree disagrees with one-shot at %d", v)
+
+	// 97 is deliberately awkward; 1, β-1 and β+1 stop the prefix sums
+	// at every offset within a node.
+	for _, budget := range []int{1, fanout - 1, fanout + 1, 97} {
+		b, err := NewBuilder(vals, fanout)
+		if err != nil {
+			t.Fatal(err)
+		}
+		total := 0
+		steps := 0
+		for !b.Done() {
+			total += b.Step(budget)
+			steps++
+			if steps > 1_000_000 {
+				t.Fatal("builder did not terminate")
+			}
+		}
+		if total != b.TotalCopies() {
+			t.Fatalf("budget %d: performed %d copies, expected %d", budget, total, b.TotalCopies())
+		}
+		tr := b.Tree()
+		if tr == nil {
+			t.Fatal("Tree() nil after Done")
+		}
+		if !slices.EqualFunc(tr.levels, oneShot.levels, slices.Equal[[]int64]) {
+			t.Fatalf("budget %d: levels differ from the one-shot tree's", budget)
+		}
+		if !slices.Equal(tr.cum, oneShot.cum) {
+			t.Fatalf("budget %d: prefix sums differ from the one-shot tree's", budget)
 		}
 	}
 }
@@ -193,8 +205,118 @@ func TestDuplicateHeavyKeys(t *testing.T) {
 			t.Fatalf("LowerBound(%d) = %d, want %d", v, got, want)
 		}
 	}
-	r := tr.AggRange(1, 2, column.AggSum|column.AggCount)
+	r, _ := tr.AggRange(1, 2, column.AggSum|column.AggCount)
 	if r.Count != 1024 {
 		t.Fatalf("AggRange(1,2).Count = %d, want 1024", r.Count)
+	}
+}
+
+// checkAggRange holds AggRange with every aggregate to the branching
+// oracle over the same (sorted) values, and the read count to its bound:
+// nothing without a SUM, the run when it is shorter than a node, fewer
+// than two nodes otherwise.
+func checkAggRange(t *testing.T, tr *Tree, vals []int64, lo, hi int64) {
+	t.Helper()
+	want := column.AggRangeBranching(vals, lo, hi)
+	got, read := tr.AggRange(lo, hi, column.AggAll)
+	if got != want {
+		t.Fatalf("fanout %d n %d: AggRange(%d, %d) = %+v, want %+v", tr.fanout, len(vals), lo, hi, got, want)
+	}
+	if limit := min(int(want.Count), 2*(tr.fanout-1)); read > limit {
+		t.Fatalf("fanout %d n %d: AggRange(%d, %d) read %d leaves for %d matches", tr.fanout, len(vals), lo, hi, read, want.Count)
+	}
+	got, read = tr.AggRange(lo, hi, column.AggCount|column.AggMin|column.AggMax)
+	if got.Count != want.Count || got.Min != want.Min || got.Max != want.Max || read != 0 {
+		t.Fatalf("fanout %d n %d: AggRange(%d, %d) without SUM = %+v reading %d, want %+v reading none", tr.fanout, len(vals), lo, hi, got, read, want)
+	}
+}
+
+// TestAggRangeWrapsLikeTheScan: with values near ±2^61 the prefix sums
+// overflow after a handful of nodes, and the difference of two wrapped
+// sums must still be bit-identical to the scan's wrapped SUM.
+func TestAggRangeWrapsLikeTheScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	const big = int64(1) << 61
+	for _, fanout := range []int{2, 8, 64} {
+		vals := make([]int64, 5_000)
+		for i := range vals {
+			vals[i] = big + rng.Int63n(big-1) // in [2^61, 2^62)
+			if i%3 == 0 {
+				vals[i] = -vals[i]
+			}
+		}
+		slices.Sort(vals)
+		tr, err := Build(vals, fanout)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if last := tr.cum[len(tr.cum)-1]; last == 0 || sumOf(vals[:len(vals)/fanout*fanout]) != last {
+			t.Fatalf("fanout %d: last prefix sum %d does not match the wrapped scan", fanout, last)
+		}
+		checkAggRange(t, tr, vals, vals[0], vals[len(vals)-1])
+		checkAggRange(t, tr, vals, -column.MaxMagnitude+1, column.MaxMagnitude-1)
+		for q := 0; q < 300; q++ {
+			a, b := vals[rng.Intn(len(vals))], vals[rng.Intn(len(vals))]
+			checkAggRange(t, tr, vals, min(a, b), max(a, b))
+		}
+	}
+}
+
+// FuzzTreeAggRange: any sorted input, any fan-out from 2 to 128, any
+// bounds — inverted and out-of-domain ones included — against the
+// branching oracle.
+func FuzzTreeAggRange(f *testing.F) {
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9}, uint8(0), int64(2), int64(7))
+	f.Add([]byte{9, 9, 9, 9, 0, 0, 0, 0, 200, 100}, uint8(2), int64(9), int64(0))
+	f.Add([]byte{}, uint8(126), int64(-1), int64(1))
+	f.Fuzz(func(t *testing.T, raw []byte, fan uint8, lo, hi int64) {
+		fanout := 2 + int(fan)%127
+		// Three bytes a value, spread over the whole legal magnitude so
+		// that sums wrap; the bounds may be anything an int64 holds.
+		vals := make([]int64, 0, len(raw)/3)
+		for ; len(raw) >= 3; raw = raw[3:] {
+			v := int64(int8(raw[0]))<<54 | int64(raw[1])<<8 | int64(raw[2])
+			vals = append(vals, v)
+		}
+		slices.Sort(vals)
+		tr, err := Build(vals, fanout)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkAggRange(t, tr, vals, lo, hi)
+		if len(vals) > 0 {
+			// Bounds taken from the data hit runs the random ones miss.
+			a := vals[int(uint64(lo)%uint64(len(vals)))]
+			b := vals[int(uint64(hi)%uint64(len(vals)))]
+			checkAggRange(t, tr, vals, a, b)
+			checkAggRange(t, tr, vals, b, a)
+		}
+	})
+}
+
+var benchSink column.Agg
+
+// BenchmarkTreeAggRange times one converged SUM on 4M uniform rows at
+// β = 64, at three selectivities: with the prefix sums the cost must not
+// depend on the length of the run.
+func BenchmarkTreeAggRange(b *testing.B) {
+	const n = 4 << 20
+	vals := make([]int64, n)
+	for i := range vals {
+		vals[i] = int64(i)
+	}
+	tr, err := Build(vals, 64)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, sel := range []float64{0.0001, 0.1, 1} {
+		b.Run(fmt.Sprintf("sel=%g", sel), func(b *testing.B) {
+			width := int64(sel * n)
+			rng := rand.New(rand.NewSource(1))
+			for b.Loop() {
+				lo := rng.Int63n(n - width + 1)
+				benchSink, _ = tr.AggRange(lo, lo+width-1, column.AggSum|column.AggCount)
+			}
+		})
 	}
 }

@@ -248,17 +248,31 @@ func (c *Column) Sum(lo, hi int64) Result {
 	return SumRange(c.values, lo, hi)
 }
 
+// within is the kernels' match, 1 iff lo <= v <= lo+span, by one unsigned
+// compare: a v below lo wraps to the top half of the unsigned range, which
+// no span inside MaxMagnitude reaches. The constant under the condition
+// compiles to SETBE, not a jump. Callers rule out lo > hi first: that
+// span would wrap and match nearly everything.
+func within(v, lo int64, span uint64) int64 {
+	if uint64(v-lo) <= span {
+		return 1
+	}
+	return 0
+}
+
 // SumRange computes SUM and COUNT of values v with lo <= v <= hi using
-// a branch-free kernel: per element it derives 0/1 masks from the sign
-// bits of (v-lo) and (hi-v) and accumulates sum += v & -match. This is
-// the Go rendering of the predication technique the paper relies on for
-// robust, selectivity-independent scan cost.
+// a branch-free kernel: per element it derives a 0/1 match (within) and
+// accumulates sum += v & -match. This is the Go rendering of the
+// predication technique the paper relies on for robust,
+// selectivity-independent scan cost.
 func SumRange(values []int64, lo, hi int64) Result {
+	if lo > hi {
+		return Result{}
+	}
+	span := uint64(hi - lo)
 	var sum, count int64
 	for _, v := range values {
-		ge := ^((v - lo) >> 63) & 1 // 1 iff v >= lo
-		le := ^((hi - v) >> 63) & 1 // 1 iff v <= hi
-		m := ge & le
+		m := within(v, lo, span)
 		sum += v & -m
 		count += m
 	}
@@ -292,15 +306,16 @@ func AggRange(values []int64, lo, hi int64, aggs Aggregates) Agg {
 		a.Sum, a.Count = r.Sum, r.Count
 		return a
 	}
+	if lo > hi {
+		return a
+	}
+	span := uint64(hi - lo)
 	var sum, count int64
 	mn, mx := a.Min, a.Max
 	for _, v := range values {
-		ge := ^((v - lo) >> 63) & 1 // 1 iff v >= lo
-		le := ^((hi - v) >> 63) & 1 // 1 iff v <= hi
-		m := ge & le
-		mask := -m
+		mask := -within(v, lo, span)
 		sum += v & mask
-		count += m
+		count -= mask
 		locand := (v & mask) | (mn &^ mask) // v when matching, else mn
 		if locand < mn {
 			mn = locand

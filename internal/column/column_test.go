@@ -90,22 +90,40 @@ func TestSumRangeNegativeValues(t *testing.T) {
 	}
 }
 
-// Property: the predicated kernel agrees with the branching oracle for
-// arbitrary data and bounds within the supported magnitude.
+// Property: the predicated kernels agree with the branching oracles for
+// arbitrary data and bounds within the supported magnitude — inverted
+// bounds (empty, which the unsigned compare needs a guard for), equal
+// ones, and the extremes of the domain, where the span hi-lo is one short
+// of wrapping.
 func TestSumRangePredicationMatchesBranching(t *testing.T) {
+	agree := func(vals []int64, lo, hi int64) bool {
+		return SumRange(vals, lo, hi) == SumRangeBranching(vals, lo, hi) &&
+			AggRange(vals, lo, hi, AggAll) == AggRangeBranching(vals, lo, hi)
+	}
 	f := func(raw []int64, a, b int64) bool {
 		vals := make([]int64, len(raw))
 		for i, v := range raw {
 			vals[i] = v % MaxMagnitude
 		}
 		lo, hi := a%MaxMagnitude, b%MaxMagnitude
-		if lo > hi {
-			lo, hi = hi, lo
+		ok := agree(vals, lo, hi) && agree(vals, hi, lo) && agree(vals, lo, lo)
+		if len(vals) > 0 {
+			ok = ok && agree(vals, vals[0], vals[0]) && agree(vals, vals[0], hi) && agree(vals, lo, vals[0])
 		}
-		return SumRange(vals, lo, hi) == SumRangeBranching(vals, lo, hi)
+		return ok
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+	const top = MaxMagnitude - 1
+	edge := []int64{-top, -top + 1, -1, 0, 1, top - 1, top}
+	for _, lo := range edge {
+		for _, hi := range edge {
+			if !agree(edge, lo, hi) {
+				t.Fatalf("[%d, %d]: SumRange %+v, AggRange %+v, oracle %+v", lo, hi,
+					SumRange(edge, lo, hi), AggRange(edge, lo, hi, AggAll), AggRangeBranching(edge, lo, hi))
+			}
+		}
 	}
 }
 

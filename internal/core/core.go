@@ -214,7 +214,11 @@ type consolidator struct {
 	sorted  []int64
 	total   int
 	done    int
-	perUnit float64 // model cost per element copy
+	// unit is the model cost of the whole build: the copies, plus the one
+	// sequential read of the leaves that fills the tree's prefix sums;
+	// perUnit is unit spread evenly over the copies, the budget's grain.
+	unit    float64
+	perUnit float64
 }
 
 func newConsolidator(sorted []int64, fanout int, m *costmodel.Model) *consolidator {
@@ -226,7 +230,8 @@ func newConsolidator(sorted []int64, fanout int, m *costmodel.Model) *consolidat
 	}
 	c := &consolidator{builder: b, sorted: sorted, total: b.TotalCopies()}
 	if c.total > 0 {
-		c.perUnit = m.ConsolidateTime(c.total) / float64(c.total)
+		c.unit = m.ConsolidateTime(c.total) + m.ScanTime(len(sorted))
+		c.perUnit = c.unit / float64(c.total)
 	}
 	if b.Done() {
 		c.tree = b.Tree()
@@ -254,21 +259,21 @@ func (c *consolidator) step(sec float64) float64 {
 
 func (c *consolidator) finished() bool { return c.tree != nil }
 
-// answer resolves the query against the tree if complete, otherwise by
-// binary search on the sorted array (the paper's consolidation-phase
-// behaviour).
-func (c *consolidator) answer(lo, hi int64, aggs column.Aggregates) column.Agg {
+// answer resolves the query and reports how many elements it read to do
+// so (the query's α): against the tree once that is complete — one pair
+// of descents, and for a SUM the prefix sums plus fewer than 2β leaves —
+// and until then by binary search on the sorted array (the paper's
+// consolidation-phase behaviour), where a SUM reads the whole matching
+// run. COUNT, MIN and MAX read nothing either way.
+func (c *consolidator) answer(lo, hi int64, aggs column.Aggregates) (column.Agg, int) {
 	if c.tree != nil {
 		return c.tree.AggRange(lo, hi, aggs)
 	}
-	return column.AggSorted(c.sorted, lo, hi, aggs)
-}
-
-// matched returns how many elements the answer will touch, for α.
-func (c *consolidator) matched(lo, hi int64) int {
-	i := column.LowerBound(c.sorted, lo)
-	j := column.UpperBound(c.sorted, hi)
-	return j - i
+	a := column.AggSorted(c.sorted, lo, hi, aggs)
+	if !aggs.NeedsSum() {
+		return a, 0
+	}
+	return a, int(a.Count)
 }
 
 // segmentExtrema assembles the accumulator a fused creation kernel

@@ -153,21 +153,23 @@ func (d *progressive) execute(lo, hi int64, aggs column.Aggregates, scale float6
 	// base is the cost-model estimate for answering from the current
 	// state (with the α element count it used), unit the cost of a δ = 1
 	// indexing pass in this phase: the algorithm's while it still
-	// organizes the data; a binary search plus the matching run, and the
-	// B+-tree's copies, once the sorted array exists.
+	// organizes the data. Once the sorted array exists the answer is
+	// computed first and base is what it did — a search plus the elements
+	// it read, at most 2β of them when the tree is complete — and unit is
+	// the B+-tree's build.
 	var (
+		res        column.Agg
 		base, unit float64
 		alpha      int
 	)
-	if d.cons == nil {
+	cons := d.cons
+	if cons == nil {
 		base, alpha = d.alg.predict(lo, hi)
 		unit = d.alg.unitFull(startPhase)
 	} else {
-		alpha = d.cons.matched(lo, hi)
+		res, alpha = cons.answer(lo, hi, aggs)
 		base = d.model.BinarySearchTime(d.n) + d.model.ScanTime(alpha)
-		if startPhase == PhaseConsolidation {
-			unit = d.model.ConsolidateTime(d.cons.total)
-		}
+		unit = cons.unit
 	}
 	planned := 0.0
 	if startPhase != PhaseDone && !suspend {
@@ -177,7 +179,6 @@ func (d *progressive) execute(lo, hi int64, aggs column.Aggregates, scale float6
 		planned = d.budget.plan(base, unit, scale)
 	}
 
-	var res column.Agg
 	consumed, delta := 0.0, 0.0
 	if startPhase == PhaseCreation {
 		// The copied segment is aggregated while it is being moved into
@@ -213,10 +214,8 @@ func (d *progressive) execute(lo, hi int64, aggs column.Aggregates, scale float6
 			}
 		}
 	} else {
-		if d.cons == nil {
+		if cons == nil {
 			res = d.alg.answer(lo, hi, aggs)
-		} else {
-			res = d.cons.answer(lo, hi, aggs)
 		}
 		consumed = d.work(planned, lo, hi)
 		if unit > 0 {

@@ -211,7 +211,8 @@ func TwoPhase(converged bool) Phase {
 // Stats reports what a single Execute call did, for the harness and the
 // cost-model validation experiments (Figures 8 and 9). Non-progressive
 // indexes (the scan/index baselines and the cracking family) leave the
-// work fields zero and report only Workers.
+// work fields zero and report only Workers — and, the full index, the
+// leaves its B+-tree read as AlphaElems.
 type Stats struct {
 	// Phase the index was in when the query started.
 	Phase Phase
@@ -226,7 +227,9 @@ type Stats struct {
 	// BaseSeconds + WorkSeconds.
 	Predicted float64
 	// AlphaElems is how many index-resident elements the answer
-	// scanned (the α of Table 1, in elements).
+	// scanned (the α of Table 1, in elements). From a converged index
+	// that is the leaves a SUM read beside the B+-tree's prefix sums,
+	// fewer than two nodes' worth, and none for COUNT, MIN or MAX.
 	AlphaElems int
 	// Workers is the parallel worker count the index's scan kernels
 	// were sized for on this call (1 = serial execution).

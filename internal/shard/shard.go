@@ -1142,9 +1142,11 @@ func (s *Sharded) executeShardTraced(st *state, sub query.Request, lo, hi int64,
 	tr.Str(sp, "encoding", enc)
 	tr.Float(sp, "budget_spent_s", p.stats.WorkSeconds)
 	scanned := int64(p.stats.AlphaElems)
-	if scanned == 0 {
-		// Creation-phase scans touch the raw rows, not index-resident
-		// elements; the shard's row count is the honest figure.
+	if p.stats.Phase == query.PhaseCreation || st.cold.Load() {
+		// A creation-phase scan touches the raw rows and a cold shard's
+		// its packed ones, not index-resident elements: the shard's row
+		// count is the honest figure. Past creation α is — down to zero
+		// for a converged shard that matched nothing or only counted.
 		scanned = int64(st.end - st.start)
 	}
 	tr.Int(sp, "rows_scanned", scanned)

@@ -263,3 +263,52 @@ func TestRecommendedStrategiesAreProgressive(t *testing.T) {
 		}
 	}
 }
+
+// TestConvergedSumReadsBoundaryOnly holds the prefix sums beside the
+// B+-tree to a counter, not a timing: whatever the selectivity, a
+// converged SUM reads at most the 2β leaves between its run's ends and
+// the nearest node boundaries (Stats.AlphaElems), a COUNT none, and the
+// answers are the scan's.
+func TestConvergedSumReadsBoundaryOnly(t *testing.T) {
+	const n, fanout = 1_000_000, 64
+	vals := data.Uniform(n, 21)
+	rng := rand.New(rand.NewSource(22))
+	for _, s := range []Strategy{StrategyQuicksort, StrategyRadixMSD, StrategyBucketsort, StrategyRadixLSD, StrategyFullIndex} {
+		idx := MustNew(vals, Options{Strategy: s, Delta: 1})
+		for q := 0; q < 1_000 && !idx.Converged(); q++ {
+			if _, err := idx.Execute(Request{Pred: Range(0, n)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !idx.Converged() {
+			t.Fatalf("%v did not converge", s)
+		}
+		for _, sel := range []float64{1e-4, 1e-3, 1e-2, 1e-1, 0.5, 1} {
+			width := int64(sel * n)
+			read := 0
+			for trial := 0; trial < 8; trial++ {
+				lo := rng.Int63n(n - width + 1)
+				pred := Range(lo, lo+width-1)
+				ans, err := idx.Execute(Request{Pred: pred, Aggs: Sum | Count})
+				if err != nil {
+					t.Fatal(err)
+				}
+				// The data is a permutation of [0, n): the run is the range.
+				if wantSum := (2*lo + width - 1) * width / 2; ans.Sum != wantSum || ans.Count != width {
+					t.Fatalf("%v sel %g [%d, %d]: sum %d count %d, want %d and %d", s, sel, pred.Lo, pred.Hi, ans.Sum, ans.Count, wantSum, width)
+				}
+				if ans.Stats.AlphaElems > 2*fanout {
+					t.Fatalf("%v sel %g [%d, %d]: a converged SUM read %d elements, more than 2β = %d", s, sel, pred.Lo, pred.Hi, ans.Stats.AlphaElems, 2*fanout)
+				}
+				read += ans.Stats.AlphaElems
+				ans, err = idx.Execute(Request{Pred: pred, Aggs: Count})
+				if err != nil || ans.Count != width || ans.Stats.AlphaElems != 0 {
+					t.Fatalf("%v sel %g [%d, %d]: a converged COUNT = %d (%v) read %d elements, want %d reading none", s, sel, pred.Lo, pred.Hi, ans.Count, err, ans.Stats.AlphaElems, width)
+				}
+			}
+			if read == 0 && sel < 1 { // the whole column is whole nodes: n = 15625·β
+				t.Fatalf("%v sel %g: eight unaligned SUMs report reading nothing at all", s, sel)
+			}
+		}
+	}
+}

@@ -482,8 +482,10 @@ func liveHeap() uint64 {
 func TestSettledRowsStoredOnce(t *testing.T) {
 	skipUnderRace(t)
 	const (
-		n     = 1 << 19
-		slack = n / 2 // B+-tree levels, block headers, views, the collector's slop
+		n = 1 << 19
+		// B+-tree levels, block headers, views, the collector's slop; and
+		// the trees' prefix sums, a word per node of 64 rows.
+		slack = n/2 + n/8
 	)
 	base := liveHeap()
 	vals := make([]int64, n)

@@ -1,6 +1,7 @@
 package progidx
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/data"
@@ -174,5 +175,62 @@ func TestUnshardedTraceSpans(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestTraceRowsScannedConverged pins what a shard span's rows_scanned
+// says once the shard has converged: the leaves the answer read — none
+// for a range inside the shard's zone that matches nothing, none for a
+// COUNT, at most two tree nodes' worth for a SUM — and not the shard's
+// row count, which is the figure of a creation-phase scan.
+func TestTraceRowsScannedConverged(t *testing.T) {
+	const shards, per, fanout = 4, 4096, 64
+	vals := make([]int64, shards*per)
+	for i := range vals {
+		vals[i] = 2 * int64(i) // even values: an odd point is inside a zone and matches nothing
+	}
+	h, err := NewHandle(vals, Options{Shards: shards, Delta: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rowsScanned := func(req Request) []int64 {
+		t.Helper()
+		tr := obs.NewTrace("query", "t")
+		if _, err := h.ExecuteAs(req, true, tr); err != nil {
+			t.Fatal(err)
+		}
+		tr.Finish()
+		var rows []int64
+		for _, sp := range findSpans(tr.Tree().Root, "shard") {
+			if p, _ := sp.Attrs["pruned"].(bool); !p {
+				rows = append(rows, sp.Attrs["rows_scanned"].(int64))
+			}
+		}
+		return rows
+	}
+	top := vals[len(vals)-1]
+
+	if got := rowsScanned(Request{Pred: Range(10, top-10)}); !slices.Equal(got, []int64{per, per, per, per}) {
+		t.Fatalf("creation-phase scan: rows_scanned %v, want every shard's %d rows", got, per)
+	}
+	for i := 0; i < 10_000 && !h.Converged(); i++ {
+		h.RefineStep()
+	}
+	if !h.Converged() {
+		t.Fatal("table did not converge")
+	}
+	if got := rowsScanned(Request{Pred: Point(1001)}); !slices.Equal(got, []int64{0}) {
+		t.Errorf("converged, no match inside the zone: rows_scanned %v, want [0]", got)
+	}
+	if got := rowsScanned(Request{Pred: Range(10, top-10), Aggs: Count | Min | Max}); !slices.Equal(got, []int64{0, 0, 0, 0}) {
+		t.Errorf("converged COUNT/MIN/MAX: rows_scanned %v, want none", got)
+	}
+	// Value 10 is leaf 5 of the first shard and top-10 is five short of
+	// the last shard's end: each reads the rest of one node, the shards
+	// between them nothing but their prefix sums.
+	got := rowsScanned(Request{Pred: Range(10, top-10), Aggs: Sum})
+	slices.Sort(got) // pool workers record their spans in any order
+	if want := []int64{0, 0, fanout - 5, fanout - 5}; !slices.Equal(got, want) {
+		t.Errorf("converged SUM: rows_scanned %v, want %v", got, want)
 	}
 }
