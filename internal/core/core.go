@@ -214,11 +214,7 @@ type consolidator struct {
 	sorted  []int64
 	total   int
 	done    int
-	// unit is the model cost of the whole build: the copies, plus the one
-	// sequential read of the leaves that fills the tree's prefix sums;
-	// perUnit is unit spread evenly over the copies, the budget's grain.
-	unit    float64
-	perUnit float64
+	perUnit float64 // model cost per element copy
 }
 
 func newConsolidator(sorted []int64, fanout int, m *costmodel.Model) *consolidator {
@@ -230,8 +226,7 @@ func newConsolidator(sorted []int64, fanout int, m *costmodel.Model) *consolidat
 	}
 	c := &consolidator{builder: b, sorted: sorted, total: b.TotalCopies()}
 	if c.total > 0 {
-		c.unit = m.ConsolidateTime(c.total) + m.ScanTime(len(sorted))
-		c.perUnit = c.unit / float64(c.total)
+		c.perUnit = m.ConsolidateTime(c.total) / float64(c.total)
 	}
 	if b.Done() {
 		c.tree = b.Tree()

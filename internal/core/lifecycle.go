@@ -156,7 +156,7 @@ func (d *progressive) execute(lo, hi int64, aggs column.Aggregates, scale float6
 	// organizes the data. Once the sorted array exists the answer is
 	// computed first and base is what it did — a search plus the elements
 	// it read, at most 2β of them when the tree is complete — and unit is
-	// the B+-tree's build.
+	// the B+-tree's copies (filling its prefix sums is not priced).
 	var (
 		res        column.Agg
 		base, unit float64
@@ -169,7 +169,9 @@ func (d *progressive) execute(lo, hi int64, aggs column.Aggregates, scale float6
 	} else {
 		res, alpha = cons.answer(lo, hi, aggs)
 		base = d.model.BinarySearchTime(d.n) + d.model.ScanTime(alpha)
-		unit = cons.unit
+		if startPhase == PhaseConsolidation {
+			unit = d.model.ConsolidateTime(cons.total)
+		}
 	}
 	planned := 0.0
 	if startPhase != PhaseDone && !suspend {

@@ -144,7 +144,7 @@ func TestDriverPhaseMachine(t *testing.T) {
 		if !slices.Equal(s.createUnits, []int{128}) || !slices.Equal(s.refineSecs, []float64{64}) {
 			t.Fatalf("planned creation units %v, spilled refinement seconds %v", s.createUnits, s.refineSecs)
 		}
-		if work := stubN*stubMarginal + stubRefine + s.model.ConsolidateTime(s.cons.total) + s.model.ScanTime(stubN); st.WorkSeconds != work || st.Delta != 1 {
+		if work := stubN*stubMarginal + stubRefine + s.model.ConsolidateTime(s.cons.total); st.WorkSeconds != work || st.Delta != 1 {
 			t.Fatalf("work %v, want %v; δ %v", st.WorkSeconds, work, st.Delta)
 		}
 	})

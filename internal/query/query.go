@@ -212,7 +212,8 @@ func TwoPhase(converged bool) Phase {
 // cost-model validation experiments (Figures 8 and 9). Non-progressive
 // indexes (the scan/index baselines and the cracking family) leave the
 // work fields zero and report only Workers — and, the full index, the
-// leaves its B+-tree read as AlphaElems.
+// leaves its B+-tree read as AlphaElems. Their Phase stays zero, which
+// reads as creation (TestProgressiveInterfaceUpgrade pins it).
 type Stats struct {
 	// Phase the index was in when the query started.
 	Phase Phase

@@ -741,6 +741,7 @@ type partial struct {
 	agg   column.Agg
 	stats query.Stats
 	err   error
+	cold  bool // answered by the packed rows' in-place scan, not an index
 }
 
 // scratch is the per-Execute working set, pooled so the steady-state
@@ -1050,7 +1051,7 @@ func (s *Sharded) sliceLocked(st *state, req query.Request, scale float64, suspe
 // indexing work, terminal phase (cold is the shard's serving steady
 // state until a claim re-opens it).
 func coldPartial(agg column.Agg) partial {
-	return partial{agg: agg, stats: query.Stats{Phase: query.PhaseDone}}
+	return partial{agg: agg, stats: query.Stats{Phase: query.PhaseDone}, cold: true}
 }
 
 // mergeAnswer folds the survivors' partials, in shard order, into one
@@ -1142,11 +1143,12 @@ func (s *Sharded) executeShardTraced(st *state, sub query.Request, lo, hi int64,
 	tr.Str(sp, "encoding", enc)
 	tr.Float(sp, "budget_spent_s", p.stats.WorkSeconds)
 	scanned := int64(p.stats.AlphaElems)
-	if p.stats.Phase == query.PhaseCreation || st.cold.Load() {
-		// A creation-phase scan touches the raw rows and a cold shard's
-		// its packed ones, not index-resident elements: the shard's row
-		// count is the honest figure. Past creation α is — down to zero
-		// for a converged shard that matched nothing or only counted.
+	if p.stats.Phase == query.PhaseCreation || p.cold {
+		// A creation-phase scan touches the raw rows and a cold answer
+		// the packed ones, not index-resident elements: the row count is
+		// the honest figure. Past creation α is — zero for a converged
+		// shard that matched nothing or only counted. A strategy that
+		// reports no phase (FI too) always shows its row count here.
 		scanned = int64(st.end - st.start)
 	}
 	tr.Int(sp, "rows_scanned", scanned)

@@ -482,10 +482,11 @@ func liveHeap() uint64 {
 func TestSettledRowsStoredOnce(t *testing.T) {
 	skipUnderRace(t)
 	const (
-		n = 1 << 19
-		// B+-tree levels, block headers, views, the collector's slop; and
-		// the trees' prefix sums, a word per node of 64 rows.
-		slack = n/2 + n/8
+		n     = 1 << 19
+		slack = n / 2 // B+-tree levels, block headers, views, the collector's slop
+		// cum is a converged shard's prefix sums: a word per node of 64
+		// of its n/4 rows, and one more.
+		cum = 8 * (n/4/64 + 1)
 	)
 	base := liveHeap()
 	vals := make([]int64, n)
@@ -513,7 +514,7 @@ func TestSettledRowsStoredOnce(t *testing.T) {
 			t.Fatalf("three shards converged, one untouched: shard %d is %+v", i, si)
 		}
 	}
-	if held := liveHeap() - base; held > 8*n+8*(3*n/4)+slack {
+	if held := liveHeap() - base; held > 8*n+8*(3*n/4)+3*cum+slack {
 		t.Fatalf("with the loaded array pinned the table holds %.2f B/row, above the array and three sorted copies (14)", float64(held)/n)
 	}
 	for i := 0; i < 100_000 && !sh.Converged(); i++ {
@@ -529,7 +530,7 @@ func TestSettledRowsStoredOnce(t *testing.T) {
 	if packed > 2*n {
 		t.Fatalf("the rows packed to %.2f B/row, want 13-bit blocks", float64(packed)/n)
 	}
-	if held := liveHeap() - base; held > uint64(8*n+packed+slack) {
+	if held := liveHeap() - base; held > uint64(8*n+packed+4*cum+slack) {
 		t.Fatalf("settled table holds %.2f B/row, above its sorted copies and %.2f B/row packed: the loaded array is still there", float64(held)/n, float64(packed)/n)
 	}
 	runtime.KeepAlive(sh)

@@ -193,7 +193,11 @@ func TestTraceRowsScannedConverged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rowsScanned := func(req Request) []int64 {
+	cold, err := NewHandle(vals, Options{Shards: shards, Encoding: EncodingFORBP})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rowsScanned := func(h *Sharded, req Request) []int64 {
 		t.Helper()
 		tr := obs.NewTrace("query", "t")
 		if _, err := h.ExecuteAs(req, true, tr); err != nil {
@@ -210,8 +214,12 @@ func TestTraceRowsScannedConverged(t *testing.T) {
 	}
 	top := vals[len(vals)-1]
 
-	if got := rowsScanned(Request{Pred: Range(10, top-10)}); !slices.Equal(got, []int64{per, per, per, per}) {
+	if got := rowsScanned(h, Request{Pred: Range(10, top-10)}); !slices.Equal(got, []int64{per, per, per, per}) {
 		t.Fatalf("creation-phase scan: rows_scanned %v, want every shard's %d rows", got, per)
+	}
+	// A cold shard reports done and no α, and scans its packed rows.
+	if got := rowsScanned(cold, Request{Pred: Range(10, top-10), Aggs: Count}); !slices.Equal(got, []int64{per, per, per, per}) {
+		t.Errorf("cold shards: rows_scanned %v, want every shard's %d rows", got, per)
 	}
 	for i := 0; i < 10_000 && !h.Converged(); i++ {
 		h.RefineStep()
@@ -219,16 +227,16 @@ func TestTraceRowsScannedConverged(t *testing.T) {
 	if !h.Converged() {
 		t.Fatal("table did not converge")
 	}
-	if got := rowsScanned(Request{Pred: Point(1001)}); !slices.Equal(got, []int64{0}) {
+	if got := rowsScanned(h, Request{Pred: Point(1001)}); !slices.Equal(got, []int64{0}) {
 		t.Errorf("converged, no match inside the zone: rows_scanned %v, want [0]", got)
 	}
-	if got := rowsScanned(Request{Pred: Range(10, top-10), Aggs: Count | Min | Max}); !slices.Equal(got, []int64{0, 0, 0, 0}) {
+	if got := rowsScanned(h, Request{Pred: Range(10, top-10), Aggs: Count | Min | Max}); !slices.Equal(got, []int64{0, 0, 0, 0}) {
 		t.Errorf("converged COUNT/MIN/MAX: rows_scanned %v, want none", got)
 	}
 	// Value 10 is leaf 5 of the first shard and top-10 is five short of
 	// the last shard's end: each reads the rest of one node, the shards
 	// between them nothing but their prefix sums.
-	got := rowsScanned(Request{Pred: Range(10, top-10), Aggs: Sum})
+	got := rowsScanned(h, Request{Pred: Range(10, top-10), Aggs: Sum})
 	slices.Sort(got) // pool workers record their spans in any order
 	if want := []int64{0, 0, fanout - 5, fanout - 5}; !slices.Equal(got, want) {
 		t.Errorf("converged SUM: rows_scanned %v, want %v", got, want)
