@@ -36,7 +36,10 @@ vet:
 # its net, +205: kernels.go in, Cursor.Next and three createSteps out.
 # PR 27 (a converged SUM by lookup, a perf feature) raised it from 19 504
 # by its net, +60: the B+-tree's prefix sums in, consolidator.matched out.
-LOC_MAX ?= 19564
+# PR 28 (the B+-tree's leaves packed, a memory feature) raised it from
+# 19 564 by its net, +161: encode's lane kernels and the block-grained
+# builder in, the level-by-level builder and qtree.checkSorted out.
+LOC_MAX ?= 19725
 loc:
 	@n=$$(find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -not -path './.bench_build/*' -print0 | xargs -0 cat | wc -l); \
 	echo $$n; \

@@ -1,6 +1,13 @@
 package progidx
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+
+	"repro/internal/column"
+	"repro/internal/data"
+	"repro/internal/query"
+)
 
 // skipUnderRace skips a zero-alloc pin in -race builds: the detector's
 // instrumentation and sync.Pool randomization both allocate, so the
@@ -88,6 +95,48 @@ func TestShardedConvergedZeroAllocs(t *testing.T) {
 		// The entry a table's batch calls shares Execute's pooled fan-out.
 		if allocs := testing.AllocsPerRun(100, func() { sh.ExecuteAs(inRange, false, nil) }); allocs != 0 {
 			t.Errorf("%s converged ExecuteAs allocates %.1f/op, want 0", sh.Name(), allocs)
+		}
+	}
+}
+
+// TestConvergedIndexIsItsPackedTree pins what a converged index weighs:
+// its B+-tree's keys, prefix sums and packed leaves and nothing else — no
+// sorted array, no structure it refined that array with, and, released,
+// no base row. Over 1M uniform rows the live heap the index retains is
+// under 2.5 bytes a row (12-bit leaves, a key and a prefix sum per 64) and
+// within 5 % of what SizeBytes reports; with values spread to the ends of
+// the legal domain a sorted block's frame is 55 bits and the index still
+// stays under the 8 bytes a row of the array it replaced.
+func TestConvergedIndexIsItsPackedTree(t *testing.T) {
+	skipUnderRace(t)
+	const n = 1 << 20
+	for _, wide := range []bool{false, true} {
+		for _, s := range []Strategy{StrategyQuicksort, StrategyRadixMSD, StrategyBucketsort, StrategyRadixLSD, StrategyFullIndex} {
+			base := liveHeap()
+			vals := data.Uniform(n, 5)
+			limit := 2.5
+			if wide {
+				const edge = column.MaxMagnitude - 1
+				for i, v := range vals {
+					vals[i] = -edge + v*(edge/(n-1)*2) // v = n-1 lands a rounding under +edge
+				}
+				limit = 8
+			}
+			idx := MustNew(vals, Options{Strategy: s, Delta: 0.25})
+			vals = nil
+			for q := 0; q < 1000 && !idx.Converged(); q++ {
+				sumCount(idx, -column.MaxMagnitude+1, column.MaxMagnitude-1)
+			}
+			if b, ok := idx.(query.Budgeted); !idx.Converged() || ok && !b.ReleaseBase() {
+				t.Fatalf("%v (wide=%v) did not converge and release its base", s, wide)
+			}
+			held := float64(liveHeap() - base)
+			size := float64(idx.(interface{ SizeBytes() int }).SizeBytes())
+			if held > limit*n || held < size || held > 1.05*size {
+				t.Errorf("%v (wide=%v): the converged index retains %.3f B/row and reports %.3f, want both under %.1f and within 5 %%",
+					s, wide, held/n, size/n, limit)
+			}
+			runtime.KeepAlive(idx)
 		}
 	}
 }

@@ -94,5 +94,16 @@ func (f *FullIndex) build() {
 		// fanout is validated in the constructor; unreachable.
 		panic(err)
 	}
-	f.tree = t
+	// The tree packed the sorted copy and Execute reads only the zone from
+	// here on: the index holds no row outside the tree's leaves.
+	f.tree, f.col = t, f.col.Zone()
+}
+
+// SizeBytes returns what the built index holds: the B+-tree's keys,
+// prefix sums and packed leaves; 0 before the first query.
+func (f *FullIndex) SizeBytes() int {
+	if f.tree == nil {
+		return 0
+	}
+	return f.tree.SizeBytes()
 }

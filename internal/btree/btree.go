@@ -5,9 +5,16 @@
 // The tree is static: it is built over an already fully sorted array by
 // copying every β-th key to a parent level, repeatedly, until a level
 // fits in one node — exactly the construction the paper describes
-// ("we copy every β element of our sorted array to a parent level").
-// The sorted array itself is the leaf level, so the tree needs only
-// N_copy = Σ n/β^i extra key slots.
+// ("we copy every β element of our sorted array to a parent level"),
+// N_copy = Σ n/β^i key slots.
+//
+// The leaf level is not that array but its rows packed: FOR-BP blocks of
+// encode.BlockRows rows, each over its own frame (a sorted block's is its
+// first and last row), bit-sliced in 64-row groups, so at β = 64 a node
+// is one group. The parent levels find the node; inside it a lookup is a
+// rank, a value or a sum over a group's planes (encode's lane kernels),
+// and the finished tree holds no raw row: 4M uniform rows weigh 1.56
+// bytes a row packed where the sorted array weighed 8.
 //
 // Beside the first parent level sits an array of prefix sums at node
 // grain, cum[j] = Σ leaf[0 : j·β] (wrapping, as every SUM in this
@@ -18,35 +25,54 @@
 // run's ends and the nearest node boundaries inside it, so a converged
 // index answers every aggregate at lookup cost.
 //
-// Builder exposes that construction incrementally: Step(k) performs at
-// most k element copies, which is how the consolidation phase spreads
-// the build over many queries under a per-query budget. A copy into the
-// first parent level also adds up the node it heads, so the prefix sums
-// cost one sequential read of the leaves spread over those same steps.
+// Builder exposes that construction incrementally: Step(pool, k) packs
+// the next k blocks of the sorted array and, in the same read, copies the
+// keys those rows give every parent level and adds up the nodes they
+// complete, which is how the consolidation phase spreads the build over
+// many queries under a per-query budget.
 package btree
 
 import (
 	"fmt"
 
 	"repro/internal/column"
+	"repro/internal/encode"
+	"repro/internal/parallel"
 )
 
-// Tree is an immutable bulk-loaded B+-tree over a sorted array.
+// Tree is an immutable bulk-loaded B+-tree over sorted rows it holds
+// packed.
 type Tree struct {
 	fanout int
-	// levels[0] is the sorted leaf array (not owned; shared with the
-	// index that built it). levels[i+1][j] == levels[i][j*fanout].
-	levels [][]int64
+	n      int
+	// keys[k][j] is leaf j·fanout^(k+1): keys[0] heads the leaf nodes and
+	// keys[k+1][j] == keys[k][j*fanout]. Empty for a single-node tree.
+	keys [][]int64
 	// cum[j] is the wrapping sum of leaf[0 : j*fanout], for every j up to
-	// and including len(levels[1]); nil for a single-node tree.
+	// and including len(keys[0]); nil for a single-node tree.
 	cum []int64
+	// leaves[b] holds leaf[b·BlockRows : (b+1)·BlockRows], FOR-BP.
+	leaves []*encode.Segment
 }
 
 // Len returns the number of keys at the leaf level.
-func (t *Tree) Len() int { return len(t.levels[0]) }
+func (t *Tree) Len() int { return t.n }
 
-// Height returns the number of levels including the leaf array.
-func (t *Tree) Height() int { return len(t.levels) }
+// Height returns the number of levels including the leaves.
+func (t *Tree) Height() int { return len(t.keys) + 1 }
+
+// SizeBytes returns the tree's resident payload: the parent levels, the
+// prefix sums and the leaves' packed words.
+func (t *Tree) SizeBytes() int {
+	size := 8 * len(t.cum)
+	for _, level := range t.keys {
+		size += 8 * len(level)
+	}
+	for _, seg := range t.leaves {
+		size += seg.SizeBytes()
+	}
+	return size
+}
 
 // Build constructs the tree in one shot (Full Index baseline).
 func Build(sorted []int64, fanout int) (*Tree, error) {
@@ -54,39 +80,42 @@ func Build(sorted []int64, fanout int) (*Tree, error) {
 	if err != nil {
 		return nil, err
 	}
-	for !b.Done() {
-		b.Step(1 << 20)
-	}
+	b.Step(nil, b.Blocks())
 	return b.Tree(), nil
+}
+
+// window is the positions of a level that may hold the lower bound of v
+// once the level above (of length above) has placed it at pos:
+// keys[pos-1] < v (if pos > 0) and keys[pos] >= v (if pos < above). Since
+// key j of the level above is position j*fanout here, the answer lies in
+// ((pos-1)*fanout, pos*fanout] — the bound included, as the answer when
+// the window holds nothing smaller — clipped to this level's length.
+func (t *Tree) window(pos, above, length int) (left, right int) {
+	if pos > 0 {
+		left = (pos-1)*t.fanout + 1
+	}
+	right = length
+	if pos < above {
+		right = min(pos*t.fanout, right)
+	}
+	return left, right
 }
 
 // LowerBound returns the first leaf position p with leaf[p] >= v,
 // descending from the top level so that each binary search touches only
-// one node worth of keys.
-//
-// Invariant while descending with position pos at level lvl+1:
-// keys[pos-1] < v (if pos > 0) and keys[pos] >= v (if pos < len). Since
-// level lvl+1 key j equals level lvl position j*fanout, the answer at
-// level lvl lies in ((pos-1)*fanout, pos*fanout], a window of at most
-// fanout positions.
+// one node worth of keys and the last step ranks v inside one leaf node.
 func (t *Tree) LowerBound(v int64) int {
-	top := len(t.levels) - 1
-	pos := column.LowerBound(t.levels[top], v)
-	for lvl := top - 1; lvl >= 0; lvl-- {
-		below := t.levels[lvl]
-		left := 0
-		if pos > 0 {
-			left = (pos-1)*t.fanout + 1
-		}
-		right := len(below)
-		if pos < len(t.levels[lvl+1]) {
-			if r := pos * t.fanout; r < right {
-				right = r // below[right] == keys[pos] >= v, so answer <= right
-			}
-		}
-		pos = left + column.LowerBound(below[left:right], v)
+	top := len(t.keys) - 1
+	if top < 0 {
+		return t.rankBelow(0, t.n, v)
 	}
-	return pos
+	pos := column.LowerBound(t.keys[top], v)
+	for lvl := top - 1; lvl >= 0; lvl-- {
+		left, right := t.window(pos, len(t.keys[lvl+1]), len(t.keys[lvl]))
+		pos = left + column.LowerBound(t.keys[lvl][left:right], v)
+	}
+	left, right := t.window(pos, len(t.keys[0]), t.n)
+	return left + t.rankBelow(left, right, v)
 }
 
 // UpperBound returns the first leaf position p with leaf[p] > v.
@@ -99,10 +128,11 @@ func (t *Tree) UpperBound(v int64) int {
 
 // AggRange computes the requested aggregates over the inclusive range
 // [lo, hi] and reports how many leaves it read to do so. One pair of
-// descents finds the matching run, which gives COUNT, MIN and MAX
-// outright; a SUM (or AVG) takes the whole nodes inside the run from the
-// prefix sums and adds only the leaves outside them, fewer than 2β, or
-// the run itself when it is shorter than a node.
+// descents finds the matching run, which gives COUNT outright and, when
+// they are asked for, MIN and MAX as the rows at its ends; a SUM (or AVG)
+// takes the whole nodes inside the run from the prefix sums and adds only
+// the leaves outside them, fewer than 2β, or the run itself when it is
+// shorter than a node.
 func (t *Tree) AggRange(lo, hi int64, aggs column.Aggregates) (a column.Agg, read int) {
 	a = column.NewAgg()
 	i := t.LowerBound(lo)
@@ -110,23 +140,52 @@ func (t *Tree) AggRange(lo, hi int64, aggs column.Aggregates) (a column.Agg, rea
 	if i >= j { // nothing matches; inverted bounds end here too
 		return a, 0
 	}
-	leaf := t.levels[0]
 	a.Count = int64(j - i)
-	a.Min = leaf[i]
-	a.Max = leaf[j-1]
+	if aggs.NeedsMinMax() {
+		a.Min, a.Max = t.at(i), t.at(j-1)
+	}
 	if !aggs.NeedsSum() {
 		return a, 0
 	}
 	if j-i < t.fanout {
-		a.Sum = sumOf(leaf[i:j])
+		a.Sum = t.sumRows(i, j)
 		return a, j - i
 	}
 	// j-i >= fanout puts at least one node boundary in [i, j], so j1 <= j2.
 	j1 := (i + t.fanout - 1) / t.fanout
 	j2 := j / t.fanout
-	head, tail := leaf[i:j1*t.fanout], leaf[j2*t.fanout:j]
-	a.Sum = sumOf(head) + (t.cum[j2] - t.cum[j1]) + sumOf(tail)
-	return a, len(head) + len(tail)
+	a.Sum = t.sumRows(i, j1*t.fanout) + (t.cum[j2] - t.cum[j1]) + t.sumRows(j2*t.fanout, j)
+	return a, j1*t.fanout - i + j - j2*t.fanout
+}
+
+// at returns leaf[p].
+func (t *Tree) at(p int) int64 {
+	return t.leaves[p/encode.BlockRows].At(p % encode.BlockRows)
+}
+
+// rankBelow returns how many of leaf[from:to] are less than v, block by
+// block; a node's window lies in one block wherever β divides BlockRows.
+func (t *Tree) rankBelow(from, to int, v int64) int {
+	rank := 0
+	for from < to {
+		seg, off := t.leaves[from/encode.BlockRows], from%encode.BlockRows
+		k := min(to-from, seg.Len()-off)
+		rank += seg.RankBelow(off, off+k, v)
+		from += k
+	}
+	return rank
+}
+
+// sumRows returns the wrapping sum of leaf[from:to].
+func (t *Tree) sumRows(from, to int) int64 {
+	var sum int64
+	for from < to {
+		seg, off := t.leaves[from/encode.BlockRows], from%encode.BlockRows
+		k := min(to-from, seg.Len()-off)
+		sum += seg.SumRows(off, off+k)
+		from += k
+	}
+	return sum
 }
 
 // sumOf is the wrapping sum of vals.
@@ -138,14 +197,17 @@ func sumOf(vals []int64) int64 {
 	return sum
 }
 
-// Builder constructs a Tree incrementally under a copy budget.
+// Builder constructs a Tree incrementally, a budgeted number of leaf
+// blocks at a time.
 type Builder struct {
 	fanout int
-	levels [][]int64
+	// sorted is the array being packed; the finished Tree does not hold it.
+	sorted []int64
+	keys   [][]int64
 	cum    []int64
-	// cur is the level currently being filled; its source is cur-1.
-	cur  int
-	done bool
+	// leaves has the capacity of every block; its length is the blocks
+	// packed, and the keys and prefix sums cover exactly their rows.
+	leaves []*encode.Segment
 }
 
 // NewBuilder prepares an incremental build over sorted. The slice must
@@ -156,75 +218,70 @@ func NewBuilder(sorted []int64, fanout int) (*Builder, error) {
 	if fanout < 2 {
 		return nil, fmt.Errorf("btree: fanout must be >= 2, got %d", fanout)
 	}
-	b := &Builder{fanout: fanout, levels: [][]int64{sorted}, cur: 1}
-	nodes := len(sorted) / fanout
-	if nodes == 0 {
-		b.done = true // single-node tree: the leaf level is everything
-		return b, nil
+	b := &Builder{fanout: fanout, sorted: sorted}
+	b.leaves = make([]*encode.Segment, 0, (len(sorted)+encode.BlockRows-1)/encode.BlockRows)
+	// Levels shrink by β until one fits in a node; a single-node tree has
+	// none, and its leaf level is everything.
+	for level := len(sorted) / fanout; level > 0; level /= fanout {
+		b.keys = append(b.keys, make([]int64, 0, level))
 	}
-	b.levels = append(b.levels, make([]int64, 0, nodes))
-	b.cum = make([]int64, 1, nodes+1)
+	if len(b.keys) > 0 {
+		b.cum = make([]int64, 1, cap(b.keys[0])+1)
+	}
 	return b, nil
 }
 
-// TotalCopies returns how many element copies the whole build needs.
+// TotalCopies returns how many key copies the whole build makes, the
+// paper's N_copy = Σ n/β^i: the slots of every level above the leaves.
 func (b *Builder) TotalCopies() int {
-	return ConsolidateCopies(len(b.levels[0]), b.fanout)
-}
-
-// ConsolidateCopies is the paper's N_copy = Σ n/β^i: the key slots of
-// every level above the leaves.
-func ConsolidateCopies(n, fanout int) int {
 	total := 0
-	for level := n / fanout; level > 0; level /= fanout {
-		total += level
+	for _, level := range b.keys {
+		total += cap(level)
 	}
 	return total
 }
 
-// Done reports whether the tree is complete.
-func (b *Builder) Done() bool { return b.done }
+// Blocks returns how many leaf blocks the whole build packs.
+func (b *Builder) Blocks() int { return cap(b.leaves) }
 
-// Step performs at most budget element copies and returns how many it
-// actually performed; a copy into the first parent level also extends
-// the prefix sums by the node it heads. When the top level shrinks to at
-// most fanout keys, the build is complete.
-func (b *Builder) Step(budget int) int {
-	if b.done || budget <= 0 {
+// Done reports whether the tree is complete.
+func (b *Builder) Done() bool { return len(b.leaves) == cap(b.leaves) }
+
+// Step packs at most blocks more leaf blocks, over pool (nil: the calling
+// goroutine) a block a task, and returns how many rows that was. The
+// rows just read also give every parent level its next keys — level k's
+// key j is leaf j·β^k — and the prefix sums the nodes they complete, so
+// when the last block is packed the build is complete.
+func (b *Builder) Step(pool *parallel.Pool, blocks int) int {
+	from := len(b.leaves)
+	blocks = min(blocks, cap(b.leaves)-from)
+	if blocks <= 0 {
 		return 0
 	}
-	copies := 0
-	for copies < budget {
-		src := b.levels[b.cur-1]
-		dst := b.levels[b.cur]
-		want := len(src) / b.fanout
-		for len(dst) < want && copies < budget {
-			at := len(dst) * b.fanout
-			dst = append(dst, src[at])
-			if b.cur == 1 {
-				b.cum = append(b.cum, b.cum[len(b.cum)-1]+sumOf(src[at:at+b.fanout]))
-			}
-			copies++
+	row := func(block int) int { return min(block*encode.BlockRows, len(b.sorted)) }
+	b.leaves = b.leaves[:from+blocks]
+	pool.Run(blocks, 1, func(_, lo, hi int) {
+		copy(b.leaves[from+lo:], encode.PackBlocks(b.sorted[row(from+lo):row(from+hi)]))
+	})
+	end := row(from + blocks)
+	stride := 1
+	for k, level := range b.keys {
+		stride *= b.fanout
+		for j := len(level); j < cap(level) && j*stride < end; j++ {
+			level = append(level, b.sorted[j*stride])
 		}
-		b.levels[b.cur] = dst
-		if len(dst) < want {
-			return copies // budget exhausted mid-level
-		}
-		// Level complete: either finish or open the next level.
-		if want/b.fanout == 0 {
-			b.done = true
-			return copies
-		}
-		b.levels = append(b.levels, make([]int64, 0, want/b.fanout))
-		b.cur++
+		b.keys[k] = level
 	}
-	return copies
+	for j := len(b.cum); j < cap(b.cum) && j*b.fanout <= end; j++ {
+		b.cum = append(b.cum, b.cum[j-1]+sumOf(b.sorted[(j-1)*b.fanout:j*b.fanout]))
+	}
+	return end - row(from)
 }
 
 // Tree returns the finished tree, or nil if the build is incomplete.
 func (b *Builder) Tree() *Tree {
-	if !b.done {
+	if !b.Done() {
 		return nil
 	}
-	return &Tree{fanout: b.fanout, levels: b.levels, cum: b.cum}
+	return &Tree{fanout: b.fanout, n: len(b.sorted), keys: b.keys, cum: b.cum, leaves: b.leaves}
 }

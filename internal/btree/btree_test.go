@@ -8,6 +8,8 @@ import (
 	"testing/quick"
 
 	"repro/internal/column"
+	"repro/internal/encode"
+	"repro/internal/parallel"
 )
 
 func sortedRandom(rng *rand.Rand, n, domain int) []int64 {
@@ -114,72 +116,99 @@ func TestLowerBoundProperty(t *testing.T) {
 	}
 }
 
+// decoded returns the tree's leaf level, unpacked.
+func decoded(tr *Tree) []int64 {
+	var rows []int64
+	for _, seg := range tr.leaves {
+		rows = seg.AppendTo(rows)
+	}
+	return rows
+}
+
 func TestBuilderIncrementalMatchesOneShot(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
-	vals := sortedRandom(rng, 10_000, 100_000)
-	const fanout = 8
-
-	oneShot, err := Build(vals, fanout)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := len(vals)/fanout + 1; len(oneShot.cum) != want || cap(oneShot.cum) != want {
-		t.Fatalf("cum has len %d cap %d, want exactly %d", len(oneShot.cum), cap(oneShot.cum), want)
-	}
-	for j, c := range oneShot.cum {
-		if want := sumOf(vals[:j*fanout]); c != want {
-			t.Fatalf("cum[%d] = %d, want %d", j, c, want)
-		}
-	}
-
-	// 97 is deliberately awkward; 1, β-1 and β+1 stop the prefix sums
-	// at every offset within a node.
-	for _, budget := range []int{1, fanout - 1, fanout + 1, 97} {
-		b, err := NewBuilder(vals, fanout)
+	// Seven blocks and a partial eighth; β = 8 divides a block, 7 and 100
+	// put node boundaries anywhere in one.
+	vals := sortedRandom(rng, 7*encode.BlockRows+1234, 100_000)
+	for _, fanout := range []int{7, 8, 100} {
+		oneShot, err := Build(vals, fanout)
 		if err != nil {
 			t.Fatal(err)
 		}
-		total := 0
-		steps := 0
-		for !b.Done() {
-			total += b.Step(budget)
-			steps++
-			if steps > 1_000_000 {
-				t.Fatal("builder did not terminate")
+		if want := len(vals)/fanout + 1; len(oneShot.cum) != want || cap(oneShot.cum) != want {
+			t.Fatalf("cum has len %d cap %d, want exactly %d", len(oneShot.cum), cap(oneShot.cum), want)
+		}
+		for j, c := range oneShot.cum {
+			if want := sumOf(vals[:j*fanout]); c != want {
+				t.Fatalf("cum[%d] = %d, want %d", j, c, want)
 			}
 		}
-		if total != b.TotalCopies() {
-			t.Fatalf("budget %d: performed %d copies, expected %d", budget, total, b.TotalCopies())
+		for k, stride := 0, fanout; k < len(oneShot.keys); k, stride = k+1, stride*fanout {
+			if len(oneShot.keys[k]) != len(vals)/stride {
+				t.Fatalf("fanout %d: level %d has %d keys, want %d", fanout, k+1, len(oneShot.keys[k]), len(vals)/stride)
+			}
+			for j, key := range oneShot.keys[k] {
+				if key != vals[j*stride] {
+					t.Fatalf("fanout %d: level %d key %d = %d, want leaf %d = %d", fanout, k+1, j, key, j*stride, vals[j*stride])
+				}
+			}
 		}
-		tr := b.Tree()
-		if tr == nil {
-			t.Fatal("Tree() nil after Done")
+		if !slices.Equal(decoded(oneShot), vals) {
+			t.Fatalf("fanout %d: the packed leaves do not decode to the sorted array", fanout)
 		}
-		if !slices.EqualFunc(tr.levels, oneShot.levels, slices.Equal[[]int64]) {
-			t.Fatalf("budget %d: levels differ from the one-shot tree's", budget)
-		}
-		if !slices.Equal(tr.cum, oneShot.cum) {
-			t.Fatalf("budget %d: prefix sums differ from the one-shot tree's", budget)
+
+		// Whatever the grain and the pool, the tree is the one-shot tree.
+		for _, blocks := range []int{1, 2, 3, 5} {
+			b, err := NewBuilder(vals, fanout)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows := 0
+			for steps := 0; !b.Done(); steps++ {
+				rows += b.Step(parallel.New(blocks), blocks)
+				if steps > b.Blocks() {
+					t.Fatal("builder did not terminate")
+				}
+			}
+			if rows != len(vals) {
+				t.Fatalf("%d blocks a step: packed %d rows, expected %d", blocks, rows, len(vals))
+			}
+			tr := b.Tree()
+			if tr == nil {
+				t.Fatal("Tree() nil after Done")
+			}
+			if !slices.EqualFunc(tr.keys, oneShot.keys, slices.Equal[[]int64]) {
+				t.Fatalf("%d blocks a step: levels differ from the one-shot tree's", blocks)
+			}
+			if !slices.Equal(tr.cum, oneShot.cum) {
+				t.Fatalf("%d blocks a step: prefix sums differ from the one-shot tree's", blocks)
+			}
+			if !slices.Equal(decoded(tr), vals) || tr.SizeBytes() != oneShot.SizeBytes() {
+				t.Fatalf("%d blocks a step: leaves differ from the one-shot tree's", blocks)
+			}
 		}
 	}
 }
 
 func TestBuilderStepBudgetRespected(t *testing.T) {
-	vals := sortedRandom(rand.New(rand.NewSource(17)), 4096, 1000)
+	vals := sortedRandom(rand.New(rand.NewSource(17)), 5*encode.BlockRows+100, 1000)
 	b, err := NewBuilder(vals, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if b.Blocks() != 6 {
+		t.Fatalf("Blocks() = %d, want 6", b.Blocks())
+	}
 	for !b.Done() {
-		if got := b.Step(10); got > 10 {
-			t.Fatalf("Step(10) performed %d copies", got)
+		if got := b.Step(nil, 2); got == 0 || got > 2*encode.BlockRows {
+			t.Fatalf("Step(2 blocks) packed %d rows", got)
 		}
 	}
-	if b.Step(10) != 0 {
+	if b.Step(nil, 2) != 0 {
 		t.Fatal("Step after Done must do no work")
 	}
-	if b.Step(0) != 0 {
-		t.Fatal("Step(0) must do no work")
+	if b, _ := NewBuilder(vals, 4); b.Step(nil, 0) != 0 || len(b.leaves) != 0 {
+		t.Fatal("Step of no blocks must do no work")
 	}
 }
 
@@ -262,21 +291,58 @@ func TestAggRangeWrapsLikeTheScan(t *testing.T) {
 	}
 }
 
+// TestPackedLeavesNeverOutweighTheArray: the widest frame a block can
+// have holds both ends of the legal domain, 63 bits, so even then the
+// leaves weigh under the 8 bytes a row of the array they replace — and
+// answer like it.
+func TestPackedLeavesNeverOutweighTheArray(t *testing.T) {
+	const edge = column.MaxMagnitude - 1
+	rng := rand.New(rand.NewSource(31))
+	vals := make([]int64, encode.BlockRows+700)
+	for i := range vals {
+		vals[i] = rng.Int63n(edge) - rng.Int63n(edge)
+	}
+	vals[0], vals[1] = -edge, edge
+	slices.Sort(vals)
+	tr, err := Build(vals, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	leaves := 0
+	for _, seg := range tr.leaves {
+		leaves += seg.SizeBytes()
+	}
+	if want := 8 * 63 * (len(vals) + 63) / 64; leaves > want || leaves >= 8*len(vals) {
+		t.Fatalf("the leaves weigh %d bytes, want at most 63 bits a row (%d)", leaves, want)
+	}
+	if got, want := tr.SizeBytes(), leaves+8*(2*(len(vals)/64)+1+len(vals)/64/64); got != want {
+		t.Fatalf("SizeBytes() = %d, want the leaves, two words a node and the root's key (%d)", got, want)
+	}
+	checkAggRange(t, tr, vals, -edge, edge)
+	for q := 0; q < 300; q++ {
+		a, b := vals[rng.Intn(len(vals))], vals[rng.Intn(len(vals))]
+		checkAggRange(t, tr, vals, min(a, b), max(a, b))
+	}
+}
+
 // FuzzTreeAggRange: any sorted input, any fan-out from 2 to 128, any
 // bounds — inverted and out-of-domain ones included — against the
-// branching oracle.
+// branching oracle. The committed corpus holds the packed leaves' edges:
+// a frame of no bits and one of 63, a partial last group, a tree of one
+// node, and bounds on a block's reference and on its maximum.
 func FuzzTreeAggRange(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9}, uint8(0), int64(2), int64(7))
 	f.Add([]byte{9, 9, 9, 9, 0, 0, 0, 0, 200, 100}, uint8(2), int64(9), int64(0))
 	f.Add([]byte{}, uint8(126), int64(-1), int64(1))
 	f.Fuzz(func(t *testing.T, raw []byte, fan uint8, lo, hi int64) {
 		fanout := 2 + int(fan)%127
-		// Three bytes a value, spread over the whole legal magnitude so
-		// that sums wrap; the bounds may be anything an int64 holds.
+		// Three bytes a value, spread over the whole legal magnitude — both
+		// ends of it in one block make a 63-bit frame — so that sums wrap;
+		// the bounds may be anything an int64 holds.
 		vals := make([]int64, 0, len(raw)/3)
 		for ; len(raw) >= 3; raw = raw[3:] {
-			v := int64(int8(raw[0]))<<54 | int64(raw[1])<<8 | int64(raw[2])
-			vals = append(vals, v)
+			v := int64(int8(raw[0]))<<55 | int64(raw[1])<<8 | int64(raw[2])
+			vals = append(vals, max(v, -column.MaxMagnitude+1))
 		}
 		slices.Sort(vals)
 		tr, err := Build(vals, fanout)
@@ -297,8 +363,8 @@ func FuzzTreeAggRange(f *testing.F) {
 var benchSink column.Agg
 
 // BenchmarkTreeAggRange times one converged SUM on 4M uniform rows at
-// β = 64, at three selectivities: with the prefix sums the cost must not
-// depend on the length of the run.
+// β = 64, from a point to the whole domain: with the prefix sums the cost
+// must not depend on the length of the run.
 func BenchmarkTreeAggRange(b *testing.B) {
 	const n = 4 << 20
 	vals := make([]int64, n)
@@ -309,14 +375,39 @@ func BenchmarkTreeAggRange(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, sel := range []float64{0.0001, 0.1, 1} {
-		b.Run(fmt.Sprintf("sel=%g", sel), func(b *testing.B) {
-			width := int64(sel * n)
+	for _, sel := range []float64{0, 0.0001, 0.1, 1} {
+		name := fmt.Sprintf("sel=%g", sel)
+		width := int64(sel * n)
+		if sel == 0 {
+			name, width = "point", 1
+		}
+		b.Run(name, func(b *testing.B) {
 			rng := rand.New(rand.NewSource(1))
 			for b.Loop() {
 				lo := rng.Int63n(n - width + 1)
 				benchSink, _ = tr.AggRange(lo, lo+width-1, column.AggSum|column.AggCount)
 			}
+		})
+	}
+}
+
+// BenchmarkTreeBuild times the one-shot build — the pack, the keys and
+// the prefix sums — of 4M sorted uniform rows at β = 64 over a pool of one
+// and of two; ns/row is what costmodel's PackRow prices.
+func BenchmarkTreeBuild(b *testing.B) {
+	const n = 4 << 20
+	vals := sortedRandom(rand.New(rand.NewSource(1)), n, n)
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			pool := parallel.New(workers)
+			for b.Loop() {
+				bd, err := NewBuilder(vals, 64)
+				if err != nil {
+					b.Fatal(err)
+				}
+				bd.Step(pool, bd.Blocks())
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/row")
 		})
 	}
 }

@@ -214,9 +214,6 @@ func (b *Bucketsort) queryBucket(bk *bbucket, lo, hi int64, aggs column.Aggregat
 // refine implements algorithm.
 func (b *Bucketsort) refine(sec float64, _, _ int64) (float64, bool) {
 	did := b.refineStep(sec)
-	if b.active >= len(b.bks) {
-		b.leaf = nil
-	}
 	return did, did != 0
 }
 
@@ -230,12 +227,15 @@ func (b *Bucketsort) refineProgress() float64 {
 	return fraction(done, b.n)
 }
 
-// sorted implements algorithm.
-func (b *Bucketsort) sorted() []int64 {
+// takeSorted implements algorithm: the buckets, all merged, go with the
+// array.
+func (b *Bucketsort) takeSorted() []int64 {
 	if b.active < len(b.bks) {
 		return nil
 	}
-	return b.final
+	sorted := b.final
+	b.final, b.bks, b.leaf = nil, nil, nil
+	return sorted
 }
 
 // startRefinement implements algorithm, fixing the final-array regions

@@ -206,50 +206,66 @@ func (b *budgeter) plan(base, unitFull, scale float64) float64 {
 	}
 }
 
-// consolidator is the shared consolidation-phase state: a budgeted
-// B+-tree build over the final sorted array.
+// consolidator is the shared consolidation-phase state: a budgeted build
+// of the B+-tree, packed leaves and all, over the final sorted array. The
+// array is the consolidator's alone — the algorithm gave it up with
+// takeSorted — and goes when the tree is finished, so a Done index holds
+// its rows once, packed.
 type consolidator struct {
 	builder *btree.Builder
 	tree    *btree.Tree
 	sorted  []int64
-	total   int
-	done    int
-	perUnit float64 // model cost per element copy
+	pool    *parallel.Pool
+	n       int // rows
+	done    int // rows packed
+	// unit is the phase's δ = 1 cost, the tree's key copies plus the pack
+	// of every row over the pool; a block costs its share of it.
+	unit     float64
+	perBlock float64
+	credit   float64 // seconds granted and not yet spent on a block
 }
 
-func newConsolidator(sorted []int64, fanout int, m *costmodel.Model) *consolidator {
+func newConsolidator(sorted []int64, fanout int, m *costmodel.Model, pool *parallel.Pool) *consolidator {
 	b, err := btree.NewBuilder(sorted, fanout)
 	if err != nil {
 		// fanout is normalized to >= 2 by Config.normalize; reaching
 		// here is a programming error.
 		panic(fmt.Sprintf("core: consolidator: %v", err))
 	}
-	c := &consolidator{builder: b, sorted: sorted, total: b.TotalCopies()}
-	if c.total > 0 {
-		c.perUnit = m.ConsolidateTime(c.total) / float64(c.total)
-	}
-	if b.Done() {
-		c.tree = b.Tree()
-	}
+	c := &consolidator{builder: b, sorted: sorted, pool: pool, n: len(sorted)}
+	c.unit = m.ConsolidateTime(b.TotalCopies()) + m.PackTime(c.n, pool.Workers())
+	c.perBlock = c.unit / float64(max(b.Blocks(), 1))
+	c.finish()
 	return c
 }
 
-// step spends up to sec seconds of modeled work, returning the seconds
-// actually consumed.
+// step spends sec seconds of modeled work, in whole blocks: what does not
+// buy one is carried to the next step, so a δ budget packs δ of the blocks
+// a query on average however few there are, and a budget under a block
+// still converges. It returns the seconds of the blocks it packed.
 func (c *consolidator) step(sec float64) float64 {
-	if c.finished() || c.perUnit <= 0 {
+	if c.finished() {
 		return 0
 	}
-	units := int(sec / c.perUnit)
-	if units <= 0 {
-		units = 1
-	}
-	performed := c.builder.Step(units)
-	c.done += performed
+	c.credit += sec
+	blocks := int(c.credit/c.perBlock + blockEpsilon)
+	rows := c.builder.Step(c.pool, blocks)
+	c.credit = max(c.credit-float64(blocks)*c.perBlock, 0)
+	c.done += rows
+	c.finish()
+	return c.unit * float64(rows) / float64(c.n)
+}
+
+// blockEpsilon keeps a budget of δ·unit at δ·blocks blocks when the
+// quotient lands a rounding error under the whole number.
+const blockEpsilon = 1e-9
+
+// finish trades the builder and the sorted array for the tree once the
+// last block is packed.
+func (c *consolidator) finish() {
 	if c.builder.Done() {
-		c.tree = c.builder.Tree()
+		c.tree, c.builder, c.sorted = c.builder.Tree(), nil, nil
 	}
-	return float64(performed) * c.perUnit
 }
 
 func (c *consolidator) finished() bool { return c.tree != nil }
@@ -351,5 +367,5 @@ func (c *consolidator) progress() float64 {
 	if c.finished() {
 		return 1
 	}
-	return fraction(c.done, c.total)
+	return fraction(c.done, c.n)
 }

@@ -132,7 +132,7 @@ func BenchmarkDistribute(b *testing.B) {
 		r.bucketStep(n, 0, 0, column.AggSum, &r.bz, r)
 		r.startRefinement()
 		b.StartTimer()
-		for r.sorted() == nil {
+		for r.takeSorted() == nil {
 			r.refine(1, 0, 0)
 		}
 	}

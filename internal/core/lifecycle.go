@@ -11,11 +11,11 @@ import (
 // lifecycle: its creation and refinement steps, each with the answer
 // over the part of the data it already holds, the cost prediction and
 // δ = 1 unit cost of those two phases, refinement progress, and the
-// sorted array refinement ends with. Budget planning, creation
-// accounting, phase transitions, consolidation, the Done path and Stats
-// are the driver's (progressive) and exist once. The driver calls
-// through this interface O(1) times per query; the per-element loops
-// stay inside the implementations.
+// sorted array refinement ends with, which it hands over. Budget
+// planning, creation accounting, phase transitions, consolidation, the
+// Done path and Stats are the driver's (progressive) and exist once. The
+// driver calls through this interface O(1) times per query; the
+// per-element loops stay inside the implementations.
 type algorithm interface {
 	// predict estimates the cost of answering [lo, hi] from the current
 	// creation- or refinement-phase state (the non-δ terms of the
@@ -46,9 +46,10 @@ type algorithm interface {
 	refine(sec float64, lo, hi int64) (consumed float64, more bool)
 	// refineProgress is the completed fraction of refinement, in [0, 1].
 	refineProgress() float64
-	// sorted returns the final sorted array once refinement is complete
-	// and nil before; the driver consolidates over it.
-	sorted() []int64
+	// takeSorted returns nil until refinement is complete, and then, once,
+	// the final sorted array: the algorithm forgets it and everything it
+	// refined it with, and the driver consolidates over it.
+	takeSorted() []int64
 }
 
 // progressive is the lifecycle driver the four algorithms embed: one
@@ -101,13 +102,23 @@ func (d *progressive) Converged() bool { return d.phase == PhaseDone }
 
 // ReleaseBase implements query.Budgeted. Once Done the driver reads
 // nothing of the base column but its zone (Execute clamps to it; the
-// answers come from the consolidated sorted copy and n is cached), so
+// answers come from the B+-tree's packed leaves and n is cached), so
 // the rows go and the zone stays. Before Done it does nothing.
 func (d *progressive) ReleaseBase() bool {
 	if d.phase == PhaseDone {
 		d.col = d.col.Zone()
 	}
 	return d.phase == PhaseDone
+}
+
+// SizeBytes returns the payload a Done index holds, its B+-tree's keys,
+// prefix sums and packed leaves (the shard layer adds it to a settled
+// shard's resident bytes); 0 before, whatever the algorithm has allocated.
+func (d *progressive) SizeBytes() int {
+	if d.phase != PhaseDone {
+		return 0
+	}
+	return d.cons.tree.SizeBytes()
 }
 
 // Progress implements query.Budgeted.
@@ -156,7 +167,7 @@ func (d *progressive) execute(lo, hi int64, aggs column.Aggregates, scale float6
 	// organizes the data. Once the sorted array exists the answer is
 	// computed first and base is what it did — a search plus the elements
 	// it read, at most 2β of them when the tree is complete — and unit is
-	// the B+-tree's copies (filling its prefix sums is not priced).
+	// the B+-tree's copies plus the pack of its leaves.
 	var (
 		res        column.Agg
 		base, unit float64
@@ -170,7 +181,7 @@ func (d *progressive) execute(lo, hi int64, aggs column.Aggregates, scale float6
 		res, alpha = cons.answer(lo, hi, aggs)
 		base = d.model.BinarySearchTime(d.n) + d.model.ScanTime(alpha)
 		if startPhase == PhaseConsolidation {
-			unit = d.model.ConsolidateTime(cons.total)
+			unit = cons.unit
 		}
 	}
 	planned := 0.0
@@ -250,14 +261,13 @@ func (d *progressive) work(sec float64, lo, hi int64) float64 {
 				return consumed // defensive: refusal to make progress
 			}
 		case PhaseConsolidation:
-			did := d.cons.step(sec - consumed)
-			consumed += did
+			// One step takes all that is left: what buys no whole block
+			// is the consolidator's to carry, not this loop's to offer again.
+			consumed += d.cons.step(sec - consumed)
 			if d.cons.finished() {
 				d.phase = PhaseDone
 			}
-			if did == 0 {
-				return consumed
-			}
+			return consumed
 		default:
 			// Creation work is interleaved with answering in execute;
 			// Done has none left.
@@ -270,11 +280,11 @@ func (d *progressive) work(sec float64, lo, hi int64) float64 {
 // consolidateIfSorted moves to consolidation once the algorithm's
 // refinement has produced the sorted array, and reports whether it did.
 func (d *progressive) consolidateIfSorted() bool {
-	sorted := d.alg.sorted()
+	sorted := d.alg.takeSorted()
 	if sorted == nil {
 		return false
 	}
-	d.cons = newConsolidator(sorted, d.cfg.Fanout, d.model)
+	d.cons = newConsolidator(sorted, d.cfg.Fanout, d.model, d.pool)
 	d.phase = PhaseConsolidation
 	if d.cons.finished() {
 		d.phase = PhaseDone

@@ -77,11 +77,13 @@ func (s *stubAlg) refine(sec float64, _, _ int64) (float64, bool) {
 
 func (s *stubAlg) refineProgress() float64 { return 1 - s.refineLeft/stubRefine }
 
-func (s *stubAlg) sorted() []int64 {
+func (s *stubAlg) takeSorted() []int64 {
 	if !s.refining || s.refineLeft > 0 {
 		return nil
 	}
-	return s.index
+	sorted := s.index
+	s.index = nil
+	return sorted
 }
 
 // TestDriverPhaseMachine checks the lifecycle driver once, against a
@@ -144,7 +146,7 @@ func TestDriverPhaseMachine(t *testing.T) {
 		if !slices.Equal(s.createUnits, []int{128}) || !slices.Equal(s.refineSecs, []float64{64}) {
 			t.Fatalf("planned creation units %v, spilled refinement seconds %v", s.createUnits, s.refineSecs)
 		}
-		if work := stubN*stubMarginal + stubRefine + s.model.ConsolidateTime(s.cons.total); st.WorkSeconds != work || st.Delta != 1 {
+		if work := stubN*stubMarginal + stubRefine + s.cons.unit; st.WorkSeconds != work || st.Delta != 1 {
 			t.Fatalf("work %v, want %v; δ %v", st.WorkSeconds, work, st.Delta)
 		}
 	})

@@ -2,7 +2,6 @@ package core
 
 import (
 	"math/bits"
-	"slices"
 
 	"repro/internal/column"
 	"repro/internal/parallel"
@@ -240,10 +239,4 @@ func (t *qtree) sortedElems(n *qnode) int {
 	default:
 		return 0
 	}
-}
-
-// checkSorted reports whether the whole region is sorted; used only by
-// tests and debug assertions.
-func (t *qtree) checkSorted() bool {
-	return slices.IsSorted(t.arr[t.root.start:t.root.end])
 }

@@ -113,9 +113,6 @@ func (q *Quicksort) refine(sec float64, lo, hi int64) (float64, bool) {
 	if left > 0 {
 		left = q.tree.refine(q.tree.root, left, 1)
 	}
-	if q.tree.sorted() {
-		q.tree.scratch = nil
-	}
 	return float64(units-left) * perUnit, left <= 0
 }
 
@@ -124,13 +121,15 @@ func (q *Quicksort) refineProgress() float64 {
 	return fraction(q.tree.sortedElems(q.tree.root), q.n)
 }
 
-// sorted implements algorithm: the index array itself, once every node
-// of the pivot tree is.
-func (q *Quicksort) sorted() []int64 {
+// takeSorted implements algorithm: the index array itself, once every
+// node of the pivot tree is sorted; the tree goes with it.
+func (q *Quicksort) takeSorted() []int64 {
 	if !q.tree.sorted() {
 		return nil
 	}
-	return q.index
+	sorted := q.index
+	q.index, q.tree = nil, nil
+	return sorted
 }
 
 // createStep copies up to units elements from the base column into

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/column"
@@ -70,6 +71,29 @@ func checkConvergesAndAnswers(t *testing.T, idx query.Budgeted, vals []int64, rn
 	return -1
 }
 
+// checkTreeHoldsSorted holds a converged index to its end state: the
+// sorted array and the builder are gone, and the tree that is left places
+// every value where the sorted column has it.
+func checkTreeHoldsSorted(t *testing.T, d *progressive, vals []int64) {
+	t.Helper()
+	if !d.Converged() || d.cons.sorted != nil || d.cons.builder != nil {
+		t.Fatalf("%s: converged %v, sorted array or builder kept", d.Name(), d.Converged())
+	}
+	sorted := slices.Clone(vals)
+	slices.Sort(sorted)
+	if got := d.cons.tree.Len(); got != len(sorted) {
+		t.Fatalf("%s: the tree holds %d rows, want %d", d.Name(), got, len(sorted))
+	}
+	for i, v := range sorted {
+		if i > 0 && sorted[i-1] == v {
+			continue
+		}
+		if got := d.cons.tree.LowerBound(v); got != i {
+			t.Fatalf("%s: the tree has %d at %d, the sorted column at %d", d.Name(), v, got, i)
+		}
+	}
+}
+
 func randomValues(rng *rand.Rand, n int, domain int64) []int64 {
 	vals := make([]int64, n)
 	for i := range vals {
@@ -88,9 +112,10 @@ func TestQuicksortConvergesUniform(t *testing.T) {
 	if q < 3 {
 		t.Fatalf("converged suspiciously fast (query %d) for δ=0.1", q)
 	}
-	if !idx.tree.checkSorted() {
-		t.Fatal("index array not sorted after convergence")
+	if idx.index != nil || idx.tree != nil {
+		t.Fatal("index array or pivot tree kept after convergence")
 	}
+	checkTreeHoldsSorted(t, &idx.progressive, vals)
 }
 
 func TestQuicksortDeltaOneConvergesFast(t *testing.T) {

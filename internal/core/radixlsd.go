@@ -331,12 +331,15 @@ func (r *RadixLSD) refine(sec float64, _, _ int64) (float64, bool) {
 	return float64(did) * perUnit, did != 0 || wasMerging != r.merging
 }
 
-// sorted implements algorithm: the merge sub-phase ends refinement.
-func (r *RadixLSD) sorted() []int64 {
+// takeSorted implements algorithm: the merge sub-phase ends refinement,
+// and the drained bucket set goes with the array.
+func (r *RadixLSD) takeSorted() []int64 {
 	if !r.merging || r.writeOff < r.n {
 		return nil
 	}
-	return r.final
+	sorted := r.final
+	r.final, r.old = nil, nil
+	return sorted
 }
 
 // startRefinement implements algorithm.

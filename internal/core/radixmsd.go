@@ -278,9 +278,6 @@ func (r *RadixMSD) refine(sec float64, _, _ int64) (float64, bool) {
 	perUnit := r.model.BucketTime(1, r.cfg.BlockSize)
 	units := workUnits(sec, perUnit)
 	left := r.process(r.root, units)
-	if r.root.state == rMerged {
-		r.leaf = nil
-	}
 	return float64(units-left) * perUnit, left <= 0
 }
 
@@ -288,12 +285,15 @@ func (r *RadixMSD) refine(sec float64, _, _ int64) (float64, bool) {
 // array, which grows strictly left to right.
 func (r *RadixMSD) refineProgress() float64 { return fraction(r.writeOff, r.n) }
 
-// sorted implements algorithm.
-func (r *RadixMSD) sorted() []int64 {
+// takeSorted implements algorithm: the radix tree, merged down to its
+// root, goes with the array.
+func (r *RadixMSD) takeSorted() []int64 {
 	if r.root.state != rMerged {
 		return nil
 	}
-	return r.final
+	sorted := r.final
+	r.final, r.root, r.leaf = nil, nil, nil
+	return sorted
 }
 
 // startRefinement implements algorithm.

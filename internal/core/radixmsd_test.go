@@ -2,7 +2,6 @@ package core
 
 import (
 	"math/rand"
-	"slices"
 	"testing"
 
 	"repro/internal/column"
@@ -14,9 +13,10 @@ func TestRadixMSDConvergesUniform(t *testing.T) {
 	vals := randomValues(rng, n, domain)
 	idx := NewRadixMSD(column.MustNew(vals), Config{Mode: FixedDelta, Delta: 0.1})
 	checkConvergesAndAnswers(t, idx, vals, rng, domain, 5000)
-	if !slices.IsSorted(idx.final) {
-		t.Fatal("final array not sorted after convergence")
+	if idx.final != nil {
+		t.Fatal("final array kept after convergence")
 	}
+	checkTreeHoldsSorted(t, &idx.progressive, vals)
 }
 
 func TestRadixMSDDeltaOne(t *testing.T) {

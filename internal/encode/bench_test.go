@@ -168,3 +168,33 @@ func BenchmarkPack(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/benchN, "ns/row")
 }
+
+// BenchmarkLaneKernels times the three kernels a lookup over packed
+// sorted rows finishes with, each on one 64-row group of a 4096-row block
+// of 12-bit deltas (4M dense sorted rows cut by PackBlocks): the rank of a
+// bound in a node, the row at a lane, and the sum of a node's rows.
+func BenchmarkLaneKernels(b *testing.B) {
+	vals := make([]int64, BlockRows)
+	for i := range vals {
+		vals[i] = int64(i)
+	}
+	seg := PackBlocks(vals)[0]
+	rng := rand.New(rand.NewSource(1))
+	b.Run("RankBelow", func(b *testing.B) {
+		for b.Loop() {
+			g := rng.Intn(BlockRows / blockLen)
+			benchSink.Count = int64(seg.RankBelow(g*blockLen+1, (g+1)*blockLen, int64(g*blockLen+rng.Intn(blockLen))))
+		}
+	})
+	b.Run("At", func(b *testing.B) {
+		for b.Loop() {
+			benchSink.Sum = seg.At(rng.Intn(BlockRows))
+		}
+	})
+	b.Run("SumRows", func(b *testing.B) {
+		for b.Loop() {
+			from := rng.Intn(BlockRows - blockLen)
+			benchSink.Sum = seg.SumRows(from, from+rng.Intn(blockLen))
+		}
+	})
+}

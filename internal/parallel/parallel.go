@@ -97,11 +97,9 @@ func (p *Pool) Run(n, minChunk int, fn func(chunk, lo, hi int)) {
 	pending := int32(chunks - 1)
 	done := make(chan struct{})
 	for c := 1; c < chunks; c++ {
-		lo := c * size
-		hi := lo + size
-		if hi > n {
-			hi = n
-		}
+		// Rounding size up can leave the last chunks past n (5 over 4
+		// chunks of 2): they get an empty range, not an inverted one.
+		lo, hi := min(c*size, n), min((c+1)*size, n)
 		c := c
 		submit(func() {
 			fn(c, lo, hi)

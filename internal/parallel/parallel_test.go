@@ -44,15 +44,21 @@ func TestChunksCutoff(t *testing.T) {
 }
 
 // TestRunCoversRange checks every element of [0, n) is visited exactly
-// once, for worker counts above and below the machine's core count.
+// once, for worker counts above and below the machine's core count, and
+// that no chunk's range is inverted — a task a unit (minChunk 1) over
+// more workers than divide n leaves the last chunks nothing.
 func TestRunCoversRange(t *testing.T) {
-	for _, workers := range []int{1, 2, 3, 7, 16} {
-		for _, n := range []int{0, 1, 100, 2 * DefaultMinChunk, 10*DefaultMinChunk + 13} {
+	for _, workers := range []int{1, 2, 3, 4, 7, 16} {
+		for _, c := range []struct{ n, minChunk int }{{0, 0}, {1, 0}, {100, 0}, {2 * DefaultMinChunk, 0}, {10*DefaultMinChunk + 13, 0}, {5, 1}, {9, 1}, {17, 1}} {
+			n := c.n
 			seen := make([]int32, n)
-			var calls int32
+			var calls, inverted int32
 			p := New(workers)
-			p.Run(n, 0, func(chunk, lo, hi int) {
+			p.Run(n, c.minChunk, func(chunk, lo, hi int) {
 				atomic.AddInt32(&calls, 1)
+				if lo > hi {
+					atomic.AddInt32(&inverted, 1)
+				}
 				for i := lo; i < hi; i++ {
 					atomic.AddInt32(&seen[i], 1)
 				}
@@ -62,8 +68,8 @@ func TestRunCoversRange(t *testing.T) {
 					t.Fatalf("workers=%d n=%d: element %d visited %d times", workers, n, i, c)
 				}
 			}
-			if want := int32(p.Chunks(n, 0)); n > 0 && calls != want {
-				t.Fatalf("workers=%d n=%d: %d calls, want %d", workers, n, calls, want)
+			if want := int32(p.Chunks(n, c.minChunk)); n > 0 && calls != want || inverted != 0 {
+				t.Fatalf("workers=%d n=%d: %d calls, want %d; %d inverted ranges", workers, n, calls, want, inverted)
 			}
 		}
 	}

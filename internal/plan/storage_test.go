@@ -187,14 +187,15 @@ func liveHeap() uint64 {
 // planned table holds each column's rows in one place, in one form.
 // Raw, that is the column's array (8 B/row) while it indexes — where a
 // second row store beside the shard layer made it 16.5 — and, once
-// converged and settled, the index's sorted copy plus the rows packed
-// per block (31.0 B/row over three columns on this data, where keeping
-// the arrays made it 51). FOR-BP, the packed blocks are the loaded
+// converged and settled, the rows packed twice, per block in row order
+// and sorted under the index's B+-tree (12.2 B/row over three columns
+// on this data, where a raw sorted copy in each index made it 31.0 and
+// keeping the arrays too 51). FOR-BP, the packed blocks are the loaded
 // table, at the per-block figure (7.09 B/row over three columns; a
 // frame per whole shard would be 7.6), and a claim that has converged
-// has traded one column's blocks for its index and the same rows packed
-// again (14.8), not for index and raw rows (21) nor beside a second
-// store (23.2).
+// has traded one column's blocks for the same rows packed again and
+// the index's packed leaves (8.6), not for a raw sorted copy (14.8),
+// index and raw rows (21) nor a second store beside them (23.2).
 func TestPlannedRowsStoredOnce(t *testing.T) {
 	if raceEnabled {
 		t.Skip("heap sizes are not meaningful under -race")
@@ -206,8 +207,8 @@ func TestPlannedRowsStoredOnce(t *testing.T) {
 		enc                 progidx.Encoding
 		loaded, afterDirect float64 // B/row over the three columns
 	}{
-		{progidx.EncodingRaw, 3 * 9, 3*8 + 7.5},
-		{progidx.EncodingFORBP, 7.09 + 0.1, 7.09 + 8 + 0.2},
+		{progidx.EncodingRaw, 3 * 9, 12.2 + 0.5},
+		{progidx.EncodingFORBP, 7.09 + 0.1, 8.6 + 0.3},
 	} {
 		base := liveHeap()
 		tbl, err := New("t", names, flat, progidx.Options{

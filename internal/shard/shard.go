@@ -1342,9 +1342,11 @@ const (
 )
 
 // encodingInfo reports the form the shard holds its rows in, their
-// encoding, and their resident payload size: the blocks' kind and
-// packed-word footprint for a cold or a settled shard, raw and 8·rows
-// otherwise.
+// encoding, and the shard's resident payload size: raw and 8·rows for raw
+// rows, the blocks' kind and packed-word footprint for a cold shard, and
+// for a settled one that plus what its converged index holds beside them
+// — the four progressive algorithms say (core's SizeBytes): a B+-tree
+// whose leaves are packed too.
 func (st *state) encodingInfo() (form, kind string, bytes int) {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
@@ -1352,11 +1354,13 @@ func (st *state) encodingInfo() (form, kind string, bytes int) {
 	case st.vals != nil:
 		return FormRaw, encode.KindRaw.String(), 8 * len(st.vals)
 	case st.idx == nil:
-		form = FormCold
-	default:
-		form = FormSettled
+		return FormCold, st.packed.Kind().String(), st.packed.SizeBytes()
 	}
-	return form, st.packed.Kind().String(), st.packed.SizeBytes()
+	bytes = st.packed.SizeBytes()
+	if idx, ok := st.idx.(interface{ SizeBytes() int }); ok {
+		bytes += idx.SizeBytes()
+	}
+	return FormSettled, st.packed.Kind().String(), bytes
 }
 
 // Info is a point-in-time snapshot of one shard, for the stats
@@ -1377,8 +1381,9 @@ type Info struct {
 	// rows: a raw-mode or a claimed shard), FormCold (packed blocks, no
 	// index) or FormSettled (a converged index and packed blocks).
 	// Encoding is the rows' encoding ("raw" in the raw form) and Bytes
-	// their resident payload size — 8·rows raw, the packed-word
-	// footprint otherwise; the index's own copy is not in it.
+	// the shard's resident payload size — 8·rows raw (an index's working
+	// arrays are not in it), the packed-word footprint cold, and settled
+	// that plus the converged index's keys, prefix sums and packed leaves.
 	Form     string `json:"form"`
 	Encoding string `json:"encoding"`
 	Bytes    int    `json:"resident_bytes"`

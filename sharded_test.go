@@ -473,20 +473,21 @@ func liveHeap() uint64 {
 // TestSettledRowsStoredOnce pins what a settle is for, and the rule that
 // rows which cannot be freed are never packed. The four loaded shards of
 // a raw table slice one array. With three of their indexes converged and
-// the fourth never queried, the table holds that array and three sorted
-// copies and not one packed block — packing then would add to the heap,
-// since the array stays for the fourth. Once the fourth has converged
-// too, all four settle: the array is gone, and the table holds the sorted
-// copies plus the rows at their packed width, where it used to hold 16
-// bytes a row for good.
+// the fourth never queried, the table holds that array and three B+-trees
+// over packed leaves and not one packed block of base rows — packing
+// then would add to the heap, since the array stays for the fourth. Once
+// the fourth has converged too, all four settle: the array is gone, and
+// the table holds its rows twice at their packed width, in row order and
+// sorted under the trees' keys, where it used to hold 16 bytes a row for
+// good.
 func TestSettledRowsStoredOnce(t *testing.T) {
 	skipUnderRace(t)
 	const (
 		n     = 1 << 19
-		slack = n / 2 // B+-tree levels, block headers, views, the collector's slop
-		// cum is a converged shard's prefix sums: a word per node of 64
-		// of its n/4 rows, and one more.
-		cum = 8 * (n/4/64 + 1)
+		slack = n / 2 // block headers, views, the collector's slop
+		// tree bounds a converged shard's B+-tree: its n/4 rows as 13-bit
+		// leaves, and a key and a prefix sum per node of 64.
+		tree = 2 * (n / 4)
 	)
 	base := liveHeap()
 	vals := make([]int64, n)
@@ -514,8 +515,8 @@ func TestSettledRowsStoredOnce(t *testing.T) {
 			t.Fatalf("three shards converged, one untouched: shard %d is %+v", i, si)
 		}
 	}
-	if held := liveHeap() - base; held > 8*n+8*(3*n/4)+3*cum+slack {
-		t.Fatalf("with the loaded array pinned the table holds %.2f B/row, above the array and three sorted copies (14)", float64(held)/n)
+	if held := liveHeap() - base; held > 8*n+3*tree+slack {
+		t.Fatalf("with the loaded array pinned the table holds %.2f B/row, above the array and three packed trees (9.5)", float64(held)/n)
 	}
 	for i := 0; i < 100_000 && !sh.Converged(); i++ {
 		sh.RefineStep()
@@ -527,11 +528,11 @@ func TestSettledRowsStoredOnce(t *testing.T) {
 		}
 		packed += si.Bytes
 	}
-	if packed > 2*n {
-		t.Fatalf("the rows packed to %.2f B/row, want 13-bit blocks", float64(packed)/n)
+	if packed > 2*n+4*tree {
+		t.Fatalf("rows and trees packed to %.2f B/row, want 13-bit blocks twice", float64(packed)/n)
 	}
-	if held := liveHeap() - base; held > uint64(8*n+packed+4*cum+slack) {
-		t.Fatalf("settled table holds %.2f B/row, above its sorted copies and %.2f B/row packed: the loaded array is still there", float64(held)/n, float64(packed)/n)
+	if held := liveHeap() - base; held > uint64(packed+slack) {
+		t.Fatalf("settled table holds %.2f B/row, above the %.2f B/row its shards report: the loaded array or a sorted copy is still there", float64(held)/n, float64(packed)/n)
 	}
 	runtime.KeepAlive(sh)
 }
