@@ -39,7 +39,8 @@ vet:
 # PR 28 (the B+-tree's leaves packed, a memory feature) raised it from
 # 19 564 by its net, +161: encode's lane kernels and the block-grained
 # builder in, the level-by-level builder and qtree.checkSorted out.
-LOC_MAX ?= 19725
+# PR 29 (a table serves only the paper's four) lowered it from 19 725.
+LOC_MAX ?= 19674
 loc:
 	@n=$$(find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -not -path './.bench_build/*' -print0 | xargs -0 cat | wc -l); \
 	echo $$n; \

@@ -32,13 +32,13 @@ func appendHandle(t *testing.T, vals []int64, opts Options) *Sharded {
 }
 
 // TestAppendOracleAllStrategies is the ingestion acceptance property
-// test: for every strategy × shard count {1, 3, 8}, an interleaved
+// test: for every strategy a table serves × shard count {1, 3, 8}, an interleaved
 // append/query trace must return answers identical to the branching
 // oracle over the grown logical column at every step, and identical to
 // a from-scratch rebuild on the final column at the end.
 func TestAppendOracleAllStrategies(t *testing.T) {
 	base := testColumn(600, 41)
-	for _, s := range allStrategies {
+	for _, s := range progressiveStrategies {
 		for _, shards := range []int{1, 3, 8} {
 			h := appendHandle(t, base, Options{Strategy: s, Delta: 0.3, Seed: 9, Shards: shards})
 			logical := append([]int64(nil), base...)
@@ -123,8 +123,7 @@ func TestAppendClearsConvergedAndIdleRedrains(t *testing.T) {
 		shards   int
 	}{
 		{StrategyQuicksort, 1}, {StrategyRadixMSD, 1}, {StrategyBucketsort, 1},
-		{StrategyRadixLSD, 1}, {StrategyProgressiveHash, 1}, {StrategyImprints, 1},
-		{StrategyFullIndex, 1}, {StrategyQuicksort, 3}, {StrategyRadixLSD, 8},
+		{StrategyRadixLSD, 1}, {StrategyQuicksort, 3}, {StrategyRadixLSD, 8},
 	} {
 		h := appendHandle(t, testColumn(400, 5), Options{Strategy: tc.strategy, Delta: 0.5, Shards: tc.shards})
 		for i := 0; i < 200 && !h.Converged(); i++ {

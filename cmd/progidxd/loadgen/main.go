@@ -70,7 +70,7 @@ func main() {
 		table      = flag.String("table", "loadgen", "table name to create and query")
 		n          = flag.Int("n", 200_000, "rows in the generated table")
 		seed       = flag.Int64("seed", 7, "data generator seed (shared with the server)")
-		strategy   = flag.String("strategy", "PQ", "index strategy abbreviation")
+		strategy   = flag.String("strategy", "PQ", "index strategy: PQ, PMSD, PB or PLSD (a table serves only the four progressive algorithms)")
 		delta      = flag.Float64("delta", 0.25, "indexing fraction per query")
 		shards     = flag.Int("shards", 0, "range-partition the table into this many index shards (0 = unsharded)")
 		columns    = flag.Int("columns", 1, "columns per row (>= 2 loads a multi-column table and issues composite queries)")

@@ -245,15 +245,14 @@ func TestPointFastPathsStayExact(t *testing.T) {
 	}
 }
 
-// TestHandleExecuteCoherent hammers a shared handle — of a progressive
-// strategy and of a cracking one, which reorganizes on every query —
-// with concurrent Execute calls: every answer is exact, and the Stats
-// carried inline belong to a call taken under the shard's lock —
-// observed as a phase that never regresses within any single goroutine,
-// since the index's lifecycle only moves forward.
+// TestHandleExecuteCoherent hammers a shared handle with concurrent
+// Execute calls: every answer is exact, and the Stats carried inline
+// belong to a call taken under the shard's lock — observed as a phase
+// that never regresses within any single goroutine, since the index's
+// lifecycle only moves forward.
 func TestHandleExecuteCoherent(t *testing.T) {
 	vals := testColumn(20000, 17)
-	for _, s := range []Strategy{StrategyRadixMSD, StrategyStandardCracking} {
+	for _, s := range []Strategy{StrategyRadixMSD, StrategyQuicksort} {
 		idx, err := NewHandle(vals, Options{Strategy: s, Delta: 0.2})
 		if err != nil {
 			t.Fatal(err)

@@ -85,26 +85,6 @@ func TestExecuteBatchAmortizesIndexingWork(t *testing.T) {
 	}
 }
 
-func TestExecuteBatchNonSuspendableStillExact(t *testing.T) {
-	vals := data.Uniform(20_000, 4)
-	idx := unshardedHandle(t, vals, Options{Strategy: StrategyStandardCracking})
-	reqs := []Request{
-		{Pred: Range(100, 9_000)},
-		{Pred: Range(5_000, 15_000)},
-		{Pred: Point(vals[7])},
-	}
-	answers, errs := executeBatch(idx, reqs, query.BatchOpts{})
-	for i, req := range reqs {
-		if errs[i] != nil {
-			t.Fatal(errs[i])
-		}
-		want := column.AggRangeBranching(vals, req.Pred.Lo, req.Pred.Hi)
-		if answers[i].Sum != want.Sum || answers[i].Count != want.Count {
-			t.Fatalf("req %d: %d/%d want %d/%d", i, answers[i].Sum, answers[i].Count, want.Sum, want.Count)
-		}
-	}
-}
-
 func TestExecuteBatchEmpty(t *testing.T) {
 	idx := unshardedHandle(t, []int64{1, 2, 3}, Options{})
 	answers, errs := executeBatch(idx, nil, query.BatchOpts{})
@@ -115,13 +95,7 @@ func TestExecuteBatchEmpty(t *testing.T) {
 
 func TestRefineStepConvergesEveryConvergentStrategy(t *testing.T) {
 	vals := data.Uniform(20_000, 5)
-	for _, s := range []Strategy{
-		StrategyQuicksort, StrategyRadixMSD, StrategyBucketsort, StrategyRadixLSD,
-		StrategyProgressiveHash, StrategyImprints, StrategyFullIndex,
-	} {
-		if !s.Convergent() {
-			t.Fatalf("%v should be convergent", s)
-		}
+	for _, s := range progressiveStrategies {
 		idx := unshardedHandle(t, vals, Options{Strategy: s, Delta: 0.25})
 		if p := idx.Progress(); p != 0 {
 			t.Fatalf("%v: fresh progress = %v, want 0", s, p)
@@ -168,10 +142,7 @@ func TestRefineStepStatsReuseBudgetMapping(t *testing.T) {
 // Execute) with every answer checked against the oracle.
 func TestConvergedConcurrentReads(t *testing.T) {
 	vals := data.Uniform(30_000, 9)
-	for _, s := range []Strategy{
-		StrategyQuicksort, StrategyRadixMSD, StrategyBucketsort, StrategyRadixLSD,
-		StrategyProgressiveHash, StrategyImprints,
-	} {
+	for _, s := range progressiveStrategies {
 		idx := unshardedHandle(t, vals, Options{Strategy: s, Delta: 0.25})
 		converge(t, idx)
 

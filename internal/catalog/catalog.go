@@ -52,7 +52,8 @@ func (s Status) String() string {
 // Options are the per-table indexing knobs, a serving-layer projection
 // of progidx.Options plus the idle-refinement switch.
 type Options struct {
-	// Strategy selects the indexing algorithm (default PQ).
+	// Strategy selects the indexing algorithm (default PQ): one of the
+	// four progressive algorithms, the only strategies a table serves.
 	Strategy progidx.Strategy
 	// Delta, Budget, Adaptive, Calibrate and Workers have the
 	// progidx.Options meanings.
@@ -68,8 +69,7 @@ type Options struct {
 	// shards, so the regions the workload touches converge first.
 	Shards int
 	// IdleRefine enables idle-time background refinement for this
-	// table's scheduler. nil means auto: on exactly when the strategy
-	// is convergent (refining a never-convergent index would spin).
+	// table's scheduler; nil means on.
 	IdleRefine *bool
 	// Encoding selects compressed columnar storage (progidx.Encoding):
 	// compressed tables keep no raw base column — shards serve queries
@@ -104,12 +104,7 @@ func (o Options) RowWidth() int {
 }
 
 // IdleRefineEnabled resolves the tri-state IdleRefine switch.
-func (o Options) IdleRefineEnabled() bool {
-	if o.IdleRefine != nil {
-		return *o.IdleRefine && o.Strategy.Convergent()
-	}
-	return o.Strategy.Convergent()
-}
+func (o Options) IdleRefineEnabled() bool { return o.IdleRefine == nil || *o.IdleRefine }
 
 // progidxOptions projects the catalog options onto the library's.
 func (o Options) progidxOptions() progidx.Options {
@@ -343,9 +338,7 @@ func (t *Table) Info() Info {
 	info.PendingRows = t.idx.PendingRows()
 	info.Converged = t.idx.Converged()
 	info.Progress = t.idx.Progress()
-	if t.opts.Strategy.Progressive() {
-		info.Phase = t.idx.Phase().String()
-	}
+	info.Phase = t.idx.Phase().String()
 	return info
 }
 

@@ -70,6 +70,17 @@ func TestLoadRejectsDuplicatesAndBadInput(t *testing.T) {
 	if c.Len() != 1 {
 		t.Fatalf("catalog has %d tables, want 1", c.Len())
 	}
+	// A table serves only the four progressive algorithms: each of the
+	// nine others is refused, and the name stays free.
+	for _, s := range progidx.Strategies()[4:] {
+		if _, err := c.Load("base", vals, Options{Strategy: s}); err == nil || !strings.Contains(err.Error(), "cmd/experiments") {
+			t.Fatalf("load of %v: %v, want the refusal that names cmd/experiments", s, err)
+		}
+		if _, err := c.Load("base", vals, Options{}); err != nil {
+			t.Fatalf("PQ load after the refused %v: %v", s, err)
+		}
+		c.Drop("base")
+	}
 }
 
 func TestListSortedAndInfo(t *testing.T) {
@@ -103,14 +114,7 @@ func TestIdleRefineDefaults(t *testing.T) {
 	}{
 		{progidx.StrategyQuicksort, nil, true},
 		{progidx.StrategyRadixLSD, nil, true},
-		{progidx.StrategyProgressiveHash, nil, true},
-		{progidx.StrategyFullIndex, nil, true},
-		{progidx.StrategyStandardCracking, nil, false}, // never converges
-		{progidx.StrategyFullScan, nil, false},
 		{progidx.StrategyQuicksort, boolPtr(false), false},
-		// Opting in cannot force idle refinement onto a strategy that
-		// would spin forever.
-		{progidx.StrategyFullScan, boolPtr(true), false},
 	}
 	for _, tc := range cases {
 		opts := Options{Strategy: tc.strategy, IdleRefine: tc.override}

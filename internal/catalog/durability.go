@@ -262,15 +262,14 @@ func (c *Catalog) LoadRecovered(rec durable.Recovered) (*Table, error) {
 
 // redrive spends refinement slices until the rebuilt index's Progress
 // reaches the snapshot's recorded floor. The snapshot stores progress
-// rather than strategy internals — the 13 strategies' in-memory layouts
-// would each need their own serialization format, while re-running
-// RefineStep reproduces the work in a format-independent way, bounded
-// by the same budget slices queries would have spent. A stall guard
-// breaks the loop if progress plateaus below the floor; single
+// rather than strategy internals — the four algorithms' in-memory
+// layouts would each need their own serialization format, while
+// re-running RefineStep reproduces the work in a format-independent way,
+// bounded by the same budget slices queries would have spent. A stall
+// guard breaks the loop if progress plateaus below the floor; single
 // non-increasing steps are normal (a step may spend its slice flushing
 // the replayed tail into a shard before any of it counts as indexed),
-// so only a long run of them gives up. Non-convergent strategies record
-// progress 0 in their snapshots, so they skip the loop entirely.
+// so only a long run of them gives up.
 func (t *Table) redrive(target float64) {
 	if target <= 0 {
 		return

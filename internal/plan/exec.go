@@ -269,16 +269,13 @@ func (t *Table) fusedScan(preds []query.ColPredicate, bounds [][2]int64, views [
 	}
 	ch.MatchedRows = total.Count
 
-	stats := query.Stats{
+	return query.NewAnswer(total, aggs, query.Stats{
+		Phase:         t.cols[t.byName[preds[driver].Col]].idx.Phase(),
 		Workers:       t.pool.Workers(),
 		AlphaElems:    int(scannedRows),
 		ShardsScanned: ch.ScannedBlocks,
 		ShardsPruned:  ch.PrunedBlocks,
-	}
-	if t.strategy.Progressive() {
-		stats.Phase = t.cols[t.byName[preds[driver].Col]].idx.Phase()
-	}
-	return query.NewAnswer(total, aggs, stats)
+	})
 }
 
 // minBlocksPerChunk sizes the parallel fan-out over surviving blocks:

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -166,7 +167,8 @@ func randomConj(rng *rand.Rand, names []string, n int64) query.Conjunction {
 // TestConjunctionsMatchOracle is the planner property test:
 // conjunctions × aggregates × strategies × shard counts must answer
 // bit-identically to the branching full-scan oracle, with appends
-// interleaved mid-stream.
+// interleaved mid-stream. A table of FS, a baseline, is refused at every
+// shard count.
 func TestConjunctionsMatchOracle(t *testing.T) {
 	const (
 		n       = 30_000
@@ -189,6 +191,12 @@ func TestConjunctionsMatchOracle(t *testing.T) {
 					loaded := n / 2
 					tbl, err := New("t", names, flatten(cols, 0, loaded),
 						progidx.Options{Strategy: strat, Delta: 0.25, Shards: shards, Workers: workers})
+					if strat == progidx.StrategyFullScan {
+						if err == nil || !strings.Contains(err.Error(), "cmd/experiments") {
+							t.Fatalf("a table of %v: %v, want it refused", strat, err)
+						}
+						return
+					}
 					if err != nil {
 						t.Fatal(err)
 					}

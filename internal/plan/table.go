@@ -148,17 +148,8 @@ func (t *Table) Name() string {
 // one-column table, the table's.
 func (t *Table) Shards() int { return t.cols[0].idx.Shards() }
 
-// ShardStats: see Shards. Of a strategy that is not one of the four
-// progressive algorithms an unconverged shard shows no phase.
-func (t *Table) ShardStats() []progidx.ShardInfo {
-	infos := t.cols[0].idx.ShardStats()
-	for i := range infos {
-		if !t.strategy.Progressive() && !infos[i].Converged {
-			infos[i].Phase = ""
-		}
-	}
-	return infos
-}
+// ShardStats: see Shards.
+func (t *Table) ShardStats() []progidx.ShardInfo { return t.cols[0].idx.ShardStats() }
 
 // Execute implements Index: the request is the one-predicate conjunction
 // on the first column, and the call both answers and spends one δ of
@@ -372,12 +363,8 @@ func (t *Table) granted(i int) {
 // heat-proportional budget split — so columns the workload never touches
 // do no indexing work. Once no column has a shard left to refine, the
 // slice flushes the pending tail on every column together, under the
-// table's lock, so that the columns seal the same rows. Non-convergent
-// strategies (the scan/index baselines, cracking) never receive a slice.
+// table's lock, so that the columns seal the same rows.
 func (t *Table) RefineStep() (query.Stats, bool) {
-	if !t.strategy.Convergent() {
-		return query.Stats{}, false
-	}
 	type cand struct {
 		col   int
 		score float64
@@ -453,6 +440,7 @@ func (t *Table) ColumnStates() []ColumnState {
 			Refines:   cs.refines.Load(),
 			Progress:  cs.idx.Progress(),
 			Converged: cs.idx.Converged(),
+			Phase:     cs.idx.Phase().String(),
 			Blocks:    len(bv),
 		}
 		for b := range bv {
@@ -461,9 +449,6 @@ func (t *Table) ColumnStates() []ColumnState {
 			}
 		}
 		st.MinValue, st.MaxValue = cs.idx.ValueBounds()
-		if t.strategy.Progressive() {
-			st.Phase = cs.idx.Phase().String()
-		}
 		for _, si := range cs.idx.ShardStats() {
 			if si.ClaimError != "" {
 				st.ClaimError = si.ClaimError

@@ -209,11 +209,11 @@ func TwoPhase(converged bool) Phase {
 }
 
 // Stats reports what a single Execute call did, for the harness and the
-// cost-model validation experiments (Figures 8 and 9). Non-progressive
-// indexes (the scan/index baselines and the cracking family) leave the
-// work fields zero and report only Workers — and, the full index, the
-// leaves its B+-tree read as AlphaElems. Their Phase stays zero, which
-// reads as creation (TestProgressiveInterfaceUpgrade pins it).
+// cost-model validation experiments (Figures 8 and 9). The baselines
+// (unsharded only) leave the work fields zero and report only Workers —
+// and, the full index, the leaves its B+-tree read as AlphaElems. Their
+// Phase stays zero, which reads as creation
+// (TestProgressiveInterfaceUpgrade pins it).
 type Stats struct {
 	// Phase the index was in when the query started.
 	Phase Phase
@@ -244,7 +244,7 @@ type Stats struct {
 }
 
 // Index is the one contract every index in this repository implements —
-// the thirteen strategies, the shard layer's Sharded and the served
+// every strategy, the shard layer's Sharded and the served
 // plan.Table: a name, an exact Execute that may spend
 // budgeted indexing work as a side effect, and a terminal Converged
 // state. The root package aliases it as progidx.Index.
@@ -264,12 +264,12 @@ type Index interface {
 // one hold it (the shard layer's factory returns it): the indexing quantum
 // of a call is an argument of that call, not state set before it and
 // unset after. The four progressive algorithms (through their shared
-// lifecycle driver), the progressive hash table and the progressive
-// imprints implement it; the scan, full-index and cracking baselines are
-// wrapped (the root package's factory), because a scan has no budget and
-// a cracking index's reorganization is its answering mechanism and cannot
-// be skipped. None of it is safe for concurrent use with Execute; callers
-// serialize access (the shard layer does, under the shard's lock).
+// lifecycle driver) — the only indexes the shard layer holds — and the
+// progressive hash table and imprints implement it; the scan, full-index
+// and cracking baselines do not: a scan has no budget, and a cracking
+// index's reorganization is its answering mechanism. None of it is safe
+// for concurrent use with Execute; callers serialize access (the shard
+// layer does, under the shard's lock).
 type Budgeted interface {
 	Index
 	// ExecuteSlice is Execute with the call's share of the indexing

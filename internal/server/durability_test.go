@@ -32,15 +32,10 @@ func newDurableServer(t *testing.T, dir string) *Server {
 	return New(Config{Store: store, SnapshotInterval: 1 << 40}) // ~18min ticks: never fires in a test
 }
 
-// fullScanOracle wraps the branching full-scan reference index over
-// exactly the rows the recovered table must hold.
-func fullScanOracle(t *testing.T, values []int64) *progidx.Sharded {
-	t.Helper()
-	h, err := progidx.NewHandle(values, progidx.Options{Strategy: progidx.StrategyFullScan})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return h
+// fullScanOracle is the branching full-scan reference index, unsharded,
+// over exactly the rows the recovered table must hold.
+func fullScanOracle(values []int64) progidx.Index {
+	return progidx.MustNew(values, progidx.Options{Strategy: progidx.StrategyFullScan})
 }
 
 // answersMatch compares every aggregate bit-exactly.
@@ -118,7 +113,6 @@ func TestKillRestartProperty(t *testing.T) {
 		progidx.StrategyRadixMSD,  // PMSD
 		progidx.StrategyBucketsort,
 		progidx.StrategyRadixLSD,
-		progidx.StrategyFullScan, // non-convergent reference
 	}
 	shardCounts := []int{1, 3, 8}
 	const (
@@ -219,7 +213,7 @@ func TestKillRestartProperty(t *testing.T) {
 					}
 				}
 
-				oracle := fullScanOracle(t, oracleVals)
+				oracle := fullScanOracle(oracleVals)
 				sched2, _ := srv2.Scheduler("t")
 				for qi, q := range queries {
 					want, err := oracle.Execute(q)
@@ -236,6 +230,37 @@ func TestKillRestartProperty(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestRecoverRefusesABaselineTable: a store written when a table could
+// serve the baselines holds an FS table beside a PQ one. Recovery
+// refuses the FS table with one warning and serves the PQ table.
+func TestRecoverRefusesABaselineTable(t *testing.T) {
+	dir := t.TempDir()
+	store, err := durable.Open(dir, durable.SyncBatch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := data.Uniform(2000, 3)
+	for _, strat := range []string{"FS", "PQ"} {
+		if _, err := store.Create(strat, durable.TableMeta{Strategy: strat}, 0, base); err != nil {
+			t.Fatal(err)
+		}
+	}
+	store.Close()
+	srv := newDurableServer(t, dir)
+	t.Cleanup(srv.Close)
+	warnings, err := srv.Recover()
+	if err != nil || len(warnings) != 1 || !strings.Contains(warnings[0].Error(), "cmd/experiments") {
+		t.Fatalf("recovery: warnings %v, err %v; want the one refusal of the FS table", warnings, err)
+	}
+	q := progidx.Request{Pred: progidx.Range(100, 1500), Aggs: progidx.AllAggregates}
+	want, _ := fullScanOracle(base).Execute(q)
+	if sched, ok := srv.Scheduler("PQ"); !ok {
+		t.Fatal("the PQ table is not served")
+	} else if got, _, err := sched.Execute(context.Background(), q); err != nil || !answersMatch(got, want) {
+		t.Fatalf("recovered PQ table: %+v, %v; want %+v", got, err, want)
 	}
 }
 

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -61,6 +62,14 @@ func TestHTTPMultiColumn(t *testing.T) {
 	}
 	if fmt.Sprint(info.Columns) != "[a b c]" {
 		t.Fatalf("info.Columns = %v, want [a b c]", info.Columns)
+	}
+	// README.md's multi-column quick start, verbatim.
+	do(t, http.MethodPost, ts.URL+"/tables", json.RawMessage(`{
+  "name": "trips",
+  "values": [1200, 750, 100,  90, 500, 0,  15000, 4200, 800],
+  "options": {"strategy": "PQ", "columns": ["dist", "fare", "tip"]}}`), http.StatusCreated, &info)
+	if fmt.Sprint(info.Columns) != "[dist fare tip]" {
+		t.Fatalf("README load: info.Columns = %v, want [dist fare tip]", info.Columns)
 	}
 
 	// The client regenerates the same rows locally, exactly like the

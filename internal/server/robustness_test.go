@@ -124,7 +124,7 @@ func TestWALSyncPersistentFailureDegrades(t *testing.T) {
 	// append's rows are visible in memory (applied before the WAL sync
 	// failed) — the documented crash-window contract — so the oracle
 	// includes them.
-	oracle := fullScanOracle(t, append(append([]int64(nil), base...), batch...))
+	oracle := fullScanOracle(append(append([]int64(nil), base...), batch...))
 	q := progidx.Request{Pred: progidx.Range(0, 10_000_000), Aggs: progidx.Sum | progidx.Count | progidx.Min | progidx.Max}
 	want, err := oracle.Execute(q)
 	if err != nil {
@@ -240,7 +240,7 @@ func TestOverloadBurstNeverWrongAnswer(t *testing.T) {
 	sched := loadRobust(t, srv, "t", base)
 
 	appended := []int64{5_000_000, 5_000_001}
-	oracle := fullScanOracle(t, append(append([]int64(nil), base...), appended...))
+	oracle := fullScanOracle(append(append([]int64(nil), base...), appended...))
 	q := progidx.Request{Pred: progidx.Range(0, 10_000_000), Aggs: progidx.Sum | progidx.Count | progidx.Min | progidx.Max}
 	want, err := oracle.Execute(q)
 	if err != nil {
@@ -361,7 +361,7 @@ func TestDeadlineClampExact(t *testing.T) {
 			}
 			sched, _ := srv.Scheduler("t")
 			tbl, _ := srv.Catalog().Get("t")
-			oracle := fullScanOracle(t, base)
+			oracle := fullScanOracle(base)
 			q := progidx.Request{Pred: progidx.Range(10_000, 150_000), Aggs: progidx.Sum | progidx.Count | progidx.Min | progidx.Max}
 			want, err := oracle.Execute(q)
 			if err != nil {
@@ -492,7 +492,7 @@ func TestQuarantineIsolation(t *testing.T) {
 	if _, _, err := schedB.Append(context.Background(), []int64{9_000_000, 9_000_001}); err != nil {
 		t.Fatalf("sibling append: %v", err)
 	}
-	oracle := fullScanOracle(t, append(append([]int64(nil), baseB...), 9_000_000, 9_000_001))
+	oracle := fullScanOracle(append(append([]int64(nil), baseB...), 9_000_000, 9_000_001))
 	q := progidx.Request{Pred: progidx.Range(0, 10_000_000), Aggs: progidx.Sum | progidx.Count}
 	want, err := oracle.Execute(q)
 	if err != nil {
@@ -836,7 +836,7 @@ func TestChaosProperty(t *testing.T) {
 		t.Fatalf("recovered rows = %d, want %d (base %d + acked/resurrected %d): acked appends lost or unknown rows invented",
 			tbl.Len(), len(oracleVals), len(base), len(oracleVals)-len(base))
 	}
-	oracle := fullScanOracle(t, oracleVals)
+	oracle := fullScanOracle(oracleVals)
 	for qi, q := range []progidx.Request{
 		{Pred: progidx.AtLeast(1_000_000), Aggs: progidx.Sum | progidx.Count | progidx.Min | progidx.Max},
 		{Pred: progidx.Range(0, 100_000_000), Aggs: progidx.Sum | progidx.Count | progidx.Min | progidx.Max | progidx.Avg},

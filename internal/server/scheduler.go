@@ -664,9 +664,7 @@ func (s *Scheduler) noteConvergence() {
 		s.lastProgress = p
 	}
 	if ph := s.idx.Phase(); ph != s.lastPhase {
-		if s.table.Options().Strategy.Progressive() {
-			s.tobs.Timeline.Record(obs.EvPhase, -1, float64(ph), float64(s.lastPhase))
-		}
+		s.tobs.Timeline.Record(obs.EvPhase, -1, float64(ph), float64(s.lastPhase))
 		s.lastPhase = ph
 	}
 }

@@ -35,11 +35,7 @@ func TestSchedulerConcurrentOracle(t *testing.T) {
 		sessions = 12
 		perS     = 40
 	)
-	for _, strategy := range []progidx.Strategy{
-		progidx.StrategyQuicksort,
-		progidx.StrategyRadixLSD,
-		progidx.StrategyStandardCracking, // non-suspendable: batch degrades gracefully
-	} {
+	for _, strategy := range []progidx.Strategy{progidx.StrategyQuicksort, progidx.StrategyRadixLSD} {
 		tbl, sched := loadTable(t, n, catalog.Options{Strategy: strategy, Delta: 0.3})
 		oracle := progidx.MustNew(tbl.Values(), progidx.Options{Strategy: progidx.StrategyFullScan})
 
@@ -120,8 +116,6 @@ func TestIdleRefinementConvergesWithoutQueries(t *testing.T) {
 		progidx.StrategyRadixMSD,
 		progidx.StrategyBucketsort,
 		progidx.StrategyRadixLSD,
-		progidx.StrategyProgressiveHash,
-		progidx.StrategyImprints,
 	} {
 		tbl, _ := loadTable(t, 20_000, catalog.Options{Strategy: strategy, Delta: 0.25})
 		deadline := time.Now().Add(30 * time.Second)
@@ -151,16 +145,6 @@ func TestIdleRefinementConvergesWithoutQueries(t *testing.T) {
 			t.Fatalf("%v: post-convergence answer %d/%d, want %d/%d",
 				strategy, ans.Sum, ans.Count, wantSum, wantCount)
 		}
-	}
-}
-
-// TestIdleRefinementDisabledForNonConvergent: a cracking table must not
-// burn idle slices (it would never finish).
-func TestIdleRefinementDisabledForNonConvergent(t *testing.T) {
-	_, sched := loadTable(t, 10_000, catalog.Options{Strategy: progidx.StrategyStandardCracking})
-	time.Sleep(50 * time.Millisecond)
-	if m := sched.Metrics(); m.IdleSlices != 0 {
-		t.Fatalf("cracking scheduler performed %d idle slices, want 0", m.IdleSlices)
 	}
 }
 

@@ -283,8 +283,8 @@ type GenerateSpec struct {
 
 // OptionsSpec is the wire form of catalog.Options.
 type OptionsSpec struct {
-	// Strategy is the paper abbreviation (PQ, PMSD, PB, PLSD, ...);
-	// empty means PQ.
+	// Strategy is the paper abbreviation of one of the four progressive
+	// algorithms (PQ, PMSD, PB, PLSD); empty means PQ.
 	Strategy string  `json:"strategy,omitempty"`
 	Delta    float64 `json:"delta,omitempty"`
 	BudgetMs float64 `json:"budget_ms,omitempty"`
@@ -293,7 +293,7 @@ type OptionsSpec struct {
 	// Shards range-partitions the table (see catalog.Options.Shards);
 	// 0 or 1 loads one unsharded index.
 	Shards int `json:"shards,omitempty"`
-	// IdleRefine overrides the default (on for convergent strategies).
+	// IdleRefine overrides the default (on).
 	IdleRefine *bool `json:"idle_refine,omitempty"`
 	// Encoding selects compressed columnar storage: "auto", "forbp",
 	// "dict", or "raw"/empty for the uncompressed default (see

@@ -201,6 +201,11 @@ func TestHTTPTableLifecycleAndErrors(t *testing.T) {
 	do(t, http.MethodPost, ts.URL+"/tables", LoadRequest{
 		Name: "bad", Values: []int64{1}, Options: &OptionsSpec{Strategy: "XX"},
 	}, http.StatusBadRequest, nil)
+	var refused struct{ Error string }
+	do(t, http.MethodPost, ts.URL+"/tables", LoadRequest{Name: "bad", Values: []int64{1}, Options: &OptionsSpec{Strategy: "FS"}}, http.StatusBadRequest, &refused)
+	if !strings.Contains(refused.Error, "cmd/experiments") {
+		t.Fatalf("a table of FS: %q, want the refusal that names cmd/experiments", refused.Error)
+	}
 	do(t, http.MethodPost, ts.URL+"/tables/tiny/query", QueryRequest{
 		Pred: PredSpec{Kind: "range"}, // missing lo/hi
 	}, http.StatusBadRequest, nil)

@@ -64,11 +64,10 @@ func wireShape(out *strings.Builder, path string, v any) {
 // table's lifecycle — GET /tables/{name}, its entry in GET /stats and
 // GET /tables/{name}/debug: every key present, and the values of phase,
 // convergence, converged and the other wireValues, down to the shards,
-// the columns and the timeline's events — for a strategy with phases
-// (PQ, two shards), two without (FS, which never converges, and PHASH,
-// which does) and a three-column table, right after the load and again
-// after a fixed stream of queries has converged the table (FS: after six
-// queries). Idle refinement is off and the queries go one at a time, so
+// the columns and the timeline's events — for a PQ table of two shards
+// and a three-column table, right after the load and again after a fixed
+// stream of queries has converged the table. Idle refinement is off and
+// the queries go one at a time, so
 // every slice is a query's and the stream repeats. A refactor of how the
 // layers under the server learn an index's phase and progress must leave
 // testdata/wire_shape.golden byte-identical (regenerate with -update
@@ -79,10 +78,6 @@ func TestWireShapeGolden(t *testing.T) {
 	tables := []LoadRequest{
 		{Name: "pq", Generate: &GenerateSpec{Kind: "uniform", N: 10_000, Seed: 3},
 			Options: &OptionsSpec{Strategy: "PQ", Delta: 0.25, Workers: 1, Shards: 2, IdleRefine: &off}},
-		{Name: "fs", Generate: &GenerateSpec{Kind: "uniform", N: 10_000, Seed: 3},
-			Options: &OptionsSpec{Strategy: "FS", Workers: 1, IdleRefine: &off}},
-		{Name: "phash", Generate: &GenerateSpec{Kind: "uniform", N: 10_000, Seed: 3},
-			Options: &OptionsSpec{Strategy: "PHASH", Delta: 0.25, Workers: 1, IdleRefine: &off}},
 		{Name: "mc", Generate: &GenerateSpec{Kind: "correlated", N: 9_000, Seed: 7},
 			Options: &OptionsSpec{Strategy: "PQ", Delta: 0.25, Workers: 1, IdleRefine: &off, Columns: []string{"a", "b", "c"}}},
 	}
@@ -118,7 +113,7 @@ func TestWireShapeGolden(t *testing.T) {
 		do(t, http.MethodPost, ts.URL+"/tables", load, http.StatusCreated, nil)
 		snapshot(name, "loaded")
 		queries := 0
-		for converged := false; !converged && !(name == "fs" && queries == 6); queries++ {
+		for converged := false; !converged; queries++ {
 			if queries == 400 {
 				t.Fatalf("%s: not converged after %d queries", name, queries)
 			}

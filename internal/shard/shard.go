@@ -115,9 +115,9 @@ import (
 
 // Factory builds one shard's index over its partition of the base
 // column, with the whole lifecycle the layer drives (query.Budgeted). The
-// root package supplies progidx.NewFromColumn here, the strategies that
-// lack the lifecycle wrapped; tests inject stubs. It is retained for the
-// life of the Sharded index: every seal builds its shard through it.
+// root package supplies one of the four progressive algorithms here;
+// tests inject stubs. It is retained for the life of the Sharded index:
+// every seal builds its shard through it.
 type Factory func(col *column.Column) (query.Budgeted, error)
 
 // state is one shard: a contiguous row range of the logical table with

@@ -170,32 +170,33 @@ const (
 
 // strategies is the one place that lists the strategies, a row each,
 // indexed by Strategy: the paper's abbreviation (what String prints and
-// ParseStrategy reads), whether it is one of the four progressive
-// algorithms, whether it converges, and its constructor.
+// ParseStrategy reads) and its constructor — progressive for the four
+// progressive algorithms, the only strategies a table serves, build for
+// the nine the comparison figures build unsharded.
 var strategies = [...]struct {
-	name                    string
-	progressive, convergent bool
-	build                   func(*column.Column, Options) Index
+	name        string
+	progressive func(*column.Column, Options) query.Budgeted
+	build       func(*column.Column, Options) Index
 }{
-	StrategyQuicksort:             {"PQ", true, true, fromCore(core.NewQuicksort)},
-	StrategyRadixMSD:              {"PMSD", true, true, fromCore(core.NewRadixMSD)},
-	StrategyBucketsort:            {"PB", true, true, fromCore(core.NewBucketsort)},
-	StrategyRadixLSD:              {"PLSD", true, true, fromCore(core.NewRadixLSD)},
-	StrategyFullScan:              {"FS", false, false, func(c *column.Column, o Options) Index { return baseline.NewFullScanWorkers(c, o.Workers) }},
-	StrategyFullIndex:             {"FI", false, true, func(c *column.Column, o Options) Index { return baseline.NewFullIndex(c, o.Fanout) }},
-	StrategyStandardCracking:      {"STD", false, false, fromCracking(cracking.NewStandard)},
-	StrategyStochasticCracking:    {"STC", false, false, fromCracking(cracking.NewStochastic)},
-	StrategyProgressiveStochastic: {"PSTC", false, false, fromCracking(cracking.NewProgressiveStochastic)},
-	StrategyCoarseGranular:        {"CGI", false, false, fromCracking(cracking.NewCoarseGranular)},
-	StrategyAdaptiveAdaptive:      {"AA", false, false, fromCracking(cracking.NewAdaptiveAdaptive)},
-	StrategyProgressiveHash:       {"PHASH", false, true, func(c *column.Column, o Options) Index { return phash.New(c, o.Delta) }},
-	StrategyImprints:              {"PIMP", false, true, func(c *column.Column, o Options) Index { return imprints.New(c, o.Delta) }},
+	StrategyQuicksort:             {"PQ", fromCore(core.NewQuicksort), nil},
+	StrategyRadixMSD:              {"PMSD", fromCore(core.NewRadixMSD), nil},
+	StrategyBucketsort:            {"PB", fromCore(core.NewBucketsort), nil},
+	StrategyRadixLSD:              {"PLSD", fromCore(core.NewRadixLSD), nil},
+	StrategyFullScan:              {"FS", nil, func(c *column.Column, o Options) Index { return baseline.NewFullScanWorkers(c, o.Workers) }},
+	StrategyFullIndex:             {"FI", nil, func(c *column.Column, o Options) Index { return baseline.NewFullIndex(c, o.Fanout) }},
+	StrategyStandardCracking:      {"STD", nil, fromCracking(cracking.NewStandard)},
+	StrategyStochasticCracking:    {"STC", nil, fromCracking(cracking.NewStochastic)},
+	StrategyProgressiveStochastic: {"PSTC", nil, fromCracking(cracking.NewProgressiveStochastic)},
+	StrategyCoarseGranular:        {"CGI", nil, fromCracking(cracking.NewCoarseGranular)},
+	StrategyAdaptiveAdaptive:      {"AA", nil, fromCracking(cracking.NewAdaptiveAdaptive)},
+	StrategyProgressiveHash:       {"PHASH", nil, func(c *column.Column, o Options) Index { return phash.New(c, o.Delta) }},
+	StrategyImprints:              {"PIMP", nil, func(c *column.Column, o Options) Index { return imprints.New(c, o.Delta) }},
 }
 
 // fromCore and fromCracking adapt a constructor of internal/core and of
 // internal/cracking to a row of strategies.
-func fromCore[T Index](build func(*column.Column, core.Config) T) func(*column.Column, Options) Index {
-	return func(c *column.Column, o Options) Index { return build(c, coreConfig(o)) }
+func fromCore[T query.Budgeted](build func(*column.Column, core.Config) T) func(*column.Column, Options) query.Budgeted {
+	return func(c *column.Column, o Options) query.Budgeted { return build(c, coreConfig(o)) }
 }
 
 func fromCracking[T Index](build func(*column.Column, cracking.Config) T) func(*column.Column, Options) Index {
@@ -224,18 +225,9 @@ func (s Strategy) String() string {
 }
 
 // Progressive reports whether the strategy is one of the four
-// progressive algorithms (the paper's contribution).
-func (s Strategy) Progressive() bool { return s.known() && strategies[s].progressive }
-
-// Convergent reports whether repeated Execute calls drive the strategy
-// to a terminal Converged state: true for the four progressive
-// algorithms, the progressive hash/imprints extensions, and the full
-// index; false for the scan and cracking baselines, which reorganize
-// (or don't) forever without a terminal state. The serving layer's
-// idle-time refinement only runs for convergent strategies — spending
-// think-time budget on a non-convergent index would spin without ever
-// finishing.
-func (s Strategy) Convergent() bool { return s.known() && strategies[s].convergent }
+// progressive algorithms (the paper's contribution), the only strategies
+// a table (NewHandle) serves.
+func (s Strategy) Progressive() bool { return s.known() && strategies[s].progressive != nil }
 
 // ParseStrategy resolves a strategy from its paper abbreviation as
 // printed by Strategy.String, case-insensitively. The empty string
@@ -349,7 +341,11 @@ func NewFromColumn(col *column.Column, opts Options) (Index, error) {
 	if !opts.Strategy.known() {
 		return nil, fmt.Errorf("progidx: unknown strategy %v", opts.Strategy)
 	}
-	return strategies[opts.Strategy].build(col, opts), nil
+	row := strategies[opts.Strategy]
+	if row.build != nil {
+		return row.build(col, opts), nil
+	}
+	return row.progressive(col, opts), nil
 }
 
 // coreConfig is the progressive algorithms' configuration opts selects.
@@ -406,8 +402,7 @@ func costParams(opts Options) costmodel.Params {
 
 // Conformance, in one place: every strategy and Sharded implement the
 // one Index contract; the four progressive algorithms — through core's
-// lifecycle driver — the hash table and the imprints its extension, and
-// the shard factory's adapter supplies it for the rest.
+// lifecycle driver — the hash table and the imprints its extension.
 var (
 	_ = []Index{
 		(*core.Quicksort)(nil), (*core.RadixMSD)(nil), (*core.Bucketsort)(nil), (*core.RadixLSD)(nil),
@@ -419,6 +414,6 @@ var (
 	}
 	_ = []query.Budgeted{
 		(*core.Quicksort)(nil), (*core.RadixMSD)(nil), (*core.Bucketsort)(nil), (*core.RadixLSD)(nil),
-		(*phash.Index)(nil), (*imprints.Index)(nil), unbudgeted{},
+		(*phash.Index)(nil), (*imprints.Index)(nil),
 	}
 )

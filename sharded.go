@@ -1,6 +1,7 @@
 package progidx
 
 import (
+	"fmt"
 	"time"
 
 	"repro/internal/column"
@@ -31,7 +32,7 @@ type ShardInfo = shard.Info
 
 // NewHandle builds a concurrency-safe table over one column: a *Sharded
 // of the selected strategy over values. Every column of a served table
-// (plan.Table) is one.
+// (plan.Table) is one; NewShardedFromColumn says which strategies it serves.
 // Options.Shards chooses the partition count (values < 1 are treated as
 // 1: a table of one shard). Options.Workers sizes the cross-shard
 // fan-out pool; with more than one shard the per-shard index kernels
@@ -52,7 +53,14 @@ func NewHandle(values []int64, opts Options) (*Sharded, error) {
 // rows go to the shard layer's own extents — so the column must not be
 // appended to afterwards, and the rows are read back through
 // MaterializeRows (DESIGN.md section 9).
+//
+// It is the one place a table refuses a strategy other than the four
+// progressive algorithms: the other nine exist for the paper's
+// comparison figures, which build them unsharded with New.
 func NewShardedFromColumn(col *column.Column, opts Options) (*Sharded, error) {
+	if !opts.Strategy.Progressive() {
+		return nil, fmt.Errorf("progidx: a table serves only PQ, PMSD, PB and PLSD, not %v; the other strategies are built unsharded with progidx.New, as cmd/experiments does", opts.Strategy)
+	}
 	cfg, factory := shardLayout(opts, col.Len())
 	return shard.New(col, cfg, factory)
 }
@@ -63,7 +71,8 @@ func NewShardedFromColumn(col *column.Column, opts Options) (*Sharded, error) {
 const unshardedSealMinRows = 1024
 
 // shardLayout derives the shard layer's configuration for a table of
-// rows rows, and the factory every shard's index is built with.
+// rows rows, and the factory every shard's index is built with; the
+// strategy is one of the four progressive algorithms.
 func shardLayout(opts Options, rows int) (shard.Config, shard.Factory) {
 	cfg := shard.Config{Shards: max(opts.Shards, 1), Workers: opts.Workers, Encoding: opts.Encoding, ClaimHeat: opts.ClaimHeat, Params: costParams(opts)}
 	child := opts
@@ -93,33 +102,6 @@ func shardLayout(opts Options, rows int) (shard.Config, shard.Factory) {
 		cfg.BudgetSizedFor = cfg.Shards
 		child.Budget /= time.Duration(cfg.Shards)
 	}
-	return cfg, func(c *column.Column) (query.Budgeted, error) {
-		idx, err := NewFromColumn(c, child)
-		if b, ok := idx.(query.Budgeted); ok || err != nil {
-			return b, err // the strategy as it is, or no index at all
-		}
-		return unbudgeted{idx}, nil
-	}
+	build := strategies[opts.Strategy].progressive
+	return cfg, func(c *column.Column) (query.Budgeted, error) { return build(c, child), nil }
 }
-
-// unbudgeted gives a strategy with no indexing budget to scale or suspend
-// — the scan, the full index and the cracking baselines, whose
-// reorganization is the answering mechanism itself — the lifecycle the
-// shard layer drives (query.Budgeted): every slice is a plain Execute,
-// progress is all or nothing, and the column is read for life.
-type unbudgeted struct{ Index }
-
-func (u unbudgeted) ExecuteSlice(req Request, _ float64, _ bool) (Answer, error) {
-	return u.Execute(req)
-}
-
-func (u unbudgeted) Progress() float64 {
-	if u.Converged() {
-		return 1
-	}
-	return 0
-}
-
-func (u unbudgeted) Phase() Phase { return query.TwoPhase(u.Converged()) }
-
-func (u unbudgeted) ReleaseBase() bool { return false }

@@ -25,12 +25,12 @@ func boundedColumn(n int, seed int64) []int64 {
 var shardCountPool = []int{1, 2, 3, 8}
 
 // TestShardedMatchesOracleAllStrategies is the sharded acceptance
-// property test: every strategy × predicate kind × aggregate mask ×
-// shard count, bit-identical to the unsharded branching oracle while
-// the per-shard indexes advance through their lifecycles.
+// property test: every strategy a table serves × predicate kind ×
+// aggregate mask × shard count, bit-identical to the unsharded branching
+// oracle while the per-shard indexes advance through their lifecycles.
 func TestShardedMatchesOracleAllStrategies(t *testing.T) {
 	vals := testColumn(4000, 23)
-	for _, s := range allStrategies {
+	for _, s := range progressiveStrategies {
 		for _, shards := range shardCountPool {
 			idx, err := NewHandle(vals, Options{Strategy: s, Delta: 0.3, Seed: 7, Shards: shards})
 			if err != nil {
@@ -228,11 +228,11 @@ func TestShardedExecuteBatch(t *testing.T) {
 }
 
 // TestShardedRefineStepConverges drives idle refinement only (no client
-// queries) and checks every convergent strategy reaches the terminal
+// queries) and checks every strategy a table serves reaches the terminal
 // state with monotone progress.
 func TestShardedRefineStepConverges(t *testing.T) {
 	vals := testColumn(3000, 26)
-	for _, s := range []Strategy{StrategyQuicksort, StrategyRadixMSD, StrategyBucketsort, StrategyRadixLSD, StrategyProgressiveHash, StrategyImprints} {
+	for _, s := range progressiveStrategies {
 		sh, err := NewHandle(vals, Options{Strategy: s, Delta: 0.2, Shards: 3})
 		if err != nil {
 			t.Fatal(err)
