@@ -5,13 +5,20 @@
 
 GO ?= go
 
-.PHONY: test race microbench fmt vet loc
+.PHONY: test race procs microbench fmt vet loc
 
 test:
 	$(GO) build ./... && $(GO) test ./...
 
 race:
 	$(GO) test -race ./...
+
+# Tier-1 at several worker counts: the parallel kernels, the shard
+# fan-out and a settle's pack split their work by GOMAXPROCS, and a bug
+# that needs more workers than the host has cores hides from plain test.
+# Stops at the first red run.
+procs:
+	@for p in 1 4 8; do echo "GOMAXPROCS=$$p"; GOMAXPROCS=$$p $(GO) test ./... || exit 1; done
 
 # One kernel's ns/op: every benchmark of the six packages CI's bench
 # smoke runs once. For one of them, e.g.
@@ -40,7 +47,11 @@ vet:
 # 19 564 by its net, +161: encode's lane kernels and the block-grained
 # builder in, the level-by-level builder and qtree.checkSorted out.
 # PR 29 (a table serves only the paper's four) lowered it from 19 725.
-LOC_MAX ?= 19674
+# PR 32 (a one-column shard holds its rows once, as its tree's leaves
+# framed per 64-row group; a memory feature) raised it from 19 674 by its
+# net, +258: encode.SortedBlock and its kernels in, Segment's lane kernels
+# and the factory's error out.
+LOC_MAX ?= 19932
 loc:
 	@n=$$(find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -not -path './.bench_build/*' -print0 | xargs -0 cat | wc -l); \
 	echo $$n; \

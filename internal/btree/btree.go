@@ -8,13 +8,14 @@
 // ("we copy every β element of our sorted array to a parent level"),
 // N_copy = Σ n/β^i key slots.
 //
-// The leaf level is not that array but its rows packed: FOR-BP blocks of
-// encode.BlockRows rows, each over its own frame (a sorted block's is its
-// first and last row), bit-sliced in 64-row groups, so at β = 64 a node
-// is one group. The parent levels find the node; inside it a lookup is a
+// The leaf level is not that array but its rows packed: sorted blocks of
+// encode.BlockRows rows bit-sliced in 64-row groups, each group framed on
+// its own first row in the block's widest group's width, so at β = 64 a
+// node is one group and the first key level is the groups' references,
+// held once. The parent levels find the node; inside it a lookup is a
 // rank, a value or a sum over a group's planes (encode's lane kernels),
-// and the finished tree holds no raw row: 4M uniform rows weigh 1.56
-// bytes a row packed where the sorted array weighed 8.
+// and the finished tree holds no raw row: 4M uniform rows weigh 1.00
+// byte a row packed where the sorted array weighed 8.
 //
 // Beside the first parent level sits an array of prefix sums at node
 // grain, cum[j] = Σ leaf[0 : j·β] (wrapping, as every SUM in this
@@ -46,13 +47,14 @@ type Tree struct {
 	fanout int
 	n      int
 	// keys[k][j] is leaf j·fanout^(k+1): keys[0] heads the leaf nodes and
-	// keys[k+1][j] == keys[k][j*fanout]. Empty for a single-node tree.
+	// keys[k+1][j] == keys[k][j*fanout]. Empty for a single-node tree. At
+	// β = encode.GroupRows keys[0] is the leaves' group references.
 	keys [][]int64
 	// cum[j] is the wrapping sum of leaf[0 : j*fanout], for every j up to
 	// and including len(keys[0]); nil for a single-node tree.
 	cum []int64
-	// leaves[b] holds leaf[b·BlockRows : (b+1)·BlockRows], FOR-BP.
-	leaves []*encode.Segment
+	// leaves[b] holds leaf[b·BlockRows : (b+1)·BlockRows], packed.
+	leaves []*encode.SortedBlock
 }
 
 // Len returns the number of keys at the leaf level.
@@ -62,17 +64,24 @@ func (t *Tree) Len() int { return t.n }
 func (t *Tree) Height() int { return len(t.keys) + 1 }
 
 // SizeBytes returns the tree's resident payload: the parent levels, the
-// prefix sums and the leaves' packed words.
+// prefix sums and the leaves' packed words and group references — the
+// first key level once where it is those references.
 func (t *Tree) SizeBytes() int {
 	size := 8 * len(t.cum)
-	for _, level := range t.keys {
-		size += 8 * len(level)
+	for k, level := range t.keys {
+		if k > 0 || t.fanout != encode.GroupRows {
+			size += 8 * len(level)
+		}
 	}
-	for _, seg := range t.leaves {
-		size += seg.SizeBytes()
+	for _, leaf := range t.leaves {
+		size += leaf.SizeBytes()
 	}
 	return size
 }
+
+// Leaves returns the leaf level, packed, for read-only use: block b holds
+// leaf[b·BlockRows : (b+1)·BlockRows].
+func (t *Tree) Leaves() []*encode.SortedBlock { return t.leaves }
 
 // Build constructs the tree in one shot (Full Index baseline).
 func Build(sorted []int64, fanout int) (*Tree, error) {
@@ -168,9 +177,9 @@ func (t *Tree) at(p int) int64 {
 func (t *Tree) rankBelow(from, to int, v int64) int {
 	rank := 0
 	for from < to {
-		seg, off := t.leaves[from/encode.BlockRows], from%encode.BlockRows
-		k := min(to-from, seg.Len()-off)
-		rank += seg.RankBelow(off, off+k, v)
+		leaf, off := t.leaves[from/encode.BlockRows], from%encode.BlockRows
+		k := min(to-from, leaf.Len()-off)
+		rank += leaf.RankBelow(off, off+k, v)
 		from += k
 	}
 	return rank
@@ -180,9 +189,9 @@ func (t *Tree) rankBelow(from, to int, v int64) int {
 func (t *Tree) sumRows(from, to int) int64 {
 	var sum int64
 	for from < to {
-		seg, off := t.leaves[from/encode.BlockRows], from%encode.BlockRows
-		k := min(to-from, seg.Len()-off)
-		sum += seg.SumRows(off, off+k)
+		leaf, off := t.leaves[from/encode.BlockRows], from%encode.BlockRows
+		k := min(to-from, leaf.Len()-off)
+		sum += leaf.SumRows(off, off+k)
 		from += k
 	}
 	return sum
@@ -205,9 +214,12 @@ type Builder struct {
 	sorted []int64
 	keys   [][]int64
 	cum    []int64
+	// refs[g] is leaf g·GroupRows, the frame of the leaves' group g,
+	// written as its block is packed; at β = GroupRows it is keys[0] too.
+	refs []int64
 	// leaves has the capacity of every block; its length is the blocks
 	// packed, and the keys and prefix sums cover exactly their rows.
-	leaves []*encode.Segment
+	leaves []*encode.SortedBlock
 }
 
 // NewBuilder prepares an incremental build over sorted. The slice must
@@ -218,11 +230,17 @@ func NewBuilder(sorted []int64, fanout int) (*Builder, error) {
 	if fanout < 2 {
 		return nil, fmt.Errorf("btree: fanout must be >= 2, got %d", fanout)
 	}
-	b := &Builder{fanout: fanout, sorted: sorted}
-	b.leaves = make([]*encode.Segment, 0, (len(sorted)+encode.BlockRows-1)/encode.BlockRows)
+	b := &Builder{fanout: fanout, sorted: sorted, refs: make([]int64, (len(sorted)+encode.GroupRows-1)/encode.GroupRows)}
+	b.leaves = make([]*encode.SortedBlock, 0, (len(sorted)+encode.BlockRows-1)/encode.BlockRows)
 	// Levels shrink by β until one fits in a node; a single-node tree has
-	// none, and its leaf level is everything.
+	// none, and its leaf level is everything. At β = GroupRows the first
+	// level's key j is group j's reference, which the pack writes: that
+	// level is full length from the start, and Step copies no key into it.
 	for level := len(sorted) / fanout; level > 0; level /= fanout {
+		if len(b.keys) == 0 && fanout == encode.GroupRows {
+			b.keys = append(b.keys, b.refs[:level:level])
+			continue
+		}
 		b.keys = append(b.keys, make([]int64, 0, level))
 	}
 	if len(b.keys) > 0 {
@@ -248,7 +266,7 @@ func (b *Builder) Blocks() int { return cap(b.leaves) }
 func (b *Builder) Done() bool { return len(b.leaves) == cap(b.leaves) }
 
 // Step packs at most blocks more leaf blocks, over pool (nil: the calling
-// goroutine) a block a task, and returns how many rows that was. The
+// goroutine), and returns how many rows that was. The
 // rows just read also give every parent level its next keys — level k's
 // key j is leaf j·β^k — and the prefix sums the nodes they complete, so
 // when the last block is packed the build is complete.
@@ -258,12 +276,9 @@ func (b *Builder) Step(pool *parallel.Pool, blocks int) int {
 	if blocks <= 0 {
 		return 0
 	}
-	row := func(block int) int { return min(block*encode.BlockRows, len(b.sorted)) }
-	b.leaves = b.leaves[:from+blocks]
-	pool.Run(blocks, 1, func(_, lo, hi int) {
-		copy(b.leaves[from+lo:], encode.PackBlocks(b.sorted[row(from+lo):row(from+hi)]))
-	})
-	end := row(from + blocks)
+	row := func(block int) int { return encode.BlockStart(block, len(b.sorted)) }
+	start, end := row(from), row(from+blocks)
+	b.leaves = append(b.leaves, encode.PackSorted(pool, b.sorted[start:end], b.refs[start/encode.GroupRows:])...)
 	stride := 1
 	for k, level := range b.keys {
 		stride *= b.fanout
@@ -275,7 +290,7 @@ func (b *Builder) Step(pool *parallel.Pool, blocks int) int {
 	for j := len(b.cum); j < cap(b.cum) && j*b.fanout <= end; j++ {
 		b.cum = append(b.cum, b.cum[j-1]+sumOf(b.sorted[(j-1)*b.fanout:j*b.fanout]))
 	}
-	return end - row(from)
+	return end - start
 }
 
 // Tree returns the finished tree, or nil if the build is incomplete.

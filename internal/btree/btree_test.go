@@ -119,8 +119,8 @@ func TestLowerBoundProperty(t *testing.T) {
 // decoded returns the tree's leaf level, unpacked.
 func decoded(tr *Tree) []int64 {
 	var rows []int64
-	for _, seg := range tr.leaves {
-		rows = seg.AppendTo(rows)
+	for _, leaf := range tr.leaves {
+		rows = leaf.AppendTo(rows)
 	}
 	return rows
 }
@@ -128,9 +128,10 @@ func decoded(tr *Tree) []int64 {
 func TestBuilderIncrementalMatchesOneShot(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	// Seven blocks and a partial eighth; β = 8 divides a block, 7 and 100
-	// put node boundaries anywhere in one.
+	// put node boundaries anywhere in one, and at 64 the first key level is
+	// the leaves' group references.
 	vals := sortedRandom(rng, 7*encode.BlockRows+1234, 100_000)
-	for _, fanout := range []int{7, 8, 100} {
+	for _, fanout := range []int{7, 8, 64, 100} {
 		oneShot, err := Build(vals, fanout)
 		if err != nil {
 			t.Fatal(err)
@@ -291,10 +292,12 @@ func TestAggRangeWrapsLikeTheScan(t *testing.T) {
 	}
 }
 
-// TestPackedLeavesNeverOutweighTheArray: the widest frame a block can
-// have holds both ends of the legal domain, 63 bits, so even then the
-// leaves weigh under the 8 bytes a row of the array they replace — and
-// answer like it.
+// TestPackedLeavesNeverOutweighTheArray: the widest frame a group can
+// have holds both ends of the legal domain, 63 bits, which with the
+// group's reference is the 8 bytes a row of the array the leaves replace;
+// spread over a block, the groups' frames are narrower and the leaves
+// weigh less — and answer like the array. At β = 64 the first key level
+// is those references, counted once.
 func TestPackedLeavesNeverOutweighTheArray(t *testing.T) {
 	const edge = column.MaxMagnitude - 1
 	rng := rand.New(rand.NewSource(31))
@@ -309,14 +312,14 @@ func TestPackedLeavesNeverOutweighTheArray(t *testing.T) {
 		t.Fatal(err)
 	}
 	leaves := 0
-	for _, seg := range tr.leaves {
-		leaves += seg.SizeBytes()
+	for _, leaf := range tr.leaves {
+		leaves += leaf.SizeBytes()
 	}
-	if want := 8 * 63 * (len(vals) + 63) / 64; leaves > want || leaves >= 8*len(vals) {
-		t.Fatalf("the leaves weigh %d bytes, want at most 63 bits a row (%d)", leaves, want)
+	if want := 8 * 64 * (len(vals) + 63) / 64; leaves > want || leaves >= 8*len(vals) {
+		t.Fatalf("the leaves weigh %d bytes, want under 63 bits and a reference a group (%d)", leaves, want)
 	}
-	if got, want := tr.SizeBytes(), leaves+8*(2*(len(vals)/64)+1+len(vals)/64/64); got != want {
-		t.Fatalf("SizeBytes() = %d, want the leaves, two words a node and the root's key (%d)", got, want)
+	if got, want := tr.SizeBytes(), leaves+8*(len(vals)/64+1+len(vals)/64/64); got != want {
+		t.Fatalf("SizeBytes() = %d, want the leaves, a prefix sum a node and the root's key (%d)", got, want)
 	}
 	checkAggRange(t, tr, vals, -edge, edge)
 	for q := 0; q < 300; q++ {
@@ -328,8 +331,11 @@ func TestPackedLeavesNeverOutweighTheArray(t *testing.T) {
 // FuzzTreeAggRange: any sorted input, any fan-out from 2 to 128, any
 // bounds — inverted and out-of-domain ones included — against the
 // branching oracle. The committed corpus holds the packed leaves' edges:
-// a frame of no bits and one of 63, a partial last group, a tree of one
-// node, and bounds on a block's reference and on its maximum.
+// a frame of no bits and one of 63 (a group spanning the whole domain
+// beside narrow ones), a group of equal keys in a wider block, a partial
+// last group framed on its one row, fan-outs of 4 and 100 whose nodes
+// and groups do not align, a tree of one node, and bounds on a block's
+// reference and on its maximum.
 func FuzzTreeAggRange(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9}, uint8(0), int64(2), int64(7))
 	f.Add([]byte{9, 9, 9, 9, 0, 0, 0, 0, 200, 100}, uint8(2), int64(9), int64(0))

@@ -3,7 +3,6 @@ package catalog
 import (
 	"os"
 	"path/filepath"
-	"slices"
 	"testing"
 
 	"repro"
@@ -219,8 +218,9 @@ func TestOptionsMetaRoundTrip(t *testing.T) {
 }
 
 // TestSettledTableRecovers is the crash test of the settled form: a
-// durable table whose shards have converged and traded their rows for
-// packed blocks is checkpointed (the capture decodes the blocks),
+// durable table whose shards have converged and hold their rows as their
+// indexes' packed leaves is checkpointed (the capture decodes the leaves,
+// so each shard's rows come sorted),
 // appended to past the checkpoint, and stopped hard. The recovered table
 // holds the same rows, answers every aggregate identically, and
 // converges and settles again — through the snapshot and WAL readers as
@@ -257,7 +257,7 @@ func TestSettledTableRecovers(t *testing.T) {
 	}
 	drive(tbl)
 	cp, ok := tbl.CaptureCheckpoint()
-	if !ok || !slices.Equal(cp.Rows, logical) {
+	if !ok || !sameRows(cp.Rows, logical) {
 		t.Fatalf("checkpoint of the settled table captured %d rows, ok=%v: want the %d loaded rows", len(cp.Rows), ok, len(logical))
 	}
 	if err := tbl.WriteCheckpoint(cp); err != nil {
@@ -291,7 +291,7 @@ func TestSettledTableRecovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !slices.Equal(tbl2.Values(), logical) {
+	if !sameRows(tbl2.Values(), logical) {
 		t.Fatal("recovered rows differ from the settled table's")
 	}
 	check := func(when string) {

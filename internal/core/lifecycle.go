@@ -3,6 +3,7 @@ package core
 import (
 	"repro/internal/column"
 	"repro/internal/costmodel"
+	"repro/internal/encode"
 	"repro/internal/parallel"
 	"repro/internal/query"
 )
@@ -119,6 +120,16 @@ func (d *progressive) SizeBytes() int {
 		return 0
 	}
 	return d.cons.tree.SizeBytes()
+}
+
+// Leaves returns the rows a Done index converged to, its B+-tree's packed
+// leaves in sorted order (a settled shard that keeps no row order reads
+// its rows there); nil before.
+func (d *progressive) Leaves() []*encode.SortedBlock {
+	if d.phase != PhaseDone {
+		return nil
+	}
+	return d.cons.tree.Leaves()
 }
 
 // Progress implements query.Budgeted.

@@ -171,14 +171,15 @@ func BenchmarkPack(b *testing.B) {
 
 // BenchmarkLaneKernels times the three kernels a lookup over packed
 // sorted rows finishes with, each on one 64-row group of a 4096-row block
-// of 12-bit deltas (4M dense sorted rows cut by PackBlocks): the rank of a
-// bound in a node, the row at a lane, and the sum of a node's rows.
+// of dense sorted rows (cut by PackSorted, 6-bit deltas from each group's
+// first row): the rank of a bound in a node, the row at a lane, and the
+// sum of a node's rows.
 func BenchmarkLaneKernels(b *testing.B) {
 	vals := make([]int64, BlockRows)
 	for i := range vals {
 		vals[i] = int64(i)
 	}
-	seg := PackBlocks(vals)[0]
+	seg := PackSorted(nil, vals, make([]int64, BlockRows/GroupRows))[0]
 	rng := rand.New(rand.NewSource(1))
 	b.Run("RankBelow", func(b *testing.B) {
 		for b.Loop() {

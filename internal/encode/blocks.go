@@ -54,6 +54,12 @@ func NewBlocks(values []int64, mn, mx int64, mode Mode) (*Blocks, error) {
 	return b, nil
 }
 
+// BlockStart returns the first row of block b of a run of n rows cut into
+// BlockRows-row blocks, clamped to n: blocks [a, b) are rows
+// [BlockStart(a, n), BlockStart(b, n)), an empty range for the blocks past
+// the last that a rounded-up pool.Run split hands its trailing chunks.
+func BlockStart(b, n int) int { return min(b*BlockRows, n) }
+
 // PackBlocks packs rows as consecutive blocks of BlockRows rows (the last
 // one shorter when they do not divide), each frame-of-reference
 // bit-packed over its own extrema, which it computes: the unit in which a

@@ -1,14 +1,94 @@
 package encode
 
-import "math/bits"
+import (
+	"math/bits"
 
-// Lane kernels: what a lookup over packed rows needs of a FOR-BP
-// segment — the B+-tree's leaf level (internal/btree), whose keys find
-// the 64-row group and whose answer is then a rank, a value or a sum
-// inside it. Each addresses rows [from, to) of the segment and touches
-// only the groups those rows lie in, one pass over a group's planes; none
-// decodes a row. They are defined for FOR-BP segments alone, which is
-// all PackBlocks makes.
+	"repro/internal/column"
+	"repro/internal/parallel"
+)
+
+// Sorted blocks: the B+-tree's leaf level (internal/btree), whose keys
+// find the 64-row group and whose answer is then a rank, a value or a sum
+// inside it. A sorted block is FOR-BP planes of one width with a frame
+// per 64-row group: group g holds its deltas from its own first row,
+// refs[g], so the width is the widest group's span, not the block's — 6
+// bits a row for 4M dense values where a frame per block took 12. The
+// lane kernels address rows [from, to) of the block and touch only the
+// groups those rows lie in, one pass over a group's planes; none decodes
+// a row.
+
+// GroupRows is the rows of one bit-sliced group, the grain of a sorted
+// block's frames: a B+-tree of that fan-out keeps its first key level in
+// the blocks' group references.
+const GroupRows = blockLen
+
+// SortedBlock is one immutable block of at most BlockRows sorted rows.
+// Safe for concurrent readers; there are no mutators.
+type SortedBlock struct {
+	n     int
+	width uint8
+	words []uint64
+	// refs[g] is row g·GroupRows, the frame of group g; a slice of the
+	// array PackSorted was handed, which the caller may share.
+	refs []int64
+}
+
+// PackSorted packs sorted rows as consecutive SortedBlocks of BlockRows
+// rows (the last one shorter when they do not divide), the blocks over
+// pool (nil: the calling goroutine). refs, a slot per group of rows or
+// more, receives the groups' first rows, and the blocks keep slices of
+// it; the words are one allocation, whatever the pool's width, so that
+// what a tree holds beside its payload does not grow with the workers
+// that built it, and rows is not retained. Nothing checks that rows are
+// sorted: a group's span is read off its first and last row.
+func PackSorted(pool *parallel.Pool, rows, refs []int64) []*SortedBlock {
+	blocks := make([]*SortedBlock, (len(rows)+BlockRows-1)/BlockRows)
+	words := 0
+	for i := range blocks {
+		part := rows[i*BlockRows : min((i+1)*BlockRows, len(rows))]
+		b := &SortedBlock{n: len(part), refs: refs[i*BlockRows/GroupRows:][:(len(part)+GroupRows-1)/GroupRows]}
+		for g := range b.refs {
+			first, last := g*GroupRows, min((g+1)*GroupRows, len(part))-1
+			b.refs[g] = part[first]
+			b.width = max(b.width, forWidth(part[first], part[last]))
+		}
+		blocks[i] = b
+		words += packedWords(b.n, uint(b.width))
+	}
+	slab := make([]uint64, words)
+	for _, b := range blocks {
+		k := packedWords(b.n, uint(b.width))
+		b.words, slab = slab[:k:k], slab[k:]
+	}
+	pool.Run(len(blocks), 1, func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			b, part := blocks[i], rows[i*BlockRows:]
+			for g := 0; b.width > 0 && g < len(b.refs); g++ {
+				packVertical(b.words[g*int(b.width):], part[g*GroupRows:min((g+1)*GroupRows, b.n)], b.refs[g], uint(b.width))
+			}
+		}
+	})
+	return blocks
+}
+
+// Len returns the number of rows in the block.
+func (b *SortedBlock) Len() int { return b.n }
+
+// Min returns the block's first row, its smallest.
+func (b *SortedBlock) Min() int64 { return b.refs[0] }
+
+// Max returns the block's last row, its largest.
+func (b *SortedBlock) Max() int64 { return b.At(b.n - 1) }
+
+// SizeBytes returns the resident payload: the packed words and the group
+// references.
+func (b *SortedBlock) SizeBytes() int { return 8 * (len(b.words) + len(b.refs)) }
+
+// planes returns group g's bit planes.
+func (b *SortedBlock) planes(g int) []uint64 {
+	w := int(b.width)
+	return b.words[g*w : (g+1)*w]
+}
 
 // laneMask selects the lanes of group g that rows [from, to) occupy; the
 // group must overlap the range.
@@ -18,52 +98,116 @@ func laneMask(g, from, to int) uint64 {
 }
 
 // RankBelow returns how many of rows [from, to) are less than v — over
-// sorted rows, the offset of v's lower bound. The compare is forbpMatch's
+// sorted rows, the offset of v's lower bound. A group is settled by its
+// frame alone unless v lies inside it; then the compare is forbpMatch's
 // lower test alone: delta + ^d + 1 carries out of the top plane exactly
 // in the lanes whose delta reaches d = v - ref.
-func (s *Segment) RankBelow(from, to int, v int64) int {
-	switch {
-	case from >= to || v <= s.min:
-		return 0
-	case v > s.max:
-		return to - from
-	}
-	d, w := ^uint64(v-s.ref), int(s.width) // 0 < v-ref <= max-min, so it fits the planes
+func (b *SortedBlock) RankBelow(from, to int, v int64) int {
+	// Every row lies strictly inside ±MaxMagnitude, so clamping v there
+	// ranks the same and keeps v - ref from wrapping.
+	v = min(max(v, -column.MaxMagnitude), column.MaxMagnitude)
 	rank := 0
 	for g := from / blockLen; g*blockLen < to; g++ {
-		reached := ^uint64(0)
-		for j, p := range s.words[g*w : (g+1)*w] {
-			t := -(d >> uint(j) & 1)
-			reached = (p & reached) | (t & (p | reached))
+		m := laneMask(g, from, to)
+		switch d := v - b.refs[g]; {
+		case d <= 0: // v is at most the group's first row
+		case bits.Len64(uint64(d)) > int(b.width): // past the group's last
+			rank += bits.OnesCount64(m)
+		default:
+			nd, reached := ^uint64(d), ^uint64(0)
+			for j, p := range b.planes(g) {
+				t := -(nd >> uint(j) & 1)
+				reached = (p & reached) | (t & (p | reached))
+			}
+			rank += bits.OnesCount64(m &^ reached)
 		}
-		rank += bits.OnesCount64(laneMask(g, from, to) &^ reached)
 	}
 	return rank
 }
 
 // At returns row i, gathered a bit a plane from its lane.
-func (s *Segment) At(i int) int64 {
-	w, lane := int(s.width), uint(i%blockLen)
+func (b *SortedBlock) At(i int) int64 {
+	lane := uint(i % blockLen)
 	var d uint64
-	for j, p := range s.words[(i/blockLen)*w:][:w] {
+	for j, p := range b.planes(i / blockLen) {
 		d |= (p >> lane & 1) << uint(j)
 	}
-	return int64(d) + s.ref
+	return int64(d) + b.refs[i/blockLen]
 }
 
 // SumRows returns the wrapping sum of rows [from, to): aggMaskedFORBP's
 // popcount per plane, under the mask of the lanes the rows occupy.
-func (s *Segment) SumRows(from, to int) int64 {
-	if from >= to {
-		return 0
-	}
-	w := int(s.width)
+func (b *SortedBlock) SumRows(from, to int) int64 {
 	var sum int64
 	for g := from / blockLen; g*blockLen < to; g++ {
-		m := laneMask(g, from, to)
-		for j, p := range s.words[g*w : (g+1)*w] {
-			sum += int64(bits.OnesCount64(p&m)) << uint(j)
+		sum += b.sumMasked(g, laneMask(g, from, to))
+	}
+	return sum
+}
+
+// sumMasked is the wrapping sum of the lanes m selects in group g.
+func (b *SortedBlock) sumMasked(g int, m uint64) int64 {
+	sum := int64(bits.OnesCount64(m)) * b.refs[g]
+	for j, p := range b.planes(g) {
+		sum += int64(bits.OnesCount64(p&m)) << uint(j)
+	}
+	return sum
+}
+
+// AppendTo appends the decoded rows, in order, to dst.
+func (b *SortedBlock) AppendTo(dst []int64) []int64 {
+	w := int(b.width)
+	var m [blockLen]uint64
+	for g, ref := range b.refs {
+		copy(m[:w], b.planes(g))
+		clear(m[w:])
+		transpose64(&m)
+		for _, d := range m[:min(blockLen, b.n-g*blockLen)] {
+			dst = append(dst, int64(d)+ref)
 		}
 	}
-	return sum + int64(to-from)*s.ref
+	return dst
+}
+
+// Refine clears the bit of every selected row outside [lo, hi] and
+// returns how many remain (the mask kernels' contract, mask.go). The
+// rows being sorted, those inside are one run, found by two ranks.
+func (b *SortedBlock) Refine(lo, hi int64, mask []uint64) int {
+	mask = mask[:column.MaskWords(b.n)]
+	from, to := b.RankBelow(0, b.n, lo), b.n
+	if hi < column.MaxMagnitude {
+		to = b.RankBelow(0, b.n, hi+1)
+	}
+	survivors := 0
+	for i := range mask {
+		if from >= to || (i+1)*blockLen <= from || i*blockLen >= to {
+			mask[i] = 0
+			continue
+		}
+		mask[i] &= laneMask(i, from, to)
+		survivors += bits.OnesCount64(mask[i])
+	}
+	return survivors
+}
+
+// AggMasked aggregates the selected rows: the sum group by group, and the
+// extrema — the rows being sorted — at the first and last selected lane.
+func (b *SortedBlock) AggMasked(mask []uint64, aggs column.Aggregates) column.Agg {
+	a := column.NewAgg()
+	first, last := -1, -1
+	for g, m := range mask[:column.MaskWords(b.n)] {
+		if m == 0 {
+			continue
+		}
+		a.Count += int64(bits.OnesCount64(m))
+		a.Sum += b.sumMasked(g, m)
+		if first < 0 {
+			first = g*blockLen + bits.TrailingZeros64(m)
+		}
+		last = g*blockLen + 63 - bits.LeadingZeros64(m)
+	}
+	if aggs.NeedsMinMax() && a.Count > 0 {
+		a.Min, a.Max = b.At(first), b.At(last)
+	}
+	return a
 }

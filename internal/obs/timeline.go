@@ -26,9 +26,10 @@ const (
 	// raw rows and handed its own progressive index). Shard = shard
 	// index, A = rows decoded.
 	EvShardClaim
-	// EvShardSettle: a shard whose index had converged traded its raw
-	// rows for packed blocks, keeping the index. Shard = shard index,
-	// A = rows packed, B = bytes the packed blocks hold.
+	// EvShardSettle: a shard whose index had converged dropped its raw
+	// rows, keeping the index, whose packed leaves hold them (beside
+	// packed base blocks where the table keeps row order). Shard = shard
+	// index, A = rows settled, B = bytes the shard then holds.
 	EvShardSettle
 	// EvCheckpoint: a durability checkpoint (snapshot) was written.
 	// A = rows captured, B = write duration in seconds.

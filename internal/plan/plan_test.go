@@ -1,21 +1,16 @@
 package plan
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"slices"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"repro"
 	"repro/internal/column"
-	"repro/internal/core"
-	"repro/internal/obs"
-	"repro/internal/parallel"
 	"repro/internal/query"
 	"repro/internal/shard"
 )
@@ -647,72 +642,6 @@ func TestBadOptionsRefusedAtNew(t *testing.T) {
 		if _, err := progidx.NewHandle(flat, opts); err == nil {
 			t.Errorf("NewHandle accepted %+v", opts)
 		}
-	}
-}
-
-// TestFailedClaimIsNotRetried: if a claim's build fails all the same,
-// the shard stays cold and exact, the error is kept for the debug
-// surface, and no later batch decodes the shard again. The columns are
-// built on a factory that passes the load-time proof and nothing
-// larger — what New can never be given — first under a planned table,
-// then as the plain single-column handle the second column is.
-func TestFailedClaimIsNotRetried(t *testing.T) {
-	const n = 9_000
-	names := []string{"a", "b"}
-	cols := genTuples(n, 2, 31)
-	var builds atomic.Int32
-	factory := func(c *column.Column) (query.Budgeted, error) {
-		if c.Len() > 1 {
-			builds.Add(1)
-			return nil, errors.New("boom")
-		}
-		return core.NewQuicksort(c, core.Config{}), nil
-	}
-	tbl := &Table{name: "t", byName: map[string]int{}, pool: parallel.New(1), rows: n}
-	for i, name := range names {
-		idx, err := shard.New(column.MustNew(cols[i]), shard.Config{Encoding: progidx.EncodingFORBP, ClaimHeat: 2}, factory)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tbl.byName[name] = i
-		tbl.cols = append(tbl.cols, &colState{name: name, idx: idx, tl: obs.NewTimeline(16)})
-	}
-	rng := rand.New(rand.NewSource(1))
-	for q := 0; q < 12; q++ {
-		c := directConj(rng, "a", n)
-		got, err := tbl.ExecuteConj(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := oracleConj(cols, names, n, c); !sameAnswer(got, want) {
-			t.Fatalf("%s:\n got %+v\nwant %+v", c, got, want)
-		}
-	}
-	if got := builds.Load(); got != 1 {
-		t.Fatalf("%d index builds over 12 direct queries past the threshold, want the one failed claim", got)
-	}
-	if st := tbl.ColumnStates()[0]; st.ClaimError == "" || !st.Converged || claimedShards(tbl, 0) != 0 {
-		t.Fatalf("column state after failed claim: %+v", st)
-	}
-
-	single := tbl.cols[1].idx
-	for q := 0; q < 12; q++ {
-		lo := rng.Int63n(n)
-		req := query.Request{Pred: query.Range(lo, lo+n/8), Aggs: column.AggAll}
-		got, err := single.Execute(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c := query.Conjunction{Preds: []query.ColPredicate{{Col: "b", Pred: req.Pred}}, Target: "b", Aggs: req.Aggs}
-		if want := oracleConj(cols, names, n, c); !sameAnswer(got, want) {
-			t.Fatalf("%s:\n got %+v\nwant %+v", c, got, want)
-		}
-	}
-	if got := builds.Load(); got != 2 {
-		t.Fatalf("%d index builds after 12 lead queries on the single-column handle, want one more", got-1)
-	}
-	if si := single.ShardStats()[0]; si.ClaimError == "" || si.Encoding != "forbp" || !si.Converged {
-		t.Fatalf("shard state after failed claim: %+v", si)
 	}
 }
 

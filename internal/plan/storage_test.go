@@ -12,6 +12,7 @@ import (
 	"repro/internal/column"
 	"repro/internal/data"
 	"repro/internal/query"
+	"repro/internal/shard"
 )
 
 // TestColumnsStayInLockstep drives everything that moves a column's
@@ -240,4 +241,40 @@ func TestPlannedRowsStoredOnce(t *testing.T) {
 		runtime.KeepAlive(tbl)
 	}
 	runtime.KeepAlive(flat)
+}
+
+// TestOneColumnTableServesItsLeaves: a converged one-column table holds
+// its rows only as its shards' B+-tree leaves, and its block view is
+// those leaves — ColumnStates counts them as the packed blocks they are,
+// and a scan the planner is forced into reads them exactly.
+func TestOneColumnTableServesItsLeaves(t *testing.T) {
+	const n = 3*shard.BlockRows + 500
+	names := []string{"a"}
+	cols := genTuples(n, 1, 41)
+	tbl, err := New("t", names, flatten(cols, 0, n), progidx.Options{Strategy: progidx.StrategyQuicksort, Delta: 0.25, Shards: 2, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 1000 && !tbl.Converged(); i++ {
+		tbl.RefineStep()
+	}
+	leaves := 0
+	for _, si := range tbl.ShardStats() {
+		if si.Form != "settled" {
+			t.Fatalf("converged one-column table: %+v", si)
+		}
+		leaves += (si.Rows + shard.BlockRows - 1) / shard.BlockRows
+	}
+	if st := tbl.ColumnStates()[0]; !tbl.Converged() || st.Blocks != leaves || st.EncodedBlocks != leaves {
+		t.Fatalf("column state %+v, want its %d leaf blocks, all packed", st, leaves)
+	}
+	rng := rand.New(rand.NewSource(42))
+	for q := 0; q < 20; q++ {
+		lo := rng.Int63n(n)
+		c := query.Conjunction{Target: "a", Aggs: column.AggAll, Preds: []query.ColPredicate{{Col: "a", Pred: query.Range(lo, lo+rng.Int63n(n/4))}}}
+		got, ch, err := tbl.ExplainConj(c, "a")
+		if err != nil || ch.Direct || !sameAnswer(got, oracleConj(cols, names, n, c)) {
+			t.Fatalf("%s through the leaf blocks: %+v direct=%v err=%v", c, got, ch.Direct, err)
+		}
+	}
 }

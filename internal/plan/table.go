@@ -116,6 +116,9 @@ func New(name string, columns []string, flat []int64, opts progidx.Options) (*Ta
 		if err != nil {
 			return nil, fmt.Errorf("plan: table %q column %q: %w", name, col, err)
 		}
+		if k > 1 {
+			idx.KeepRowOrder() // the fused scan ANDs the columns' blocks row by row
+		}
 		cs := &colState{name: col, idx: idx, tl: obs.NewTimeline(256)}
 		idx.SetEventSink(cs.tl)
 		t.cols = append(t.cols, cs)

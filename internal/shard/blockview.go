@@ -12,12 +12,34 @@ const BlockRows = encode.BlockRows
 
 // Block is one run of at most BlockRows rows of a table, with its zone
 // and the two mask kernels of a conjunction scan, served in place from
-// whatever holds the rows: a cold or settled shard's packed block, a raw
-// or claimed shard's rows, the pending tail. Immutable.
+// whatever holds the rows: a cold or settled shard's packed block, the
+// leaf block of a settled shard that keeps no row order (its rows
+// sorted), a raw or claimed shard's rows, the pending tail. Immutable.
 type Block struct {
-	seg      *encode.Segment // the packed block; nil where the rows are held raw
-	raw      []int64
+	rows     blockRows
 	Min, Max int64
+}
+
+// blockRows is what holds a Block's rows: a packed encode.Segment, in row
+// order, a B+-tree's encode.SortedBlock, or rows held raw (rawRows).
+type blockRows interface {
+	Len() int
+	Refine(lo, hi int64, mask []uint64) int
+	AggMasked(mask []uint64, aggs column.Aggregates) column.Agg
+}
+
+// rawRows is a block of raw rows: a raw or claimed shard's, or the pending
+// tail's.
+type rawRows []int64
+
+func (r *rawRows) Len() int { return len(*r) }
+
+func (r *rawRows) Refine(lo, hi int64, mask []uint64) int {
+	return column.RefineMask(*r, lo, hi, mask)
+}
+
+func (r *rawRows) AggMasked(mask []uint64, aggs column.Aggregates) column.Agg {
+	return column.AggMasked(*r, mask, aggs)
 }
 
 // BlockView returns the current view's rows as blocks, in row order.
@@ -46,17 +68,34 @@ func (s *Sharded) BlockView() []Block {
 }
 
 // appendBlocks appends the shard's blocks to dst: the packed blocks of a
-// cold or settled shard as they are, raw rows cut on the shard's own
-// grid — the one a settle packs them on.
+// cold or settled shard as they are — a settled one that packed none has
+// its index's leaves — and raw rows cut on the shard's own grid, the one
+// a settle packs them on.
 func (st *state) appendBlocks(dst []Block) []Block {
 	st.mu.RLock()
 	packed, vals := st.packed, st.vals
-	st.mu.RUnlock()
-	if vals != nil {
-		return appendRawBlocks(dst, vals, st.zones.of(st.start, vals))
+	var leaves []*encode.SortedBlock
+	if packed == nil && vals == nil {
+		leaves = st.leaves()
 	}
-	for _, seg := range packed.Segments() {
-		dst = append(dst, Block{seg: seg, Min: seg.Min(), Max: seg.Max()})
+	st.mu.RUnlock()
+	switch {
+	case vals != nil:
+		return appendRawBlocks(dst, vals, st.zones.of(st.start, vals))
+	case packed != nil:
+		return appendPacked(dst, packed.Segments())
+	}
+	return appendPacked(dst, leaves)
+}
+
+// appendPacked appends packed blocks to dst with their zones.
+func appendPacked[P interface {
+	blockRows
+	Min() int64
+	Max() int64
+}](dst []Block, blocks []P) []Block {
+	for _, p := range blocks {
+		dst = append(dst, Block{rows: p, Min: p.Min(), Max: p.Max()})
 	}
 	return dst
 }
@@ -95,38 +134,29 @@ func (c *zoneCache) of(start int, rows []int64) []int64 {
 
 // appendRawBlocks appends rows to dst as raw blocks with their zones.
 func appendRawBlocks(dst []Block, rows, zones []int64) []Block {
-	for off := 0; off < len(rows); off += BlockRows {
-		z := zones[off/BlockRows*2:]
-		dst = append(dst, Block{raw: rows[off:min(off+BlockRows, len(rows))], Min: z[0], Max: z[1]})
+	raws := make([]rawRows, (len(rows)+BlockRows-1)/BlockRows)
+	for i := range raws {
+		raws[i] = rows[i*BlockRows : min((i+1)*BlockRows, len(rows))]
+		dst = append(dst, Block{rows: &raws[i], Min: zones[2*i], Max: zones[2*i+1]})
 	}
 	return dst
 }
 
 // Packed reports whether the block is held compressed.
-func (b *Block) Packed() bool { return b.seg != nil }
+func (b *Block) Packed() bool {
+	_, raw := b.rows.(*rawRows)
+	return !raw
+}
 
 // Len returns the block's row count.
-func (b *Block) Len() int {
-	if b.seg != nil {
-		return b.seg.Len()
-	}
-	return len(b.raw)
-}
+func (b *Block) Len() int { return b.rows.Len() }
 
 // Refine clears from mask (one bit per row) every selected row whose
 // value lies outside [lo, hi] and returns how many remain. A packed
 // block is tested in place, never decoded.
-func (b *Block) Refine(lo, hi int64, mask []uint64) int {
-	if b.seg != nil {
-		return b.seg.Refine(lo, hi, mask)
-	}
-	return column.RefineMask(b.raw, lo, hi, mask)
-}
+func (b *Block) Refine(lo, hi int64, mask []uint64) int { return b.rows.Refine(lo, hi, mask) }
 
 // AggMasked aggregates the block's selected rows.
 func (b *Block) AggMasked(mask []uint64, aggs column.Aggregates) column.Agg {
-	if b.seg != nil {
-		return b.seg.AggMasked(mask, aggs)
-	}
-	return column.AggMasked(b.raw, mask, aggs)
+	return b.rows.AggMasked(mask, aggs)
 }

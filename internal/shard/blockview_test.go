@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"errors"
 	"math/rand"
 	"slices"
 	"testing"
@@ -152,42 +151,37 @@ func TestColdShardBytes(t *testing.T) {
 	}
 }
 
-// TestFailedClaimKeepsShardCold: the load-time proof passed, the claim's
-// build fails all the same — the shard stays cold and exact, reports
-// why, and is never decoded for a claim again, while its neighbours are
-// still claimed.
+// TestFailedClaimKeepsShardCold: a claim whose build fails — here the
+// column it would index refuses the shard's zone, which the test widens
+// past the legal domain — leaves the shard cold and exact, reports why,
+// and is never decoded for a claim again, while its neighbours are still
+// claimed.
 func TestFailedClaimKeepsShardCold(t *testing.T) {
-	boom := errors.New("boom")
-	builds := 0
-	factory := func(c *column.Column) (query.Budgeted, error) {
-		if c.Len() > 1 && c.Min() < 50 { // the first shard's rows
-			builds++
-			return nil, boom
-		}
-		return &stubIndex{col: c, doneAfter: 1}, nil
-	}
 	logical := clustered(100)
-	sh, err := New(column.MustNew(slices.Clone(logical)), Config{Shards: 2, Workers: 1, Encoding: encode.ModeFORBP, ClaimHeat: 2}, factory)
+	sh, err := New(column.MustNew(slices.Clone(logical)), Config{Shards: 2, Workers: 1, Encoding: encode.ModeFORBP, ClaimHeat: 2}, stubFactory(1))
 	if err != nil {
 		t.Fatal(err)
 	}
+	failing := sh.cur.Load().shards[0]
+	failing.min = -column.MaxMagnitude
+	var failure *error
 	for i := 0; i < 10; i++ {
 		ans, err := sh.Execute(query.Request{Pred: query.Range(10, 90), Aggs: column.AggAll})
 		if want := oracleAgg(logical, 10, 90); err != nil || query.AnswerAgg(ans) != want {
 			t.Fatalf("query %d: %+v err=%v, want %+v", i, ans, err, want)
 		}
 		sh.ClaimHot()
+		if errp := failing.claimErr.Load(); failure == nil {
+			failure = errp
+		} else if errp != failure {
+			t.Fatalf("query %d: the failed claim was tried again", i)
+		}
 	}
 	st := sh.ShardStats()
-	if builds != 1 || st[0].ClaimError != boom.Error() || st[0].Form != FormCold || st[0].Encoding != "forbp" || !st[0].Converged {
-		t.Fatalf("%d builds of the failing shard: %+v", builds, st[0])
+	if failure == nil || st[0].ClaimError == "" || st[0].Form != FormCold || st[0].Encoding != "forbp" || !st[0].Converged {
+		t.Fatalf("the failing shard: %+v", st[0])
 	}
 	if st[1].ClaimError != "" || st[1].Form != FormRaw {
 		t.Fatalf("the healthy shard was not claimed: %+v", st[1])
-	}
-	if _, err := New(column.MustNew(clustered(10)), Config{Encoding: encode.ModeFORBP}, func(*column.Column) (query.Budgeted, error) {
-		return nil, boom
-	}); !errors.Is(err, boom) {
-		t.Fatalf("encoded New did not prove its factory: %v", err)
 	}
 }

@@ -63,8 +63,8 @@ func (s *releasingStub) ReleaseBase() bool {
 }
 
 func releasingFactory(doneAfter int64, work float64) Factory {
-	return func(col *column.Column) (query.Budgeted, error) {
-		return &releasingStub{zone: col, rows: slices.Clone(col.Values()), doneAfter: doneAfter, work: work}, nil
+	return func(col *column.Column) query.Budgeted {
+		return &releasingStub{zone: col, rows: slices.Clone(col.Values()), doneAfter: doneAfter, work: work}
 	}
 }
 
@@ -98,8 +98,8 @@ func checkExact(t *testing.T, sh *Sharded, logical []int64, lo, hi int64, when s
 	return ans
 }
 
-// TestSettleLifecycle walks one shard through its settle, slice by
-// slice: the slices that follow the index's convergence each pack the
+// TestSettleLifecycle walks one shard of a row-ordered table through its
+// settle, slice by slice: the slices that follow the index's convergence each pack the
 // blocks that fit the largest slice the index reported and say so in
 // their Stats, a clamped batch packs nothing, Converged stays false and
 // Progress at the index's 1 until the last block is packed, and the
@@ -114,6 +114,7 @@ func TestSettleLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	sh.KeepRowOrder()
 	tl := obs.NewTimeline(16)
 	sh.SetEventSink(tl)
 	stub := releasingStubs(sh)[0]
@@ -184,6 +185,7 @@ func TestSettledShardAnswersThroughIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	sh.KeepRowOrder()
 	drain(t, sh)
 	for i, st := range sh.cur.Load().shards {
 		if si := sh.ShardStats()[i]; si.Form != FormSettled {
@@ -216,7 +218,7 @@ func TestSettledShardAnswersThroughIndex(t *testing.T) {
 }
 
 // TestSettleWaitsForLoadedSiblings pins the shared-array rule: the
-// loaded shards of a raw table pack nothing until the index of every one
+// loaded shards of a raw row-ordered table pack nothing until the index of every one
 // of them has converged, take no idle slice meanwhile, and then all
 // settle; and the shards that never settle — a tail-born one below the
 // seal threshold, any shard of a table with one loaded shard too wide
@@ -228,6 +230,7 @@ func TestSettleWaitsForLoadedSiblings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	sh.KeepRowOrder()
 	for q := 0; q < 6; q++ { // values below 3·per live in the first three shards
 		checkExact(t, sh, logical, 0, 3*per-1, "three shards")
 	}
@@ -273,6 +276,7 @@ func TestSettleWaitsForLoadedSiblings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	sh.KeepRowOrder()
 	checkExact(t, sh, wide, 0, 1<<20, "wide")
 	if !sh.Converged() {
 		t.Fatal("a table that cannot settle did not converge with its indexes")
@@ -288,16 +292,16 @@ func TestSettleWaitsForLoadedSiblings(t *testing.T) {
 // under cfg's budget.
 func coreFactory(strat string, cfg core.Config) Factory {
 	cfg.Workers = 1
-	return func(col *column.Column) (query.Budgeted, error) {
+	return func(col *column.Column) query.Budgeted {
 		switch strat {
 		case "PQ":
-			return core.NewQuicksort(col, cfg), nil
+			return core.NewQuicksort(col, cfg)
 		case "PMSD":
-			return core.NewRadixMSD(col, cfg), nil
+			return core.NewRadixMSD(col, cfg)
 		case "PB":
-			return core.NewBucketsort(col, cfg), nil
+			return core.NewBucketsort(col, cfg)
 		}
-		return core.NewRadixLSD(col, cfg), nil
+		return core.NewRadixLSD(col, cfg)
 	}
 }
 
@@ -321,6 +325,7 @@ func TestSettleSliceWithinRefinementBudget(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			sh.KeepRowOrder()
 			rng := rand.New(rand.NewSource(6))
 			granted, slices := 0.0, 0
 			for q := 0; !sh.Converged(); q++ {
@@ -349,7 +354,9 @@ func TestSettleSliceWithinRefinementBudget(t *testing.T) {
 // TestSettleProperty: seeded interleavings of queries, appends (small,
 // and past the seal threshold) and idle slices on tables of every
 // progressive strategy, loaded as one shard and as four, raw and claimed
-// from FOR-BP and dictionary blocks. Before any shard settles, at every
+// from FOR-BP and dictionary blocks, all keeping row order (the packing
+// settle; TestSettleFollowsRowOrder has the one-column one). Before any
+// shard settles, at every
 // slice while one does, and after, each answer (all aggregates) equals
 // the branching scan, MaterializeRows the rows, and the block view the
 // rows' grid, zones and masks (checkBlockView).
@@ -374,6 +381,7 @@ func TestSettleProperty(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
+					sh.KeepRowOrder()
 					tl := obs.NewTimeline(256)
 					sh.SetEventSink(tl)
 					during := 0
@@ -427,7 +435,7 @@ func TestSettleProperty(t *testing.T) {
 
 // TestReadersRaceSettle runs what reads a shard's rows — queries, block
 // views, MaterializeRows (a checkpoint's capture) — and an appender
-// against the slices that settle the table's shards, and a reader that
+// against the slices that settle a row-ordered table's shards, and a reader that
 // loaded its view before any of it finishes on that view with that
 // view's answer. Meaningful under -race.
 func TestReadersRaceSettle(t *testing.T) {
@@ -437,6 +445,7 @@ func TestReadersRaceSettle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	sh.KeepRowOrder()
 	held := sh.cur.Load()
 	req := query.Request{Pred: query.Range(1000, 1<<19), Aggs: column.AggAll}
 	want := oracleAgg(loaded, 1000, 1<<19)
@@ -518,10 +527,90 @@ func BenchmarkSettle(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		sh.KeepRowOrder()
 		sh.RefineStep() // the index converges; the next slice settles
 		b.StartTimer()
 		drain(b, sh)
 		sinkBlocks = sh.cur.Load().shards[0].packed
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/row")
+}
+
+// TestSettleOverWidePool: a table loaded as one shard packs a settle
+// slice's blocks over its own pool, and a pool wider than the blocks
+// rounds its split up, handing the trailing chunks the empty range past
+// the last block. With a partial last block that range starts past the
+// last row; the slice must pack nothing there, at any worker count.
+func TestSettleOverWidePool(t *testing.T) {
+	logical := uniform(8*BlockRows+100, 20, 12) // nine blocks: 4 and 8 workers both leave an empty chunk
+	for _, workers := range []int{4, 8} {
+		sh, err := New(column.MustNew(slices.Clone(logical)), Config{Workers: workers}, releasingFactory(1, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sh.KeepRowOrder()
+		drain(t, sh)
+		if si := sh.ShardStats()[0]; si.Form != FormSettled || sh.cur.Load().shards[0].packed == nil {
+			t.Fatalf("workers=%d: %+v, want a shard settled into blocks", workers, si)
+		}
+		if !slices.Equal(sh.MaterializeRows(), logical) {
+			t.Fatalf("workers=%d: MaterializeRows differs from the rows", workers)
+		}
+		checkBlockView(t, sh, fmt.Sprintf("workers=%d", workers))
+	}
+}
+
+// TestSettleFollowsRowOrder holds the two settles side by side on one
+// table's rows and a real index. A row-ordered table still settles into
+// base blocks: slices after the index converged pack them, and the rows
+// read back in row order. A one-column table settles on the slice that
+// converges its index, packs nothing and holds its rows once, as the
+// tree's leaves: its rows read back sorted, its block view is the
+// leaves, and what it reports holding is the tree alone.
+func TestSettleFollowsRowOrder(t *testing.T) {
+	logical := uniform(5*BlockRows+77, 20, 13)
+	sorted := slices.Sorted(slices.Values(logical))
+	queries := func(sh *Sharded) int {
+		rng := rand.New(rand.NewSource(14))
+		q := 0
+		for ; !sh.Converged(); q++ {
+			if q > 10_000 {
+				t.Fatal("never converged")
+			}
+			lo := rng.Int63n(1 << 20)
+			checkExact(t, sh, logical, lo, lo+rng.Int63n(1<<18), fmt.Sprintf("query %d", q))
+		}
+		return q
+	}
+	var took [2]int
+	for i, rowOrdered := range []bool{true, false} {
+		sh, err := New(column.MustNew(slices.Clone(logical)), Config{Workers: 1}, coreFactory("PQ", core.Config{Delta: 0.25}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rowOrdered {
+			sh.KeepRowOrder()
+		}
+		took[i] = queries(sh)
+		st, si := sh.cur.Load().shards[0], sh.ShardStats()[0]
+		tree := st.idx.(interface{ SizeBytes() int }).SizeBytes()
+		rows, want := sh.MaterializeRows(), logical
+		if !rowOrdered {
+			want = sorted
+		}
+		switch {
+		case si.Form != FormSettled || si.Encoding != "forbp" || st.vals != nil || st.segs != nil:
+			t.Fatalf("rowOrdered=%v: %+v", rowOrdered, si)
+		case rowOrdered && (st.packed == nil || si.Bytes != tree+st.packed.SizeBytes()):
+			t.Fatalf("row-ordered: %+v, want base blocks beside the %d-byte tree", si, tree)
+		case !rowOrdered && (st.packed != nil || si.Bytes != tree):
+			t.Fatalf("one column: %+v, want the %d-byte tree alone", si, tree)
+		case !slices.Equal(rows, want):
+			t.Fatalf("rowOrdered=%v: the rows read back out of order", rowOrdered)
+		}
+		checkBlockView(t, sh, fmt.Sprintf("rowOrdered=%v", rowOrdered))
+	}
+	if took[1] >= took[0] {
+		t.Fatalf("the one-column table took %d queries to converge, the row-ordered one %d: no settle slice was saved", took[1], took[0])
+	}
 }

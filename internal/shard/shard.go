@@ -55,11 +55,12 @@
 // not yet absorbed shards were sealed in, under three times the rows
 // it holds — a smooth function of the table's size. And it holds them
 // raw only while something reads them raw: a shard whose index has
-// converged settles (settle.go) — its rows are packed block by block,
-// the raw copy dropped, the index kept — so a shard has one of three
-// forms, cold (packed blocks, no index), raw (an index over raw rows) or
-// settled (a converged index and packed blocks), and a loaded array or
-// an extent is freed when the last shard slicing it has settled.
+// converged settles (settle.go) — the raw copy dropped, the index kept,
+// whose B+-tree's packed leaves are the rows, and where the table keeps
+// row order the rows packed block by block first — so a shard has one of
+// three forms, cold (packed blocks, no index), raw (an index over raw
+// rows) or settled (a converged index), and a loaded array or an extent
+// is freed when the last shard slicing it has settled.
 //
 // Readers never lock the table structure: the shard list and tail are
 // published as an immutable copy-on-write view swapped atomically by
@@ -84,8 +85,8 @@
 // decodes their blocks (or takes a claimed shard's retained rows) into
 // one buffer with the tail and encodes it once, and the merged shard is
 // born cold. In encoded mode the blocks, any claimed shards' rows — until
-// their indexes converge and they settle into blocks again — and the
-// pending tail (an extent that every seal ends) are the only copies of
+// their indexes converge and they settle into their indexes' leaves — and
+// the pending tail (an extent that every seal ends) are the only copies of
 // the data. Whatever form holds them, the rows are also readable block
 // by block (BlockView).
 //
@@ -115,10 +116,11 @@ import (
 
 // Factory builds one shard's index over its partition of the base
 // column, with the whole lifecycle the layer drives (query.Budgeted). The
-// root package supplies one of the four progressive algorithms here;
-// tests inject stubs. It is retained for the life of the Sharded index:
-// every seal builds its shard through it.
-type Factory func(col *column.Column) (query.Budgeted, error)
+// root package supplies one of the four progressive algorithms here,
+// having refused any other strategy before a table exists; tests inject
+// stubs. It is retained for the life of the Sharded index: every seal and
+// claim builds its shard through it.
+type Factory func(col *column.Column) query.Budgeted
 
 // state is one shard: a contiguous row range of the logical table with
 // its zone map, index, lock and heat accounting.
@@ -131,11 +133,13 @@ type state struct {
 	// write lock alone. Cold (idx == nil): packed only, scanned in place
 	// under the shared lock. Raw: idx over vals — a slice of the loaded
 	// column or of a tail extent in raw mode, the claim's decode of a cold
-	// shard in encoded mode — which never change once set. Settled: idx
-	// and packed; once the index has converged nothing on the query path
-	// reads vals again, so settle (settle.go) packs them block by block,
-	// drops them, and keeps the index, which still answers every query.
-	// In every form the table keeps no other copy of the rows.
+	// shard in encoded mode — which never change once set. Settled: idx,
+	// and packed where the table keeps row order; once the index has
+	// converged nothing on the query path reads vals again, so settle
+	// (settle.go) drops them — the index's leaves are the rows, or where
+	// row order is kept they are first packed block by block — and keeps
+	// the index, which still answers every query. In every form the table
+	// keeps no other copy of the rows.
 	packed *encode.Blocks
 	vals   []int64
 
@@ -239,10 +243,12 @@ type Sharded struct {
 	encoding  encode.Mode
 	claimHeat uint64
 
-	// model costs a settle slice. loadedOpen counts the raw loaded shards
-	// whose index has yet to converge, and loadedNarrow says every one of
-	// them packs well enough to settle (settle.go).
+	// model costs a settle slice. rowOrdered says settled shards keep
+	// their rows in row order (KeepRowOrder); then loadedOpen counts the
+	// raw loaded shards whose index has yet to converge, and loadedNarrow
+	// says every one of them packs well enough to settle (settle.go).
 	model        *costmodel.Model
+	rowOrdered   bool
 	loadedOpen   atomic.Int64
 	loadedNarrow bool
 
@@ -379,15 +385,6 @@ func New(col *column.Column, cfg Config, factory Factory) (*Sharded, error) {
 	}
 	pool := parallel.New(cfg.Workers)
 	encoded := cfg.Encoding.Compressed()
-	if encoded {
-		// A cold table builds no index until a claim or a raw seal, with
-		// its rows long acknowledged. Prove on one row that the factory
-		// builds one, so a strategy it refuses is refused here, as a raw
-		// table's is.
-		if _, err := factory(column.MustNew([]int64{0})); err != nil {
-			return nil, err
-		}
-	}
 
 	shards := make([]*state, s)
 	vals := col.Values()
@@ -417,11 +414,8 @@ func New(col *column.Column, cfg Config, factory Factory) (*Sharded, error) {
 			}
 			pcol, err := column.NewWithStats(part, mn, mx)
 			if err == nil {
-				var idx query.Budgeted
-				if idx, err = factory(pcol); err == nil {
-					shards[i] = &state{idx: idx, vals: part, start: start, end: end, min: mn, max: mx}
-					continue
-				}
+				shards[i] = &state{idx: factory(pcol), vals: part, start: start, end: end, min: mn, max: mx}
+				continue
 			}
 			err = fmt.Errorf("shard %d [%d, %d): %w", i, start, end, err)
 			firstErr.CompareAndSwap(nil, &err)
@@ -468,7 +462,7 @@ func New(col *column.Column, cfg Config, factory Factory) (*Sharded, error) {
 			sh.loadedNarrow = sh.loadedNarrow && st.narrow()
 		}
 		for _, st := range shards {
-			sh.noteIndexDone(st) // an index that is terminal at birth
+			sh.noteBornDone(st) // an index that is terminal at birth
 		}
 	}
 	sh.publishLocked(shards)
@@ -544,8 +538,9 @@ func (s *Sharded) Append(values []int64) error {
 		if sealed, err := s.sealLocked(); err == nil {
 			shards = sealed
 		}
-		// On a factory error the tail simply keeps growing — scanned
-		// per query, still exact — and sealing retries next time.
+		// On an error (rows a column or an encoder refuses) the tail
+		// simply keeps growing — scanned per query, still exact — and
+		// sealing retries next time.
 	}
 	s.publishLocked(shards)
 	return nil
@@ -618,11 +613,7 @@ func (s *Sharded) sealLocked() ([]*state, error) {
 		if err != nil {
 			return nil, err
 		}
-		idx, err := s.factory(pcol)
-		if err != nil {
-			return nil, err
-		}
-		st = &state{idx: idx, vals: vals, start: start, end: end, min: mn, max: mx}
+		st = &state{idx: s.factory(pcol), vals: vals, start: start, end: end, min: mn, max: mx}
 		if final {
 			s.ext, s.extStart = nil, end
 		}
@@ -648,7 +639,7 @@ func (s *Sharded) sealLocked() ([]*state, error) {
 		s.ext, s.extStart = nil, end
 	}
 	st.tailBorn = true
-	s.noteIndexDone(st) // e.g. a full-index shard is terminal at birth
+	s.noteBornDone(st) // e.g. a full-index shard is terminal at birth
 	for _, a := range absorbed {
 		st.heat.Add(a.heat.Load())
 		st.executes.Add(a.executes.Load())
@@ -684,17 +675,24 @@ func MaxShards(loaded, appended, sealRows int) int {
 	return loaded + appended/sealRows + bits.Len(uint(sealRows-1))
 }
 
-// appendRows appends the shard's rows to dst in row order, from its raw
-// rows while it has them or from the packed blocks of a cold or settled
-// shard — the extraction shared by encoded-mode merges and
+// appendRows appends the shard's rows to dst — from its raw rows while it
+// has them, from the packed blocks of a cold or row-ordered settled shard,
+// all in row order, and sorted from the index's leaves where a settled
+// shard packed none — the extraction shared by encoded-mode merges and
 // MaterializeRows.
 func (st *state) appendRows(dst []int64) []int64 {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
-	if st.vals == nil {
+	switch {
+	case st.vals != nil:
+		return append(dst, st.vals...)
+	case st.packed != nil:
 		return st.packed.AppendTo(dst)
 	}
-	return append(dst, st.vals...)
+	for _, leaf := range st.leaves() {
+		dst = leaf.AppendTo(dst)
+	}
+	return dst
 }
 
 // Name implements the index interface: the shard strategy's name plus
@@ -934,11 +932,11 @@ func (st *state) claimable() bool { return st.cold.Load() && st.claimErr.Load() 
 // The decoded rows are retained (they are the shard's only raw copy);
 // the blocks are dropped. The shard list is then republished, so the
 // fresh view's all-converged switch restarts false and its block table
-// is rebuilt over the raw rows. New has proved the factory and every
-// ingest path the domain, so the build is not expected to fail; if it
-// does, the shard stays cold and exact for good and keeps the error,
-// rather than being decoded under its write lock again on every later
-// crossing.
+// is rebuilt over the raw rows. Every ingest path has proved the domain
+// of the rows, so the column the index is built over is not expected to
+// refuse them; if it does, the shard stays cold and exact for good and
+// keeps the error, rather than being decoded under its write lock again
+// on every later crossing.
 func (s *Sharded) claim(i int, st *state) bool {
 	st.mu.Lock()
 	if st.idx != nil || st.claimErr.Load() != nil {
@@ -947,21 +945,17 @@ func (s *Sharded) claim(i int, st *state) bool {
 	}
 	vals := st.packed.AppendTo(make([]int64, 0, st.end-st.start))
 	pcol, err := column.NewWithStats(vals, st.min, st.max)
-	var idx query.Budgeted
-	if err == nil {
-		idx, err = s.factory(pcol)
-	}
 	if err != nil {
 		st.claimErr.Store(&err)
 		st.mu.Unlock()
 		return false
 	}
-	st.idx = idx
+	st.idx = s.factory(pcol)
 	st.vals = vals
 	st.packed = nil
 	st.cold.Store(false)
 	st.converged.Store(false)
-	s.noteIndexDone(st) // a terminal-at-birth factory index (e.g. FI)
+	s.noteBornDone(st) // a terminal-at-birth factory index (e.g. FI)
 	st.mu.Unlock()
 	s.sink.Load().Record(obs.EvShardClaim, int32(i), float64(st.end-st.start), 0)
 	s.republish()
@@ -1028,8 +1022,9 @@ func (s *Sharded) executeShard(st *state, sub query.Request, lo, hi int64, scale
 // and, where the index had converged before the slice began, the budget
 // goes to the shard's settle instead (settleSlice), its modeled cost
 // reported as the slice's work. settled says this slice finished the
-// settle; the caller publishes it (publishSettled) once it has released
-// the lock. Caller holds st.mu for writing.
+// settle — a one-column shard's is the slice that converges its index —
+// and the caller publishes it (publishSettled) once it has released the
+// lock. Caller holds st.mu for writing.
 func (s *Sharded) sliceLocked(st *state, req query.Request, scale float64, suspend bool) (ans query.Answer, settled bool, err error) {
 	settling := st.idx.Converged()
 	ans, err = st.idx.ExecuteSlice(req, scale, suspend)
@@ -1037,7 +1032,7 @@ func (s *Sharded) sliceLocked(st *state, req query.Request, scale float64, suspe
 	case err != nil:
 	case !settling:
 		st.maxWork = max(st.maxWork, ans.Stats.WorkSeconds)
-		s.noteIndexDone(st)
+		settled = s.noteIndexDone(st)
 	case !suspend:
 		var cost float64
 		cost, settled = s.settleSlice(st)
@@ -1289,8 +1284,9 @@ func (s *Sharded) Converged() bool { return s.cur.Load().allDone() }
 // Progress returns the row-weighted mean convergence fraction across
 // shards' indexes, exactly 1 once all shards converged and nothing is
 // pending; unindexed tail rows count as zero progress. A settle moves
-// it no further: it reads 1 from the slice that converged the last index
-// to the one that packs the last block, while Converged is still false.
+// it no further: on a row-ordered table it reads 1 from the slice that
+// converged the last index to the one that packs the last block, while
+// Converged is still false.
 func (s *Sharded) Progress() float64 {
 	v := s.cur.Load()
 	if v.done.Load() {
@@ -1344,9 +1340,9 @@ const (
 // encodingInfo reports the form the shard holds its rows in, their
 // encoding, and the shard's resident payload size: raw and 8·rows for raw
 // rows, the blocks' kind and packed-word footprint for a cold shard, and
-// for a settled one that plus what its converged index holds beside them
-// — the four progressive algorithms say (core's SizeBytes): a B+-tree
-// whose leaves are packed too.
+// for a settled one FOR-BP and what its converged index holds — the four
+// progressive algorithms say (core's SizeBytes): a B+-tree over packed
+// leaves, which are the rows unless row-ordered blocks are kept beside it.
 func (st *state) encodingInfo() (form, kind string, bytes int) {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
@@ -1355,12 +1351,13 @@ func (st *state) encodingInfo() (form, kind string, bytes int) {
 		return FormRaw, encode.KindRaw.String(), 8 * len(st.vals)
 	case st.idx == nil:
 		return FormCold, st.packed.Kind().String(), st.packed.SizeBytes()
+	case st.packed != nil:
+		bytes = st.packed.SizeBytes()
 	}
-	bytes = st.packed.SizeBytes()
 	if idx, ok := st.idx.(interface{ SizeBytes() int }); ok {
 		bytes += idx.SizeBytes()
 	}
-	return FormSettled, st.packed.Kind().String(), bytes
+	return FormSettled, encode.KindFORBP.String(), bytes
 }
 
 // Info is a point-in-time snapshot of one shard, for the stats
@@ -1379,11 +1376,13 @@ type Info struct {
 	Phase string `json:"phase,omitempty"`
 	// Form is how the shard holds its rows: FormRaw (an index over raw
 	// rows: a raw-mode or a claimed shard), FormCold (packed blocks, no
-	// index) or FormSettled (a converged index and packed blocks).
+	// index) or FormSettled (a converged index whose packed leaves are the
+	// rows, with packed blocks beside it where the table keeps row order).
 	// Encoding is the rows' encoding ("raw" in the raw form) and Bytes
 	// the shard's resident payload size — 8·rows raw (an index's working
 	// arrays are not in it), the packed-word footprint cold, and settled
-	// that plus the converged index's keys, prefix sums and packed leaves.
+	// the converged index's keys, prefix sums and packed leaves, plus the
+	// row-ordered blocks where there are any.
 	Form     string `json:"form"`
 	Encoding string `json:"encoding"`
 	Bytes    int    `json:"resident_bytes"`
@@ -1426,11 +1425,12 @@ func (s *Sharded) ShardStats() []Info {
 	return out
 }
 
-// MaterializeRows returns a fresh copy of every logical row in order
-// (sealed shards, then the pending tail) — the raw-extraction surface
-// snapshots use, since the table keeps no base column. Cold and settled
-// shards decode into the output, neither claimed nor unsettled by it;
-// raw ones copy their rows.
+// MaterializeRows returns a fresh copy of every logical row, shard by
+// shard in row order and the pending tail last — the raw-extraction
+// surface snapshots use, since the table keeps no base column. Cold and
+// settled shards decode into the output, neither claimed nor unsettled by
+// it, raw ones copy their rows; a settled shard that keeps no row order
+// gives its rows sorted, as its index's leaves hold them.
 func (s *Sharded) MaterializeRows() []int64 {
 	s.amu.Lock()
 	v := s.cur.Load()

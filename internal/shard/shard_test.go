@@ -1,9 +1,9 @@
 package shard
 
 import (
-	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -61,8 +61,8 @@ func (s *stubIndex) Phase() query.Phase { return query.TwoPhase(s.Converged()) }
 func (s *stubIndex) ReleaseBase() bool { return false }
 
 func stubFactory(doneAfter int64) Factory {
-	return func(col *column.Column) (query.Budgeted, error) {
-		return &stubIndex{col: col, doneAfter: doneAfter}, nil
+	return func(col *column.Column) query.Budgeted {
+		return &stubIndex{col: col, doneAfter: doneAfter}
 	}
 }
 
@@ -138,18 +138,12 @@ func TestPartitioning(t *testing.T) {
 	}
 }
 
-// TestFactoryErrorPropagates pins construction failure handling.
-func TestFactoryErrorPropagates(t *testing.T) {
+// TestBuildErrorPropagates pins construction failure handling: a shard
+// whose rows cannot be stored fails New, and so does a nil factory.
+func TestBuildErrorPropagates(t *testing.T) {
 	col := column.MustNew(clustered(100))
-	boom := errors.New("boom")
-	_, err := New(col, Config{Shards: 4}, func(c *column.Column) (query.Budgeted, error) {
-		if c.Min() >= 50 {
-			return nil, boom
-		}
-		return &stubIndex{col: c, doneAfter: 1}, nil
-	})
-	if !errors.Is(err, boom) {
-		t.Fatalf("factory error not propagated: %v", err)
+	if _, err := New(col, Config{Shards: 4, Encoding: encode.Mode(99)}, stubFactory(1)); err == nil || !strings.Contains(err.Error(), "unknown mode") {
+		t.Fatalf("a shard's encode error not propagated: %v", err)
 	}
 	if _, err := New(col, Config{Shards: 2}, nil); err == nil {
 		t.Fatal("nil factory accepted")

@@ -120,10 +120,7 @@ func TestStrategiesMeetTheOneContract(t *testing.T) {
 			continue
 		}
 		_, factory := shardLayout(opts, n)
-		idx, err := factory(column.MustNew(append([]int64(nil), vals...)))
-		if err != nil {
-			t.Fatalf("%v: %v", s, err)
-		}
+		idx := factory(column.MustNew(append([]int64(nil), vals...)))
 		slice := func(suspend bool) float64 {
 			t.Helper()
 			before := idx.Progress()

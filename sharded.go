@@ -103,5 +103,5 @@ func shardLayout(opts Options, rows int) (shard.Config, shard.Factory) {
 		child.Budget /= time.Duration(cfg.Shards)
 	}
 	build := strategies[opts.Strategy].progressive
-	return cfg, func(c *column.Column) (query.Budgeted, error) { return build(c, child), nil }
+	return cfg, func(c *column.Column) query.Budgeted { return build(c, child) }
 }

@@ -22,8 +22,9 @@ import (
 // merge), the tail-born shards below sealRows sit rightmost with
 // strictly decreasing size classes (hence sizes), the shard count
 // respects shard.MaxShards, and the rows the table holds — its shards'
-// slices of the loaded column and of the tail extents are the only copy
-// — are the logical rows in order.
+// slices of the loaded column and of the tail extents, or a settled
+// shard's index's leaves, are the only copy — are the logical rows, a
+// settled shard's sorted and every other row in order.
 func checkShardStructure(t *testing.T, sh *Sharded, logical []int64, loaded, appended, sealRows int) {
 	t.Helper()
 	infos := sh.ShardStats()
@@ -61,8 +62,22 @@ func checkShardStructure(t *testing.T, sh *Sharded, logical []int64, loaded, app
 	if start+sh.PendingRows() != len(logical) {
 		t.Fatalf("shards cover %d rows + %d pending, want %d", start, sh.PendingRows(), len(logical))
 	}
-	if !slices.Equal(sh.MaterializeRows(), logical) {
-		t.Fatal("MaterializeRows differs from the logical rows")
+	// The rows read back are the logical ones shard by shard: in row
+	// order, and sorted where a settled shard's index's leaves hold them.
+	rows := sh.MaterializeRows()
+	start = 0
+	for i, inf := range infos {
+		want := slices.Clone(logical[start : start+inf.Rows])
+		if inf.Form == shard.FormSettled {
+			slices.Sort(want)
+		}
+		if !slices.Equal(rows[start:start+inf.Rows], want) {
+			t.Fatalf("shard %d (%s): MaterializeRows differs from its logical rows", i, inf.Form)
+		}
+		start += inf.Rows
+	}
+	if !slices.Equal(rows[start:], logical[start:]) {
+		t.Fatal("MaterializeRows differs from the pending rows")
 	}
 }
 

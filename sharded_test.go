@@ -470,24 +470,25 @@ func liveHeap() uint64 {
 	return ms.HeapAlloc
 }
 
-// TestSettledRowsStoredOnce pins what a settle is for, and the rule that
-// rows which cannot be freed are never packed. The four loaded shards of
-// a raw table slice one array. With three of their indexes converged and
-// the fourth never queried, the table holds that array and three B+-trees
-// over packed leaves and not one packed block of base rows — packing
-// then would add to the heap, since the array stays for the fourth. Once
-// the fourth has converged too, all four settle: the array is gone, and
-// the table holds its rows twice at their packed width, in row order and
-// sorted under the trees' keys, where it used to hold 16 bytes a row for
-// good.
+// TestSettledRowsStoredOnce pins what a settle is for on a one-column
+// table: a converged index holds the shard's rows, as its B+-tree's
+// packed leaves, so the slice that converges the index settles the shard
+// — the raw rows go, no block of base rows is ever packed, and no shard
+// waits for its siblings. The four loaded shards of a raw table slice one
+// array: with three indexes converged and the fourth never queried, the
+// three have settled already and the table holds the array (the fourth
+// still slices it) and three trees. Once the fourth has converged too
+// the array is gone, and the heap is the four trees, at what the shards
+// report — where it used to hold the rows packed twice, in row order
+// beside the trees, and 16 bytes a row before that.
 func TestSettledRowsStoredOnce(t *testing.T) {
 	skipUnderRace(t)
 	const (
 		n     = 1 << 19
 		slack = n / 2 // block headers, views, the collector's slop
-		// tree bounds a converged shard's B+-tree: its n/4 rows as 13-bit
-		// leaves, and a key and a prefix sum per node of 64.
-		tree = 2 * (n / 4)
+		// tree bounds a converged shard's B+-tree: its n/4 rows as leaves
+		// of 7 bits a row, and a group reference and a prefix sum per 64.
+		tree = 3 * (n / 4) / 2
 	)
 	base := liveHeap()
 	vals := make([]int64, n)
@@ -511,28 +512,25 @@ func TestSettledRowsStoredOnce(t *testing.T) {
 		}
 	}
 	for i, si := range sh.ShardStats() {
-		if i < 3 && (!si.Converged || si.Form != "raw") || i == 3 && si.Executes != 0 {
+		if i < 3 && (si.Form != "settled" || si.Bytes > tree) || i == 3 && (si.Executes != 0 || si.Form != "raw") {
 			t.Fatalf("three shards converged, one untouched: shard %d is %+v", i, si)
 		}
 	}
 	if held := liveHeap() - base; held > 8*n+3*tree+slack {
-		t.Fatalf("with the loaded array pinned the table holds %.2f B/row, above the array and three packed trees (9.5)", float64(held)/n)
+		t.Fatalf("with the loaded array pinned the table holds %.2f B/row, above the array and three trees (8.6)", float64(held)/n)
 	}
 	for i := 0; i < 100_000 && !sh.Converged(); i++ {
 		sh.RefineStep()
 	}
-	packed := 0
+	trees := 0
 	for i, si := range sh.ShardStats() {
-		if si.Form != "settled" || si.Encoding != "forbp" {
+		if si.Form != "settled" || si.Encoding != "forbp" || si.Bytes > tree {
 			t.Fatalf("converged table: shard %d is %+v", i, si)
 		}
-		packed += si.Bytes
+		trees += si.Bytes
 	}
-	if packed > 2*n+4*tree {
-		t.Fatalf("rows and trees packed to %.2f B/row, want 13-bit blocks twice", float64(packed)/n)
-	}
-	if held := liveHeap() - base; held > uint64(packed+slack) {
-		t.Fatalf("settled table holds %.2f B/row, above the %.2f B/row its shards report: the loaded array or a sorted copy is still there", float64(held)/n, float64(packed)/n)
+	if held := liveHeap() - base; held > uint64(trees+slack) {
+		t.Fatalf("settled table holds %.2f B/row, above the %.2f B/row of its trees: the loaded array or a packed copy of it is still there", float64(held)/n, float64(trees)/n)
 	}
 	runtime.KeepAlive(sh)
 }
