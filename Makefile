@@ -16,9 +16,10 @@ race:
 # Tier-1 at several worker counts: the parallel kernels, the shard
 # fan-out and a settle's pack split their work by GOMAXPROCS, and a bug
 # that needs more workers than the host has cores hides from plain test.
-# Stops at the first red run.
+# Stops at the first red run. -count=1: the test cache does not key on
+# GOMAXPROCS, so a pass at one count would be replayed at the next.
 procs:
-	@for p in 1 4 8; do echo "GOMAXPROCS=$$p"; GOMAXPROCS=$$p $(GO) test ./... || exit 1; done
+	@for p in 1 4 8; do echo "GOMAXPROCS=$$p"; GOMAXPROCS=$$p $(GO) test -count=1 ./... || exit 1; done
 
 # One kernel's ns/op: every benchmark of the six packages CI's bench
 # smoke runs once. For one of them, e.g.
@@ -51,7 +52,9 @@ vet:
 # framed per 64-row group; a memory feature) raised it from 19 674 by its
 # net, +258: encode.SortedBlock and its kernels in, Segment's lane kernels
 # and the factory's error out.
-LOC_MAX ?= 19932
+# PR 38 (one seal path for raw and compressed tables; appended rows
+# settle) lowered it from 19 932.
+LOC_MAX ?= 19899
 loc:
 	@n=$$(find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -not -path './.bench_build/*' -print0 | xargs -0 cat | wc -l); \
 	echo $$n; \

@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -220,6 +221,13 @@ func TestHotPathAllocations(t *testing.T) {
 	// to a list).
 	var appended int
 	tables := make([]int, len(pb.bks))
+	// testing.AllocsPerRun counts the whole process's mallocs, and the
+	// process's first collection starts the runtime's background mark
+	// workers, 4 mallocs of the runtime's own. The step's block appends
+	// can trigger that collection inside the window (about one run in
+	// thirty at GOMAXPROCS 8, "gc 1 … 1 P" in GODEBUG=gctrace=1), so
+	// collect first.
+	runtime.GC()
 	allocs := testing.AllocsPerRun(1, func() {
 		appended = 0
 		for i, bk := range pb.bks {

@@ -60,19 +60,16 @@ func (s *Sharded) KeepRowOrder() { s.rowOrdered = true }
 
 // settleable reports whether the shard would free its raw rows by
 // settling, were its index to let go of them (noteIndexDone asks it); the
-// answer never changes over its life as an indexed shard. A tail-born
-// shard below the seal threshold leaves its rows in the extent a later
-// seal merges them from; a larger one owns its extent, and a claimed
-// shard its decode. Rows packed in row order must pack narrow, and the
-// loaded shards of a raw row-ordered table slice one array, freed only
-// when all of them let go of it: all must be narrow. Caller holds st.mu.
+// answer never changes over its life as an indexed shard. A shard that a
+// seal or a claim built owns its rows, whatever its size. Rows packed in
+// row order must pack narrow, and the loaded shards of a raw row-ordered
+// table slice one array, freed only when all of them let go of it: all
+// must be narrow. Caller holds st.mu.
 func (s *Sharded) settleable(st *state) bool {
 	switch {
-	case st.tailBorn:
-		return st.end-st.start >= s.sealRows && (!s.rowOrdered || st.narrow())
 	case !s.rowOrdered:
 		return true
-	case s.encoding.Compressed():
+	case st.tailBorn || s.encoding.Compressed():
 		return st.narrow()
 	}
 	return s.loadedNarrow

@@ -3,6 +3,7 @@ package shard
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -220,9 +221,9 @@ func TestSettledShardAnswersThroughIndex(t *testing.T) {
 // TestSettleWaitsForLoadedSiblings pins the shared-array rule: the
 // loaded shards of a raw row-ordered table pack nothing until the index of every one
 // of them has converged, take no idle slice meanwhile, and then all
-// settle; and the shards that never settle — a tail-born one below the
-// seal threshold, any shard of a table with one loaded shard too wide
-// to pack — are converged with their index, as before.
+// settle; a tail-born shard, which owns its rows, settles whatever its
+// size; and the shards that never settle — any shard of a table with one
+// loaded shard too wide to pack — are converged with their index.
 func TestSettleWaitsForLoadedSiblings(t *testing.T) {
 	const per = BlockRows + 10
 	logical := clustered(4 * per)
@@ -248,13 +249,13 @@ func TestSettleWaitsForLoadedSiblings(t *testing.T) {
 	if stubs := releasingStubs(sh); stubs[3].queries.Load() != 1 || stubs[0].queries.Load() != before {
 		t.Fatalf("idle slice went to a waiting shard: fourth has %d queries", stubs[3].queries.Load())
 	}
-	// A small tail-born shard: sealed by the idle flush, never settled.
+	// A small tail-born shard: sealed by the idle flush, then settled.
 	if err := sh.Append([]int64{5, 6, 7}); err != nil {
 		t.Fatal(err)
 	}
 	logical = append(logical, 5, 6, 7)
 	drain(t, sh)
-	want := []string{FormSettled, FormSettled, FormSettled, FormSettled, FormRaw}
+	want := []string{FormSettled, FormSettled, FormSettled, FormSettled, FormSettled}
 	for i, si := range sh.ShardStats() {
 		if si.Form != want[i] || !si.Converged {
 			t.Fatalf("drained table, shard %d: %+v, want form %s", i, si, want[i])
@@ -508,6 +509,86 @@ func TestReadersRaceSettle(t *testing.T) {
 	for i, si := range sh.ShardStats()[:4] {
 		if si.Form != FormSettled {
 			t.Fatalf("loaded shard %d never settled: %+v", i, si)
+		}
+	}
+}
+
+// TestSealRacesSettle runs seals against the queries that settle the
+// small tail-born shards those seals absorb: one goroutine appends small
+// batches and flushes each into a merge, while queries over the appended
+// rows converge — and so settle — the shards the next merge reads, so
+// that a seal reads an absorbed shard's rows while a slice swaps the form
+// they are held in. Every answer stays exact and the drained table holds
+// every row once, on a one-column table and on a row-ordered one.
+// Meaningful under -race.
+func TestSealRacesSettle(t *testing.T) {
+	const batches, batch, base = 150, 24, 1 << 21
+	for _, rowOrdered := range []bool{false, true} {
+		loaded := uniform(4*BlockRows, 20, 15)
+		sh, err := New(column.MustNew(slices.Clone(loaded)), Config{Shards: 2, Workers: 2, SealRows: 1 << 20},
+			coreFactory("PQ", core.Config{Delta: 0.25}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rowOrdered {
+			sh.KeepRowOrder()
+		}
+		tl := obs.NewTimeline(1 << 12)
+		sh.SetEventSink(tl)
+		var queries atomic.Int64
+		var done, failed atomic.Bool
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer done.Store(true)
+			vals := make([]int64, batch)
+			for b := 0; b < batches; b++ {
+				for i := range vals {
+					vals[i] = base + int64(b*batch+i)
+				}
+				if err := sh.Append(vals); err != nil {
+					t.Error(err)
+					return
+				}
+				sh.FlushTail()
+				for q := queries.Load(); queries.Load() < q+3 && !failed.Load(); { // let the queries at the new shards
+					runtime.Gosched()
+				}
+			}
+		}()
+		for !done.Load() && !failed.Load() {
+			ans, err := sh.Execute(query.Request{Pred: query.Range(base, 2*base), Aggs: column.AggCount})
+			if err != nil || ans.Count%batch != 0 {
+				t.Errorf("rowOrdered=%v: %+v err=%v, want whole batches", rowOrdered, ans, err)
+				failed.Store(true)
+			}
+			queries.Add(1)
+		}
+		wg.Wait()
+		if t.Failed() {
+			return
+		}
+		merges, settles := 0, 0
+		for _, e := range tl.Snapshot() {
+			switch {
+			case e.Kind == obs.EvShardSeal && e.B > 0:
+				merges++
+			case e.Kind == obs.EvShardSettle && e.Shard >= 2:
+				settles++
+			}
+		}
+		logical := slices.Clone(loaded)
+		for r := 0; r < batches*batch; r++ {
+			logical = append(logical, base+int64(r))
+		}
+		drain(t, sh)
+		checkExact(t, sh, logical, 0, 2*base, "drained")
+		if got := slices.Sorted(slices.Values(sh.MaterializeRows())); !slices.Equal(got, slices.Sorted(slices.Values(logical))) {
+			t.Fatalf("rowOrdered=%v: the drained table's rows differ from the logical ones", rowOrdered)
+		}
+		if merges == 0 || settles == 0 {
+			t.Fatalf("rowOrdered=%v: vacuous race: %d merging seals, %d tail-born settles", rowOrdered, merges, settles)
 		}
 	}
 }

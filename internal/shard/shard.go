@@ -36,31 +36,28 @@
 // one per full threshold of appended rows, and one per size class
 // below it — and a row is re-indexed at most once per class it climbs
 // through. Loaded shards never merge. A merge carries the absorbed
-// shards' zone (union) and heat, executes and refines (sums), copies no
-// row in raw mode (the merged shard is a wider slice of the tail extent
-// the absorbed shards and the tail already lie in, indexed lazily like
-// any fresh shard), and re-earns its index through the ordinary
-// per-query budget and idle slices: there is no compaction thread.
+// shards' zone (union) and heat, executes and refines (sums), copies its
+// run once — the absorbed shards' rows in whatever form they are held,
+// then the tail — into one buffer the merged shard owns, and re-earns
+// its index through the ordinary per-query budget and idle slices: there
+// is no compaction thread.
 //
 // The table holds its rows once. The loaded shards slice the loaded
 // column's array; appended rows go to a tail extent — an array that
-// starts after the last shard no seal can reach any more (a loaded one,
-// or a tail-born one of at least the threshold), doubles while it
-// fills, and ends with the next such shard — and every tail-born shard
-// is a slice of the extent it was sealed in. There is no growing base
-// column whose reallocations would copy the loaded rows again and
-// leave each superseded array pinned by the shards sealed in it: what
-// the table holds is 8 bytes a raw row plus slack that belongs to the
-// current extent alone — its free capacity and the smaller arrays its
-// not yet absorbed shards were sealed in, under three times the rows
-// it holds — a smooth function of the table's size. And it holds them
+// holds the pending tail, doubles while it fills, and ends at every
+// seal — and every tail-born shard owns the buffer its seal built.
+// There is no growing base column whose reallocations would copy the
+// loaded rows again and leave each superseded array pinned by the
+// shards sealed in it: what the table holds is 8 bytes a raw row plus
+// the extent's free capacity, under the rows it holds. And it holds them
 // raw only while something reads them raw: a shard whose index has
-// converged settles (settle.go) — the raw copy dropped, the index kept,
-// whose B+-tree's packed leaves are the rows, and where the table keeps
-// row order the rows packed block by block first — so a shard has one of
-// three forms, cold (packed blocks, no index), raw (an index over raw
-// rows) or settled (a converged index), and a loaded array or an extent
-// is freed when the last shard slicing it has settled.
+// converged settles (settle.go), whatever its size — the raw copy
+// dropped, the index kept, whose B+-tree's packed leaves are the rows,
+// and where the table keeps row order the rows packed block by block
+// first — so a shard has one of three forms, cold (packed blocks, no
+// index), raw (an index over raw rows) or settled (a converged index),
+// and a loaded array is freed when the last shard slicing it has
+// settled.
 //
 // Readers never lock the table structure: the shard list and tail are
 // published as an immutable copy-on-write view swapped atomically by
@@ -81,9 +78,8 @@
 // decodes the blocks, builds the factory index over the raw rows — and
 // from then on it converges like any loaded shard. Appends still land
 // in the raw pending tail and are compressed at seal time, so ingestion
-// never pays an encode on the hot path; a seal that absorbs shards
-// decodes their blocks (or takes a claimed shard's retained rows) into
-// one buffer with the tail and encodes it once, and the merged shard is
+// never pays an encode on the hot path; a seal builds its run into one
+// buffer as on a raw table and encodes it once, and the merged shard is
 // born cold. In encoded mode the blocks, any claimed shards' rows — until
 // their indexes converge and they settle into their indexes' leaves — and
 // the pending tail (an extent that every seal ends) are the only copies of
@@ -132,14 +128,14 @@ type state struct {
 	// of idx, packed and vals are set, and moves between them under the
 	// write lock alone. Cold (idx == nil): packed only, scanned in place
 	// under the shared lock. Raw: idx over vals — a slice of the loaded
-	// column or of a tail extent in raw mode, the claim's decode of a cold
-	// shard in encoded mode — which never change once set. Settled: idx,
-	// and packed where the table keeps row order; once the index has
-	// converged nothing on the query path reads vals again, so settle
-	// (settle.go) drops them — the index's leaves are the rows, or where
-	// row order is kept they are first packed block by block — and keeps
-	// the index, which still answers every query. In every form the table
-	// keeps no other copy of the rows.
+	// column or the buffer a seal built in raw mode, the claim's decode
+	// of a cold shard in encoded mode — which never change once set.
+	// Settled: idx, and packed where the table keeps row order; once the
+	// index has converged nothing on the query path reads vals again, so
+	// settle (settle.go) drops them — the index's leaves are the rows, or
+	// where row order is kept they are first packed block by block — and
+	// keeps the index, which still answers every query. In every form the
+	// table keeps no other copy of the rows.
 	packed *encode.Blocks
 	vals   []int64
 
@@ -263,18 +259,13 @@ type Sharded struct {
 	tailMin   int64 // zone of the pending tail (amu-guarded master copy)
 	tailMax   int64
 
-	// ext is the tail extent, owned by amu: the raw rows from logical
-	// row extStart on — the pending tail and, in raw mode, the tail-born
-	// shards below sealRows before it, which slice it and which a later
-	// seal may merge with the tail. Rows already written are never
+	// ext is the tail extent, owned by amu: the pending tail, the raw
+	// rows from logical row tailStart on. Rows already written are never
 	// mutated — Append writes past every published length or moves to a
-	// larger array (appendExtent) — so views and shards pin
-	// length-capped slices of it exactly like a column snapshot. A seal
-	// that leaves nothing mergeable behind (every encoded-mode seal; a
-	// raw-mode seal of sealRows rows or more) drops it, and the next
-	// append starts a new one.
-	ext      []int64
-	extStart int
+	// larger array (appendExtent) — so views pin length-capped slices of
+	// it exactly like a column snapshot. Every seal ends it (sealLocked)
+	// and the next append starts a new one.
+	ext []int64
 	// vmin, vmax are the master copy of the logical column's zone.
 	vmin, vmax int64
 
@@ -448,7 +439,6 @@ func New(col *column.Column, cfg Config, factory Factory) (*Sharded, error) {
 		budgetSizedFor: cfg.BudgetSizedFor,
 		encoding:       cfg.Encoding,
 		tailStart:      n,
-		extStart:       n,
 		vmin:           col.Min(),
 		vmax:           col.Max(),
 		model:          costmodel.New(cfg.Params),
@@ -498,10 +488,10 @@ func (s *Sharded) publishLocked(shards []*state) {
 	n := len(s.ext)
 	s.cur.Store(&view{
 		shards:  shards,
-		rows:    s.extStart + n,
+		rows:    s.tailStart + n,
 		vmin:    s.vmin,
 		vmax:    s.vmax,
-		tail:    s.ext[s.tailStart-s.extStart : n : n],
+		tail:    s.ext[:n:n],
 		tailMin: s.tailMin,
 		tailMax: s.tailMax,
 	})
@@ -526,7 +516,7 @@ func (s *Sharded) Append(values []int64) error {
 	}
 	s.amu.Lock()
 	defer s.amu.Unlock()
-	if s.pendingLocked() == 0 {
+	if len(s.ext) == 0 {
 		s.tailMin, s.tailMax = mn, mx
 	} else {
 		s.tailMin, s.tailMax = min(s.tailMin, mn), max(s.tailMax, mx)
@@ -534,7 +524,7 @@ func (s *Sharded) Append(values []int64) error {
 	s.vmin, s.vmax = min(s.vmin, mn), max(s.vmax, mx)
 	s.ext = appendExtent(s.ext, values)
 	shards := s.cur.Load().shards
-	if s.pendingLocked() >= s.sealRows {
+	if len(s.ext) >= s.sealRows {
 		if sealed, err := s.sealLocked(); err == nil {
 			shards = sealed
 		}
@@ -549,9 +539,8 @@ func (s *Sharded) Append(values []int64) error {
 // appendExtent appends values to the tail extent without disturbing
 // what is published: within capacity the rows land past every pinned
 // length; beyond it the extent moves to an array of twice the capacity
-// and the old one lives on for as long as a view or a shard sealed in it
-// does. Doubling keeps that cost at one copy per row, and the arrays the
-// small tail-born shards still pin at less than the current one.
+// and the old one lives on for as long as a view still pins it. Doubling
+// keeps that cost at one copy per row.
 func appendExtent(ext, values []int64) []int64 {
 	if need := len(ext) + len(values); need > cap(ext) {
 		grown := make([]int64, len(ext), max(2*cap(ext), need))
@@ -560,9 +549,6 @@ func appendExtent(ext, values []int64) []int64 {
 	}
 	return append(ext, values...)
 }
-
-// pendingLocked is the pending-tail size; caller holds amu.
-func (s *Sharded) pendingLocked() int { return s.extStart + len(s.ext) - s.tailStart }
 
 // sealLocked is the one place a shard is born after load: Append's
 // threshold seal and FlushTail's idle flush both end here. The run
@@ -573,17 +559,16 @@ func (s *Sharded) pendingLocked() int { return s.extStart + len(s.ext) - s.tailS
 // sealRows keep strictly decreasing size classes left to right and at
 // most ⌈log₂ sealRows⌉ of them exist however small the appends are.
 // The merged shard covers the absorbed row ranges plus the tail, with
-// the union zone and the summed heat/executes/refines; it is unindexed
-// (raw mode: a lazy factory index over a wider slice of the tail
-// extent, no row copied) or cold (encoded mode: one re-encode of the
-// absorbed rows),
-// and re-earns its index through the ordinary budget and idle slices.
+// the union zone and the summed heat/executes/refines; its rows are one
+// copy of the run, and it is unindexed (raw mode: a lazy factory index
+// over them) or cold (encoded mode: their encode), and re-earns its
+// index through the ordinary budget and idle slices.
 // The absorbed states are not touched: queries still holding the old
 // view finish against them. On error nothing has changed. Caller holds
 // amu; the returned list is not yet published.
 func (s *Sharded) sealLocked() ([]*state, error) {
 	old := s.cur.Load().shards
-	rows := s.pendingLocked()
+	rows := len(s.ext)
 	end := s.tailStart + rows
 	mn, mx := s.tailMin, s.tailMax
 	keep := len(old)
@@ -596,48 +581,33 @@ func (s *Sharded) sealLocked() ([]*state, error) {
 	absorbed := old[keep:]
 	start := end - rows
 
+	// The run's rows go into one exact buffer — each absorbed shard's in
+	// whatever form it holds them (raw, packed, or its settled index's
+	// leaves), then the tail — so every seal ends the extent and the shard
+	// owns its rows.
+	buf := make([]int64, 0, rows)
+	for _, a := range absorbed {
+		buf = a.appendRows(buf)
+	}
+	buf = append(buf, s.ext...)
 	var st *state
-	if !s.encoding.Compressed() {
-		// The extent holds every row a seal can still reach (it starts
-		// after the last final shard), so the run is one slice of it. A
-		// run of sealRows rows or more has absorbed every smaller shard:
-		// nothing will merge with these rows again, the extent ends here,
-		// and if doubling left it mostly empty the final shard takes an
-		// exact copy rather than pinning the slack for good.
-		vals := s.ext[start-s.extStart : end-s.extStart : end-s.extStart]
-		final := rows >= s.sealRows
-		if final && cap(s.ext)-len(s.ext) > len(s.ext)/8 {
-			vals = append(make([]int64, 0, rows), vals...)
-		}
-		pcol, err := column.NewWithStats(vals, mn, mx)
-		if err != nil {
-			return nil, err
-		}
-		st = &state{idx: s.factory(pcol), vals: vals, start: start, end: end, min: mn, max: mx}
-		if final {
-			s.ext, s.extStart = nil, end
-		}
-	} else {
-		// Appends ride raw and pay the encode here; the extent is the
-		// pending tail alone. With nothing to absorb it is encoded
-		// itself (no copy).
-		buf := s.ext
-		if len(absorbed) > 0 {
-			buf = make([]int64, 0, rows)
-			for _, a := range absorbed {
-				buf = a.appendRows(buf)
-			}
-			buf = append(buf, s.ext...)
-		}
+	if s.encoding.Compressed() {
+		// Appends ride raw and pay the encode here.
 		packed, err := encode.NewBlocks(buf, mn, mx, s.encoding)
 		if err != nil {
 			return nil, err
 		}
 		st = newColdState(packed, start, end, mn, mx)
-		// Published views pin the old extent; dropping the reference
-		// (rather than truncating it) keeps them immutable.
-		s.ext, s.extStart = nil, end
+	} else {
+		pcol, err := column.NewWithStats(buf, mn, mx)
+		if err != nil {
+			return nil, err
+		}
+		st = &state{idx: s.factory(pcol), vals: buf, start: start, end: end, min: mn, max: mx}
 	}
+	// Published views pin the old extent; dropping the reference (rather
+	// than truncating it) keeps them immutable.
+	s.ext = nil
 	st.tailBorn = true
 	s.noteBornDone(st) // e.g. a full-index shard is terminal at birth
 	for _, a := range absorbed {
@@ -678,7 +648,7 @@ func MaxShards(loaded, appended, sealRows int) int {
 // appendRows appends the shard's rows to dst — from its raw rows while it
 // has them, from the packed blocks of a cold or row-ordered settled shard,
 // all in row order, and sorted from the index's leaves where a settled
-// shard packed none — the extraction shared by encoded-mode merges and
+// shard packed none — the extraction shared by merges and
 // MaterializeRows.
 func (st *state) appendRows(dst []int64) []int64 {
 	st.mu.RLock()
@@ -1235,7 +1205,7 @@ func (s *Sharded) RefineShard() (query.Stats, bool) {
 func (s *Sharded) FlushTail() {
 	s.amu.Lock()
 	defer s.amu.Unlock()
-	if s.pendingLocked() == 0 {
+	if len(s.ext) == 0 {
 		return // nothing pending, or a concurrent seal beat us to it
 	}
 	shards, err := s.sealLocked()

@@ -693,22 +693,23 @@ func liveHeap() uint64 {
 	return ms.HeapAlloc
 }
 
-// TestAppendedRowsAreStoredOnce pins what the tail extents are for: the
+// TestAppendedRowsAreStoredOnce pins what the tail extent is for: the
 // memory a raw table holds for its appended rows is 8 bytes a row plus a
-// bounded allowance for the current extent, at every point of the
-// growth. A growing column shared by all shards fails it twice over —
-// every reallocation copies the loaded rows again, and the superseded
-// array stays pinned by the shards sealed in it — and in steps, so the
-// total depends on where the row count stands between two
-// reallocations. The stub index holds nothing but its column, so the
-// heap is the storage.
+// bounded allowance for the extent, at every point of the growth. A
+// growing column shared by all shards fails it twice over — every
+// reallocation copies the loaded rows again, and the superseded array
+// stays pinned by the shards sealed in it — and in steps, so the total
+// depends on where the row count stands between two reallocations; so
+// does an extent that outlives the seals it feeds. Every seal ends the
+// extent and its shard owns one exact buffer, so what is left beside the
+// rows is the extent's free capacity. The stub index holds nothing but
+// its column and never lets go of it, so the heap is the storage.
 func TestAppendedRowsAreStoredOnce(t *testing.T) {
 	const (
 		loaded, batch, sealRows = 1 << 18, 256, 1 << 16
-		// The extent's free capacity and the smaller arrays its shards
-		// still pin, for an extent that ends by 2·sealRows rows here;
-		// plus views, states and the collector's own slop.
-		allowance = 8*4*sealRows + 1<<18
+		// The extent's free capacity — it holds one drained batch at
+		// most here — plus views, states and the collector's own slop.
+		allowance = 1 << 16
 	)
 	sh, err := New(column.MustNew(clustered(loaded)), Config{Shards: 4, Workers: 1, SealRows: sealRows}, stubFactory(1))
 	if err != nil {

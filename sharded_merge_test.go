@@ -21,10 +21,12 @@ import (
 // extrema of its row range, loaded shards keep their size (they never
 // merge), the tail-born shards below sealRows sit rightmost with
 // strictly decreasing size classes (hence sizes), the shard count
-// respects shard.MaxShards, and the rows the table holds — its shards'
-// slices of the loaded column and of the tail extents, or a settled
-// shard's index's leaves, are the only copy — are the logical rows, a
-// settled shard's sorted and every other row in order.
+// respects shard.MaxShards, and the rows the table holds — its loaded
+// shards' slices of the loaded column, the buffers its seals built, or a
+// settled shard's index's leaves, are the only copy — are the logical
+// rows. A loaded shard's read back in order, sorted once it has settled;
+// a tail-born shard's are its row range's multiset, since a seal merges
+// its parts as they are held, settled ones sorted.
 func checkShardStructure(t *testing.T, sh *Sharded, logical []int64, loaded, appended, sealRows int) {
 	t.Helper()
 	infos := sh.ShardStats()
@@ -62,16 +64,20 @@ func checkShardStructure(t *testing.T, sh *Sharded, logical []int64, loaded, app
 	if start+sh.PendingRows() != len(logical) {
 		t.Fatalf("shards cover %d rows + %d pending, want %d", start, sh.PendingRows(), len(logical))
 	}
-	// The rows read back are the logical ones shard by shard: in row
-	// order, and sorted where a settled shard's index's leaves hold them.
+	// The rows read back are the logical ones shard by shard: a loaded
+	// shard's in row order, and sorted where its settled index's leaves
+	// hold them; a tail-born shard's as a multiset.
 	rows := sh.MaterializeRows()
 	start = 0
 	for i, inf := range infos {
-		want := slices.Clone(logical[start : start+inf.Rows])
-		if inf.Form == shard.FormSettled {
+		got, want := rows[start:start+inf.Rows], slices.Clone(logical[start:start+inf.Rows])
+		if i >= loaded {
+			got = slices.Sorted(slices.Values(got))
+		}
+		if i >= loaded || inf.Form == shard.FormSettled {
 			slices.Sort(want)
 		}
-		if !slices.Equal(rows[start:start+inf.Rows], want) {
+		if !slices.Equal(got, want) {
 			t.Fatalf("shard %d (%s): MaterializeRows differs from its logical rows", i, inf.Form)
 		}
 		start += inf.Rows

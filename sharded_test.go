@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/data"
 	"repro/internal/query"
+	"repro/internal/shard"
 )
 
 // boundedColumn is testColumn without the ±2^62 extreme sentinels, for
@@ -531,6 +532,58 @@ func TestSettledRowsStoredOnce(t *testing.T) {
 	}
 	if held := liveHeap() - base; held > uint64(trees+slack) {
 		t.Fatalf("settled table holds %.2f B/row, above the %.2f B/row of its trees: the loaded array or a packed copy of it is still there", float64(held)/n, float64(trees)/n)
+	}
+	runtime.KeepAlive(sh)
+}
+
+// TestAppendedRowsSettle pins that appended rows settle like loaded ones:
+// a seal builds its run into one buffer the shard owns, so a tail-born
+// shard of any size — the small ones an idle flush cuts and a later seal
+// merges included — settles on the slice that converges its index. A
+// table that takes 256-row appends, each drained by idle slices, holds
+// every shard settled after every drain, and its heap is what the shards
+// report: no raw row of an appended shard and no tail extent is left.
+func TestAppendedRowsSettle(t *testing.T) {
+	skipUnderRace(t)
+	const (
+		n, batch, appends = 1 << 16, 256, 160
+		slack             = 3 * n / 4 // views, shard states, the collector's slop
+	)
+	base := liveHeap()
+	rng := rand.New(rand.NewSource(12))
+	vals := make([]int64, n)
+	for i := range vals {
+		vals[i] = rng.Int63n(1 << 20)
+	}
+	sh, err := NewHandle(vals, Options{Strategy: StrategyQuicksort, Delta: 0.25, Shards: 4, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	vals = nil
+	rows := make([]int64, batch)
+	for a := 0; a < appends; a++ {
+		for i := range rows {
+			rows[i] = rng.Int63n(1 << 20)
+		}
+		if err := sh.Append(rows); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 100_000 && !sh.Converged(); i++ {
+			sh.RefineStep()
+		}
+		if !sh.Converged() || sh.PendingRows() != 0 {
+			t.Fatalf("append %d: the table never drained", a)
+		}
+		held := 0
+		for i, si := range sh.ShardStats() {
+			if si.Form != shard.FormSettled {
+				t.Fatalf("append %d: shard %d of %d is %+v, want settled", a, i, sh.Shards(), si)
+			}
+			held += si.Bytes
+		}
+		if heap := liveHeap() - base; heap > uint64(held+slack) {
+			t.Fatalf("append %d: the table holds %d bytes, its shards report %d: raw appended rows are still held", a, heap, held)
+		}
 	}
 	runtime.KeepAlive(sh)
 }
