@@ -54,7 +54,11 @@ vet:
 # and the factory's error out.
 # PR 38 (one seal path for raw and compressed tables; appended rows
 # settle) lowered it from 19 932.
-LOC_MAX ?= 19899
+# The quiescent route (a converged table's queries answered on the
+# handler goroutine, through a reflection-free query codec; a perf
+# feature) raised it from 19 899 by its net, +560: codec.go in, the
+# query path's encoding/json out.
+LOC_MAX ?= 20459
 loc:
 	@n=$$(find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -not -path './.bench_build/*' -print0 | xargs -0 cat | wc -l); \
 	echo $$n; \

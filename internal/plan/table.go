@@ -192,6 +192,26 @@ func (t *Table) ExplainConj(c query.Conjunction, forceDriver string) (query.Answ
 	return ans, ch, err
 }
 
+// ExecuteQuiescent answers c if the table is quiescent — no column has
+// index work left to hand out (shard.Sharded.Quiescent) — and otherwise
+// reports false having answered nothing. Check and answer share one read
+// lock, so no append lands between them. The answer runs with every
+// index clamped, as a batch follower's does; on a quiescent table that
+// is the answer a batch of one would give, and a batch would have had
+// nothing to claim, spend or flush after it.
+func (t *Table) ExecuteQuiescent(c query.Conjunction, tr *obs.Trace) (query.Answer, bool, error) {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	for _, cs := range t.cols {
+		if !cs.idx.Quiescent() {
+			return query.Answer{}, false, nil
+		}
+	}
+	var ch Choice
+	ans, err := t.execConj(c, tr, -1, false, &ch)
+	return ans, true, err
+}
+
 // Converged implements Index: every column's table has converged.
 func (t *Table) Converged() bool {
 	for _, cs := range t.cols {

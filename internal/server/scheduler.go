@@ -15,6 +15,13 @@
 // mixed reader/writer traffic too. A session that appends and then
 // queries sees its own rows: the append's reply is sent only after its
 // batch fully executed, so the follow-up query lands in a later batch.
+//
+// A query that needs no δ does not queue for one. Once a batch has found
+// the table quiescent — every column converged, no cold shard left to
+// claim (plan.Table.ExecuteQuiescent) — its queries are answered on the
+// caller's goroutine under the table's read lock, each counted as a
+// batch of one, until an append (or anything else that changes the
+// table) sends the next query to a batch again.
 package server
 
 import (
@@ -150,7 +157,8 @@ type task struct {
 	trace *obs.Trace
 }
 
-// Scheduler serializes one table's queries through a single goroutine.
+// Scheduler serializes one table's appends, checkpoints and
+// index-building queries through a single goroutine.
 type Scheduler struct {
 	table    *catalog.Table
 	idx      *plan.Table
@@ -257,7 +265,7 @@ func newScheduler(t *catalog.Table, queueDepth, maxBatch int, reg *obs.Registry)
 // context is cancelled, or the scheduler stops: ExecuteConj for a plain
 // request, with no deadline and no forced trace.
 func (s *Scheduler) Execute(ctx context.Context, req progidx.Request) (progidx.Answer, ExecInfo, error) {
-	t := &task{reply: make(chan result, 1), enqueued: time.Now()}
+	t := &task{enqueued: time.Now()}
 	t.pred[0].Pred = req.Pred
 	t.conj = query.Conjunction{Preds: t.pred[:], Aggs: req.Aggs}
 	ans, info, _, err := s.submit(ctx, t, false)
@@ -273,15 +281,22 @@ func (s *Scheduler) Execute(ctx context.Context, req progidx.Request) (progidx.A
 // Config.TraceSample queries is traced into the ring, at the cost of one
 // atomic load when sampling is off, and the returned trace is nil.
 func (s *Scheduler) ExecuteConj(ctx context.Context, c query.Conjunction, deadline time.Time, forceTrace bool) (progidx.Answer, ExecInfo, *obs.Trace, error) {
-	return s.submit(ctx, &task{conj: c, deadline: deadline, reply: make(chan result, 1), enqueued: time.Now()}, forceTrace)
+	return s.submit(ctx, &task{conj: c, deadline: deadline, enqueued: time.Now()}, forceTrace)
 }
 
-// submit admits the query task t for Execute and ExecuteConj.
+// submit answers the query task t for Execute and ExecuteConj: on the
+// caller's goroutine when its table is quiescent (route), through the
+// admission queue otherwise.
 func (s *Scheduler) submit(ctx context.Context, t *task, forceTrace bool) (progidx.Answer, ExecInfo, *obs.Trace, error) {
 	if forceTrace || s.reg.Sample() {
 		t.trace = obs.NewTrace("query", s.table.Name())
 	}
-	r, err := s.admit(ctx, t)
+	r, routed := s.route(t)
+	var err error
+	if !routed {
+		t.reply = make(chan result, 1)
+		r, err = s.admit(ctx, t)
+	}
 	if err != nil {
 		return progidx.Answer{}, ExecInfo{}, nil, err
 	}
@@ -290,6 +305,51 @@ func (s *Scheduler) submit(ctx context.Context, t *task, forceTrace bool) (progi
 		tr = t.trace
 	}
 	return r.ans, r.info, tr, r.err
+}
+
+// route answers query t on the caller's goroutine, under the table's
+// read lock, if the table is quiescent: no column has index work left to
+// hand out, so a batch would do nothing but answer it
+// (plan.Table.ExecuteQuiescent). Otherwise it reports false and t goes
+// to admit, which also turns away a stopped or quarantined table's
+// queries with ErrStopped or ErrQuarantined. A routed query keeps what
+// the queue gives one — the count as a batch of one, the latency ring,
+// histograms, traces and the slow-query log — but there is no
+// queue_wait: nothing queued.
+func (s *Scheduler) route(t *task) (result, bool) {
+	select {
+	case <-s.quit:
+		return result{}, false
+	default:
+	}
+	if s.quarantined.Load() || s.idx == nil { // a scheduler over no table only queues
+		return result{}, false
+	}
+	sp := t.trace.Start(t.trace.Root(), "execute")
+	t.trace.Int(sp, "batch", 1)
+	t.trace.SetAttach(sp)
+	ans, ok, err := s.idx.ExecuteQuiescent(t.conj, t.trace)
+	if !ok {
+		if t.trace != nil {
+			// Drop the execute span just opened: the queue opens its own.
+			t.trace = obs.NewTrace("query", s.table.Name())
+		}
+		return result{}, false
+	}
+	finished := time.Now()
+	t.trace.EndAt(sp, finished)
+	r := result{ans: ans, err: err, info: ExecInfo{Batch: 1}}
+	s.mu.Lock()
+	s.queries++
+	s.batches++
+	s.maxSeen = max(s.maxSeen, 1)
+	s.recordLatency(finished.Sub(t.enqueued))
+	s.mu.Unlock()
+	if s.tobs != nil {
+		s.tobs.BatchSize.Observe(1)
+	}
+	s.observeTask(t, &r, t.enqueued, finished, s.reg.SlowThreshold())
+	return r, true
 }
 
 // Append admits an ingest task on the same queue as queries and blocks
@@ -986,9 +1046,11 @@ func (s *Scheduler) observeTask(t *task, r *result, started, finished time.Time,
 		// the loop already had, so /debug/traces still shows the slow
 		// query's queue/execute split even with sampling off.
 		tr := s.reg.NewRetro(s.table.Name(), t.enqueued)
-		sp := tr.StartAt(tr.Root(), "queue_wait", t.enqueued)
-		tr.EndAt(sp, started)
-		sp = tr.StartAt(tr.Root(), "execute", started)
+		if !started.Equal(t.enqueued) { // a routed query never queued
+			sp := tr.StartAt(tr.Root(), "queue_wait", t.enqueued)
+			tr.EndAt(sp, started)
+		}
+		sp := tr.StartAt(tr.Root(), "execute", started)
 		tr.EndAt(sp, finished)
 		tr.FinishAt(finished)
 		s.reg.Traces.Add(tr)

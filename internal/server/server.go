@@ -701,48 +701,21 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, fmt.Errorf("table %q not found", name))
 		return
 	}
-	var qreq QueryRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxQueryBodyBytes)).Decode(&qreq); err != nil {
+	codec := codecPool.Get().(*queryCodec)
+	defer codecPool.Put(codec)
+	if err := codec.readQuery(w, r); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("decode body: %w", err))
 		return
 	}
-	aggs, err := parseAggs(qreq.Aggs)
+	c, err := codec.req.conjunction()
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-
-	// Either form is a conjunction: a predicate list (possibly empty,
-	// aggregating the whole Target column), or the single pred, which
-	// addresses the unnamed first column. The two are mutually exclusive.
-	c := query.Conjunction{Target: qreq.Target, Aggs: aggs}
-	if len(qreq.Predicates) > 0 || qreq.Target != "" {
-		if qreq.Pred.Kind != "" || qreq.Pred.Lo != nil || qreq.Pred.Hi != nil || qreq.Pred.Value != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("provide pred or predicates, not both"))
-			return
-		}
-		for _, ps := range qreq.Predicates {
-			p, perr := ps.predicate()
-			if perr != nil {
-				writeError(w, http.StatusBadRequest, fmt.Errorf("predicate on column %q: %w", ps.Col, perr))
-				return
-			}
-			c.Preds = append(c.Preds, query.ColPredicate{Col: ps.Col, Pred: p})
-		}
-		if err := c.Validate(); err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-	} else {
-		pred, err := qreq.Pred.predicate()
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		c.Preds = []query.ColPredicate{{Pred: pred}}
+	var params url.Values
+	if r.URL.RawQuery != "" {
+		params = r.URL.Query()
 	}
-
-	params := r.URL.Query()
 	deadline, derr := s.queryDeadline(params)
 	if derr != nil {
 		writeError(w, http.StatusBadRequest, derr)
@@ -753,11 +726,47 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.writeSchedError(w, r, sched, name, err)
 		return
 	}
-	resp := queryResponse(ans, info)
 	if trace != nil {
+		resp := queryResponse(ans, info)
 		resp.Trace = trace.Tree()
+		writeJSON(w, http.StatusOK, resp)
+		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	codec.out = appendAnswer(codec.out[:0], ans, info)
+	w.Header()["Content-Type"] = jsonContentType
+	w.Write(codec.out)
+}
+
+var jsonContentType = []string{"application/json"}
+
+// conjunction is the query q asks: a predicate list (possibly empty,
+// aggregating the whole Target column), or the single pred, which
+// addresses the unnamed first column. The two are mutually exclusive.
+func (q *QueryRequest) conjunction() (query.Conjunction, error) {
+	aggs, err := parseAggs(q.Aggs)
+	if err != nil {
+		return query.Conjunction{}, err
+	}
+	c := query.Conjunction{Target: q.Target, Aggs: aggs}
+	if len(q.Predicates) == 0 && q.Target == "" {
+		pred, err := q.Pred.predicate()
+		if err != nil {
+			return query.Conjunction{}, err
+		}
+		c.Preds = []query.ColPredicate{{Pred: pred}}
+		return c, nil
+	}
+	if q.Pred.Kind != "" || q.Pred.Lo != nil || q.Pred.Hi != nil || q.Pred.Value != nil {
+		return query.Conjunction{}, fmt.Errorf("provide pred or predicates, not both")
+	}
+	for _, ps := range q.Predicates {
+		p, err := ps.predicate()
+		if err != nil {
+			return query.Conjunction{}, fmt.Errorf("predicate on column %q: %w", ps.Col, err)
+		}
+		c.Preds = append(c.Preds, query.ColPredicate{Col: ps.Col, Pred: p})
+	}
+	return c, c.Validate()
 }
 
 // queryDeadline resolves one query's answer-by time: ?deadline_ms=

@@ -218,6 +218,9 @@ type view struct {
 	// convergence is sticky, the view itself immutable); a new view
 	// starts false again.
 	done atomic.Bool
+	// quiet is the view's sticky quiescent switch (Quiescent): set by a
+	// batch's claim probe that finds the view done with nothing to claim.
+	quiet atomic.Bool
 }
 
 // Sharded is a range-partitioned progressive index that grows at the
@@ -751,7 +754,8 @@ func (s *Sharded) Execute(req query.Request) (query.Answer, error) {
 // heat-weighted budget split, indexing enabled; a non-lead request (a
 // batch follower, or any request of a batch a deadline clamped: claiming
 // decodes a whole shard, exactly the work such a batch cannot afford)
-// runs every shard suspended. tr, when non-nil, receives the fan-out
+// runs every shard suspended; a leader's pass ends by certifying the
+// view quiescent if it is (Quiescent). tr, when non-nil, receives the fan-out
 // span tree under tr.AttachPoint(): one span per shard — pruned shards
 // get zero-duration spans with zero scanned rows, survivors get kernel
 // timing, budget granted vs spent, rows touched, and encoding — plus
@@ -759,7 +763,11 @@ func (s *Sharded) Execute(req query.Request) (query.Answer, error) {
 func (s *Sharded) ExecuteAs(req query.Request, lead bool, tr *obs.Trace) (query.Answer, error) {
 	sc := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(sc)
-	return s.executeOn(s.cur.Load(), sc, req, lead, tr)
+	ans, err := s.executeOn(s.cur.Load(), sc, req, lead, tr)
+	if lead {
+		s.certify(s.cur.Load())
+	}
+	return ans, err
 }
 
 // executeOn is the one fan-out: it answers req against view v using the
@@ -876,20 +884,34 @@ func (s *Sharded) maybeClaim(v *view, surv []int, heats []uint64) int {
 // claim threshold and returns its row count, 0 when there was none. It
 // is maybeClaim for the columns no query of a batch led on — a table
 // answers every query but the batch's leader clamped, and claims for the
-// other columns when the batch ends.
+// other columns when the batch ends — and, like a leader's pass, it ends
+// by certifying the view quiescent if it is.
 func (s *Sharded) ClaimHot() int {
-	if s.claimHeat == 0 {
-		return 0
-	}
+	rows := 0
 	for i, st := range s.cur.Load().shards {
-		if st.heat.Load() >= s.claimHeat && st.claimable() {
+		if s.claimHeat > 0 && st.heat.Load() >= s.claimHeat && st.claimable() {
 			if s.claim(i, st) {
-				return st.end - st.start
+				rows = st.end - st.start
 			}
-			return 0
+			break
 		}
 	}
-	return 0
+	s.certify(s.cur.Load())
+	return rows
+}
+
+// certify ends a batch's claim probe (ClaimHot, or a leader's pass): it
+// marks v quiescent once v is done and no cold shard is left to claim.
+func (s *Sharded) certify(v *view) {
+	if v.quiet.Load() || !v.allDone() {
+		return
+	}
+	for _, st := range v.shards {
+		if s.claimHeat > 0 && st.claimable() {
+			return
+		}
+	}
+	v.quiet.Store(true)
 }
 
 // claimable is the lock-free half of the claim test: still cold, and
@@ -1250,6 +1272,13 @@ func (s *Sharded) nextRefineTarget(v *view) *state {
 // its index converged and, where the shard settles, its rows packed —
 // and no appended rows are pending.
 func (s *Sharded) Converged() bool { return s.cur.Load().allDone() }
+
+// Quiescent reports whether a batch has found the table with no index
+// work to hand out: Converged, and no cold shard left for a claim to
+// open. Only a batch's claim probe decides it, once per published view —
+// idle refinement does not — so the first query after the table changed
+// runs in a batch.
+func (s *Sharded) Quiescent() bool { return s.cur.Load().quiet.Load() }
 
 // Progress returns the row-weighted mean convergence fraction across
 // shards' indexes, exactly 1 once all shards converged and nothing is
