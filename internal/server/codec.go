@@ -1,393 +1,15 @@
 package server
 
 import (
-	"bytes"
-	"cmp"
-	"fmt"
 	"math"
-	"net/http"
 	"strconv"
 	"sync"
-	"unicode"
-	"unicode/utf16"
-	"unicode/utf8"
 
 	"repro"
 )
 
-// queryCodec is one query's pooled working set, decoded and encoded
-// without reflection: the body, the answer, and the storage behind the
-// decoded Pred's pointers.
-type queryCodec struct {
-	body bytes.Buffer
-	out  []byte
-	req  QueryRequest
-	ints [3]int64
-}
-
-var codecPool = sync.Pool{New: func() any { return new(queryCodec) }}
-
-// readQuery reads r's body through the query body cap and decodes it
-// into c.req, accepting and refusing what json.NewDecoder(body).Decode
-// did: a read error fails the request only if the first value is not
-// complete before it, and what follows that value is never looked at.
-func (c *queryCodec) readQuery(w http.ResponseWriter, r *http.Request) error {
-	c.body.Reset()
-	_, rerr := c.body.ReadFrom(http.MaxBytesReader(w, r.Body, maxQueryBodyBytes))
-	c.req = QueryRequest{}
-	if err := decodeQuery(c.body.Bytes(), &c.req, &c.ints); err != nil {
-		return cmp.Or(rerr, err)
-	}
-	return nil
-}
-
-// decodeQuery decodes a query body into q as encoding/json does: keys
-// match case-insensitively, unknown members are skipped (their syntax
-// still checked), a repeated key decodes into what the last one left,
-// null clears a pointer or a slice and leaves anything else be, and an
-// int64 field refuses fractions, exponents and overflow. ints backs
-// q.Pred's pointers.
-func decodeQuery(body []byte, q *QueryRequest, ints *[3]int64) error {
-	d := jsonIn{b: body}
-	if d.next() != '{' {
-		d.fail("a query is a JSON object")
-		return d.err
-	}
-	d.object(func(key []byte) {
-		switch {
-		case bytes.EqualFold(key, []byte("pred")):
-			d.pred(&q.Pred, nil, ints)
-		case bytes.EqualFold(key, []byte("aggs")):
-			q.Aggs = jsonSlice(&d, q.Aggs, d.str)
-		case bytes.EqualFold(key, []byte("predicates")):
-			q.Predicates = jsonSlice(&d, q.Predicates, func(p *ColPredSpec) { d.pred(&p.PredSpec, &p.Col, nil) })
-		case bytes.EqualFold(key, []byte("target")):
-			d.str(&q.Target)
-		default:
-			d.skip()
-		}
-	})
-	return d.err
-}
-
-// jsonSlice decodes an array, or null, into s as reflection does:
-// elements decode into what s holds, up to its length and then its
-// capacity, a longer array grows s as append does and a shorter one
-// truncates it; [] and null start over.
-func jsonSlice[T any](d *jsonIn, s []T, elem func(*T)) []T {
-	if d.next() == 'n' {
-		d.lit("null")
-		return nil
-	}
-	if d.next() != '[' {
-		d.fail("expected an array")
-		return s
-	}
-	var zero T
-	n := d.array(func(i int) {
-		if i == len(s) && i < cap(s) {
-			s = s[:i+1]
-		} else if i == len(s) {
-			s = append(s, zero)
-		}
-		elem(&s[i])
-	})
-	if n == 0 {
-		return []T{}
-	}
-	return s[:n]
-}
-
-// pred decodes a predicate object, or null, into p: kind, lo, hi, value,
-// and col where col is not nil. ints backs the pointers if not nil.
-func (d *jsonIn) pred(p *PredSpec, col *string, ints *[3]int64) {
-	if d.next() == 'n' {
-		d.lit("null")
-		return
-	}
-	if d.next() != '{' {
-		d.fail("a predicate is an object")
-		return
-	}
-	d.object(func(key []byte) {
-		for i, f := range [3]struct {
-			name string
-			p    **int64
-		}{{"lo", &p.Lo}, {"hi", &p.Hi}, {"value", &p.Value}} {
-			if bytes.EqualFold(key, []byte(f.name)) {
-				var slot *int64
-				if ints != nil {
-					slot = &ints[i]
-				}
-				d.int(f.p, slot)
-				return
-			}
-		}
-		switch {
-		case bytes.EqualFold(key, []byte("kind")):
-			d.str(&p.Kind)
-		case col != nil && bytes.EqualFold(key, []byte("col")):
-			d.str(col)
-		default:
-			d.skip()
-		}
-	})
-}
-
-// jsonIn walks one JSON value with encoding/json's syntax, its nesting
-// limit included. The first error stops it.
-type jsonIn struct {
-	b     []byte
-	i     int
-	depth int
-	err   error
-}
-
-func (d *jsonIn) fail(what string) {
-	if d.err == nil {
-		d.err = fmt.Errorf("%s at offset %d", what, d.i)
-	}
-}
-
-// next skips white space and returns the byte after it, 0 at the end.
-func (d *jsonIn) next() byte {
-	for ; d.i < len(d.b); d.i++ {
-		if c := d.b[d.i]; c != ' ' && c != '\t' && c != '\n' && c != '\r' {
-			return c
-		}
-	}
-	return 0
-}
-
-// skipByte consumes c if it comes next, white space not skipped.
-func (d *jsonIn) skipByte(c byte) bool {
-	if d.i < len(d.b) && d.b[d.i] == c {
-		d.i++
-		return true
-	}
-	return false
-}
-
-// object walks an object's members, calling field with each key,
-// unescaped, to consume its value.
-func (d *jsonIn) object(field func(key []byte)) {
-	d.enter('}', func() {
-		key := d.token()
-		if d.err == nil && d.next() != ':' {
-			d.fail("expected ':'")
-		}
-		if d.err == nil {
-			d.i++
-			field(key)
-		}
-	})
-}
-
-// array walks an array's elements, calling elem with each index to
-// consume it, and returns how many there were.
-func (d *jsonIn) array(elem func(i int)) int {
-	n := 0
-	d.enter(']', func() { elem(n); n++ })
-	return n
-}
-
-// enter consumes an object or an array, end its closing byte, calling
-// item for each member or element.
-func (d *jsonIn) enter(end byte, item func()) {
-	d.i++
-	if d.depth++; d.depth > 10000 {
-		d.fail("exceeded max depth")
-		return
-	}
-	if d.next() != end {
-		for item(); d.err == nil && d.next() == ','; item() {
-			d.i++
-		}
-	}
-	if d.err == nil && !d.skipByte(end) {
-		d.fail("expected ',' or '" + string(end) + "'")
-	}
-	d.depth--
-}
-
-// skip consumes one value of any type.
-func (d *jsonIn) skip() {
-	switch d.next() {
-	case '{':
-		d.object(func([]byte) { d.skip() })
-	case '[':
-		d.array(func(int) { d.skip() })
-	case '"':
-		d.token()
-	case 't':
-		d.lit("true")
-	case 'f':
-		d.lit("false")
-	case 'n':
-		d.lit("null")
-	default:
-		d.number()
-	}
-}
-
-func (d *jsonIn) lit(word string) {
-	if !bytes.HasPrefix(d.b[d.i:], []byte(word)) {
-		d.fail("invalid literal")
-		return
-	}
-	d.i += len(word)
-}
-
-// str decodes a string, or null, into *s.
-func (d *jsonIn) str(s *string) {
-	switch d.next() {
-	case 'n':
-		d.lit("null")
-	case '"':
-		if v := d.token(); d.err == nil {
-			*s = wireString(v)
-		}
-	default:
-		d.fail("expected a string")
-	}
-}
-
-// wireWords are the strings a query names aggregates and predicate kinds
-// with; wireString returns them without allocating.
-var wireWords = [...]string{"range", "point", "atleast", "atmost", "sum", "count", "min", "max", "avg"}
-
-func wireString(v []byte) string {
-	for _, w := range wireWords {
-		if string(v) == w {
-			return w
-		}
-	}
-	return string(v)
-}
-
-// token consumes a string and returns its value: the bytes between the
-// quotes if they are plain ASCII, else unquoted as encoding/json does.
-func (d *jsonIn) token() []byte {
-	if d.next() != '"' {
-		d.fail("expected a string")
-		return nil
-	}
-	start, plain := d.i+1, true
-	for d.i++; d.i < len(d.b) && d.b[d.i] != '"'; d.i++ {
-		switch c := d.b[d.i]; {
-		case c < 0x20:
-			d.fail("control character in a string")
-			return nil
-		case c == '\\':
-			plain = false
-			if d.i+1 < len(d.b) && bytes.IndexByte([]byte(`"\/bfnrt`), d.b[d.i+1]) >= 0 {
-				d.i++
-			} else if getu4(d.b[d.i:]) >= 0 {
-				d.i += 5
-			} else {
-				d.fail("invalid escape in a string")
-				return nil
-			}
-		case c >= utf8.RuneSelf:
-			plain = false
-		}
-	}
-	if !d.skipByte('"') {
-		d.fail("unterminated string")
-		return nil
-	}
-	raw := d.b[start : d.i-1]
-	if !plain {
-		return unquote(raw)
-	}
-	return raw
-}
-
-// getu4 decodes the \uXXXX escape s starts with, or returns -1.
-func getu4(s []byte) rune {
-	if len(s) < 6 || s[0] != '\\' || s[1] != 'u' {
-		return -1
-	}
-	r, err := strconv.ParseUint(string(s[2:6]), 16, 32)
-	if err != nil {
-		return -1
-	}
-	return rune(r)
-}
-
-// unquote unescapes a string's syntax-checked content: invalid UTF-8 and
-// lone surrogates become U+FFFD.
-func unquote(s []byte) []byte {
-	b := make([]byte, 0, len(s))
-	for i := 0; i < len(s); {
-		r, n := utf8.DecodeRune(s[i:])
-		if s[i] == '\\' {
-			r, n = rune(s[i+1]), 2 // '"', '\\' and '/' stand for themselves
-			if k := bytes.IndexByte([]byte("bfnrt"), s[i+1]); k >= 0 {
-				r = rune("\b\f\n\r\t"[k])
-			} else if r == 'u' {
-				r, n = getu4(s[i:]), 6
-				if utf16.IsSurrogate(r) {
-					if r = utf16.DecodeRune(r, getu4(s[i+6:])); r != unicode.ReplacementChar {
-						n = 12
-					}
-				}
-			}
-		}
-		b = utf8.AppendRune(b, r)
-		i += n
-	}
-	return b
-}
-
-// number consumes a number token and returns it.
-func (d *jsonIn) number() []byte {
-	start := d.i
-	d.skipByte('-')
-	if !d.skipByte('0') && d.digits() == 0 {
-		d.fail("invalid number")
-	}
-	if d.skipByte('.') && d.digits() == 0 {
-		d.fail("invalid number")
-	}
-	if d.skipByte('e') || d.skipByte('E') {
-		_ = d.skipByte('+') || d.skipByte('-')
-		if d.digits() == 0 {
-			d.fail("invalid number")
-		}
-	}
-	return d.b[start:d.i]
-}
-
-func (d *jsonIn) digits() int {
-	n := d.i
-	for d.i < len(d.b) && '0' <= d.b[d.i] && d.b[d.i] <= '9' {
-		d.i++
-	}
-	return d.i - n
-}
-
-// int decodes an integer, or null, into **p, pointing a nil *p at slot
-// (or a new int64) first; null sets *p to nil.
-func (d *jsonIn) int(p **int64, slot *int64) {
-	if d.next() == 'n' {
-		d.lit("null")
-		*p = nil
-		return
-	}
-	v, err := strconv.ParseInt(string(d.number()), 10, 64)
-	if err != nil {
-		d.fail("expected an int64")
-		return
-	}
-	if *p == nil {
-		if slot == nil {
-			slot = new(int64)
-		}
-		*p = slot
-	}
-	**p = v
-}
+// answerPool holds the buffers the query handler encodes answers into.
+var answerPool = sync.Pool{New: func() any { return new([]byte) }}
 
 // appendAnswer appends the QueryResponse of ans and info (queryResponse)
 // as json.NewEncoder(w).Encode writes it, newline included, when it

@@ -2,47 +2,74 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"fmt"
+	"log/slog"
 	"math"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"testing"
 	"time"
 
 	"repro"
+	"repro/internal/catalog"
+	"repro/internal/data"
 	"repro/internal/query"
 )
 
-// referenceConjunction is what the query handler did before it had its
-// own decoder: json.NewDecoder(body).Decode, then the same conversion.
-func referenceConjunction(body []byte) (query.Conjunction, error) {
-	var q QueryRequest
-	if err := json.NewDecoder(bytes.NewReader(body)).Decode(&q); err != nil {
-		return query.Conjunction{}, err
-	}
-	return q.conjunction()
-}
-
-// FuzzQueryRequest holds the query decoder to encoding/json: every body
-// is accepted or refused by both, and an accepted one asks the same
-// conjunction. The committed corpus (testdata/fuzz/FuzzQueryRequest)
-// seeds it with the wire tests' bodies and encoding/json's corners:
-// case-folded keys, unknown and null members, escapes, invalid UTF-8,
-// repeated keys, numbers an int64 refuses, trailing bytes.
+// FuzzQueryRequest holds the served query path — the handler's
+// decoding, the route or the queue, and the answer encoder — to its
+// reference: the body decoded by json.NewDecoder, converted by
+// conjunction, executed by Scheduler.ExecuteConj and encoded by
+// encoding/json. A refused body must get the same status and error body;
+// an accepted one the same aggregates. The table is quiescent, so most
+// answers take the route. The committed corpus
+// (testdata/fuzz/FuzzQueryRequest) seeds it with the wire tests' and the
+// benchmark's bodies and encoding/json's corners: case-folded keys,
+// unknown and null members, escapes, invalid UTF-8, repeated keys,
+// numbers an int64 refuses, trailing bytes.
 func FuzzQueryRequest(f *testing.F) {
+	srv := New(Config{Logger: slog.New(slog.DiscardHandler)})
+	f.Cleanup(srv.Close)
+	if _, err := srv.Load("f", data.MultiColumn(2000, 3, 1), catalog.Options{Strategy: progidx.StrategyQuicksort, Delta: 1, Columns: []string{"a", "b", "c"}}); err != nil {
+		f.Fatal(err)
+	}
+	sched, _ := srv.Scheduler("f")
+	awaitQuiescent(f, sched)
+	h := srv.Handler()
 	f.Fuzz(func(t *testing.T, body []byte) {
-		want, wantErr := referenceConjunction(body)
-		var c queryCodec
-		err := decodeQuery(body, &c.req, &c.ints)
-		var got query.Conjunction
-		if err == nil {
-			got, err = c.req.conjunction()
+		req := httptest.NewRequest(http.MethodPost, "/tables/f/query", bytes.NewReader(body))
+		got, want := httptest.NewRecorder(), httptest.NewRecorder()
+		h.ServeHTTP(got, req)
+
+		var q QueryRequest
+		var ans progidx.Answer
+		var info ExecInfo
+		if err := json.NewDecoder(bytes.NewReader(body)).Decode(&q); err != nil {
+			writeError(want, http.StatusBadRequest, fmt.Errorf("decode body: %w", err))
+		} else if c, err := q.conjunction(); err != nil {
+			writeError(want, http.StatusBadRequest, err)
+		} else if ans, info, _, err = sched.ExecuteConj(context.Background(), c, time.Time{}, false); err != nil {
+			srv.writeSchedError(want, req, sched, "f", err)
 		}
-		if (err == nil) != (wantErr == nil) {
-			t.Fatalf("%q: decoder error %v, encoding/json error %v", body, err, wantErr)
+		if got.Code != want.Code || (want.Code != http.StatusOK && !bytes.Equal(got.Body.Bytes(), want.Body.Bytes())) {
+			t.Fatalf("%q: handler answers %d %s, reference %d %s", body, got.Code, got.Body, want.Code, want.Body)
 		}
-		if err == nil && !reflect.DeepEqual(got, want) {
-			t.Fatalf("%q: decoder asks %+v, encoding/json %+v", body, got, want)
+		if want.Code != http.StatusOK {
+			return
+		}
+		var resp QueryResponse
+		if err := json.Unmarshal(got.Body.Bytes(), &resp); err != nil {
+			t.Fatalf("%q: handler answers %s: %v", body, got.Body, err)
+		}
+		ref := queryResponse(ans, info)
+		resp.Stats, resp.BatchSize, resp.QueueMicros = StatsJSON{}, 0, 0
+		ref.Stats, ref.BatchSize, ref.QueueMicros = StatsJSON{}, 0, 0
+		if !reflect.DeepEqual(resp, ref) {
+			t.Fatalf("%q: handler answers %s, reference %+v", body, got.Body, ref)
 		}
 	})
 }

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -25,7 +26,7 @@ import (
 // awaitQuiescent queries sched's table until one of its batches finds it
 // with no index work left to hand out, so that its next queries take the
 // route (Scheduler.route).
-func awaitQuiescent(t *testing.T, sched *Scheduler) {
+func awaitQuiescent(t testing.TB, sched *Scheduler) {
 	t.Helper()
 	probe := query.Conjunction{Preds: []query.ColPredicate{{Pred: progidx.Range(0, 100)}}, Aggs: progidx.Count}
 	for deadline := time.Now().Add(time.Minute); ; time.Sleep(time.Millisecond) {
@@ -252,9 +253,9 @@ func TestQuiescentRouteClaimsColdShards(t *testing.T) {
 }
 
 // TestQuiescentRouteObservability: a query a quiescent table answers on
-// the route still shows in a ?trace=1 span tree — execute, shard_fanout,
-// shard, and no queue_wait, because nothing queued — and in /stats'
-// query count and latency window, as a batch of one.
+// the route still shows in a ?trace=1 span tree of the queue's shape —
+// queue_wait, then execute → shard_fanout → shard — and in /stats' query
+// count and latency window, as a batch of one that queued for 0 µs.
 func TestQuiescentRouteObservability(t *testing.T) {
 	srv, ts := newTestServer(t)
 	loadSortedSharded(t, ts, "q", 8_192, 4)
@@ -268,8 +269,8 @@ func TestQuiescentRouteObservability(t *testing.T) {
 		t.Fatal("?trace=1 response has no trace")
 	}
 	root := resp.Trace.Root
-	if n := len(jsonSpans(root, "queue_wait")); n != 0 {
-		t.Errorf("routed query's trace has %d queue_wait spans, want none", n)
+	if len(root.Children) != 2 || root.Children[0].Name != "queue_wait" || len(root.Children[0].Children) != 0 || root.Children[1].Name != "execute" {
+		t.Fatalf("routed query's trace root holds %+v, want queue_wait then execute", root.Children)
 	}
 	exec := jsonSpans(root, "execute")
 	if len(exec) != 1 || len(jsonSpans(exec[0], "shard_fanout")) != 1 {
@@ -287,5 +288,51 @@ func TestQuiescentRouteObservability(t *testing.T) {
 	m := stats.Tables[0].Scheduler
 	if m.Queries != before.Queries+1 || m.Batches != before.Batches+1 || m.LatencyWindow != before.LatencyWindow+1 {
 		t.Errorf("/stats after one routed query: %+v, before %+v", m, before)
+	}
+}
+
+// TestQuiescentRouteQuarantine: a panic while a quiescent table answers
+// on the route quarantines that table as a panic in its loop does — the
+// query gets ErrQuarantined, later queries and appends too, HTTP answers
+// 503 — while a sibling table keeps serving exact answers on its route.
+func TestQuiescentRouteQuarantine(t *testing.T) {
+	srv := New(Config{Logger: slog.New(slog.DiscardHandler)})
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(func() { ts.Close(); srv.Close() })
+	baseB := data.Uniform(3000, 11)
+	schedA := loadRobust(t, srv, "a", data.Uniform(3000, 10))
+	schedB := loadRobust(t, srv, "b", baseB)
+	awaitQuiescent(t, schedA)
+	awaitQuiescent(t, schedB)
+
+	probe := query.Conjunction{Preds: []query.ColPredicate{{Pred: progidx.Point(1)}}}
+	_, _, _, err := schedA.submit(context.Background(), &task{conj: probe, panicTest: true, enqueued: time.Now()}, false)
+	if !errors.Is(err, ErrQuarantined) {
+		t.Fatalf("panicking routed query = %v, want ErrQuarantined", err)
+	}
+	if st := schedA.State(); st != StateQuarantined {
+		t.Fatalf("State = %v, want quarantined", st)
+	}
+	if _, _, err := schedA.Execute(context.Background(), progidx.Request{Pred: progidx.Point(1)}); !errors.Is(err, ErrQuarantined) {
+		t.Fatalf("query on quarantined table = %v, want ErrQuarantined", err)
+	}
+	if _, _, err := schedA.Append(context.Background(), []int64{1}); !errors.Is(err, ErrQuarantined) {
+		t.Fatalf("append on quarantined table = %v, want ErrQuarantined", err)
+	}
+	if status, body, err := post(ts.URL+"/tables/a/query", rangeQuery(0, 100)); err != nil || status != http.StatusServiceUnavailable {
+		t.Fatalf("HTTP query on quarantined table = %d %s (%v), want 503", status, body, err)
+	}
+
+	q := progidx.Request{Pred: progidx.Range(0, 10_000_000), Aggs: progidx.Sum | progidx.Count}
+	want, err := fullScanOracle(baseB).Execute(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, info, err := schedB.Execute(context.Background(), q)
+	if err != nil || !answersMatch(got, want) || info.Batch != 1 {
+		t.Fatalf("sibling answer %+v (batch %d, %v), want %+v", got, info.Batch, err, want)
+	}
+	if schedB.State() != StateOK {
+		t.Fatalf("sibling State = %v", schedB.State())
 	}
 }

@@ -146,8 +146,8 @@ type task struct {
 	// with refinement suspended (or fully clamped), so the answer comes
 	// back exact but the table does not converge on this query's dime.
 	deadline time.Time
-	// panicTest makes runBatch panic when it reaches this task — the
-	// fault-injection point for quarantine tests. Never set in
+	// panicTest makes runBatch, or the route, panic when it reaches this
+	// task — the fault-injection point for quarantine tests. Never set in
 	// production paths.
 	panicTest bool
 	// trace, when non-nil, records this request's lifecycle spans
@@ -314,9 +314,11 @@ func (s *Scheduler) submit(ctx context.Context, t *task, forceTrace bool) (progi
 // to admit, which also turns away a stopped or quarantined table's
 // queries with ErrStopped or ErrQuarantined. A routed query keeps what
 // the queue gives one — the count as a batch of one, the latency ring,
-// histograms, traces and the slow-query log — but there is no
-// queue_wait: nothing queued.
-func (s *Scheduler) route(t *task) (result, bool) {
+// histograms, traces and the slow-query log — and its trace the queue's
+// shape: a queue_wait span, which here lasts from admission to the
+// check, then execute. A panic quarantines the table, as one in the loop
+// does (guard), and answers ErrQuarantined.
+func (s *Scheduler) route(t *task) (r result, routed bool) {
 	select {
 	case <-s.quit:
 		return result{}, false
@@ -325,20 +327,34 @@ func (s *Scheduler) route(t *task) (result, bool) {
 	if s.quarantined.Load() || s.idx == nil { // a scheduler over no table only queues
 		return result{}, false
 	}
-	sp := t.trace.Start(t.trace.Root(), "execute")
+	defer func() {
+		if p := recover(); p != nil {
+			s.quarantine(p)
+			r, routed = result{err: ErrQuarantined}, true
+		}
+	}()
+	started := time.Now()
+	if t.trace != nil {
+		sp := t.trace.StartAt(t.trace.Root(), "queue_wait", t.enqueued)
+		t.trace.EndAt(sp, started)
+	}
+	sp := t.trace.StartAt(t.trace.Root(), "execute", started)
 	t.trace.Int(sp, "batch", 1)
 	t.trace.SetAttach(sp)
 	ans, ok, err := s.idx.ExecuteQuiescent(t.conj, t.trace)
 	if !ok {
 		if t.trace != nil {
-			// Drop the execute span just opened: the queue opens its own.
+			// Drop the spans just opened: the queue opens its own.
 			t.trace = obs.NewTrace("query", s.table.Name())
 		}
 		return result{}, false
 	}
+	if t.panicTest {
+		panic("test-injected route panic")
+	}
 	finished := time.Now()
 	t.trace.EndAt(sp, finished)
-	r := result{ans: ans, err: err, info: ExecInfo{Batch: 1}}
+	r = result{ans: ans, err: err, info: ExecInfo{Batch: 1}}
 	s.mu.Lock()
 	s.queries++
 	s.batches++
@@ -348,7 +364,7 @@ func (s *Scheduler) route(t *task) (result, bool) {
 	if s.tobs != nil {
 		s.tobs.BatchSize.Observe(1)
 	}
-	s.observeTask(t, &r, t.enqueued, finished, s.reg.SlowThreshold())
+	s.observeTask(t, &r, started, finished, s.reg.SlowThreshold())
 	return r, true
 }
 
@@ -631,7 +647,7 @@ func (s *Scheduler) guard(fn func()) (panicked bool) {
 			return
 		}
 		panicked = true
-		s.quarantined.Store(true)
+		s.quarantine(r)
 		for _, t := range s.inflight {
 			select {
 			case t.reply <- result{err: ErrQuarantined}:
@@ -639,17 +655,23 @@ func (s *Scheduler) guard(fn func()) (panicked bool) {
 			}
 		}
 		s.inflight = nil
-		if s.tobs != nil {
-			s.tobs.Timeline.Record(obs.EvQuarantine, -1, 0, 0)
-		}
-		s.reg.Logger().Error("table scheduler panicked; table quarantined",
-			slog.String("table", s.table.Name()),
-			slog.Any("panic", r),
-			slog.String("stack", string(debug.Stack())),
-		)
 	}()
 	fn()
 	return false
+}
+
+// quarantine makes the table's quarantine sticky after the panic p and
+// logs p with the stack of the recovering goroutine.
+func (s *Scheduler) quarantine(p any) {
+	s.quarantined.Store(true)
+	if s.tobs != nil {
+		s.tobs.Timeline.Record(obs.EvQuarantine, -1, 0, 0)
+	}
+	s.reg.Logger().Error("table scheduler panicked; table quarantined",
+		slog.String("table", s.table.Name()),
+		slog.Any("panic", p),
+		slog.String("stack", string(debug.Stack())),
+	)
 }
 
 // rejectUntilQuit answers queued and future tasks with ErrQuarantined
@@ -1046,11 +1068,9 @@ func (s *Scheduler) observeTask(t *task, r *result, started, finished time.Time,
 		// the loop already had, so /debug/traces still shows the slow
 		// query's queue/execute split even with sampling off.
 		tr := s.reg.NewRetro(s.table.Name(), t.enqueued)
-		if !started.Equal(t.enqueued) { // a routed query never queued
-			sp := tr.StartAt(tr.Root(), "queue_wait", t.enqueued)
-			tr.EndAt(sp, started)
-		}
-		sp := tr.StartAt(tr.Root(), "execute", started)
+		sp := tr.StartAt(tr.Root(), "queue_wait", t.enqueued)
+		tr.EndAt(sp, started)
+		sp = tr.StartAt(tr.Root(), "execute", started)
 		tr.EndAt(sp, finished)
 		tr.FinishAt(finished)
 		s.reg.Traces.Add(tr)

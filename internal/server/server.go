@@ -701,13 +701,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, fmt.Errorf("table %q not found", name))
 		return
 	}
-	codec := codecPool.Get().(*queryCodec)
-	defer codecPool.Put(codec)
-	if err := codec.readQuery(w, r); err != nil {
+	var qreq QueryRequest
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxQueryBodyBytes)).Decode(&qreq); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("decode body: %w", err))
 		return
 	}
-	c, err := codec.req.conjunction()
+	c, err := qreq.conjunction()
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
@@ -732,9 +731,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, resp)
 		return
 	}
-	codec.out = appendAnswer(codec.out[:0], ans, info)
+	out := answerPool.Get().(*[]byte)
+	*out = appendAnswer((*out)[:0], ans, info)
 	w.Header()["Content-Type"] = jsonContentType
-	w.Write(codec.out)
+	w.Write(*out)
+	answerPool.Put(out)
 }
 
 var jsonContentType = []string{"application/json"}
