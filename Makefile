@@ -58,7 +58,10 @@ vet:
 # handler goroutine, with an answer encoder that does not reflect; a
 # perf feature) raised it from 19 899 by its net, +203: the route and
 # codec.go's encoder in, the handler's answer encoding out.
-LOC_MAX ?= 20102
+# Sorted leaf groups framed by a line, not a constant (a memory feature)
+# raised it from 20 102 by its net, +99: encode's fitted step and the
+# kernels' lane terms in, the parallel workers' lazy start out.
+LOC_MAX ?= 20201
 loc:
 	@n=$$(find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -not -path './.bench_build/*' -print0 | xargs -0 cat | wc -l); \
 	echo $$n; \

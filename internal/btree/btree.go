@@ -10,12 +10,14 @@
 //
 // The leaf level is not that array but its rows packed: sorted blocks of
 // encode.BlockRows rows bit-sliced in 64-row groups, each group framed on
-// its own first row in the block's widest group's width, so at β = 64 a
-// node is one group and the first key level is the groups' references,
-// held once. The parent levels find the node; inside it a lookup is a
-// rank, a value or a sum over a group's planes (encode's lane kernels),
-// and the finished tree holds no raw row: 4M uniform rows weigh 1.00
-// byte a row packed where the sorted array weighed 8.
+// a line from its own first row — the block's fitted step, or none where
+// that packs narrower — so at β = 64 a node is one group and the first
+// key level is the groups' references, held once. The parent levels find
+// the node; inside it a lookup is a rank, a value or a sum over a group's
+// planes (encode's lane kernels), and the finished tree holds no raw row:
+// the paper's 4M uniform rows, dense once sorted, lie on their blocks'
+// lines and weigh 0.28 byte a row — references, prefix sums and block
+// headers — where the sorted array weighed 8 and first-row frames 1.00.
 //
 // Beside the first parent level sits an array of prefix sums at node
 // grain, cum[j] = Σ leaf[0 : j·β] (wrapping, as every SUM in this
@@ -63,20 +65,31 @@ func (t *Tree) Len() int { return t.n }
 // Height returns the number of levels including the leaves.
 func (t *Tree) Height() int { return len(t.keys) + 1 }
 
-// SizeBytes returns the tree's resident payload: the parent levels, the
-// prefix sums and the leaves' packed words and group references — the
+// SizeBytes returns what the tree holds: the parent levels, the prefix
+// sums and the leaves' packed words, group references and headers — the
 // first key level once where it is those references.
 func (t *Tree) SizeBytes() int {
-	size := 8 * len(t.cum)
+	size := heldBytes(len(t.cum))
 	for k, level := range t.keys {
 		if k > 0 || t.fanout != encode.GroupRows {
-			size += 8 * len(level)
+			size += heldBytes(len(level))
 		}
 	}
 	for _, leaf := range t.leaves {
 		size += leaf.SizeBytes()
 	}
 	return size
+}
+
+// heldBytes is what the allocator holds for an array of n words: past
+// 32 KiB an array takes whole 8 KiB pages, so the n/β+1 prefix sums of
+// 2^k rows hold nearly a page more than their words.
+func heldBytes(n int) int {
+	const page = 8 << 10
+	if n*8 <= 32<<10 {
+		return n * 8
+	}
+	return (n*8 + page - 1) / page * page
 }
 
 // Leaves returns the leaf level, packed, for read-only use: block b holds

@@ -2,12 +2,14 @@ package btree
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/column"
+	"repro/internal/data"
 	"repro/internal/encode"
 	"repro/internal/parallel"
 )
@@ -328,14 +330,67 @@ func TestPackedLeavesNeverOutweighTheArray(t *testing.T) {
 	}
 }
 
+// TestLinearFramesShrinkTheLeaves: every 64-row group of a tree over
+// 0..4M−1 at β = 64 lies on its block's line of step 1, so the leaves
+// hold no planes and the tree weighs its references and prefix sums
+// (0.125 B/row each, and a page), its upper keys (0.002) and its blocks'
+// headers (88 B a block, 0.021) — at most 0.28 B/row, where groups framed
+// on their first rows took 1.00. Over sorted skewed, SkyServer and 40-bit
+// uniform rows, no leaf outweighs what those first-row frames would have
+// taken.
+func TestLinearFramesShrinkTheLeaves(t *testing.T) {
+	const n = 4 << 20
+	dense := make([]int64, n)
+	for i := range dense {
+		dense[i] = int64(i)
+	}
+	tr, err := Build(dense, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if perRow := float64(tr.SizeBytes()) / n; perRow > 0.28 {
+		t.Fatalf("a tree over 0..4M−1 weighs %.4f B/row, want at most 0.28", perRow)
+	}
+	// A one-row block holds no planes: it weighs a reference and the header.
+	header := encode.PackSorted(nil, []int64{0}, make([]int64, 1))[0].SizeBytes() - 8
+	rng := rand.New(rand.NewSource(41))
+	for _, c := range []struct {
+		name string
+		vals []int64
+	}{
+		{"skewed", data.Skewed(1<<20, 3)},
+		{"SkyServer", data.SkyServer(1<<20, 4)},
+		{"uniform over 2^40", sortedRandom(rng, 1<<20, 1<<40)},
+	} {
+		slices.Sort(c.vals)
+		tr, err := Build(c.vals, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for b, leaf := range tr.leaves {
+			rows := c.vals[b*encode.BlockRows : min((b+1)*encode.BlockRows, len(c.vals))]
+			width := 0
+			for g := 0; g < len(rows); g += encode.GroupRows {
+				width = max(width, bits.Len64(uint64(rows[min(g+encode.GroupRows, len(rows))-1]-rows[g])))
+			}
+			groups := (len(rows) + encode.GroupRows - 1) / encode.GroupRows
+			if firstRow := 8*groups*(width+1) + header; leaf.SizeBytes() > firstRow {
+				t.Fatalf("%s: block %d weighs %d bytes, more than the %d of its groups framed on their first rows", c.name, b, leaf.SizeBytes(), firstRow)
+			}
+		}
+	}
+}
+
 // FuzzTreeAggRange: any sorted input, any fan-out from 2 to 128, any
 // bounds — inverted and out-of-domain ones included — against the
 // branching oracle. The committed corpus holds the packed leaves' edges:
 // a frame of no bits and one of 63 (a group spanning the whole domain
 // beside narrow ones), a group of equal keys in a wider block, a partial
 // last group framed on its one row, fan-outs of 4 and 100 whose nodes
-// and groups do not align, a tree of one node, and bounds on a block's
-// reference and on its maximum.
+// and groups do not align, a tree of one node, bounds on a block's
+// reference and on its maximum, and rows a block frames on a line: steps
+// of 1 across blocks, of 3, of 2^55 across the domain, a line with one
+// row off it and two lines meeting inside a block.
 func FuzzTreeAggRange(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9}, uint8(0), int64(2), int64(7))
 	f.Add([]byte{9, 9, 9, 9, 0, 0, 0, 0, 200, 100}, uint8(2), int64(9), int64(0))
@@ -368,32 +423,39 @@ func FuzzTreeAggRange(f *testing.F) {
 
 var benchSink column.Agg
 
-// BenchmarkTreeAggRange times one converged SUM on 4M uniform rows at
-// β = 64, from a point to the whole domain: with the prefix sums the cost
-// must not depend on the length of the run.
+// BenchmarkTreeAggRange times one converged SUM on 4M rows at β = 64,
+// from a point to the whole domain: with the prefix sums the cost must not
+// depend on the length of the run. Dense rows lie on their blocks' lines
+// and hold no planes; sorted uniform rows over 2^40 keep 24-bit planes, a
+// lookup's rank a binary search through them.
 func BenchmarkTreeAggRange(b *testing.B) {
 	const n = 4 << 20
-	vals := make([]int64, n)
-	for i := range vals {
-		vals[i] = int64(i)
+	dense := make([]int64, n)
+	for i := range dense {
+		dense[i] = int64(i)
 	}
-	tr, err := Build(vals, 64)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, sel := range []float64{0, 0.0001, 0.1, 1} {
-		name := fmt.Sprintf("sel=%g", sel)
-		width := int64(sel * n)
-		if sel == 0 {
-			name, width = "point", 1
+	for _, in := range []struct {
+		name string
+		vals []int64
+	}{{"dense", dense}, {"uniform40", sortedRandom(rand.New(rand.NewSource(2)), n, 1<<40)}} {
+		tr, err := Build(in.vals, 64)
+		if err != nil {
+			b.Fatal(err)
 		}
-		b.Run(name, func(b *testing.B) {
-			rng := rand.New(rand.NewSource(1))
-			for b.Loop() {
-				lo := rng.Int63n(n - width + 1)
-				benchSink, _ = tr.AggRange(lo, lo+width-1, column.AggSum|column.AggCount)
+		for _, sel := range []float64{0, 0.0001, 0.1, 1} {
+			name := fmt.Sprintf("%s/sel=%g", in.name, sel)
+			rows := int(sel * n)
+			if sel == 0 {
+				name, rows = in.name+"/point", 1
 			}
-		})
+			b.Run(name, func(b *testing.B) {
+				rng := rand.New(rand.NewSource(1))
+				for b.Loop() {
+					p := rng.Intn(n - rows + 1)
+					benchSink, _ = tr.AggRange(in.vals[p], in.vals[p+rows-1], column.AggSum|column.AggCount)
+				}
+			})
+		}
 	}
 }
 

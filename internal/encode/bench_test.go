@@ -3,6 +3,7 @@ package encode
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/column"
@@ -150,52 +151,81 @@ func BenchmarkAggMasked(b *testing.B) {
 	}
 }
 
-// BenchmarkPack is the packer alone on the shape a settle and an encoded
-// load put through it: 4M uniform rows (22-bit deltas) cut into
-// BlockRows-row FOR-BP blocks. ns/row is the figure costmodel.PackTime
-// models.
+// BenchmarkPack is the packer alone on the shapes a settle, an encoded
+// load and a B+-tree's leaves put through it: 4M uniform rows (22-bit
+// deltas) cut into BlockRows-row FOR-BP blocks, whose ns/row is the figure
+// costmodel.PackTime models, and the same count of sorted uniform rows
+// over 2^40 packed as sorted blocks — the line fitted to each, then 24-bit
+// planes.
 func BenchmarkPack(b *testing.B) {
 	benchSegment(b, ModeRaw) // warm benchVals
-	mn, mx := column.MinMax(benchVals)
-	b.SetBytes(8 * benchN)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		blocks, err := NewBlocks(benchVals, mn, mx, ModeFORBP)
-		if err != nil {
-			b.Fatal(err)
+	b.Run("forbp", func(b *testing.B) {
+		mn, mx := column.MinMax(benchVals)
+		b.SetBytes(8 * benchN)
+		for b.Loop() {
+			blocks, err := NewBlocks(benchVals, mn, mx, ModeFORBP)
+			if err != nil {
+				b.Fatal(err)
+			}
+			benchSink.Count = int64(blocks.SizeBytes())
 		}
-		benchSink.Count = int64(blocks.SizeBytes())
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/benchN, "ns/row")
+	})
+	b.Run("sorted/uniform40", func(b *testing.B) {
+		vals := sortedUniform(benchN, 1<<40)
+		refs := make([]int64, benchN/GroupRows)
+		b.SetBytes(8 * benchN)
+		for b.Loop() {
+			benchSink.Count = int64(len(PackSorted(nil, vals, refs)))
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/benchN, "ns/row")
+	})
+}
+
+// sortedUniform is n sorted rows drawn uniformly from [0, domain).
+func sortedUniform(n int, domain int64) []int64 {
+	rng := rand.New(rand.NewSource(45))
+	vals := make([]int64, n)
+	for i := range vals {
+		vals[i] = rng.Int63n(domain)
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/benchN, "ns/row")
+	slices.Sort(vals)
+	return vals
 }
 
 // BenchmarkLaneKernels times the three kernels a lookup over packed
 // sorted rows finishes with, each on one 64-row group of a 4096-row block
-// of dense sorted rows (cut by PackSorted, 6-bit deltas from each group's
-// first row): the rank of a bound in a node, the row at a lane, and the
-// sum of a node's rows.
+// cut by PackSorted: the rank of a bound in a node, the row at a lane, and
+// the sum of a node's rows. Dense rows lie on the block's line of step 1
+// and hold no planes; sorted uniform rows over 2^40 keep 24-bit planes,
+// which a rank binary-searches through At.
 func BenchmarkLaneKernels(b *testing.B) {
-	vals := make([]int64, BlockRows)
-	for i := range vals {
-		vals[i] = int64(i)
+	dense := make([]int64, BlockRows)
+	for i := range dense {
+		dense[i] = int64(i)
 	}
-	seg := PackSorted(nil, vals, make([]int64, BlockRows/GroupRows))[0]
-	rng := rand.New(rand.NewSource(1))
-	b.Run("RankBelow", func(b *testing.B) {
-		for b.Loop() {
-			g := rng.Intn(BlockRows / blockLen)
-			benchSink.Count = int64(seg.RankBelow(g*blockLen+1, (g+1)*blockLen, int64(g*blockLen+rng.Intn(blockLen))))
-		}
-	})
-	b.Run("At", func(b *testing.B) {
-		for b.Loop() {
-			benchSink.Sum = seg.At(rng.Intn(BlockRows))
-		}
-	})
-	b.Run("SumRows", func(b *testing.B) {
-		for b.Loop() {
-			from := rng.Intn(BlockRows - blockLen)
-			benchSink.Sum = seg.SumRows(from, from+rng.Intn(blockLen))
-		}
-	})
+	for _, in := range []struct {
+		name string
+		vals []int64
+	}{{"dense", dense}, {"uniform40", sortedUniform(BlockRows, 1<<40)}} {
+		seg := PackSorted(nil, in.vals, make([]int64, BlockRows/GroupRows))[0]
+		rng := rand.New(rand.NewSource(1))
+		b.Run(in.name+"/RankBelow", func(b *testing.B) {
+			for b.Loop() {
+				g := rng.Intn(BlockRows / blockLen)
+				benchSink.Count = int64(seg.RankBelow(g*blockLen+1, (g+1)*blockLen, in.vals[g*blockLen+rng.Intn(blockLen)]))
+			}
+		})
+		b.Run(in.name+"/At", func(b *testing.B) {
+			for b.Loop() {
+				benchSink.Sum = seg.At(rng.Intn(BlockRows))
+			}
+		})
+		b.Run(in.name+"/SumRows", func(b *testing.B) {
+			for b.Loop() {
+				from := rng.Intn(BlockRows - blockLen)
+				benchSink.Sum = seg.SumRows(from, from+rng.Intn(blockLen))
+			}
+		})
+	}
 }

@@ -2,6 +2,7 @@ package encode
 
 import (
 	"math/bits"
+	"unsafe"
 
 	"repro/internal/column"
 	"repro/internal/parallel"
@@ -10,12 +11,16 @@ import (
 // Sorted blocks: the B+-tree's leaf level (internal/btree), whose keys
 // find the 64-row group and whose answer is then a rank, a value or a sum
 // inside it. A sorted block is FOR-BP planes of one width with a frame
-// per 64-row group: group g holds its deltas from its own first row,
-// refs[g], so the width is the widest group's span, not the block's — 6
-// bits a row for 4M dense values where a frame per block took 12. The
-// lane kernels address rows [from, to) of the block and touch only the
-// groups those rows lie in, one pass over a group's planes; none decodes
-// a row.
+// per 64-row group, a line rather than a constant: lane i of group g holds
+// its residual from refs[g] + i·step, the block's one step, raised by the
+// block's bias so that no residual is negative. Step 0 frames each group
+// on its own first row, whose width is the widest group's span — 6 bits a
+// row for 4M dense values where a frame per block took 12; PackSorted
+// keeps the block's fitted step instead only where it packs narrower,
+// which takes dense keys, sequence numbers and fixed-interval timestamps
+// to no bits at all. The lane kernels address rows [from, to) of the
+// block and touch only the groups those rows lie in, one pass over a
+// group's planes; none decodes a row to sum it.
 
 // GroupRows is the rows of one bit-sliced group, the grain of a sorted
 // block's frames: a B+-tree of that fan-out keeps its first key level in
@@ -31,7 +36,14 @@ type SortedBlock struct {
 	// refs[g] is row g·GroupRows, the frame of group g; a slice of the
 	// array PackSorted was handed, which the caller may share.
 	refs []int64
+	// Lane i of group g is refs[g] + i·step - bias + its planes' residual;
+	// both are 0 where the groups are framed on their first rows alone.
+	step, bias int64
 }
+
+// sortedHeader is what a SortedBlock weighs beside its words and
+// references: the struct and the pointer the caller holds it by.
+const sortedHeader = int(unsafe.Sizeof(SortedBlock{}) + unsafe.Sizeof(&SortedBlock{}))
 
 // PackSorted packs sorted rows as consecutive SortedBlocks of BlockRows
 // rows (the last one shorter when they do not divide), the blocks over
@@ -43,17 +55,18 @@ type SortedBlock struct {
 // sorted: a group's span is read off its first and last row.
 func PackSorted(pool *parallel.Pool, rows, refs []int64) []*SortedBlock {
 	blocks := make([]*SortedBlock, (len(rows)+BlockRows-1)/BlockRows)
-	words := 0
-	for i := range blocks {
-		part := rows[i*BlockRows : min((i+1)*BlockRows, len(rows))]
-		b := &SortedBlock{n: len(part), refs: refs[i*BlockRows/GroupRows:][:(len(part)+GroupRows-1)/GroupRows]}
-		for g := range b.refs {
-			first, last := g*GroupRows, min((g+1)*GroupRows, len(part))-1
-			b.refs[g] = part[first]
-			b.width = max(b.width, forWidth(part[first], part[last]))
+	pool.Run(len(blocks), 1, func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			part := rows[i*BlockRows : min((i+1)*BlockRows, len(rows))]
+			blocks[i] = frameSorted(part, refs[i*BlockRows/GroupRows:][:(len(part)+GroupRows-1)/GroupRows])
 		}
-		blocks[i] = b
+	})
+	words := 0
+	for _, b := range blocks {
 		words += packedWords(b.n, uint(b.width))
+	}
+	if words == 0 { // no block has planes: each is a line
+		return blocks
 	}
 	slab := make([]uint64, words)
 	for _, b := range blocks {
@@ -61,14 +74,57 @@ func PackSorted(pool *parallel.Pool, rows, refs []int64) []*SortedBlock {
 		b.words, slab = slab[:k:k], slab[k:]
 	}
 	pool.Run(len(blocks), 1, func(_, lo, hi int) {
+		var line [GroupRows]int64 // a group's rows less i·step: its residuals' offsets from ref
 		for i := lo; i < hi; i++ {
 			b, part := blocks[i], rows[i*BlockRows:]
 			for g := 0; b.width > 0 && g < len(b.refs); g++ {
-				packVertical(b.words[g*int(b.width):], part[g*GroupRows:min((g+1)*GroupRows, b.n)], b.refs[g], uint(b.width))
+				group := part[g*GroupRows : min((g+1)*GroupRows, b.n)]
+				if b.step != 0 {
+					for j, v := range group {
+						line[j] = v - int64(j)*b.step
+					}
+					group = line[:len(group)]
+				}
+				packVertical(b.words[g*int(b.width):], group, b.refs[g]-b.bias, uint(b.width))
 			}
 		}
 	})
 	return blocks
+}
+
+// frameSorted returns the unpacked block of the sorted rows part, its
+// groups' references written to refs: framed on their first rows, or on
+// the line of the block's fitted step, (last − first)/(n − 1), where that
+// packs narrower. The residuals' range is checked a group at a time, and
+// the fit given up as soon as it reaches the first-row frame's width.
+func frameSorted(part, refs []int64) *SortedBlock {
+	b := &SortedBlock{n: len(part), refs: refs}
+	for g := range refs {
+		first, last := g*GroupRows, min((g+1)*GroupRows, len(part))-1
+		refs[g] = part[first]
+		b.width = max(b.width, forWidth(part[first], part[last]))
+	}
+	if b.width == 0 || b.n < 2 {
+		return b
+	}
+	step := (part[b.n-1] - part[0]) / int64(b.n-1)
+	if step == 0 {
+		return b
+	}
+	// A residual v - refs[g] - i·step lies strictly inside ±2^63: both
+	// terms are in [0, last − first], as i·step ≤ min(63, n−1)·step.
+	var lo, hi int64
+	for g, ref := range refs {
+		for j, v := range part[g*GroupRows : min((g+1)*GroupRows, b.n)] {
+			r := v - ref - int64(j)*step
+			lo, hi = min(lo, r), max(hi, r)
+		}
+		if bits.Len64(uint64(hi-lo)) >= int(b.width) {
+			return b
+		}
+	}
+	b.width, b.step, b.bias = uint8(bits.Len64(uint64(hi-lo))), step, -lo
+	return b
 }
 
 // Len returns the number of rows in the block.
@@ -80,9 +136,10 @@ func (b *SortedBlock) Min() int64 { return b.refs[0] }
 // Max returns the block's last row, its largest.
 func (b *SortedBlock) Max() int64 { return b.At(b.n - 1) }
 
-// SizeBytes returns the resident payload: the packed words and the group
-// references.
-func (b *SortedBlock) SizeBytes() int { return 8 * (len(b.words) + len(b.refs)) }
+// SizeBytes returns what the block holds: the packed words, the group
+// references and the header — the struct, with its step and bias, and
+// the pointer to it.
+func (b *SortedBlock) SizeBytes() int { return 8*(len(b.words)+len(b.refs)) + sortedHeader }
 
 // planes returns group g's bit planes.
 func (b *SortedBlock) planes(g int) []uint64 {
@@ -98,11 +155,25 @@ func laneMask(g, from, to int) uint64 {
 }
 
 // RankBelow returns how many of rows [from, to) are less than v — over
-// sorted rows, the offset of v's lower bound. A group is settled by its
-// frame alone unless v lies inside it; then the compare is forbpMatch's
-// lower test alone: delta + ^d + 1 carries out of the top plane exactly
-// in the lanes whose delta reaches d = v - ref.
+// sorted rows, the offset of v's lower bound. With a step and residuals
+// the lanes are no common offset from a frame, and the rank is a binary
+// search through At. Otherwise a group is settled by its frame alone
+// unless v lies inside it: on a line of no residuals the rank is a
+// division, and on planes the compare is forbpMatch's lower test alone:
+// delta + ^d + 1 carries out of the top plane exactly in the lanes whose
+// delta reaches d = v - ref.
 func (b *SortedBlock) RankBelow(from, to int, v int64) int {
+	if b.step != 0 && b.width != 0 {
+		lo, hi := from, to
+		for lo < hi {
+			if mid := int(uint(lo+hi) >> 1); b.At(mid) < v {
+				lo = mid + 1
+			} else {
+				hi = mid
+			}
+		}
+		return lo - from
+	}
 	// Every row lies strictly inside ±MaxMagnitude, so clamping v there
 	// ranks the same and keeps v - ref from wrapping.
 	v = min(max(v, -column.MaxMagnitude), column.MaxMagnitude)
@@ -111,6 +182,11 @@ func (b *SortedBlock) RankBelow(from, to int, v int64) int {
 		m := laneMask(g, from, to)
 		switch d := v - b.refs[g]; {
 		case d <= 0: // v is at most the group's first row
+		case b.width == 0: // lane i is ref + i·step: below v while i·step < d
+			if b.step != 0 && (d-1)/b.step < blockLen-1 {
+				m &= uint64(1)<<uint((d-1)/b.step+1) - 1
+			}
+			rank += bits.OnesCount64(m)
 		case bits.Len64(uint64(d)) > int(b.width): // past the group's last
 			rank += bits.OnesCount64(m)
 		default:
@@ -125,14 +201,15 @@ func (b *SortedBlock) RankBelow(from, to int, v int64) int {
 	return rank
 }
 
-// At returns row i, gathered a bit a plane from its lane.
+// At returns row i, its residual gathered a bit a plane from its lane.
 func (b *SortedBlock) At(i int) int64 {
-	lane := uint(i % blockLen)
+	lane := uint(i) % blockLen
+	planes := b.planes(i / blockLen)
 	var d uint64
-	for j, p := range b.planes(i / blockLen) {
-		d |= (p >> lane & 1) << uint(j)
+	for j := len(planes) - 1; j >= 0; j-- {
+		d = d<<1 | planes[j]>>lane&1
 	}
-	return int64(d) + b.refs[i/blockLen]
+	return b.refs[i/blockLen] - b.bias + int64(lane)*b.step + int64(d)
 }
 
 // SumRows returns the wrapping sum of rows [from, to): aggMaskedFORBP's
@@ -145,9 +222,17 @@ func (b *SortedBlock) SumRows(from, to int) int64 {
 	return sum
 }
 
-// sumMasked is the wrapping sum of the lanes m selects in group g.
+// sumMasked is the wrapping sum of the lanes m selects in group g: their
+// count times the frame's origin, the step times the sum of their lane
+// indexes — a popcount a bit of the index — and a popcount per plane.
 func (b *SortedBlock) sumMasked(g int, m uint64) int64 {
-	sum := int64(bits.OnesCount64(m)) * b.refs[g]
+	sum := int64(bits.OnesCount64(m)) * (b.refs[g] - b.bias)
+	if b.step != 0 {
+		lanes := bits.OnesCount64(m&0xAAAAAAAAAAAAAAAA) + bits.OnesCount64(m&0xCCCCCCCCCCCCCCCC)<<1 +
+			bits.OnesCount64(m&0xF0F0F0F0F0F0F0F0)<<2 + bits.OnesCount64(m&0xFF00FF00FF00FF00)<<3 +
+			bits.OnesCount64(m&0xFFFF0000FFFF0000)<<4 + bits.OnesCount64(m&0xFFFFFFFF00000000)<<5
+		sum += int64(lanes) * b.step
+	}
 	for j, p := range b.planes(g) {
 		sum += int64(bits.OnesCount64(p&m)) << uint(j)
 	}
@@ -159,11 +244,14 @@ func (b *SortedBlock) AppendTo(dst []int64) []int64 {
 	w := int(b.width)
 	var m [blockLen]uint64
 	for g, ref := range b.refs {
-		copy(m[:w], b.planes(g))
-		clear(m[w:])
-		transpose64(&m)
-		for _, d := range m[:min(blockLen, b.n-g*blockLen)] {
-			dst = append(dst, int64(d)+ref)
+		if w > 0 {
+			copy(m[:w], b.planes(g))
+			clear(m[w:])
+			transpose64(&m)
+		}
+		base := ref - b.bias
+		for i, d := range m[:min(blockLen, b.n-g*blockLen)] {
+			dst = append(dst, base+int64(i)*b.step+int64(d))
 		}
 	}
 	return dst

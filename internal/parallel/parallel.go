@@ -16,13 +16,15 @@
 //     with zero synchronization and zero allocation.
 //  3. No goroutine leaks. Indexes are created in the thousands by
 //     tests and benchmarks, so Pool is a value-like handle; the actual
-//     workers are a single lazily started, process-lifetime set shared
-//     by all pools (like the runtime's own background workers).
+//     workers are a single process-lifetime set shared by all pools
+//     (like the runtime's own background workers), started when the
+//     package initialises: they, and the threads the runtime starts to
+//     run them, belong to no caller, and a caller's first Run does not
+//     show them in the live heap it holds.
 package parallel
 
 import (
 	"runtime"
-	"sync"
 	"sync/atomic"
 )
 
@@ -123,15 +125,12 @@ func (p *Pool) Run(n, minChunk int, fn func(chunk, lo, hi int)) {
 	}
 }
 
-// Process-wide persistent workers. Started once, sized at GOMAXPROCS
-// at start time, never stopped: they are parked on a channel receive
-// when idle and cost nothing.
-var (
-	startOnce sync.Once
-	tasks     chan func()
-)
+// Process-wide persistent workers. Started once, at package
+// initialisation, sized at GOMAXPROCS then, never stopped: they are
+// parked on a channel receive when idle and cost nothing.
+var tasks chan func()
 
-func startWorkers() {
+func init() {
 	w := runtime.GOMAXPROCS(0)
 	if w < 1 {
 		w = 1
@@ -150,7 +149,6 @@ func startWorkers() {
 // the queue is full, so Run can never deadlock no matter how many
 // pools dispatch concurrently.
 func submit(f func()) {
-	startOnce.Do(startWorkers)
 	select {
 	case tasks <- f:
 	default:
