@@ -59,9 +59,11 @@ vet:
 # perf feature) raised it from 19 899 by its net, +203: the route and
 # codec.go's encoder in, the handler's answer encoding out.
 # Sorted leaf groups framed by a line, not a constant (a memory feature)
-# raised it from 20 102 by its net, +99: encode's fitted step and the
-# kernels' lane terms in, the parallel workers' lazy start out.
-LOC_MAX ?= 20201
+# raised it from 20 102 by its net, +208: encode's fitted step and the
+# kernels' lane terms in, the parallel workers' lazy start out (+99);
+# checkpoints that stream a one-column table's blocks instead of copying
+# its rows whole, shard.Snapshot and durable.RowSource (+109).
+LOC_MAX ?= 20310
 loc:
 	@n=$$(find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -not -path './.bench_build/*' -print0 | xargs -0 cat | wc -l); \
 	echo $$n; \

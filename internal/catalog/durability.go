@@ -154,11 +154,19 @@ func (t *Table) CaptureCheckpoint() (durable.Checkpoint, bool) {
 	if t.log == nil {
 		return durable.Checkpoint{}, false
 	}
-	// The rows are materialized through the handle: a fresh copy, so the
-	// background snapshot write never races the live shards.
+	// A one-column table's rows are its published view's, which no later
+	// append, seal or settle changes: the background write decodes them a
+	// block at a time and never holds a copy of the table. A wider
+	// table's tuples are interleaved into a fresh copy.
+	var rows durable.RowSource
+	if snap, ok := t.idx.Snapshot(); ok {
+		rows = snap
+	} else {
+		rows = durable.Values(t.idx.MaterializeRows())
+	}
 	return durable.Checkpoint{
 		Seq:        t.log.LastSeq(),
-		Rows:       t.idx.MaterializeRows(),
+		Rows:       rows,
 		Progress:   t.idx.Progress(),
 		Converged:  t.idx.Converged(),
 		Appends:    t.appends.Load(),
@@ -170,9 +178,9 @@ func (t *Table) CaptureCheckpoint() (durable.Checkpoint, bool) {
 
 // WriteCheckpoint serializes a captured checkpoint to a durable
 // snapshot and truncates the covered WAL prefix. Unlike the capture,
-// the write may run on a background goroutine: the captured rows are a
-// private copy and the WAL keeps accepting appends while the file is
-// written.
+// the write may run on a background goroutine: the captured rows are
+// a snapshot no later change reaches, and the WAL keeps accepting
+// appends while the file is written.
 func (t *Table) WriteCheckpoint(cp durable.Checkpoint) error {
 	if t.log == nil {
 		return nil
@@ -182,7 +190,7 @@ func (t *Table) WriteCheckpoint(cp durable.Checkpoint) error {
 		return err
 	}
 	t.snapProgressStore(cp.Progress)
-	t.timeline().Record(obs.EvCheckpoint, -1, float64(len(cp.Rows)), time.Since(start).Seconds())
+	t.timeline().Record(obs.EvCheckpoint, -1, float64(cp.Rows.Len()), time.Since(start).Seconds())
 	return nil
 }
 

@@ -3,11 +3,13 @@ package catalog
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro"
 	"repro/internal/data"
 	"repro/internal/durable"
+	"repro/internal/encode"
 )
 
 func openStore(t *testing.T, dir string) *durable.Store {
@@ -18,6 +20,19 @@ func openStore(t *testing.T, dir string) *durable.Store {
 	}
 	t.Cleanup(func() { s.Close() })
 	return s
+}
+
+// rowsOf collects what a checkpoint's writer would be handed.
+func rowsOf(t *testing.T, cp durable.Checkpoint) []int64 {
+	t.Helper()
+	var rows []int64
+	if err := cp.Rows.Each(func(run []int64) error { rows = append(rows, run...); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != cp.Rows.Len() {
+		t.Fatalf("checkpoint handed over %d rows, Len says %d", len(rows), cp.Rows.Len())
+	}
+	return rows
 }
 
 // tableFiles lists the durable files that exist anywhere under the
@@ -67,8 +82,8 @@ func TestDurableLoadAppendRecover(t *testing.T) {
 	if !ok {
 		t.Fatal("CaptureCheckpoint returned !ok on durable table")
 	}
-	if n := len(cp.Rows); n != 4_003 || cp.Rows[n-1] != 9_000_003 {
-		t.Fatalf("checkpoint captured %d rows, want the 4000 loaded and the 3 appended", n)
+	if rows := rowsOf(t, cp); len(rows) != 4_003 || rows[len(rows)-1] != 9_000_003 {
+		t.Fatalf("checkpoint captured %d rows, want the 4000 loaded and the 3 appended", len(rows))
 	}
 	if err := tbl.WriteCheckpoint(cp); err != nil {
 		t.Fatal(err)
@@ -253,8 +268,8 @@ func TestSettledTableRecovers(t *testing.T) {
 	}
 	drive(tbl, 3)
 	cp, ok := tbl.CaptureCheckpoint()
-	if !ok || !sameRows(cp.Rows, logical) {
-		t.Fatalf("checkpoint of the settled table captured %d rows, ok=%v: want the %d loaded rows", len(cp.Rows), ok, len(logical))
+	if !ok || !sameRows(rowsOf(t, cp), logical) {
+		t.Fatalf("checkpoint of the settled table captured %d rows, ok=%v: want the %d loaded rows", cp.Rows.Len(), ok, len(logical))
 	}
 	if err := tbl.WriteCheckpoint(cp); err != nil {
 		t.Fatal(err)
@@ -303,4 +318,70 @@ func TestSettledTableRecovers(t *testing.T) {
 	check("recovered")
 	drive(tbl2, 4)
 	check("recovered and settled again")
+}
+
+// TestCheckpointStreamsTheCapturedView: a checkpoint of a settled
+// one-column table hands its writer the rows a block at a time, so the
+// write never holds a copy of the table, and they are the rows of the
+// capture even when the write comes after appends have sealed and
+// settled a shard of their own; recovery then replays those appends
+// from the WAL on top of it.
+func TestCheckpointStreamsTheCapturedView(t *testing.T) {
+	dir := t.TempDir()
+	store := openStore(t, dir)
+	logical := data.Uniform(20_000, 5)
+	tbl, err := NewDurable(store).Load("t", append([]int64(nil), logical...),
+		Options{Strategy: progidx.StrategyQuicksort, Delta: 0.25, Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	settle := func(shards int) {
+		t.Helper()
+		for i := 0; i < 100_000 && !tbl.Index().Converged(); i++ {
+			tbl.Index().RefineStep()
+		}
+		stats, _ := tbl.ShardStats()
+		for _, si := range stats {
+			if si.Form != "settled" || len(stats) != shards {
+				t.Fatalf("want %d settled shards: %+v", shards, stats)
+			}
+		}
+	}
+	settle(2)
+	cp, _ := tbl.CaptureCheckpoint()
+	appended := make([]int64, 5_000) // past the seal threshold: one shard
+	for i := range appended {
+		appended[i] = 40_000 + int64(i)
+	}
+	if err := tbl.Append(appended); err != nil {
+		t.Fatal(err)
+	}
+	if err := tbl.SyncLog(); err != nil {
+		t.Fatal(err)
+	}
+	settle(3)
+
+	longest := 0
+	if err := cp.Rows.Each(func(run []int64) error { longest = max(longest, len(run)); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if longest > encode.BlockRows {
+		t.Fatalf("a settled table's checkpoint handed over a run of %d rows, want at most a block (%d)", longest, encode.BlockRows)
+	}
+	if !sameRows(rowsOf(t, cp), logical) {
+		t.Fatal("the checkpoint's rows moved with the table after the capture")
+	}
+	if err := tbl.WriteCheckpoint(cp); err != nil {
+		t.Fatal(err)
+	}
+	store.Close()
+
+	recs, errs, err := openStore(t, dir).Recover()
+	if err != nil || len(errs) != 0 || len(recs) != 1 {
+		t.Fatalf("Recover: %v %v (%d tables)", err, errs, len(recs))
+	}
+	if !sameRows(recs[0].Base, logical) || len(recs[0].Batches) != 1 || !slices.Equal(recs[0].Batches[0], appended) {
+		t.Fatalf("recovered a snapshot of %d rows and %d WAL batches: want the %d captured rows, then the append",
+			len(recs[0].Base), len(recs[0].Batches), len(logical))
+	}
 }

@@ -218,7 +218,7 @@ func TestCheckpointTruncatesWAL(t *testing.T) {
 	log.Append([]int64{4, 5})
 	log.Sync()
 	cp := Checkpoint{
-		Seq: 2, Rows: []int64{1, 2, 3, 4, 5},
+		Seq: 2, Rows: Values{1, 2, 3, 4, 5},
 		Progress: 0.5, Appends: 2, AppendRows: 3, CreatedAt: 7,
 		Meta: TableMeta{Strategy: "pmsd"},
 	}
@@ -265,7 +265,7 @@ func TestCorruptSnapshotFallsBack(t *testing.T) {
 	}
 	log.Append([]int64{2})
 	log.Sync()
-	if err := log.WriteCheckpoint(Checkpoint{Seq: 1, Rows: []int64{1, 2}}); err != nil {
+	if err := log.WriteCheckpoint(Checkpoint{Seq: 1, Rows: Values{1, 2}}); err != nil {
 		t.Fatal(err)
 	}
 	s.Close()
@@ -344,7 +344,7 @@ func TestStoreStats(t *testing.T) {
 	if st.Frames != 2 || st.Syncs != 1 {
 		t.Fatalf("stats = %+v, want 2 frames / 1 sync", st)
 	}
-	if err := log.WriteCheckpoint(Checkpoint{Seq: 2, Rows: []int64{1, 2, 3}}); err != nil {
+	if err := log.WriteCheckpoint(Checkpoint{Seq: 2, Rows: Values{1, 2, 3}}); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.Stats().Snapshots; got != 1 {

@@ -89,11 +89,27 @@ func (c *crcWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// writeSnapshot durably writes a snapshot file for meta+values into
+// RowSource is a checkpoint's rows as the snapshot writer reads them:
+// Len rows, handed to emit a run at a time, so a table whose rows are
+// packed is written without being unpacked whole. A run is emit's to
+// read until it returns.
+type RowSource interface {
+	Len() int
+	Each(emit func(run []int64) error) error
+}
+
+// Values is a RowSource held in one slice.
+type Values []int64
+
+func (v Values) Len() int { return len(v) }
+
+func (v Values) Each(emit func([]int64) error) error { return emit(v) }
+
+// writeSnapshot durably writes a snapshot file for meta+rows into
 // dir, then syncs the directory so the rename is durable too.
-func writeSnapshot(dir string, fs fault.FS, meta snapshotMeta, values []int64) (retErr error) {
-	if meta.Rows != len(values) {
-		return fmt.Errorf("durable: snapshot meta rows %d != %d values", meta.Rows, len(values))
+func writeSnapshot(dir string, fs fault.FS, meta snapshotMeta, rows RowSource) (retErr error) {
+	if meta.Rows != rows.Len() {
+		return fmt.Errorf("durable: snapshot meta rows %d != %d values", meta.Rows, rows.Len())
 	}
 	// Compressed tables persist compressed: the rows section becomes one
 	// marshaled segment in the table's encoding, so the on-disk footprint
@@ -101,7 +117,11 @@ func writeSnapshot(dir string, fs fault.FS, meta snapshotMeta, values []int64) (
 	// layout — a raw snapshot of a compressed table is always loadable
 	// (readers branch on meta.Payload, not meta.Meta.Encoding).
 	var segPayload []byte
-	if mode, err := encode.ParseMode(meta.Meta.Encoding); err == nil && mode.Compressed() && len(values) > 0 {
+	if mode, err := encode.ParseMode(meta.Meta.Encoding); err == nil && mode.Compressed() && meta.Rows > 0 {
+		values := make([]int64, 0, meta.Rows)
+		if err := rows.Each(func(run []int64) error { values = append(values, run...); return nil }); err != nil {
+			return err
+		}
 		mn, mx := column.MinMax(values)
 		if seg, err := encode.New(values, mn, mx, mode); err == nil {
 			meta.Payload = payloadSegment
@@ -123,7 +143,7 @@ func writeSnapshot(dir string, fs fault.FS, meta snapshotMeta, values []int64) (
 			os.Remove(tmp.Name())
 		}
 	}()
-	bw := bufio.NewWriterSize(tmp, 1<<20)
+	bw := bufio.NewWriterSize(tmp, 64<<10)
 	cw := &crcWriter{w: bw}
 	if _, err := cw.Write(snapshotMagic[:]); err != nil {
 		return err
@@ -142,16 +162,27 @@ func writeSnapshot(dir string, fs fault.FS, meta snapshotMeta, values []int64) (
 		}
 	} else {
 		var buf [8 << 10]byte
-		for off := 0; off < len(values); {
-			n := 0
-			for off < len(values) && n+8 <= len(buf) {
-				binary.LittleEndian.PutUint64(buf[n:], uint64(values[off]))
-				n += 8
-				off++
+		written := 0
+		err := rows.Each(func(run []int64) error {
+			for off := 0; off < len(run); {
+				n := 0
+				for off < len(run) && n+8 <= len(buf) {
+					binary.LittleEndian.PutUint64(buf[n:], uint64(run[off]))
+					n += 8
+					off++
+				}
+				if _, err := cw.Write(buf[:n]); err != nil {
+					return err
+				}
 			}
-			if _, err := cw.Write(buf[:n]); err != nil {
-				return err
-			}
+			written += len(run)
+			return nil
+		})
+		if err != nil {
+			return err
+		}
+		if written != meta.Rows {
+			return fmt.Errorf("durable: snapshot meta rows %d != %d values written", meta.Rows, written)
 		}
 	}
 	binary.LittleEndian.PutUint32(u32[:], cw.crc)

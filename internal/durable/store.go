@@ -222,7 +222,7 @@ func (s *Store) Create(name string, meta TableMeta, createdAt int64, values []in
 		CreatedAt: createdAt,
 		Meta:      meta,
 	}
-	if err := writeSnapshot(dir, s.fs, base, values); err != nil {
+	if err := writeSnapshot(dir, s.fs, base, Values(values)); err != nil {
 		return nil, err
 	}
 	man, err := json.Marshal(manifest{Name: name, CreatedAt: createdAt, Meta: meta})
@@ -499,7 +499,7 @@ func (t *TableLog) Sync() error {
 // by WriteCheckpoint off-loop.
 type Checkpoint struct {
 	Seq        uint64
-	Rows       []int64
+	Rows       RowSource
 	Progress   float64
 	Converged  bool
 	Appends    uint64
@@ -541,7 +541,7 @@ func (t *TableLog) WriteCheckpoint(cp Checkpoint) error {
 	meta := snapshotMeta{
 		Name:       t.name,
 		Seq:        cp.Seq,
-		Rows:       len(cp.Rows),
+		Rows:       cp.Rows.Len(),
 		Progress:   cp.Progress,
 		Converged:  cp.Converged,
 		Appends:    cp.Appends,

@@ -22,6 +22,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/parallel"
 	"repro/internal/query"
+	"repro/internal/shard"
 )
 
 // colState is one column of a table: its sharded column, which holds the
@@ -273,6 +274,16 @@ func (t *Table) MaterializeRows() []int64 {
 		}
 	}
 	return flat
+}
+
+// Snapshot returns a one-column table's rows as MaterializeRows gives
+// them, read back a block at a time (shard.Snapshot); ok is false for a
+// wider table, whose tuples only MaterializeRows interleaves.
+func (t *Table) Snapshot() (snap shard.Snapshot, ok bool) {
+	if len(t.cols) > 1 {
+		return snap, false
+	}
+	return t.cols[0].idx.Snapshot(), true
 }
 
 // Append implements Handle: values are flat row-major tuples, one

@@ -34,6 +34,8 @@ type rawRows []int64
 
 func (r *rawRows) Len() int { return len(*r) }
 
+func (r *rawRows) AppendTo(dst []int64) []int64 { return append(dst, *r...) }
+
 func (r *rawRows) Refine(lo, hi int64, mask []uint64) int {
 	return column.RefineMask(*r, lo, hi, mask)
 }

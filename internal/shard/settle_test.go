@@ -695,3 +695,72 @@ func TestSettleFollowsRowOrder(t *testing.T) {
 		t.Fatalf("the one-column table took %d queries to converge, the row-ordered one %d: no settle slice was saved", took[1], took[0])
 	}
 }
+
+// TestSnapshotHoldsWhileTheTableMoves: a Snapshot of a raw table reads
+// back, block by block and without taking a lock, exactly the rows it was
+// taken over — in row order, as it was taken — while another goroutine
+// appends (sealing shards of their own), refines the table to convergence
+// and settles every shard: the forms a snapshot captures never change
+// under it (run it under -race). A snapshot taken after gives the
+// settled shards' rows sorted, and every appended row.
+func TestSnapshotHoldsWhileTheTableMoves(t *testing.T) {
+	logical := uniform(6*BlockRows+77, 24, 9)
+	sh, err := New(column.MustNew(slices.Clone(logical)), Config{Shards: 2, Workers: 1, SealRows: 2 * BlockRows},
+		coreFactory("PQ", core.Config{Mode: core.FixedDelta, Delta: 0.25}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := sh.Snapshot()
+	read := func(snap Snapshot) []int64 {
+		var rows []int64
+		if err := snap.Each(func(run []int64) error {
+			if len(run) > BlockRows {
+				t.Errorf("a run of %d rows, more than a block", len(run))
+			}
+			rows = append(rows, run...)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if len(rows) != snap.Len() {
+			t.Fatalf("read %d rows, Len says %d", len(rows), snap.Len())
+		}
+		return rows
+	}
+	var appended []int64
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 5; i++ {
+			batch := uniform(BlockRows, 24, int64(20+i))
+			if err := sh.Append(batch); err != nil {
+				t.Error(err)
+				return
+			}
+			appended = append(appended, batch...)
+		}
+		sh.FlushTail()
+		for i := 0; !sh.Converged() && i < 100_000; i++ {
+			sh.RefineStep()
+		}
+	}()
+	for moving := true; moving; {
+		select {
+		case <-done:
+			moving = false
+		default:
+		}
+		if !slices.Equal(read(snap), logical) {
+			t.Fatal("the snapshot's rows moved with the table")
+		}
+	}
+	for _, si := range sh.ShardStats() {
+		if si.Form != FormSettled {
+			t.Fatalf("the table did not settle: %+v", sh.ShardStats())
+		}
+	}
+	all := append(slices.Clone(logical), appended...)
+	if got := read(sh.Snapshot()); !slices.Equal(slices.Sorted(slices.Values(got)), slices.Sorted(slices.Values(all))) {
+		t.Fatal("a snapshot of the settled table lost or added rows")
+	}
+}

@@ -588,11 +588,11 @@ func (s *Sharded) sealLocked() ([]*state, error) {
 	// whatever form it holds them (raw, packed, or its settled index's
 	// leaves), then the tail — so every seal ends the extent and the shard
 	// owns its rows.
-	buf := make([]int64, 0, rows)
+	var bs []rowBlock
 	for _, a := range absorbed {
-		buf = a.appendRows(buf)
+		bs = a.blocks(bs)
 	}
-	buf = append(buf, s.ext...)
+	buf := append(decode(make([]int64, 0, rows), bs), s.ext...)
 	var st *state
 	if s.encoding.Compressed() {
 		// Appends ride raw and pay the encode here.
@@ -648,22 +648,46 @@ func MaxShards(loaded, appended, sealRows int) int {
 	return loaded + appended/sealRows + bits.Len(uint(sealRows-1))
 }
 
-// appendRows appends the shard's rows to dst — from its raw rows while it
-// has them, from the packed blocks of a cold or row-ordered settled shard,
-// all in row order, and sorted from the index's leaves where a settled
-// shard packed none — the extraction shared by merges and
-// MaterializeRows.
-func (st *state) appendRows(dst []int64) []int64 {
+// rowBlock is at most BlockRows of a shard's rows that decode
+// themselves: an encode.Segment, an encode.SortedBlock or rawRows.
+type rowBlock interface{ AppendTo(dst []int64) []int64 }
+
+// blocks appends the shard's rows, as it holds them now, to bs — raw
+// rows cut into blocks while it has them, its packed blocks (both in row
+// order), or its index's leaves (sorted) where a settled shard packed
+// none — the extraction shared by merges, MaterializeRows and Snapshot.
+// None of them ever changes once set, so they are read without the lock.
+func (st *state) blocks(bs []rowBlock) []rowBlock {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
 	switch {
 	case st.vals != nil:
-		return append(dst, st.vals...)
+		return appendRaw(bs, st.vals)
 	case st.packed != nil:
-		return st.packed.AppendTo(dst)
+		return appendBlocks(bs, st.packed.Segments())
 	}
-	for _, leaf := range st.leaves() {
-		dst = leaf.AppendTo(dst)
+	return appendBlocks(bs, st.leaves())
+}
+
+func appendRaw(bs []rowBlock, vals []int64) []rowBlock {
+	for len(vals) > 0 {
+		n := min(len(vals), encode.BlockRows)
+		raw := rawRows(vals[:n])
+		bs, vals = append(bs, &raw), vals[n:]
+	}
+	return bs
+}
+
+func appendBlocks[B rowBlock](bs []rowBlock, blocks []B) []rowBlock {
+	for _, b := range blocks {
+		bs = append(bs, b)
+	}
+	return bs
+}
+
+func decode(dst []int64, bs []rowBlock) []int64 {
+	for _, b := range bs {
+		dst = b.AppendTo(dst)
 	}
 	return dst
 }
@@ -1426,17 +1450,50 @@ func (s *Sharded) ShardStats() []Info {
 
 // MaterializeRows returns a fresh copy of every logical row, shard by
 // shard in row order and the pending tail last — the raw-extraction
-// surface snapshots use, since the table keeps no base column. Cold and
+// surface Values uses, since the table keeps no base column. Cold and
 // settled shards decode into the output, neither claimed nor unsettled by
 // it, raw ones copy their rows; a settled shard that keeps no row order
 // gives its rows sorted, as its index's leaves hold them.
 func (s *Sharded) MaterializeRows() []int64 {
+	snap := s.Snapshot()
+	return decode(make([]int64, 0, snap.n), snap.blocks)
+}
+
+// Snapshot is the table's rows as one published view held them, each
+// shard's in the form it had when the snapshot was taken: the rows
+// MaterializeRows returns, read back a block at a time, so that a
+// reader that streams them (a checkpoint's writer) holds one decoded
+// block, not a copy of the table. Later appends, seals and settles
+// leave it as it is.
+type Snapshot struct {
+	n      int
+	blocks []rowBlock
+}
+
+// Snapshot takes the table's Snapshot.
+func (s *Sharded) Snapshot() Snapshot {
 	s.amu.Lock()
 	v := s.cur.Load()
 	s.amu.Unlock()
-	out := make([]int64, 0, v.rows)
+	var bs []rowBlock
 	for _, st := range v.shards {
-		out = st.appendRows(out)
+		bs = st.blocks(bs)
 	}
-	return append(out, v.tail...)
+	return Snapshot{n: v.rows, blocks: appendRaw(bs, v.tail)}
+}
+
+// Len returns the snapshot's row count.
+func (sn Snapshot) Len() int { return sn.n }
+
+// Each hands emit the rows in MaterializeRows' order, a block at a time,
+// decoded into a buffer that the next block reuses.
+func (sn Snapshot) Each(emit func(run []int64) error) error {
+	var buf []int64
+	for _, b := range sn.blocks {
+		buf = b.AppendTo(buf[:0])
+		if err := emit(buf); err != nil {
+			return err
+		}
+	}
+	return nil
 }
