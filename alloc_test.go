@@ -2,6 +2,8 @@ package progidx
 
 import (
 	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/column"
@@ -18,6 +20,27 @@ func skipUnderRace(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc counts are not meaningful under -race")
 	}
+}
+
+// makeThreads runs GOMAXPROCS goroutines at once, each spinning until
+// all have started, so that the runtime has made a thread for every P
+// before a test takes a heap baseline. The runtime allocates each
+// thread's m on the heap and keeps it: a window in which the parallel
+// kernels first run on more Ps than before grows the live heap by about
+// 5.5 KB a thread (runtime.allocm in a heap profile across the window).
+func makeThreads() {
+	n := int32(runtime.GOMAXPROCS(0))
+	var started atomic.Int32
+	var wg sync.WaitGroup
+	for range n {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for started.Add(1); started.Load() < n; {
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestConvergedExecuteZeroAllocs pins the converged read path's heap
@@ -110,6 +133,7 @@ func TestShardedConvergedZeroAllocs(t *testing.T) {
 func TestConvergedIndexIsItsPackedTree(t *testing.T) {
 	skipUnderRace(t)
 	const n = 1 << 20
+	makeThreads()
 	for _, wide := range []bool{false, true} {
 		for _, s := range []Strategy{StrategyQuicksort, StrategyRadixMSD, StrategyBucketsort, StrategyRadixLSD, StrategyFullIndex} {
 			base := liveHeap()

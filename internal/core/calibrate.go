@@ -14,7 +14,7 @@ import (
 // CalibrateParams measures the Table 1 cost-model constants by timing
 // this package's *own* kernels — the predicated range scan, the
 // quicksort creation copy, the pivot-tree refinement, the radix bucket
-// append and the block packer a settle runs — on the running machine,
+// append and the block packer — on the running machine,
 // the way the paper's implementation measures its operations at startup.
 //
 // This matters: generic memory loops systematically underestimate the
@@ -102,7 +102,7 @@ func CalibrateParams() costmodel.Params {
 	}) / (1 << 21 / gamma)
 
 	// The pack constant from the block packer over the same rows, cut
-	// into blocks exactly as a settle slice cuts a shard's.
+	// into blocks as a shard's rows are.
 	packPerRow := bestOf(3, nil, func() {
 		calSink = int64(len(encode.PackBlocks(vals)))
 	}) / n

@@ -47,9 +47,9 @@ type Params struct {
 
 	// PackRow is the seconds it takes to bit-pack one row into its
 	// block's frame-of-reference planes (encode.PackBlocks: the extrema
-	// pass and the 64×64 transpose), the unit a settle slice is budgeted
-	// in. Not in the paper, whose end state keeps the base column. Zero
-	// means DefaultPackRow.
+	// pass and the 64×64 transpose), the unit the consolidation prices the
+	// pack of the B+-tree's leaves in. Not in the paper, whose end state
+	// keeps the base column. Zero means DefaultPackRow.
 	PackRow float64
 }
 

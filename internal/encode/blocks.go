@@ -62,11 +62,11 @@ func BlockStart(b, n int) int { return min(b*BlockRows, n) }
 
 // PackBlocks packs rows as consecutive blocks of BlockRows rows (the last
 // one shorter when they do not divide), each frame-of-reference
-// bit-packed over its own extrema, which it computes: the unit in which a
-// settle trades a shard's raw rows for blocks, a budgeted slice at a
-// time. The blocks' words are one allocation — a block's 11 KiB of 22-bit
-// rows would otherwise round up to a 12 KiB size class, a tenth of what
-// packing saved — and rows is not retained.
+// bit-packed over its own extrema, which it computes: how a row-ordered
+// shard packs its raw rows, in chunks of blocks over a pool. The blocks'
+// words are one allocation — a block's 11 KiB of 22-bit rows would
+// otherwise round up to a 12 KiB size class, a tenth of what packing
+// saved — and rows is not retained.
 func PackBlocks(rows []int64) []*Segment {
 	segs := make([]*Segment, (len(rows)+BlockRows-1)/BlockRows)
 	words := 0

@@ -27,9 +27,10 @@ const (
 	// index, A = rows decoded.
 	EvShardClaim
 	// EvShardSettle: a shard whose index had converged dropped its raw
-	// rows, keeping the index, whose packed leaves hold them (beside
-	// packed base blocks where the table keeps row order). Shard = shard
-	// index, A = rows settled, B = bytes the shard then holds.
+	// rows, keeping the index, whose packed leaves hold them (or the
+	// packed base blocks the shard keeps where the table keeps row order).
+	// Shard = shard index, A = rows settled, B = bytes the shard then
+	// holds.
 	EvShardSettle
 	// EvCheckpoint: a durability checkpoint (snapshot) was written.
 	// A = rows captured, B = write duration in seconds.

@@ -185,9 +185,11 @@ func liveHeap() uint64 {
 }
 
 // TestPlannedRowsStoredOnce pins what one storage layer is for: a
-// planned table holds each column's rows in one place, in one form.
-// Raw, that is the column's array (8 B/row) while it indexes — where a
-// second row store beside the shard layer made it 16.5 — and, once
+// planned table holds each column's rows in one place, in one form, and
+// a row-ordered column's packed blocks beside it. Raw, that is the
+// column's array (8 B/row) while it indexes, next to the blocks it
+// packed at load (the FOR-BP table's figure) — where a second row store
+// beside the shard layer made the array alone 16.5 — and, once
 // converged and settled, the rows packed twice, per block in row order
 // and sorted under the index's B+-tree (12.2 B/row over three columns
 // on this data, where a raw sorted copy in each index made it 31.0 and
@@ -208,7 +210,7 @@ func TestPlannedRowsStoredOnce(t *testing.T) {
 		enc                 progidx.Encoding
 		loaded, afterDirect float64 // B/row over the three columns
 	}{
-		{progidx.EncodingRaw, 3 * 9, 12.2 + 0.5},
+		{progidx.EncodingRaw, 3*8 + 7.09 + 0.1, 12.2 + 0.5},
 		{progidx.EncodingFORBP, 7.09 + 0.1, 8.6 + 0.3},
 	} {
 		base := liveHeap()
@@ -277,4 +279,26 @@ func TestOneColumnTableServesItsLeaves(t *testing.T) {
 			t.Fatalf("%s through the leaf blocks: %+v direct=%v err=%v", c, got, ch.Direct, err)
 		}
 	}
+}
+
+var sinkTable *Table
+
+// BenchmarkSettle is what a row-ordered table's settle costs, now that
+// it is paid at load: plan.New of a raw three-column table, whose columns
+// pack their loaded rows into FOR-BP blocks (shard.KeepRowOrder) beside
+// the arrays their indexes are built over.
+// go test -run '^$' -bench Settle -benchmem ./internal/plan
+func BenchmarkSettle(b *testing.B) {
+	const n = 1 << 20
+	names := []string{"a", "b", "c"}
+	flat := data.MultiColumn(n, len(names), 1)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		tbl, err := New("t", names, flat, progidx.Options{Strategy: progidx.StrategyQuicksort, Delta: 0.25})
+		if err != nil {
+			b.Fatal(err)
+		}
+		sinkTable = tbl
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/row")
 }

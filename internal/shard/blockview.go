@@ -69,10 +69,11 @@ func (s *Sharded) BlockView() []Block {
 	return bv
 }
 
-// appendBlocks appends the shard's blocks to dst: the packed blocks of a
-// cold or settled shard as they are — a settled one that packed none has
-// its index's leaves — and raw rows cut on the shard's own grid, the one
-// a settle packs them on.
+// appendBlocks appends the shard's blocks to dst: raw rows, while the
+// shard has them, cut on its own grid — the one its packed blocks are
+// on, where it keeps row order — and otherwise the packed blocks of a
+// cold or settled shard as they are, or a settled one's index's leaves
+// where it packed none.
 func (st *state) appendBlocks(dst []Block) []Block {
 	st.mu.RLock()
 	packed, vals := st.packed, st.vals

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -109,7 +110,10 @@ func TestBlockViewMatchesRows(t *testing.T) {
 // per block packs to under 6.5 B/row where a frame per shard took 7.6;
 // a 1000-value 40-bit column under a forced dictionary stays within 5%
 // of one whole-shard dictionary segment (1.25 B/row), because the
-// shard's blocks share one dictionary.
+// shard's blocks share one dictionary. A claimed column that keeps row
+// order holds its decoded rows beside its blocks until it settles, and
+// reports both: what it reports grows by the live heap's growth over the
+// claim, within 1 % (the stub index holds nothing of its own).
 func TestColdShardBytes(t *testing.T) {
 	coldBytes := func(vals []int64, mode encode.Mode) float64 {
 		sh, err := New(column.MustNew(vals), Config{Workers: 1, Encoding: mode, ClaimHeat: -1}, stubFactory(1))
@@ -121,16 +125,34 @@ func TestColdShardBytes(t *testing.T) {
 	const n, k = 1_000_000, 3
 	flat := data.MultiColumn(n, k, 1)
 	total := 0.0
-	for c := 0; c < k; c++ {
-		col := make([]int64, n)
-		for r := range col {
-			col[r] = flat[r*k+c]
+	cols := make([][]int64, k)
+	for c := range cols {
+		cols[c] = make([]int64, n)
+		for r := range cols[c] {
+			cols[c][r] = flat[r*k+c]
 		}
-		total += coldBytes(col, encode.ModeFORBP)
+		total += coldBytes(cols[c], encode.ModeFORBP)
 	}
 	if total > 6.51 {
 		t.Errorf("conj table: %.3f B/row cold, want the per-block 6.50", total)
 	}
+
+	col := cols[1]
+	sh, err := New(column.MustNew(col), Config{Workers: 1, Encoding: encode.ModeFORBP, ClaimHeat: 1}, stubFactory(1<<30))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh.KeepRowOrder()
+	cold, base := sh.ShardStats()[0].Bytes, liveHeap()
+	if _, err := sh.Execute(query.Request{Pred: query.Range(0, 10)}); err != nil {
+		t.Fatal(err)
+	}
+	held, si := float64(liveHeap()-base), sh.ShardStats()[0]
+	if grew := float64(si.Bytes - cold); si.Form != FormRaw || held < 0.99*grew || held > 1.01*grew {
+		t.Errorf("claimed row-ordered column: the heap grew by %.0f B, what it reports by %.0f B: %+v", held, grew, si)
+	}
+	runtime.KeepAlive(sh)
+	runtime.KeepAlive(col)
 
 	rng := rand.New(rand.NewSource(1))
 	dict := make([]int64, 1000)

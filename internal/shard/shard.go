@@ -53,10 +53,10 @@
 // raw only while something reads them raw: a shard whose index has
 // converged settles (settle.go), whatever its size — the raw copy
 // dropped, the index kept, whose B+-tree's packed leaves are the rows,
-// and where the table keeps row order the rows packed block by block
-// first — so a shard has one of three forms, cold (packed blocks, no
-// index), raw (an index over raw rows) or settled (a converged index),
-// and a loaded array is freed when the last shard slicing it has
+// or where the table keeps row order the packed blocks it has held them
+// in since it was born — so a shard has one of three forms, cold (packed
+// blocks, no index), raw (an index over raw rows) or settled (a converged
+// index), and a loaded array is freed when the last shard slicing it has
 // settled.
 //
 // Readers never lock the table structure: the shard list and tail are
@@ -81,7 +81,8 @@
 // never pays an encode on the hot path; a seal builds its run into one
 // buffer as on a raw table and encodes it once, and the merged shard is
 // born cold. In encoded mode the blocks, any claimed shards' rows — until
-// their indexes converge and they settle into their indexes' leaves — and
+// their indexes converge and they settle into their indexes' leaves, or
+// into the blocks a claim keeps where the table keeps row order — and
 // the pending tail (an extent that every seal ends) are the only copies of
 // the data. Whatever form holds them, the rows are also readable block
 // by block (BlockView).
@@ -129,13 +130,15 @@ type state struct {
 	// write lock alone. Cold (idx == nil): packed only, scanned in place
 	// under the shared lock. Raw: idx over vals — a slice of the loaded
 	// column or the buffer a seal built in raw mode, the claim's decode
-	// of a cold shard in encoded mode — which never change once set.
+	// of a cold shard in encoded mode — which never change once set, and
+	// where the table keeps row order packed beside them, the same rows
+	// in blocks, which a row-ordered shard holds for life (KeepRowOrder).
 	// Settled: idx, and packed where the table keeps row order; once the
 	// index has converged nothing on the query path reads vals again, so
-	// settle (settle.go) drops them — the index's leaves are the rows, or
-	// where row order is kept they are first packed block by block — and
-	// keeps the index, which still answers every query. In every form the
-	// table keeps no other copy of the rows.
+	// the settle (settle.go) drops them — the index's leaves or the
+	// packed blocks are the rows — and keeps the index, which still
+	// answers every query. Beyond these, the table keeps no copy of the
+	// rows.
 	packed *encode.Blocks
 	vals   []int64
 
@@ -153,7 +156,7 @@ type state struct {
 
 	// converged is the sticky read-path switch: set once the shard has
 	// nothing left to do — its index converged and, where the shard
-	// settles, its rows packed; once true, queries share the lock.
+	// settles, its settle published; once true, queries share the lock.
 	// idxDone is the first half alone: the index has converged
 	// (noteIndexDone sets it, once).
 	converged atomic.Bool
@@ -175,12 +178,6 @@ type state struct {
 	// ShardStats. zones are vals' block zones, for BlockView.
 	claimErr atomic.Pointer[error]
 	zones    zoneCache
-
-	// The settle's own state, under the write lock: the largest
-	// Stats.WorkSeconds a slice of this shard's index reported — the
-	// budget of a settle slice — and the blocks packed so far.
-	maxWork float64
-	segs    []*encode.Segment
 }
 
 // newColdState births a cold shard: compressed rows, zone map, and the
@@ -242,14 +239,9 @@ type Sharded struct {
 	encoding  encode.Mode
 	claimHeat uint64
 
-	// model costs a settle slice. rowOrdered says settled shards keep
-	// their rows in row order (KeepRowOrder); then loadedOpen counts the
-	// raw loaded shards whose index has yet to converge, and loadedNarrow
-	// says every one of them packs well enough to settle (settle.go).
-	model        *costmodel.Model
-	rowOrdered   bool
-	loadedOpen   atomic.Int64
-	loadedNarrow bool
+	// rowOrdered says every shard keeps its rows in row order, as packed
+	// blocks (KeepRowOrder).
+	rowOrdered bool
 
 	// rr sequences idle-refinement steps round-robin through the
 	// heat-ordered unconverged shards.
@@ -322,10 +314,6 @@ type Config struct {
 	// DefaultClaimHeat; negative means never claim (permanently cold).
 	// Ignored in raw mode.
 	ClaimHeat int
-	// Params are the cost constants the factory's indexes plan their
-	// budgets with; the layer costs its settle slices with the same ones.
-	// The zero value means costmodel.Default().
-	Params costmodel.Params
 }
 
 // DefaultClaimHeat is the default Config.ClaimHeat: a cold shard that
@@ -361,10 +349,7 @@ func resolveClaimHeat(opt int) uint64 {
 // then execute one after another on the calling goroutine. The two
 // never mix: a goroutine waiting inside a kernel helps with whatever
 // pool task is queued, and were that another query's fan-out task it
-// would block on a shard lock while holding one. A settle slice packs
-// under the shard's write lock, so the rule is its too: over the pool
-// on a table loaded as one shard, on the calling goroutine otherwise
-// (packPool).
+// would block on a shard lock while holding one.
 func New(col *column.Column, cfg Config, factory Factory) (*Sharded, error) {
 	if factory == nil {
 		return nil, fmt.Errorf("shard: nil factory")
@@ -444,16 +429,10 @@ func New(col *column.Column, cfg Config, factory Factory) (*Sharded, error) {
 		tailStart:      n,
 		vmin:           col.Min(),
 		vmax:           col.Max(),
-		model:          costmodel.New(cfg.Params),
 	}
 	if encoded {
 		sh.claimHeat = resolveClaimHeat(cfg.ClaimHeat)
 	} else {
-		sh.loadedOpen.Store(int64(s))
-		sh.loadedNarrow = true
-		for _, st := range shards {
-			sh.loadedNarrow = sh.loadedNarrow && st.narrow()
-		}
 		for _, st := range shards {
 			sh.noteBornDone(st) // an index that is terminal at birth
 		}
@@ -564,7 +543,8 @@ func appendExtent(ext, values []int64) []int64 {
 // The merged shard covers the absorbed row ranges plus the tail, with
 // the union zone and the summed heat/executes/refines; its rows are one
 // copy of the run, and it is unindexed (raw mode: a lazy factory index
-// over them) or cold (encoded mode: their encode), and re-earns its
+// over them, and where the table keeps row order their FOR-BP blocks
+// beside them) or cold (encoded mode: their encode), and re-earns its
 // index through the ordinary budget and idle slices.
 // The absorbed states are not touched: queries still holding the old
 // view finish against them. On error nothing has changed. Caller holds
@@ -607,6 +587,11 @@ func (s *Sharded) sealLocked() ([]*state, error) {
 			return nil, err
 		}
 		st = &state{idx: s.factory(pcol), vals: buf, start: start, end: end, min: mn, max: mx}
+		if s.rowOrdered {
+			// On the calling goroutine: a pool task it would help with
+			// while it waits could need amu, which the seal holds.
+			st.packed = packRows(nil, buf)
+		}
 	}
 	// Published views pin the old extent; dropping the reference (rather
 	// than truncating it) keeps them immutable.
@@ -945,8 +930,9 @@ func (st *state) claimable() bool { return st.cold.Load() && st.claimErr.Load() 
 // claim decompresses cold shard i and opens it for progressive
 // indexing: decode under the write lock, factory over the raw rows,
 // converged cleared so the heat-weighted budget machinery takes over.
-// The decoded rows are retained (they are the shard's only raw copy);
-// the blocks are dropped. The shard list is then republished, so the
+// The decoded rows are retained (they are the index's base); the blocks
+// are dropped, unless the table keeps row order: there they stay, the
+// rows the shard settles into. The shard list is then republished, so the
 // fresh view's all-converged switch restarts false and its block table
 // is rebuilt over the raw rows. Every ingest path has proved the domain
 // of the rows, so the column the index is built over is not expected to
@@ -968,7 +954,9 @@ func (s *Sharded) claim(i int, st *state) bool {
 	}
 	st.idx = s.factory(pcol)
 	st.vals = vals
-	st.packed = nil
+	if !s.rowOrdered {
+		st.packed = nil
+	}
 	st.cold.Store(false)
 	st.converged.Store(false)
 	s.noteBornDone(st) // a terminal-at-birth factory index (e.g. FI)
@@ -993,9 +981,9 @@ func (s *Sharded) republish() []*state {
 // executeShard runs one sub-request against one shard under its lock.
 // A converged shard takes the shared lock (read-only execution, any
 // number of concurrent queries): a cold one scans its packed blocks in
-// place with the clamped bounds, any other — settled ones included, whose
-// packed blocks no query reads — answers through its index. An
-// unconverged shard takes the write lock and spends one slice
+// place with the clamped bounds, any other — settled or row-ordered ones
+// included, whose packed blocks no query reads — answers through its
+// index. An unconverged shard takes the write lock and spends one slice
 // (sliceLocked).
 func (s *Sharded) executeShard(st *state, sub query.Request, lo, hi int64, scale float64, suspend bool) partial {
 	st.executes.Add(1)
@@ -1034,26 +1022,14 @@ func (s *Sharded) executeShard(st *state, sub query.Request, lo, hi int64, scale
 
 // sliceLocked is the one write-path step of a shard that has an index,
 // query-borne or idle: req runs on the index under the slice's budget —
-// the heat-weighted scale, or suspended (a batch pays one budget) —
-// and, where the index had converged before the slice began, the budget
-// goes to the shard's settle instead (settleSlice), its modeled cost
-// reported as the slice's work. settled says this slice finished the
-// settle — a one-column shard's is the slice that converges its index —
-// and the caller publishes it (publishSettled) once it has released the
-// lock. Caller holds st.mu for writing.
+// the heat-weighted scale, or suspended (a batch pays one budget).
+// settled says this slice converged the index and settled the shard
+// (noteIndexDone), and the caller publishes it (publishSettled) once it
+// has released the lock. Caller holds st.mu for writing.
 func (s *Sharded) sliceLocked(st *state, req query.Request, scale float64, suspend bool) (ans query.Answer, settled bool, err error) {
-	settling := st.idx.Converged()
 	ans, err = st.idx.ExecuteSlice(req, scale, suspend)
-	switch {
-	case err != nil:
-	case !settling:
-		st.maxWork = max(st.maxWork, ans.Stats.WorkSeconds)
+	if err == nil {
 		settled = s.noteIndexDone(st)
-	case !suspend:
-		var cost float64
-		cost, settled = s.settleSlice(st)
-		ans.Stats.WorkSeconds += cost
-		ans.Stats.Predicted += cost
 	}
 	return ans, settled, err
 }
@@ -1216,7 +1192,6 @@ func (s *Sharded) RefineStep() (query.Stats, bool) {
 // scale is the shard count: an idle slice concentrates the full
 // per-query budget on one shard, so an idle Sharded index converges in
 // about as much wall-clock as an idle unsharded one, hot shards first.
-// A shard whose index has converged spends its slices on its settle.
 // It returns the slice's work stats, and false when no sealed shard is
 // left to refine.
 func (s *Sharded) RefineShard() (query.Stats, bool) {
@@ -1263,9 +1238,7 @@ func (s *Sharded) FlushTail() {
 
 // nextRefineTarget picks the round-robin cursor's shard among the
 // unconverged ones ordered by heat (descending, shard index breaking
-// ties), or nil when everything converged. A loaded shard that waits for
-// its siblings before it settles has nothing to spend a slice on and is
-// passed over.
+// ties), or nil when everything converged.
 func (s *Sharded) nextRefineTarget(v *view) *state {
 	type cand struct {
 		heat uint64
@@ -1273,7 +1246,7 @@ func (s *Sharded) nextRefineTarget(v *view) *state {
 	}
 	cands := make([]cand, 0, len(v.shards))
 	for i, st := range v.shards {
-		if !st.converged.Load() && !(st.idxDone.Load() && s.waitsForLoaded(st)) {
+		if !st.converged.Load() {
 			cands = append(cands, cand{st.heat.Load(), i})
 		}
 	}
@@ -1293,8 +1266,8 @@ func (s *Sharded) nextRefineTarget(v *view) *state {
 }
 
 // Converged reports whether every shard reached its terminal state —
-// its index converged and, where the shard settles, its rows packed —
-// and no appended rows are pending.
+// its index converged and, where the shard settles, its raw rows
+// dropped — and no appended rows are pending.
 func (s *Sharded) Converged() bool { return s.cur.Load().allDone() }
 
 // Quiescent reports whether a batch has found the table with no index
@@ -1306,10 +1279,8 @@ func (s *Sharded) Quiescent() bool { return s.cur.Load().quiet.Load() }
 
 // Progress returns the row-weighted mean convergence fraction across
 // shards' indexes, exactly 1 once all shards converged and nothing is
-// pending; unindexed tail rows count as zero progress. A settle moves
-// it no further: on a row-ordered table it reads 1 from the slice that
-// converged the last index to the one that packs the last block, while
-// Converged is still false.
+// pending; unindexed tail rows count as zero progress. A settle adds no
+// step of its own: a shard settles on the slice that converges its index.
 func (s *Sharded) Progress() float64 {
 	v := s.cur.Load()
 	if v.done.Load() {
@@ -1361,26 +1332,30 @@ const (
 )
 
 // encodingInfo reports the form the shard holds its rows in, their
-// encoding, and the shard's resident payload size: raw and 8·rows for raw
-// rows, the blocks' kind and packed-word footprint for a cold shard, and
-// for a settled one FOR-BP and what its converged index holds — the four
-// progressive algorithms say (core's SizeBytes): a B+-tree over packed
-// leaves, which are the rows unless row-ordered blocks are kept beside it.
+// encoding, and the shard's resident payload size, which counts every
+// form the shard holds them in: 8·rows for raw rows, the packed-word
+// footprint of the blocks of a cold or a row-ordered shard, and what a
+// settled shard's converged index holds — the four progressive algorithms
+// say (core's SizeBytes): a B+-tree over packed leaves. The encoding is
+// raw for raw rows, and otherwise the row-ordered blocks' kind, or FOR-BP
+// where the leaves are the rows.
 func (st *state) encodingInfo() (form, kind string, bytes int) {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
+	kind = encode.KindFORBP.String()
+	if st.packed != nil {
+		kind, bytes = st.packed.Kind().String(), st.packed.SizeBytes()
+	}
 	switch {
 	case st.vals != nil:
-		return FormRaw, encode.KindRaw.String(), 8 * len(st.vals)
+		return FormRaw, encode.KindRaw.String(), bytes + 8*len(st.vals)
 	case st.idx == nil:
-		return FormCold, st.packed.Kind().String(), st.packed.SizeBytes()
-	case st.packed != nil:
-		bytes = st.packed.SizeBytes()
+		return FormCold, kind, bytes
 	}
 	if idx, ok := st.idx.(interface{ SizeBytes() int }); ok {
 		bytes += idx.SizeBytes()
 	}
-	return FormSettled, encode.KindFORBP.String(), bytes
+	return FormSettled, kind, bytes
 }
 
 // Info is a point-in-time snapshot of one shard, for the stats
@@ -1400,12 +1375,13 @@ type Info struct {
 	// Form is how the shard holds its rows: FormRaw (an index over raw
 	// rows: a raw-mode or a claimed shard), FormCold (packed blocks, no
 	// index) or FormSettled (a converged index whose packed leaves are the
-	// rows, with packed blocks beside it where the table keeps row order).
+	// rows). Where the table keeps row order, a raw or settled shard also
+	// holds packed blocks, which it keeps from load or seal to the end.
 	// Encoding is the rows' encoding ("raw" in the raw form) and Bytes
-	// the shard's resident payload size — 8·rows raw (an index's working
-	// arrays are not in it), the packed-word footprint cold, and settled
-	// the converged index's keys, prefix sums and packed leaves, plus the
-	// row-ordered blocks where there are any.
+	// the shard's resident payload size, every form it holds counted —
+	// 8·rows raw (an index's working arrays are not in it), the blocks'
+	// packed-word footprint, and a settled shard's converged index: its
+	// keys, prefix sums and packed leaves.
 	Form     string `json:"form"`
 	Encoding string `json:"encoding"`
 	Bytes    int    `json:"resident_bytes"`

@@ -74,7 +74,7 @@ const unshardedSealMinRows = 1024
 // rows rows, and the factory every shard's index is built with; the
 // strategy is one of the four progressive algorithms.
 func shardLayout(opts Options, rows int) (shard.Config, shard.Factory) {
-	cfg := shard.Config{Shards: max(opts.Shards, 1), Workers: opts.Workers, Encoding: opts.Encoding, ClaimHeat: opts.ClaimHeat, Params: costParams(opts)}
+	cfg := shard.Config{Shards: max(opts.Shards, 1), Workers: opts.Workers, Encoding: opts.Encoding, ClaimHeat: opts.ClaimHeat}
 	child := opts
 	child.Shards = 0
 	// Claimed shards decompress into the selected strategy over raw
