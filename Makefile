@@ -65,7 +65,8 @@ vet:
 # checkpoints that stream a one-column table's blocks instead of copying
 # its rows whole, shard.Snapshot and durable.RowSource (+109).
 # One settle for every table shape (row-ordered blocks kept) lowered it from 20 310.
-LOC_MAX ?= 20200
+# One block packer for every packed run (one slab of words a run) lowered it from 20 200.
+LOC_MAX ?= 20191
 loc:
 	@n=$$(find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -not -path './.bench_build/*' -print0 | xargs -0 cat | wc -l); \
 	echo $$n; \

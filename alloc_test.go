@@ -164,3 +164,33 @@ func TestConvergedIndexIsItsPackedTree(t *testing.T) {
 		}
 	}
 }
+
+// TestColdColumnHoldsWhatItReports pins a cold column's live heap to the
+// bytes its shard reports. Each of the conj table's three columns, loaded
+// as one FOR-BP shard that no query claims, holds its packed blocks and
+// their headers, which ShardStats does not count: within 2.5 % of what it
+// reports. Blocks whose words each took a size class of their own held
+// 8–10 % more.
+func TestColdColumnHoldsWhatItReports(t *testing.T) {
+	skipUnderRace(t)
+	const n, k = 1_000_000, 3
+	flat := data.MultiColumn(n, k, 1)
+	makeThreads() // the pack runs on the pool
+	for c := range k {
+		vals := make([]int64, n)
+		for r := range vals {
+			vals[r] = flat[r*k+c]
+		}
+		base := liveHeap()
+		idx, err := NewHandle(vals, Options{Encoding: EncodingFORBP, ClaimHeat: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		held, size := float64(liveHeap()-base), float64(idx.ShardStats()[0].Bytes)
+		if held < size || held > 1.025*size {
+			t.Errorf("column %d: the heap holds %.0f B, the shard reports %.0f (%+.2f %%)", c, held, size, 100*(held/size-1))
+		}
+		runtime.KeepAlive(idx)
+		runtime.KeepAlive(vals)
+	}
+}

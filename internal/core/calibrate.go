@@ -101,10 +101,10 @@ func CalibrateParams() costmodel.Params {
 		calSink = s
 	}) / (1 << 21 / gamma)
 
-	// The pack constant from the block packer over the same rows, cut
-	// into blocks as a shard's rows are.
+	// The pack constant from the one block packer over the same rows, cut
+	// into blocks as a shard's rows are, on one goroutine.
 	packPerRow := bestOf(3, nil, func() {
-		calSink = int64(len(encode.PackBlocks(vals)))
+		calSink = int64(encode.Pack(nil, vals, encode.ModeFORBP).SizeBytes())
 	}) / n
 
 	omega := scanPerElem * gamma

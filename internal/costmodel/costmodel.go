@@ -46,10 +46,10 @@ type Params struct {
 	ParEfficiency float64
 
 	// PackRow is the seconds it takes to bit-pack one row into its
-	// block's frame-of-reference planes (encode.PackBlocks: the extrema
-	// pass and the 64×64 transpose), the unit the consolidation prices the
-	// pack of the B+-tree's leaves in. Not in the paper, whose end state
-	// keeps the base column. Zero means DefaultPackRow.
+	// block's frame-of-reference planes (encode.Pack, the one block
+	// packer: the extrema pass and the 64×64 transpose), the unit the
+	// consolidation prices the pack of the B+-tree's leaves in. Not in
+	// the paper, whose end state keeps the base column. Zero means DefaultPackRow.
 	PackRow float64
 }
 

@@ -160,14 +160,9 @@ func BenchmarkAggMasked(b *testing.B) {
 func BenchmarkPack(b *testing.B) {
 	benchSegment(b, ModeRaw) // warm benchVals
 	b.Run("forbp", func(b *testing.B) {
-		mn, mx := column.MinMax(benchVals)
 		b.SetBytes(8 * benchN)
 		for b.Loop() {
-			blocks, err := NewBlocks(benchVals, mn, mx, ModeFORBP)
-			if err != nil {
-				b.Fatal(err)
-			}
-			benchSink.Count = int64(blocks.SizeBytes())
+			benchSink.Count = int64(Pack(nil, benchVals, ModeFORBP).SizeBytes())
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/benchN, "ns/row")
 	})

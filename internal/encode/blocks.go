@@ -1,6 +1,9 @@
 package encode
 
-import "repro/internal/column"
+import (
+	"repro/internal/column"
+	"repro/internal/parallel"
+)
 
 // BlockRows is the packed unit and the one zone-map granularity of the
 // stack: a cold shard holds its rows as BlockRows-row segments, each
@@ -23,77 +26,65 @@ type Blocks struct {
 	bytes int
 }
 
-// NewBlocks packs values block by block under mode; mn/mx are trusted
-// as the run's extrema, as in New. Unlike New it never retains values:
-// a block left raw is copied out, so one incompressible block cannot
-// pin the array its packed neighbours were read from.
-func NewBlocks(values []int64, mn, mx int64, mode Mode) (*Blocks, error) {
-	if err := check(len(values), mn, mx, mode); err != nil {
-		return nil, err
-	}
-	dict := probeFor(values, mn, mx, mode)
-	b := &Blocks{segs: make([]*Segment, 0, (len(values)+BlockRows-1)/BlockRows)}
-	dictUsed := false
-	for off := 0; off < len(values); off += BlockRows {
-		part := values[off:min(off+BlockRows, len(values))]
-		bmin, bmax := mn, mx // a run of one block: its extrema are the block's
-		if len(values) > BlockRows {
-			bmin, bmax = column.MinMax(part)
-		}
-		seg := pack(part, bmin, bmax, mode, dict)
-		if seg.kind == KindRaw {
-			seg.raw = append([]int64(nil), part...)
-		}
-		b.segs = append(b.segs, seg)
-		b.bytes += 8 * (len(seg.words) + len(seg.raw))
-		dictUsed = dictUsed || seg.kind == KindDict
-	}
-	if dictUsed {
-		b.bytes += 8 * len(dict)
-	}
-	return b, nil
-}
-
 // BlockStart returns the first row of block b of a run of n rows cut into
 // BlockRows-row blocks, clamped to n: blocks [a, b) are rows
 // [BlockStart(a, n), BlockStart(b, n)), an empty range for the blocks past
 // the last that a rounded-up pool.Run split hands its trailing chunks.
 func BlockStart(b, n int) int { return min(b*BlockRows, n) }
 
-// PackBlocks packs rows as consecutive blocks of BlockRows rows (the last
-// one shorter when they do not divide), each frame-of-reference
-// bit-packed over its own extrema, which it computes: how a row-ordered
-// shard packs its raw rows, in chunks of blocks over a pool. The blocks'
-// words are one allocation — a block's 11 KiB of 22-bit rows would
-// otherwise round up to a 12 KiB size class, a tenth of what packing
-// saved — and rows is not retained.
-func PackBlocks(rows []int64) []*Segment {
-	segs := make([]*Segment, (len(rows)+BlockRows-1)/BlockRows)
-	words := 0
-	for i := range segs {
-		part := rows[i*BlockRows : min((i+1)*BlockRows, len(rows))]
-		mn, mx := column.MinMax(part)
-		segs[i] = &Segment{kind: KindFORBP, n: len(part), min: mn, max: mx, ref: mn, width: forWidth(mn, mx)}
-		words += packedWords(len(part), uint(segs[i].width))
+// Pack packs rows — a column's: at least one, each strictly inside the
+// ±2^62 domain — under mode as consecutive blocks of BlockRows rows (the
+// last one shorter when they do not divide), each over its own extrema,
+// over pool (nil: the calling goroutine): every run of blocks — a cold
+// load's, a seal's, a row-ordered shard's — is packed here. Three passes:
+// the blocks' extrema; their kinds and widths, the run's dictionary probed
+// once; the packing, into full-capacity windows of one slab of words and
+// of one slab of rows for the blocks the automatic mode leaves raw.
+// Allocated one by one, a block's 7 680 B of 15-bit rows would take an
+// 8 KiB size class that SizeBytes does not count. No frame, kind or word
+// depends on the pool, and rows is not retained.
+func Pack(pool *parallel.Pool, rows []int64, mode Mode) *Blocks {
+	n := len(rows)
+	segs := make([]*Segment, (n+BlockRows-1)/BlockRows)
+	pool.Run(len(segs), 1, func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			part := rows[BlockStart(i, n):BlockStart(i+1, n)]
+			mn, mx := column.MinMax(part)
+			segs[i] = &Segment{n: len(part), min: mn, max: mx}
+		}
+	})
+	mn, mx := segs[0].min, segs[0].max
+	for _, seg := range segs[1:] {
+		mn, mx = min(mn, seg.min), max(mx, seg.max)
 	}
-	slab := make([]uint64, words)
-	for i, seg := range segs {
-		if k := packedWords(seg.n, uint(seg.width)); k > 0 {
+	dict := probeFor(rows, mn, mx, mode)
+	words, raw, dictUsed := 0, 0, false
+	for _, seg := range segs {
+		seg.frame(mode, dict)
+		words += seg.slabWords()
+		if seg.kind == KindRaw {
+			raw += seg.n
+		}
+		dictUsed = dictUsed || seg.kind == KindDict
+	}
+	b := &Blocks{segs: segs, bytes: 8 * (words + raw)}
+	if dictUsed {
+		b.bytes += 8 * len(dict)
+	}
+	slab, raws := make([]uint64, words), make([]int64, raw)
+	for _, seg := range segs {
+		if k := seg.slabWords(); k > 0 {
 			seg.words, slab = slab[:k:k], slab[k:]
-			packVertical(seg.words, rows[i*BlockRows:i*BlockRows+seg.n], seg.ref, uint(seg.width))
+		}
+		if seg.kind == KindRaw {
+			seg.raw, raws = raws[:seg.n:seg.n], raws[seg.n:]
 		}
 	}
-	return segs
-}
-
-// BlocksOf assembles the run whose blocks PackBlocks packed, slice after
-// slice, in row order: every block but the last holds BlockRows rows.
-// segs is retained.
-func BlocksOf(segs []*Segment) *Blocks {
-	b := &Blocks{segs: segs}
-	for _, seg := range segs {
-		b.bytes += seg.SizeBytes()
-	}
+	pool.Run(len(segs), 1, func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			segs[i].fill(rows[BlockStart(i, n):BlockStart(i+1, n)])
+		}
+	})
 	return b
 }
 

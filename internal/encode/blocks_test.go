@@ -21,10 +21,7 @@ func TestBlocksMatchOracle(t *testing.T) {
 		mn, mx := column.MinMax(vs)
 		span := mx - mn
 		for _, mode := range testModes() {
-			b, err := NewBlocks(vs, mn, mx, mode)
-			if err != nil {
-				t.Fatalf("%s/%v: NewBlocks: %v", name, mode, err)
-			}
+			b := Pack(nil, vs, mode)
 			segs := b.Segments()
 			if len(segs) != 4 || segs[3].Len() != 321 {
 				t.Fatalf("%s/%v: %d blocks, last of %d rows", name, mode, len(segs), segs[len(segs)-1].Len())
@@ -76,10 +73,7 @@ func TestBlocksBytes(t *testing.T) {
 		clustered[i] = int64(i) + rng.Int63n(2001) - 1000
 	}
 	mn, mx := column.MinMax(clustered)
-	b, err := NewBlocks(clustered, mn, mx, ModeFORBP)
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := Pack(nil, clustered, ModeFORBP)
 	whole, _ := New(clustered, mn, mx, ModeFORBP)
 	// Spread within a block: 4096 rows + 2000 noise → 13 bits; the run's: 19.
 	if perRow := float64(b.SizeBytes()) / n; perRow > 13.0/8 || whole.BytesPerRow() < 18.0/8 {
@@ -95,9 +89,7 @@ func TestBlocksBytes(t *testing.T) {
 		lowcard[i] = dictVals[rng.Intn(len(dictVals))]
 	}
 	mn, mx = column.MinMax(lowcard)
-	if b, err = NewBlocks(lowcard, mn, mx, ModeDict); err != nil {
-		t.Fatal(err)
-	}
+	b = Pack(nil, lowcard, ModeDict)
 	whole, _ = New(lowcard, mn, mx, ModeDict)
 	if b.Kind() != KindDict || whole.Kind() != KindDict {
 		t.Fatalf("kinds %v / %v, want dict", b.Kind(), whole.Kind())
@@ -106,9 +98,7 @@ func TestBlocksBytes(t *testing.T) {
 		t.Fatalf("low-cardinality column: %.3f B/row in blocks, %.3f as one segment", got/n, want/n)
 	}
 	for _, mode := range []Mode{ModeDict, ModeAuto} {
-		if b, err = NewBlocks(lowcard, mn, mx, mode); err != nil {
-			t.Fatal(err)
-		}
+		b = Pack(nil, lowcard, mode)
 		for i, seg := range b.Segments() {
 			if seg.Kind() != KindDict || &seg.dict[0] != &b.Segments()[0].dict[0] {
 				t.Fatalf("%v block %d: kind %v, or a dictionary of its own", mode, i, seg.Kind())

@@ -2,16 +2,6 @@ package encode
 
 import "repro/internal/column"
 
-// newDict packs values as codes into the sorted-ascending dictionary —
-// which holds every one of them; a value's code is its position —
-// codeWidth(len(dict)) bits per row. A single-entry dictionary packs to
-// zero words.
-func newDict(values []int64, min, max int64, dict []int64) *Segment {
-	w := codeWidth(len(dict))
-	words := packInto(len(values), uint(w), func(i int) uint64 { return uint64(column.LowerBound(dict, values[i])) })
-	return &Segment{kind: KindDict, n: len(values), min: min, max: max, width: w, dict: dict, words: words}
-}
-
 // aggDict aggregates the rows against the clamped predicate [lo, hi]
 // (callers guarantee s.min <= lo <= hi <= s.max). Because the
 // dictionary is sorted ascending, the value range maps to one

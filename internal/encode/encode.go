@@ -58,6 +58,14 @@ const (
 // int64s (i.e. whether the compressed serving pipeline is engaged).
 func (m Mode) Compressed() bool { return m != ModeRaw }
 
+// Check refuses a mode that does not exist.
+func (m Mode) Check() error {
+	if m > ModeDict {
+		return fmt.Errorf("encode: unknown mode %d", m)
+	}
+	return nil
+}
+
 // String returns the wire spelling used by Options/catalog/server.
 func (m Mode) String() string {
 	switch m {
@@ -165,7 +173,17 @@ func New(values []int64, min, max int64, mode Mode) (*Segment, error) {
 	if err := check(len(values), min, max, mode); err != nil {
 		return nil, err
 	}
-	return pack(values, min, max, mode, probeFor(values, min, max, mode)), nil
+	s := &Segment{n: len(values), min: min, max: max}
+	s.frame(mode, probeFor(values, min, max, mode))
+	if s.kind == KindRaw {
+		s.raw = values
+		return s, nil
+	}
+	if k := s.slabWords(); k > 0 {
+		s.words = make([]uint64, k)
+	}
+	s.fill(values)
+	return s, nil
 }
 
 // check refuses what no run of rows may be encoded from: no rows,
@@ -179,10 +197,8 @@ func check(n int, min, max int64, mode Mode) error {
 		return fmt.Errorf("encode: inverted zone statistics (min=%d max=%d)", min, max)
 	case min <= -column.MaxMagnitude || max >= column.MaxMagnitude:
 		return fmt.Errorf("encode: values must lie strictly inside ±2^62 (min=%d max=%d)", min, max)
-	case mode > ModeDict:
-		return fmt.Errorf("encode: unknown mode %d", mode)
 	}
-	return nil
+	return mode.Check()
 }
 
 // probeFor returns the dictionary a run's rows are coded against, nil
@@ -205,30 +221,54 @@ func probeFor(values []int64, min, max int64, mode Mode) []int64 {
 	return nil
 }
 
-// pack picks the representation of one run — a whole segment, or one
+// frame picks the representation of one run — a whole segment, or one
 // block of a longer run whose probed dictionary dict is — from its
-// statistics. A forced dictionary codes every run it was probed over
-// (without one the probe overflowed: FOR-BP is the closest packed
-// representation, and callers forcing dict want compression, not an
-// error at seal time); the automatic mode takes the dictionary where
-// its codes are narrower than the run's own FOR frame, raw when that
-// frame is so close to 64 bits that unpacking buys nothing, FOR-BP
-// otherwise.
-func pack(values []int64, min, max int64, mode Mode, dict []int64) *Segment {
-	forW := forWidth(min, max)
+// statistics, and sets its frame: kind, width and reference. A forced
+// dictionary codes every run it was probed over (without one the probe
+// overflowed: FOR-BP is the closest packed representation, and callers
+// forcing dict want compression, not an error at seal time); the
+// automatic mode takes the dictionary where its codes are narrower than
+// the run's own FOR frame, raw when that frame is so close to 64 bits
+// that unpacking buys nothing, FOR-BP otherwise.
+func (s *Segment) frame(mode Mode, dict []int64) {
+	forW := forWidth(s.min, s.max)
 	switch {
 	case mode == ModeRaw:
-		return newRaw(values, min, max)
+		s.kind = KindRaw
 	case dict != nil && (mode == ModeDict || codeWidth(len(dict)) < forW):
-		return newDict(values, min, max, dict)
+		s.kind, s.width, s.dict = KindDict, codeWidth(len(dict)), dict
 	case mode == ModeAuto && forW >= rawWidthFloor:
-		return newRaw(values, min, max)
+		s.kind = KindRaw
+	default:
+		s.kind, s.ref, s.width = KindFORBP, s.min, forW
 	}
-	return newFORBP(values, min, max)
 }
 
-func newRaw(values []int64, min, max int64) *Segment {
-	return &Segment{kind: KindRaw, n: len(values), min: min, max: max, raw: values}
+// slabWords is the number of words a framed segment packs into: its
+// planes or codes, and the pad word of a dictionary's (see packedWords);
+// none at width 0 or raw.
+func (s *Segment) slabWords() int {
+	switch {
+	case s.kind == KindRaw || s.width == 0:
+		return 0
+	case s.kind == KindDict:
+		return packedWords(s.n, uint(s.width)) + 1
+	}
+	return packedWords(s.n, uint(s.width))
+}
+
+// fill packs values, the framed segment's rows, into its zeroed words of
+// slabWords length, or copies them into its raw rows.
+func (s *Segment) fill(values []int64) {
+	switch {
+	case s.kind == KindRaw:
+		copy(s.raw, values)
+	case s.width == 0:
+	case s.kind == KindFORBP:
+		packVertical(s.words, values, s.ref, uint(s.width))
+	default:
+		packCodes(s.words, values, s.dict, uint(s.width))
+	}
 }
 
 // forWidth is the packed bit width for the value domain [min, max]:
@@ -346,24 +386,18 @@ func packedWords(n int, w uint) int {
 	return ((n + blockLen - 1) / blockLen) * int(w)
 }
 
-// packInto packs n values (produced by get, already reduced to their
-// packed form) horizontally — value i occupies bits [i*w, (i+1)*w) of
-// the word stream — with the trailing pad word.
-func packInto(n int, w uint, get func(i int) uint64) []uint64 {
-	if w == 0 {
-		return nil
-	}
-	words := make([]uint64, packedWords(n, w)+1)
-	for i := 0; i < n; i++ {
-		d := get(i)
-		block := i / blockLen
-		bit := (uint(block)*blockLen + uint(i%blockLen)) * w
-		word := bit >> 6
-		off := bit & 63
-		words[word] |= d << off
+// packCodes packs values' codes in the sorted dictionary dict — which
+// holds every one of them; a value's code is its position — horizontally
+// into the zeroed words dst: code i occupies bits [i*w, (i+1)*w) of the
+// word stream, which ends in the pad word.
+func packCodes(dst []uint64, values, dict []int64, w uint) {
+	for i, v := range values {
+		d := uint64(column.LowerBound(dict, v))
+		bit := uint(i) * w
+		word, off := bit>>6, bit&63
+		dst[word] |= d << off
 		if off+w > 64 {
-			words[word+1] |= d >> (64 - off)
+			dst[word+1] |= d >> (64 - off)
 		}
 	}
-	return words
 }

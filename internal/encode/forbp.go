@@ -18,17 +18,6 @@ import (
 // rows as one popcount per plane. On one core this scans faster than
 // the raw kernel once the width drops below ~32 bits: the compare
 // touches width/8 bytes per row instead of 8.
-//
-// newFORBP packs values as deltas v - min in forWidth(min, max) bit
-// planes. A constant segment (min == max) packs to zero words.
-func newFORBP(values []int64, min, max int64) *Segment {
-	s := &Segment{kind: KindFORBP, n: len(values), min: min, max: max, ref: min, width: forWidth(min, max)}
-	if s.width > 0 {
-		s.words = make([]uint64, packedWords(s.n, uint(s.width)))
-		packVertical(s.words, values, min, uint(s.width))
-	}
-	return s
-}
 
 // packVertical bit-slices the deltas v - ref into dst as width-w planes
 // (w > 0), 64 values per block, by the transpose the decoder undoes: a

@@ -23,7 +23,7 @@ import (
 const headerLen = 1 + 1 + 2 + 4 + 8 + 8 + 8 + 8
 
 // payloadWords is the number of packed words Marshal writes: the
-// in-memory pad word (see packInto) is an implementation detail of the
+// in-memory pad word (see packedWords) is an implementation detail of the
 // branch-free gather and stays out of the wire format.
 func (s *Segment) payloadWords() int {
 	if s.kind == KindRaw || s.width == 0 {

@@ -194,11 +194,13 @@ func liveHeap() uint64 {
 // and sorted under the index's B+-tree (12.2 B/row over three columns
 // on this data, where a raw sorted copy in each index made it 31.0 and
 // keeping the arrays too 51). FOR-BP, the packed blocks are the loaded
-// table, at the per-block figure (7.09 B/row over three columns; a
-// frame per whole shard would be 7.6), and a claim that has converged
-// has traded one column's blocks for the same rows packed again and
-// the index's packed leaves (8.6), not for a raw sorted copy (14.8),
-// index and raw rows (21) nor a second store beside them (23.2).
+// table, at the per-block figure (6.30 B/row over three columns, 6.61
+// when each block's words took a size class of their own; a frame per
+// whole shard would be 7.6), and a claim that has converged has traded
+// one column's blocks for the same rows packed again and the index's
+// packed leaves (7.51, 7.82 with a size class per block), not for a raw
+// sorted copy (14.8), index and raw rows (21) nor a second store beside
+// them (23.2).
 func TestPlannedRowsStoredOnce(t *testing.T) {
 	if raceEnabled {
 		t.Skip("heap sizes are not meaningful under -race")
@@ -211,7 +213,7 @@ func TestPlannedRowsStoredOnce(t *testing.T) {
 		loaded, afterDirect float64 // B/row over the three columns
 	}{
 		{progidx.EncodingRaw, 3*8 + 7.09 + 0.1, 12.2 + 0.5},
-		{progidx.EncodingFORBP, 7.09 + 0.1, 8.6 + 0.3},
+		{progidx.EncodingFORBP, 6.30 + 0.05, 7.51 + 0.05},
 	} {
 		base := liveHeap()
 		tbl, err := New("t", names, flat, progidx.Options{
@@ -295,6 +297,23 @@ func BenchmarkSettle(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		tbl, err := New("t", names, flat, progidx.Options{Strategy: progidx.StrategyQuicksort, Delta: 0.25})
+		if err != nil {
+			b.Fatal(err)
+		}
+		sinkTable = tbl
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/row")
+}
+
+// BenchmarkLoadFORBP is the conj workload's load: plan.New of a FOR-BP
+// 1M×3 table, each column one cold shard whose blocks pack over the pool.
+func BenchmarkLoadFORBP(b *testing.B) {
+	const n = 1 << 20
+	names := []string{"a", "b", "c"}
+	flat := data.MultiColumn(n, len(names), 1)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		tbl, err := New("t", names, flat, progidx.Options{Strategy: progidx.StrategyQuicksort, Delta: 0.25, Encoding: progidx.EncodingFORBP})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/encode"
 	"repro/internal/obs"
-	"repro/internal/parallel"
 )
 
 // Settle is the mirror image of the claim (DESIGN.md section 9). Once a
@@ -38,19 +37,9 @@ func (s *Sharded) KeepRowOrder() {
 	s.rowOrdered = true
 	for _, st := range s.cur.Load().shards {
 		if st.packed == nil {
-			st.packed = packRows(s.pool, st.vals)
+			st.packed = encode.Pack(s.pool, st.vals, encode.ModeFORBP)
 		}
 	}
-}
-
-// packRows packs rows into FOR-BP blocks on their own BlockRows grid, over
-// pool (nil: on the calling goroutine).
-func packRows(pool *parallel.Pool, rows []int64) *encode.Blocks {
-	segs := make([]*encode.Segment, (len(rows)+BlockRows-1)/BlockRows)
-	pool.Run(len(segs), 1, func(_, a, b int) {
-		copy(segs[a:], encode.PackBlocks(rows[encode.BlockStart(a, len(rows)):encode.BlockStart(b, len(rows))]))
-	})
-	return encode.BlocksOf(segs)
 }
 
 // noteIndexDone records, once, that the shard's index has converged, and

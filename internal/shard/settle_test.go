@@ -174,7 +174,7 @@ func TestSettledShardAnswersThroughIndex(t *testing.T) {
 			t.Fatalf("shard %d not settled: %+v", i, si)
 		}
 		st.mu.Lock()
-		st.packed = encode.BlocksOf(encode.PackBlocks(make([]int64, st.end-st.start)))
+		st.packed = encode.Pack(nil, make([]int64, st.end-st.start), encode.ModeFORBP)
 		st.mu.Unlock()
 	}
 	const queries = 50

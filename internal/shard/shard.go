@@ -354,6 +354,9 @@ func New(col *column.Column, cfg Config, factory Factory) (*Sharded, error) {
 	if factory == nil {
 		return nil, fmt.Errorf("shard: nil factory")
 	}
+	if err := cfg.Encoding.Check(); err != nil {
+		return nil, err
+	}
 	n := col.Len()
 	s := cfg.Shards
 	if s < 1 {
@@ -372,7 +375,12 @@ func New(col *column.Column, cfg Config, factory Factory) (*Sharded, error) {
 	// hot, then construct the shard column with NewWithStats (no second
 	// min/max scan) and its index — or, in encoded mode, compress the
 	// partition into cold blocks and build nothing: the partition's raw
-	// rows are not retained. Shards are scanned concurrently.
+	// rows are not retained. Shards are scanned concurrently; one shard,
+	// which has no fan-out, packs its blocks over the pool instead.
+	packPool := pool
+	if s > 1 {
+		packPool = nil
+	}
 	pool.Run(s, 1, func(_, a, b int) {
 		for i := a; i < b; i++ {
 			start, end := i*n/s, (i+1)*n/s
@@ -382,13 +390,7 @@ func New(col *column.Column, cfg Config, factory Factory) (*Sharded, error) {
 				mn, mx = column.MinMax(part)
 			}
 			if encoded {
-				packed, err := encode.NewBlocks(part, mn, mx, cfg.Encoding)
-				if err != nil {
-					err = fmt.Errorf("shard %d [%d, %d): %w", i, start, end, err)
-					firstErr.CompareAndSwap(nil, &err)
-					continue
-				}
-				shards[i] = newColdState(packed, start, end, mn, mx)
+				shards[i] = newColdState(encode.Pack(packPool, part, cfg.Encoding), start, end, mn, mx)
 				continue
 			}
 			pcol, err := column.NewWithStats(part, mn, mx)
@@ -576,11 +578,7 @@ func (s *Sharded) sealLocked() ([]*state, error) {
 	var st *state
 	if s.encoding.Compressed() {
 		// Appends ride raw and pay the encode here.
-		packed, err := encode.NewBlocks(buf, mn, mx, s.encoding)
-		if err != nil {
-			return nil, err
-		}
-		st = newColdState(packed, start, end, mn, mx)
+		st = newColdState(encode.Pack(nil, buf, s.encoding), start, end, mn, mx)
 	} else {
 		pcol, err := column.NewWithStats(buf, mn, mx)
 		if err != nil {
@@ -590,7 +588,7 @@ func (s *Sharded) sealLocked() ([]*state, error) {
 		if s.rowOrdered {
 			// On the calling goroutine: a pool task it would help with
 			// while it waits could need amu, which the seal holds.
-			st.packed = packRows(nil, buf)
+			st.packed = encode.Pack(nil, buf, encode.ModeFORBP)
 		}
 	}
 	// Published views pin the old extent; dropping the reference (rather
