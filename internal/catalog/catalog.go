@@ -208,15 +208,6 @@ func (t *Table) MaxValue() int64 {
 	return mx
 }
 
-// Values exposes the table's rows for oracle checks in tests and the
-// load generator. The catalog keeps no base column — the handle holds
-// the rows — so they are materialized through it into a fresh copy the
-// caller owns. Rows of a multi-column table come in row order; a
-// one-column table's shard that has settled gives its rows sorted (its
-// index's leaves hold them), so only the multiset of a one-column table's
-// rows is stable.
-func (t *Table) Values() []int64 { return t.idx.MaterializeRows() }
-
 // Append ingests values at the tail of the table through the index
 // handle: the rows are visible to every query admitted after Append
 // returns, and the index absorbs them progressively under its normal

@@ -221,7 +221,7 @@ func TestTableAppendLifecycle(t *testing.T) {
 		// A sharded table holds its rows itself (the load column does not
 		// grow with it); Values must follow the table either way — as a
 		// multiset, since a settled shard gives its rows sorted.
-		if want := append(append([]int64(nil), vals...), 50_000, 50_001, 50_002); !sameRows(tbl.Values(), want) {
+		if want := append(append([]int64(nil), vals...), 50_000, 50_001, 50_002); !sameRows(tbl.Handle().MaterializeRows(), want) {
 			t.Fatalf("shards=%d: Values() is not the loaded rows and the appended ones", shards)
 		}
 	}

@@ -154,19 +154,12 @@ func (t *Table) CaptureCheckpoint() (durable.Checkpoint, bool) {
 	if t.log == nil {
 		return durable.Checkpoint{}, false
 	}
-	// A one-column table's rows are its published view's, which no later
-	// append, seal or settle changes: the background write decodes them a
-	// block at a time and never holds a copy of the table. A wider
-	// table's tuples are interleaved into a fresh copy.
-	var rows durable.RowSource
-	if snap, ok := t.idx.Snapshot(); ok {
-		rows = snap
-	} else {
-		rows = durable.Values(t.idx.MaterializeRows())
-	}
+	// The rows are the columns' published blocks, which no later append,
+	// seal or settle changes: the background write interleaves them a
+	// block at a time and never holds a copy of the table.
 	return durable.Checkpoint{
 		Seq:        t.log.LastSeq(),
-		Rows:       rows,
+		Rows:       t.idx.Snapshot(),
 		Progress:   t.idx.Progress(),
 		Converged:  t.idx.Converged(),
 		Appends:    t.appends.Load(),

@@ -3,6 +3,7 @@ package catalog
 import (
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -302,7 +303,7 @@ func TestSettledTableRecovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sameRows(tbl2.Values(), logical) {
+	if !sameRows(tbl2.Handle().MaterializeRows(), logical) {
 		t.Fatal("recovered rows differ from the settled table's")
 	}
 	check := func(when string) {
@@ -383,5 +384,93 @@ func TestCheckpointStreamsTheCapturedView(t *testing.T) {
 	if !sameRows(recs[0].Base, logical) || len(recs[0].Batches) != 1 || !slices.Equal(recs[0].Batches[0], appended) {
 		t.Fatalf("recovered a snapshot of %d rows and %d WAL batches: want the %d captured rows, then the append",
 			len(recs[0].Base), len(recs[0].Batches), len(logical))
+	}
+}
+
+// TestMultiColumnCheckpointStreamsTheCapturedView: a checkpoint of a
+// three-column table, raw or FOR-BP, is its columns' blocks taken under
+// the table's read lock, so the capture copies no row — it allocates under
+// 1 % of the table's 8·k bytes a row — and the writer is handed one block
+// of tuples at a time, block b of every column interleaved. Its tuples are
+// the table's at the capture, in row order, whatever the table does next:
+// appends past the seal threshold, the idle flush, claims and settles. A
+// recovery returns them, with the later appends from the WAL.
+func TestMultiColumnCheckpointStreamsTheCapturedView(t *testing.T) {
+	const n, k = 60_000, 3
+	for _, enc := range []progidx.Encoding{progidx.EncodingRaw, progidx.EncodingFORBP} {
+		t.Run(enc.String(), func(t *testing.T) {
+			dir := t.TempDir()
+			store := openStore(t, dir)
+			logical := data.MultiColumn(n, k, 17)
+			tbl, err := NewDurable(store).Load("wide", slices.Clone(logical), Options{
+				Strategy: progidx.StrategyQuicksort, Delta: 0.25, Shards: 2, Encoding: enc, Columns: []string{"a", "b", "c"}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ingest := func(tuples []int64) {
+				t.Helper()
+				if err := tbl.Append(tuples); err != nil {
+					t.Fatal(err)
+				}
+				if err := tbl.SyncLog(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			pending := data.MultiColumn(1_000, k, 18) // rides in the tail
+			ingest(pending)
+			captured := append(slices.Clone(logical), pending...)
+
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			cp, _ := tbl.CaptureCheckpoint()
+			runtime.ReadMemStats(&after)
+			if alloc, table := after.TotalAlloc-before.TotalAlloc, uint64(8*len(captured)); alloc*100 >= table {
+				t.Fatalf("the capture allocated %d B, not under 1 %% of the table's %d B", alloc, table)
+			}
+			check := func(when string) {
+				t.Helper()
+				longest := 0
+				if err := cp.Rows.Each(func(run []int64) error { longest = max(longest, len(run)); return nil }); err != nil {
+					t.Fatal(err)
+				}
+				if longest > k*encode.BlockRows {
+					t.Fatalf("%s: the writer was handed a run of %d values, more than a block of tuples (%d)", when, longest, k*encode.BlockRows)
+				}
+				if !slices.Equal(rowsOf(t, cp), captured) {
+					t.Fatalf("%s: the checkpoint's tuples are not the captured table's", when)
+				}
+			}
+			check("captured")
+
+			appended := data.MultiColumn(40_000, k, 19) // past the seal threshold
+			ingest(appended)
+			check("after the appends")
+			h := tbl.Handle()
+			for i := 0; i < 40; i++ { // heat column a's cold shards into claims
+				if _, err := h.Execute(progidx.Request{Pred: progidx.Range(0, 1<<40), Aggs: progidx.AllAggregates}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < 100_000 && !h.Converged(); i++ {
+				h.RefineStep()
+			}
+			if h.PendingRows() != 0 || !slices.ContainsFunc(h.ShardStats(), func(si progidx.ShardInfo) bool { return si.Form == "settled" }) {
+				t.Fatalf("the table did not flush and settle: %d pending, %+v", h.PendingRows(), h.ShardStats())
+			}
+			check("after the flush and the settles")
+
+			if err := tbl.WriteCheckpoint(cp); err != nil {
+				t.Fatal(err)
+			}
+			store.Close()
+			recs, errs, err := openStore(t, dir).Recover()
+			if err != nil || len(errs) != 0 || len(recs) != 1 {
+				t.Fatalf("Recover: %v %v (%d tables)", err, errs, len(recs))
+			}
+			if !slices.Equal(recs[0].Base, captured) || len(recs[0].Batches) != 1 || !slices.Equal(recs[0].Batches[0], appended) {
+				t.Fatalf("recovered %d values and %d WAL batches: want the %d captured values, then the append",
+					len(recs[0].Base), len(recs[0].Batches), len(captured))
+			}
+		})
 	}
 }

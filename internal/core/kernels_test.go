@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"runtime"
 	"slices"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/column"
@@ -205,6 +207,24 @@ func TestBucketIndexMatchesUpperBound(t *testing.T) {
 	}
 }
 
+// makeThreads runs GOMAXPROCS goroutines at once, each spinning until
+// all have started, so that the runtime has made a thread for every P
+// before a test counts the process's mallocs.
+func makeThreads() {
+	n := int32(runtime.GOMAXPROCS(0))
+	var started atomic.Int32
+	var wg sync.WaitGroup
+	for range n {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for started.Add(1); started.Load() < n; {
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 // The hot paths allocate nothing of their own: a creation step past the
 // first allocates its bucket blocks and the pool's fork/join, a point
 // query's answer in mid-refinement nothing at all.
@@ -226,7 +246,11 @@ func TestHotPathAllocations(t *testing.T) {
 	// workers, 4 mallocs of the runtime's own. The step's block appends
 	// can trigger that collection inside the window (about one run in
 	// thirty at GOMAXPROCS 8, "gc 1 … 1 P" in GODEBUG=gctrace=1), so
-	// collect first.
+	// collect first. The runtime also allocates the m of every thread it
+	// makes, and the step's pool can wake one more P than has run so far
+	// (116 mallocs for 115 allowed, once, at GOMAXPROCS 16), so every P
+	// gets its thread before the window.
+	makeThreads()
 	runtime.GC()
 	allocs := testing.AllocsPerRun(1, func() {
 		appended = 0

@@ -17,13 +17,14 @@ const BlockRows = 4096
 // BlockRows rows (the last one shorter when the run does not divide).
 // Every block is encoded over its own extrema, so a FOR-BP block's
 // frame is as narrow as its rows allow however wide the run is, and a
-// block's zone is its segment's Min/Max. Dictionary blocks share the
-// one dictionary probed over the whole run: a low-cardinality run pays
-// for its distinct values once, not once per block. Safe for concurrent
-// readers; there are no mutators.
+// block's zone is its segment's Min/Max, and the run's the fold of theirs.
+// Dictionary blocks share the one dictionary probed over the whole run: a
+// low-cardinality run pays for its distinct values once, not once per
+// block. Safe for concurrent readers; there are no mutators.
 type Blocks struct {
-	segs  []*Segment
-	bytes int
+	segs     []*Segment
+	bytes    int
+	min, max int64
 }
 
 // BlockStart returns the first row of block b of a run of n rows cut into
@@ -67,7 +68,7 @@ func Pack(pool *parallel.Pool, rows []int64, mode Mode) *Blocks {
 		}
 		dictUsed = dictUsed || seg.kind == KindDict
 	}
-	b := &Blocks{segs: segs, bytes: 8 * (words + raw)}
+	b := &Blocks{segs: segs, bytes: 8 * (words + raw), min: mn, max: mx}
 	if dictUsed {
 		b.bytes += 8 * len(dict)
 	}
@@ -91,6 +92,9 @@ func Pack(pool *parallel.Pool, rows []int64, mode Mode) *Blocks {
 // Kind returns the representation of the run's first block — every
 // block's, unless the automatic mode chose per block.
 func (b *Blocks) Kind() Kind { return b.segs[0].kind }
+
+// Bounds returns the run's extrema, folded from its blocks' own.
+func (b *Blocks) Bounds() (int64, int64) { return b.min, b.max }
 
 // SizeBytes returns the resident payload size: the blocks' packed words
 // and raw rows plus the shared dictionary, once.

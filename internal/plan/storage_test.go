@@ -24,8 +24,11 @@ import (
 // tail and row-aligned blocks, and every answer must match the oracle.
 // The readers' conjunctions carry a range on a below the loaded rows'
 // values (a tracks the row number), so the loaded rows stay their oracle
-// while the table grows. One column's shard then settles, slice by
-// slice, under the same readers and the same checks. Run under -race.
+// while the table grows. A capturer takes snapshots, as a checkpoint
+// does, and reads each back, and the one before it, while the table
+// moves: both must be the first rows of the table's tuples. One column's
+// shard then settles, slice by slice, under the same readers and the same
+// checks. Run under -race.
 func TestColumnsStayInLockstep(t *testing.T) {
 	const (
 		n      = 90_000
@@ -75,6 +78,30 @@ func TestColumnsStayInLockstep(t *testing.T) {
 						}
 					}(g)
 				}
+				readers.Add(1)
+				go func() {
+					defer readers.Done()
+					for prev := tbl.Snapshot(); ; {
+						select {
+						case <-stop:
+							return
+						default:
+						}
+						sn := tbl.Snapshot()
+						for _, s := range []Snapshot{prev, sn} {
+							var got []int64
+							if err := s.Each(func(run []int64) error { got = append(got, run...); return nil }); err != nil {
+								t.Error(err)
+								return
+							}
+							if len(got) != s.Len() || !slices.Equal(got, flatten(cols, 0, len(got)/3)) {
+								t.Errorf("a capture of %d values does not hold the table's first %d rows", s.Len(), len(got)/3)
+								return
+							}
+						}
+						prev = sn
+					}
+				}()
 
 				rows := loaded
 				rng := rand.New(rand.NewSource(5))

@@ -253,37 +253,64 @@ func (t *Table) ValueBounds() (int64, int64) { return t.cols[0].idx.ValueBounds(
 // the first column (all columns ingest and seal in lockstep).
 func (t *Table) PendingRows() int { return t.cols[0].idx.PendingRows() }
 
-// MaterializeRows returns the table's rows as
-// flat row-major tuples, freshly allocated — the shape checkpoints
-// persist and Values exposes.
+// MaterializeRows returns the table's rows as flat row-major tuples,
+// freshly allocated: the Snapshot, decoded.
 func (t *Table) MaterializeRows() []int64 {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	k := len(t.cols)
-	if k == 1 {
-		return t.cols[0].idx.MaterializeRows() // already fresh, and in row order
-	}
-	cols := make([][]int64, k)
-	for i, cs := range t.cols {
-		cols[i] = cs.idx.MaterializeRows()
-	}
-	flat := make([]int64, 0, t.rows*k)
-	for r := 0; r < t.rows; r++ {
-		for c := 0; c < k; c++ {
-			flat = append(flat, cols[c][r])
-		}
+	sn := t.Snapshot()
+	flat := make([]int64, 0, sn.Len())
+	if err := sn.Each(func(run []int64) error { flat = append(flat, run...); return nil }); err != nil {
+		panic(err) // the table's lock keeps its columns in lockstep
 	}
 	return flat
 }
 
-// Snapshot returns a one-column table's rows as MaterializeRows gives
-// them, read back a block at a time (shard.Snapshot); ok is false for a
-// wider table, whose tuples only MaterializeRows interleaves.
-func (t *Table) Snapshot() (snap shard.Snapshot, ok bool) {
-	if len(t.cols) > 1 {
-		return snap, false
+// Snapshot is a table's rows as flat row-major tuples, taken as every
+// column's blocks (shard.Sharded.Snapshot) under the table's read lock, so
+// that the columns are in lockstep: block b of every column holds the same
+// rows. Later appends, seals and settles leave it as it is. A checkpoint's
+// writer reads it block by block and never holds a copy of the table.
+type Snapshot struct {
+	rows int
+	cols [][]shard.Block
+}
+
+// Snapshot takes the table's Snapshot.
+func (t *Table) Snapshot() Snapshot {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	sn := Snapshot{rows: t.rows, cols: make([][]shard.Block, len(t.cols))}
+	for i, cs := range t.cols {
+		sn.cols[i], _ = cs.idx.Snapshot()
 	}
-	return t.cols[0].idx.Snapshot(), true
+	return sn
+}
+
+// Len returns the snapshot's value count: rows times columns.
+func (sn Snapshot) Len() int { return sn.rows * len(sn.cols) }
+
+// Each hands emit the tuples a block at a time: block b of every column
+// interleaved into one buffer of at most k·BlockRows values, which the
+// next block reuses.
+func (sn Snapshot) Each(emit func(run []int64) error) error {
+	k := len(sn.cols)
+	var buf, col []int64
+	for b, lead := range sn.cols[0] {
+		n := lead.Len()
+		buf = slices.Grow(buf[:0], k*n)[:k*n]
+		for c, blocks := range sn.cols {
+			if len(blocks) != len(sn.cols[0]) || blocks[b].Len() != n {
+				return fmt.Errorf("plan: snapshot: column %d is out of lockstep at block %d", c, b)
+			}
+			col = blocks[b].AppendTo(col[:0])
+			for r, v := range col {
+				buf[r*k+c] = v
+			}
+		}
+		if err := emit(buf); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Append implements Handle: values are flat row-major tuples, one

@@ -37,7 +37,7 @@ func TestSchedulerConcurrentOracle(t *testing.T) {
 	)
 	for _, strategy := range []progidx.Strategy{progidx.StrategyQuicksort, progidx.StrategyRadixLSD} {
 		tbl, sched := loadTable(t, n, catalog.Options{Strategy: strategy, Delta: 0.3})
-		oracle := progidx.MustNew(tbl.Values(), progidx.Options{Strategy: progidx.StrategyFullScan})
+		oracle := progidx.MustNew(tbl.Handle().MaterializeRows(), progidx.Options{Strategy: progidx.StrategyFullScan})
 
 		var wg sync.WaitGroup
 		errs := make(chan error, sessions)
@@ -135,7 +135,7 @@ func TestIdleRefinementConvergesWithoutQueries(t *testing.T) {
 			t.Fatal(err)
 		}
 		var wantSum, wantCount int64
-		for _, v := range tbl.Values() {
+		for _, v := range tbl.Handle().MaterializeRows() {
 			if v >= 100 && v <= 10_000 {
 				wantSum += v
 				wantCount++
@@ -159,7 +159,7 @@ func TestIdleRefinementYieldsToRequests(t *testing.T) {
 			t.Fatal(err)
 		}
 		var wantSum, wantCount int64
-		for _, v := range tbl.Values() {
+		for _, v := range tbl.Handle().MaterializeRows() {
 			if v >= int64(q*1000) && v <= int64(q*1000+5000) {
 				wantSum += v
 				wantCount++

@@ -10,11 +10,13 @@ import (
 // BlockRows is the most rows a Block holds.
 const BlockRows = encode.BlockRows
 
-// Block is one run of at most BlockRows rows of a table, with its zone
-// and the two mask kernels of a conjunction scan, served in place from
-// whatever holds the rows: a cold or settled shard's packed block, the
-// leaf block of a settled shard that keeps no row order (its rows
-// sorted), a raw or claimed shard's rows, the pending tail. Immutable.
+// Block is one run of at most BlockRows rows of a table, with its zone,
+// the two mask kernels of a conjunction scan and its decode, served in
+// place from whatever holds the rows: a cold or settled shard's packed
+// block, the leaf block of a settled shard that keeps no row order (its
+// rows sorted), a raw or claimed shard's rows, the pending tail. It is
+// the one way the table's rows are read: by a scan, a seal's gather, a
+// snapshot. Immutable.
 type Block struct {
 	rows     blockRows
 	Min, Max int64
@@ -24,6 +26,7 @@ type Block struct {
 // order, a B+-tree's encode.SortedBlock, or rows held raw (rawRows).
 type blockRows interface {
 	Len() int
+	AppendTo(dst []int64) []int64
 	Refine(lo, hi int64, mask []uint64) int
 	AggMasked(mask []uint64, aggs column.Aggregates) column.Agg
 }
@@ -55,8 +58,10 @@ func (r *rawRows) AggMasked(mask []uint64, aggs column.Aggregates) column.Agg {
 // current form under its read lock, and computing the zones of raw rows
 // no earlier view has — and caches it there; it stays exact for the
 // rows it was taken over however the table moves on.
-func (s *Sharded) BlockView() []Block {
-	v := s.cur.Load()
+func (s *Sharded) BlockView() []Block { return s.blockView(s.cur.Load()) }
+
+// blockView returns v's block table, building it on the first call.
+func (s *Sharded) blockView(v *view) []Block {
 	if bv := v.blocks.Load(); bv != nil {
 		return *bv
 	}
@@ -73,7 +78,9 @@ func (s *Sharded) BlockView() []Block {
 // shard has them, cut on its own grid — the one its packed blocks are
 // on, where it keeps row order — and otherwise the packed blocks of a
 // cold or settled shard as they are, or a settled one's index's leaves
-// where it packed none.
+// where it packed none. It is the one place that decides which form a
+// shard's rows are read from; none of them changes once set, so the
+// blocks are read without the lock.
 func (st *state) appendBlocks(dst []Block) []Block {
 	st.mu.RLock()
 	packed, vals := st.packed, st.vals
@@ -158,6 +165,9 @@ func (b *Block) Len() int { return b.rows.Len() }
 // value lies outside [lo, hi] and returns how many remain. A packed
 // block is tested in place, never decoded.
 func (b *Block) Refine(lo, hi int64, mask []uint64) int { return b.rows.Refine(lo, hi, mask) }
+
+// AppendTo appends the block's rows, decoded, to dst.
+func (b *Block) AppendTo(dst []int64) []int64 { return b.rows.AppendTo(dst) }
 
 // AggMasked aggregates the block's selected rows.
 func (b *Block) AggMasked(mask []uint64, aggs column.Aggregates) column.Agg {

@@ -528,20 +528,17 @@ func TestSnapshotHoldsWhileTheTableMoves(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap := sh.Snapshot()
-	read := func(snap Snapshot) []int64 {
+	snap, _ := sh.Snapshot()
+	read := func(snap []Block, n int) []int64 {
 		var rows []int64
-		if err := snap.Each(func(run []int64) error {
-			if len(run) > BlockRows {
-				t.Errorf("a run of %d rows, more than a block", len(run))
+		for i := range snap {
+			if snap[i].Len() > BlockRows {
+				t.Errorf("a block of %d rows", snap[i].Len())
 			}
-			rows = append(rows, run...)
-			return nil
-		}); err != nil {
-			t.Fatal(err)
+			rows = snap[i].AppendTo(rows)
 		}
-		if len(rows) != snap.Len() {
-			t.Fatalf("read %d rows, Len says %d", len(rows), snap.Len())
+		if len(rows) != n {
+			t.Fatalf("read %d rows, the snapshot says %d", len(rows), n)
 		}
 		return rows
 	}
@@ -568,7 +565,7 @@ func TestSnapshotHoldsWhileTheTableMoves(t *testing.T) {
 			moving = false
 		default:
 		}
-		if !slices.Equal(read(snap), logical) {
+		if !slices.Equal(read(snap, len(logical)), logical) {
 			t.Fatal("the snapshot's rows moved with the table")
 		}
 	}

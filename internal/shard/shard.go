@@ -84,8 +84,9 @@
 // their indexes converge and they settle into their indexes' leaves, or
 // into the blocks a claim keeps where the table keeps row order — and
 // the pending tail (an extent that every seal ends) are the only copies of
-// the data. Whatever form holds them, the rows are also readable block
-// by block (BlockView).
+// the data. Whatever form holds them, the rows are read block by block,
+// and only so (BlockView): by a planned table's fused scan, a seal's
+// gather, a snapshot.
 //
 // The Sharded type is one column of every served table (plan.Table; a
 // single-column table is its one column) — Execute and ExecuteAs, Append,
@@ -180,11 +181,13 @@ type state struct {
 	zones    zoneCache
 }
 
-// newColdState births a cold shard: compressed rows, zone map, and the
-// converged switch already set — cold is the shard's terminal serving
-// state (shared-lock scans, zero budget) until a claim re-opens it.
-func newColdState(packed *encode.Blocks, start, end int, mn, mx int64) *state {
-	st := &state{packed: packed, start: start, end: end, min: mn, max: mx}
+// newColdState births a cold shard: compressed rows, the zone map their
+// pack folded, and the converged switch already set — cold is the shard's
+// terminal serving state (shared-lock scans, zero budget) until a claim
+// re-opens it.
+func newColdState(packed *encode.Blocks, start, end int) *state {
+	st := &state{packed: packed, start: start, end: end}
+	st.min, st.max = packed.Bounds()
 	st.cold.Store(true)
 	st.converged.Store(true)
 	return st
@@ -374,9 +377,10 @@ func New(col *column.Column, cfg Config, factory Factory) (*Sharded, error) {
 	// One pass per shard: compute the zone map while the partition is
 	// hot, then construct the shard column with NewWithStats (no second
 	// min/max scan) and its index — or, in encoded mode, compress the
-	// partition into cold blocks and build nothing: the partition's raw
-	// rows are not retained. Shards are scanned concurrently; one shard,
-	// which has no fan-out, packs its blocks over the pool instead.
+	// partition into cold blocks, whose pack folds the zone, and build
+	// nothing: the partition's raw rows are not retained. Shards are
+	// scanned concurrently; one shard, which has no fan-out, packs its
+	// blocks over the pool instead.
 	packPool := pool
 	if s > 1 {
 		packPool = nil
@@ -385,13 +389,13 @@ func New(col *column.Column, cfg Config, factory Factory) (*Sharded, error) {
 		for i := a; i < b; i++ {
 			start, end := i*n/s, (i+1)*n/s
 			part := vals[start:end:end]
+			if encoded {
+				shards[i] = newColdState(encode.Pack(packPool, part, cfg.Encoding), start, end)
+				continue
+			}
 			mn, mx := col.Min(), col.Max() // one shard is the whole column
 			if s > 1 {
 				mn, mx = column.MinMax(part)
-			}
-			if encoded {
-				shards[i] = newColdState(encode.Pack(packPool, part, cfg.Encoding), start, end, mn, mx)
-				continue
 			}
 			pcol, err := column.NewWithStats(part, mn, mx)
 			if err == nil {
@@ -566,19 +570,20 @@ func (s *Sharded) sealLocked() ([]*state, error) {
 	absorbed := old[keep:]
 	start := end - rows
 
-	// The run's rows go into one exact buffer — each absorbed shard's in
-	// whatever form it holds them (raw, packed, or its settled index's
-	// leaves), then the tail — so every seal ends the extent and the shard
-	// owns its rows.
-	var bs []rowBlock
+	// The run's rows go into one exact buffer — each absorbed shard's
+	// blocks, in whatever form it holds them (appendBlocks), then the tail —
+	// so every seal ends the extent and the shard owns its rows.
+	buf := make([]int64, 0, rows)
 	for _, a := range absorbed {
-		bs = a.blocks(bs)
+		for _, b := range a.appendBlocks(nil) {
+			buf = b.AppendTo(buf)
+		}
 	}
-	buf := append(decode(make([]int64, 0, rows), bs), s.ext...)
+	buf = append(buf, s.ext...)
 	var st *state
 	if s.encoding.Compressed() {
 		// Appends ride raw and pay the encode here.
-		st = newColdState(encode.Pack(nil, buf, s.encoding), start, end, mn, mx)
+		st = newColdState(encode.Pack(nil, buf, s.encoding), start, end)
 	} else {
 		pcol, err := column.NewWithStats(buf, mn, mx)
 		if err != nil {
@@ -629,50 +634,6 @@ func (s *Sharded) absorbable(left *state, run int) bool {
 // distinct size classes, of which there are ⌈log₂ sealRows⌉.
 func MaxShards(loaded, appended, sealRows int) int {
 	return loaded + appended/sealRows + bits.Len(uint(sealRows-1))
-}
-
-// rowBlock is at most BlockRows of a shard's rows that decode
-// themselves: an encode.Segment, an encode.SortedBlock or rawRows.
-type rowBlock interface{ AppendTo(dst []int64) []int64 }
-
-// blocks appends the shard's rows, as it holds them now, to bs — raw
-// rows cut into blocks while it has them, its packed blocks (both in row
-// order), or its index's leaves (sorted) where a settled shard packed
-// none — the extraction shared by merges, MaterializeRows and Snapshot.
-// None of them ever changes once set, so they are read without the lock.
-func (st *state) blocks(bs []rowBlock) []rowBlock {
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	switch {
-	case st.vals != nil:
-		return appendRaw(bs, st.vals)
-	case st.packed != nil:
-		return appendBlocks(bs, st.packed.Segments())
-	}
-	return appendBlocks(bs, st.leaves())
-}
-
-func appendRaw(bs []rowBlock, vals []int64) []rowBlock {
-	for len(vals) > 0 {
-		n := min(len(vals), encode.BlockRows)
-		raw := rawRows(vals[:n])
-		bs, vals = append(bs, &raw), vals[n:]
-	}
-	return bs
-}
-
-func appendBlocks[B rowBlock](bs []rowBlock, blocks []B) []rowBlock {
-	for _, b := range blocks {
-		bs = append(bs, b)
-	}
-	return bs
-}
-
-func decode(dst []int64, bs []rowBlock) []int64 {
-	for _, b := range bs {
-		dst = b.AppendTo(dst)
-	}
-	return dst
 }
 
 // Name implements the index interface: the shard strategy's name plus
@@ -1424,50 +1385,27 @@ func (s *Sharded) ShardStats() []Info {
 
 // MaterializeRows returns a fresh copy of every logical row, shard by
 // shard in row order and the pending tail last — the raw-extraction
-// surface Values uses, since the table keeps no base column. Cold and
-// settled shards decode into the output, neither claimed nor unsettled by
-// it, raw ones copy their rows; a settled shard that keeps no row order
+// surface, since the table keeps no base column: Snapshot, decoded. Cold
+// and settled shards decode into the output, neither claimed nor unsettled
+// by it, raw ones copy their rows; a settled shard that keeps no row order
 // gives its rows sorted, as its index's leaves hold them.
 func (s *Sharded) MaterializeRows() []int64 {
-	snap := s.Snapshot()
-	return decode(make([]int64, 0, snap.n), snap.blocks)
+	bv, n := s.Snapshot()
+	rows := make([]int64, 0, n)
+	for i := range bv {
+		rows = bv[i].AppendTo(rows)
+	}
+	return rows
 }
 
-// Snapshot is the table's rows as one published view held them, each
-// shard's in the form it had when the snapshot was taken: the rows
-// MaterializeRows returns, read back a block at a time, so that a
-// reader that streams them (a checkpoint's writer) holds one decoded
-// block, not a copy of the table. Later appends, seals and settles
-// leave it as it is.
-type Snapshot struct {
-	n      int
-	blocks []rowBlock
-}
-
-// Snapshot takes the table's Snapshot.
-func (s *Sharded) Snapshot() Snapshot {
+// Snapshot returns the table's rows, and their count, as the last view an
+// Append or a seal published holds them — its BlockView, loaded under amu
+// so that no append in flight is missed — for a reader that decodes them a
+// block at a time (a checkpoint's writer) and never holds a copy of the
+// table. Later appends, seals and settles leave the blocks as they are.
+func (s *Sharded) Snapshot() ([]Block, int) {
 	s.amu.Lock()
 	v := s.cur.Load()
 	s.amu.Unlock()
-	var bs []rowBlock
-	for _, st := range v.shards {
-		bs = st.blocks(bs)
-	}
-	return Snapshot{n: v.rows, blocks: appendRaw(bs, v.tail)}
-}
-
-// Len returns the snapshot's row count.
-func (sn Snapshot) Len() int { return sn.n }
-
-// Each hands emit the rows in MaterializeRows' order, a block at a time,
-// decoded into a buffer that the next block reuses.
-func (sn Snapshot) Each(emit func(run []int64) error) error {
-	var buf []int64
-	for _, b := range sn.blocks {
-		buf = b.AppendTo(buf[:0])
-		if err := emit(buf); err != nil {
-			return err
-		}
-	}
-	return nil
+	return s.blockView(v), v.rows
 }

@@ -138,6 +138,36 @@ func TestPartitioning(t *testing.T) {
 	}
 }
 
+// TestColdZonesAreTheirRows: a compressed load takes each shard's zone
+// from the fold its pack makes of the blocks' extrema, not from a scan of
+// its own; ShardStats must still report every shard's true extrema, in
+// every compressed mode, over blocks of every kind — low-cardinality rows,
+// and one block so wide that the automatic mode leaves it raw.
+func TestColdZonesAreTheirRows(t *testing.T) {
+	const n = 6*BlockRows + 123
+	vals := make([]int64, n)
+	for i := range vals {
+		vals[i] = int64(i*7919%1000) - 500 + int64(i/BlockRows)
+		if i/BlockRows == 3 {
+			vals[i] = int64(i*7919%4001-2000) << 50
+		}
+	}
+	for _, mode := range []encode.Mode{encode.ModeFORBP, encode.ModeDict, encode.ModeAuto} {
+		for _, S := range []int{2, 3, 7} {
+			sh, err := New(column.MustNew(vals), Config{Shards: S, Workers: 2, Encoding: mode, ClaimHeat: -1}, stubFactory(1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, si := range sh.ShardStats() {
+				mn, mx := column.MinMax(vals[i*n/S : (i+1)*n/S])
+				if si.Form != FormCold || si.MinValue != mn || si.MaxValue != mx {
+					t.Fatalf("%s S=%d shard %d: %s zone [%d, %d], want cold [%d, %d]", mode, S, i, si.Form, si.MinValue, si.MaxValue, mn, mx)
+				}
+			}
+		}
+	}
+}
+
 // TestBuildErrorPropagates pins construction failure handling: a shard
 // whose rows cannot be stored fails New, and so does a nil factory.
 func TestBuildErrorPropagates(t *testing.T) {
