@@ -67,7 +67,8 @@ vet:
 # One settle for every table shape (row-ordered blocks kept) lowered it from 20 310.
 # One block packer for every packed run (one slab of words a run) lowered it from 20 200.
 # One walk over a table's rows (the block view serves scans, seals and every checkpoint) lowered it from 20 191.
-LOC_MAX ?= 20154
+# Checkpoints off the admission queue (one ingest lock orders rows, WAL frames and capture) lowered it from 20 154.
+LOC_MAX ?= 20122
 loc:
 	@n=$$(find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -not -path './.bench_build/*' -print0 | xargs -0 cat | wc -l); \
 	echo $$n; \

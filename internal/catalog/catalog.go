@@ -140,6 +140,12 @@ type Table struct {
 	log          *durable.TableLog
 	snapProgress atomic.Uint64
 
+	// ingest orders a batch's rows against its WAL frame: Append holds it
+	// across both writes and CaptureCheckpoint across its reads, so a
+	// capture's rows are exactly the frames through its Seq wherever it
+	// runs. Taken before the handle's own lock.
+	ingest sync.Mutex
+
 	// rows mirrors the logical row count (loaded + appended); atomic so
 	// Info snapshots never race the handle-locked column growth.
 	rows       atomic.Int64
@@ -224,6 +230,8 @@ func (t *Table) Append(values []int64) error {
 	if len(values)%k != 0 {
 		return fmt.Errorf("catalog: append to %q: %d values not a multiple of row width %d", t.name, len(values), k)
 	}
+	t.ingest.Lock()
+	defer t.ingest.Unlock()
 	if err := t.idx.Append(values); err != nil {
 		return fmt.Errorf("catalog: append to %q: %w", t.name, err)
 	}
@@ -404,47 +412,51 @@ func (c *Catalog) Load(name string, values []int64, opts Options) (*Table, error
 	if name == "" {
 		return nil, fmt.Errorf("catalog: empty table name")
 	}
-	k := opts.RowWidth()
-	if len(values) == 0 || len(values)%k != 0 {
-		return nil, fmt.Errorf("catalog: load %q: %d values not a non-empty multiple of row width %d", name, len(values), k)
-	}
+	return c.build("load", name, values, opts, time.Now(), func(t *Table) (err error) {
+		if c.store != nil {
+			// Establish the on-disk state — base snapshot with the load
+			// rows plus manifest, durable before the load is acked — so a
+			// created table survives a crash even before its first append.
+			// Multi-column tables snapshot their flat row-major tuples; the
+			// byte format is the k=1 format, just k values per logical row.
+			t.log, err = c.store.Create(name, opts.meta(), t.created.UnixNano(), values)
+		}
+		return err
+	})
+}
 
-	t := &Table{name: name, opts: opts, created: time.Now()}
-	t.rows.Store(int64(len(values) / k))
+// build is the one way a table is made, for Load and LoadRecovered: it
+// reserves name, builds the index handle over base, attaches
+// observability and runs fill, then publishes the table ready. Errors
+// name the table and the step (what). A concurrent Drop that removed the
+// reservation mid-build is honored: the table is not published, and its
+// on-disk state goes down with it (Drop's own store teardown may have
+// run before fill wrote it).
+func (c *Catalog) build(what, name string, base []int64, opts Options, created time.Time, fill func(*Table) error) (*Table, error) {
+	k := opts.RowWidth()
+	if len(base) == 0 || len(base)%k != 0 {
+		return nil, fmt.Errorf("catalog: %s %q: %d values not a non-empty multiple of row width %d", what, name, len(base), k)
+	}
+	t := &Table{name: name, opts: opts, created: created}
+	t.rows.Store(int64(len(base) / k))
 	t.status.Store(int32(StatusLoading))
 
 	fail, err := c.reserve(name, t)
 	if err != nil {
 		return nil, err
 	}
-	idx, err := plan.New(name, opts.schema(), values, opts.progidxOptions())
-	if err != nil {
-		return fail(fmt.Errorf("catalog: load %q: %w", name, err))
+	if t.idx, err = plan.New(name, opts.schema(), base, opts.progidxOptions()); err == nil {
+		c.attachObs(t)
+		err = fill(t)
 	}
-	t.idx = idx
-	c.attachObs(t)
-	if c.store != nil {
-		// Establish the on-disk state — base snapshot with the load
-		// rows plus manifest, durable before the load is acked — so a
-		// created table survives a crash even before its first append.
-		// Multi-column tables snapshot their flat row-major tuples; the
-		// byte format is the k=1 format, just k values per logical row.
-		log, err := c.store.Create(name, opts.meta(), t.created.UnixNano(), values)
-		if err != nil {
-			return fail(fmt.Errorf("catalog: load %q: %w", name, err))
-		}
-		t.log = log
+	if err != nil {
+		return fail(fmt.Errorf("catalog: %s %q: %w", what, name, err))
 	}
 	if !t.status.CompareAndSwap(int32(StatusLoading), int32(StatusReady)) {
-		// A concurrent Drop removed our reservation mid-build; honor it
-		// rather than resurrecting the status of a table that is no
-		// longer in the map — and take the just-written on-disk state
-		// back down with it (Drop's own store teardown may have run
-		// before Create finished).
 		if c.store != nil {
 			c.store.Drop(name)
 		}
-		return nil, fmt.Errorf("catalog: table %q dropped during load", name)
+		return nil, fmt.Errorf("catalog: %s %q: table dropped meanwhile", what, name)
 	}
 	return t, nil
 }

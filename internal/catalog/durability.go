@@ -8,7 +8,6 @@ import (
 	"repro"
 	"repro/internal/durable"
 	"repro/internal/obs"
-	"repro/internal/plan"
 )
 
 // This file is the catalog half of the durability subsystem
@@ -146,14 +145,15 @@ func (t *Table) snapProgressStore(p float64) {
 }
 
 // CaptureCheckpoint snapshots the table's durable state: rows as of
-// the newest WAL frame, plus the index-progress floor. It must run
-// where appends cannot be concurrent — the table's scheduler loop, or
-// after the scheduler drained — so the (rows, seq) pairing is exact.
-// ok == false on an ephemeral table.
+// the newest WAL frame, plus the index-progress floor. It may run on
+// any goroutine: the ingest lock keeps appends out while it reads, so
+// the (rows, seq) pairing is exact. ok == false on an ephemeral table.
 func (t *Table) CaptureCheckpoint() (durable.Checkpoint, bool) {
 	if t.log == nil {
 		return durable.Checkpoint{}, false
 	}
+	t.ingest.Lock()
+	defer t.ingest.Unlock()
 	// The rows are the columns' published blocks, which no later append,
 	// seal or settle changes: the background write interleaves them a
 	// block at a time and never holds a copy of the table.
@@ -170,10 +170,9 @@ func (t *Table) CaptureCheckpoint() (durable.Checkpoint, bool) {
 }
 
 // WriteCheckpoint serializes a captured checkpoint to a durable
-// snapshot and truncates the covered WAL prefix. Unlike the capture,
-// the write may run on a background goroutine: the captured rows are
-// a snapshot no later change reaches, and the WAL keeps accepting
-// appends while the file is written.
+// snapshot and truncates the covered WAL prefix. It runs without the
+// ingest lock: the captured rows are a snapshot no later change
+// reaches, and the WAL keeps accepting appends while the file is written.
 func (t *Table) WriteCheckpoint(cp durable.Checkpoint) error {
 	if t.log == nil {
 		return nil
@@ -201,64 +200,43 @@ func (c *Catalog) LoadRecovered(rec durable.Recovered) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	k := opts.RowWidth()
-	if len(rec.Base) == 0 || len(rec.Base)%k != 0 {
-		return nil, fmt.Errorf("catalog: recover %q: snapshot holds %d values, not a non-empty multiple of row width %d", rec.Name, len(rec.Base), k)
-	}
-	t := &Table{name: rec.Name, opts: opts, created: time.Unix(0, rec.CreatedAt)}
-	t.rows.Store(int64(len(rec.Base) / k))
-	t.status.Store(int32(StatusLoading))
-
-	fail, err := c.reserve(rec.Name, t)
-	if err != nil {
-		return nil, err
-	}
-	idx, err := plan.New(rec.Name, opts.schema(), rec.Base, opts.progidxOptions())
-	if err != nil {
-		return fail(fmt.Errorf("catalog: recover %q: %w", rec.Name, err))
-	}
-	t.idx = idx
-	t.log = rec.Log
-	t.snapProgressStore(rec.Progress)
-	// Attach observability before replay so /healthz can report this
-	// table's frames-replayed progress while recovery is running, and
-	// so the replayed appends' structural events (tail seals) land in
-	// the timeline like live ones would.
-	c.attachObs(t)
-
-	// Replay the WAL tail through the normal ingest path: each batch
-	// lands in the pending tail / tail shard exactly as it originally
-	// did, and the index absorbs it under its usual budget discipline.
-	tl := t.timeline()
-	total := uint64(len(rec.Batches))
-	tl.SetReplayProgress(0, total)
-	if total > 0 {
-		tl.Record(obs.EvReplay, -1, 0, float64(total))
-	}
-	var tailRows uint64
-	for i, b := range rec.Batches {
-		if len(b)%k != 0 {
-			return fail(fmt.Errorf("catalog: recover %q: replay frame of %d values, not a multiple of row width %d", rec.Name, len(b), k))
+	// Observability is attached before the fill runs, so /healthz can
+	// report this table's frames-replayed progress while recovery is
+	// running, and the replayed appends' structural events (tail seals)
+	// land in the timeline like live ones would.
+	return c.build("recover", rec.Name, rec.Base, opts, time.Unix(0, rec.CreatedAt), func(t *Table) error {
+		t.log = rec.Log
+		t.snapProgressStore(rec.Progress)
+		// Replay the WAL tail through the normal ingest path: each batch
+		// lands in the pending tail / tail shard exactly as it originally
+		// did, and the index absorbs it under its usual budget discipline.
+		k := opts.RowWidth()
+		tl := t.timeline()
+		total := uint64(len(rec.Batches))
+		tl.SetReplayProgress(0, total)
+		if total > 0 {
+			tl.Record(obs.EvReplay, -1, 0, float64(total))
 		}
-		if err := idx.Append(b); err != nil {
-			return fail(fmt.Errorf("catalog: recover %q: replay append: %w", rec.Name, err))
+		var tailRows uint64
+		for i, b := range rec.Batches {
+			if len(b)%k != 0 {
+				return fmt.Errorf("replay frame of %d values, not a multiple of row width %d", len(b), k)
+			}
+			if err := t.idx.Append(b); err != nil {
+				return fmt.Errorf("replay append: %w", err)
+			}
+			t.rows.Add(int64(len(b) / k))
+			tailRows += uint64(len(b) / k)
+			tl.SetReplayProgress(uint64(i+1), total)
 		}
-		t.rows.Add(int64(len(b) / k))
-		tailRows += uint64(len(b) / k)
-		tl.SetReplayProgress(uint64(i+1), total)
-	}
-	if total > 0 {
-		tl.Record(obs.EvReplay, -1, float64(total), float64(total))
-	}
-	t.appends.Store(rec.Appends + uint64(len(rec.Batches)))
-	t.appendRows.Store(rec.AppendRows + tailRows)
-
-	t.redrive(rec.Progress)
-
-	if !t.status.CompareAndSwap(int32(StatusLoading), int32(StatusReady)) {
-		return fail(fmt.Errorf("catalog: table %q dropped during recovery", rec.Name))
-	}
-	return t, nil
+		if total > 0 {
+			tl.Record(obs.EvReplay, -1, float64(total), float64(total))
+		}
+		t.appends.Store(rec.Appends + uint64(len(rec.Batches)))
+		t.appendRows.Store(rec.AppendRows + tailRows)
+		t.redrive(rec.Progress)
+		return nil
+	})
 }
 
 // redrive spends refinement slices until the rebuilt index's Progress

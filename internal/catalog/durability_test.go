@@ -474,3 +474,100 @@ func TestMultiColumnCheckpointStreamsTheCapturedView(t *testing.T) {
 		})
 	}
 }
+
+// TestCaptureRacesAppends: a capture is exact on any goroutine, not only
+// the serving loop. One goroutine appends batches of distinct sizes (the
+// frame of sequence s holds s rows) through Append and SyncLog while
+// another captures in a loop: every capture holds the loaded rows plus
+// frames 1..Seq, no more and no less (Rows.Len counts values, k a row).
+// One capture taken mid-stream is written while the appends go on; after
+// a hard close, recovery returns the loaded rows and every appended one
+// exactly once. A raw one-column table and a three-column FOR-BP one.
+func TestCaptureRacesAppends(t *testing.T) {
+	const n, frames = 5_000, 64 // 2 080 appended rows: past the 1 024-row seal threshold twice
+	for _, tc := range []struct {
+		name string
+		opts Options
+	}{
+		{"raw", Options{Strategy: progidx.StrategyQuicksort, Delta: 0.25}},
+		{"forbp3", Options{Strategy: progidx.StrategyQuicksort, Delta: 0.25, Encoding: progidx.EncodingFORBP, Columns: []string{"a", "b", "c"}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			k := tc.opts.RowWidth()
+			dir := t.TempDir()
+			store := openStore(t, dir)
+			logical := data.MultiColumn(n, k, 23)
+			tbl, err := NewDurable(store).Load("t", slices.Clone(logical), tc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var appended []int64 // the appender's until done closes
+			done, midTaken := make(chan struct{}), make(chan struct{})
+			appendErr := make(chan error, 1)
+			go func() {
+				defer close(done)
+				next := int64(1 << 30)
+				for s := 1; s <= frames; s++ {
+					batch := make([]int64, s*k)
+					for i := range batch {
+						batch[i] = next
+						next++
+					}
+					if err := tbl.Append(batch); err != nil {
+						appendErr <- err
+						return
+					}
+					if err := tbl.SyncLog(); err != nil {
+						appendErr <- err
+						return
+					}
+					appended = append(appended, batch...)
+					if s == frames/2 {
+						<-midTaken // a capture falls mid-stream on every run
+					}
+				}
+			}()
+			captures, written := 0, false
+			defer func() { // a failed check still stops and waits for the appender
+				if !written {
+					close(midTaken)
+				}
+				<-done
+			}()
+			for running := true; running; captures++ {
+				select {
+				case <-done:
+					running = false
+				default:
+				}
+				cp, _ := tbl.CaptureCheckpoint()
+				if got, want := cp.Rows.Len()/k, n+int(cp.Seq*(cp.Seq+1)/2); got != want {
+					t.Fatalf("capture at seq %d holds %d rows, want %d loaded and %d appended", cp.Seq, got, n, want-n)
+				}
+				if cp.Seq >= frames/2 && !written {
+					close(midTaken) // the appends resume and race the write
+					written = true
+					if err := tbl.WriteCheckpoint(cp); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			select {
+			case err := <-appendErr:
+				t.Fatal(err)
+			default:
+			}
+			store.Close() // hard: no final checkpoint
+			recs, errs, err := openStore(t, dir).Recover()
+			if err != nil || len(errs) != 0 || len(recs) != 1 {
+				t.Fatalf("Recover: %v %v (%d tables)", err, errs, len(recs))
+			}
+			got := slices.Concat(append([][]int64{recs[0].Base}, recs[0].Batches...)...)
+			want := slices.Concat(logical, appended)
+			if k == 1 && !sameRows(got, want) || k > 1 && !slices.Equal(got, want) {
+				t.Fatalf("recovered %d values over %d captures, want the %d loaded and %d appended each once",
+					len(got), captures, len(logical), len(appended))
+			}
+		})
+	}
+}

@@ -417,8 +417,8 @@ func (s *Store) recoverTable(dir string) (Recovered, error) {
 
 // TableLog is one table's handle on its durable state: WAL appends,
 // batch syncs, and checkpoint (snapshot + truncate). Append/Sync are
-// called from the table's scheduler loop; WriteCheckpoint may run on a
-// background goroutine — an internal mutex serializes the WAL.
+// called from the table's scheduler loop; WriteCheckpoint may run on
+// any goroutine — an internal mutex serializes the WAL.
 type TableLog struct {
 	store *Store
 	name  string
@@ -495,8 +495,8 @@ func (t *TableLog) Sync() error {
 
 // Checkpoint is the captured state a snapshot serializes: the table's
 // rows as of WAL sequence Seq plus the index-progress floor. Captured
-// in the scheduler loop (where the row/seq pairing is stable), written
-// by WriteCheckpoint off-loop.
+// under the table's ingest lock, which keeps appends out so the row/seq
+// pairing is exact, and written by WriteCheckpoint after it is released.
 type Checkpoint struct {
 	Seq        uint64
 	Rows       RowSource
@@ -514,7 +514,8 @@ type Checkpoint struct {
 // cost is proportional to appends since cp.Seq, not table size history.
 //
 // cp.Rows must reflect exactly the appends through cp.Seq; the caller
-// guarantees this by capturing in the scheduler loop. A checkpoint at
+// guarantees this by capturing under its table's ingest lock
+// (catalog.Table.CaptureCheckpoint). A checkpoint at
 // an already-covered seq is a no-op.
 func (t *TableLog) WriteCheckpoint(cp Checkpoint) error {
 	if cp.Seq < t.covered.Load() {

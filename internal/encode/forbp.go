@@ -55,7 +55,8 @@ func packVertical(dst []uint64, values []int64, ref int64, w uint) {
 // and dhi = hi-ref — and evaluated per block with a word-parallel
 // compare that resolves v >= dlo and v <= dhi for all 64 lanes in one
 // plane pass, branch-free and selectivity-independent. SUM adds
-// popcount(plane & match) << j per plane: the popcount decomposition
+// popcount(plane & match) << j per plane of a block that matched at
+// all (at a narrow range, most match nothing): the popcount decomposition
 // equals the sum of matching deltas exactly, and all arithmetic wraps
 // mod 2^64, so deltaSum + count*ref is bit-identical to summing the
 // raw values in row order. MIN/MAX descend the planes restricting a
@@ -98,11 +99,15 @@ func (s *Segment) aggFORBP(lo, hi int64, aggs column.Aggregates) column.Agg {
 		if k < blockLen {
 			m &= uint64(1)<<uint(k) - 1
 		}
+		i += k
+		if m == 0 {
+			continue // no lane matched: nothing to add, no extremum to move
+		}
 		count += int64(bits.OnesCount64(m))
 		for j := 0; j < w; j++ {
 			sum += int64(bits.OnesCount64(planes[j]&m)) << uint(j)
 		}
-		if needMM && m != 0 {
+		if needMM {
 			// Plane descent for the block extrema, branch-free per
 			// plane (nonzero test via the sign of z | -z). Two
 			// short-circuits keep the steady-state cost near zero: once
@@ -118,7 +123,6 @@ func (s *Segment) aggFORBP(lo, hi int64, aggs column.Aggregates) column.Agg {
 				mx = maxDelta(planes, m, mx)
 			}
 		}
-		i += k
 	}
 	a.Sum, a.Count = sum+count*s.ref, count
 	if needMM && count > 0 {

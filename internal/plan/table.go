@@ -67,8 +67,6 @@ type Table struct {
 	pool   *parallel.Pool
 	rows   int
 
-	strategy progidx.Strategy
-
 	// sink is the table-level event timeline (SetEventSink); refine
 	// grants and claims land there with the column index in the shard
 	// field.
@@ -92,11 +90,10 @@ func New(name string, columns []string, flat []int64, opts progidx.Options) (*Ta
 		return nil, fmt.Errorf("plan: table %q: %d values do not fill %d-column rows", name, len(flat), k)
 	}
 	t := &Table{
-		name:     name,
-		byName:   make(map[string]int, k),
-		pool:     parallel.New(opts.Workers),
-		rows:     len(flat) / k,
-		strategy: opts.Strategy,
+		name:   name,
+		byName: make(map[string]int, k),
+		pool:   parallel.New(opts.Workers),
+		rows:   len(flat) / k,
 	}
 	for i, col := range columns {
 		if col == "" {
@@ -140,12 +137,13 @@ func (t *Table) Columns() []string {
 func (t *Table) Width() int { return len(t.cols) }
 
 // Name implements Index: a one-column table goes by its column's name
-// (strategy and loaded shard count, e.g. "PQ/S4").
+// (strategy and loaded shard count, e.g. "PQ/S4"), a wider one by the
+// column count and its first column's name (e.g. "multicol(3×PQ/S1)").
 func (t *Table) Name() string {
 	if len(t.cols) == 1 {
 		return t.cols[0].idx.Name()
 	}
-	return fmt.Sprintf("multicol(%d×%s)", len(t.cols), t.strategy)
+	return fmt.Sprintf("multicol(%d×%s)", len(t.cols), t.cols[0].idx.Name())
 }
 
 // Shards and ShardStats report the first column's shards — on a

@@ -80,8 +80,8 @@ func (s *Server) Recover() (warnings []error, err error) {
 
 // startSnapshotLoop begins the background checkpoint cadence: every
 // interval, each durable table that accumulated WAL tail or new index
-// progress is checkpointed through its scheduler (so the capture rides
-// the admission queue and can never race an append).
+// progress is checkpointed on the cadence goroutine (Scheduler.Checkpoint,
+// whose capture the table's ingest lock keeps exact against appends).
 func (s *Server) startSnapshotLoop() {
 	interval := s.cfg.SnapshotInterval
 	if interval <= 0 {
@@ -123,7 +123,8 @@ func (s *Server) stopSnapshotLoop() {
 
 // CheckpointAll snapshots every durable table that needs it (WAL tail
 // to truncate, or index progress not yet persisted). Exposed for tests
-// and for the cadence loop; errors on one table do not stop the others.
+// and for the cadence loop; errors on one table do not stop the others,
+// a cancelled ctx stops before the next table.
 func (s *Server) CheckpointAll(ctx context.Context) []error {
 	s.mu.Lock()
 	scheds := make([]*Scheduler, 0, len(s.scheds))
@@ -133,10 +134,13 @@ func (s *Server) CheckpointAll(ctx context.Context) []error {
 	s.mu.Unlock()
 	var errs []error
 	for _, sched := range scheds {
+		if ctx.Err() != nil {
+			return append(errs, ctx.Err())
+		}
 		if !sched.table.NeedsCheckpoint() {
 			continue
 		}
-		if _, err := sched.Checkpoint(ctx); err != nil && err != ErrStopped {
+		if _, err := sched.Checkpoint(); err != nil && err != ErrStopped {
 			errs = append(errs, fmt.Errorf("server: checkpoint %q: %w", sched.table.Name(), err))
 		}
 	}
@@ -145,10 +149,10 @@ func (s *Server) CheckpointAll(ctx context.Context) []error {
 
 // Shutdown is the graceful counterpart to Close: every scheduler is
 // drained — queued appends flushed to the WAL and acked (or rejected
-// explicitly), queued queries answered — then each durable table gets a
-// final checkpoint so restart replays no WAL at all, and the store is
-// closed. Callers shut the HTTP listener down first, so no new requests
-// are arriving while the queues drain.
+// explicitly), queued queries answered — then each durable table that
+// is not quarantined gets a final checkpoint so restart replays no WAL
+// at all, and the store is closed. Callers shut the HTTP listener down
+// first, so no new requests are arriving while the queues drain.
 func (s *Server) Shutdown() error {
 	s.mu.Lock()
 	if s.closed {
@@ -167,11 +171,8 @@ func (s *Server) Shutdown() error {
 	var first error
 	for _, sched := range scheds {
 		sched.Drain()
-		// The loop has exited, so a direct capture cannot race appends.
-		if cp, ok := sched.table.CaptureCheckpoint(); ok {
-			if err := sched.table.WriteCheckpoint(cp); err != nil && first == nil {
-				first = err
-			}
+		if _, err := sched.Checkpoint(); err != nil && err != ErrQuarantined && err != ErrStopped && first == nil {
+			first = err
 		}
 	}
 	if s.cfg.Store != nil {

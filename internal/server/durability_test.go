@@ -3,12 +3,15 @@ package server
 import (
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -177,7 +180,7 @@ func TestKillRestartProperty(t *testing.T) {
 						// snapshot's recorded value.
 						tbl, _ := srv.Catalog().Get("t")
 						snapFloor = tbl.Index().Progress()
-						if ok, err := sched.Checkpoint(ctx); !ok || err != nil {
+						if ok, err := sched.Checkpoint(); !ok || err != nil {
 							t.Fatalf("checkpoint: ok=%v err=%v", ok, err)
 						}
 					}
@@ -358,6 +361,82 @@ func TestGracefulShutdownDrainsAppends(t *testing.T) {
 	// Graceful shutdown checkpointed: recovery replayed no WAL tail.
 	if d := tbl.Info().Durability; d == nil || d.TailFrames != 0 {
 		t.Fatalf("durability after graceful shutdown = %+v, want zero tail", d)
+	}
+}
+
+// TestShutdownSkipsQuarantinedTable: a table whose serving loop
+// panicked is not trusted again before a restart, so graceful shutdown
+// writes it no final snapshot. Recovery serves exactly the acked rows,
+// from the snapshot taken before the panic plus the WAL behind it.
+func TestShutdownSkipsQuarantinedTable(t *testing.T) {
+	dir := t.TempDir()
+	store, err := durable.Open(dir, durable.SyncBatch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(Config{Store: store, SnapshotInterval: 1 << 40, Logger: slog.New(slog.DiscardHandler)})
+	if _, err := srv.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	base := data.Uniform(2000, 7)
+	sched := loadRobust(t, srv, "t", base)
+	ctx := context.Background()
+	rows := append([]int64(nil), base...)
+	appendAcked := func(v int64) {
+		if _, _, err := sched.Append(ctx, []int64{v, v + 1}); err != nil {
+			t.Fatal(err)
+		}
+		rows = append(rows, v, v+1)
+	}
+	appendAcked(1_000_000)
+	appendAcked(1_000_002)
+	if ok, err := sched.Checkpoint(); !ok || err != nil {
+		t.Fatalf("checkpoint: ok=%v err=%v", ok, err)
+	}
+	appendAcked(1_000_004)
+	appendAcked(1_000_006)
+	r, err := sched.admit(ctx, &task{panicTest: true, reply: make(chan result, 1), enqueued: time.Now()})
+	if err != nil || !errors.Is(r.err, ErrQuarantined) {
+		t.Fatalf("panic task: reply %v, err %v; want ErrQuarantined", r.err, err)
+	}
+	snaps := func() []string {
+		names, err := filepath.Glob(filepath.Join(dir, "tables", "*", "snap-*.snap"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return names
+	}
+	before := snaps()
+	if err := srv.Shutdown(); err != nil {
+		t.Fatalf("Shutdown: %v", err)
+	}
+	if after := snaps(); !slices.Equal(after, before) {
+		t.Fatalf("Shutdown wrote a quarantined table's snapshot: %v, was %v", after, before)
+	}
+
+	srv2 := newDurableServer(t, dir)
+	t.Cleanup(srv2.Close)
+	if _, err := srv2.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	tbl, ok := srv2.Catalog().Get("t")
+	if !ok {
+		t.Fatal("table did not recover")
+	}
+	if d := tbl.Info().Durability; d == nil || d.CoveredSeq != 2 || d.TailFrames != 2 {
+		t.Fatalf("recovered durability = %+v, want the seq-2 snapshot and two WAL frames", d)
+	}
+	q := progidx.Request{Pred: progidx.Range(0, 2_000_000), Aggs: progidx.Sum | progidx.Count | progidx.Min | progidx.Max}
+	want, err := fullScanOracle(rows).Execute(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := tbl.Index().Execute(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tbl.Len() != len(rows) || !answersMatch(got, want) {
+		t.Fatalf("recovered %d rows answering %+v, want %d rows answering %+v", tbl.Len(), got, len(rows), want)
 	}
 }
 

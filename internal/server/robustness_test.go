@@ -769,7 +769,7 @@ func TestChaosProperty(t *testing.T) {
 	}
 	// Exercise a checkpoint under fault load (snapshot I/O is unfaulted;
 	// the WAL roll may legitimately fail and is retried by later writes).
-	sched.Checkpoint(context.Background())
+	sched.Checkpoint()
 
 	srv.Close() // hard crash: no final checkpoint
 	stopped.Store(true)

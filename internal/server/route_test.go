@@ -191,7 +191,7 @@ func TestQuiescentRouteRaces(t *testing.T) {
 			})
 			session(func() error { // checkpoints, until the drop removes the table's files
 				for !dropping.Load() {
-					if _, err := sched.Checkpoint(context.Background()); err != nil && !dropping.Load() {
+					if _, err := sched.Checkpoint(); err != nil && !dropping.Load() {
 						return err
 					}
 					time.Sleep(5 * time.Millisecond)

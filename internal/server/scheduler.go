@@ -38,7 +38,6 @@ import (
 
 	"repro"
 	"repro/internal/catalog"
-	"repro/internal/durable"
 	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/query"
@@ -118,12 +117,10 @@ type result struct {
 	rows int // table row count after an append task applied
 	err  error
 	info ExecInfo
-	cp   durable.Checkpoint // captured state for a checkpoint task
-	cpOK bool
 }
 
-// task is one admitted request — a query, an append, or a checkpoint
-// capture — waiting for execution.
+// task is one admitted request — a query or an append — waiting for
+// execution.
 type task struct {
 	// conj is the query: a plain request is the one-predicate conjunction
 	// on the unnamed first column, its Preds backed by pred so that the
@@ -132,14 +129,8 @@ type task struct {
 	pred     [1]query.ColPredicate
 	append   []int64 // ingest payload; meaningful when isAppend
 	isAppend bool
-	// checkpoint asks the loop to capture the table's durable state
-	// (rows + WAL position + index progress) at a point where no append
-	// can be concurrent — the property that makes the captured pairing
-	// exact. The snapshot file itself is written by the caller, off the
-	// serving loop.
-	checkpoint bool
-	reply      chan result // buffered(1): the loop never blocks on a reply
-	enqueued   time.Time
+	reply    chan result // buffered(1): the loop never blocks on a reply
+	enqueued time.Time
 	// deadline, when non-zero, is the caller's answer-by time. It does
 	// not cancel the query — it clamps the indexing budget: a batch
 	// whose deadline cannot absorb the estimated leader slice executes
@@ -157,8 +148,8 @@ type task struct {
 	trace *obs.Trace
 }
 
-// Scheduler serializes one table's appends, checkpoints and
-// index-building queries through a single goroutine.
+// Scheduler serializes one table's appends and index-building queries
+// through a single goroutine.
 type Scheduler struct {
 	table    *catalog.Table
 	idx      *plan.Table
@@ -383,8 +374,7 @@ func (s *Scheduler) Append(ctx context.Context, values []int64) (int, ExecInfo, 
 // never wait for a queue slot: a full queue sheds the request with
 // ErrOverloaded immediately (load shedding beats convoying — a caller
 // told "429, retry in 2s" behaves better under overload than one
-// silently parked on a channel). Checkpoint tasks still block: they
-// are rare, internal, and must not be starved by client traffic.
+// silently parked on a channel).
 func (s *Scheduler) admit(ctx context.Context, t *task) (result, error) {
 	// Check quit with priority before racing it against a queue slot:
 	// once Stop/Drain fired, a caller in a retry loop must see
@@ -405,21 +395,11 @@ func (s *Scheduler) admit(ctx context.Context, t *task) (result, error) {
 	if t.isAppend && s.degraded.Load() {
 		return result{}, ErrDegraded
 	}
-	if t.checkpoint {
-		select {
-		case s.tasks <- t:
-		case <-s.quit:
-			return result{}, ErrStopped
-		case <-ctx.Done():
-			return result{}, ctx.Err()
-		}
-	} else {
-		select {
-		case s.tasks <- t:
-		default:
-			s.noteShed()
-			return result{}, ErrOverloaded
-		}
+	select {
+	case s.tasks <- t:
+	default:
+		s.noteShed()
+		return result{}, ErrOverloaded
 	}
 	select {
 	case r := <-t.reply:
@@ -462,20 +442,26 @@ func (s *Scheduler) Drain() {
 	<-s.done
 }
 
-// Checkpoint rides the admission queue to capture the table's durable
-// state at a batch boundary, then writes the snapshot file and
-// truncates the covered WAL prefix — the file I/O happens on the
-// caller's goroutine, so the serving loop is blocked only for the
-// in-memory capture. ok == false means the table is not durable.
-func (s *Scheduler) Checkpoint(ctx context.Context) (ok bool, err error) {
-	r, err := s.admit(ctx, &task{checkpoint: true, reply: make(chan result, 1), enqueued: time.Now()})
-	if err != nil {
-		return false, err
+// Checkpoint captures the table's durable state, then writes the
+// snapshot file and truncates the covered WAL prefix, all on the
+// caller's goroutine: the table's ingest lock, not the serving loop,
+// keeps the capture exact, and it holds appends back only for the
+// in-memory capture. A quarantined table is refused with
+// ErrQuarantined (its state is not trusted again before a restart), a
+// dropped one with ErrStopped. ok == false means the table is not
+// durable.
+func (s *Scheduler) Checkpoint() (ok bool, err error) {
+	if s.quarantined.Load() {
+		return false, ErrQuarantined
 	}
-	if r.err != nil || !r.cpOK {
-		return false, r.err
+	if s.table.Status() == catalog.StatusDropped {
+		return false, ErrStopped
 	}
-	return true, s.table.WriteCheckpoint(r.cp)
+	cp, ok := s.table.CaptureCheckpoint()
+	if !ok {
+		return false, nil
+	}
+	return true, s.table.WriteCheckpoint(cp)
 }
 
 // noteShed counts one rejected admission and (throttled) publishes it
@@ -795,19 +781,12 @@ func (s *Scheduler) runBatch(batch []*task) {
 	results := make([]result, len(batch))
 	var (
 		reqIdx     []int // batch positions of the query tasks
+		appendIdx  []int // batch positions of successful appends
 		nAppends   uint64
 		nAppendRow uint64
 	)
-	var (
-		appendIdx []int // batch positions of successful appends
-		cpIdx     []int // batch positions of checkpoint tasks
-	)
 	degraded := s.degraded.Load()
 	for i, t := range batch {
-		if t.checkpoint {
-			cpIdx = append(cpIdx, i)
-			continue
-		}
 		if !t.isAppend {
 			reqIdx = append(reqIdx, i)
 			continue
@@ -868,11 +847,6 @@ func (s *Scheduler) runBatch(batch []*task) {
 			}
 			nAppends, nAppendRow = 0, 0
 		}
-	}
-	for _, i := range cpIdx {
-		// Capture after this batch's appends so the checkpoint covers
-		// them; the caller serializes the snapshot file off-loop.
-		results[i].cp, results[i].cpOK = s.table.CaptureCheckpoint()
 	}
 	if len(reqIdx) > 0 {
 		// Deadline clamping: only the batch leader pays the indexing
@@ -1049,7 +1023,7 @@ func closeExecuteSpans(traces []*obs.Trace, spans []obs.SpanID) {
 // the slow-query log line, and a retroactive coarse trace for slow
 // queries that were not sampled.
 func (s *Scheduler) observeTask(t *task, r *result, started, finished time.Time, slow time.Duration) {
-	isQuery := !t.isAppend && !t.checkpoint
+	isQuery := !t.isAppend
 	lat := finished.Sub(t.enqueued)
 	if isQuery && s.tobs != nil {
 		s.tobs.QueryDur.Observe(lat.Seconds())
