@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/column"
+	"repro/internal/plan"
 	"repro/internal/query"
 	"repro/internal/shard"
 )
@@ -14,13 +15,13 @@ import (
 // exactly as NewHandle does, except that a one-shard table seals its
 // tail at 128 rows instead of the 1024-row floor, so the small traces
 // here actually exercise query-path seals and merges.
-func appendHandle(t *testing.T, vals []int64, opts Options) *Sharded {
+func appendHandle(t *testing.T, vals []int64, opts Options) *shard.Sharded {
 	t.Helper()
 	col, err := column.New(append([]int64(nil), vals...))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg, factory := shardLayout(opts, col.Len())
+	cfg, factory := plan.Layout(opts.served(), col.Len())
 	if cfg.Shards == 1 {
 		cfg.SealRows = 128
 	}

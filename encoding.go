@@ -21,9 +21,3 @@ const (
 	EncodingFORBP = encode.ModeFORBP
 	EncodingDict  = encode.ModeDict
 )
-
-// ParseEncoding resolves an encoding from its wire spelling ("raw",
-// "auto", "forbp", "dict"); the empty string is EncodingRaw.
-func ParseEncoding(name string) (Encoding, error) {
-	return encode.ParseMode(name)
-}

@@ -7,11 +7,12 @@ import (
 	"repro/internal/column"
 	"repro/internal/data"
 	"repro/internal/query"
+	"repro/internal/shard"
 )
 
 // converge drives a handle to its terminal state via refine steps, with
 // a safety bound.
-func converge(t *testing.T, idx *Sharded) {
+func converge(t *testing.T, idx *shard.Sharded) {
 	t.Helper()
 	for i := 0; i < 1_000_000; i++ {
 		if _, done := idx.RefineStep(); done {
@@ -22,7 +23,7 @@ func converge(t *testing.T, idx *Sharded) {
 }
 
 // unshardedHandle builds the serving handle of an unsharded table.
-func unshardedHandle(t *testing.T, vals []int64, opts Options) *Sharded {
+func unshardedHandle(t *testing.T, vals []int64, opts Options) *shard.Sharded {
 	t.Helper()
 	h, err := NewHandle(vals, opts)
 	if err != nil {
@@ -34,7 +35,7 @@ func unshardedHandle(t *testing.T, vals []int64, opts Options) *Sharded {
 // executeBatch runs reqs the way a table runs one batch on a column: the
 // first request leads — it carries the indexing budget — unless
 // opts.Clamp withholds it, and the rest run with indexing suspended.
-func executeBatch(sh *Sharded, reqs []Request, opts query.BatchOpts) ([]Answer, []error) {
+func executeBatch(sh *shard.Sharded, reqs []Request, opts query.BatchOpts) ([]Answer, []error) {
 	answers := make([]Answer, len(reqs))
 	errs := make([]error, len(reqs))
 	for i, req := range reqs {

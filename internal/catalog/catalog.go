@@ -14,10 +14,12 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro"
 	"repro/internal/durable"
+	"repro/internal/encode"
 	"repro/internal/obs"
 	"repro/internal/plan"
+	"repro/internal/query"
+	"repro/internal/shard"
 )
 
 // Status is a table's lifecycle state.
@@ -49,34 +51,32 @@ func (s Status) String() string {
 	}
 }
 
-// Options are the per-table indexing knobs, a serving-layer projection
-// of progidx.Options plus the idle-refinement switch.
+// Options are the per-table indexing knobs, the plan.Options a table is
+// built with plus the idle-refinement switch and the schema.
 type Options struct {
 	// Strategy selects the indexing algorithm (default PQ): one of the
 	// four progressive algorithms, the only strategies a table serves.
-	Strategy progidx.Strategy
-	// Delta, Budget, Adaptive, Calibrate and Workers have the
-	// progidx.Options meanings.
-	Delta     float64
-	Budget    time.Duration
-	Adaptive  bool
-	Calibrate bool
-	Workers   int
+	Strategy plan.Strategy
+	// Delta, Budget, Adaptive and Workers have the plan.Options meanings.
+	Delta    float64
+	Budget   time.Duration
+	Adaptive bool
+	Workers  int
 	// Shards range-partitions the table into this many contiguous
 	// row-range shards, each with its own progressive index and zone
-	// map (progidx.Sharded); 0 or 1 means one unsharded index. Idle
+	// map (shard.Sharded); 0 or 1 means one unsharded index. Idle
 	// refinement on a sharded table round-robins the heat-ordered
 	// shards, so the regions the workload touches converge first.
 	Shards int
 	// IdleRefine enables idle-time background refinement for this
 	// table's scheduler; nil means on.
 	IdleRefine *bool
-	// Encoding selects compressed columnar storage (progidx.Encoding):
+	// Encoding selects compressed columnar storage (encode.Mode):
 	// compressed tables keep no raw base column — shards serve queries
 	// from packed segments and decompress only when the workload's heat
 	// claims them — and their snapshots persist compressed too. The zero
 	// value (raw) is the uncompressed default.
-	Encoding progidx.Encoding
+	Encoding encode.Mode
 	// Columns names the table's schema. Empty or one name is a
 	// single-column table; two or more give one row-aligned store and one
 	// progressive index per column, fed by flat row-major tuples
@@ -106,17 +106,16 @@ func (o Options) RowWidth() int {
 // IdleRefineEnabled resolves the tri-state IdleRefine switch.
 func (o Options) IdleRefineEnabled() bool { return o.IdleRefine == nil || *o.IdleRefine }
 
-// progidxOptions projects the catalog options onto the library's.
-func (o Options) progidxOptions() progidx.Options {
-	return progidx.Options{
-		Strategy:  o.Strategy,
-		Delta:     o.Delta,
-		Budget:    o.Budget,
-		Adaptive:  o.Adaptive,
-		Calibrate: o.Calibrate,
-		Workers:   o.Workers,
-		Shards:    o.Shards,
-		Encoding:  o.Encoding,
+// planOptions projects the catalog options onto the table's.
+func (o Options) planOptions() plan.Options {
+	return plan.Options{
+		Strategy: o.Strategy,
+		Delta:    o.Delta,
+		Budget:   o.Budget,
+		Adaptive: o.Adaptive,
+		Workers:  o.Workers,
+		Shards:   o.Shards,
+		Encoding: o.Encoding,
 	}
 }
 
@@ -256,9 +255,31 @@ func (t *Table) Append(values []int64) error {
 // Options returns the options the table was loaded with.
 func (t *Table) Options() Options { return t.opts }
 
-// Index returns Handle's value behind the interface benchmark/ asserts on
-// (see progidx.Handle).
-func (t *Table) Index() progidx.Handle { return t.idx }
+// Handle is the served table as Table.Index returns it: plain Execute
+// plus what drives a table from outside the scheduler — idle-time
+// refinement, live ingestion and the convergence probes. It has exactly
+// one implementation, plan.Table, which the catalog and the scheduler
+// hold; the interface is kept because benchmark/traced.go type-asserts
+// on Index()'s value (ROADMAP item 0).
+type Handle interface {
+	query.Index
+	// RefineStep spends one indexing-budget slice with no client query
+	// attached, returning the work stats and whether the handle is now
+	// fully converged.
+	RefineStep() (query.Stats, bool)
+	// Append ingests new rows at the tail of the table. The rows are
+	// visible to every query that starts after Append returns; the
+	// index absorbs them progressively under the same per-query budget
+	// discipline as its initial build (see shard.Sharded.Append).
+	Append(values []int64) error
+	// Progress reports the convergence fraction in [0, 1].
+	Progress() float64
+	// PendingRows is the number of appended rows no index covers yet.
+	PendingRows() int
+}
+
+// Index returns Handle's value behind the interface benchmark/ asserts on.
+func (t *Table) Index() Handle { return t.idx }
 
 // ShardCount reports how many shards back a single-column table: the
 // partition count (one when unsharded; lower than the requested
@@ -274,7 +295,7 @@ func (t *Table) ShardCount() int {
 
 // ShardStats snapshots the per-shard state of a single-column table
 // (ok == false for multi-column tables).
-func (t *Table) ShardStats() ([]progidx.ShardInfo, bool) {
+func (t *Table) ShardStats() ([]shard.Info, bool) {
 	if t.RowWidth() > 1 {
 		return nil, false
 	}
@@ -445,7 +466,7 @@ func (c *Catalog) build(what, name string, base []int64, opts Options, created t
 	if err != nil {
 		return nil, err
 	}
-	if t.idx, err = plan.New(name, opts.schema(), base, opts.progidxOptions()); err == nil {
+	if t.idx, err = plan.New(name, opts.schema(), base, opts.planOptions()); err == nil {
 		c.attachObs(t)
 		err = fill(t)
 	}

@@ -5,9 +5,10 @@ import (
 	"math"
 	"time"
 
-	"repro"
 	"repro/internal/durable"
+	"repro/internal/encode"
 	"repro/internal/obs"
+	"repro/internal/plan"
 )
 
 // This file is the catalog half of the durability subsystem
@@ -24,10 +25,9 @@ import (
 func (o Options) meta() durable.TableMeta {
 	m := durable.TableMeta{
 		Strategy:   o.Strategy.String(),
-		DeltaPPM:   int64(o.Delta*1e6 + 0.5),
+		DeltaPPM:   int64(math.Round(o.Delta * 1e6)),
 		BudgetNs:   o.Budget.Nanoseconds(),
 		Adaptive:   o.Adaptive,
-		Calibrate:  o.Calibrate,
 		Workers:    o.Workers,
 		Shards:     o.Shards,
 		IdleRefine: o.IdleRefine,
@@ -49,11 +49,11 @@ func (o Options) meta() durable.TableMeta {
 
 // optionsFromMeta inverts Options.meta at recovery time.
 func optionsFromMeta(m durable.TableMeta) (Options, error) {
-	strat, err := progidx.ParseStrategy(m.Strategy)
+	strat, err := plan.ParseStrategy(m.Strategy)
 	if err != nil {
 		return Options{}, fmt.Errorf("catalog: recovered table meta: %w", err)
 	}
-	enc, err := progidx.ParseEncoding(m.Encoding)
+	enc, err := encode.ParseMode(m.Encoding)
 	if err != nil {
 		return Options{}, fmt.Errorf("catalog: recovered table meta: %w", err)
 	}
@@ -65,7 +65,6 @@ func optionsFromMeta(m durable.TableMeta) (Options, error) {
 		Delta:      float64(m.DeltaPPM) / 1e6,
 		Budget:     time.Duration(m.BudgetNs),
 		Adaptive:   m.Adaptive,
-		Calibrate:  m.Calibrate,
 		Workers:    m.Workers,
 		Shards:     m.Shards,
 		IdleRefine: m.IdleRefine,

@@ -11,6 +11,7 @@ import (
 	"repro/internal/data"
 	"repro/internal/durable"
 	"repro/internal/encode"
+	"repro/internal/shard"
 )
 
 func openStore(t *testing.T, dir string) *durable.Store {
@@ -454,7 +455,7 @@ func TestMultiColumnCheckpointStreamsTheCapturedView(t *testing.T) {
 			for i := 0; i < 100_000 && !h.Converged(); i++ {
 				h.RefineStep()
 			}
-			if h.PendingRows() != 0 || !slices.ContainsFunc(h.ShardStats(), func(si progidx.ShardInfo) bool { return si.Form == "settled" }) {
+			if h.PendingRows() != 0 || !slices.ContainsFunc(h.ShardStats(), func(si shard.Info) bool { return si.Form == "settled" }) {
 				t.Fatalf("the table did not flush and settle: %d pending, %+v", h.PendingRows(), h.ShardStats())
 			}
 			check("after the flush and the settles")

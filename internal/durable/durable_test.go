@@ -1,9 +1,12 @@
 package durable
 
 import (
+	"bytes"
 	"encoding/binary"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -349,5 +352,44 @@ func TestStoreStats(t *testing.T) {
 	}
 	if got := s.Stats().Snapshots; got != 1 {
 		t.Fatalf("snapshots = %d, want 1", got)
+	}
+}
+
+// TestUnknownMetaFormatsRefused: a reader knows meta formats 0 (the
+// single-column layout) and 2 (a schema-carrying table) and nothing else,
+// older or newer: a manifest of any other format fails recovery.
+func TestUnknownMetaFormatsRefused(t *testing.T) {
+	for _, format := range []int{-1, 1, 3} {
+		s := openTestStore(t, SyncBatch)
+		if _, err := s.Create("t", TableMeta{Strategy: "PQ", Columns: []string{"a", "b"}, Format: FormatMultiColumn}, 1, []int64{1, 2, 3, 4}); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(s.tableDir("t"), manifestFile)
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		doctored := bytes.Replace(raw, []byte(`"format":2`), []byte(fmt.Sprintf(`"format":%d`, format)), 1)
+		if bytes.Equal(doctored, raw) {
+			t.Fatalf("no format key in %s", raw)
+		}
+		if err := os.WriteFile(path, doctored, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s.Close()
+		s2, err := Open(s.dir, SyncBatch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs, errs, err := s2.Recover()
+		s2.Close()
+		if err != nil || len(recs) != 0 || len(errs) != 1 || !strings.Contains(errs[0].Error(), "format") {
+			t.Fatalf("format %d: recovered %d tables, errors %v %v", format, len(recs), errs, err)
+		}
+	}
+	for _, m := range []TableMeta{{}, {Columns: []string{"a", "b"}, Format: FormatMultiColumn}} {
+		if err := m.Validate(); err != nil {
+			t.Fatalf("%+v refused: %v", m, err)
+		}
 	}
 }

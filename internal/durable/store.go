@@ -23,7 +23,6 @@ type TableMeta struct {
 	DeltaPPM   int64  `json:"delta_ppm,omitempty"` // δ × 1e6, avoids float drift
 	BudgetNs   int64  `json:"budget_ns,omitempty"`
 	Adaptive   bool   `json:"adaptive,omitempty"`
-	Calibrate  bool   `json:"calibrate,omitempty"`
 	Workers    int    `json:"workers,omitempty"`
 	Shards     int    `json:"shards,omitempty"`
 	IdleRefine *bool  `json:"idle_refine,omitempty"`
@@ -49,8 +48,8 @@ const FormatMultiColumn = 2
 
 // Validate rejects meta this build cannot interpret.
 func (m TableMeta) Validate() error {
-	if m.Format > FormatMultiColumn {
-		return fmt.Errorf("durable: meta format %d newer than supported %d", m.Format, FormatMultiColumn)
+	if m.Format != 0 && m.Format != FormatMultiColumn {
+		return fmt.Errorf("durable: meta format %d not supported: this build reads formats 0 and %d", m.Format, FormatMultiColumn)
 	}
 	if m.Format == FormatMultiColumn && len(m.Columns) == 0 {
 		return fmt.Errorf("durable: multi-column meta without a schema")

@@ -4,8 +4,9 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro"
+	"repro/internal/column"
 	"repro/internal/data"
+	"repro/internal/encode"
 	"repro/internal/query"
 )
 
@@ -16,8 +17,8 @@ import (
 // clustered a. Driving by c touches every involved column in every
 // block; driving by b lets the zones prune nearly all of them.
 func driverWorkload(tb testing.TB, n int) (*Table, []query.Conjunction) {
-	tbl, err := New("t", []string{"a", "b", "c"}, data.MultiColumn(n, 3, 1234), progidx.Options{
-		Strategy: progidx.StrategyQuicksort, Delta: 0.25, Encoding: progidx.EncodingFORBP,
+	tbl, err := New("t", []string{"a", "b", "c"}, data.MultiColumn(n, 3, 1234), Options{
+		Strategy: StrategyQuicksort, Delta: 0.25, Encoding: encode.ModeFORBP,
 	})
 	if err != nil {
 		tb.Fatal(err)
@@ -33,7 +34,7 @@ func driverWorkload(tb testing.TB, n int) (*Table, []query.Conjunction) {
 				{Col: "c", Pred: query.AtLeast(cMin)},
 			},
 			Target: "a",
-			Aggs:   progidx.Sum | progidx.Count,
+			Aggs:   column.AggSum | column.AggCount,
 		}
 	}
 	return tbl, conjs

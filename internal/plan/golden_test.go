@@ -11,9 +11,9 @@ import (
 	"strings"
 	"testing"
 
-	"repro"
 	"repro/internal/column"
 	"repro/internal/data"
+	"repro/internal/encode"
 	"repro/internal/query"
 )
 
@@ -121,10 +121,10 @@ func TestConjStreamGolden(t *testing.T) {
 	names := []string{"a", "b", "c"}
 	flat := data.MultiColumn(n+batches*batch, len(names), 1)
 	var out strings.Builder
-	for _, enc := range []progidx.Encoding{progidx.EncodingRaw, progidx.EncodingFORBP, progidx.EncodingDict} {
+	for _, enc := range []encode.Mode{encode.ModeRaw, encode.ModeFORBP, encode.ModeDict} {
 		for _, shards := range []int{0, 4} {
-			tbl, err := New("t", names, flat[:n*len(names)], progidx.Options{
-				Strategy: progidx.StrategyQuicksort, Delta: 0.25, Encoding: enc, Shards: shards, Workers: 2})
+			tbl, err := New("t", names, flat[:n*len(names)], Options{
+				Strategy: StrategyQuicksort, Delta: 0.25, Encoding: enc, Shards: shards, Workers: 2})
 			if err != nil {
 				t.Fatal(err)
 			}

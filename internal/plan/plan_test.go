@@ -9,8 +9,8 @@ import (
 	"sync"
 	"testing"
 
-	"repro"
 	"repro/internal/column"
+	"repro/internal/encode"
 	"repro/internal/query"
 	"repro/internal/shard"
 )
@@ -41,8 +41,8 @@ func genTuples(n, k int, seed int64) [][]int64 {
 }
 
 // testEncodings is every storage mode the planner tests sweep.
-var testEncodings = []progidx.Encoding{
-	progidx.EncodingRaw, progidx.EncodingFORBP, progidx.EncodingDict, progidx.EncodingAuto,
+var testEncodings = []encode.Mode{
+	encode.ModeRaw, encode.ModeFORBP, encode.ModeDict, encode.ModeAuto,
 }
 
 func flatten(cols [][]int64, from, to int) []int64 {
@@ -171,11 +171,11 @@ func TestConjunctionsMatchOracle(t *testing.T) {
 		queries = 60
 	)
 	names := []string{"a", "b", "c"}
-	strategies := []progidx.Strategy{
-		progidx.StrategyQuicksort,
-		progidx.StrategyRadixMSD,
-		progidx.StrategyRadixLSD,
-		progidx.StrategyFullScan,
+	strategies := []Strategy{
+		StrategyQuicksort,
+		StrategyRadixMSD,
+		StrategyRadixLSD,
+		StrategyFullScan,
 	}
 	for _, strat := range strategies {
 		for _, shards := range []int{1, 3, 8} {
@@ -185,8 +185,8 @@ func TestConjunctionsMatchOracle(t *testing.T) {
 					cols := genTuples(n, k, 11)
 					loaded := n / 2
 					tbl, err := New("t", names, flatten(cols, 0, loaded),
-						progidx.Options{Strategy: strat, Delta: 0.25, Shards: shards, Workers: workers})
-					if strat == progidx.StrategyFullScan {
+						Options{Strategy: strat, Delta: 0.25, Shards: shards, Workers: workers})
+					if strat == StrategyFullScan {
 						if err == nil || !strings.Contains(err.Error(), "cmd/experiments") {
 							t.Fatalf("a table of %v: %v, want it refused", strat, err)
 						}
@@ -240,7 +240,7 @@ func TestDriverChoiceIrrelevantToAnswer(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/workers=%d", enc, workers), func(t *testing.T) {
 				rows := n/2 + 7
 				tbl, err := New("t", names, flatten(cols, 0, rows),
-					progidx.Options{Strategy: progidx.StrategyQuicksort, Delta: 0.25, Encoding: enc, Workers: workers})
+					Options{Strategy: StrategyQuicksort, Delta: 0.25, Encoding: enc, Workers: workers})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -324,8 +324,8 @@ func TestCompressedColumnsMatchOracle(t *testing.T) {
 	for _, enc := range testEncodings[1:] {
 		t.Run(enc.String(), func(t *testing.T) {
 			rows := n/2 + 11
-			tbl, err := New("t", names, flatten(cols, 0, rows), progidx.Options{
-				Strategy: progidx.StrategyQuicksort, Delta: 0.25, Shards: 2, Encoding: enc, ClaimHeat: claimHeat})
+			tbl, err := New("t", names, flatten(cols, 0, rows), Options{
+				Strategy: StrategyQuicksort, Delta: 0.25, Shards: 2, Encoding: enc, ClaimHeat: claimHeat})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -463,8 +463,8 @@ func TestConcurrentClaim(t *testing.T) {
 	const n = 12_000
 	names := []string{"a", "b", "c"}
 	cols := genTuples(n, 3, 23)
-	tbl, err := New("t", names, flatten(cols, 0, n), progidx.Options{
-		Strategy: progidx.StrategyQuicksort, Delta: 0.25, Encoding: progidx.EncodingFORBP, ClaimHeat: 4})
+	tbl, err := New("t", names, flatten(cols, 0, n), Options{
+		Strategy: StrategyQuicksort, Delta: 0.25, Encoding: encode.ModeFORBP, ClaimHeat: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -549,8 +549,8 @@ func TestNeverClaim(t *testing.T) {
 	const n = 9_000
 	names := []string{"a", "b"}
 	cols := genTuples(n, 2, 17)
-	tbl, err := New("t", names, flatten(cols, 0, n), progidx.Options{
-		Strategy: progidx.StrategyQuicksort, Delta: 0.25, Encoding: progidx.EncodingFORBP, ClaimHeat: -1})
+	tbl, err := New("t", names, flatten(cols, 0, n), Options{
+		Strategy: StrategyQuicksort, Delta: 0.25, Encoding: encode.ModeFORBP, ClaimHeat: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -578,9 +578,9 @@ func TestOutOfDomainRejectedAtomically(t *testing.T) {
 	const n = shard.BlockRows - 1 // the next accepted row would fill the block
 	names := []string{"a", "b"}
 	cols := genTuples(n+1, 2, 29)
-	for _, enc := range []progidx.Encoding{progidx.EncodingRaw, progidx.EncodingFORBP, progidx.EncodingDict, progidx.EncodingAuto} {
+	for _, enc := range []encode.Mode{encode.ModeRaw, encode.ModeFORBP, encode.ModeDict, encode.ModeAuto} {
 		t.Run(enc.String(), func(t *testing.T) {
-			opts := progidx.Options{Strategy: progidx.StrategyQuicksort, Delta: 0.25, Encoding: enc}
+			opts := Options{Strategy: StrategyQuicksort, Delta: 0.25, Encoding: enc}
 			for _, bad := range []int64{1 << 62, -(1 << 62), math.MaxInt64, math.MinInt64} {
 				if _, err := New("t", names, []int64{1, bad}, opts); err == nil {
 					t.Fatalf("New accepted %d", bad)
@@ -631,16 +631,16 @@ func TestOutOfDomainRejectedAtomically(t *testing.T) {
 // alike (the shard layer proves them once for both).
 func TestBadOptionsRefusedAtNew(t *testing.T) {
 	flat := []int64{1, 2, 3, 4}
-	for _, opts := range []progidx.Options{
-		{Strategy: progidx.Strategy(99)},
-		{Strategy: progidx.Strategy(99), Encoding: progidx.EncodingFORBP},
-		{Strategy: progidx.StrategyQuicksort, Encoding: progidx.Encoding(99)},
+	for _, opts := range []Options{
+		{Strategy: Strategy(99)},
+		{Strategy: Strategy(99), Encoding: encode.ModeFORBP},
+		{Strategy: StrategyQuicksort, Encoding: encode.Mode(99)},
 	} {
 		if _, err := New("t", []string{"a", "b"}, flat, opts); err == nil {
 			t.Errorf("New accepted %+v", opts)
 		}
-		if _, err := progidx.NewHandle(flat, opts); err == nil {
-			t.Errorf("NewHandle accepted %+v", opts)
+		if _, err := NewColumn(column.MustNew(flat), opts); err == nil {
+			t.Errorf("NewColumn accepted %+v", opts)
 		}
 	}
 }
@@ -658,7 +658,7 @@ func TestFusedScanAllocs(t *testing.T) {
 	cols := genTuples(n, 3, 19)
 	for _, enc := range testEncodings {
 		tbl, err := New("t", names, flatten(cols, 0, n),
-			progidx.Options{Strategy: progidx.StrategyQuicksort, Encoding: enc, Workers: 1})
+			Options{Strategy: StrategyQuicksort, Encoding: enc, Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -697,7 +697,7 @@ func TestOneColumnTableAllocs(t *testing.T) {
 	const n = 3000
 	for _, shards := range []int{0, 4} {
 		tbl, err := New("t", []string{"v"}, genTuples(n, 1, 31)[0],
-			progidx.Options{Strategy: progidx.StrategyQuicksort, Delta: 1, Shards: shards, Workers: 1})
+			Options{Strategy: StrategyQuicksort, Delta: 1, Shards: shards, Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -730,7 +730,7 @@ func TestSingleColumnCompat(t *testing.T) {
 	const n = 10_000
 	names := []string{"a", "b"}
 	cols := genTuples(n, 2, 23)
-	tbl, err := New("t", names, flatten(cols, 0, n), progidx.Options{Strategy: progidx.StrategyQuicksort, Delta: 0.25})
+	tbl, err := New("t", names, flatten(cols, 0, n), Options{Strategy: StrategyQuicksort, Delta: 0.25})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -777,7 +777,7 @@ func TestHeatSplitFavorsHotColumns(t *testing.T) {
 	const n = 8_000
 	names := []string{"a", "b"}
 	cols := genTuples(n, 2, 29)
-	tbl, err := New("t", names, flatten(cols, 0, n), progidx.Options{Strategy: progidx.StrategyQuicksort, Delta: 0.1})
+	tbl, err := New("t", names, flatten(cols, 0, n), Options{Strategy: StrategyQuicksort, Delta: 0.1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -809,7 +809,7 @@ func TestLeaderCarriesBudgetOnDirectRoute(t *testing.T) {
 	const n = 8_000
 	names := []string{"a", "b"}
 	cols := genTuples(n, 2, 31)
-	tbl, err := New("t", names, flatten(cols, 0, n), progidx.Options{Strategy: progidx.StrategyQuicksort, Delta: 0.1})
+	tbl, err := New("t", names, flatten(cols, 0, n), Options{Strategy: StrategyQuicksort, Delta: 0.1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -885,7 +885,7 @@ func TestPlannerPicksSelectiveDriver(t *testing.T) {
 	const n = 50_000
 	names := []string{"a", "b"}
 	cols := genTuples(n, 2, 41)
-	tbl, err := New("t", names, flatten(cols, 0, n), progidx.Options{Strategy: progidx.StrategyQuicksort, Delta: 0.25})
+	tbl, err := New("t", names, flatten(cols, 0, n), Options{Strategy: StrategyQuicksort, Delta: 0.25})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -917,7 +917,7 @@ func TestValidateRejectsDuplicates(t *testing.T) {
 	if err := c.Validate(); err == nil {
 		t.Fatal("duplicate column predicates not rejected")
 	}
-	tbl, err := New("t", []string{"a"}, []int64{1, 2, 3}, progidx.Options{Strategy: progidx.StrategyQuicksort})
+	tbl, err := New("t", []string{"a"}, []int64{1, 2, 3}, Options{Strategy: StrategyQuicksort})
 	if err != nil {
 		t.Fatal(err)
 	}

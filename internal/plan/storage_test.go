@@ -8,9 +8,9 @@ import (
 	"sync"
 	"testing"
 
-	"repro"
 	"repro/internal/column"
 	"repro/internal/data"
+	"repro/internal/encode"
 	"repro/internal/query"
 	"repro/internal/shard"
 )
@@ -37,11 +37,11 @@ func TestColumnsStayInLockstep(t *testing.T) {
 	)
 	names := []string{"a", "b", "c"}
 	cols := genTuples(n, 3, 37)
-	for _, enc := range []progidx.Encoding{progidx.EncodingRaw, progidx.EncodingFORBP} {
+	for _, enc := range []encode.Mode{encode.ModeRaw, encode.ModeFORBP} {
 		for _, shards := range []int{1, 3} {
 			t.Run(fmt.Sprintf("%s/shards=%d", enc, shards), func(t *testing.T) {
-				tbl, err := New("t", names, flatten(cols, 0, loaded), progidx.Options{
-					Strategy: progidx.StrategyQuicksort, Delta: 0.25, Shards: shards, Encoding: enc, ClaimHeat: 3})
+				tbl, err := New("t", names, flatten(cols, 0, loaded), Options{
+					Strategy: StrategyQuicksort, Delta: 0.25, Shards: shards, Encoding: enc, ClaimHeat: 3})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -146,7 +146,7 @@ func TestColumnsStayInLockstep(t *testing.T) {
 				// settle moves no block boundary, so lockstep holds at every slice.
 				b := tbl.cols[1].idx
 				settled := func() bool {
-					return slices.ContainsFunc(b.ShardStats(), func(si progidx.ShardInfo) bool { return si.Form == "settled" })
+					return slices.ContainsFunc(b.ShardStats(), func(si shard.Info) bool { return si.Form == "settled" })
 				}
 				for i := 0; i < 20_000 && !settled() && !t.Failed(); i++ {
 					if _, ok := b.RefineShard(); !ok {
@@ -236,15 +236,15 @@ func TestPlannedRowsStoredOnce(t *testing.T) {
 	names := []string{"a", "b", "c"}
 	flat := data.MultiColumn(n, len(names), 1)
 	for _, tc := range []struct {
-		enc                 progidx.Encoding
+		enc                 encode.Mode
 		loaded, afterDirect float64 // B/row over the three columns
 	}{
-		{progidx.EncodingRaw, 3*8 + 7.09 + 0.1, 12.2 + 0.5},
-		{progidx.EncodingFORBP, 6.30 + 0.05, 7.51 + 0.05},
+		{encode.ModeRaw, 3*8 + 7.09 + 0.1, 12.2 + 0.5},
+		{encode.ModeFORBP, 6.30 + 0.05, 7.51 + 0.05},
 	} {
 		base := liveHeap()
-		tbl, err := New("t", names, flat, progidx.Options{
-			Strategy: progidx.StrategyQuicksort, Delta: 0.25, Encoding: tc.enc, ClaimHeat: 2, Workers: 1})
+		tbl, err := New("t", names, flat, Options{
+			Strategy: StrategyQuicksort, Delta: 0.25, Encoding: tc.enc, ClaimHeat: 2, Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -282,7 +282,7 @@ func TestOneColumnTableServesItsLeaves(t *testing.T) {
 	const n = 3*shard.BlockRows + 500
 	names := []string{"a"}
 	cols := genTuples(n, 1, 41)
-	tbl, err := New("t", names, flatten(cols, 0, n), progidx.Options{Strategy: progidx.StrategyQuicksort, Delta: 0.25, Shards: 2, Workers: 1})
+	tbl, err := New("t", names, flatten(cols, 0, n), Options{Strategy: StrategyQuicksort, Delta: 0.25, Shards: 2, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,7 +323,7 @@ func BenchmarkSettle(b *testing.B) {
 	flat := data.MultiColumn(n, len(names), 1)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		tbl, err := New("t", names, flat, progidx.Options{Strategy: progidx.StrategyQuicksort, Delta: 0.25})
+		tbl, err := New("t", names, flat, Options{Strategy: StrategyQuicksort, Delta: 0.25})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -340,7 +340,7 @@ func BenchmarkLoadFORBP(b *testing.B) {
 	flat := data.MultiColumn(n, len(names), 1)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		tbl, err := New("t", names, flat, progidx.Options{Strategy: progidx.StrategyQuicksort, Delta: 0.25, Encoding: progidx.EncodingFORBP})
+		tbl, err := New("t", names, flat, Options{Strategy: StrategyQuicksort, Delta: 0.25, Encoding: encode.ModeFORBP})
 		if err != nil {
 			b.Fatal(err)
 		}

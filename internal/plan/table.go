@@ -1,6 +1,6 @@
 // Package plan is the served table, for every column count: a
-// plan.Table is one sharded column per column — what progidx.NewHandle
-// builds, with the table's own options — kept in structural lockstep so
+// plan.Table is one sharded column per column — what NewColumn builds,
+// with the table's own options — kept in structural lockstep so
 // their rows align block for block. It answers composite queries
 // (`a IN [lo,hi] AND b = v AND c >= w`) through a selectivity-driven
 // planner over the columns' block views and single-column ones on the
@@ -17,7 +17,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro"
 	"repro/internal/column"
 	"repro/internal/obs"
 	"repro/internal/parallel"
@@ -31,7 +30,7 @@ import (
 // planner's accounting.
 type colState struct {
 	name string
-	idx  *progidx.Sharded
+	idx  *shard.Sharded
 
 	// heat counts predicate touches (driver or residual); refines the
 	// δ slices this column has been granted. Their ratio drives the
@@ -46,7 +45,7 @@ type colState struct {
 }
 
 // Table is an N-column table, N >= 1, and the one implementation of
-// progidx.Handle: plain requests address the first column, conjunctions
+// catalog.Handle: plain requests address the first column, conjunctions
 // go through the planner. One δ of indexing work is spent per
 // ExecuteConjBatch call — never one per query: the batch's leader
 // carries it inside its own pass when it reads one column through that
@@ -77,11 +76,11 @@ type Table struct {
 // len(columns) values per row, row after row, and every column becomes a
 // sharded column of its own built with opts — raw columns indexing from
 // the first query, compressed ones born cold and claimed shard by shard
-// (progidx.Options.ClaimHeat). A one-column table adopts flat as its
+// (Options.ClaimHeat). A one-column table adopts flat as its
 // column, which must not be mutated afterwards. Column names must be
 // unique and non-empty; a value outside the kernel-safe domain is
 // refused by the column it falls in.
-func New(name string, columns []string, flat []int64, opts progidx.Options) (*Table, error) {
+func New(name string, columns []string, flat []int64, opts Options) (*Table, error) {
 	k := len(columns)
 	if k == 0 {
 		return nil, fmt.Errorf("plan: table %q needs at least one column", name)
@@ -110,7 +109,11 @@ func New(name string, columns []string, flat []int64, opts progidx.Options) (*Ta
 				vals[r] = flat[r*k+i]
 			}
 		}
-		idx, err := progidx.NewHandle(vals, opts)
+		base, err := column.New(vals)
+		if err != nil {
+			return nil, fmt.Errorf("plan: table %q column %q: %w", name, col, err)
+		}
+		idx, err := NewColumn(base, opts)
 		if err != nil {
 			return nil, fmt.Errorf("plan: table %q column %q: %w", name, col, err)
 		}
@@ -151,7 +154,7 @@ func (t *Table) Name() string {
 func (t *Table) Shards() int { return t.cols[0].idx.Shards() }
 
 // ShardStats: see Shards.
-func (t *Table) ShardStats() []progidx.ShardInfo { return t.cols[0].idx.ShardStats() }
+func (t *Table) ShardStats() []shard.Info { return t.cols[0].idx.ShardStats() }
 
 // Execute implements Index: the request is the one-predicate conjunction
 // on the first column, and the call both answers and spends one δ of
@@ -521,5 +524,3 @@ func (t *Table) ColumnStates() []ColumnState {
 	}
 	return out
 }
-
-var _ progidx.Handle = (*Table)(nil)

@@ -5,7 +5,8 @@ import (
 	"strconv"
 	"sync"
 
-	"repro"
+	"repro/internal/column"
+	"repro/internal/query"
 )
 
 // answerPool holds the buffers the query handler encodes answers into.
@@ -15,9 +16,9 @@ var answerPool = sync.Pool{New: func() any { return new([]byte) }}
 // as json.NewEncoder(w).Encode writes it, newline included, when it
 // carries no Trace. An answer's floats are finite and its phase names
 // plain ASCII.
-func appendAnswer(b []byte, ans progidx.Answer, info ExecInfo) []byte {
+func appendAnswer(b []byte, ans query.Answer, info ExecInfo) []byte {
 	b = append(b, '{')
-	if ans.Aggs.Has(progidx.Sum) {
+	if ans.Aggs.Has(column.AggSum) {
 		b = append(strconv.AppendInt(append(b, `"sum":`...), ans.Sum, 10), ',')
 	}
 	b = strconv.AppendInt(append(b, `"count":`...), ans.Count, 10)

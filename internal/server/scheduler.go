@@ -36,7 +36,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro"
 	"repro/internal/catalog"
 	"repro/internal/obs"
 	"repro/internal/plan"
@@ -113,7 +112,7 @@ type ExecInfo struct {
 
 // result is what the scheduler sends back for one request.
 type result struct {
-	ans  progidx.Answer
+	ans  query.Answer
 	rows int // table row count after an append task applied
 	err  error
 	info ExecInfo
@@ -166,7 +165,7 @@ type Scheduler struct {
 	reg          *obs.Registry
 	tobs         *obs.Table
 	lastProgress float64
-	lastPhase    progidx.Phase
+	lastPhase    query.Phase
 
 	tasks chan *task
 	quit  chan struct{} // closed by Stop/Drain
@@ -255,7 +254,7 @@ func newScheduler(t *catalog.Table, queueDepth, maxBatch int, reg *obs.Registry)
 // Execute admits req and blocks until the scheduler answers it, the
 // context is cancelled, or the scheduler stops: ExecuteConj for a plain
 // request, with no deadline and no forced trace.
-func (s *Scheduler) Execute(ctx context.Context, req progidx.Request) (progidx.Answer, ExecInfo, error) {
+func (s *Scheduler) Execute(ctx context.Context, req query.Request) (query.Answer, ExecInfo, error) {
 	t := &task{enqueued: time.Now()}
 	t.pred[0].Pred = req.Pred
 	t.conj = query.Conjunction{Preds: t.pred[:], Aggs: req.Aggs}
@@ -271,14 +270,14 @@ func (s *Scheduler) Execute(ctx context.Context, req progidx.Request) (progidx.A
 // registry's /debug/traces ring; otherwise one in every
 // Config.TraceSample queries is traced into the ring, at the cost of one
 // atomic load when sampling is off, and the returned trace is nil.
-func (s *Scheduler) ExecuteConj(ctx context.Context, c query.Conjunction, deadline time.Time, forceTrace bool) (progidx.Answer, ExecInfo, *obs.Trace, error) {
+func (s *Scheduler) ExecuteConj(ctx context.Context, c query.Conjunction, deadline time.Time, forceTrace bool) (query.Answer, ExecInfo, *obs.Trace, error) {
 	return s.submit(ctx, &task{conj: c, deadline: deadline, enqueued: time.Now()}, forceTrace)
 }
 
 // submit answers the query task t for Execute and ExecuteConj: on the
 // caller's goroutine when its table is quiescent (route), through the
 // admission queue otherwise.
-func (s *Scheduler) submit(ctx context.Context, t *task, forceTrace bool) (progidx.Answer, ExecInfo, *obs.Trace, error) {
+func (s *Scheduler) submit(ctx context.Context, t *task, forceTrace bool) (query.Answer, ExecInfo, *obs.Trace, error) {
 	if forceTrace || s.reg.Sample() {
 		t.trace = obs.NewTrace("query", s.table.Name())
 	}
@@ -289,7 +288,7 @@ func (s *Scheduler) submit(ctx context.Context, t *task, forceTrace bool) (progi
 		r, err = s.admit(ctx, t)
 	}
 	if err != nil {
-		return progidx.Answer{}, ExecInfo{}, nil, err
+		return query.Answer{}, ExecInfo{}, nil, err
 	}
 	var tr *obs.Trace
 	if forceTrace {
@@ -974,7 +973,7 @@ func (s *Scheduler) syncLogWithRetry() (attempts int, err error) {
 // clamp asks for the zero-budget batch — used when every query's
 // deadline is squeezed — and composes with tracing: a clamped traced
 // query still returns its span tree, its shards marked suspended.
-func (s *Scheduler) executeQueries(reqIdx []int, batch []*task, clamp bool) ([]progidx.Answer, []error) {
+func (s *Scheduler) executeQueries(reqIdx []int, batch []*task, clamp bool) ([]query.Answer, []error) {
 	opts := query.BatchOpts{Clamp: clamp}
 	conjs := make([]query.Conjunction, len(reqIdx))
 	traced := false

@@ -35,13 +35,15 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro"
 	"repro/internal/catalog"
+	"repro/internal/column"
 	"repro/internal/data"
 	"repro/internal/durable"
+	"repro/internal/encode"
 	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/query"
+	"repro/internal/shard"
 )
 
 // Config tunes the server; the zero value is fully usable.
@@ -312,11 +314,11 @@ func (o *OptionsSpec) catalogOptions() (catalog.Options, error) {
 	if o == nil {
 		return opts, nil
 	}
-	strat, err := progidx.ParseStrategy(o.Strategy)
+	strat, err := plan.ParseStrategy(o.Strategy)
 	if err != nil {
 		return opts, err
 	}
-	enc, err := progidx.ParseEncoding(o.Encoding)
+	enc, err := encode.ParseMode(o.Encoding)
 	if err != nil {
 		return opts, err
 	}
@@ -371,49 +373,49 @@ type PredSpec struct {
 	Value *int64 `json:"value,omitempty"`
 }
 
-func (p PredSpec) predicate() (progidx.Predicate, error) {
+func (p PredSpec) predicate() (query.Predicate, error) {
 	switch strings.ToLower(p.Kind) {
 	case "", "range":
 		if p.Lo == nil || p.Hi == nil {
-			return progidx.Predicate{}, fmt.Errorf("range predicate needs lo and hi")
+			return query.Predicate{}, fmt.Errorf("range predicate needs lo and hi")
 		}
-		return progidx.Range(*p.Lo, *p.Hi), nil
+		return query.Range(*p.Lo, *p.Hi), nil
 	case "point":
 		if p.Value == nil {
-			return progidx.Predicate{}, fmt.Errorf("point predicate needs value")
+			return query.Predicate{}, fmt.Errorf("point predicate needs value")
 		}
-		return progidx.Point(*p.Value), nil
+		return query.Point(*p.Value), nil
 	case "atleast", "at-least":
 		if p.Value == nil {
-			return progidx.Predicate{}, fmt.Errorf("atleast predicate needs value")
+			return query.Predicate{}, fmt.Errorf("atleast predicate needs value")
 		}
-		return progidx.AtLeast(*p.Value), nil
+		return query.AtLeast(*p.Value), nil
 	case "atmost", "at-most":
 		if p.Value == nil {
-			return progidx.Predicate{}, fmt.Errorf("atmost predicate needs value")
+			return query.Predicate{}, fmt.Errorf("atmost predicate needs value")
 		}
-		return progidx.AtMost(*p.Value), nil
+		return query.AtMost(*p.Value), nil
 	default:
-		return progidx.Predicate{}, fmt.Errorf("unknown predicate kind %q", p.Kind)
+		return query.Predicate{}, fmt.Errorf("unknown predicate kind %q", p.Kind)
 	}
 }
 
 // parseAggs maps wire aggregate names onto the bitmask; empty means
 // the library default (SUM+COUNT).
-func parseAggs(names []string) (progidx.Aggregates, error) {
-	var aggs progidx.Aggregates
+func parseAggs(names []string) (column.Aggregates, error) {
+	var aggs column.Aggregates
 	for _, n := range names {
 		switch strings.ToLower(n) {
 		case "sum":
-			aggs |= progidx.Sum
+			aggs |= column.AggSum
 		case "count":
-			aggs |= progidx.Count
+			aggs |= column.AggCount
 		case "min":
-			aggs |= progidx.Min
+			aggs |= column.AggMin
 		case "max":
-			aggs |= progidx.Max
+			aggs |= column.AggMax
 		case "avg":
-			aggs |= progidx.Avg
+			aggs |= column.AggAvg
 		default:
 			return 0, fmt.Errorf("unknown aggregate %q", n)
 		}
@@ -489,7 +491,7 @@ type QueryResponse struct {
 	Trace *obs.TraceJSON `json:"trace,omitempty"`
 }
 
-func queryResponse(ans progidx.Answer, info ExecInfo) QueryResponse {
+func queryResponse(ans query.Answer, info ExecInfo) QueryResponse {
 	resp := QueryResponse{
 		Count: ans.Count,
 		Stats: StatsJSON{
@@ -503,7 +505,7 @@ func queryResponse(ans progidx.Answer, info ExecInfo) QueryResponse {
 		BatchSize:   info.Batch,
 		QueueMicros: info.QueueWait.Microseconds(),
 	}
-	if ans.Aggs.Has(progidx.Sum) {
+	if ans.Aggs.Has(column.AggSum) {
 		v := ans.Sum
 		resp.Sum = &v
 	}
@@ -892,11 +894,11 @@ func (s *Server) handleTraces(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"traces": out})
 }
 
-// ShardDebug is one shard's deep-inspection state: the catalog's
-// ShardInfo plus this shard's share of the table's total access heat.
+// ShardDebug is one shard's deep-inspection state: the shard layer's
+// Info plus this shard's share of the table's total access heat.
 type ShardDebug struct {
 	ID int `json:"id"`
-	progidx.ShardInfo
+	shard.Info
 	// HeatShare is this shard's fraction of the table's total heat —
 	// the weight the budget split gives it at query time.
 	HeatShare float64 `json:"heat_share"`
@@ -936,7 +938,7 @@ func (s *Server) handleTableDebug(w http.ResponseWriter, r *http.Request) {
 		}
 		resp.ShardInfo = make([]ShardDebug, len(infos))
 		for i, si := range infos {
-			sd := ShardDebug{ID: i, ShardInfo: si}
+			sd := ShardDebug{ID: i, Info: si}
 			if totalHeat > 0 {
 				sd.HeatShare = float64(si.Heat) / float64(totalHeat)
 			}

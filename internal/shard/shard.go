@@ -113,8 +113,8 @@ import (
 )
 
 // Factory builds one shard's index over its partition of the base
-// column, with the whole lifecycle the layer drives (query.Budgeted). The
-// root package supplies one of the four progressive algorithms here,
+// column, with the whole lifecycle the layer drives (query.Budgeted).
+// plan.NewColumn supplies one of the four progressive algorithms here,
 // having refused any other strategy before a table exists; tests inject
 // stubs. It is retained for the life of the Sharded index: every seal and
 // claim builds its shard through it.
@@ -300,8 +300,8 @@ type Config struct {
 	// later seal (see sealLocked); at or above it a shard is final.
 	SealRows int
 	// BudgetSizedFor declares that each per-shard budgeter carries
-	// 1/BudgetSizedFor of a wall-clock table budget (the root package
-	// sets it to the initial shard count when Options.Budget > 0). The
+	// 1/BudgetSizedFor of a wall-clock table budget (plan.Layout sets
+	// it to the initial shard count when Options.Budget > 0). The
 	// layer then multiplies budget scales by BudgetSizedFor/current so
 	// one query still plans one table budget as sealed tails grow the
 	// shard count. 0 means δ-mode budgets: fractions of each shard's

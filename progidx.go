@@ -42,7 +42,6 @@ package progidx
 
 import (
 	"fmt"
-	"strings"
 	"sync"
 	"time"
 
@@ -53,7 +52,9 @@ import (
 	"repro/internal/cracking"
 	"repro/internal/imprints"
 	"repro/internal/phash"
+	"repro/internal/plan"
 	"repro/internal/query"
+	"repro/internal/shard"
 )
 
 // Result is the SUM and COUNT of the matching values, as projected by
@@ -142,109 +143,64 @@ const (
 // Progress, Phase, ReleaseBase); callers rarely need it.
 type Index = query.Index
 
-// Strategy selects an indexing technique.
-type Strategy int
+// Strategy selects an indexing technique (see internal/plan, which
+// names the thirteen and builds the four a table serves).
+type Strategy = plan.Strategy
 
 // Available strategies: the four progressive algorithms of the paper,
 // the adaptive-indexing baselines, and the two reference points.
 const (
-	StrategyQuicksort Strategy = iota
-	StrategyRadixMSD
-	StrategyBucketsort
-	StrategyRadixLSD
-	StrategyFullScan
-	StrategyFullIndex
-	StrategyStandardCracking
-	StrategyStochasticCracking
-	StrategyProgressiveStochastic
-	StrategyCoarseGranular
-	StrategyAdaptiveAdaptive
-	// StrategyProgressiveHash and StrategyImprints implement the two
-	// "Indexing Methods" extensions of the paper's future-work section
-	// (§6): a progressively filled hash table that accelerates point
-	// queries, and progressively built column imprints, a secondary
-	// index that never reorders the column.
-	StrategyProgressiveHash
-	StrategyImprints
+	StrategyQuicksort             = plan.StrategyQuicksort
+	StrategyRadixMSD              = plan.StrategyRadixMSD
+	StrategyBucketsort            = plan.StrategyBucketsort
+	StrategyRadixLSD              = plan.StrategyRadixLSD
+	StrategyFullScan              = plan.StrategyFullScan
+	StrategyFullIndex             = plan.StrategyFullIndex
+	StrategyStandardCracking      = plan.StrategyStandardCracking
+	StrategyStochasticCracking    = plan.StrategyStochasticCracking
+	StrategyProgressiveStochastic = plan.StrategyProgressiveStochastic
+	StrategyCoarseGranular        = plan.StrategyCoarseGranular
+	StrategyAdaptiveAdaptive      = plan.StrategyAdaptiveAdaptive
+	StrategyProgressiveHash       = plan.StrategyProgressiveHash
+	StrategyImprints              = plan.StrategyImprints
 )
 
-// strategies is the one place that lists the strategies, a row each,
-// indexed by Strategy: the paper's abbreviation (what String prints and
-// ParseStrategy reads) and its constructor — progressive for the four
-// progressive algorithms, the only strategies a table serves, build for
-// the nine the comparison figures build unsharded.
-var strategies = [...]struct {
-	name        string
-	progressive func(*column.Column, Options) query.Budgeted
-	build       func(*column.Column, Options) Index
-}{
-	StrategyQuicksort:             {"PQ", fromCore(core.NewQuicksort), nil},
-	StrategyRadixMSD:              {"PMSD", fromCore(core.NewRadixMSD), nil},
-	StrategyBucketsort:            {"PB", fromCore(core.NewBucketsort), nil},
-	StrategyRadixLSD:              {"PLSD", fromCore(core.NewRadixLSD), nil},
-	StrategyFullScan:              {"FS", nil, func(c *column.Column, o Options) Index { return baseline.NewFullScanWorkers(c, o.Workers) }},
-	StrategyFullIndex:             {"FI", nil, func(c *column.Column, o Options) Index { return baseline.NewFullIndex(c, o.Fanout) }},
-	StrategyStandardCracking:      {"STD", nil, fromCracking(cracking.NewStandard)},
-	StrategyStochasticCracking:    {"STC", nil, fromCracking(cracking.NewStochastic)},
-	StrategyProgressiveStochastic: {"PSTC", nil, fromCracking(cracking.NewProgressiveStochastic)},
-	StrategyCoarseGranular:        {"CGI", nil, fromCracking(cracking.NewCoarseGranular)},
-	StrategyAdaptiveAdaptive:      {"AA", nil, fromCracking(cracking.NewAdaptiveAdaptive)},
-	StrategyProgressiveHash:       {"PHASH", nil, func(c *column.Column, o Options) Index { return phash.New(c, o.Delta) }},
-	StrategyImprints:              {"PIMP", nil, func(c *column.Column, o Options) Index { return imprints.New(c, o.Delta) }},
+// baselines constructs the nine strategies a table does not serve,
+// indexed by Strategy: the comparison figures build them unsharded.
+var baselines = [...]func(*column.Column, Options) Index{
+	StrategyFullScan:              func(c *column.Column, o Options) Index { return baseline.NewFullScanWorkers(c, o.Workers) },
+	StrategyFullIndex:             func(c *column.Column, o Options) Index { return baseline.NewFullIndex(c, 0) },
+	StrategyStandardCracking:      fromCracking(cracking.NewStandard),
+	StrategyStochasticCracking:    fromCracking(cracking.NewStochastic),
+	StrategyProgressiveStochastic: fromCracking(cracking.NewProgressiveStochastic),
+	StrategyCoarseGranular:        fromCracking(cracking.NewCoarseGranular),
+	StrategyAdaptiveAdaptive:      fromCracking(cracking.NewAdaptiveAdaptive),
+	StrategyProgressiveHash:       func(c *column.Column, o Options) Index { return phash.New(c, o.Delta) },
+	StrategyImprints:              func(c *column.Column, o Options) Index { return imprints.New(c, o.Delta) },
 }
 
-// fromCore and fromCracking adapt a constructor of internal/core and of
-// internal/cracking to a row of strategies.
-func fromCore[T query.Budgeted](build func(*column.Column, core.Config) T) func(*column.Column, Options) query.Budgeted {
-	return func(c *column.Column, o Options) query.Budgeted { return build(c, coreConfig(o)) }
-}
-
+// fromCracking adapts a constructor of internal/cracking to a row of
+// baselines.
 func fromCracking[T Index](build func(*column.Column, cracking.Config) T) func(*column.Column, Options) Index {
 	return func(c *column.Column, o Options) Index {
 		return build(c, cracking.Config{Seed: o.Seed, Workers: o.Workers})
 	}
 }
 
-// Strategies returns every strategy, in declaration order.
+// Strategies returns every strategy, in declaration order: baselines
+// has a row for each.
 func Strategies() []Strategy {
-	all := make([]Strategy, len(strategies))
+	all := make([]Strategy, len(baselines))
 	for i := range all {
 		all[i] = Strategy(i)
 	}
 	return all
 }
 
-func (s Strategy) known() bool { return s >= 0 && int(s) < len(strategies) }
-
-// String implements fmt.Stringer using the paper's abbreviations.
-func (s Strategy) String() string {
-	if !s.known() {
-		return fmt.Sprintf("Strategy(%d)", int(s))
-	}
-	return strategies[s].name
-}
-
-// Progressive reports whether the strategy is one of the four
-// progressive algorithms (the paper's contribution), the only strategies
-// a table (NewHandle) serves.
-func (s Strategy) Progressive() bool { return s.known() && strategies[s].progressive != nil }
-
 // ParseStrategy resolves a strategy from its paper abbreviation as
-// printed by Strategy.String, case-insensitively. The empty string
-// resolves to the default Progressive Quicksort — convenient for wire
-// formats where the field is optional.
-func ParseStrategy(name string) (Strategy, error) {
-	upper := strings.ToUpper(strings.TrimSpace(name))
-	if upper == "" {
-		return StrategyQuicksort, nil
-	}
-	for s, row := range strategies {
-		if row.name == upper {
-			return Strategy(s), nil
-		}
-	}
-	return 0, fmt.Errorf("progidx: unknown strategy %q", name)
-}
+// printed by Strategy.String, case-insensitively; the empty string is
+// Progressive Quicksort.
+func ParseStrategy(name string) (Strategy, error) { return plan.ParseStrategy(name) }
 
 // Options configures New. The zero value builds a Progressive Quicksort
 // with a fixed δ of 0.25 and default cost constants.
@@ -252,16 +208,11 @@ type Options struct {
 	// Strategy selects the algorithm (default Progressive Quicksort).
 	Strategy Strategy
 
-	// Delta fixes the fraction of the data indexed per query. Used when
-	// Budget is zero. Default 0.25.
-	Delta float64
-	// Budget is the per-query indexing time budget. When set it
-	// overrides Delta: with Adaptive false it is translated into a
-	// fixed δ on the first query; with Adaptive true δ is re-derived
-	// every query so total query time stays at t_scan + Budget until
-	// convergence.
-	Budget time.Duration
-	// Adaptive selects the adaptive budget flavor (see Budget).
+	// Delta, Budget, Adaptive, Workers, Shards, Encoding and ClaimHeat
+	// have the plan.Options meanings. With Shards > 1 or a compressed
+	// Encoding, New returns the concurrency-safe table NewHandle builds.
+	Delta    float64
+	Budget   time.Duration
 	Adaptive bool
 
 	// Calibrate measures the cost-model constants on this machine at
@@ -269,48 +220,9 @@ type Options struct {
 	// wall-clock time are only meaningful with calibration on.
 	Calibrate bool
 
-	// RadixBits sets the bucket count (1<<RadixBits) for the radix and
-	// bucket sorts; BlockSize the bucket block size; Fanout the B+-tree
-	// fanout; L1Elements the sort-outright threshold. Zero means the
-	// paper's defaults (6, 1024, 64, 4096).
-	RadixBits  int
-	BlockSize  int
-	Fanout     int
-	L1Elements int
-
-	// Workers sizes the parallel execution engine: the chunked
-	// scan/aggregate kernels and the creation-phase partition/bucketize
-	// passes run across this many workers. 0 means GOMAXPROCS; 1 forces
-	// the serial code paths, which are bit-for-bit the pre-parallel
-	// behavior. Answers are identical for every value (partial
-	// aggregates merge in deterministic chunk order); only wall-clock
-	// time changes. The worker count used is reported in Stats.Workers.
-	Workers int
-
-	// Shards splits the column into this many contiguous row-range
-	// partitions, each backed by its own index of the selected strategy
-	// with a min/max zone map (see Sharded). 0 or 1 means unsharded:
-	// NewHandle then builds a table of one shard and New the bare
-	// strategy. With Shards > 1 or a compressed Encoding, New too returns
-	// a *Sharded, which is safe for concurrent use as-is.
-	Shards int
-
-	// Encoding selects compressed columnar storage (see Encoding). With
-	// a compressed mode the table's shards — one when unsharded — are
-	// born cold, scanned in place over the packed words, and
-	// decompressed into the selected strategy only when the workload's
-	// heat claims them (ClaimHeat). The zero value (EncodingRaw) is
-	// exactly the uncompressed behavior.
-	Encoding Encoding
-
-	// ClaimHeat is the per-shard heat at which a cold compressed shard
-	// is claimed: decoded and handed to the progressive strategy. 0
-	// means the shard layer's default; negative means never claim
-	// (shards stay compressed for life). Ignored unless Encoding is
-	// compressed. A multi-column table's columns are sharded tables of
-	// their own and claim the same way: a compressed column's shard has
-	// no index until this many single-column queries on the column have
-	// been answered from its packed blocks.
+	Workers   int
+	Shards    int
+	Encoding  Encoding
 	ClaimHeat int
 
 	// Seed drives the stochastic cracking baselines.
@@ -326,50 +238,48 @@ func New(values []int64, opts Options) (Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	return NewFromColumn(col, opts)
-}
-
-// NewFromColumn is New for a pre-built column (shared across several
-// indexes in the benchmarks, avoiding repeated min/max passes).
-func NewFromColumn(col *column.Column, opts Options) (Index, error) {
-	if opts.Shards > 1 || opts.Encoding.Compressed() {
+	switch {
+	case opts.Shards > 1 || opts.Encoding.Compressed():
 		// Compressed tables always live in the shard layer (one shard when
 		// unsharded): it owns the cold-scan, claim and seal-time-encode
 		// machinery.
-		return NewShardedFromColumn(col, opts)
+		return plan.NewColumn(col, opts.served())
+	case opts.Strategy.Progressive():
+		// Unsharded, the index is the one a table's shard would hold.
+		_, factory := plan.Layout(opts.served(), col.Len())
+		return factory(col), nil
+	case opts.Strategy >= 0 && int(opts.Strategy) < len(baselines):
+		return baselines[opts.Strategy](col, opts), nil
 	}
-	if !opts.Strategy.known() {
-		return nil, fmt.Errorf("progidx: unknown strategy %v", opts.Strategy)
-	}
-	row := strategies[opts.Strategy]
-	if row.build != nil {
-		return row.build(col, opts), nil
-	}
-	return row.progressive(col, opts), nil
+	return nil, fmt.Errorf("progidx: unknown strategy %v", opts.Strategy)
 }
 
-// coreConfig is the progressive algorithms' configuration opts selects.
-func coreConfig(opts Options) core.Config {
-	ccfg := core.Config{
-		Delta:      opts.Delta,
-		RadixBits:  opts.RadixBits,
-		BlockSize:  opts.BlockSize,
-		Fanout:     opts.Fanout,
-		L1Elements: opts.L1Elements,
-		Workers:    opts.Workers,
-		Params:     costParams(opts),
+// served is the subset of opts a table is built with, its cost
+// constants resolved.
+func (o Options) served() plan.Options {
+	return plan.Options{
+		Strategy:  o.Strategy,
+		Delta:     o.Delta,
+		Budget:    o.Budget,
+		Adaptive:  o.Adaptive,
+		Workers:   o.Workers,
+		Shards:    o.Shards,
+		Encoding:  o.Encoding,
+		ClaimHeat: o.ClaimHeat,
+		Params:    costParams(o),
 	}
-	switch {
-	case opts.Budget > 0 && opts.Adaptive:
-		ccfg.Mode = core.AdaptiveTime
-		ccfg.BudgetSeconds = opts.Budget.Seconds()
-	case opts.Budget > 0:
-		ccfg.Mode = core.FixedTime
-		ccfg.BudgetSeconds = opts.Budget.Seconds()
-	default:
-		ccfg.Mode = core.FixedDelta
+}
+
+// NewHandle builds a concurrency-safe table over one column of values:
+// the *shard.Sharded a served table holds per column (plan.NewColumn,
+// which says how it partitions, indexes, ingests and which strategies it
+// serves), with the cost constants opts selects.
+func NewHandle(values []int64, opts Options) (*shard.Sharded, error) {
+	col, err := column.New(values)
+	if err != nil {
+		return nil, err
 	}
-	return ccfg
+	return plan.NewColumn(col, opts.served())
 }
 
 // MustNew is New that panics on error, for examples and tests with
@@ -400,7 +310,7 @@ func costParams(opts Options) costmodel.Params {
 	return calibrated
 }
 
-// Conformance, in one place: every strategy and Sharded implement the
+// Conformance, in one place: every strategy and shard.Sharded implement the
 // one Index contract; the four progressive algorithms — through core's
 // lifecycle driver — the hash table and the imprints its extension.
 var (
@@ -410,7 +320,7 @@ var (
 		(*cracking.Standard)(nil), (*cracking.Stochastic)(nil), (*cracking.ProgressiveStochastic)(nil),
 		(*cracking.CoarseGranular)(nil), (*cracking.AdaptiveAdaptive)(nil),
 		(*phash.Index)(nil), (*imprints.Index)(nil),
-		(*Sharded)(nil),
+		(*shard.Sharded)(nil),
 	}
 	_ = []query.Budgeted{
 		(*core.Quicksort)(nil), (*core.RadixMSD)(nil), (*core.Bucketsort)(nil), (*core.RadixLSD)(nil),

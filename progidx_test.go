@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/column"
 	"repro/internal/data"
+	"repro/internal/plan"
 	"repro/internal/query"
 	"repro/internal/shard"
 )
@@ -99,7 +100,7 @@ func TestProgressiveConvergesToDone(t *testing.T) {
 
 // TestStrategiesMeetTheOneContract is the conformance test of
 // query.Budgeted over the four a table serves, each built the way the
-// shard layer builds it (shardLayout's factory): a suspended slice
+// shard layer builds it (plan.Layout's factory): a suspended slice
 // indexes nothing (the creation step still moves its minimum one
 // element, part of its answer path) where an open one does; Progress is
 // monotone in [0, 1] and 1 with Converged and PhaseDone; ReleaseBase
@@ -119,7 +120,7 @@ func TestStrategiesMeetTheOneContract(t *testing.T) {
 			}
 			continue
 		}
-		_, factory := shardLayout(opts, n)
+		_, factory := plan.Layout(opts.served(), n)
 		idx := factory(column.MustNew(append([]int64(nil), vals...)))
 		slice := func(suspend bool) float64 {
 			t.Helper()

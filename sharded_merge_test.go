@@ -27,7 +27,7 @@ import (
 // rows. A loaded shard's read back in order, sorted once it has settled;
 // a tail-born shard's are its row range's multiset, since a seal merges
 // its parts as they are held, settled ones sorted.
-func checkShardStructure(t *testing.T, sh *Sharded, logical []int64, loaded, appended, sealRows int) {
+func checkShardStructure(t *testing.T, sh *shard.Sharded, logical []int64, loaded, appended, sealRows int) {
 	t.Helper()
 	infos := sh.ShardStats()
 	if got, bound := len(infos), shard.MaxShards(loaded, appended, sealRows); got > bound {

@@ -357,9 +357,9 @@ func TestShardedConcurrentReads(t *testing.T) {
 func TestShardedHandleSurface(t *testing.T) {
 	vals := testColumn(3000, 28)
 	idx := MustNew(vals, Options{Strategy: StrategyQuicksort, Shards: 4})
-	sh, ok := idx.(*Sharded)
+	sh, ok := idx.(*shard.Sharded)
 	if !ok {
-		t.Fatalf("New with Shards=4 returned %T, want *Sharded", idx)
+		t.Fatalf("New with Shards=4 returned %T, want *shard.Sharded", idx)
 	}
 	if sh.Shards() != 4 {
 		t.Fatalf("Shards() = %d, want 4", sh.Shards())

@@ -7,6 +7,7 @@ import (
 	"repro/internal/data"
 	"repro/internal/obs"
 	"repro/internal/query"
+	"repro/internal/shard"
 )
 
 // findSpans walks a span tree depth-first collecting every span with
@@ -197,7 +198,7 @@ func TestTraceRowsScannedConverged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rowsScanned := func(h *Sharded, req Request) []int64 {
+	rowsScanned := func(h *shard.Sharded, req Request) []int64 {
 		t.Helper()
 		tr := obs.NewTrace("query", "t")
 		if _, err := h.ExecuteAs(req, true, tr); err != nil {
