@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/column"
+	"repro/internal/oracle"
 	"repro/internal/plan"
 	"repro/internal/query"
 	"repro/internal/shard"
@@ -30,88 +31,6 @@ func appendHandle(t *testing.T, vals []int64, opts Options) *shard.Sharded {
 		t.Fatalf("%v shards=%d: %v", opts.Strategy, opts.Shards, err)
 	}
 	return h
-}
-
-// TestAppendOracleAllStrategies is the ingestion acceptance property
-// test: for every strategy a table serves × shard count {1, 3, 8}, an interleaved
-// append/query trace must return answers identical to the branching
-// oracle over the grown logical column at every step, and identical to
-// a from-scratch rebuild on the final column at the end.
-func TestAppendOracleAllStrategies(t *testing.T) {
-	base := testColumn(600, 41)
-	for _, s := range progressiveStrategies {
-		for _, shards := range []int{1, 3, 8} {
-			h := appendHandle(t, base, Options{Strategy: s, Delta: 0.3, Seed: 9, Shards: shards})
-			logical := append([]int64(nil), base...)
-			rng := rand.New(rand.NewSource(int64(s)*101 + int64(shards)))
-			for round := 0; round < 8; round++ {
-				// Append a batch: usually in-domain values, sometimes a
-				// run beyond the old maximum (so the zone map must
-				// widen), sometimes nothing at all.
-				batch := make([]int64, rng.Intn(150))
-				for i := range batch {
-					if rng.Intn(4) == 0 {
-						batch[i] = 10_000 + int64(round*1000+i)
-					} else {
-						batch[i] = rng.Int63n(8000) - 4000
-					}
-				}
-				if err := h.Append(batch); err != nil {
-					t.Fatalf("%v shards=%d round %d: Append: %v", s, shards, round, err)
-				}
-				logical = append(logical, batch...)
-				for pi, p := range predicatePool(rng, logical) {
-					aggs := aggMaskPool[(round+pi)%len(aggMaskPool)]
-					ans, err := h.Execute(Request{Pred: p, Aggs: aggs})
-					if err != nil {
-						t.Fatalf("%v shards=%d round %d Execute(%v, %v): %v", s, shards, round, p, aggs, err)
-					}
-					checkAnswer(t, h.Name(), p, aggs, ans, oracleAnswer(logical, p))
-				}
-			}
-			// Bit-identical to a from-scratch rebuild on the grown
-			// column: every aggregate is an exact integer (or an exact
-			// float64 ratio), so equality is equality.
-			fresh := MustNew(append([]int64(nil), logical...), Options{Strategy: StrategyFullScan})
-			for _, p := range predicatePool(rng, logical) {
-				got, err := h.Execute(Request{Pred: p, Aggs: AllAggregates})
-				if err != nil {
-					t.Fatal(err)
-				}
-				want, err := fresh.Execute(Request{Pred: p, Aggs: AllAggregates})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got.Sum != want.Sum || got.Count != want.Count ||
-					(want.Count > 0 && (got.Min != want.Min || got.Max != want.Max || got.Avg != want.Avg)) {
-					t.Fatalf("%v shards=%d final %v: %+v != rebuild %+v", s, shards, p, got, want)
-				}
-			}
-		}
-	}
-}
-
-// TestAppendVisibleBeyondOldBounds is the zone-map regression: a row
-// appended beyond the old maximum must be found by the very next
-// query — the lock-free zone fast path must have widened before the
-// rows became visible.
-func TestAppendVisibleBeyondOldBounds(t *testing.T) {
-	for _, shards := range []int{1, 3} {
-		h := appendHandle(t, []int64{1, 2, 3, 4, 5, 6, 7, 8}, Options{Strategy: StrategyQuicksort, Shards: shards})
-		if ans, err := h.Execute(Request{Pred: Point(999)}); err != nil || ans.Count != 0 {
-			t.Fatalf("shards=%d: pre-append Point(999) = %+v, %v", shards, ans, err)
-		}
-		if err := h.Append([]int64{999}); err != nil {
-			t.Fatal(err)
-		}
-		ans, err := h.Execute(Request{Pred: Point(999)})
-		if err != nil || ans.Count != 1 || ans.Sum != 999 {
-			t.Fatalf("shards=%d: appended row invisible: %+v, %v", shards, ans, err)
-		}
-		if mn, mx := h.ValueBounds(); mn != 1 || mx != 999 {
-			t.Fatalf("shards=%d: bounds [%d,%d], want [1,999]", shards, mn, mx)
-		}
-	}
 }
 
 // TestAppendClearsConvergedAndIdleRedrains pins the lifecycle
@@ -286,7 +205,7 @@ func TestAppendConcurrentWithQueries(t *testing.T) {
 			vals[i] = int64(i)
 		}
 		h := appendHandle(t, vals, Options{Strategy: StrategyQuicksort, Delta: 0.3, Shards: shards})
-		wantLoaded := oracleAnswer(vals, Range(0, n-1))
+		wantLoaded := oracle.Agg(vals, Range(0, n-1))
 
 		var wg sync.WaitGroup
 		for w := 0; w < writers; w++ {
@@ -354,7 +273,7 @@ func TestAppendConcurrentWithQueries(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			checkAnswer(t, h.Name(), p, AllAggregates, ans, oracleAnswer(logical, p))
+			checkAnswer(t, h.Name(), p, AllAggregates, ans, oracle.Agg(logical, p))
 		}
 	}
 }

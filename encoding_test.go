@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+
+	"repro/internal/oracle"
 )
 
 // encodingPool is the storage-mode acceptance sweep: the raw baseline,
@@ -43,7 +45,7 @@ func TestEncodedMatchesOracle(t *testing.T) {
 						if err != nil {
 							t.Fatalf("%v/%v shards=%d Execute(%v, %v): %v", enc, strat, shards, p, aggs, err)
 						}
-						checkAnswer(t, idx.Name(), p, aggs, ans, oracleAnswer(vals, p))
+						checkAnswer(t, idx.Name(), p, aggs, ans, oracle.Agg(vals, p))
 					}
 				}
 			}
@@ -67,7 +69,7 @@ func TestEncodedAppendSealTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oracle := append([]int64(nil), vals...)
+	logical := append([]int64(nil), vals...)
 	rng := rand.New(rand.NewSource(9))
 	for batch := 0; batch < 40; batch++ {
 		b := make([]int64, 50)
@@ -77,13 +79,13 @@ func TestEncodedAppendSealTrace(t *testing.T) {
 		if err := h.Append(b); err != nil {
 			t.Fatalf("append %d: %v", batch, err)
 		}
-		oracle = append(oracle, b...)
+		logical = append(logical, b...)
 		p := Range(-2000, 2000)
 		ans, err := h.Execute(Request{Pred: p, Aggs: AllAggregates})
 		if err != nil {
 			t.Fatalf("query after append %d: %v", batch, err)
 		}
-		checkAnswer(t, "encoded-append", p, AllAggregates, ans, oracleAnswer(oracle, p))
+		checkAnswer(t, "encoded-append", p, AllAggregates, ans, oracle.Agg(logical, p))
 	}
 	sh := h
 	for i := 0; i < 200 && sh.PendingRows() > 0; i++ {
@@ -107,16 +109,16 @@ func TestEncodedAppendSealTrace(t *testing.T) {
 	if encoded == 0 {
 		t.Error("no shard reports a compressed encoding after seal")
 	}
-	for pi, p := range predicatePool(rng, oracle) {
+	for pi, p := range predicatePool(rng, logical) {
 		aggs := aggMaskPool[pi%len(aggMaskPool)]
 		ans, err := sh.Execute(Request{Pred: p, Aggs: aggs})
 		if err != nil {
 			t.Fatalf("post-seal Execute(%v): %v", p, err)
 		}
-		checkAnswer(t, "encoded-sealed", p, aggs, ans, oracleAnswer(oracle, p))
+		checkAnswer(t, "encoded-sealed", p, aggs, ans, oracle.Agg(logical, p))
 	}
-	if got := sh.MaterializeRows(); !reflect.DeepEqual(got, oracle) {
-		t.Fatalf("MaterializeRows: %d rows, want %d, or order diverged", len(got), len(oracle))
+	if got := sh.MaterializeRows(); !reflect.DeepEqual(got, logical) {
+		t.Fatalf("MaterializeRows: %d rows, want %d, or order diverged", len(got), len(logical))
 	}
 }
 

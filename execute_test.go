@@ -7,17 +7,9 @@ import (
 	"testing"
 
 	"repro/internal/column"
+	"repro/internal/oracle"
 	"repro/internal/query"
 )
-
-// oracleAnswer computes every aggregate with the naive branching kernel
-// directly from the raw (unclamped) predicate — the ground truth every
-// Execute implementation must match regardless of index state. A
-// Predicate stores its effective inclusive bounds, so the canonical
-// branching oracle applies verbatim.
-func oracleAnswer(values []int64, p Predicate) column.Agg {
-	return column.AggRangeBranching(values, p.Lo, p.Hi)
-}
 
 // sumCount answers SUM/COUNT over the inclusive range [lo, hi] through
 // Execute, the paper's workload.
@@ -127,7 +119,7 @@ func TestExecuteMatchesOracleAllStrategies(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%v Execute(%v, %v): %v", s, p, aggs, err)
 				}
-				checkAnswer(t, s.String(), p, aggs, ans, oracleAnswer(vals, p))
+				checkAnswer(t, s.String(), p, aggs, ans, oracle.Agg(vals, p))
 			}
 		}
 	}
@@ -155,7 +147,7 @@ func TestExecuteConvergedMatchesOracle(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%v Execute(%v, %v): %v", s, p, aggs, err)
 				}
-				checkAnswer(t, s.String()+"/converged", p, aggs, ans, oracleAnswer(vals, p))
+				checkAnswer(t, s.String()+"/converged", p, aggs, ans, oracle.Agg(vals, p))
 			}
 		}
 	}
@@ -240,7 +232,7 @@ func TestPointFastPathsStayExact(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			checkAnswer(t, s.String(), p, AllAggregates, ans, oracleAnswer(vals, p))
+			checkAnswer(t, s.String(), p, AllAggregates, ans, oracle.Agg(vals, p))
 		}
 	}
 }
@@ -269,7 +261,7 @@ func TestHandleExecuteCoherent(t *testing.T) {
 					lo := rng.Int63n(8000) - 4000
 					p := Range(lo, lo+rng.Int63n(2000))
 					ans, err := idx.Execute(Request{Pred: p, Aggs: AllAggregates})
-					want := oracleAnswer(vals, p)
+					want := oracle.Agg(vals, p)
 					bad := err != nil || ans.Count != want.Count || ans.Sum != want.Sum ||
 						(want.Count > 0 && (ans.Min != want.Min || ans.Max != want.Max)) ||
 						ans.Stats.Phase < phase

@@ -37,10 +37,11 @@ func (o Options) meta() durable.TableMeta {
 	if o.Encoding.Compressed() {
 		m.Encoding = o.Encoding.String()
 	}
-	// Single-column tables keep Format 0 and no schema so their
-	// manifests stay byte-identical to the v1 layout; only a real
-	// multi-column schema marks the meta as format v2.
-	if len(o.Columns) > 1 {
+	// Tables loaded without a schema keep Format 0 and no schema so their
+	// manifests stay byte-identical to the v1 layout; any schema, one name
+	// included, marks the meta as format v2, or recovery would rename the
+	// column.
+	if len(o.Columns) > 0 {
 		m.Columns = append([]string(nil), o.Columns...)
 		m.Format = durable.FormatMultiColumn
 	}

@@ -51,93 +51,6 @@ func tableFiles(t *testing.T, dir string) []string {
 	return out
 }
 
-func TestDurableLoadAppendRecover(t *testing.T) {
-	dir := t.TempDir()
-	store := openStore(t, dir)
-	c := NewDurable(store)
-
-	vals := data.Uniform(4_000, 7)
-	tbl, err := c.Load("t", vals, Options{Strategy: progidx.StrategyQuicksort, Delta: 0.25, Shards: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !tbl.Durable() {
-		t.Fatal("table on a durable catalog must carry a log")
-	}
-	batches := [][]int64{{9_000_001, 9_000_002}, {9_000_003}}
-	for _, b := range batches {
-		if err := tbl.Append(b); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := tbl.SyncLog(); err != nil {
-		t.Fatal(err)
-	}
-	// Burn some convergence work, then checkpoint so the snapshot
-	// records a non-zero progress floor.
-	for i := 0; i < 50; i++ {
-		if _, done := tbl.Index().RefineStep(); done {
-			break
-		}
-	}
-	cp, ok := tbl.CaptureCheckpoint()
-	if !ok {
-		t.Fatal("CaptureCheckpoint returned !ok on durable table")
-	}
-	if rows := rowsOf(t, cp); len(rows) != 4_003 || rows[len(rows)-1] != 9_000_003 {
-		t.Fatalf("checkpoint captured %d rows, want the 4000 loaded and the 3 appended", len(rows))
-	}
-	if err := tbl.WriteCheckpoint(cp); err != nil {
-		t.Fatal(err)
-	}
-	floor := cp.Progress
-	// One more batch after the checkpoint: the WAL tail recovery replays.
-	if err := tbl.Append([]int64{9_000_004, 9_000_005}); err != nil {
-		t.Fatal(err)
-	}
-	if err := tbl.SyncLog(); err != nil {
-		t.Fatal(err)
-	}
-	info := tbl.Info()
-	if info.Durability == nil || info.Durability.TailFrames != 1 {
-		t.Fatalf("durability info = %+v, want 1 tail frame", info.Durability)
-	}
-	wantRows := tbl.Len()
-	store.Close() // hard stop: no shutdown checkpoint
-
-	store2 := openStore(t, dir)
-	recs, errs, err := store2.Recover()
-	if err != nil || len(errs) != 0 || len(recs) != 1 {
-		t.Fatalf("Recover: %v %v (%d tables)", err, errs, len(recs))
-	}
-	c2 := NewDurable(store2)
-	tbl2, err := c2.LoadRecovered(recs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tbl2.Len() != wantRows {
-		t.Fatalf("recovered rows = %d, want %d", tbl2.Len(), wantRows)
-	}
-	if got := tbl2.Options(); got.Strategy != progidx.StrategyQuicksort || got.Delta != 0.25 || got.Shards != 3 {
-		t.Fatalf("recovered options = %+v", got)
-	}
-	if got := tbl2.Index().Progress(); got < floor {
-		t.Fatalf("recovered progress %.4f < snapshot floor %.4f", got, floor)
-	}
-	if tbl2.appends.Load() != 3 || tbl2.appendRows.Load() != 5 {
-		t.Fatalf("recovered counters: %d appends / %d rows", tbl2.appends.Load(), tbl2.appendRows.Load())
-	}
-	// The appended values actually answer queries.
-	// Zero Aggs defaults to SUM+COUNT.
-	ans, err := tbl2.Index().Execute(progidx.Request{Pred: progidx.Range(9_000_001, 9_000_005)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ans.Count != 5 || ans.Sum != 5*9_000_003 {
-		t.Fatalf("recovered tail query: count %d sum %d", ans.Count, ans.Sum)
-	}
-}
-
 func TestDurableDropRemovesOnDiskState(t *testing.T) {
 	dir := t.TempDir()
 	store := openStore(t, dir)
@@ -232,94 +145,6 @@ func TestOptionsMetaRoundTrip(t *testing.T) {
 		got.IdleRefine == nil || *got.IdleRefine != on {
 		t.Fatalf("round-trip mismatch: %+v vs %+v", got, o)
 	}
-}
-
-// TestSettledTableRecovers is the crash test of the settled form: a
-// durable table whose shards have converged and hold their rows as their
-// indexes' packed leaves is checkpointed (the capture decodes the leaves,
-// so each shard's rows come sorted), appended to past the checkpoint, and
-// stopped hard. The recovered table holds the same rows, answers every
-// aggregate identically, and converges and settles again, the shard its
-// appended rows seal into included — through the snapshot and WAL readers
-// as they were: what a checkpoint persists is the rows, whatever form the
-// table held them in.
-func TestSettledTableRecovers(t *testing.T) {
-	dir := t.TempDir()
-	store := openStore(t, dir)
-	opts := Options{Strategy: progidx.StrategyQuicksort, Delta: 0.25, Shards: 3}
-	logical := data.Uniform(20_000, 11)
-	tbl, err := NewDurable(store).Load("t", append([]int64(nil), logical...), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	drive := func(tbl *Table, shards int) {
-		t.Helper()
-		for i := 0; i < 100_000 && !tbl.Index().Converged(); i++ {
-			tbl.Index().RefineStep()
-		}
-		stats, _ := tbl.ShardStats()
-		settled := 0
-		for _, si := range stats {
-			if si.Form == "settled" {
-				settled++
-			}
-		}
-		if !tbl.Index().Converged() || len(stats) != shards || settled != shards {
-			t.Fatalf("table did not converge and settle all %d shards: %+v", shards, stats)
-		}
-	}
-	drive(tbl, 3)
-	cp, ok := tbl.CaptureCheckpoint()
-	if !ok || !sameRows(rowsOf(t, cp), logical) {
-		t.Fatalf("checkpoint of the settled table captured %d rows, ok=%v: want the %d loaded rows", cp.Rows.Len(), ok, len(logical))
-	}
-	if err := tbl.WriteCheckpoint(cp); err != nil {
-		t.Fatal(err)
-	}
-	tail := []int64{30_000, 30_001, 30_002}
-	if err := tbl.Append(tail); err != nil {
-		t.Fatal(err)
-	}
-	if err := tbl.SyncLog(); err != nil {
-		t.Fatal(err)
-	}
-	logical = append(logical, tail...)
-	preds := []progidx.Predicate{progidx.Range(100, 9_000), progidx.Point(30_001), progidx.AtLeast(19_000), progidx.AtMost(50), progidx.Range(5, 4)}
-	var want []progidx.Answer
-	for _, p := range preds {
-		ans, err := tbl.Index().Execute(progidx.Request{Pred: p, Aggs: progidx.AllAggregates})
-		if err != nil {
-			t.Fatal(err)
-		}
-		want = append(want, ans)
-	}
-	store.Close() // hard stop: no shutdown checkpoint
-
-	store2 := openStore(t, dir)
-	recs, errs, err := store2.Recover()
-	if err != nil || len(errs) != 0 || len(recs) != 1 {
-		t.Fatalf("Recover: %v %v (%d tables)", err, errs, len(recs))
-	}
-	tbl2, err := NewDurable(store2).LoadRecovered(recs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sameRows(tbl2.Handle().MaterializeRows(), logical) {
-		t.Fatal("recovered rows differ from the settled table's")
-	}
-	check := func(when string) {
-		t.Helper()
-		for i, p := range preds {
-			got, err := tbl2.Index().Execute(progidx.Request{Pred: p, Aggs: progidx.AllAggregates})
-			got.Stats, want[i].Stats = progidx.Stats{}, progidx.Stats{}
-			if err != nil || got != want[i] {
-				t.Fatalf("%s: %s = %+v err=%v, the settled table answered %+v", when, p, got, err, want[i])
-			}
-		}
-	}
-	check("recovered")
-	drive(tbl2, 4)
-	check("recovered and settled again")
 }
 
 // TestCheckpointStreamsTheCapturedView: a checkpoint of a settled

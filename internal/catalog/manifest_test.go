@@ -23,7 +23,8 @@ import (
 // and a format-2 meta without a schema, and that a meta Options.meta()
 // wrote reads back to the same Options. The committed corpus holds
 // metas the writer produced, one carrying the retired calibrate key,
-// format 1, and format 2 without columns.
+// format 1, format 2 without columns, and a one-name schema, which the
+// writer once dropped.
 func FuzzManifest(f *testing.F) {
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		var man struct {
@@ -52,9 +53,6 @@ func FuzzManifest(f *testing.F) {
 			t.Fatalf("the meta of %+v does not read back: %v", o, err)
 		}
 		want := o
-		if len(want.Columns) == 1 {
-			want.Columns = nil // one name is the single-column layout, which the writer leaves out
-		}
 		if m.DeltaPPM <= -1<<50 || m.DeltaPPM >= 1<<50 {
 			// δ = ppm/1e6 in a float64 no longer resolves a ppm out here (a
 			// δ of 10^9 or more, which core clamps to 1 anyway).

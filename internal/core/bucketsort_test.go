@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"repro/internal/column"
+	"repro/internal/oracle"
+	"repro/internal/query"
 )
 
 func TestBucketsortConvergesUniform(t *testing.T) {
@@ -109,7 +111,7 @@ func TestBucketsortAdaptiveBudget(t *testing.T) {
 	for qn := 0; qn < 5000 && !idx.Converged(); qn++ {
 		lo, hi := randQuery(rng, domain)
 		got := sumCount(idx, lo, hi)
-		if want := oracle(vals, lo, hi); got != want {
+		if want := oracle.Agg(vals, query.Range(lo, hi)).Result(); got != want {
 			t.Fatalf("query #%d: got %+v want %+v", qn, got, want)
 		}
 	}

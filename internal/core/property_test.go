@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/column"
+	"repro/internal/oracle"
 	"repro/internal/query"
 )
 
@@ -60,7 +61,7 @@ func TestAllAlgorithmsAlwaysExact(t *testing.T) {
 					hi = lo + rng.Int63n(domain)
 				}
 				got := sumCount(idx, lo, hi)
-				if want := oracle(vals, lo, hi); got != want {
+				if want := oracle.Agg(vals, query.Range(lo, hi)).Result(); got != want {
 					t.Fatalf("trial %d %s δ=%v query #%d [%d,%d] phase=%v: got %+v want %+v",
 						trial, c.name, delta, qn, lo, hi, idx.Phase(), got, want)
 				}
@@ -218,7 +219,7 @@ func TestConvergedIndexIsQuiescent(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got, want := ans.Result(), oracle(vals, lo, hi); got != want {
+			if got, want := ans.Result(), oracle.Agg(vals, query.Range(lo, hi)).Result(); got != want {
 				t.Fatalf("%s post-convergence: got %+v want %+v", c.name, got, want)
 			}
 			// The inline stats prove quiescence.
@@ -256,7 +257,7 @@ func TestConvergedIndexReleasesBase(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got, o := ans.Result(), oracle(vals, max(p.Lo, 0), min(p.Hi, domain)); got != o {
+			if got, o := ans.Result(), oracle.Agg(vals, query.Range(max(p.Lo, 0), min(p.Hi, domain))).Result(); got != o {
 				t.Fatalf("%s converged: %s = %+v, want %+v", c.name, p, got, o)
 			}
 			want = append(want, ans)

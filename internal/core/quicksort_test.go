@@ -6,13 +6,9 @@ import (
 	"testing"
 
 	"repro/internal/column"
+	"repro/internal/oracle"
 	"repro/internal/query"
 )
-
-// oracle answers a query by brute force over the original values.
-func oracle(vals []int64, lo, hi int64) column.Result {
-	return column.SumRangeBranching(vals, lo, hi)
-}
 
 // execRange runs the range [lo, hi] through Execute; the per-query work
 // Stats travel in the answer.
@@ -46,7 +42,7 @@ func checkConvergesAndAnswers(t *testing.T, idx query.Budgeted, vals []int64, rn
 	for qn := 0; qn < maxQueries; qn++ {
 		lo, hi := randQuery(rng, domain)
 		got := sumCount(idx, lo, hi)
-		want := oracle(vals, lo, hi)
+		want := oracle.Agg(vals, query.Range(lo, hi)).Result()
 		if got != want {
 			t.Fatalf("%s query #%d [%d,%d] phase=%v: got %+v, want %+v",
 				idx.Name(), qn, lo, hi, idx.Phase(), got, want)
@@ -58,7 +54,7 @@ func checkConvergesAndAnswers(t *testing.T, idx query.Budgeted, vals []int64, rn
 			for extra := 0; extra < 20; extra++ {
 				lo, hi := randQuery(rng, domain)
 				got := sumCount(idx, lo, hi)
-				want := oracle(vals, lo, hi)
+				want := oracle.Agg(vals, query.Range(lo, hi)).Result()
 				if got != want {
 					t.Fatalf("%s post-convergence [%d,%d]: got %+v, want %+v",
 						idx.Name(), lo, hi, got, want)
@@ -213,7 +209,7 @@ func TestQuicksortNegativeValues(t *testing.T) {
 		lo := rng.Int63n(12_000) - 6000
 		hi := lo + rng.Int63n(3000)
 		got := sumCount(idx, lo, hi)
-		if want := oracle(vals, lo, hi); got != want {
+		if want := oracle.Agg(vals, query.Range(lo, hi)).Result(); got != want {
 			t.Fatalf("query #%d [%d,%d]: got %+v want %+v", qn, lo, hi, got, want)
 		}
 	}
@@ -279,7 +275,7 @@ func TestQuicksortAdaptiveBudgetConstantCost(t *testing.T) {
 	for qn := 0; qn < 5000 && !idx.Converged(); qn++ {
 		lo, hi := randQuery(rng, domain)
 		ans := execRange(idx, lo, hi)
-		if got, want := ans.Result(), oracle(vals, lo, hi); got != want {
+		if got, want := ans.Result(), oracle.Agg(vals, query.Range(lo, hi)).Result(); got != want {
 			t.Fatalf("query #%d: got %+v want %+v", qn, got, want)
 		}
 		st := ans.Stats

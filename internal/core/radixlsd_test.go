@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"repro/internal/column"
+	"repro/internal/oracle"
+	"repro/internal/query"
 )
 
 func TestRadixLSDConvergesUniform(t *testing.T) {
@@ -49,7 +51,7 @@ func TestRadixLSDPointQueriesUseBuckets(t *testing.T) {
 	for qn := 0; qn < 3000 && !idx.Converged(); qn++ {
 		v := vals[rng.Intn(n)] // point query on an existing value
 		ans := execRange(idx, v, v)
-		if got, want := ans.Result(), oracle(vals, v, v); got != want {
+		if got, want := ans.Result(), oracle.Agg(vals, query.Range(v, v)).Result(); got != want {
 			t.Fatalf("point query #%d on %d: got %+v want %+v (phase=%v)", qn, v, got, want, idx.Phase())
 		}
 		// Point queries must not trigger the full-scan fallback: the α
@@ -96,7 +98,7 @@ func TestRadixLSDNarrowRangesDuringRefinement(t *testing.T) {
 		lo := rng.Int63n(domain)
 		hi := lo + rng.Int63n(40) // narrow: a few buckets per pass
 		got := sumCount(idx, lo, hi)
-		if want := oracle(vals, lo, hi); got != want {
+		if want := oracle.Agg(vals, query.Range(lo, hi)).Result(); got != want {
 			t.Fatalf("narrow query #%d [%d,%d] phase=%v merging=%v: got %+v want %+v",
 				qn, lo, hi, idx.Phase(), idx.merging, got, want)
 		}
@@ -131,7 +133,7 @@ func TestRadixLSDNegativeValues(t *testing.T) {
 		lo := rng.Int63n(120_000) - 60_000
 		hi := lo + rng.Int63n(30_000)
 		got := sumCount(idx, lo, hi)
-		if want := oracle(vals, lo, hi); got != want {
+		if want := oracle.Agg(vals, query.Range(lo, hi)).Result(); got != want {
 			t.Fatalf("query #%d [%d,%d]: got %+v want %+v", qn, lo, hi, got, want)
 		}
 	}

@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"repro/internal/column"
+	"repro/internal/oracle"
+	"repro/internal/query"
 )
 
 func TestRadixMSDConvergesUniform(t *testing.T) {
@@ -60,7 +62,7 @@ func TestRadixMSDHugeDuplicateBucket(t *testing.T) {
 		lo := rng.Int63n(1 << 20)
 		hi := lo + rng.Int63n(1<<18)
 		got := sumCount(idx, lo, hi)
-		if want := oracle(vals, lo, hi); got != want {
+		if want := oracle.Agg(vals, query.Range(lo, hi)).Result(); got != want {
 			t.Fatalf("query #%d [%d,%d] phase=%v: got %+v want %+v", qn, lo, hi, idx.Phase(), got, want)
 		}
 	}
@@ -95,7 +97,7 @@ func TestRadixMSDNegativeValues(t *testing.T) {
 		lo := rng.Int63n(120_000) - 60_000
 		hi := lo + rng.Int63n(30_000)
 		got := sumCount(idx, lo, hi)
-		if want := oracle(vals, lo, hi); got != want {
+		if want := oracle.Agg(vals, query.Range(lo, hi)).Result(); got != want {
 			t.Fatalf("query #%d [%d,%d]: got %+v want %+v", qn, lo, hi, got, want)
 		}
 	}
@@ -115,7 +117,7 @@ func TestRadixMSDAdaptiveBudget(t *testing.T) {
 	for qn := 0; qn < 5000 && !idx.Converged(); qn++ {
 		lo, hi := randQuery(rng, domain)
 		got := sumCount(idx, lo, hi)
-		if want := oracle(vals, lo, hi); got != want {
+		if want := oracle.Agg(vals, query.Range(lo, hi)).Result(); got != want {
 			t.Fatalf("query #%d: got %+v want %+v", qn, got, want)
 		}
 	}

@@ -5,12 +5,9 @@ import (
 	"testing"
 
 	"repro/internal/column"
+	"repro/internal/oracle"
 	"repro/internal/query"
 )
-
-func oracle(vals []int64, lo, hi int64) column.Result {
-	return column.SumRangeBranching(vals, lo, hi)
-}
 
 // sumCount answers SUM/COUNT over the inclusive range [lo, hi] through
 // Execute.
@@ -70,7 +67,7 @@ func TestAllCrackersAlwaysExact(t *testing.T) {
 				hi = lo + rng.Int63n(domain)
 			}
 			got := sumCount(idx, lo, hi)
-			if want := oracle(vals, lo, hi); got != want {
+			if want := oracle.Agg(vals, query.Range(lo, hi)).Result(); got != want {
 				t.Fatalf("%s query #%d [%d,%d]: got %+v want %+v", mk.name, qn, lo, hi, got, want)
 			}
 		}
@@ -193,7 +190,7 @@ func TestPSTCJobsResumeAcrossQueries(t *testing.T) {
 	for q := 0; q < 200; q++ {
 		lo := rng.Int63n(1 << 20)
 		got := sumCount(idx, lo, lo+1<<16)
-		if want := oracle(vals, lo, lo+1<<16); got != want {
+		if want := oracle.Agg(vals, query.Range(lo, lo+1<<16)).Result(); got != want {
 			t.Fatalf("query %d with pending jobs wrong: got %+v want %+v", q, got, want)
 		}
 		if len(idx.jobs) > 0 {
@@ -228,7 +225,7 @@ func TestAACreatesBoundedPieces(t *testing.T) {
 	for q := 0; q < 200; q++ {
 		lo := rng.Int63n(1 << 20)
 		got := sumCount(idx, lo, lo+1<<14)
-		if want := oracle(vals, lo, lo+1<<14); got != want {
+		if want := oracle.Agg(vals, query.Range(lo, lo+1<<14)).Result(); got != want {
 			t.Fatalf("AA query %d wrong: got %+v want %+v", q, got, want)
 		}
 	}
@@ -257,7 +254,7 @@ func TestCrackersOnSkewedData(t *testing.T) {
 			lo := rng.Int63n(int64(n))
 			hi := lo + rng.Int63n(int64(n/5))
 			got := sumCount(idx, lo, hi)
-			if want := oracle(vals, lo, hi); got != want {
+			if want := oracle.Agg(vals, query.Range(lo, hi)).Result(); got != want {
 				t.Fatalf("%s on skewed data, query %d: got %+v want %+v", mk.name, q, got, want)
 			}
 		}
@@ -277,7 +274,7 @@ func TestCrackersDuplicateHeavy(t *testing.T) {
 			lo := int64(rng.Intn(5)) - 1
 			hi := lo + int64(rng.Intn(4))
 			got := sumCount(idx, lo, hi)
-			if want := oracle(vals, lo, hi); got != want {
+			if want := oracle.Agg(vals, query.Range(lo, hi)).Result(); got != want {
 				t.Fatalf("%s duplicates query %d [%d,%d]: got %+v want %+v", mk.name, q, lo, hi, got, want)
 			}
 		}

@@ -30,8 +30,8 @@ type TableMeta struct {
 	// "forbp", "dict"); empty means raw. Compressed tables also get
 	// compressed snapshot payloads (see snapshotMeta.Payload).
 	Encoding string `json:"encoding,omitempty"`
-	// Columns is the table's schema for multi-column tables; absent (or
-	// one name) means the v1 single-column layout. Rows are stored flat
+	// Columns is the table's schema, one name or more; absent means the
+	// v1 single-column layout, whose column is "value". Rows are stored flat
 	// row-major in WAL frames and snapshots — len(Columns) values per
 	// tuple — so the frame and snapshot byte formats are unchanged and a
 	// k=1 table's files stay byte-identical to v1.
@@ -43,7 +43,7 @@ type TableMeta struct {
 }
 
 // FormatMultiColumn is the meta format written for tables created with
-// an explicit multi-column schema.
+// an explicit schema, of one column or more.
 const FormatMultiColumn = 2
 
 // Validate rejects meta this build cannot interpret.

@@ -164,12 +164,14 @@ func readFrame(r io.Reader) (seq uint64, values []int64, err error) {
 	if n > maxFrameValues {
 		return 0, nil, errTornFrame
 	}
-	payload := make([]byte, 8*int(n))
-	if _, err := io.ReadFull(r, payload); err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return 0, nil, errTornFrame // short payload
-		}
+	// Read what the segment holds rather than what the length claims: a
+	// torn length field would otherwise allocate up to a GiB per frame.
+	payload, err := io.ReadAll(io.LimitReader(r, 8*int64(n)))
+	if err != nil {
 		return 0, nil, err
+	}
+	if len(payload) < 8*int(n) {
+		return 0, nil, errTornFrame // short payload
 	}
 	crc := crc32.Update(0, castagnoli, hdr[0:12])
 	crc = crc32.Update(crc, castagnoli, payload)

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/column"
 	"repro/internal/encode"
+	"repro/internal/oracle"
 	"repro/internal/query"
 	"repro/internal/shard"
 )
@@ -56,46 +57,13 @@ func flatten(cols [][]int64, from, to int) []int64 {
 	return flat
 }
 
-// oracleConj is the branching full-scan oracle: evaluate every
-// predicate on every row, aggregate the target values of the rows that
-// pass all of them.
-func oracleConj(cols [][]int64, names []string, rows int, c query.Conjunction) query.Answer {
-	byName := map[string]int{}
-	for i, n := range names {
-		byName[n] = i
+// head is the first rows rows of every column.
+func head(cols [][]int64, rows int) [][]int64 {
+	out := make([][]int64, len(cols))
+	for c := range cols {
+		out[c] = cols[c][:rows]
 	}
-	target := c.TargetCol()
-	if target == "" {
-		target = names[0]
-	}
-	aggs := c.Aggs.Normalize()
-	agg := column.NewAgg()
-	for r := 0; r < rows; r++ {
-		ok := true
-		for _, cp := range c.Preds {
-			col := cp.Col
-			if col == "" {
-				col = names[0]
-			}
-			if !cp.Pred.Matches(cols[byName[col]][r]) {
-				ok = false
-				break
-			}
-		}
-		if !ok {
-			continue
-		}
-		v := cols[byName[target]][r]
-		agg.Sum += v
-		agg.Count++
-		if v < agg.Min {
-			agg.Min = v
-		}
-		if v > agg.Max {
-			agg.Max = v
-		}
-	}
-	return query.NewAnswer(agg, aggs, query.Stats{})
+	return out
 }
 
 func sameAnswer(a, b query.Answer) bool {
@@ -215,7 +183,7 @@ func TestConjunctionsMatchOracle(t *testing.T) {
 						if err != nil {
 							t.Fatalf("query %d (%s): %v", q, c, err)
 						}
-						want := oracleConj(cols, names, rows, c)
+						want := oracle.Conj(head(cols, rows), names, c)
 						if !sameAnswer(got, want) {
 							t.Fatalf("query %d (%s) at %d rows:\n got %+v\nwant %+v", q, c, rows, got, want)
 						}
@@ -254,7 +222,7 @@ func TestDriverChoiceIrrelevantToAnswer(t *testing.T) {
 						rows = grow
 					}
 					c := randomConj(rng, names, n)
-					want := oracleConj(cols, names, rows, c)
+					want := oracle.Conj(head(cols, rows), names, c)
 					planned, _, err := tbl.ExplainConj(c, "")
 					if err != nil {
 						t.Fatal(err)
@@ -356,7 +324,7 @@ func TestCompressedColumnsMatchOracle(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if want := oracleConj(cols, names, rows, c); !sameAnswer(got, want) {
+				if want := oracle.Conj(head(cols, rows), names, c); !sameAnswer(got, want) {
 					t.Fatalf("%s at %d rows:\n got %+v\nwant %+v", c, rows, got, want)
 				}
 			}
@@ -426,7 +394,7 @@ func TestCompressedColumnsMatchOracle(t *testing.T) {
 				if err != nil || !ch.Direct || ch.ScannedBlocks != 0 {
 					t.Fatalf("column %s's direct route did not reach its own table: %+v, %v", col, ch, err)
 				}
-				if want := oracleConj(cols, names, rows, c); !sameAnswer(got, want) {
+				if want := oracle.Conj(head(cols, rows), names, c); !sameAnswer(got, want) {
 					t.Fatalf("direct on %s:\n got %+v\nwant %+v", col, got, want)
 				}
 			}
@@ -524,7 +492,7 @@ func TestConcurrentClaim(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if want := oracleConj(cols, names, n, c); !sameAnswer(got, want) {
+				if want := oracle.Conj(head(cols, n), names, c); !sameAnswer(got, want) {
 					t.Errorf("%s:\n got %+v\nwant %+v", c, got, want)
 					return
 				}
@@ -561,7 +529,7 @@ func TestNeverClaim(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := oracleConj(cols, names, n, c); !sameAnswer(got, want) {
+		if want := oracle.Conj(head(cols, n), names, c); !sameAnswer(got, want) {
 			t.Fatalf("%s:\n got %+v\nwant %+v", c, got, want)
 		}
 	}
@@ -618,7 +586,7 @@ func TestOutOfDomainRejectedAtomically(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if want := oracleConj(cols, names, n+1, c); !sameAnswer(got, want) {
+			if want := oracle.Conj(head(cols, n+1), names, c); !sameAnswer(got, want) {
 				t.Fatalf("got %+v\nwant %+v", got, want)
 			}
 		})
@@ -743,7 +711,7 @@ func TestSingleColumnCompat(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := oracleConj(cols, names, n, query.Conjunction{
+		want := oracle.Conj(head(cols, n), names, query.Conjunction{
 			Preds: []query.ColPredicate{{Col: "a", Pred: req.Pred}}, Target: "a", Aggs: req.Aggs,
 		})
 		if !sameAnswer(got, want) {
@@ -836,7 +804,7 @@ func TestLeaderCarriesBudgetOnDirectRoute(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if want := oracleConj(cols, names, n, conjs[i]); !sameAnswer(answers[i], want) {
+			if want := oracle.Conj(head(cols, n), names, conjs[i]); !sameAnswer(answers[i], want) {
 				t.Fatalf("%s:\n got %+v\nwant %+v", conjs[i], answers[i], want)
 			}
 		}

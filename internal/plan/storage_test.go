@@ -11,6 +11,7 @@ import (
 	"repro/internal/column"
 	"repro/internal/data"
 	"repro/internal/encode"
+	"repro/internal/oracle"
 	"repro/internal/query"
 	"repro/internal/shard"
 )
@@ -71,7 +72,7 @@ func TestColumnsStayInLockstep(t *testing.T) {
 								t.Error(err)
 								return
 							}
-							if want := oracleConj(cols, names, loaded, c); !sameAnswer(got, want) {
+							if want := oracle.Conj(head(cols, loaded), names, c); !sameAnswer(got, want) {
 								t.Errorf("reader: %s:\n got %+v\nwant %+v", c, got, want)
 								return
 							}
@@ -125,7 +126,7 @@ func TestColumnsStayInLockstep(t *testing.T) {
 							if err != nil {
 								t.Fatal(err)
 							}
-							if want := oracleConj(cols, names, rows, c); !sameAnswer(got, want) {
+							if want := oracle.Conj(head(cols, rows), names, c); !sameAnswer(got, want) {
 								t.Fatalf("step %d: %s at %d rows:\n got %+v\nwant %+v", step, c, rows, got, want)
 							}
 						}
@@ -136,7 +137,7 @@ func TestColumnsStayInLockstep(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if want := oracleConj(cols, names, rows, c); !sameAnswer(got, want) {
+					if want := oracle.Conj(head(cols, rows), names, c); !sameAnswer(got, want) {
 						t.Fatalf("step %d: %s at %d rows:\n got %+v\nwant %+v", step, c, rows, got, want)
 					}
 				}
@@ -160,7 +161,7 @@ func TestColumnsStayInLockstep(t *testing.T) {
 					t.Fatalf("column b never settled a shard: %+v", b.ShardStats())
 				}
 				c := randomConj(rng, names, n)
-				if got, err := tbl.ExecuteConj(c); err != nil || !sameAnswer(got, oracleConj(cols, names, rows, c)) {
+				if got, err := tbl.ExecuteConj(c); err != nil || !sameAnswer(got, oracle.Conj(head(cols, rows), names, c)) {
 					t.Fatalf("after b settled: %s at %d rows: got %+v err=%v", c, rows, got, err)
 				}
 				close(stop)
@@ -304,7 +305,7 @@ func TestOneColumnTableServesItsLeaves(t *testing.T) {
 		lo := rng.Int63n(n)
 		c := query.Conjunction{Target: "a", Aggs: column.AggAll, Preds: []query.ColPredicate{{Col: "a", Pred: query.Range(lo, lo+rng.Int63n(n/4))}}}
 		got, ch, err := tbl.ExplainConj(c, "a")
-		if err != nil || ch.Direct || !sameAnswer(got, oracleConj(cols, names, n, c)) {
+		if err != nil || ch.Direct || !sameAnswer(got, oracle.Conj(head(cols, n), names, c)) {
 			t.Fatalf("%s through the leaf blocks: %+v direct=%v err=%v", c, got, ch.Direct, err)
 		}
 	}

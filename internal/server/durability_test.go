@@ -21,6 +21,7 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/data"
 	"repro/internal/durable"
+	"repro/internal/oracle"
 )
 
 // newDurableServer opens a store over dir and builds a server on it
@@ -33,12 +34,6 @@ func newDurableServer(t *testing.T, dir string) *Server {
 		t.Fatal(err)
 	}
 	return New(Config{Store: store, SnapshotInterval: 1 << 40}) // ~18min ticks: never fires in a test
-}
-
-// fullScanOracle is the branching full-scan reference index, unsharded,
-// over exactly the rows the recovered table must hold.
-func fullScanOracle(values []int64) progidx.Index {
-	return progidx.MustNew(values, progidx.Options{Strategy: progidx.StrategyFullScan})
 }
 
 // answersMatch compares every aggregate bit-exactly.
@@ -216,13 +211,9 @@ func TestKillRestartProperty(t *testing.T) {
 					}
 				}
 
-				oracle := fullScanOracle(oracleVals)
 				sched2, _ := srv2.Scheduler("t")
 				for qi, q := range queries {
-					want, err := oracle.Execute(q)
-					if err != nil {
-						t.Fatal(err)
-					}
+					want := oracle.Answer(oracleVals, q)
 					got, _, err := sched2.Execute(ctx, q)
 					if err != nil {
 						t.Fatalf("recovered query %d: %v", qi, err)
@@ -259,7 +250,7 @@ func TestRecoverRefusesABaselineTable(t *testing.T) {
 		t.Fatalf("recovery: warnings %v, err %v; want the one refusal of the FS table", warnings, err)
 	}
 	q := progidx.Request{Pred: progidx.Range(100, 1500), Aggs: progidx.AllAggregates}
-	want, _ := fullScanOracle(base).Execute(q)
+	want := oracle.Answer(base, q)
 	if sched, ok := srv.Scheduler("PQ"); !ok {
 		t.Fatal("the PQ table is not served")
 	} else if got, _, err := sched.Execute(context.Background(), q); err != nil || !answersMatch(got, want) {
@@ -427,10 +418,7 @@ func TestShutdownSkipsQuarantinedTable(t *testing.T) {
 		t.Fatalf("recovered durability = %+v, want the seq-2 snapshot and two WAL frames", d)
 	}
 	q := progidx.Request{Pred: progidx.Range(0, 2_000_000), Aggs: progidx.Sum | progidx.Count | progidx.Min | progidx.Max}
-	want, err := fullScanOracle(rows).Execute(q)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := oracle.Answer(rows, q)
 	got, err := tbl.Index().Execute(q)
 	if err != nil {
 		t.Fatal(err)

@@ -11,30 +11,9 @@ import (
 	"repro"
 	"repro/internal/catalog"
 	"repro/internal/data"
+	"repro/internal/oracle"
 	"repro/internal/query"
 )
-
-// mcOracle answers a conjunction over flat row-major tuples by brute
-// force: row i matches when every predicate accepts its column value,
-// and the target column's value of each match feeds sum/count.
-func mcOracle(flat []int64, k int, preds map[int][2]int64, target int) (count, sum int64) {
-	n := len(flat) / k
-	for i := 0; i < n; i++ {
-		ok := true
-		for c, b := range preds {
-			v := flat[i*k+c]
-			if v < b[0] || v > b[1] {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			count++
-			sum += flat[i*k+target]
-		}
-	}
-	return count, sum
-}
 
 // TestHTTPMultiColumn drives the whole multi-column wire surface: load
 // with a schema and the correlated generator, composite queries checked
@@ -74,15 +53,12 @@ func TestHTTPMultiColumn(t *testing.T) {
 
 	// The client regenerates the same rows locally, exactly like the
 	// single-column generators, and checks every composite answer.
-	flat := data.MultiColumn(n, k, seed)
+	cols := oracle.Columns(data.MultiColumn(n, k, seed), k)
 	for q := 0; q < 25; q++ {
 		lo := int64(q * 731 % n)
 		hi := lo + 2_000
 		blo := lo + int64(q%5)*997
-		wantCount, wantSum := mcOracle(flat, k, map[int][2]int64{
-			0: {lo, hi},
-			1: {blo, 1 << 62},
-		}, 2)
+		want := oracle.Conj(cols, []string{"a", "b", "c"}, query.Conj("c", 0, query.On("a", query.Range(lo, hi)), query.On("b", query.AtLeast(blo))))
 
 		var resp QueryResponse
 		do(t, http.MethodPost, ts.URL+"/tables/mc/query", QueryRequest{
@@ -93,9 +69,9 @@ func TestHTTPMultiColumn(t *testing.T) {
 			Target: "c",
 			Aggs:   []string{"sum", "count"},
 		}, http.StatusOK, &resp)
-		if resp.Count != wantCount || resp.Sum == nil || *resp.Sum != wantSum {
+		if resp.Count != want.Count || resp.Sum == nil || *resp.Sum != want.Sum {
 			t.Fatalf("query %d: got count=%d sum=%v, want count=%d sum=%d",
-				q, resp.Count, resp.Sum, wantCount, wantSum)
+				q, resp.Count, resp.Sum, want.Count, want.Sum)
 		}
 	}
 

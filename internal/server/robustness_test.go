@@ -19,6 +19,7 @@ import (
 	"repro/internal/data"
 	"repro/internal/durable"
 	"repro/internal/fault"
+	"repro/internal/oracle"
 	"repro/internal/query"
 )
 
@@ -124,12 +125,8 @@ func TestWALSyncPersistentFailureDegrades(t *testing.T) {
 	// append's rows are visible in memory (applied before the WAL sync
 	// failed) — the documented crash-window contract — so the oracle
 	// includes them.
-	oracle := fullScanOracle(append(append([]int64(nil), base...), batch...))
 	q := progidx.Request{Pred: progidx.Range(0, 10_000_000), Aggs: progidx.Sum | progidx.Count | progidx.Min | progidx.Max}
-	want, err := oracle.Execute(q)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := oracle.Answer(append(append([]int64(nil), base...), batch...), q)
 	got, _, err := sched.Execute(context.Background(), q)
 	if err != nil {
 		t.Fatalf("query on degraded table: %v", err)
@@ -240,12 +237,8 @@ func TestOverloadBurstNeverWrongAnswer(t *testing.T) {
 	sched := loadRobust(t, srv, "t", base)
 
 	appended := []int64{5_000_000, 5_000_001}
-	oracle := fullScanOracle(append(append([]int64(nil), base...), appended...))
 	q := progidx.Request{Pred: progidx.Range(0, 10_000_000), Aggs: progidx.Sum | progidx.Count | progidx.Min | progidx.Max}
-	want, err := oracle.Execute(q)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := oracle.Answer(append(append([]int64(nil), base...), appended...), q)
 
 	// Park the loop: the append's batch fsync sleeps 500ms inside the
 	// injector. Wait until the loop is provably inside it.
@@ -361,12 +354,8 @@ func TestDeadlineClampExact(t *testing.T) {
 			}
 			sched, _ := srv.Scheduler("t")
 			tbl, _ := srv.Catalog().Get("t")
-			oracle := fullScanOracle(base)
 			q := progidx.Request{Pred: progidx.Range(10_000, 150_000), Aggs: progidx.Sum | progidx.Count | progidx.Min | progidx.Max}
-			want, err := oracle.Execute(q)
-			if err != nil {
-				t.Fatal(err)
-			}
+			want := oracle.Answer(base, q)
 
 			before := tbl.Index().Progress()
 			conj := query.Conjunction{Preds: []query.ColPredicate{{Pred: q.Pred}}, Aggs: q.Aggs}
@@ -492,12 +481,8 @@ func TestQuarantineIsolation(t *testing.T) {
 	if _, _, err := schedB.Append(context.Background(), []int64{9_000_000, 9_000_001}); err != nil {
 		t.Fatalf("sibling append: %v", err)
 	}
-	oracle := fullScanOracle(append(append([]int64(nil), baseB...), 9_000_000, 9_000_001))
 	q := progidx.Request{Pred: progidx.Range(0, 10_000_000), Aggs: progidx.Sum | progidx.Count}
-	want, err := oracle.Execute(q)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := oracle.Answer(append(append([]int64(nil), baseB...), 9_000_000, 9_000_001), q)
 	got, _, err := schedB.Execute(context.Background(), q)
 	if err != nil {
 		t.Fatalf("sibling query: %v", err)
@@ -836,16 +821,12 @@ func TestChaosProperty(t *testing.T) {
 		t.Fatalf("recovered rows = %d, want %d (base %d + acked/resurrected %d): acked appends lost or unknown rows invented",
 			tbl.Len(), len(oracleVals), len(base), len(oracleVals)-len(base))
 	}
-	oracle := fullScanOracle(oracleVals)
 	for qi, q := range []progidx.Request{
 		{Pred: progidx.AtLeast(1_000_000), Aggs: progidx.Sum | progidx.Count | progidx.Min | progidx.Max},
 		{Pred: progidx.Range(0, 100_000_000), Aggs: progidx.Sum | progidx.Count | progidx.Min | progidx.Max | progidx.Avg},
 		{Pred: progidx.Range(500, 2500), Aggs: progidx.Sum | progidx.Count},
 	} {
-		want, err := oracle.Execute(q)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := oracle.Answer(oracleVals, q)
 		got, _, err := sched2.Execute(context.Background(), q)
 		if err != nil {
 			t.Fatalf("recovered query %d: %v", qi, err)

@@ -19,6 +19,7 @@ import (
 	"repro"
 	"repro/internal/catalog"
 	"repro/internal/data"
+	"repro/internal/oracle"
 	"repro/internal/query"
 	"repro/internal/shard"
 )
@@ -82,21 +83,9 @@ func TestQuiescentRouteRaces(t *testing.T) {
 			awaitQuiescent(t, sched)
 			url := ts.URL + "/tables/rt/query"
 
-			// oracle aggregates column tgt over the loaded rows that
-			// satisfy every predicate (column index, lo, hi).
-			oracle := func(tgt int, preds ...[3]int64) (sum, count int64) {
-			rows:
-				for r := 0; r < n; r++ {
-					for _, p := range preds {
-						if v := tc.rows[r*k+int(p[0])]; v < p[1] || v > p[2] {
-							continue rows
-						}
-					}
-					sum += tc.rows[r*k+tgt]
-					count++
-				}
-				return sum, count
-			}
+			// The oracle answers over the loaded rows: appended ones lie
+			// above every queried range.
+			cols, names := oracle.Columns(tc.rows, k), []string{"a", "b", "c"}[:k]
 			var dropping atomic.Bool
 			var answered atomic.Int64
 			midway := make(chan struct{})
@@ -152,9 +141,11 @@ func TestQuiescentRouteRaces(t *testing.T) {
 								{Col: "b", PredSpec: req.Pred},
 								{Col: "c", PredSpec: PredSpec{Kind: "atleast", Value: &c}},
 							}, Target: "a", Aggs: req.Aggs}
-							sum, count = oracle(0, [3]int64{1, lo, hi}, [3]int64{2, c, appended - 1})
+							want := oracle.Conj(cols, names, query.Conj("a", 0, query.On("b", query.Range(lo, hi)), query.On("c", query.Range(c, appended-1))))
+							sum, count = want.Sum, want.Count
 						} else {
-							sum, count = oracle(0, [3]int64{0, lo, hi})
+							want := oracle.Conj(cols, names, query.Conj("a", 0, query.On("a", query.Range(lo, hi))))
+							sum, count = want.Sum, want.Count
 						}
 						if done, err := ask(req, sum, count); done {
 							return err
@@ -324,10 +315,7 @@ func TestQuiescentRouteQuarantine(t *testing.T) {
 	}
 
 	q := progidx.Request{Pred: progidx.Range(0, 10_000_000), Aggs: progidx.Sum | progidx.Count}
-	want, err := fullScanOracle(baseB).Execute(q)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := oracle.Answer(baseB, q)
 	got, info, err := schedB.Execute(context.Background(), q)
 	if err != nil || !answersMatch(got, want) || info.Batch != 1 {
 		t.Fatalf("sibling answer %+v (batch %d, %v), want %+v", got, info.Batch, err, want)

@@ -10,6 +10,7 @@ import (
 	"repro"
 	"repro/internal/catalog"
 	"repro/internal/data"
+	"repro/internal/oracle"
 )
 
 // loadTable is a test helper: a fresh catalog with one table and a
@@ -37,7 +38,7 @@ func TestSchedulerConcurrentOracle(t *testing.T) {
 	)
 	for _, strategy := range []progidx.Strategy{progidx.StrategyQuicksort, progidx.StrategyRadixLSD} {
 		tbl, sched := loadTable(t, n, catalog.Options{Strategy: strategy, Delta: 0.3})
-		oracle := progidx.MustNew(tbl.Handle().MaterializeRows(), progidx.Options{Strategy: progidx.StrategyFullScan})
+		rows := tbl.Handle().MaterializeRows()
 
 		var wg sync.WaitGroup
 		errs := make(chan error, sessions)
@@ -57,11 +58,7 @@ func TestSchedulerConcurrentOracle(t *testing.T) {
 						t.Errorf("%v: implausible exec info %+v", strategy, info)
 						return
 					}
-					want, err := oracle.Execute(req)
-					if err != nil {
-						errs <- err
-						return
-					}
+					want := oracle.Answer(rows, req)
 					if got.Sum != want.Sum || got.Count != want.Count ||
 						got.Min != want.Min || got.Max != want.Max || got.Avg != want.Avg {
 						t.Errorf("%v: scheduler answer %+v != oracle %+v for %v",
@@ -245,7 +242,6 @@ func TestSchedulerShardedTable(t *testing.T) {
 	sched := newScheduler(tbl, 0, 0, nil)
 	defer sched.Stop()
 
-	oracle := progidx.MustNew(vals, progidx.Options{Strategy: progidx.StrategyFullScan, Workers: 1})
 	var wg sync.WaitGroup
 	bad := make(chan string, 16)
 	for g := 0; g < 6; g++ {
@@ -257,7 +253,7 @@ func TestSchedulerShardedTable(t *testing.T) {
 				lo := rng.Int63n(30_000)
 				req := progidx.Request{Pred: progidx.Range(lo, lo+rng.Int63n(3000))}
 				ans, _, err := sched.Execute(context.Background(), req)
-				want, _ := oracle.Execute(req)
+				want := oracle.Answer(vals, req)
 				if err != nil || ans.Sum != want.Sum || ans.Count != want.Count {
 					select {
 					case bad <- req.Pred.String():

@@ -9,6 +9,7 @@ import (
 	"repro/internal/column"
 	"repro/internal/data"
 	"repro/internal/encode"
+	"repro/internal/oracle"
 	"repro/internal/query"
 )
 
@@ -42,12 +43,12 @@ func checkBlockView(t *testing.T, sh *Sharded, when string) {
 		}
 		lo, hi := blk.Min+(blk.Max-blk.Min)/4, blk.Max-(blk.Max-blk.Min)/4
 		column.FillMask(mask[:], blk.Len())
-		oracle := column.AggRangeBranching(part, lo, hi)
-		if live := blk.Refine(lo, hi, mask[:]); int64(live) != oracle.Count {
-			t.Fatalf("%s: block %d Refine(%d, %d) keeps %d rows, want %d", when, b, lo, hi, live, oracle.Count)
+		want := oracle.Agg(part, query.Range(lo, hi))
+		if live := blk.Refine(lo, hi, mask[:]); int64(live) != want.Count {
+			t.Fatalf("%s: block %d Refine(%d, %d) keeps %d rows, want %d", when, b, lo, hi, live, want.Count)
 		}
-		if got := blk.AggMasked(mask[:], column.AggAll); got != oracle {
-			t.Fatalf("%s: block %d AggMasked = %+v, want %+v", when, b, got, oracle)
+		if got := blk.AggMasked(mask[:], column.AggAll); got != want {
+			t.Fatalf("%s: block %d AggMasked = %+v, want %+v", when, b, got, want)
 		}
 	}
 	if off != len(rows) || len(bv) != len(want) {
@@ -189,7 +190,7 @@ func TestFailedClaimKeepsShardCold(t *testing.T) {
 	var failure *error
 	for i := 0; i < 10; i++ {
 		ans, err := sh.Execute(query.Request{Pred: query.Range(10, 90), Aggs: column.AggAll})
-		if want := oracleAgg(logical, 10, 90); err != nil || query.AnswerAgg(ans) != want {
+		if want := oracle.Agg(logical, query.Range(10, 90)); err != nil || query.AnswerAgg(ans) != want {
 			t.Fatalf("query %d: %+v err=%v, want %+v", i, ans, err, want)
 		}
 		sh.ClaimHot()

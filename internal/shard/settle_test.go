@@ -13,6 +13,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/encode"
 	"repro/internal/obs"
+	"repro/internal/oracle"
 	"repro/internal/query"
 )
 
@@ -92,7 +93,7 @@ func uniform(n int, bits uint, seed int64) []int64 {
 func checkExact(t *testing.T, sh *Sharded, logical []int64, lo, hi int64, when string) query.Answer {
 	t.Helper()
 	ans, err := sh.Execute(query.Request{Pred: query.Range(lo, hi), Aggs: column.AggAll})
-	if want := oracleAgg(logical, lo, hi); err != nil || query.AnswerAgg(ans) != want {
+	if want := oracle.Agg(logical, query.Range(lo, hi)); err != nil || query.AnswerAgg(ans) != want {
 		t.Fatalf("%s: [%d, %d] = %+v err=%v, want %+v", when, lo, hi, ans, err, want)
 	}
 	return ans
@@ -315,7 +316,7 @@ func TestReadersRaceSettle(t *testing.T) {
 	sh.KeepRowOrder()
 	held := sh.cur.Load()
 	req := query.Request{Pred: query.Range(1000, 1<<19), Aggs: column.AggAll}
-	want := oracleAgg(loaded, 1000, 1<<19)
+	want := oracle.Agg(loaded, query.Range(1000, 1<<19))
 	var stop atomic.Bool
 	var wg sync.WaitGroup
 	reader := func(f func()) {

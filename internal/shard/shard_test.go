@@ -13,6 +13,7 @@ import (
 	"repro/internal/obs"
 
 	"repro/internal/column"
+	"repro/internal/oracle"
 	"repro/internal/query"
 )
 
@@ -407,11 +408,6 @@ func BenchmarkShardedExecute(b *testing.B) {
 	}
 }
 
-// oracleAgg is the branching reference answer over a plain slice.
-func oracleAgg(vals []int64, lo, hi int64) column.Agg {
-	return column.AggRangeBranching(vals, lo, hi)
-}
-
 // TestAppendTailVisibleAndSealed pins the ingestion path: appended rows
 // are answered from the unindexed tail immediately, the tail seals into
 // a fresh shard at the threshold, and answers stay exact throughout.
@@ -430,7 +426,7 @@ func TestAppendTailVisibleAndSealed(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", stage, err)
 		}
-		want := oracleAgg(logical, lo, hi)
+		want := oracle.Agg(logical, query.Range(lo, hi))
 		if ans.Sum != want.Sum || ans.Count != want.Count {
 			t.Fatalf("%s: [%d,%d] = {%d %d}, want {%d %d}", stage, lo, hi, ans.Sum, ans.Count, want.Sum, want.Count)
 		}
@@ -695,7 +691,7 @@ func TestSealMergesLikeABinaryCounter(t *testing.T) {
 			t.Fatalf("after %d flushes: %d shards exceed the bound %d", k, got, MaxShards(2, k*batch, 1024))
 		}
 		ans, err := sh.Execute(query.Request{Pred: query.Range(0, 5000), Aggs: column.AggAll})
-		want2 := oracleAgg(logical, 0, 5000)
+		want2 := oracle.Agg(logical, query.Range(0, 5000))
 		if err != nil || ans.Sum != want2.Sum || ans.Count != want2.Count {
 			t.Fatalf("after %d flushes: %+v err=%v, want %+v", k, ans, err, want2)
 		}
@@ -791,7 +787,7 @@ func TestReaderOnPreMergeViewKeepsItsAnswer(t *testing.T) {
 		}
 		held := sh.cur.Load()
 		req := query.Request{Pred: query.Range(0, 1<<20), Aggs: column.AggAll}
-		want := oracleAgg(append(clustered(64), 1000, 1001, 1002, 1003, 1004, 1005), 0, 1<<20)
+		want := oracle.Agg(append(clustered(64), 1000, 1001, 1002, 1003, 1004, 1005), req.Pred)
 
 		var wg sync.WaitGroup
 		wg.Add(1)

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/column"
 	"repro/internal/data"
+	"repro/internal/oracle"
 	"repro/internal/plan"
 	"repro/internal/query"
 	"repro/internal/shard"
@@ -111,7 +112,7 @@ func TestStrategiesMeetTheOneContract(t *testing.T) {
 	const n = 3 * shard.BlockRows
 	vals := data.Uniform(n, 5)
 	req := Request{Pred: Range(100, 4000), Aggs: AllAggregates}
-	want := oracleAnswer(vals, req.Pred)
+	want := oracle.Agg(vals, req.Pred)
 	for _, s := range Strategies() {
 		opts := Options{Strategy: s, Delta: 0.25, Workers: 1, Seed: 3}
 		if !s.Progressive() {

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/column"
 	"repro/internal/obs"
+	"repro/internal/oracle"
 	"repro/internal/shard"
 )
 
@@ -169,7 +170,7 @@ func TestShardedMergeProperty(t *testing.T) {
 							if err != nil {
 								t.Fatal(err)
 							}
-							checkAnswer(t, fmt.Sprintf("step %d", step), p, AllAggregates, ans, oracleAnswer(logical, p))
+							checkAnswer(t, fmt.Sprintf("step %d", step), p, AllAggregates, ans, oracle.Agg(logical, p))
 						}
 						checkShardStructure(t, sh, logical, loaded, appended, sealRows)
 					}
@@ -227,7 +228,7 @@ func TestShardedOneRowAppendsDrain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkAnswer(t, sh.Name(), p, AllAggregates, ans, oracleAnswer(logical, p))
+	checkAnswer(t, sh.Name(), p, AllAggregates, ans, oracle.Agg(logical, p))
 }
 
 // TestShardedObserversRaceClaimsAndMerges is the regression test for
@@ -303,6 +304,6 @@ func TestShardedObserversRaceClaimsAndMerges(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkAnswer(t, sh.Name(), p, AllAggregates, ans, oracleAnswer(logical, p))
+		checkAnswer(t, sh.Name(), p, AllAggregates, ans, oracle.Agg(logical, p))
 	}
 }
