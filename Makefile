@@ -5,13 +5,28 @@
 
 GO ?= go
 
-.PHONY: test race procs model microbench fmt vet loc deps
+.PHONY: test race race-list race-repeat procs model microbench fmt vet loc deps
 
 test:
 	$(GO) build ./... && $(GO) test ./...
 
 race:
 	$(GO) test -race ./...
+
+# The shard layer's structural races depend on timing, so CI's race job
+# repeats these tests (race-repeat). race-list fails when go test -list
+# finds fewer of them than RACE_REPEAT names: a renamed or deleted test
+# cannot silently drop out of the repetition.
+RACE_REPEAT = TestShardedObserversRaceClaimsAndMerges|TestReaderOnPreMergeViewKeepsItsAnswer|TestReadersRaceSettle|TestSealRacesSettle|TestColumnsStayInLockstep|TestLeaderCarriesBudgetOnDirectRoute|TestQuiescentRouteRaces|TestCaptureRacesAppends
+RACE_REPEAT_PKGS = . ./internal/shard ./internal/plan ./internal/server ./internal/catalog
+race-list:
+	@want=$$(echo '$(RACE_REPEAT)' | tr '|' '\n' | wc -l); \
+	got=$$($(GO) test -list '^($(RACE_REPEAT))$$' $(RACE_REPEAT_PKGS) | grep -c '^Test'); \
+	echo "$$got of $$want race-repeat tests found"; \
+	if [ $$got -lt $$want ]; then echo "RACE_REPEAT names a test go test -list does not find" >&2; exit 1; fi
+
+race-repeat: race-list
+	$(GO) test -race -count=10 -run '^($(RACE_REPEAT))$$' $(RACE_REPEAT_PKGS)
 
 # Tier-1 at several worker counts: the parallel kernels, the shard
 # fan-out and a row-ordered load's pack split their work by GOMAXPROCS,
@@ -77,7 +92,8 @@ vet:
 # Checkpoints off the admission queue (one ingest lock orders rows, WAL frames and capture) lowered it from 20 154.
 # The served stack off the paper library (plan builds a table's columns, the root package imports plan) lowered it from 20 122.
 # The tests' one full-scan oracle (internal/oracle, 59), a one-name schema that survives recovery (1) and a WAL reader that allocates only what a segment holds (2) raised it from 20 116.
-LOC_MAX ?= 20178
+# One constructor of a served column (plan.NewColumn; the root package's NewHandle and its sharded/compressed New go), a constant claim heat and two config constants lowered it from 20 178.
+LOC_MAX ?= 20065
 loc:
 	@n=$$(find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -not -path './.bench_build/*' -print0 | xargs -0 cat | wc -l); \
 	echo $$n; \

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/column"
 	"repro/internal/data"
+	"repro/internal/plan"
 	"repro/internal/query"
 )
 
@@ -91,14 +92,11 @@ func TestConvergedExecuteZeroAllocs(t *testing.T) {
 func TestShardedConvergedZeroAllocs(t *testing.T) {
 	skipUnderRace(t)
 	vals := boundedColumn(3000, 14)
-	for _, opts := range []Options{
+	for _, opts := range []plan.Options{
 		{Strategy: StrategyQuicksort, Delta: 1, Shards: 4, Workers: 1},
 		{Strategy: StrategyQuicksort, Delta: 1, Shards: 0},
 	} {
-		sh, err := NewHandle(vals, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
+		sh := newColumn(t, vals, opts)
 		for q := 0; q < 2000 && !sh.Converged(); q++ {
 			sumCount(sh, -4000, 4000)
 		}
@@ -182,10 +180,7 @@ func TestColdColumnHoldsWhatItReports(t *testing.T) {
 			vals[r] = flat[r*k+c]
 		}
 		base := liveHeap()
-		idx, err := NewHandle(vals, Options{Encoding: EncodingFORBP, ClaimHeat: -1})
-		if err != nil {
-			t.Fatal(err)
-		}
+		idx := newColumn(t, vals, plan.Options{Encoding: EncodingFORBP})
 		held, size := float64(liveHeap()-base), float64(idx.ShardStats()[0].Bytes)
 		if held < size || held > 1.025*size {
 			t.Errorf("column %d: the heap holds %.0f B, the shard reports %.0f (%+.2f %%)", c, held, size, 100*(held/size-1))

@@ -12,17 +12,17 @@ import (
 	"repro/internal/shard"
 )
 
-// appendHandle builds the serving handle for the append property tests
-// exactly as NewHandle does, except that a one-shard table seals its
-// tail at 128 rows instead of the 1024-row floor, so the small traces
-// here actually exercise query-path seals and merges.
-func appendHandle(t *testing.T, vals []int64, opts Options) *shard.Sharded {
+// appendHandle builds the column for the append property tests exactly
+// as newColumn does, except that a one-shard table seals its tail at 128
+// rows instead of the 1024-row floor, so the small traces here actually
+// exercise query-path seals and merges.
+func appendHandle(t *testing.T, vals []int64, opts plan.Options) *shard.Sharded {
 	t.Helper()
 	col, err := column.New(append([]int64(nil), vals...))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg, factory := plan.Layout(opts.served(), col.Len())
+	cfg, factory := plan.Layout(opts, col.Len())
 	if cfg.Shards == 1 {
 		cfg.SealRows = 128
 	}
@@ -31,47 +31,6 @@ func appendHandle(t *testing.T, vals []int64, opts Options) *shard.Sharded {
 		t.Fatalf("%v shards=%d: %v", opts.Strategy, opts.Shards, err)
 	}
 	return h
-}
-
-// TestAppendClearsConvergedAndIdleRedrains pins the lifecycle
-// contract: Append clears the sticky converged flag, and idle
-// refinement re-absorbs the tail — sealing it below the query-path
-// threshold — until the handle is terminal again.
-func TestAppendClearsConvergedAndIdleRedrains(t *testing.T) {
-	for _, tc := range []struct {
-		strategy Strategy
-		shards   int
-	}{
-		{StrategyQuicksort, 1}, {StrategyRadixMSD, 1}, {StrategyBucketsort, 1},
-		{StrategyRadixLSD, 1}, {StrategyQuicksort, 3}, {StrategyRadixLSD, 8},
-	} {
-		h := appendHandle(t, testColumn(400, 5), Options{Strategy: tc.strategy, Delta: 0.5, Shards: tc.shards})
-		for i := 0; i < 200 && !h.Converged(); i++ {
-			h.RefineStep()
-		}
-		if !h.Converged() {
-			t.Fatalf("%v shards=%d never converged on the loaded data", tc.strategy, tc.shards)
-		}
-		if err := h.Append([]int64{20_001, 20_002, 20_003}); err != nil {
-			t.Fatal(err)
-		}
-		if h.Converged() {
-			t.Fatalf("%v shards=%d: Append did not clear the converged flag", tc.strategy, tc.shards)
-		}
-		if p := h.Progress(); p >= 1 {
-			t.Fatalf("%v shards=%d: Progress %g with pending rows", tc.strategy, tc.shards, p)
-		}
-		for i := 0; i < 400 && !h.Converged(); i++ {
-			h.RefineStep()
-		}
-		if !h.Converged() {
-			t.Fatalf("%v shards=%d: idle refinement never drained the tail", tc.strategy, tc.shards)
-		}
-		ans, err := h.Execute(Request{Pred: Range(20_001, 20_003)})
-		if err != nil || ans.Count != 3 || ans.Sum != 60_006 {
-			t.Fatalf("%v shards=%d: drained rows lost: %+v, %v", tc.strategy, tc.shards, ans, err)
-		}
-	}
 }
 
 // TestShardedAppendPruningZeroWork is the grown-table pruning
@@ -85,7 +44,7 @@ func TestShardedAppendPruningZeroWork(t *testing.T) {
 	for i := range vals {
 		vals[i] = int64(i)
 	}
-	sh := appendHandle(t, vals, Options{Strategy: StrategyQuicksort, Delta: 0.25, Shards: 4})
+	sh := appendHandle(t, vals, plan.Options{Strategy: StrategyQuicksort, Delta: 0.25, Shards: 4})
 	// Grow past the seal threshold (n/S = 1000 rows) with values far
 	// above the loaded domain.
 	batch := make([]int64, 1000)
@@ -204,7 +163,7 @@ func TestAppendConcurrentWithQueries(t *testing.T) {
 		for i := range vals {
 			vals[i] = int64(i)
 		}
-		h := appendHandle(t, vals, Options{Strategy: StrategyQuicksort, Delta: 0.3, Shards: shards})
+		h := appendHandle(t, vals, plan.Options{Strategy: StrategyQuicksort, Delta: 0.3, Shards: shards})
 		wantLoaded := oracle.Agg(vals, Range(0, n-1))
 
 		var wg sync.WaitGroup
@@ -282,7 +241,7 @@ func TestAppendConcurrentWithQueries(t *testing.T) {
 // an unsharded handle with rows pending ingestion reports PendingRows
 // and pins its phase to creation (never "done" while unconverged).
 func TestAppendPendingPhaseAndPendingRows(t *testing.T) {
-	h := appendHandle(t, testColumn(400, 7), Options{Strategy: StrategyQuicksort, Delta: 0.5})
+	h := appendHandle(t, testColumn(400, 7), plan.Options{Strategy: StrategyQuicksort, Delta: 0.5})
 	for i := 0; i < 200 && !h.Converged(); i++ {
 		h.RefineStep()
 	}
@@ -324,10 +283,7 @@ func TestUnshardedTailStaysBounded(t *testing.T) {
 	for _, n := range []int{3_000, 20_000} {
 		bound := max(n/8, 1024)
 		logical := testColumn(n, 43)
-		h, err := NewHandle(append([]int64(nil), logical...), Options{Strategy: StrategyQuicksort, Delta: 0.25})
-		if err != nil {
-			t.Fatal(err)
-		}
+		h := newColumn(t, append([]int64(nil), logical...), plan.Options{Strategy: StrategyQuicksort, Delta: 0.25})
 		rng := rand.New(rand.NewSource(int64(n)))
 		sealed := false
 		for round := 0; round < 120; round++ {

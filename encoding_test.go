@@ -6,69 +6,20 @@ import (
 	"testing"
 
 	"repro/internal/oracle"
+	"repro/internal/plan"
+	"repro/internal/shard"
 )
-
-// encodingPool is the storage-mode acceptance sweep: the raw baseline,
-// the automatic selector, and both forced compressed encodings.
-var encodingPool = []Encoding{EncodingRaw, EncodingAuto, EncodingFORBP, EncodingDict}
-
-// TestEncodedMatchesOracle is the compressed-storage acceptance
-// property test: every encoding × predicate kind × aggregate mask ×
-// strategy × shard count must stay bit-identical to the branching
-// oracle. The query volume deliberately exceeds the default claim heat,
-// so sharded compressed runs cross the cold-scan → claim → progressive
-// transition mid-test and the answers must not move through it.
-func TestEncodedMatchesOracle(t *testing.T) {
-	vals := testColumn(4000, 31)
-	strategies := []Strategy{StrategyQuicksort, StrategyRadixLSD}
-	for _, enc := range encodingPool {
-		for _, strat := range strategies {
-			for _, shards := range []int{1, 3, 8} {
-				opts := Options{Strategy: strat, Delta: 0.3, Shards: shards, Encoding: enc, Seed: 5}
-				var (
-					idx Index
-					err error
-				)
-				if shards > 1 {
-					idx, err = NewHandle(vals, opts)
-				} else {
-					idx, err = New(vals, opts)
-				}
-				if err != nil {
-					t.Fatalf("%v/%v shards=%d: %v", enc, strat, shards, err)
-				}
-				rng := rand.New(rand.NewSource(int64(enc)*101 + int64(strat)*31 + int64(shards)))
-				for round := 0; round < 8; round++ {
-					for pi, p := range predicatePool(rng, vals) {
-						aggs := aggMaskPool[(round+pi)%len(aggMaskPool)]
-						ans, err := idx.Execute(Request{Pred: p, Aggs: aggs})
-						if err != nil {
-							t.Fatalf("%v/%v shards=%d Execute(%v, %v): %v", enc, strat, shards, p, aggs, err)
-						}
-						checkAnswer(t, idx.Name(), p, aggs, ans, oracle.Agg(vals, p))
-					}
-				}
-			}
-		}
-	}
-}
 
 // TestEncodedAppendSealTrace drives the compressed ingest lifecycle:
 // appends land in the raw pending tail, queries interleave against a
 // growing oracle, and flushing seals the tail into compressed shards.
-// Claims are disabled (ClaimHeat < 0) so ShardStats must keep reporting
-// the compressed encoding, and MaterializeRows — the only way back to
-// the raw rows of a table that retains no raw column — must reproduce
-// every row in original order.
+// Until the flush no shard has been queried shard.ClaimHeat times, so
+// ShardStats must keep reporting the compressed encoding, and
+// MaterializeRows — the only way back to the raw rows of a table that
+// retains no raw column — must reproduce every row in original order.
 func TestEncodedAppendSealTrace(t *testing.T) {
 	vals := boundedColumn(3000, 33)
-	h, err := NewHandle(vals, Options{
-		Strategy: StrategyQuicksort, Delta: 0.5, Shards: 3,
-		Encoding: EncodingFORBP, ClaimHeat: -1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := newColumn(t, vals, plan.Options{Strategy: StrategyQuicksort, Delta: 0.5, Shards: 3, Encoding: EncodingFORBP})
 	logical := append([]int64(nil), vals...)
 	rng := rand.New(rand.NewSource(9))
 	for batch := 0; batch < 40; batch++ {
@@ -80,6 +31,9 @@ func TestEncodedAppendSealTrace(t *testing.T) {
 			t.Fatalf("append %d: %v", batch, err)
 		}
 		logical = append(logical, b...)
+		if batch%4 != 3 {
+			continue // ten queries in all, below the claim heat
+		}
 		p := Range(-2000, 2000)
 		ans, err := h.Execute(Request{Pred: p, Aggs: AllAggregates})
 		if err != nil {
@@ -103,11 +57,14 @@ func TestEncodedAppendSealTrace(t *testing.T) {
 				t.Errorf("shard %d: resident_bytes %d not compressed for %d rows", i, si.Bytes, si.Rows)
 			}
 		case "raw":
-			t.Errorf("shard %d decoded to raw with claims disabled", i)
+			t.Errorf("shard %d decoded to raw below the claim heat", i)
 		}
 	}
 	if encoded == 0 {
 		t.Error("no shard reports a compressed encoding after seal")
+	}
+	if got := sh.MaterializeRows(); !reflect.DeepEqual(got, logical) {
+		t.Fatalf("MaterializeRows: %d rows, want %d, or order diverged", len(got), len(logical))
 	}
 	for pi, p := range predicatePool(rng, logical) {
 		aggs := aggMaskPool[pi%len(aggMaskPool)]
@@ -117,26 +74,23 @@ func TestEncodedAppendSealTrace(t *testing.T) {
 		}
 		checkAnswer(t, "encoded-sealed", p, aggs, ans, oracle.Agg(logical, p))
 	}
-	if got := sh.MaterializeRows(); !reflect.DeepEqual(got, logical) {
-		t.Fatalf("MaterializeRows: %d rows, want %d, or order diverged", len(got), len(logical))
-	}
 }
 
 // TestEncodedColdZeroAllocs pins the compressed steady state the same
-// way alloc_test.go pins the raw one: a cold segment is converged from
-// birth, so its Execute path — predicate clamp, FOR-space rewrite,
-// packed scan, Answer shaping — must not allocate per query, for any
-// aggregate mask, unsharded and sharded (claims disabled; the parallel
-// fan-out necessarily allocates, so Workers stays 1).
+// way TestShardedConvergedZeroAllocs pins the raw one: a cold segment is
+// converged from birth, so its Execute path — predicate clamp, FOR-space
+// rewrite, packed scan, Answer shaping — must not allocate per query, for
+// any aggregate mask, unsharded and sharded (the parallel fan-out
+// necessarily allocates, so Workers stays 1). Each column takes fewer
+// queries than shard.ClaimHeat, so no shard is claimed.
 func TestEncodedColdZeroAllocs(t *testing.T) {
 	skipUnderRace(t)
 	vals := boundedColumn(3000, 35)
-	masks := []Aggregates{0, Sum, Min | Max, AllAggregates}
-
-	idx := MustNew(vals, Options{Strategy: StrategyQuicksort, Encoding: EncodingFORBP, Workers: 1})
-	for _, m := range masks {
+	const runs = shard.ClaimHeat - 2 // AllocsPerRun adds a warm-up call
+	for _, m := range []Aggregates{0, Sum, Min | Max, AllAggregates} {
+		idx := newColumn(t, vals, plan.Options{Strategy: StrategyQuicksort, Encoding: EncodingFORBP, Workers: 1})
 		req := Request{Pred: Range(-1000, 1000), Aggs: m}
-		if allocs := testing.AllocsPerRun(100, func() {
+		if allocs := testing.AllocsPerRun(runs, func() {
 			if _, err := idx.Execute(req); err != nil {
 				t.Fatal(err)
 			}
@@ -145,19 +99,18 @@ func TestEncodedColdZeroAllocs(t *testing.T) {
 		}
 	}
 
-	sh, err := NewHandle(vals, Options{
-		Strategy: StrategyQuicksort, Shards: 4, Workers: 1,
-		Encoding: EncodingFORBP, ClaimHeat: -1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sh := newColumn(t, vals, plan.Options{Strategy: StrategyQuicksort, Shards: 4, Workers: 1, Encoding: EncodingFORBP})
 	inRange := Request{Pred: Range(-1000, 1000), Aggs: AllAggregates}
-	if allocs := testing.AllocsPerRun(100, func() { sh.Execute(inRange) }); allocs != 0 {
+	if allocs := testing.AllocsPerRun(runs, func() { sh.Execute(inRange) }); allocs != 0 {
 		t.Errorf("cold sharded Execute allocates %.1f/op, want 0", allocs)
 	}
 	miss := Request{Pred: Range(8_000_000, 9_000_000)}
 	if allocs := testing.AllocsPerRun(100, func() { sh.Execute(miss) }); allocs != 0 {
 		t.Errorf("cold sharded pruned Execute allocates %.1f/op, want 0", allocs)
+	}
+	for i, si := range sh.ShardStats() {
+		if si.Form != shard.FormCold {
+			t.Fatalf("shard %d was claimed: %+v", i, si)
+		}
 	}
 }

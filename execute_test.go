@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/column"
 	"repro/internal/oracle"
+	"repro/internal/plan"
 	"repro/internal/query"
 )
 
@@ -245,10 +246,7 @@ func TestPointFastPathsStayExact(t *testing.T) {
 func TestHandleExecuteCoherent(t *testing.T) {
 	vals := testColumn(20000, 17)
 	for _, s := range []Strategy{StrategyRadixMSD, StrategyQuicksort} {
-		idx, err := NewHandle(vals, Options{Strategy: s, Delta: 0.2})
-		if err != nil {
-			t.Fatal(err)
-		}
+		idx := newColumn(t, vals, plan.Options{Strategy: s, Delta: 0.2})
 		var wg sync.WaitGroup
 		errs := make(chan string, 64)
 		for g := 0; g < 8; g++ {

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/column"
 	"repro/internal/data"
+	"repro/internal/plan"
 	"repro/internal/query"
 	"repro/internal/shard"
 )
@@ -22,10 +23,10 @@ func converge(t *testing.T, idx *shard.Sharded) {
 	t.Fatalf("%s: did not converge within bound", idx.Name())
 }
 
-// unshardedHandle builds the serving handle of an unsharded table.
-func unshardedHandle(t *testing.T, vals []int64, opts Options) *shard.Sharded {
+// newColumn builds a column over vals the way a served table does.
+func newColumn(t testing.TB, vals []int64, opts plan.Options) *shard.Sharded {
 	t.Helper()
-	h, err := NewHandle(vals, opts)
+	h, err := plan.NewColumn(column.MustNew(vals), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +47,7 @@ func executeBatch(sh *shard.Sharded, reqs []Request, opts query.BatchOpts) ([]An
 
 func TestExecuteBatchAmortizesIndexingWork(t *testing.T) {
 	vals := data.Uniform(40_000, 3)
-	idx := unshardedHandle(t, vals, Options{Strategy: StrategyQuicksort, Delta: 0.25})
+	idx := newColumn(t, vals, plan.Options{Strategy: StrategyQuicksort, Delta: 0.25})
 
 	reqs := make([]Request, 6)
 	for i := range reqs {
@@ -87,45 +88,16 @@ func TestExecuteBatchAmortizesIndexingWork(t *testing.T) {
 }
 
 func TestExecuteBatchEmpty(t *testing.T) {
-	idx := unshardedHandle(t, []int64{1, 2, 3}, Options{})
+	idx := newColumn(t, []int64{1, 2, 3}, plan.Options{})
 	answers, errs := executeBatch(idx, nil, query.BatchOpts{})
 	if len(answers) != 0 || len(errs) != 0 {
 		t.Fatal("empty batch should return empty slices")
 	}
 }
 
-func TestRefineStepConvergesEveryConvergentStrategy(t *testing.T) {
-	vals := data.Uniform(20_000, 5)
-	for _, s := range progressiveStrategies {
-		idx := unshardedHandle(t, vals, Options{Strategy: s, Delta: 0.25})
-		if p := idx.Progress(); p != 0 {
-			t.Fatalf("%v: fresh progress = %v, want 0", s, p)
-		}
-		converge(t, idx)
-		if !idx.Converged() || idx.Progress() != 1 {
-			t.Fatalf("%v: converged=%v progress=%v after RefineStep loop",
-				s, idx.Converged(), idx.Progress())
-		}
-		// RefineStep on a converged index is a cheap no-op.
-		if st, done := idx.RefineStep(); !done || st.WorkSeconds != 0 {
-			t.Fatalf("%v: post-convergence RefineStep = %+v, %v", s, st, done)
-		}
-		// And the converged index answers exactly.
-		want := column.AggRangeBranching(vals, 500, 12_000)
-		ans, err := idx.Execute(Request{Pred: Range(500, 12_000)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ans.Sum != want.Sum || ans.Count != want.Count {
-			t.Fatalf("%v: post-convergence answer %d/%d, want %d/%d",
-				s, ans.Sum, ans.Count, want.Sum, want.Count)
-		}
-	}
-}
-
 func TestRefineStepStatsReuseBudgetMapping(t *testing.T) {
 	vals := data.Uniform(50_000, 6)
-	idx := unshardedHandle(t, vals, Options{Strategy: StrategyQuicksort, Delta: 0.25})
+	idx := newColumn(t, vals, plan.Options{Strategy: StrategyQuicksort, Delta: 0.25})
 	st, done := idx.RefineStep()
 	if done {
 		t.Fatal("one step cannot converge a 50k index at δ=0.25")
@@ -144,7 +116,7 @@ func TestRefineStepStatsReuseBudgetMapping(t *testing.T) {
 func TestConvergedConcurrentReads(t *testing.T) {
 	vals := data.Uniform(30_000, 9)
 	for _, s := range progressiveStrategies {
-		idx := unshardedHandle(t, vals, Options{Strategy: s, Delta: 0.25})
+		idx := newColumn(t, vals, plan.Options{Strategy: s, Delta: 0.25})
 		converge(t, idx)
 
 		var wg sync.WaitGroup

@@ -305,7 +305,9 @@ func (t *Table) ShardStats() ([]shard.Info, bool) {
 // Status returns the lifecycle state.
 func (t *Table) Status() Status { return Status(t.status.Load()) }
 
-// Info is a point-in-time JSON-friendly snapshot of a table.
+// Info is a point-in-time JSON-friendly snapshot of a table. Its
+// Progress (the wire's convergence) is monotone only between appends,
+// claims and merging seals (see shard.Sharded.Progress).
 type Info struct {
 	Name     string `json:"name"`
 	Rows     int    `json:"rows"`

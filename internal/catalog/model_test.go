@@ -190,6 +190,11 @@ func (m *model) load(rng *rand.Rand) error {
 	m.cols = oracle.Columns(flat, m.k())
 	m.snapRows, m.appends, m.appendRows, m.floor = modelLoaded, 0, 0, 0
 	m.adopt(t, modelLoaded)
+	// A raw table has indexed nothing yet; a compressed one is all cold
+	// shards, terminal until a claim.
+	if m.ax.enc.Compressed() != m.conv || m.ax.enc.Compressed() != (m.progress == 1) || !m.conv && m.progress != 0 {
+		return fmt.Errorf("a fresh %v table: converged=%v, progress %g", m.ax.enc, m.conv, m.progress)
+	}
 	return nil
 }
 
@@ -389,6 +394,12 @@ func (m *model) exec(s step) error {
 		if n == 20_000 && (!done || !h.Converged() || h.Progress() != 1 || h.PendingRows() != 0) {
 			return fmt.Errorf("%d idle slices left the table unconverged: progress %g, %d rows pending", n, h.Progress(), h.PendingRows())
 		}
+		// Once converged, a slice is a free no-op.
+		if done {
+			if st, again := h.RefineStep(); !again || st.WorkSeconds != 0 {
+				return fmt.Errorf("a slice on a converged table: done=%v, %+v", again, st)
+			}
+		}
 	case stepCheckpoint:
 		cp, ok := m.tbl.CaptureCheckpoint()
 		if !ok {
@@ -548,10 +559,16 @@ func (m *model) check(s step, rowsBefore int) error {
 	}
 	// Progress stays in [0, 1] and falls only where rows arrived, a seal
 	// restarted the shards it merged, or a claim gave a cold shard — which
-	// counts as converged — an index to build; Converged clears likewise.
+	// counts as converged — an index to build, the contract
+	// shard.Sharded.Progress states; Converged clears likewise.
 	p, conv := h.Progress(), h.Converged()
 	if p < 0 || p > 1 {
 		return fmt.Errorf("progress %g outside [0, 1]", p)
+	}
+	// Rows waiting in the tail are unindexed: a table that holds any is
+	// neither converged nor at full progress.
+	if pending := h.PendingRows(); pending > 0 && (conv || p == 1) {
+		return fmt.Errorf("%d rows pending, yet converged=%v and progress %g", pending, conv, p)
 	}
 	same := s.kind != stepLoad && s.kind != stepKill && s.kind != stepTear && s.kind != stepDrop
 	excused := m.rows() != rowsBefore || m.stepEv.merges > 0 || m.stepEv.claims > 0

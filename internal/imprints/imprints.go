@@ -96,37 +96,13 @@ func (ix *Index) Name() string { return "PIMP" }
 // Converged reports whether every cacheline has an imprint.
 func (ix *Index) Converged() bool { return ix.lines == len(ix.marks) }
 
-// Progress reports the imprinted fraction of the column's cachelines.
-func (ix *Index) Progress() float64 {
-	if len(ix.marks) == 0 {
-		return 1
-	}
-	return float64(ix.lines) / float64(len(ix.marks))
-}
-
-// Phase implements query.Budgeted: imprinting is all the index ever does.
-func (ix *Index) Phase() query.Phase { return query.TwoPhase(ix.Converged()) }
-
-// ReleaseBase implements query.Budgeted: an imprint is a secondary index,
-// every answer reads the column, so it is never released.
-func (ix *Index) ReleaseBase() bool { return false }
-
 // Execute answers the request: imprinted cachelines are skipped unless
 // their imprint intersects the predicate's bin mask, the tail is
 // scanned, and another δ·N elements are imprinted.
 func (ix *Index) Execute(req query.Request) (query.Answer, error) {
-	return ix.ExecuteSlice(req, 1, false)
-}
-
-// ExecuteSlice implements query.Budgeted: the call imprints δ·N elements
-// times scale (the shard layer's heat-weighted budget split), or nothing
-// when suspend is set (the batching scheduler's amortization).
-func (ix *Index) ExecuteSlice(req query.Request, scale float64, suspend bool) (query.Answer, error) {
 	return query.Run(req, ix.col.Min(), ix.col.Max(), func(lo, hi int64, aggs column.Aggregates) (column.Agg, query.Stats) {
 		res := ix.execute(lo, hi, aggs)
-		if !suspend {
-			ix.imprint(int(scale * ix.delta * float64(ix.n)))
-		}
+		ix.imprint(int(ix.delta * float64(ix.n)))
 		return res, query.Stats{Workers: 1}
 	})
 }

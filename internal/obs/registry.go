@@ -14,7 +14,8 @@ import (
 const DefaultSlowQuery = 250 * time.Millisecond
 
 const (
-	defaultTraceRingCap = 64
+	// traceRingCap bounds the /debug/traces ring.
+	traceRingCap        = 64
 	defaultEventRingCap = 256
 )
 
@@ -28,8 +29,6 @@ type Config struct {
 	// always traced and logged. 0 means DefaultSlowQuery; negative
 	// disables slow-query handling entirely.
 	SlowQuery time.Duration
-	// TraceRingCap bounds the /debug/traces ring (default 64).
-	TraceRingCap int
 	// EventRingCap bounds each table's convergence timeline
 	// (default 256).
 	EventRingCap int
@@ -71,9 +70,6 @@ type Registry struct {
 
 // NewRegistry builds a registry from cfg, applying defaults.
 func NewRegistry(cfg Config) *Registry {
-	if cfg.TraceRingCap <= 0 {
-		cfg.TraceRingCap = defaultTraceRingCap
-	}
 	if cfg.EventRingCap <= 0 {
 		cfg.EventRingCap = defaultEventRingCap
 	}
@@ -87,7 +83,7 @@ func NewRegistry(cfg Config) *Registry {
 	return &Registry{
 		cfg:     cfg,
 		logger:  lg,
-		Traces:  NewTraceRing(cfg.TraceRingCap),
+		Traces:  NewTraceRing(traceRingCap),
 		WALSync: NewHistogram(ExpBuckets(0.00001, 4, 10)...),
 		tables:  make(map[string]*Table),
 	}

@@ -47,33 +47,14 @@ func (ix *Index) Name() string { return "PHASH" }
 // Converged reports whether the whole column has been inserted.
 func (ix *Index) Converged() bool { return ix.copied == ix.n }
 
-// Progress reports the inserted fraction of the column.
-func (ix *Index) Progress() float64 { return float64(ix.copied) / float64(ix.n) }
-
-// Phase implements query.Budgeted: inserting is all the index ever does.
-func (ix *Index) Phase() query.Phase { return query.TwoPhase(ix.Converged()) }
-
-// ReleaseBase implements query.Budgeted: range queries scan the column
-// for life, so it is never released.
-func (ix *Index) ReleaseBase() bool { return false }
-
 // Execute answers the request. Point predicates — Point(v) or a
 // degenerate range — use the hash table for the indexed prefix, an O(1)
 // lookup instead of a scan; other predicates scan. Either way another
 // δ·N elements are inserted.
 func (ix *Index) Execute(req query.Request) (query.Answer, error) {
-	return ix.ExecuteSlice(req, 1, false)
-}
-
-// ExecuteSlice implements query.Budgeted: the call inserts δ·N elements
-// times scale (the shard layer's heat-weighted budget split), or nothing
-// when suspend is set (the batching scheduler's amortization).
-func (ix *Index) ExecuteSlice(req query.Request, scale float64, suspend bool) (query.Answer, error) {
 	return query.Run(req, ix.col.Min(), ix.col.Max(), func(lo, hi int64, aggs column.Aggregates) (column.Agg, query.Stats) {
 		res := ix.answer(lo, hi, aggs)
-		if !suspend {
-			ix.insert(int(scale * ix.delta * float64(ix.n)))
-		}
+		ix.insert(int(ix.delta * float64(ix.n)))
 		return res, query.Stats{Workers: 1}
 	})
 }

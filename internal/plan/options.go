@@ -113,17 +113,16 @@ type Options struct {
 	// time changes. The worker count used is reported in Stats.Workers.
 	Workers int
 
-	// Shards, Encoding and ClaimHeat configure the column's shards
-	// (shard.Config): Shards < 2 is a table of one shard; a compressed
-	// Encoding (DESIGN.md section 12) has them born cold, scanned in
-	// place over the packed words, and decoded into the selected strategy
-	// when a shard's heat reaches ClaimHeat. A multi-column table's
+	// Shards and Encoding configure the column's shards (shard.Config):
+	// Shards < 2 is a table of one shard; a compressed Encoding
+	// (DESIGN.md section 12) has them born cold, scanned in place over
+	// the packed words, and decoded into the selected strategy when a
+	// shard's heat reaches shard.ClaimHeat. A multi-column table's
 	// columns claim the same way: a compressed column's shard has no
 	// index until this many single-column queries on the column have
 	// been answered from its packed blocks.
-	Shards    int
-	Encoding  encode.Mode
-	ClaimHeat int
+	Shards   int
+	Encoding encode.Mode
 
 	// Params are the cost-model constants the budget is planned with;
 	// the zero value means the built-in defaults.
@@ -159,7 +158,7 @@ const unshardedSealMinRows = 1024
 // rows, and the factory every shard's index is built with; the strategy
 // is one of the four progressive algorithms.
 func Layout(opts Options, rows int) (shard.Config, shard.Factory) {
-	cfg := shard.Config{Shards: max(opts.Shards, 1), Workers: opts.Workers, Encoding: opts.Encoding, ClaimHeat: opts.ClaimHeat}
+	cfg := shard.Config{Shards: max(opts.Shards, 1), Workers: opts.Workers, Encoding: opts.Encoding}
 	child := opts
 	if cfg.Shards > 1 {
 		child.Workers = 1 // the shard fan-out is the parallelism

@@ -285,7 +285,7 @@ func directConj(rng *rand.Rand, col string, n int64) query.Conjunction {
 func TestCompressedColumnsMatchOracle(t *testing.T) {
 	const (
 		n         = 25_000
-		claimHeat = 5
+		claimHeat = shard.ClaimHeat
 	)
 	names := []string{"a", "b", "c"}
 	cols := genTuples(n, 3, 13)
@@ -293,7 +293,7 @@ func TestCompressedColumnsMatchOracle(t *testing.T) {
 		t.Run(enc.String(), func(t *testing.T) {
 			rows := n/2 + 11
 			tbl, err := New("t", names, flatten(cols, 0, rows), Options{
-				Strategy: StrategyQuicksort, Delta: 0.25, Shards: 2, Encoding: enc, ClaimHeat: claimHeat})
+				Strategy: StrategyQuicksort, Delta: 0.25, Shards: 2, Encoding: enc})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -345,7 +345,7 @@ func TestCompressedColumnsMatchOracle(t *testing.T) {
 				t.Fatal("pending rows on a loaded table")
 			}
 			for q := 0; q < 3*claimHeat; q++ {
-				if q%4 == 1 {
+				if q%12 == 1 { // four appends
 					// Below the seal threshold the rows ride raw in the tail, and
 					// the table owes their seal, until a batch's spare δ (or an
 					// idle slice) flushes every column's.
@@ -366,7 +366,7 @@ func TestCompressedColumnsMatchOracle(t *testing.T) {
 			// threshold, the first claim on the batch that reaches it (one
 			// shard a batch), the shards' own indexes afterwards.
 			for q := 0; q < 3*claimHeat; q++ {
-				if q%3 == 1 {
+				if q%10 == 1 { // five appends
 					grow(rng)
 				}
 				check(directConj(rng, "b", n))
@@ -408,9 +408,14 @@ func TestCompressedColumnsMatchOracle(t *testing.T) {
 
 			// The claimed shards converge under the table's δ like any
 			// raw-mode column's, then the idle flush seals the tail on every
-			// column together; the cold shards stay terminal.
-			for i := 0; i < 400 && !tbl.Converged(); i++ {
+			// column together (a batch a direct query leads flushes none);
+			// the cold shards stay terminal.
+			unconverged := func(si shard.Info) bool { return !si.Converged }
+			for i := 0; i < 400 && slices.ContainsFunc(tbl.cols[1].idx.ShardStats(), unconverged); i++ {
 				check(directConj(rng, "b", n))
+			}
+			for i := 0; i < 400 && !tbl.Converged(); i++ {
+				tbl.RefineStep()
 			}
 			if !tbl.Converged() || tbl.PendingRows() != 0 {
 				t.Fatalf("claimed column did not converge (%d rows pending)", tbl.PendingRows())
@@ -432,7 +437,7 @@ func TestConcurrentClaim(t *testing.T) {
 	names := []string{"a", "b", "c"}
 	cols := genTuples(n, 3, 23)
 	tbl, err := New("t", names, flatten(cols, 0, n), Options{
-		Strategy: StrategyQuicksort, Delta: 0.25, Encoding: encode.ModeFORBP, ClaimHeat: 4})
+		Strategy: StrategyQuicksort, Delta: 0.25, Encoding: encode.ModeFORBP})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -508,33 +513,6 @@ func TestConcurrentClaim(t *testing.T) {
 	}
 	if claimed == 0 {
 		t.Fatal("no column was claimed")
-	}
-}
-
-// TestNeverClaim: a negative ClaimHeat keeps compressed columns cold
-// for life, like the shard layer's.
-func TestNeverClaim(t *testing.T) {
-	const n = 9_000
-	names := []string{"a", "b"}
-	cols := genTuples(n, 2, 17)
-	tbl, err := New("t", names, flatten(cols, 0, n), Options{
-		Strategy: StrategyQuicksort, Delta: 0.25, Encoding: encode.ModeFORBP, ClaimHeat: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(1))
-	for q := 0; q < 40; q++ {
-		c := directConj(rng, "a", n)
-		got, err := tbl.ExecuteConj(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := oracle.Conj(head(cols, n), names, c); !sameAnswer(got, want) {
-			t.Fatalf("%s:\n got %+v\nwant %+v", c, got, want)
-		}
-	}
-	if claimedShards(tbl, 0) != 0 {
-		t.Fatal("column claimed despite ClaimHeat < 0")
 	}
 }
 

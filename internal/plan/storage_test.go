@@ -42,7 +42,7 @@ func TestColumnsStayInLockstep(t *testing.T) {
 		for _, shards := range []int{1, 3} {
 			t.Run(fmt.Sprintf("%s/shards=%d", enc, shards), func(t *testing.T) {
 				tbl, err := New("t", names, flatten(cols, 0, loaded), Options{
-					Strategy: StrategyQuicksort, Delta: 0.25, Shards: shards, Encoding: enc, ClaimHeat: 3})
+					Strategy: StrategyQuicksort, Delta: 0.25, Shards: shards, Encoding: enc})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -245,7 +245,7 @@ func TestPlannedRowsStoredOnce(t *testing.T) {
 	} {
 		base := liveHeap()
 		tbl, err := New("t", names, flat, Options{
-			Strategy: StrategyQuicksort, Delta: 0.25, Encoding: tc.enc, ClaimHeat: 2, Workers: 1})
+			Strategy: StrategyQuicksort, Delta: 0.25, Encoding: tc.enc, Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -256,7 +256,7 @@ func TestPlannedRowsStoredOnce(t *testing.T) {
 		// then converge and settle whatever indexes (all three raw columns,
 		// b alone compressed).
 		c := query.Conjunction{Target: "b", Aggs: column.AggAll, Preds: []query.ColPredicate{{Col: "b", Pred: query.Range(0, n)}}}
-		for i := 0; i < 3; i++ {
+		for i := 0; i < shard.ClaimHeat; i++ {
 			if _, err := tbl.ExecuteConj(c); err != nil {
 				t.Fatal(err)
 			}

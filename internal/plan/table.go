@@ -76,7 +76,7 @@ type Table struct {
 // len(columns) values per row, row after row, and every column becomes a
 // sharded column of its own built with opts — raw columns indexing from
 // the first query, compressed ones born cold and claimed shard by shard
-// (Options.ClaimHeat). A one-column table adopts flat as its
+// (shard.ClaimHeat). A one-column table adopts flat as its
 // column, which must not be mutated afterwards. Column names must be
 // unique and non-empty; a value outside the kernel-safe domain is
 // refused by the column it falls in.
@@ -226,7 +226,8 @@ func (t *Table) Converged() bool {
 
 // Progress implements Handle: the mean convergence across columns, so
 // the scheduler's checkpoint heuristics and /stats see the table-level
-// indexing debt.
+// indexing debt. Like each column's (shard.Sharded.Progress), it is
+// monotone only between appends, claims and merging seals.
 func (t *Table) Progress() float64 {
 	sum := 0.0
 	for _, cs := range t.cols {

@@ -199,15 +199,6 @@ func (p Phase) String() string {
 	}
 }
 
-// TwoPhase is the Phase of an index whose lifecycle has no refinement or
-// consolidation: in creation until it has converged.
-func TwoPhase(converged bool) Phase {
-	if converged {
-		return PhaseDone
-	}
-	return PhaseCreation
-}
-
 // Stats reports what a single Execute call did, for the harness and the
 // cost-model validation experiments (Figures 8 and 9). The baselines
 // (unsharded only) leave the work fields zero and report only Workers —
@@ -263,13 +254,11 @@ type Index interface {
 // Budgeted is an Index with its whole lifecycle, as the layers that drive
 // one hold it (the shard layer's factory returns it): the indexing quantum
 // of a call is an argument of that call, not state set before it and
-// unset after. The four progressive algorithms (through their shared
-// lifecycle driver) — the only indexes the shard layer holds — and the
-// progressive hash table and imprints implement it; the scan, full-index
-// and cracking baselines do not: a scan has no budget, and a cracking
-// index's reorganization is its answering mechanism. None of it is safe
-// for concurrent use with Execute; callers serialize access (the shard
-// layer does, under the shard's lock).
+// unset after. Core's lifecycle driver, which the four progressive
+// algorithms share, is its one implementation outside tests; the shard
+// layer holds only those four. None of it is safe for concurrent use
+// with Execute; callers serialize access (the shard layer does, under
+// the shard's lock).
 type Budgeted interface {
 	Index
 	// ExecuteSlice is Execute with the call's share of the indexing
@@ -283,17 +272,14 @@ type Budgeted interface {
 	// Progress reports the approximate fraction of total indexing work
 	// completed, in [0, 1]; exactly 1 once Converged.
 	Progress() float64
-	// Phase reports the lifecycle phase. Only the four progressive
-	// algorithms pass through all of them; any other index is in creation
-	// until it has converged, if it ever does.
+	// Phase reports the lifecycle phase.
 	Phase() Phase
-	// ReleaseBase is called once the index has converged. An index that
-	// answers from its own sorted copy alone from then on drops its
-	// reference to the rows of the column it was built over (its zone
-	// stays) and reports true, so that whoever holds those rows may keep
-	// them in another form, or not at all: the four progressive
-	// algorithms. Every other index reads the column for life and reports
-	// false, as the four do before they have converged.
+	// ReleaseBase is called once the index has converged. The index
+	// answers from its own sorted copy alone from then on, so it drops
+	// its reference to the rows of the column it was built over (its
+	// zone stays) and reports true, so that whoever holds those rows may
+	// keep them in another form, or not at all. Before convergence it
+	// reports false.
 	ReleaseBase() bool
 }
 

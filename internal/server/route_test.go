@@ -233,13 +233,13 @@ func TestQuiescentRouteClaimsColdShards(t *testing.T) {
 	if !sched.idx.Converged() {
 		t.Fatal("a table of cold shards should report converged")
 	}
-	for i := 0; i < 2*shard.DefaultClaimHeat; i++ {
+	for i := 0; i < 2*shard.ClaimHeat; i++ {
 		do(t, http.MethodPost, ts.URL+"/tables/cold/query", rangeQuery(10, 20), http.StatusOK, nil)
 	}
 	var dbg TableDebug
 	do(t, http.MethodGet, ts.URL+"/tables/cold/debug", nil, http.StatusOK, &dbg)
 	if form := dbg.ShardInfo[0].Form; form == "cold" {
-		t.Fatalf("shard 0 is still cold after %d queries heated it", 2*shard.DefaultClaimHeat)
+		t.Fatalf("shard 0 is still cold after %d queries heated it", 2*shard.ClaimHeat)
 	}
 }
 

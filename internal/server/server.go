@@ -52,9 +52,6 @@ type Config struct {
 	// means the package defaults).
 	QueueDepth int
 	MaxBatch   int
-	// MaxLoadRows caps generator-spec loads to keep one request from
-	// exhausting memory (<= 0 means the 100M default).
-	MaxLoadRows int
 	// Store enables durability: tables persist (WAL + snapshots) into
 	// it, /healthz reports starting|recovering until Recover has
 	// replayed the on-disk state, and a background checkpoint cadence
@@ -79,7 +76,9 @@ type Config struct {
 	Logger *slog.Logger
 }
 
-const defaultMaxLoadRows = 100_000_000
+// maxLoadRows caps the rows one load or append request carries or
+// generates, to keep one request from exhausting memory.
+const maxLoadRows = 100_000_000
 
 // Server owns the catalog and the per-table schedulers.
 type Server struct {
@@ -104,9 +103,6 @@ type Server struct {
 // called — start the HTTP listener first if clients should see the boot
 // progress, then Recover.
 func New(cfg Config) *Server {
-	if cfg.MaxLoadRows <= 0 {
-		cfg.MaxLoadRows = defaultMaxLoadRows
-	}
 	s := &Server{
 		cfg:     cfg,
 		started: time.Now(),
@@ -638,14 +634,14 @@ func (s *Server) loadValues(req LoadRequest, k int) ([]int64, error) {
 	case len(req.Values) > 0 && req.Generate != nil:
 		return nil, fmt.Errorf("provide either values or generate, not both")
 	case len(req.Values) > 0:
-		if len(req.Values) > s.cfg.MaxLoadRows*k {
-			return nil, fmt.Errorf("%d inline values exceed the %d-row load cap", len(req.Values), s.cfg.MaxLoadRows)
+		if len(req.Values) > maxLoadRows*k {
+			return nil, fmt.Errorf("%d inline values exceed the %d-row load cap", len(req.Values), maxLoadRows)
 		}
 		return req.Values, nil
 	case req.Generate != nil:
 		g := req.Generate
-		if g.N <= 0 || g.N > s.cfg.MaxLoadRows {
-			return nil, fmt.Errorf("generate.n %d outside (0, %d]", g.N, s.cfg.MaxLoadRows)
+		if g.N <= 0 || g.N > maxLoadRows {
+			return nil, fmt.Errorf("generate.n %d outside (0, %d]", g.N, maxLoadRows)
 		}
 		if k > 1 {
 			switch strings.ToLower(g.Kind) {
@@ -847,8 +843,8 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("%d values are not a multiple of the table's row width %d", len(values), k))
 		return
 	}
-	if len(values) > s.cfg.MaxLoadRows*k {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("%d rows exceed the %d-row append cap", len(values)/k, s.cfg.MaxLoadRows))
+	if len(values) > maxLoadRows*k {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("%d rows exceed the %d-row append cap", len(values)/k, maxLoadRows))
 		return
 	}
 

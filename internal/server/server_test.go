@@ -297,3 +297,18 @@ func TestHTTPAppend(t *testing.T) {
 		do(t, "POST", ts.URL+"/tables/nosuch/append", AppendRequest{Values: []int64{1}}, http.StatusNotFound, nil)
 	}
 }
+
+// TestLoadCapRefusedBeforeGenerating: a generate spec for more rows than
+// the load cap, or for none, is a 400 that loads no table. The cap is
+// checked before any row is generated, so asking for one row too many
+// costs nothing.
+func TestLoadCapRefusedBeforeGenerating(t *testing.T) {
+	srv, ts := newTestServer(t)
+	for _, n := range []int{maxLoadRows + 1, 0} {
+		load := LoadRequest{Name: "capped", Generate: &GenerateSpec{N: n, Seed: 1}}
+		do(t, http.MethodPost, ts.URL+"/tables", load, http.StatusBadRequest, nil)
+		if _, ok := srv.Scheduler("capped"); ok {
+			t.Fatalf("generate.n %d: the refused load left a table", n)
+		}
+	}
+}

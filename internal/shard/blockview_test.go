@@ -70,7 +70,7 @@ func TestBlockViewMatchesRows(t *testing.T) {
 		return out
 	}
 	for _, mode := range []encode.Mode{encode.ModeRaw, encode.ModeFORBP, encode.ModeAuto} {
-		sh, err := New(column.MustNew(vals(2*BlockRows+100)), Config{Shards: 2, Workers: 1, SealRows: 3 * BlockRows, Encoding: mode, ClaimHeat: 2}, stubFactory(1))
+		sh, err := New(column.MustNew(vals(2*BlockRows+100)), Config{Shards: 2, Workers: 1, SealRows: 3 * BlockRows, Encoding: mode}, stubFactory(1))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -87,7 +87,7 @@ func TestBlockViewMatchesRows(t *testing.T) {
 		if sh.PendingRows() <= 2*BlockRows {
 			t.Fatalf("%v: tail holds %d rows, want more than two blocks", mode, sh.PendingRows())
 		}
-		for i := 0; i < 3; i++ { // lead queries: claim one cold shard each
+		for i := 0; i < ClaimHeat+1; i++ { // lead queries: heat the cold shards, then claim one each
 			if _, err := sh.Execute(query.Request{Pred: query.Range(0, 1<<20)}); err != nil {
 				t.Fatal(err)
 			}
@@ -117,7 +117,7 @@ func TestBlockViewMatchesRows(t *testing.T) {
 // claim, within 1 % (the stub index holds nothing of its own).
 func TestColdShardBytes(t *testing.T) {
 	coldBytes := func(vals []int64, mode encode.Mode) float64 {
-		sh, err := New(column.MustNew(vals), Config{Workers: 1, Encoding: mode, ClaimHeat: -1}, stubFactory(1))
+		sh, err := New(column.MustNew(vals), Config{Workers: 1, Encoding: mode}, stubFactory(1))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -139,14 +139,16 @@ func TestColdShardBytes(t *testing.T) {
 	}
 
 	col := cols[1]
-	sh, err := New(column.MustNew(col), Config{Workers: 1, Encoding: encode.ModeFORBP, ClaimHeat: 1}, stubFactory(1<<30))
+	sh, err := New(column.MustNew(col), Config{Workers: 1, Encoding: encode.ModeFORBP}, stubFactory(1<<30))
 	if err != nil {
 		t.Fatal(err)
 	}
 	sh.KeepRowOrder()
 	cold, base := sh.ShardStats()[0].Bytes, liveHeap()
-	if _, err := sh.Execute(query.Request{Pred: query.Range(0, 10)}); err != nil {
-		t.Fatal(err)
+	for q := 0; q < ClaimHeat; q++ { // the last query claims
+		if _, err := sh.Execute(query.Request{Pred: query.Range(0, 10)}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	held, si := float64(liveHeap()-base), sh.ShardStats()[0]
 	if grew := float64(si.Bytes - cold); si.Form != FormRaw || held < 0.99*grew || held > 1.01*grew {
@@ -181,14 +183,14 @@ func TestColdShardBytes(t *testing.T) {
 // claimed.
 func TestFailedClaimKeepsShardCold(t *testing.T) {
 	logical := clustered(100)
-	sh, err := New(column.MustNew(slices.Clone(logical)), Config{Shards: 2, Workers: 1, Encoding: encode.ModeFORBP, ClaimHeat: 2}, stubFactory(1))
+	sh, err := New(column.MustNew(slices.Clone(logical)), Config{Shards: 2, Workers: 1, Encoding: encode.ModeFORBP}, stubFactory(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	failing := sh.cur.Load().shards[0]
 	failing.min = -column.MaxMagnitude
 	var failure *error
-	for i := 0; i < 10; i++ {
+	for i := 0; i < ClaimHeat+8; i++ {
 		ans, err := sh.Execute(query.Request{Pred: query.Range(10, 90), Aggs: column.AggAll})
 		if want := oracle.Agg(logical, query.Range(10, 90)); err != nil || query.AnswerAgg(ans) != want {
 			t.Fatalf("query %d: %+v err=%v, want %+v", i, ans, err, want)

@@ -55,7 +55,7 @@ func (s *releasingStub) Progress() float64 {
 	return 0
 }
 
-func (s *releasingStub) Phase() query.Phase { return query.TwoPhase(s.Converged()) }
+func (s *releasingStub) Phase() query.Phase { return stubPhase(s.Converged()) }
 
 func (s *releasingStub) ReleaseBase() bool {
 	s.zone = s.zone.Zone()
@@ -244,7 +244,7 @@ func TestSettleProperty(t *testing.T) {
 						logical[i] = value()
 					}
 					sh, err := New(column.MustNew(slices.Clone(logical)),
-						Config{Shards: shards, Workers: 2, SealRows: sealRows, Encoding: mode, ClaimHeat: 1},
+						Config{Shards: shards, Workers: 2, SealRows: sealRows, Encoding: mode},
 						coreFactory(strat, core.Config{Delta: 0.1, L1Elements: 512})) // slices well under a shard's pack cost
 					if err != nil {
 						t.Fatal(err)

@@ -74,7 +74,7 @@
 // skipping the blocks whose zone misses the predicate, under a shared
 // lock, with no progressive index and no budget spend. A cold shard is
 // decompressed only when the workload earns it: once its heat crosses
-// Config.ClaimHeat, the next Execute (or ClaimHot) claims the shard —
+// ClaimHeat, the next Execute (or ClaimHot) claims the shard —
 // decodes the blocks, builds the factory index over the raw rows — and
 // from then on it converges like any loaded shard. Appends still land
 // in the raw pending tail and are compressed at seal time, so ingestion
@@ -237,10 +237,8 @@ type Sharded struct {
 	sealRows       int
 	budgetSizedFor int // Config.BudgetSizedFor (0 = δ-mode, no correction)
 
-	// encoding is the shard storage mode; claimHeat the heat at which a
-	// cold shard is decoded and handed to the factory (≤ 0: never).
-	encoding  encode.Mode
-	claimHeat uint64
+	// encoding is the shard storage mode.
+	encoding encode.Mode
 
 	// rowOrdered says every shard keeps its rows in row order, as packed
 	// blocks (KeepRowOrder).
@@ -312,30 +310,13 @@ type Config struct {
 	// place, and decoded for indexing only when claimed. The zero value
 	// (raw) is exactly the pre-encoding behavior.
 	Encoding encode.Mode
-	// ClaimHeat is the heat at which a cold shard is claimed: decoded
-	// and handed to the factory for progressive indexing. 0 means
-	// DefaultClaimHeat; negative means never claim (permanently cold).
-	// Ignored in raw mode.
-	ClaimHeat int
 }
 
-// DefaultClaimHeat is the default Config.ClaimHeat: a cold shard that
+// ClaimHeat is the heat at which a cold shard is claimed: decoded and
+// handed to the factory for progressive indexing. A cold shard that
 // survived pruning this many times has a workload that will amortize
 // the decode + progressive build it pays for.
-const DefaultClaimHeat = 16
-
-// resolveClaimHeat turns a ClaimHeat option into the heat threshold a
-// cold shard is compared against: the option itself when positive,
-// DefaultClaimHeat when zero, and 0 — never claim — when negative.
-func resolveClaimHeat(opt int) uint64 {
-	switch {
-	case opt > 0:
-		return uint64(opt)
-	case opt < 0:
-		return 0
-	}
-	return DefaultClaimHeat
-}
+const ClaimHeat = 16
 
 // New partitions col into cfg.Shards contiguous row ranges and builds
 // one index per shard with factory. The zone statistics of every shard
@@ -436,9 +417,7 @@ func New(col *column.Column, cfg Config, factory Factory) (*Sharded, error) {
 		vmin:           col.Min(),
 		vmax:           col.Max(),
 	}
-	if encoded {
-		sh.claimHeat = resolveClaimHeat(cfg.ClaimHeat)
-	} else {
+	if !encoded {
 		for _, st := range shards {
 			sh.noteBornDone(st) // an index that is terminal at birth
 		}
@@ -834,11 +813,11 @@ func (s *Sharded) executeSurvivors(v *view, surv []int, parts []partial, shares 
 // predicate cannot stall on S decodes at once. It returns the claimed
 // shard's index, or -1 when nothing was claimed.
 func (s *Sharded) maybeClaim(v *view, surv []int, heats []uint64) int {
-	if s.claimHeat == 0 {
-		return -1
+	if !s.encoding.Compressed() {
+		return -1 // a raw table has no cold shard
 	}
 	for k, i := range surv {
-		if st := v.shards[i]; heats[k] >= s.claimHeat && st.claimable() {
+		if st := v.shards[i]; heats[k] >= ClaimHeat && st.claimable() {
 			if s.claim(i, st) {
 				return i
 			}
@@ -857,7 +836,7 @@ func (s *Sharded) maybeClaim(v *view, surv []int, heats []uint64) int {
 func (s *Sharded) ClaimHot() int {
 	rows := 0
 	for i, st := range s.cur.Load().shards {
-		if s.claimHeat > 0 && st.heat.Load() >= s.claimHeat && st.claimable() {
+		if s.encoding.Compressed() && st.heat.Load() >= ClaimHeat && st.claimable() {
 			if s.claim(i, st) {
 				rows = st.end - st.start
 			}
@@ -875,7 +854,7 @@ func (s *Sharded) certify(v *view) {
 		return
 	}
 	for _, st := range v.shards {
-		if s.claimHeat > 0 && st.claimable() {
+		if s.encoding.Compressed() && st.claimable() {
 			return
 		}
 	}
@@ -1240,6 +1219,13 @@ func (s *Sharded) Quiescent() bool { return s.cur.Load().quiet.Load() }
 // shards' indexes, exactly 1 once all shards converged and nothing is
 // pending; unindexed tail rows count as zero progress. A settle adds no
 // step of its own: a shard settles on the slice that converges its index.
+//
+// It is monotone only between structural events, and three of them can
+// lower it: an append (its rows wait unindexed in the tail); a claim (a
+// cold shard counts as done until the claim gives it an index that
+// starts at zero); and a seal that merges converged tail-born shards
+// (the merged shard's index starts again). Between them no query or
+// refinement step lowers it.
 func (s *Sharded) Progress() float64 {
 	v := s.cur.Load()
 	if v.done.Load() {

@@ -57,7 +57,15 @@ func (s *stubIndex) Progress() float64 {
 	return 0
 }
 
-func (s *stubIndex) Phase() query.Phase { return query.TwoPhase(s.Converged()) }
+func (s *stubIndex) Phase() query.Phase { return stubPhase(s.Converged()) }
+
+// stubPhase is a stub's lifecycle: in creation until it has converged.
+func stubPhase(converged bool) query.Phase {
+	if converged {
+		return query.PhaseDone
+	}
+	return query.PhaseCreation
+}
 
 func (s *stubIndex) ReleaseBase() bool { return false }
 
@@ -155,7 +163,7 @@ func TestColdZonesAreTheirRows(t *testing.T) {
 	}
 	for _, mode := range []encode.Mode{encode.ModeFORBP, encode.ModeDict, encode.ModeAuto} {
 		for _, S := range []int{2, 3, 7} {
-			sh, err := New(column.MustNew(vals), Config{Shards: S, Workers: 2, Encoding: mode, ClaimHeat: -1}, stubFactory(1))
+			sh, err := New(column.MustNew(vals), Config{Shards: S, Workers: 2, Encoding: mode}, stubFactory(1))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -772,7 +780,7 @@ func TestReaderOnPreMergeViewKeepsItsAnswer(t *testing.T) {
 	for _, mode := range []encode.Mode{encode.ModeRaw, encode.ModeFORBP} {
 		logical := clustered(64)
 		sh, err := New(column.MustNew(append([]int64(nil), logical...)),
-			Config{Shards: 2, Workers: 1, SealRows: 1 << 20, Encoding: mode, ClaimHeat: 4}, stubFactory(1))
+			Config{Shards: 2, Workers: 1, SealRows: 1 << 20, Encoding: mode}, stubFactory(1))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -29,9 +29,8 @@
 // Every Execute call answers the predicate exactly with the requested
 // aggregates (SUM, COUNT, MIN, MAX, AVG, combinable as a bitmask) and
 // may reorganize the index internally; the per-query work Stats travel
-// inline in the Answer, so there is no stateful side channel and
-// concurrent callers (see NewHandle) always observe coherent
-// (answer, stats) pairs.
+// inline in the Answer, so there is no stateful side channel: a
+// caller always observes a coherent (answer, stats) pair.
 //
 // The zero Aggs computes SUM and COUNT, the paper's SELECT SUM(A) WHERE A
 // BETWEEN lo AND hi workload.
@@ -54,7 +53,6 @@ import (
 	"repro/internal/phash"
 	"repro/internal/plan"
 	"repro/internal/query"
-	"repro/internal/shard"
 )
 
 // Result is the SUM and COUNT of the matching values, as projected by
@@ -208,9 +206,8 @@ type Options struct {
 	// Strategy selects the algorithm (default Progressive Quicksort).
 	Strategy Strategy
 
-	// Delta, Budget, Adaptive, Workers, Shards, Encoding and ClaimHeat
-	// have the plan.Options meanings. With Shards > 1 or a compressed
-	// Encoding, New returns the concurrency-safe table NewHandle builds.
+	// Delta, Budget, Adaptive and Workers have the plan.Options
+	// meanings.
 	Delta    float64
 	Budget   time.Duration
 	Adaptive bool
@@ -220,66 +217,35 @@ type Options struct {
 	// wall-clock time are only meaningful with calibration on.
 	Calibrate bool
 
-	Workers   int
-	Shards    int
-	Encoding  Encoding
-	ClaimHeat int
+	Workers int
 
 	// Seed drives the stochastic cracking baselines.
 	Seed int64
 }
 
-// New builds an index of the selected strategy over values. The slice
-// is retained as the base column and must not be mutated afterwards;
-// progressive strategies copy out of it as they index, exactly like the
-// paper's creation phases.
+// New builds an unsharded index of the selected strategy over values:
+// the paper's index, for any of the thirteen strategies. A served
+// table's column — sharded, compressed, taking appends — is built by
+// plan.NewColumn. The slice is retained as the base column and must not
+// be mutated afterwards; progressive strategies copy out of it as they
+// index, exactly like the paper's creation phases.
 func New(values []int64, opts Options) (Index, error) {
 	col, err := column.New(values)
 	if err != nil {
 		return nil, err
 	}
 	switch {
-	case opts.Shards > 1 || opts.Encoding.Compressed():
-		// Compressed tables always live in the shard layer (one shard when
-		// unsharded): it owns the cold-scan, claim and seal-time-encode
-		// machinery.
-		return plan.NewColumn(col, opts.served())
 	case opts.Strategy.Progressive():
 		// Unsharded, the index is the one a table's shard would hold.
-		_, factory := plan.Layout(opts.served(), col.Len())
+		_, factory := plan.Layout(plan.Options{
+			Strategy: opts.Strategy, Delta: opts.Delta, Budget: opts.Budget, Adaptive: opts.Adaptive,
+			Workers: opts.Workers, Params: costParams(opts),
+		}, col.Len())
 		return factory(col), nil
 	case opts.Strategy >= 0 && int(opts.Strategy) < len(baselines):
 		return baselines[opts.Strategy](col, opts), nil
 	}
 	return nil, fmt.Errorf("progidx: unknown strategy %v", opts.Strategy)
-}
-
-// served is the subset of opts a table is built with, its cost
-// constants resolved.
-func (o Options) served() plan.Options {
-	return plan.Options{
-		Strategy:  o.Strategy,
-		Delta:     o.Delta,
-		Budget:    o.Budget,
-		Adaptive:  o.Adaptive,
-		Workers:   o.Workers,
-		Shards:    o.Shards,
-		Encoding:  o.Encoding,
-		ClaimHeat: o.ClaimHeat,
-		Params:    costParams(o),
-	}
-}
-
-// NewHandle builds a concurrency-safe table over one column of values:
-// the *shard.Sharded a served table holds per column (plan.NewColumn,
-// which says how it partitions, indexes, ingests and which strategies it
-// serves), with the cost constants opts selects.
-func NewHandle(values []int64, opts Options) (*shard.Sharded, error) {
-	col, err := column.New(values)
-	if err != nil {
-		return nil, err
-	}
-	return plan.NewColumn(col, opts.served())
 }
 
 // MustNew is New that panics on error, for examples and tests with
@@ -310,9 +276,9 @@ func costParams(opts Options) costmodel.Params {
 	return calibrated
 }
 
-// Conformance, in one place: every strategy and shard.Sharded implement the
-// one Index contract; the four progressive algorithms — through core's
-// lifecycle driver — the hash table and the imprints its extension.
+// Conformance, in one place: every strategy implements the one Index
+// contract; the four progressive algorithms, through core's lifecycle
+// driver, its extension.
 var (
 	_ = []Index{
 		(*core.Quicksort)(nil), (*core.RadixMSD)(nil), (*core.Bucketsort)(nil), (*core.RadixLSD)(nil),
@@ -320,10 +286,8 @@ var (
 		(*cracking.Standard)(nil), (*cracking.Stochastic)(nil), (*cracking.ProgressiveStochastic)(nil),
 		(*cracking.CoarseGranular)(nil), (*cracking.AdaptiveAdaptive)(nil),
 		(*phash.Index)(nil), (*imprints.Index)(nil),
-		(*shard.Sharded)(nil),
 	}
 	_ = []query.Budgeted{
 		(*core.Quicksort)(nil), (*core.RadixMSD)(nil), (*core.Bucketsort)(nil), (*core.RadixLSD)(nil),
-		(*phash.Index)(nil), (*imprints.Index)(nil),
 	}
 )

@@ -23,7 +23,7 @@ var allStrategies = []Strategy{
 }
 
 // progressiveStrategies are the four a table serves: the axis of every
-// test over NewHandle.
+// test over newColumn.
 var progressiveStrategies = allStrategies[:4]
 
 func TestNewAllStrategiesAnswerExactly(t *testing.T) {
@@ -60,10 +60,9 @@ func TestNewRejectsEmptyAndUnknown(t *testing.T) {
 
 // TestProgressiveInterfaceUpgrade: cmd/progidx prints phases for
 // Strategy.Progressive(), and that static table is exactly the set of
-// strategies whose Stats ever report a phase past creation; a strategy
-// is a query.Budgeted exactly when it is one of the four or the hash
-// table or the imprints — every one but the scan, the full index and the
-// cracking baselines.
+// strategies whose Stats ever report a phase past creation, and the set
+// of strategies that are a query.Budgeted: the four progressive
+// algorithms.
 func TestProgressiveInterfaceUpgrade(t *testing.T) {
 	vals := data.Uniform(5000, 5)
 	for _, s := range allStrategies {
@@ -80,7 +79,7 @@ func TestProgressiveInterfaceUpgrade(t *testing.T) {
 			t.Fatalf("%v: Stats past creation=%v, Strategy.Progressive=%v", s, pastCreation, s.Progressive())
 		}
 		_, native := idx.(query.Budgeted)
-		if want := s.Progressive() || s == StrategyProgressiveHash || s == StrategyImprints; native != want {
+		if want := s.Progressive(); native != want {
 			t.Fatalf("%v: natively query.Budgeted=%v, want %v", s, native, want)
 		}
 	}
@@ -106,22 +105,22 @@ func TestProgressiveConvergesToDone(t *testing.T) {
 // element, part of its answer path) where an open one does; Progress is
 // monotone in [0, 1] and 1 with Converged and PhaseDone; ReleaseBase
 // reports true only once converged. And as a table they settle. Every
-// other strategy a table refuses, with the one message that points to
-// cmd/experiments.
+// other strategy plan.NewColumn refuses, with the one message that
+// points to cmd/experiments.
 func TestStrategiesMeetTheOneContract(t *testing.T) {
 	const n = 3 * shard.BlockRows
 	vals := data.Uniform(n, 5)
 	req := Request{Pred: Range(100, 4000), Aggs: AllAggregates}
 	want := oracle.Agg(vals, req.Pred)
 	for _, s := range Strategies() {
-		opts := Options{Strategy: s, Delta: 0.25, Workers: 1, Seed: 3}
+		opts := plan.Options{Strategy: s, Delta: 0.25, Workers: 1}
 		if !s.Progressive() {
-			if _, err := NewHandle(append([]int64(nil), vals...), opts); err == nil || !strings.Contains(err.Error(), "cmd/experiments") {
+			if _, err := plan.NewColumn(column.MustNew(append([]int64(nil), vals...)), opts); err == nil || !strings.Contains(err.Error(), "cmd/experiments") {
 				t.Fatalf("%v: a table of a baseline was not refused: %v", s, err)
 			}
 			continue
 		}
-		_, factory := plan.Layout(opts.served(), n)
+		_, factory := plan.Layout(opts, n)
 		idx := factory(column.MustNew(append([]int64(nil), vals...)))
 		slice := func(suspend bool) float64 {
 			t.Helper()
@@ -153,10 +152,7 @@ func TestStrategiesMeetTheOneContract(t *testing.T) {
 			t.Fatalf("%v: converged=%v, ReleaseBase refused", s, idx.Converged())
 		}
 
-		h, err := NewHandle(append([]int64(nil), vals...), opts)
-		if err != nil {
-			t.Fatalf("%v: %v", s, err)
-		}
+		h := newColumn(t, append([]int64(nil), vals...), opts)
 		for q := 0; q < 200 && !h.Converged(); q++ {
 			h.RefineStep()
 		}

@@ -12,6 +12,7 @@ import (
 	"repro/internal/column"
 	"repro/internal/obs"
 	"repro/internal/oracle"
+	"repro/internal/plan"
 	"repro/internal/shard"
 )
 
@@ -28,7 +29,7 @@ import (
 // rows. A loaded shard's read back in order, sorted once it has settled;
 // a tail-born shard's are its row range's multiset, since a seal merges
 // its parts as they are held, settled ones sorted.
-func checkShardStructure(t *testing.T, sh *shard.Sharded, logical []int64, loaded, appended, sealRows int) {
+func checkShardStructure(t *testing.T, sh *shard.Sharded, logical []int64, sorted sortedRanges, loaded, appended, sealRows int) {
 	t.Helper()
 	infos := sh.ShardStats()
 	if got, bound := len(infos), shard.MaxShards(loaded, appended, sealRows); got > bound {
@@ -71,12 +72,12 @@ func checkShardStructure(t *testing.T, sh *shard.Sharded, logical []int64, loade
 	rows := sh.MaterializeRows()
 	start = 0
 	for i, inf := range infos {
-		got, want := rows[start:start+inf.Rows], slices.Clone(logical[start:start+inf.Rows])
+		got, want := rows[start:start+inf.Rows], logical[start:start+inf.Rows]
 		if i >= loaded {
-			got = slices.Sorted(slices.Values(got))
+			slices.Sort(got) // rows is this check's own copy
 		}
 		if i >= loaded || inf.Form == shard.FormSettled {
-			slices.Sort(want)
+			want = sorted.of(logical, start, start+inf.Rows)
 		}
 		if !slices.Equal(got, want) {
 			t.Fatalf("shard %d (%s): MaterializeRows differs from its logical rows", i, inf.Form)
@@ -86,6 +87,19 @@ func checkShardStructure(t *testing.T, sh *shard.Sharded, logical []int64, loade
 	if !slices.Equal(rows[start:], logical[start:]) {
 		t.Fatal("MaterializeRows differs from the pending rows")
 	}
+}
+
+// sortedRanges caches the sorted rows of the logical column's row
+// ranges: rows are only ever appended, so a range's rows never change.
+type sortedRanges map[[2]int][]int64
+
+func (c sortedRanges) of(logical []int64, start, end int) []int64 {
+	k := [2]int{start, end}
+	if s, ok := c[k]; ok {
+		return s
+	}
+	c[k] = slices.Sorted(slices.Values(logical[start:end]))
+	return c[k]
 }
 
 // TestShardedMergeProperty is the acceptance property test of the
@@ -117,6 +131,7 @@ func TestShardedMergeProperty(t *testing.T) {
 					name += "/shards=1"
 				}
 				t.Run(name, func(t *testing.T) {
+					t.Parallel()
 					rng := rand.New(rand.NewSource(seed))
 					// Values drift upward with the row number, so loaded and
 					// tail-born shards carry distinct zones and queries prune.
@@ -125,14 +140,10 @@ func TestShardedMergeProperty(t *testing.T) {
 					for i := range logical {
 						logical[i] = value(i)
 					}
-					sh, err := NewHandle(append([]int64(nil), logical...), Options{
-						Strategy: strat, Delta: 0.25, Seed: 5, Shards: loaded, Workers: workers,
-						Encoding: enc, ClaimHeat: 3,
+					sh := newColumn(t, append([]int64(nil), logical...), plan.Options{
+						Strategy: strat, Delta: 0.25, Shards: loaded, Workers: workers, Encoding: enc,
 					})
-					if err != nil {
-						t.Fatal(err)
-					}
-					appended := 0
+					appended, sorted := 0, sortedRanges{}
 					tl := obs.NewTimeline(4096)
 					sh.SetEventSink(tl)
 					for step := 0; step < steps; step++ {
@@ -172,7 +183,7 @@ func TestShardedMergeProperty(t *testing.T) {
 							}
 							checkAnswer(t, fmt.Sprintf("step %d", step), p, AllAggregates, ans, oracle.Agg(logical, p))
 						}
-						checkShardStructure(t, sh, logical, loaded, appended, sealRows)
+						checkShardStructure(t, sh, logical, sorted, loaded, appended, sealRows)
 					}
 					// The trace must have exercised what it claims to check.
 					merges, claims, settles := 0, 0, 0
@@ -195,46 +206,10 @@ func TestShardedMergeProperty(t *testing.T) {
 	}
 }
 
-// TestShardedOneRowAppendsDrain pins the idle flush's contract under
-// the smallest possible appends: 1 000 one-row appends, each followed
-// by idle slices, leave a table that converges with nothing pending and
-// a logarithmic number of shards — not one per append.
-func TestShardedOneRowAppendsDrain(t *testing.T) {
-	const n, loaded = 4000, 4
-	logical := boundedColumn(n, 31)
-	sh, err := NewHandle(append([]int64(nil), logical...), Options{Strategy: StrategyQuicksort, Delta: 0.25, Shards: loaded, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 1000; i++ {
-		v := int64(10_000 + i)
-		if err := sh.Append([]int64{v}); err != nil {
-			t.Fatal(err)
-		}
-		logical = append(logical, v)
-		for k := 0; k < 8; k++ {
-			sh.RefineStep()
-		}
-	}
-	for i := 0; i < 100_000 && !sh.Converged(); i++ {
-		sh.RefineStep()
-	}
-	if !sh.Converged() || sh.PendingRows() != 0 || sh.Progress() != 1 {
-		t.Fatalf("quiet table: converged=%v pending=%d progress=%v", sh.Converged(), sh.PendingRows(), sh.Progress())
-	}
-	checkShardStructure(t, sh, logical, loaded, 1000, n/loaded)
-	p := AtLeast(10_000)
-	ans, err := sh.Execute(Request{Pred: p, Aggs: AllAggregates})
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkAnswer(t, sh.Name(), p, AllAggregates, ans, oracle.Agg(logical, p))
-}
-
 // TestShardedObserversRaceClaimsAndMerges is the regression test for
 // the Phase()/claim() data race: the stats endpoints' observers —
 // Phase, Progress, ShardStats, Converged — poll from their own
-// goroutines while queries drive cold shards past ClaimHeat (a claim
+// goroutines while queries drive cold shards past shard.ClaimHeat (a claim
 // writes the shard's index) and appends plus idle slices drive merges.
 // Meaningful under -race (CI runs it with -count=10); in a plain build
 // it still checks the final answers.
@@ -244,13 +219,9 @@ func TestShardedObserversRaceClaimsAndMerges(t *testing.T) {
 	for i := range logical {
 		logical[i] = int64(i)
 	}
-	sh, err := NewHandle(append([]int64(nil), logical...), Options{
-		Strategy: StrategyQuicksort, Delta: 0.25, Shards: 4, Workers: 2,
-		Encoding: EncodingFORBP, ClaimHeat: 2,
+	sh := newColumn(t, append([]int64(nil), logical...), plan.Options{
+		Strategy: StrategyQuicksort, Delta: 0.25, Shards: 4, Workers: 2, Encoding: EncodingFORBP,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	var stop atomic.Bool
 	var observers sync.WaitGroup
 	for o := 0; o < 2; o++ {

@@ -9,7 +9,7 @@ import (
 
 	"repro/internal/data"
 	"repro/internal/oracle"
-	"repro/internal/query"
+	"repro/internal/plan"
 	"repro/internal/shard"
 )
 
@@ -19,38 +19,6 @@ func boundedColumn(n int, seed int64) []int64 {
 	vals := testColumn(n, seed)
 	vals[0], vals[1] = 1234, -1234
 	return vals
-}
-
-// shardCountPool is the acceptance-criteria sweep: degenerate (1),
-// small (2, 3 — odd, so row ranges divide unevenly) and the paper-ish
-// per-core count (8).
-var shardCountPool = []int{1, 2, 3, 8}
-
-// TestShardedMatchesOracleAllStrategies is the sharded acceptance
-// property test: every strategy a table serves × predicate kind ×
-// aggregate mask × shard count, bit-identical to the unsharded branching
-// oracle while the per-shard indexes advance through their lifecycles.
-func TestShardedMatchesOracleAllStrategies(t *testing.T) {
-	vals := testColumn(4000, 23)
-	for _, s := range progressiveStrategies {
-		for _, shards := range shardCountPool {
-			idx, err := NewHandle(vals, Options{Strategy: s, Delta: 0.3, Seed: 7, Shards: shards})
-			if err != nil {
-				t.Fatalf("%v shards=%d: %v", s, shards, err)
-			}
-			rng := rand.New(rand.NewSource(int64(s)*31 + int64(shards)))
-			for round := 0; round < 6; round++ {
-				for pi, p := range predicatePool(rng, vals) {
-					aggs := aggMaskPool[(round+pi)%len(aggMaskPool)]
-					ans, err := idx.Execute(Request{Pred: p, Aggs: aggs})
-					if err != nil {
-						t.Fatalf("%v shards=%d Execute(%v, %v): %v", s, shards, p, aggs, err)
-					}
-					checkAnswer(t, idx.Name(), p, aggs, ans, oracle.Agg(vals, p))
-				}
-			}
-		}
-	}
 }
 
 // TestShardedWorkerInvariance pins the whole-query parallelism
@@ -70,10 +38,7 @@ func TestShardedWorkerInvariance(t *testing.T) {
 	}
 	var want []Answer
 	for wi, workers := range []int{1, 2, 3, 7} {
-		idx, err := NewHandle(vals, Options{Strategy: StrategyQuicksort, Delta: 0.4, Shards: 8, Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
+		idx := newColumn(t, vals, plan.Options{Strategy: StrategyQuicksort, Delta: 0.4, Shards: 8, Workers: workers})
 		got := make([]Answer, len(queries))
 		for i, q := range queries {
 			ans, err := idx.Execute(Request{Pred: q.p, Aggs: q.a})
@@ -109,10 +74,7 @@ func TestShardedZonePruning(t *testing.T) {
 	for i := range vals {
 		vals[i] = int64(i)
 	}
-	sh, err := NewHandle(vals, Options{Strategy: StrategyQuicksort, Delta: 0.25, Shards: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sh := newColumn(t, vals, plan.Options{Strategy: StrategyQuicksort, Delta: 0.25, Shards: 8})
 	// Hammer the first quarter of the value domain only.
 	for q := 0; q < 40; q++ {
 		lo := int64(q * 37 % 1500)
@@ -158,10 +120,7 @@ func TestShardedHeatDrivenConvergence(t *testing.T) {
 	for i := range vals {
 		vals[i] = int64(i)
 	}
-	sh, err := NewHandle(vals, Options{Strategy: StrategyQuicksort, Delta: 0.05, Shards: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sh := newColumn(t, vals, plan.Options{Strategy: StrategyQuicksort, Delta: 0.05, Shards: 4})
 	// Shard 0 holds [0, 2000); shard 3 holds [6000, 8000). Hit shard 0
 	// every query, shard 3 every fourth query.
 	hotDone, coldDone := -1, -1
@@ -200,45 +159,13 @@ func TestShardedHeatDrivenConvergence(t *testing.T) {
 	}
 }
 
-// TestShardedExecuteBatch checks the scheduler surface: a batch's
-// answers positionally match the oracle, and the batch pays its
-// indexing budget once (progress advances, but the suspended tail does
-// not multiply it).
-func TestShardedExecuteBatch(t *testing.T) {
-	vals := testColumn(4000, 25)
-	sh, err := NewHandle(vals, Options{Strategy: StrategyRadixMSD, Delta: 0.2, Shards: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(9))
-	for round := 0; round < 8; round++ {
-		reqs := make([]Request, 5)
-		preds := make([]Predicate, 5)
-		for i := range reqs {
-			lo := rng.Int63n(8000) - 4000
-			preds[i] = Range(lo, lo+rng.Int63n(2000))
-			reqs[i] = Request{Pred: preds[i], Aggs: AllAggregates}
-		}
-		answers, errs := executeBatch(sh, reqs, query.BatchOpts{})
-		for i := range reqs {
-			if errs[i] != nil {
-				t.Fatal(errs[i])
-			}
-			checkAnswer(t, "batch", preds[i], AllAggregates, answers[i], oracle.Agg(vals, preds[i]))
-		}
-	}
-}
-
 // TestShardedConcurrentReads hammers one sharded index from many
 // goroutines through the whole lifecycle (the -race acceptance
 // criterion): every answer must be exact, concurrently with idle
 // refinement driving the shards to convergence.
 func TestShardedConcurrentReads(t *testing.T) {
 	vals := testColumn(20000, 27)
-	sh, err := NewHandle(vals, Options{Strategy: StrategyRadixMSD, Delta: 0.3, Shards: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sh := newColumn(t, vals, plan.Options{Strategy: StrategyRadixMSD, Delta: 0.3, Shards: 8})
 	var wg sync.WaitGroup
 	errs := make(chan string, 64)
 	for g := 0; g < 8; g++ {
@@ -310,15 +237,11 @@ func TestShardedConcurrentReads(t *testing.T) {
 }
 
 // TestShardedHandleSurface pins the scheduler-facing odds and ends:
-// Phase reports the furthest-behind shard, New dispatches on
-// Options.Shards, and malformed requests error.
+// Phase reports the furthest-behind shard, the column has the shards
+// its options ask for, and malformed requests error.
 func TestShardedHandleSurface(t *testing.T) {
 	vals := testColumn(3000, 28)
-	idx := MustNew(vals, Options{Strategy: StrategyQuicksort, Shards: 4})
-	sh, ok := idx.(*shard.Sharded)
-	if !ok {
-		t.Fatalf("New with Shards=4 returned %T, want *shard.Sharded", idx)
-	}
+	sh := newColumn(t, vals, plan.Options{Strategy: StrategyQuicksort, Shards: 4})
 	if sh.Shards() != 4 {
 		t.Fatalf("Shards() = %d, want 4", sh.Shards())
 	}
@@ -344,7 +267,7 @@ func TestShardedHandleSurface(t *testing.T) {
 // the answer shape and that no indexing step ran).
 func TestHandleZoneMissDoesNoWork(t *testing.T) {
 	vals := boundedColumn(3000, 29) // domain ⊂ [-4000, 4000): 7M really is a zone miss
-	idx := unshardedHandle(t, vals, Options{Strategy: StrategyQuicksort, Delta: 0.25})
+	idx := newColumn(t, vals, plan.Options{Strategy: StrategyQuicksort, Delta: 0.25})
 	before := idx.Progress()
 	for i := 0; i < 10; i++ {
 		ans, err := idx.Execute(Request{Pred: Range(7_000_000, 8_000_000), Aggs: AllAggregates})
@@ -389,10 +312,7 @@ func TestUnshardedHandleKeepsWorkers(t *testing.T) {
 	vals := data.Uniform(200_000, 37)
 	var answers [2][]Answer
 	for wi, workers := range []int{1, 4} {
-		h, err := NewHandle(vals, Options{Strategy: StrategyRadixMSD, Budget: 20 * time.Microsecond, Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
+		h := newColumn(t, vals, plan.Options{Strategy: StrategyRadixMSD, Budget: 20 * time.Microsecond, Workers: workers})
 		for q := int64(0); q < 4; q++ {
 			p := Range(q*20_000, q*20_000+50_000)
 			ans, err := h.Execute(Request{Pred: p, Aggs: AllAggregates})
@@ -455,10 +375,7 @@ func TestSettledRowsStoredOnce(t *testing.T) {
 	for i := range vals {
 		vals[i] = int64(i) + rng.Int63n(4096) // shard k holds values in [k·n/4, (k+1)·n/4 + 4096)
 	}
-	sh, err := NewHandle(vals, Options{Strategy: StrategyQuicksort, Delta: 0.25, Shards: 4, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sh := newColumn(t, vals, plan.Options{Strategy: StrategyQuicksort, Delta: 0.25, Shards: 4, Workers: 1})
 	vals = nil
 	threeDone := func() bool {
 		st := sh.ShardStats()
@@ -513,10 +430,7 @@ func TestAppendedRowsSettle(t *testing.T) {
 	for i := range vals {
 		vals[i] = rng.Int63n(1 << 20)
 	}
-	sh, err := NewHandle(vals, Options{Strategy: StrategyQuicksort, Delta: 0.25, Shards: 4, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sh := newColumn(t, vals, plan.Options{Strategy: StrategyQuicksort, Delta: 0.25, Shards: 4, Workers: 1})
 	vals = nil
 	rows := make([]int64, batch)
 	for a := 0; a < appends; a++ {

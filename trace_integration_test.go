@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/data"
 	"repro/internal/obs"
+	"repro/internal/plan"
 	"repro/internal/query"
 	"repro/internal/shard"
 )
@@ -39,10 +40,7 @@ func TestShardedTraceAgreesWithStats(t *testing.T) {
 	for i := range vals {
 		vals[i] = int64(i)
 	}
-	h, err := NewHandle(vals, Options{Shards: shards, Delta: 0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := newColumn(t, vals, plan.Options{Shards: shards, Delta: 0.5})
 
 	req := Request{Pred: Range(0, 500)}
 	tr := obs.NewTrace("query", "t")
@@ -111,10 +109,7 @@ func TestShardedTraceAgreesWithStats(t *testing.T) {
 	}
 
 	// The merged answer must be identical to an untraced execution.
-	h2, err := NewHandle(vals, Options{Shards: shards, Delta: 0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
+	h2 := newColumn(t, vals, plan.Options{Shards: shards, Delta: 0.5})
 	want, err := h2.Execute(req)
 	if err != nil {
 		t.Fatal(err)
@@ -132,10 +127,7 @@ func TestShardedTraceAgreesWithStats(t *testing.T) {
 // with every request suspended and (next to) no budget spent.
 func TestUnshardedTraceSpans(t *testing.T) {
 	vals := data.Uniform(8_192, 3)
-	h, err := NewHandle(vals, Options{Delta: 0.25})
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := newColumn(t, vals, plan.Options{Delta: 0.25})
 	reqs := []Request{{Pred: Range(10, 1000)}, {Pred: Range(2000, 3000)}}
 	var leaderSpent float64
 	for _, clamp := range []bool{false, true} {
@@ -190,14 +182,8 @@ func TestTraceRowsScannedConverged(t *testing.T) {
 	for i := range vals {
 		vals[i] = 2 * int64(i) // even values: an odd point is inside a zone and matches nothing
 	}
-	h, err := NewHandle(vals, Options{Shards: shards, Delta: 0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cold, err := NewHandle(vals, Options{Shards: shards, Encoding: EncodingFORBP})
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := newColumn(t, vals, plan.Options{Shards: shards, Delta: 0.5})
+	cold := newColumn(t, vals, plan.Options{Shards: shards, Encoding: EncodingFORBP})
 	rowsScanned := func(h *shard.Sharded, req Request) []int64 {
 		t.Helper()
 		tr := obs.NewTrace("query", "t")
