@@ -56,9 +56,10 @@ fmt:
 vet:
 	$(GO) vet ./...
 
-# Non-test Go lines outside benchmark/ — the figure ROADMAP.md aim 2
-# tracks (it should go down). Gated, not just printed: a change that
-# grows the code past LOC_MAX has to raise it here, in its own diff.
+# Non-test Go and assembly lines outside benchmark/ — the figure
+# ROADMAP.md aim 2 tracks (it should go down). Gated, not just printed: a
+# change that grows the code past LOC_MAX has to raise it here, in its
+# own diff. The *.s files count from the first assembly kernels on.
 # PR 21 (settled shards, a feature) raised it from 20 356 by its net, +176;
 # PR 23 (one served table type) lowered it from 20 532, PR 24 (the
 # second benchmark tool retired) from 20 247, PR 25 (one index contract
@@ -93,9 +94,13 @@ vet:
 # The served stack off the paper library (plan builds a table's columns, the root package imports plan) lowered it from 20 122.
 # The tests' one full-scan oracle (internal/oracle, 59), a one-name schema that survives recovery (1) and a WAL reader that allocates only what a segment holds (2) raised it from 20 116.
 # One constructor of a served column (plan.NewColumn; the root package's NewHandle and its sharded/compressed New go), a constant claim heat and two config constants lowered it from 20 178.
-LOC_MAX ?= 20065
+# The AVX2 forms of the range scan and the partition's block
+# classification (a perf feature) raised it from 20 065 by its net, +321:
+# their assembly (counted from here on) and start-up CPU check in, the
+# sorted-run SUM loops of column and btree out.
+LOC_MAX ?= 20386
 loc:
-	@n=$$(find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -not -path './.bench_build/*' -print0 | xargs -0 cat | wc -l); \
+	@n=$$(find . \( -name '*.go' -o -name '*.s' \) -not -name '*_test.go' -not -path './benchmark/*' -not -path './.bench_build/*' -print0 | xargs -0 cat | wc -l); \
 	echo $$n; \
 	if [ $$n -gt $(LOC_MAX) ]; then echo "non-test Go lines $$n > LOC_MAX $(LOC_MAX)" >&2; exit 1; fi
 

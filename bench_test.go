@@ -132,20 +132,31 @@ func benchValues(n int) []int64 {
 
 // BenchmarkAblationKernels compares the predicated scan and crack
 // kernels against their branching counterparts — the choice the paper
-// justifies by citing Ross (2002).
+// justifies by citing Ross (2002). The scan runs at three selectivities
+// on three kernels: SumRange ("vector": its AVX2 form where the CPU has
+// one, else the Go loop), the Go loop alone ("predicated") and the
+// branching loop. Only the branching one's time should move with the
+// selectivity.
 func BenchmarkAblationKernels(b *testing.B) {
 	vals := benchValues(1 << 20)
 	n := int64(len(vals))
-	b.Run("scan/predicated", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			benchSink = column.SumRange(vals, n/4, 3*n/4)
+	for _, sel := range []struct {
+		name       string
+		perMillion int64
+	}{{"0.1%", 1_000}, {"10%", 100_000}, {"90%", 900_000}} {
+		lo := (n - n*sel.perMillion/1_000_000) / 2
+		hi := lo + n*sel.perMillion/1_000_000 - 1
+		for _, k := range []struct {
+			name string
+			scan func([]int64, int64, int64) column.Result
+		}{{"vector", column.SumRange}, {"predicated", column.SumRangeScalar}, {"branching", column.SumRangeBranching}} {
+			b.Run("scan/"+k.name+"/sel="+sel.name, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					benchSink = k.scan(vals, lo, hi)
+				}
+			})
 		}
-	})
-	b.Run("scan/branching", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			benchSink = column.SumRangeBranching(vals, n/4, 3*n/4)
-		}
-	})
+	}
 	for _, k := range []cracking.Kernel{cracking.KernelBranching, cracking.KernelPredicated, cracking.KernelAdaptive} {
 		b.Run("crack/"+k.String(), func(b *testing.B) {
 			work := make([]int64, len(vals))

@@ -210,15 +210,6 @@ func (t *Tree) sumRows(from, to int) int64 {
 	return sum
 }
 
-// sumOf is the wrapping sum of vals.
-func sumOf(vals []int64) int64 {
-	var sum int64
-	for _, v := range vals {
-		sum += v
-	}
-	return sum
-}
-
 // Builder constructs a Tree incrementally, a budgeted number of leaf
 // blocks at a time.
 type Builder struct {
@@ -301,7 +292,8 @@ func (b *Builder) Step(pool *parallel.Pool, blocks int) int {
 		b.keys[k] = level
 	}
 	for j := len(b.cum); j < cap(b.cum) && j*b.fanout <= end; j++ {
-		b.cum = append(b.cum, b.cum[j-1]+sumOf(b.sorted[(j-1)*b.fanout:j*b.fanout]))
+		run := b.sorted[(j-1)*b.fanout : j*b.fanout]
+		b.cum = append(b.cum, b.cum[j-1]+column.SumRange(run, run[0], run[len(run)-1]).Sum)
 	}
 	return end - start
 }

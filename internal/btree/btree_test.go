@@ -243,6 +243,16 @@ func TestDuplicateHeavyKeys(t *testing.T) {
 	}
 }
 
+// sumOf is the wrapping sum of vals, the plain loop the prefix sums are
+// held to.
+func sumOf(vals []int64) int64 {
+	var sum int64
+	for _, v := range vals {
+		sum += v
+	}
+	return sum
+}
+
 // checkAggRange holds AggRange with every aggregate to the branching
 // oracle over the same (sorted) values, and the read count to its bound:
 // nothing without a SUM, the run when it is shorter than a node, fewer

@@ -16,7 +16,13 @@ import (
 	"errors"
 	"fmt"
 	"math"
+
+	"repro/internal/cpuid"
 )
+
+// vector is true where SumRange runs the AVX2 kernel (sum_amd64.s),
+// decided once at start-up; the tests turn it off to run the Go loops.
+var vector = cpuid.AVX2
 
 // Result is the answer to an aggregate range query. Count is carried
 // alongside Sum because several tests and the harness use it to verify
@@ -264,8 +270,26 @@ func within(v, lo int64, span uint64) int64 {
 // a branch-free kernel: per element it derives a 0/1 match (within) and
 // accumulates sum += v & -match. This is the Go rendering of the
 // predication technique the paper relies on for robust,
-// selectivity-independent scan cost.
+// selectivity-independent scan cost. Where the CPU has AVX2 the rows up
+// to the last multiple of 8 take the vector form of the same test
+// (sumRangeAVX2), and the rest SumRangeScalar.
 func SumRange(values []int64, lo, hi int64) Result {
+	if lo > hi {
+		return Result{}
+	}
+	var r Result
+	if n := len(values) &^ 7; vector && n > 0 {
+		sum, miss := sumRangeAVX2(values[:n], lo, uint64(hi-lo))
+		r, values = Result{Sum: sum, Count: int64(n) - miss}, values[n:]
+	}
+	t := SumRangeScalar(values, lo, hi)
+	return Result{Sum: r.Sum + t.Sum, Count: r.Count + t.Count}
+}
+
+// SumRangeScalar is SumRange's Go loop alone: what every CPU without
+// AVX2 runs, the vector kernel's reference in the tests and the scalar
+// rung of the kernel ablation benchmark.
+func SumRangeScalar(values []int64, lo, hi int64) Result {
 	if lo > hi {
 		return Result{}
 	}
@@ -352,7 +376,8 @@ func AggRangeBranching(values []int64, lo, hi int64) Agg {
 // AggSorted computes the requested aggregates over a fully sorted slice.
 // The matching run is found by binary search; COUNT, MIN and MAX then
 // cost O(1), and the O(matches) pass is paid only when a SUM (or AVG)
-// was requested.
+// was requested: SumRange's, whose bounds the run's own extrema make
+// match every row.
 func AggSorted(sorted []int64, lo, hi int64, aggs Aggregates) Agg {
 	a := NewAgg()
 	i := lowerBound(sorted, lo)
@@ -364,11 +389,8 @@ func AggSorted(sorted []int64, lo, hi int64, aggs Aggregates) Agg {
 	a.Min = sorted[i]
 	a.Max = sorted[j-1]
 	if aggs.NeedsSum() {
-		var sum int64
-		for _, v := range sorted[i:j] {
-			sum += v
-		}
-		a.Sum = sum
+		// Every row of the run lies between its first and its last.
+		a.Sum = SumRange(sorted[i:j], a.Min, a.Max).Sum
 	}
 	return a
 }

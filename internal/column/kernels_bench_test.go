@@ -29,12 +29,22 @@ func benchInput() []int64 {
 
 var benchSink Agg
 
+// BenchmarkSumRange is the scan kernel on each path at two sizes: all
+// 4M rows, and their first 16K (128 KiB), which stay in the caches from
+// one iteration to the next, so the kernel's own cost shows.
 func BenchmarkSumRange(b *testing.B) {
 	vals := benchInput()
-	b.SetBytes(8 * benchN)
-	for i := 0; i < b.N; i++ {
-		r := SumRange(vals, benchN/4, 3*benchN/4)
-		benchSink.Sum = r.Sum
+	for _, n := range []struct {
+		name string
+		rows int
+	}{{"16K", 1 << 14}, {"4M", benchN}} {
+		benchPaths(b, n.name, func(b *testing.B) {
+			b.SetBytes(int64(8 * n.rows))
+			for i := 0; i < b.N; i++ {
+				r := SumRange(vals[:n.rows], benchN/4, 3*benchN/4)
+				benchSink.Sum = r.Sum
+			}
+		})
 	}
 }
 

@@ -3,7 +3,14 @@ package core
 import (
 	"math/bits"
 	"slices"
+
+	"repro/internal/cpuid"
 )
+
+// vector is true where the partition classifies its blocks with the
+// AVX2 kernels (misplaced_amd64.s), decided once at start-up; the tests
+// turn it off to run the Go loops.
+var vector = cpuid.AVX2
 
 // This file holds the inner loops creation and refinement spend their
 // budget in: the leaf sort, the pivot partition and PB's separator
@@ -149,13 +156,31 @@ func partition(arr []int64, pivot int64, pl, pr, budget int) (int, int, int) {
 
 // misplacedLeft writes to off the offsets, from the front of blk, of its
 // elements > pivot and returns how many there are; misplacedRight the
-// offsets, from the back of blk, of its elements <= pivot. Every offset
-// is written and the count moves on only past the ones that stay (n <= i,
-// so the mask only spares the bounds check). Not inlined: inside
-// partition the counter spills to the stack on every element.
+// offsets, from the back of blk, of its elements <= pivot. Only the
+// first n bytes of off are defined. Where the CPU has AVX2 the vector
+// kernels classify four elements to a compare; elsewhere the Go loops
+// below do, and they are the kernels' reference in the tests.
+func misplacedLeft(blk []int64, pivot int64, off *[partBlock]uint8) int {
+	if vector {
+		return misplacedLeftAVX2((*[partBlock]int64)(blk), pivot, off)
+	}
+	return misplacedLeftGo(blk, pivot, off)
+}
+
+func misplacedRight(blk []int64, pivot int64, off *[partBlock]uint8) int {
+	if vector {
+		return misplacedRightAVX2((*[partBlock]int64)(blk), pivot, off)
+	}
+	return misplacedRightGo(blk, pivot, off)
+}
+
+// misplacedLeftGo and misplacedRightGo write every offset and move the
+// count on only past the ones that stay (n <= i, so the mask only spares
+// the bounds check). Not inlined: inside partition the counter spills
+// to the stack on every element.
 //
 //go:noinline
-func misplacedLeft(blk []int64, pivot int64, off *[partBlock]uint8) int {
+func misplacedLeftGo(blk []int64, pivot int64, off *[partBlock]uint8) int {
 	n := 0
 	for i, v := range blk[:partBlock] {
 		off[n&(partBlock-1)] = uint8(i)
@@ -165,7 +190,7 @@ func misplacedLeft(blk []int64, pivot int64, off *[partBlock]uint8) int {
 }
 
 //go:noinline
-func misplacedRight(blk []int64, pivot int64, off *[partBlock]uint8) int {
+func misplacedRightGo(blk []int64, pivot int64, off *[partBlock]uint8) int {
 	n := 0
 	blk = blk[:partBlock]
 	for i := partBlock - 1; i >= 0; i-- {

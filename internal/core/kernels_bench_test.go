@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+	"time"
 
 	"repro/internal/column"
 	"repro/internal/query"
@@ -39,25 +40,82 @@ func BenchmarkLeafSort(b *testing.B) {
 	}
 }
 
+// BenchmarkPartition is one partition of a whole array around its
+// median, at 16K elements (128 KiB, in the caches from one iteration to
+// the next) and at 1M; "blocked" is partition on each path of its
+// block classification.
 func BenchmarkPartition(b *testing.B) {
-	const n = 1 << 20
 	rng := rand.New(rand.NewSource(1))
-	src := make([]int64, n)
-	for i := range src {
-		src[i] = rng.Int63n(n)
-	}
-	a := make([]int64, n)
-	for name, step := range map[string]func([]int64, int64, int, int, int) (int, int, int){
-		"copyOnly": func(_ []int64, _ int64, pl, pr, budget int) (int, int, int) { return pl, pr, budget },
-		"scalar":   partitionScalar,
-		"blocked":  partition,
-	} {
-		b.Run(name, func(b *testing.B) {
-			b.SetBytes(8 * n)
-			for i := 0; i < b.N; i++ {
-				copy(a, src)
-				step(a, n/2, 0, n-1, n)
+	for _, n := range []struct {
+		name string
+		rows int
+	}{{"16K", 1 << 14}, {"1M", 1 << 20}} {
+		src := make([]int64, n.rows)
+		for i := range src {
+			src[i] = rng.Int63n(int64(n.rows))
+		}
+		a := make([]int64, n.rows)
+		run := func(step func([]int64, int64, int, int, int) (int, int, int)) func(*testing.B) {
+			return func(b *testing.B) {
+				b.SetBytes(int64(8 * n.rows))
+				for i := 0; i < b.N; i++ {
+					copy(a, src)
+					step(a, int64(n.rows/2), 0, n.rows-1, n.rows)
+				}
 			}
+		}
+		b.Run(n.name+"/copyOnly", run(func(_ []int64, _ int64, pl, pr, budget int) (int, int, int) { return pl, pr, budget }))
+		b.Run(n.name+"/scalar", run(partitionScalar))
+		benchPaths(b, n.name+"/blocked", run(partition))
+	}
+}
+
+// BenchmarkCreationStep is one creation step of each strategy, the
+// second on a fresh index (the first allocates): a δ = 0.25 step over
+// 4M uniform rows with the SUM of a 10 % range, on one worker. Beside
+// its ns per created row it reports SumRange's ns per row over the same
+// rows with the same predicate, and their ratio, the price of a created
+// row in scanned rows: a cheaper scan raises it though creation costs
+// what it did.
+func BenchmarkCreationStep(b *testing.B) {
+	const n = 4 << 20
+	rng := rand.New(rand.NewSource(1))
+	vals := make([]int64, n)
+	for i := range vals {
+		vals[i] = rng.Int63n(n)
+	}
+	col := column.MustNew(vals)
+	const lo, hi, units = n / 2, n/2 + n/10, n / 4
+	cfg := Config{Mode: FixedDelta, Delta: 0.25, Workers: 1}
+	for _, s := range []struct {
+		name string
+		mk   func() algorithm
+	}{
+		{"PQ", func() algorithm { return NewQuicksort(col, cfg) }},
+		{"PMSD", func() algorithm { return NewRadixMSD(col, cfg) }},
+		{"PB", func() algorithm { return NewBucketsort(col, cfg) }},
+		{"PLSD", func() algorithm { return NewRadixLSD(col, cfg) }},
+	} {
+		b.Run(s.name, func(b *testing.B) {
+			var created, scan time.Duration
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				idx := s.mk()
+				idx.(query.Index).Execute(query.Request{Pred: query.Range(lo, hi), Aggs: column.AggSum})
+				t0 := time.Now()
+				calSink = column.SumRange(vals[units:2*units], lo, hi).Sum
+				scan += time.Since(t0)
+				b.StartTimer()
+				t0 = time.Now()
+				if _, did := idx.create(units, lo, hi, column.AggSum); did != units {
+					b.Fatalf("%s created %d rows, want %d", s.name, did, units)
+				}
+				created += time.Since(t0)
+			}
+			perRow := func(d time.Duration) float64 { return float64(d.Nanoseconds()) / float64(b.N*units) }
+			b.ReportMetric(perRow(created), "create-ns/row")
+			b.ReportMetric(perRow(scan), "scan-ns/row")
+			b.ReportMetric(float64(created)/float64(scan), "create/scan")
 		})
 	}
 }
