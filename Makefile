@@ -17,7 +17,7 @@ race:
 # repeats these tests (race-repeat). race-list fails when go test -list
 # finds fewer of them than RACE_REPEAT names: a renamed or deleted test
 # cannot silently drop out of the repetition.
-RACE_REPEAT = TestShardedObserversRaceClaimsAndMerges|TestReaderOnPreMergeViewKeepsItsAnswer|TestReadersRaceSettle|TestSealRacesSettle|TestColumnsStayInLockstep|TestLeaderCarriesBudgetOnDirectRoute|TestQuiescentRouteRaces|TestCaptureRacesAppends
+RACE_REPEAT = TestShardedObserversRaceClaimsAndMerges|TestReaderOnPreMergeViewKeepsItsAnswer|TestReadersRaceSettle|TestSealRacesSettle|TestColumnsStayInLockstep|TestLeaderCarriesBudgetOnDirectRoute|TestCaptureRacesAppends|TestServedHistory
 RACE_REPEAT_PKGS = . ./internal/shard ./internal/plan ./internal/server ./internal/catalog
 race-list:
 	@want=$$(echo '$(RACE_REPEAT)' | tr '|' '\n' | wc -l); \
@@ -38,11 +38,15 @@ procs:
 	@for p in 1 4 8 16; do echo "GOMAXPROCS=$$p"; GOMAXPROCS=$$p $(GO) test -count=1 ./... || exit 1; done
 
 # The served table's model test over every combination of its axes
-# (strategy, loaded shards, encoding, schema, workers: 216 seeds); plain
-# test runs its tier-1 seeds only. Replay one seed N with
+# (strategy, loaded shards, encoding, schema, workers: 216 seeds), and
+# the served daemon's concurrent history checker over every combination
+# of its own (strategy, loaded shards, encoding, schema, clients: 96
+# seeds); plain test runs their tier-1 seeds only. Replay one seed N with
 # go test -run 'TestServedModel/seed=N$$' ./internal/catalog -model.seeds=216
+# go test -run 'TestServedHistory/seed=N$$' ./internal/server -history.seeds=96
 model:
 	$(GO) test -count=1 -run '^TestServedModel$$' ./internal/catalog -model.seeds=216
+	$(GO) test -count=1 -run '^TestServedHistory$$' ./internal/server -history.seeds=96
 
 # One kernel's ns/op: every benchmark of the six packages CI's bench
 # smoke runs once. For one of them, e.g.
@@ -98,7 +102,10 @@ vet:
 # classification (a perf feature) raised it from 20 065 by its net, +321:
 # their assembly (counted from here on) and start-up CPU check in, the
 # sorted-run SUM loops of column and btree out.
-LOC_MAX ?= 20386
+# A snapshot reader that divides its row count instead of multiplying
+# it (+1) and a batch on a converged table that flushes its tail (+13,
+# shard.Sharded.Refinable) raised it from 20 386 by their net, +14.
+LOC_MAX ?= 20400
 loc:
 	@n=$$(find . \( -name '*.go' -o -name '*.s' \) -not -name '*_test.go' -not -path './benchmark/*' -not -path './.bench_build/*' -print0 | xargs -0 cat | wc -l); \
 	echo $$n; \

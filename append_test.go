@@ -2,13 +2,10 @@ package progidx
 
 import (
 	"math/rand"
-	"sync"
 	"testing"
 
 	"repro/internal/column"
-	"repro/internal/oracle"
 	"repro/internal/plan"
-	"repro/internal/query"
 	"repro/internal/shard"
 )
 
@@ -140,100 +137,6 @@ func TestShardedAppendPruningZeroWork(t *testing.T) {
 	// Its own idle slices come on top of the ones it carries.
 	if got.Refines <= carriedRefines {
 		t.Fatalf("merged refines = %d, want more than the carried %d", got.Refines, carriedRefines)
-	}
-}
-
-// TestAppendConcurrentWithQueries runs ingestion against concurrent
-// readers on both handle flavors. The loaded rows and the appended
-// rows live in disjoint value ranges, so readers can assert exact
-// answers over the loaded domain at any moment — the invariant the
-// -race CI job patrols for torn state — and the final grown column is
-// checked exactly once ingestion quiesces.
-func TestAppendConcurrentWithQueries(t *testing.T) {
-	const (
-		n        = 2000
-		writers  = 2
-		batches  = 25
-		batchLen = 20
-		readers  = 4
-		queries  = 150
-	)
-	for _, shards := range []int{1, 3} {
-		vals := make([]int64, n)
-		for i := range vals {
-			vals[i] = int64(i)
-		}
-		h := appendHandle(t, vals, plan.Options{Strategy: StrategyQuicksort, Delta: 0.3, Shards: shards})
-		wantLoaded := oracle.Agg(vals, Range(0, n-1))
-
-		var wg sync.WaitGroup
-		for w := 0; w < writers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				base := int64(1_000_000 * (w + 1))
-				for b := 0; b < batches; b++ {
-					batch := make([]int64, batchLen)
-					for i := range batch {
-						batch[i] = base + int64(b*batchLen+i)
-					}
-					if err := h.Append(batch); err != nil {
-						t.Errorf("writer %d: %v", w, err)
-						return
-					}
-				}
-			}(w)
-		}
-		for r := 0; r < readers; r++ {
-			wg.Add(1)
-			go func(r int) {
-				defer wg.Done()
-				rng := rand.New(rand.NewSource(int64(r) * 77))
-				for q := 0; q < queries; q++ {
-					switch rng.Intn(3) {
-					case 0:
-						// Loaded-domain range: invariant under appends.
-						ans, err := h.Execute(Request{Pred: Range(0, n-1), Aggs: AllAggregates})
-						if err != nil || ans.Sum != wantLoaded.Sum || ans.Count != wantLoaded.Count {
-							t.Errorf("reader %d: loaded domain %+v, %v", r, ans, err)
-							return
-						}
-					case 1:
-						// Append-domain probe: answer varies with timing;
-						// executed for race coverage.
-						if _, err := h.Execute(Request{Pred: AtLeast(1_000_000)}); err != nil {
-							t.Errorf("reader %d: %v", r, err)
-							return
-						}
-					default:
-						// The scheduler's entry point, racing the appends.
-						if _, errs := executeBatch(h, []Request{{Pred: Range(0, 100)}}, query.BatchOpts{}); errs[0] != nil {
-							t.Errorf("reader %d: %v", r, errs[0])
-							return
-						}
-					}
-				}
-			}(r)
-		}
-		wg.Wait()
-		if t.Failed() {
-			return
-		}
-		// Quiesced: the grown column must answer exactly.
-		logical := append([]int64(nil), vals...)
-		for w := 0; w < writers; w++ {
-			base := int64(1_000_000 * (w + 1))
-			for i := 0; i < batches*batchLen; i++ {
-				logical = append(logical, base+int64(i))
-			}
-		}
-		for _, p := range []Predicate{Range(0, 5_000_000), AtLeast(1_000_000), Point(1_000_005), Range(0, n-1)} {
-			ans, err := h.Execute(Request{Pred: p, Aggs: AllAggregates})
-			if err != nil {
-				t.Fatal(err)
-			}
-			checkAnswer(t, h.Name(), p, AllAggregates, ans, oracle.Agg(logical, p))
-		}
 	}
 }
 

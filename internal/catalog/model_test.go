@@ -123,6 +123,7 @@ type model struct {
 	floor      float64 // the newest checkpoint's progress
 
 	seen     []uint64 // the next event seq to count, per timeline
+	flushDue bool     // the running step's first batch must flush the tail
 	ev       modelEvents
 	stepEv   modelEvents // events of the running step
 	progress float64
@@ -306,6 +307,7 @@ func (m *model) exec(s step) error {
 	h := m.tbl.Handle()
 	switch s.kind {
 	case stepQuery:
+		m.dueFlush()
 		n := 1 + rng.Intn(6)
 		m.logf("query ×%d", n)
 		for i := 0; i < n; i++ {
@@ -327,6 +329,7 @@ func (m *model) exec(s step) error {
 			return m.checkConj(c, got, err)
 		}
 		m.logf("conj %s", c)
+		m.dueFlush()
 		got, err := h.ExecuteConj(c)
 		return m.checkConj(c, got, err)
 	case stepBatch:
@@ -336,6 +339,9 @@ func (m *model) exec(s step) error {
 		}
 		clamp := rng.Intn(3) == 0
 		m.logf("batch of %d, clamp=%v", len(conjs), clamp)
+		if !clamp {
+			m.dueFlush()
+		}
 		before := h.Progress()
 		answers, errs := h.ExecuteConjBatch(conjs, query.BatchOpts{Clamp: clamp})
 		for i, c := range conjs {
@@ -542,6 +548,20 @@ func (m *model) events() {
 	}
 }
 
+// dueFlush notes, before a step's first unclamped batch, whether that
+// batch must flush the tail: on a one-column table whose shards have all
+// converged, pending rows leave the leader nothing to refine, so the
+// batch ends in the flush that seals them. A wider table's other columns
+// report no per-shard convergence, so there the model cannot tell a
+// column with shard work left from one with only a tail.
+func (m *model) dueFlush() {
+	h := m.tbl.Handle()
+	m.flushDue = m.k() == 1 && h.PendingRows() > 0
+	for _, inf := range h.ShardStats() {
+		m.flushDue = m.flushDue && inf.Converged
+	}
+}
+
 // check holds the invariants every step ends with.
 func (m *model) check(s step, rowsBefore int) error {
 	if m.tbl == nil {
@@ -570,6 +590,11 @@ func (m *model) check(s step, rowsBefore int) error {
 	if pending := h.PendingRows(); pending > 0 && (conv || p == 1) {
 		return fmt.Errorf("%d rows pending, yet converged=%v and progress %g", pending, conv, p)
 	}
+	// A claim gives the leader's column shard work of its own.
+	if due := m.flushDue && m.stepEv.claims == 0; due && h.PendingRows() > 0 {
+		return fmt.Errorf("a batch on a table whose shards had all converged left %d rows pending", h.PendingRows())
+	}
+	m.flushDue = false
 	same := s.kind != stepLoad && s.kind != stepKill && s.kind != stepTear && s.kind != stepDrop
 	excused := m.rows() != rowsBefore || m.stepEv.merges > 0 || m.stepEv.claims > 0
 	if same && !excused && p < m.progress {

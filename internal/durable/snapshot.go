@@ -248,8 +248,9 @@ func readSnapshot(path string, fs fault.FS) (snapshotMeta, []int64, error) {
 	default:
 		return meta, nil, fmt.Errorf("durable: snapshot %s unknown payload format %q", filepath.Base(path), meta.Payload)
 	}
-	if len(raw) != 8*meta.Rows {
-		return meta, nil, fmt.Errorf("durable: snapshot %s has %d value bytes, want %d", filepath.Base(path), len(raw), 8*meta.Rows)
+	// Divided, not multiplied: 8×rows wraps for a huge or negative count.
+	if meta.Rows < 0 || len(raw)%8 != 0 || len(raw)/8 != meta.Rows {
+		return meta, nil, fmt.Errorf("durable: snapshot %s has %d value bytes for %d rows", filepath.Base(path), len(raw), meta.Rows)
 	}
 	values := make([]int64, meta.Rows)
 	for i := range values {

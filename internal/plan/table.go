@@ -398,12 +398,13 @@ func (t *Table) executeBatch(conjs []query.Conjunction, opts query.BatchOpts, an
 			t.sink.Load().Record(obs.EvShardClaim, int32(i), float64(rows), 0)
 		}
 	}
-	if led >= 0 && !t.cols[led].idx.Converged() {
+	if led >= 0 && t.cols[led].idx.Refinable() {
 		t.granted(led)
 		return
 	}
-	// Nobody carried the δ, or the leader's column had no use for it: the
-	// slice goes where RefineStep sends it, on the leader's account.
+	// Nobody carried the δ, or the leader's column had no shard left to
+	// spend it on — at most a pending tail, which only a flush absorbs:
+	// the slice goes where RefineStep sends it, on the leader's account.
 	st, _ := t.RefineStep()
 	answers[0].Stats.Delta += st.Delta
 	answers[0].Stats.WorkSeconds += st.WorkSeconds

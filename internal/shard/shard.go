@@ -1154,6 +1154,18 @@ func (s *Sharded) RefineShard() (query.Stats, bool) {
 	return ans.Stats, true
 }
 
+// Refinable reports whether RefineShard has a shard to refine: one
+// whose index has not converged. Rows pending in the tail are not such
+// work; only a flush (FlushTail) absorbs them.
+func (s *Sharded) Refinable() bool {
+	for _, st := range s.cur.Load().shards {
+		if !st.converged.Load() {
+			return true
+		}
+	}
+	return false
+}
+
 // FlushTail seals the current pending tail regardless of the size
 // threshold, merged into the small tail-born shards before it
 // (sealLocked): the idle-time ingestion drain, by which a quiet table

@@ -3,7 +3,6 @@ package progidx
 import (
 	"math/rand"
 	"runtime"
-	"sync"
 	"testing"
 	"time"
 
@@ -157,83 +156,6 @@ func TestShardedHeatDrivenConvergence(t *testing.T) {
 			t.Errorf("untouched shard %d executed %d times", i, stats[i].Executes)
 		}
 	}
-}
-
-// TestShardedConcurrentReads hammers one sharded index from many
-// goroutines through the whole lifecycle (the -race acceptance
-// criterion): every answer must be exact, concurrently with idle
-// refinement driving the shards to convergence.
-func TestShardedConcurrentReads(t *testing.T) {
-	vals := testColumn(20000, 27)
-	sh := newColumn(t, vals, plan.Options{Strategy: StrategyRadixMSD, Delta: 0.3, Shards: 8})
-	var wg sync.WaitGroup
-	errs := make(chan string, 64)
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed))
-			for q := 0; q < 50; q++ {
-				lo := rng.Int63n(8000) - 4000
-				p := Range(lo, lo+rng.Int63n(2000))
-				ans, err := sh.Execute(Request{Pred: p, Aggs: AllAggregates})
-				want := oracle.Agg(vals, p)
-				if err != nil || ans.Count != want.Count || ans.Sum != want.Sum ||
-					(want.Count > 0 && (ans.Min != want.Min || ans.Max != want.Max)) {
-					select {
-					case errs <- p.String():
-					default:
-					}
-					return
-				}
-			}
-		}(int64(g))
-	}
-	// A refiner goroutine runs concurrently, like the serving layer's
-	// idle loop racing client queries.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 300; i++ {
-			if _, done := sh.RefineStep(); done {
-				return
-			}
-		}
-	}()
-	wg.Wait()
-	close(errs)
-	if p, bad := <-errs; bad {
-		t.Fatalf("concurrent sharded read returned a wrong answer for %s", p)
-	}
-	// Drive to convergence and re-verify the shared read path.
-	for i := 0; i < 5000 && !sh.Converged(); i++ {
-		sh.RefineStep()
-	}
-	if !sh.Converged() {
-		t.Fatal("sharded index did not converge")
-	}
-	var wg2 sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg2.Add(1)
-		go func(seed int64) {
-			defer wg2.Done()
-			rng := rand.New(rand.NewSource(seed))
-			for q := 0; q < 50; q++ {
-				lo := rng.Int63n(8000) - 4000
-				p := Range(lo, lo+rng.Int63n(2000))
-				ans, err := sh.Execute(Request{Pred: p})
-				want := oracle.Agg(vals, p)
-				if err != nil || ans.Count != want.Count || ans.Sum != want.Sum {
-					select {
-					case errs <- p.String():
-					default:
-					}
-					return
-				}
-			}
-		}(int64(g))
-	}
-	wg2.Wait()
 }
 
 // TestShardedHandleSurface pins the scheduler-facing odds and ends:
