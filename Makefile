@@ -17,7 +17,7 @@ race:
 # repeats these tests (race-repeat). race-list fails when go test -list
 # finds fewer of them than RACE_REPEAT names: a renamed or deleted test
 # cannot silently drop out of the repetition.
-RACE_REPEAT = TestShardedObserversRaceClaimsAndMerges|TestReaderOnPreMergeViewKeepsItsAnswer|TestReadersRaceSettle|TestSealRacesSettle|TestColumnsStayInLockstep|TestLeaderCarriesBudgetOnDirectRoute|TestCaptureRacesAppends|TestServedHistory
+RACE_REPEAT = TestShardedObserversRaceClaimsAndMerges|TestReaderOnPreMergeViewKeepsItsAnswer|TestReadersRaceSettle|TestSealRacesSettle|TestColumnsStayInLockstep|TestLeaderCarriesBudgetOnDirectRoute|TestQuiescentRouteRaces|TestCaptureRacesAppends|TestServedHistory
 RACE_REPEAT_PKGS = . ./internal/shard ./internal/plan ./internal/server ./internal/catalog
 race-list:
 	@want=$$(echo '$(RACE_REPEAT)' | tr '|' '\n' | wc -l); \

@@ -181,15 +181,15 @@ func (fs *syncedFS) track(f fault.File, err error) (fault.File, error) {
 	if err != nil {
 		return nil, err
 	}
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	if _, ok := fs.synced[f.Name()]; !ok {
-		st, err := os.Stat(f.Name())
-		if err != nil {
-			return nil, err
-		}
-		fs.synced[f.Name()] = st.Size() // what an earlier life left is on disk
+	st, err := os.Stat(f.Name())
+	if err != nil {
+		return nil, err
 	}
+	// What an earlier life left is on disk; a file created now, under a
+	// name a dropped table's file once had, starts empty.
+	fs.mu.Lock()
+	fs.synced[f.Name()] = st.Size()
+	fs.mu.Unlock()
 	return &syncedFile{f, fs}, nil
 }
 
