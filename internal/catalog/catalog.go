@@ -8,6 +8,7 @@
 package catalog
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -139,11 +140,14 @@ type Table struct {
 	log          *durable.TableLog
 	snapProgress atomic.Uint64
 
-	// ingest orders a batch's rows against its WAL frame: Append holds it
-	// across both writes and CaptureCheckpoint across its reads, so a
-	// capture's rows are exactly the frames through its Seq wherever it
-	// runs. Taken before the handle's own lock.
+	// ingest orders a batch's rows against its WAL frame: Append, SyncLog
+	// and RollbackLog hold it across their writes and CaptureCheckpoint
+	// across its reads, so a capture's rows are exactly the frames through
+	// its Seq wherever it runs. Taken before the handle's own lock.
+	// staged holds the rows of the frames logged since the last SyncLog,
+	// one batch a frame, which no query sees.
 	ingest sync.Mutex
+	staged [][]int64
 
 	// rows mirrors the logical row count (loaded + appended); atomic so
 	// Info snapshots never race the handle-locked column growth.
@@ -199,56 +203,50 @@ func (t *Table) Handle() *plan.Table { return t.idx }
 // single-column tables).
 func (t *Table) Planned() (*plan.Table, bool) { return t.idx, t.RowWidth() > 1 }
 
-// MinValue bounds the (first) column's value domain from below, from
-// the index handle's zone statistics, which Append widens under the
-// handle's own synchronization.
-func (t *Table) MinValue() int64 {
-	mn, _ := t.idx.ValueBounds()
-	return mn
-}
+// ErrLogWrite marks an append whose WAL frame could not be written:
+// nothing of the batch is logged or visible, so the client may retry it.
+var ErrLogWrite = errors.New("catalog: WAL write failed")
 
-// MaxValue returns the (first) column's maximum value.
-func (t *Table) MaxValue() int64 {
-	_, mx := t.idx.ValueBounds()
-	return mx
-}
-
-// Append ingests values at the tail of the table through the index
-// handle: the rows are visible to every query admitted after Append
-// returns, and the index absorbs them progressively under its normal
-// per-query budget (pending-tail scan, sealed into a shard at the
-// threshold or in idle time). On a multi-column table the
-// values are flat row-major tuples and their length must be a multiple
-// of the row width. Appending to a table that is not ready fails
-// cleanly.
+// Append ingests values, flat row-major tuples on a multi-column table,
+// at the tail of the table. The batch is checked whole first
+// (plan.Table.CheckAppend), so a refused one leaves no trace. A durable
+// table logs it and stages it out of every query's sight until SyncLog
+// publishes it (values must not change before then); an ephemeral one
+// publishes at once. Published rows are visible to every query that
+// starts afterwards, and the index absorbs them under its normal
+// per-query budget. Appending to a table that is not ready fails.
 func (t *Table) Append(values []int64) error {
 	if t.Status() != StatusReady {
 		return fmt.Errorf("catalog: table %q not ready (%s)", t.name, t.Status())
 	}
-	k := t.RowWidth()
-	if len(values)%k != 0 {
-		return fmt.Errorf("catalog: append to %q: %d values not a multiple of row width %d", t.name, len(values), k)
+	if err := t.idx.CheckAppend(values); err != nil {
+		return fmt.Errorf("catalog: append to %q: %w", t.name, err)
+	}
+	if len(values) == 0 {
+		return nil
 	}
 	t.ingest.Lock()
 	defer t.ingest.Unlock()
+	if t.log == nil {
+		return t.publish(values)
+	}
+	if _, err := t.log.Append(values); err != nil {
+		return fmt.Errorf("%w: append to %q: %v", ErrLogWrite, t.name, err)
+	}
+	t.staged = append(t.staged, values)
+	return nil
+}
+
+// publish hands a checked batch to the index and counts it. Caller holds
+// ingest.
+func (t *Table) publish(values []int64) error {
 	if err := t.idx.Append(values); err != nil {
 		return fmt.Errorf("catalog: append to %q: %w", t.name, err)
 	}
-	if len(values) > 0 {
-		t.rows.Add(int64(len(values) / k))
-		t.appends.Add(1)
-		t.appendRows.Add(uint64(len(values) / k))
-	}
-	if t.log != nil && len(values) > 0 {
-		// Write-ahead-log the batch after the in-memory ingest so the
-		// counters above stay honest about what queries can see. On WAL
-		// failure the error keeps the append unacked: the rows are
-		// visible until the process dies, but the client retries — the
-		// same contract as a crash between ingest and sync.
-		if _, err := t.log.Append(values); err != nil {
-			return fmt.Errorf("catalog: append to %q not durable: %w", t.name, err)
-		}
-	}
+	n := len(values) / t.RowWidth()
+	t.rows.Add(int64(n))
+	t.appends.Add(1)
+	t.appendRows.Add(uint64(n))
 	return nil
 }
 

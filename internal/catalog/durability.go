@@ -84,18 +84,40 @@ func NewDurable(store *durable.Store) *Catalog {
 	return c
 }
 
-// Durable reports whether the table write-ahead-logs its appends.
-func (t *Table) Durable() bool { return t.log != nil }
-
-// SyncLog flushes the table's WAL to stable storage. The scheduler
-// calls this once per batch, after applying the batch's appends and
-// before acking any of them — the ack-after-WAL ordering that makes an
-// acked append survive a crash. No-op on an ephemeral table.
+// SyncLog makes the staged batches' frames durable, then publishes
+// their rows. The scheduler calls it once per batch, before acking any
+// append, so an acked append survives a crash. On an error nothing is
+// published: the batches stay staged, for a retry or RollbackLog.
+// No-op on an ephemeral table.
 func (t *Table) SyncLog() error {
 	if t.log == nil {
 		return nil
 	}
-	return t.log.Sync()
+	t.ingest.Lock()
+	defer t.ingest.Unlock()
+	if err := t.log.Sync(); err != nil {
+		return err
+	}
+	for _, values := range t.staged {
+		if err := t.publish(values); err != nil {
+			return err
+		}
+	}
+	t.staged = nil
+	return nil
+}
+
+// RollbackLog gives up the staged batches: their frames are cut from the
+// WAL, so no recovery replays them, and their rows are dropped unseen.
+// The scheduler calls it when SyncLog keeps failing.
+func (t *Table) RollbackLog() {
+	if t.log == nil {
+		return
+	}
+	t.ingest.Lock()
+	defer t.ingest.Unlock()
+	t.log.Rollback()
+	t.staged = nil
 }
 
 // DurabilityInfo is the WAL/snapshot view of one table for /stats.
@@ -144,10 +166,11 @@ func (t *Table) snapProgressStore(p float64) {
 	t.snapProgress.Store(math.Float64bits(p))
 }
 
-// CaptureCheckpoint snapshots the table's durable state: rows as of
-// the newest WAL frame, plus the index-progress floor. It may run on
-// any goroutine: the ingest lock keeps appends out while it reads, so
-// the (rows, seq) pairing is exact. ok == false on an ephemeral table.
+// CaptureCheckpoint snapshots the table's durable state: the published
+// rows and the sequence number of the last frame they hold, plus the
+// index-progress floor. It may run on any goroutine: the ingest lock
+// keeps appends out while it reads, so the (rows, seq) pairing is
+// exact. ok == false on an ephemeral table.
 func (t *Table) CaptureCheckpoint() (durable.Checkpoint, bool) {
 	if t.log == nil {
 		return durable.Checkpoint{}, false
@@ -158,7 +181,7 @@ func (t *Table) CaptureCheckpoint() (durable.Checkpoint, bool) {
 	// seal or settle changes: the background write interleaves them a
 	// block at a time and never holds a copy of the table.
 	return durable.Checkpoint{
-		Seq:        t.log.LastSeq(),
+		Seq:        t.log.LastSeq() - uint64(len(t.staged)),
 		Rows:       t.idx.Snapshot(),
 		Progress:   t.idx.Progress(),
 		Converged:  t.idx.Converged(),
@@ -219,10 +242,7 @@ func (c *Catalog) LoadRecovered(rec durable.Recovered) (*Table, error) {
 		}
 		var tailRows uint64
 		for i, b := range rec.Batches {
-			if len(b)%k != 0 {
-				return fmt.Errorf("replay frame of %d values, not a multiple of row width %d", len(b), k)
-			}
-			if err := t.idx.Append(b); err != nil {
+			if err := t.idx.Append(b); err != nil { // refuses a ragged frame too
 				return fmt.Errorf("replay append: %w", err)
 			}
 			t.rows.Add(int64(len(b) / k))

@@ -94,9 +94,9 @@ func TestDurableDropRemovesOnDiskState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tbl2.Len() != 3 || tbl2.MinValue() != 10 || tbl2.MaxValue() != 30 {
+	if info := tbl2.Info(); tbl2.Len() != 3 || info.MinValue != 10 || info.MaxValue != 30 {
 		t.Fatalf("recreated table recovered %d rows [%d, %d], want the 3 new rows",
-			tbl2.Len(), tbl2.MinValue(), tbl2.MaxValue())
+			tbl2.Len(), info.MinValue, info.MaxValue)
 	}
 	if tbl2.Options().Strategy != progidx.StrategyQuicksort {
 		t.Fatalf("recreated table options = %+v", tbl2.Options())
@@ -395,5 +395,49 @@ func TestCaptureRacesAppends(t *testing.T) {
 					len(got), captures, len(logical), len(appended))
 			}
 		})
+	}
+}
+
+// TestOutOfDomainAppendWritesNoFrame: a durable table checks a batch
+// whole before it logs it, so a batch holding a value outside ±2^62 —
+// on a table of either row width — leaves the WAL as it was.
+func TestOutOfDomainAppendWritesNoFrame(t *testing.T) {
+	for _, cols := range [][]string{nil, {"a", "b"}} {
+		dir := t.TempDir()
+		k := max(len(cols), 1)
+		tbl, err := NewDurable(openStore(t, dir)).Load("t", data.Uniform(1000*k, 3), Options{Strategy: progidx.StrategyQuicksort, Columns: cols})
+		if err != nil {
+			t.Fatal(err)
+		}
+		good := data.Uniform(4*k, 5)
+		if err := tbl.Append(good); err != nil {
+			t.Fatal(err)
+		}
+		if err := tbl.SyncLog(); err != nil {
+			t.Fatal(err)
+		}
+		segs, _ := filepath.Glob(filepath.Join(dir, "tables", "*", "wal-*.seg"))
+		if len(segs) != 1 {
+			t.Fatalf("%d WAL segments after one append, want 1", len(segs))
+		}
+		before, err := os.Stat(segs[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, bad := range []int64{1 << 62, -(1 << 62)} {
+			batch := slices.Clone(good)
+			batch[len(batch)-1] = bad
+			if err := tbl.Append(batch); err == nil {
+				t.Fatalf("columns %q: append of %d accepted", cols, bad)
+			}
+		}
+		if err := tbl.SyncLog(); err != nil {
+			t.Fatal(err)
+		}
+		after, err := os.Stat(segs[0])
+		if d := tbl.Info().Durability; err != nil || after.Size() != before.Size() || d.TailFrames != 1 || tbl.Len() != 1004 {
+			t.Fatalf("columns %q: refused appends moved the log: segment %d → %d bytes (%v), %d frames, %d rows; want %d bytes, 1 frame, 1004 rows",
+				cols, before.Size(), after.Size(), err, d.TailFrames, tbl.Len(), before.Size())
+		}
 	}
 }

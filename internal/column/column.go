@@ -167,19 +167,8 @@ func New(values []int64) (*Column, error) {
 	if len(values) == 0 {
 		return nil, ErrEmpty
 	}
-	mn, mx := values[0], values[0]
-	for _, v := range values {
-		if v < mn {
-			mn = v
-		}
-		if v > mx {
-			mx = v
-		}
-	}
-	if mn <= -MaxMagnitude || mx >= MaxMagnitude {
-		return nil, fmt.Errorf("column: values must lie strictly inside ±2^62 (min=%d max=%d)", mn, mx)
-	}
-	return &Column{values: values, min: mn, max: mx}, nil
+	mn, mx := MinMax(values)
+	return NewWithStats(values, mn, mx)
 }
 
 // NewWithStats builds a column from values with caller-supplied zone

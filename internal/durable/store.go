@@ -444,57 +444,70 @@ func (t *TableLog) CoveredSeq() uint64 { return t.covered.Load() }
 // replay.
 func (t *TableLog) TailFrames() uint64 { return t.lastSeq.Load() - t.covered.Load() }
 
-// Append logs one append batch and returns its sequence number. Under
-// the always policy the frame is durable on return; under batch it is
-// durable after the next Sync.
+// Append logs one append batch and returns its sequence number. The
+// frame is pending until the next Sync; under the always policy Append
+// syncs it itself, and on a failed sync drops it again.
 func (t *TableLog) Append(values []int64) (uint64, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.closed {
 		return 0, fmt.Errorf("durable: table %q log closed", t.name)
 	}
-	// Under the always policy the append call carries its own fsync, so
-	// its duration is the WAL-durability latency the client waits on.
-	var start time.Time
-	if t.store.policy == SyncAlways {
-		start = time.Now()
-	}
 	seq, err := t.w.append(values)
+	if err == nil && t.store.policy == SyncAlways {
+		if err = t.sync(); err != nil {
+			t.w.rollback()
+		}
+	}
 	if err != nil {
 		return 0, err
 	}
 	t.lastSeq.Store(seq)
 	t.store.frames.Add(1)
-	if t.store.policy == SyncAlways {
-		t.store.syncs.Add(1)
-		t.store.observeSync(time.Since(start))
-	}
 	return seq, nil
 }
 
-// Sync makes every appended frame durable (no-op under always, which
-// already synced, and off). One call covers a whole scheduler batch.
+// Sync makes every pending frame durable (under off it only marks them
+// synced). One call covers a whole scheduler batch.
 func (t *TableLog) Sync() error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.closed {
 		return fmt.Errorf("durable: table %q log closed", t.name)
 	}
-	if t.store.policy != SyncBatch || !t.w.dirty {
+	return t.sync()
+}
+
+// sync is Sync under t.mu, counting and timing the fsync it issues.
+func (t *TableLog) sync() error {
+	if !t.w.pending() {
 		return nil
 	}
 	start := time.Now()
 	if err := t.w.sync(); err != nil {
 		return err
 	}
-	t.store.syncs.Add(1)
-	t.store.observeSync(time.Since(start))
+	if t.store.policy != SyncOff {
+		t.store.syncs.Add(1)
+		t.store.observeSync(time.Since(start))
+	}
 	return nil
 }
 
+// Rollback cuts the frames appended since the last successful Sync from
+// the log, so no recovery replays them; the next Append reuses the
+// first one's sequence number.
+func (t *TableLog) Rollback() {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.w.rollback()
+	t.lastSeq.Store(t.w.nextSeq - 1)
+}
+
 // Checkpoint is the captured state a snapshot serializes: the table's
-// rows as of WAL sequence Seq plus the index-progress floor. Captured
-// under the table's ingest lock, which keeps appends out so the row/seq
+// rows as of WAL sequence Seq plus the index-progress floor. Seq is the
+// last frame whose rows the table published, which frames still pending
+// may follow; captured under the table's ingest lock, so the row/seq
 // pairing is exact, and written by WriteCheckpoint after it is released.
 type Checkpoint struct {
 	Seq        uint64
@@ -529,8 +542,10 @@ func (t *TableLog) WriteCheckpoint(cp Checkpoint) error {
 	}
 	// Only roll when the active segment actually contains covered
 	// frames; otherwise (segment already starts past cp.Seq, or nothing
-	// was ever written) rolling would just create an empty orphan.
-	if t.w.f != nil && t.w.segStart <= cp.Seq {
+	// was ever written) rolling would just create an empty orphan. A
+	// segment with pending frames stays active, so that a rollback finds
+	// them all in it; a later checkpoint prunes it.
+	if t.w.f != nil && t.w.segStart <= cp.Seq && !t.w.pending() {
 		if err := t.w.roll(); err != nil {
 			t.mu.Unlock()
 			return err

@@ -2,6 +2,9 @@ package durable
 
 import (
 	"errors"
+	"os"
+	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/fault"
@@ -89,5 +92,108 @@ func TestTornAppendUnrepairableBreaksLog(t *testing.T) {
 		broken: errors.New("durable: WAL unwritable (test)")}
 	if _, err := w.append([]int64{1}); err == nil || err != w.broken {
 		t.Fatalf("append on broken log = %v, want the sticky poison error", err)
+	}
+}
+
+// TestRollbackDropsPendingFrames: the frames written since the last good
+// Sync, whose Sync then keeps failing, are cut from the segment by
+// Rollback: the next append reuses the first one's sequence number, and
+// recovery replays none of them.
+func TestRollbackDropsPendingFrames(t *testing.T) {
+	dir := t.TempDir()
+	// The first sync succeeds, every later one fails.
+	in := fault.NewInjector(1, fault.Rule{Op: fault.OpWALSync, Kind: fault.KindError, After: 1})
+	s, err := OpenFS(dir, SyncBatch, fault.Injecting(fault.OS(), in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	log, err := s.Create("demo", TableMeta{Strategy: "pq"}, 1, []int64{1, 2, 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := log.Append([]int64{10}); err != nil {
+		t.Fatal(err)
+	}
+	if err := log.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	seg := filepath.Join(log.dir, segmentName(1))
+	synced, err := os.Stat(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range [][]int64{{20, 21}, {30}} {
+		if _, err := log.Append(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for try := 0; try < 3; try++ {
+		if err := log.Sync(); err == nil {
+			t.Fatal("a sync under an injected failure succeeded")
+		}
+	}
+	log.Rollback()
+	if st, err := os.Stat(seg); err != nil || st.Size() != synced.Size() {
+		t.Fatalf("segment after rollback: %v %v, want %d bytes", st, err, synced.Size())
+	}
+	if log.LastSeq() != 1 || log.TailFrames() != 1 {
+		t.Fatalf("LastSeq %d, TailFrames %d after rollback; want 1, 1", log.LastSeq(), log.TailFrames())
+	}
+	if seq, err := log.Append([]int64{40}); err != nil || seq != 2 {
+		t.Fatalf("append after rollback = seq %d, %v; want 2", seq, err)
+	}
+	log.Rollback()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, err := Open(dir, SyncBatch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	rec := recoverOne(t, s2, "demo")
+	if rec.Repaired || len(rec.Batches) != 1 || !eq(rec.Batches[0], []int64{10}) {
+		t.Fatalf("recovered %v (repaired %v), want [[10]] alone", rec.Batches, rec.Repaired)
+	}
+	if seq, err := rec.Log.Append([]int64{50}); err != nil || seq != 2 {
+		t.Fatalf("append after recovery = seq %d, %v; want 2", seq, err)
+	}
+}
+
+// TestCheckpointKeepsPendingSegmentActive: a checkpoint written while a
+// frame is pending does not roll its segment, so a rollback still finds
+// every pending frame in the active segment; the next checkpoint with
+// nothing pending rolls and prunes it.
+func TestCheckpointKeepsPendingSegmentActive(t *testing.T) {
+	s := openTestStore(t, SyncBatch)
+	log, err := s.Create("t", TableMeta{Strategy: "pq"}, 1, []int64{1, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	log.Append([]int64{3})
+	if err := log.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	log.Append([]int64{4}) // pending
+	if err := log.WriteCheckpoint(Checkpoint{Seq: 1, Rows: Values{1, 2, 3}}); err != nil {
+		t.Fatal(err)
+	}
+	if starts, err := listSegments(log.dir); err != nil || !slices.Equal(starts, []uint64{1}) || log.w.segStart != 1 {
+		t.Fatalf("segments %v (%v), active from %d after a checkpoint over a pending frame; want [1], active", starts, err, log.w.segStart)
+	}
+	log.Rollback()
+	if log.LastSeq() != 1 {
+		t.Fatalf("LastSeq after rollback = %d, want 1", log.LastSeq())
+	}
+	log.Append([]int64{5})
+	if err := log.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if err := log.WriteCheckpoint(Checkpoint{Seq: 2, Rows: Values{1, 2, 3, 5}}); err != nil {
+		t.Fatal(err)
+	}
+	if starts, err := listSegments(log.dir); err != nil || !slices.Equal(starts, []uint64{3}) {
+		t.Fatalf("segments %v (%v) after a checkpoint with nothing pending; want [3]", starts, err)
 	}
 }

@@ -17,13 +17,18 @@
 //     temp + fsync + rename protocol, after which the WAL segments the
 //     snapshot covers are deleted (store.go).
 //
+// The log is written first: the caller publishes a batch's rows only
+// once Sync made its frames durable. Frames written since the last Sync
+// are pending, all in the active segment (no checkpoint rolls it while
+// one is), so Rollback cuts a failed batch away in one truncation.
+//
 // Recovery (store.go) reads the newest snapshot that passes its
 // checksum and replays only the frames with a higher sequence number,
 // in order; a torn or corrupt tail frame — the signature of a crash
 // mid-write — is detected by the CRC and cleanly truncated away, so the
 // log always reopens at the last fully durable frame. Acked appends are
-// therefore never lost (the scheduler syncs before acking) and unacked
-// ones never half-apply.
+// therefore never lost (the scheduler syncs before acking), and a batch
+// answered with an error is never replayed.
 package durable
 
 import (
@@ -201,12 +206,15 @@ type wal struct {
 	f        fault.File // active segment (nil until first write after open)
 	segStart uint64     // first sequence number of the active segment
 	nextSeq  uint64     // sequence number the next frame receives
-	dirty    bool       // unsynced bytes in f
 	off      int64      // bytes of fully written frames in the active segment
-	// broken is set when a torn write could not be truncated away: the
-	// log refuses further appends, because frames written after an
-	// unreadable region would be stranded — replay stops at the tear
-	// and would silently discard them even though they were acked.
+	// synced and syncedSeq are off and nextSeq as of the last sync: the
+	// frames past synced are pending, and Rollback cuts them away.
+	synced    int64
+	syncedSeq uint64
+	// broken is set when a tail could not be cut back: the log refuses
+	// further appends, because frames written after an unreadable region
+	// would be stranded — replay stops at the tear and would silently
+	// discard them even though they were acked.
 	broken error
 
 	scratch []byte // frame encode buffer, reused across appends
@@ -217,7 +225,7 @@ type wal struct {
 // already truncated any torn tail); otherwise the first write creates a
 // fresh segment named nextSeq.
 func openWAL(dir string, policy SyncPolicy, fs fault.FS, nextSeq uint64) (*wal, error) {
-	w := &wal{dir: dir, policy: policy, fs: fs, nextSeq: nextSeq}
+	w := &wal{dir: dir, policy: policy, fs: fs, nextSeq: nextSeq, syncedSeq: nextSeq}
 	starts, err := listSegments(dir)
 	if err != nil {
 		return nil, err
@@ -236,7 +244,7 @@ func openWAL(dir string, policy SyncPolicy, fs fault.FS, nextSeq uint64) (*wal, 
 		}
 		// Recovery already truncated any torn tail, so the current size
 		// is exactly the fully-written frames.
-		w.f, w.segStart, w.off = f, last, st.Size()
+		w.f, w.segStart, w.off, w.synced = f, last, st.Size(), st.Size()
 	}
 	return w, nil
 }
@@ -258,9 +266,8 @@ func listSegments(dir string) ([]uint64, error) {
 	return starts, nil
 }
 
-// append writes one frame and returns its sequence number, fsyncing
-// under the always policy. The frame is durable only after sync under
-// the batch policy.
+// append writes one frame and returns its sequence number. The frame is
+// pending until the next sync.
 func (w *wal) append(values []int64) (uint64, error) {
 	if w.broken != nil {
 		return 0, w.broken
@@ -280,44 +287,58 @@ func (w *wal) append(values []int64) (uint64, error) {
 		// it. With the tear cut away the failed append is simply not
 		// durable, exactly what the caller's error reports, and the
 		// log stays appendable.
-		if terr := os.Truncate(filepath.Join(w.dir, segmentName(w.segStart)), w.off); terr != nil {
-			w.broken = fmt.Errorf("durable: WAL unwritable (torn tail could not be repaired): %w", terr)
-		}
+		w.cut(w.off)
 		return 0, fmt.Errorf("durable: WAL append: %w", err)
 	}
 	w.off += int64(len(w.scratch))
 	w.nextSeq++
-	w.dirty = true
-	if w.policy == SyncAlways {
-		if err := w.sync(); err != nil {
-			return 0, err
-		}
-	}
 	return seq, nil
 }
 
-// sync flushes written frames to stable storage (no-op under the off
-// policy or when nothing is dirty).
+// pending reports whether frames were written since the last sync.
+func (w *wal) pending() bool { return w.off > w.synced }
+
+// sync flushes the pending frames to stable storage (under the off
+// policy it only marks them synced).
 func (w *wal) sync() error {
-	if !w.dirty || w.f == nil || w.policy == SyncOff {
-		w.dirty = false
+	if !w.pending() {
 		return nil
 	}
-	if err := w.f.Sync(); err != nil {
-		return fmt.Errorf("durable: WAL sync: %w", err)
+	if w.policy != SyncOff {
+		if err := w.f.Sync(); err != nil {
+			return fmt.Errorf("durable: WAL sync: %w", err)
+		}
 	}
-	w.dirty = false
+	w.synced, w.syncedSeq = w.off, w.nextSeq
 	return nil
 }
 
-// roll closes the active segment (synced) and arranges for the next
-// write to open a fresh one starting at nextSeq. Called by the
-// snapshot path so covered segments become immutable and deletable.
+// rollback cuts the pending frames away and hands their sequence
+// numbers out again.
+func (w *wal) rollback() {
+	if w.pending() {
+		w.cut(w.synced)
+		w.nextSeq = w.syncedSeq
+	}
+}
+
+// cut truncates the active segment back to off, the end of its last
+// frame to keep: the one routine behind the torn-write repair and the
+// rollback. A cut that fails breaks the log.
+func (w *wal) cut(off int64) {
+	if err := os.Truncate(filepath.Join(w.dir, segmentName(w.segStart)), off); err != nil {
+		w.broken = fmt.Errorf("durable: WAL unwritable (its tail could not be cut back): %w", err)
+		return
+	}
+	w.off = off
+}
+
+// roll closes the active segment and arranges for the next write to
+// open a fresh one starting at nextSeq. Called by the snapshot path so
+// covered segments become immutable and deletable, only when no frame is
+// pending: every pending frame stays in the active segment.
 func (w *wal) roll() error {
 	if w.f != nil {
-		if err := w.sync(); err != nil {
-			return err
-		}
 		if err := w.f.Close(); err != nil {
 			return err
 		}
@@ -331,8 +352,7 @@ func (w *wal) roll() error {
 	if err != nil {
 		return fmt.Errorf("durable: create WAL segment: %w", err)
 	}
-	w.f, w.segStart, w.off = f, w.nextSeq, 0
-	w.dirty = false
+	w.f, w.segStart, w.off, w.synced = f, w.nextSeq, 0, 0
 	return syncDir(w.dir)
 }
 

@@ -1,11 +1,9 @@
 package plan
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"slices"
-	"strings"
 	"sync"
 	"testing"
 
@@ -127,127 +125,6 @@ func randomConj(rng *rand.Rand, names []string, n int64) query.Conjunction {
 	}
 }
 
-// TestConjunctionsMatchOracle is the planner property test:
-// conjunctions × aggregates × strategies × shard counts must answer
-// bit-identically to the branching full-scan oracle, with appends
-// interleaved mid-stream. A table of FS, a baseline, is refused at every
-// shard count.
-func TestConjunctionsMatchOracle(t *testing.T) {
-	const (
-		n       = 30_000
-		k       = 3
-		queries = 60
-	)
-	names := []string{"a", "b", "c"}
-	strategies := []Strategy{
-		StrategyQuicksort,
-		StrategyRadixMSD,
-		StrategyRadixLSD,
-		StrategyFullScan,
-	}
-	for _, strat := range strategies {
-		for _, shards := range []int{1, 3, 8} {
-			for _, workers := range []int{1, 4} {
-				name := fmt.Sprintf("%s/shards=%d/workers=%d", strat, shards, workers)
-				t.Run(name, func(t *testing.T) {
-					cols := genTuples(n, k, 11)
-					loaded := n / 2
-					tbl, err := New("t", names, flatten(cols, 0, loaded),
-						Options{Strategy: strat, Delta: 0.25, Shards: shards, Workers: workers})
-					if strat == StrategyFullScan {
-						if err == nil || !strings.Contains(err.Error(), "cmd/experiments") {
-							t.Fatalf("a table of %v: %v, want it refused", strat, err)
-						}
-						return
-					}
-					if err != nil {
-						t.Fatal(err)
-					}
-					rng := rand.New(rand.NewSource(31))
-					rows := loaded
-					for q := 0; q < queries; q++ {
-						// Interleave appends: grow the table by a random slice
-						// every few queries until all rows are in.
-						if q%5 == 1 && rows < n {
-							grow := rows + 1 + rng.Intn(2000)
-							if grow > n {
-								grow = n
-							}
-							if err := tbl.Append(flatten(cols, rows, grow)); err != nil {
-								t.Fatal(err)
-							}
-							rows = grow
-						}
-						c := randomConj(rng, names, int64(n))
-						got, err := tbl.ExecuteConj(c)
-						if err != nil {
-							t.Fatalf("query %d (%s): %v", q, c, err)
-						}
-						want := oracle.Conj(head(cols, rows), names, c)
-						if !sameAnswer(got, want) {
-							t.Fatalf("query %d (%s) at %d rows:\n got %+v\nwant %+v", q, c, rows, got, want)
-						}
-					}
-				})
-			}
-		}
-	}
-}
-
-// TestDriverChoiceIrrelevantToAnswer pins the bit-identity property:
-// for any conjunction, the planner's choice and every predicate column
-// forced as the driver all yield exactly the oracle's answer — under
-// every encoding and worker count, with appends interleaved so the scan
-// always ends in a partial, unsealed tail block.
-func TestDriverChoiceIrrelevantToAnswer(t *testing.T) {
-	const n = 20_000
-	names := []string{"a", "b", "c"}
-	cols := genTuples(n, 3, 5)
-	for _, enc := range testEncodings {
-		for _, workers := range []int{1, 4} {
-			t.Run(fmt.Sprintf("%s/workers=%d", enc, workers), func(t *testing.T) {
-				rows := n/2 + 7
-				tbl, err := New("t", names, flatten(cols, 0, rows),
-					Options{Strategy: StrategyQuicksort, Delta: 0.25, Encoding: enc, Workers: workers})
-				if err != nil {
-					t.Fatal(err)
-				}
-				rng := rand.New(rand.NewSource(7))
-				for q := 0; q < 40; q++ {
-					if q%4 == 1 && rows < n {
-						grow := min(n, rows+1+rng.Intn(1500))
-						if err := tbl.Append(flatten(cols, rows, grow)); err != nil {
-							t.Fatal(err)
-						}
-						rows = grow
-					}
-					c := randomConj(rng, names, n)
-					want := oracle.Conj(head(cols, rows), names, c)
-					planned, _, err := tbl.ExplainConj(c, "")
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !sameAnswer(planned, want) {
-						t.Fatalf("planned answer diverges for %s at %d rows:\n got %+v\nwant %+v", c, rows, planned, want)
-					}
-					for _, cp := range c.Preds {
-						forcedAns, ch, err := tbl.ExplainConj(c, cp.Col)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if ch.Driver != cp.Col || !ch.Forced {
-							t.Fatalf("forced driver not honored: %+v", ch)
-						}
-						if !sameAnswer(forcedAns, want) {
-							t.Fatalf("driver %s diverges for %s at %d rows:\n got %+v\nwant %+v", cp.Col, c, rows, forcedAns, want)
-						}
-					}
-				}
-			})
-		}
-	}
-}
-
 // claimedShards counts the shards of column col that are not cold: on a
 // compressed table, the ones a claim has decoded and indexed, whether
 // they still hold the decoded rows or have settled since.
@@ -270,161 +147,6 @@ func directConj(rng *rand.Rand, col string, n int64) query.Conjunction {
 		c.Preds = []query.ColPredicate{{Col: col, Pred: query.Range(lo, lo+rng.Int63n(n/4+1))}}
 	}
 	return c
-}
-
-// TestCompressedColumnsMatchOracle walks a compressed table through the
-// cold → claim lifecycle of its columns' shards. Columns are born cold
-// — no index, the packed blocks their only copy, every query a scan
-// over them — and report the terminal state a cold shard does until
-// rows are appended: those ride raw in the tail, pending, until a seal.
-// Direct-route and composite answers must match the oracle before the
-// claim, on the batch that triggers it and after it, with appends
-// interleaved; and the Handle surface the catalog, scheduler and
-// checkpoints drive (MaterializeRows, PendingRows, Append, Progress,
-// Phase) must be correct while a column has no index.
-func TestCompressedColumnsMatchOracle(t *testing.T) {
-	const (
-		n         = 25_000
-		claimHeat = shard.ClaimHeat
-	)
-	names := []string{"a", "b", "c"}
-	cols := genTuples(n, 3, 13)
-	for _, enc := range testEncodings[1:] {
-		t.Run(enc.String(), func(t *testing.T) {
-			rows := n/2 + 11
-			tbl, err := New("t", names, flatten(cols, 0, rows), Options{
-				Strategy: StrategyQuicksort, Delta: 0.25, Shards: 2, Encoding: enc})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if st := tbl.ColumnStates()[0]; st.EncodedBlocks == 0 || st.EncodedBlocks != st.Blocks {
-				t.Fatalf("%d of %d blocks encoded on a loaded compressed table", st.EncodedBlocks, st.Blocks)
-			}
-			// checkCold: no shard claimed, and the table terminal exactly
-			// when no appended row is waiting in the tail.
-			checkCold := func(when string) {
-				t.Helper()
-				for i, cs := range tbl.cols {
-					if claimedShards(tbl, i) != 0 {
-						t.Fatalf("%s: column %q has a claimed shard, want cold", when, cs.name)
-					}
-				}
-				sealed := tbl.PendingRows() == 0
-				if p := tbl.Phase(); tbl.Converged() != sealed || (tbl.Progress() == 1) != sealed || (p == query.PhaseDone) != sealed {
-					t.Fatalf("%s: cold table with %d pending rows reports converged=%v progress=%g phase=%v",
-						when, tbl.PendingRows(), tbl.Converged(), tbl.Progress(), p)
-				}
-				if got, want := tbl.MaterializeRows(), flatten(cols, 0, rows); !slices.Equal(got, want) {
-					t.Fatalf("%s: MaterializeRows of a cold table differs from the %d loaded rows", when, rows)
-				}
-			}
-			check := func(c query.Conjunction) {
-				t.Helper()
-				got, err := tbl.ExecuteConj(c)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if want := oracle.Conj(head(cols, rows), names, c); !sameAnswer(got, want) {
-					t.Fatalf("%s at %d rows:\n got %+v\nwant %+v", c, rows, got, want)
-				}
-			}
-			grow := func(rng *rand.Rand) {
-				t.Helper()
-				to := min(n, rows+1+rng.Intn(3000))
-				if err := tbl.Append(flatten(cols, rows, to)); err != nil {
-					t.Fatal(err)
-				}
-				rows = to
-			}
-
-			// Composite queries heat every column but claim none of them:
-			// an index would not have served them.
-			rng := rand.New(rand.NewSource(3))
-			checkCold("at birth")
-			if tbl.PendingRows() != 0 {
-				t.Fatal("pending rows on a loaded table")
-			}
-			for q := 0; q < 3*claimHeat; q++ {
-				if q%12 == 1 { // four appends
-					// Below the seal threshold the rows ride raw in the tail, and
-					// the table owes their seal, until a batch's spare δ (or an
-					// idle slice) flushes every column's.
-					grow(rng)
-					if tbl.PendingRows() == 0 || tbl.Converged() {
-						t.Fatalf("after an append: %d pending rows, converged=%v", tbl.PendingRows(), tbl.Converged())
-					}
-				}
-				c := randomConj(rng, names, n)
-				if len(c.Preds) == 1 {
-					c.Target = names[(tbl.byName[c.Preds[0].Col]+1)%len(names)]
-				}
-				check(c)
-			}
-			checkCold("after composite queries and appends")
-
-			// Direct-route queries on b: its shards' cold scans up to the
-			// threshold, the first claim on the batch that reaches it (one
-			// shard a batch), the shards' own indexes afterwards.
-			for q := 0; q < 3*claimHeat; q++ {
-				if q%10 == 1 { // five appends
-					grow(rng)
-				}
-				check(directConj(rng, "b", n))
-				// b is uniform: no direct query prunes its first loaded shard.
-				// (A tail-born shard inherits the heat of the shards it
-				// absorbed and may be claimed sooner.)
-				if si := tbl.cols[1].idx.ShardStats()[0]; si.Heat < uint64(q+1) || (si.Form != "cold") != (si.Heat >= claimHeat) {
-					t.Fatalf("after %d direct queries (threshold %d): first shard %+v", q+1, claimHeat, si)
-				}
-				check(randomConj(rng, names, n))
-			}
-			if claimedShards(tbl, 0) != 0 || claimedShards(tbl, 2) != 0 {
-				t.Fatal("columns that served no direct-route query were claimed")
-			}
-			if si := tbl.cols[1].idx.ShardStats(); si[0].Form == "cold" || si[1].Form == "cold" {
-				t.Fatalf("b's loaded shards not both claimed: %+v", si[:2])
-			}
-			// Claimed or cold, the direct route is the column's own table:
-			// no block of the planner's is scanned, and a cold shard's scan
-			// is what heats it.
-			heatBefore := tbl.cols[0].idx.ShardStats()[0].Heat
-			for _, col := range []string{"b", "a"} {
-				c := query.Conjunction{Target: col, Aggs: column.AggAll}
-				got, ch, err := tbl.ExplainConj(c, "")
-				if err != nil || !ch.Direct || ch.ScannedBlocks != 0 {
-					t.Fatalf("column %s's direct route did not reach its own table: %+v, %v", col, ch, err)
-				}
-				if want := oracle.Conj(head(cols, rows), names, c); !sameAnswer(got, want) {
-					t.Fatalf("direct on %s:\n got %+v\nwant %+v", col, got, want)
-				}
-			}
-			if heat := tbl.cols[0].idx.ShardStats()[0].Heat; heat != heatBefore+1 {
-				t.Fatalf("cold direct query moved its shard's heat %d → %d", heatBefore, heat)
-			}
-			grow(rng)
-			if got, want := tbl.MaterializeRows(), flatten(cols, 0, rows); !slices.Equal(got, want) {
-				t.Fatal("MaterializeRows differs after the claim")
-			}
-
-			// The claimed shards converge under the table's δ like any
-			// raw-mode column's, then the idle flush seals the tail on every
-			// column together (a batch a direct query leads flushes none);
-			// the cold shards stay terminal.
-			unconverged := func(si shard.Info) bool { return !si.Converged }
-			for i := 0; i < 400 && slices.ContainsFunc(tbl.cols[1].idx.ShardStats(), unconverged); i++ {
-				check(directConj(rng, "b", n))
-			}
-			for i := 0; i < 400 && !tbl.Converged(); i++ {
-				tbl.RefineStep()
-			}
-			if !tbl.Converged() || tbl.PendingRows() != 0 {
-				t.Fatalf("claimed column did not converge (%d rows pending)", tbl.PendingRows())
-			}
-			if got, want := tbl.MaterializeRows(), flatten(cols, 0, rows); !slices.Equal(got, want) {
-				t.Fatal("MaterializeRows differs after the flush")
-			}
-		})
-	}
 }
 
 // TestConcurrentClaim races everything that can meet a cold → claim

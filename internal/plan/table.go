@@ -315,28 +315,36 @@ func (sn Snapshot) Each(emit func(run []int64) error) error {
 	return nil
 }
 
+// CheckAppend reports whether Append would refuse flat: a batch that is
+// not whole rows, or that holds a value outside ±2^62. Append checks the
+// same first, so a batch CheckAppend passes is ingested whole, on every
+// column.
+func (t *Table) CheckAppend(flat []int64) error {
+	if k := len(t.cols); len(flat)%k != 0 {
+		return fmt.Errorf("plan: append of %d values does not fill %d-column rows", len(flat), k)
+	}
+	if len(flat) == 0 {
+		return nil
+	}
+	if mn, mx := column.MinMax(flat); mn <= -column.MaxMagnitude || mx >= column.MaxMagnitude {
+		return fmt.Errorf("plan: append to table %q: values must lie strictly inside ±2^62 (min=%d max=%d)", t.name, mn, mx)
+	}
+	return nil
+}
+
 // Append implements Handle: values are flat row-major tuples, one
 // Width() group per row. Every column ingests the row's slice under the
 // write lock — and, the columns sharing one seal threshold, seals its
 // tail on the same batch as the others — so queries admitted after
 // Append returns see the new rows on every column.
 func (t *Table) Append(flat []int64) error {
+	if err := t.CheckAppend(flat); err != nil || len(flat) == 0 {
+		return err
+	}
 	k := len(t.cols)
-	if len(flat)%k != 0 {
-		return fmt.Errorf("plan: append of %d values does not fill %d-column rows", len(flat), k)
-	}
-	if len(flat) == 0 {
-		return nil
-	}
 	rows := len(flat) / k
 	vals := flat // the columns copy what they ingest
 	if k > 1 {
-		// The columns' own domain check, hoisted in front of them: one column
-		// refuses a bad batch by itself, several must not ingest the rows
-		// ahead of the bad value.
-		if mn, mx := column.MinMax(flat); mn <= -column.MaxMagnitude || mx >= column.MaxMagnitude {
-			return fmt.Errorf("plan: append to table %q: values must lie strictly inside ±2^62 (min=%d max=%d)", t.name, mn, mx)
-		}
 		vals = make([]int64, rows)
 	}
 	t.mu.Lock()

@@ -10,8 +10,8 @@ import (
 // states for /healthz, boot-time recovery that rebuilds the catalog and
 // schedulers from a durable.Store, the background snapshot cadence, and
 // graceful shutdown (drain + final checkpoints). The WAL itself is
-// threaded lower down — catalog.Table.Append logs, the scheduler syncs
-// before acking (scheduler.go) — so this layer only orchestrates.
+// threaded lower down — catalog.Table.Append logs, the scheduler's sync
+// publishes before acking (scheduler.go) — so this layer only orchestrates.
 
 // Boot states, reported by /healthz. A durable server is starting until
 // Recover is called, recovering while WAL replay rebuilds its tables,
@@ -153,32 +153,4 @@ func (s *Server) CheckpointAll(ctx context.Context) []error {
 // is not quarantined gets a final checkpoint so restart replays no WAL
 // at all, and the store is closed. Callers shut the HTTP listener down
 // first, so no new requests are arriving while the queues drain.
-func (s *Server) Shutdown() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
-	s.closed = true
-	scheds := make([]*Scheduler, 0, len(s.scheds))
-	for _, sched := range s.scheds {
-		scheds = append(scheds, sched)
-	}
-	s.scheds = make(map[string]*Scheduler)
-	s.mu.Unlock()
-
-	s.stopSnapshotLoop()
-	var first error
-	for _, sched := range scheds {
-		sched.Drain()
-		if _, err := sched.Checkpoint(); err != nil && err != ErrQuarantined && err != ErrStopped && first == nil {
-			first = err
-		}
-	}
-	if s.cfg.Store != nil {
-		if err := s.cfg.Store.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
+func (s *Server) Shutdown() error { return s.close(true) }

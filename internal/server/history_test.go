@@ -35,14 +35,14 @@ var historyTier1 = []int64{0, 13, 22, 31}
 const (
 	histTable  = "h"
 	histLoaded = 4096 // rows a load builds the table over
-	// Band g holds the first column's values [histBandLo+g·histStride,
-	// +histBandW), a gap of the same width above it; batch j of a band
-	// starts at j·histBatchMax inside it.
+	// Band g, client g's, holds the first column's values
+	// [histBandLo+g·histStride, +histBandW), a gap of the same width above
+	// it; batch j of a band starts at j·histBatchMax inside it.
 	histBandLo   = 4096
 	histBandW    = 1024
 	histStride   = 2 * histBandW
 	histBatchMax = 16
-	histBands    = 8  // bands per client
+	histBands    = 4  // bands a predicate is drawn on: one per client, at most four clients
 	histPhases   = 3  // client phases, a drop or a kill between each two
 	histOps      = 10 // ops per client per phase
 )
@@ -201,26 +201,30 @@ func (fs *syncedFS) CreateTemp(op fault.Op, dir, pattern string) (fault.File, er
 	return fs.track(fs.FS.CreateTemp(op, dir, pattern))
 }
 
+// Rename and Truncate hold the lock across the file operation, so that
+// the record changes in the order the files do: two checkpoints at one
+// sequence number rename onto the same snapshot name, and the record
+// must be the size of the one renamed last.
 func (fs *syncedFS) Rename(op fault.Op, oldpath, newpath string) error {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
 	if err := fs.FS.Rename(op, oldpath, newpath); err != nil {
 		return err
 	}
-	fs.mu.Lock()
 	fs.synced[newpath] = fs.synced[oldpath]
 	delete(fs.synced, oldpath)
-	fs.mu.Unlock()
 	return nil
 }
 
 func (fs *syncedFS) Truncate(op fault.Op, name string, size int64) error {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
 	if err := fs.FS.Truncate(op, name, size); err != nil {
 		return err
 	}
-	fs.mu.Lock()
 	if n, ok := fs.synced[name]; ok {
 		fs.synced[name] = min(n, size)
 	}
-	fs.mu.Unlock()
 	return nil
 }
 
@@ -262,9 +266,11 @@ func (fs *syncedFS) cut(rng *rand.Rand, tear bool) error {
 	return nil
 }
 
-// batch is one append of a band that was not shed: invoked at inv,
-// returned at ret with status (0: found by a recovery, as if acked
-// before anything after it).
+// batch is the accepted append of one of a band's batches: invoked at
+// inv, returned at ret with status 200 (0: found by a recovery, as if
+// acked before anything after it). An append answered with any other
+// status is none: it is never visible and never recovered, and its
+// writer sends the same batch again.
 type batch struct {
 	inv, ret uint64
 	status   int
@@ -294,9 +300,7 @@ type histRun struct {
 	h      http.Handler
 	fs     *syncedFS
 	clock  atomic.Uint64
-	bands  [][]batch // per band g
-	cur    []int     // each client's band (-1: none left)
-	next   []int     // each client's next batch in it
+	bands  [][]batch // per band g, the batches its writer, client g, got accepted
 	mu     sync.Mutex
 	log    []string
 	ev     histEvents
@@ -308,7 +312,7 @@ type histRun struct {
 }
 
 // histEvents counts, over a set of runs, what the history must cross.
-type histEvents struct{ acked, indeterminate, sheds, recoveries, tears, dropRaces int }
+type histEvents struct{ acked, failed, sheds, recoveries, tears, dropRaces int }
 
 func (r *histRun) logf(format string, args ...any) int {
 	r.mu.Lock()
@@ -320,13 +324,14 @@ func (r *histRun) logf(format string, args ...any) int {
 // open starts a server over the run's directory, its disk behind a fresh
 // injector: WAL writes and syncs a little slow, every few syncs failing
 // once (within the retry ladder), and on some lives a torn WAL write now
-// and then.
+// and then, the first as early as the life's second frame, so that a
+// life with a few appends has a failed one whatever the shedding.
 func (r *histRun) open() error {
 	r.lives++
 	rng := rand.New(rand.NewSource(r.seed*31 + int64(r.lives)))
 	var rules []fault.Rule
 	if rng.Intn(2) == 0 {
-		rules = append(rules, fault.Rule{Op: fault.OpWALAppend, Kind: fault.KindTorn, After: 8, Every: 9 + rng.Intn(9)})
+		rules = append(rules, fault.Rule{Op: fault.OpWALAppend, Kind: fault.KindTorn, After: 2, Every: 9 + rng.Intn(9)})
 	}
 	rules = append(rules,
 		fault.Rule{Op: fault.OpWALAppend, Kind: fault.KindLatency, Latency: 300 * time.Microsecond},
@@ -378,13 +383,13 @@ func predOn(rng *rand.Rand, g int) (PredSpec, query.Predicate) {
 	if g < 0 {
 		switch rng.Intn(3) {
 		case 0:
-			v := bandLo(histBands*4) + rng.Int63n(2000)
+			v := bandLo(histBands) + rng.Int63n(2000)
 			return PredSpec{Kind: "atleast", Value: &v}, query.AtLeast(v)
 		case 1:
 			v := rng.Int63n(histBandLo)
 			return PredSpec{Kind: "atmost", Value: &v}, query.AtMost(v)
 		}
-		lo = bandLo(rng.Intn(histBands*4)) + histBandW // a gap
+		lo = bandLo(rng.Intn(histBands)) + histBandW // a gap
 		hi = lo + histBandW - 1
 	} else {
 		lo, hi = bandLo(g), bandLo(g)+histBandW-1
@@ -426,15 +431,11 @@ func (r *histRun) client(c int, ops []hop, queries *[]hquery) {
 		rng := rand.New(rand.NewSource(o.seed))
 		switch o.kind {
 		case hAppend:
-			if r.cur[c] >= 0 {
-				r.appendBatch(c, false)
-				continue
-			}
-			fallthrough // no band left: a query instead
+			r.appendBatch(c, false)
 		case hQuery, hConj:
-			g := rng.Intn(r.ax.clients*histBands+1) - 1
+			g := rng.Intn(r.ax.clients+1) - 1
 			if rng.Intn(2) == 0 {
-				g = r.cur[c] // its own band, which it may just have appended to
+				g = c // its own band, which it may just have appended to
 			}
 			spec, pred := predOn(rng, g)
 			aggs, mask := drawAggs(rng)
@@ -499,12 +500,12 @@ func (r *histRun) count(f func(*histEvents)) {
 	r.mu.Unlock()
 }
 
-// appendBatch appends client c's next batch to its band. A shed (429)
-// batch was never admitted, so it is retried as the same batch; any
-// other failure leaves its outcome open, and the client moves on to a
-// fresh band. torn marks a batch sent after the disk froze.
+// appendBatch appends client c's next batch to its band. A batch answered
+// with anything but 200 was not kept, so it is retried as the same
+// batch, up to four tries, and at the client's next append after that.
+// torn marks a batch sent after the disk froze.
 func (r *histRun) appendBatch(c int, torn bool) {
-	g, j, k := r.cur[c], r.next[c], r.ax.k()
+	g, j, k := c, len(r.bands[c]), r.ax.k()
 	flat := batchRows(g, j, k)
 	req := AppendRequest{Values: flat}
 	if k > 1 {
@@ -516,28 +517,18 @@ func (r *histRun) appendBatch(c int, torn bool) {
 	for try := 0; try < 4; try++ {
 		status, body, inv, ret := r.serve(http.MethodPost, "/tables/"+histTable+"/append", req)
 		r.logf("c%d [%d,%d] append band %d batch %d (%d rows): %d %s", c, inv, ret, g, j, len(flat)/k, status, strings.TrimSpace(string(body)))
-		if status == http.StatusTooManyRequests {
+		switch status {
+		case http.StatusTooManyRequests:
 			r.count(func(e *histEvents) { e.sheds++ })
-			continue
-		}
-		r.bands[g] = append(r.bands[g], batch{inv: inv, ret: ret, status: status, torn: torn})
-		r.next[c]++
-		if status == http.StatusOK && !torn {
-			r.count(func(e *histEvents) { e.acked++ })
+		case http.StatusOK:
+			r.bands[g] = append(r.bands[g], batch{inv: inv, ret: ret, status: status, torn: torn})
+			if !torn {
+				r.count(func(e *histEvents) { e.acked++ })
+			}
 			return
+		default:
+			r.count(func(e *histEvents) { e.failed++ })
 		}
-		r.count(func(e *histEvents) { e.indeterminate++ })
-		r.retire(c)
-		return
-	}
-}
-
-// retire moves client c off its band, onto its next one if it has one.
-func (r *histRun) retire(c int) {
-	g := r.cur[c]
-	r.cur[c], r.next[c] = -1, 0
-	if g+1 < (c+1)*histBands {
-		r.cur[c] = g + 1
 	}
 }
 
@@ -546,7 +537,7 @@ func (r *histRun) retire(c int) {
 // before it returned.
 func (r *histRun) prefix(g int, inv, ret uint64) (lo, hi int) {
 	for j, b := range r.bands[g] {
-		if (b.status == http.StatusOK || b.status == 0) && !b.torn && b.ret < inv {
+		if !b.torn && b.ret < inv {
 			lo = j + 1
 		}
 		if b.inv < ret {
@@ -624,12 +615,7 @@ func (r *histRun) kill(o hop) error {
 	r.fs.freeze()
 	tear := o.kind == hTear
 	if tear {
-		for c := range r.cur {
-			if r.cur[c] >= 0 {
-				r.appendBatch(c, true)
-				break
-			}
-		}
+		r.appendBatch(0, true)
 	}
 	r.srv.Close()
 	if err := r.fs.cut(rng, tear); err != nil {
@@ -650,14 +636,14 @@ func (r *histRun) kill(o hop) error {
 			return err
 		}
 		for j, b := range bs {
-			if j < n && b.torn || j >= n && b.status == http.StatusOK && !b.torn || j >= n && b.status == 0 {
+			if j < n && b.torn || j >= n && !b.torn {
 				return fmt.Errorf("band %d recovered %d of its %d batches: batch %d (status %d, torn %v)", g, n, len(bs), j, b.status, b.torn)
 			}
 		}
 		if slices.ContainsFunc(bs, func(b batch) bool { return b.torn }) {
 			r.count(func(e *histEvents) { e.tears++ })
 		}
-		r.bands[g] = make([]batch, n) // status 0: there before anything after
+		r.bands[g] = make([]batch, n) // status 0: there before anything after; its writer goes on at batch n
 		for j := 0; j < n; j++ {
 			rows += len(batchRows(g, j, r.ax.k())) / r.ax.k()
 		}
@@ -720,9 +706,6 @@ func (r *histRun) drop(o hop) error {
 	for g := range r.bands {
 		r.bands[g] = nil
 	}
-	for c := range r.next {
-		r.next[c] = 0
-	}
 	return nil
 }
 
@@ -751,10 +734,7 @@ func runHistory(t *testing.T, seed int64, ax histAxes, ops []hop) (r *histRun, e
 	}
 	r.load = histLoad(seed, ax.k())
 	r.loadC = oracle.Columns(r.load, ax.k())
-	r.bands = make([][]batch, ax.clients*histBands)
-	for c := 0; c < ax.clients; c++ {
-		r.cur, r.next = append(r.cur, c*histBands), append(r.next, 0)
-	}
+	r.bands = make([][]batch, ax.clients)
 	if err := r.open(); err != nil {
 		return r, err
 	}
@@ -881,7 +861,7 @@ func TestServedHistory(t *testing.T) {
 			r, err := runHistory(t, seed, ax, ops)
 			if err == nil {
 				total.acked += r.ev.acked
-				total.indeterminate += r.ev.indeterminate
+				total.failed += r.ev.failed
 				total.sheds += r.ev.sheds
 				total.recoveries += r.ev.recoveries
 				total.tears += r.ev.tears
@@ -905,7 +885,7 @@ func TestServedHistory(t *testing.T) {
 		}
 	}
 	// A run of some seeds (-run 'TestServedHistory/seed=N$') need not see everything.
-	if ran == len(seeds) && (total.acked == 0 || total.indeterminate == 0 || total.recoveries == 0 || total.tears == 0 || total.dropRaces == 0) {
+	if ran == len(seeds) && (total.acked == 0 || total.failed == 0 || total.recoveries == 0 || total.tears == 0 || total.dropRaces == 0) {
 		t.Fatalf("vacuous seed set: %+v", total)
 	}
 	t.Logf("%+v", total)

@@ -174,7 +174,7 @@ func TestHTTPMultiColumn(t *testing.T) {
 // of the batch — with a 400 and nothing acknowledged — and it keeps
 // ingesting and sealing rows afterwards.
 func TestHTTPColdColumnsRejectOutOfDomainAppend(t *testing.T) {
-	_, ts := newTestServer(t)
+	srv, ts := newTestServer(t)
 	const n = 4095 // one row short of a full block
 	do(t, http.MethodPost, ts.URL+"/tables", LoadRequest{
 		Name:     "cold",
@@ -195,6 +195,9 @@ func TestHTTPColdColumnsRejectOutOfDomainAppend(t *testing.T) {
 		AppendRequest{Rows: [][]int64{{9_000_001, 9_000_002, 11}, {9_000_004, 9_000_005, 22}}}, http.StatusOK, &ar)
 	if ar.Appended != 2 || ar.Rows != n+2 {
 		t.Fatalf("append response = %+v, want 2 appended / %d rows", ar, n+2)
+	}
+	if sched, _ := srv.Scheduler("cold"); sched.Metrics().AppendRows != 2 {
+		t.Fatalf("scheduler counted %d appended rows, want the 2 tuples", sched.Metrics().AppendRows)
 	}
 	alo, ahi := int64(9_000_000), int64(9_100_000)
 	var aq QueryResponse

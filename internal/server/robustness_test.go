@@ -121,12 +121,11 @@ func TestWALSyncPersistentFailureDegrades(t *testing.T) {
 		t.Fatalf("degraded append reached the WAL (%d -> %d sync faults)", fired, got)
 	}
 
-	// Reads still serve, bit-identical to the in-memory state. The failed
-	// append's rows are visible in memory (applied before the WAL sync
-	// failed) — the documented crash-window contract — so the oracle
-	// includes them.
+	// Reads still serve, bit-identical to the loaded rows: the failed
+	// append was staged behind its WAL frame and dropped with it, so it
+	// was never visible.
 	q := progidx.Request{Pred: progidx.Range(0, 10_000_000), Aggs: progidx.Sum | progidx.Count | progidx.Min | progidx.Max}
-	want := oracle.Answer(append(append([]int64(nil), base...), batch...), q)
+	want := oracle.Answer(base, q)
 	got, _, err := sched.Execute(context.Background(), q)
 	if err != nil {
 		t.Fatalf("query on degraded table: %v", err)
@@ -173,6 +172,87 @@ func TestWALSyncPersistentFailureDegrades(t *testing.T) {
 	resp.Body.Close()
 	if !strings.Contains(sb.String(), `progidx_table_state{table="t"} 2`) {
 		t.Fatalf("metrics missing degraded state gauge:\n%s", sb.String())
+	}
+}
+
+// postAppend posts values to table t's append endpoint through h and
+// returns the status and body.
+func postAppend(h http.Handler, values string) (int, string) {
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/tables/t/append", strings.NewReader(`{"values":`+values+`}`)))
+	return rec.Code, rec.Body.String()
+}
+
+// TestTornWALWriteAnswers503: an append whose WAL frame is torn is
+// answered 503 — the server's disk failed, not the request — and leaves
+// nothing behind: no frame in the log and no row any query sees, so the
+// same batch sent again is acked once.
+func TestTornWALWriteAnswers503(t *testing.T) {
+	// The first wal.append op creates the segment, the second writes the
+	// frame.
+	in := fault.NewInjector(1, fault.Rule{Op: fault.OpWALAppend, Kind: fault.KindTorn, After: 1, Count: 1})
+	srv := newFaultyServer(t, t.TempDir(), in, Config{})
+	t.Cleanup(srv.Close)
+	if _, err := srv.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	base := data.Uniform(2000, 3)
+	sched := loadRobust(t, srv, "t", base)
+	h := srv.Handler()
+	q := progidx.Request{Pred: progidx.Range(0, 10_000_000), Aggs: progidx.Sum | progidx.Count | progidx.Max}
+	expect := func(rows []int64, frames uint64) {
+		t.Helper()
+		if d := sched.table.Info().Durability; d.TailFrames != frames {
+			t.Fatalf("TailFrames = %d, want %d", d.TailFrames, frames)
+		}
+		got, _, err := sched.Execute(context.Background(), q)
+		if want := oracle.Answer(rows, q); err != nil || !answersMatch(got, want) {
+			t.Fatalf("query = %+v, %v; want %+v", got, err, want)
+		}
+	}
+	if code, body := postAppend(h, `[5000000,5000001]`); code != http.StatusServiceUnavailable || !strings.Contains(body, "WAL write failed") {
+		t.Fatalf("append with a torn WAL write = %d %s, want 503", code, body)
+	}
+	if got := in.Fired(fault.OpWALAppend); got != 1 {
+		t.Fatalf("injected %d torn writes, want 1", got)
+	}
+	expect(base, 0)
+	if code, body := postAppend(h, `[5000000,5000001]`); code != http.StatusOK {
+		t.Fatalf("retried append = %d %s, want 200", code, body)
+	}
+	expect(append(append([]int64(nil), base...), 5_000_000, 5_000_001), 1)
+}
+
+// TestDegradedBatchNotRecovered: the batch whose WAL sync kept failing is
+// answered 503 ErrDegraded, and its frame is cut from the log: a restart
+// on a healthy disk recovers the loaded rows alone.
+func TestDegradedBatchNotRecovered(t *testing.T) {
+	dir := t.TempDir()
+	in := fault.NewInjector(1, fault.Rule{Op: fault.OpWALSync, Kind: fault.KindError})
+	srv := newFaultyServer(t, dir, in, Config{})
+	if _, err := srv.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	base := data.Uniform(2000, 5)
+	loadRobust(t, srv, "t", base)
+	if code, body := postAppend(srv.Handler(), `[5000000,5000001]`); code != http.StatusServiceUnavailable || !strings.Contains(body, ErrDegraded.Error()) {
+		t.Fatalf("append under persistent sync failure = %d %s, want 503 %v", code, body, ErrDegraded)
+	}
+	srv.Close()
+
+	srv2 := newDurableServer(t, dir)
+	t.Cleanup(srv2.Close)
+	if _, err := srv2.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	sched, ok := srv2.Scheduler("t")
+	if !ok {
+		t.Fatal("table t not recovered")
+	}
+	q := progidx.Request{Pred: progidx.Range(0, 10_000_000), Aggs: progidx.Sum | progidx.Count | progidx.Max}
+	got, _, err := sched.Execute(context.Background(), q)
+	if want := oracle.Answer(base, q); err != nil || !answersMatch(got, want) {
+		t.Fatalf("recovered table answers %+v, %v; want the loaded rows' %+v", got, err, want)
 	}
 }
 

@@ -8,13 +8,13 @@
 // bounded, so the loop re-checks the queue between slices and yields to
 // an arriving request within one slice's latency.
 //
-// Appends ride the same admission queue as queries: a batch's ingest
-// tasks apply first (appended rows cost no indexing budget — they land
-// in the handle's pending tail), then its queries execute under the
-// batch's single δ, so the one-budget-per-batch amortization holds for
-// mixed reader/writer traffic too. A session that appends and then
-// queries sees its own rows: the append's reply is sent only after its
-// batch fully executed, so the follow-up query lands in a later batch.
+// Appends ride the same admission queue as queries: a batch's appends
+// are logged and staged first, its queries execute under the batch's
+// single δ against the rows published before it and are answered, and
+// one WAL sync then publishes the appends and acks them (their rows cost
+// no indexing budget — they land in the handle's pending tail). A
+// session that appends and then queries sees its own rows: the append is
+// acked only once published, so the follow-up query lands in a later batch.
 //
 // A query that needs no δ does not queue for one. Once a batch has found
 // the table quiescent — every column converged, no cold shard left to
@@ -563,7 +563,9 @@ func (s *Scheduler) loop() {
 		s.rejectUntilQuit()
 	}
 	if s.guard(s.finalDrain) {
-		s.failQueued()
+		// Even the final drain panicked: quarantined now, a second one
+		// only answers what is still queued with ErrQuarantined.
+		s.finalDrain()
 	}
 }
 
@@ -674,23 +676,6 @@ func (s *Scheduler) rejectUntilQuit() {
 	}
 }
 
-// failQueued is the last-resort flush when even the final drain
-// panicked: everything still queued is answered with ErrQuarantined,
-// non-blocking, so no caller hangs on a reply that will never come.
-func (s *Scheduler) failQueued() {
-	for {
-		select {
-		case t := <-s.tasks:
-			select {
-			case t.reply <- result{err: ErrQuarantined}:
-			default:
-			}
-		default:
-			return
-		}
-	}
-}
-
 // idleEligible reports whether an empty queue should be spent on
 // refinement: the table opted in and the index is not yet converged.
 // Converged() is a lock-free load once the index finishes, so the
@@ -752,12 +737,12 @@ func (s *Scheduler) collect(first *task) []*task {
 }
 
 // runBatch executes a batch through the shared index handle and
-// replies to every caller. Ingest tasks apply first, in admission
-// order (appended rows are visible to the batch's queries and cost no
-// indexing budget); the queries then share one indexing budget
-// (ExecuteConjBatch clamps every query but the leader). Replies go out
-// only after the whole batch executed, so a caller's next request always
-// lands in a later batch.
+// replies to every caller. Its appends are logged and staged first, in
+// admission order, out of the queries' sight; its queries then share one
+// indexing budget (ExecuteConjBatch clamps every query but the leader)
+// and are answered before the WAL sync, so none waits on a peer's
+// fsync. The sync then publishes the appends, and they are acked. A
+// caller's next request always lands in a later batch.
 func (s *Scheduler) runBatch(batch []*task) {
 	// Track the batch so a panic inside any of the calls below can
 	// fail its unanswered tasks instead of leaving callers parked.
@@ -778,74 +763,25 @@ func (s *Scheduler) runBatch(batch []*task) {
 		}
 	}
 	results := make([]result, len(batch))
-	var (
-		reqIdx     []int // batch positions of the query tasks
-		appendIdx  []int // batch positions of successful appends
-		nAppends   uint64
-		nAppendRow uint64
-	)
-	degraded := s.degraded.Load()
+	var reqIdx, appendIdx []int // batch positions of the queries and the appends
 	for i, t := range batch {
 		if !t.isAppend {
 			reqIdx = append(reqIdx, i)
 			continue
 		}
-		if degraded {
-			// Admitted before the table degraded (or while racing the
-			// transition): the WAL cannot promise durability, so the
-			// append must not touch the in-memory table either.
-			results[i].err = ErrDegraded
-			continue
-		}
+		// An append admitted before the table degraded is tried like any
+		// other: it is acked only once its frame is durable.
 		results[i].err = s.table.Append(t.append)
-		results[i].rows = s.table.Len()
-		if results[i].err == nil {
-			// Only successful ingests count, matching catalog.Info's
-			// appends counter — a rejected batch changed nothing.
-			nAppends++
-			nAppendRow += uint64(len(t.append))
-			appendIdx = append(appendIdx, i)
-		}
+		appendIdx = append(appendIdx, i)
 	}
-	if nAppends > 0 {
-		// Ack-after-WAL: one fsync makes the whole batch's appends
-		// durable before any reply goes out (no-op on an ephemeral
-		// table or under the always/off policies). If the sync fails,
-		// nothing in this batch was promised to disk — every append
-		// that thought it succeeded is un-acked. Transient failures are
-		// retried with jittered exponential backoff; exhausting the
-		// ladder degrades the table to sticky read-only.
-		syncStart := time.Now()
-		attempts, err := s.syncLogWithRetry()
-		syncEnd := time.Now()
-		if attempts > 1 {
-			s.mu.Lock()
-			s.syncRetries += uint64(attempts - 1)
-			s.mu.Unlock()
-		}
-		for _, t := range batch {
-			if t.trace != nil {
-				// The sync is batch-level work every traced request in
-				// the batch waited on, so each trace carries it.
-				sp := t.trace.StartAt(t.trace.Root(), "wal_sync", syncStart)
-				t.trace.EndAt(sp, syncEnd)
-			}
-		}
-		if err != nil {
-			s.degraded.Store(true)
-			if s.tobs != nil {
-				s.tobs.Timeline.Record(obs.EvDegrade, -1, float64(attempts), 0)
-			}
-			s.reg.Logger().Error("WAL sync failing persistently; table degraded to read-only",
-				slog.String("table", s.table.Name()),
-				slog.Int("attempts", attempts),
-				slog.Any("error", err),
-			)
-			for _, i := range appendIdx {
-				results[i].err = fmt.Errorf("%w: %v", ErrDegraded, err)
-			}
-			nAppends, nAppendRow = 0, 0
-		}
+	// Counted before any reply, so Metrics read after a reply counts it.
+	s.mu.Lock()
+	s.queries += uint64(len(reqIdx))
+	s.batches++
+	s.maxSeen = max(s.maxSeen, len(batch))
+	s.mu.Unlock()
+	if s.tobs != nil {
+		s.tobs.BatchSize.Observe(float64(len(batch)))
 	}
 	if len(reqIdx) > 0 {
 		// Deadline clamping: only the batch leader pays the indexing
@@ -910,39 +846,80 @@ func (s *Scheduler) runBatch(batch []*task) {
 				s.tobs.Timeline.Record(obs.EvDeadlineClamp, -1, float64(clampedQueries), 0)
 			}
 		}
+		s.noteConvergence()
+		s.reply(batch, reqIdx, results, started)
 	}
-	finished := time.Now()
-	s.noteConvergence()
-
+	var nAppends, nAppendRow uint64
+	if len(appendIdx) > 0 {
+		// Ack-after-WAL: one fsync makes the batch's appends durable and
+		// publishes them before any is acked. Transient failures are
+		// retried with jittered exponential backoff; exhausting the
+		// ladder cuts the batch from the WAL, drops its rows unseen and
+		// degrades the table to sticky read-only.
+		attempts, err := s.syncLogWithRetry()
+		if attempts > 1 {
+			s.mu.Lock()
+			s.syncRetries += uint64(attempts - 1)
+			s.mu.Unlock()
+		}
+		if err != nil {
+			s.table.RollbackLog()
+			s.degraded.Store(true)
+			if s.tobs != nil {
+				s.tobs.Timeline.Record(obs.EvDegrade, -1, float64(attempts), 0)
+			}
+			s.reg.Logger().Error("WAL sync failing persistently; table degraded to read-only",
+				slog.String("table", s.table.Name()),
+				slog.Int("attempts", attempts),
+				slog.Any("error", err),
+			)
+		}
+		// Each append reports the row count as of its own rows.
+		rows := s.table.Len()
+		for k := len(appendIdx) - 1; k >= 0; k-- {
+			switch i := appendIdx[k]; {
+			case results[i].err != nil:
+			case err != nil:
+				results[i].err = fmt.Errorf("%w: %v", ErrDegraded, err)
+			default:
+				n := len(batch[i].append) / s.table.RowWidth()
+				results[i].rows, rows = rows, rows-n
+				nAppends++
+				nAppendRow += uint64(n)
+			}
+		}
+		s.noteConvergence()
+	}
+	dur := time.Since(started).Seconds()
 	s.mu.Lock()
-	s.queries += uint64(len(reqIdx))
 	s.appends += nAppends
 	s.appendRows += nAppendRow
-	s.batches++
-	if len(batch) > s.maxSeen {
-		s.maxSeen = len(batch)
-	}
-	for _, t := range batch {
-		s.recordLatency(finished.Sub(t.enqueued))
-	}
-	dur := finished.Sub(started).Seconds()
 	if s.batchEWMA == 0 {
 		s.batchEWMA = dur
 	} else {
 		s.batchEWMA += batchEWMAAlpha * (dur - s.batchEWMA)
 	}
 	s.mu.Unlock()
+	s.reply(batch, appendIdx, results, started)
+	s.inflight = nil
+}
 
-	if s.tobs != nil {
-		s.tobs.BatchSize.Observe(float64(len(batch)))
+// reply sends the results of the batch's tasks at positions idx, with
+// their latencies and traces.
+func (s *Scheduler) reply(batch []*task, idx []int, results []result, started time.Time) {
+	finished := time.Now()
+	s.mu.Lock()
+	for _, i := range idx {
+		s.recordLatency(finished.Sub(batch[i].enqueued))
 	}
+	s.mu.Unlock()
 	slow := s.reg.SlowThreshold()
-	for i, t := range batch {
+	for _, i := range idx {
+		t := batch[i]
 		results[i].info = ExecInfo{Batch: len(batch), QueueWait: started.Sub(t.enqueued)}
 		s.observeTask(t, &results[i], started, finished, slow)
 		t.reply <- results[i]
 	}
-	s.inflight = nil
 }
 
 // syncLogWithRetry flushes the table's WAL, retrying transient

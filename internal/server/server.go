@@ -228,11 +228,15 @@ func (s *Server) Scheduler(name string) (*Scheduler, bool) {
 // (durability.go). The HTTP handler keeps answering catalog reads but
 // fails queries; callers normally shut the listener down first
 // (http.Server.Shutdown) and then Close.
-func (s *Server) Close() {
+func (s *Server) Close() { s.close(false) }
+
+// close stops the server once: every scheduler is drained (graceful) or
+// stopped, and the store closed; it returns the first error.
+func (s *Server) close(graceful bool) error {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		return
+		return nil
 	}
 	s.closed = true
 	scheds := make([]*Scheduler, 0, len(s.scheds))
@@ -242,12 +246,23 @@ func (s *Server) Close() {
 	s.scheds = make(map[string]*Scheduler)
 	s.mu.Unlock()
 	s.stopSnapshotLoop()
+	var first error
 	for _, sched := range scheds {
-		sched.Stop()
+		if !graceful {
+			sched.Stop()
+			continue
+		}
+		sched.Drain()
+		if _, err := sched.Checkpoint(); err != nil && err != ErrQuarantined && err != ErrStopped && first == nil {
+			first = err
+		}
 	}
 	if s.cfg.Store != nil {
-		s.cfg.Store.Close()
+		if err := s.cfg.Store.Close(); err != nil && first == nil {
+			first = err
+		}
 	}
+	return first
 }
 
 // Handler returns the HTTP mux for the API.
@@ -787,15 +802,17 @@ func (s *Server) queryDeadline(params url.Values) (time.Time, error) {
 // writeSchedError maps a scheduler failure onto HTTP: full queue →
 // 429 with a Retry-After derived from the observed batch latency and
 // queue depth; degraded/quarantined → 503 (the client cannot fix it
-// by retrying soon, but the node as a whole is still up); dropped →
-// 410; client gone → 499; anything else is the request's own fault.
+// by retrying soon, but the node as a whole is still up), and so is a
+// WAL write that failed (the server's disk is at fault, and nothing of
+// the batch was kept, so a retry is safe); dropped → 410; client gone →
+// 499; anything else is the request's own fault.
 func (s *Server) writeSchedError(w http.ResponseWriter, r *http.Request, sched *Scheduler, name string, err error) {
 	switch {
 	case errors.Is(err, ErrOverloaded):
 		retry := sched.RetryAfter()
 		w.Header().Set("Retry-After", strconv.FormatInt(int64((retry+time.Second-1)/time.Second), 10))
 		writeError(w, http.StatusTooManyRequests, fmt.Errorf("table %q overloaded: %w", name, err))
-	case errors.Is(err, ErrDegraded), errors.Is(err, ErrQuarantined):
+	case errors.Is(err, ErrDegraded), errors.Is(err, ErrQuarantined), errors.Is(err, catalog.ErrLogWrite):
 		writeError(w, http.StatusServiceUnavailable, err)
 	case errors.Is(err, ErrStopped):
 		writeError(w, http.StatusGone, fmt.Errorf("table %q dropped", name))
@@ -837,10 +854,6 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 	}
 	if len(values) == 0 {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("append needs at least one value"))
-		return
-	}
-	if len(values)%k != 0 {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("%d values are not a multiple of the table's row width %d", len(values), k))
 		return
 	}
 	if len(values) > maxLoadRows*k {
@@ -985,12 +998,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	writeFamily("progidx_table_shards", "gauge", "Index shards backing the table (1 = unsharded).",
 		func(ts TableStats) (float64, bool) { return float64(ts.Shards), true })
 	writeFamily("progidx_table_columns", "gauge", "Columns in the table's schema (1 = single-column).",
-		func(ts TableStats) (float64, bool) {
-			if len(ts.Columns) > 1 {
-				return float64(len(ts.Columns)), true
-			}
-			return 1, true
-		})
+		func(ts TableStats) (float64, bool) { return float64(max(len(ts.Columns), 1)), true })
 	writeFamily("progidx_table_convergence", "gauge", "Index convergence fraction in [0,1].",
 		func(ts TableStats) (float64, bool) { return ts.Progress, true })
 	writeFamily("progidx_table_converged", "gauge", "1 once the index reached its terminal state.",
@@ -1040,27 +1048,20 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		func(ts TableStats) (float64, bool) {
 			return ts.Scheduler.P99LatencyUs / 1e6, ts.Scheduler.LatencyWindow > 0
 		})
-	writeFamily("progidx_table_wal_seq", "gauge", "Sequence number of the newest WAL frame.",
-		func(ts TableStats) (float64, bool) {
+	walFamily := func(name, help string, value func(*catalog.DurabilityInfo) uint64) {
+		writeFamily(name, "gauge", help, func(ts TableStats) (float64, bool) {
 			if ts.Durability == nil {
 				return 0, false
 			}
-			return float64(ts.Durability.WALSeq), true
+			return float64(value(ts.Durability)), true
 		})
-	writeFamily("progidx_table_wal_covered_seq", "gauge", "WAL sequence covered by the newest snapshot.",
-		func(ts TableStats) (float64, bool) {
-			if ts.Durability == nil {
-				return 0, false
-			}
-			return float64(ts.Durability.CoveredSeq), true
-		})
-	writeFamily("progidx_table_wal_tail_frames", "gauge", "WAL frames a crash right now would replay.",
-		func(ts TableStats) (float64, bool) {
-			if ts.Durability == nil {
-				return 0, false
-			}
-			return float64(ts.Durability.TailFrames), true
-		})
+	}
+	walFamily("progidx_table_wal_seq", "Sequence number of the newest WAL frame.",
+		func(d *catalog.DurabilityInfo) uint64 { return d.WALSeq })
+	walFamily("progidx_table_wal_covered_seq", "WAL sequence covered by the newest snapshot.",
+		func(d *catalog.DurabilityInfo) uint64 { return d.CoveredSeq })
+	walFamily("progidx_table_wal_tail_frames", "WAL frames a crash right now would replay.",
+		func(d *catalog.DurabilityInfo) uint64 { return d.TailFrames })
 	if s.cfg.Store != nil {
 		st := s.cfg.Store.Stats()
 		for _, c := range []struct {
