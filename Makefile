@@ -17,7 +17,7 @@ race:
 # repeats these tests (race-repeat). race-list fails when go test -list
 # finds fewer of them than RACE_REPEAT names: a renamed or deleted test
 # cannot silently drop out of the repetition.
-RACE_REPEAT = TestShardedObserversRaceClaimsAndMerges|TestReaderOnPreMergeViewKeepsItsAnswer|TestReadersRaceSettle|TestSealRacesSettle|TestColumnsStayInLockstep|TestLeaderCarriesBudgetOnDirectRoute|TestQuiescentRouteRaces|TestCaptureRacesAppends|TestServedHistory
+RACE_REPEAT = TestShardedObserversRaceClaimsAndMerges|TestReaderOnPreMergeViewKeepsItsAnswer|TestReadersRaceSettle|TestSealRacesSettle|TestColumnsStayInLockstep|TestLeaderCarriesBudgetOnDirectRoute|TestCaptureRacesAppends|TestServedHistory
 RACE_REPEAT_PKGS = . ./internal/shard ./internal/plan ./internal/server ./internal/catalog
 race-list:
 	@want=$$(echo '$(RACE_REPEAT)' | tr '|' '\n' | wc -l); \
@@ -109,7 +109,11 @@ vet:
 # back on a failed batch) kept it at 20 400, net 0: the per-query
 # wal_sync spans, failQueued, a second shutdown path and two unused
 # accessors went.
-LOC_MAX ?= 20400
+# A drop under a batch's WAL sync answered 410 without the retry ladder
+# (durable.ErrLogClosed), and one checkpoint per table at a time, lowered
+# it to 20 399: Trace.Finish written as FinishAt(now), plan.Table.Width
+# and the checkpoint's dropped-table probe went.
+LOC_MAX ?= 20399
 loc:
 	@n=$$(find . \( -name '*.go' -o -name '*.s' \) -not -name '*_test.go' -not -path './benchmark/*' -not -path './.bench_build/*' -print0 | xargs -0 cat | wc -l); \
 	echo $$n; \

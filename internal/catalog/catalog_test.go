@@ -139,8 +139,8 @@ func TestShardedTableLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, planned := tbl.Planned(); planned || tbl.Handle().Width() != 1 || tbl.Index().Name() != "PQ/S4" {
-		t.Fatalf("sharded load built %s of %d columns, want the one-column table PQ/S4", tbl.Index().Name(), tbl.Handle().Width())
+	if _, planned := tbl.Planned(); planned || tbl.RowWidth() != 1 || tbl.Index().Name() != "PQ/S4" {
+		t.Fatalf("sharded load built %s of %d columns, want the one-column table PQ/S4", tbl.Index().Name(), tbl.RowWidth())
 	}
 	if got := tbl.ShardCount(); got != 4 {
 		t.Fatalf("ShardCount() = %d, want 4", got)

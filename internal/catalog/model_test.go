@@ -1,6 +1,7 @@
 package catalog
 
 import (
+	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -369,11 +370,16 @@ func (m *model) exec(s step) error {
 	case stepAppend:
 		if rng.Intn(8) == 0 {
 			flat := m.tuples(rng, m.rows(), 1+rng.Intn(300), rng.Intn(2) == 0)
-			flat[rng.Intn(len(flat))] = column.MaxMagnitude
-			m.logf("append %d rows, one value out of domain", len(flat)/m.k())
+			what := "one value out of domain"
+			if m.k() > 1 && rng.Intn(2) == 0 {
+				flat, what = flat[:len(flat)-1], "one value short of a row"
+			} else {
+				flat[rng.Intn(len(flat))] = column.MaxMagnitude
+			}
+			m.logf("append %d values, %s", len(flat), what)
 			before := m.tbl.Info()
 			if err := m.tbl.Append(flat); err == nil {
-				return errors.New("an out-of-domain batch was accepted")
+				return fmt.Errorf("a batch with %s was accepted", what)
 			}
 			if info := m.tbl.Info(); info.Rows != before.Rows || info.Appends != before.Appends {
 				return fmt.Errorf("a refused batch moved the table: %d → %d rows, %d → %d appends", before.Rows, info.Rows, before.Appends, info.Appends)
@@ -475,6 +481,22 @@ func (m *model) restart(rng *rand.Rand, tear bool) error {
 		m.logf("kill and recover")
 	}
 	m.store.Close()
+	// The schema travels through the manifest as format 2; a table loaded
+	// without one keeps the v1 layout, which has neither key.
+	mans, _ := filepath.Glob(filepath.Join(m.dir, "tables", "*", "manifest.json"))
+	if len(mans) != 1 {
+		return fmt.Errorf("%d manifests on disk, want 1", len(mans))
+	}
+	man, err := os.ReadFile(mans[0])
+	if err != nil {
+		return err
+	}
+	schema, _ := json.Marshal(m.ax.columns)
+	for _, key := range []string{`"columns":` + string(schema), `"format":2`} {
+		if strings.Contains(string(man), key) != (m.ax.columns != nil) {
+			return fmt.Errorf("the manifest of a table of schema %q: %s", m.ax.columns, man)
+		}
+	}
 	if err := m.openCatalog(); err != nil {
 		return err
 	}
@@ -507,6 +529,16 @@ func (m *model) restart(rng *rand.Rand, tear bool) error {
 	}
 	if p := t.Handle().Progress(); p+1e-9 < m.floor {
 		return fmt.Errorf("recovered progress %g under the checkpoint's floor %g", p, m.floor)
+	}
+	// A recovered compressed table is all cold shards again, as a fresh
+	// one is: no column has spent a refine slice, and where no replayed
+	// row is pending every column reports converged at progress 1.
+	if m.ax.enc.Compressed() {
+		for _, cs := range t.Handle().ColumnStates() {
+			if cs.Refines != 0 || t.Handle().PendingRows() == 0 && !(cs.Converged && cs.Progress == 1) {
+				return fmt.Errorf("recovered cold column %q: %d refine slices, converged=%v, progress %g", cs.Name, cs.Refines, cs.Converged, cs.Progress)
+			}
+		}
 	}
 	return nil
 }

@@ -3,11 +3,13 @@ package core
 import (
 	"encoding/binary"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/column"
 	"repro/internal/query"
@@ -225,6 +227,29 @@ func makeThreads() {
 	wg.Wait()
 }
 
+// fillSudogs parks the goroutine once in a select of 1024 channels. A
+// parked select takes a sudog for each of its cases from its P's cache,
+// which refills from a central one, and allocates them
+// (runtime.acquireSudog) where both are empty; woken, it gives them back
+// to its P's cache, which spills half of itself into the central one
+// each time it is full. A collection empties the central cache, so after
+// one the pool's help-first wait, a two-case select, allocates its two
+// sudogs when it parks on a P whose own cache is empty: 116 or 117
+// mallocs for 115 allowed, in a few runs of 30 under -race (a memory
+// profile of the window names runtime.acquireSudog under
+// parallel.(*Pool).Run). Filled again, the central cache hands them out.
+func fillSudogs() {
+	cases := make([]reflect.SelectCase, 1024)
+	for i := range cases {
+		cases[i] = reflect.SelectCase{Dir: reflect.SelectRecv, Chan: reflect.ValueOf(make(chan struct{}))}
+	}
+	go func() {
+		time.Sleep(time.Millisecond) // let the select park first
+		cases[0].Chan.Close()
+	}()
+	reflect.Select(cases)
+}
+
 // The hot paths allocate nothing of their own: a creation step past the
 // first allocates its bucket blocks and the pool's fork/join, a point
 // query's answer in mid-refinement nothing at all.
@@ -249,9 +274,11 @@ func TestHotPathAllocations(t *testing.T) {
 	// collect first. The runtime also allocates the m of every thread it
 	// makes, and the step's pool can wake one more P than has run so far
 	// (116 mallocs for 115 allowed, once, at GOMAXPROCS 16), so every P
-	// gets its thread before the window.
+	// gets its thread before the window. And the collection empties the
+	// runtime's central sudog cache, which fillSudogs fills again.
 	makeThreads()
 	runtime.GC()
+	fillSudogs()
 	allocs := testing.AllocsPerRun(1, func() {
 		appended = 0
 		for i, bk := range pb.bks {

@@ -3,6 +3,7 @@ package durable
 import (
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -41,6 +42,11 @@ type TableMeta struct {
 	// table. Readers reject formats they do not know.
 	Format int `json:"format,omitempty"`
 }
+
+// ErrLogClosed is returned by a table log's Append, Sync and
+// WriteCheckpoint once the log is closed: its table was dropped or its
+// store closed, so no retry can succeed.
+var ErrLogClosed = errors.New("durable: table log closed")
 
 // FormatMultiColumn is the meta format written for tables created with
 // an explicit schema, of one column or more.
@@ -451,7 +457,7 @@ func (t *TableLog) Append(values []int64) (uint64, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.closed {
-		return 0, fmt.Errorf("durable: table %q log closed", t.name)
+		return 0, ErrLogClosed
 	}
 	seq, err := t.w.append(values)
 	if err == nil && t.store.policy == SyncAlways {
@@ -473,7 +479,7 @@ func (t *TableLog) Sync() error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.closed {
-		return fmt.Errorf("durable: table %q log closed", t.name)
+		return ErrLogClosed
 	}
 	return t.sync()
 }
@@ -538,7 +544,7 @@ func (t *TableLog) WriteCheckpoint(cp Checkpoint) error {
 	t.mu.Lock()
 	if t.closed {
 		t.mu.Unlock()
-		return fmt.Errorf("durable: table %q log closed", t.name)
+		return ErrLogClosed
 	}
 	// Only roll when the active segment actually contains covered
 	// frames; otherwise (segment already starts past cp.Seq, or nothing

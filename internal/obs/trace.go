@@ -240,23 +240,7 @@ func (t *Trace) Bool(id SpanID, key string, v bool) {
 // Finish closes the root span (and any span left open) and freezes
 // the trace. After Finish the trace is immutable and safe to share
 // with the trace ring and HTTP renderers without locking.
-func (t *Trace) Finish() {
-	if t == nil {
-		return
-	}
-	now := time.Now()
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for i := range t.spans {
-		if t.spans[i].open {
-			t.spans[i].dur = now.Sub(t.start) - t.spans[i].start
-			if t.spans[i].dur < 0 {
-				t.spans[i].dur = 0
-			}
-			t.spans[i].open = false
-		}
-	}
-}
+func (t *Trace) Finish() { t.FinishAt(time.Now()) }
 
 // FinishAt is Finish with an explicit end time (retro-traces replay
 // recorded timestamps).

@@ -136,9 +136,6 @@ func (t *Table) Columns() []string {
 	return out
 }
 
-// Width returns the tuple width (column count).
-func (t *Table) Width() int { return len(t.cols) }
-
 // Name implements Index: a one-column table goes by its column's name
 // (strategy and loaded shard count, e.g. "PQ/S4"), a wider one by the
 // column count and its first column's name (e.g. "multicol(3×PQ/S1)").

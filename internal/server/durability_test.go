@@ -2,13 +2,10 @@ package server
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
-	"fmt"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"path/filepath"
 	"runtime"
 	"slices"
@@ -54,177 +51,6 @@ func answersMatch(a, b progidx.Answer) bool {
 	aavg, aok := a.AvgOk()
 	bavg, bok := b.AvgOk()
 	return aok == bok && aavg == bavg
-}
-
-// tearTail appends a partial WAL frame (valid-looking header, missing
-// payload bytes) to the table's newest segment, simulating a crash
-// mid-write.
-func tearTail(t *testing.T, dir, table string) {
-	t.Helper()
-	tdir := ""
-	filepath.Walk(filepath.Join(dir, "tables"), func(p string, info os.FileInfo, err error) error {
-		if err == nil && info.IsDir() && filepath.Base(p) == "t-"+table {
-			tdir = p
-		}
-		return nil
-	})
-	if tdir == "" {
-		t.Fatalf("no on-disk dir for table %q", table)
-	}
-	var newest string
-	ents, err := os.ReadDir(tdir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range ents {
-		if filepath.Ext(e.Name()) == ".seg" && e.Name() > newest {
-			newest = e.Name()
-		}
-	}
-	if newest == "" {
-		t.Fatal("no WAL segment to tear (the trace always appends at least once)")
-	}
-	torn := make([]byte, 16+8) // header + 1 of the 4 promised values
-	binary.LittleEndian.PutUint64(torn[0:8], 1<<40)
-	binary.LittleEndian.PutUint32(torn[8:12], 4)
-	f, err := os.OpenFile(filepath.Join(tdir, newest), os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Write(torn); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-}
-
-// TestKillRestartProperty is the headline durability test: an
-// interleaved append/query trace runs against a durable server, the
-// process "crashes" (hard Close — no final checkpoint) at a
-// configuration-dependent point in the trace, some configurations also
-// tear the WAL tail mid-frame or checkpoint mid-trace (exercising
-// snapshot + truncate), and after restart the answers on the acked
-// prefix must be bit-identical to the branching full-scan oracle, with
-// index progress at least the last snapshot's floor.
-func TestKillRestartProperty(t *testing.T) {
-	strategies := []progidx.Strategy{
-		progidx.StrategyQuicksort, // PQ
-		progidx.StrategyRadixMSD,  // PMSD
-		progidx.StrategyBucketsort,
-		progidx.StrategyRadixLSD,
-	}
-	shardCounts := []int{1, 3, 8}
-	const (
-		n        = 3000
-		totalOps = 12 // append batches in the full trace
-	)
-	cfgIdx := 0
-	for _, strat := range strategies {
-		for _, shards := range shardCounts {
-			strat, shards, idx := strat, shards, cfgIdx
-			cfgIdx++
-			t.Run(fmt.Sprintf("%s/shards=%d", strat, shards), func(t *testing.T) {
-				t.Parallel()
-				dir := t.TempDir()
-				srv := newDurableServer(t, dir)
-				if _, err := srv.Recover(); err != nil {
-					t.Fatal(err)
-				}
-				base := data.Uniform(n, int64(idx+1))
-				opts := catalog.Options{Strategy: strat, Delta: 0.25, Shards: shards}
-				if _, err := srv.Load("t", base, opts); err != nil {
-					t.Fatal(err)
-				}
-				sched, _ := srv.Scheduler("t")
-				ctx := context.Background()
-
-				// Vary the crash point across configurations: crash after
-				// crashAt acked append batches — an arbitrary WAL frame
-				// boundary. Every third config checkpoints mid-trace; every
-				// other config additionally tears the tail.
-				crashAt := 1 + idx%totalOps
-				checkpointAt := -1
-				if idx%3 == 0 {
-					checkpointAt = crashAt / 2
-				}
-				tornTail := idx%2 == 1
-
-				oracleVals := append([]int64(nil), base...)
-				queries := []progidx.Request{
-					{Pred: progidx.Range(int64(n/4), int64(3*n/4)), Aggs: progidx.Sum | progidx.Count | progidx.Min | progidx.Max},
-					{Pred: progidx.AtLeast(int64(2 * n)), Aggs: progidx.Sum | progidx.Count | progidx.Avg},
-					{Pred: progidx.Range(0, int64(4*n)), Aggs: progidx.Sum | progidx.Count | progidx.Min | progidx.Max | progidx.Avg},
-				}
-				var snapFloor float64
-				next := int64(2 * n) // appended values: distinct, ascending, outside base domain
-				for op := 0; op < crashAt; op++ {
-					batch := []int64{next, next + 1, next + 2}
-					next += 3
-					if _, _, err := sched.Append(ctx, batch); err != nil {
-						t.Fatalf("append %d: %v", op, err)
-					}
-					// Acked: the oracle must see it after recovery.
-					oracleVals = append(oracleVals, batch...)
-					if _, _, err := sched.Execute(ctx, queries[op%len(queries)]); err != nil {
-						t.Fatalf("query %d: %v", op, err)
-					}
-					if op == checkpointAt {
-						// Progress read just before the capture is a floor on
-						// what the snapshot records (no append intervenes, so
-						// progress cannot dilute between the read and the
-						// capture) — and recovery must restore at least the
-						// snapshot's recorded value.
-						tbl, _ := srv.Catalog().Get("t")
-						snapFloor = tbl.Index().Progress()
-						if ok, err := sched.Checkpoint(); !ok || err != nil {
-							t.Fatalf("checkpoint: ok=%v err=%v", ok, err)
-						}
-					}
-				}
-				srv.Close() // crash: no shutdown checkpoint
-
-				if tornTail {
-					tearTail(t, dir, "t")
-				}
-
-				srv2 := newDurableServer(t, dir)
-				t.Cleanup(srv2.Close)
-				warnings, err := srv2.Recover()
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, w := range warnings {
-					t.Fatalf("recovery warning: %v", w)
-				}
-				tbl, ok := srv2.Catalog().Get("t")
-				if !ok {
-					t.Fatal("table did not recover")
-				}
-				if tbl.Len() != len(oracleVals) {
-					t.Fatalf("recovered rows = %d, want %d (acked prefix)", tbl.Len(), len(oracleVals))
-				}
-				if got := tbl.Options(); got.Strategy != strat || got.Shards != shards {
-					t.Fatalf("recovered options = %+v", got)
-				}
-				if checkpointAt >= 0 {
-					if got := tbl.Index().Progress(); got+1e-9 < snapFloor {
-						t.Fatalf("recovered progress %.4f < snapshot floor %.4f", got, snapFloor)
-					}
-				}
-
-				sched2, _ := srv2.Scheduler("t")
-				for qi, q := range queries {
-					want := oracle.Answer(oracleVals, q)
-					got, _, err := sched2.Execute(ctx, q)
-					if err != nil {
-						t.Fatalf("recovered query %d: %v", qi, err)
-					}
-					if !answersMatch(got, want) {
-						t.Fatalf("query %d mismatch after recovery:\n got %+v\nwant %+v", qi, got, want)
-					}
-				}
-			})
-		}
-	}
 }
 
 // TestRecoverRefusesABaselineTable: a store written when a table could

@@ -8,6 +8,9 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -19,13 +22,15 @@ import (
 	"repro/internal/data"
 	"repro/internal/durable"
 	"repro/internal/fault"
+	"repro/internal/obs"
 	"repro/internal/oracle"
 	"repro/internal/query"
 )
 
 // newFaultyServer opens a durable store whose disk I/O routes through
 // the given injector, with snapshots effectively disabled and the slow
-// logger silenced (fault tests deliberately provoke error logs).
+// logger silenced unless cfg names one (fault tests deliberately provoke
+// error logs).
 func newFaultyServer(t *testing.T, dir string, in *fault.Injector, cfg Config) *Server {
 	t.Helper()
 	store, err := durable.OpenFS(dir, durable.SyncBatch, fault.Injecting(fault.OS(), in))
@@ -34,7 +39,9 @@ func newFaultyServer(t *testing.T, dir string, in *fault.Injector, cfg Config) *
 	}
 	cfg.Store = store
 	cfg.SnapshotInterval = 1 << 40
-	cfg.Logger = slog.New(slog.DiscardHandler)
+	if cfg.Logger == nil {
+		cfg.Logger = slog.New(slog.DiscardHandler)
+	}
 	return New(cfg)
 }
 
@@ -253,6 +260,128 @@ func TestDegradedBatchNotRecovered(t *testing.T) {
 	got, _, err := sched.Execute(context.Background(), q)
 	if want := oracle.Answer(base, q); err != nil || !answersMatch(got, want) {
 		t.Fatalf("recovered table answers %+v, %v; want the loaded rows' %+v", got, err, want)
+	}
+}
+
+// hookHandler is a slog handler that counts error records and calls
+// onSlow, on the logging goroutine, for the first slow-query line.
+type hookHandler struct {
+	onSlow func()
+	once   sync.Once
+	errs   atomic.Int64
+}
+
+func (h *hookHandler) Enabled(context.Context, slog.Level) bool { return true }
+func (h *hookHandler) WithAttrs([]slog.Attr) slog.Handler       { return h }
+func (h *hookHandler) WithGroup(string) slog.Handler            { return h }
+func (h *hookHandler) Handle(_ context.Context, r slog.Record) error {
+	if r.Level >= slog.LevelError {
+		h.errs.Add(1)
+	}
+	if r.Message == "slow query" {
+		h.once.Do(h.onSlow)
+	}
+	return nil
+}
+
+// TestDropDuringWALSyncAnswers410: a drop that closes the table's log
+// between a batch's append and its WAL sync ends the batch at once. Its
+// append answers 410, as any request on a dropped table does, with no
+// sync retry, no degrade event and no error logged. The batch is one
+// append and one query queued behind a slow sync; the query's slow-query
+// line, written on the serving loop between the two, runs the drop.
+func TestDropDuringWALSyncAnswers410(t *testing.T) {
+	dir := t.TempDir()
+	in := fault.NewInjector(1, fault.Rule{Op: fault.OpWALSync, Kind: fault.KindLatency, Latency: 50 * time.Millisecond})
+	var srv *Server
+	dropped := make(chan error, 1)
+	hook := &hookHandler{onSlow: func() {
+		go func() { dropped <- srv.Drop("t") }()
+		for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+			if ents, _ := os.ReadDir(filepath.Join(dir, "tables")); len(ents) == 0 {
+				return // the log is closed and the table's files gone
+			}
+		}
+	}}
+	srv = newFaultyServer(t, dir, in, Config{SlowQuery: time.Nanosecond, Logger: slog.New(hook)})
+	t.Cleanup(srv.Close)
+	if _, err := srv.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	sched := loadRobust(t, srv, "t", data.Uniform(2000, 7))
+	h := srv.Handler()
+	first := make(chan error, 1)
+	go func() { _, _, err := sched.Append(context.Background(), []int64{5000}); first <- err }()
+	for in.Seen(fault.OpWALSync) == 0 {
+		time.Sleep(time.Millisecond) // until the first batch is inside its sync
+	}
+	codes := make(chan int, 2)
+	go func() { code, _ := postAppend(h, `[5001,5002]`); codes <- code }()
+	go func() {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/tables/t/query", strings.NewReader(`{"pred":{"kind":"range","lo":0,"hi":10}}`)))
+		codes <- rec.Code
+	}()
+	for len(sched.tasks) < 2 {
+		time.Sleep(time.Millisecond)
+	}
+	if err := <-first; err != nil {
+		t.Fatalf("the first append: %v", err)
+	}
+	if got := []int{<-codes, <-codes}; !slices.Contains(got, http.StatusGone) || !slices.Contains(got, http.StatusOK) {
+		t.Fatalf("the append and the query of the dropped batch answered %v, want 410 and 200", got)
+	}
+	if err := <-dropped; err != nil {
+		t.Fatal(err)
+	}
+	if m := sched.Metrics(); m.SyncRetries != 0 || m.State == "degraded" {
+		t.Fatalf("a drop under the sync: %d retries, state %s", m.SyncRetries, m.State)
+	}
+	for _, e := range sched.tobs.Timeline.Snapshot() {
+		if e.Kind == obs.EvDegrade {
+			t.Fatal("a drop under the sync recorded a degrade event")
+		}
+	}
+	if n := hook.errs.Load(); n != 0 {
+		t.Fatalf("a drop under the sync logged %d errors", n)
+	}
+}
+
+// TestConcurrentCheckpointsWriteOnce: two CheckpointAll calls at once
+// write one snapshot of the table. The second waits for the first, whose
+// write an injected latency holds open, and then finds nothing to write.
+func TestConcurrentCheckpointsWriteOnce(t *testing.T) {
+	in := fault.NewInjector(1, fault.Rule{Op: fault.OpSnapshotWrite, Kind: fault.KindLatency, Latency: 10 * time.Millisecond})
+	srv := newFaultyServer(t, t.TempDir(), in, Config{})
+	t.Cleanup(srv.Close)
+	if _, err := srv.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	off := false
+	if _, err := srv.Load("t", data.Uniform(2000, 7), catalog.Options{Strategy: progidx.StrategyQuicksort, Delta: 0.25, IdleRefine: &off}); err != nil {
+		t.Fatal(err)
+	}
+	sched, _ := srv.Scheduler("t")
+	if _, _, err := sched.Append(context.Background(), []int64{5000}); err != nil {
+		t.Fatal(err)
+	}
+	before, seen := srv.cfg.Store.Stats().Snapshots, in.Seen(fault.OpSnapshotWrite)
+	var wg sync.WaitGroup
+	checkpoint := func() {
+		defer wg.Done()
+		if errs := srv.CheckpointAll(context.Background()); len(errs) > 0 {
+			t.Error(errs)
+		}
+	}
+	wg.Add(2)
+	go checkpoint()
+	for in.Seen(fault.OpSnapshotWrite) == seen {
+		time.Sleep(time.Millisecond) // until the first is writing
+	}
+	go checkpoint()
+	wg.Wait()
+	if got := srv.cfg.Store.Stats().Snapshots - before; got != 1 {
+		t.Fatalf("two concurrent checkpoints wrote %d snapshots, want 1", got)
 	}
 }
 

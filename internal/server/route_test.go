@@ -5,14 +5,10 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 	"log/slog"
-	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -53,167 +49,6 @@ func post(url string, body any) (int, []byte, error) {
 	defer resp.Body.Close()
 	payload, err := io.ReadAll(resp.Body)
 	return resp.StatusCode, payload, err
-}
-
-// TestQuiescentRouteRaces serves a quiescent one-column table and a
-// quiescent multi-column raw table to sessions that race the route
-// against the queue: readers whose every answer is checked against a
-// full scan of the loaded rows, a writer that appends and then queries
-// its own rows (it must see them), checkpoint captures, and a drop in
-// mid-stream, after which the scheduler answers ErrStopped — HTTP 410.
-func TestQuiescentRouteRaces(t *testing.T) {
-	const n, appended = 20_000, int64(1) << 40 // appended rows lie above every loaded value
-	for _, tc := range []struct {
-		name    string
-		columns []string
-		rows    []int64
-	}{
-		{"one-column", nil, data.Uniform(n, 3)},
-		{"multi-column", []string{"a", "b", "c"}, data.MultiColumn(n, 3, 3)},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			k := max(len(tc.columns), 1)
-			srv := newDurableServer(t, t.TempDir())
-			ts := httptest.NewServer(srv.Handler())
-			t.Cleanup(func() { ts.Close(); srv.Close() })
-			if _, err := srv.Load("rt", tc.rows, catalog.Options{Strategy: progidx.StrategyQuicksort, Delta: 0.5, Columns: tc.columns}); err != nil {
-				t.Fatal(err)
-			}
-			sched, _ := srv.Scheduler("rt")
-			awaitQuiescent(t, sched)
-			url := ts.URL + "/tables/rt/query"
-
-			// The oracle answers over the loaded rows: appended ones lie
-			// above every queried range.
-			cols, names := oracle.Columns(tc.rows, k), []string{"a", "b", "c"}[:k]
-			var dropping atomic.Bool
-			var answered atomic.Int64
-			midway := make(chan struct{})
-			var once sync.Once
-			// ask sends one query; after the drop began a 404 or 410 ends
-			// the session, and before it nothing but 200 is allowed.
-			ask := func(req QueryRequest, sum, count int64) (done bool, err error) {
-				status, body, err := post(url, req)
-				if err != nil {
-					return true, err
-				}
-				if status != http.StatusOK {
-					if dropping.Load() && (status == http.StatusNotFound || status == http.StatusGone) {
-						return true, nil
-					}
-					return true, fmt.Errorf("status %d: %s", status, body)
-				}
-				var resp QueryResponse
-				if err := json.Unmarshal(body, &resp); err != nil {
-					return true, err
-				}
-				if resp.Count != count || (count > 0 && (resp.Sum == nil || *resp.Sum != sum)) {
-					return true, fmt.Errorf("%s: got sum %v count %d, want %d %d", body, resp.Sum, resp.Count, sum, count)
-				}
-				if answered.Add(1) == 300 {
-					once.Do(func() { close(midway) })
-				}
-				return false, nil
-			}
-
-			var wg sync.WaitGroup
-			errs := make(chan error, 8)
-			session := func(f func() error) {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					if err := f(); err != nil {
-						errs <- err
-					}
-				}()
-			}
-			for s := 0; s < 3; s++ {
-				rng := rand.New(rand.NewSource(int64(s)))
-				session(func() error {
-					for {
-						lo := rng.Int63n(n)
-						hi := lo + rng.Int63n(n/20)
-						req, sum, count := rangeQuery(lo, hi), int64(0), int64(0)
-						req.Aggs = []string{"sum", "count"}
-						if k > 1 && rng.Intn(2) == 0 {
-							c := rng.Int63n(n)
-							req = QueryRequest{Predicates: []ColPredSpec{
-								{Col: "b", PredSpec: req.Pred},
-								{Col: "c", PredSpec: PredSpec{Kind: "atleast", Value: &c}},
-							}, Target: "a", Aggs: req.Aggs}
-							want := oracle.Conj(cols, names, query.Conj("a", 0, query.On("b", query.Range(lo, hi)), query.On("c", query.Range(c, appended-1))))
-							sum, count = want.Sum, want.Count
-						} else {
-							want := oracle.Conj(cols, names, query.Conj("a", 0, query.On("a", query.Range(lo, hi))))
-							sum, count = want.Sum, want.Count
-						}
-						if done, err := ask(req, sum, count); done {
-							return err
-						}
-					}
-				})
-			}
-			session(func() error { // the writer: append, then read its own rows
-				for r := int64(0); ; r++ {
-					first, m := appended+r*100, int64(1+r%50)
-					rows := make([][]int64, m)
-					var sum int64
-					for i := range rows {
-						rows[i] = make([]int64, k)
-						for c := range rows[i] {
-							rows[i][c] = first + int64(i)
-						}
-						sum += first + int64(i)
-					}
-					status, body, err := post(ts.URL+"/tables/rt/append", AppendRequest{Rows: rows})
-					if err != nil {
-						return err
-					}
-					if status != http.StatusOK {
-						if dropping.Load() {
-							return nil
-						}
-						return fmt.Errorf("append: status %d: %s", status, body)
-					}
-					if done, err := ask(rangeQuery(first, first+m-1), sum, m); done {
-						return err
-					}
-				}
-			})
-			session(func() error { // checkpoints, until the drop removes the table's files
-				for !dropping.Load() {
-					if _, err := sched.Checkpoint(); err != nil && !dropping.Load() {
-						return err
-					}
-					time.Sleep(5 * time.Millisecond)
-				}
-				return nil
-			})
-			select {
-			case <-midway:
-			case err := <-errs:
-				t.Fatal(err)
-			}
-			dropping.Store(true)
-			if err := srv.Drop("rt"); err != nil {
-				t.Fatal(err)
-			}
-			wg.Wait()
-			close(errs)
-			for err := range errs {
-				t.Error(err)
-			}
-			_, _, _, err := sched.ExecuteConj(context.Background(), query.Conjunction{Preds: []query.ColPredicate{{Pred: progidx.Point(1)}}}, time.Time{}, false)
-			if !errors.Is(err, ErrStopped) {
-				t.Fatalf("a query after the drop: %v, want ErrStopped", err)
-			}
-			rec := httptest.NewRecorder()
-			srv.writeSchedError(rec, httptest.NewRequest("POST", url, nil), sched, "rt", err)
-			if rec.Code != http.StatusGone {
-				t.Fatalf("a query after the drop answers %d, want 410", rec.Code)
-			}
-		})
-	}
 }
 
 // TestQuiescentRouteClaimsColdShards pins the route's predicate: a

@@ -37,6 +37,7 @@ import (
 	"time"
 
 	"repro/internal/catalog"
+	"repro/internal/durable"
 	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/query"
@@ -183,6 +184,8 @@ type Scheduler struct {
 	// is rejected with ErrQuarantined. Both clear only on restart.
 	degraded    atomic.Bool
 	quarantined atomic.Bool
+
+	checkpointing sync.Mutex // held by the table's one running Checkpoint
 
 	// Loop-goroutine-only state (no lock): the batch currently inside
 	// runBatch (so a panic recovery can fail its unanswered tasks) and
@@ -447,20 +450,23 @@ func (s *Scheduler) Drain() {
 // keeps the capture exact, and it holds appends back only for the
 // in-memory capture. A quarantined table is refused with
 // ErrQuarantined (its state is not trusted again before a restart), a
-// dropped one with ErrStopped. ok == false means the table is not
-// durable.
+// dropped one (its log closed) with ErrStopped. ok == false means the
+// table is not durable. One checkpoint of the table runs at a time, and
+// writes nothing where the last one left nothing to write.
 func (s *Scheduler) Checkpoint() (ok bool, err error) {
 	if s.quarantined.Load() {
 		return false, ErrQuarantined
 	}
-	if s.table.Status() == catalog.StatusDropped {
+	s.checkpointing.Lock()
+	defer s.checkpointing.Unlock()
+	cp, ok := s.table.CaptureCheckpoint()
+	if !ok || !s.table.NeedsCheckpoint() {
+		return ok, nil
+	}
+	if err = s.table.WriteCheckpoint(cp); errors.Is(err, durable.ErrLogClosed) {
 		return false, ErrStopped
 	}
-	cp, ok := s.table.CaptureCheckpoint()
-	if !ok {
-		return false, nil
-	}
-	return true, s.table.WriteCheckpoint(cp)
+	return true, err
 }
 
 // noteShed counts one rejected admission and (throttled) publishes it
@@ -862,7 +868,11 @@ func (s *Scheduler) runBatch(batch []*task) {
 			s.syncRetries += uint64(attempts - 1)
 			s.mu.Unlock()
 		}
-		if err != nil {
+		if errors.Is(err, durable.ErrLogClosed) {
+			// A drop closed the log under the batch: the table is gone,
+			// not degraded, and its appends answer as a dropped table's do.
+			err = ErrStopped
+		} else if err != nil {
 			s.table.RollbackLog()
 			s.degraded.Store(true)
 			if s.tobs != nil {
@@ -873,6 +883,7 @@ func (s *Scheduler) runBatch(batch []*task) {
 				slog.Int("attempts", attempts),
 				slog.Any("error", err),
 			)
+			err = fmt.Errorf("%w: %v", ErrDegraded, err)
 		}
 		// Each append reports the row count as of its own rows.
 		rows := s.table.Len()
@@ -880,7 +891,7 @@ func (s *Scheduler) runBatch(batch []*task) {
 			switch i := appendIdx[k]; {
 			case results[i].err != nil:
 			case err != nil:
-				results[i].err = fmt.Errorf("%w: %v", ErrDegraded, err)
+				results[i].err = err
 			default:
 				n := len(batch[i].append) / s.table.RowWidth()
 				results[i].rows, rows = rows, rows-n
@@ -926,12 +937,13 @@ func (s *Scheduler) reply(batch []*task, idx []int, results []result, started ti
 // failures with jittered exponential backoff (1ms, 2ms, 4ms, ... —
 // the whole ladder blocks the loop for under ~50ms). It returns the
 // number of attempts made and the final error; a non-nil error means
-// the retry budget is exhausted and the caller should degrade.
+// the retry budget is exhausted and the caller should degrade, or the
+// log was closed (durable.ErrLogClosed), which no retry can mend.
 func (s *Scheduler) syncLogWithRetry() (attempts int, err error) {
 	backoff := walSyncBackoff
 	for attempt := 1; ; attempt++ {
 		err = s.table.SyncLog()
-		if err == nil || attempt > walSyncRetries {
+		if err == nil || attempt > walSyncRetries || errors.Is(err, durable.ErrLogClosed) {
 			return attempt, err
 		}
 		// Jitter to half-to-full backoff: schedulers for many tables
