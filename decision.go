@@ -45,69 +45,3 @@ func Recommend(h WorkloadHints) Strategy {
 		return StrategyRadixMSD
 	}
 }
-
-// RecommendEncoding extends the decision tree to the storage mode: a
-// memory-constrained deployment gets EncodingFORBP — the packed shards
-// serve queries in place at a fraction of the resident bytes, and the
-// claim-on-heat path decompresses only the shards the workload proves
-// it needs, so the steady state honors the "at most one extra copy"
-// contract where an eagerly decoded table could not. Everything else
-// gets EncodingRaw: with memory to spare, raw storage skips even the
-// modest compressed-scan penalty and lets every shard start its
-// progressive build on first touch.
-func RecommendEncoding(h WorkloadHints) Encoding {
-	if h.MemoryConstrained {
-		return EncodingFORBP
-	}
-	return EncodingRaw
-}
-
-// HintsFromRequests derives the workload-shape hints the decision tree
-// can observe from a sample of v2 requests: a session issuing only
-// point predicates (Point, or degenerate ranges) selects the paper's
-// point-query branch. Data-shape hints (skew, memory pressure) cannot
-// be read off requests and stay at their zero values; set them
-// explicitly before calling Recommend if known.
-func HintsFromRequests(reqs []Request) WorkloadHints {
-	if len(reqs) == 0 {
-		return WorkloadHints{}
-	}
-	h := WorkloadHints{PointQueriesOnly: true}
-	for _, r := range reqs {
-		if !r.Pred.IsPoint() {
-			h.PointQueriesOnly = false
-			break
-		}
-	}
-	return h
-}
-
-// HintsFromConjunctions derives per-column workload hints from a
-// sample of composite queries: each column's hint set is computed from
-// the predicates the conjunction stream actually placed on it, so a
-// column that only ever carries equality residuals (`b = v` riding
-// alongside another column's range) gets the point-query hint — and
-// with it the Radix LSD recommendation — while a range-driven column
-// does not. Columns never touched by a predicate are absent from the
-// map; data-shape hints stay at their zero values, as in
-// HintsFromRequests. The empty column name is the caller's alias for
-// the table's first column, exactly as in ColPredicate.
-func HintsFromConjunctions(conjs []Conjunction) map[string]WorkloadHints {
-	hints := make(map[string]WorkloadHints)
-	seen := make(map[string]bool)
-	for _, c := range conjs {
-		for _, cp := range c.Preds {
-			point := cp.Pred.IsPoint()
-			if !seen[cp.Col] {
-				seen[cp.Col] = true
-				hints[cp.Col] = WorkloadHints{PointQueriesOnly: point}
-				continue
-			}
-			if h := hints[cp.Col]; h.PointQueriesOnly && !point {
-				h.PointQueriesOnly = false
-				hints[cp.Col] = h
-			}
-		}
-	}
-	return hints
-}

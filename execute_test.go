@@ -301,115 +301,3 @@ func TestQueryClampsExtremeBounds(t *testing.T) {
 		}
 	}
 }
-
-// TestHintsFromRequests pins the v2 bridge into the decision tree.
-func TestHintsFromRequests(t *testing.T) {
-	points := []Request{{Pred: Point(3)}, {Pred: Range(5, 5)}}
-	if h := HintsFromRequests(points); !h.PointQueriesOnly {
-		t.Fatalf("all-point sample not detected: %+v", h)
-	}
-	if s := Recommend(HintsFromRequests(points)); s != StrategyRadixLSD {
-		t.Fatalf("point workload recommends %v, want PLSD", s)
-	}
-	mixed := append(points, Request{Pred: AtLeast(0)})
-	if h := HintsFromRequests(mixed); h.PointQueriesOnly {
-		t.Fatalf("mixed sample misdetected as point-only: %+v", h)
-	}
-	if h := HintsFromRequests(nil); h.PointQueriesOnly {
-		t.Fatal("empty sample must not claim point-only")
-	}
-}
-
-// TestHintsFromConjunctions pins the per-column hint derivation from a
-// composite-query stream: the workload drives column a with ranges and
-// only ever places equality residuals on column b, so b — and only b —
-// gets the point-query hint and the Radix LSD recommendation.
-func TestHintsFromConjunctions(t *testing.T) {
-	session := []Conjunction{
-		Conj("a", 0, On("a", Range(100, 5000)), On("b", Point(7))),
-		Conj("a", 0, On("a", Range(200, 9000)), On("b", Range(3, 3))),
-		Conj("a", 0, On("a", AtLeast(50)), On("b", Point(9))),
-	}
-	hints := HintsFromConjunctions(session)
-	if h, ok := hints["a"]; !ok || h.PointQueriesOnly {
-		t.Fatalf("range-driven column a misdetected: %+v (present=%v)", h, ok)
-	}
-	if h, ok := hints["b"]; !ok || !h.PointQueriesOnly {
-		t.Fatalf("equality-residual column b not point-only: %+v (present=%v)", h, ok)
-	}
-	if s := Recommend(hints["b"]); s != StrategyRadixLSD {
-		t.Fatalf("point-residual column recommends %v, want PLSD", s)
-	}
-	if s := Recommend(hints["a"]); s != StrategyRadixMSD {
-		t.Fatalf("range-driven column recommends %v, want PMSD", s)
-	}
-
-	// A single wide range on b, however late, clears its point hint.
-	session = append(session, Conj("a", 0, On("b", Range(0, 1000))))
-	if h := HintsFromConjunctions(session)["b"]; h.PointQueriesOnly {
-		t.Fatal("wide range on b did not clear its point hint")
-	}
-
-	// Untouched columns are absent; an empty stream yields no hints.
-	if _, ok := hints["c"]; ok {
-		t.Fatal("never-predicated column has a hint entry")
-	}
-	if got := HintsFromConjunctions(nil); len(got) != 0 {
-		t.Fatalf("empty stream produced hints: %v", got)
-	}
-
-	// The empty column name (first-column alias) is tracked as its own
-	// key, matching ColPredicate semantics.
-	alias := []Conjunction{Conj("", 0, On("", Point(1)))}
-	if h, ok := HintsFromConjunctions(alias)[""]; !ok || !h.PointQueriesOnly {
-		t.Fatalf("first-column alias not tracked: %+v (present=%v)", h, ok)
-	}
-}
-
-// TestHintsFromRequestsDegenerateRanges pins that a session issuing
-// only degenerate Range(x, x) predicates — single-value BETWEENs, the
-// way some clients spell point probes — selects the point branch just
-// like explicit Point requests.
-func TestHintsFromRequestsDegenerateRanges(t *testing.T) {
-	degenerate := []Request{
-		{Pred: Range(7, 7)}, {Pred: Range(-2, -2)}, {Pred: Range(0, 0)},
-	}
-	h := HintsFromRequests(degenerate)
-	if !h.PointQueriesOnly {
-		t.Fatalf("degenerate-range session not detected as point-only: %+v", h)
-	}
-	if s := Recommend(h); s != StrategyRadixLSD {
-		t.Fatalf("degenerate-range session recommends %v, want PLSD", s)
-	}
-}
-
-// TestHintsFromRequestsWideRangeClearsLongPointSession pins that one
-// wide range buried in a long point session clears PointQueriesOnly:
-// the hint means (almost) exclusively point lookups, and a genuine
-// range scan breaks it no matter how late it appears.
-func TestHintsFromRequestsWideRangeClearsLongPointSession(t *testing.T) {
-	session := make([]Request, 0, 501)
-	for i := 0; i < 250; i++ {
-		session = append(session, Request{Pred: Point(int64(i))})
-		session = append(session, Request{Pred: Range(int64(i), int64(i))})
-	}
-	session = append(session, Request{Pred: Range(10, 5000)}) // the one wide range
-	if h := HintsFromRequests(session); h.PointQueriesOnly {
-		t.Fatal("a wide range in a 501-query point session did not clear PointQueriesOnly")
-	}
-	// The same session without the wide range stays point-only.
-	if h := HintsFromRequests(session[:500]); !h.PointQueriesOnly {
-		t.Fatal("pure point session lost PointQueriesOnly")
-	}
-}
-
-// TestHintsFromRequestsEmptySampleZeroValued pins that an empty sample
-// yields the zero WorkloadHints in every field — no hint can be read
-// off no observations.
-func TestHintsFromRequestsEmptySampleZeroValued(t *testing.T) {
-	for _, sample := range [][]Request{nil, {}} {
-		if h := HintsFromRequests(sample); h != (WorkloadHints{}) {
-			t.Fatalf("HintsFromRequests(%v) = %+v, want zero value", sample, h)
-		}
-	}
-}

@@ -207,6 +207,14 @@ func (t *Table) Planned() (*plan.Table, bool) { return t.idx, t.RowWidth() > 1 }
 // nothing of the batch is logged or visible, so the client may retry it.
 var ErrLogWrite = errors.New("catalog: WAL write failed")
 
+// ErrDropped and ErrLoading are what a refused append to a table that
+// is not ready wraps: the table was dropped, or it is still loading or
+// recovering.
+var (
+	ErrDropped = errors.New("dropped")
+	ErrLoading = errors.New("loading")
+)
+
 // Append ingests values, flat row-major tuples on a multi-column table,
 // at the tail of the table. The batch is checked whole first
 // (plan.Table.CheckAppend), so a refused one leaves no trace. A durable
@@ -216,8 +224,12 @@ var ErrLogWrite = errors.New("catalog: WAL write failed")
 // starts afterwards, and the index absorbs them under its normal
 // per-query budget. Appending to a table that is not ready fails.
 func (t *Table) Append(values []int64) error {
-	if t.Status() != StatusReady {
-		return fmt.Errorf("catalog: table %q not ready (%s)", t.name, t.Status())
+	if st := t.Status(); st != StatusReady {
+		cause := ErrLoading
+		if st == StatusDropped {
+			cause = ErrDropped
+		}
+		return fmt.Errorf("catalog: table %q not ready: %w", t.name, cause)
 	}
 	if err := t.idx.CheckAppend(values); err != nil {
 		return fmt.Errorf("catalog: append to %q: %w", t.name, err)

@@ -1,6 +1,7 @@
 package catalog
 
 import (
+	"errors"
 	"slices"
 	"strings"
 	"testing"
@@ -228,7 +229,7 @@ func TestTableAppendLifecycle(t *testing.T) {
 }
 
 // TestAppendNotReadyFails pins the lifecycle guard: appending to a
-// dropped table fails cleanly.
+// dropped table fails cleanly, with ErrDropped as its cause.
 func TestAppendNotReadyFails(t *testing.T) {
 	c := New()
 	tbl, err := c.Load("gone", data.Uniform(100, 1), Options{})
@@ -238,8 +239,8 @@ func TestAppendNotReadyFails(t *testing.T) {
 	if _, err := c.Drop("gone"); err != nil {
 		t.Fatal(err)
 	}
-	if err := tbl.Append([]int64{1}); err == nil || !strings.Contains(err.Error(), "not ready") {
-		t.Fatalf("append to dropped table: %v, want not-ready error", err)
+	if err := tbl.Append([]int64{1}); !errors.Is(err, ErrDropped) || !strings.Contains(err.Error(), "not ready") {
+		t.Fatalf("append to dropped table: %v, want a not-ready error wrapping ErrDropped", err)
 	}
 }
 

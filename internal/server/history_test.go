@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -500,23 +501,47 @@ func (r *histRun) count(f func(*histEvents)) {
 	r.mu.Unlock()
 }
 
+// appendReq is batch j of band g in the wire form of a table k columns wide.
+func appendReq(g, j, k int) AppendRequest {
+	flat := batchRows(g, j, k)
+	if k == 1 {
+		return AppendRequest{Values: flat}
+	}
+	var req AppendRequest
+	for i := 0; i < len(flat); i += k {
+		req.Rows = append(req.Rows, flat[i:i+k])
+	}
+	return req
+}
+
+// wrongClass says what is wrong with the status of a well-formed request:
+// it is never 400, a fault of the disk (an error naming the WAL) is 503,
+// and only a request that races a drop may find the table gone, 410 or
+// 404.
+func wrongClass(status int, body []byte, dropping bool) error {
+	switch {
+	case status == http.StatusOK, status == http.StatusTooManyRequests:
+	case status == http.StatusServiceUnavailable && bytes.Contains(body, []byte("WAL")):
+	case dropping && (status == http.StatusGone || status == http.StatusNotFound):
+	default:
+		return fmt.Errorf("a well-formed request answered %d %s", status, bytes.TrimSpace(body))
+	}
+	return nil
+}
+
 // appendBatch appends client c's next batch to its band. A batch answered
 // with anything but 200 was not kept, so it is retried as the same
 // batch, up to four tries, and at the client's next append after that.
 // torn marks a batch sent after the disk froze.
 func (r *histRun) appendBatch(c int, torn bool) {
 	g, j, k := c, len(r.bands[c]), r.ax.k()
-	flat := batchRows(g, j, k)
-	req := AppendRequest{Values: flat}
-	if k > 1 {
-		req = AppendRequest{}
-		for i := 0; i < len(flat); i += k {
-			req.Rows = append(req.Rows, flat[i:i+k])
-		}
-	}
+	req := appendReq(g, j, k)
 	for try := 0; try < 4; try++ {
 		status, body, inv, ret := r.serve(http.MethodPost, "/tables/"+histTable+"/append", req)
-		r.logf("c%d [%d,%d] append band %d batch %d (%d rows): %d %s", c, inv, ret, g, j, len(flat)/k, status, strings.TrimSpace(string(body)))
+		line := r.logf("c%d [%d,%d] append band %d batch %d (%d rows): %d %s", c, inv, ret, g, j, len(batchRows(g, j, k))/k, status, strings.TrimSpace(string(body)))
+		if err := wrongClass(status, body, false); err != nil {
+			r.fail(fmt.Errorf("line %d: %v", line, err))
+		}
 		switch status {
 		case http.StatusTooManyRequests:
 			r.count(func(e *histEvents) { e.sheds++ })
@@ -530,6 +555,33 @@ func (r *histRun) appendBatch(c int, torn bool) {
 			r.count(func(e *histEvents) { e.failed++ })
 		}
 	}
+}
+
+// acrossDrop sends client c's next batch, then a query on its band, while
+// the table is dropped, each again while it is shed (up to 100 tries), and
+// returns the first answer of the wrong class.
+func (r *histRun) acrossDrop(c int) error {
+	lo, hi := bandLo(c), bandLo(c)+histBandW-1
+	for _, req := range []struct {
+		path string
+		body any
+	}{
+		{"/append", appendReq(c, len(r.bands[c]), r.ax.k())},
+		{"/query", QueryRequest{Pred: PredSpec{Kind: "range", Lo: &lo, Hi: &hi}}},
+	} {
+		for try := 0; try < 100; try++ {
+			status, body, inv, ret := r.serve(http.MethodPost, "/tables/"+histTable+req.path, req.body)
+			line := r.logf("c%d [%d,%d] %s racing the drop: %d %s", c, inv, ret, req.path[1:], status, strings.TrimSpace(string(body)))
+			if err := wrongClass(status, body, true); err != nil {
+				return fmt.Errorf("line %d: %v", line, err)
+			}
+			if status != http.StatusTooManyRequests {
+				break
+			}
+			time.Sleep(100 * time.Microsecond)
+		}
+	}
+	return nil
 }
 
 // prefix is the range of band g's batches a query over [inv, ret] may
@@ -655,12 +707,32 @@ func (r *histRun) kill(o hop) error {
 	return nil
 }
 
-// drop drops the table, then races loads of it against a client that
-// drops it the moment it is served: whichever way each race goes, once
-// both returned the table is not served. Then it loads it afresh.
+// drop drops the table while every client sends an append and a query,
+// once a request waits behind a running batch (or after 2 ms); then it
+// races loads of it against a client that drops it the moment it is
+// served: whichever way each race goes, once both returned the table is
+// not served. Then it loads it afresh.
 func (r *histRun) drop(o hop) error {
-	if status, body, _, _ := r.serve(http.MethodDelete, "/tables/"+histTable, nil); status != http.StatusNoContent {
+	sched, _ := r.srv.Scheduler(histTable)
+	errs := make([]error, r.ax.clients)
+	var wg sync.WaitGroup
+	for c := range errs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[c] = r.acrossDrop(c)
+		}()
+	}
+	for i := 0; i < 20 && sched != nil && len(sched.tasks) == 0; i++ {
+		time.Sleep(100 * time.Microsecond)
+	}
+	status, body, _, _ := r.serve(http.MethodDelete, "/tables/"+histTable, nil)
+	wg.Wait()
+	if status != http.StatusNoContent {
 		return fmt.Errorf("drop: %d %s", status, body)
+	}
+	if err := errors.Join(errs...); err != nil {
+		return err
 	}
 	for race := 0; race < 8; race++ {
 		var loaded int

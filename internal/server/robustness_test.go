@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
@@ -347,6 +348,44 @@ func TestDropDuringWALSyncAnswers410(t *testing.T) {
 	}
 }
 
+// TestDropAnswersQueuedAppend410: an append queued behind a batch that
+// is inside its WAL sync when the table is dropped answers 410, as every
+// other request on a dropped table does, not 400: the catalog refuses it
+// as dropped, which is no fault of the request.
+func TestDropAnswersQueuedAppend410(t *testing.T) {
+	in := fault.NewInjector(1, fault.Rule{Op: fault.OpWALSync, Kind: fault.KindLatency, Latency: 50 * time.Millisecond})
+	srv := newFaultyServer(t, t.TempDir(), in, Config{})
+	t.Cleanup(srv.Close)
+	if _, err := srv.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	sched := loadRobust(t, srv, "t", data.Uniform(2000, 7))
+	h := srv.Handler()
+	first := make(chan int, 1)
+	go func() { code, _ := postAppend(h, `[5000]`); first <- code }()
+	for in.Seen(fault.OpWALSync) == 0 {
+		time.Sleep(time.Millisecond) // until the first batch is inside its sync
+	}
+	type answer struct {
+		code int
+		body string
+	}
+	queued := make(chan answer, 1)
+	go func() { code, body := postAppend(h, `[5001,5002]`); queued <- answer{code, body} }()
+	for len(sched.tasks) == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	if err := srv.Drop("t"); err != nil {
+		t.Fatal(err)
+	}
+	if code := <-first; code != http.StatusOK && code != http.StatusGone {
+		t.Fatalf("the append inside the sync answered %d, want 200 or 410", code)
+	}
+	if a := <-queued; a.code != http.StatusGone {
+		t.Fatalf("the append queued behind it answered %d %s, want 410", a.code, a.body)
+	}
+}
+
 // TestConcurrentCheckpointsWriteOnce: two CheckpointAll calls at once
 // write one snapshot of the table. The second waits for the first, whose
 // write an injected latency holds open, and then finds nothing to write.
@@ -508,7 +547,8 @@ func TestOverloadBurstNeverWrongAnswer(t *testing.T) {
 
 // TestSchedErrorHTTPMapping pins the error-to-status contract: 429
 // with a Retry-After for overload, 503 for degraded and quarantined
-// (also when wrapped), 410 for dropped.
+// (also when wrapped) and for a table the catalog still loads, 410 for
+// dropped, by the scheduler or the catalog.
 func TestSchedErrorHTTPMapping(t *testing.T) {
 	srv := New(Config{})
 	t.Cleanup(srv.Close)
@@ -523,6 +563,8 @@ func TestSchedErrorHTTPMapping(t *testing.T) {
 		{&wrapErr{ErrDegraded}, http.StatusServiceUnavailable},
 		{ErrQuarantined, http.StatusServiceUnavailable},
 		{ErrStopped, http.StatusGone},
+		{fmt.Errorf("catalog: table %q not ready: %w", "t", catalog.ErrDropped), http.StatusGone},
+		{fmt.Errorf("catalog: table %q not ready: %w", "t", catalog.ErrLoading), http.StatusServiceUnavailable},
 	} {
 		rec := httptest.NewRecorder()
 		req := httptest.NewRequest("POST", "/tables/t/query", nil)

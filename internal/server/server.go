@@ -285,8 +285,8 @@ func (s *Server) Handler() http.Handler {
 // --- wire types ---
 
 // GenerateSpec asks the server to synthesize the column with one of
-// the repository's deterministic generators, so clients (and the CI
-// smoke test) can regenerate the same data locally for oracle checks.
+// the repository's deterministic generators, so clients can regenerate
+// the same data locally for oracle checks.
 type GenerateSpec struct {
 	// Kind is uniform (default), skewed, or skyserver.
 	Kind string `json:"kind,omitempty"`
@@ -804,17 +804,18 @@ func (s *Server) queryDeadline(params url.Values) (time.Time, error) {
 // queue depth; degraded/quarantined → 503 (the client cannot fix it
 // by retrying soon, but the node as a whole is still up), and so is a
 // WAL write that failed (the server's disk is at fault, and nothing of
-// the batch was kept, so a retry is safe); dropped → 410; client gone →
-// 499; anything else is the request's own fault.
+// the batch was kept, so a retry is safe) or a table still loading or
+// recovering; dropped → 410, whether the scheduler or the catalog saw
+// it first; client gone → 499; anything else is the request's own fault.
 func (s *Server) writeSchedError(w http.ResponseWriter, r *http.Request, sched *Scheduler, name string, err error) {
 	switch {
 	case errors.Is(err, ErrOverloaded):
 		retry := sched.RetryAfter()
 		w.Header().Set("Retry-After", strconv.FormatInt(int64((retry+time.Second-1)/time.Second), 10))
 		writeError(w, http.StatusTooManyRequests, fmt.Errorf("table %q overloaded: %w", name, err))
-	case errors.Is(err, ErrDegraded), errors.Is(err, ErrQuarantined), errors.Is(err, catalog.ErrLogWrite):
+	case errors.Is(err, ErrDegraded), errors.Is(err, ErrQuarantined), errors.Is(err, catalog.ErrLogWrite), errors.Is(err, catalog.ErrLoading):
 		writeError(w, http.StatusServiceUnavailable, err)
-	case errors.Is(err, ErrStopped):
+	case errors.Is(err, ErrStopped), errors.Is(err, catalog.ErrDropped):
 		writeError(w, http.StatusGone, fmt.Errorf("table %q dropped", name))
 	case r.Context().Err() != nil:
 		// Client went away; best effort.

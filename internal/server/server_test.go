@@ -59,8 +59,7 @@ func do(t *testing.T, method, url string, body any, wantStatus int, out any) {
 	}
 }
 
-// TestHTTPEndToEnd is the in-process twin of the CI smoke test: load a
-// table over HTTP, query it from 8 concurrent sessions, and require
+// TestHTTPEndToEnd loads a table over HTTP, in process, query it from 8 concurrent sessions, and require
 // every JSON answer to match the library executed locally on the same
 // data.
 func TestHTTPEndToEnd(t *testing.T) {

@@ -210,18 +210,17 @@ func TestStrategyStrings(t *testing.T) {
 // gets the fully in-place Progressive Quicksort.
 func TestRecommendDecisionTree(t *testing.T) {
 	cases := []struct {
-		hints   WorkloadHints
-		want    Strategy
-		wantEnc Encoding
+		hints WorkloadHints
+		want  Strategy
 	}{
-		{WorkloadHints{}, StrategyRadixMSD, EncodingRaw},
-		{WorkloadHints{SkewedData: true}, StrategyBucketsort, EncodingRaw},
-		{WorkloadHints{PointQueriesOnly: true}, StrategyRadixLSD, EncodingRaw},
-		{WorkloadHints{PointQueriesOnly: true, SkewedData: true}, StrategyRadixLSD, EncodingRaw},
-		{WorkloadHints{MemoryConstrained: true}, StrategyQuicksort, EncodingFORBP},
-		{WorkloadHints{MemoryConstrained: true, SkewedData: true}, StrategyQuicksort, EncodingFORBP},
-		{WorkloadHints{MemoryConstrained: true, PointQueriesOnly: true}, StrategyQuicksort, EncodingFORBP},
-		{WorkloadHints{MemoryConstrained: true, PointQueriesOnly: true, SkewedData: true}, StrategyQuicksort, EncodingFORBP},
+		{WorkloadHints{}, StrategyRadixMSD},
+		{WorkloadHints{SkewedData: true}, StrategyBucketsort},
+		{WorkloadHints{PointQueriesOnly: true}, StrategyRadixLSD},
+		{WorkloadHints{PointQueriesOnly: true, SkewedData: true}, StrategyRadixLSD},
+		{WorkloadHints{MemoryConstrained: true}, StrategyQuicksort},
+		{WorkloadHints{MemoryConstrained: true, SkewedData: true}, StrategyQuicksort},
+		{WorkloadHints{MemoryConstrained: true, PointQueriesOnly: true}, StrategyQuicksort},
+		{WorkloadHints{MemoryConstrained: true, PointQueriesOnly: true, SkewedData: true}, StrategyQuicksort},
 	}
 	if want := 1 << 3; len(cases) != want {
 		t.Fatalf("decision tree regression must cover all %d hint combinations, has %d", want, len(cases))
@@ -229,12 +228,6 @@ func TestRecommendDecisionTree(t *testing.T) {
 	for _, tc := range cases {
 		if got := Recommend(tc.hints); got != tc.want {
 			t.Fatalf("Recommend(%+v) = %v, want %v", tc.hints, got, tc.want)
-		}
-		// The storage-mode branch rides the same tree: only the
-		// memory-constrained deployments pay the compressed-scan
-		// penalty, and they pay it with FOR-BP, never an eager decode.
-		if got := RecommendEncoding(tc.hints); got != tc.wantEnc {
-			t.Fatalf("RecommendEncoding(%+v) = %v, want %v", tc.hints, got, tc.wantEnc)
 		}
 	}
 }
