@@ -209,10 +209,12 @@ var ErrLogWrite = errors.New("catalog: WAL write failed")
 
 // ErrDropped and ErrLoading are what a refused append to a table that
 // is not ready wraps: the table was dropped, or it is still loading or
-// recovering.
+// recovering. A load or recovery that a drop overtook wraps ErrDropped
+// too, and a load of a name already taken wraps ErrExists.
 var (
 	ErrDropped = errors.New("dropped")
 	ErrLoading = errors.New("loading")
+	ErrExists  = errors.New("already exists")
 )
 
 // Append ingests values, flat row-major tuples on a multi-column table,
@@ -398,17 +400,6 @@ type Catalog struct {
 // before loading tables.
 func (c *Catalog) SetObservability(reg *obs.Registry) { c.reg = reg }
 
-// attachObs hands t its observability state and points the index
-// handle's event stream at the table's timeline. No-op without a
-// registry.
-func (c *Catalog) attachObs(t *Table) {
-	if c.reg == nil {
-		return
-	}
-	t.obs = c.reg.Table(t.name)
-	t.idx.SetEventSink(t.obs.Timeline)
-}
-
 // New returns an empty catalog.
 func New() *Catalog {
 	return &Catalog{tables: make(map[string]*Table)}
@@ -422,7 +413,7 @@ func (c *Catalog) reserve(name string, t *Table) (fail func(error) (*Table, erro
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, exists := c.tables[name]; exists {
-		return nil, fmt.Errorf("catalog: table %q already exists", name)
+		return nil, fmt.Errorf("catalog: table %q %w", name, ErrExists)
 	}
 	c.tables[name] = t
 	return func(cause error) (*Table, error) {
@@ -470,7 +461,7 @@ func (c *Catalog) build(what, name string, base []int64, opts Options, created t
 	if len(base) == 0 || len(base)%k != 0 {
 		return nil, fmt.Errorf("catalog: %s %q: %d values not a non-empty multiple of row width %d", what, name, len(base), k)
 	}
-	t := &Table{name: name, opts: opts, created: created}
+	t := &Table{name: name, opts: opts, created: created, obs: c.reg.NewTable()}
 	t.rows.Store(int64(len(base) / k))
 	t.status.Store(int32(StatusLoading))
 
@@ -479,17 +470,22 @@ func (c *Catalog) build(what, name string, base []int64, opts Options, created t
 		return nil, err
 	}
 	if t.idx, err = plan.New(name, opts.schema(), base, opts.planOptions()); err == nil {
-		c.attachObs(t)
+		if t.obs != nil {
+			t.idx.SetEventSink(t.obs.Timeline)
+		}
 		err = fill(t)
 	}
 	if err != nil {
+		if t.Status() == StatusDropped { // the drop's store teardown may be why fill failed
+			err = fmt.Errorf("table %w meanwhile: %v", ErrDropped, err)
+		}
 		return fail(fmt.Errorf("catalog: %s %q: %w", what, name, err))
 	}
 	if !t.status.CompareAndSwap(int32(StatusLoading), int32(StatusReady)) {
 		if c.store != nil {
 			c.store.Drop(name)
 		}
-		return nil, fmt.Errorf("catalog: %s %q: table dropped meanwhile", what, name)
+		return nil, fmt.Errorf("catalog: %s %q: table %w meanwhile", what, name, ErrDropped)
 	}
 	return t, nil
 }
@@ -528,11 +524,9 @@ func (c *Catalog) Drop(name string) (*Table, error) {
 		// concurrently is a client race today just as it was without
 		// durability.
 		if err := c.store.Drop(name); err != nil {
-			c.reg.Drop(name)
 			return t, fmt.Errorf("catalog: drop %q on-disk state: %w", name, err)
 		}
 	}
-	c.reg.Drop(name)
 	return t, nil
 }
 

@@ -7,14 +7,15 @@ import (
 	"testing"
 	"time"
 
-	"repro"
 	"repro/internal/data"
+	"repro/internal/plan"
+	"repro/internal/query"
 )
 
 func TestLoadGetDropLifecycle(t *testing.T) {
 	c := New()
 	vals := data.Uniform(10_000, 1)
-	tbl, err := c.Load("t1", vals, Options{Strategy: progidx.StrategyRadixMSD, Delta: 0.5})
+	tbl, err := c.Load("t1", vals, Options{Strategy: plan.StrategyRadixMSD, Delta: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +30,7 @@ func TestLoadGetDropLifecycle(t *testing.T) {
 	if !ok || got != tbl {
 		t.Fatal("Get should return the loaded table")
 	}
-	ans, err := tbl.Index().Execute(progidx.Request{Pred: progidx.Range(0, 5000)})
+	ans, err := tbl.Index().Execute(query.Request{Pred: query.Range(0, 5000)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +74,7 @@ func TestLoadRejectsDuplicatesAndBadInput(t *testing.T) {
 	}
 	// A table serves only the four progressive algorithms: each of the
 	// nine others is refused, and the name stays free.
-	for _, s := range progidx.Strategies()[4:] {
+	for s := plan.StrategyFullScan; s <= plan.StrategyImprints; s++ {
 		if _, err := c.Load("base", vals, Options{Strategy: s}); err == nil || !strings.Contains(err.Error(), "cmd/experiments") {
 			t.Fatalf("load of %v: %v, want the refusal that names cmd/experiments", s, err)
 		}
@@ -87,7 +88,7 @@ func TestLoadRejectsDuplicatesAndBadInput(t *testing.T) {
 func TestListSortedAndInfo(t *testing.T) {
 	c := New()
 	for _, name := range []string{"zeta", "alpha", "mid"} {
-		if _, err := c.Load(name, data.Uniform(5000, 3), Options{Strategy: progidx.StrategyBucketsort}); err != nil {
+		if _, err := c.Load(name, data.Uniform(5000, 3), Options{Strategy: plan.StrategyBucketsort}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -109,13 +110,13 @@ func TestListSortedAndInfo(t *testing.T) {
 
 func TestIdleRefineDefaults(t *testing.T) {
 	cases := []struct {
-		strategy progidx.Strategy
+		strategy plan.Strategy
 		override *bool
 		want     bool
 	}{
-		{progidx.StrategyQuicksort, nil, true},
-		{progidx.StrategyRadixLSD, nil, true},
-		{progidx.StrategyQuicksort, boolPtr(false), false},
+		{plan.StrategyQuicksort, nil, true},
+		{plan.StrategyRadixLSD, nil, true},
+		{plan.StrategyQuicksort, boolPtr(false), false},
 	}
 	for _, tc := range cases {
 		opts := Options{Strategy: tc.strategy, IdleRefine: tc.override}
@@ -136,7 +137,7 @@ func TestShardedTableLifecycle(t *testing.T) {
 	for i := range vals {
 		vals[i] = int64(i)
 	}
-	tbl, err := c.Load("sh", vals, Options{Strategy: progidx.StrategyQuicksort, Shards: 4})
+	tbl, err := c.Load("sh", vals, Options{Strategy: plan.StrategyQuicksort, Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +160,7 @@ func TestShardedTableLifecycle(t *testing.T) {
 		}
 	}
 	// A selective query executes against the one matching shard only.
-	ans, err := tbl.Index().Execute(progidx.Request{Pred: progidx.Range(100, 200)})
+	ans, err := tbl.Index().Execute(query.Request{Pred: query.Range(100, 200)})
 	if err != nil || ans.Count != 101 {
 		t.Fatalf("sharded table query: count %d err %v", ans.Count, err)
 	}
@@ -192,7 +193,7 @@ func TestTableAppendLifecycle(t *testing.T) {
 	for _, shards := range []int{0, 3} {
 		c := New()
 		vals := data.Uniform(2_000, 3)
-		tbl, err := c.Load("grow", vals, Options{Strategy: progidx.StrategyQuicksort, Delta: 0.5, Shards: shards})
+		tbl, err := c.Load("grow", vals, Options{Strategy: plan.StrategyQuicksort, Delta: 0.5, Shards: shards})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -215,7 +216,7 @@ func TestTableAppendLifecycle(t *testing.T) {
 		if info.Converged {
 			t.Fatalf("shards=%d: converged with pending appended rows", shards)
 		}
-		ans, err := tbl.Index().Execute(progidx.Request{Pred: progidx.Range(50_000, 50_002)})
+		ans, err := tbl.Index().Execute(query.Request{Pred: query.Range(50_000, 50_002)})
 		if err != nil || ans.Count != 3 || ans.Sum != 150_003 {
 			t.Fatalf("shards=%d: appended rows not queryable: %+v, %v", shards, ans, err)
 		}

@@ -7,10 +7,12 @@ import (
 	"slices"
 	"testing"
 
-	"repro"
+	"repro/internal/column"
 	"repro/internal/data"
 	"repro/internal/durable"
 	"repro/internal/encode"
+	"repro/internal/plan"
+	"repro/internal/query"
 	"repro/internal/shard"
 )
 
@@ -57,7 +59,7 @@ func TestDurableDropRemovesOnDiskState(t *testing.T) {
 	c := NewDurable(store)
 
 	vals := data.Uniform(2_000, 3)
-	tbl, err := c.Load("victim", vals, Options{Strategy: progidx.StrategyBucketsort})
+	tbl, err := c.Load("victim", vals, Options{Strategy: plan.StrategyBucketsort})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +81,7 @@ func TestDurableDropRemovesOnDiskState(t *testing.T) {
 
 	// Recreate the same name with different data: recovery must see
 	// only the new table's own rows.
-	if _, err := c.Load("victim", []int64{10, 20, 30}, Options{Strategy: progidx.StrategyQuicksort}); err != nil {
+	if _, err := c.Load("victim", []int64{10, 20, 30}, Options{Strategy: plan.StrategyQuicksort}); err != nil {
 		t.Fatal(err)
 	}
 	store.Close()
@@ -98,7 +100,7 @@ func TestDurableDropRemovesOnDiskState(t *testing.T) {
 		t.Fatalf("recreated table recovered %d rows [%d, %d], want the 3 new rows",
 			tbl2.Len(), info.MinValue, info.MaxValue)
 	}
-	if tbl2.Options().Strategy != progidx.StrategyQuicksort {
+	if tbl2.Options().Strategy != plan.StrategyQuicksort {
 		t.Fatalf("recreated table options = %+v", tbl2.Options())
 	}
 }
@@ -128,7 +130,7 @@ func TestDroppedTableDoesNotResurrect(t *testing.T) {
 func TestOptionsMetaRoundTrip(t *testing.T) {
 	on := true
 	o := Options{
-		Strategy:   progidx.StrategyRadixLSD,
+		Strategy:   plan.StrategyRadixLSD,
 		Delta:      0.125,
 		Budget:     1_500_000, // 1.5ms
 		Adaptive:   true,
@@ -158,7 +160,7 @@ func TestCheckpointStreamsTheCapturedView(t *testing.T) {
 	store := openStore(t, dir)
 	logical := data.Uniform(20_000, 5)
 	tbl, err := NewDurable(store).Load("t", append([]int64(nil), logical...),
-		Options{Strategy: progidx.StrategyQuicksort, Delta: 0.25, Shards: 2})
+		Options{Strategy: plan.StrategyQuicksort, Delta: 0.25, Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,13 +225,13 @@ func TestCheckpointStreamsTheCapturedView(t *testing.T) {
 // recovery returns them, with the later appends from the WAL.
 func TestMultiColumnCheckpointStreamsTheCapturedView(t *testing.T) {
 	const n, k = 60_000, 3
-	for _, enc := range []progidx.Encoding{progidx.EncodingRaw, progidx.EncodingFORBP} {
+	for _, enc := range []encode.Mode{encode.ModeRaw, encode.ModeFORBP} {
 		t.Run(enc.String(), func(t *testing.T) {
 			dir := t.TempDir()
 			store := openStore(t, dir)
 			logical := data.MultiColumn(n, k, 17)
 			tbl, err := NewDurable(store).Load("wide", slices.Clone(logical), Options{
-				Strategy: progidx.StrategyQuicksort, Delta: 0.25, Shards: 2, Encoding: enc, Columns: []string{"a", "b", "c"}})
+				Strategy: plan.StrategyQuicksort, Delta: 0.25, Shards: 2, Encoding: enc, Columns: []string{"a", "b", "c"}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -273,7 +275,7 @@ func TestMultiColumnCheckpointStreamsTheCapturedView(t *testing.T) {
 			check("after the appends")
 			h := tbl.Handle()
 			for i := 0; i < 40; i++ { // heat column a's cold shards into claims
-				if _, err := h.Execute(progidx.Request{Pred: progidx.Range(0, 1<<40), Aggs: progidx.AllAggregates}); err != nil {
+				if _, err := h.Execute(query.Request{Pred: query.Range(0, 1<<40), Aggs: column.AggAll}); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -315,8 +317,8 @@ func TestCaptureRacesAppends(t *testing.T) {
 		name string
 		opts Options
 	}{
-		{"raw", Options{Strategy: progidx.StrategyQuicksort, Delta: 0.25}},
-		{"forbp3", Options{Strategy: progidx.StrategyQuicksort, Delta: 0.25, Encoding: progidx.EncodingFORBP, Columns: []string{"a", "b", "c"}}},
+		{"raw", Options{Strategy: plan.StrategyQuicksort, Delta: 0.25}},
+		{"forbp3", Options{Strategy: plan.StrategyQuicksort, Delta: 0.25, Encoding: encode.ModeFORBP, Columns: []string{"a", "b", "c"}}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			k := tc.opts.RowWidth()
@@ -405,7 +407,7 @@ func TestOutOfDomainAppendWritesNoFrame(t *testing.T) {
 	for _, cols := range [][]string{nil, {"a", "b"}} {
 		dir := t.TempDir()
 		k := max(len(cols), 1)
-		tbl, err := NewDurable(openStore(t, dir)).Load("t", data.Uniform(1000*k, 3), Options{Strategy: progidx.StrategyQuicksort, Columns: cols})
+		tbl, err := NewDurable(openStore(t, dir)).Load("t", data.Uniform(1000*k, 3), Options{Strategy: plan.StrategyQuicksort, Columns: cols})
 		if err != nil {
 			t.Fatal(err)
 		}

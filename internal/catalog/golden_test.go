@@ -10,7 +10,9 @@ import (
 	"strings"
 	"testing"
 
-	"repro"
+	"repro/internal/column"
+	"repro/internal/encode"
+	"repro/internal/plan"
 	"repro/internal/query"
 )
 
@@ -19,7 +21,7 @@ var update = flag.Bool("update", false, "regenerate testdata golden files")
 // submitBatch runs one scheduler-shaped batch — the first request
 // carrying the indexing budget unless clamp is set — through the served
 // table's batch entry point.
-func submitBatch(tbl *Table, reqs []progidx.Request, clamp bool) ([]progidx.Answer, []error) {
+func submitBatch(tbl *Table, reqs []query.Request, clamp bool) ([]query.Answer, []error) {
 	conjs := make([]query.Conjunction, len(reqs))
 	for i, req := range reqs {
 		conjs[i] = query.Conjunction{Preds: []query.ColPredicate{{Pred: req.Pred}}, Aggs: req.Aggs}
@@ -75,12 +77,12 @@ func TestServedStreamGolden(t *testing.T) {
 	for i := range vals {
 		vals[i] = int64(i) + gen.Int63n(n/8)
 	}
-	aggs := []progidx.Aggregates{0, progidx.AllAggregates, progidx.Count, progidx.Min | progidx.Max, progidx.Sum | progidx.Avg}
+	aggs := []column.Aggregates{0, column.AggAll, column.AggCount, column.AggMin | column.AggMax, column.AggSum | column.AggAvg}
 
 	var out strings.Builder
-	for _, strat := range []progidx.Strategy{progidx.StrategyQuicksort, progidx.StrategyRadixMSD, progidx.StrategyBucketsort, progidx.StrategyRadixLSD} {
+	for _, strat := range []plan.Strategy{plan.StrategyQuicksort, plan.StrategyRadixMSD, plan.StrategyBucketsort, plan.StrategyRadixLSD} {
 		for _, shards := range []int{1, 4} {
-			for _, enc := range []progidx.Encoding{progidx.EncodingRaw, progidx.EncodingFORBP} {
+			for _, enc := range []encode.Mode{encode.ModeRaw, encode.ModeFORBP} {
 				name := fmt.Sprintf("%s/shards=%d/%s", strat, shards, enc)
 				fmt.Fprintf(&out, "== %s\n", name)
 				// catalog.Options has no ClaimHeat: compressed tables claim at
@@ -92,23 +94,23 @@ func TestServedStreamGolden(t *testing.T) {
 				}
 				rng := rand.New(rand.NewSource(5))
 				rows := n
-				request := func() progidx.Request {
-					req := progidx.Request{Aggs: aggs[rng.Intn(len(aggs))]}
+				request := func() query.Request {
+					req := query.Request{Aggs: aggs[rng.Intn(len(aggs))]}
 					top := int64(rows + n/8)
 					switch rng.Intn(6) {
 					case 0:
-						req.Pred = progidx.Point(vals[rng.Intn(rows)])
+						req.Pred = query.Point(vals[rng.Intn(rows)])
 					case 1:
-						req.Pred = progidx.Range(2*top, 3*top) // zone miss
+						req.Pred = query.Range(2*top, 3*top) // zone miss
 					case 2:
-						req.Pred = progidx.AtLeast(rng.Int63n(top))
+						req.Pred = query.AtLeast(rng.Int63n(top))
 					default:
 						lo := rng.Int63n(top)
-						req.Pred = progidx.Range(lo, lo+rng.Int63n(top/4))
+						req.Pred = query.Range(lo, lo+rng.Int63n(top/4))
 					}
 					return req
 				}
-				line := func(step string, answers []progidx.Answer, errs []error) {
+				line := func(step string, answers []query.Answer, errs []error) {
 					ha, hs := fnv.New64a(), fnv.New64a()
 					for i, ans := range answers {
 						if errs[i] != nil {
@@ -127,7 +129,7 @@ func TestServedStreamGolden(t *testing.T) {
 					fmt.Fprintf(&out, " %s\n", servedState(tbl))
 				}
 				batch := func(step string, size int, clamp bool) {
-					reqs := make([]progidx.Request, size)
+					reqs := make([]query.Request, size)
 					for i := range reqs {
 						reqs[i] = request()
 					}
@@ -147,7 +149,7 @@ func TestServedStreamGolden(t *testing.T) {
 							t.Fatalf("%s %s: not converged after %d idle slices: %s", name, step, i, servedState(tbl))
 						}
 						st, _ := tbl.Index().RefineStep()
-						line(fmt.Sprintf("%s%d", step, i), []progidx.Answer{{Stats: st}}, []error{nil})
+						line(fmt.Sprintf("%s%d", step, i), []query.Answer{{Stats: st}}, []error{nil})
 					}
 				}
 
@@ -158,7 +160,7 @@ func TestServedStreamGolden(t *testing.T) {
 						grow(step+"/append", 300+rng.Intn(1_500))
 					case k == 1:
 						ans, err := tbl.Index().Execute(request())
-						line(step+"/execute", []progidx.Answer{ans}, []error{err})
+						line(step+"/execute", []query.Answer{ans}, []error{err})
 					default:
 						batch(step+"/batch", 1+rng.Intn(4), false)
 					}
@@ -167,7 +169,7 @@ func TestServedStreamGolden(t *testing.T) {
 				grow("grown/append", 700)
 				batch("grown/batch", 3, false)
 				ans, err := tbl.Index().Execute(request())
-				line("grown/execute", []progidx.Answer{ans}, []error{err})
+				line("grown/execute", []query.Answer{ans}, []error{err})
 				settle("flush")
 				batch("clamped/batch", 4, true)
 			}

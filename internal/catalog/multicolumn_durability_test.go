@@ -7,8 +7,9 @@ import (
 	"strings"
 	"testing"
 
-	"repro"
 	"repro/internal/data"
+	"repro/internal/plan"
+	"repro/internal/query"
 )
 
 // findManifests returns the raw bytes of every manifest.json under the
@@ -39,7 +40,7 @@ func TestV1ManifestBackCompat(t *testing.T) {
 	c := NewDurable(store)
 
 	vals := data.Uniform(3_000, 11)
-	tbl, err := c.Load("legacy", vals, Options{Strategy: progidx.StrategyRadixMSD, Delta: 0.25})
+	tbl, err := c.Load("legacy", vals, Options{Strategy: plan.StrategyRadixMSD, Delta: 0.25})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +83,7 @@ func TestV1ManifestBackCompat(t *testing.T) {
 	if tbl2.Len() != 3_002 {
 		t.Fatalf("recovered rows = %d, want 3002", tbl2.Len())
 	}
-	ans, err := tbl2.Index().Execute(progidx.Request{Pred: progidx.Range(8_000_001, 8_000_002)})
+	ans, err := tbl2.Index().Execute(query.Request{Pred: query.Range(8_000_001, 8_000_002)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -307,22 +307,23 @@ func TestRegistrySampleRate(t *testing.T) {
 }
 
 func TestRegistryTables(t *testing.T) {
-	r := NewRegistry(Config{})
-	a := r.Table("a")
-	if r.Table("a") != a {
-		t.Fatal("Table not idempotent")
+	r := NewRegistry(Config{EventRingCap: 4})
+	a, b := r.NewTable(), r.NewTable()
+	if a == b || a.Timeline == b.Timeline || a.QueryDur == b.QueryDur {
+		t.Fatal("two tables share their state")
 	}
-	r.Table("b")
-	names := []string{}
-	for _, e := range r.Tables() {
-		names = append(names, e.Name)
+	for i := 0; i < 6; i++ {
+		a.Timeline.Record(EvProgress, -1, 0.5, 0)
 	}
-	if len(names) != 2 || names[0] != "a" || names[1] != "b" {
-		t.Fatalf("tables = %v", names)
+	if n := len(a.Timeline.Snapshot()); n != 4 {
+		t.Fatalf("a table's timeline holds %d events, want the ring's 4", n)
 	}
-	r.Drop("a")
-	if len(r.Tables()) != 1 {
-		t.Fatalf("after drop: %v", r.Tables())
+	if n := len(b.Timeline.Snapshot()); n != 0 {
+		t.Fatalf("another table's timeline holds %d events, want none", n)
+	}
+	var off *Registry
+	if off.NewTable() != nil {
+		t.Fatal("a nil registry built a table")
 	}
 }
 

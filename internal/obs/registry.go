@@ -2,8 +2,6 @@ package obs
 
 import (
 	"log/slog"
-	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -38,8 +36,8 @@ type Config struct {
 }
 
 // Table bundles one table's observability state: its convergence
-// timeline and its per-table histograms. The scheduler holds the
-// pointer directly so the hot path never takes the registry lock.
+// timeline and its per-table histograms. The catalog's table holds it,
+// and the scheduler reads it from there.
 type Table struct {
 	Timeline *Timeline
 	// QueryDur observes end-to-end query latency in seconds
@@ -55,17 +53,15 @@ type Table struct {
 }
 
 // Registry is the process-wide observability root: the trace ring,
-// the WAL-sync histogram, and per-table state. All methods are safe
-// for concurrent use and nil-tolerant.
+// the WAL-sync histogram, and the settings each table's state is built
+// with (NewTable). All methods are safe for concurrent use and
+// nil-tolerant.
 type Registry struct {
 	cfg     Config
 	ctr     atomic.Uint64
 	logger  *slog.Logger
 	Traces  *TraceRing
 	WALSync *Histogram
-
-	mu     sync.Mutex
-	tables map[string]*Table
 }
 
 // NewRegistry builds a registry from cfg, applying defaults.
@@ -85,7 +81,6 @@ func NewRegistry(cfg Config) *Registry {
 		logger:  lg,
 		Traces:  NewTraceRing(traceRingCap),
 		WALSync: NewHistogram(ExpBuckets(0.00001, 4, 10)...),
-		tables:  make(map[string]*Table),
 	}
 }
 
@@ -125,58 +120,17 @@ func (r *Registry) NewRetro(table string, start time.Time) *Trace {
 	return newRetroTrace("query", table, start)
 }
 
-// Table returns (creating if needed) the observability state for the
-// named table.
-func (r *Registry) Table(name string) *Table {
+// NewTable builds a fresh table's observability state: the catalog's
+// table owns it, and it lives and goes with that table. Nil on a nil
+// registry.
+func (r *Registry) NewTable() *Table {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	t := r.tables[name]
-	if t == nil {
-		t = &Table{
-			Timeline:    NewTimeline(r.cfg.EventRingCap),
-			QueryDur:    NewHistogram(ExpBuckets(0.0001, 2, 16)...),
-			BatchSize:   NewHistogram(1, 2, 4, 8, 16, 32, 64, 128),
-			SliceBudget: NewHistogram(ExpBuckets(0.00001, 4, 10)...),
-		}
-		r.tables[name] = t
+	return &Table{
+		Timeline:    NewTimeline(r.cfg.EventRingCap),
+		QueryDur:    NewHistogram(ExpBuckets(0.0001, 2, 16)...),
+		BatchSize:   NewHistogram(1, 2, 4, 8, 16, 32, 64, 128),
+		SliceBudget: NewHistogram(ExpBuckets(0.00001, 4, 10)...),
 	}
-	return t
-}
-
-// Drop forgets a table's observability state (table deleted).
-func (r *Registry) Drop(name string) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	delete(r.tables, name)
-	r.mu.Unlock()
-}
-
-// Tables returns a name-sorted snapshot of the per-table state, for
-// the /metrics renderer.
-func (r *Registry) Tables() []struct {
-	Name string
-	Obs  *Table
-} {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	out := make([]struct {
-		Name string
-		Obs  *Table
-	}, 0, len(r.tables))
-	for name, t := range r.tables {
-		out = append(out, struct {
-			Name string
-			Obs  *Table
-		}{name, t})
-	}
-	r.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
 }

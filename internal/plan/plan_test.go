@@ -354,7 +354,7 @@ func TestFusedScanAllocs(t *testing.T) {
 }
 
 // TestOneColumnTableAllocs pins the one-column table at what the handle
-// it replaced cost (the root package's TestShardedConvergedZeroAllocs): a
+// it replaced cost (TestShardedConvergedZeroAllocs, internal/shard): a
 // converged table answers Execute — the direct route, decided before
 // anything is allocated — with no allocation, zone misses included, and
 // an n-request batch with its two result slices.

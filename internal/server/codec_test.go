@@ -14,9 +14,10 @@ import (
 	"testing"
 	"time"
 
-	"repro"
 	"repro/internal/catalog"
+	"repro/internal/column"
 	"repro/internal/data"
+	"repro/internal/plan"
 	"repro/internal/query"
 )
 
@@ -34,7 +35,7 @@ import (
 func FuzzQueryRequest(f *testing.F) {
 	srv := New(Config{Logger: slog.New(slog.DiscardHandler)})
 	f.Cleanup(srv.Close)
-	if _, err := srv.Load("f", data.MultiColumn(2000, 3, 1), catalog.Options{Strategy: progidx.StrategyQuicksort, Delta: 1, Columns: []string{"a", "b", "c"}}); err != nil {
+	if _, err := srv.Load("f", data.MultiColumn(2000, 3, 1), catalog.Options{Strategy: plan.StrategyQuicksort, Delta: 1, Columns: []string{"a", "b", "c"}}); err != nil {
 		f.Fatal(err)
 	}
 	sched, _ := srv.Scheduler("f")
@@ -46,7 +47,7 @@ func FuzzQueryRequest(f *testing.F) {
 		h.ServeHTTP(got, req)
 
 		var q QueryRequest
-		var ans progidx.Answer
+		var ans query.Answer
 		var info ExecInfo
 		if err := json.NewDecoder(bytes.NewReader(body)).Decode(&q); err != nil {
 			writeError(want, http.StatusBadRequest, fmt.Errorf("decode body: %w", err))
@@ -98,11 +99,11 @@ func TestQueryResponseEncoding(t *testing.T) {
 		return ints[rng.Intn(len(ints))]
 	}
 	for i := 0; i < 5000; i++ {
-		ans := progidx.Answer{
-			Aggs: progidx.Aggregates(rng.Intn(32)), Sum: integer(), Count: integer(),
+		ans := query.Answer{
+			Aggs: column.Aggregates(rng.Intn(32)), Sum: integer(), Count: integer(),
 			Min: integer(), Max: integer(), Avg: float(),
 			Stats: query.Stats{
-				Phase: progidx.Phase(rng.Intn(6)), Delta: float(), WorkSeconds: float(),
+				Phase: query.Phase(rng.Intn(6)), Delta: float(), WorkSeconds: float(),
 				Workers: int(integer()), ShardsScanned: int(integer()) * rng.Intn(2), ShardsPruned: int(integer()) * rng.Intn(2),
 			},
 		}

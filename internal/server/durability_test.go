@@ -14,11 +14,13 @@ import (
 	"testing"
 	"time"
 
-	"repro"
 	"repro/internal/catalog"
+	"repro/internal/column"
 	"repro/internal/data"
 	"repro/internal/durable"
 	"repro/internal/oracle"
+	"repro/internal/plan"
+	"repro/internal/query"
 )
 
 // newDurableServer opens a store over dir and builds a server on it
@@ -34,7 +36,7 @@ func newDurableServer(t *testing.T, dir string) *Server {
 }
 
 // answersMatch compares every aggregate bit-exactly.
-func answersMatch(a, b progidx.Answer) bool {
+func answersMatch(a, b query.Answer) bool {
 	if a.Count != b.Count || a.Sum != b.Sum {
 		return false
 	}
@@ -75,7 +77,7 @@ func TestRecoverRefusesABaselineTable(t *testing.T) {
 	if err != nil || len(warnings) != 1 || !strings.Contains(warnings[0].Error(), "cmd/experiments") {
 		t.Fatalf("recovery: warnings %v, err %v; want the one refusal of the FS table", warnings, err)
 	}
-	q := progidx.Request{Pred: progidx.Range(100, 1500), Aggs: progidx.AllAggregates}
+	q := query.Request{Pred: query.Range(100, 1500), Aggs: column.AggAll}
 	want := oracle.Answer(base, q)
 	if sched, ok := srv.Scheduler("PQ"); !ok {
 		t.Fatal("the PQ table is not served")
@@ -95,7 +97,7 @@ func TestGracefulShutdownDrainsAppends(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := data.Uniform(2000, 99)
-	if _, err := srv.Load("t", base, catalog.Options{Strategy: progidx.StrategyQuicksort, Shards: 3}); err != nil {
+	if _, err := srv.Load("t", base, catalog.Options{Strategy: plan.StrategyQuicksort, Shards: 3}); err != nil {
 		t.Fatal(err)
 	}
 	sched, _ := srv.Scheduler("t")
@@ -167,7 +169,7 @@ func TestGracefulShutdownDrainsAppends(t *testing.T) {
 	}
 	// All appended values sit at >= 1M, disjoint from the base domain:
 	// their sum and count must match the acked set exactly.
-	ans, err := tbl.Index().Execute(progidx.Request{Pred: progidx.AtLeast(1_000_000), Aggs: progidx.Sum | progidx.Count})
+	ans, err := tbl.Index().Execute(query.Request{Pred: query.AtLeast(1_000_000), Aggs: column.AggSum | column.AggCount})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +245,7 @@ func TestShutdownSkipsQuarantinedTable(t *testing.T) {
 	if d := tbl.Info().Durability; d == nil || d.CoveredSeq != 2 || d.TailFrames != 2 {
 		t.Fatalf("recovered durability = %+v, want the seq-2 snapshot and two WAL frames", d)
 	}
-	q := progidx.Request{Pred: progidx.Range(0, 2_000_000), Aggs: progidx.Sum | progidx.Count | progidx.Min | progidx.Max}
+	q := query.Request{Pred: query.Range(0, 2_000_000), Aggs: column.AggSum | column.AggCount | column.AggMin | column.AggMax}
 	want := oracle.Answer(rows, q)
 	got, err := tbl.Index().Execute(q)
 	if err != nil {
@@ -376,7 +378,7 @@ func TestSnapshotCadence(t *testing.T) {
 	if _, err := srv.Recover(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := srv.Load("t", data.Uniform(1000, 5), catalog.Options{Strategy: progidx.StrategyQuicksort}); err != nil {
+	if _, err := srv.Load("t", data.Uniform(1000, 5), catalog.Options{Strategy: plan.StrategyQuicksort}); err != nil {
 		t.Fatal(err)
 	}
 	sched, _ := srv.Scheduler("t")

@@ -757,7 +757,7 @@ func (r *histRun) drop(o hop) error {
 		}
 		<-done
 		r.logf("load %d %s raced a drop on its first answer: %d", loaded, strings.TrimSpace(string(lbody)), dropped)
-		if loaded != http.StatusCreated && loaded != http.StatusBadRequest {
+		if loaded != http.StatusCreated && loaded != http.StatusGone {
 			return fmt.Errorf("a load racing a drop: %d %s", loaded, lbody)
 		}
 		if dropped == 0 && loaded == http.StatusCreated {

@@ -8,8 +8,8 @@ import (
 	"net/http"
 	"testing"
 
-	"repro"
 	"repro/internal/catalog"
+	"repro/internal/column"
 	"repro/internal/data"
 	"repro/internal/oracle"
 	"repro/internal/query"
@@ -283,10 +283,10 @@ func TestHTTPSingleColumnConjunction(t *testing.T) {
 	// One batch of all three shapes, the bad one leading: it fails alone.
 	sched, _ := srv.Scheduler("single")
 	plain := &task{}
-	plain.pred[0].Pred = progidx.Range(lo, hi)
-	plain.conj = query.Conjunction{Preds: plain.pred[:], Aggs: progidx.Count}
-	named := query.Conjunction{Preds: []query.ColPredicate{{Col: "value", Pred: progidx.Range(lo, hi)}}, Target: "value", Aggs: progidx.Count}
-	wide := query.Conjunction{Preds: []query.ColPredicate{{Col: "a", Pred: progidx.Range(lo, hi)}, {Col: "b", Pred: progidx.Point(lo)}}}
+	plain.pred[0].Pred = query.Range(lo, hi)
+	plain.conj = query.Conjunction{Preds: plain.pred[:], Aggs: column.AggCount}
+	named := query.Conjunction{Preds: []query.ColPredicate{{Col: "value", Pred: query.Range(lo, hi)}}, Target: "value", Aggs: column.AggCount}
+	wide := query.Conjunction{Preds: []query.ColPredicate{{Col: "a", Pred: query.Range(lo, hi)}, {Col: "b", Pred: query.Point(lo)}}}
 	answers, errs := sched.executeQueries([]int{0, 1, 2}, []*task{{conj: wide}, plain, {conj: named}}, false)
 	if errs[0] == nil || errs[1] != nil || errs[2] != nil || answers[1].Count != 491 || answers[2].Count != 491 {
 		t.Fatalf("mixed batch: counts %d, %d, errors %v; want the first query alone to fail", answers[1].Count, answers[2].Count, errs)

@@ -12,6 +12,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/catalog"
+	"repro/internal/data"
 	"repro/internal/obs"
 )
 
@@ -353,8 +355,12 @@ func TestHealthzRecovering(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(func() { ts.Close(); srv.Close() })
 
+	tbl, err := srv.Load("rt", []int64{1, 2, 3}, catalog.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	srv.boot.Store(bootRecovering)
-	srv.obs.Table("rt").Timeline.SetReplayProgress(3, 10)
+	tbl.Obs().Timeline.SetReplayProgress(3, 10)
 
 	var health HealthResponse
 	do(t, http.MethodGet, ts.URL+"/healthz", nil, http.StatusServiceUnavailable, &health)
@@ -374,5 +380,59 @@ func TestHealthzRecovering(t *testing.T) {
 	do(t, http.MethodGet, ts.URL+"/healthz", nil, http.StatusOK, &ready)
 	if ready.Status != "ready" || len(ready.Recovery) != 0 {
 		t.Errorf("ready healthz = %+v, want ready with no recovery map", ready)
+	}
+}
+
+// TestReloadGetsItsOwnObservability pins that a table's observability
+// state is its own, made with it and gone with it. Across a drop and a
+// same-name reload, the reload's scheduler and /tables/{name}/debug read
+// one obs.Table, the reload's, and its timeline holds none of the
+// dropped table's events.
+func TestReloadGetsItsOwnObservability(t *testing.T) {
+	srv := New(Config{})
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(func() { ts.Close(); srv.Close() })
+	off := false
+	opts := catalog.Options{Delta: 0.25, IdleRefine: &off}
+	query := func() {
+		t.Helper()
+		lo, hi := int64(0), int64(500)
+		do(t, http.MethodPost, ts.URL+"/tables/t/query", QueryRequest{Pred: PredSpec{Kind: "range", Lo: &lo, Hi: &hi}}, http.StatusOK, nil)
+	}
+	first, err := srv.Load("t", data.Uniform(4096, 1), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		query()
+	}
+	if len(first.Obs().Timeline.Snapshot()) == 0 {
+		t.Fatal("three queries recorded no event")
+	}
+	do(t, http.MethodDelete, ts.URL+"/tables/t", nil, http.StatusNoContent, nil)
+	dropped := time.Now()
+
+	second, err := srv.Load("t", data.Uniform(4096, 2), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	query()
+	sched, _ := srv.Scheduler("t")
+	if second.Obs() == first.Obs() || sched.tobs != second.Obs() {
+		t.Fatalf("the reload's scheduler reads %p, the reload owns %p, the dropped table owned %p", sched.tobs, second.Obs(), first.Obs())
+	}
+	// A mark the scheduler records shows in the debug endpoint.
+	sched.tobs.Timeline.Record(obs.EvShed, -1, 42, 0)
+	var dbg TableDebug
+	do(t, http.MethodGet, ts.URL+"/tables/t/debug", nil, http.StatusOK, &dbg)
+	marked := false
+	for _, e := range dbg.Events {
+		if !e.At.After(dropped) {
+			t.Errorf("the reload's timeline holds %s event %d from before the drop", e.Kind, e.Seq)
+		}
+		marked = marked || e.Kind == "shed" && e.Attrs["shed_requests"] == float64(42)
+	}
+	if !marked {
+		t.Fatalf("the debug endpoint does not show the scheduler's mark: %+v", dbg.Events)
 	}
 }

@@ -18,13 +18,14 @@ import (
 	"testing"
 	"time"
 
-	"repro"
 	"repro/internal/catalog"
+	"repro/internal/column"
 	"repro/internal/data"
 	"repro/internal/durable"
 	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/oracle"
+	"repro/internal/plan"
 	"repro/internal/query"
 )
 
@@ -49,7 +50,7 @@ func newFaultyServer(t *testing.T, dir string, in *fault.Injector, cfg Config) *
 // loadRobust loads a small quicksort table and returns its scheduler.
 func loadRobust(t *testing.T, srv *Server, name string, base []int64) *Scheduler {
 	t.Helper()
-	if _, err := srv.Load(name, base, catalog.Options{Strategy: progidx.StrategyQuicksort, Delta: 0.25}); err != nil {
+	if _, err := srv.Load(name, base, catalog.Options{Strategy: plan.StrategyQuicksort, Delta: 0.25}); err != nil {
 		t.Fatal(err)
 	}
 	sched, ok := srv.Scheduler(name)
@@ -132,7 +133,7 @@ func TestWALSyncPersistentFailureDegrades(t *testing.T) {
 	// Reads still serve, bit-identical to the loaded rows: the failed
 	// append was staged behind its WAL frame and dropped with it, so it
 	// was never visible.
-	q := progidx.Request{Pred: progidx.Range(0, 10_000_000), Aggs: progidx.Sum | progidx.Count | progidx.Min | progidx.Max}
+	q := query.Request{Pred: query.Range(0, 10_000_000), Aggs: column.AggSum | column.AggCount | column.AggMin | column.AggMax}
 	want := oracle.Answer(base, q)
 	got, _, err := sched.Execute(context.Background(), q)
 	if err != nil {
@@ -207,7 +208,7 @@ func TestTornWALWriteAnswers503(t *testing.T) {
 	base := data.Uniform(2000, 3)
 	sched := loadRobust(t, srv, "t", base)
 	h := srv.Handler()
-	q := progidx.Request{Pred: progidx.Range(0, 10_000_000), Aggs: progidx.Sum | progidx.Count | progidx.Max}
+	q := query.Request{Pred: query.Range(0, 10_000_000), Aggs: column.AggSum | column.AggCount | column.AggMax}
 	expect := func(rows []int64, frames uint64) {
 		t.Helper()
 		if d := sched.table.Info().Durability; d.TailFrames != frames {
@@ -257,7 +258,7 @@ func TestDegradedBatchNotRecovered(t *testing.T) {
 	if !ok {
 		t.Fatal("table t not recovered")
 	}
-	q := progidx.Request{Pred: progidx.Range(0, 10_000_000), Aggs: progidx.Sum | progidx.Count | progidx.Max}
+	q := query.Request{Pred: query.Range(0, 10_000_000), Aggs: column.AggSum | column.AggCount | column.AggMax}
 	got, _, err := sched.Execute(context.Background(), q)
 	if want := oracle.Answer(base, q); err != nil || !answersMatch(got, want) {
 		t.Fatalf("recovered table answers %+v, %v; want the loaded rows' %+v", got, err, want)
@@ -386,6 +387,47 @@ func TestDropAnswersQueuedAppend410(t *testing.T) {
 	}
 }
 
+// TestDropDuringLoadAnswers410: a DELETE that lands while a durable
+// load is inside store.Create, its snapshot write held by an injected
+// latency, wins the name. The load answers 410, as every request a drop
+// overtakes does, not the 400 of a malformed request, and the name is
+// free for the next load.
+func TestDropDuringLoadAnswers410(t *testing.T) {
+	in := fault.NewInjector(1, fault.Rule{Op: fault.OpSnapshotWrite, Kind: fault.KindLatency, Latency: 20 * time.Millisecond})
+	srv := newFaultyServer(t, t.TempDir(), in, Config{})
+	t.Cleanup(srv.Close)
+	if _, err := srv.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	h := srv.Handler()
+	serve := func(method, path, body string) (int, string) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(method, path, strings.NewReader(body)))
+		return rec.Code, rec.Body.String()
+	}
+	type answer struct {
+		code int
+		body string
+	}
+	loaded := make(chan answer, 1)
+	go func() {
+		code, body := serve(http.MethodPost, "/tables", `{"name":"t","values":[3,1,2]}`)
+		loaded <- answer{code, body}
+	}()
+	for in.Seen(fault.OpSnapshotWrite) == 0 {
+		time.Sleep(time.Millisecond) // until the load is writing its base snapshot
+	}
+	if code, body := serve(http.MethodDelete, "/tables/t", ""); code != http.StatusNoContent {
+		t.Fatalf("the drop answered %d %s, want 204", code, body)
+	}
+	if a := <-loaded; a.code != http.StatusGone {
+		t.Fatalf("the load the drop overtook answered %d %s, want 410", a.code, a.body)
+	}
+	if code, body := serve(http.MethodPost, "/tables", `{"name":"t","values":[3,1,2]}`); code != http.StatusCreated {
+		t.Fatalf("a load after the drop answered %d %s, want 201", code, body)
+	}
+}
+
 // TestConcurrentCheckpointsWriteOnce: two CheckpointAll calls at once
 // write one snapshot of the table. The second waits for the first, whose
 // write an injected latency holds open, and then finds nothing to write.
@@ -397,7 +439,7 @@ func TestConcurrentCheckpointsWriteOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	off := false
-	if _, err := srv.Load("t", data.Uniform(2000, 7), catalog.Options{Strategy: progidx.StrategyQuicksort, Delta: 0.25, IdleRefine: &off}); err != nil {
+	if _, err := srv.Load("t", data.Uniform(2000, 7), catalog.Options{Strategy: plan.StrategyQuicksort, Delta: 0.25, IdleRefine: &off}); err != nil {
 		t.Fatal(err)
 	}
 	sched, _ := srv.Scheduler("t")
@@ -439,7 +481,7 @@ func TestOverloadShedsDeterministic(t *testing.T) {
 	s.tasks <- &task{}
 
 	start := time.Now()
-	_, _, err := s.Execute(context.Background(), progidx.Request{Pred: progidx.Point(1)})
+	_, _, err := s.Execute(context.Background(), query.Request{Pred: query.Point(1)})
 	if !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("Execute on full queue = %v, want ErrOverloaded", err)
 	}
@@ -485,7 +527,7 @@ func TestOverloadBurstNeverWrongAnswer(t *testing.T) {
 	sched := loadRobust(t, srv, "t", base)
 
 	appended := []int64{5_000_000, 5_000_001}
-	q := progidx.Request{Pred: progidx.Range(0, 10_000_000), Aggs: progidx.Sum | progidx.Count | progidx.Min | progidx.Max}
+	q := query.Request{Pred: query.Range(0, 10_000_000), Aggs: column.AggSum | column.AggCount | column.AggMin | column.AggMax}
 	want := oracle.Answer(append(append([]int64(nil), base...), appended...), q)
 
 	// Park the loop: the append's batch fsync sleeps 500ms inside the
@@ -599,13 +641,13 @@ func TestDeadlineClampExact(t *testing.T) {
 			t.Cleanup(srv.Close)
 			base := data.Uniform(200_000, 5)
 			off := false
-			opts := catalog.Options{Strategy: progidx.StrategyQuicksort, Delta: 0.25, Shards: shards, IdleRefine: &off}
+			opts := catalog.Options{Strategy: plan.StrategyQuicksort, Delta: 0.25, Shards: shards, IdleRefine: &off}
 			if _, err := srv.Load("t", base, opts); err != nil {
 				t.Fatal(err)
 			}
 			sched, _ := srv.Scheduler("t")
 			tbl, _ := srv.Catalog().Get("t")
-			q := progidx.Request{Pred: progidx.Range(10_000, 150_000), Aggs: progidx.Sum | progidx.Count | progidx.Min | progidx.Max}
+			q := query.Request{Pred: query.Range(10_000, 150_000), Aggs: column.AggSum | column.AggCount | column.AggMin | column.AggMax}
 			want := oracle.Answer(base, q)
 
 			before := tbl.Index().Progress()
@@ -721,7 +763,7 @@ func TestQuarantineIsolation(t *testing.T) {
 	if st := schedA.State(); st != StateQuarantined {
 		t.Fatalf("State = %v, want quarantined", st)
 	}
-	if _, _, err := schedA.Execute(context.Background(), progidx.Request{Pred: progidx.Point(1)}); !errors.Is(err, ErrQuarantined) {
+	if _, _, err := schedA.Execute(context.Background(), query.Request{Pred: query.Point(1)}); !errors.Is(err, ErrQuarantined) {
 		t.Fatalf("query on quarantined table = %v, want ErrQuarantined", err)
 	}
 	if _, _, err := schedA.Append(context.Background(), []int64{1}); !errors.Is(err, ErrQuarantined) {
@@ -732,7 +774,7 @@ func TestQuarantineIsolation(t *testing.T) {
 	if _, _, err := schedB.Append(context.Background(), []int64{9_000_000, 9_000_001}); err != nil {
 		t.Fatalf("sibling append: %v", err)
 	}
-	q := progidx.Request{Pred: progidx.Range(0, 10_000_000), Aggs: progidx.Sum | progidx.Count}
+	q := query.Request{Pred: query.Range(0, 10_000_000), Aggs: column.AggSum | column.AggCount}
 	want := oracle.Answer(append(append([]int64(nil), baseB...), 9_000_000, 9_000_001), q)
 	got, _, err := schedB.Execute(context.Background(), q)
 	if err != nil {
@@ -798,7 +840,7 @@ func TestDrainRacesConcurrentWork(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := data.Uniform(2000, 13)
-	if _, err := srv.Load("t", base, catalog.Options{Strategy: progidx.StrategyQuicksort, Delta: 0.25, Shards: 3}); err != nil {
+	if _, err := srv.Load("t", base, catalog.Options{Strategy: plan.StrategyQuicksort, Delta: 0.25, Shards: 3}); err != nil {
 		t.Fatal(err)
 	}
 	sched, _ := srv.Scheduler("t")
@@ -842,7 +884,7 @@ func TestDrainRacesConcurrentWork(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			<-start
-			q := progidx.Request{Pred: progidx.Range(0, 100_000_000), Aggs: progidx.Count}
+			q := query.Request{Pred: query.Range(0, 100_000_000), Aggs: column.AggCount}
 			for {
 				ans, _, err := sched.Execute(context.Background(), q)
 				switch {
@@ -897,7 +939,7 @@ func TestDrainRacesConcurrentWork(t *testing.T) {
 	if tbl.Len() != len(base)+ackedRows {
 		t.Fatalf("recovered rows = %d, want %d base + %d acked", tbl.Len(), len(base), ackedRows)
 	}
-	ans, err := tbl.Index().Execute(progidx.Request{Pred: progidx.AtLeast(1_000_000), Aggs: progidx.Sum | progidx.Count})
+	ans, err := tbl.Index().Execute(query.Request{Pred: query.AtLeast(1_000_000), Aggs: column.AggSum | column.AggCount})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,10 +12,12 @@ import (
 	"testing"
 	"time"
 
-	"repro"
 	"repro/internal/catalog"
+	"repro/internal/column"
 	"repro/internal/data"
+	"repro/internal/encode"
 	"repro/internal/oracle"
+	"repro/internal/plan"
 	"repro/internal/query"
 	"repro/internal/shard"
 )
@@ -25,7 +27,7 @@ import (
 // route (Scheduler.route).
 func awaitQuiescent(t testing.TB, sched *Scheduler) {
 	t.Helper()
-	probe := query.Conjunction{Preds: []query.ColPredicate{{Pred: progidx.Range(0, 100)}}, Aggs: progidx.Count}
+	probe := query.Conjunction{Preds: []query.ColPredicate{{Pred: query.Range(0, 100)}}, Aggs: column.AggCount}
 	for deadline := time.Now().Add(time.Minute); ; time.Sleep(time.Millisecond) {
 		if _, ok, _ := sched.idx.ExecuteQuiescent(probe, nil); ok {
 			return
@@ -61,7 +63,7 @@ func TestQuiescentRouteClaimsColdShards(t *testing.T) {
 	for i := range vals {
 		vals[i] = int64(i)
 	}
-	if _, err := srv.Load("cold", vals, catalog.Options{Strategy: progidx.StrategyQuicksort, Shards: 4, Encoding: progidx.EncodingFORBP}); err != nil {
+	if _, err := srv.Load("cold", vals, catalog.Options{Strategy: plan.StrategyQuicksort, Shards: 4, Encoding: encode.ModeFORBP}); err != nil {
 		t.Fatal(err)
 	}
 	sched, _ := srv.Scheduler("cold")
@@ -131,7 +133,7 @@ func TestQuiescentRouteQuarantine(t *testing.T) {
 	awaitQuiescent(t, schedA)
 	awaitQuiescent(t, schedB)
 
-	probe := query.Conjunction{Preds: []query.ColPredicate{{Pred: progidx.Point(1)}}}
+	probe := query.Conjunction{Preds: []query.ColPredicate{{Pred: query.Point(1)}}}
 	_, _, _, err := schedA.submit(context.Background(), &task{conj: probe, panicTest: true, enqueued: time.Now()}, false)
 	if !errors.Is(err, ErrQuarantined) {
 		t.Fatalf("panicking routed query = %v, want ErrQuarantined", err)
@@ -139,7 +141,7 @@ func TestQuiescentRouteQuarantine(t *testing.T) {
 	if st := schedA.State(); st != StateQuarantined {
 		t.Fatalf("State = %v, want quarantined", st)
 	}
-	if _, _, err := schedA.Execute(context.Background(), progidx.Request{Pred: progidx.Point(1)}); !errors.Is(err, ErrQuarantined) {
+	if _, _, err := schedA.Execute(context.Background(), query.Request{Pred: query.Point(1)}); !errors.Is(err, ErrQuarantined) {
 		t.Fatalf("query on quarantined table = %v, want ErrQuarantined", err)
 	}
 	if _, _, err := schedA.Append(context.Background(), []int64{1}); !errors.Is(err, ErrQuarantined) {
@@ -149,7 +151,7 @@ func TestQuiescentRouteQuarantine(t *testing.T) {
 		t.Fatalf("HTTP query on quarantined table = %d %s (%v), want 503", status, body, err)
 	}
 
-	q := progidx.Request{Pred: progidx.Range(0, 10_000_000), Aggs: progidx.Sum | progidx.Count}
+	q := query.Request{Pred: query.Range(0, 10_000_000), Aggs: column.AggSum | column.AggCount}
 	want := oracle.Answer(baseB, q)
 	got, info, err := schedB.Execute(context.Background(), q)
 	if err != nil || !answersMatch(got, want) || info.Batch != 1 {

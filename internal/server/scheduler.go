@@ -241,12 +241,10 @@ func newScheduler(t *catalog.Table, queueDepth, maxBatch int, reg *obs.Registry)
 		idle:     t.Options().IdleRefineEnabled(),
 		maxBatch: maxBatch,
 		reg:      reg,
+		tobs:     t.Obs(),
 		tasks:    make(chan *task, queueDepth),
 		quit:     make(chan struct{}),
 		done:     make(chan struct{}),
-	}
-	if reg != nil {
-		s.tobs = reg.Table(t.Name())
 	}
 	s.lastProgress = s.idx.Progress()
 	s.lastPhase = s.idx.Phase()

@@ -7,10 +7,11 @@ import (
 	"testing"
 	"time"
 
-	"repro"
 	"repro/internal/catalog"
 	"repro/internal/data"
 	"repro/internal/oracle"
+	"repro/internal/plan"
+	"repro/internal/query"
 )
 
 // loadTable is a test helper: a fresh catalog with one table and a
@@ -31,11 +32,11 @@ func loadTable(t *testing.T, n int, opts catalog.Options) (*catalog.Table, *Sche
 // acceptance-criteria test: with zero client queries, background
 // refinement alone drives the index to full convergence.
 func TestIdleRefinementConvergesWithoutQueries(t *testing.T) {
-	for _, strategy := range []progidx.Strategy{
-		progidx.StrategyQuicksort,
-		progidx.StrategyRadixMSD,
-		progidx.StrategyBucketsort,
-		progidx.StrategyRadixLSD,
+	for _, strategy := range []plan.Strategy{
+		plan.StrategyQuicksort,
+		plan.StrategyRadixMSD,
+		plan.StrategyBucketsort,
+		plan.StrategyRadixLSD,
 	} {
 		tbl, _ := loadTable(t, 20_000, catalog.Options{Strategy: strategy, Delta: 0.25})
 		deadline := time.Now().Add(30 * time.Second)
@@ -50,7 +51,7 @@ func TestIdleRefinementConvergesWithoutQueries(t *testing.T) {
 			t.Fatalf("%v: converged but progress = %v, want 1", strategy, p)
 		}
 		// The converged index still answers exactly.
-		ans, err := tbl.Index().Execute(progidx.Request{Pred: progidx.Range(100, 10_000)})
+		ans, err := tbl.Index().Execute(query.Request{Pred: query.Range(100, 10_000)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -71,9 +72,9 @@ func TestIdleRefinementConvergesWithoutQueries(t *testing.T) {
 // TestIdleRefinementYieldsToRequests: queries issued while the idle
 // loop is running are answered promptly and correctly.
 func TestIdleRefinementYieldsToRequests(t *testing.T) {
-	tbl, sched := loadTable(t, 100_000, catalog.Options{Strategy: progidx.StrategyQuicksort, Delta: 0.05})
+	tbl, sched := loadTable(t, 100_000, catalog.Options{Strategy: plan.StrategyQuicksort, Delta: 0.05})
 	for q := 0; q < 20; q++ {
-		req := progidx.Request{Pred: progidx.Range(int64(q*1000), int64(q*1000+5000))}
+		req := query.Request{Pred: query.Range(int64(q*1000), int64(q*1000+5000))}
 		got, _, err := sched.Execute(context.Background(), req)
 		if err != nil {
 			t.Fatal(err)
@@ -97,9 +98,9 @@ func TestIdleRefinementYieldsToRequests(t *testing.T) {
 // TestSchedulerStopFailsPendingCleanly: Stop fails queued work with
 // ErrStopped and subsequent Executes fail fast.
 func TestSchedulerStopFailsPendingCleanly(t *testing.T) {
-	_, sched := loadTable(t, 5_000, catalog.Options{Strategy: progidx.StrategyQuicksort})
+	_, sched := loadTable(t, 5_000, catalog.Options{Strategy: plan.StrategyQuicksort})
 	sched.Stop()
-	if _, _, err := sched.Execute(context.Background(), progidx.Request{Pred: progidx.Range(0, 10)}); err != ErrStopped {
+	if _, _, err := sched.Execute(context.Background(), query.Request{Pred: query.Range(0, 10)}); err != ErrStopped {
 		t.Fatalf("Execute after Stop = %v, want ErrStopped", err)
 	}
 	sched.Stop() // idempotent
@@ -108,10 +109,10 @@ func TestSchedulerStopFailsPendingCleanly(t *testing.T) {
 // TestSchedulerContextCancellation: a cancelled context unblocks the
 // caller.
 func TestSchedulerContextCancellation(t *testing.T) {
-	_, sched := loadTable(t, 5_000, catalog.Options{Strategy: progidx.StrategyQuicksort})
+	_, sched := loadTable(t, 5_000, catalog.Options{Strategy: plan.StrategyQuicksort})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, _, err := sched.Execute(ctx, progidx.Request{Pred: progidx.Range(0, 10)})
+	_, _, err := sched.Execute(ctx, query.Request{Pred: query.Range(0, 10)})
 	if err != nil && err != context.Canceled {
 		t.Fatalf("err = %v, want nil or context.Canceled", err)
 	}
@@ -123,7 +124,7 @@ func TestSchedulerContextCancellation(t *testing.T) {
 // ExecuteBatch unit tests in the root package; here we only assert the
 // metrics plumbing for batches under real concurrency.
 func TestBatchMetricsUnderBurst(t *testing.T) {
-	_, sched := loadTable(t, 200_000, catalog.Options{Strategy: progidx.StrategyQuicksort, Delta: 0.1})
+	_, sched := loadTable(t, 200_000, catalog.Options{Strategy: plan.StrategyQuicksort, Delta: 0.1})
 	const burst = 64
 	var wg sync.WaitGroup
 	for g := 0; g < burst; g++ {
@@ -131,7 +132,7 @@ func TestBatchMetricsUnderBurst(t *testing.T) {
 		go func(g int64) {
 			defer wg.Done()
 			lo := g * 1000
-			if _, _, err := sched.Execute(context.Background(), progidx.Request{Pred: progidx.Range(lo, lo+500)}); err != nil {
+			if _, _, err := sched.Execute(context.Background(), query.Request{Pred: query.Range(lo, lo+500)}); err != nil {
 				t.Error(err)
 			}
 		}(int64(g))
@@ -157,7 +158,7 @@ func TestSchedulerShardedTable(t *testing.T) {
 	vals := data.Uniform(30_000, 17)
 	c := catalog.New()
 	tbl, err := c.Load("sh", vals, catalog.Options{
-		Strategy: progidx.StrategyQuicksort, Delta: 0.3, Shards: 4,
+		Strategy: plan.StrategyQuicksort, Delta: 0.3, Shards: 4,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -174,7 +175,7 @@ func TestSchedulerShardedTable(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			for q := 0; q < 30; q++ {
 				lo := rng.Int63n(30_000)
-				req := progidx.Request{Pred: progidx.Range(lo, lo+rng.Int63n(3000))}
+				req := query.Request{Pred: query.Range(lo, lo+rng.Int63n(3000))}
 				ans, _, err := sched.Execute(context.Background(), req)
 				want := oracle.Answer(vals, req)
 				if err != nil || ans.Sum != want.Sum || ans.Count != want.Count {
@@ -212,7 +213,7 @@ func TestSchedulerShardedTable(t *testing.T) {
 // append answered by the scheduler is visible to the caller's next
 // query, and the ingest counters track it.
 func TestSchedulerAppendReadYourWrites(t *testing.T) {
-	tbl, sched := loadTable(t, 5_000, catalog.Options{Strategy: progidx.StrategyQuicksort, Delta: 0.5})
+	tbl, sched := loadTable(t, 5_000, catalog.Options{Strategy: plan.StrategyQuicksort, Delta: 0.5})
 	ctx := context.Background()
 	rows, info, err := sched.Append(ctx, []int64{90_001, 90_002})
 	if err != nil {
@@ -224,7 +225,7 @@ func TestSchedulerAppendReadYourWrites(t *testing.T) {
 	if info.Batch < 1 {
 		t.Fatalf("append info = %+v, want batch >= 1", info)
 	}
-	ans, _, err := sched.Execute(ctx, progidx.Request{Pred: progidx.Range(90_001, 90_002)})
+	ans, _, err := sched.Execute(ctx, query.Request{Pred: query.Range(90_001, 90_002)})
 	if err != nil || ans.Count != 2 || ans.Sum != 180_003 {
 		t.Fatalf("appended rows invisible to next query: %+v, %v", ans, err)
 	}
@@ -242,7 +243,7 @@ func TestSchedulerAppendReadYourWrites(t *testing.T) {
 // execute in shared batches (appends first), answers stay exact against
 // a growing oracle, and batching is observable.
 func TestSchedulerMixedBatchOneBudget(t *testing.T) {
-	_, sched := loadTable(t, 20_000, catalog.Options{Strategy: progidx.StrategyQuicksort, Delta: 0.25})
+	_, sched := loadTable(t, 20_000, catalog.Options{Strategy: plan.StrategyQuicksort, Delta: 0.25})
 	ctx := context.Background()
 
 	const writers, readers, rounds = 3, 6, 20
@@ -268,7 +269,7 @@ func TestSchedulerMixedBatchOneBudget(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(g)))
 			for r := 0; r < rounds; r++ {
 				lo := rng.Int63n(20_000)
-				ans, _, err := sched.Execute(ctx, progidx.Request{Pred: progidx.Range(lo, lo+500)})
+				ans, _, err := sched.Execute(ctx, query.Request{Pred: query.Range(lo, lo+500)})
 				if err != nil {
 					t.Errorf("reader %d: %v", g, err)
 					return
@@ -282,7 +283,7 @@ func TestSchedulerMixedBatchOneBudget(t *testing.T) {
 		return
 	}
 	// Quiesced: every appended row is queryable exactly.
-	ans, _, err := sched.Execute(ctx, progidx.Request{Pred: progidx.AtLeast(base)})
+	ans, _, err := sched.Execute(ctx, query.Request{Pred: query.AtLeast(base)})
 	if err != nil {
 		t.Fatal(err)
 	}

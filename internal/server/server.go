@@ -188,7 +188,7 @@ func (s *Server) register(t *catalog.Table) error {
 		}
 		s.mu.Unlock()
 		sched.Stop()
-		return fmt.Errorf("server: table %q dropped before its scheduler started", name)
+		return fmt.Errorf("server: table %q %w before its scheduler started", name, catalog.ErrDropped)
 	}
 	return nil
 }
@@ -587,9 +587,9 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	resp := HealthResponse{Status: state}
 	if state == "recovering" {
 		resp.Recovery = make(map[string]ReplayProgress)
-		for _, ot := range s.obs.Tables() {
-			done, total := ot.Obs.Timeline.ReplayProgress()
-			resp.Recovery[ot.Name] = ReplayProgress{FramesReplayed: done, TailFrames: total}
+		for _, t := range s.catalog.List() {
+			done, total := t.Obs().Timeline.ReplayProgress()
+			resp.Recovery[t.Name()] = ReplayProgress{FramesReplayed: done, TailFrames: total}
 		}
 	}
 	s.mu.Lock()
@@ -631,8 +631,11 @@ func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
 	t, err := s.Load(req.Name, values, opts)
 	if err != nil {
 		status := http.StatusBadRequest
-		if strings.Contains(err.Error(), "already exists") {
+		switch {
+		case errors.Is(err, catalog.ErrExists):
 			status = http.StatusConflict
+		case errors.Is(err, catalog.ErrDropped):
+			status = http.StatusGone // a concurrent DELETE won the name
 		}
 		writeError(w, status, err)
 		return
@@ -1078,11 +1081,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	}
 	// Real histogram families, observed on the serving hot path with
 	// atomic adds (internal/obs): cumulative le buckets, _sum, _count.
-	obsTables := s.obs.Tables()
+	tables := s.catalog.List()
 	writeHistFamily := func(name, help string, pick func(*obs.Table) *obs.Histogram) {
 		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s histogram\n", name, help, name)
-		for _, ot := range obsTables {
-			pick(ot.Obs).Expose(&b, name, fmt.Sprintf("table=%q", ot.Name))
+		for _, t := range tables {
+			pick(t.Obs()).Expose(&b, name, fmt.Sprintf("table=%q", t.Name()))
 		}
 	}
 	writeHistFamily("progidx_query_duration_seconds",

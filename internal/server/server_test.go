@@ -12,10 +12,11 @@ import (
 	"testing"
 	"time"
 
-	"repro"
 	"repro/internal/catalog"
+	"repro/internal/column"
 	"repro/internal/data"
 	"repro/internal/oracle"
+	"repro/internal/query"
 )
 
 func newTestServer(t *testing.T) (*Server, *httptest.Server) {
@@ -88,7 +89,7 @@ func TestHTTPEndToEnd(t *testing.T) {
 					Pred: PredSpec{Kind: "range", Lo: &lo, Hi: &hi},
 					Aggs: []string{"sum", "count", "min", "max", "avg"},
 				}, http.StatusOK, &resp)
-				want := oracle.Answer(vals, progidx.Request{Pred: progidx.Range(lo, hi), Aggs: progidx.AllAggregates})
+				want := oracle.Answer(vals, query.Request{Pred: query.Range(lo, hi), Aggs: column.AggAll})
 				if resp.Count != want.Count || resp.Sum == nil || *resp.Sum != want.Sum {
 					t.Errorf("sum/count mismatch for [%d,%d]: got %v/%d", lo, hi, resp.Sum, resp.Count)
 					return

@@ -1,7 +1,6 @@
-package progidx
+package shard_test
 
 import (
-	"math/rand"
 	"testing"
 
 	"repro/internal/column"
@@ -174,47 +173,5 @@ func TestAppendPendingPhaseAndPendingRows(t *testing.T) {
 	}
 	if h.Name() != "PQ/S1" {
 		t.Fatalf("Name after the seal = %q, want PQ/S1", h.Name())
-	}
-}
-
-// TestUnshardedTailStaysBounded pins the rule an unsharded table's seal
-// threshold follows: an eighth of the loaded rows, floor 1024 — not the
-// whole-table shard size — so under appends with no idle slice in
-// between, the unindexed tail every query scans never reaches that
-// many rows, and every answer stays exact.
-func TestUnshardedTailStaysBounded(t *testing.T) {
-	for _, n := range []int{3_000, 20_000} {
-		bound := max(n/8, 1024)
-		logical := testColumn(n, 43)
-		h := newColumn(t, append([]int64(nil), logical...), plan.Options{Strategy: StrategyQuicksort, Delta: 0.25})
-		rng := rand.New(rand.NewSource(int64(n)))
-		sealed := false
-		for round := 0; round < 120; round++ {
-			batch := make([]int64, 1+rng.Intn(bound/2))
-			for i := range batch {
-				batch[i] = rng.Int63n(8000) - 4000
-			}
-			if err := h.Append(batch); err != nil {
-				t.Fatal(err)
-			}
-			logical = append(logical, batch...)
-			if p := h.PendingRows(); p >= bound {
-				t.Fatalf("n=%d round %d: %d rows pending, bound %d", n, round, p, bound)
-			}
-			sealed = sealed || h.Shards() > 1
-			lo := rng.Int63n(8000) - 4000
-			hi := lo + rng.Int63n(3000)
-			ans, err := h.Execute(Request{Pred: Range(lo, hi), Aggs: AllAggregates})
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := column.AggRangeBranching(logical, lo, hi)
-			if ans.Sum != want.Sum || ans.Count != want.Count {
-				t.Fatalf("n=%d round %d Range(%d, %d): %d/%d, want %d/%d", n, round, lo, hi, ans.Sum, ans.Count, want.Sum, want.Count)
-			}
-		}
-		if !sealed {
-			t.Fatalf("n=%d: the trace never sealed the tail", n)
-		}
 	}
 }

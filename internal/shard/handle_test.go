@@ -1,11 +1,13 @@
-package progidx
+package shard_test
 
 import (
+	"math/rand"
 	"sync"
 	"testing"
 
 	"repro/internal/column"
 	"repro/internal/data"
+	"repro/internal/oracle"
 	"repro/internal/plan"
 	"repro/internal/query"
 	"repro/internal/shard"
@@ -146,5 +148,49 @@ func TestConvergedConcurrentReads(t *testing.T) {
 			}(int64(g))
 		}
 		wg.Wait()
+	}
+}
+
+// TestHandleExecuteCoherent hammers a shared handle with concurrent
+// Execute calls: every answer is exact, and the Stats carried inline
+// belong to a call taken under the shard's lock — observed as a phase
+// that never regresses within any single goroutine, since the index's
+// lifecycle only moves forward.
+func TestHandleExecuteCoherent(t *testing.T) {
+	vals := testColumn(20000, 17)
+	for _, s := range []Strategy{StrategyRadixMSD, StrategyQuicksort} {
+		idx := newColumn(t, vals, plan.Options{Strategy: s, Delta: 0.2})
+		var wg sync.WaitGroup
+		errs := make(chan string, 64)
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func(seed int64) {
+				defer wg.Done()
+				rng := rand.New(rand.NewSource(seed))
+				phase := PhaseCreation
+				for q := 0; q < 60; q++ {
+					lo := rng.Int63n(8000) - 4000
+					p := Range(lo, lo+rng.Int63n(2000))
+					ans, err := idx.Execute(Request{Pred: p, Aggs: AllAggregates})
+					want := oracle.Agg(vals, p)
+					bad := err != nil || ans.Count != want.Count || ans.Sum != want.Sum ||
+						(want.Count > 0 && (ans.Min != want.Min || ans.Max != want.Max)) ||
+						ans.Stats.Phase < phase
+					if bad {
+						select {
+						case errs <- idx.Name():
+						default:
+						}
+						return
+					}
+					phase = ans.Stats.Phase
+				}
+			}(int64(g))
+		}
+		wg.Wait()
+		close(errs)
+		if name, bad := <-errs; bad {
+			t.Fatalf("%s returned an incoherent answer under concurrency", name)
+		}
 	}
 }

@@ -1,4 +1,4 @@
-package progidx
+package shard_test
 
 import (
 	"sync"

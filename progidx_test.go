@@ -2,16 +2,12 @@ package progidx
 
 import (
 	"math/rand"
-	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/column"
 	"repro/internal/data"
-	"repro/internal/oracle"
-	"repro/internal/plan"
 	"repro/internal/query"
-	"repro/internal/shard"
 )
 
 var allStrategies = []Strategy{
@@ -21,10 +17,6 @@ var allStrategies = []Strategy{
 	StrategyProgressiveStochastic, StrategyCoarseGranular, StrategyAdaptiveAdaptive,
 	StrategyProgressiveHash, StrategyImprints,
 }
-
-// progressiveStrategies are the four a table serves: the axis of every
-// test over newColumn.
-var progressiveStrategies = allStrategies[:4]
 
 func TestNewAllStrategiesAnswerExactly(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
@@ -94,70 +86,6 @@ func TestProgressiveConvergesToDone(t *testing.T) {
 		}
 		if !idx.Converged() || idx.Phase() != PhaseDone || idx.Progress() != 1 {
 			t.Fatalf("%v: converged=%v phase=%v progress=%v", s, idx.Converged(), idx.Phase(), idx.Progress())
-		}
-	}
-}
-
-// TestStrategiesMeetTheOneContract is the conformance test of
-// query.Budgeted over the four a table serves, each built the way the
-// shard layer builds it (plan.Layout's factory): a suspended slice
-// indexes nothing (the creation step still moves its minimum one
-// element, part of its answer path) where an open one does; Progress is
-// monotone in [0, 1] and 1 with Converged and PhaseDone; ReleaseBase
-// reports true only once converged. And as a table they settle. Every
-// other strategy plan.NewColumn refuses, with the one message that
-// points to cmd/experiments.
-func TestStrategiesMeetTheOneContract(t *testing.T) {
-	const n = 3 * shard.BlockRows
-	vals := data.Uniform(n, 5)
-	req := Request{Pred: Range(100, 4000), Aggs: AllAggregates}
-	want := oracle.Agg(vals, req.Pred)
-	for _, s := range Strategies() {
-		opts := plan.Options{Strategy: s, Delta: 0.25, Workers: 1}
-		if !s.Progressive() {
-			if _, err := plan.NewColumn(column.MustNew(append([]int64(nil), vals...)), opts); err == nil || !strings.Contains(err.Error(), "cmd/experiments") {
-				t.Fatalf("%v: a table of a baseline was not refused: %v", s, err)
-			}
-			continue
-		}
-		_, factory := plan.Layout(opts, n)
-		idx := factory(column.MustNew(append([]int64(nil), vals...)))
-		slice := func(suspend bool) float64 {
-			t.Helper()
-			before := idx.Progress()
-			ans, err := idx.ExecuteSlice(req, 1, suspend)
-			if err != nil {
-				t.Fatalf("%v: %v", s, err)
-			}
-			checkAnswer(t, s.String(), req.Pred, req.Aggs, ans, want)
-			after := idx.Progress()
-			if after < before || after > 1 || (after == 1) != idx.Converged() || idx.Converged() != (idx.Phase() == PhaseDone) {
-				t.Fatalf("%v: progress %v -> %v, converged=%v, phase %v", s, before, after, idx.Converged(), idx.Phase())
-			}
-			return after - before
-		}
-		if moved := slice(true); moved > 1.0/n {
-			t.Fatalf("%v: a suspended slice moved progress by %v", s, moved)
-		}
-		if moved := slice(false); moved < 0.05 {
-			t.Fatalf("%v: an open slice at δ=0.25 moved progress by %v", s, moved)
-		}
-		for q := 0; q < 100 && !idx.Converged(); q++ {
-			if idx.ReleaseBase() {
-				t.Fatalf("%v released its base before it converged", s)
-			}
-			slice(false)
-		}
-		if !idx.Converged() || !idx.ReleaseBase() {
-			t.Fatalf("%v: converged=%v, ReleaseBase refused", s, idx.Converged())
-		}
-
-		h := newColumn(t, append([]int64(nil), vals...), opts)
-		for q := 0; q < 200 && !h.Converged(); q++ {
-			h.RefineStep()
-		}
-		if si := h.ShardStats()[0]; si.Form != shard.FormSettled || si.Bytes >= 8*n || !h.Converged() {
-			t.Fatalf("%v: %+v, want a settled shard", s, si)
 		}
 	}
 }
